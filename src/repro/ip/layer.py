@@ -9,6 +9,7 @@ byte stream (§3, Figure 1).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.ip.datagram import DEFAULT_TTL, IPDatagram, PROTO_TCP, PROTO_UDP
@@ -135,24 +136,41 @@ class IPLayer:
     def _transmit(self, datagram: IPDatagram, route: Route) -> None:
         next_hop = route.next_hop or datagram.dst
         nic = route.nic
+        # The table is consulted per datagram (entries expire); only a
+        # miss pays for a continuation and the resolver.
+        mac = self.host.arp.lookup(next_hop)
+        if mac is None:
+            self.host.arp.resolve(
+                next_hop, nic, partial(self._on_resolved, datagram, nic, next_hop)
+            )
+        else:
+            self._emit_frame(datagram, nic, mac)
 
-        def on_resolved(mac: Optional[MACAddress]) -> None:
-            if mac is None:
-                self._c_dropped_no_arp.value += 1
-                if self.sim.trace.enabled_for("ip"):
-                    self.sim.trace.emit(
-                        self.sim.now,
-                        "ip",
-                        "arp_fail",
-                        host=self.host.name,
-                        next_hop=str(next_hop),
-                    )
-                return
-            src_mac = self.host.source_mac_for(nic, datagram.src)
-            frame = EthernetFrame(mac, src_mac, ETHERTYPE_IPV4, datagram, datagram.size)
-            nic.transmit(frame)
+    def _on_resolved(
+        self,
+        datagram: IPDatagram,
+        nic: NIC,
+        next_hop: IPAddress,
+        mac: Optional[MACAddress],
+    ) -> None:
+        if mac is None:
+            self._c_dropped_no_arp.value += 1
+            if self.sim.trace.enabled_for("ip"):
+                self.sim.trace.emit(
+                    self.sim.now,
+                    "ip",
+                    "arp_fail",
+                    host=self.host.name,
+                    next_hop=str(next_hop),
+                )
+            return
+        self._emit_frame(datagram, nic, mac)
 
-        self.host.arp.resolve(next_hop, nic, on_resolved)
+    def _emit_frame(self, datagram: IPDatagram, nic: NIC, mac: MACAddress) -> None:
+        src_mac = self.host.source_mac_for(nic, datagram.src)
+        nic.transmit(
+            EthernetFrame(mac, src_mac, ETHERTYPE_IPV4, datagram, datagram.size)
+        )
 
     # Input path ------------------------------------------------------------------
     def receive(self, datagram: IPDatagram, nic: NIC) -> None:

@@ -17,13 +17,12 @@ from repro.errors import AddressError
 class MACAddress:
     """A 48-bit Ethernet address."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_hash")
 
     def __init__(self, value: Union[int, str, "MACAddress"]) -> None:
         if isinstance(value, MACAddress):
-            self.value = value.value
-            return
-        if isinstance(value, str):
+            number = value.value
+        elif isinstance(value, str):
             parts = value.split(":")
             if len(parts) != 6:
                 raise AddressError(f"bad MAC literal {value!r}")
@@ -36,14 +35,21 @@ class MACAddress:
             number = 0
             for octet in octets:
                 number = (number << 8) | octet
-            self.value = number
-            return
-        if isinstance(value, int):
+        elif isinstance(value, int):
             if not 0 <= value < (1 << 48):
                 raise AddressError(f"MAC integer out of range: {value}")
-            self.value = value
-            return
-        raise AddressError(f"cannot build MAC from {type(value).__name__}")
+            number = value
+        else:
+            raise AddressError(f"cannot build MAC from {type(value).__name__}")
+        self.value = number
+        # Hashed per frame (NIC filter, switch table); the value is what
+        # __hash__ always returned, so set/dict iteration order holds.
+        self._hash = hash(("mac", number))
+
+    def __reduce__(self) -> tuple:
+        # Rebuild from the value: a pickled _hash is wrong in a process
+        # with another string-hash seed.
+        return (MACAddress, (self.value,))
 
     @property
     def is_broadcast(self) -> bool:
@@ -69,7 +75,7 @@ class MACAddress:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("mac", self.value))
+        return self._hash
 
     def __str__(self) -> str:
         octets = [(self.value >> shift) & 0xFF for shift in range(40, -8, -8)]
@@ -106,13 +112,12 @@ def fresh_multicast_mac() -> MACAddress:
 class IPAddress:
     """A 32-bit IPv4 address."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_hash")
 
     def __init__(self, value: Union[int, str, "IPAddress"]) -> None:
         if isinstance(value, IPAddress):
-            self.value = value.value
-            return
-        if isinstance(value, str):
+            number = value.value
+        elif isinstance(value, str):
             parts = value.split(".")
             if len(parts) != 4:
                 raise AddressError(f"bad IPv4 literal {value!r}")
@@ -125,14 +130,18 @@ class IPAddress:
             number = 0
             for octet in octets:
                 number = (number << 8) | octet
-            self.value = number
-            return
-        if isinstance(value, int):
+        elif isinstance(value, int):
             if not 0 <= value < (1 << 32):
                 raise AddressError(f"IPv4 integer out of range: {value}")
-            self.value = value
-            return
-        raise AddressError(f"cannot build IP from {type(value).__name__}")
+            number = value
+        else:
+            raise AddressError(f"cannot build IP from {type(value).__name__}")
+        self.value = number
+        # Hashed per datagram (local_ips, ARP, routing); see MACAddress.
+        self._hash = hash(("ip", number))
+
+    def __reduce__(self) -> tuple:
+        return (IPAddress, (self.value,))
 
     def in_network(self, network: "IPAddress", prefix_len: int) -> bool:
         """True if this address falls inside ``network/prefix_len``."""
@@ -157,7 +166,7 @@ class IPAddress:
         return self.value < other.value
 
     def __hash__(self) -> int:
-        return hash(("ip", self.value))
+        return self._hash
 
     def __str__(self) -> str:
         octets = [(self.value >> shift) & 0xFF for shift in range(24, -8, -8)]

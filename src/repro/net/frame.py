@@ -30,12 +30,15 @@ class EthernetFrame:
     """An Ethernet frame in flight.
 
     ``payload_size`` is the size in bytes of the encapsulated packet
-    (headers included); :attr:`wire_size` adds Ethernet overhead and
-    enforces the minimum frame size.  ``frame_id`` uniquely identifies the
-    frame for tracing and for the packet logger.
+    (headers included); ``wire_size`` — the bytes occupying the wire — adds
+    Ethernet overhead and enforces the minimum frame size, once, at
+    construction (frames are immutable).  ``frame_id`` uniquely identifies
+    the frame for tracing and for the packet logger.
     """
 
-    __slots__ = ("dst", "src", "ethertype", "payload", "payload_size", "frame_id")
+    __slots__ = (
+        "dst", "src", "ethertype", "payload", "payload_size", "wire_size", "frame_id",
+    )
 
     def __init__(
         self,
@@ -52,12 +55,8 @@ class EthernetFrame:
         self.ethertype = ethertype
         self.payload = payload
         self.payload_size = payload_size
+        self.wire_size = max(payload_size + ETHERNET_OVERHEAD, ETHERNET_MIN_FRAME)
         self.frame_id = next(_frame_ids)
-
-    @property
-    def wire_size(self) -> int:
-        """Bytes occupying the wire, including Ethernet overhead."""
-        return max(self.payload_size + ETHERNET_OVERHEAD, ETHERNET_MIN_FRAME)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = {ETHERTYPE_IPV4: "ipv4", ETHERTYPE_ARP: "arp"}.get(

@@ -79,17 +79,16 @@ class PooledBytes(ByteSpan):
     content checks).
     """
 
-    __slots__ = ("view", "_lease")
+    __slots__ = ("view", "_lease", "length")
 
     def __init__(self, view: memoryview, lease: _SlabLease) -> None:
         self.view = view
         self._lease = lease
-
-    def __len__(self) -> int:
-        return len(self.view)
+        self.length = len(view)
 
     def slice(self, start: int, stop: int) -> ByteSpan:
-        _check_bounds(start, stop, len(self.view))
+        if not 0 <= start <= stop <= self.length:
+            _check_bounds(start, stop, self.length)
         return PooledBytes(self.view[start:stop], self._lease)
 
     def to_bytes(self) -> bytes:

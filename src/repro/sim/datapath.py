@@ -13,10 +13,12 @@ bit-identical by differential tests.
   per segment.  This is the oracle the differential harness
   (``tests/harness/test_datapath_differential.py``) compares against.
 
-Components read the switch **at construction time** (scheduler,
-send-buffer ingest, output engine, pcap writer, backup tap), so tests
-flip it by setting the environment variable before building a
-:class:`~repro.sim.simulator.Simulator` — never mid-run.
+The switch is read **once per simulator-owned component, at
+construction**: the scheduler (the backup tap follows it) and each
+host's ``TCPLayer``, which hands its arm down to every TCB it opens.  So
+tests flip it by setting the environment variable before building a
+:class:`~repro.sim.simulator.Simulator`; flipping it mid-run moves
+nothing.  The wire serialiser alone is switched per call (DESIGN §13).
 
 This module lives in ``repro.sim`` (the bottom layer) so every consumer
 — ``repro.net``, ``repro.tcp``, ``repro.sttcp`` — can import it without

@@ -47,7 +47,7 @@ class Simulator:
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
-        return self._scheduler.now
+        return self._scheduler._now
 
     @property
     def events_executed(self) -> int:

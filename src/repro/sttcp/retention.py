@@ -41,8 +41,7 @@ class SecondReceiveBuffer(RetentionPolicy):
         former shadow connection gains a second buffer mid-stream)."""
         if len(self._store) or self._store.head_offset:
             raise FailoverError("prime_at on a buffer that already retained data")
-        self._store.discard_front(0)
-        self._store.head_offset = offset
+        self._store.seek(offset)
 
     # RetentionPolicy ------------------------------------------------------------
     def on_read(self, start_offset: int, span: ByteSpan) -> None:
@@ -54,18 +53,19 @@ class SecondReceiveBuffer(RetentionPolicy):
                 f"retained through {self._store.tail_offset}"
             )
         self._store.append(span)
-        self.bytes_retained_total += len(span)
-        usage = len(self._store)
+        self.bytes_retained_total += span.length
+        usage = self._store._length
         if usage > self.peak_usage:
             self.peak_usage = usage
-        overflow = self.overflow_bytes()
+        overflow = usage - self.capacity
         if overflow > self.overflow_byte_peak:
             self.overflow_byte_peak = overflow
 
     def overflow_bytes(self) -> int:
         if not self.enabled:
             return 0
-        return max(0, len(self._store) - self.capacity)
+        overflow = self._store._length - self.capacity
+        return overflow if overflow > 0 else 0
 
     # ST-TCP engine API ------------------------------------------------------------
     @property

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
+from repro.net.segment_pool import default_pool
 from repro.tcp.config import TCPConfig
 from repro.tcp.constants import TCPState
 from repro.tcp.recv_buffer import ReceiveBuffer
@@ -29,7 +30,9 @@ class BufferManager:
 
     def __init__(self, conn: "TCPConnection", config: TCPConfig) -> None:
         self.conn = conn
-        self.send_buffer = SendBuffer(config.snd_buffer)
+        self.send_buffer = SendBuffer(
+            config.snd_buffer, default_pool() if conn.layer.batch_datapath else None
+        )
         self.recv_buffer = ReceiveBuffer(config.rcv_buffer)
 
     # -- sequence-space translation -----------------------------------------
@@ -59,7 +62,7 @@ class BufferManager:
             return 0
         offset = self.rcv_offset(seq_abs)
         advanced = self.recv_buffer.insert(offset, payload)
-        conn.bytes_received += len(payload)
+        conn.bytes_received += payload.length
         if advanced > 0:
             conn.rcv_nxt += advanced
             if conn.on_rcv_advance is not None:
@@ -92,4 +95,4 @@ class BufferManager:
             if fetch is not None:
                 pieces.append(fetch(start_offset, stop_offset))
         pieces.append(self.recv_buffer.peek_unread(start_offset, stop_offset))
-        return concat([p for p in pieces if len(p)])
+        return concat(pieces)

@@ -50,7 +50,8 @@ possibly leak) segments the suppressor should have vetoed first.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+import functools
+from typing import TYPE_CHECKING, Any, Tuple, Type
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tcp.segment import TCPSegment
@@ -116,11 +117,20 @@ class TCPExtension:
         """Run deferred work after an output pass."""
 
 
-def overridden_hooks(extension: TCPExtension) -> tuple:
-    """The hook names ``extension`` actually overrides (dispatch set)."""
-    cls = type(extension)
+@functools.lru_cache(maxsize=None)
+def _class_hooks(cls: Type["TCPExtension"]) -> Tuple[str, ...]:
     return tuple(
         hook
         for hook in HOOK_NAMES
         if getattr(cls, hook, None) is not getattr(TCPExtension, hook)
     )
+
+
+def overridden_hooks(extension: TCPExtension) -> Tuple[str, ...]:
+    """The hook names ``extension`` actually overrides (dispatch set).
+
+    A property of the extension's *class*, worked out once per class:
+    every connection re-reads it for its whole chain on each
+    ``add_extension``/``remove_extension``.
+    """
+    return _class_hooks(type(extension))

@@ -54,7 +54,8 @@ class InputEngine:
         """Process one inbound (or tapped/injected) segment."""
         conn = self.conn
         conn.segments_received += 1
-        conn.trace_event("recv", seg=segment)
+        if conn.sim.trace.enabled_for("tcp"):
+            conn.trace_event("recv", seg=segment)
         if segment.ts_val is not None and conn.use_timestamps:
             conn.last_ts_recv = segment.ts_val
         hooks = conn._ext_on_segment_in

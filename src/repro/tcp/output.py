@@ -21,7 +21,6 @@ from repro.tcp.constants import (
     FLAG_SYN,
     TCPState,
 )
-from repro.sim.datapath import batch_enabled
 from repro.tcp.segment import SegmentTemplate, TCPSegment
 from repro.tcp.seqspace import unwrap, wrap
 from repro.tcp.timers import RestartableTimer
@@ -68,7 +67,7 @@ class OutputEngine:
         # precomputed once (lazily, at first emit — the remote port is
         # final by then) and only seq/ack/win/flags vary per segment.
         # The object arm keeps the checked constructor as the reference.
-        self._use_template = batch_enabled()
+        self._use_template: bool = conn.layer.batch_datapath
         self._template: Optional[SegmentTemplate] = None
 
     # -- window advertisement ------------------------------------------------
@@ -211,7 +210,7 @@ class OutputEngine:
             )
         if flags & FLAG_ACK:
             self._ack_sent_housekeeping()
-        if len(payload) > 0 or flags & (FLAG_SYN | FLAG_FIN):
+        if payload.length > 0 or flags & (FLAG_SYN | FLAG_FIN):
             self.last_data_send_time = conn.sim.now
         self.transmit(segment)
 
@@ -231,7 +230,8 @@ class OutputEngine:
                     return
         conn.segments_sent += 1
         conn.bytes_sent += segment.payload_length
-        conn.trace_event("send", seg=segment)
+        if conn.sim.trace.enabled_for("tcp"):
+            conn.trace_event("send", seg=segment)
         conn.layer.send_segment(conn, segment)
 
     def send_rst_for(self, segment: TCPSegment) -> None:

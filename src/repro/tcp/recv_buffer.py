@@ -42,6 +42,7 @@ class ReceiveBuffer:
         self.capacity = capacity
         self._ready = SpanBuffer()  # head = read pointer, tail = rcv_nxt
         self._out_of_order: List[Tuple[int, ByteSpan]] = []  # sorted, disjoint
+        self._ooo_bytes = 0  # total held in _out_of_order
         self.retention: Optional[RetentionPolicy] = None
         self.bytes_duplicated = 0  # duplicate payload discarded
 
@@ -59,11 +60,11 @@ class ReceiveBuffer:
     @property
     def available(self) -> int:
         """In-order bytes ready for the application."""
-        return len(self._ready)
+        return self._ready._length
 
     @property
     def out_of_order_bytes(self) -> int:
-        return sum(len(span) for _, span in self._out_of_order)
+        return self._ooo_bytes
 
     def window(self) -> int:
         """Advertised window: free space in the (first) receive buffer.
@@ -71,10 +72,10 @@ class ReceiveBuffer:
         Retained-but-overflowing bytes (ST-TCP second buffer full) continue
         to consume window, per §4.2.
         """
-        used = len(self._ready) + self.out_of_order_bytes
+        free = self.capacity - self._ready._length - self._ooo_bytes
         if self.retention is not None:
-            used += self.retention.overflow_bytes()
-        return max(self.capacity - used, 0)
+            free -= self.retention.overflow_bytes()
+        return free if free > 0 else 0
 
     # Network side --------------------------------------------------------------
     def insert(self, start_offset: int, span: ByteSpan) -> int:
@@ -85,10 +86,11 @@ class ReceiveBuffer:
         window; anything beyond ``rcv_nxt + window`` here is clipped as a
         safety net.
         """
-        length = len(span)
+        length = span.length
         if length == 0:
             return 0
-        rcv_nxt = self.rcv_nxt_offset
+        ready = self._ready
+        rcv_nxt = ready.head_offset + ready._length
         limit = rcv_nxt + self.window()
         stop_offset = start_offset + length
         # Clip below rcv_nxt (already received) and above the window.
@@ -99,28 +101,29 @@ class ReceiveBuffer:
             self.bytes_duplicated += rcv_nxt - start_offset
             span = span.slice(rcv_nxt - start_offset, length)
             start_offset = rcv_nxt
-        if start_offset + len(span) > limit:
-            overflow = start_offset + len(span) - limit
-            if overflow >= len(span):
+        overflow = start_offset + span.length - limit
+        if overflow > 0:
+            if overflow >= span.length:
                 return 0
-            span = span.slice(0, len(span) - overflow)
+            span = span.slice(0, span.length - overflow)
         if start_offset > rcv_nxt:
             self._stash_out_of_order(start_offset, span)
             return 0
         # In-order: append, then drain any out-of-order runs now contiguous.
-        self._ready.append(span)
-        advanced = len(span)
-        advanced += self._drain_out_of_order()
+        ready.append(span)
+        advanced = span.length
+        if self._out_of_order:
+            advanced += self._drain_out_of_order()
         return advanced
 
     def _stash_out_of_order(self, start: int, span: ByteSpan) -> None:
         """Insert into the sorted, disjoint out-of-order list, clipping any
         bytes already held."""
-        stop = start + len(span)
+        stop = start + span.length
         pieces: List[Tuple[int, ByteSpan]] = []
         cursor = start
         for held_start, held_span in self._out_of_order:
-            held_stop = held_start + len(held_span)
+            held_stop = held_start + held_span.length
             if held_stop <= cursor:
                 continue
             if held_start >= stop:
@@ -135,6 +138,7 @@ class ReceiveBuffer:
             pieces.append((cursor, span.slice(cursor - start, stop - start)))
         if not pieces:
             return
+        self._ooo_bytes += sum(piece.length for _, piece in pieces)
         merged = self._out_of_order + pieces
         merged.sort(key=lambda item: item[0])
         self._out_of_order = merged
@@ -144,18 +148,19 @@ class ReceiveBuffer:
         while self._out_of_order:
             start, span = self._out_of_order[0]
             rcv_nxt = self.rcv_nxt_offset
-            stop = start + len(span)
+            stop = start + span.length
             if start > rcv_nxt:
                 break
             self._out_of_order.pop(0)
+            self._ooo_bytes -= span.length
             if stop <= rcv_nxt:
-                self.bytes_duplicated += len(span)
+                self.bytes_duplicated += span.length
                 continue
             if start < rcv_nxt:
                 self.bytes_duplicated += rcv_nxt - start
-                span = span.slice(rcv_nxt - start, len(span))
+                span = span.slice(rcv_nxt - start, span.length)
             self._ready.append(span)
-            advanced += len(span)
+            advanced += span.length
         return advanced
 
     def first_gap(self) -> Optional[Tuple[int, int]]:
@@ -172,11 +177,12 @@ class ReceiveBuffer:
         Read bytes are offered to the retention policy (ST-TCP primary)
         before leaving the buffer.
         """
-        count = min(max_bytes, len(self._ready))
+        ready = self._ready
+        count = min(max_bytes, ready._length)
         if count <= 0:
             return EMPTY
-        start = self._ready.head_offset
-        span = self._ready.pop_front(count)
+        start = ready.head_offset
+        span = ready.pop_front(count)
         if self.retention is not None:
             self.retention.on_read(start, span)
         return span

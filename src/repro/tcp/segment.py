@@ -36,7 +36,11 @@ def _relative(value: int, base: int) -> int:
 
 
 class TCPSegment:
-    """One TCP segment in flight."""
+    """One TCP segment in flight.
+
+    Immutable once built: ``payload_length`` is set beside ``payload`` at
+    construction and never recomputed (DESIGN §14).
+    """
 
     __slots__ = (
         "src_port",
@@ -46,6 +50,7 @@ class TCPSegment:
         "flags",
         "window",
         "payload",
+        "payload_length",
         "mss_option",
         "ts_val",
         "ts_ecr",
@@ -78,6 +83,7 @@ class TCPSegment:
         self.flags = flags
         self.window = min(window, 0xFFFF)
         self.payload = payload
+        self.payload_length = payload.length
         self.mss_option = mss_option
         self.ts_val = ts_val
         self.ts_ecr = ts_ecr
@@ -115,22 +121,16 @@ class TCPSegment:
         return size
 
     @property
-    def payload_length(self) -> int:
-        return len(self.payload)
-
-    @property
     def size(self) -> int:
         return self.header_size + self.payload_length
 
     @property
     def sequence_space_length(self) -> int:
         """Bytes of sequence space consumed: payload plus SYN/FIN flags."""
-        length = self.payload_length
-        if self.is_syn:
-            length += 1
-        if self.is_fin:
-            length += 1
-        return length
+        syn_fin = self.flags & (FLAG_SYN | FLAG_FIN)
+        if not syn_fin:
+            return self.payload_length
+        return self.payload_length + (2 if syn_fin == (FLAG_SYN | FLAG_FIN) else 1)
 
     def flag_string(self) -> str:
         """Compact flag rendering, e.g. ``"SA"`` for SYN/ACK."""
@@ -208,6 +208,7 @@ class SegmentTemplate:
         segment.flags = flags
         segment.window = window
         segment.payload = payload
+        segment.payload_length = payload.length
         segment.mss_option = mss_option
         segment.ts_val = ts_val
         segment.ts_ecr = ts_ecr

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.net.segment_pool import SegmentPool, default_pool
-from repro.sim.datapath import batch_enabled
+from repro.net.segment_pool import SegmentPool
 from repro.util.bytespan import ByteSpan, CatBytes, RealBytes, as_span
 from repro.util.spanbuffer import SpanBuffer
 
@@ -24,13 +23,14 @@ from repro.util.spanbuffer import SpanBuffer
 class SendBuffer:
     """Bytes between ``snd_una`` (head) and the last byte the app wrote."""
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int, pool: Optional[SegmentPool] = None) -> None:
+        """``pool`` is handed down by a batch-arm TCP layer; without one
+        real bytes stay fresh ``RealBytes`` (the object arm)."""
         if capacity <= 0:
             raise ValueError(f"send buffer capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._data = SpanBuffer()
-        # Datapath arm, read at construction (see repro.sim.datapath).
-        self._pool: Optional[SegmentPool] = default_pool() if batch_enabled() else None
+        self._pool = pool
 
     # Occupancy -----------------------------------------------------------------
     @property
@@ -45,19 +45,19 @@ class SendBuffer:
 
     @property
     def free_space(self) -> int:
-        return self.capacity - len(self._data)
+        return self.capacity - self._data._length
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self._data._length
 
     # Mutation -------------------------------------------------------------------
     def append(self, data: Union[ByteSpan, bytes]) -> int:
         """Append as much of ``data`` as fits; returns bytes accepted."""
         span = as_span(data)
-        accepted = min(len(span), self.free_space)
+        accepted = min(span.length, self.free_space)
         if accepted <= 0:
             return 0
-        if accepted != len(span):
+        if accepted != span.length:
             span = span.slice(0, accepted)
         # Concatenations (the app protocol's RealBytes header + synthetic
         # padding) are split into their leaves on BOTH arms so the buffer

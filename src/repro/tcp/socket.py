@@ -103,7 +103,9 @@ class TCPSocket:
         if self._tcb.state is TCPState.CLOSED:
             event.fail(ConnectionClosed("send on closed socket"))
             return event
-        self._writers.append({"span": span, "done": 0, "event": event})
+        self._writers.append(
+            {"span": span, "total": span.length, "done": 0, "event": event}
+        )
         self._pump_writers()
         return event
 
@@ -113,7 +115,9 @@ class TCPSocket:
         if max_bytes <= 0:
             event.succeed(EMPTY)
             return event
-        self._readers.append({"kind": "some", "n": max_bytes, "acc": [], "event": event})
+        self._readers.append(
+            {"kind": "some", "n": max_bytes, "got": 0, "acc": [], "event": event}
+        )
         self._pump_readers()
         return event
 
@@ -123,7 +127,9 @@ class TCPSocket:
         if n <= 0:
             event.succeed(EMPTY)
             return event
-        self._readers.append({"kind": "exact", "n": n, "acc": [], "event": event})
+        self._readers.append(
+            {"kind": "exact", "n": n, "got": 0, "acc": [], "event": event}
+        )
         self._pump_readers()
         return event
 
@@ -148,29 +154,31 @@ class TCPSocket:
         try:
             while self._writers:
                 writer = self._writers[0]
-                span, done = writer["span"], writer["done"]
-                if done < len(span):
-                    accepted = self._tcb.app_write(span.slice(done, len(span)))
-                    writer["done"] = done + accepted
-                    if accepted and writer["done"] < len(span):
+                total, done = writer["total"], writer["done"]
+                if done < total:
+                    accepted = self._tcb.app_write(writer["span"].slice(done, total))
+                    done += accepted
+                    writer["done"] = done
+                    if accepted and done < total:
                         continue  # space may have been freed while writing
-                    if writer["done"] < len(span):
+                    if done < total:
                         return  # buffer full; wait for on_writable
                 self._writers.popleft()
-                writer["event"].succeed(len(span))
+                writer["event"].succeed(total)
         finally:
             self._pumping_writers = False
 
     def _pump_readers(self) -> None:
         while self._readers:
             reader = self._readers[0]
-            needed = reader["n"] - sum(len(piece) for piece in reader["acc"])
+            needed = reader["n"] - reader["got"]
             if needed > 0 and self._tcb.readable_bytes > 0:
                 piece = self._tcb.app_read(needed)
                 reader["acc"].append(piece)
-                needed -= len(piece)
+                reader["got"] += piece.length
+                needed -= piece.length
             if reader["kind"] == "some":
-                if reader["acc"] and len(reader["acc"][0]) > 0 or needed == 0:
+                if reader["got"] > 0 or needed == 0:
                     self._finish_reader(reader)
                     continue
                 if self._tcb.eof:
@@ -227,8 +235,7 @@ class TCPSocket:
             while self._readers:
                 reader = self._readers.popleft()
                 if reader["kind"] == "exact":
-                    needed = reader["n"] - sum(len(p) for p in reader["acc"])
-                    if needed:
+                    if reader["got"] < reader["n"]:
                         reader["event"].fail(
                             ConnectionClosed("connection closed during recv_exactly")
                         )

@@ -243,10 +243,10 @@ class TCPConnection:
         return None
 
     def _rebuild_extension_chains(self) -> None:
-        overrides = {ext: frozenset(overridden_hooks(ext)) for ext in self._extensions}
+        overrides = [(ext, overridden_hooks(ext)) for ext in self._extensions]
 
         def chain(hook: str) -> Tuple[TCPExtension, ...]:
-            return tuple(e for e in self._extensions if hook in overrides[e])
+            return tuple(ext for ext, hooks in overrides if hook in hooks)
 
         self._ext_on_segment_in = chain("on_segment_in")
         self._ext_on_ack = chain("on_ack")
@@ -344,7 +344,7 @@ class TCPConnection:
         """Pop up to ``max_bytes`` of received in-order data."""
         before = self.recv_buffer.window()
         span = self.recv_buffer.read(max_bytes)
-        if len(span) and self.is_synchronized:
+        if span.length and self.is_synchronized:
             self.output.maybe_send_window_update(before)
         return span
 

@@ -17,7 +17,7 @@ All spans are immutable; slicing returns new spans sharing structure.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 _TABLE_PERIOD = 251  # prime, so patterns don't resonate with power-of-2 MSS
 
@@ -35,14 +35,19 @@ def _pattern_table(pattern_id: int) -> bytes:
 class ByteSpan:
     """Abstract immutable byte sequence.
 
-    Subclasses implement ``__len__``, ``slice`` and ``to_bytes``.  Slicing
-    with ``span[a:b]`` is supported for convenience.
+    Subclasses set ``length`` once at construction and implement ``slice``
+    and ``to_bytes``.  ``len(span)`` is the public protocol; per-segment
+    code reads ``span.length`` directly (DESIGN §14).  Slicing with
+    ``span[a:b]`` is supported for convenience.
     """
 
     __slots__ = ()
 
+    #: Byte count, fixed at construction (each subclass owns the slot).
+    length: int
+
     def __len__(self) -> int:
-        raise NotImplementedError
+        return self.length
 
     def slice(self, start: int, stop: int) -> "ByteSpan":
         raise NotImplementedError
@@ -52,14 +57,14 @@ class ByteSpan:
 
     def iter_chunks(self, chunk_size: int = 65536) -> Iterator[bytes]:
         """Materialise the span in bounded-size pieces."""
-        length = len(self)
+        length = self.length
         for start in range(0, length, chunk_size):
             yield self.slice(start, min(start + chunk_size, length)).to_bytes()
 
     def __getitem__(self, key: slice) -> "ByteSpan":
         if not isinstance(key, slice) or key.step not in (None, 1):
             raise TypeError("ByteSpan only supports contiguous slicing")
-        start, stop, _ = key.indices(len(self))
+        start, stop, _ = key.indices(self.length)
         return self.slice(start, stop)
 
     def __eq__(self, other: object) -> bool:
@@ -71,7 +76,7 @@ class ByteSpan:
     def __hash__(self) -> int:
         # Spans are rarely hashed; a cheap structural hash on length plus
         # first/last bytes is enough for set/dict use in tests.
-        length = len(self)
+        length = self.length
         if length == 0:
             return hash((0, b""))
         head = self.slice(0, min(16, length)).to_bytes()
@@ -89,16 +94,15 @@ def _check_bounds(start: int, stop: int, length: int) -> None:
 class RealBytes(ByteSpan):
     """A span backed by actual bytes."""
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "length")
 
     def __init__(self, data: Union[bytes, bytearray, memoryview]) -> None:
         self.data = bytes(data)
-
-    def __len__(self) -> int:
-        return len(self.data)
+        self.length = len(self.data)
 
     def slice(self, start: int, stop: int) -> ByteSpan:
-        _check_bounds(start, stop, len(self.data))
+        if not 0 <= start <= stop <= self.length:
+            _check_bounds(start, stop, self.length)
         return RealBytes(self.data[start:stop])
 
     def to_bytes(self) -> bytes:
@@ -123,11 +127,9 @@ class PatternBytes(ByteSpan):
         self.offset = offset
         self.pattern_id = pattern_id
 
-    def __len__(self) -> int:
-        return self.length
-
     def slice(self, start: int, stop: int) -> ByteSpan:
-        _check_bounds(start, stop, self.length)
+        if not 0 <= start <= stop <= self.length:
+            _check_bounds(start, stop, self.length)
         return PatternBytes(stop - start, self.offset + start, self.pattern_id)
 
     def to_bytes(self) -> bytes:
@@ -154,25 +156,25 @@ class CatBytes(ByteSpan):
 
     def __init__(self, parts: Sequence[ByteSpan]) -> None:
         flat: List[ByteSpan] = []
+        length = 0
         for part in parts:
             if isinstance(part, CatBytes):
                 flat.extend(part.parts)
-            elif len(part) > 0:
+            elif part.length > 0:
                 flat.append(part)
+            length += part.length
         self.parts = _coalesce(flat)
-        self.length = sum(len(part) for part in self.parts)
-
-    def __len__(self) -> int:
-        return self.length
+        self.length = length
 
     def slice(self, start: int, stop: int) -> ByteSpan:
-        _check_bounds(start, stop, self.length)
+        if not 0 <= start <= stop <= self.length:
+            _check_bounds(start, stop, self.length)
         if start == stop:
             return EMPTY
         picked: List[ByteSpan] = []
         position = 0
         for part in self.parts:
-            part_len = len(part)
+            part_len = part.length
             if position + part_len <= start:
                 position += part_len
                 continue
@@ -190,23 +192,33 @@ class CatBytes(ByteSpan):
         return b"".join(part.to_bytes() for part in self.parts)
 
 
+def join_contiguous(left: ByteSpan, right: ByteSpan) -> Optional[ByteSpan]:
+    """``left`` + ``right`` as one span when ``right`` is the contiguous
+    continuation of the same pattern stream, else None.
+
+    The single statement of the merge rule: :class:`CatBytes` applies it
+    to its parts, :class:`~repro.util.spanbuffer.SpanBuffer` to its tail.
+    Spans are immutable and shared, so the result is always a new span.
+    """
+    if (
+        isinstance(right, PatternBytes)
+        and isinstance(left, PatternBytes)
+        and left.pattern_id == right.pattern_id
+        and left.offset + left.length == right.offset
+    ):
+        return PatternBytes(left.length + right.length, left.offset, left.pattern_id)
+    return None
+
+
 def _coalesce(parts: List[ByteSpan]) -> List[ByteSpan]:
     """Merge adjacent spans that are contiguous pieces of one pattern."""
     merged: List[ByteSpan] = []
     for part in parts:
-        if (
-            merged
-            and isinstance(part, PatternBytes)
-            and isinstance(merged[-1], PatternBytes)
-            and merged[-1].pattern_id == part.pattern_id
-            and merged[-1].offset + merged[-1].length == part.offset
-        ):
-            last = merged[-1]
-            merged[-1] = PatternBytes(
-                last.length + part.length, last.offset, last.pattern_id
-            )
-        else:
+        joined = join_contiguous(merged[-1], part) if merged else None
+        if joined is None:
             merged.append(part)
+        else:
+            merged[-1] = joined
     return merged
 
 
@@ -224,7 +236,7 @@ def as_span(data: Union[ByteSpan, bytes, bytearray, memoryview]) -> ByteSpan:
 
 def concat(parts: Sequence[ByteSpan]) -> ByteSpan:
     """Concatenate spans, returning the cheapest representation."""
-    live = [part for part in parts if len(part)]
+    live = [part for part in parts if part.length]
     if not live:
         return EMPTY
     if len(live) == 1:
@@ -234,7 +246,7 @@ def concat(parts: Sequence[ByteSpan]) -> ByteSpan:
 
 def span_equal(a: ByteSpan, b: ByteSpan) -> bool:
     """Content equality, materialising at most 64 KiB at a time."""
-    if len(a) != len(b):
+    if a.length != b.length:
         return False
     for chunk_a, chunk_b in zip(a.iter_chunks(), b.iter_chunks()):
         if chunk_a != chunk_b:

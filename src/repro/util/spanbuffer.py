@@ -2,7 +2,12 @@
 
 Used by the TCP send/receive paths: append spans at the tail, read or
 discard from the head, and take zero-copy slices at arbitrary offsets (for
-retransmission).  All operations are O(pieces touched).
+retransmission).  All operations are O(pieces touched), and a contiguous
+synthetic stream is always *one* piece: ``append`` extends the tail
+instead of queueing a neighbour, by the rule
+(:func:`~repro.util.bytespan.join_contiguous`) that ``CatBytes`` applies
+to every span read back out — so the spans handed out are the same,
+found without a walk.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Union
 
-from repro.util.bytespan import EMPTY, ByteSpan, as_span, concat
+from repro.util.bytespan import EMPTY, ByteSpan, as_span, concat, join_contiguous
 
 
 class SpanBuffer:
@@ -38,63 +43,81 @@ class SpanBuffer:
 
     def append(self, data: Union[ByteSpan, bytes]) -> None:
         span = as_span(data)
-        if len(span) == 0:
+        length = span.length
+        if length == 0:
             return
-        self._pieces.append(span)
-        self._length += len(span)
+        pieces = self._pieces
+        self._length += length
+        joined = join_contiguous(pieces[-1], span) if pieces else None
+        if joined is None:
+            pieces.append(span)
+        else:
+            pieces[-1] = joined
 
     def pop_front(self, count: int) -> ByteSpan:
         """Remove and return the first ``count`` bytes (clamped to length)."""
         count = min(count, self._length)
         if count <= 0:
             return EMPTY
+        pieces = self._pieces
+        self._length -= count
+        self.head_offset += count
+        head = pieces[0]
+        if count < head.length:
+            pieces[0] = head.slice(count, head.length)
+            return head.slice(0, count)
+        if count == head.length:
+            return pieces.popleft()
         taken = []
         remaining = count
         while remaining > 0:
-            piece = self._pieces[0]
-            piece_len = len(piece)
+            piece = pieces[0]
+            piece_len = piece.length
             if piece_len <= remaining:
-                taken.append(self._pieces.popleft())
+                taken.append(pieces.popleft())
                 remaining -= piece_len
             else:
                 taken.append(piece.slice(0, remaining))
-                self._pieces[0] = piece.slice(remaining, piece_len)
+                pieces[0] = piece.slice(remaining, piece_len)
                 remaining = 0
-        self._length -= count
-        self.head_offset += count
         return concat(taken)
 
     def discard_front(self, count: int) -> None:
         """Drop the first ``count`` bytes without materialising them."""
         count = min(count, self._length)
+        pieces = self._pieces
         remaining = count
         while remaining > 0:
-            piece = self._pieces[0]
-            piece_len = len(piece)
+            piece = pieces[0]
+            piece_len = piece.length
             if piece_len <= remaining:
-                self._pieces.popleft()
+                pieces.popleft()
                 remaining -= piece_len
             else:
-                self._pieces[0] = piece.slice(remaining, piece_len)
+                pieces[0] = piece.slice(remaining, piece_len)
                 remaining = 0
         self._length -= count
         self.head_offset += count
 
     def peek_absolute(self, start: int, stop: int) -> ByteSpan:
         """Zero-copy slice by *absolute* offsets (within the buffer range)."""
-        if start < self.head_offset or stop > self.tail_offset or start > stop:
+        head_offset = self.head_offset
+        if start < head_offset or stop > head_offset + self._length or start > stop:
             raise IndexError(
                 f"[{start}, {stop}) outside buffered range "
-                f"[{self.head_offset}, {self.tail_offset})"
+                f"[{head_offset}, {self.tail_offset})"
             )
         if start == stop:
             return EMPTY
-        rel_start = start - self.head_offset
-        rel_stop = stop - self.head_offset
+        rel_start = start - head_offset
+        rel_stop = stop - head_offset
+        head = self._pieces[0]
+        if rel_stop <= head.length:
+            return head.slice(rel_start, rel_stop)
         picked = []
         position = 0
         for piece in self._pieces:
-            piece_len = len(piece)
+            piece_len = piece.length
             if position + piece_len <= rel_start:
                 position += piece_len
                 continue

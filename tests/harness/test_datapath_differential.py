@@ -89,3 +89,26 @@ def test_scale_rung_record_identical_across_arms(tmp_path, monkeypatch):
     object_record = scale_ladder(ladder=(25,), store=None, base_seed=77)[0]
     assert canonical_json(batch_record) == canonical_json(object_record)
     assert batch_record["verified"]
+
+
+@pytest.mark.parametrize("arm, other", [("batch", "object"), ("object", "batch")])
+def test_connection_opened_after_env_flip_joins_its_layers_arm(monkeypatch, arm, other):
+    """The arm belongs to the simulator (DESIGN §13): TCBs opened —
+    actively or passively — after ``REPRO_DATAPATH`` changed mid-run
+    still use the arm their TCP layer was built on."""
+    from repro.sim.simulator import Simulator
+    from tests.conftest import LanPair, run_echo_once
+
+    _select_arm(monkeypatch, arm)
+    lan = LanPair(Simulator(seed=3))
+    _select_arm(monkeypatch, other)
+    tcbs = []
+    for host in (lan.a, lan.b):
+        assert host.tcp.batch_datapath == (arm == "batch")
+        host.tcp.close_observers.append(tcbs.append)
+    assert run_echo_once(lan, b"flipped") == b"flipped"
+    lan.sim.run(until=lan.sim.now + 300.0)  # TIME_WAIT: both TCBs reaped
+    assert len(tcbs) == 2
+    for tcb in tcbs:
+        assert tcb.output._use_template == (arm == "batch")
+        assert (tcb.send_buffer._pool is not None) == (arm == "batch")

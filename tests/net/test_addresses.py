@@ -1,5 +1,7 @@
 """Tests for MAC and IPv4 address types."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -62,6 +64,18 @@ def test_mac_equality_with_string():
 def test_mac_hashable():
     table = {MACAddress("02:00:00:00:00:01"): "x"}
     assert table[MACAddress("02:00:00:00:00:01")] == "x"
+
+
+def test_cached_hash_is_the_value_hash_and_is_not_pickled():
+    """Hashes are computed once but value-identically (set iteration
+    order must not move), and a pickle carries the value only: the cached
+    hash is wrong under another process's string-hash seed."""
+    for address, tag in ((MACAddress("02:00:00:00:00:01"), "mac"), (IPAddress("10.0.0.1"), "ip")):
+        assert hash(address) == hash((tag, address.value))
+        assert hash(type(address)(address)) == hash(address)
+        assert address.__reduce__() == (type(address), (address.value,))
+        clone = pickle.loads(pickle.dumps(address))
+        assert clone == address and hash(clone) == hash(address)
 
 
 def test_ip_parse_and_format():

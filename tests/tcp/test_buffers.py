@@ -161,3 +161,43 @@ def test_prop_reassembly_matches_reference_stream(data):
     assert advanced_total == total
     assert buffer.read(total).to_bytes() == stream.to_bytes()
     assert buffer.out_of_order_bytes == 0
+
+
+@given(st.data())
+def test_prop_counters_match_recomputed_sums_after_every_step(data):
+    """``out_of_order_bytes`` and ``window()`` are field arithmetic; after
+    every insert (overlapping, duplicate, out of window) and read, with the
+    retention policy on or off, they equal the from-scratch formulas."""
+    capacity = data.draw(st.integers(20, 120))
+    stream = PatternBytes(400, 0, 5)
+    reference = stream.to_bytes()
+    buffer = ReceiveBuffer(capacity)
+    retention = RecordingRetention()
+    if data.draw(st.booleans()):
+        buffer.retention = retention
+    read_back = b""
+    for _ in range(data.draw(st.integers(1, 30))):
+        if data.draw(st.integers(0, 3)):
+            # Anywhere from before the read pointer to past the window.
+            start = data.draw(st.integers(max(0, buffer.read_offset - 20), 340))
+            length = data.draw(st.integers(1, 60))
+            before = buffer.rcv_nxt_offset
+            advanced = buffer.insert(start, stream.slice(start, start + length))
+            assert buffer.rcv_nxt_offset == before + advanced
+        else:
+            read_back += buffer.read(data.draw(st.integers(0, 80))).to_bytes()
+            retention.overflow = data.draw(st.integers(0, 30))
+        held = buffer._out_of_order
+        assert buffer.out_of_order_bytes == sum(len(span) for _start, span in held)
+        assert all(
+            held[i][0] + len(held[i][1]) <= held[i + 1][0] for i in range(len(held) - 1)
+        )
+        used = len(buffer._ready) + sum(len(span) for _start, span in held)
+        if buffer.retention is not None:
+            used += retention.overflow
+        assert buffer.window() == max(capacity - used, 0)
+        assert buffer.available == len(buffer._ready)
+    assert read_back == reference[: len(read_back)]
+    assert buffer.peek_unread(0, 400).to_bytes() == reference[
+        buffer.read_offset : buffer.rcv_nxt_offset
+    ]

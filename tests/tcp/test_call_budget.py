@@ -1,0 +1,42 @@
+"""A deterministic guard on the per-segment cost of the bulk datapath.
+
+Counts, not timings: the number of Python and builtin calls one run makes
+is exact for a given interpreter, so this cannot flake on a noisy runner.
+It fails the day someone reintroduces a per-segment re-sum, ``len()`` walk
+or unguarded observer call (DESIGN §14).  The full ledger — per layer,
+four workloads — is ``bench/run.py``; this is its tier-1 tripwire.
+"""
+
+import cProfile
+
+import pytest
+
+from repro.apps.workload import bulk_workload, upload_workload
+from repro.harness.runner import run_workload
+from repro.sttcp.config import STTCPConfig
+from repro.util.units import KB
+
+#: Calls per demultiplexed segment.  The tree at the time of writing needs
+#: about 185; before sizes became fields it needed about 364.  The slack
+#: absorbs interpreter differences (3.11 vs 3.12 inline some calls).
+CALLS_PER_SEGMENT_BUDGET = 240
+
+
+@pytest.mark.parametrize("make_workload", [bulk_workload, upload_workload])
+def test_bulk_transfer_stays_inside_the_call_budget(make_workload):
+    workload = make_workload(512 * KB)
+    config = STTCPConfig(hb_interval=0.05)
+    profiler = cProfile.Profile()
+    run = profiler.runcall(run_workload, workload, sttcp=config, seed=12)
+    run.require_clean()
+    registry = run.scenario.sim.metrics
+    segments = sum(
+        registry.value(name)
+        for name in registry.names()
+        if name.endswith(".tcp.segments_demuxed")
+    )
+    calls = sum(entry.callcount for entry in profiler.getstats())
+    assert segments > 500  # the transfer really ran
+    assert calls / segments <= CALLS_PER_SEGMENT_BUDGET, (
+        f"{calls} calls for {segments} segments = {calls / segments:.1f} per segment"
+    )

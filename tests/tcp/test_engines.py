@@ -88,6 +88,7 @@ class FakeLayer:
         self.sim = clock
         self.sent = []
         self.rtt_samples = _Samples()
+        self.batch_datapath = True
 
         class _Host:
             name = "unit"
@@ -350,6 +351,8 @@ class TestExtensionDispatch:
 
         assert overridden_hooks(AckOnly()) == ("on_ack",)
         assert overridden_hooks(TCPExtension()) == ()
+        # Worked out once per class, not per instance or per chain rebuild.
+        assert overridden_hooks(AckOnly()) is overridden_hooks(AckOnly())
 
     def test_chains_rebuilt_on_add_and_remove(self):
         conn, _, _ = make_conn()

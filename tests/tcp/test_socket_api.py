@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConnectionReset
+from repro.errors import ConnectionClosed, ConnectionReset
 from repro.sim.simulator import Simulator
 from repro.tcp.config import TCPConfig
 from repro.util.bytespan import PatternBytes
@@ -147,6 +147,58 @@ def test_queued_recvs_complete_in_order():
     lan.b.spawn(writer())
     lan.sim.run_until_complete(process, deadline=10.0)
     assert outcome["parts"] == (b"abc", b"def")
+
+
+def _trickle(lan, server, total, piece=7, then_close=False):
+    """Server side: ``total`` pattern bytes in sub-MSS writes, each on the
+    wire (Nagle off) before the next, so the reader wakes once per piece."""
+
+    def writer():
+        for offset in range(0, total, piece):
+            yield server.send(PatternBytes(min(piece, total - offset), offset, 4))
+            yield lan.sim.timeout(0.002)
+        if then_close:
+            server.close()
+
+    lan.b.spawn(writer())
+
+
+def test_recv_exactly_accumulates_many_small_segments():
+    lan = LanPair(Simulator(seed=158), tcp_config=TCPConfig(nagle=False))
+    client, server = connected_pair(lan)
+    outcome = {}
+
+    def reader():
+        first = yield client.recv_exactly(500)
+        rest = yield client.recv(1000)
+        outcome["first"], outcome["rest"] = first, rest
+
+    process = lan.a.spawn(reader())
+    before = client.tcb.segments_received
+    _trickle(lan, server, 520)
+    lan.sim.run_until_complete(process, deadline=10.0)
+    assert client.tcb.segments_received - before >= 500 // 7
+    assert len(outcome["first"]) == 500
+    assert outcome["first"] == PatternBytes(500, 0, 4)
+    # Not a byte more was taken than asked for.
+    assert outcome["rest"] == PatternBytes(len(outcome["rest"]), 500, 4)
+
+
+def test_recv_exactly_reports_missing_bytes_on_early_eof():
+    lan = LanPair(Simulator(seed=159), tcp_config=TCPConfig(nagle=False))
+    client, server = connected_pair(lan)
+    outcome = {}
+
+    def reader():
+        try:
+            yield client.recv_exactly(500)
+        except ConnectionClosed as exc:
+            outcome["error"] = str(exc)
+
+    process = lan.a.spawn(reader())
+    _trickle(lan, server, 123, then_close=True)
+    lan.sim.run_until_complete(process, deadline=10.0)
+    assert outcome["error"] == "peer closed with 377 of 500 bytes missing"
 
 
 def test_addresses_exposed():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net.segment_pool import SegmentPool
 from repro.util.bytespan import (
     EMPTY,
     CatBytes,
@@ -171,3 +172,51 @@ def test_prop_pattern_to_bytes_agrees_with_per_byte_definition(length, offset, p
     table = _pattern_table(pid)
     for position in {0, length // 2, length - 1}:
         assert data[position] == table[(offset + position) % _TABLE_PERIOD]
+
+
+# --------------------------------------------------- length is a field (§14)
+_POOL = SegmentPool()
+
+_leaf_spans = st.one_of(
+    st.binary(max_size=40).map(RealBytes),
+    st.binary(max_size=40).map(_POOL.ingest),  # PooledBytes (EMPTY for b"")
+    st.builds(PatternBytes, st.integers(0, 600), st.integers(0, 5_000), st.integers(0, 3)),
+)
+
+
+def _sliced(span, data):
+    a = data.draw(st.integers(0, span.length))
+    b = data.draw(st.integers(a, span.length))
+    return span.slice(a, b)
+
+
+@given(st.data())
+def test_prop_length_field_agrees_with_len_and_content(data):
+    """Every span type, through random nested slices and concatenations:
+    the ``length`` set at construction is what ``len()`` reports and what
+    ``to_bytes()`` materialises."""
+    spans = data.draw(st.lists(_leaf_spans, min_size=1, max_size=6))
+    for _ in range(data.draw(st.integers(0, 6))):
+        op = data.draw(st.sampled_from(("slice", "concat", "cat")))
+        if op == "slice":
+            spans.append(_sliced(data.draw(st.sampled_from(spans)), data))
+        else:
+            parts = data.draw(st.lists(st.sampled_from(spans), max_size=4))
+            spans.append(concat(parts) if op == "concat" else CatBytes(parts))
+    for span in spans:
+        content = span.to_bytes()
+        assert span.length == len(span) == len(content)
+        part = _sliced(span, data)
+        assert part.length == len(part) == len(part.to_bytes())
+
+
+@pytest.mark.parametrize(
+    "span",
+    [RealBytes(b"abcd"), PatternBytes(4), CatBytes([RealBytes(b"ab"), PatternBytes(2)]),
+     _POOL.ingest(b"abcd")],
+    ids=lambda span: type(span).__name__,
+)
+def test_inline_bounds_check_raises_the_same_index_error(span):
+    for start, stop in ((-1, 2), (3, 2), (0, 5)):
+        with pytest.raises(IndexError, match=rf"slice \[{start}, {stop}\) outside span of length 4"):
+            span.slice(start, stop)

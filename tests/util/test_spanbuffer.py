@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.bytespan import PatternBytes, RealBytes
+from repro.net.segment_pool import SegmentPool
+from repro.util.bytespan import CatBytes, PatternBytes, RealBytes
 from repro.util.spanbuffer import SpanBuffer
 
 
@@ -180,3 +181,137 @@ def test_prop_peek_absolute_matches_reference(pieces, a, b):
         buffer.append(piece)
     lo, hi = sorted((min(a, len(reference)), min(b, len(reference))))
     assert buffer.peek_absolute(lo, hi).to_bytes() == reference[lo:hi]
+
+
+# ------------------------------------------------ tail extension (DESIGN §14)
+def _piece_shapes(buffer):
+    return [(type(piece).__name__, piece.length) for piece in buffer._pieces]
+
+
+def test_contiguous_pattern_appends_extend_the_tail_piece():
+    buffer = SpanBuffer()
+    first = PatternBytes(100, offset=0, pattern_id=2)
+    buffer.append(first)
+    buffer.append(PatternBytes(50, offset=100, pattern_id=2))
+    assert _piece_shapes(buffer) == [("PatternBytes", 150)]
+    # Spans are shared with whoever appended them: replaced, never mutated.
+    assert first.length == 100
+    assert buffer.peek_absolute(90, 110) == PatternBytes(20, offset=90, pattern_id=2)
+
+
+def test_foreign_or_non_adjacent_pieces_are_never_merged():
+    buffer = SpanBuffer()
+    buffer.append(PatternBytes(100, offset=0, pattern_id=2))
+    buffer.append(PatternBytes(10, offset=100, pattern_id=3))  # another stream
+    buffer.append(PatternBytes(10, offset=111, pattern_id=3))  # a one-byte gap
+    buffer.append(PatternBytes(10, offset=111, pattern_id=3))  # the same range again
+    buffer.append(RealBytes(b"x"))
+    buffer.append(PatternBytes(10, offset=131, pattern_id=3))  # adjacent to nothing
+    assert [length for _kind, length in _piece_shapes(buffer)] == [100, 10, 10, 10, 1, 10]
+
+
+_POOL = SegmentPool()
+
+
+@st.composite
+def _appendable(draw, stream_tail):
+    """A span to append plus the next contiguous (pattern_id, offset).
+
+    ``stream_tail`` is where the last PatternBytes append ended, so the
+    strategy can produce its exact continuation as well as near misses.
+    """
+    pattern_id, offset = stream_tail
+    length = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(
+        ("contiguous", "gap", "overlap", "foreign", "real", "pooled", "cat", "empty")
+    ))
+    if kind == "contiguous":
+        span = PatternBytes(length, offset, pattern_id)
+    elif kind == "gap":
+        span = PatternBytes(length, offset + draw(st.integers(1, 300)), pattern_id)
+    elif kind == "overlap":
+        span = PatternBytes(length, max(0, offset - draw(st.integers(1, 300))), pattern_id)
+    elif kind == "foreign":
+        span = PatternBytes(length, offset, pattern_id + 1)
+    elif kind == "real":
+        return RealBytes(draw(st.binary(min_size=1, max_size=40))), stream_tail
+    elif kind == "pooled":
+        return _POOL.ingest(draw(st.binary(min_size=1, max_size=40))), stream_tail
+    elif kind == "cat":
+        span = CatBytes([RealBytes(b"hdr"), PatternBytes(length, offset, pattern_id)])
+        return span, stream_tail
+    else:
+        return PatternBytes(0, offset, pattern_id), stream_tail
+    return span, (span.pattern_id, span.offset + span.length)
+
+
+def _mergeable(left, right):
+    return (
+        isinstance(left, PatternBytes)
+        and isinstance(right, PatternBytes)
+        and left.pattern_id == right.pattern_id
+        and left.offset + left.length == right.offset
+    )
+
+
+@given(st.data())
+def test_prop_buffer_matches_bytes_oracle_over_every_operation(data):
+    """Random interleavings of every mutator and reader against a plain
+    ``bytes`` oracle: content, length and both offsets agree after each
+    step, whatever mix of span types and (non-)contiguity was appended."""
+    buffer = SpanBuffer()
+    oracle = b""  # the buffered bytes; oracle_head is their absolute offset
+    oracle_head = 0
+    stream_tail = (0, 0)
+    appended = 0
+    for _ in range(data.draw(st.integers(1, 25))):
+        op = data.draw(st.sampled_from(
+            ("append", "append", "append", "pop", "discard", "peek", "seek")
+        ))
+        if op == "append":
+            span, stream_tail = data.draw(_appendable(stream_tail))
+            before = list(buffer._pieces)
+            buffer.append(span)
+            oracle += span.to_bytes()
+            appended += 1
+            if len(buffer._pieces) == len(before) and span.length:
+                # Extended in place: only ever the exact continuation.
+                assert _mergeable(before[-1], span)
+        elif op == "pop":
+            count = data.draw(st.integers(-1, len(oracle) + 3))
+            taken = oracle[: max(count, 0)]
+            assert buffer.pop_front(count).to_bytes() == taken
+            oracle = oracle[len(taken):]
+            oracle_head += len(taken)
+        elif op == "discard":
+            count = data.draw(st.integers(0, len(oracle) + 3))
+            buffer.discard_front(count)
+            dropped = min(count, len(oracle))
+            oracle = oracle[dropped:]
+            oracle_head += dropped
+        elif op == "peek":
+            a = data.draw(st.integers(0, len(oracle)))
+            b = data.draw(st.integers(a, len(oracle)))
+            view = buffer.peek_absolute(oracle_head + a, oracle_head + b)
+            assert view.to_bytes() == oracle[a:b]
+            assert view.length == b - a
+            with pytest.raises(IndexError):
+                buffer.peek_absolute(oracle_head - 1, oracle_head + b)
+            with pytest.raises(IndexError):
+                buffer.peek_absolute(oracle_head + a, oracle_head + len(oracle) + 1)
+        elif oracle:
+            with pytest.raises(ValueError):
+                buffer.seek(oracle_head + 1)
+        else:
+            oracle_head += data.draw(st.integers(0, 50))
+            buffer.seek(oracle_head)
+            with pytest.raises(ValueError):
+                buffer.seek(oracle_head - 1)
+        assert len(buffer) == buffer._length == len(oracle)
+        assert buffer.head_offset == oracle_head
+        assert buffer.tail_offset == oracle_head + len(oracle)
+        assert buffer.peek_front(len(oracle)).to_bytes() == oracle
+        pieces = list(buffer._pieces)
+        assert sum(piece.length for piece in pieces) == len(oracle)
+        assert all(piece.length > 0 for piece in pieces)
+        assert len(pieces) <= appended
