@@ -11,23 +11,11 @@ from __future__ import annotations
 from repro.apps.workload import bulk_workload
 from repro.harness.runner import run_workload
 from repro.metrics import perf
-from repro.net.segment_pool import SegmentPool
-from repro.sim.datapath import DATAPATH_ENV
 from repro.sim.scheduler import Scheduler
-from repro.util.bytespan import as_span
 from repro.util.units import MB
 
 #: Events per round for the scheduler microbenchmarks.
 EVENTS = 50_000
-
-#: Segment-pool microbenchmark shape: app-sized writes carved into
-#: MSS-sized segments, the send path's actual access pattern.
-POOL_CHUNK = 32 * 1024
-POOL_MSS = 1460
-POOL_CHUNKS = 1_000
-#: MSS segments carved out of one chunk / the whole round.
-POOL_SLICES = len(range(0, POOL_CHUNK - POOL_MSS + 1, POOL_MSS))
-POOL_SEGMENTS = POOL_CHUNKS * POOL_SLICES
 
 
 def _noop() -> None:
@@ -35,37 +23,10 @@ def _noop() -> None:
 
 
 def test_scheduler_dispatch(benchmark):
-    """Push/pop throughput of the bare event heap (no cancellations)."""
+    """Schedule-then-drain throughput of the bare scheduler (no cancellations)."""
 
     def setup():
         scheduler = Scheduler()
-        for i in range(EVENTS):
-            scheduler.schedule_at(i * 1e-6, _noop)
-        return (scheduler,), {}
-
-    def drain(scheduler):
-        scheduler.run_until()
-        return scheduler.executed_count
-
-    executed = benchmark.pedantic(drain, setup=setup, rounds=5, iterations=1)
-    assert executed == EVENTS
-    benchmark.extra_info["events_per_sec"] = round(EVENTS / benchmark.stats.stats.mean)
-
-
-def test_scheduler_dispatch_object_arm(benchmark, monkeypatch):
-    """The same drain pinned to ``REPRO_DATAPATH=object`` (per-event
-    ``run_next`` dispatch).
-
-    The gap between this number and ``test_scheduler_dispatch`` is what
-    slot-drain batching buys; the perf gate holds both arms so a
-    regression in either is visible.  The arm is read at scheduler
-    construction, so flipping the env var inside ``setup`` is enough.
-    """
-    monkeypatch.setenv(DATAPATH_ENV, "object")
-
-    def setup():
-        scheduler = Scheduler()
-        assert not scheduler._batch  # pinned to the reference dispatch loop
         for i in range(EVENTS):
             scheduler.schedule_at(i * 1e-6, _noop)
         return (scheduler,), {}
@@ -83,8 +44,8 @@ def test_scheduler_dispatch_with_cancellations(benchmark):
     """Same drain with 75% of entries cancelled — the lazy-discard path.
 
     This is the TCP shape: most retransmission timers are cancelled by an
-    ACK long before they fire, so ``run_next_before`` spends much of its
-    time skipping dead heap entries.
+    ACK long before they fire, so the drain spends much of its time
+    discarding dead entries as their slots open.
     """
 
     def setup():
@@ -104,93 +65,6 @@ def test_scheduler_dispatch_with_cancellations(benchmark):
 
     assert benchmark.pedantic(drain, setup=setup, rounds=5, iterations=1)
     benchmark.extra_info["events_per_sec"] = round(EVENTS / benchmark.stats.stats.mean)
-
-
-def test_scheduler_dispatch_with_cancellations_heap_backend(benchmark):
-    """The same cancellation-heavy drain pinned to the heap-only backend.
-
-    Tracks what the timing wheel buys us: the gap between this number and
-    ``test_scheduler_dispatch_with_cancellations`` is the wheel's win.
-    """
-
-    def setup():
-        scheduler = Scheduler(wheel=False)
-        live = 0
-        for i in range(EVENTS):
-            handle = scheduler.schedule_at(i * 1e-6, _noop)
-            if i % 4:
-                handle.cancel()
-            else:
-                live += 1
-        return (scheduler, live), {}
-
-    def drain(scheduler, live):
-        scheduler.run_until()
-        return scheduler.executed_count == live
-
-    assert benchmark.pedantic(drain, setup=setup, rounds=5, iterations=1)
-    benchmark.extra_info["events_per_sec"] = round(EVENTS / benchmark.stats.stats.mean)
-
-
-def test_segment_pool_slice_fanout(benchmark):
-    """Pooled send-path throughput: one copy in, zero-copy MSS slicing.
-
-    Each round ingests app-sized writes and carves every one into MSS
-    segments — the send buffer's access pattern, where a payload is
-    copied once into a slab and then sliced for first transmission,
-    retransmission, and the backup tap without further copies.  Spans
-    are dropped batch-by-batch so slabs cycle through the free list,
-    and the stats assert steady state runs on reuse, not allocation.
-    """
-    chunk = bytes(POOL_CHUNK)
-
-    def setup():
-        return (SegmentPool(),), {}
-
-    def run(pool):
-        live = []
-        for _ in range(POOL_CHUNKS):
-            span = pool.ingest(chunk)
-            for offset in range(0, POOL_CHUNK - POOL_MSS + 1, POOL_MSS):
-                live.append(span.slice(offset, offset + POOL_MSS))
-            if len(live) >= 512:
-                live.clear()  # delivered: slabs flow back via refcount
-        live.clear()
-        return pool
-
-    pool = benchmark.pedantic(run, setup=setup, rounds=5, iterations=1)
-    stats = pool.stats()
-    assert stats["segments_pooled"] == POOL_CHUNKS
-    # Steady state runs off the free list: far fewer slab allocations
-    # than slab acquisitions.
-    assert stats["slabs_reused"] > stats["pool_misses"]
-    benchmark.extra_info["segments_per_sec"] = round(
-        POOL_SEGMENTS / benchmark.stats.stats.mean
-    )
-
-
-def test_segment_pool_fresh_bytes_baseline(benchmark):
-    """The object-arm span path the pool replaces: ``RealBytes`` ingest
-    (a fresh ``bytes`` copy) plus a *copying* ``slice`` per MSS segment
-    — the baseline that makes the pooled number meaningful in the JSON
-    trajectory."""
-    chunk = bytes(POOL_CHUNK)
-
-    def run():
-        live = []
-        for _ in range(POOL_CHUNKS):
-            span = as_span(chunk)
-            for offset in range(0, POOL_CHUNK - POOL_MSS + 1, POOL_MSS):
-                live.append(span.slice(offset, offset + POOL_MSS))
-            if len(live) >= 512:
-                live.clear()
-        live.clear()
-        return True
-
-    assert benchmark.pedantic(run, rounds=5, iterations=1)
-    benchmark.extra_info["segments_per_sec"] = round(
-        POOL_SEGMENTS / benchmark.stats.stats.mean
-    )
 
 
 def test_bulk_transfer_1mb(benchmark):

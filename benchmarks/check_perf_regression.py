@@ -33,8 +33,8 @@ DEFAULT_TOLERANCE = 0.20
 #: benchmark name (the historical key shape); further metrics get a
 #: ``name[metric]`` key so one benchmark can gate several rates —
 #: ``bench_scale.py`` gates simulator, segment, and connection
-#: throughput, ``bench_cluster.py`` adds completed failover pairs per
-#: second, and ``bench_simcore.py`` gates the segment-pool ingest rate.
+#: throughput and ``bench_cluster.py`` adds completed failover pairs
+#: per second.
 METRICS = (
     "events_per_sec",
     "segments_per_sec",

@@ -48,7 +48,6 @@ from repro.harness.results import ResultStore, default_store_path
 from repro.harness.runner import FLIGHT_DUMP_ENV
 from repro.harness.tables import format_table, rows_from_records
 from repro.metrics.report import records_to_csv, records_to_json
-from repro.sim.datapath import datapath_mode
 
 
 def _scale_from_args(args: argparse.Namespace):
@@ -100,29 +99,6 @@ def _run(name: str, args: argparse.Namespace, **options: Any) -> ExperimentResul
             file=sys.stderr,
         )
     return result
-
-
-def _print_pool_health(telemetry: List[Optional[Dict[str, Any]]]) -> None:
-    """One line of segment-pool health summed over the run's cells.
-
-    Reads the perf telemetry (pool deltas per tracked cell), which sits
-    next to the result store but never inside the hashed records — under
-    ``REPRO_DATAPATH=object`` the datapath bypasses the pool and every
-    counter is simply zero.
-    """
-    cells = [t for t in telemetry if t is not None]
-    pooled = int(sum(t.get("segments_pooled", 0) for t in cells))
-    misses = int(sum(t.get("pool_misses", 0) for t in cells))
-    mode = datapath_mode()
-    if pooled == 0 and misses == 0:
-        print(f"datapath={mode}: segment pool idle", file=sys.stderr)
-        return
-    hit_rate = 1.0 - misses / max(1, pooled)
-    print(
-        f"datapath={mode}: {pooled} segments pooled, "
-        f"{misses} pool misses (slab hit rate {hit_rate:.1%})",
-        file=sys.stderr,
-    )
 
 
 def _export(records: List[Dict[str, Any]], args: argparse.Namespace) -> None:
@@ -252,7 +228,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     )
     records = result.rows
     print(format_scale(records))
-    _print_pool_health(result.grid.telemetry)
     _export(records, args)
     if getattr(args, "scorecard", None):
         _spec, card = _build_scorecard(

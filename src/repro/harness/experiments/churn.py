@@ -48,9 +48,7 @@ from repro.harness.spec import (
 )
 from repro.harness.tables import format_table
 from repro.metrics import perf
-from repro.net.segment_pool import PooledBytes, default_pool
 from repro.sttcp.config import STTCPConfig
-from repro.util.bytespan import RealBytes
 
 #: Read granularity for flow responses.
 RECV_CHUNK = 65536
@@ -70,37 +68,29 @@ SMOKE_LADDER: Tuple[int, ...] = (25, 100)
 
 
 # ------------------------------------------------------------ memory probe
-#: Attribute names that escape the per-connection object graph; following
-#: them would charge the whole simulator to one TCB.
+#: Attribute names the walk does not follow.
 _ESCAPE_ATTRS = frozenset(
     {
+        # Back-references out of the per-connection object graph;
+        # following them would charge the whole simulator to one TCB.
         "sim",
         "layer",
         "host",
         "conn",
         "tcb",
         "socket",
-        # Datapath machinery reachable from a TCB but not per-connection
-        # state: the segment pool / slab leases, the scheduler behind
-        # event handles, and the batch arm's cached wire template.  All
-        # must stay out of the walk so ``bytes_per_tcb`` is identical
-        # under both ``REPRO_DATAPATH`` arms.
-        "_pool",
-        "_lease",
-        "_sched",
+        "_sched",  # the scheduler behind a pending event handle
+        # Caches that restate fields the walk already counts: the output
+        # engine's header template (the two ports) and an address's
+        # memoised hash.  The hash is a salted string hash, and
+        # ``sys.getsizeof(int)`` grows with magnitude, so walking it
+        # would make ``bytes_per_tcb`` depend on ``PYTHONHASHSEED``.
         "_template",
+        "_hash",
     }
 )
 
 _FLAT_TYPES = (str, bytes, bytearray, int, float, bool, complex)
-
-#: Fixed cost of the object-arm span a pooled payload replaces: the
-#: ``RealBytes`` instance plus an empty ``bytes``; the payload length is
-#: added per span.  Pooled spans view a *shared* slab, so walking them
-#: would charge a whole 64 KiB slab to one TCB — and make
-#: ``bytes_per_tcb`` differ between ``REPRO_DATAPATH`` arms, breaking
-#: the record-hash equivalence the differential harness enforces.
-_REALBYTES_EQUIV_BASE = sys.getsizeof(RealBytes(b"")) + sys.getsizeof(b"")
 
 
 def deep_size(root: Any) -> int:
@@ -122,11 +112,6 @@ def deep_size(root: Any) -> int:
         if id(obj) in seen:
             continue
         seen.add(id(obj))
-        if isinstance(obj, PooledBytes):
-            # Charge the RealBytes equivalent the object arm holds for
-            # this payload, not the shared slab behind the view.
-            total += _REALBYTES_EQUIV_BASE + len(obj)
-            continue
         try:
             total += sys.getsizeof(obj)
         except TypeError:  # pragma: no cover - exotic objects only
@@ -249,10 +234,6 @@ def _run_cell(cell: GridCell) -> Record:
         seed=cell.seed,
     )
     sim = scenario.sim
-    # Snapshot the process-global segment pool so the rung's datapath
-    # gauges report this rung's deltas, not process-lifetime totals.
-    pool = default_pool()
-    pool_base = pool.stats()
     scenario.start_service()
     backup_engine = scenario.pair.backup_engine
     backup_host = scenario.backup
@@ -376,14 +357,6 @@ def _run_cell(cell: GridCell) -> Record:
     finished = sim.now
     # Drain TIME_WAIT (1 s in the simulator) so reaping can complete.
     sim.run(until=sim.now + 1.5)
-    # Datapath pool health for this rung goes into the obs registry and
-    # the perf telemetry, never the record: the pool is process-global,
-    # so its counters depend on how many rungs ran in this process and
-    # would break the --jobs 1 vs --jobs N store-hash identity.
-    pool_stats = pool.stats()
-    datapath = sim.metrics.scope("datapath")
-    for key in ("segments_pooled", "pool_misses", "slabs_reused"):
-        datapath.gauge(key).value = pool_stats[key] - pool_base[key]
     perf.note_simulation(sim)
 
     total_opens = n + churn_count * churn_flows

@@ -22,8 +22,6 @@ import contextvars
 import time
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-from repro.net.segment_pool import default_pool
-
 _active: "contextvars.ContextVar[Optional[PerfProbe]]" = contextvars.ContextVar(
     "repro_perf_probe", default=None
 )
@@ -32,7 +30,7 @@ _active: "contextvars.ContextVar[Optional[PerfProbe]]" = contextvars.ContextVar(
 class PerfProbe:
     """Wall-clock and simulator-counter accumulator for one tracked span."""
 
-    __slots__ = ("started", "finished", "_sims", "_pool_base")
+    __slots__ = ("started", "finished", "_sims")
 
     def __init__(self) -> None:
         self.started = time.perf_counter()
@@ -40,12 +38,6 @@ class PerfProbe:
         # id(sim) → (events_executed, sim_now); latest snapshot wins, so
         # counters of a reused simulator are not added twice.
         self._sims: Dict[int, Tuple[int, float]] = {}
-        # Segment-pool counters are process-cumulative; snapshot them so
-        # the telemetry reports this span's deltas (deterministic per
-        # cell only in the wall-clock sense — they live in telemetry,
-        # never in hashed records).
-        pool = default_pool()
-        self._pool_base = (pool.segments_pooled, pool.pool_misses)
 
     def note(self, sim: Any) -> None:
         self._sims[id(sim)] = (sim.events_executed, sim.now)
@@ -67,27 +59,15 @@ class PerfProbe:
     def simulations(self) -> int:
         return len(self._sims)
 
-    def pool_deltas(self) -> Tuple[int, int]:
-        """(segments_pooled, pool_misses) accrued since the probe started."""
-        pool = default_pool()
-        base_pooled, base_misses = self._pool_base
-        return (
-            pool.segments_pooled - base_pooled,
-            pool.pool_misses - base_misses,
-        )
-
     def telemetry(self) -> Dict[str, float]:
         wall = self.wall_time
         events = self.events
-        segments_pooled, pool_misses = self.pool_deltas()
         return {
             "wall_time": wall,
             "sim_seconds": self.sim_seconds,
             "events": events,
             "events_per_sec": events / wall if wall > 0 else 0.0,
             "simulations": self.simulations,
-            "segments_pooled": segments_pooled,
-            "pool_misses": pool_misses,
         }
 
 

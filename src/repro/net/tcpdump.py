@@ -22,7 +22,6 @@ from repro.ip.datagram import PROTO_TCP, PROTO_UDP, IPDatagram
 from repro.net.addresses import IPAddress, MACAddress
 from repro.net.frame import ETHERTYPE_ARP, ETHERTYPE_IPV4, EthernetFrame
 from repro.net.nic import NIC
-from repro.sim.datapath import batch_enabled
 from repro.tcp.segment import TCPSegment
 
 
@@ -137,24 +136,8 @@ _PCAP_GLOBAL = struct.Struct("<IHHiIII")
 _PCAP_RECORD = struct.Struct("<IIII")
 _ETH_HEADER = struct.Struct("!6s6sH")
 _IPV4_HEADER = struct.Struct("!BBHHHBBH4s4s")
-_TCP_HEADER = struct.Struct("!HHIIBBHHH")
 _UDP_HEADER = struct.Struct("!HHHH")
 _ARP_BODY = struct.Struct("!HHBBH6s4s6s4s")
-
-
-def _checksum_reference(data: bytes) -> int:
-    """RFC 1071 ones'-complement checksum, word by word.
-
-    The literal folding loop from the RFC — kept as the oracle for
-    :func:`_checksum` (the property test in ``tests/net`` holds them
-    equal over random buffers) and for readers tracing the wire format.
-    """
-    if len(data) % 2:
-        data += b"\x00"
-    total = sum(int.from_bytes(data[i : i + 2], "big") for i in range(0, len(data), 2))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
 
 
 def _fold16(total: int) -> int:
@@ -169,7 +152,7 @@ def _fold16(total: int) -> int:
     return folded
 
 
-def _sum16(data: Union[bytes, memoryview]) -> int:
+def _sum16(data: bytes) -> int:
     """16-bit word sum of ``data`` (zero-padded), reduced mod 65535.
 
     Because ``2**16 ≡ 1 (mod 65535)``, every word's positional weight
@@ -177,12 +160,13 @@ def _sum16(data: Union[bytes, memoryview]) -> int:
     sum mod 65535 — one C-speed conversion instead of a Python loop.
     """
     if len(data) % 2:
-        data = bytes(data) + b"\x00"
+        data += b"\x00"
     return int.from_bytes(data, "big") % 65535
 
 
 def _checksum(data: bytes) -> int:
-    """RFC 1071 checksum via the mod-65535 identity (≡ the reference)."""
+    """RFC 1071 checksum via the mod-65535 identity (``tests/net`` holds
+    it equal to the RFC's word-by-word loop over random buffers)."""
     return (~_fold16(_sum16(data))) & 0xFFFF
 
 
@@ -224,11 +208,15 @@ _WIRE_PREFIX_CACHE_MAX = 4096
 _TCP_VARIANT = struct.Struct("!IIBBHHH")
 
 
-def _segment_to_bytes_fast(segment: TCPSegment, src_ip: IPAddress, dst_ip: IPAddress) -> bytes:
-    """Batch-arm serialisation: patch the variant fields onto a cached
-    per-connection prefix and build the checksum incrementally from the
-    cached invariant word sum — no placeholder packet, no re-copy to
-    splice the checksum in."""
+def segment_to_bytes(segment: TCPSegment, src_ip: IPAddress, dst_ip: IPAddress) -> bytes:
+    """Serialise a TCP segment (with options and a valid checksum).
+
+    Patches the variant fields onto a cached per-connection prefix and
+    builds the checksum incrementally from the cached invariant word sum
+    — no placeholder packet, no re-copy to splice the checksum in.  The
+    plain pack-everything serialiser lives in ``tests/net/test_tcpdump.py``
+    as the property-test oracle.
+    """
     key = (src_ip.value, dst_ip.value, segment.src_port, segment.dst_port)
     cached = _wire_prefix_cache.get(key)
     if cached is None:
@@ -268,36 +256,6 @@ def _segment_to_bytes_fast(segment: TCPSegment, src_ip: IPAddress, dst_ip: IPAdd
         seq, ack, offset_words << 4, segment.flags, segment.window, checksum, 0
     )
     return b"".join((prefix, variant, options, payload))
-
-
-def segment_to_bytes(segment: TCPSegment, src_ip: IPAddress, dst_ip: IPAddress) -> bytes:
-    """Serialise a TCP segment (with options and a valid checksum).
-
-    Arm-switched per call (serialisation is observer-side, never hot
-    inside an event): the batch arm uses the cached-prefix incremental
-    path, the object arm packs the full header per segment — the
-    differential tests hold the two byte-identical.
-    """
-    if batch_enabled():
-        return _segment_to_bytes_fast(segment, src_ip, dst_ip)
-    options = _tcp_options(segment)
-    offset_words = (20 + len(options)) // 4
-    header = _TCP_HEADER.pack(
-        segment.src_port,
-        segment.dst_port,
-        segment.seq,
-        segment.ack,
-        offset_words << 4,
-        segment.flags,
-        segment.window,
-        0,  # checksum placeholder
-        0,  # urgent pointer
-    )
-    payload = _payload_bytes(segment.payload, segment.payload_length)
-    packet = header + options + payload
-    pseudo = _ip_bytes(src_ip) + _ip_bytes(dst_ip) + struct.pack("!BBH", 0, PROTO_TCP, len(packet))
-    checksum = _checksum_reference(pseudo + packet)
-    return packet[:16] + struct.pack("!H", checksum) + packet[18:]
 
 
 def _udp_to_bytes(udp: Any, src_ip: IPAddress, dst_ip: IPAddress) -> bytes:

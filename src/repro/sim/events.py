@@ -33,9 +33,10 @@ class EventHandle:
     Cancellation is O(1): the handle is flagged and skipped when popped.
     The scheduler keeps a back-reference (``_sched``) while the handle is
     queued so cancellation can maintain the O(1) live-entry counters, and
-    ``_tick`` records which backend holds it (a timing-wheel tick, or -1
-    for the heap).  Handles are recycled through the scheduler's free list
-    once they have fired and no outside reference remains.
+    ``_tick`` records where it is filed (its timing-wheel tick, or -1 in
+    the beyond-horizon heap).  Handles are recycled through the
+    scheduler's free list once they have fired and no outside reference
+    remains.
     """
 
     __slots__ = ("time", "priority", "seq", "callback", "args", "_cancelled", "_sched", "_tick")

@@ -1,6 +1,6 @@
 """The event queue driving the discrete-event simulation.
 
-Two backends cooperate behind one ``schedule_at`` API, selected per call:
+One queue, two bands, chosen by how far ahead an event lies:
 
 * a **hierarchical timing wheel** (Varghese–Lauck) for the short-horizon
   timer band.  TCP workloads are overwhelmingly timer workloads — most
@@ -8,15 +8,17 @@ Two backends cooperate behind one ``schedule_at`` API, selected per call:
   wheel makes both insert and cancelled-entry disposal O(1) (a flag check
   when the slot is opened) instead of O(log n) heap percolation per pop;
 * a **binary heap** of :class:`~repro.sim.events.EventHandle` objects for
-  events beyond the wheel horizon, ordered by ``(time, priority, seq)``.
-  Cancelled handles are lazily discarded, and the heap is compacted when
-  the *dead fraction* exceeds one half (never based on raw length alone).
+  the few events beyond the wheel horizon, ordered by ``(time, priority,
+  seq)``.  Cancelled handles are lazily discarded, and the heap is
+  compacted when the *dead fraction* exceeds one half (never based on raw
+  length alone).
 
-Both backends dispatch in exactly the same ``(time, priority, seq)`` order
-— the seq tie-break is a per-scheduler counter assigned at schedule time —
-so a run is bit-identical whichever backend each event landed in.  The
-differential tests in ``tests/sim/test_timing_wheel.py`` and the grid-hash
-test in ``tests/harness/test_backend_differential.py`` enforce this.
+Dispatch is in exact ``(time, priority, seq)`` order whichever band an
+event was filed in — the seq tie-break is a per-scheduler counter
+assigned at schedule time.  :meth:`Scheduler.run_until` drains the wheel
+one ready slot at a time in a tight loop; ``tests/sim/test_timing_wheel.py``
+checks it against a plain heap-only oracle in random ``until`` /
+``max_events`` chunks.
 
 Handles are recycled through a bounded free list once they have fired (or
 were popped cancelled) and no outside reference remains — verified with
@@ -26,14 +28,12 @@ were popped cancelled) and no outside reference remains — verified with
 from __future__ import annotations
 
 import heapq
-import os
 from bisect import insort
 from math import inf
 from sys import getrefcount
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.datapath import batch_enabled
 from repro.sim.events import PRIORITY_NORMAL, EventHandle, SimEvent
 
 #: Wheel entry: the sort key inlined ahead of the handle, so slot sorting
@@ -42,11 +42,6 @@ from repro.sim.events import PRIORITY_NORMAL, EventHandle, SimEvent
 #: schedule time; ``seq`` is unique, so the handle itself is never
 #: compared.
 WheelEntry = Tuple[float, int, int, EventHandle]
-
-#: Environment override for the queue backend: ``heap`` disables the
-#: timing wheel (everything goes through the binary heap).  Used by the
-#: differential tests to prove the two backends order identically.
-BACKEND_ENV = "REPRO_SCHED_BACKEND"
 
 
 class TimingWheel:
@@ -302,17 +297,15 @@ class Scheduler:
         "_heap_live",
         "_seq",
         "_free",
-        "_batch",
-        "_batch_hooks",
     )
 
     #: Heap compaction floor: below this length, dead entries are cheap
     #: enough to keep regardless of fraction.
     GC_BASE_THRESHOLD = 4096
 
-    #: Default wheel tick in seconds.  100 µs splits the paper's testbed
+    #: Wheel tick in seconds.  100 µs splits the paper's testbed
     #: timescales cleanly: frame times land a handful per slot, while TCP
-    #: timers (ms–s) stay well inside the ~7-minute horizon.
+    #: timers (ms–s) stay well inside the ~28-minute horizon.
     WHEEL_RESOLUTION = 1e-4
 
     #: Recycled EventHandle pool cap.
@@ -324,27 +317,14 @@ class Scheduler:
     #: arrival) cannot go quadratic in re-snapshot copies.
     READY_SNAPSHOT_MAX = 1024
 
-    def __init__(
-        self,
-        wheel: Optional[bool] = None,
-        wheel_resolution: float = WHEEL_RESOLUTION,
-    ) -> None:
+    def __init__(self) -> None:
         self._heap: List[EventHandle] = []
-        if wheel is None:
-            wheel = os.environ.get(BACKEND_ENV, "wheel") != "heap"
-        self._wheel: Optional[TimingWheel] = (
-            TimingWheel(wheel_resolution) if wheel else None
-        )
+        self._wheel = TimingWheel(self.WHEEL_RESOLUTION)
         self._now = 0.0
         self._executed = 0
         self._heap_live = 0
         self._seq = 0
         self._free: List[EventHandle] = []
-        # Slot-drain dispatch (REPRO_DATAPATH=batch) needs the wheel: the
-        # heap backend *is* the per-event reference arm and keeps the old
-        # run_next loop verbatim, as does REPRO_DATAPATH=object.
-        self._batch = self._wheel is not None and batch_enabled()
-        self._batch_hooks: tuple = ()
 
     @property
     def now(self) -> float:
@@ -359,8 +339,7 @@ class Scheduler:
     @property
     def pending_count(self) -> int:
         """Number of live (non-cancelled) entries in the queue — O(1)."""
-        wheel = self._wheel
-        return self._heap_live + (wheel.live if wheel is not None else 0)
+        return self._heap_live + self._wheel.live
 
     def schedule_at(
         self,
@@ -408,14 +387,13 @@ class Scheduler:
         self._seq = seq + 1
         handle._sched = self
         wheel = self._wheel
-        if wheel is not None:
-            if wheel.live == 0:
-                wheel.sync_if_empty(wheel.tick_for(self._now))
-            tick = wheel.tick_for(time)
-            if tick - wheel._cur_tick < TimingWheel.HORIZON_TICKS:
-                handle._tick = tick
-                wheel.insert((time, priority, seq, handle), tick)
-                return handle
+        if wheel.live == 0:
+            wheel.sync_if_empty(wheel.tick_for(self._now))
+        tick = wheel.tick_for(time)
+        if tick - wheel._cur_tick < TimingWheel.HORIZON_TICKS:
+            handle._tick = tick
+            wheel.insert((time, priority, seq, handle), tick)
+            return handle
         handle._tick = -1
         heapq.heappush(self._heap, handle)
         self._heap_live += 1
@@ -426,9 +404,8 @@ class Scheduler:
         """Called by :meth:`EventHandle.cancel` while the handle is queued."""
         if handle._tick >= 0:
             wheel = self._wheel
-            if wheel is not None:
-                wheel.live -= 1
-                wheel._dead += 1
+            wheel.live -= 1
+            wheel._dead += 1
         else:
             self._heap_live -= 1
             heap_size = len(self._heap)
@@ -461,9 +438,8 @@ class Scheduler:
         return None
 
     def _next_handle(self) -> Optional[EventHandle]:
-        """Earliest live entry across both backends (no removal)."""
-        wheel = self._wheel
-        wheel_head = wheel.peek() if wheel is not None else None
+        """Earliest live entry across wheel and heap (no removal)."""
+        wheel_head = self._wheel.peek()
         heap_head = self._heap_head()
         if wheel_head is None:
             return heap_head
@@ -478,9 +454,9 @@ class Scheduler:
 
     # Execution -----------------------------------------------------------
     def _pop(self, head: EventHandle) -> None:
-        """Remove ``head`` (the current :meth:`_next_handle`) from its backend."""
+        """Remove ``head`` (the current :meth:`_next_handle`) from its band."""
         if head._tick >= 0:
-            self._wheel.pop()  # type: ignore[union-attr]
+            self._wheel.pop()
         else:
             heapq.heappop(self._heap)
             self._heap_live -= 1
@@ -522,64 +498,21 @@ class Scheduler:
 
         With ``until`` set, the clock is advanced to exactly ``until`` after
         the last event at or before it, so repeated bounded runs compose.
+        A spent ``max_events`` budget stops the run — without that clock
+        advance — only when a further event is still due.
 
         With ``watch`` set (a :class:`SimEvent`, typically a process), the
         run stops — without the final clock advance — as soon as an event
         leaves ``watch`` triggered, or leaves ``now >= until``.  This is
-        :meth:`Simulator.run_until_complete`'s per-event stop condition,
-        folded into the drain loop so the batched arm keeps it bit-exact.
-        """
-        if self._batch:
-            self._run_batched(until, max_events, watch)
-            return
-        remaining = max_events
-        while True:
-            if remaining is not None:
-                if remaining <= 0:
-                    return
-                remaining -= 1
-            if not self.run_next_before(until):
-                break
-            if watch is not None:
-                if watch._done:
-                    return
-                if until is not None and self._now >= until:
-                    return
-        if watch is not None:
-            return
-        if until is not None and until > self._now:
-            self._now = until
+        :meth:`Simulator.run_until_complete`'s per-event stop condition.
 
-    # Slot-drain dispatch (REPRO_DATAPATH=batch) -------------------------
-    def add_batch_hook(self, hook: Callable[[], None]) -> None:
-        """Register ``hook()`` to run at the end of every dispatch batch.
-
-        Hooks are the flush point for consumers that coalesce per-event
-        work (the ST-TCP backup's index reconciliation).  They run between
-        batches — never between two events of one batch — and must not
-        change anything simulation-visible: the object arm never fires
-        them, and the differential tests hold both arms byte-identical.
-        Register before running; hooks are looked up once per drain.
-        """
-        self._batch_hooks += (hook,)
-
-    def _run_batched(
-        self,
-        until: Optional[float],
-        max_events: Optional[int],
-        watch: Optional[SimEvent],
-    ) -> None:
-        """Batched counterpart of the :meth:`run_until` loop.
-
-        Alternates between draining the wheel's ready batch in a tight
-        loop (the common case) and single-event heap dispatch (events
-        beyond the wheel horizon), preserving global ``(time, priority,
-        seq)`` order: the heap head bounds each drain, and within a batch
-        the ready list is already sorted.
+        The loop alternates between draining the wheel's ready batch in a
+        tight loop (the common case) and single-event heap dispatch
+        (events beyond the wheel horizon), preserving global ``(time,
+        priority, seq)`` order: the heap head bounds each drain, and
+        within a batch the ready list is already sorted.
         """
         wheel = self._wheel
-        assert wheel is not None  # _batch implies a wheel
-        hooks = self._batch_hooks
         remaining = -1 if max_events is None else max_events
         stop = False
         while not stop:
@@ -600,13 +533,9 @@ class Scheduler:
                 if until is not None and heap_head.time > until:
                     break
                 remaining, stop = self._run_heap_event(heap_head, until, remaining, watch)
-            if hooks:
-                for hook in hooks:
-                    hook()
         # No final clock advance under ``watch``: the caller
         # (run_until_complete) distinguishes "queue drained" from
-        # "deadline reached" by whether the clock moved, exactly like the
-        # per-event reference loop.
+        # "deadline reached" by whether the clock moved.
         if stop or watch is not None:
             return
         if until is not None and until > self._now:
@@ -649,7 +578,6 @@ class Scheduler:
         ``watch`` stop condition fired).
         """
         wheel = self._wheel
-        assert wheel is not None
         free = self._free
         free_len = len(free)
         free_cap = self.FREE_LIST_MAX
@@ -737,7 +665,6 @@ class Scheduler:
         so snapshot copies cannot go quadratic.
         """
         wheel = self._wheel
-        assert wheel is not None
         ready = wheel._ready
         pos = wheel._ready_pos
         free = self._free
@@ -793,7 +720,7 @@ class Scheduler:
         remaining: int,
         watch: Optional[SimEvent],
     ) -> "tuple[int, bool]":
-        """Dispatch one beyond-horizon event from the heap (batch arm)."""
+        """Dispatch one beyond-horizon event from the heap."""
         if remaining >= 0:
             if remaining == 0:
                 return 0, True

@@ -91,21 +91,6 @@ class Simulator:
         """Run ``callback(*args)`` at absolute simulated ``time``."""
         return self._scheduler.schedule_at(time, callback, args, priority)
 
-    @property
-    def batch_dispatch(self) -> bool:
-        """True when the scheduler runs slot-drain (batched) dispatch."""
-        return self._scheduler._batch
-
-    def add_batch_hook(self, hook: Callable[[], None]) -> None:
-        """Register ``hook()`` to run between dispatch batches.
-
-        Only meaningful under batched dispatch (see
-        :meth:`Scheduler.add_batch_hook` for the contract); callers gate
-        on :attr:`batch_dispatch` and keep a per-event fallback for the
-        object arm.
-        """
-        self._scheduler.add_batch_hook(hook)
-
     # Events --------------------------------------------------------------
     def event(self, name: str = "") -> SimEvent:
         """Create an untriggered waitable event."""
@@ -148,37 +133,11 @@ class Simulator:
         Raises :class:`SimulationError` if the event queue drains or the
         deadline passes while the process is still alive (usually a sign of
         a deadlock in the scenario under test).
-        """
-        if self._scheduler._batch:
-            return self._run_until_complete_batched(process, deadline)
-        while not process.triggered:
-            if deadline is not None and self.now >= deadline:
-                raise SimulationError(
-                    f"deadline {deadline}s passed; process {process.label!r} "
-                    "still running"
-                )
-            if self._scheduler.run_next_before(deadline):
-                continue
-            if self._scheduler.peek_time() is None:
-                raise SimulationError(
-                    f"event queue empty but process {process.label!r} never "
-                    "finished (deadlock?)"
-                )
-            # The next live event is past the deadline: advance to it and
-            # let the check at the top of the loop raise.
-            self._scheduler.run_until(until=deadline)
-        return process.value
 
-    def _run_until_complete_batched(
-        self, process: Process, deadline: Optional[float] = None
-    ) -> Any:
-        """Slot-drain counterpart of :meth:`run_until_complete`.
-
-        The per-event stop conditions of the reference loop — stop the
-        instant ``process`` triggers, and run at most one event that
-        leaves ``now >= deadline`` — are enforced inside the scheduler's
-        drain via ``watch``, so both arms execute exactly the same event
-        sequence before raising or returning.
+        The stop conditions are per event — stop the instant ``process``
+        triggers, and run at most one event that leaves ``now >=
+        deadline`` — and are enforced inside the scheduler's drain via
+        ``watch``.
         """
         scheduler = self._scheduler
         while not process.triggered:

@@ -124,14 +124,6 @@ class STTCPBackup:
         #: rebase, outstanding recovery) — the per-event paths below never
         #: walk ``_connections``; only takeover-time code does.
         self._index = BackupConnectionIndex()
-        #: Batch datapath: stream advances mark their state dirty here
-        #: and the gap index reconciles once per dispatch batch (and
-        #: before every ``gaps()`` read) instead of once per tapped
-        #: segment.  The object arm reconciles inline, per event.
-        self._gap_dirty: Dict[ConnKey, _ShadowConnState] = {}
-        self._batched_tap = self.sim.batch_dispatch
-        if self._batched_tap:
-            self.sim.add_batch_hook(self._flush_gap_reconcile)
         self._hb_sequence = 0
         self._started = False
         # Backups answer nothing on their own: no RSTs for unmatched
@@ -212,7 +204,6 @@ class STTCPBackup:
         return self._index.pending_rebase_count()
 
     def index_sizes(self) -> Dict[str, int]:
-        self._flush_gap_reconcile()
         return self._index.sizes()
 
     # Lifecycle -------------------------------------------------------------------
@@ -304,10 +295,7 @@ class STTCPBackup:
         if not state.converged and state.ext.isn_rebased and tcb.is_synchronized:
             self._note_converged(state)
         # The local stream moved: it may have caught up with the primary.
-        if self._batched_tap:
-            self._gap_dirty[state.key] = state
-        else:
-            self._index.reconcile_gap(state)
+        self._index.reconcile_gap(state)
         received = tcb.recv_buffer.rcv_nxt_offset - state.last_acked_offset
         if received >= self._ack_threshold(tcb):
             self._send_backup_ack(state)
@@ -727,14 +715,6 @@ class STTCPBackup:
             on_done=self._on_logger_done,
         )
 
-    def _flush_gap_reconcile(self) -> None:
-        """Batch-datapath flush point: fold every deferred stream
-        advance into the gap index in one update."""
-        if self._gap_dirty:
-            dirty = self._gap_dirty
-            self._gap_dirty = {}
-            self._index.reconcile_batch(dirty.values())
-
     def _find_gaps(self) -> List[tuple]:
         """Ranges the primary had received that this backup still lacks.
 
@@ -743,7 +723,6 @@ class STTCPBackup:
         hypothesis test in ``tests/sttcp/test_scale_indexes.py`` checks
         this against the brute-force oracle.
         """
-        self._flush_gap_reconcile()
         return self._index.gaps()
 
     def _on_logger_data(self, key: ConnKey, seq32: int, payload: Any) -> None:

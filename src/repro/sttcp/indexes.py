@@ -141,21 +141,6 @@ class BackupConnectionIndex:
         if target is None or state.tcb.rcv_nxt >= target:
             self._gapped.pop(state.key, None)
 
-    def reconcile_batch(self, states: Iterable[Any]) -> None:
-        """One index update for a whole dispatch batch of advances.
-
-        The batch datapath defers :meth:`reconcile_gap` per event and
-        flushes the deduplicated dirty set here — same end state (the
-        gap index is validated against ground truth at every read), one
-        walk over the *changed* connections per batch instead of one
-        dict probe per tapped segment.
-        """
-        gapped = self._gapped
-        for state in states:
-            target = state.primary_rcv_nxt
-            if target is None or state.tcb.rcv_nxt >= target:
-                gapped.pop(state.key, None)
-
     def gaps(self) -> List[Tuple[ConnKey, int, int]]:
         """``(key, local rcv_nxt, primary rcv_nxt)`` for every connection
         the primary had out-received — exactly the §3.2 takeover gaps."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
-from repro.net.segment_pool import default_pool
 from repro.tcp.config import TCPConfig
 from repro.tcp.constants import TCPState
 from repro.tcp.recv_buffer import ReceiveBuffer
@@ -30,9 +29,7 @@ class BufferManager:
 
     def __init__(self, conn: "TCPConnection", config: TCPConfig) -> None:
         self.conn = conn
-        self.send_buffer = SendBuffer(
-            config.snd_buffer, default_pool() if conn.layer.batch_datapath else None
-        )
+        self.send_buffer = SendBuffer(config.snd_buffer)
         self.recv_buffer = ReceiveBuffer(config.rcv_buffer)
 
     # -- sequence-space translation -----------------------------------------

@@ -16,7 +16,6 @@ from repro.errors import ConnectionClosed, EphemeralPortsExhausted, PortInUseErr
 from repro.ip.datagram import PROTO_TCP, IPDatagram
 from repro.net.addresses import IPAddress
 from repro.net.nic import NIC
-from repro.sim.datapath import batch_enabled
 from repro.tcp.config import TCPConfig
 from repro.tcp.constants import FLAG_SYN, SEQ_MASK
 from repro.tcp.listener import TCPListener
@@ -38,10 +37,6 @@ class TCPLayer:
         self.sim = sim
         self.host = host
         self.config = config or TCPConfig()
-        #: Datapath arm of every connection this layer ever opens, read
-        #: once here: a TCB built after ``REPRO_DATAPATH`` changes still
-        #: joins the arm its simulator runs on (DESIGN §13).
-        self.batch_datapath = batch_enabled()
         self._connections: Dict[ConnectionKey, TCPConnection] = {}
         self._listeners: Dict[Tuple[Optional[int], int], TCPListener] = {}
         # Ephemeral-port pool.  Virgin ports are handed out sequentially

@@ -50,7 +50,6 @@ class OutputEngine:
         "last_advertised_window",
         "last_data_send_time",
         "_template",
-        "_use_template",
     )
 
     def __init__(self, conn: "TCPConnection", config: TCPConfig) -> None:
@@ -63,11 +62,9 @@ class OutputEngine:
         self.last_advertised_window = config.rcv_buffer
         # RFC 2861 congestion-window validation.
         self.last_data_send_time: Optional[float] = None
-        # Batch datapath: the per-connection invariant header fields are
-        # precomputed once (lazily, at first emit — the remote port is
-        # final by then) and only seq/ack/win/flags vary per segment.
-        # The object arm keeps the checked constructor as the reference.
-        self._use_template: bool = conn.layer.batch_datapath
+        # The per-connection invariant header fields are precomputed once
+        # (lazily, at first emit — the remote port is final by then) and
+        # only seq/ack/win/flags vary per segment.
         self._template: Optional[SegmentTemplate] = None
 
     # -- window advertisement ------------------------------------------------
@@ -180,34 +177,20 @@ class OutputEngine:
         if conn.use_timestamps or (flags & FLAG_SYN and conn.config.timestamps):
             ts_val = conn.sim.now
             ts_ecr = conn.last_ts_recv
-        if self._use_template:
-            template = self._template
-            if template is None:
-                template = SegmentTemplate(conn.local_port, conn.remote_port)
-                self._template = template
-            segment = template.build(
-                wrap(seq_abs),
-                wrap(conn.rcv_nxt) if flags & FLAG_ACK else 0,
-                flags,
-                self.advertised_window(),
-                payload,
-                mss_option=mss_option,
-                ts_val=ts_val,
-                ts_ecr=ts_ecr,
-            )
-        else:
-            segment = TCPSegment(
-                conn.local_port,
-                conn.remote_port,
-                wrap(seq_abs),
-                wrap(conn.rcv_nxt) if flags & FLAG_ACK else 0,
-                flags,
-                self.advertised_window(),
-                payload,
-                mss_option=mss_option,
-                ts_val=ts_val,
-                ts_ecr=ts_ecr,
-            )
+        template = self._template
+        if template is None:
+            template = SegmentTemplate(conn.local_port, conn.remote_port)
+            self._template = template
+        segment = template.build(
+            wrap(seq_abs),
+            wrap(conn.rcv_nxt) if flags & FLAG_ACK else 0,
+            flags,
+            self.advertised_window(),
+            payload,
+            mss_option=mss_option,
+            ts_val=ts_val,
+            ts_ecr=ts_ecr,
+        )
         if flags & FLAG_ACK:
             self._ack_sent_housekeeping()
         if payload.length > 0 or flags & (FLAG_SYN | FLAG_FIN):

@@ -39,7 +39,7 @@ class TCPSegment:
     """One TCP segment in flight.
 
     Immutable once built: ``payload_length`` is set beside ``payload`` at
-    construction and never recomputed (DESIGN §14).
+    construction and never recomputed (DESIGN §13).
     """
 
     __slots__ = (
@@ -177,10 +177,10 @@ class SegmentTemplate:
     field already validated — ``wrap`` folds seq/ack into 32-bit space
     and the advertised window is clamped at the source — so
     :meth:`build` constructs segments with direct slot assignment,
-    skipping ``TCPSegment.__init__``'s range checks.  The object arm
-    keeps the checked constructor as the reference; both produce
-    field-identical segments (same ``segment_id`` counter, same wire
-    rendering).
+    skipping ``TCPSegment.__init__``'s range checks.  For in-range
+    fields the result is field-identical to the checked constructor's
+    (same ``segment_id`` counter, same wire rendering);
+    ``tests/tcp/test_segment.py`` holds the two together.
     """
 
     __slots__ = ("src_port", "dst_port")

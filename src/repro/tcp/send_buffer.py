@@ -3,34 +3,27 @@
 Offsets are *stream offsets*: byte 0 is the first application byte on the
 connection (sequence number ISS+1).  The TCB owns the seq↔offset mapping.
 
-Under ``REPRO_DATAPATH=batch`` real payload bytes are ingested into the
-shared :class:`~repro.net.segment_pool.SegmentPool` — copied once into a
-slab, then carried as ``memoryview`` spans through segmentation,
-retransmission and delivery with no further copies.  The object arm
-keeps the fresh-:class:`~repro.util.bytespan.RealBytes` path as the
-bit-exact reference (content-equal spans, so nothing observable moves).
+The buffer stores the application's spans as they come — immutable
+:class:`~repro.util.bytespan.RealBytes` or O(1) synthetic spans — and
+segmentation, retransmission and delivery carry slices of them.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
-from repro.net.segment_pool import SegmentPool
-from repro.util.bytespan import ByteSpan, CatBytes, RealBytes, as_span
+from repro.util.bytespan import ByteSpan, CatBytes, as_span
 from repro.util.spanbuffer import SpanBuffer
 
 
 class SendBuffer:
     """Bytes between ``snd_una`` (head) and the last byte the app wrote."""
 
-    def __init__(self, capacity: int, pool: Optional[SegmentPool] = None) -> None:
-        """``pool`` is handed down by a batch-arm TCP layer; without one
-        real bytes stay fresh ``RealBytes`` (the object arm)."""
+    def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError(f"send buffer capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._data = SpanBuffer()
-        self._pool = pool
 
     # Occupancy -----------------------------------------------------------------
     @property
@@ -60,17 +53,9 @@ class SendBuffer:
         if accepted != span.length:
             span = span.slice(0, accepted)
         # Concatenations (the app protocol's RealBytes header + synthetic
-        # padding) are split into their leaves on BOTH arms so the buffer
-        # layout — and with it ``bytes_per_tcb`` — stays arm-invariant.
-        parts = span.parts if isinstance(span, CatBytes) else (span,)
-        pool = self._pool
-        for part in parts:
-            if pool is not None and isinstance(part, RealBytes):
-                # Batch arm: real bytes go through the pool (one copy
-                # into a slab; every later slice is a zero-copy
-                # memoryview).  Synthetic spans are already O(1) and
-                # pass through unchanged on both arms.
-                part = pool.ingest(part.data)
+        # padding) are stored as their leaves: the piece list stays flat,
+        # so a (re)transmission slice never descends into a nested span.
+        for part in span.parts if isinstance(span, CatBytes) else (span,):
             self._data.append(part)
         return accepted
 

@@ -37,7 +37,7 @@ class ByteSpan:
 
     Subclasses set ``length`` once at construction and implement ``slice``
     and ``to_bytes``.  ``len(span)`` is the public protocol; per-segment
-    code reads ``span.length`` directly (DESIGN §14).  Slicing with
+    code reads ``span.length`` directly (DESIGN §13).  Slicing with
     ``span[a:b]`` is supported for convenience.
     """
 

@@ -1,0 +1,88 @@
+"""Committed golden digests: what "same behaviour" means for this repo.
+
+There is one scheduler and one datapath, so there is no second arm to
+diff against.  Instead, in the packetdrill spirit, the expected outputs
+are committed: the content of three full result grids, the 30-script
+drill conformance report, and one churn rung, each as a sha256 over its
+canonical JSON.  All five were frozen at PR 13's tree, where they were
+identical under every scheduler backend / datapath arm that existed then
+and under ``PYTHONHASHSEED`` 0, 1, 3 and random.
+
+A digest that moves means simulated behaviour moved.  Re-freeze only in
+a PR whose purpose is to change behaviour, and say why in CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+import repro.harness.experiments  # noqa: F401 — registers the specs
+from repro.drill import format_report, run_drill_path
+from repro.harness.executor import run_experiment
+from repro.harness.experiments import QUICK_SCALE, scale_ladder
+from repro.harness.results import canonical_json, cell_key
+
+DRILL_SCRIPTS = Path(__file__).parent.parent / "drill" / "scripts"
+
+
+def _grid_digest(name, **options):
+    result = run_experiment(name, jobs=1, store=None, **options)
+    assert result.grid.executed == len(result.cells)  # nothing cached
+    keyed = {
+        cell_key(cell): canonical_json(record)
+        for cell, record in zip(result.cells, result.grid.records)
+    }
+    return hashlib.sha256(canonical_json(sorted(keyed.items())).encode()).hexdigest()
+
+
+def _drill_digest():
+    report = format_report(run_drill_path(DRILL_SCRIPTS))
+    assert "30/30 scripts passed" in report
+    return hashlib.sha256(report.encode()).hexdigest()
+
+
+def _scale_rung_digest():
+    record = dict(scale_ladder(ladder=(25,), store=None, base_seed=77)[0])
+    assert record["verified"]
+    # A host-footprint figure (deep_size of live Python objects), not
+    # simulated behaviour; tests/harness/test_scale.py pins what must
+    # hold for it.
+    record.pop("bytes_per_tcb")
+    return hashlib.sha256(canonical_json(record).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "compute, expected",
+    [
+        pytest.param(
+            lambda: _grid_digest("table1", scale=QUICK_SCALE, base_seed=100),
+            "2acad7fe666f7ff2ca36986bdc28a460c276808fece1fb3721248f0defb3589f",
+            id="table1",
+        ),
+        pytest.param(
+            lambda: _grid_digest(
+                "figure5", application="echo", scale=QUICK_SCALE, base_seed=100
+            ),
+            "227ad32bfc1258f68cc91e3157b054ad73a32b750f1cc895deb310ee81cea732",
+            id="figure5",
+        ),
+        pytest.param(
+            lambda: _grid_digest("cluster"),
+            "a20a3d6837c680f9a04c9cde91bcd2acb1f7c0dc8b07641c2dbd6c868c4069c0",
+            id="cluster",
+        ),
+        pytest.param(
+            _drill_digest,
+            "f7aac0009d8a3198957f8287a19aecbfffe729a462d09c4672337f2f54402ad4",
+            id="drill_corpus",
+        ),
+        pytest.param(
+            _scale_rung_digest,
+            "050a7513584f1d03e63a1ff26e8a6b006d07e4512bcd3c008e3473bb72110415",
+            id="scale_rung",
+        ),
+    ],
+)
+def test_golden_digest(compute, expected):
+    assert compute() == expected

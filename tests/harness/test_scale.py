@@ -1,0 +1,52 @@
+"""The ``scale`` record is content-hashed into the result store, so every
+field — including the ``bytes_per_tcb`` host-footprint figure the golden
+digest leaves out — must be a pure function of the cell, not of the
+interpreter's string-hash salt."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.harness.experiments.churn import deep_size
+from repro.net.addresses import IPAddress, MACAddress
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+@pytest.mark.parametrize(
+    "address", [IPAddress("10.0.0.100"), MACAddress("02:00:00:00:00:01")], ids=["ip", "mac"]
+)
+def test_deep_size_ignores_the_cached_address_hash(address):
+    """``sys.getsizeof(int)`` grows with magnitude and the cached hash is
+    salted, so a walk that followed ``_hash`` would vary per process."""
+    address._hash = 1
+    small = deep_size(address)
+    address._hash = 2**62
+    assert deep_size(address) == small
+
+
+_RUNG = (
+    "from repro.harness.experiments import scale_ladder;"
+    "from repro.harness.results import canonical_json;"
+    "print(canonical_json(scale_ladder(ladder=(25,), store=None, base_seed=77)[0]))"
+)
+
+
+def _rung_record(hash_seed):
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
+    done = subprocess.run(
+        [sys.executable, "-c", _RUNG], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
+
+
+def test_scale_rung_record_is_identical_across_hash_seeds():
+    """Two interpreters with different string-hash salts (what ``--jobs N``
+    spawn workers are to each other) produce the byte-identical record,
+    ``bytes_per_tcb`` included."""
+    record = _rung_record("0")
+    assert '"bytes_per_tcb"' in record
+    assert record == _rung_record("3")

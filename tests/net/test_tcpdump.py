@@ -1,23 +1,24 @@
 """Tests for the tcpdump-style trace renderer."""
 
-import os
+import struct
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ip.datagram import PROTO_TCP
+from repro.net import tcpdump
 from repro.net.addresses import IPAddress
 from repro.net.tcpdump import (
     PacketDump,
     _checksum,
-    _checksum_reference,
+    _tcp_options,
     format_segment,
     segment_to_bytes,
 )
-from repro.sim.datapath import DATAPATH_ENV
 from repro.sim.simulator import Simulator
 from repro.tcp.constants import FLAG_ACK, FLAG_PSH, FLAG_SYN
 from repro.tcp.segment import TCPSegment
-from repro.util.bytespan import RealBytes
+from repro.util.bytespan import PatternBytes, RealBytes
 
 from tests.conftest import LanPair, run_echo_once
 
@@ -81,6 +82,50 @@ def test_packet_dump_detach_restores_handler():
     assert lines == []
 
 
+# --------------------------------------------------------------------------
+# Oracles: the RFC's word loop and the pack-everything serialiser.  Slow and
+# literal on purpose — the code under src/ is held equal to them.
+# --------------------------------------------------------------------------
+
+_TCP_HEADER = struct.Struct("!HHIIBBHHH")
+
+
+def _checksum_reference(data: bytes) -> int:
+    """RFC 1071 ones'-complement checksum, word by word."""
+    if len(data) % 2:
+        data += b"\x00"
+    total = sum(int.from_bytes(data[i : i + 2], "big") for i in range(0, len(data), 2))
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
+
+
+def _segment_to_bytes_reference(segment, src_ip, dst_ip) -> bytes:
+    """Pack the whole header with a zero checksum, checksum pseudo-header
+    plus packet, splice the result in."""
+    options = _tcp_options(segment)
+    offset_words = (20 + len(options)) // 4
+    header = _TCP_HEADER.pack(
+        segment.src_port,
+        segment.dst_port,
+        segment.seq,
+        segment.ack,
+        offset_words << 4,
+        segment.flags,
+        segment.window,
+        0,  # checksum placeholder
+        0,  # urgent pointer
+    )
+    packet = header + options + segment.payload.to_bytes()
+    pseudo = (
+        src_ip.value.to_bytes(4, "big")
+        + dst_ip.value.to_bytes(4, "big")
+        + struct.pack("!BBH", 0, PROTO_TCP, len(packet))
+    )
+    checksum = _checksum_reference(pseudo + packet)
+    return packet[:16] + struct.pack("!H", checksum) + packet[18:]
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.binary(min_size=0, max_size=400))
 def test_checksum_fast_matches_rfc1071_reference(data):
@@ -89,47 +134,72 @@ def test_checksum_fast_matches_rfc1071_reference(data):
     assert _checksum(data) == _checksum_reference(data)
 
 
-def _wire_both_arms(segment, src_ip, dst_ip):
-    """Serialise the segment under both REPRO_DATAPATH arms."""
-    saved = os.environ.get(DATAPATH_ENV)
-    try:
-        os.environ.pop(DATAPATH_ENV, None)
-        fast = segment_to_bytes(segment, src_ip, dst_ip)
-        os.environ[DATAPATH_ENV] = "object"
-        reference = segment_to_bytes(segment, src_ip, dst_ip)
-    finally:
-        if saved is None:
-            os.environ.pop(DATAPATH_ENV, None)
-        else:
-            os.environ[DATAPATH_ENV] = saved
-    return fast, reference
+_payloads = st.one_of(
+    st.binary(min_size=0, max_size=200).map(RealBytes),
+    st.builds(
+        PatternBytes,
+        st.integers(0, 3000),
+        st.integers(0, 1 << 20),
+        st.integers(0, 7),
+    ),
+)
+_timestamps = st.one_of(
+    st.none(),
+    st.tuples(st.floats(0, 1e6), st.one_of(st.none(), st.floats(0, 1e6))),
+)
+_segments = st.builds(
+    lambda sp, dp, seq, ack, flags, win, payload, mss, ts: TCPSegment(
+        sp, dp, seq, ack, flags, win, payload, mss_option=mss,
+        ts_val=ts and ts[0], ts_ecr=ts and ts[1],
+    ),
+    st.integers(1, 0xFFFF),
+    st.integers(1, 0xFFFF),
+    st.integers(0, 0xFFFFFFFF),
+    st.integers(0, 0xFFFFFFFF),
+    st.integers(0, 0x3F),
+    st.integers(0, 0xFFFF),
+    _payloads,
+    st.one_of(st.none(), st.integers(536, 9000)),
+    _timestamps,
+)
+_ip_pairs = st.tuples(
+    st.integers(1, 0xFFFFFFFE).map(IPAddress), st.integers(1, 0xFFFFFFFE).map(IPAddress)
+)
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    src_port=st.integers(1, 0xFFFF),
-    dst_port=st.integers(1, 0xFFFF),
-    seq=st.integers(0, 0xFFFFFFFF),
-    ack=st.integers(0, 0xFFFFFFFF),
-    flags=st.integers(0, 0x3F),
-    window=st.integers(0, 0xFFFF),
-    payload=st.binary(min_size=0, max_size=200),
-    mss=st.one_of(st.none(), st.integers(536, 9000)),
-    ip_pair=st.tuples(st.integers(1, 0xFFFFFFFE), st.integers(1, 0xFFFFFFFE)),
-)
-def test_wire_bytes_identical_across_datapath_arms(
-    src_port, dst_port, seq, ack, flags, window, payload, mss, ip_pair
-):
-    """The cached-prefix incremental serialiser and the full-pack
-    reference produce byte-identical wire output (header, options,
-    checksum, payload) for arbitrary segments and address pairs."""
-    segment = TCPSegment(
-        src_port, dst_port, seq, ack, flags, window,
-        RealBytes(payload), mss_option=mss,
+@given(segment=_segments, ip_pair=_ip_pairs)
+def test_wire_bytes_match_full_pack_oracle(segment, ip_pair):
+    """The cached-prefix incremental serialiser and the full-pack oracle
+    produce byte-identical wire output (header, options, checksum,
+    payload) for arbitrary segments and address pairs."""
+    src_ip, dst_ip = ip_pair
+    assert segment_to_bytes(segment, src_ip, dst_ip) == _segment_to_bytes_reference(
+        segment, src_ip, dst_ip
     )
-    src_ip, dst_ip = IPAddress(ip_pair[0]), IPAddress(ip_pair[1])
-    fast, reference = _wire_both_arms(segment, src_ip, dst_ip)
-    assert fast == reference
+
+
+@settings(max_examples=25, deadline=None)
+@given(segments=st.lists(_segments, min_size=6, max_size=12), ip_pair=_ip_pairs)
+def test_wire_bytes_match_oracle_across_prefix_cache_clears(segments, ip_pair):
+    """A full prefix cache is cleared and refilled; connections serialised
+    before, at and after the clear — first sight and cache hit — all
+    still match the oracle."""
+    src_ip, dst_ip = ip_pair
+    cache = tcpdump._wire_prefix_cache
+    saved_max, saved = tcpdump._WIRE_PREFIX_CACHE_MAX, dict(cache)
+    tcpdump._WIRE_PREFIX_CACHE_MAX = 4
+    cache.clear()
+    try:
+        for _ in range(2):
+            for segment in segments:
+                wire = segment_to_bytes(segment, src_ip, dst_ip)
+                assert wire == _segment_to_bytes_reference(segment, src_ip, dst_ip)
+                assert 1 <= len(cache) <= 4
+    finally:
+        tcpdump._WIRE_PREFIX_CACHE_MAX = saved_max
+        cache.clear()
+        cache.update(saved)
 
 
 def test_udp_rendering():

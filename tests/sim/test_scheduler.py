@@ -1,10 +1,10 @@
-"""Tests for the event heap scheduler."""
+"""Tests for the event scheduler."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.events import PRIORITY_LOW, PRIORITY_URGENT
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import Scheduler, TimingWheel
 
 
 def test_starts_at_time_zero():
@@ -162,11 +162,12 @@ def test_run_next_before_skips_cancelled_prefix():
 
 
 def test_heap_compacts_on_dead_fraction():
-    # Force the heap backend so compaction (a heap-only concern) is hit.
-    scheduler = Scheduler(wheel=False)
+    # Compaction is the beyond-horizon heap's concern: file everything there.
+    scheduler = Scheduler()
+    far = TimingWheel.HORIZON_TICKS * Scheduler.WHEEL_RESOLUTION + 1.0
     base = Scheduler.GC_BASE_THRESHOLD
     total = base + 2
-    handles = [scheduler.schedule_at(1.0 + i, lambda: None) for i in range(total)]
+    handles = [scheduler.schedule_at(far + i, lambda: None) for i in range(total)]
     assert len(scheduler._heap) == total
     # Cancelling just under half leaves the heap uncompacted (dead
     # fraction below one half)...

@@ -1,15 +1,16 @@
-"""Timing-wheel backend tests: ordering, cascades, recycling, and the
-randomized heap-vs-wheel differential (the determinism contract)."""
+"""Timing-wheel tests: ordering, cascades, recycling, and the randomized
+differential against a heap-only oracle (the determinism contract)."""
 
+import heapq
 import random
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import PRIORITY_LOW, PRIORITY_NORMAL, PRIORITY_URGENT
-from repro.sim.scheduler import BACKEND_ENV, Scheduler, TimingWheel
+from repro.sim.events import PRIORITY_LOW, PRIORITY_NORMAL, PRIORITY_URGENT, SimEvent
+from repro.sim.scheduler import Scheduler, TimingWheel
 
-#: Default-resolution horizon in seconds (2**22 ticks at 100 µs).
+#: Wheel horizon in seconds (2**24 ticks at 100 µs).
 HORIZON_S = TimingWheel.HORIZON_TICKS * Scheduler.WHEEL_RESOLUTION
 
 
@@ -28,7 +29,7 @@ def test_wheel_rejects_bad_resolution():
 
 
 def test_wheel_orders_same_slot_by_priority_then_seq():
-    sched = Scheduler(wheel=True)
+    sched = Scheduler()
     fired, fire = make_recorder(sched)
     # All three land in the same 100 µs slot but must still dispatch in
     # (time, priority, seq) order, exactly like the heap.
@@ -41,7 +42,7 @@ def test_wheel_orders_same_slot_by_priority_then_seq():
 
 
 def test_events_across_all_levels_and_heap_band_fire_in_time_order():
-    sched = Scheduler(wheel=True)
+    sched = Scheduler()
     fired, fire = make_recorder(sched)
     times = [
         0.00005,  # level 0
@@ -60,7 +61,7 @@ def test_events_across_all_levels_and_heap_band_fire_in_time_order():
 
 
 def test_late_insert_behind_advanced_cursor_still_fires_first():
-    sched = Scheduler(wheel=True)
+    sched = Scheduler()
     fired, fire = make_recorder(sched)
     sched.schedule_at(5.0, fire, ("far",))
     # peek advances the wheel cursor all the way to the 5.0 s slot...
@@ -74,7 +75,7 @@ def test_late_insert_behind_advanced_cursor_still_fires_first():
 
 
 def test_cursor_resyncs_after_heap_only_stretch():
-    sched = Scheduler(wheel=True)
+    sched = Scheduler()
     fired, fire = make_recorder(sched)
     far = HORIZON_S + 100.0
     sched.schedule_at(far, fire, ("heap",))
@@ -88,7 +89,7 @@ def test_cursor_resyncs_after_heap_only_stretch():
 
 
 def test_cancelled_entries_never_fire_and_counters_stay_live():
-    sched = Scheduler(wheel=True)
+    sched = Scheduler()
     fired, fire = make_recorder(sched)
     near = sched.schedule_at(0.001, fire, ("near",))
     mid = sched.schedule_at(1.0, fire, ("mid",))
@@ -105,7 +106,7 @@ def test_cancelled_entries_never_fire_and_counters_stay_live():
 
 
 def test_cancel_from_callback_suppresses_same_slot_sibling():
-    sched = Scheduler(wheel=True)
+    sched = Scheduler()
     fired, fire = make_recorder(sched)
     handles = {}
 
@@ -120,7 +121,7 @@ def test_cancel_from_callback_suppresses_same_slot_sibling():
 
 
 def test_retained_handle_is_never_recycled():
-    sched = Scheduler(wheel=True)
+    sched = Scheduler()
     fired, fire = make_recorder(sched)
     kept = sched.schedule_at(0.001, fire, ("kept",))
     sched.run_until()
@@ -136,7 +137,7 @@ def test_retained_handle_is_never_recycled():
 
 
 def test_unreferenced_handles_are_recycled_through_free_list():
-    sched = Scheduler(wheel=True)
+    sched = Scheduler()
     fired, fire = make_recorder(sched)
     for index in range(10):
         sched.schedule_at(index * 1e-4, fire, (index,))  # handle dropped
@@ -150,60 +151,147 @@ def test_unreferenced_handles_are_recycled_through_free_list():
     assert fired[-1] == (1.0, "reused")
 
 
-def test_schedule_in_past_rejected_on_both_backends():
-    for wheel in (True, False):
-        sched = Scheduler(wheel=wheel)
-        sched.schedule_at(1.0, lambda: None)
-        sched.run_until()
-        with pytest.raises(SimulationError):
-            sched.schedule_at(0.5, lambda: None)
+# Randomized differential: the wheel + slot-drain scheduler and a plain
+# heap-only oracle must execute the exact same (time, tag) sequence for the
+# same driving workload — including nested scheduling and cancellations from
+# inside callbacks, ties, and events beyond the wheel horizon — and must
+# agree on the clock and the live count wherever a bounded run stops.
 
 
-def test_env_var_selects_heap_backend(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "heap")
-    assert Scheduler()._wheel is None
-    monkeypatch.delenv(BACKEND_ENV)
-    assert Scheduler()._wheel is not None
+class HeapOracle:
+    """The textbook event queue: one heap on ``(time, priority, seq)``,
+    one event per loop turn.  Defines what ``run_until`` means."""
 
+    class Handle:
+        cancelled = False
 
-# Randomized differential: the wheel+heap scheduler and the heap-only
-# scheduler must execute the exact same (time, tag) sequence for the same
-# driving workload — including nested scheduling and cancellations from
-# inside callbacks, ties, and events beyond the wheel horizon.
+        def cancel(self):
+            self.cancelled = True
+
+    def __init__(self):
+        self.now = 0.0
+        self._heap = []
+        self._seq = 0
+
+    @property
+    def pending_count(self):
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
+
+    def schedule_at(self, time, callback, args=(), priority=PRIORITY_NORMAL):
+        assert time >= self.now
+        handle = self.Handle()
+        heapq.heappush(self._heap, (time, priority, self._seq, handle, callback, args))
+        self._seq += 1
+        return handle
+
+    def schedule_after(self, delay, callback, args=(), priority=PRIORITY_NORMAL):
+        return self.schedule_at(self.now + delay, callback, args, priority)
+
+    def run_until(self, until=None, max_events=None):
+        heap = self._heap
+        while True:
+            while heap and heap[0][3].cancelled:
+                heapq.heappop(heap)
+            if not heap or (until is not None and heap[0][0] > until):
+                break
+            if max_events is not None:
+                if max_events == 0:
+                    return  # an event is due but the budget is spent
+                max_events -= 1
+            time, _, _, _, callback, args = heapq.heappop(heap)
+            self.now = time
+            callback(*args)
+        if until is not None and until > self.now:
+            self.now = until
+
 
 _DELAY_BANDS = (0.0, 1e-5, 3e-4, 0.05, 2.0, 120.0, HORIZON_S + 300.0)
 
 
-def _drive(seed, wheel):
-    rng = random.Random(seed)
-    sched = Scheduler(wheel=wheel)
-    fired = []
-    pending = []
+class _Drive:
+    """One seeded workload on one scheduler; every random draw comes from
+    the workload's own generator, so two drives stay in lockstep exactly
+    as long as their schedulers dispatch identically."""
 
-    def fire(tag):
-        fired.append((sched.now, tag))
+    def __init__(self, seed, sched):
+        self.rng = rng = random.Random(seed)
+        self.sched = sched
+        self.fired = []
+        self.pending = []
+        self.trigger = None  # (tag, SimEvent) fired by the watch case
+        for tag in range(300):
+            delay = rng.choice(_DELAY_BANDS) * rng.random()
+            if rng.random() < 0.2:
+                delay = round(delay, 3)  # force exact-time ties across events
+            priority = rng.choice((PRIORITY_URGENT, PRIORITY_NORMAL, PRIORITY_LOW))
+            self.pending.append(sched.schedule_at(delay, self.fire, (tag,), priority))
+        for index in range(0, len(self.pending), 7):
+            self.pending[index].cancel()
+
+    def fire(self, tag):
+        sched, rng = self.sched, self.rng
+        self.fired.append((sched.now, tag))
+        if self.trigger is not None and self.trigger[0] == tag:
+            self.trigger[1].succeed()
         roll = rng.random()
         if roll < 0.25:
             delay = rng.choice(_DELAY_BANDS) * rng.random()
-            pending.append(sched.schedule_after(delay, fire, (tag * 31 + 7,)))
-        elif roll < 0.35 and pending:
-            pending.pop(rng.randrange(len(pending))).cancel()
+            self.pending.append(sched.schedule_after(delay, self.fire, (tag * 31 + 7,)))
+        elif roll < 0.35 and self.pending:
+            self.pending.pop(rng.randrange(len(self.pending))).cancel()
 
-    for tag in range(300):
-        delay = rng.choice(_DELAY_BANDS) * rng.random()
-        if rng.random() < 0.2:
-            delay = round(delay, 3)  # force exact-time ties across events
-        priority = rng.choice((PRIORITY_URGENT, PRIORITY_NORMAL, PRIORITY_LOW))
-        pending.append(sched.schedule_at(delay, fire, (tag,), priority))
-    for index in range(0, len(pending), 7):
-        pending[index].cancel()
-    sched.run_until(max_events=5000)
-    return fired
+    def state(self):
+        return self.sched.now, self.fired, self.sched.pending_count
+
+
+def _random_bounds(rng, now):
+    """A random ``(until, max_events)`` chunk: either, both or neither."""
+    shape = rng.randrange(4)
+    until = now + rng.choice(_DELAY_BANDS) * rng.random() if shape & 1 else None
+    max_events = rng.randrange(0, 40) if shape & 2 else None
+    return until, max_events
 
 
 @pytest.mark.parametrize("seed", [1, 42, 20260806])
 def test_differential_wheel_matches_heap_exactly(seed):
-    wheel_run = _drive(seed, wheel=True)
-    heap_run = _drive(seed, wheel=False)
-    assert len(wheel_run) > 250
-    assert wheel_run == heap_run  # same times, same order, bit-identical
+    wheel, heap = _Drive(seed, Scheduler()), _Drive(seed, HeapOracle())
+    chunks = random.Random(seed ^ 0x5EED)
+    for _ in range(400):
+        until, max_events = _random_bounds(chunks, heap.sched.now)
+        if until is None and max_events is None:
+            max_events = 500  # an unbounded chunk would end the drive
+        wheel.sched.run_until(until, max_events)
+        heap.sched.run_until(until, max_events)
+        # Same times, same order, same clock, same live count — bit-identical.
+        assert wheel.state() == heap.state()
+    wheel.sched.run_until(max_events=5000)
+    heap.sched.run_until(max_events=5000)
+    assert wheel.state() == heap.state()
+    assert len(wheel.fired) > 250
+    assert wheel.sched.executed_count == len(wheel.fired)
+
+
+@pytest.mark.parametrize("seed", [1, 42, 20260806])
+def test_watch_stops_the_instant_the_event_triggers(seed):
+    wheel, heap = _Drive(seed, Scheduler()), _Drive(seed, HeapOracle())
+    # Learn the dispatch order from the oracle and watch for an event that
+    # still has same-instant siblings queued behind it in its slot.
+    heap.sched.run_until(max_events=20)
+    when, tag = heap.fired[-1]
+    heap.sched.run_until(max_events=0)  # surfaces the next live entry
+    assert heap.sched._heap[0][0] == when
+    watch = SimEvent(None, "watched")
+    wheel.trigger = (tag, watch)
+    wheel.sched.run_until(until=when + 50.0, watch=watch)
+    assert watch.triggered
+    # Stopped on the triggering event: no sibling ran, and the clock sits
+    # at its timestamp, not at ``until``.
+    assert wheel.state() == heap.state()
+    assert wheel.sched.now == when
+    # Watching an event that never triggers: the run ends with the last
+    # event at or before ``until`` and never advances the clock past it.
+    until = when + 1e-3
+    wheel.sched.run_until(until=until, watch=SimEvent(None, "never"))
+    heap.sched.run_until(until=until)
+    assert wheel.fired == heap.fired
+    assert wheel.sched.now == heap.fired[-1][0] <= until

@@ -3,7 +3,7 @@
 Counts, not timings: the number of Python and builtin calls one run makes
 is exact for a given interpreter, so this cannot flake on a noisy runner.
 It fails the day someone reintroduces a per-segment re-sum, ``len()`` walk
-or unguarded observer call (DESIGN §14).  The full ledger — per layer,
+or unguarded observer call (DESIGN §13).  The full ledger — per layer,
 four workloads — is ``bench/run.py``; this is its tier-1 tripwire.
 """
 

@@ -88,7 +88,6 @@ class FakeLayer:
         self.sim = clock
         self.sent = []
         self.rtt_samples = _Samples()
-        self.batch_datapath = True
 
         class _Host:
             name = "unit"

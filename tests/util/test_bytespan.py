@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.segment_pool import SegmentPool
 from repro.util.bytespan import (
     EMPTY,
     CatBytes,
@@ -174,12 +173,9 @@ def test_prop_pattern_to_bytes_agrees_with_per_byte_definition(length, offset, p
         assert data[position] == table[(offset + position) % _TABLE_PERIOD]
 
 
-# --------------------------------------------------- length is a field (§14)
-_POOL = SegmentPool()
-
+# --------------------------------------------------- length is a field (§13)
 _leaf_spans = st.one_of(
     st.binary(max_size=40).map(RealBytes),
-    st.binary(max_size=40).map(_POOL.ingest),  # PooledBytes (EMPTY for b"")
     st.builds(PatternBytes, st.integers(0, 600), st.integers(0, 5_000), st.integers(0, 3)),
 )
 
@@ -212,8 +208,7 @@ def test_prop_length_field_agrees_with_len_and_content(data):
 
 @pytest.mark.parametrize(
     "span",
-    [RealBytes(b"abcd"), PatternBytes(4), CatBytes([RealBytes(b"ab"), PatternBytes(2)]),
-     _POOL.ingest(b"abcd")],
+    [RealBytes(b"abcd"), PatternBytes(4), CatBytes([RealBytes(b"ab"), PatternBytes(2)])],
     ids=lambda span: type(span).__name__,
 )
 def test_inline_bounds_check_raises_the_same_index_error(span):

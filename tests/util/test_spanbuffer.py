@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.segment_pool import SegmentPool
 from repro.util.bytespan import CatBytes, PatternBytes, RealBytes
 from repro.util.spanbuffer import SpanBuffer
 
@@ -183,7 +182,7 @@ def test_prop_peek_absolute_matches_reference(pieces, a, b):
     assert buffer.peek_absolute(lo, hi).to_bytes() == reference[lo:hi]
 
 
-# ------------------------------------------------ tail extension (DESIGN §14)
+# ------------------------------------------------ tail extension (DESIGN §13)
 def _piece_shapes(buffer):
     return [(type(piece).__name__, piece.length) for piece in buffer._pieces]
 
@@ -210,9 +209,6 @@ def test_foreign_or_non_adjacent_pieces_are_never_merged():
     assert [length for _kind, length in _piece_shapes(buffer)] == [100, 10, 10, 10, 1, 10]
 
 
-_POOL = SegmentPool()
-
-
 @st.composite
 def _appendable(draw, stream_tail):
     """A span to append plus the next contiguous (pattern_id, offset).
@@ -223,7 +219,7 @@ def _appendable(draw, stream_tail):
     pattern_id, offset = stream_tail
     length = draw(st.integers(1, 40))
     kind = draw(st.sampled_from(
-        ("contiguous", "gap", "overlap", "foreign", "real", "pooled", "cat", "empty")
+        ("contiguous", "gap", "overlap", "foreign", "real", "cat", "empty")
     ))
     if kind == "contiguous":
         span = PatternBytes(length, offset, pattern_id)
@@ -235,8 +231,6 @@ def _appendable(draw, stream_tail):
         span = PatternBytes(length, offset, pattern_id + 1)
     elif kind == "real":
         return RealBytes(draw(st.binary(min_size=1, max_size=40))), stream_tail
-    elif kind == "pooled":
-        return _POOL.ingest(draw(st.binary(min_size=1, max_size=40))), stream_tail
     elif kind == "cat":
         span = CatBytes([RealBytes(b"hdr"), PatternBytes(length, offset, pattern_id)])
         return span, stream_tail
