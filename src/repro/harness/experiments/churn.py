@@ -93,29 +93,26 @@ _ESCAPE_ATTRS = frozenset(
 _FLAT_TYPES = (str, bytes, bytearray, int, float, bool, complex)
 
 
-def deep_size(root: Any) -> int:
-    """Deterministic footprint of one connection's object graph in bytes.
+def owned_objects(root: Any) -> List[Any]:
+    """Every object in one connection's object graph, each once.
 
-    Walks ``__slots__``/``__dict__`` via :func:`sys.getsizeof`, stopping
-    at the attributes that point back into the simulator.  Not an exact
-    RSS figure — a *comparable* per-TCB cost that scales with buffered
-    data, so the per-rung trend (bytes/TCB vs connection count) is
-    meaningful and machine-stable.
+    Follows ``__slots__``, instance ``__dict__``s and builtin containers;
+    skips callables, classes and the attributes that point back into the
+    simulator (``_ESCAPE_ATTRS``).  An instance ``__dict__`` is itself an
+    owned object — :func:`sys.getsizeof` of the instance stops at the
+    object header — but is walked by attribute name, not as a container,
+    so the escape rules apply to it.
     """
-    seen: set = set()
+    seen: Dict[int, Any] = {}
     stack: List[Any] = [root]
-    total = 0
     while stack:
         obj = stack.pop()
         if obj is None or callable(obj) or isinstance(obj, type):
             continue
-        if id(obj) in seen:
+        key = id(obj)
+        if key in seen:
             continue
-        seen.add(id(obj))
-        try:
-            total += sys.getsizeof(obj)
-        except TypeError:  # pragma: no cover - exotic objects only
-            continue
+        seen[key] = obj
         if isinstance(obj, _FLAT_TYPES):
             continue
         if isinstance(obj, dict):
@@ -129,11 +126,29 @@ def deep_size(root: Any) -> int:
                 names.extend(getattr(klass, "__slots__", ()))
             instance_dict = getattr(obj, "__dict__", None)
             if instance_dict is not None:
+                seen[id(instance_dict)] = instance_dict
                 names.extend(instance_dict)
             for name in names:
                 if name in _ESCAPE_ATTRS or name.startswith("__"):
                     continue
                 stack.append(getattr(obj, name, None))
+    return list(seen.values())
+
+
+def deep_size(root: Any) -> int:
+    """Deterministic footprint of one connection's object graph in bytes.
+
+    :func:`sys.getsizeof` summed over :func:`owned_objects`.  Not an exact
+    RSS figure — a *comparable* per-TCB cost that scales with buffered
+    data, so the per-rung trend (bytes/TCB vs connection count) is
+    meaningful and machine-stable.
+    """
+    total = 0
+    for obj in owned_objects(root):
+        try:
+            total += sys.getsizeof(obj)
+        except TypeError:  # pragma: no cover - exotic objects only
+            continue
     return total
 
 

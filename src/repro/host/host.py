@@ -24,6 +24,10 @@ from repro.tcp.layer import TCPLayer
 from repro.udp.layer import UDPLayer
 
 
+#: ``Host.processes`` is not pruned below this length.
+_PRUNE_FLOOR = 16
+
+
 class Interface:
     """A configured (NIC, IP, prefix) binding."""
 
@@ -58,6 +62,7 @@ class Host:
         self.interfaces: List[Interface] = []
         self.vnics: List[VirtualInterface] = []
         self.processes: List[Process] = []
+        self._prune_processes_at = _PRUNE_FLOOR
         self.arp = ArpService(sim, self)
         self.ip_layer = IPLayer(sim, self)
         self.udp = UDPLayer(sim, self)
@@ -174,7 +179,14 @@ class Host:
     def spawn(self, generator: Generator, label: str = "") -> Process:
         """Run an application process tied to this host's lifetime."""
         process = self.sim.spawn(generator, label or f"{self.name}.proc")
-        self.processes.append(process)
+        processes = self.processes
+        if len(processes) >= self._prune_processes_at:
+            # Only crash() reads the list, and only for the live ones: drop
+            # the finished (one handler per accepted connection) each time
+            # it has doubled, so it stays proportional to the live set.
+            processes[:] = [p for p in processes if p.alive]
+            self._prune_processes_at = max(_PRUNE_FLOOR, 2 * len(processes))
+        processes.append(process)
         return process
 
     # Failure semantics -------------------------------------------------------------------

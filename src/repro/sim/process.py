@@ -56,7 +56,7 @@ class Process(SimEvent):
     @property
     def alive(self) -> bool:
         """True while the generator has not finished."""
-        return not self.triggered
+        return not self._done
 
     def interrupt(self, cause: Any = None) -> None:
         """Raise :class:`InterruptError` inside the process at its yield.

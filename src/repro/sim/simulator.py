@@ -41,7 +41,6 @@ class Simulator:
         self.random = RandomStreams(seed)
         self.trace = Tracer()
         self.metrics = MetricsRegistry()
-        self._processes: List[Process] = []
 
     # Time ----------------------------------------------------------------
     @property
@@ -113,9 +112,7 @@ class Simulator:
         self, generator: Generator[SimEvent, Any, Any], label: str = ""
     ) -> Process:
         """Start a coroutine process; returns its handle (joinable event)."""
-        process = Process(self, generator, label)
-        self._processes.append(process)
-        return process
+        return Process(self, generator, label)
 
     # Execution -----------------------------------------------------------
     def run(

@@ -24,6 +24,11 @@ from repro.util.spanbuffer import SpanBuffer
 class SecondReceiveBuffer(RetentionPolicy):
     """Retains application-read bytes until the backup acknowledges them."""
 
+    __slots__ = (
+        "capacity", "enabled", "_store", "bytes_retained_total",
+        "bytes_released_total", "peak_usage", "overflow_byte_peak",
+    )
+
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError(f"second buffer capacity must be positive, got {capacity}")

@@ -44,6 +44,8 @@ class ShadowExtension(TCPExtension):
 
     name = "sttcp.shadow"
 
+    __slots__ = ("suppressing", "isn_rebased", "pending_ack", "_applying_pending_ack", "suppressed_segments")
+
     def __init__(self) -> None:
         #: True until takeover: built segments are vetoed, not sent.
         self.suppressing = True

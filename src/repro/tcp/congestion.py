@@ -25,6 +25,11 @@ def initial_window(mss: int) -> int:
 class RenoCongestionControl:
     """Slow start, congestion avoidance, fast retransmit/recovery."""
 
+    __slots__ = (
+        "mss", "cwnd", "ssthresh", "in_fast_recovery",
+        "_avoidance_acc", "fast_retransmits", "timeouts",
+    )
+
     def __init__(self, mss: int = DEFAULT_MSS) -> None:
         if mss <= 0:
             raise ValueError(f"MSS must be positive, got {mss}")

@@ -82,6 +82,8 @@ class TCPExtension:
     pays only for the pipeline points it actually taps.
     """
 
+    __slots__ = ()
+
     #: Stable identifier, ``<subsystem>.<role>`` by convention.
     name: str = "extension"
 

@@ -10,7 +10,7 @@ primary and backup (§4.1).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Callable, Deque, Optional
 
 from repro.errors import ConnectionClosed
 from repro.net.addresses import IPAddress
@@ -70,34 +70,32 @@ class TCPListener:
         """Register callbacks delivering the connection once established."""
         self._pending += 1
         socket = TCPSocket(tcb)
-        original_established = tcb.on_established
-        handshake_done = [False]
+        assert tcb.on_established is not None and tcb.on_error is not None
+        socket_established: Callable[[], None] = tcb.on_established
+        socket_error: Callable[[BaseException], None] = tcb.on_error
 
+        # The handshake resolves once, either way; whichever callback
+        # fires hands the TCB back to the socket's own, so these two
+        # closures live for a handshake, not for the connection.
         def established() -> None:
-            if not handshake_done[0]:
-                handshake_done[0] = True
-                self._pending -= 1
+            self._pending -= 1
+            tcb.on_established = socket_established
+            tcb.on_error = socket_error
             self.accepted_total += 1
             if self._waiters:
                 self._waiters.popleft().succeed(socket)
             else:
                 self._ready.append(socket)
-            if original_established is not None:
-                original_established()
+            socket_established()
+
+        def died_before_establishing(exc: BaseException) -> None:
+            self._pending -= 1
+            tcb.on_established = socket_established
+            tcb.on_error = socket_error
+            socket_error(exc)
 
         tcb.on_established = established
-        # Socket already claimed on_error; chain a pending-count fixup for
-        # handshakes that die before establishing.
-        socket_error = tcb.on_error
-
-        def error_chain(exc: BaseException) -> None:
-            if not handshake_done[0]:
-                handshake_done[0] = True
-                self._pending -= 1
-            if socket_error is not None:
-                socket_error(exc)
-
-        tcb.on_error = error_chain
+        tcb.on_error = died_before_establishing
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         bind = self.bind_ip or "*"

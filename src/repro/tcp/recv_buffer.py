@@ -20,6 +20,8 @@ from repro.util.spanbuffer import SpanBuffer
 class RetentionPolicy:
     """Interface the primary's ST-TCP engine plugs into the receive path."""
 
+    __slots__ = ()
+
     def on_read(self, start_offset: int, span: ByteSpan) -> None:
         """Bytes [start_offset, start_offset+len) were read by the app."""
         raise NotImplementedError
@@ -35,6 +37,8 @@ class ReceiveBuffer:
 
     Offsets are stream offsets (byte 0 ⇔ sequence IRS+1).
     """
+
+    __slots__ = ("capacity", "_ready", "_out_of_order", "_ooo_bytes", "retention", "bytes_duplicated")
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:

@@ -28,6 +28,11 @@ GRANULARITY = 0.001
 class RTTEstimator:
     """Tracks SRTT/RTTVAR and derives the current RTO."""
 
+    __slots__ = (
+        "rto_min", "rto_max", "srtt", "rttvar",
+        "has_sample", "_base_rto", "backoff_count", "samples_taken",
+    )
+
     def __init__(
         self,
         rto_min: float = RTO_MIN,

@@ -19,6 +19,8 @@ from repro.util.spanbuffer import SpanBuffer
 class SendBuffer:
     """Bytes between ``snd_una`` (head) and the last byte the app wrote."""
 
+    __slots__ = ("capacity", "_data")
+
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError(f"send buffer capacity must be positive, got {capacity}")

@@ -18,8 +18,7 @@ closes early.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import ConnectionClosed
 from repro.sim.events import SimEvent
@@ -31,13 +30,20 @@ from repro.util.bytespan import EMPTY, ByteSpan, as_span, concat
 class TCPSocket:
     """A connection handle for application processes."""
 
+    __slots__ = (
+        "_tcb", "sim", "_connect_event", "_closed_event",
+        "_writers", "_readers", "_error", "_pumping_writers",
+    )
+
     def __init__(self, tcb: TCPConnection) -> None:
         self._tcb = tcb
         self.sim = tcb.sim
         self._connect_event: Optional[SimEvent] = None
         self._closed_event: Optional[SimEvent] = None
-        self._writers: Deque[Dict[str, Any]] = deque()
-        self._readers: Deque[Dict[str, Any]] = deque()
+        # The sends and receives one application process has outstanding:
+        # a record or two, so plain lists popped at the front.
+        self._writers: List[Dict[str, Any]] = []
+        self._readers: List[Dict[str, Any]] = []
         self._error: Optional[BaseException] = None
         self._pumping_writers = False
         tcb.on_established = self._on_established
@@ -163,7 +169,7 @@ class TCPSocket:
                         continue  # space may have been freed while writing
                     if done < total:
                         return  # buffer full; wait for on_writable
-                self._writers.popleft()
+                self._writers.pop(0)
                 writer["event"].succeed(total)
         finally:
             self._pumping_writers = False
@@ -190,7 +196,7 @@ class TCPSocket:
                 self._finish_reader(reader)
                 continue
             if self._tcb.eof:
-                self._readers.popleft()
+                self._readers.pop(0)
                 reader["event"].fail(
                     ConnectionClosed(
                         f"peer closed with {needed} of {reader['n']} bytes missing"
@@ -200,7 +206,7 @@ class TCPSocket:
             return
 
     def _finish_reader(self, reader: Dict[str, Any]) -> None:
-        self._readers.popleft()
+        self._readers.pop(0)
         reader["event"].succeed(concat(reader["acc"]) if reader["acc"] else EMPTY)
 
     # TCB callbacks -------------------------------------------------------------------
@@ -219,9 +225,9 @@ class TCPSocket:
         if self._connect_event is not None and not self._connect_event.triggered:
             self._connect_event.fail(error)
         while self._writers:
-            self._writers.popleft()["event"].fail(error)
+            self._writers.pop(0)["event"].fail(error)
         while self._readers:
-            reader = self._readers.popleft()
+            reader = self._readers.pop(0)
             if reader["kind"] == "some" and reader["acc"]:
                 reader["event"].succeed(concat(reader["acc"]))
             else:
@@ -233,7 +239,7 @@ class TCPSocket:
         if self._error is None:
             # Orderly close: wake readers with EOF.
             while self._readers:
-                reader = self._readers.popleft()
+                reader = self._readers.pop(0)
                 if reader["kind"] == "exact":
                     if reader["got"] < reader["n"]:
                         reader["event"].fail(
@@ -244,7 +250,7 @@ class TCPSocket:
                     concat(reader["acc"]) if reader["acc"] else EMPTY
                 )
             while self._writers:
-                self._writers.popleft()["event"].fail(
+                self._writers.pop(0)["event"].fail(
                     ConnectionClosed("connection closed during send")
                 )
 

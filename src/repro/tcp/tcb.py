@@ -51,6 +51,27 @@ from repro.util.bytespan import EMPTY, ByteSpan
 class TCPConnection:
     """One endpoint of one TCP connection (facade over the engines)."""
 
+    # One group per block of ``__init__``, in its order.
+    __slots__ = (
+        "layer", "sim", "local_ip", "local_port", "remote_ip", "remote_port",
+        "config", "state",
+        "iss", "irs", "snd_una", "snd_nxt", "snd_max", "snd_wnd",
+        "_snd_wl1", "_snd_wl2", "rcv_nxt",
+        "mss", "cc",
+        "output_inhibited", "_extensions", "_ext_on_segment_in", "_ext_on_ack",
+        "_ext_filter_transmit", "_ext_on_state_change", "_ext_on_isn_learned",
+        "_ext_after_output",
+        "_fin_pending", "_fin_sent", "_fin_seq", "_fin_acked", "_fin_received",
+        "use_timestamps", "last_ts_recv",
+        "on_established", "on_readable", "on_writable", "on_closed", "on_error",
+        "on_rcv_advance",
+        "segments_sent", "segments_received", "bytes_sent", "bytes_received",
+        "retransmissions", "dupacks_received", "error",
+        "_handshake_sid", "_retx_sid",
+        "buffers", "retransmit", "output", "input",
+        "send_buffer", "recv_buffer",
+    )
+
     def __init__(
         self,
         layer: Any,
@@ -137,14 +158,9 @@ class TCPConnection:
         self.output = OutputEngine(self, config)
         self.input = InputEngine(self)
 
-        # Aliases kept for the historical flat API (tests, ST-TCP, tools).
+        # The per-segment path reads the two buffers through the TCB.
         self.send_buffer = self.buffers.send_buffer
         self.recv_buffer = self.buffers.recv_buffer
-        self.rtt = self.retransmit.rtt
-        self.rto_timer = self.retransmit.rto_timer
-        self.persist_timer = self.retransmit.persist_timer
-        self.time_wait_timer = self.retransmit.time_wait_timer
-        self.delack_timer = self.output.delack_timer
 
     # ------------------------------------------------------------------ utils
     @property

@@ -12,8 +12,7 @@ found without a walk.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Union
+from typing import List, Union
 
 from repro.util.bytespan import EMPTY, ByteSpan, as_span, concat, join_contiguous
 
@@ -29,7 +28,7 @@ class SpanBuffer:
     __slots__ = ("_pieces", "_length", "head_offset")
 
     def __init__(self) -> None:
-        self._pieces: Deque[ByteSpan] = deque()
+        self._pieces: List[ByteSpan] = []
         self._length = 0
         self.head_offset = 0
 
@@ -67,35 +66,42 @@ class SpanBuffer:
             pieces[0] = head.slice(count, head.length)
             return head.slice(0, count)
         if count == head.length:
-            return pieces.popleft()
-        taken = []
+            return pieces.pop(0)
+        # Count the whole pieces first and remove them with one slice
+        # deletion: a pop(0) per piece would make draining a buffer of
+        # many small writes quadratic.
+        whole = 0
         remaining = count
-        while remaining > 0:
-            piece = pieces[0]
+        for piece in pieces:
             piece_len = piece.length
-            if piece_len <= remaining:
-                taken.append(pieces.popleft())
-                remaining -= piece_len
-            else:
-                taken.append(piece.slice(0, remaining))
-                pieces[0] = piece.slice(remaining, piece_len)
-                remaining = 0
+            if piece_len > remaining:
+                break
+            remaining -= piece_len
+            whole += 1
+        taken = pieces[:whole]
+        del pieces[:whole]
+        if remaining > 0:
+            piece = pieces[0]
+            taken.append(piece.slice(0, remaining))
+            pieces[0] = piece.slice(remaining, piece.length)
         return concat(taken)
 
     def discard_front(self, count: int) -> None:
         """Drop the first ``count`` bytes without materialising them."""
         count = min(count, self._length)
         pieces = self._pieces
+        whole = 0
         remaining = count
-        while remaining > 0:
-            piece = pieces[0]
+        for piece in pieces:
             piece_len = piece.length
-            if piece_len <= remaining:
-                pieces.popleft()
-                remaining -= piece_len
-            else:
-                pieces[0] = piece.slice(remaining, piece_len)
-                remaining = 0
+            if piece_len > remaining:
+                break
+            remaining -= piece_len
+            whole += 1
+        del pieces[:whole]
+        if remaining > 0:
+            piece = pieces[0]
+            pieces[0] = piece.slice(remaining, piece.length)
         self._length -= count
         self.head_offset += count
 

@@ -1,6 +1,10 @@
 """Executor behaviour: parallel determinism, resume, telemetry."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.harness.executor import run_grid
 from repro.harness.experiments import ExperimentScale
@@ -37,6 +41,24 @@ def test_parallel_rows_identical_to_serial():
     assert serial.records == fanned.records
     assert fanned.executed == len(cells)
     assert fanned.jobs == 2
+
+
+def test_process_pool_is_imported_only_when_there_is_a_pool():
+    """``concurrent.futures`` costs ~40 modules, 3 MB of RSS and 50 ms of
+    set-up; a ``jobs=1`` run (every benchmark sample) must not pay it."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    probe = (
+        "import sys; import repro.harness.executor, repro.harness.experiments;"
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_telemetry_collected_per_cell():

@@ -28,6 +28,30 @@ def test_deep_size_ignores_the_cached_address_hash(address):
     assert deep_size(address) == small
 
 
+class _Plain:
+    def __init__(self):
+        self.first = 2**40
+        self.second = "x" * 100
+
+
+class _Slotted:
+    __slots__ = ("first", "second")
+
+    def __init__(self):
+        self.first = 2**40
+        self.second = "x" * 100
+
+
+def test_deep_size_charges_the_instance_dict():
+    """``sys.getsizeof(obj)`` stops at the object header: an un-slotted
+    class must pay for its ``__dict__``, or slotting one looks like a loss."""
+    plain, slotted = _Plain(), _Slotted()
+    values = sys.getsizeof(plain.first) + sys.getsizeof(plain.second)
+    assert deep_size(plain) >= sys.getsizeof(plain) + sys.getsizeof(plain.__dict__) + values
+    assert deep_size(slotted) == sys.getsizeof(slotted) + values
+    assert deep_size(slotted) < deep_size(plain)
+
+
 _RUNG = (
     "from repro.harness.experiments import scale_ladder;"
     "from repro.harness.results import canonical_json;"

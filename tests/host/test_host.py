@@ -87,6 +87,47 @@ def test_crash_kills_processes_and_nics(sim):
     assert all(not nic.powered for nic in host.nics)
 
 
+def test_finished_processes_do_not_accumulate(sim):
+    """A server spawns one handler per accepted connection; the list only
+    serves crash(), so it must track the live set, not history."""
+    host = Host(sim, "h")
+
+    def long_lived():
+        yield sim.timeout(1e9)
+
+    def short_lived():
+        yield sim.timeout(0.001)
+
+    alive = [host.spawn(long_lived()) for _ in range(5)]
+    for _ in range(100):
+        for _ in range(100):
+            host.spawn(short_lived())
+        sim.run(until=sim.now + 0.002)
+        assert len(host.processes) <= 2 * (len(alive) + 100) + 16
+    assert [p for p in host.processes if p.alive] == alive
+
+
+def test_crash_kills_exactly_the_alive_processes_in_spawn_order(sim):
+    host = Host(sim, "h")
+    killed = []
+
+    def worker(index, lifetime):
+        try:
+            yield sim.timeout(lifetime)
+        except GeneratorExit:
+            killed.append(index)
+            raise
+
+    # Even indices finish at once, odd ones outlive the crash; enough of
+    # them that the finished ones are pruned along the way.
+    for index in range(200):
+        host.spawn(worker(index, 0.001 if index % 2 == 0 else 10.0))
+        sim.run(until=sim.now + 0.002)
+    assert len(host.processes) < 200
+    host.crash()
+    assert killed == list(range(1, 200, 2))
+
+
 def test_crash_is_idempotent(sim):
     host = Host(sim, "h")
     host.crash()

@@ -184,7 +184,7 @@ def test_karn_no_rtt_sample_from_retransmission():
         listener = lan.b.tcp.listen(8000)
         conn = yield listener.accept()
         yield conn.send(PatternBytes(30 * KB, 0, 4))
-        samples.append(conn.tcb.rtt.samples_taken)
+        samples.append(conn.tcb.retransmit.rtt.samples_taken)
         conn.close()
 
     def client():

@@ -70,9 +70,9 @@ def test_timestamps_feed_rtt_estimation():
     lan = LanPair(Simulator(seed=104), tcp_config=config, hub_delay=0.002)
     outcome = run_transfer(lan)
     server_tcb = outcome["server_tcb"]
-    assert server_tcb.rtt.has_sample
+    assert server_tcb.retransmit.rtt.has_sample
     # SRTT reflects the 2 ms one-way (≈4 ms round-trip) hub latency.
-    assert 0.003 < server_tcb.rtt.srtt < 0.02
+    assert 0.003 < server_tcb.retransmit.rtt.srtt < 0.02
 
 
 def test_sttcp_run_with_timestamps_enabled():

@@ -176,7 +176,7 @@ def test_window_probe_while_closed():
     assert done["t"] >= 5.0
     # While the server slept, the window was zero and data was pending:
     # the client's persist timer must have fired at least once.
-    assert tcb_box["tcb"].persist_timer.fired_count >= 1
+    assert tcb_box["tcb"].retransmit.persist_timer.fired_count >= 1
 
 
 def test_delayed_ack_coalesces():

@@ -7,6 +7,7 @@
   random crash times.
 """
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +103,26 @@ def test_prop_sttcp_transparent_for_any_crash_time_upload(crash_fraction, seed):
     assert run.result.verified
 
 
+def _assert_transparent_with_lossy_tap_and_crash(crash_fraction, tap_loss, seed):
+    from repro.faults.injection import add_tap_loss
+
+    workload = echo_workload(30)
+    config = STTCPConfig(
+        hb_interval=0.05, retx_request_timeout=0.01, use_logger=True
+    )
+    baseline = run_workload(
+        workload, profile=FAST_LAN, sttcp=config, seed=seed, deadline=600.0
+    ).require_clean()
+    scenario = Scenario(profile=FAST_LAN, sttcp=config, with_logger=True, seed=seed)
+    add_tap_loss(
+        scenario.backup.nics[0], scenario.sim.random.stream("tap"), tap_loss
+    )
+    crash_at = 0.1 + crash_fraction * baseline.total_time
+    run = run_workload(workload, scenario=scenario, crash_at=crash_at, deadline=600.0)
+    assert run.result.error is None
+    assert run.result.verified
+
+
 @SLOW_PROPERTY
 @given(
     crash_fraction=st.floats(0.01, 0.99),
@@ -120,20 +141,17 @@ def test_prop_sttcp_transparent_with_lossy_tap_and_crash(crash_fraction, tap_los
     (§3.2).  (Hypothesis found exactly that race when this property was
     first written without the logger.)
     """
-    from repro.faults.injection import add_tap_loss
+    _assert_transparent_with_lossy_tap_and_crash(crash_fraction, tap_loss, seed)
 
-    workload = echo_workload(30)
-    config = STTCPConfig(
-        hb_interval=0.05, retx_request_timeout=0.01, use_logger=True
+
+@pytest.mark.xfail(
+    strict=True, reason="open counter-example (ROADMAP item 4): ends in ConnectionReset"
+)
+def test_lossy_tap_and_crash_open_counter_example():
+    """The falsifying example the property above found on unmodified PR 13
+    code.  Not an ``@example`` because that would turn tier-1 red; strict,
+    so the PR that root-causes it has to delete this marker (and pin the
+    values as an ``@example`` instead)."""
+    _assert_transparent_with_lossy_tap_and_crash(
+        crash_fraction=0.5, tap_loss=0.046875, seed=1802
     )
-    baseline = run_workload(
-        workload, profile=FAST_LAN, sttcp=config, seed=seed, deadline=600.0
-    ).require_clean()
-    scenario = Scenario(profile=FAST_LAN, sttcp=config, with_logger=True, seed=seed)
-    add_tap_loss(
-        scenario.backup.nics[0], scenario.sim.random.stream("tap"), tap_loss
-    )
-    crash_at = 0.1 + crash_fraction * baseline.total_time
-    run = run_workload(workload, scenario=scenario, crash_at=crash_at, deadline=600.0)
-    assert run.result.error is None
-    assert run.result.verified

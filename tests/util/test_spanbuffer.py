@@ -260,9 +260,18 @@ def test_prop_buffer_matches_bytes_oracle_over_every_operation(data):
     appended = 0
     for _ in range(data.draw(st.integers(1, 25))):
         op = data.draw(st.sampled_from(
-            ("append", "append", "append", "pop", "discard", "peek", "seek")
+            ("append", "append", "append", "burst", "pop", "discard", "peek", "seek")
         ))
-        if op == "append":
+        if op == "burst":
+            # Many small application writes: the pop/discard ranges drawn
+            # afterwards span dozens of whole pieces (one slice deletion).
+            width = data.draw(st.integers(1, 3))
+            for _ in range(data.draw(st.integers(64, 96))):
+                chunk = bytes([appended % 251]) * width
+                buffer.append(RealBytes(chunk))
+                oracle += chunk
+                appended += 1
+        elif op == "append":
             span, stream_tail = data.draw(_appendable(stream_tail))
             before = list(buffer._pieces)
             buffer.append(span)
