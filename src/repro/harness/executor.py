@@ -14,13 +14,20 @@ key is already stored are *skipped* and their records read back, making
 grids resumable; freshly executed cells are appended as they finish
 (with perf telemetry from :mod:`repro.metrics.perf`), so an interrupted
 grid loses at most its in-flight cells.
+
+While a cell runs, the interpreter's cyclic collector works with a young
+generation sized to a connection storm (:data:`CELL_NURSERY`), and what
+a finished cell's scenario left tenured is reclaimed before the same
+process builds the next one (DESIGN §14 rule 4).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from pathlib import Path
 
@@ -54,6 +61,16 @@ class GridResult:
     def sim_seconds(self) -> float:
         return sum(float(t["sim_seconds"]) for t in self._executed_telemetry())
 
+    @property
+    def gc_passes(self) -> List[int]:
+        """Collector passes by generation inside the executed cells."""
+        per_cell = [t["gc_passes"] for t in self._executed_telemetry()]
+        return [sum(generation) for generation in zip(*per_cell)]
+
+    @property
+    def gc_freed(self) -> int:
+        return sum(int(t["gc_freed"]) for t in self._executed_telemetry())
+
     def summary(self) -> str:
         total = self.executed + self.cached
         line = (
@@ -63,7 +80,9 @@ class GridResult:
         if self.executed and self.wall_time > 0:
             line += (
                 f"; {self.events} events, {self.sim_seconds:.1f} sim-s, "
-                f"{self.events / self.wall_time:,.0f} events/s"
+                f"{self.events / self.wall_time:,.0f} events/s; collector "
+                f"{' / '.join(map(str, self.gc_passes))} passes, "
+                f"{self.gc_freed:,} objects freed"
             )
         return line
 
@@ -78,11 +97,72 @@ class ExperimentResult:
     rows: List[Record]
 
 
+#: Young-generation threshold of the cyclic collector while a cell runs
+#: (net container allocations between two young passes).  CPython's 700
+#: is five connections' worth — 140 tracked objects times three TCBs each
+#: — so every connection of a storm is tenured into the oldest generation
+#: and each full pass re-walks the whole heap; at 100 000 a
+#: 2 000-connection rung makes five young passes and no other.  Chosen
+#: from the sweep in EXPERIMENTS.md "PR 16": a nursery larger than the
+#: cell is slower again, because the first young pass after the epoch
+#: then walks and frees the whole finished scenario in the caller's time.
+CELL_NURSERY = 100_000
+
+#: ``gc.get_stats()[2]["collections"]`` when this process last finished a
+#: cell that outgrew the nursery: while it stands, nothing has freed the
+#: part of that cell's scenario the collector tenured.  ``None`` after a
+#: cell the collector never visited — what it leaves is young, less than
+#: a nursery's worth, and dies at the next young pass.  Process-wide on
+#: purpose: it describes the process's heap, and a pool worker's next
+#: task is a different ``run_grid`` call's next cell.
+_full_passes_after_cell: Optional[int] = None
+
+
+def _full_passes() -> int:
+    return gc.get_stats()[2]["collections"]
+
+
+@contextlib.contextmanager
+def _cell_nursery() -> Iterator[None]:
+    """Run the block with threshold 0 of the collector at :data:`CELL_NURSERY`.
+
+    The collector stays enabled: reaped connections are cyclic garbage
+    (TCB ↔ engines ↔ timers ↔ socket).  Thresholds 1 and 2 stay the
+    caller's, and all three are the caller's again afterwards.  A caller
+    who has the collector off (``gc.disable()``, or threshold 0 of zero)
+    or already coarser is left alone — which is also what makes a nested
+    use a no-op.
+    """
+    young, middle, old = gc.get_threshold()
+    if not gc.isenabled() or not 0 < young < CELL_NURSERY:
+        yield
+        return
+    gc.set_threshold(CELL_NURSERY, middle, old)
+    try:
+        yield
+    finally:
+        gc.set_threshold(young, middle, old)
+
+
 def execute_cell(cell: GridCell) -> Tuple[Record, Dict[str, Any]]:
     """Run one cell under a perf probe; returns (record, telemetry)."""
+    global _full_passes_after_cell
     spec = get_spec(cell.experiment)
-    with perf.track() as probe:
-        record = spec.run_cell(cell)
+    # A finished scenario is a cyclic graph, and with a coarse nursery
+    # full passes are rare: free what the previous cell tenured before
+    # building the next on top of it — unless a full pass has run since
+    # (the caller collected, as bench/worker.py does after its warm-up
+    # cell).  Never at the end of a cell: a process's last cell is left
+    # to process exit, so a one-cell grid pays nothing.
+    if _full_passes_after_cell == _full_passes():
+        gc.collect()
+    _full_passes_after_cell = None
+    with _cell_nursery(), perf.track() as probe:
+        try:
+            record = spec.run_cell(cell)
+        finally:
+            if any(probe.gc_passes):
+                _full_passes_after_cell = _full_passes()
     return record, probe.telemetry()
 
 

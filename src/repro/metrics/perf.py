@@ -10,17 +10,22 @@ scenario for several phases) never double-counts events.
 The numbers land in the result store next to each record::
 
     {"wall_time": ..., "sim_seconds": ..., "events": ...,
-     "events_per_sec": ..., "simulations": ...}
+     "events_per_sec": ..., "simulations": ...,
+     "gc_passes": [young, middle, full], "gc_freed": ...}
 
-giving the first real throughput figures for the simulation kernel.
+giving the first real throughput figures for the simulation kernel, and
+what the interpreter's cyclic collector did meanwhile (its passes by
+generation and the objects they freed — host facts, so telemetry and
+never a field of the record).
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import gc
 import time
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 _active: "contextvars.ContextVar[Optional[PerfProbe]]" = contextvars.ContextVar(
     "repro_perf_probe", default=None
@@ -30,11 +35,15 @@ _active: "contextvars.ContextVar[Optional[PerfProbe]]" = contextvars.ContextVar(
 class PerfProbe:
     """Wall-clock and simulator-counter accumulator for one tracked span."""
 
-    __slots__ = ("started", "finished", "_sims")
+    __slots__ = ("started", "finished", "gc_started", "gc_finished", "_sims")
 
     def __init__(self) -> None:
         self.started = time.perf_counter()
         self.finished: Optional[float] = None
+        # ``gc.get_stats()`` is cumulative per process: the span's share
+        # is finish minus start.
+        self.gc_started = gc.get_stats()
+        self.gc_finished: Optional[List[Dict[str, int]]] = None
         # id(sim) → (events_executed, sim_now); latest snapshot wins, so
         # counters of a reused simulator are not added twice.
         self._sims: Dict[int, Tuple[int, float]] = {}
@@ -59,7 +68,20 @@ class PerfProbe:
     def simulations(self) -> int:
         return len(self._sims)
 
-    def telemetry(self) -> Dict[str, float]:
+    def _gc_delta(self, field: str) -> List[int]:
+        """Per generation, how far ``field`` of ``gc.get_stats()`` moved."""
+        end = self.gc_finished if self.gc_finished is not None else gc.get_stats()
+        return [
+            after[field] - before[field]
+            for before, after in zip(self.gc_started, end)
+        ]
+
+    @property
+    def gc_passes(self) -> List[int]:
+        """Collector passes by generation (young, middle, full) so far."""
+        return self._gc_delta("collections")
+
+    def telemetry(self) -> Dict[str, Any]:
         wall = self.wall_time
         events = self.events
         return {
@@ -68,6 +90,8 @@ class PerfProbe:
             "events": events,
             "events_per_sec": events / wall if wall > 0 else 0.0,
             "simulations": self.simulations,
+            "gc_passes": self.gc_passes,
+            "gc_freed": sum(self._gc_delta("collected")),
         }
 
 
@@ -80,6 +104,7 @@ def track() -> Iterator[PerfProbe]:
         yield probe
     finally:
         probe.finished = time.perf_counter()
+        probe.gc_finished = gc.get_stats()
         _active.reset(token)
 
 

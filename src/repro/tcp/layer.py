@@ -333,9 +333,15 @@ class TCPLayer:
     def connection_closed(self, tcb: TCPConnection) -> None:
         """Reap a connection that reached CLOSED (directly or out of
         TIME_WAIT): drop the table entry, return its ephemeral port to
-        the pool, and let lifecycle observers release their state."""
-        if self._connections.pop(tcb.key, None) is None:
+        the pool, and let lifecycle observers release their state.
+
+        By identity, not by key: a second ``close()`` on a socket whose
+        TCB is already reaped arrives here too, and by then a recycled
+        ephemeral port may have given its 4-tuple to a live connection."""
+        key = tcb.key
+        if self._connections.get(key) is not tcb:
             return
+        del self._connections[key]
         self._c_tcbs_reaped.value += 1
         self._g_connections.value = len(self._connections)
         port = tcb.local_port

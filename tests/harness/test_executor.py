@@ -70,6 +70,13 @@ def test_telemetry_collected_per_cell():
     assert telemetry["wall_time"] >= 0
     assert telemetry["simulations"] == 1
     assert result.events == telemetry["events"]
+    # The collector's row: passes by generation and objects freed.
+    assert len(telemetry["gc_passes"]) == 3 and telemetry["gc_freed"] >= 0
+    assert result.gc_passes == telemetry["gc_passes"]
+    passes = " / ".join(map(str, telemetry["gc_passes"]))
+    assert result.summary().endswith(
+        f"events/s; collector {passes} passes, {telemetry['gc_freed']:,} objects freed"
+    )
 
 
 def test_resume_skips_completed_cells(tmp_path):

@@ -126,3 +126,48 @@ def test_syn_storm_deflections_vs_unmatched_accounting():
     assert stray_done
     assert lan.b.tcp.segments_unmatched == 1
     assert lan.b.tcp.syns_deflected == storm - backlog
+
+
+def test_closing_a_reaped_socket_again_spares_its_successor_on_the_same_key():
+    """The table is keyed by 4-tuple and ports recycle: a second
+    ``close()`` on a reaped socket must not evict the live connection
+    that now owns the tuple (reaping is by identity, not by key)."""
+    lan = LanPair(Simulator(seed=405))
+    layer = lan.a.tcp
+    # One ephemeral port, so the second connect reuses the 4-tuple.
+    layer.ephemeral_start = layer.ephemeral_end = layer._next_ephemeral = 40000
+    reaped = []
+    layer.close_observers.append(reaped.append)
+    listener = lan.b.tcp.listen(9000)
+    accepted = []
+
+    def server():
+        while True:
+            accepted.append((yield listener.accept()))
+
+    lan.b.spawn(server(), "server")
+    old = layer.connect((lan.ip_b, 9000))
+    lan.sim.run(until=lan.sim.now + 1.0)
+    old.close()
+    accepted[0].close()
+    lan.sim.run(until=lan.sim.now + TIME_WAIT_DRAIN)
+    assert layer.tcbs_reaped == 1 and reaped == [old.tcb]
+
+    new = layer.connect((lan.ip_b, 9000))
+    lan.sim.run(until=lan.sim.now + 1.0)
+    assert new.connected and new.tcb.key == old.tcb.key
+
+    old.close()
+    assert layer.connections == [new.tcb]
+    assert layer.tcbs_reaped == 1
+    assert reaped == [old.tcb]
+
+    echoed = []
+
+    def exchange():
+        yield new.send(b"still here")
+        echoed.append((yield accepted[1].recv_exactly(10)))
+
+    lan.a.spawn(exchange(), "exchange")
+    lan.sim.run(until=lan.sim.now + 1.0)
+    assert echoed == [b"still here"]
