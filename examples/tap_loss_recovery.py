@@ -37,8 +37,9 @@ def part_one() -> None:
     backup = scenario.pair.backup_engine
     print(f"  upload completed in {run.total_time:.3f} s, verified={run.result.verified}")
     print(f"  tap dropped {model.dropped} frames")
-    print(f"  backup sent {backup.retx_requests_sent} RETX_REQUESTs and "
-          f"recovered {backup.retx_bytes_recovered} bytes over the UDP channel")
+    count = scenario.sim.metrics.value
+    print(f"  backup sent {count('backup.sttcp.retx_requests_sent')} RETX_REQUESTs and "
+          f"recovered {count('backup.sttcp.retx_bytes_recovered')} bytes over the UDP channel")
     shadow = backup.shadow_connections[0]
     print(f"  shadow receive stream complete through byte "
           f"{shadow.recv_buffer.rcv_nxt_offset}\n")
@@ -62,13 +63,13 @@ def part_two(with_logger: bool) -> None:
         detail = f"in {run.total_time:.3f} s, verified={run.result.verified}"
     except SimulationError:
         completed, detail = False, "(client gave up after exhausting retransmissions)"
-    backup = scenario.pair.backup_engine
     if completed:
         print(f"  upload completed {detail}")
     else:
         print(f"  upload FAILED {detail}")
     if with_logger:
-        print(f"  logger replayed {backup.logger_bytes_recovered} bytes the "
+        replayed = scenario.sim.metrics.value("backup.sttcp.logger_bytes_recovered")
+        print(f"  logger replayed {replayed} bytes the "
               f"dead primary could no longer provide")
     print()
 

@@ -1,72 +1,3 @@
 """Experiment harness: calibrated profiles, topologies, and every
-table/figure of the paper as a runnable function."""
-
-from repro.harness.calibrate import FAST_LAN, PAPER_TESTBED, NetworkProfile
-from repro.harness.experiments import (
-    FIGURE_HB_SWEEP,
-    PAPER_HB_GRID,
-    PAPER_SCALE,
-    QUICK_SCALE,
-    ExperimentScale,
-    ablation_detection,
-    ablation_ftcp,
-    ablation_logger,
-    ablation_overhead,
-    ablation_sync,
-    default_scale,
-    figure5,
-    figure6,
-    format_figure5,
-    format_figure6,
-    format_table1,
-    format_table2,
-    table1,
-    table2,
-)
-from repro.harness.runner import (
-    CLIENT_START,
-    ExperimentRun,
-    measure_failover_time,
-    run_workload,
-)
-from repro.harness.scenario import (
-    SERVICE_PORT,
-    TOPOLOGY_HUB,
-    TOPOLOGY_SWITCHED,
-    Scenario,
-)
-from repro.harness.tables import format_table
-
-__all__ = [
-    "CLIENT_START",
-    "ExperimentRun",
-    "ExperimentScale",
-    "FAST_LAN",
-    "FIGURE_HB_SWEEP",
-    "NetworkProfile",
-    "PAPER_HB_GRID",
-    "PAPER_SCALE",
-    "PAPER_TESTBED",
-    "QUICK_SCALE",
-    "SERVICE_PORT",
-    "Scenario",
-    "TOPOLOGY_HUB",
-    "TOPOLOGY_SWITCHED",
-    "ablation_detection",
-    "ablation_ftcp",
-    "ablation_logger",
-    "ablation_overhead",
-    "ablation_sync",
-    "default_scale",
-    "figure5",
-    "figure6",
-    "format_figure5",
-    "format_figure6",
-    "format_table",
-    "format_table1",
-    "format_table2",
-    "measure_failover_time",
-    "run_workload",
-    "table1",
-    "table2",
-]
+table/figure of the paper as a registered experiment
+(:func:`repro.harness.executor.run_experiment`)."""

@@ -2,7 +2,7 @@
 
 Subcommands regenerate the paper's artefacts and the ablations::
 
-    python -m repro table1                 # reduced grid
+    python -m repro table1                 # quick grid
     python -m repro table2 --paper-scale   # the full Table 2 grid
     python -m repro figure5 --app interactive
     python -m repro figure6 --json out.json
@@ -27,35 +27,17 @@ import json
 import os
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.harness.executor import ExperimentResult, run_experiment
-from repro.harness.experiments import (
-    DEFAULT_LADDER,
-    DEFAULT_SCENARIOS,
-    PAPER_SCALE,
-    QUICK_SCALE,
-    SMOKE_LADDER,
-    default_scale,
-    format_cluster,
-    format_figure5,
-    format_figure6,
-    format_scale,
-    format_table1,
-    format_table2,
-)
+from repro.harness.experiments import PAPER_SCALE, QUICK_SCALE
+from repro.harness.experiments.churn import DEFAULT_LADDER, SMOKE_LADDER
+from repro.harness.experiments.cluster import DEFAULT_SCENARIOS
+from repro.harness.experiments.figure5 import format_figure5
 from repro.harness.results import ResultStore, default_store_path
 from repro.harness.runner import FLIGHT_DUMP_ENV
-from repro.harness.tables import format_table, rows_from_records
+from repro.harness.tables import format_table
 from repro.metrics.report import records_to_csv, records_to_json
-
-
-def _scale_from_args(args: argparse.Namespace):
-    if getattr(args, "paper_scale", False):
-        return PAPER_SCALE
-    if getattr(args, "quick", False):
-        return QUICK_SCALE
-    return default_scale()
 
 
 def _store_from_args(args: argparse.Namespace) -> Optional[ResultStore]:
@@ -137,99 +119,106 @@ def _publish_scorecard(card: Any, out_dir: str) -> None:
     print(f"wrote {md_path} and {json_path}", file=sys.stderr)
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    records = _run(
-        "table1",
-        args,
-        scale=_scale_from_args(args),
-        topology=args.topology,
-        base_seed=args.seed,
-    ).rows
-    print(format_table1(records))
+def _grid_options(args: argparse.Namespace) -> Dict[str, Any]:
+    return {
+        "scale": PAPER_SCALE if args.paper_scale else QUICK_SCALE,
+        "topology": args.topology,
+        "base_seed": args.seed,
+    }
+
+
+def _figure5_options(args: argparse.Namespace) -> Dict[str, Any]:
+    return {**_grid_options(args), "application": args.app}
+
+
+def _scale_options(args: argparse.Namespace) -> Dict[str, Any]:
+    if args.rungs:
+        ladder = tuple(int(rung) for rung in args.rungs.split(","))
+    else:
+        ladder = SMOKE_LADDER if args.quick else DEFAULT_LADDER
+    return {"ladder": ladder, "topology": args.topology, "base_seed": args.seed}
+
+
+def _cluster_options(args: argparse.Namespace) -> Dict[str, Any]:
+    return {"scenarios": args.scenario or list(DEFAULT_SCENARIOS)}
+
+
+class _Verb(NamedTuple):
+    """One experiment verb: the registered specs it runs, in order, and
+    the ``run_experiment`` options it takes from the command line."""
+
+    help: str
+    specs: Tuple[str, ...]
+    options: Callable[[argparse.Namespace], Dict[str, Any]] = lambda args: {}
+
+
+EXPERIMENT_VERBS: Dict[str, _Verb] = {
+    "table1": _Verb(
+        "Table 1: failure-free ST-TCP vs standard TCP", ("table1",), _grid_options
+    ),
+    "table2": _Verb(
+        "Table 2: failover time vs heartbeat interval", ("table2",), _grid_options
+    ),
+    "figure5": _Verb(
+        "Figure 5: echo/interactive vs HB interval", ("figure5",), _figure5_options
+    ),
+    "figure6": _Verb(
+        "Figure 6: bulk transfers with/without failover", ("figure6",), _grid_options
+    ),
+    # Each ablation's sweep is fixed by its spec: no scale, topology or seed.
+    "ablations": _Verb(
+        "Ablations A1–A5",
+        (
+            "ablation_sync",
+            "ablation_ftcp",
+            "ablation_logger",
+            "ablation_overhead",
+            "ablation_detection",
+        ),
+    ),
+    "scale": _Verb(
+        "connection-churn ladder with failover at each rung (docs/SCALE.md)",
+        ("scale",),
+        _scale_options,
+    ),
+    "cluster": _Verb(
+        "N-pair fabric with backup pool, election + STONITH (docs/CLUSTER.md)",
+        ("cluster",),
+        _cluster_options,
+    ),
+}
+
+
+def _run_verb(args: argparse.Namespace) -> List[Dict[str, Any]]:
+    """Run, print and export every spec of an experiment verb; its records."""
+    verb = EXPERIMENT_VERBS[args.command]
+    options = verb.options(args)
+    records: List[Dict[str, Any]] = []
+    for name in verb.specs:
+        result = _run(name, args, **options)
+        if name == "figure5":  # the title names the application; no row does
+            print(format_figure5(result.rows, args.app))
+        else:
+            print(result.spec.format(result.rows))
+        if len(verb.specs) > 1:  # ablations: exported records say which one
+            print()
+            for record in result.rows:
+                record["ablation"] = result.spec.title.split(":")[0]
+        records.extend(result.rows)
     _export(records, args)
-    return 0
+    return records
 
 
-def _cmd_table2(args: argparse.Namespace) -> int:
-    records = _run(
-        "table2",
-        args,
-        scale=_scale_from_args(args),
-        topology=args.topology,
-        base_seed=args.seed,
-    ).rows
-    print(format_table2(records))
-    _export(records, args)
-    return 0
-
-
-def _cmd_figure5(args: argparse.Namespace) -> int:
-    points = _run(
-        "figure5",
-        args,
-        scale=_scale_from_args(args),
-        application=args.app,
-        topology=args.topology,
-        base_seed=args.seed,
-    ).rows
-    print(format_figure5(points, args.app))
-    _export(points, args)
-    return 0
-
-
-def _cmd_figure6(args: argparse.Namespace) -> int:
-    points = _run(
-        "figure6",
-        args,
-        scale=_scale_from_args(args),
-        topology=args.topology,
-        base_seed=args.seed,
-    ).rows
-    print(format_figure6(points))
-    _export(points, args)
-    return 0
-
-
-def _cmd_ablations(args: argparse.Namespace) -> int:
-    all_records: List[Dict[str, Any]] = []
-    sections: List[tuple] = [
-        ("A1 sync strategy", "ablation_sync", ["sync_time", "x_fraction", "total_time", "acks_sent", "retention_peak", "overflow_peak"]),
-        ("A2 vs FT-TCP", "ablation_ftcp", ["protocol", "crash_fraction", "failover_time", "detection_latency"]),
-        ("A3 logger double-failure", "ablation_logger", ["logger", "completed", "verified", "logger_bytes_recovered"]),
-        ("A4 channel overhead", "ablation_overhead", ["second_buffer", "x_bytes", "acks_sent", "overhead_percent"]),
-        ("A5 detection threshold", "ablation_detection", ["threshold", "wrong_suspicion", "service_ok_after", "detection_latency"]),
-    ]
-    for title, name, columns in sections:
-        records = _run(name, args).rows
-        print(format_table(columns, rows_from_records(records, columns), title=title))
-        print()
-        for record in records:
-            record["ablation"] = title.split()[0]
-        all_records.extend(records)
-    _export(all_records, args)
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    _run_verb(args)
     return 0
 
 
 def _cmd_scale(args: argparse.Namespace) -> int:
     """Connection-churn ladder: rungs of simultaneous ST-TCP connections
     with a mid-ladder primary crash (docs/SCALE.md)."""
-    if args.rungs:
-        ladder = tuple(int(rung) for rung in args.rungs.split(","))
-    elif getattr(args, "quick", False):
-        ladder = SMOKE_LADDER
-    else:
-        ladder = DEFAULT_LADDER
-    result = _run(
-        "scale",
-        args,
-        ladder=ladder,
-        topology=args.topology,
-        base_seed=args.seed,
-    )
-    records = result.rows
-    print(format_scale(records))
-    _export(records, args)
-    if getattr(args, "scorecard", None):
+    records = _run_verb(args)
+    if args.scorecard:
         _spec, card = _build_scorecard(
             records,
             name_of=lambda r: f"scale-{r['connections']}",
@@ -249,16 +238,13 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     """N primary/backup pairs on one fabric: pooled backups, fenced
     takeover, replacement-backup election (docs/CLUSTER.md)."""
-    scenarios = args.scenario if args.scenario else list(DEFAULT_SCENARIOS)
-    records = _run("cluster", args, scenarios=scenarios).rows
-    print(format_cluster(records))
-    _export(records, args)
-    if getattr(args, "timelines", False):
+    records = _run_verb(args)
+    if args.timelines:
         for record in records:
             print(f"\n{record['scenario']}: per-pair timelines")
             for pair, timeline in sorted(record["timelines"].items()):
                 print(f"  {pair}: {timeline}")
-    if getattr(args, "scorecard", None):
+    if args.scorecard:
         _spec, card = _build_scorecard(
             records,
             name_of=lambda r: r["scenario"],
@@ -275,8 +261,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
     from repro.harness.results import cell_key
     from repro.harness.spec import GridCell
 
-    scenarios = args.scenario if args.scenario else list(DEFAULT_SCENARIOS)
-    records = _run("cluster", args, scenarios=scenarios).rows
+    records = _run("cluster", args, **_cluster_options(args)).rows
     slo_spec, card = _build_scorecard(
         records,
         name_of=lambda r: r["scenario"],
@@ -478,7 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--paper-scale", action="store_true", help="the full paper grid")
-        p.add_argument("--quick", action="store_true", help="force the quick grid")
+        p.add_argument(
+            "--quick",
+            action="store_true",
+            help="the quick grid (the default); for scale, the smoke ladder",
+        )
         p.add_argument("--topology", choices=["hub", "switched"], default="hub")
         p.add_argument("--seed", type=int, default=100)
         p.add_argument(
@@ -502,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--profile",
             action="store_true",
             help="sample wall time per layer; JSON report lands next to the "
-            "result store (use with --jobs 1)",
+            "result store (sampling sees this process only: not with --jobs N > 1)",
         )
         p.add_argument("--json", metavar="PATH", help="export records as JSON")
         p.add_argument("--csv", metavar="PATH", help="export records as CSV")
@@ -513,26 +502,16 @@ def build_parser() -> argparse.ArgumentParser:
             "run into DIR (CI uploads it as an artifact)",
         )
 
-    for name, fn, help_text in [
-        ("table1", _cmd_table1, "Table 1: failure-free ST-TCP vs standard TCP"),
-        ("table2", _cmd_table2, "Table 2: failover time vs heartbeat interval"),
-        ("figure5", _cmd_figure5, "Figure 5: echo/interactive vs HB interval"),
-        ("figure6", _cmd_figure6, "Figure 6: bulk transfers with/without failover"),
-        ("ablations", _cmd_ablations, "Ablations A1–A4"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        common(p)
-        p.set_defaults(fn=fn)
-    figure5_parser = next(
-        a for a in sub.choices.values() if a.prog.endswith("figure5")
+    verbs = {}
+    for name, verb in EXPERIMENT_VERBS.items():
+        verbs[name] = sub.add_parser(name, help=verb.help)
+        common(verbs[name])
+        verbs[name].set_defaults(fn=_cmd_experiment)
+    verbs["figure5"].add_argument(
+        "--app", choices=["echo", "interactive"], default="echo"
     )
-    figure5_parser.add_argument("--app", choices=["echo", "interactive"], default="echo")
 
-    scale = sub.add_parser(
-        "scale",
-        help="connection-churn ladder with failover at each rung (docs/SCALE.md)",
-    )
-    common(scale)
+    scale = verbs["scale"]
     scale.add_argument(
         "--rungs",
         metavar="N,N,...",
@@ -554,11 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scale.set_defaults(fn=_cmd_scale)
 
-    cluster = sub.add_parser(
-        "cluster",
-        help="N-pair fabric with backup pool, election + STONITH (docs/CLUSTER.md)",
-    )
-    common(cluster)
+    cluster = verbs["cluster"]
     cluster.add_argument(
         "--scenario",
         action="append",
@@ -669,6 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "profile", False) and args.jobs > 1:
+        parser.error("--profile samples this process only; use it with --jobs 1")
     start = time.time()
     status = args.fn(args)
     print(f"({time.time() - start:.1f} s wall clock)", file=sys.stderr)

@@ -1,72 +1,24 @@
 """Paper artefacts as declarative :class:`~repro.harness.spec.ExperimentSpec`s.
 
-Each module registers one spec (Table 1/2, Figure 5/6, ablations A1–A5)
-and keeps a thin legacy wrapper with the historical signature.  Importing
-this package populates the spec registry — worker processes do exactly
-that before running a cell.
+Each module registers one spec (Table 1/2, Figure 5/6, ablations A1–A5,
+``scale``, ``cluster``); :func:`repro.harness.executor.run_experiment`
+runs one by name.  Importing this package populates the spec registry —
+worker processes do exactly that before running a cell.
 """
 
-from repro.harness.experiments.ablation_detection import ablation_detection
-from repro.harness.experiments.ablation_ftcp import ablation_ftcp
-from repro.harness.experiments.ablation_logger import ablation_logger
-from repro.harness.experiments.ablation_overhead import ablation_overhead
-from repro.harness.experiments.ablation_sync import ablation_sync
-from repro.harness.experiments.churn import (
-    DEFAULT_LADDER,
-    SMOKE_LADDER,
-    format_scale,
-    scale_ladder,
+from repro.harness.experiments import (  # noqa: F401 — each import registers a spec
+    ablation_detection,
+    ablation_ftcp,
+    ablation_logger,
+    ablation_overhead,
+    ablation_sync,
+    churn,
+    cluster,
+    figure5,
+    figure6,
+    table1,
+    table2,
 )
-from repro.harness.experiments.cluster import (
-    DEFAULT_SCENARIOS,
-    cluster_runs,
-    format_cluster,
-    resolve_scenario,
-)
-from repro.harness.experiments.figure5 import figure5, format_figure5
-from repro.harness.experiments.figure6 import figure6, format_figure6
-from repro.harness.experiments.scale import (
-    FIGURE_HB_SWEEP,
-    PAPER_HB_GRID,
-    PAPER_SCALE,
-    QUICK_SCALE,
-    ExperimentScale,
-    default_scale,
-    hb_label,
-)
-from repro.harness.experiments.table1 import format_table1, table1
-from repro.harness.experiments.table2 import format_table2, table2
-from repro.harness.spec import experiment_names, get_spec
+from repro.harness.experiments.scale import PAPER_SCALE, QUICK_SCALE, ExperimentScale
 
-__all__ = [
-    "DEFAULT_LADDER",
-    "DEFAULT_SCENARIOS",
-    "FIGURE_HB_SWEEP",
-    "PAPER_HB_GRID",
-    "PAPER_SCALE",
-    "QUICK_SCALE",
-    "SMOKE_LADDER",
-    "ExperimentScale",
-    "ablation_detection",
-    "ablation_ftcp",
-    "ablation_logger",
-    "ablation_overhead",
-    "ablation_sync",
-    "cluster_runs",
-    "default_scale",
-    "experiment_names",
-    "figure5",
-    "figure6",
-    "format_cluster",
-    "format_figure5",
-    "format_figure6",
-    "format_scale",
-    "format_table1",
-    "format_table2",
-    "get_spec",
-    "hb_label",
-    "resolve_scenario",
-    "scale_ladder",
-    "table1",
-    "table2",
-]
+__all__ = ["PAPER_SCALE", "QUICK_SCALE", "ExperimentScale"]

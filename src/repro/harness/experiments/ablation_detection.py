@@ -1,13 +1,18 @@
-"""A5 — the heartbeat miss threshold (§4.4/§6.2 fix it at 3)."""
+"""A5 — the heartbeat miss threshold (§4.4/§6.2 fix it at 3).
+
+Two costs pull in opposite directions: a *small* threshold detects real
+crashes faster but wrongly suspects a healthy primary under heartbeat
+loss (here: 30% random loss on the UDP channel only); a *large*
+threshold is robust but slow.  STONITH keeps wrong suspicions *safe*
+(§3.2) — this measures how often they happen and what they cost.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.apps.workload import echo_workload
 from repro.harness.calibrate import PAPER_TESTBED, NetworkProfile
-from repro.harness.executor import run_experiment
-from repro.harness.results import ResultStore
 from repro.harness.runner import measure_failover_time, run_workload
 from repro.harness.spec import (
     ExperimentSpec,
@@ -17,6 +22,7 @@ from repro.harness.spec import (
     profile_params,
     register,
 )
+from repro.harness.tables import records_table
 from repro.sttcp.config import STTCPConfig
 
 
@@ -97,36 +103,9 @@ SPEC = register(
         title="A5: heartbeat miss threshold",
         build_cells=_build_cells,
         run_cell=_run_cell,
+        format=records_table(
+            "A5 detection threshold",
+            ["threshold", "wrong_suspicion", "service_ok_after", "detection_latency"],
+        ),
     )
 )
-
-
-def ablation_detection(
-    thresholds: Sequence[int] = (1, 2, 3, 5),
-    channel_loss: float = 0.30,
-    observation_time: float = 3.0,
-    hb_interval: float = 0.05,
-    profile: NetworkProfile = PAPER_TESTBED,
-    base_seed: int = 900,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-) -> List[Dict[str, float]]:
-    """A5 — the heartbeat miss threshold (§4.4/§6.2 fix it at 3).
-
-    Two costs pull in opposite directions: a *small* threshold detects
-    real crashes faster but wrongly suspects a healthy primary under
-    heartbeat loss (here: 30% random loss on the UDP channel only); a
-    *large* threshold is robust but slow.  STONITH keeps wrong suspicions
-    *safe* (§3.2) — this measures how often they happen and what they cost.
-    """
-    return run_experiment(
-        "ablation_detection",
-        jobs=jobs,
-        store=store,
-        thresholds=thresholds,
-        channel_loss=channel_loss,
-        observation_time=observation_time,
-        hb_interval=hb_interval,
-        profile=profile,
-        base_seed=base_seed,
-    ).rows

@@ -1,13 +1,15 @@
-"""A2 — ST-TCP vs the FT-TCP restart-and-replay baseline."""
+"""A2 — ST-TCP vs the FT-TCP restart-and-replay baseline.
+
+FT-TCP's restart+replay cost grows with the connection history;
+ST-TCP's failover does not.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.apps.workload import bulk_workload
 from repro.harness.calibrate import PAPER_TESTBED, NetworkProfile
-from repro.harness.executor import run_experiment
-from repro.harness.results import ResultStore
 from repro.harness.runner import measure_failover_time
 from repro.harness.spec import (
     ExperimentSpec,
@@ -17,6 +19,7 @@ from repro.harness.spec import (
     profile_params,
     register,
 )
+from repro.harness.tables import records_table
 from repro.sttcp.config import STTCPConfig
 from repro.util.units import MB
 
@@ -76,28 +79,9 @@ SPEC = register(
         title="A2: ST-TCP vs FT-TCP failover",
         build_cells=_build_cells,
         run_cell=_run_cell,
+        format=records_table(
+            "A2 vs FT-TCP",
+            ["protocol", "crash_fraction", "failover_time", "detection_latency"],
+        ),
     )
 )
-
-
-def ablation_ftcp(
-    bulk_size: int = 1 * MB,
-    hb_interval: float = 0.2,
-    crash_fractions: Sequence[float] = (0.25, 0.5, 0.9),
-    profile: NetworkProfile = PAPER_TESTBED,
-    base_seed: int = 600,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-) -> List[Dict[str, float]]:
-    """A2 — ST-TCP vs FT-TCP failover: restart+replay cost grows with the
-    connection history; ST-TCP's does not."""
-    return run_experiment(
-        "ablation_ftcp",
-        jobs=jobs,
-        store=store,
-        bulk_size=bulk_size,
-        hb_interval=hb_interval,
-        crash_fractions=crash_fractions,
-        profile=profile,
-        base_seed=base_seed,
-    ).rows

@@ -1,12 +1,19 @@
-"""A3 — double-failure masking via the packet logger (§3.2)."""
+"""A3 — double-failure masking via the packet logger (§3.2).
+
+The backup's tap blacks out, then the primary crashes before the UDP
+channel can repair the gap.  During the outage the primary keeps
+acknowledging the client's upload, so the client purges those bytes —
+after the crash they exist nowhere the backup can reach.  Without a
+logger the takeover is degraded and the client's connection eventually
+dies; with the logger the backup replays the hole and the upload
+completes, fully verified.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.harness.calibrate import PAPER_TESTBED, NetworkProfile
-from repro.harness.executor import run_experiment
-from repro.harness.results import ResultStore
 from repro.harness.spec import (
     ExperimentSpec,
     GridCell,
@@ -15,6 +22,7 @@ from repro.harness.spec import (
     profile_params,
     register,
 )
+from repro.harness.tables import records_table
 from repro.util.units import KB
 
 
@@ -87,7 +95,9 @@ def _run_cell(cell: GridCell) -> Record:
         "completed": completed,
         "verified": verified,
         "degraded_connections": len(backup_engine.degraded_connections),
-        "logger_bytes_recovered": backup_engine.logger_bytes_recovered,
+        "logger_bytes_recovered": scenario.sim.metrics.value(
+            "backup.sttcp.logger_bytes_recovered"
+        ),
         "total_time": total_time,
     }
 
@@ -98,35 +108,9 @@ SPEC = register(
         title="A3: double-failure masking via the logger",
         build_cells=_build_cells,
         run_cell=_run_cell,
+        format=records_table(
+            "A3 logger double-failure",
+            ["logger", "completed", "verified", "logger_bytes_recovered"],
+        ),
     )
 )
-
-
-def ablation_logger(
-    upload_size: int = 512 * KB,
-    outage: Tuple[float, float] = (0.15, 0.25),
-    hb_interval: float = 0.05,
-    profile: NetworkProfile = PAPER_TESTBED,
-    base_seed: int = 700,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-) -> List[Dict[str, object]]:
-    """A3 — double failure: the backup's tap blacks out, then the primary
-    crashes before the UDP channel can repair the gap (§3.2).
-
-    During the outage the primary keeps acknowledging the client's upload,
-    so the client purges those bytes — after the crash they exist nowhere
-    the backup can reach.  Without a logger the takeover is degraded and
-    the client's connection eventually dies; with the logger the backup
-    replays the hole and the upload completes, fully verified.
-    """
-    return run_experiment(
-        "ablation_logger",
-        jobs=jobs,
-        store=store,
-        upload_size=upload_size,
-        outage=outage,
-        hb_interval=hb_interval,
-        profile=profile,
-        base_seed=base_seed,
-    ).rows

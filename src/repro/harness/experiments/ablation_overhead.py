@@ -1,13 +1,17 @@
-"""A4 — UDP-channel overhead as a fraction of client traffic (§4.3)."""
+"""A4 — UDP-channel overhead as a fraction of client traffic (§4.3).
+
+The paper's arithmetic: a 4 KB second buffer gives X = 3 KB, one
+128-byte ack per 3 KB of client data → 4.17% added LAN traffic in the
+worst case.  This reproduces that number and its scaling with the
+second-buffer size, on a real upload stream.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.apps.workload import upload_workload
 from repro.harness.calibrate import PAPER_TESTBED, NetworkProfile
-from repro.harness.executor import run_experiment
-from repro.harness.results import ResultStore
 from repro.harness.runner import run_workload
 from repro.harness.spec import (
     ExperimentSpec,
@@ -17,6 +21,7 @@ from repro.harness.spec import (
     profile_params,
     register,
 )
+from repro.harness.tables import records_table
 from repro.sttcp.config import STTCPConfig
 from repro.util.units import KB, MB
 
@@ -58,16 +63,15 @@ def _run_cell(cell: GridCell) -> Record:
         sttcp=config,
         seed=cell.seed,
     ).require_clean()
-    pair = run.scenario.pair
-    assert pair is not None
-    backup = pair.backup_engine
+    count = run.scenario.sim.metrics.value
+    acks_sent = count("backup.sttcp.acks_sent")
     # One 128 B ack plus the primary's 128 B reply per BackupAck.
-    channel_bytes = (backup.acks_sent + pair.primary_engine.acks_received) * 128
+    channel_bytes = (acks_sent + count("primary.sttcp.acks_received")) * 128
     client_bytes = run.result.bytes_sent
     return {
         "second_buffer": float(second_buffer),
         "x_bytes": float(second_buffer * 3 // 4),
-        "acks_sent": float(backup.acks_sent),
+        "acks_sent": float(acks_sent),
         "channel_bytes": float(channel_bytes),
         "client_bytes": float(client_bytes),
         "overhead_percent": 100.0 * channel_bytes / client_bytes,
@@ -80,31 +84,9 @@ SPEC = register(
         title="A4: UDP-channel overhead vs second-buffer size",
         build_cells=_build_cells,
         run_cell=_run_cell,
+        format=records_table(
+            "A4 channel overhead",
+            ["second_buffer", "x_bytes", "acks_sent", "overhead_percent"],
+        ),
     )
 )
-
-
-def ablation_overhead(
-    upload_size: int = 1 * MB,
-    second_buffers: Sequence[int] = (4 * KB, 8 * KB, 16 * KB, 32 * KB),
-    profile: NetworkProfile = PAPER_TESTBED,
-    base_seed: int = 800,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-) -> List[Dict[str, float]]:
-    """A4 — UDP-channel overhead as a fraction of client traffic (§4.3).
-
-    The paper's arithmetic: a 4 KB second buffer gives X = 3 KB, one
-    128-byte ack per 3 KB of client data → 4.17% added LAN traffic in
-    the worst case.  This reproduces that number and its scaling with
-    the second-buffer size, on a real upload stream.
-    """
-    return run_experiment(
-        "ablation_overhead",
-        jobs=jobs,
-        store=store,
-        upload_size=upload_size,
-        second_buffers=second_buffers,
-        profile=profile,
-        base_seed=base_seed,
-    ).rows

@@ -1,13 +1,16 @@
-"""A1 — §4.3 acknowledgment strategy: SyncTime and X on an upload stream."""
+"""A1 — §4.3 acknowledgment strategy: SyncTime and X on an upload stream.
+
+How SyncTime and X affect throughput, channel chatter, and second-buffer
+pressure.  Uses an *upload* workload: the second receive buffer retains
+client→server bytes, so only uploads put pressure on it.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.apps.workload import upload_workload
 from repro.harness.calibrate import PAPER_TESTBED, NetworkProfile
-from repro.harness.executor import run_experiment
-from repro.harness.results import ResultStore
 from repro.harness.runner import run_workload
 from repro.harness.spec import (
     ExperimentSpec,
@@ -17,6 +20,7 @@ from repro.harness.spec import (
     profile_params,
     register,
 )
+from repro.harness.tables import records_table
 from repro.sttcp.config import STTCPConfig
 from repro.util.units import MB
 
@@ -76,7 +80,7 @@ def _run_cell(cell: GridCell) -> Record:
         "sync_time": params["sync_time"],
         "x_fraction": params["x_fraction"],
         "total_time": run.total_time,
-        "acks_sent": float(pair.backup_engine.acks_sent),
+        "acks_sent": float(run.scenario.sim.metrics.value("backup.sttcp.acks_sent")),
         "retention_peak": float(retention_peak),
         "overflow_peak": float(overflow_peak),
     }
@@ -88,32 +92,9 @@ SPEC = register(
         title="A1: acknowledgment strategy (SyncTime × X)",
         build_cells=_build_cells,
         run_cell=_run_cell,
+        format=records_table(
+            "A1 sync strategy",
+            ["sync_time", "x_fraction", "total_time", "acks_sent", "retention_peak", "overflow_peak"],
+        ),
     )
 )
-
-
-def ablation_sync(
-    upload_size: int = 1 * MB,
-    sync_times: Sequence[float] = (0.05, 0.2, 1.0, 5.0),
-    x_fractions: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
-    profile: NetworkProfile = PAPER_TESTBED,
-    base_seed: int = 500,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-) -> List[Dict[str, float]]:
-    """A1 — the §4.3 acknowledgment strategy: how SyncTime and X affect
-    throughput, channel chatter, and second-buffer pressure.
-
-    Uses an *upload* workload: the second receive buffer retains
-    client→server bytes, so only uploads put pressure on it.
-    """
-    return run_experiment(
-        "ablation_sync",
-        jobs=jobs,
-        store=store,
-        upload_size=upload_size,
-        sync_times=sync_times,
-        x_fractions=x_fractions,
-        profile=profile,
-        base_seed=base_seed,
-    ).rows

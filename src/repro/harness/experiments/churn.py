@@ -33,8 +33,6 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 from repro.apps.protocol import KIND_DATA, encode_request, verify_response
 from repro.errors import ConnectionRefused
 from repro.harness.calibrate import FAST_LAN, NetworkProfile
-from repro.harness.executor import run_experiment
-from repro.harness.results import ResultStore
 from repro.harness.scenario import Scenario
 from repro.harness.spec import (
     ExperimentSpec,
@@ -206,7 +204,7 @@ def _connect_with_retry(sim: Any, host: Any, addr: Any) -> Generator:
     """Active open with backoff-and-retry on a full listener backlog.
 
     During an open storm the listener legitimately deflects SYNs
-    (:attr:`TCPLayer.syns_deflected`); a real client sees ECONNREFUSED
+    (``<host>.tcp.syns_deflected``); a real client sees ECONNREFUSED
     and tries again.  Deterministic: fixed exponential backoff.
     """
     delay = 0.01
@@ -375,6 +373,7 @@ def _run_cell(cell: GridCell) -> Record:
     perf.note_simulation(sim)
 
     total_opens = n + churn_count * churn_flows
+    count = sim.metrics.value
     return {
         "connections": n,
         "total_opens": total_opens,
@@ -384,22 +383,21 @@ def _run_cell(cell: GridCell) -> Record:
         "takeover_latency": takeover_latency,
         "bytes_per_tcb": bytes_per_tcb,
         "shadows_at_crash": shadows_at_crash,
-        "peak_tcbs_client": client.tcp.connection_peak,
-        "peak_tcbs_backup": backup_host.tcp.connection_peak,
-        "reaped_client": client.tcp.tcbs_reaped,
-        "reaped_backup": backup_host.tcp.tcbs_reaped,
-        "shadows_reaped": backup_engine.shadows_reaped,
+        "peak_tcbs_client": count("client.tcp.connections_peak"),
+        "peak_tcbs_backup": count("backup.tcp.connections_peak"),
+        "reaped_client": count("client.tcp.tcbs_reaped"),
+        "reaped_backup": count("backup.tcp.tcbs_reaped"),
+        "shadows_reaped": count("backup.sttcp.shadows_reaped"),
         "leftover_client_tcbs": client.tcp.connection_count,
         "leftover_backup_tcbs": backup_host.tcp.connection_count,
         "leftover_shadows": backup_engine.shadow_count,
         "degraded": len(backup_engine.degraded_connections),
-        "syns_deflected": scenario.primary.tcp.syns_deflected,
-        "ports_exhausted": client.tcp.ephemeral_ports_exhausted,
+        "syns_deflected": count("primary.tcp.syns_deflected"),
+        "ports_exhausted": count("client.tcp.ephemeral_ports_exhausted"),
         "sim_events": sim.events_executed,
-        "sim_segments": (
-            client.tcp.segments_demuxed
-            + scenario.primary.tcp.segments_demuxed
-            + backup_host.tcp.segments_demuxed
+        "sim_segments": sum(
+            count(f"{host}.tcp.segments_demuxed")
+            for host in ("client", "primary", "backup")
         ),
         "sim_seconds": sim.now,
         "verified": not failures,
@@ -451,13 +449,3 @@ SPEC = register(
         format=format_scale,
     )
 )
-
-
-def scale_ladder(
-    ladder: Optional[Sequence[int]] = None,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    **options: Any,
-) -> List[Dict[str, Any]]:
-    """Run the churn ladder; one record per rung (see module docstring)."""
-    return run_experiment("scale", ladder=ladder, jobs=jobs, store=store, **options).rows

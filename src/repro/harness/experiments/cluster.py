@@ -20,8 +20,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.harness.executor import run_experiment
-from repro.harness.results import ResultStore
 from repro.harness.spec import ExperimentSpec, GridCell, Record, register
 from repro.harness.tables import format_table
 
@@ -128,15 +126,3 @@ SPEC = register(
         format=format_cluster,
     )
 )
-
-
-def cluster_runs(
-    scenarios: Optional[Sequence[Union[str, Dict[str, Any]]]] = None,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    **options: Any,
-) -> List[Dict[str, Any]]:
-    """Run the cluster scenarios; one record each (see module docstring)."""
-    return run_experiment(
-        "cluster", scenarios=scenarios, jobs=jobs, store=store, **options
-    ).rows

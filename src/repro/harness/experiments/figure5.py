@@ -6,14 +6,12 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.apps.workload import echo_workload, interactive_workload
 from repro.harness.calibrate import PAPER_TESTBED, NetworkProfile
-from repro.harness.executor import run_experiment
 from repro.harness.experiments.scale import (
     FIGURE_HB_SWEEP,
+    QUICK_SCALE,
     ExperimentScale,
-    default_scale,
     hb_label,
 )
-from repro.harness.results import ResultStore
 from repro.harness.runner import DEFAULT_CRASH_FRACTION, measure_failover_time
 from repro.harness.spec import (
     ExperimentSpec,
@@ -46,7 +44,7 @@ def _build_cells(
     base_seed: int = 300,
     crash_fraction: float = DEFAULT_CRASH_FRACTION,
 ) -> List[GridCell]:
-    scale = scale or default_scale()
+    scale = scale or QUICK_SCALE
     workload = _workload_for(application, scale)
     return [
         GridCell(
@@ -107,33 +105,3 @@ SPEC = register(
         run_cell=_run_cell,
     )
 )
-
-
-def figure5(
-    application: str = "echo",
-    scale: Optional[ExperimentScale] = None,
-    hb_sweep: Sequence[float] = FIGURE_HB_SWEEP,
-    profile: NetworkProfile = PAPER_TESTBED,
-    topology: str = "hub",
-    base_seed: int = 300,
-    crash_fraction: float = DEFAULT_CRASH_FRACTION,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-) -> List[Dict[str, float]]:
-    """Total run time vs HB interval, with and without failure.
-
-    ``application`` is ``"echo"`` (Figure 5a) or ``"interactive"`` (5b).
-    Each point: {hb, no_failure_time, failure_time}.
-    """
-    return run_experiment(
-        "figure5",
-        scale=scale,
-        jobs=jobs,
-        store=store,
-        application=application,
-        hb_sweep=hb_sweep,
-        profile=profile,
-        topology=topology,
-        base_seed=base_seed,
-        crash_fraction=crash_fraction,
-    ).rows

@@ -6,9 +6,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.apps.workload import bulk_workload
 from repro.harness.calibrate import PAPER_TESTBED, NetworkProfile
-from repro.harness.executor import run_experiment
-from repro.harness.experiments.scale import ExperimentScale, default_scale, hb_label
-from repro.harness.results import ResultStore
+from repro.harness.experiments.scale import QUICK_SCALE, ExperimentScale, hb_label
 from repro.harness.runner import DEFAULT_CRASH_FRACTION, measure_failover_time
 from repro.harness.spec import (
     ExperimentSpec,
@@ -31,7 +29,7 @@ def _build_cells(
     base_seed: int = 400,
     crash_fraction: float = DEFAULT_CRASH_FRACTION,
 ) -> List[GridCell]:
-    scale = scale or default_scale()
+    scale = scale or QUICK_SCALE
     hb_values = tuple(hb_grid) if hb_grid is not None else scale.hb_grid
     cells = []
     for hb_index, hb in enumerate(hb_values):
@@ -95,32 +93,6 @@ SPEC = register(
         title="Figure 6: bulk transfers with/without failover",
         build_cells=_build_cells,
         run_cell=_run_cell,
+        format=format_figure6,
     )
 )
-
-
-def figure6(
-    scale: Optional[ExperimentScale] = None,
-    hb_grid: Optional[Sequence[float]] = None,
-    profile: NetworkProfile = PAPER_TESTBED,
-    topology: str = "hub",
-    base_seed: int = 400,
-    crash_fraction: float = DEFAULT_CRASH_FRACTION,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-) -> List[Dict[str, float]]:
-    """Bulk-transfer total time vs size, with and without failure.
-
-    One record per (hb, size): {hb, size, no_failure_time, failure_time}.
-    """
-    return run_experiment(
-        "figure6",
-        scale=scale,
-        jobs=jobs,
-        store=store,
-        hb_grid=hb_grid,
-        profile=profile,
-        topology=topology,
-        base_seed=base_seed,
-        crash_fraction=crash_fraction,
-    ).rows

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import List, Tuple
 
 from repro.apps.workload import (
@@ -48,7 +47,8 @@ PAPER_SCALE = ExperimentScale(
     repeats=3,
 )
 
-#: Fast grid for benchmarks and CI.
+#: The grid every experiment runs unless given ``scale=PAPER_SCALE``
+#: (``--paper-scale`` on the command line): seconds, not minutes.
 QUICK_SCALE = ExperimentScale(
     echo_exchanges=30,
     interactive_exchanges=30,
@@ -56,23 +56,6 @@ QUICK_SCALE = ExperimentScale(
     repeats=1,
     hb_grid=(1.0, 0.2, 0.05),
 )
-
-
-def default_scale() -> ExperimentScale:
-    """Scale selected by environment: full paper grid, scaled, or quick."""
-    if os.environ.get("REPRO_PAPER_SCALE"):
-        return PAPER_SCALE
-    factor = float(os.environ.get("REPRO_SCALE", "1.0"))
-    if factor >= 4.0:
-        return PAPER_SCALE
-    if factor <= 1.0:
-        return QUICK_SCALE
-    return ExperimentScale(
-        echo_exchanges=int(30 * factor),
-        interactive_exchanges=int(30 * factor),
-        bulk_sizes=(int(256 * KB * factor), int(1 * MB * factor)),
-        repeats=1,
-    )
 
 
 def hb_label(hb: float) -> str:

@@ -5,9 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.harness.calibrate import PAPER_TESTBED, NetworkProfile
-from repro.harness.executor import run_experiment
-from repro.harness.experiments.scale import ExperimentScale, default_scale, hb_label
-from repro.harness.results import ResultStore
+from repro.harness.experiments.scale import QUICK_SCALE, ExperimentScale, hb_label
 from repro.harness.runner import run_workload
 from repro.harness.spec import (
     ExperimentSpec,
@@ -31,7 +29,7 @@ def _build_cells(
     topology: str = "hub",
     base_seed: int = 100,
 ) -> List[GridCell]:
-    scale = scale or default_scale()
+    scale = scale or QUICK_SCALE
     workloads = scale.workloads()
     rows = [("Standard TCP", None)]
     rows += [
@@ -110,26 +108,3 @@ SPEC = register(
         format=format_table1,
     )
 )
-
-
-def table1(
-    scale: Optional[ExperimentScale] = None,
-    profile: NetworkProfile = PAPER_TESTBED,
-    topology: str = "hub",
-    base_seed: int = 100,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-) -> List[Dict[str, object]]:
-    """Failure-free comparison of standard TCP and ST-TCP (Table 1).
-
-    Returns one record per protocol row with a column per workload.
-    """
-    return run_experiment(
-        "table1",
-        scale=scale,
-        jobs=jobs,
-        store=store,
-        profile=profile,
-        topology=topology,
-        base_seed=base_seed,
-    ).rows

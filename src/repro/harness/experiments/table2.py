@@ -5,10 +5,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.harness.calibrate import PAPER_TESTBED, NetworkProfile
-from repro.harness.executor import run_experiment
-from repro.harness.experiments.scale import ExperimentScale, default_scale, hb_label
+from repro.harness.experiments.scale import QUICK_SCALE, ExperimentScale, hb_label
 from repro.harness.experiments.table1 import aggregate_mean_rows
-from repro.harness.results import ResultStore
 from repro.harness.runner import DEFAULT_CRASH_FRACTION, measure_failover_time
 from repro.harness.spec import (
     ExperimentSpec,
@@ -31,7 +29,7 @@ def _build_cells(
     base_seed: int = 200,
     crash_fraction: float = DEFAULT_CRASH_FRACTION,
 ) -> List[GridCell]:
-    scale = scale or default_scale()
+    scale = scale or QUICK_SCALE
     cells = []
     for hb in scale.hb_grid:
         row_label = f"ST-TCP {hb_label(hb)} HB"
@@ -95,25 +93,3 @@ SPEC = register(
         format=format_table2,
     )
 )
-
-
-def table2(
-    scale: Optional[ExperimentScale] = None,
-    profile: NetworkProfile = PAPER_TESTBED,
-    topology: str = "hub",
-    base_seed: int = 200,
-    crash_fraction: float = DEFAULT_CRASH_FRACTION,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-) -> List[Dict[str, object]]:
-    """Failover time across heartbeat intervals and workloads (Table 2)."""
-    return run_experiment(
-        "table2",
-        scale=scale,
-        jobs=jobs,
-        store=store,
-        profile=profile,
-        topology=topology,
-        base_seed=base_seed,
-        crash_fraction=crash_fraction,
-    ).rows

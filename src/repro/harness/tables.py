@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 
 def format_table(
@@ -42,3 +42,12 @@ def rows_from_records(
 ) -> List[List[Any]]:
     """Project a list of dicts onto ordered columns (missing → '-')."""
     return [[record.get(column, "-") for column in columns] for record in records]
+
+
+def records_table(
+    title: str, columns: Sequence[str]
+) -> Callable[[List[Dict[str, Any]]], str]:
+    """An ``ExperimentSpec.format``: ``columns`` of each record under ``title``."""
+    return lambda records: format_table(
+        columns, rows_from_records(records, columns), title=title
+    )

@@ -35,8 +35,7 @@ class IPLayer:
         self.forwarding = False
         self._protocols: Dict[int, ProtocolHandler] = {}
         self._taps: List[TapHandler] = []
-        # Registry-backed counters (scoped <host>.ip.*); the read-only
-        # properties below preserve the historical attribute API.
+        # Registry-backed counters, read as ``<host>.ip.<name>``.
         metrics = sim.metrics.scope(f"{host.name}.ip")
         self._c_sent = metrics.counter("sent")
         self._c_delivered = metrics.counter("delivered")
@@ -45,34 +44,6 @@ class IPLayer:
         self._c_dropped_no_arp = metrics.counter("dropped_no_arp")
         self._c_dropped_ttl = metrics.counter("dropped_ttl")
         self._c_dropped_not_local = metrics.counter("dropped_not_local")
-
-    @property
-    def sent(self) -> int:
-        return self._c_sent.value
-
-    @property
-    def delivered(self) -> int:
-        return self._c_delivered.value
-
-    @property
-    def forwarded(self) -> int:
-        return self._c_forwarded.value
-
-    @property
-    def dropped_no_route(self) -> int:
-        return self._c_dropped_no_route.value
-
-    @property
-    def dropped_no_arp(self) -> int:
-        return self._c_dropped_no_arp.value
-
-    @property
-    def dropped_ttl(self) -> int:
-        return self._c_dropped_ttl.value
-
-    @property
-    def dropped_not_local(self) -> int:
-        return self._c_dropped_not_local.value
 
     # Configuration -------------------------------------------------------------
     def register_protocol(self, protocol: int, handler: ProtocolHandler) -> None:

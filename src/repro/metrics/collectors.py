@@ -68,18 +68,21 @@ class ChannelTraffic:
         datagrams = (
             backup.channel.sent_datagrams + primary.channel.sent_datagrams
         )
-        # Bytes: approximate from message counts × 128 B plus recovered data.
-        small_messages = (
-            backup.acks_sent
-            + backup.retx_requests_sent
-            + primary.acks_received  # ack replies mirror acks received
-        )
+        value = backup.sim.metrics.value
+        scope = f"{backup.host.name}.sttcp"
+        acks_sent = value(f"{scope}.acks_sent")
+        retx_requests = value(f"{scope}.retx_requests_sent")
+        retx_bytes = value(f"{scope}.retx_bytes_recovered")
+        # Bytes: approximate from message counts × 128 B plus recovered
+        # data; ack replies mirror the acks the primary received.
+        acks_received = value(f"{primary.host.name}.sttcp.acks_received")
         return cls(
-            backup_acks_sent=backup.acks_sent,
-            retx_requests=backup.retx_requests_sent,
-            retx_bytes_recovered=backup.retx_bytes_recovered,
+            backup_acks_sent=acks_sent,
+            retx_requests=retx_requests,
+            retx_bytes_recovered=retx_bytes,
             channel_datagrams=datagrams,
-            channel_bytes=small_messages * 128 + backup.retx_bytes_recovered,
+            channel_bytes=(acks_sent + retx_requests + acks_received) * 128
+            + retx_bytes,
         )
 
 

@@ -152,8 +152,7 @@ class STTCPBackup:
         self.on_sync_done: Optional[Callable[["STTCPBackup"], None]] = None
         self.sync_requested_at: Optional[float] = None
         self.sync_done_at: Optional[float] = None
-        # Registry-backed counters (scoped <host>.sttcp.*); the read-only
-        # properties below preserve the historical attribute API.
+        # Registry-backed counters, read as ``<host>.sttcp.<name>``.
         metrics = self.sim.metrics.scope(f"{host.name}.sttcp")
         self._c_acks_sent = metrics.counter("acks_sent")
         self._c_retx_requests_sent = metrics.counter("retx_requests_sent")
@@ -174,28 +173,8 @@ class STTCPBackup:
         self._failover_flow: Optional[int] = None
 
     @property
-    def acks_sent(self) -> int:
-        return self._c_acks_sent.value
-
-    @property
-    def retx_requests_sent(self) -> int:
-        return self._c_retx_requests_sent.value
-
-    @property
-    def retx_bytes_recovered(self) -> int:
-        return self._c_retx_bytes_recovered.value
-
-    @property
-    def logger_bytes_recovered(self) -> int:
-        return self._c_logger_bytes_recovered.value
-
-    @property
     def shadow_count(self) -> int:
         return len(self._connections)
-
-    @property
-    def shadows_reaped(self) -> int:
-        return self._c_shadows_reaped.value
 
     @property
     def pending_rebase_count(self) -> int:

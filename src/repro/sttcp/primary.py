@@ -119,8 +119,7 @@ class STTCPPrimary:
         host.tcp.connection_observers.append(self._on_new_connection)
         host.tcp.close_observers.append(self._on_connection_closed)
         self._c_hb_sent = heartbeats_sent_counter(self.sim)
-        # Registry-backed counters (scoped <host>.sttcp.*); the read-only
-        # properties below preserve the historical attribute API.
+        # Registry-backed counters, read as ``<host>.sttcp.<name>``.
         metrics = self.sim.metrics.scope(f"{host.name}.sttcp")
         self._c_acks_received = metrics.counter("acks_received")
         self._c_retx_requests_served = metrics.counter("retx_requests_served")
@@ -129,18 +128,6 @@ class STTCPPrimary:
         self._g_retained = metrics.gauge("retained_connections")
         #: Open fault-tolerant-mode span id (start → last backup lost).
         self._ft_sid: Optional[int] = None
-
-    @property
-    def acks_received(self) -> int:
-        return self._c_acks_received.value
-
-    @property
-    def retx_requests_served(self) -> int:
-        return self._c_retx_requests_served.value
-
-    @property
-    def retx_bytes_sent(self) -> int:
-        return self._c_retx_bytes_sent.value
 
     def _make_monitor(self, ip_addr: IPAddress) -> HeartbeatMonitor:
         return HeartbeatMonitor(

@@ -61,8 +61,9 @@ class TCPLayer:
         self.close_observers: List[ConnectionCallback] = []
         #: Answer unmatched segments with RST (real-stack behaviour).
         self.reset_on_unmatched = True
-        # Registry-backed counters (scoped <host>.tcp.*); the read-only
-        # properties below preserve the historical attribute API.
+        # Registry-backed counters, read as ``<host>.tcp.<name>``.
+        # ``syns_deflected``: SYNs a bound listener refused (backlog
+        # full); ``segments_unmatched``: no matching endpoint at all.
         metrics = sim.metrics.scope(f"{host.name}.tcp")
         self._c_segments_demuxed = metrics.counter("segments_demuxed")
         self._c_segments_unmatched = metrics.counter("segments_unmatched")
@@ -79,43 +80,9 @@ class TCPLayer:
         host.ip_layer.register_protocol(PROTO_TCP, self._receive)
 
     @property
-    def segments_demuxed(self) -> int:
-        return self._c_segments_demuxed.value
-
-    @property
-    def segments_unmatched(self) -> int:
-        return self._c_segments_unmatched.value
-
-    @property
-    def syns_deflected(self) -> int:
-        """SYNs that found a bound listener which refused them (backlog
-        full) — kept separate from :attr:`segments_unmatched`, which
-        counts segments with no matching endpoint at all."""
-        return self._c_syns_deflected.value
-
-    @property
-    def resets_sent(self) -> int:
-        return self._c_resets_sent.value
-
-    @property
     def connection_count(self) -> int:
         """Connections currently in the table (all states)."""
         return len(self._connections)
-
-    @property
-    def connection_peak(self) -> int:
-        """High-water mark of the connection table."""
-        return int(self._g_connections_peak.value)
-
-    @property
-    def tcbs_reaped(self) -> int:
-        """Connections removed after reaching CLOSED / expiring TIME_WAIT."""
-        return self._c_tcbs_reaped.value
-
-    @property
-    def ephemeral_ports_exhausted(self) -> int:
-        """Active opens refused because no ephemeral port was free."""
-        return self._c_ports_exhausted.value
 
     # Connection-table bookkeeping --------------------------------------------
     def _track(self, key: ConnectionKey, tcb: TCPConnection) -> None:

@@ -15,11 +15,53 @@ def test_parser_requires_command():
 
 
 def test_parser_knows_all_subcommands():
+    """Every registered spec is reachable from a verb, and every verb parses."""
+    from repro.harness.cli import EXPERIMENT_VERBS
+    from repro.harness.spec import experiment_names, get_spec
+
+    reachable = {name for verb in EXPERIMENT_VERBS.values() for name in verb.specs}
+    shipped = {  # other test modules register probe specs of their own
+        name
+        for name in experiment_names()
+        if get_spec(name).run_cell.__module__.startswith("repro.")
+    }
+    assert reachable == shipped
     parser = build_parser()
-    for command in ("table1", "table2", "figure5", "figure6", "ablations", "demo"):
-        args = parser.parse_args([command] if command != "figure5" else [command, "--app", "echo"])
-        assert args.command == command
+    for command in (*EXPERIMENT_VERBS, "health", "trace", "timeline", "demo"):
+        assert parser.parse_args([command]).command == command
+    assert {"scale", "cluster", "ablations"} <= set(EXPERIMENT_VERBS)
+    assert parser.parse_args(["figure5", "--app", "echo"]).app == "echo"
     assert parser.parse_args(["drill", "some/path"]).command == "drill"
+
+
+def test_ablations_help_names_all_five(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "A1–A5" in capsys.readouterr().out
+
+
+def test_ablations_command_prints_one_titled_table_per_ablation(capsys):
+    """The section titles and column lists live on the specs (``format``)."""
+    assert main(["ablations", "--no-store"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    sections = {
+        "A1 sync strategy": "sync_time  x_fraction  total_time  acks_sent  retention_peak  overflow_peak",
+        "A2 vs FT-TCP": "protocol  crash_fraction  failover_time  detection_latency",
+        "A3 logger double-failure": "logger  completed  verified  logger_bytes_recovered",
+        "A4 channel overhead": "second_buffer  x_bytes    acks_sent  overhead_percent",
+        "A5 detection threshold": "threshold  wrong_suspicion  service_ok_after  detection_latency",
+    }
+    assert [line for line in lines if line[:1] == "A"] == list(sections)
+    for title, header in sections.items():
+        assert lines[lines.index(title) + 1] == header
+
+
+def test_profile_with_worker_processes_is_a_usage_error(tmp_path, capsys):
+    """Sampling sees only the parent, which idles while workers run."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["table1", "--no-store", "--profile", "--jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "--profile" in capsys.readouterr().err
 
 
 def test_drill_command_reports_per_script_table(capsys, tmp_path):
@@ -52,8 +94,7 @@ def test_demo_command_runs(capsys):
     assert "detection_latency" in out
 
 
-def test_table1_command_with_exports(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_SCALE", "1.0")  # quick grid
+def test_table1_command_with_exports(tmp_path, capsys):
     json_path = tmp_path / "t1.json"
     csv_path = tmp_path / "t1.csv"
     assert (
@@ -68,8 +109,7 @@ def test_table1_command_with_exports(tmp_path, capsys, monkeypatch):
     assert "config" in header
 
 
-def test_profile_flag_writes_report_next_to_store(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_SCALE", "1.0")
+def test_profile_flag_writes_report_next_to_store(tmp_path, capsys):
     store = tmp_path / "results.jsonl"
     assert main(["table1", "--quick", "--store", str(store), "--profile"]) == 0
     report_path = tmp_path / "profile_table1.json"
@@ -79,8 +119,7 @@ def test_profile_flag_writes_report_next_to_store(tmp_path, capsys, monkeypatch)
     assert "profile:" in capsys.readouterr().err
 
 
-def test_figure5_command(capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_SCALE", "1.0")
+def test_figure5_command(capsys):
     assert main(["figure5", "--app", "echo", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "heartbeat" in out

@@ -1,25 +1,14 @@
-"""Smoke/shape tests for every experiment generator (tiny scale)."""
+"""Shape tests for every registered experiment (tiny scale): the paper's
+qualitative claims, asserted on ``run_experiment(name, ...).rows``."""
 
 import pytest
 
-from repro.harness.experiments import (
-    ExperimentScale,
-    PAPER_SCALE,
-    QUICK_SCALE,
-    ablation_ftcp,
-    ablation_logger,
-    ablation_overhead,
-    ablation_sync,
-    default_scale,
-    figure5,
-    figure6,
-    format_figure5,
-    format_figure6,
-    format_table1,
-    format_table2,
-    table1,
-    table2,
-)
+from repro.apps.workload import bulk_workload, echo_workload
+from repro.harness.executor import run_experiment
+from repro.harness.experiments import ExperimentScale
+from repro.harness.runner import measure_failover_time
+from repro.harness.spec import get_spec
+from repro.sttcp.config import STTCPConfig
 from repro.util.units import KB
 
 TINY = ExperimentScale(
@@ -31,20 +20,12 @@ TINY = ExperimentScale(
 )
 
 
-def test_default_scale_selection(monkeypatch):
-    monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
-    monkeypatch.delenv("REPRO_SCALE", raising=False)
-    assert default_scale() == QUICK_SCALE
-    monkeypatch.setenv("REPRO_PAPER_SCALE", "1")
-    assert default_scale() == PAPER_SCALE
-    monkeypatch.delenv("REPRO_PAPER_SCALE")
-    monkeypatch.setenv("REPRO_SCALE", "2")
-    scale = default_scale()
-    assert scale.echo_exchanges == 60
+def rows(name, scale=None, **options):
+    return run_experiment(name, scale=scale, **options).rows
 
 
 def test_table1_shape_and_transparency():
-    records = table1(TINY)
+    records = rows("table1", TINY)
     assert [r["config"] for r in records] == [
         "Standard TCP",
         "ST-TCP 200ms HB",
@@ -52,74 +33,129 @@ def test_table1_shape_and_transparency():
     ]
     standard = records[0]
     for sttcp_row in records[1:]:
-        for column in ("echo", "interactive"):
+        for column in (key for key in standard if key != "config"):
             # The headline Table 1 claim: ST-TCP ≈ standard TCP.
             assert sttcp_row[column] == pytest.approx(standard[column], rel=0.02)
-    text = format_table1(records)
+    text = get_spec("table1").format(records)
     assert "Standard TCP" in text
 
 
 def test_table2_failover_grows_with_hb():
-    records = table2(TINY)
-    by_config = {r["config"]: r for r in records}
-    assert (
-        by_config["ST-TCP 200ms HB"]["echo"] > by_config["ST-TCP 50ms HB"]["echo"]
-    )
-    text = format_table2(records)
+    records = rows("table2", TINY)  # rows in descending HB order
+    for column in (key for key in records[0] if key != "config"):
+        values = [record[column] for record in records]
+        assert values == sorted(values, reverse=True), column
+    text = get_spec("table2").format(records)
     assert "failover" in text
 
 
-def test_figure5_shape():
-    points = figure5("echo", TINY, hb_sweep=(0.05, 0.3))
-    assert len(points) == 2
-    assert points[1]["failure_time"] > points[0]["failure_time"]
-    # No-failure time is flat across HB intervals.
-    assert points[0]["no_failure_time"] == pytest.approx(
-        points[1]["no_failure_time"], rel=0.05
+@pytest.mark.parametrize("hb", [0.2, 0.05], ids=["hb-200ms", "hb-50ms"])
+def test_table2_detection_takes_three_to_four_heartbeats(hb):
+    sample = measure_failover_time(
+        echo_workload(50), STTCPConfig(hb_interval=hb), seed=200
     )
-    assert "heartbeat" in format_figure5(points, "echo")
+    assert 3 * hb <= sample["detection_latency"] <= 4 * hb + 0.02
+    assert sample["failover_time"] < 4 * hb + 2.0
+
+
+def test_table2_failover_is_size_independent():
+    """Failover does not grow with the transfer size (unlike FT-TCP)."""
+    config = STTCPConfig(hb_interval=0.05)
+    small = measure_failover_time(bulk_workload(256 * KB), config, seed=201)
+    large = measure_failover_time(bulk_workload(1024 * KB), config, seed=201)
+    assert large["failover_time"] < small["failover_time"] + 1.0
+    # At a short HB the gap is small beside the transfer itself (Figure 6).
+    assert large["failover_time"] < large["no_failure_time"]
+
+
+def test_figure5_shape():
+    sweep = (0.05, 0.3, 1.0)
+    points = rows("figure5", TINY, application="echo", hb_sweep=sweep)
+    assert len(points) == 3
+    with_failure = [p["failure_time"] for p in points]
+    assert with_failure == sorted(with_failure)
+    # No-failure time is flat across HB intervals.
+    no_failure = [p["no_failure_time"] for p in points]
+    assert max(no_failure) - min(no_failure) < 0.1 * max(no_failure) + 0.05
+    # Failover grows at least linearly with HB across the sweep ends.
+    ratio = points[-1]["failover_time"] / points[0]["failover_time"]
+    assert ratio > (sweep[-1] / sweep[0]) * 0.3
 
 
 def test_figure5_rejects_unknown_application():
     with pytest.raises(ValueError):
-        figure5("bulk", TINY)
+        rows("figure5", TINY, application="bulk")
 
 
 def test_figure6_shape():
-    scale = ExperimentScale(10, 5, (32 * KB, 128 * KB), 1, hb_grid=(0.05,))
-    points = figure6(scale)
+    hb = 0.05
+    scale = ExperimentScale(10, 5, (32 * KB, 128 * KB), 1, hb_grid=(hb,))
+    points = rows("figure6", scale)
     assert len(points) == 2
     small, large = points
     assert large["no_failure_time"] > small["no_failure_time"]
-    assert large["failure_time"] > large["no_failure_time"]
-    assert "bulk" in format_figure6(points).lower()
+    assert all(p["failure_time"] > p["no_failure_time"] for p in points)
+    # The failover gap does not grow with the size.
+    gaps = [p["failover_time"] for p in points]
+    assert max(gaps) < min(gaps) + 4 * hb + 2.0
+    assert "bulk" in get_spec("figure6").format(points).lower()
 
 
 def test_ablation_sync_shape():
-    records = ablation_sync(upload_size=64 * KB, sync_times=(0.05,), x_fractions=(0.25, 1.0))
+    records = rows(
+        "ablation_sync", upload_size=64 * KB, sync_times=(0.05,), x_fractions=(0.25, 1.0)
+    )
     by_x = {r["x_fraction"]: r for r in records}
+    # Smaller X → more acks → less retention pressure.
     assert by_x[0.25]["acks_sent"] > by_x[1.0]["acks_sent"]
+    assert by_x[0.25]["retention_peak"] <= by_x[1.0]["retention_peak"]
 
 
 def test_ablation_ftcp_shape():
-    records = ablation_ftcp(bulk_size=64 * KB, crash_fractions=(0.5,))
-    by_protocol = {r["protocol"]: r for r in records}
-    assert by_protocol["FT-TCP"]["failover_time"] > by_protocol["ST-TCP"]["failover_time"]
+    records = rows("ablation_ftcp", bulk_size=256 * KB, crash_fractions=(0.25, 0.75))
+    st, ft = (
+        {r["crash_fraction"]: r["failover_time"] for r in records if r["protocol"] == p}
+        for p in ("ST-TCP", "FT-TCP")
+    )
+    # FT-TCP is always slower, and its handicap grows with the history.
+    for fraction in st:
+        assert ft[fraction] > st[fraction]
+    assert (ft[0.75] - st[0.75]) > (ft[0.25] - st[0.25])
 
 
 def test_ablation_overhead_matches_paper_arithmetic():
-    records = ablation_overhead(upload_size=256 * KB, second_buffers=(4 * KB,))
-    record = records[0]
-    assert record["x_bytes"] == 3072
+    records = rows(
+        "ablation_overhead", upload_size=256 * KB, second_buffers=(4 * KB, 16 * KB, 32 * KB)
+    )
+    assert records[0]["x_bytes"] == 3072
     # §4.3: one 128 B message per 3 KB ≈ 4.17%; we also count the reply,
     # so the measured overhead lands in the 3–9% band.
-    assert 3.0 < record["overhead_percent"] < 9.0
+    assert 3.0 < records[0]["overhead_percent"] < 9.0
+    # Overhead shrinks as the second buffer (and hence X) grows.
+    overheads = [r["overhead_percent"] for r in records]
+    assert overheads == sorted(overheads, reverse=True)
 
 
 def test_ablation_logger_discriminates():
-    records = ablation_logger()
+    records = rows("ablation_logger")
     by_logger = {r["logger"]: r for r in records}
     assert by_logger[True]["completed"]
     assert by_logger[True]["verified"]
     assert by_logger[True]["logger_bytes_recovered"] > 0
     assert not by_logger[False]["completed"]
+
+
+def test_ablation_detection_threshold_trades_robustness_for_speed():
+    thresholds = (1, 2, 3, 5)
+    records = rows("ablation_detection", thresholds=thresholds)
+    by_threshold = {int(r["threshold"]): r for r in records}
+    # Endpoints are decisive; the middle of the sweep depends on how the
+    # (seeded) 30% loss pattern happens to cluster.  Threshold 1 trips
+    # almost surely, threshold 5 is robust even at this harsh loss rate.
+    assert by_threshold[1]["wrong_suspicion"]
+    assert not by_threshold[5]["wrong_suspicion"]
+    # STONITH keeps even wrong suspicions transparent to the client.
+    assert all(r["service_ok_after"] for r in records)
+    # Detection latency grows with the threshold.
+    latencies = [by_threshold[t]["detection_latency"] for t in thresholds]
+    assert latencies == sorted(latencies)

@@ -20,7 +20,7 @@ import pytest
 import repro.harness.experiments  # noqa: F401 — registers the specs
 from repro.drill import format_report, run_drill_path
 from repro.harness.executor import run_experiment
-from repro.harness.experiments import QUICK_SCALE, scale_ladder
+from repro.harness.experiments import QUICK_SCALE
 from repro.harness.results import canonical_json, cell_key
 
 DRILL_SCRIPTS = Path(__file__).parent.parent / "drill" / "scripts"
@@ -43,7 +43,9 @@ def _drill_digest():
 
 
 def _scale_rung_digest():
-    record = dict(scale_ladder(ladder=(25,), store=None, base_seed=77)[0])
+    record = dict(
+        run_experiment("scale", ladder=(25,), store=None, base_seed=77).rows[0]
+    )
     assert record["verified"]
     # A host-footprint figure (deep_size of live Python objects), not
     # simulated behaviour; tests/harness/test_scale.py pins what must

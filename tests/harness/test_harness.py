@@ -124,5 +124,5 @@ def test_different_seeds_differ():
         echo_workload(10), profile=FAST_LAN, sttcp=STTCPConfig(), seed=7, deadline=60.0
     )
     # ISNs and hence exact timings differ across seeds.
-    assert first.scenario.primary.tcp.segments_demuxed > 0
-    assert second.scenario.primary.tcp.segments_demuxed > 0
+    assert first.scenario.sim.metrics.value("primary.tcp.segments_demuxed") > 0
+    assert second.scenario.sim.metrics.value("primary.tcp.segments_demuxed") > 0

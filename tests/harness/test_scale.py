@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.harness.executor import run_experiment
 from repro.harness.experiments.churn import deep_size
 from repro.net.addresses import IPAddress, MACAddress
 
@@ -53,9 +54,11 @@ def test_deep_size_charges_the_instance_dict():
 
 
 _RUNG = (
-    "from repro.harness.experiments import scale_ladder;"
+    "import repro.harness.experiments;"
+    "from repro.harness.executor import run_experiment;"
     "from repro.harness.results import canonical_json;"
-    "print(canonical_json(scale_ladder(ladder=(25,), store=None, base_seed=77)[0]))"
+    "rung = run_experiment('scale', ladder=(25,), store=None, base_seed=77).rows[0];"
+    "print(canonical_json(rung))"
 )
 
 
@@ -74,3 +77,13 @@ def test_scale_rung_record_is_identical_across_hash_seeds():
     record = _rung_record("0")
     assert '"bytes_per_tcb"' in record
     assert record == _rung_record("3")
+
+
+def test_a_five_hundred_connection_rung_leaves_nothing_behind():
+    """Big enough that a linear scan on the backup's per-segment path, or
+    a TCB the reaper misses, shows (docs/SCALE.md)."""
+    (record,) = run_experiment("scale", ladder=(500,), store=None).rows
+    assert record["verified"], record["failures"]
+    assert record["degraded"] == 0
+    assert record["leftover_shadows"] == 0
+    assert record["leftover_backup_tcbs"] == 0

@@ -89,7 +89,7 @@ def test_tap_sees_all_datagrams_including_foreign():
     lan.sim.run(until=1.0)
     assert len(tapped) == 1
     assert tapped[0].dst == ip("10.0.0.77")
-    assert lan.b.ip_layer.dropped_not_local == 1
+    assert lan.sim.metrics.value("host-b.ip.dropped_not_local") == 1
 
 
 def test_remove_tap():
@@ -110,7 +110,7 @@ def test_no_route_counted():
     sock = lan.a.udp.socket(6000)
     sock.send_to((ip("192.168.5.1"), 80), b"x")
     lan.sim.run(until=0.5)
-    assert lan.a.ip_layer.dropped_no_route == 1
+    assert lan.sim.metrics.value("host-a.ip.dropped_no_route") == 1
 
 
 def test_gateway_forwards_between_subnets():
@@ -137,7 +137,7 @@ def test_gateway_forwards_between_subnets():
     sim.run(until=2.0)
     assert len(received) == 1
     assert received[0][0].to_bytes() == b"across"
-    assert gateway.ip_layer.forwarded == 1
+    assert sim.metrics.value("gateway.ip.forwarded") == 1
 
 
 def test_ttl_expiry_drops():
@@ -157,7 +157,7 @@ def test_ttl_expiry_drops():
     datagram = IPDatagram(ip("192.168.1.2"), ip("10.0.0.9"), PROTO_UDP, inner, inner.size, ttl=1)
     gateway.ip_layer.receive(datagram, gw_l)
     sim.run(until=0.5)
-    assert gateway.ip_layer.dropped_ttl == 1
+    assert sim.metrics.value("gateway.ip.dropped_ttl") == 1
 
 
 def test_crashed_host_sends_nothing():

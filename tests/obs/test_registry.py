@@ -194,8 +194,3 @@ class TestSimulatorIntegration:
         assert any(name.endswith(".tcp.segments_demuxed") for name in names)
         assert any(name.endswith(".ip.delivered") for name in names)
         assert metrics.value("client.tcp.segments_demuxed") > 0
-        # The attribute API still reads the registry-backed counters.
-        client_tcp = run.scenario.client.tcp
-        assert client_tcp.segments_demuxed == metrics.value(
-            "client.tcp.segments_demuxed"
-        )

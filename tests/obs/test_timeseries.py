@@ -74,6 +74,33 @@ class TestSampling:
         sim.run(until=0.5)
         assert tsdb.samples_taken == taken
 
+    def test_sampling_costs_one_event_per_tick_and_nothing_per_event(self):
+        """The TSDB's whole cost to a run, as a count: the same scripted
+        5 000 events execute, plus one scheduler event per sample after
+        the first (``start`` takes that one inline)."""
+
+        def run(sampled):
+            sim = Simulator(seed=1)
+            counter = sim.metrics.counter("h0.tcp.segments")
+            left = [5000]
+
+            def work():
+                counter.inc()
+                left[0] -= 1
+                if left[0]:
+                    sim.schedule(1e-4, work)
+
+            sim.schedule(0.0, work)
+            tsdb = TimeSeriesDB(sim).start() if sampled else None
+            sim.run(until=1.5)
+            return sim.events_executed, tsdb
+
+        bare, _ = run(sampled=False)
+        sampled, tsdb = run(sampled=True)
+        assert bare == 5000
+        assert tsdb.samples_taken == 30  # default cadence: 50 ms
+        assert sampled - bare == tsdb.samples_taken - 1
+
     def test_late_instruments_start_late(self):
         sim = Simulator(seed=1)
         sim.metrics.counter("early")

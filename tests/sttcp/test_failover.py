@@ -76,7 +76,7 @@ def test_client_never_learns_about_the_failover():
     assert run.result.error is None
     # Exactly one client connection existed for the whole run.
     assert run.result.exchanges_done == 1
-    assert scenario.client.tcp.resets_sent == 0
+    assert scenario.sim.metrics.value("client.tcp.resets_sent") == 0
 
 
 def test_backup_answers_arp_after_takeover():
@@ -97,7 +97,7 @@ def test_new_connections_served_by_backup_after_failover():
     new_conns = [
         t for t in scenario.backup.tcp.connections if ShadowExtension.of(t) is None
     ]
-    assert new_conns or scenario.backup.tcp.segments_demuxed > 0
+    assert new_conns or scenario.sim.metrics.value("backup.tcp.segments_demuxed") > 0
 
 
 def test_crash_before_any_connection_still_fails_over():

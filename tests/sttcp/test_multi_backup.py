@@ -26,7 +26,7 @@ def test_failure_free_run_with_two_backups():
     # Both backups shadowed the connection and acked.
     for engine in scenario.pair.backup_engines:
         assert len(engine.shadow_connections) == 1
-        assert engine.acks_sent > 0
+        assert scenario.sim.metrics.value(f"{engine.host.name}.sttcp.acks_sent") > 0
     assert not scenario.pair.failed_over
 
 
@@ -84,7 +84,8 @@ def test_promoted_primary_keeps_fault_tolerance():
     promoted = scenario.pair.backup_engines[0].promoted_primary
     assert promoted is not None
     assert promoted.fault_tolerant
-    assert promoted.acks_received > 0  # rank 1 acks the new primary
+    # Rank 1 acks the new primary.
+    assert scenario.sim.metrics.value(f"{promoted.host.name}.sttcp.acks_received") > 0
 
 
 def test_cascading_failover_two_crashes():

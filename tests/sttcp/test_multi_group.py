@@ -141,7 +141,7 @@ class TwoPairHub:
                 f"{nodes.backup.name} cross-tapped a foreign client "
                 f"{tcb.remote_ip}"
             )
-            assert nodes.pair.backup_engine.acks_sent > 0
+            assert self.sim.metrics.value(f"{nodes.backup.name}.sttcp.acks_sent") > 0
             for state in nodes.pair.primary_engine._connections.values():
                 assert set(state.acked_by) <= {nodes.backup_ip.value}, (
                     f"{nodes.primary.name} acked by a foreign backup: "

@@ -39,13 +39,13 @@ def test_churned_shadows_and_retention_states_are_reaped():
         process = client.spawn(session(request_id), f"session-{request_id}")
         sim.run_until_complete(process, deadline=sim.now + 30.0)
     assert verified == [True] * churn
-    assert backup.shadows_reaped + backup.shadow_count == churn
+    assert sim.metrics.value("backup.sttcp.shadows_reaped") + backup.shadow_count == churn
 
     sim.run(until=sim.now + TIME_WAIT_DRAIN)
 
     # Engine dicts shrank back to empty...
     assert backup.shadow_count == 0
-    assert backup.shadows_reaped == churn
+    assert sim.metrics.value("backup.sttcp.shadows_reaped") == churn
     assert primary.retained_connection_count == 0
     assert primary.retention_states_reaped == churn
     # ...the index views carry no leftovers...
@@ -57,4 +57,4 @@ def test_churned_shadows_and_retention_states_are_reaped():
     assert scenario.primary.tcp.connection_count == 0
     assert scenario.backup.tcp.connection_count == 0
     assert scenario.client.tcp.connection_count == 0
-    assert scenario.backup.tcp.tcbs_reaped == churn
+    assert sim.metrics.value("backup.tcp.tcbs_reaped") == churn

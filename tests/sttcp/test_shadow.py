@@ -68,6 +68,10 @@ def test_backup_engine_stays_passive_without_failure():
     assert not scenario.pair.failed_over
 
 
+def acks_sent(scenario):
+    return scenario.sim.metrics.value("backup.sttcp.acks_sent")
+
+
 def test_backup_acks_release_primary_retention():
     scenario = make_scenario()
     run_on(scenario, upload_workload(128 * KB)).require_clean()
@@ -76,8 +80,8 @@ def test_backup_acks_release_primary_retention():
     # The run is over and acks flowed: nearly everything was released.
     assert state.retention.bytes_released_total > 0
     assert state.retention.retained_bytes < state.retention.capacity
-    assert scenario.pair.backup_engine.acks_sent > 0
-    assert primary_engine.acks_received == scenario.pair.backup_engine.acks_sent
+    assert acks_sent(scenario) > 0
+    assert scenario.sim.metrics.value("primary.sttcp.acks_received") == acks_sent(scenario)
 
 
 def test_x_threshold_controls_ack_rate():
@@ -86,7 +90,7 @@ def test_x_threshold_controls_ack_rate():
     run_on(few, upload_workload(128 * KB)).require_clean()
     many = make_scenario(seed=78, ack_threshold_fraction=0.25)
     run_on(many, upload_workload(128 * KB)).require_clean()
-    assert many.pair.backup_engine.acks_sent > few.pair.backup_engine.acks_sent
+    assert acks_sent(many) > acks_sent(few)
 
 
 def test_sync_time_acks_when_idle():
@@ -94,9 +98,9 @@ def test_sync_time_acks_when_idle():
     serve as backup→primary heartbeats (§4.3)."""
     scenario = make_scenario(sync_time=0.02)
     run_on(scenario, echo_workload(2)).require_clean()
-    before = scenario.pair.backup_engine.acks_sent
+    before = acks_sent(scenario)
     scenario.sim.run(until=scenario.sim.now + 1.0)  # idle period
-    after = scenario.pair.backup_engine.acks_sent
+    after = acks_sent(scenario)
     assert after - before >= 40  # ~one per 20 ms of idle time
 
 

@@ -56,10 +56,9 @@ def test_random_tap_loss_repaired_over_channel():
     run = run_workload(upload_workload(256 * KB), scenario=scenario, deadline=120.0)
     assert run.result.error is None and run.result.verified
     scenario.sim.run(until=scenario.sim.now + 1.0)  # let repairs finish
-    backup = scenario.pair.backup_engine
-    assert backup.retx_requests_sent > 0
-    assert backup.retx_bytes_recovered > 0
-    shadow = backup.shadow_connections[0]
+    assert scenario.sim.metrics.value("backup.sttcp.retx_requests_sent") > 0
+    assert scenario.sim.metrics.value("backup.sttcp.retx_bytes_recovered") > 0
+    shadow = scenario.pair.backup_engine.shadow_connections[0]
     assert shadow.recv_buffer.rcv_nxt_offset >= 256 * KB
 
 
@@ -69,10 +68,8 @@ def test_tap_outage_repaired_when_primary_survives():
     run = run_workload(upload_workload(256 * KB), scenario=scenario, deadline=120.0)
     assert run.result.error is None and run.result.verified
     scenario.sim.run(until=scenario.sim.now + 1.0)
-    backup = scenario.pair.backup_engine
-    assert backup.retx_bytes_recovered > 0
-    primary_engine = scenario.pair.primary_engine
-    assert primary_engine.retx_requests_served > 0
+    assert scenario.sim.metrics.value("backup.sttcp.retx_bytes_recovered") > 0
+    assert scenario.sim.metrics.value("primary.sttcp.retx_requests_served") > 0
 
 
 def test_tap_loss_on_download_workload_recovers_ack_stream():
@@ -100,7 +97,7 @@ def test_retention_only_released_after_backup_ack():
     state = list(scenario.pair.primary_engine._connections.values())[0]
     retention = state.retention
     # Whatever the backup has not acked is still here (or was served).
-    backup_acked = scenario.pair.backup_engine.acks_sent
+    backup_acked = scenario.sim.metrics.value("backup.sttcp.acks_sent")
     assert retention.retained_bytes > 0 or backup_acked > 0
 
 

@@ -28,9 +28,9 @@ def test_churned_connections_are_reaped_from_the_table():
     assert lan.b.tcp._connections == {}
     assert lan.a.tcp.connection_count == 0
     assert lan.b.tcp.connection_count == 0
-    assert lan.a.tcp.tcbs_reaped == cycles
-    assert lan.b.tcp.tcbs_reaped == cycles
-    assert lan.a.tcp.connection_peak >= 2  # churn overlapped in TIME_WAIT
+    assert lan.sim.metrics.value("host-a.tcp.tcbs_reaped") == cycles
+    assert lan.sim.metrics.value("host-b.tcp.tcbs_reaped") == cycles
+    assert lan.sim.metrics.value("host-a.tcp.connections_peak") >= 2  # churn overlapped in TIME_WAIT
 
 
 def test_close_observers_fire_once_per_reaped_tcb():
@@ -39,7 +39,7 @@ def test_close_observers_fire_once_per_reaped_tcb():
     lan.a.tcp.close_observers.append(reaped.append)
     run_echo_once(lan, port=7100)
     lan.sim.run(until=lan.sim.now + TIME_WAIT_DRAIN)
-    assert lan.a.tcp.tcbs_reaped == 1
+    assert lan.sim.metrics.value("host-a.tcp.tcbs_reaped") == 1
     assert len(reaped) == 1
     assert reaped[0].local_ip == lan.ip_a
 
@@ -68,7 +68,7 @@ def test_ephemeral_port_exhaustion_and_reuse_after_reap():
 
     with pytest.raises(EphemeralPortsExhausted):
         lan.a.tcp.connect((lan.ip_b, 9000))
-    assert layer.ephemeral_ports_exhausted == 1
+    assert lan.sim.metrics.value("host-a.tcp.ephemeral_ports_exhausted") == 1
 
     # Close everything (both ends, so the close handshakes complete);
     # reaped connections return their ports through the free list, so a
@@ -108,8 +108,8 @@ def test_syn_storm_deflections_vs_unmatched_accounting():
 
     assert connected[0] == backlog
     assert refused[0] == storm - backlog
-    assert lan.b.tcp.syns_deflected == storm - backlog
-    assert lan.b.tcp.segments_unmatched == 0
+    assert lan.sim.metrics.value("host-b.tcp.syns_deflected") == storm - backlog
+    assert lan.sim.metrics.value("host-b.tcp.segments_unmatched") == 0
 
     # A SYN to a port with no listener is the *other* counter.
     stray_done = []
@@ -124,8 +124,8 @@ def test_syn_storm_deflections_vs_unmatched_accounting():
     lan.a.spawn(stray(), "stray")
     lan.sim.run(until=lan.sim.now + 1.0)
     assert stray_done
-    assert lan.b.tcp.segments_unmatched == 1
-    assert lan.b.tcp.syns_deflected == storm - backlog
+    assert lan.sim.metrics.value("host-b.tcp.segments_unmatched") == 1
+    assert lan.sim.metrics.value("host-b.tcp.syns_deflected") == storm - backlog
 
 
 def test_closing_a_reaped_socket_again_spares_its_successor_on_the_same_key():
@@ -151,7 +151,7 @@ def test_closing_a_reaped_socket_again_spares_its_successor_on_the_same_key():
     old.close()
     accepted[0].close()
     lan.sim.run(until=lan.sim.now + TIME_WAIT_DRAIN)
-    assert layer.tcbs_reaped == 1 and reaped == [old.tcb]
+    assert lan.sim.metrics.value("host-a.tcp.tcbs_reaped") == 1 and reaped == [old.tcb]
 
     new = layer.connect((lan.ip_b, 9000))
     lan.sim.run(until=lan.sim.now + 1.0)
@@ -159,7 +159,7 @@ def test_closing_a_reaped_socket_again_spares_its_successor_on_the_same_key():
 
     old.close()
     assert layer.connections == [new.tcb]
-    assert layer.tcbs_reaped == 1
+    assert lan.sim.metrics.value("host-a.tcp.tcbs_reaped") == 1
     assert reaped == [old.tcb]
 
     echoed = []
