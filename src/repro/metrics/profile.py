@@ -70,15 +70,13 @@ def _classify(filename: str) -> Optional[str]:
     return None
 
 
-#: Scheduler dispatch loops: a sample landing here is really time spent
-#: *dispatching the current callback* (the call instruction itself, or a
-#: C-level callback with no Python frame of its own).  Each of these
-#: binds the active callback to a named local exactly so the profiler
-#: can attribute the sample to the callback's layer instead of lumping
-#: whole batches into "kernel".
-_DISPATCH_FUNCTIONS = frozenset(
-    {"_drain_ready", "_drain_ready_indexed", "_run_heap_event"}
-)
+#: The scheduler's dispatch loop: a sample landing here is really time
+#: spent *dispatching the current callback* (the call instruction itself,
+#: or a C-level callback with no Python frame of its own).  The loop binds
+#: the active callback to a local named ``callback`` exactly so the
+#: profiler can attribute the sample to the callback's layer instead of
+#: lumping the whole run into "kernel".
+_DISPATCH_FUNCTIONS = frozenset({"run_until"})
 
 
 def _callback_attribution(frame: FrameType) -> Optional[Tuple[str, str]]:
@@ -124,9 +122,9 @@ class SamplingProfiler:
             if layer is not None:
                 name = f"{Path(code.co_filename).name}:{code.co_name}"
                 if code.co_name in _DISPATCH_FUNCTIONS:
-                    # Batched dispatch: the innermost repro frame is the
-                    # scheduler's drain loop, but the time belongs to the
-                    # callback it is dispatching.
+                    # The innermost repro frame is the scheduler's
+                    # dispatch loop, but the time belongs to the callback
+                    # it is dispatching.
                     attributed = _callback_attribution(walker)
                     if attributed is not None:
                         layer, name = attributed

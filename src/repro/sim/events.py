@@ -12,7 +12,6 @@ Two kinds of objects live here:
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
@@ -23,39 +22,38 @@ PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
 PRIORITY_LOW = 2
 
-_handle_ids = itertools.count()
-
 
 class EventHandle:
     """A scheduled callback that can be cancelled before it fires.
 
-    Instances are created by the scheduler; user code only cancels them.
-    Cancellation is O(1): the handle is flagged and skipped when popped.
-    The scheduler keeps a back-reference (``_sched``) while the handle is
-    queued so cancellation can maintain the O(1) live-entry counters, and
-    ``_tick`` records where it is filed (its timing-wheel tick, or -1 in
-    the beyond-horizon heap).  Handles are recycled through the
-    scheduler's free list once they have fired and no outside reference
-    remains.
+    Instances are created by the scheduler — which also assigns ``seq``,
+    its per-queue tie-break counter — and user code only cancels them.
+    Cancellation is O(1): the handle is flagged and skipped when its heap
+    entry ``(time, priority, seq, handle)`` reaches the top.  The
+    scheduler keeps a back-reference (``_sched``) while the handle is
+    queued so cancellation can maintain its O(1) live-entry counter.
+    Handles define no ordering: ``seq`` is unique, so the tuple decides
+    before the handle is ever compared.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "_cancelled", "_sched", "_tick")
+    __slots__ = ("time", "priority", "seq", "callback", "args", "_cancelled", "_sched")
 
     def __init__(
         self,
         time: float,
         priority: int,
+        seq: int,
         callback: Callable[..., Any],
         args: tuple,
+        sched: Any,
     ) -> None:
         self.time = time
         self.priority = priority
-        self.seq = next(_handle_ids)
+        self.seq = seq
         self.callback = callback
         self.args = args
         self._cancelled = False
-        self._sched: Any = None
-        self._tick = -1
+        self._sched = sched
 
     def cancel(self) -> None:
         """Prevent the callback from running.  Safe to call repeatedly."""
@@ -74,17 +72,6 @@ class EventHandle:
     @property
     def cancelled(self) -> bool:
         return self._cancelled
-
-    # Heap ordering -------------------------------------------------------
-    def __lt__(self, other: "EventHandle") -> bool:
-        # Direct field comparisons: this runs O(log n) times per heap
-        # operation, and building two tuples per call dominated the old
-        # scheduler's profile.
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self._cancelled else "pending"

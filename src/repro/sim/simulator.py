@@ -133,8 +133,8 @@ class Simulator:
 
         The stop conditions are per event — stop the instant ``process``
         triggers, and run at most one event that leaves ``now >=
-        deadline`` — and are enforced inside the scheduler's drain via
-        ``watch``.
+        deadline`` — and are enforced inside the scheduler's dispatch loop
+        via ``watch``.
         """
         scheduler = self._scheduler
         while not process.triggered:

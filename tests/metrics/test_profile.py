@@ -105,7 +105,7 @@ def test_empty_profile_reports_cleanly():
     assert "no samples" in profiler.summary()
 
 
-# -- batched-dispatch attribution ------------------------------------------
+# -- dispatch-loop attribution ----------------------------------------------
 
 
 class FakeCode:
@@ -123,11 +123,11 @@ class FakeFrame:
         self.f_back = back
 
 
-_DRAIN_CODE = FakeCode("/x/src/repro/sim/scheduler.py", "_drain_ready")
+_DRAIN_CODE = FakeCode("/x/src/repro/sim/scheduler.py", "run_until")
 
 
 def test_drain_loop_sample_attributed_to_active_callback():
-    # A sample landing on the drain loop's dispatch line belongs to the
+    # A sample landing on the dispatch loop's call line belongs to the
     # callback being dispatched (here a repro.tcp function), not to the
     # kernel layer the scheduler frame would classify as.
     profiler = SamplingProfiler()
@@ -139,7 +139,7 @@ def test_drain_loop_sample_attributed_to_active_callback():
 
 def test_drain_loop_sample_without_resolvable_callback_stays_kernel():
     profiler = SamplingProfiler()
-    # No callback local (e.g. sampled during wheel maintenance).
+    # No callback local yet (sampled before the first dispatch).
     profiler._sample(0, FakeFrame(_DRAIN_CODE))
     # A C-level callback has no __code__ to classify.
     profiler._sample(0, FakeFrame(_DRAIN_CODE, {"callback": len}))
@@ -153,7 +153,7 @@ def test_dispatch_attribution_unwraps_bound_methods():
     profiler = SamplingProfiler()
     sched = Scheduler()
     frame = FakeFrame(
-        FakeCode("/x/src/repro/sim/scheduler.py", "_run_heap_event"),
+        _DRAIN_CODE,
         {"callback": sched.run_next},  # bound method of a kernel object
     )
     profiler._sample(0, frame)
@@ -164,8 +164,8 @@ def test_dispatch_attribution_unwraps_bound_methods():
 def test_non_dispatch_kernel_frames_keep_their_own_credit():
     profiler = SamplingProfiler()
     frame = FakeFrame(
-        FakeCode("/x/src/repro/sim/scheduler.py", "_advance"),
+        FakeCode("/x/src/repro/sim/scheduler.py", "_push"),
         {"callback": wrap},  # irrelevant: not a dispatch function
     )
     profiler._sample(0, frame)
-    assert profiler.function_samples == {("kernel", "scheduler.py:_advance"): 1}
+    assert profiler.function_samples == {("kernel", "scheduler.py:_push"): 1}

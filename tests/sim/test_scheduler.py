@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.events import PRIORITY_LOW, PRIORITY_URGENT
-from repro.sim.scheduler import Scheduler, TimingWheel
+from repro.sim.scheduler import Scheduler
+from repro.sim.simulator import Simulator
 
 
 def test_starts_at_time_zero():
@@ -162,12 +163,10 @@ def test_run_next_before_skips_cancelled_prefix():
 
 
 def test_heap_compacts_on_dead_fraction():
-    # Compaction is the beyond-horizon heap's concern: file everything there.
     scheduler = Scheduler()
-    far = TimingWheel.HORIZON_TICKS * Scheduler.WHEEL_RESOLUTION + 1.0
     base = Scheduler.GC_BASE_THRESHOLD
     total = base + 2
-    handles = [scheduler.schedule_at(far + i, lambda: None) for i in range(total)]
+    handles = [scheduler.schedule_at(1.0 + i, lambda: None) for i in range(total)]
     assert len(scheduler._heap) == total
     # Cancelling just under half leaves the heap uncompacted (dead
     # fraction below one half)...
@@ -183,7 +182,7 @@ def test_heap_compacts_on_dead_fraction():
 
 def test_pending_count_is_live_entries_only():
     scheduler = Scheduler()
-    # Mix near-band (wheel) and far (heap) events, then cancel across both.
+    # Mix near and far events, then cancel across both.
     near = [scheduler.schedule_at(0.001 * i, lambda: None) for i in range(10)]
     far = [scheduler.schedule_at(10_000.0 + i, lambda: None) for i in range(10)]
     assert scheduler.pending_count == 20
@@ -193,3 +192,45 @@ def test_pending_count_is_live_entries_only():
     assert scheduler.pending_count == 18
     scheduler.run_until(until=1.0)
     assert scheduler.pending_count == 9
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("entry", ["schedule", "call_later", "schedule_at"])
+def test_non_finite_event_time_is_a_typed_error(entry, bad):
+    # A nan or inf event would fire and leave the clock at nan / inf.
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    sim.run(until=0.5)
+    with pytest.raises(SimulationError, match="event time must be finite"):
+        getattr(sim, entry)(bad, lambda: None)
+    assert sim.now == 0.5
+    assert sim._scheduler.pending_count == 1
+    sim.run()
+    assert sim.now == 1.0
+
+
+def test_cancel_and_rearm_keeps_the_heap_bounded():
+    # The RTO pattern: every event (an ACK) cancels the retransmission
+    # timer and re-arms it 1 s out.  Uncompacted, 10 000 dead timers would
+    # sit ahead of the clock at any instant; only the last arming may fire.
+    scheduler = Scheduler()
+    floor = Scheduler.GC_BASE_THRESHOLD
+    total = 100_000
+    fired = []
+    timer = [scheduler.schedule_after(1.0, fired.append, ("never",))]
+    worst = [0]
+
+    def ack(index):
+        timer[0].cancel()
+        timer[0] = scheduler.schedule_after(1.0, fired.append, (index,))
+        bound = max(floor, 2 * scheduler.pending_count) + 1
+        worst[0] = max(worst[0], len(scheduler._heap) - bound)
+        if index + 1 < total:
+            scheduler.schedule_after(1e-4, ack, (index + 1,))
+
+    scheduler.schedule_at(0.0, ack, (0,))
+    scheduler.run_until()
+    assert worst[0] <= 0
+    assert fired == [total - 1]
+    assert scheduler.executed_count == total + 1
+    assert scheduler.pending_count == 0 and not scheduler._heap

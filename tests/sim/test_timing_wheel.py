@@ -1,17 +1,29 @@
-"""Timing-wheel tests: ordering, cascades, recycling, and the randomized
-differential against a heap-only oracle (the determinism contract)."""
+"""Dispatch-order tests for the scheduler: same-instant ordering, late
+inserts, cancellation, and the differentials against an independent
+textbook heap (the determinism contract) — seeded drives and a hypothesis
+state machine.
+
+The file and several test names date from the timing wheel this suite was
+written against; they are kept so the test ids stay stable.  Everything
+here states a property of ``(time, priority, seq)`` dispatch that any
+queue must hold.
+"""
 
 import heapq
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.errors import SimulationError
 from repro.sim.events import PRIORITY_LOW, PRIORITY_NORMAL, PRIORITY_URGENT, SimEvent
-from repro.sim.scheduler import Scheduler, TimingWheel
+from repro.sim.scheduler import Scheduler
 
-#: Wheel horizon in seconds (2**24 ticks at 100 µs).
-HORIZON_S = TimingWheel.HORIZON_TICKS * Scheduler.WHEEL_RESOLUTION
+#: The farthest delay band, about 28 simulated minutes (what used to be
+#: the wheel's horizon, 2**24 ticks of 100 µs; the value is kept so the
+#: seeded drives are unchanged).
+FAR_S = 2**24 * 1e-4
 
 
 def make_recorder(sched):
@@ -23,16 +35,10 @@ def make_recorder(sched):
     return fired, fire
 
 
-def test_wheel_rejects_bad_resolution():
-    with pytest.raises(SimulationError):
-        TimingWheel(0.0)
-
-
 def test_wheel_orders_same_slot_by_priority_then_seq():
     sched = Scheduler()
     fired, fire = make_recorder(sched)
-    # All three land in the same 100 µs slot but must still dispatch in
-    # (time, priority, seq) order, exactly like the heap.
+    # Same instant: priority decides, then schedule order.
     sched.schedule_at(1e-5, fire, ("low",), PRIORITY_LOW)
     sched.schedule_at(1e-5, fire, ("urgent",), PRIORITY_URGENT)
     sched.schedule_at(1e-5, fire, ("normal-1",), PRIORITY_NORMAL)
@@ -45,12 +51,12 @@ def test_events_across_all_levels_and_heap_band_fire_in_time_order():
     sched = Scheduler()
     fired, fire = make_recorder(sched)
     times = [
-        0.00005,  # level 0
-        0.9,  # level 1
-        30.0,  # level 2 (cascades twice)
-        HORIZON_S + 50.0,  # beyond the horizon: heap
-        0.00007,  # level 0 again
-        200.0,  # level 2
+        0.00005,
+        0.9,
+        30.0,
+        FAR_S + 50.0,
+        0.00007,
+        200.0,
     ]
     for index, time in enumerate(times):
         sched.schedule_at(time, fire, (index,))
@@ -64,28 +70,13 @@ def test_late_insert_behind_advanced_cursor_still_fires_first():
     sched = Scheduler()
     fired, fire = make_recorder(sched)
     sched.schedule_at(5.0, fire, ("far",))
-    # peek advances the wheel cursor all the way to the 5.0 s slot...
+    # Peeking at the head must not commit the queue to it: an insert
+    # ahead of it (legal: 0.001 >= now == 0) still dispatches first.
     assert sched.peek_time() == 5.0
-    # ...yet an insert behind the cursor (legal: 0.001 >= now == 0) must
-    # still dispatch first, via the sorted ready-list tail.
     sched.schedule_at(0.001, fire, ("near",))
     sched.schedule_at(0.002, fire, ("mid",))
     sched.run_until()
     assert [tag for _, tag in fired] == ["near", "mid", "far"]
-
-
-def test_cursor_resyncs_after_heap_only_stretch():
-    sched = Scheduler()
-    fired, fire = make_recorder(sched)
-    far = HORIZON_S + 100.0
-    sched.schedule_at(far, fire, ("heap",))
-    sched.run_until()
-    assert fired == [(far, "heap")]
-    # The wheel was empty the whole time; a short timer scheduled now must
-    # land near the resynced cursor and fire at the right instant.
-    sched.schedule_at(far + 0.0003, fire, ("wheel",))
-    sched.run_until()
-    assert fired[-1] == (far + 0.0003, "wheel")
 
 
 def test_cancelled_entries_never_fire_and_counters_stay_live():
@@ -93,7 +84,7 @@ def test_cancelled_entries_never_fire_and_counters_stay_live():
     fired, fire = make_recorder(sched)
     near = sched.schedule_at(0.001, fire, ("near",))
     mid = sched.schedule_at(1.0, fire, ("mid",))
-    far = sched.schedule_at(HORIZON_S + 10.0, fire, ("far",))
+    far = sched.schedule_at(FAR_S + 10.0, fire, ("far",))
     assert sched.pending_count == 3
     near.cancel()
     far.cancel()
@@ -125,37 +116,26 @@ def test_retained_handle_is_never_recycled():
     fired, fire = make_recorder(sched)
     kept = sched.schedule_at(0.001, fire, ("kept",))
     sched.run_until()
-    # We still hold `kept`, so the scheduler must not have pooled it: new
-    # schedules get fresh (or separately pooled) handles, and our fields
-    # stay frozen at the fired values.
-    assert kept not in sched._free
+    # We still hold `kept`: new schedules get their own handles, and our
+    # fields stay frozen at the fired values.
     assert kept.time == 0.001
     fresh = sched.schedule_at(0.002, fire, ("fresh",))
     assert fresh is not kept
+    assert (kept.time, kept.seq) != (fresh.time, fresh.seq)
+    kept.cancel()  # cancelling a fired handle touches no live counter
+    assert sched.pending_count == 1
     sched.run_until()
     assert [tag for _, tag in fired] == ["kept", "fresh"]
 
 
-def test_unreferenced_handles_are_recycled_through_free_list():
-    sched = Scheduler()
-    fired, fire = make_recorder(sched)
-    for index in range(10):
-        sched.schedule_at(index * 1e-4, fire, (index,))  # handle dropped
-    sched.run_until()
-    assert len(fired) == 10
-    pooled = list(sched._free)
-    assert pooled  # fired handles with no outside reference were pooled
-    reused = sched.schedule_at(1.0, fire, ("reused",))
-    assert any(reused is handle for handle in pooled)
-    sched.run_until()
-    assert fired[-1] == (1.0, "reused")
-
-
-# Randomized differential: the wheel + slot-drain scheduler and a plain
-# heap-only oracle must execute the exact same (time, tag) sequence for the
-# same driving workload — including nested scheduling and cancellations from
-# inside callbacks, ties, and events beyond the wheel horizon — and must
-# agree on the clock and the live count wherever a bounded run stops.
+# Randomized differential: the scheduler and a plain heap-only oracle must
+# execute the exact same (time, tag) sequence for the same driving workload
+# — including nested scheduling and cancellations from inside callbacks,
+# ties, and events hours apart — and must agree on the clock and the live
+# count wherever a bounded run stops.  The oracle shares no code with the
+# scheduler (entries carry their callback, cancelled entries are counted by
+# scanning), so it stays an independent reference now that production is a
+# heap too.
 
 
 class HeapOracle:
@@ -205,7 +185,7 @@ class HeapOracle:
             self.now = until
 
 
-_DELAY_BANDS = (0.0, 1e-5, 3e-4, 0.05, 2.0, 120.0, HORIZON_S + 300.0)
+_DELAY_BANDS = (0.0, 1e-5, 3e-4, 0.05, 2.0, 120.0, FAR_S + 300.0)
 
 
 class _Drive:
@@ -275,7 +255,7 @@ def test_differential_wheel_matches_heap_exactly(seed):
 def test_watch_stops_the_instant_the_event_triggers(seed):
     wheel, heap = _Drive(seed, Scheduler()), _Drive(seed, HeapOracle())
     # Learn the dispatch order from the oracle and watch for an event that
-    # still has same-instant siblings queued behind it in its slot.
+    # still has same-instant siblings queued behind it.
     heap.sched.run_until(max_events=20)
     when, tag = heap.fired[-1]
     heap.sched.run_until(max_events=0)  # surfaces the next live entry
@@ -295,3 +275,107 @@ def test_watch_stops_the_instant_the_event_triggers(seed):
     heap.sched.run_until(until=until)
     assert wheel.fired == heap.fired
     assert wheel.sched.now == heap.fired[-1][0] <= until
+
+
+# The same contract as a state machine: hypothesis picks the interleaving
+# of schedules (including at the current instant), cancels (direct and from
+# inside a callback), bounded runs and single steps, and shrinks a failure
+# to the shortest one.
+
+_DELAYS = st.sampled_from((0.0, 1e-5, 1e-4, 0.003, 0.5, 2.0, FAR_S + 300.0))
+_PRIORITIES = st.sampled_from((PRIORITY_URGENT, PRIORITY_NORMAL, PRIORITY_LOW))
+
+
+class _Side:
+    """One queue under test plus what its callbacks recorded."""
+
+    def __init__(self, sched):
+        self.sched = sched
+        self.fired = []
+        self.handles = []
+
+    def schedule(self, delay, priority, victim=None, respawn=None):
+        args = (len(self.handles), victim, respawn)
+        self.handles.append(self.sched.schedule_after(delay, self.fire, args, priority))
+
+    def schedule_at_now(self, priority):
+        args = (len(self.handles), None, None)
+        self.handles.append(self.sched.schedule_at(self.sched.now, self.fire, args, priority))
+
+    def fire(self, tag, victim, respawn):
+        self.fired.append((self.sched.now, tag))
+        if victim is not None:
+            self.handles[victim].cancel()
+        if respawn is not None:
+            self.schedule(respawn, PRIORITY_NORMAL)
+
+    def state(self):
+        return self.sched.now, self.fired, self.sched.pending_count
+
+
+class SchedulerAgainstOracle(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.sides = (_Side(Scheduler()), _Side(HeapOracle()))
+
+    @property
+    def scheduled(self):
+        return len(self.sides[0].handles)
+
+    @rule(delay=_DELAYS, priority=_PRIORITIES)
+    def schedule(self, delay, priority):
+        for side in self.sides:
+            side.schedule(delay, priority)
+
+    @rule(priority=_PRIORITIES)
+    def schedule_at_now(self, priority):
+        for side in self.sides:
+            side.schedule_at_now(priority)
+
+    @rule(delay=_DELAYS, respawn=_DELAYS)
+    def schedule_respawning(self, delay, respawn):
+        for side in self.sides:
+            side.schedule(delay, PRIORITY_NORMAL, respawn=respawn)
+
+    @precondition(lambda self: self.scheduled)
+    @rule(data=st.data())
+    def cancel(self, data):
+        index = data.draw(st.integers(0, self.scheduled - 1))
+        for side in self.sides:
+            side.handles[index].cancel()
+
+    @precondition(lambda self: self.scheduled)
+    @rule(data=st.data(), delay=_DELAYS, priority=_PRIORITIES)
+    def schedule_cancelling_callback(self, data, delay, priority):
+        victim = data.draw(st.integers(0, self.scheduled - 1))
+        for side in self.sides:
+            side.schedule(delay, priority, victim=victim)
+
+    @rule(delay=_DELAYS, budget=st.none() | st.integers(0, 6))
+    def run_until(self, delay, budget):
+        for side in self.sides:
+            side.sched.run_until(until=side.sched.now + delay, max_events=budget)
+
+    @rule(budget=st.integers(0, 6))
+    def run_max_events(self, budget):
+        for side in self.sides:
+            side.sched.run_until(max_events=budget)
+
+    @rule()
+    def step(self):
+        real, oracle = self.sides
+        before = len(oracle.fired)
+        oracle.sched.run_until(max_events=1)
+        assert real.sched.run_next() == (len(oracle.fired) > before)
+
+    @invariant()
+    def same_clock_order_and_live_count(self):
+        real, oracle = self.sides
+        assert real.state() == oracle.state()
+        assert real.sched.executed_count == len(real.fired)
+
+
+SchedulerAgainstOracle.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None, derandomize=True
+)
+test_state_machine_scheduler_matches_oracle = SchedulerAgainstOracle.TestCase

@@ -25,12 +25,14 @@ _spec = importlib.util.spec_from_file_location("conn_footprint", _TOOL)
 conn_footprint = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(conn_footprint)
 
-#: The tree at the time of writing needs about 14 700 bytes and 140
-#: GC-tracked objects per connection on CPython 3.11; before buffers were
-#: lists and per-connection classes slotted it needed 29 500 and 163.  The
-#: slack absorbs interpreter differences (3.11 vs 3.12 object layouts).
-BYTES_PER_CONNECTION_BUDGET = 20_000
-OBJECTS_PER_CONNECTION_BUDGET = 170
+#: The tree at the time of writing needs about 14 340 bytes and 138
+#: GC-tracked objects per connection on CPython 3.11 (14 700 and 140 while
+#: the scheduler pooled fired handles in a free list: two per connection
+#: set up); before buffers were lists and per-connection classes slotted
+#: it needed 29 500 and 163.  The slack absorbs interpreter differences
+#: (3.11 vs 3.12 object layouts).
+BYTES_PER_CONNECTION_BUDGET = 19_500
+OBJECTS_PER_CONNECTION_BUDGET = 168
 
 #: Packages whose classes are instantiated per connection.
 _PER_CONNECTION_PACKAGES = ("repro.tcp.", "repro.util.", "repro.sttcp.")
