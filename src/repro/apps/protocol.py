@@ -17,7 +17,7 @@ from __future__ import annotations
 import struct
 from typing import NamedTuple
 
-from repro.util.bytespan import ByteSpan, PatternBytes, RealBytes, concat
+from repro.util.bytespan import ByteSpan, PatternBytes, RealBytes
 
 #: Fixed request size used by all three applications (§6).
 REQUEST_SIZE = 150
@@ -44,7 +44,7 @@ class Request(NamedTuple):
 
 
 def encode_request(kind: int, response_size: int, request_id: int) -> ByteSpan:
-    """Build a 150-byte request record.
+    """Build a 150-byte request record, as one flat span (DESIGN §13 rule 5).
 
     For ``KIND_UPLOAD``, ``response_size`` carries the upload length; the
     server's 150-byte *receipt* reuses the same record shape with
@@ -56,7 +56,7 @@ def encode_request(kind: int, response_size: int, request_id: int) -> ByteSpan:
         raise ValueError(f"negative response size {response_size}")
     header = _HEADER.pack(MAGIC, kind, 0, response_size, request_id & 0xFFFFFFFF)
     padding = PatternBytes(REQUEST_SIZE - len(header), request_id * REQUEST_SIZE, REQUEST_PATTERN)
-    return concat([RealBytes(header), padding])
+    return RealBytes(header + padding.to_bytes())
 
 
 def decode_request(data: ByteSpan) -> Request:

@@ -24,6 +24,7 @@ from repro.apps.protocol import (
 from repro.net.addresses import IPAddress
 from repro.tcp.listener import TCPListener
 from repro.tcp.socket import TCPSocket
+from repro.util.bytespan import concat
 
 
 def connection_handler(
@@ -41,8 +42,6 @@ def connection_handler(
             record = first
             if len(record) < REQUEST_SIZE:
                 rest = yield conn.recv_exactly(REQUEST_SIZE - len(record))
-                from repro.util.bytespan import concat
-
                 record = concat([record, rest])
             try:
                 request = decode_request(record)

@@ -54,9 +54,10 @@ class SendBuffer:
             return 0
         if accepted != span.length:
             span = span.slice(0, accepted)
-        # Concatenations (the app protocol's RealBytes header + synthetic
-        # padding) are stored as their leaves: the piece list stays flat,
-        # so a (re)transmission slice never descends into a nested span.
+        # Concatenations (a record or reply the receiver reassembled from
+        # several segments, echoed or relayed) are stored as their leaves:
+        # the piece list stays flat, so a (re)transmission slice never
+        # descends into a nested span.
         for part in span.parts if isinstance(span, CatBytes) else (span,):
             self._data.append(part)
         return accepted

@@ -162,12 +162,11 @@ class TCPSocket:
                 writer = self._writers[0]
                 total, done = writer["total"], writer["done"]
                 if done < total:
-                    accepted = self._tcb.app_write(writer["span"].slice(done, total))
-                    done += accepted
+                    done += self._tcb.app_write(writer["span"].slice(done, total))
                     writer["done"] = done
-                    if accepted and done < total:
-                        continue  # space may have been freed while writing
                     if done < total:
+                        if self._tcb.send_buffer.free_space > 0:
+                            continue  # space was freed while writing
                         return  # buffer full; wait for on_writable
                 self._writers.pop(0)
                 writer["event"].succeed(total)

@@ -12,7 +12,8 @@ Instead, payloads are :class:`ByteSpan` objects:
   the sender shipping the content.
 * :class:`CatBytes` concatenates spans without copying.
 
-All spans are immutable; slicing returns new spans sharing structure.
+All spans are immutable and shared: slicing returns new spans sharing
+structure, and the slice of a leaf's whole range is the leaf itself.
 """
 
 from __future__ import annotations
@@ -103,6 +104,8 @@ class RealBytes(ByteSpan):
     def slice(self, start: int, stop: int) -> ByteSpan:
         if not 0 <= start <= stop <= self.length:
             _check_bounds(start, stop, self.length)
+        if stop - start == self.length:
+            return self
         return RealBytes(self.data[start:stop])
 
     def to_bytes(self) -> bytes:
@@ -130,6 +133,8 @@ class PatternBytes(ByteSpan):
     def slice(self, start: int, stop: int) -> ByteSpan:
         if not 0 <= start <= stop <= self.length:
             _check_bounds(start, stop, self.length)
+        if stop - start == self.length:
+            return self
         return PatternBytes(stop - start, self.offset + start, self.pattern_id)
 
     def to_bytes(self) -> bytes:

@@ -5,9 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.apps.protocol import (
+    _HEADER,
     KIND_DATA,
     KIND_ECHO,
     KIND_UPLOAD,
+    MAGIC,
+    REQUEST_PATTERN,
     REQUEST_SIZE,
     decode_request,
     encode_request,
@@ -16,6 +19,7 @@ from repro.apps.protocol import (
     verify_response,
     verify_upload,
 )
+from repro.util.bytespan import PatternBytes, RealBytes
 
 
 def test_request_roundtrip():
@@ -40,8 +44,6 @@ def test_negative_size_rejected():
 def test_decode_validates_length_and_magic():
     with pytest.raises(ValueError):
         decode_request(encode_request(KIND_ECHO, 0, 0).slice(0, 100))
-    from repro.util.bytespan import RealBytes
-
     with pytest.raises(ValueError):
         decode_request(RealBytes(b"\x00" * REQUEST_SIZE))
 
@@ -78,3 +80,22 @@ def test_prop_encode_decode_roundtrip(kind, size, request_id):
     assert request.kind == kind
     assert request.response_size == size
     assert request.request_id == request_id & 0xFFFFFFFF
+
+
+@given(
+    st.sampled_from([KIND_ECHO, KIND_DATA, KIND_UPLOAD]),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**40),
+)
+def test_prop_record_is_flat_and_byte_for_byte_the_two_piece_record(kind, size, request_id):
+    """A request is one ``RealBytes`` (DESIGN §13 rule 5) holding exactly
+    the bytes the header + synthetic-padding concatenation put on the wire."""
+    record = encode_request(kind, size, request_id)
+    assert type(record) is RealBytes
+    assert record.length == REQUEST_SIZE
+    header = _HEADER.pack(MAGIC, kind, 0, size, request_id & 0xFFFFFFFF)
+    padding = PatternBytes(
+        REQUEST_SIZE - _HEADER.size, request_id * REQUEST_SIZE, REQUEST_PATTERN
+    )
+    assert record.to_bytes() == header + padding.to_bytes()
+    assert decode_request(record) == (kind, size, request_id & 0xFFFFFFFF)

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConnectionClosed, ConnectionReset
 from repro.sim.simulator import Simulator
 from repro.tcp.config import TCPConfig
+from repro.tcp.tcb import TCPConnection
 from repro.util.bytespan import PatternBytes
 from repro.util.units import KB
 
@@ -94,6 +95,73 @@ def test_pending_send_fails_on_reset():
     server.abort()
     lan.sim.run_until_complete(process, deadline=30.0)
     assert outcome["error"] == "reset"
+
+
+def _record_app_writes(monkeypatch, after_write=None):
+    """Log (bytes offered, bytes accepted) of every ``app_write``;
+    ``after_write(tcb)`` runs inside the call, before it returns."""
+    calls = []
+    real = TCPConnection.app_write
+
+    def app_write(tcb, data):
+        accepted = real(tcb, data)
+        calls.append((data.length, accepted))
+        if after_write is not None:
+            after_write(tcb)
+        return accepted
+
+    monkeypatch.setattr(TCPConnection, "app_write", app_write)
+    return calls
+
+
+def test_full_send_buffer_is_never_probed(monkeypatch):
+    """A window-limited send offers bytes only when there is room: once
+    from ``send`` and once per ``on_writable``, never a zero-byte probe."""
+    config = TCPConfig(snd_buffer=2 * KB, rcv_buffer=2 * KB)
+    lan = LanPair(Simulator(seed=160), tcp_config=config)
+    client, server = connected_pair(lan)
+    calls = _record_app_writes(monkeypatch)
+    outcome = {}
+
+    def sender():
+        outcome["sent"] = yield client.send(PatternBytes(16 * KB, 0, 2))
+
+    def reader():
+        outcome["got"] = yield server.recv_exactly(16 * KB)
+
+    lan.b.spawn(reader())
+    process = lan.a.spawn(sender())
+    lan.sim.run(until=lan.sim.now + 0.0001)
+    assert calls == [(16 * KB, 2 * KB)]  # send() itself: one call, buffer now full
+    lan.sim.run_until_complete(process, deadline=30.0)
+    lan.sim.run(until=lan.sim.now + 0.1)
+    assert outcome["sent"] == 16 * KB
+    assert outcome["got"] == PatternBytes(16 * KB, 0, 2)
+    assert len(calls) > 4 and all(accepted > 0 for _, accepted in calls)
+    assert sum(accepted for _, accepted in calls) == 16 * KB
+
+
+@pytest.mark.parametrize(
+    "error, expected",
+    [
+        (ConnectionReset("reset while writing"), ConnectionReset),
+        (None, ConnectionClosed),  # orderly: "connection closed during send"
+    ],
+    ids=["error", "orderly"],
+)
+def test_close_inside_a_partial_write_fails_the_writer(monkeypatch, error, expected):
+    """The connection closing between a partial write and the next try:
+    ``_on_error`` / ``_on_closed`` fail the queued writer; the pump makes
+    no further ``app_write`` and nothing escapes ``send``."""
+    config = TCPConfig(snd_buffer=2 * KB, rcv_buffer=2 * KB)
+    lan = LanPair(Simulator(seed=161), tcp_config=config)
+    client, _server = connected_pair(lan)
+    calls = _record_app_writes(monkeypatch, after_write=lambda tcb: tcb._enter_closed(error))
+    event = client.send(PatternBytes(16 * KB, 0, 2))
+    assert calls == [(16 * KB, 2 * KB)]
+    assert event.triggered
+    with pytest.raises(expected):
+        _ = event.value
 
 
 def test_partial_recv_returns_available_data():

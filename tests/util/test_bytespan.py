@@ -206,6 +206,31 @@ def test_prop_length_field_agrees_with_len_and_content(data):
         assert part.length == len(part) == len(part.to_bytes())
 
 
+# ------------------------------------- a whole-range slice is the span (§13)
+@given(_leaf_spans, st.data())
+def test_prop_whole_range_slice_is_the_span_itself(span, data):
+    """Spans are immutable and shared, so ``[0, length)`` needs no copy;
+    every proper sub-range is still a fresh span of the same type with
+    the sliced content."""
+    assert span.slice(0, span.length) is span
+    assert span[:] is span
+    start = data.draw(st.integers(0, span.length))
+    stop = data.draw(st.integers(start, span.length))
+    part = span.slice(start, stop)
+    assert part.to_bytes() == span.to_bytes()[start:stop]
+    if part.length != span.length:
+        assert part is not span
+        assert type(part) is type(span)
+
+
+def test_empty_slices_keep_their_types():
+    assert EMPTY.slice(0, 0) is EMPTY
+    assert CatBytes([RealBytes(b"ab"), PatternBytes(2)]).slice(1, 1) is EMPTY
+    inner = RealBytes(b"abc").slice(1, 1)
+    assert type(inner) is RealBytes and inner.length == 0 and inner == EMPTY
+    assert type(PatternBytes(9, 4, 2).slice(3, 3)) is PatternBytes
+
+
 @pytest.mark.parametrize(
     "span",
     [RealBytes(b"abcd"), PatternBytes(4), CatBytes([RealBytes(b"ab"), PatternBytes(2)])],
