@@ -57,6 +57,10 @@ CLIENT_START = 0.05
 #: Size of the post-takeover continuity flow every holder runs.
 POST_TAKEOVER_FLOW = 1024
 
+#: Grid a holder's resumption instant lies on: its initial flow's end plus
+#: a whole number of these (it used to poll at this period).
+HOLD_STEP = 0.025
+
 #: Default concurrency ladder; the top rung is the acceptance bar
 #: (≥ 2,000 simultaneous ST-TCP connections on one pair).
 DEFAULT_LADDER: Tuple[int, ...] = (100, 500, 2000)
@@ -221,6 +225,22 @@ def _connect_with_retry(sim: Any, host: Any, addr: Any) -> Generator:
     raise AssertionError("unreachable")
 
 
+def holder_wake_time(t0: float, final_at: float) -> float:
+    """When a holder idle since ``t0`` starts its post-takeover flow: the
+    first of ``t0, t0 + HOLD_STEP, (t0 + HOLD_STEP) + HOLD_STEP, …`` that
+    is ``>= final_at``.
+
+    Summed left to right, one step at a time, because that is the float a
+    holder re-sleeping ``HOLD_STEP`` until ``now >= final_at`` arrives at;
+    ``t0 + k * HOLD_STEP`` is a different one.  It keeps the holders
+    staggered by their ``t0``s instead of starting 2 000 flows at once.
+    """
+    wake = t0
+    while wake < final_at:
+        wake += HOLD_STEP
+    return wake
+
+
 def _flow(sock: Any, request_id: int, size: int, stream_offset: int) -> Generator:
     """Issue one DATA request and verify the sized response; returns
     (ok, new_stream_offset)."""
@@ -270,7 +290,9 @@ def _run_cell(cell: GridCell) -> Record:
     churners_done = [0]
     holders_done = [0]
     failures: List[str] = []
-    final_at: List[Optional[float]] = [None]
+    #: Succeeds, once the takeover is over, with the instant from which
+    #: holders may run their post-takeover flow.
+    released = sim.event("holders-released")
 
     def holder(index: int, size: int) -> Generator:
         yield sim.timeout((index * ramp) / max(1, n))
@@ -284,8 +306,13 @@ def _run_cell(cell: GridCell) -> Record:
             ready[0] += 1
             # Hold the connection across the crash, then prove it still
             # works on the taken-over endpoint.
-            while final_at[0] is None or sim.now < final_at[0]:
-                yield sim.timeout(0.025)
+            held_since = sim.now
+            final_at = released.value if released.triggered else (yield released)
+            wake = holder_wake_time(held_since, final_at)
+            if wake > sim.now:
+                resume = sim.event("holder-wake")
+                sim.schedule_at(wake, resume.succeed)
+                yield resume
             ok, _ = yield from _flow(sock, 1, POST_TAKEOVER_FLOW, offset)
             if not ok:
                 failures.append(f"holder-{index}: corrupt post-takeover flow")
@@ -361,7 +388,7 @@ def _run_cell(cell: GridCell) -> Record:
     )
 
     # Phase 4: continue every holder on the taken-over connections.
-    final_at[0] = sim.now + 0.1
+    released.succeed(sim.now + 0.1)
     run_until(
         lambda: holders_done[0] >= n,
         deadline=sim.now + 120.0,

@@ -81,10 +81,14 @@ class RetransmitEngine:
         self.persist_timer.start(self.persist_interval)
 
     def stop_loss_timers(self) -> None:
-        """Stop every timer this engine owns (connection teardown)."""
-        self.rto_timer.stop()
-        self.persist_timer.stop()
-        self.time_wait_timer.stop()
+        """Stop every timer this engine owns (connection teardown).
+
+        ``cancel``, not ``stop``: a queued timer event would keep the
+        closed TCB alive until it came due.
+        """
+        self.rto_timer.cancel()
+        self.persist_timer.cancel()
+        self.time_wait_timer.cancel()
 
     # -- RTO -----------------------------------------------------------------
     def _on_rto(self) -> None:

@@ -417,7 +417,7 @@ class TCPConnection:
         self.set_state(TCPState.CLOSED)
         self.error = error
         self.retransmit.stop_loss_timers()
-        self.output.delack_timer.stop()
+        self.output.delack_timer.cancel()
         self.layer.connection_closed(self)
         # Crash mid-span: close any open episode so the trace stays paired.
         self.end_span("handshake", self._handshake_sid, outcome="closed")

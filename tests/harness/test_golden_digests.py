@@ -36,7 +36,7 @@ DRILL_SCRIPTS = Path(__file__).parent.parent / "drill" / "scripts"
 HOST_FIELDS = ("sim_events", "bytes_per_tcb")
 
 
-def _simulated(record):
+def simulated(record):
     return {k: v for k, v in record.items() if k not in HOST_FIELDS}
 
 
@@ -44,7 +44,7 @@ def _grid_digest(name, **options):
     result = run_experiment(name, jobs=1, store=None, **options)
     assert result.grid.executed == len(result.cells)  # nothing cached
     keyed = {
-        cell_key(cell): canonical_json(_simulated(record))
+        cell_key(cell): canonical_json(simulated(record))
         for cell, record in zip(result.cells, result.grid.records)
     }
     return hashlib.sha256(canonical_json(sorted(keyed.items())).encode()).hexdigest()
@@ -59,7 +59,7 @@ def _drill_digest():
 def _scale_rung_digest():
     record = run_experiment("scale", ladder=(25,), store=None, base_seed=77).rows[0]
     assert record["verified"]
-    return hashlib.sha256(canonical_json(_simulated(record)).encode()).hexdigest()
+    return hashlib.sha256(canonical_json(simulated(record)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize(

@@ -201,3 +201,21 @@ def test_multiple_connections_all_survive_failover():
     assert len(results) == 3
     assert all(r.error is None and r.verified for r in results)
     assert len(scenario.pair.backup_engine.shadow_connections) == 3
+
+
+def test_engines_re_arm_a_timer_whose_stopped_event_is_still_queued(scenario):
+    """``_adopt_new_primary`` and ``replace_backup`` guard their re-arm with
+    ``if not timer.running``.  A stopped ``RestartableTimer`` keeps its
+    kernel event queued; ``running`` must read the deadline, or heartbeats
+    and sync ticks would never resume."""
+    scenario.start_service()
+    scenario.sim.run(until=0.01)
+    primary, backup = scenario.pair.primary_engine, scenario.pair.backup_engine
+    for timer in (primary._hb_timer, backup._hb_timer, backup._sync_timer):
+        timer.stop()
+        assert timer._handle is not None and not timer.running
+    backup._adopt_new_primary(backup.primary_ip)
+    assert backup._hb_timer.running and backup._sync_timer.running
+    (backup_ip,) = primary.backup_ips
+    primary.replace_backup(backup_ip, backup_ip, backup.host)
+    assert primary._hb_timer.running

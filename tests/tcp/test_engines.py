@@ -47,7 +47,9 @@ class _NoTrace:
 
 
 class FakeClock:
-    """Hand-cranked event clock satisfying the RestartableTimer contract."""
+    """Hand-cranked event clock satisfying the RestartableTimer contract:
+    ``now``, ``call_later(delay, fn)`` and ``schedule_at(time, fn)``, both
+    returning a handle with ``time`` and ``cancel()``."""
 
     def __init__(self):
         self.now = 0.0
@@ -56,10 +58,17 @@ class FakeClock:
         self._seq = 0
 
     def call_later(self, delay, fn):
-        handle = _Handle(self.now + delay, fn, self._seq)
+        return self.schedule_at(self.now + delay, fn)
+
+    def schedule_at(self, time, fn):
+        handle = _Handle(time, fn, self._seq)
         self._seq += 1
         self._queue.append(handle)
         return handle
+
+    @property
+    def pending_count(self):
+        return sum(1 for handle in self._queue if not handle.cancelled)
 
     def advance(self, dt):
         """Move time forward, firing due callbacks in schedule order."""
@@ -201,6 +210,17 @@ class TestOutputDecisionTable:
         assert payloads(layer) == [1]  # the window probe
         # Exponential probe spacing.
         assert conn.retransmit.persist_interval == 2 * PERSIST_TIMEOUT_MIN
+
+    def test_persist_re_arms_after_a_stop_that_left_its_event_queued(self):
+        """``arm_persist`` returns early while ``persist_timer.running``: that
+        must read the deadline, not the still-queued kernel event."""
+        conn, _, clock = make_conn()
+        establish(conn, wnd=0)
+        conn.retransmit.arm_persist()
+        conn.retransmit.persist_timer.stop()
+        assert clock.pending_count == 1 and not conn.retransmit.persist_timer.running
+        conn.retransmit.arm_persist()
+        assert conn.retransmit.persist_timer.deadline == clock.now + PERSIST_TIMEOUT_MIN
 
     def test_delayed_ack_waits_then_timer_fires(self):
         conn, layer, clock = make_conn()

@@ -1,0 +1,162 @@
+#!/usr/bin/env python
+"""What the event queue of one run was asked to hold, callback by callback.
+
+For every kernel event of a run: who it was for, and what became of it.
+*scheduled* is a push onto the queue; *cancelled*, an entry flagged dead
+before it came due; *fired*, a callback that ran and did its work;
+*no-op*, one that ran, looked and left — a ``RestartableTimer`` event that
+found its timer stopped or its deadline moved (``tcp/timers.py``).  The
+queue should hold what will happen in the model: a tall *cancelled* or
+*no-op* column, or a ``Timeout.succeed`` row as tall as the segment count,
+is host work that simulates nothing.  That is how the 25 ms holder poll
+of ``repro scale`` and the cancel-and-re-push timer were found.
+
+Timer events are split by timer name; timeouts, by the generator that
+slept.  Counted from outside — ``Scheduler._push`` and
+``EventHandle.cancel`` are wrapped for the length of the run — so it
+reads any tree without a hook in ``src/``.
+
+Usage::
+
+    PYTHONPATH=src python tools/event_census.py 100            # one scale rung
+    PYTHONPATH=src python tools/event_census.py churn_failover # a bench workload
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Tuple
+
+import repro.harness.experiments  # noqa: F401 — registers the "scale" spec
+from repro.harness.executor import run_experiment
+from repro.sim.events import EventHandle, SimEvent, Timeout
+from repro.sim.scheduler import Scheduler
+from repro.tcp.timers import RestartableTimer
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+#: The seed the reference benchmark's workloads run at.
+BASE_SEED = 12
+
+
+class _Row:
+    __slots__ = ("scheduled", "cancelled", "noop", "fired")
+
+    def __init__(self) -> None:
+        self.scheduled = self.cancelled = self.noop = self.fired = 0
+
+
+class _Counted:
+    """Stands in for one queued callback and books what becomes of it."""
+
+    __slots__ = ("callback", "row")
+
+    def __init__(self, callback: Callable[..., Any], row: _Row) -> None:
+        self.callback = callback
+        self.row = row
+
+    def __call__(self, *args: Any) -> None:
+        timer = getattr(self.callback, "__self__", None)
+        if isinstance(timer, RestartableTimer):
+            before = timer.fired_count
+            self.callback(*args)
+            if timer.fired_count == before:
+                self.row.noop += 1
+                return
+        else:
+            self.callback(*args)
+        self.row.fired += 1
+
+
+def _sleeper() -> str:
+    """The function outside the kernel that asked for the timeout."""
+    frame = sys._getframe(1)
+    while frame.f_back and frame.f_globals.get("__name__", "").startswith(("repro.sim", __name__)):
+        frame = frame.f_back
+    return frame.f_code.co_qualname
+
+
+def _label(callback: Callable[..., Any]) -> str:
+    owner = getattr(callback, "__self__", None)
+    name = getattr(callback, "__qualname__", repr(callback))
+    if isinstance(owner, RestartableTimer):
+        return f"{name}[{owner.name}]"
+    if isinstance(owner, Timeout):
+        return f"Timeout.succeed[{_sleeper()}]"
+    if type(owner) is SimEvent:
+        return f"{name}[{owner.name}]"
+    return name
+
+
+def take_census(run: Callable[[], Any]) -> Tuple[Dict[str, _Row], Any]:
+    """Call ``run()`` booking every kernel event: (label -> row, run's result)."""
+    census: Dict[str, _Row] = {}
+    push, cancel = Scheduler._push, EventHandle.cancel
+
+    def counting_push(self: Scheduler, time: float, callback: Any, args: tuple, priority: int) -> EventHandle:
+        row = census.setdefault(_label(callback), _Row())
+        row.scheduled += 1
+        return push(self, time, _Counted(callback, row), args, priority)
+
+    def counting_cancel(self: EventHandle) -> None:
+        if self._sched is not None and isinstance(self.callback, _Counted):
+            self.callback.row.cancelled += 1  # still queued: a dead entry
+        cancel(self)
+
+    Scheduler._push, EventHandle.cancel = counting_push, counting_cancel  # type: ignore[method-assign]
+    try:
+        return census, run()
+    finally:
+        Scheduler._push, EventHandle.cancel = push, cancel  # type: ignore[method-assign]
+
+
+def census_of(what: str, seed: int) -> Tuple[Dict[str, _Row], str]:
+    """Run a scale rung (``what`` a connection count) or a bench workload."""
+    if what.isdigit():
+        census, result = take_census(
+            lambda: run_experiment("scale", ladder=(int(what),), store=None, base_seed=seed)
+        )
+        (record,) = result.rows
+        events, segments = record["sim_events"], record["sim_segments"]
+        what = f"scale rung of {what} connections"
+    else:
+        sys.path.insert(0, str(BENCH))
+        from workloads import WORKLOADS  # bench/workloads.py, as bench/worker.py imports it
+
+        def run() -> Any:
+            timed, summarise = WORKLOADS[what](seed, 1.0)
+            return summarise(timed())
+
+        census, outcome = take_census(run)
+        events, segments = outcome.events, outcome.segments
+    return census, (
+        f"{what}, seed {seed}: {events} events executed for {segments} segments"
+        f" = {events / segments:.2f} per segment"
+    )
+
+
+def format_census(census: Dict[str, _Row], summary: str) -> str:
+    rows: List[Tuple[Any, ...]] = sorted(
+        ((r.scheduled, r.cancelled, r.noop, r.fired, label) for label, r in census.items()),
+        reverse=True,
+    )
+    scheduled, cancelled, noop, fired = (sum(column) for column in list(zip(*rows))[:4])
+    rows += [(scheduled, cancelled, noop, fired, "total")]
+    lines = [summary, f"  {'scheduled':>9} {'cancelled':>9} {'no-op':>7} {'fired':>7}  callback"]
+    lines += [f"  {s:>9} {c:>9} {n:>7} {f:>7}  {label}" for s, c, n, f, label in rows]
+    lines.append(f"  still queued at the end: {scheduled - cancelled - noop - fired}")
+    return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "what",
+        help="a connection count (one `repro scale` rung) or a bench workload: "
+        "bulk_download, bulk_upload, churn_failover, cluster_failover",
+    )
+    parser.add_argument("--seed", type=int, default=BASE_SEED)
+    args = parser.parse_args()
+    print(format_census(*census_of(args.what, args.seed)))
