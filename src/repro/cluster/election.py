@@ -89,9 +89,8 @@ class ElectionCoordinator:
         self.report = ElectionReport()
         #: service name → the (ex-backup) engine that took it over.
         self.takeover_engines: dict = {}
-        #: Snapshot-sync latencies, for fleet percentile queries (TSDB /
-        #: SLO).  One registry-wide histogram: elections are fabric
-        #: events, not per-host ones.
+        #: Snapshot-sync latencies.  One registry-wide histogram:
+        #: elections are fabric events, not per-host ones.
         self._h_election_sync = self.sim.metrics.histogram("cluster.election_sync")
         for node in fabric.backups:
             node.manager.on_takeover = (

@@ -18,7 +18,7 @@ record for the result store:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional
 
 from repro.apps.client import client_session
 from repro.cluster.election import ElectionCoordinator
@@ -39,19 +39,9 @@ from repro.obs.timeline import (
     reconstruct_cluster_phases,
     reconstruct_failover,
 )
-from repro.obs.timeseries import TimeSeriesDB
 
 #: Clients start this long after the service fabric comes up.
 CLIENT_START = 0.1
-
-#: TSDB sampling cadence for cluster runs — fine enough to catch the
-#: sub-100ms failover phases, cold enough to stay off every hot path.
-TSDB_INTERVAL = 0.025
-
-#: Histogram series whose percentile digests are embedded into the run
-#: record (the SLO engine reads records, possibly from the store's
-#: cache, so the digests must travel with them).
-TSDB_DIGEST_SERIES = ("cluster.election_sync",)
 
 #: Per-client spawn stagger, so N identical workloads don't run in
 #: artificial lockstep on the shared WAN hub.
@@ -79,7 +69,6 @@ class ClusterRun:
         self.coordinator = ElectionCoordinator(self.fabric, self.pool)
         self.monitor = DualPrimaryMonitor(self.fabric)
         self.collector = TimelineCollector().attach(self.sim.trace)
-        self.tsdb = TimeSeriesDB(self.sim, interval=TSDB_INTERVAL)
         self.crash_injector = CrashInjector(self.sim)
         self.results: Dict[str, Any] = {}
 
@@ -97,7 +86,6 @@ class ClusterRun:
         :class:`ServiceNode` the scenario's crash targets."""
         self.fabric.start_services()
         self.monitor.start()
-        self.tsdb.start()
         crashed = self.fabric.services[self.spec.crash_primary]
         if schedule_crash:
             self.crash_injector.crash_at(crashed.primary, self.spec.crash_at)
@@ -125,7 +113,6 @@ class ClusterRun:
         while not done() and sim.now < deadline:
             sim.run(until=sim.now + 0.050)
         self.monitor.stop()
-        self.tsdb.stop()
         perf.note_simulation(sim)
         return self._assemble(crashed)
 
@@ -227,15 +214,6 @@ class ClusterRun:
             main_flow = max(chains, key=lambda flow: (len(chains[flow]), -flow))
             main_chain = chains[main_flow]
 
-        # Percentile digests travel inside the record: the SLO engine may
-        # be fed a cached record from the store, long after this TSDB
-        # object is gone.
-        digests = {
-            name: self.tsdb.digest(name)
-            for name in TSDB_DIGEST_SERIES
-            if self.tsdb.series(name) is not None
-        }
-
         arbiter = self.fabric.arbiter
         return {
             "scenario": spec.name,
@@ -275,7 +253,6 @@ class ClusterRun:
                 cluster_phases.summary() if cluster_phases is not None else None
             ),
             "causal": {"flows": len(chains), "chain": main_chain},
-            "tsdb": {"summary": self.tsdb.summary(), "digests": digests},
             "pairs": pairs,
             "sim_seconds": self.sim.now,
             "sim_events": self.sim.events_executed,

@@ -75,10 +75,6 @@ class ConnectionClosed(ConnectionError_):
     """An operation was attempted on a socket that is already closed."""
 
 
-class HostDownError(NetworkError):
-    """An operation was attempted on a crashed host."""
-
-
 class ConfigurationError(ReproError):
     """A scenario or protocol configuration is invalid."""
 

@@ -98,9 +98,6 @@ class ResultStore:
     def entries(self) -> List[Entry]:
         return list(self._by_key.values())
 
-    def records_for(self, experiment: str) -> List[Entry]:
-        return [e for e in self._by_key.values() if e.get("experiment") == experiment]
-
     def append(
         self,
         cell: GridCell,

@@ -7,7 +7,7 @@ from repro.ip.datagram import (
     PROTO_TCP,
     PROTO_UDP,
 )
-from repro.ip.layer import IPLayer, proto_name
+from repro.ip.layer import IPLayer
 from repro.ip.routing import Route, RoutingTable
 
 __all__ = [
@@ -19,5 +19,4 @@ __all__ = [
     "PROTO_UDP",
     "Route",
     "RoutingTable",
-    "proto_name",
 ]

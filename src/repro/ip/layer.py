@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.ip.datagram import DEFAULT_TTL, IPDatagram, PROTO_TCP, PROTO_UDP
+from repro.ip.datagram import DEFAULT_TTL, IPDatagram
 from repro.ip.routing import Route, RoutingTable
 from repro.net.addresses import IPAddress, MACAddress
 from repro.net.frame import ETHERTYPE_IPV4, EthernetFrame
@@ -187,8 +187,3 @@ class IPLayer:
             pass
         self._c_forwarded.value += 1
         self._transmit(datagram.decremented(), route)
-
-
-def proto_name(protocol: int) -> str:
-    """Human-readable protocol number (for traces and errors)."""
-    return {PROTO_TCP: "tcp", PROTO_UDP: "udp"}.get(protocol, str(protocol))

@@ -1,24 +1,16 @@
-"""Metric snapshots and experiment samples."""
+"""What the host spent running a simulation: wall clock and collector
+passes per cell (:mod:`~repro.metrics.perf`), the ``--profile`` sampler
+(:mod:`~repro.metrics.profile`) and the CSV/JSON record writers
+(:mod:`~repro.metrics.report`).  What the simulation itself did, in sim
+time, is :mod:`repro.obs`."""
 
 from repro.metrics import perf, profile
-from repro.metrics.collectors import (
-    ChannelTraffic,
-    ExperimentSample,
-    HostTraffic,
-    registry_snapshot,
-    summarize,
-)
 from repro.metrics.perf import PerfProbe
 from repro.metrics.profile import SamplingProfiler
 
 __all__ = [
-    "ChannelTraffic",
-    "ExperimentSample",
-    "HostTraffic",
     "PerfProbe",
     "SamplingProfiler",
     "perf",
     "profile",
-    "registry_snapshot",
-    "summarize",
 ]

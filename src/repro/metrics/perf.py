@@ -25,6 +25,7 @@ import contextlib
 import contextvars
 import gc
 import time
+import weakref
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 _active: "contextvars.ContextVar[Optional[PerfProbe]]" = contextvars.ContextVar(
@@ -44,12 +45,15 @@ class PerfProbe:
         # is finish minus start.
         self.gc_started = gc.get_stats()
         self.gc_finished: Optional[List[Dict[str, int]]] = None
-        # id(sim) → (events_executed, sim_now); latest snapshot wins, so
-        # counters of a reused simulator are not added twice.
-        self._sims: Dict[int, Tuple[int, float]] = {}
+        # weakref(sim) → (events_executed, sim_now); latest snapshot wins,
+        # so counters of a reused simulator are not added twice.  Not
+        # ``id(sim)``: a freed simulator's address goes to the next one.
+        # References to a live simulator are one key and a dead reference
+        # equals only itself, so a finished run keeps its entry unpinned.
+        self._sims: Dict["weakref.ref[Any]", Tuple[int, float]] = {}
 
     def note(self, sim: Any) -> None:
-        self._sims[id(sim)] = (sim.events_executed, sim.now)
+        self._sims[weakref.ref(sim)] = (sim.events_executed, sim.now)
 
     @property
     def wall_time(self) -> float:

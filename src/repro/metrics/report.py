@@ -54,8 +54,3 @@ def records_to_csv(records: List[Record], path: Union[str, Path]) -> Path:
         for record in records:
             writer.writerow({key: _normalise(value) for key, value in record.items()})
     return path
-
-
-def load_records(path: Union[str, Path]) -> List[Record]:
-    """Read back a JSON export (round-trip helper for tests/tools)."""
-    return json.loads(Path(path).read_text())

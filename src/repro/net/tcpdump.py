@@ -16,7 +16,7 @@ never perturb the simulation.
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable, Dict, List, Optional, TextIO, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.ip.datagram import PROTO_TCP, PROTO_UDP, IPDatagram
 from repro.net.addresses import IPAddress, MACAddress
@@ -110,17 +110,6 @@ class PacketDump:
             return
         self.lines_emitted += 1
         self.sink(f"{self.sim.now:.6f} {where} {format_frame(frame)}")
-
-
-def dump_to_file(sim: Any, path: str) -> "PacketDump":
-    """A PacketDump writing lines to ``path`` (caller attaches NICs)."""
-    handle: TextIO = open(path, "w")  # noqa: SIM115 - lifetime = simulation
-
-    def sink(line: str) -> None:
-        handle.write(line + "\n")
-
-    dump = PacketDump(sim, sink=sink)
-    return dump
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,10 @@
-"""repro.obs — the unified observability layer.
+"""repro.obs — what the simulation did, in sim time.
 
-Seven pieces (see docs/OBSERVABILITY.md):
+Six pieces (see docs/OBSERVABILITY.md, which also lists who reads each):
 
 * :mod:`repro.obs.registry` — named counters/gauges/histograms with O(1)
-  hot-path increments, per-host scoping and delta snapshots;
-* :mod:`repro.obs.timeseries` — the sim-time TSDB: bounded ring-buffer
-  series sampled from the registry on a sim-time cadence, with counter
-  rate derivation and windowed histogram percentile queries;
+  hot-path increments, per-host scoping and delta snapshots: the one
+  store of simulated measurements, read when the run ends;
 * :mod:`repro.obs.spans` — reassembles the Tracer's span begin/end
   records into timed units (handshakes, retransmission bursts,
   failovers) and causal chains (cross-host ``flow`` links);
@@ -15,13 +13,16 @@ Seven pieces (see docs/OBSERVABILITY.md):
   when a run goes red;
 * :mod:`repro.obs.timeline` / :mod:`repro.obs.export` — the paper's
   failover phase decomposition (per-pair and cluster-level), plus
-  Chrome trace-event (Perfetto, including flow arrows) and JSONL export
-  of any trace;
+  Chrome trace-event (Perfetto, including flow arrows) export of any
+  trace;
 * :mod:`repro.obs.slo` — the declarative SLO engine: JSON specs under
   ``configs/slo/`` evaluated against run records with burn-rate
   verdicts;
 * :mod:`repro.obs.scorecard` — per-scenario health grades rendered to
   Markdown + JSON (the ``repro health`` artefact).
+
+What the *host* spent running it (wall clock, collector passes, the
+``--profile`` sampler) is :mod:`repro.metrics`.
 """
 
 from repro.obs.recorder import FlightRecorder
@@ -36,7 +37,6 @@ from repro.obs.timeline import (
     reconstruct_cluster_phases,
     reconstruct_failover,
 )
-from repro.obs.timeseries import TimeSeriesDB
 
 __all__ = [
     "ClusterPhases",
@@ -50,7 +50,6 @@ __all__ = [
     "SLOSpec",
     "Scorecard",
     "Span",
-    "TimeSeriesDB",
     "TimelineCollector",
     "assemble_spans",
     "causal_chains",

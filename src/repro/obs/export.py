@@ -1,4 +1,4 @@
-"""Trace export: Chrome trace-event JSON (Perfetto) and JSONL.
+"""Trace export: Chrome trace-event JSON (Perfetto).
 
 The Chrome trace-event format is the lingua franca of timeline viewers —
 ``chrome://tracing``, Perfetto UI and speedscope all load it.  We map:
@@ -18,16 +18,12 @@ The Chrome trace-event format is the lingua franca of timeline viewers —
 
 Times are exported in microseconds (the format's unit); the simulator's
 seconds are multiplied by 1e6.
-
-JSONL export is the lossless sibling: one record per line with fields
-rendered through :func:`format_field`, re-importable via
-:func:`read_jsonl` for offline span assembly.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, Iterable, List
+from typing import Any, Dict, IO, List
 
 from repro.obs.spans import SpanSet, assemble_spans, is_span_record
 from repro.sim.trace import TraceRecord, format_field
@@ -137,43 +133,7 @@ def write_chrome_trace(records: List[TraceRecord], fh: IO[str]) -> int:
     return len(events)
 
 
-def write_jsonl(records: Iterable[TraceRecord], fh: IO[str]) -> int:
-    """One JSON object per record: ``{"t", "cat", "ev", "fields"}``."""
-    count = 0
-    for record in records:
-        json.dump(
-            {
-                "t": record.time,
-                "cat": record.category,
-                "ev": record.event,
-                "fields": _json_fields(record.fields),
-            },
-            fh,
-            separators=(",", ":"),
-        )
-        fh.write("\n")
-        count += 1
-    return count
-
-
-def read_jsonl(fh: IO[str]) -> List[TraceRecord]:
-    """Read records written by :func:`write_jsonl` (span keys survive the
-    round trip, so :func:`assemble_spans` works on the result)."""
-    records: List[TraceRecord] = []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        records.append(
-            TraceRecord(obj["t"], obj["cat"], obj["ev"], obj.get("fields", {}))
-        )
-    return records
-
-
 __all__ = [
     "chrome_trace_events",
-    "read_jsonl",
     "write_chrome_trace",
-    "write_jsonl",
 ]

@@ -80,10 +80,8 @@ def bucket_quantile(
     Returns the upper bound of the bucket holding the q-th observation,
     clamped to ``observed_max`` when known — so a single-sample p99 is
     the sample itself (not its bucket's ceiling) and the overflow bucket
-    reports the real maximum instead of ``inf``.  Shared by
-    :meth:`Histogram.quantile` and the TSDB's windowed digest queries
-    (:mod:`repro.obs.timeseries`), which subtract two cumulative digests
-    and pass the difference here.
+    reports the real maximum instead of ``inf``.  The arithmetic behind
+    :meth:`Histogram.quantile`, its one caller.
     """
     total = sum(bucket_counts)
     if total <= 0:

@@ -71,7 +71,6 @@ class ScenarioScore:
     degraded: int
     cluster_phases: Optional[Dict[str, Any]] = None
     causal_chain: List[Dict[str, Any]] = field(default_factory=list)
-    tsdb: Optional[Dict[str, Any]] = None
 
     @property
     def ok(self) -> bool:
@@ -89,7 +88,6 @@ class ScenarioScore:
             "degraded": self.degraded,
             "cluster_phases": self.cluster_phases,
             "causal_chain": self.causal_chain,
-            "tsdb": self.tsdb,
         }
 
 
@@ -114,7 +112,6 @@ def score_record(
         degraded=int(record.get("degraded", 0) or 0),
         cluster_phases=record.get("cluster_phases"),
         causal_chain=list(causal.get("chain") or []),
-        tsdb=record.get("tsdb"),
     )
 
 

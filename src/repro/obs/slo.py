@@ -1,12 +1,11 @@
 """Declarative SLO engine: JSON specs evaluated against run evidence.
 
 An *SLI* (service-level indicator) is a number computed from a run
-record — the JSON-able dict a cluster or scale run assembles — plus the
-TSDB digests embedded in it.  An *SLO* binds an SLI to an objective and
-yields a verdict with a **burn rate**: the fraction of the error budget
-the run consumed (1.0 = budget exactly spent, >1.0 = violated).  Specs
-are plain JSON under ``configs/slo/`` so a scenario's service-level
-expectations are reviewable data, not code::
+record — the JSON-able dict a cluster or scale run assembles.  An *SLO*
+binds an SLI to an objective and yields a verdict with a **burn rate**:
+the fraction of the error budget the run consumed (1.0 = budget exactly
+spent, >1.0 = violated).  Specs are plain JSON under ``configs/slo/`` so
+a scenario's service-level expectations are reviewable data, not code::
 
     {"name": "cluster", "slos": [
       {"name": "availability", "sli": "availability",
@@ -33,8 +32,8 @@ Shipped SLIs
 ``takeover_latency`` / ``detection_latency``
     Crash-relative latencies from the record; burn = value/objective.
 ``election_sync_p99``
-    p99 of the snapshot-resync latency histogram, preferring the TSDB
-    digest embedded in the record, falling back to the election records.
+    Nearest-rank p99 of the snapshot-resync latencies in the record's
+    ``elections`` (the maximum below 100 elections).
 ``exactly_once``
     Fraction of client streams verified exactly-once (no gap, no
     duplicate, no corruption), degraded connections counted as failures.
@@ -296,30 +295,26 @@ def _sli_detection_latency(
 def _sli_election_sync_p99(
     record: Dict[str, Any], slo: SLO, objective: float
 ) -> SLIVerdict:
-    digests = (record.get("tsdb") or {}).get("digests") or {}
-    digest = digests.get("cluster.election_sync") or {}
-    value = digest.get("p99")
-    source = "tsdb digest"
-    if not _is_number(value):
-        latencies = [
-            e.get("sync_latency")
-            for e in record.get("elections", [])
-            if _is_number(e.get("sync_latency"))
-        ]
-        if not latencies:
-            # A run with no elections has nothing to bound — vacuously
-            # within budget (the bounded_election invariant separately
-            # fails runs that *should* have elected but didn't sync).
-            return None, 0.0, True, "no election sync evidence"
-        value = max(latencies)
-        source = "election records"
+    latencies = sorted(
+        e.get("sync_latency")
+        for e in record.get("elections", [])
+        if _is_number(e.get("sync_latency"))
+    )
+    if not latencies:
+        # A run with no elections has nothing to bound — vacuously
+        # within budget (the bounded_election invariant separately
+        # fails runs that *should* have elected but didn't sync).
+        return None, 0.0, True, "no election sync evidence"
+    # Exact nearest-rank p99: the ⌈0.99·n⌉-th smallest (the maximum
+    # below 100 elections).
+    value = latencies[-(-99 * len(latencies) // 100) - 1]
     burn = value / objective if objective > 0 else None
     ok = burn is not None and burn <= 1.0
     return (
         float(value),
         burn,
         ok,
-        f"sync p99 {value * 1e3:.1f} ms vs {objective * 1e3:.1f} ms ({source})",
+        f"sync p99 {value * 1e3:.1f} ms vs {objective * 1e3:.1f} ms (election records)",
     )
 
 

@@ -111,10 +111,6 @@ class BackupConnectionIndex:
             due.append(state)
         return due
 
-    def ack_queue_len(self) -> int:
-        """Queue entries including stale ones (tests / introspection)."""
-        return len(self._ack_queue)
-
     # -- outstanding recovery requests (§4.2) ----------------------------------
     def note_retx_pending(self, state: Any) -> None:
         self._retx_pending[state.key] = state

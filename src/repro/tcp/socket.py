@@ -74,10 +74,6 @@ class TCPSocket:
     def connected(self) -> bool:
         return self._tcb.state is TCPState.ESTABLISHED
 
-    @property
-    def at_eof(self) -> bool:
-        return self._tcb.eof
-
     # Waitables ------------------------------------------------------------------
     def wait_connected(self) -> SimEvent:
         """Succeeds (with this socket) once ESTABLISHED; fails on error."""

@@ -167,13 +167,6 @@ class TCPConnection:
     def key(self) -> tuple:
         return (self.local_ip.value, self.local_port, self.remote_ip.value, self.remote_port)
 
-    def _snd_offset(self, seq_abs: int) -> int:
-        """Send-stream offset of an absolute sequence number."""
-        return self.buffers.snd_offset(seq_abs)
-
-    def _snd_seq(self, offset: int) -> int:
-        return self.buffers.snd_seq(offset)
-
     def _rcv_offset(self, seq_abs: int) -> int:
         return self.buffers.rcv_offset(seq_abs)
 

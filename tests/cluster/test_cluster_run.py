@@ -150,3 +150,28 @@ def test_single_pair_cluster_matches_paper_shape():
     # A 1-backup pool cannot elect a replacement: recorded, not raised.
     (election,) = record["elections"]
     assert election["new_backup"] is None
+
+
+def test_a_cluster_run_schedules_no_telemetry_event(monkeypatch):
+    """The registry is read when the run ends: nothing under ``repro/obs``
+    is ever a kernel event.  Counted from outside, as
+    ``tools/event_census.py`` does."""
+    from repro.cluster.run import ClusterRun
+    from repro.harness.experiments.cluster import resolve_scenario
+    from repro.sim.scheduler import Scheduler
+
+    dispatched = set()
+    push = Scheduler._push
+
+    def recording_push(self, time, callback, args, priority):
+        def recorded(*event_args):
+            function = getattr(callback, "__func__", callback)
+            dispatched.add((function.__code__.co_filename, function.__qualname__))
+            callback(*event_args)
+
+        return push(self, time, recorded, args, priority)
+
+    monkeypatch.setattr(Scheduler, "_push", recording_push)
+    record = ClusterRun(resolve_scenario("smoke")).execute()
+    assert record["ok"] and len(dispatched) > 10
+    assert [where for where in sorted(dispatched) if "/repro/obs/" in where[0]] == []

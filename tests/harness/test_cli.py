@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.harness.cli import build_parser, main
-from repro.metrics.report import load_records, records_to_csv, records_to_json
+from repro.metrics.report import records_to_csv, records_to_json
 
 
 def test_parser_requires_command():
@@ -103,7 +103,7 @@ def test_table1_command_with_exports(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert "Standard TCP" in out
-    records = load_records(json_path)
+    records = json.loads(json_path.read_text())
     assert records[0]["config"] == "Standard TCP"
     header = csv_path.read_text().splitlines()[0]
     assert "config" in header
@@ -131,7 +131,7 @@ def test_records_roundtrip(tmp_path):
         {"a": float("inf"), "d": 4},
     ]
     path = records_to_json(records, tmp_path / "r.json")
-    loaded = load_records(path)
+    loaded = json.loads(path.read_text())
     assert loaded[0]["a"] == pytest.approx(1.23456789)
     assert loaded[1]["a"] == "inf"
     assert loaded[1]["d"] == 4
@@ -242,6 +242,29 @@ def test_health_command_publishes_scorecard(tmp_path, capsys):
     assert scenario["name"] == "smoke"
     assert scenario["grade"] in ("A", "B")
     assert scenario["causal_chain"]  # the takeover's flow travelled along
+
+
+def test_health_election_sync_row_is_the_parents_read_from_election_records(
+    tmp_path, capsys
+):
+    """Value, burn and grade as the sampler's digest reported them (pinned
+    from the tree that still had one); only the source text differs."""
+    assert main(["health", "--no-store", "--out", str(tmp_path / "h")]) == 0
+    out = capsys.readouterr().out
+    expected = {
+        "smoke": "| election-sync-p99 | 0.6 | 0.0501612 | 0.08 | ok |"
+        " sync p99 50.2 ms vs 600.0 ms (election records) |",
+        "trio": "| election-sync-p99 | 0.6 | 0.100161 | 0.17 | ok |"
+        " sync p99 100.2 ms vs 600.0 ms (election records) |",
+        "storm": "| election-sync-p99 | 0.6 | 0.100161 | 0.17 | ok |"
+        " sync p99 100.2 ms vs 600.0 ms (election records) |",
+    }
+    sections = out.split("\n## ")[1:]
+    assert [section.split(" ")[0] for section in sections] == list(expected)
+    for section in sections:
+        name = section.split(" ")[0]
+        assert section.startswith(f"{name} — grade B\n")
+        assert expected[name] in section.splitlines()
 
 
 def test_health_command_stores_content_hashed_scores(tmp_path, capsys):

@@ -113,3 +113,22 @@ def test_store_survives_torn_final_line(tmp_path):
     assert len(reloaded) == len(cells)
     resumed = run_grid(spec, cells, store=reloaded)
     assert resumed.executed == 0
+
+
+def test_probe_counts_every_simulator_though_addresses_are_reused():
+    """Simulators built, run and dropped in a loop are handed each other's
+    ``id()``; the probe must count all of them, and one noted twice once."""
+    from repro.metrics import perf
+    from repro.sim.simulator import Simulator
+
+    with perf.track() as probe:
+        for _ in range(5):
+            sim = Simulator()
+            for tick in range(10):
+                sim.call_later(0.001 * (tick + 1), lambda: None)
+            sim.run()
+            perf.note_simulation(sim)
+            perf.note_simulation(sim)
+            del sim
+    telemetry = probe.telemetry()
+    assert (telemetry["simulations"], telemetry["events"]) == (5, 50)

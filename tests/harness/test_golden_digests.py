@@ -33,10 +33,7 @@ DRILL_SCRIPTS = Path(__file__).parent.parent / "drill" / "scripts"
 #: whenever scheduling gets cheaper without any segment, timestamp or
 #: outcome moving — the reason ``bench/workloads.py`` keeps ``sim.events``
 #: out of ``sim_digest``; tests/harness/test_scale.py budgets it instead.
-#: ``tsdb`` is the cluster record's sampler block: its ``summary`` counts
-#: the sampler's own samples and points, and its ``digests`` are a
-#: function of ``elections[*].sync_latency``, which stays hashed.
-HOST_FIELDS = ("sim_events", "bytes_per_tcb", "tsdb")
+HOST_FIELDS = ("sim_events", "bytes_per_tcb")
 
 
 def simulated(record):

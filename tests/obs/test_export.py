@@ -1,4 +1,4 @@
-"""Tests for trace export: Chrome trace-event JSON and JSONL round-trip."""
+"""Tests for trace export: Chrome trace-event JSON."""
 
 import io
 import json
@@ -6,12 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.export import (
-    chrome_trace_events,
-    read_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-)
+from repro.obs.export import chrome_trace_events, write_chrome_trace
 from repro.obs.spans import assemble_spans
 from repro.sim.trace import RecordingSink, Tracer
 
@@ -145,51 +140,9 @@ class TestFlowEvents:
             "f",
         ]
 
-    def test_flow_survives_jsonl_round_trip(self):
-        records = _flow_stream()
-        fh = io.StringIO()
-        write_jsonl(records, fh)
-        fh.seek(0)
-        back = read_jsonl(fh)
-        chains = assemble_spans(back).flows()
-        assert list(chains) == [1]
-        assert [s.name for s in chains[1]] == ["takeover_episode", "fence"]
-        # The re-imported stream renders the same flow arrows.
-        arrows = [
-            (e["ph"], e["ts"])
-            for e in chrome_trace_events(back)
-            if e["ph"] in ("s", "t", "f")
-        ]
-        assert arrows == [
-            (e["ph"], e["ts"])
-            for e in chrome_trace_events(records)
-            if e["ph"] in ("s", "t", "f")
-        ]
-
     def test_stream_without_flows_emits_no_arrows(self):
         events = chrome_trace_events(_small_stream())
         assert not [e for e in events if e["ph"] in ("s", "t", "f")]
-
-
-class TestJsonl:
-    def test_round_trip_preserves_span_protocol(self):
-        records = _small_stream()
-        fh = io.StringIO()
-        assert write_jsonl(records, fh) == len(records)
-        fh.seek(0)
-        back = read_jsonl(fh)
-        assert len(back) == len(records)
-        assert [r.event for r in back] == [r.event for r in records]
-        # Span reassembly works on the re-imported stream.
-        spans = assemble_spans(back)
-        assert spans.first("handshake").duration == pytest.approx(0.002)
-        assert len(spans.open_spans) == 1
-
-    def test_blank_lines_skipped(self):
-        fh = io.StringIO('{"t":1.0,"cat":"a","ev":"b"}\n\n')
-        records = read_jsonl(fh)
-        assert len(records) == 1
-        assert records[0].fields == {}
 
 
 class TestCliExport:

@@ -62,7 +62,6 @@ def _record(**overrides):
                 },
             ],
         },
-        "tsdb": {"summary": {"series": 3}},
     }
     record.update(overrides)
     return record
