@@ -250,11 +250,11 @@ class DrillEnv:
                     "peer; use fault() and probe() ops"
                 )
             if op.kind == "inject":
-                self.sim.schedule_at(op.time, self.peer.inject, op.spec)
+                self.sim.post(op.time, self.peer.inject, op.spec)
             elif op.kind == "sock":
-                self.sim.schedule_at(op.time, self._guard(op, self._sock_call), op)
+                self.sim.post(op.time, self._guard(op, self._sock_call), op)
             elif op.kind == "probe":
-                self.sim.schedule_at(op.time, self._guard(op, op.action), self)
+                self.sim.post(op.time, self._guard(op, op.action), self)
             elif op.kind == "fault":
                 name, kwargs = op.args
                 apply_drill_fault(name, self, op.time, **kwargs)

@@ -193,13 +193,13 @@ def _fault_tap_outage(env: Any, time: float, duration: float = 0.1) -> None:
 def _fault_tap_loss(env: Any, time: float, rate: float = 0.1) -> None:
     nic = _require(env, "tap_nic", "tap_loss")
     rng = env.sim.random.stream("drill.tap_loss")
-    env.sim.schedule_at(time, add_tap_loss, nic, rng, rate)
+    env.sim.post(time, add_tap_loss, nic, rng, rate)
 
 
 @drill_fault("channel_partition")
 def _fault_channel_partition(env: Any, time: float) -> None:
     config = _require(env, "sttcp_config", "channel_partition")
-    env.sim.schedule_at(time, partition_channel, env.hub, config.channel_port)
+    env.sim.post(time, partition_channel, env.hub, config.channel_port)
 
 
 @drill_fault("channel_partition_oneway")
@@ -207,14 +207,12 @@ def _fault_channel_partition_oneway(env: Any, time: float, sender: str = "primar
     config = _require(env, "sttcp_config", "channel_partition_oneway")
     host = _require(env, sender, "channel_partition_oneway")
     src_ip = host.interfaces[0].ip
-    env.sim.schedule_at(
-        time, partition_channel_oneway, env.hub, config.channel_port, src_ip
-    )
+    env.sim.post(time, partition_channel_oneway, env.hub, config.channel_port, src_ip)
 
 
 @drill_fault("channel_heal")
 def _fault_channel_heal(env: Any, time: float) -> None:
-    env.sim.schedule_at(time, clear_loss, env.hub)
+    env.sim.post(time, clear_loss, env.hub)
 
 
 @drill_fault("power_kill")
@@ -223,7 +221,7 @@ def _fault_power_kill(env: Any, time: float, host: str = "primary") -> None:
     the STONITH primitive as a drill-armable fault."""
     switch = _require(env, "power_switch", "power_kill")
     target = _require(env, host, "power_kill")
-    env.sim.schedule_at(time, switch.cut_power, target)
+    env.sim.post(time, switch.cut_power, target)
 
 
 # -- cluster-mode faults (env.cluster is a repro.cluster.run.ClusterRun) ----
@@ -240,9 +238,7 @@ def _cluster_service(env: Any, service: str, fault: str) -> Any:
 def _fault_cluster_crash(env: Any, time: float, service: str = "s0") -> None:
     """Crash the host currently acting as ``service``'s primary."""
     node = _cluster_service(env, service, "cluster_crash")
-    env.sim.schedule_at(
-        time, lambda: env.crash_injector.crash_at(node.primary_host, env.sim.now)
-    )
+    env.sim.post(time, lambda: env.crash_injector.crash_at(node.primary_host, env.sim.now))
 
 
 @drill_fault("cluster_partition_oneway")
@@ -255,6 +251,4 @@ def _fault_cluster_partition_oneway(env: Any, time: float, service: str = "s0") 
     cluster = env.cluster
     cable = cluster.fabric.lan_cables[node.primary_host.name]
     src_ip = node.primary_host.interfaces[0].ip
-    env.sim.schedule_at(
-        time, partition_channel_oneway, cable, node.config.channel_port, src_ip
-    )
+    env.sim.post(time, partition_channel_oneway, cable, node.config.channel_port, src_ip)

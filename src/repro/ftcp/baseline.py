@@ -76,7 +76,7 @@ class FTCPBackup(STTCPBackup):
                 delay=self.recovery_delay,
             )
         self._keepalive_timer.start(config.keepalive_interval)
-        self.sim.schedule(self.recovery_delay, self._finish_recovery)
+        self.sim.post(self.sim.now + self.recovery_delay, self._finish_recovery)
 
     def _finish_recovery(self) -> None:
         if self.role is not ROLE_TAKING_OVER or not self.host.is_up:

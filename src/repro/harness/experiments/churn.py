@@ -311,7 +311,7 @@ def _run_cell(cell: GridCell) -> Record:
             wake = holder_wake_time(held_since, final_at)
             if wake > sim.now:
                 resume = sim.event("holder-wake")
-                sim.schedule_at(wake, resume.succeed)
+                sim.post(wake, resume.succeed)
                 yield resume
             ok, _ = yield from _flow(sock, 1, POST_TAKEOVER_FLOW, offset)
             if not ok:

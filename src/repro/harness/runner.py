@@ -106,7 +106,7 @@ def run_workload(
         flight = FlightRecorder()
         scenario.sim.trace.add_sink(flight)
     launch_at = scenario.sim.now + CLIENT_START
-    scenario.sim.schedule_at(launch_at, launch)
+    scenario.sim.post(launch_at, launch)
     scenario.sim.run(until=launch_at)
     if not process_box:  # pragma: no cover - the launch event just ran
         scenario.sim.step()

@@ -130,8 +130,9 @@ class ArpService:
         # Timers guard on list identity: a timer from this resolution
         # cycle must not retransmit for (or expire) a later cycle that
         # re-resolves the same IP.
-        self.sim.schedule(ARP_RETRY_INTERVAL, self._retry_request, ip, nic, waiters)
-        self.sim.schedule(ARP_RESOLVE_TIMEOUT, self._resolution_expired, ip, waiters)
+        now = self.sim.now
+        self.sim.post(now + ARP_RETRY_INTERVAL, self._retry_request, ip, nic, waiters)
+        self.sim.post(now + ARP_RESOLVE_TIMEOUT, self._resolution_expired, ip, waiters)
 
     def _broadcast_request(self, target_ip: IPAddress, nic: NIC) -> None:
         sender_ip = self.host.primary_ip_on(nic)
@@ -146,7 +147,7 @@ class ArpService:
         if self._pending.get(ip) is not waiters or not self.host.is_up:
             return
         self._broadcast_request(ip, nic)
-        self.sim.schedule(ARP_RETRY_INTERVAL, self._retry_request, ip, nic, waiters)
+        self.sim.post(self.sim.now + ARP_RETRY_INTERVAL, self._retry_request, ip, nic, waiters)
 
     def _resolution_expired(self, ip: IPAddress, waiters: list) -> None:
         if self._pending.get(ip) is not waiters:

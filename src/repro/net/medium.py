@@ -1,7 +1,8 @@
 """Transmission media: point-to-point cables and the shared-medium hub.
 
 Devices (NICs, switch ports) implement the :class:`FrameReceiver` protocol
-— a single ``receive_frame(frame)`` method — and hold an
+— a single ``receive_frame(frame)`` method, plus an optional
+``screen(dst)`` the hub consults before queueing a delivery — and hold an
 :class:`Attachment` through which they transmit.  Media are responsible for
 serialisation (a link clocks one frame at a time per direction), propagation
 delay, and loss.
@@ -14,7 +15,7 @@ switch support (§6, Experimental Setup).
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import NetworkError
 from repro.net.frame import EthernetFrame
@@ -139,7 +140,7 @@ class Cable:
             return
         self.frames_carried += 1
         self.bytes_carried += frame.wire_size
-        self.sim.schedule_at(arrival, direction.receiver.receive_frame, frame)
+        self.sim.post(arrival, direction.receiver.receive_frame, frame)
 
 
 class HubAttachment(Attachment):
@@ -168,6 +169,16 @@ class Hub:
     (half-duplex), approximating CSMA/CD without modelling collisions —
     under the paper's request/response workloads the medium is never
     contended enough for collision dynamics to matter.
+
+    A station that offers ``screen(dst)`` — a :class:`~repro.net.nic.NIC`
+    does: powered, then its MAC filter — is asked at transmit time, and a
+    frame it would discard on arrival is never queued for it; every station
+    that accepts still gets its own delivery event, in attachment order.
+    A receiver without ``screen`` always gets the event.  So acceptance is
+    judged when the frame *enters* the hub: a station that stops accepting
+    while the frame is on the wire (power-off, ``leave_mac``) still drops
+    it on arrival, but one that *starts* accepting meanwhile (``join_mac``,
+    promiscuous, power-on) does not receive that frame.
     """
 
     def __init__(
@@ -186,12 +197,13 @@ class Hub:
         self.loss_model = loss_model or NoLoss()
         self.name = name
         self._attachments: List[HubAttachment] = []
-        #: Cached fanout snapshot: the currently-attached attachments, so
-        #: the per-frame loop skips the ``attached`` re-check per station.
+        #: Cached fanout snapshot: ``(attachment, receive_frame, screen)``
+        #: of every attached station, methods resolved once, so the
+        #: per-frame loop skips the ``attached`` re-check and the lookups.
         #: Invalidated (None) on attach/detach; deliveries cannot race it
         #: because receive callbacks run from the scheduler, never inside
         #: the fanout loop itself.
-        self._fanout: Optional[List[HubAttachment]] = None
+        self._fanout: Optional[List[Tuple[HubAttachment, Any, Any]]] = None
         self._tx_time_cache: dict = {}  # see Cable: bit-exact memo
         self._next_free = 0.0
         self.frames_carried = 0
@@ -231,8 +243,13 @@ class Hub:
         arrival = start + tx_time + self.delay
         fanout = self._fanout
         if fanout is None:
-            fanout = self._fanout = [a for a in self._attachments if a.attached]
-        schedule_at = self.sim.schedule_at
-        for attachment in fanout:
-            if attachment is not sender:
-                schedule_at(arrival, attachment.receiver.receive_frame, frame)
+            fanout = self._fanout = [
+                (a, a.receiver.receive_frame, getattr(a.receiver, "screen", None))
+                for a in self._attachments
+                if a.attached
+            ]
+        post = self.sim.post
+        dst = frame.dst
+        for attachment, receive, screen in fanout:
+            if attachment is not sender and (screen is None or screen(dst)):
+                post(arrival, receive, frame)

@@ -86,9 +86,6 @@ class NIC(FrameReceiver):
             raise NetworkError(f"cannot remove built-in address {mac}")
         self._accepted.discard(mac)
 
-    def accepts(self, mac: MACAddress) -> bool:
-        return self.promiscuous or mac in self._accepted
-
     # Transmit ----------------------------------------------------------------
     def transmit(self, frame: EthernetFrame) -> None:
         """Send a frame onto the attached medium (no-op when unpowered)."""
@@ -101,12 +98,31 @@ class NIC(FrameReceiver):
         self.attachment.send(frame)
 
     # Receive -----------------------------------------------------------------
-    def receive_frame(self, frame: EthernetFrame) -> None:
+    def screen(self, dst: MACAddress) -> bool:
+        """Is this NIC powered and does its MAC filter accept ``dst``?
+
+        A refusal is counted (``rx_dropped_down``, ``rx_dropped_filter``)
+        as the drop of a frame to ``dst``.  These are the first two checks
+        of :meth:`receive_frame`; the hub also asks them before it queues
+        a delivery (``Hub`` docstring), so a screened-out frame is counted
+        exactly as if it had arrived and been dropped.
+        """
         if not self.powered:
             self.rx_dropped_down += 1
-            return
-        if not self.accepts(frame.dst):
+            return False
+        if not (self.promiscuous or dst in self._accepted):
             self.rx_dropped_filter += 1
+            return False
+        return True
+
+    def receive_frame(self, frame: EthernetFrame) -> None:
+        """Accept, queue or drop one arriving frame.
+
+        The :meth:`screen` checks run here although a hub has already run
+        them: cables do not screen, and a frame can be on the wire when
+        its receiver crashes or leaves the MAC it was sent to.
+        """
+        if not self.screen(frame.dst):
             return
         now = self.sim.now
         if self.rx_loss_model is not None and self.rx_loss_model(frame, now):
@@ -130,7 +146,7 @@ class NIC(FrameReceiver):
         done = start + self.processing_delay
         self._rx_busy_until = done
         self._rx_pending += 1
-        self.sim.schedule_at(done, self._dequeue_and_deliver, frame)
+        self.sim.post(done, self._dequeue_and_deliver, frame)
 
     def _dequeue_and_deliver(self, frame: EthernetFrame) -> None:
         self._rx_pending -= 1

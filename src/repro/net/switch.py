@@ -64,7 +64,11 @@ class Switch:
         self.forwarding_delay = forwarding_delay
         self.ports: List[SwitchPort] = []
         self._mac_table: Dict[MACAddress, SwitchPort] = {}
-        self._multicast_groups: Dict[MACAddress, Set[SwitchPort]] = {}
+        # A frame leaves by its ports in index order, so same-instant
+        # deliveries are queued in an order that does not depend on where
+        # the ports sit in memory (ports hash by id): groups are lists kept
+        # sorted, and no set of ports decides an output order.
+        self._multicast_groups: Dict[MACAddress, List[SwitchPort]] = {}
         self._mirrors: Dict[SwitchPort, Set[SwitchPort]] = {}
         self.frames_forwarded = 0
         self.frames_flooded = 0
@@ -81,12 +85,15 @@ class Switch:
         if not mac.is_multicast:
             raise NetworkError(f"{mac} is not a multicast address")
         self._check_port(port)
-        self._multicast_groups.setdefault(mac, set()).add(port)
+        members = self._multicast_groups.setdefault(mac, [])
+        if port not in members:
+            members.append(port)
+            members.sort(key=lambda member: member.index)
 
     def leave_multicast(self, mac: MACAddress, port: SwitchPort) -> None:
         members = self._multicast_groups.get(mac)
-        if members is not None:
-            members.discard(port)
+        if members is not None and port in members:
+            members.remove(port)
             if not members:
                 del self._multicast_groups[mac]
 
@@ -113,41 +120,49 @@ class Switch:
     def _ingress(self, in_port: SwitchPort, frame: EthernetFrame) -> None:
         if not frame.src.is_multicast:
             self._mac_table[frame.src] = in_port
-        out_ports = self._select_output_ports(in_port, frame)
-        # Mirroring: ingress mirrors of the arrival port, plus egress
-        # mirrors of each selected output port.
-        mirror_targets: Set[SwitchPort] = set(self._mirrors.get(in_port, ()))
-        for port in out_ports:
-            mirror_targets |= self._mirrors.get(port, set())
-        mirror_targets -= out_ports
-        mirror_targets.discard(in_port)
-        targets = out_ports | mirror_targets
+        targets = self._select_output_ports(in_port, frame)
+        if self._mirrors:
+            targets = self._with_mirrors(in_port, targets)
         if not targets:
             return
         self.frames_forwarded += 1
         if self.forwarding_delay > 0.0:
-            self.sim.schedule(self.forwarding_delay, self._egress, targets, frame)
+            sim = self.sim
+            sim.post(sim.now + self.forwarding_delay, self._egress, targets, frame)
         else:
             self._egress(targets, frame)
 
     def _select_output_ports(
         self, in_port: SwitchPort, frame: EthernetFrame
-    ) -> Set[SwitchPort]:
+    ) -> List[SwitchPort]:
+        """The ports a frame leaves by, in port-index order."""
         if frame.dst.is_broadcast:
-            return {port for port in self.ports if port is not in_port}
+            return [port for port in self.ports if port is not in_port]
         if frame.dst.is_multicast:
             members = self._multicast_groups.get(frame.dst)
             if members is not None:
-                return {port for port in members if port is not in_port}
+                return [port for port in members if port is not in_port]
             # Unregistered multicast floods, like a real switch.
             self.frames_flooded += 1
-            return {port for port in self.ports if port is not in_port}
+            return [port for port in self.ports if port is not in_port]
         learned = self._mac_table.get(frame.dst)
         if learned is not None:
-            return set() if learned is in_port else {learned}
+            return [] if learned is in_port else [learned]
         self.frames_flooded += 1
-        return {port for port in self.ports if port is not in_port}
+        return [port for port in self.ports if port is not in_port]
 
-    def _egress(self, targets: Set[SwitchPort], frame: EthernetFrame) -> None:
+    def _with_mirrors(
+        self, in_port: SwitchPort, out_ports: List[SwitchPort]
+    ) -> List[SwitchPort]:
+        """``out_ports`` plus the ingress mirrors of the arrival port and
+        the egress mirrors of each output port, in port-index order."""
+        chosen = set(out_ports)
+        chosen.update(self._mirrors.get(in_port, ()))
+        for port in out_ports:
+            chosen.update(self._mirrors.get(port, ()))
+        chosen.discard(in_port)
+        return [port for port in self.ports if port in chosen]
+
+    def _egress(self, targets: List[SwitchPort], frame: EthernetFrame) -> None:
         for port in targets:
             port.send(frame)

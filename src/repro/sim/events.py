@@ -27,9 +27,12 @@ class EventHandle:
     """A scheduled callback that can be cancelled before it fires.
 
     Instances are created by the scheduler — which also assigns ``seq``,
-    its per-queue tie-break counter — and user code only cancels them.
+    its per-queue tie-break counter — only for callers that keep them
+    (``Simulator.post`` makes none), and user code only cancels them.
+    The handle owns the callback and its arguments; its heap entry is
+    ``(time, priority, seq, handle, None, None)``.
     Cancellation is O(1): the handle is flagged and skipped when its heap
-    entry ``(time, priority, seq, handle)`` reaches the top.  The
+    entry reaches the top.  The
     scheduler keeps a back-reference (``_sched``) while the handle is
     queued so cancellation can maintain its O(1) live-entry counter.
     Handles define no ordering: ``seq`` is unique, so the tuple decides

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from repro.errors import InterruptError, ProcessError
-from repro.sim.events import PRIORITY_NORMAL, SimEvent
+from repro.sim.events import SimEvent
 
 
 class Process(SimEvent):
@@ -50,7 +50,7 @@ class Process(SimEvent):
         self._started = False
         # First resumption happens as a scheduled event so that spawning
         # inside another process does not reenter user code synchronously.
-        sim.call_later(0.0, self._resume_with, None, None, priority=PRIORITY_NORMAL)
+        sim.post(sim.now, self._resume_with, None, None)
 
     # Lifecycle -----------------------------------------------------------
     @property
@@ -70,9 +70,7 @@ class Process(SimEvent):
         if self._waiting_on is not None:
             self._waiting_on.discard_callback(self._event_done)
             self._waiting_on = None
-        self.sim.call_later(
-            0.0, self._resume_with, None, InterruptError(cause), priority=PRIORITY_NORMAL
-        )
+        self.sim.post(self.sim.now, self._resume_with, None, InterruptError(cause))
 
     def kill(self) -> None:
         """Terminate the process without running any of its cleanup code
@@ -125,7 +123,8 @@ class Process(SimEvent):
             # Resume via the scheduler rather than synchronously: a chain
             # of already-ready events (e.g. reads from a full buffer) must
             # not recurse one Python frame per step.
-            self.sim.call_later(0.0, self._event_done, target)
+            sim = self.sim
+            sim.post(sim.now, self._event_done, target)
         else:
             target.add_callback(self._event_done)
 

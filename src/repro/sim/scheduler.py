@@ -1,13 +1,22 @@
 """The event queue driving the discrete-event simulation.
 
-One binary heap of plain tuples ``(time, priority, seq, handle)`` driven
-by :mod:`heapq`, and one dispatch loop (:meth:`Scheduler.run_until`).
+One binary heap of plain tuples ``(time, priority, seq, handle, callback,
+args)`` driven by :mod:`heapq`, and one dispatch loop
+(:meth:`Scheduler.run_until`).
 
 * **Why tuples.**  ``heappush`` / ``heappop`` of a tuple whose first three
   fields are a float and two ints compare entirely in C; ``seq`` is a
   per-scheduler counter assigned at schedule time and therefore unique,
-  so the comparison is decided before the :class:`EventHandle` in the last
-  field is ever looked at (it defines no ordering).
+  so the comparison is decided before the fields behind it are ever
+  looked at (an :class:`EventHandle` defines no ordering).
+* **A handle exists iff its caller keeps it.**  :meth:`Scheduler.post`
+  queues ``(time, PRIORITY_NORMAL, seq, None, callback, args)``: no
+  handle, the callback inline.  :meth:`Scheduler.schedule_at` and
+  :meth:`Scheduler.schedule_after` return an :class:`EventHandle` that
+  owns the callback and arguments, and queue ``(…, handle, None, None)``
+  — so :meth:`EventHandle.cancel` still drops the references.  Both take
+  their ``seq`` from the same counter, so the dispatch order is the same
+  whichever entry point queued an event.
 * **Why the order cannot move.**  Dispatch is in ``(time, priority, seq)``
   order — a total order, so any correct priority queue yields the same
   sequence; ``tests/sim/test_timing_wheel.py`` checks this one against an
@@ -17,8 +26,9 @@ by :mod:`heapq`, and one dispatch loop (:meth:`Scheduler.run_until`).
   counter, and the heap is rebuilt live-only — in place — once more than
   half of a heap larger than :attr:`Scheduler.GC_BASE_THRESHOLD` is dead,
   so a cancel-and-re-arm timer pattern cannot grow it without bound.
-* **Event times are finite.**  ``nan`` and ``inf`` are rejected at
-  schedule time: either would fire and leave the clock unusable.
+* **Event times are finite.**  ``nan`` and ``inf`` are rejected when an
+  event is queued, by ``post`` as by ``schedule_at``: either would fire
+  and leave the clock unusable.
 """
 
 from __future__ import annotations
@@ -30,12 +40,20 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.errors import SimulationError
 from repro.sim.events import PRIORITY_NORMAL, EventHandle, SimEvent
 
-#: Heap entry: the sort key ahead of the handle it orders.
-HeapEntry = Tuple[float, int, int, EventHandle]
+#: Heap entry: the sort key, then either the handle (callback and args
+#: ``None``) or no handle and the callback with its args.
+HeapEntry = Tuple[
+    float, int, int, Optional[EventHandle], Optional[Callable[..., Any]], Optional[tuple]
+]
 
 
 class Scheduler:
-    """A time-ordered queue of pending callbacks."""
+    """A time-ordered queue of pending callbacks.
+
+    :meth:`post` queues a callback nobody will cancel; :meth:`schedule_at`
+    and :meth:`schedule_after` queue one and return its
+    :class:`EventHandle`.  Only the latter allocate a handle.
+    """
 
     __slots__ = ("_heap", "_now", "_executed", "_live", "_seq")
 
@@ -93,6 +111,23 @@ class Scheduler:
         """
         return self._push(self._now + delay, callback, args, priority)
 
+    def post(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
+        """Queue ``callback(*args)`` at absolute ``time``, uncancellable.
+
+        The entry point for every caller that would drop the handle: no
+        :class:`EventHandle` is made, and the event takes the next ``seq``
+        at :data:`PRIORITY_NORMAL`, exactly as ``schedule_at`` would give
+        it.  One chained compare rejects a past, ``nan`` or infinite time.
+        """
+        if not self._now <= time < inf:
+            raise SimulationError(
+                f"event time must be finite and not before now={self._now!r}, got {time!r}"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (time, PRIORITY_NORMAL, seq, None, callback, args))
+        self._live += 1
+
     def _push(
         self, time: float, callback: Callable[..., Any], args: tuple, priority: int
     ) -> EventHandle:
@@ -101,7 +136,7 @@ class Scheduler:
         seq = self._seq
         self._seq = seq + 1
         handle = EventHandle(time, priority, seq, callback, args, self)
-        heappush(self._heap, (time, priority, seq, handle))
+        heappush(self._heap, (time, priority, seq, handle, None, None))
         self._live += 1
         return handle
 
@@ -112,16 +147,20 @@ class Scheduler:
         size = len(heap)
         # Compact on dead *fraction*: once half the heap is cancelled (and
         # it is big enough to matter), rebuild it live-only.  In place, so
-        # a dispatch loop holding the list keeps seeing the queue.
+        # a dispatch loop holding the list keeps seeing the queue.  Posted
+        # entries (no handle) are always live.
         if size > self.GC_BASE_THRESHOLD and self._live * 2 <= size:
-            heap[:] = [entry for entry in heap if not entry[3]._cancelled]
+            heap[:] = [
+                entry for entry in heap if entry[3] is None or not entry[3]._cancelled
+            ]
             heapify(heap)
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is empty."""
         heap = self._heap
         while heap:
-            if not heap[0][3]._cancelled:
+            handle = heap[0][3]
+            if handle is None or not handle._cancelled:
                 return heap[0][0]
             heappop(heap)
         return None
@@ -170,8 +209,9 @@ class Scheduler:
         ut = inf if until is None else until
         remaining = -1 if max_events is None else max_events
         while heap:
-            time, _, _, handle = heap[0]
-            if handle._cancelled:
+            # ``callback`` is a named local: the profiler reads it.
+            time, _, _, handle, callback, args = heap[0]
+            if handle is not None and handle._cancelled:
                 heappop(heap)
                 continue
             if time > ut:
@@ -184,9 +224,11 @@ class Scheduler:
             self._live -= 1
             self._now = time
             self._executed += 1
-            handle._sched = None
-            callback = handle.callback  # named local: the profiler reads it
-            callback(*handle.args)
+            if handle is not None:
+                handle._sched = None
+                callback = handle.callback
+                args = handle.args
+            callback(*args)
             if watch is not None and (watch._done or time >= ut):
                 return
         # No final clock advance under ``watch``: the caller

@@ -38,6 +38,10 @@ class Simulator:
 
     def __init__(self, seed: int = 0) -> None:
         self._scheduler = Scheduler()
+        #: ``post(time, callback, *args)``: queue an uncancellable callback
+        #: at absolute ``time`` (:meth:`Scheduler.post`), bound once so a
+        #: post is one Python call.  Callers that keep no handle use it.
+        self.post = self._scheduler.post
         self.random = RandomStreams(seed)
         self.trace = Tracer()
         self.metrics = MetricsRegistry()
@@ -75,8 +79,9 @@ class Simulator:
         """Unchecked fast path for :meth:`schedule`.
 
         Skips the negative-delay / ``time < now`` guards entirely, for hot
-        internal call sites where ``delay >= 0`` holds by construction
-        (zero-delay process resumes, validated timeouts, armed timers).
+        internal call sites that keep the handle and where ``delay >= 0``
+        holds by construction (armed timers).  A caller that would drop
+        the handle uses :attr:`post`.
         """
         return self._scheduler.schedule_after(delay, callback, args, priority)
 
@@ -98,7 +103,7 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that succeeds after ``delay`` seconds."""
         event = Timeout(self, delay)  # validates delay >= 0
-        self.call_later(delay, event.succeed, value)
+        self.post(self._scheduler._now + delay, event.succeed, value)
         return event
 
     def any_of(self, events: List[SimEvent]) -> AnyOf:

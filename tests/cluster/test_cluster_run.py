@@ -155,23 +155,48 @@ def test_single_pair_cluster_matches_paper_shape():
 def test_a_cluster_run_schedules_no_telemetry_event(monkeypatch):
     """The registry is read when the run ends: nothing under ``repro/obs``
     is ever a kernel event.  Counted from outside, as
-    ``tools/event_census.py`` does."""
+    ``tools/event_census.py`` does: both ways onto the queue are wrapped
+    before the simulator (which binds ``post`` when it is built) exists,
+    and every event the kernel executed must have passed a wrapper."""
     from repro.cluster.run import ClusterRun
     from repro.harness.experiments.cluster import resolve_scenario
     from repro.sim.scheduler import Scheduler
 
     dispatched = set()
-    push = Scheduler._push
+    calls = [0]
+    push, post = Scheduler._push, Scheduler.post
 
-    def recording_push(self, time, callback, args, priority):
+    def recording(callback):
         def recorded(*event_args):
             function = getattr(callback, "__func__", callback)
             dispatched.add((function.__code__.co_filename, function.__qualname__))
+            calls[0] += 1
             callback(*event_args)
 
-        return push(self, time, recorded, args, priority)
+        return recorded
+
+    def recording_push(self, time, callback, args, priority):
+        return push(self, time, recording(callback), args, priority)
+
+    def recording_post(self, time, callback, *args):
+        post(self, time, recording(callback), *args)
 
     monkeypatch.setattr(Scheduler, "_push", recording_push)
+    monkeypatch.setattr(Scheduler, "post", recording_post)
     record = ClusterRun(resolve_scenario("smoke")).execute()
     assert record["ok"] and len(dispatched) > 10
+    assert calls[0] == record["sim_events"]
     assert [where for where in sorted(dispatched) if "/repro/obs/" in where[0]] == []
+
+
+def test_smoke_run_event_budget_per_exchange():
+    """Kernel events per verified echo exchange on the shipped smoke
+    scenario: 4 975 / 200 = 24.9 while the hub queued a delivery for every
+    station, 22.8 once it screens at the NIC filter (``Hub`` docstring)."""
+    from repro.cluster.run import ClusterRun
+    from repro.harness.experiments.cluster import resolve_scenario
+
+    record = ClusterRun(resolve_scenario("smoke")).execute()
+    verified = sum(pair["exchanges"] for pair in record["pairs"] if pair["verified"])
+    assert record["ok"] and verified == 200
+    assert record["sim_events"] / verified <= 23.5

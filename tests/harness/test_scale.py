@@ -143,13 +143,15 @@ def test_a_rung_spends_its_events_on_segments_not_on_waiting():
     """Events per delivered segment, the rung's cost in the unit
     docs/SCALE.md reports.  3.54 when 100 holders polled every 25 ms and
     every RTO / delayed-ACK re-arm was a cancelled queue entry plus a new
-    one (9 744 events / 2 751 segments); 3.09 now.  ``tools/event_census.py``
-    says what the events are when this moves.  Nothing simulated may move
+    one (9 744 events / 2 751 segments); 3.09 once holders waited once and
+    timers re-armed lazily (8 487); 2.42 since the hub stopped queueing
+    frames a NIC would drop at its power or filter check (6 652).
+    ``tools/event_census.py`` says what the events are when this moves.  Nothing simulated may move
     with it: the record minus its two host-side fields is pinned to the
     sha256 it had on that tree."""
     (record,) = run_experiment("scale", ladder=(100,), store=None, base_seed=12).rows
     assert record["verified"], record["failures"]
-    assert record["sim_events"] / record["sim_segments"] <= 3.25
+    assert record["sim_events"] / record["sim_segments"] <= 2.9
     assert (
         hashlib.sha256(canonical_json(simulated(record)).encode()).hexdigest()
         == "6be2ed991f1698e16af5e64136a7340e183085cab44a74a40d70025e21a9e52d"

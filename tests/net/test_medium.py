@@ -1,11 +1,13 @@
-"""Tests for cables and hubs: delivery, serialisation timing, loss."""
+"""Tests for cables and hubs: delivery, serialisation timing, loss, and the
+hub's screening of its fan-out at the NIC filter."""
 
 import pytest
 
-from repro.net.addresses import fresh_unicast_mac
+from repro.net.addresses import MAC_BROADCAST, fresh_multicast_mac, fresh_unicast_mac
 from repro.net.frame import ETHERNET_MIN_FRAME, ETHERTYPE_IPV4, EthernetFrame
 from repro.net.loss import ScriptedLoss
 from repro.net.medium import Cable, FrameReceiver, Hub
+from repro.net.nic import NIC
 from repro.sim.simulator import Simulator
 from repro.util.units import mbps, transmission_time
 
@@ -202,3 +204,98 @@ def test_hub_attach_after_traffic_joins_fanout():
     sim.run()
     assert len(late.received) == 1
     assert len(b.received) == 2
+
+
+# The hub screens its fan-out: a station offering ``screen(dst)`` (a NIC)
+# is asked when the frame enters the hub, and gets no event for a frame it
+# would drop at its first two checks.
+
+
+def nic_on(sim, hub, **attributes):
+    nic = NIC(sim)
+    for name, value in attributes.items():
+        setattr(nic, name, value)
+    hub.attach(nic)
+    return nic
+
+
+def frame_to(dst):
+    return EthernetFrame(dst, fresh_unicast_mac(), ETHERTYPE_IPV4, None, 100)
+
+
+def test_hub_queues_no_event_for_a_nic_that_would_drop_the_frame():
+    sim = Simulator()
+    hub = Hub(sim, rate_bps=mbps(100))
+    sender = hub.attach(Sink(sim))
+    addressee = nic_on(sim, hub)
+    filtered = nic_on(sim, hub)
+    down = nic_on(sim, hub, powered=False)
+    sender.send(frame_to(addressee.mac))
+    # Screened at transmit time, counted as the arrival would have been.
+    assert sim._scheduler.pending_count == 1
+    assert (filtered.rx_dropped_filter, down.rx_dropped_down) == (1, 1)
+    sim.run()
+    assert sim.events_executed == 1
+    assert addressee.rx_frames == 1
+    assert filtered.rx_frames == down.rx_frames == 0
+    assert (filtered.rx_dropped_filter, down.rx_dropped_down) == (1, 1)
+
+
+def test_hub_always_queues_for_a_promiscuous_nic_and_a_receiver_without_screen():
+    sim = Simulator()
+    hub = Hub(sim, rate_bps=mbps(100))
+    sender = hub.attach(Sink(sim))
+    promiscuous = nic_on(sim, hub, promiscuous=True)
+    plain = Sink(sim)
+    hub.attach(plain)
+    for _ in range(3):
+        sender.send(frame_to(fresh_unicast_mac()))
+    assert sim._scheduler.pending_count == 6
+    sim.run()
+    assert promiscuous.rx_frames == 3 and promiscuous.rx_dropped_filter == 0
+    assert len(plain.received) == 3
+
+
+def test_hub_judges_acceptance_when_the_frame_enters_the_wire():
+    # The documented in-flight semantics: a station that starts accepting
+    # while a frame is on the wire does not receive that frame; one that
+    # stops accepting meanwhile still drops it on arrival.
+    sim = Simulator()
+    hub = Hub(sim, rate_bps=mbps(100), delay=0.001)
+    sender = hub.attach(Sink(sim))
+    joiner = nic_on(sim, hub)
+    crasher = nic_on(sim, hub)
+    group = fresh_multicast_mac()
+    crasher.join_mac(group)
+    sender.send(frame_to(group))
+    joiner.join_mac(group)
+    crasher.power_off()
+    sim.run()
+    assert joiner.rx_frames == 0 and joiner.rx_dropped_filter == 1
+    assert crasher.rx_frames == 0 and crasher.rx_dropped_down == 1
+    # The next frame is judged against the new state.
+    crasher.power_on()
+    sender.send(frame_to(group))
+    sim.run()
+    assert joiner.rx_frames == crasher.rx_frames == 1
+
+
+def test_hub_detach_during_screened_fanout_keeps_inflight_frames():
+    sim = Simulator()
+    hub = Hub(sim, rate_bps=mbps(100))
+    sender = hub.attach(Sink(sim))
+    leaver, stayer = nic_on(sim, hub), nic_on(sim, hub)
+
+    def detach_on_first_frame(frame, nic):
+        if nic.attachment.attached:
+            nic.attachment.detach()
+
+    leaver.set_handler(detach_on_first_frame)
+    sender.send(frame_to(MAC_BROADCAST))
+    sender.send(frame_to(MAC_BROADCAST))
+    sim.run()
+    assert leaver.rx_frames == stayer.rx_frames == 2
+    sender.send(frame_to(MAC_BROADCAST))
+    sim.run()
+    assert (leaver.rx_frames, stayer.rx_frames) == (2, 3)
+    assert leaver.rx_dropped_filter == stayer.rx_dropped_filter == 0

@@ -157,6 +157,36 @@ def test_foreign_port_rejected():
         switch_a.join_multicast(fresh_multicast_mac(), port_b)
 
 
+class LoggingStation(Station):
+    """Appends its port index to a shared log for every frame it hears."""
+
+    def __init__(self, sim, switch, log):
+        super().__init__(sim, switch)
+        self.log = log
+
+    def receive_frame(self, frame):
+        self.log.append(self.port.index)
+
+
+def test_multicast_fan_out_is_in_port_index_order():
+    # The copies of one frame reach the group's cables at the same
+    # instant, so the order they are queued in is the order they run in;
+    # it must follow the ports' indices, not where the ports sit in memory.
+    sim = Simulator()
+    switch = Switch(sim)
+    log = []
+    stations = [LoggingStation(sim, switch, log) for _ in range(24)]
+    group = fresh_multicast_mac()
+    members = [stations[index] for index in (19, 2, 11, 23, 7, 14, 5, 16)]
+    for station in members:
+        switch.join_multicast(group, station.port)
+    for _ in range(200):
+        stations[0].send(group)
+    sim.run()
+    in_order = sorted(station.port.index for station in members)
+    assert [log[i:i + 8] for i in range(0, len(log), 8)] == [in_order] * 200
+
+
 def test_forwarding_delay_applied():
     sim = Simulator()
     switch = Switch(sim, forwarding_delay=0.005)

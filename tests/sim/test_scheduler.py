@@ -195,7 +195,7 @@ def test_pending_count_is_live_entries_only():
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-@pytest.mark.parametrize("entry", ["schedule", "call_later", "schedule_at"])
+@pytest.mark.parametrize("entry", ["schedule", "call_later", "schedule_at", "post"])
 def test_non_finite_event_time_is_a_typed_error(entry, bad):
     # A nan or inf event would fire and leave the clock at nan / inf.
     sim = Simulator()
@@ -207,6 +207,69 @@ def test_non_finite_event_time_is_a_typed_error(entry, bad):
     assert sim._scheduler.pending_count == 1
     sim.run()
     assert sim.now == 1.0
+
+
+def test_post_before_now_is_a_typed_error():
+    scheduler = Scheduler()
+    scheduler.schedule_at(5.0, lambda: None)
+    scheduler.run_until()
+    with pytest.raises(SimulationError, match="not before now"):
+        scheduler.post(4.999, lambda: None)
+    assert scheduler.pending_count == 0 and not scheduler._heap
+    scheduler.post(5.0, lambda: None)  # the current instant is allowed
+    assert scheduler.pending_count == 1
+
+
+def test_post_returns_no_handle_and_shares_the_seq_order():
+    scheduler = Scheduler()
+    order = []
+    scheduler.schedule_at(1.0, order.append, ("scheduled-1",))
+    assert scheduler.post(1.0, order.append, "posted") is None
+    scheduler.schedule_at(1.0, order.append, ("scheduled-2",))
+    scheduler.run_until()
+    assert order == ["scheduled-1", "posted", "scheduled-2"]
+    assert scheduler.executed_count == 3
+
+
+def test_pending_count_counts_posted_entries():
+    scheduler = Scheduler()
+    scheduler.post(1.0, lambda: None)
+    handle = scheduler.schedule_at(2.0, lambda: None)
+    scheduler.post(3.0, lambda: None)
+    assert scheduler.pending_count == 3
+    handle.cancel()
+    assert scheduler.pending_count == 2
+    scheduler.run_until(until=1.5)
+    assert scheduler.pending_count == 1
+
+
+def test_peek_time_with_a_posted_head():
+    scheduler = Scheduler()
+    cancelled = scheduler.schedule_at(0.5, lambda: None)
+    scheduler.post(1.0, lambda: None)
+    scheduler.schedule_at(2.0, lambda: None)
+    cancelled.cancel()
+    assert scheduler.peek_time() == 1.0  # skips the dead entry, stops at the post
+    assert scheduler._heap[0][3] is None
+    assert scheduler.run_next_before(1.0)
+    assert scheduler.peek_time() == 2.0
+
+
+def test_compaction_keeps_posted_entries():
+    scheduler = Scheduler()
+    ran = []
+    total = Scheduler.GC_BASE_THRESHOLD + 2
+    handles = [scheduler.schedule_at(10.0 + i, lambda: None) for i in range(total)]
+    for index in range(20):
+        scheduler.post(1.0 + index, ran.append, index)
+    for handle in handles:
+        handle.cancel()
+    # The dead fraction passed one half: the heap was rebuilt live-only,
+    # and the posted entries (no handle to be cancelled) are what is live.
+    assert len(scheduler._heap) < total
+    assert scheduler.pending_count == 20
+    scheduler.run_until()
+    assert ran == list(range(20))
 
 
 def test_cancel_and_rearm_keeps_the_heap_bounded():

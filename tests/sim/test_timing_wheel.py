@@ -167,6 +167,9 @@ class HeapOracle:
     def schedule_after(self, delay, callback, args=(), priority=PRIORITY_NORMAL):
         return self.schedule_at(self.now + delay, callback, args, priority)
 
+    def post(self, time, callback, *args):
+        self.schedule_at(time, callback, args)
+
     def run_until(self, until=None, max_events=None):
         heap = self._heap
         while True:
@@ -278,9 +281,11 @@ def test_watch_stops_the_instant_the_event_triggers(seed):
 
 
 # The same contract as a state machine: hypothesis picks the interleaving
-# of schedules (including at the current instant), cancels (direct and from
-# inside a callback), bounded runs and single steps, and shrinks a failure
-# to the shortest one.
+# of schedules (including at the current instant), handle-less posts (whose
+# callbacks may cancel), cancels (direct and from inside a callback),
+# bounded runs and single steps, and shrinks a failure to the shortest one.
+# The oracle posts through its own ``schedule_at``: a post must dispatch
+# exactly where a scheduled event with the same key would.
 
 _DELAYS = st.sampled_from((0.0, 1e-5, 1e-4, 0.003, 0.5, 2.0, FAR_S + 300.0))
 _PRIORITIES = st.sampled_from((PRIORITY_URGENT, PRIORITY_NORMAL, PRIORITY_LOW))
@@ -293,6 +298,13 @@ class _Side:
         self.sched = sched
         self.fired = []
         self.handles = []
+        self.posted = 0
+
+    def post(self, delay, victim=None):
+        # No handle comes back, so a posted event is tagged from the
+        # negative side and never chosen as a victim.
+        self.posted += 1
+        self.sched.post(self.sched.now + delay, self.fire, -self.posted, victim, None)
 
     def schedule(self, delay, priority, victim=None, respawn=None):
         args = (len(self.handles), victim, respawn)
@@ -336,6 +348,12 @@ class SchedulerAgainstOracle(RuleBasedStateMachine):
     def schedule_respawning(self, delay, respawn):
         for side in self.sides:
             side.schedule(delay, PRIORITY_NORMAL, respawn=respawn)
+
+    @rule(data=st.data(), delay=_DELAYS)
+    def post(self, data, delay):
+        victim = data.draw(st.none() | st.integers(0, self.scheduled - 1)) if self.scheduled else None
+        for side in self.sides:
+            side.post(delay, victim)
 
     @precondition(lambda self: self.scheduled)
     @rule(data=st.data())

@@ -12,9 +12,13 @@ is host work that simulates nothing.  That is how the 25 ms holder poll
 of ``repro scale`` and the cancel-and-re-push timer were found.
 
 Timer events are split by timer name; timeouts, by the generator that
-slept.  Counted from outside — ``Scheduler._push`` and
-``EventHandle.cancel`` are wrapped for the length of the run — so it
-reads any tree without a hook in ``src/``.
+slept.  Counted from outside — ``Scheduler._push``, ``Scheduler.post`` and
+``EventHandle.cancel`` are wrapped for the length of the run, which builds
+its simulator inside it (``Simulator`` binds ``post`` at construction) —
+so it reads any tree without a hook in ``src/``.  The census checks
+itself: if the wrapped callbacks ran fewer times than the kernel executed
+events, some path queued events around the wrappers, and the last line
+says so and the exit status is 1.
 
 Usage::
 
@@ -93,27 +97,35 @@ def _label(callback: Callable[..., Any]) -> str:
 def take_census(run: Callable[[], Any]) -> Tuple[Dict[str, _Row], Any]:
     """Call ``run()`` booking every kernel event: (label -> row, run's result)."""
     census: Dict[str, _Row] = {}
-    push, cancel = Scheduler._push, EventHandle.cancel
+    push, post, cancel = Scheduler._push, Scheduler.post, EventHandle.cancel
 
-    def counting_push(self: Scheduler, time: float, callback: Any, args: tuple, priority: int) -> EventHandle:
+    def counted(callback: Any) -> _Counted:
         row = census.setdefault(_label(callback), _Row())
         row.scheduled += 1
-        return push(self, time, _Counted(callback, row), args, priority)
+        return _Counted(callback, row)
+
+    def counting_push(self: Scheduler, time: float, callback: Any, args: tuple, priority: int) -> EventHandle:
+        return push(self, time, counted(callback), args, priority)
+
+    def counting_post(self: Scheduler, time: float, callback: Any, *args: Any) -> None:
+        post(self, time, counted(callback), *args)
 
     def counting_cancel(self: EventHandle) -> None:
         if self._sched is not None and isinstance(self.callback, _Counted):
             self.callback.row.cancelled += 1  # still queued: a dead entry
         cancel(self)
 
-    Scheduler._push, EventHandle.cancel = counting_push, counting_cancel  # type: ignore[method-assign]
+    Scheduler._push, Scheduler.post = counting_push, counting_post  # type: ignore[method-assign]
+    EventHandle.cancel = counting_cancel  # type: ignore[method-assign]
     try:
         return census, run()
     finally:
-        Scheduler._push, EventHandle.cancel = push, cancel  # type: ignore[method-assign]
+        Scheduler._push, Scheduler.post, EventHandle.cancel = push, post, cancel  # type: ignore[method-assign]
 
 
-def census_of(what: str, seed: int) -> Tuple[Dict[str, _Row], str]:
-    """Run a scale rung (``what`` a connection count) or a bench workload."""
+def census_of(what: str, seed: int) -> Tuple[Dict[str, _Row], str, int]:
+    """Run a scale rung (``what`` a connection count) or a bench workload:
+    (the census, its summary line, the events the kernel executed)."""
     if what.isdigit():
         census, result = take_census(
             lambda: run_experiment("scale", ladder=(int(what),), store=None, base_seed=seed)
@@ -134,7 +146,12 @@ def census_of(what: str, seed: int) -> Tuple[Dict[str, _Row], str]:
     return census, (
         f"{what}, seed {seed}: {events} events executed for {segments} segments"
         f" = {events / segments:.2f} per segment"
-    )
+    ), events
+
+
+def uncounted(census: Dict[str, _Row], executed: int) -> int:
+    """Events the kernel ran that no wrapped callback saw (0 when whole)."""
+    return executed - sum(row.noop + row.fired for row in census.values())
 
 
 def format_census(census: Dict[str, _Row], summary: str) -> str:
@@ -159,4 +176,9 @@ if __name__ == "__main__":
     )
     parser.add_argument("--seed", type=int, default=BASE_SEED)
     args = parser.parse_args()
-    print(format_census(*census_of(args.what, args.seed)))
+    census, summary, executed = census_of(args.what, args.seed)
+    print(format_census(census, summary))
+    missed = uncounted(census, executed)
+    if missed:
+        print(f"  CENSUS INCOMPLETE: {missed} of {executed} executed events were queued around the wrappers")
+        sys.exit(1)
