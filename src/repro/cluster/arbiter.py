@@ -78,7 +78,7 @@ class ClusterArbiter:
             return
         self._busy = True
         host, waiters, sid = self._queue.popleft()
-        self.sim.schedule(self.actuation_delay, self._actuated, host, waiters, sid)
+        self.sim.post(self.sim.now + self.actuation_delay, self._actuated, host, waiters, sid)
 
     def _actuated(self, host: Any, waiters: List[Done], sid: Optional[int]) -> None:
         self._pending.pop(id(host), None)

@@ -52,7 +52,7 @@ class DualPrimaryMonitor:
 
     def start(self) -> None:
         self._running = True
-        self.sim.schedule(self.poll_interval, self._poll)
+        self.sim.post(self.sim.now + self.poll_interval, self._poll)
 
     def stop(self) -> None:
         self._running = False
@@ -84,7 +84,7 @@ class DualPrimaryMonitor:
                         service=service.name,
                         owners=",".join(owners),
                     )
-        self.sim.schedule(self.poll_interval, self._poll)
+        self.sim.post(self.sim.now + self.poll_interval, self._poll)
 
     def summary(self) -> Dict[str, Any]:
         return {

@@ -90,7 +90,7 @@ class ClusterRun:
         if schedule_crash:
             self.crash_injector.crash_at(crashed.primary, self.spec.crash_at)
         for service in self.fabric.services:
-            self.sim.schedule_at(
+            self.sim.post(
                 CLIENT_START + service.index * CLIENT_STAGGER,
                 service.client.spawn,
                 self._pair_process(service),

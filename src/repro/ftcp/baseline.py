@@ -56,6 +56,7 @@ class FTCPBackup(STTCPBackup):
         self._keepalive_timer = RestartableTimer(
             self.sim, self._send_keepalives, "ftcp-keepalive"
         )
+        self.host.crash_observers.append(self._keepalive_timer.cancel)
         self.replay_bytes = 0
         self.recovery_delay = 0.0
 
@@ -76,10 +77,11 @@ class FTCPBackup(STTCPBackup):
                 delay=self.recovery_delay,
             )
         self._keepalive_timer.start(config.keepalive_interval)
-        self.sim.post(self.sim.now + self.recovery_delay, self._finish_recovery)
+        self._deferred_takeover = self.sim.schedule(self.recovery_delay, self._finish_recovery)
 
     def _finish_recovery(self) -> None:
-        if self.role is not ROLE_TAKING_OVER or not self.host.is_up:
+        self._deferred_takeover = None
+        if self.role is not ROLE_TAKING_OVER:
             return
         self._keepalive_timer.stop()
         super()._recover_gaps_then_takeover()
@@ -87,7 +89,7 @@ class FTCPBackup(STTCPBackup):
     def _send_keepalives(self) -> None:
         """Zero-window ACKs so the client's connection stays alive while
         the replacement server replays its log (FT-TCP's SSW behaviour)."""
-        if self.role is not ROLE_TAKING_OVER or not self.host.is_up:
+        if self.role is not ROLE_TAKING_OVER:
             return
         for state in self._connections.values():
             tcb = state.tcb

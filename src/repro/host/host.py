@@ -9,7 +9,7 @@ executing — exactly the assumption the paper's failure detector relies on.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Set
+from typing import Any, Callable, Dict, Generator, List, Optional, Set
 
 from repro.errors import ConfigurationError
 from repro.net.addresses import IPAddress, MACAddress
@@ -67,6 +67,8 @@ class Host:
         self.ip_layer = IPLayer(sim, self)
         self.udp = UDPLayer(sim, self)
         self.tcp = TCPLayer(sim, self, tcp_config)
+        #: Run by :meth:`crash` after the layers halt; each cancels what an engine armed.
+        self.crash_observers: List[Callable[[], None]] = []
         self._local_ip_cache: Optional[Set[IPAddress]] = None
         self.crashed_at: Optional[float] = None
 
@@ -168,8 +170,6 @@ class Host:
 
     # Frame dispatch ---------------------------------------------------------------
     def _frame_received(self, frame: EthernetFrame, nic: NIC) -> None:
-        if not self.is_up:
-            return
         if frame.ethertype == ETHERTYPE_IPV4:
             self.ip_layer.receive(frame.payload, nic)
         elif frame.ethertype == ETHERTYPE_ARP:
@@ -191,7 +191,13 @@ class Host:
 
     # Failure semantics -------------------------------------------------------------------
     def crash(self) -> None:
-        """Crash the machine: no more frames, timers, or process steps."""
+        """Crash the machine: no more frames, timers, or process steps.
+
+        Power-off, kill, halt, observers: the NICs go dark, the processes
+        die, TCP and ARP cancel what they queued, and the crash observers
+        cancel what the engines armed.  Kill before halt: a killed handler's
+        ``finally: conn.close()`` arms a FIN retransmit the halt must cancel.
+        """
         if not self.is_up:
             return
         self.is_up = False
@@ -199,17 +205,13 @@ class Host:
         for nic in self.nics:
             nic.power_off()
         for process in self.processes:
-            if process.alive:
-                process.kill()
+            process.kill()
+        self.tcp.halt()
+        self.arp.halt()
+        for observer in self.crash_observers:
+            observer()
         if self.sim.trace.enabled_for("host"):
             self.sim.trace.emit(self.sim.now, "host", "crash", host=self.name)
-
-    def restore(self) -> None:
-        """Power the machine back on (stack state is NOT recovered)."""
-        self.is_up = True
-        self.crashed_at = None
-        for nic in self.nics:
-            nic.power_on()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         status = "up" if self.is_up else "down"

@@ -21,9 +21,6 @@ from repro.net.nic import NIC
 ProtocolHandler = Callable[[IPDatagram, NIC], None]
 TapHandler = Callable[[IPDatagram, NIC], None]
 
-#: Delay applied to loopback deliveries (pure scheduling separation).
-LOOPBACK_DELAY = 0.0
-
 
 class IPLayer:
     """IPv4 input/output for one host."""
@@ -84,11 +81,9 @@ class IPLayer:
         ttl: int = DEFAULT_TTL,
     ) -> None:
         """Route and emit one datagram (asynchronously past ARP)."""
-        if not self.host.is_up:
-            return
         if dst in self.host.local_ips():
             datagram = IPDatagram(src or dst, dst, protocol, payload, payload_size, ttl)
-            self.sim.schedule(LOOPBACK_DELAY, self._local_deliver, datagram, None)
+            self.sim.post(self.sim.now, self._local_deliver, datagram, None)
             self._c_sent.value += 1
             return
         route = self.routes.lookup(dst)
@@ -157,6 +152,8 @@ class IPLayer:
         self._c_dropped_not_local.value += 1
 
     def _local_deliver(self, datagram: IPDatagram, nic: Optional[NIC]) -> None:
+        if not self.host.is_up:  # loopback queued before a crash: no NIC drops it
+            return
         handler = self._protocols.get(datagram.protocol)
         if handler is None:
             if self.sim.trace.enabled_for("ip"):
@@ -179,11 +176,7 @@ class IPLayer:
         if route is None:
             self._c_dropped_no_route.value += 1
             return
-        if route.nic is in_nic and route.next_hop is None:
-            # Would go straight back out the arrival interface toward the
-            # destination itself; a real router would emit an ICMP
-            # redirect.  Forward anyway (hosts on the segment ignore the
-            # duplicate), but count it.
-            pass
+        # Even back out the arrival interface: a real router would add an
+        # ICMP redirect, and hosts on the segment ignore the duplicate.
         self._c_forwarded.value += 1
         self._transmit(datagram.decremented(), route)

@@ -61,6 +61,7 @@ class LoggerClient:
         self._on_data: Optional[OnData] = None
         self._on_done: Optional[OnDone] = None
         self._deadline = RestartableTimer(self.sim, self._timed_out, "logger-client")
+        host.crash_observers.append(self._deadline.cancel)
         self.bytes_recovered = 0
         self.recoveries_timed_out = 0
         self.recovery_retries = 0

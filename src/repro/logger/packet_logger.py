@@ -122,7 +122,7 @@ class PacketLogger:
 
     # Query side ------------------------------------------------------------------
     def _on_query(self, message: Any, addr: tuple) -> None:
-        if not isinstance(message, LoggerQuery) or not self.host.is_up:
+        if not isinstance(message, LoggerQuery):
             return
         self.queries_served += 1
         stream = self._streams.get(message.key)

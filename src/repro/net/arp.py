@@ -14,7 +14,7 @@ the host will not announce them, until :meth:`ArpService.unsuppress_ip`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.net.addresses import MAC_BROADCAST, IPAddress, MACAddress
 from repro.net.frame import ETHERTYPE_ARP, EthernetFrame
@@ -65,6 +65,18 @@ class ArpMessage:
 Continuation = Callable[[Optional[MACAddress]], None]
 
 
+class _Resolution(list):
+    """The waiters of one pending resolution, and its retry and expiry
+    events: both are cancelled as it leaves ``_pending`` (answered,
+    expired or halted), so neither checks that it is still current."""
+
+    __slots__ = ("retry", "expiry")
+
+    def cancel(self) -> None:
+        self.retry.cancel()
+        self.expiry.cancel()
+
+
 class ArpService:
     """Per-host ARP: static table, dynamic cache, responder, resolver."""
 
@@ -73,7 +85,7 @@ class ArpService:
         self.host = host
         self._static: Dict[IPAddress, MACAddress] = {}
         self._cache: Dict[IPAddress, Tuple[MACAddress, float]] = {}
-        self._pending: Dict[IPAddress, List[Continuation]] = {}
+        self._pending: Dict[IPAddress, _Resolution] = {}
         self.suppressed_ips: set = set()
         self.requests_sent = 0
         self.replies_sent = 0
@@ -120,19 +132,15 @@ class ArpService:
         if mac is not None:
             done(mac)
             return
-        waiters = self._pending.get(ip)
-        if waiters is not None:
-            waiters.append(done)
+        pending = self._pending.get(ip)
+        if pending is not None:
+            pending.append(done)
             return
-        waiters = [done]
-        self._pending[ip] = waiters
+        resolution = self._pending[ip] = _Resolution([done])
         self._broadcast_request(ip, nic)
-        # Timers guard on list identity: a timer from this resolution
-        # cycle must not retransmit for (or expire) a later cycle that
-        # re-resolves the same IP.
-        now = self.sim.now
-        self.sim.post(now + ARP_RETRY_INTERVAL, self._retry_request, ip, nic, waiters)
-        self.sim.post(now + ARP_RESOLVE_TIMEOUT, self._resolution_expired, ip, waiters)
+        schedule = self.sim.schedule
+        resolution.retry = schedule(ARP_RETRY_INTERVAL, self._retry_request, ip, nic, resolution)
+        resolution.expiry = schedule(ARP_RESOLVE_TIMEOUT, self._resolution_expired, ip)
 
     def _broadcast_request(self, target_ip: IPAddress, nic: NIC) -> None:
         sender_ip = self.host.primary_ip_on(nic)
@@ -143,18 +151,21 @@ class ArpService:
         self.requests_sent += 1
         nic.transmit(frame)
 
-    def _retry_request(self, ip: IPAddress, nic: NIC, waiters: list) -> None:
-        if self._pending.get(ip) is not waiters or not self.host.is_up:
-            return
+    def _retry_request(self, ip: IPAddress, nic: NIC, resolution: _Resolution) -> None:
         self._broadcast_request(ip, nic)
-        self.sim.post(self.sim.now + ARP_RETRY_INTERVAL, self._retry_request, ip, nic, waiters)
+        resolution.retry = self.sim.schedule(ARP_RETRY_INTERVAL, self._retry_request, ip, nic, resolution)
 
-    def _resolution_expired(self, ip: IPAddress, waiters: list) -> None:
-        if self._pending.get(ip) is not waiters:
-            return
-        del self._pending[ip]
-        for done in waiters:
+    def _resolution_expired(self, ip: IPAddress) -> None:
+        resolution = self._pending.pop(ip)
+        resolution.retry.cancel()
+        for done in resolution:
             done(None)
+
+    def halt(self) -> None:
+        """Crash (``Host.crash``): drop every pending resolution unanswered."""
+        for resolution in self._pending.values():
+            resolution.cancel()
+        self._pending.clear()
 
     # Inbound handling ------------------------------------------------------------
     def handle_message(self, message: ArpMessage, nic: NIC) -> None:
@@ -167,10 +178,11 @@ class ArpService:
                 message.sender_mac,
                 self.sim.now + ARP_CACHE_TTL,
             )
-        waiters = self._pending.pop(message.sender_ip, None)
-        if waiters:
+        resolution = self._pending.pop(message.sender_ip, None)
+        if resolution is not None:
+            resolution.cancel()
             resolved = self.lookup(message.sender_ip)
-            for done in waiters:
+            for done in resolution:
                 done(resolved)
         if message.op != ARP_REQUEST:
             return

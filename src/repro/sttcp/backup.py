@@ -114,6 +114,7 @@ class STTCPBackup:
         #: channel-IP value → host, so an adopted primary can be STONITHed.
         self.peer_hosts: Dict[int, Any] = dict(peer_hosts or {})
         self.promoted_primary: Optional[Any] = None
+        #: The queued takeover step (rank deferral, go-back-N batch, FT-TCP recovery).
         self._deferred_takeover = None
         self.role = ROLE_PASSIVE
         self.detection_time: Optional[float] = None
@@ -132,6 +133,7 @@ class STTCPBackup:
         host.tcp.connection_observers.append(self._on_passive_open)
         host.tcp.close_observers.append(self._on_shadow_closed)
         host.ip_layer.add_tap(self._on_tapped_datagram)
+        host.crash_observers.append(self.stop)
         self.channel = host.udp.socket(self.config.channel_port)
         host._sttcp_channel_socket = self.channel
         self.channel.on_datagram = self._on_channel_message
@@ -197,8 +199,11 @@ class STTCPBackup:
     def stop(self) -> None:
         self._started = False
         self.primary_monitor.stop()
-        self._sync_timer.stop()
-        self._hb_timer.stop()
+        self._sync_timer.cancel()
+        self._hb_timer.cancel()
+        if self._deferred_takeover is not None:
+            self._deferred_takeover.cancel()
+            self._deferred_takeover = None
 
     # Shadow connections -----------------------------------------------------------
     def _on_passive_open(self, tcb: TCPConnection) -> None:
@@ -304,7 +309,7 @@ class STTCPBackup:
         SyncTime elapsed since their last BackupAck, so an idle tick over
         N shadows is O(due + expired recovery requests), not O(N).
         """
-        if not self._started or self.role is not ROLE_PASSIVE or not self.host.is_up:
+        if self.role is not ROLE_PASSIVE:
             return
         sync_time = self.config.effective_sync_time()
         now = self.sim.now
@@ -326,7 +331,7 @@ class STTCPBackup:
         self._index.note_acked(state)
 
     def _send_heartbeat(self) -> None:
-        if not self._started or self.role is not ROLE_PASSIVE or not self.host.is_up:
+        if self.role is not ROLE_PASSIVE:
             return
         self._hb_sequence += 1
         self._send(Heartbeat("backup", self._hb_sequence))
@@ -431,8 +436,6 @@ class STTCPBackup:
 
     # Channel input -----------------------------------------------------------------------
     def _on_channel_message(self, message: ChannelMessage, addr: tuple) -> None:
-        if not self.host.is_up:
-            return
         source = addr[0]
         if (
             isinstance(message, Heartbeat)
@@ -598,9 +601,6 @@ class STTCPBackup:
             return
         self.stop()
         self.role = ROLE_RETIRED
-        if self._deferred_takeover is not None:
-            self._deferred_takeover.cancel()
-            self._deferred_takeover = None
         if self._takeover_sid is not None:
             self.sim.trace.end_span(
                 self.sim.now,
@@ -619,7 +619,7 @@ class STTCPBackup:
 
     # Failover (§4.4, §5) ---------------------------------------------------------------------
     def _on_primary_suspected(self) -> None:
-        if not self.host.is_up or self.role is not ROLE_PASSIVE:
+        if self.role is not ROLE_PASSIVE:
             return
         self.role = ROLE_TAKING_OVER
         self.detection_time = self.sim.now
@@ -644,10 +644,8 @@ class STTCPBackup:
         self._proceed_with_takeover()
 
     def _deferred_takeover_due(self) -> None:
+        # Nobody higher-ranked announced themselves (that cancels us): our turn.
         self._deferred_takeover = None
-        if not self.host.is_up or self.role is not ROLE_TAKING_OVER:
-            return
-        # Nobody higher-ranked announced themselves: our turn.
         self._proceed_with_takeover()
 
     def _proceed_with_takeover(self) -> None:
@@ -779,14 +777,15 @@ class STTCPBackup:
 
     def _take_over_batch(self, states: List[_ShadowConnState], start: int) -> None:
         """Kick off go-back-N for ``states[start:start+batch]`` now and
-        schedule the rest on the next event-loop turn (same sim time)."""
+        queue the rest for the next event-loop turn (same sim time)."""
         batch = self.config.takeover_batch
         for state in states[start : start + batch]:
             if not state.closed:
                 state.tcb.takeover()
         nxt = start + batch
-        if nxt < len(states):
-            self.sim.schedule(0.0, lambda: self._take_over_batch(states, nxt))
+        self._deferred_takeover = (
+            self.sim.schedule(0.0, self._take_over_batch, states, nxt) if nxt < len(states) else None
+        )
 
     def _promote_to_primary(self) -> None:
         """Become a full primary serving the remaining backups: attach

@@ -67,7 +67,6 @@ class HeartbeatMonitor:
         self.suspected = False
         self.suspected_at: Optional[float] = None
         self._timer = RestartableTimer(sim, self._check, name)
-        self._running = False
         self._rng = sim.random.stream(f"{HB_METRICS_SCOPE}.{name}") if jitter else None
         metrics = sim.metrics.scope(HB_METRICS_SCOPE)
         self._missed_counter = metrics.counter("heartbeats_missed")
@@ -88,27 +87,21 @@ class HeartbeatMonitor:
 
     def start(self) -> None:
         """Begin monitoring; the peer gets a full timeout of grace."""
-        self._running = True
         self.last_heard = self.sim.now
         self.suspected = False
         self.suspected_at = None
         self._arm()
 
     def stop(self) -> None:
-        self._running = False
-        self._timer.stop()
+        self._timer.cancel()
 
     def heard(self) -> None:
-        """Record evidence of peer liveness (any channel message)."""
+        """Record evidence of peer liveness (any channel message).  A
+        suspicion stands: the power switch makes it correct."""
         self.last_heard = self.sim.now
-        if self.suspected:
-            # The protocol never un-suspects (suspicions are made correct
-            # by the power switch); late messages are simply recorded.
-            return
 
     def _check(self) -> None:
-        if not self._running or self.suspected:
-            return
+        # Armed only by start() and by itself; a suspicion does not re-arm.
         silence = self.sim.now - (self.last_heard or 0.0)
         if silence > self.interval:
             # At least one full interval passed without a heartbeat.
@@ -117,7 +110,6 @@ class HeartbeatMonitor:
         if silence > self.timeout:
             self.suspected = True
             self.suspected_at = self.sim.now
-            self._running = False
             self._suspicion_counter.inc()
             peer_alive = self.peer_host is not None and self.peer_host.is_up
             if peer_alive:

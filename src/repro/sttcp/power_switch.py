@@ -31,11 +31,10 @@ class PowerSwitch:
         """
         def actuate() -> None:
             self.cuts_performed += 1
-            if host.is_up:
-                host.crash()
+            host.crash()  # idempotent
             if self.sim.trace.enabled_for("sttcp"):
                 self.sim.trace.emit(self.sim.now, "sttcp", "stonith", host=host.name)
             if done is not None:
                 done()
 
-        self.sim.schedule(self.actuation_delay, actuate)
+        self.sim.post(self.sim.now + self.actuation_delay, actuate)

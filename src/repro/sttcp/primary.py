@@ -118,6 +118,7 @@ class STTCPPrimary:
             self.backup_monitors[ip_addr.value] = self._make_monitor(ip_addr)
         host.tcp.connection_observers.append(self._on_new_connection)
         host.tcp.close_observers.append(self._on_connection_closed)
+        host.crash_observers.append(self.stop)
         self._c_hb_sent = heartbeats_sent_counter(self.sim)
         # Registry-backed counters, read as ``<host>.sttcp.<name>``.
         metrics = self.sim.metrics.scope(f"{host.name}.sttcp")
@@ -156,9 +157,11 @@ class STTCPPrimary:
 
     def stop(self) -> None:
         self._started = False
-        self._hb_timer.stop()
+        self._hb_timer.cancel()
         for monitor in self.backup_monitors.values():
             monitor.stop()
+        for session in self._sync_sessions.values():
+            session["retry"].cancel()
 
     # Backup-set queries ---------------------------------------------------------------
     def live_backup_values(self) -> List[int]:
@@ -234,8 +237,6 @@ class STTCPPrimary:
 
     # Heartbeats -----------------------------------------------------------------------
     def _send_heartbeat(self) -> None:
-        if not self._started or not self.host.is_up:
-            return
         self._hb_sequence += 1
         message = Heartbeat("primary", self._hb_sequence)
         for ip_addr in self.backup_ips:
@@ -250,8 +251,6 @@ class STTCPPrimary:
 
     # Channel input -----------------------------------------------------------------------
     def _on_channel_message(self, message: Any, addr: Tuple[IPAddress, int]) -> None:
-        if not self.host.is_up:
-            return
         source_value = addr[0].value
         monitor = self.backup_monitors.get(source_value)
         if monitor is not None:
@@ -329,6 +328,9 @@ class STTCPPrimary:
         """A new backup asks for the connections it is not yet shadowing."""
         known = set(request.known_keys)
         pending = [key for key in self._connections if key not in known]
+        superseded = self._sync_sessions.get(source.value)
+        if superseded is not None:
+            superseded["retry"].cancel()
         self._sync_sessions[source.value] = {"ip": source, "pending": pending, "sent": 0}
         if self.sim.trace.enabled_for("sttcp"):
             self.sim.trace.emit(
@@ -343,9 +345,7 @@ class STTCPPrimary:
         retry tick or two drains the whole set; connections that close
         meanwhile simply drop out of the pending list.
         """
-        session = self._sync_sessions.get(source_value)
-        if session is None or not self._started or not self.host.is_up:
-            return
+        session = self._sync_sessions[source_value]
         source: IPAddress = session["ip"]
         still: List[ConnKey] = []
         for key in session["pending"]:
@@ -370,9 +370,8 @@ class STTCPPrimary:
             session["sent"] += 1
         if still:
             session["pending"] = still
-            self.sim.schedule(
-                self.config.retx_request_timeout,
-                lambda: self._continue_sync(source_value),
+            session["retry"] = self.sim.schedule(
+                self.config.retx_request_timeout, self._continue_sync, source_value
             )
             return
         del self._sync_sessions[source_value]
@@ -445,8 +444,6 @@ class STTCPPrimary:
     def _on_backup_suspected(self, backup_value: int) -> None:
         """One backup died: shrink the ack set; if it was the last, drop
         to non-fault-tolerant mode (§4.4)."""
-        if not self.host.is_up:
-            return
         if self.sim.trace.enabled_for("sttcp"):
             self.sim.trace.emit(
                 self.sim.now, "sttcp", "backup_suspected", remaining=len(self.live_backup_values())

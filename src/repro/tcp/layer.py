@@ -323,6 +323,11 @@ class TCPLayer:
         for observer in self.close_observers:
             observer(tcb)
 
+    def halt(self) -> None:
+        """Crash (``Host.crash``): cancel every connection's timers."""
+        for tcb in self._connections.values():
+            tcb.cancel_timers()
+
     @property
     def connections(self) -> List[TCPConnection]:
         return list(self._connections.values())

@@ -258,8 +258,6 @@ class OutputEngine:
                 self.delack_timer.start(conn.config.delack_timeout)
 
     def _on_delack(self) -> None:
-        if not self.conn.layer.host.is_up:
-            return
         if self.ack_scheduled:
             self.ack_now()
 

@@ -80,20 +80,10 @@ class RetransmitEngine:
             return
         self.persist_timer.start(self.persist_interval)
 
-    def stop_loss_timers(self) -> None:
-        """Stop every timer this engine owns (connection teardown).
-
-        ``cancel``, not ``stop``: a queued timer event would keep the
-        closed TCB alive until it came due.
-        """
-        self.rto_timer.cancel()
-        self.persist_timer.cancel()
-        self.time_wait_timer.cancel()
-
     # -- RTO -----------------------------------------------------------------
     def _on_rto(self) -> None:
         conn = self.conn
-        if not conn.layer.host.is_up or conn.state is TCPState.CLOSED:
+        if conn.state is TCPState.CLOSED:
             return
         self.retransmit_count += 1
         limit = (
@@ -168,7 +158,7 @@ class RetransmitEngine:
     # -- persist (zero-window probing) ---------------------------------------
     def _on_persist(self) -> None:
         conn = self.conn
-        if not conn.layer.host.is_up or not conn.is_synchronized:
+        if not conn.is_synchronized:
             return
         if conn.snd_wnd > 0:
             self.persist_interval = PERSIST_TIMEOUT_MIN

@@ -405,12 +405,20 @@ class TCPConnection:
         self.retransmit.time_wait_timer.start(self.config.time_wait)
         self.trace_event("time_wait")
 
+    def cancel_timers(self) -> None:
+        """Drop every queued timer event: on close (a queued event would pin
+        the TCB until due) and on a crash (``TCPLayer.halt``)."""
+        retransmit = self.retransmit
+        retransmit.rto_timer.cancel()
+        retransmit.persist_timer.cancel()
+        retransmit.time_wait_timer.cancel()
+        self.output.delack_timer.cancel()
+
     def _enter_closed(self, error: Optional[BaseException]) -> None:
         previous = self.state
         self.set_state(TCPState.CLOSED)
         self.error = error
-        self.retransmit.stop_loss_timers()
-        self.output.delack_timer.cancel()
+        self.cancel_timers()
         self.layer.connection_closed(self)
         # Crash mid-span: close any open episode so the trace stays paired.
         self.end_span("handshake", self._handshake_sid, outcome="closed")

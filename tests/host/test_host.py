@@ -136,15 +136,6 @@ def test_crash_is_idempotent(sim):
     assert host.crashed_at == first
 
 
-def test_restore_powers_back_up(sim):
-    host = Host(sim, "h")
-    host.add_nic()
-    host.crash()
-    host.restore()
-    assert host.is_up
-    assert all(nic.powered for nic in host.nics)
-
-
 def test_gateway_has_forwarding_enabled(sim):
     gateway = make_gateway(sim)
     assert gateway.ip_layer.forwarding

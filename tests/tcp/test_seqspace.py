@@ -1,11 +1,11 @@
 """Tests for 32-bit sequence arithmetic."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.tcp.constants import SEQ_SPACE
-from repro.tcp.seqspace import seq_ge, seq_gt, seq_le, seq_lt, unwrap, wrap
+from repro.tcp.constants import SEQ_MASK, SEQ_SPACE
+from repro.tcp.seqspace import HALF_SPACE, seq_ge, seq_gt, seq_le, seq_lt, unwrap, wrap
 
 
 def test_wrap_masks_to_32_bits():
@@ -66,8 +66,14 @@ def test_prop_unwrap_recovers_value_within_half_space(reference, delta):
 
 
 @given(st.integers(0, (1 << 32) - 1), st.integers(0, (1 << 32) - 1))
+@example(0, HALF_SPACE)
+@example(SEQ_SPACE - 1, HALF_SPACE - 1)
 def test_prop_seq_lt_antisymmetric(a, b):
-    if a != b:
-        assert seq_lt(a, b) != seq_lt(b, a)
-    else:
+    """Exactly one of two distinct values precedes the other — except at a
+    distance of exactly 2³¹, where serial-number order is undefined
+    (RFC 1982) and neither precedes the other."""
+    if a == b or (a - b) & SEQ_MASK == HALF_SPACE:
         assert not seq_lt(a, b)
+        assert not seq_lt(b, a)
+    else:
+        assert seq_lt(a, b) != seq_lt(b, a)

@@ -22,6 +22,7 @@ from repro.util.bytespan import PatternBytes
 from repro.util.units import KB
 
 from tests.conftest import LanPair
+from tools.crash_silence import crash_silence
 
 SLOW_PROPERTY = settings(
     max_examples=12,
@@ -113,12 +114,14 @@ def _assert_transparent_with_lossy_tap_and_crash(crash_fraction, tap_loss, seed)
     baseline = run_workload(
         workload, profile=FAST_LAN, sttcp=config, seed=seed, deadline=600.0
     ).require_clean()
-    scenario = Scenario(profile=FAST_LAN, sttcp=config, with_logger=True, seed=seed)
-    add_tap_loss(
-        scenario.backup.nics[0], scenario.sim.random.stream("tap"), tap_loss
-    )
-    crash_at = 0.1 + crash_fraction * baseline.total_time
-    run = run_workload(workload, scenario=scenario, crash_at=crash_at, deadline=600.0)
+    with crash_silence() as silence:
+        scenario = Scenario(profile=FAST_LAN, sttcp=config, with_logger=True, seed=seed)
+        add_tap_loss(
+            scenario.backup.nics[0], scenario.sim.random.stream("tap"), tap_loss
+        )
+        crash_at = 0.1 + crash_fraction * baseline.total_time
+        run = run_workload(workload, scenario=scenario, crash_at=crash_at, deadline=600.0)
+    assert not silence.breaches, silence.report()
     assert run.result.error is None
     assert run.result.verified
 
@@ -133,7 +136,8 @@ def _assert_transparent_with_lossy_tap_and_crash(crash_fraction, tap_loss, seed)
 # recovery entirely (no ARP retransmit, no query retry).
 @example(crash_fraction=0.90625, tap_loss=0.046875, seed=1338)
 def test_prop_sttcp_transparent_with_lossy_tap_and_crash(crash_fraction, tap_loss, seed):
-    """Crash at any time *and* a lossy tap.
+    """Crash at any time *and* a lossy tap, and the dead primary stays
+    silent (``tools/crash_silence.py``).
 
     A frame lost on the tap in the instant before the crash is a genuine
     *double failure* — the dead primary can no longer repair it — so full
@@ -145,7 +149,7 @@ def test_prop_sttcp_transparent_with_lossy_tap_and_crash(crash_fraction, tap_los
 
 
 @pytest.mark.xfail(
-    strict=True, reason="open counter-example (ROADMAP item 4): ends in ConnectionReset"
+    strict=True, reason="open counter-example (ROADMAP item 1): ends in ConnectionReset"
 )
 def test_lossy_tap_and_crash_open_counter_example():
     """The falsifying example the property above found on unmodified PR 13

@@ -18,7 +18,9 @@ its simulator inside it (``Simulator`` binds ``post`` at construction) —
 so it reads any tree without a hook in ``src/``.  The census checks
 itself: if the wrapped callbacks ran fewer times than the kernel executed
 events, some path queued events around the wrappers, and the last line
-says so and the exit status is 1.
+says so and the exit status is 1.  It also checks the run: a callback that
+ran for a crashed host (``tools/crash_silence.py``) is listed after the
+table, and the exit status is 1.
 
 Usage::
 
@@ -36,8 +38,9 @@ from typing import Any, Callable, Dict, List, Tuple
 import repro.harness.experiments  # noqa: F401 — registers the "scale" spec
 from repro.harness.executor import run_experiment
 from repro.sim.events import EventHandle, SimEvent, Timeout
-from repro.sim.scheduler import Scheduler
 from repro.tcp.timers import RestartableTimer
+
+from crash_silence import CrashSilence, wrapped_queue
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -55,13 +58,15 @@ class _Row:
 class _Counted:
     """Stands in for one queued callback and books what becomes of it."""
 
-    __slots__ = ("callback", "row")
+    __slots__ = ("callback", "row", "silence")
 
-    def __init__(self, callback: Callable[..., Any], row: _Row) -> None:
+    def __init__(self, callback: Callable[..., Any], row: _Row, silence: CrashSilence) -> None:
         self.callback = callback
         self.row = row
+        self.silence = silence
 
     def __call__(self, *args: Any) -> None:
+        self.silence.check(self.callback)
         timer = getattr(self.callback, "__self__", None)
         if isinstance(timer, RestartableTimer):
             before = timer.fired_count
@@ -94,40 +99,37 @@ def _label(callback: Callable[..., Any]) -> str:
     return name
 
 
-def take_census(run: Callable[[], Any]) -> Tuple[Dict[str, _Row], Any]:
-    """Call ``run()`` booking every kernel event: (label -> row, run's result)."""
+def take_census(run: Callable[[], Any]) -> Tuple[Dict[str, _Row], CrashSilence, Any]:
+    """Call ``run()`` booking every kernel event: (label -> row, the
+    crash-silence breaches, run's result)."""
     census: Dict[str, _Row] = {}
-    push, post, cancel = Scheduler._push, Scheduler.post, EventHandle.cancel
+    silence = CrashSilence()
+    cancel = EventHandle.cancel
 
     def counted(callback: Any) -> _Counted:
         row = census.setdefault(_label(callback), _Row())
         row.scheduled += 1
-        return _Counted(callback, row)
-
-    def counting_push(self: Scheduler, time: float, callback: Any, args: tuple, priority: int) -> EventHandle:
-        return push(self, time, counted(callback), args, priority)
-
-    def counting_post(self: Scheduler, time: float, callback: Any, *args: Any) -> None:
-        post(self, time, counted(callback), *args)
+        return _Counted(callback, row, silence)
 
     def counting_cancel(self: EventHandle) -> None:
         if self._sched is not None and isinstance(self.callback, _Counted):
             self.callback.row.cancelled += 1  # still queued: a dead entry
         cancel(self)
 
-    Scheduler._push, Scheduler.post = counting_push, counting_post  # type: ignore[method-assign]
     EventHandle.cancel = counting_cancel  # type: ignore[method-assign]
     try:
-        return census, run()
+        with wrapped_queue(counted):
+            return census, silence, run()
     finally:
-        Scheduler._push, Scheduler.post, EventHandle.cancel = push, post, cancel  # type: ignore[method-assign]
+        EventHandle.cancel = cancel  # type: ignore[method-assign]
 
 
-def census_of(what: str, seed: int) -> Tuple[Dict[str, _Row], str, int]:
+def census_of(what: str, seed: int) -> Tuple[Dict[str, _Row], CrashSilence, str, int]:
     """Run a scale rung (``what`` a connection count) or a bench workload:
-    (the census, its summary line, the events the kernel executed)."""
+    (the census, its crash-silence check, its summary line, the events the
+    kernel executed)."""
     if what.isdigit():
-        census, result = take_census(
+        census, silence, result = take_census(
             lambda: run_experiment("scale", ladder=(int(what),), store=None, base_seed=seed)
         )
         (record,) = result.rows
@@ -141,9 +143,9 @@ def census_of(what: str, seed: int) -> Tuple[Dict[str, _Row], str, int]:
             timed, summarise = WORKLOADS[what](seed, 1.0)
             return summarise(timed())
 
-        census, outcome = take_census(run)
+        census, silence, outcome = take_census(run)
         events, segments = outcome.events, outcome.segments
-    return census, (
+    return census, silence, (
         f"{what}, seed {seed}: {events} events executed for {segments} segments"
         f" = {events / segments:.2f} per segment"
     ), events
@@ -176,9 +178,11 @@ if __name__ == "__main__":
     )
     parser.add_argument("--seed", type=int, default=BASE_SEED)
     args = parser.parse_args()
-    census, summary, executed = census_of(args.what, args.seed)
+    census, silence, summary, executed = census_of(args.what, args.seed)
     print(format_census(census, summary))
     missed = uncounted(census, executed)
     if missed:
         print(f"  CENSUS INCOMPLETE: {missed} of {executed} executed events were queued around the wrappers")
+    print(silence.report())
+    if missed or silence.breaches:
         sys.exit(1)
