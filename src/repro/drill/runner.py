@@ -141,7 +141,7 @@ class DrillEnv:
 
     def _build_sttcp(self, settings: dict) -> None:
         from repro.sttcp.config import STTCPConfig
-        from repro.sttcp.manager import STTCPServerPair
+        from repro.sttcp.group import STTCPServerGroup
         from repro.sttcp.power_switch import PowerSwitch
 
         self.sttcp_config = STTCPConfig(**settings.get("sttcp", {}))
@@ -160,9 +160,9 @@ class DrillEnv:
         self.hut = self.primary
         power_switch = PowerSwitch(self.sim, self.sttcp_config.stonith_delay)
         self.power_switch = power_switch
-        self.pair = STTCPServerPair(
+        self.pair = STTCPServerGroup(
             self.primary,
-            self.backup,
+            [self.backup],
             SERVICE_IP,
             self.port,
             config=self.sttcp_config,

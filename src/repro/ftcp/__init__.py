@@ -1,5 +1,5 @@
 """FT-TCP-style restart-and-replay failover baseline (paper §2)."""
 
-from repro.ftcp.baseline import FTCPBackup, FTCPConfig, FTCPServerPair
+from repro.ftcp.baseline import FTCPBackup, FTCPConfig
 
-__all__ = ["FTCPBackup", "FTCPConfig", "FTCPServerPair"]
+__all__ = ["FTCPBackup", "FTCPConfig"]

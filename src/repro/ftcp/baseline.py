@@ -15,17 +15,18 @@ proportional to the bytes the connection has processed, and the client
 sees periodic zero-window keepalives meanwhile.  Everything else (failure
 detection, transparent connection continuation) reuses the ST-TCP
 machinery, so the comparison isolates the failover-strategy difference —
-active state mirroring versus restart-and-replay.
+active state mirroring versus restart-and-replay.  Deploy it as an
+:class:`~repro.sttcp.group.STTCPServerGroup` of one backup with
+``backup_engine_factory=FTCPBackup`` and an :class:`FTCPConfig`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional
+from typing import Any
 
 from repro.sttcp.backup import ROLE_TAKING_OVER, STTCPBackup
 from repro.sttcp.config import STTCPConfig
-from repro.sttcp.manager import STTCPServerPair
 from repro.tcp.constants import FLAG_ACK
 from repro.tcp.segment import TCPSegment
 from repro.tcp.seqspace import wrap
@@ -108,15 +109,3 @@ class FTCPBackup(STTCPBackup):
             tcb.layer.send_segment(tcb, keepalive)
         config: FTCPConfig = self.config  # type: ignore[assignment]
         self._keepalive_timer.start(config.keepalive_interval)
-
-
-class FTCPServerPair(STTCPServerPair):
-    """A primary/backup pair whose failover follows FT-TCP's cost model."""
-
-    def __init__(self, *args: Any, config: Optional[FTCPConfig] = None, **kwargs: Any) -> None:
-        super().__init__(
-            *args,
-            config=config or FTCPConfig(),
-            backup_engine_factory=FTCPBackup,
-            **kwargs,
-        )

@@ -15,7 +15,7 @@ from repro.metrics import perf
 from repro.obs.recorder import FlightRecorder
 from repro.obs.timeline import FailoverTimeline, TimelineCollector
 from repro.sttcp.config import STTCPConfig
-from repro.sttcp.manager import FailoverMetrics
+from repro.sttcp.group import FailoverMetrics
 
 #: The client starts this long after the service comes up.
 CLIENT_START = 0.1

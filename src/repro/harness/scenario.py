@@ -14,8 +14,8 @@ Modes:
 
 * ``standard`` — plain TCP server on the primary only (the baseline rows
   of Table 1);
-* ``sttcp`` — full primary/backup pair with UDP channel, heartbeats,
-  optional packet logger and power switch.
+* ``sttcp`` — a primary and one to three backups with UDP channel,
+  heartbeats, optional packet logger and power switch.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ from repro.net.addresses import IPAddress, fresh_multicast_mac, ip
 from repro.net.medium import Cable, Hub
 from repro.net.switch import Switch
 from repro.sim.simulator import Simulator
+from repro.sttcp.backup import STTCPBackup
 from repro.sttcp.config import STTCPConfig
-from repro.sttcp.manager import STTCPServerPair
+from repro.sttcp.group import STTCPServerGroup
 from repro.sttcp.power_switch import PowerSwitch
 
 TOPOLOGY_HUB = "hub"
@@ -92,7 +93,7 @@ class Scenario:
         self.logger: Optional[PacketLogger] = None
         self.logger_host: Optional[Host] = None
         self.power_switch: Optional[PowerSwitch] = None
-        self.pair: Optional[STTCPServerPair] = None
+        self.pair: Optional[STTCPServerGroup] = None
         self.hub: Optional[Hub] = None
         self.switch: Optional[Switch] = None
         self.extra_backups: list = []
@@ -125,39 +126,21 @@ class Scenario:
             logger_client = None
             if self.logger is not None and sttcp.use_logger:
                 logger_client = LoggerClient(self.backup, self.logger.address)
-            from repro.ftcp.baseline import FTCPConfig, FTCPServerPair
+            from repro.ftcp.baseline import FTCPBackup, FTCPConfig
 
-            if self.extra_backups:
-                from repro.sttcp.group import STTCPServerGroup
-
-                if isinstance(sttcp, FTCPConfig):
-                    raise ConfigurationError(
-                        "the FT-TCP baseline models a single backup"
-                    )
-                backup_hosts = [self.backup] + self.extra_backups
-                loggers = [logger_client] + [None] * len(self.extra_backups)
-                self.pair = STTCPServerGroup(
-                    self.primary,
-                    backup_hosts,
-                    SERVICE_IP,
-                    SERVICE_PORT,
-                    config=sttcp,
-                    power_switch=self.power_switch,
-                    logger_clients=loggers,
-                )
-            else:
-                pair_cls = (
-                    FTCPServerPair if isinstance(sttcp, FTCPConfig) else STTCPServerPair
-                )
-                self.pair = pair_cls(
-                    self.primary,
-                    self.backup,
-                    SERVICE_IP,
-                    SERVICE_PORT,
-                    config=sttcp,
-                    power_switch=self.power_switch,
-                    logger_client=logger_client,
-                )
+            ftcp = isinstance(sttcp, FTCPConfig)
+            if ftcp and self.extra_backups:
+                raise ConfigurationError("the FT-TCP baseline models a single backup")
+            self.pair = STTCPServerGroup(
+                self.primary,
+                [self.backup] + self.extra_backups,
+                SERVICE_IP,
+                SERVICE_PORT,
+                config=sttcp,
+                power_switch=self.power_switch,
+                logger_clients=[logger_client] + [None] * len(self.extra_backups),
+                backup_engine_factory=FTCPBackup if ftcp else STTCPBackup,
+            )
 
     # Topology builders ---------------------------------------------------------
     def _build_hub(self) -> None:

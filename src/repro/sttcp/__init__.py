@@ -4,8 +4,8 @@ A primary serves standard TCP clients; an active backup taps the byte
 stream, shadows every connection (including sequence numbers), and takes
 the connections over transparently when the primary crashes.
 
-Entry point: :class:`STTCPServerPair` (or the engines directly for custom
-deployments).
+Entry point: :class:`STTCPServerGroup` with one backup for the paper's pair
+(or the engines directly for custom deployments).
 """
 
 from repro.sttcp.backup import (
@@ -16,8 +16,7 @@ from repro.sttcp.backup import (
 )
 from repro.sttcp.config import STTCPConfig
 from repro.sttcp.failure_detector import HeartbeatMonitor
-from repro.sttcp.group import STTCPServerGroup
-from repro.sttcp.manager import FailoverMetrics, STTCPServerPair
+from repro.sttcp.group import FailoverMetrics, STTCPServerGroup
 from repro.sttcp.messages import (
     AckReply,
     BackupAck,
@@ -49,7 +48,6 @@ __all__ = [
     "STTCPConfig",
     "STTCPPrimary",
     "STTCPServerGroup",
-    "STTCPServerPair",
     "SecondReceiveBuffer",
     "ShadowExtension",
     "conn_key",

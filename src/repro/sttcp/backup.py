@@ -489,21 +489,12 @@ class STTCPBackup:
         state = self._connections.get(data.key)
         if state is None:
             return
-        self._inject_payload(state.tcb, unwrap(data.seq, state.tcb.rcv_nxt), data.payload)
+        tcb = state.tcb
+        tcb.inject_receive_data(unwrap(data.seq, tcb.rcv_nxt), data.payload)
         self._c_retx_bytes_recovered.value += len(data.payload)
-        if state.pending_retx is not None and state.tcb.rcv_nxt >= state.pending_retx[1]:
+        if state.pending_retx is not None and tcb.rcv_nxt >= state.pending_retx[1]:
             state.pending_retx = None
             self._index.clear_retx_pending(state)
-
-    def _inject_payload(self, tcb: TCPConnection, seq_abs: int, payload: Any) -> None:
-        """Feed recovered client bytes into the shadow's receive stream.
-
-        Deliberately bypasses segment processing: recovery repairs the
-        receive stream only, and must not touch the ACK machinery (a
-        synthetic ACK while the shadow is still in SYN_RCVD would rebase
-        the ISN against the shadow's own wrong value).
-        """
-        tcb.inject_receive_data(seq_abs, payload)
 
     # Snapshot handoff (cluster election) ---------------------------------------------------
     def request_sync(self) -> None:
@@ -705,8 +696,7 @@ class STTCPBackup:
     def _on_logger_data(self, key: ConnKey, seq32: int, payload: Any) -> None:
         state = self._connections.get(key)
         if state is not None:
-            seq_abs = unwrap(seq32, state.tcb.rcv_nxt)
-            self._inject_payload(state.tcb, seq_abs, payload)
+            state.tcb.inject_receive_data(unwrap(seq32, state.tcb.rcv_nxt), payload)
             self._c_logger_bytes_recovered.value += len(payload)
 
     def _on_logger_done(self) -> None:
@@ -781,7 +771,7 @@ class STTCPBackup:
         batch = self.config.takeover_batch
         for state in states[start : start + batch]:
             if not state.closed:
-                state.tcb.takeover()
+                state.ext.takeover(state.tcb)
         nxt = start + batch
         self._deferred_takeover = (
             self.sim.schedule(0.0, self._take_over_batch, states, nxt) if nxt < len(states) else None

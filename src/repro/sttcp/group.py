@@ -1,6 +1,9 @@
-"""Multi-backup ST-TCP deployments (§3: "one or more backup servers").
+"""ST-TCP deployments: one primary and "one or more backup servers" (§3).
 
-A :class:`STTCPServerGroup` runs one primary and N ranked active backups:
+A :class:`STTCPServerGroup` wires the primary and backup engines,
+launches the (identical, deterministic) server application on every
+replica, and exposes failover metrics.  The paper's pair is a group of
+one backup.  With N ranked backups:
 
 * every backup shadows every connection, and the primary only discards a
   retained byte once **all live backups** acknowledged it;
@@ -10,24 +13,53 @@ A :class:`STTCPServerGroup` runs one primary and N ranked active backups:
 * the winner *promotes* itself to a full primary — retention attached to
   the adopted connections, heartbeats to the remaining backups — so the
   service stays fault-tolerant and can survive **cascading** failures.
+
+Topology-level plumbing — how a backup gets to *see* the primary's
+traffic (hub promiscuity, or switched multicast MACs with static ARP) —
+is the scenario builder's job (:mod:`repro.harness.scenario`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.net.addresses import IPAddress
 from repro.sttcp.backup import ROLE_ACTIVE, STTCPBackup
 from repro.sttcp.config import STTCPConfig
-from repro.sttcp.manager import FailoverMetrics
 from repro.sttcp.power_switch import PowerSwitch
 from repro.sttcp.primary import STTCPPrimary
 
 
+@dataclasses.dataclass
+class FailoverMetrics:
+    """What happened, when, during a failover (sim timestamps)."""
+
+    primary_crashed_at: Optional[float]
+    suspected_at: Optional[float]
+    takeover_at: Optional[float]
+    degraded_connections: int
+
+    @property
+    def detection_latency(self) -> Optional[float]:
+        if self.primary_crashed_at is None or self.suspected_at is None:
+            return None
+        return self.suspected_at - self.primary_crashed_at
+
+    @property
+    def takeover_latency(self) -> Optional[float]:
+        if self.primary_crashed_at is None or self.takeover_at is None:
+            return None
+        return self.takeover_at - self.primary_crashed_at
+
+
 class STTCPServerGroup:
-    """A deployed primary + N-backup ST-TCP service."""
+    """A deployed primary + N-backup ST-TCP service.
+
+    ``backup_engine_factory`` builds each backup engine (default
+    :class:`STTCPBackup`; the FT-TCP baseline passes its own).
+    """
 
     def __init__(
         self,
@@ -38,6 +70,7 @@ class STTCPServerGroup:
         config: Optional[STTCPConfig] = None,
         power_switch: Optional[PowerSwitch] = None,
         logger_clients: Optional[List[Any]] = None,
+        backup_engine_factory: Callable[..., STTCPBackup] = STTCPBackup,
     ) -> None:
         if not backup_hosts:
             raise ConfigurationError("a server group needs at least one backup")
@@ -73,7 +106,7 @@ class STTCPServerGroup:
                 for index, address in enumerate(backup_channel_ips)
                 if index != rank
             ]
-            engine = STTCPBackup(
+            engine = backup_engine_factory(
                 host,
                 service_ip,
                 service_port,
@@ -89,9 +122,9 @@ class STTCPServerGroup:
             self.backup_engines.append(engine)
         self._server_processes: list = []
 
-    # Convenience: single-backup compatibility ----------------------------------
     @property
     def backup_engine(self) -> STTCPBackup:
+        """The rank-0 backup: the paper's one backup."""
         return self.backup_engines[0]
 
     def start_service(self, service_time: float = 0.0) -> None:

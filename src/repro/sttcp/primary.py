@@ -37,10 +37,10 @@ from repro.sttcp.messages import (
 )
 from repro.sttcp.retention import SecondReceiveBuffer
 from repro.sttcp.shadow import ShadowExtension
-from repro.tcp.constants import TCPState
 from repro.tcp.seqspace import unwrap, wrap
 from repro.tcp.tcb import TCPConnection
 from repro.tcp.timers import RestartableTimer
+from repro.util.bytespan import concat
 
 #: Payload ceiling per RETX_DATA chunk (fits one Ethernet frame).
 RETX_CHUNK = 1400
@@ -269,7 +269,7 @@ class STTCPPrimary:
         if state is not None:
             tcb = state.tcb
             ack_abs = unwrap(ack.ack_seq, tcb.rcv_nxt)
-            offset = tcb._rcv_offset(ack_abs)
+            offset = tcb.rcv_offset(ack_abs)
             previous = state.acked_by.get(source.value, 0)
             if offset > previous:
                 state.acked_by[source.value] = offset
@@ -277,7 +277,7 @@ class STTCPPrimary:
             if freed and tcb.is_synchronized:
                 # Window may have been pinched by retention overflow;
                 # releasing bytes can reopen it.
-                tcb._maybe_send_window_update(0)
+                tcb.output.maybe_send_window_update(0)
         # The reply doubles as the primary→backup heartbeat (§4.3).
         self._send(AckReply(ack.key, ack.ack_seq), source)
 
@@ -298,32 +298,26 @@ class STTCPPrimary:
         stop_abs = unwrap(request.stop_seq, tcb.rcv_nxt)
         if stop_abs <= start_abs:
             return
-        start_offset = tcb._rcv_offset(start_abs)
-        stop_offset = tcb._rcv_offset(stop_abs)
-        data = tcb.fetch_received_range(start_offset, stop_offset)
+        # Retained bytes, then the unread receive buffer: together one
+        # contiguous range, which begins at the retention head — or at the
+        # read pointer once retention is off (§4.4).  Bytes below it are
+        # gone, so the reply starts (and is labelled) at it.
+        retention, recv_buffer = state.retention, tcb.recv_buffer
+        held_from = retention.lowest_retained_offset if retention.enabled else recv_buffer.read_offset
+        start = max(tcb.rcv_offset(start_abs), held_from)
+        stop = tcb.rcv_offset(stop_abs)
+        data = concat([retention.fetch(start, stop), recv_buffer.peek_unread(start, stop)])
         if len(data) == 0:
             return
         self._c_retx_requests_served.value += 1
         # Chunk into frame-sized RETX_DATA messages.
+        first_seq = tcb.irs + 1 + start
         for piece_start in range(0, len(data), RETX_CHUNK):
             piece = data.slice(piece_start, min(piece_start + RETX_CHUNK, len(data)))
-            seq32 = (start_abs + piece_start) & 0xFFFFFFFF
             self._c_retx_bytes_sent.value += len(piece)
-            self._send(RetxData(request.key, seq32, piece), source)
+            self._send(RetxData(request.key, wrap(first_seq + piece_start), piece), source)
 
     # Snapshot handoff (cluster election) ------------------------------------------------
-    def _quiescent(self, tcb: TCPConnection) -> bool:
-        """True when the connection's transferable state is fully captured
-        by its two stream offsets: nothing in flight, nothing buffered on
-        either side, nothing the app has not read."""
-        return (
-            tcb.state is TCPState.ESTABLISHED
-            and tcb.flight_size == 0
-            and len(tcb.send_buffer) == 0
-            and tcb.recv_buffer.available == 0
-            and tcb.recv_buffer.out_of_order_bytes == 0
-        )
-
     def _begin_sync(self, request: SyncRequest, source: IPAddress) -> None:
         """A new backup asks for the connections it is not yet shadowing."""
         known = set(request.known_keys)
@@ -353,7 +347,7 @@ class STTCPPrimary:
             if state is None:
                 continue  # closed while the handoff was in progress
             tcb = state.tcb
-            if not self._quiescent(tcb):
+            if not tcb.quiescent:
                 still.append(key)
                 continue
             self._send(
@@ -362,7 +356,7 @@ class STTCPPrimary:
                     wrap(tcb.irs),
                     wrap(tcb.iss),
                     tcb.recv_buffer.rcv_nxt_offset,
-                    tcb.buffers.snd_offset(tcb.snd_una),
+                    tcb.snd_offset(tcb.snd_una),
                     tcb.snd_wnd,
                 ),
                 source,
@@ -453,14 +447,14 @@ class STTCPPrimary:
             for state in self._connections.values():
                 freed = self._release_retained(state)
                 if freed and state.tcb.is_synchronized:
-                    state.tcb._maybe_send_window_update(0)
+                    state.tcb.output.maybe_send_window_update(0)
             return
         self.fault_tolerant = False
         self.backup_failed_at = self.sim.now
         for state in self._connections.values():
             state.retention.disable()
             if state.tcb.is_synchronized:
-                state.tcb._maybe_send_window_update(0)
+                state.tcb.output.maybe_send_window_update(0)
         self._hb_timer.stop()
         if self.sim.trace.enabled_for("sttcp"):
             self.sim.trace.emit(self.sim.now, "sttcp", "non_fault_tolerant_mode")

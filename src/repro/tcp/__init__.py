@@ -2,13 +2,13 @@
 
 Public surface: :class:`TCPLayer` (per host), :class:`TCPSocket`,
 :class:`TCPListener`, :class:`TCPConfig`, the :class:`TCPExtension` hook
-protocol for protocol variants, plus the building blocks
-(:class:`TCPConnection` and its engines, buffers, Reno congestion
-control, RTT/RTO estimation, sequence-space arithmetic) for tests and
-the ST-TCP engines.
+protocol for protocol variants, :class:`TCPConnection` with its repair
+section (stream offsets, ISN adoption, receive-stream splicing,
+quiescence, fast-forward), plus the building blocks (the three engines,
+the send and receive buffers, Reno congestion control, RTT/RTO
+estimation, sequence-space arithmetic) for tests and replication engines.
 """
 
-from repro.tcp.buffers import BufferManager
 from repro.tcp.config import TCPConfig
 from repro.tcp.congestion import DUPACK_THRESHOLD, RenoCongestionControl
 from repro.tcp.constants import (
@@ -39,7 +39,6 @@ from repro.tcp.socket import TCPSocket
 from repro.tcp.tcb import TCPConnection
 
 __all__ = [
-    "BufferManager",
     "DEFAULT_MSS",
     "DEFAULT_RCV_BUFFER",
     "DEFAULT_SND_BUFFER",

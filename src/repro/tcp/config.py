@@ -1,10 +1,9 @@
 """Per-connection TCP tuning knobs.
 
 A :class:`TCPConfig` is attached to a layer as its default and can be
-overridden per listener or per active open.  The ST-TCP server pair tweaks
-two things relative to a standard host: the receive buffer doubling on the
-primary (handled in :mod:`repro.sttcp.primary`) and output suppression on
-the backup (a TCB runtime flag, not config).
+overridden per listener or per active open.  Replication extensions change
+nothing here: receive-side retention plugs into the receive buffer, and
+output suppression is a TCB runtime flag.
 """
 
 from __future__ import annotations

@@ -230,9 +230,9 @@ class InputEngine:
         retransmit.retransmit_count = 0
         retransmit.rtt.reset_backoff()
         # Release acknowledged payload bytes (exclude SYN/FIN seq space).
-        data_ack_offset = conn.buffers.snd_offset(ack_abs)
+        data_ack_offset = conn.snd_offset(ack_abs)
         if conn._fin_seq is not None and ack_abs > conn._fin_seq:
-            data_ack_offset = conn.buffers.snd_offset(conn._fin_seq)
+            data_ack_offset = conn.snd_offset(conn._fin_seq)
         if data_ack_offset > conn.send_buffer.una_offset:
             conn.send_buffer.ack_to(data_ack_offset)
             if conn.on_writable is not None:
@@ -332,7 +332,7 @@ class InputEngine:
     # -- payload -------------------------------------------------------------
     def _process_payload(self, segment: TCPSegment, seq_abs: int) -> None:
         conn = self.conn
-        offset = conn.buffers.rcv_offset(seq_abs)
+        offset = conn.rcv_offset(seq_abs)
         before = conn.rcv_nxt
         advanced = conn.recv_buffer.insert(offset, segment.payload)
         conn.bytes_received += segment.payload_length

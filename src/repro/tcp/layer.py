@@ -3,8 +3,8 @@
 Protocol variants integrate through :attr:`TCPLayer.connection_observers`:
 each observer runs for every passively opened connection *before* the
 SYN is processed, so it can attach :class:`repro.tcp.extension.TCPExtension`
-objects (the ST-TCP engines do exactly this) without touching listener or
-application code.
+objects (the replication engines do exactly this) without touching
+listener or application code.
 """
 
 from __future__ import annotations
@@ -51,11 +51,11 @@ class TCPLayer:
         #: Live-connection count per local port (ephemeral accounting).
         self._port_refs: Dict[int, int] = {}
         #: Observers invoked for every passive open, before the SYN is
-        #: processed (the ST-TCP engines use this to attach retention or
-        #: replication extensions to new connections).
+        #: processed (replication engines use this to attach retention or
+        #: extensions to new connections).
         self.connection_observers: List[ConnectionCallback] = []
         #: Observers invoked after a connection leaves the table (reached
-        #: CLOSED or expired TIME_WAIT).  The ST-TCP engines use this to
+        #: CLOSED or expired TIME_WAIT).  Replication engines use this to
         #: drop their per-connection state, so closed connections return
         #: *all* their memory, not just the TCB table slot.
         self.close_observers: List[ConnectionCallback] = []
@@ -100,9 +100,10 @@ class TCPLayer:
     def generate_isn(self) -> int:
         """A random 32-bit initial sequence number.
 
-        Primary and backup draw from *different* host-named streams, so
-        their ISNs differ — which is precisely why a backup replica must
-        rebase its ISN onto the primary's during the handshake (§4.1).
+        Each host draws from its own host-named stream, so two replicas
+        of one server choose different ISNs — which is precisely why a
+        replica re-anchors on the ISN the client actually saw
+        (:meth:`TCPConnection.adopt_send_isn`, §4.1).
         """
         rng = self.sim.random.stream(f"tcp.isn.{self.host.name}")
         return rng.randrange(0, SEQ_MASK)
@@ -253,14 +254,15 @@ class TCPLayer:
         remote_port: int,
         client_isn: int,
     ) -> Optional[TCPConnection]:
-        """Passively open a connection whose client SYN this host missed.
+        """Open passively from supplied state: a connection whose SYN
+        this host never received.
 
-        The ST-TCP backup calls this when a *tapped primary SYN/ACK*
-        reveals a connection it never saw (the tap lost the client's
-        handshake): the SYN/ACK's ack field gives the client's ISN, so
-        the connection can be opened — observers attached, extensions and
-        all — exactly as if the SYN had arrived.  Returns ``None`` unless
-        a listener is bound and accepts.
+        The connection-repair entry point for a TCB that does not exist
+        yet.  Given the 4-tuple and the peer's ISN, the connection is
+        opened — observers attached, extensions and all — exactly as if
+        the SYN had arrived; the caller then repairs it further through
+        the repair section of :class:`TCPConnection`.  Returns ``None``
+        unless a listener is bound and accepts.
         """
         if self.find_connection(local_ip, local_port, remote_ip, remote_port):
             return None

@@ -1,10 +1,10 @@
 """Passive TCP opens: the listening socket.
 
 A listener owns a (local-IP, port) endpoint; inbound SYNs create
-connections that are delivered to ``accept()`` once established.  On an
-ST-TCP backup the very same listener code opens replica connections from
-tapped SYNs, so the unmodified server application runs identically on
-primary and backup (§4.1).
+connections that are delivered to ``accept()`` once established.  On a
+replica host the very same listener code opens connections from SYNs the
+host merely overheard, so the unmodified server application runs
+identically on every replica (§4.1).
 """
 
 from __future__ import annotations

@@ -91,7 +91,7 @@ class OutputEngine:
         while True:
             in_flight = conn.snd_nxt - conn.snd_una
             window_left = usable_window - in_flight
-            next_offset = conn.buffers.snd_offset(conn.snd_nxt)
+            next_offset = conn.snd_offset(conn.snd_nxt)
             available = tail - next_offset
             if available > 0 and window_left > 0:
                 chunk = min(conn.mss, available, window_left)
@@ -144,7 +144,7 @@ class OutputEngine:
         if (
             not sent_something
             and conn.snd_wnd == 0
-            and conn.send_buffer.tail_offset > conn.buffers.snd_offset(conn.snd_nxt)
+            and conn.send_buffer.tail_offset > conn.snd_offset(conn.snd_nxt)
             and conn.flight_size == 0
         ):
             conn.retransmit.arm_persist()

@@ -1,12 +1,12 @@
 """The TCP receive buffer: in-order data plus out-of-order reassembly.
 
-The buffer also hosts the ST-TCP *retention* hook (§4.2, Figure 4): a
-standard TCP discards a byte once the application has read it, but an
-ST-TCP primary must keep it until the backup acknowledges it over the UDP
-channel.  A :class:`RetentionPolicy` captures read bytes into the "second
-receive buffer"; bytes that do not fit there keep occupying advertised
-window (``overflow_bytes``), reproducing the paper's behaviour when the
-backup falls behind.
+The buffer also hosts a *retention* hook (§4.2, Figure 4): a standard TCP
+discards a byte once the application has read it, but a replicated server
+must keep it until its replica confirms it holds a copy.  A
+:class:`RetentionPolicy` captures read bytes into a "second receive
+buffer"; bytes that do not fit there keep occupying advertised window
+(``overflow_bytes``), reproducing the paper's behaviour when the replica
+falls behind.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.util.spanbuffer import SpanBuffer
 
 
 class RetentionPolicy:
-    """Interface the primary's ST-TCP engine plugs into the receive path."""
+    """Interface a replication engine plugs into the receive path."""
 
     __slots__ = ()
 
@@ -73,7 +73,7 @@ class ReceiveBuffer:
     def window(self) -> int:
         """Advertised window: free space in the (first) receive buffer.
 
-        Retained-but-overflowing bytes (ST-TCP second buffer full) continue
+        Retained-but-overflowing bytes (second buffer full) continue
         to consume window, per §4.2.
         """
         free = self.capacity - self._ready._length - self._ooo_bytes
@@ -178,8 +178,8 @@ class ReceiveBuffer:
     def read(self, max_bytes: int) -> ByteSpan:
         """Pop up to ``max_bytes`` of in-order data for the application.
 
-        Read bytes are offered to the retention policy (ST-TCP primary)
-        before leaving the buffer.
+        Read bytes are offered to the retention policy, if any, before
+        leaving the buffer.
         """
         ready = self._ready
         count = min(max_bytes, ready._length)
@@ -193,15 +193,13 @@ class ReceiveBuffer:
 
     def fast_forward(self, offset: int) -> None:
         """Adopt ``offset`` as read pointer *and* ``rcv_nxt`` of an empty
-        buffer (snapshot handoff: bytes below it were received and read
-        by the previous endpoint)."""
-        if self._out_of_order:
-            raise ValueError("fast_forward with out-of-order data held")
+        buffer: bytes below it were received and read elsewhere
+        (:meth:`repro.tcp.tcb.TCPConnection.fast_forward`, whose
+        quiescence rule guarantees the buffer holds nothing)."""
         self._ready.seek(offset)
 
     def peek_unread(self, start: int, stop: int) -> ByteSpan:
-        """Zero-copy view of not-yet-read in-order bytes (for ST-TCP
-        recovery service)."""
+        """Zero-copy view of not-yet-read in-order bytes."""
         lo = max(start, self._ready.head_offset)
         hi = min(stop, self._ready.tail_offset)
         if lo >= hi:

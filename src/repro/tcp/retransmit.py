@@ -130,9 +130,9 @@ class RetransmitEngine:
             return
         if conn.snd_una >= conn.snd_max:
             return
-        start = conn.buffers.snd_offset(conn.snd_una)
+        start = conn.snd_offset(conn.snd_una)
         end_limit = conn._fin_seq if conn._fin_seq is not None else conn.snd_max
-        chunk = min(conn.mss, conn.buffers.snd_offset(end_limit) - start)
+        chunk = min(conn.mss, conn.snd_offset(end_limit) - start)
         if chunk <= 0:
             return
         payload = conn.send_buffer.data_range(start, start + chunk)
@@ -168,7 +168,7 @@ class RetransmitEngine:
         # a real data byte and consumes sequence space: if the receiver's
         # window opened meanwhile it will ACK the byte, and that ACK must
         # be coherent with our send state.
-        next_offset = conn.buffers.snd_offset(conn.snd_nxt)
+        next_offset = conn.snd_offset(conn.snd_nxt)
         if conn.send_buffer.tail_offset > next_offset and conn.snd_nxt == conn.snd_max:
             payload = conn.send_buffer.data_range(next_offset, next_offset + 1)
             conn.output.emit(FLAG_ACK, conn.snd_nxt, payload)

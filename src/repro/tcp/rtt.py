@@ -1,8 +1,8 @@
 """RTT estimation and retransmission-timeout management (RFC 6298).
 
-The RTO behaviour is central to the reproduction: after the primary
+The RTO behaviour is central to the reproduction: after the server
 crashes, the client's RTO backoff determines how quickly its
-retransmissions reach the freshly promoted backup, which is the second
+retransmissions reach the replica that took over, which is the second
 component of the paper's failover time (§6.2).  Bounds and the ×2 backoff
 factor follow Linux (200 ms … 2 min).
 """

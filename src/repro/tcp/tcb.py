@@ -1,37 +1,37 @@
-"""The TCP connection: a slim facade over four composable engines.
+"""The TCP connection: a slim facade over three engines and two buffers.
 
 This is a full, wire-faithful TCP endpoint: three-way handshake, sliding
 window with flow and Reno congestion control, RFC 6298 retransmission
 timing with Linux bounds, delayed ACKs, zero-window probing, orderly and
 abortive teardown, and TIME_WAIT.
 
-The behaviour lives in four engines with explicit interfaces:
+The behaviour lives in three engines with explicit interfaces:
 
 * :class:`repro.tcp.input.InputEngine` — sequence validation, the state
   machine, ACK processing;
 * :class:`repro.tcp.output.OutputEngine` — segmentization, window /
   Nagle / delayed-ACK decisions, emission;
 * :class:`repro.tcp.retransmit.RetransmitEngine` — RTO/persist/TIME_WAIT
-  timers, head retransmit, backoff;
-* :class:`repro.tcp.buffers.BufferManager` — send/receive buffers and
-  sequence-space ↔ stream-offset translation.
+  timers, head retransmit, backoff.
 
-:class:`TCPConnection` coordinates them, holds the shared connection
-state (addresses, TCP state, sequence variables, FIN bookkeeping,
-callbacks, counters), and hosts the extension chain: protocol variants
-(ST-TCP replication, observability probes) register
+:class:`TCPConnection` coordinates them, owns the send and receive
+buffers and the sequence-number ↔ stream-offset arithmetic, holds the
+shared connection state (addresses, TCP state, sequence variables, FIN
+bookkeeping, callbacks, counters), and hosts the extension chain:
+protocol variants (replication, observability probes) register
 :class:`repro.tcp.extension.TCPExtension` objects per connection and the
 engines call their hooks at fixed pipeline points.  A connection with no
-extensions pays one falsy check per hook site — nothing else.
+extensions pays one falsy check per hook site — nothing else.  Work done
+on a connection from outside its own segment flow — re-anchoring,
+splicing, fast-forwarding — goes through the *repair* section below.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional, Tuple
 
-from repro.errors import ConnectionClosed, ConnectionReset
+from repro.errors import ConnectionClosed, ConnectionNotQuiescent, ConnectionReset
 from repro.net.addresses import IPAddress
-from repro.tcp.buffers import BufferManager
 from repro.tcp.config import TCPConfig
 from repro.tcp.congestion import RenoCongestionControl
 from repro.tcp.constants import (
@@ -43,8 +43,10 @@ from repro.tcp.constants import (
 from repro.tcp.extension import TCPExtension, overridden_hooks
 from repro.tcp.input import InputEngine
 from repro.tcp.output import OutputEngine
+from repro.tcp.recv_buffer import ReceiveBuffer
 from repro.tcp.retransmit import RetransmitEngine
 from repro.tcp.segment import TCPSegment
+from repro.tcp.send_buffer import SendBuffer
 from repro.util.bytespan import EMPTY, ByteSpan
 
 
@@ -68,8 +70,8 @@ class TCPConnection:
         "segments_sent", "segments_received", "bytes_sent", "bytes_received",
         "retransmissions", "dupacks_received", "error",
         "_handshake_sid", "_retx_sid",
-        "buffers", "retransmit", "output", "input",
         "send_buffer", "recv_buffer",
+        "retransmit", "output", "input",
     )
 
     def __init__(
@@ -128,7 +130,7 @@ class TCPConnection:
         self.use_timestamps = False
         self.last_ts_recv: Optional[float] = None
 
-        # App-facing callbacks (wired by TCPSocket / listener / ST-TCP).
+        # App-facing callbacks (wired by TCPSocket / listener / replication).
         self.on_established: Optional[Callable[[], None]] = None
         self.on_readable: Optional[Callable[[], None]] = None
         self.on_writable: Optional[Callable[[], None]] = None
@@ -136,7 +138,7 @@ class TCPConnection:
         self.on_error: Optional[Callable[[BaseException], None]] = None
         #: Called with the new rcv_nxt whenever the in-order receive
         #: stream advances (distinct from on_readable, which the socket
-        #: consumes); used by the ST-TCP engines.
+        #: consumes); used by replication engines.
         self.on_rcv_advance: Optional[Callable[[int], None]] = None
 
         # Counters.
@@ -152,23 +154,19 @@ class TCPConnection:
         self._handshake_sid: Optional[int] = None
         self._retx_sid: Optional[int] = None
 
+        # Byte streams (stream offset 0 is sequence ISS+1 / IRS+1).
+        self.send_buffer = SendBuffer(config.snd_buffer)
+        self.recv_buffer = ReceiveBuffer(config.rcv_buffer)
+
         # Engines.
-        self.buffers = BufferManager(self, config)
         self.retransmit = RetransmitEngine(self, config)
         self.output = OutputEngine(self, config)
         self.input = InputEngine(self)
-
-        # The per-segment path reads the two buffers through the TCB.
-        self.send_buffer = self.buffers.send_buffer
-        self.recv_buffer = self.buffers.recv_buffer
 
     # ------------------------------------------------------------------ utils
     @property
     def key(self) -> tuple:
         return (self.local_ip.value, self.local_port, self.remote_ip.value, self.remote_port)
-
-    def _rcv_offset(self, seq_abs: int) -> int:
-        return self.buffers.rcv_offset(seq_abs)
 
     @property
     def flight_size(self) -> int:
@@ -280,20 +278,6 @@ class TCPConnection:
             for ext in hooks:
                 ext.on_isn_learned(self, kind, isn_abs)
 
-    def adopt_send_isn(self, isn_abs: int) -> None:
-        """Re-anchor the send sequence space on a different ISN (§4.1).
-
-        Used by replication extensions when the ISN this endpoint chose
-        locally must be replaced by the one the peer actually handshook
-        with: every send-side anchor moves so that ``iss == isn_abs``
-        with the SYN consumed and nothing in flight.
-        """
-        self.iss = isn_abs
-        self.snd_una = isn_abs
-        self.snd_nxt = isn_abs + 1
-        self.snd_max = isn_abs + 1
-        self.note_isn_learned("rebase", isn_abs)
-
     # ------------------------------------------------------------- opening
     def open_active(self) -> None:
         """Client-side connect: send SYN, enter SYN_SENT."""
@@ -394,9 +378,6 @@ class TCPConnection:
         """Process one inbound (or tapped/injected) segment."""
         self.input.on_segment(segment)
 
-    def _maybe_send_window_update(self, window_before: int) -> None:
-        self.output.maybe_send_window_update(window_before)
-
     # ------------------------------------------------------------ state exits
     def _enter_time_wait(self) -> None:
         self.set_state(TCPState.TIME_WAIT)
@@ -431,51 +412,86 @@ class TCPConnection:
         if self.on_closed is not None:
             self.on_closed()
 
-    # -------------------------------------------------------- failover surface
-    def takeover(self) -> None:
-        """Failover entry point (§5): ask every registered extension that
-        models a standby replica to go live on this connection.
+    # ------------------------------------------------------------------ repair
+    # Connection repair, in the manner of Linux TCP_REPAIR: generic
+    # operations that read or rewrite a connection's anchors and streams
+    # from outside its own segment flow.  The stack offers the operations;
+    # the extension or engine that calls them owns the policy.  Each is one
+    # call deep.  "Open from supplied state" is
+    # :meth:`repro.tcp.layer.TCPLayer.synthesize_passive_open`.
 
-        Dispatches to each extension exposing a ``takeover(conn)``
-        method, in registration order; a connection with no such
-        extension ignores the call.
+    def snd_offset(self, seq_abs: int) -> int:
+        """Send-stream offset of an absolute sequence number (ISS+1 is 0)."""
+        return seq_abs - self.iss - 1
+
+    def rcv_offset(self, seq_abs: int) -> int:
+        """Receive-stream offset of an absolute sequence number (IRS+1 is 0)."""
+        return seq_abs - self.irs - 1
+
+    def adopt_send_isn(self, isn_abs: int) -> None:
+        """Re-anchor the send sequence space on a different ISN.
+
+        For when the ISN this endpoint chose locally must be replaced by
+        the one the peer actually handshook with: every send-side anchor
+        moves so that ``iss == isn_abs`` with the SYN consumed and nothing
+        in flight.  Offsets are relative to ``iss``, so nothing else moves.
         """
-        for ext in self._extensions:
-            action = getattr(ext, "takeover", None)
-            if action is not None:
-                action(self)
+        self.iss = isn_abs
+        self.snd_una = isn_abs
+        self.snd_nxt = isn_abs + 1
+        self.snd_max = isn_abs + 1
+        self.note_isn_learned("rebase", isn_abs)
+
+    def inject_receive_data(self, seq_abs: int, payload: ByteSpan) -> int:
+        """Splice bytes obtained out of band into the receive stream.
+
+        Touches *only* the receive stream — not the ACK machinery, because
+        a synthetic ACK arriving while the connection is still in
+        SYN_RCVD would anchor its send sequence space against the wrong
+        ISN.  Returns how far ``rcv_nxt`` advanced.
+        """
+        if not (self.is_synchronized or self.state is TCPState.SYN_RCVD):
+            return 0
+        advanced = self.recv_buffer.insert(self.rcv_offset(seq_abs), payload)
+        self.bytes_received += payload.length
+        if advanced > 0:
+            self.rcv_nxt += advanced
+            if self.on_rcv_advance is not None:
+                self.on_rcv_advance(self.rcv_nxt)
+            if self.on_readable is not None:
+                self.on_readable()
+        return advanced
+
+    @property
+    def quiescent(self) -> bool:
+        """True when the connection's transferable state is fully captured
+        by its two stream offsets: ESTABLISHED, nothing in flight, nothing
+        buffered on either side, nothing the application has not read."""
+        return (
+            self.state is TCPState.ESTABLISHED
+            and self.flight_size == 0
+            and len(self.send_buffer) == 0
+            and self.recv_buffer.available == 0
+            and self.recv_buffer.out_of_order_bytes == 0
+        )
 
     def fast_forward(self, rcv_offset: int, snd_offset: int) -> None:
-        """Adopt mid-connection stream positions without replaying bytes.
+        """Jump a :attr:`quiescent` connection to mid-stream offsets.
 
-        Snapshot handoff: a replacement shadow joins at the primary's
-        quiescent offsets (cluster election).  Only legal on a
-        synchronized connection with empty buffers and nothing in
-        flight — quiescence is the caller's contract; any straggler
-        bytes around the snapshot instant are recovered by the normal
-        ST-TCP gap machinery afterwards.
+        Both anchors and both buffers move, so the connection continues
+        as if it had carried every byte below the offsets without
+        replaying them.  Refused with :class:`ConnectionNotQuiescent`,
+        leaving the connection unchanged, unless it is quiescent.
         """
-        if not self.is_synchronized:
-            raise ConnectionClosed(f"fast_forward in state {self.state}")
-        if self.flight_size != 0:
-            raise ValueError(f"fast_forward with {self.flight_size} bytes in flight")
-        if self.recv_buffer.available or len(self.send_buffer):
-            raise ValueError("fast_forward with buffered data")
-        self.buffers.fast_forward(rcv_offset, snd_offset)
+        if not self.quiescent:
+            raise ConnectionNotQuiescent(f"fast_forward on a busy connection: {self!r}")
+        self.recv_buffer.fast_forward(rcv_offset)
+        self.send_buffer.fast_forward(snd_offset)
         self.snd_una = self.iss + 1 + snd_offset
         self.snd_nxt = self.snd_una
         self.snd_max = self.snd_una
         self.rcv_nxt = self.irs + 1 + rcv_offset
         self.trace_event("fast_forward", rcv_offset=rcv_offset, snd_offset=snd_offset)
-
-    def inject_receive_data(self, seq_abs: int, payload: ByteSpan) -> int:
-        """Insert recovered client bytes into the receive stream (§4.2,
-        §3.2); see :meth:`BufferManager.inject_receive_data`."""
-        return self.buffers.inject_receive_data(seq_abs, payload)
-
-    def fetch_received_range(self, start_offset: int, stop_offset: int) -> ByteSpan:
-        """Serve receive-stream bytes [start, stop) for backup recovery."""
-        return self.buffers.fetch_received_range(start_offset, stop_offset)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         suffix = ""

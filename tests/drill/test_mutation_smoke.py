@@ -10,13 +10,12 @@ from pathlib import Path
 
 from repro.drill import run_drill_file
 from repro.sttcp.shadow import ShadowExtension
-from repro.tcp.tcb import TCPConnection
 
 SCRIPTS = Path(__file__).parent / "scripts"
 
 
 def test_takeover_noop_breaks_liveness_drill(monkeypatch):
-    monkeypatch.setattr(TCPConnection, "takeover", lambda self: None)
+    monkeypatch.setattr(ShadowExtension, "takeover", lambda self, conn: None)
     result = run_drill_file(SCRIPTS / "t24_sttcp_takeover_liveness.py")
     assert not result.passed
     result = run_drill_file(SCRIPTS / "t25_sttcp_no_duplicate_delivery.py")

@@ -25,7 +25,7 @@ from repro.net.medium import Hub
 from repro.sim.simulator import Simulator
 from repro.sttcp.backup import ROLE_ACTIVE, ROLE_PASSIVE
 from repro.sttcp.config import STTCPConfig
-from repro.sttcp.manager import STTCPServerPair
+from repro.sttcp.group import STTCPServerGroup
 from repro.sttcp.power_switch import PowerSwitch
 
 SERVICE_PORT = 8000
@@ -38,7 +38,7 @@ class PairNodes:
     client: Host
     primary: Host
     backup: Host
-    pair: STTCPServerPair
+    pair: STTCPServerGroup
     service_ip: object
     client_ip: object
 
@@ -92,9 +92,9 @@ class TwoPairHub:
                 client.tcp.ephemeral_start = client_port
                 client.tcp._next_ephemeral = client_port
             config = STTCPConfig(hb_interval=hb_interval)  # shared channel port
-            pair = STTCPServerPair(
+            pair = STTCPServerGroup(
                 primary,
-                backup,
+                [backup],
                 service_ip,
                 SERVICE_PORT,
                 config=config,

@@ -1,5 +1,6 @@
 """UDP-channel tests (§4.2–4.3): tap-loss repair, messages, backup failure."""
 
+import pytest
 
 from repro.apps.workload import bulk_workload, upload_workload
 from repro.faults.injection import add_tap_loss, add_tap_outage
@@ -13,7 +14,7 @@ from repro.sttcp.messages import (
     SMALL_MESSAGE_SIZE,
     conn_key,
 )
-from repro.util.bytespan import RealBytes
+from repro.util.bytespan import PatternBytes, RealBytes
 from repro.util.units import KB
 
 from tests.sttcp.conftest import make_scenario
@@ -84,6 +85,41 @@ def test_tap_loss_on_download_workload_recovers_ack_stream():
     shadow = scenario.pair.backup_engine.shadow_connections[0]
     primary_tcb_offset = 150  # the single request record
     assert shadow.recv_buffer.rcv_nxt_offset >= primary_tcb_offset
+
+
+@pytest.mark.parametrize("retention_off", [False, True], ids=["released_below", "disabled"])
+def test_retx_data_is_labelled_by_the_offset_it_really_starts_at(retention_off):
+    """A request reaching below what the primary still holds is served
+    from the first held byte, and the reply says so: a reply labelled
+    with the requested start would splice later bytes in early.  The
+    primary holds less than asked for once retention released past the
+    start, or once it is off (non-fault-tolerant mode, §4.4)."""
+    from repro.apps.client import run_client
+    from repro.tcp.seqspace import wrap
+
+    scenario = make_scenario(seed=94)
+    scenario.start_service()
+    run_client(scenario.client, scenario.service_addr, upload_workload(512 * KB))
+    primary = scenario.pair.primary_engine
+    state = None
+    while state is None or state.retention.lowest_retained_offset < 2000 or not state.retention.retained_bytes:
+        scenario.sim.run(until=scenario.sim.now + 0.001)
+        state = next(iter(primary._connections.values()), None)
+    tcb, held = state.tcb, state.retention.lowest_retained_offset
+    if retention_off:
+        state.retention.disable()
+        # Only bytes the server has not read yet remain: 500 arrive unseen.
+        held = tcb.recv_buffer.read_offset
+        tcb.on_readable = None
+        tcb.inject_receive_data(tcb.rcv_nxt, PatternBytes(500, held, 9))
+    sent = []
+    primary._send = lambda message, _target: sent.append(message)
+    key = conn_key(tcb.remote_ip, tcb.remote_port)
+    start, stop = tcb.irs + 1 + held - 1000, tcb.irs + 1 + held + 500
+    primary._handle_retx_request(RetxRequest(key, wrap(start), wrap(stop)), scenario.backup.interfaces[0].ip)
+    (reply,) = sent
+    assert reply.seq == wrap(tcb.irs + 1 + held)
+    assert len(reply.payload) == 500
 
 
 def test_retention_only_released_after_backup_ack():

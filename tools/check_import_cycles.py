@@ -11,6 +11,11 @@ Imports made only under ``typing.TYPE_CHECKING`` are ignored: they are
 erased at runtime and exist exactly so the type layer can reference the
 facade without creating a real cycle.
 
+A vocabulary rule backs the import rule: no line of `repro.tcp` outside
+`extension.py` (where the extension API's prose may name its users)
+mentions a backup, a shadow or ST-TCP by package name, so the core is
+described in generic connection-repair terms.
+
 Usage::
 
     python tools/check_import_cycles.py [--root src/repro]
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import re
 import sys
 from pathlib import Path
 from typing import Dict, Iterator, List, Set, Tuple
@@ -42,6 +48,11 @@ LAYERING_RULES = {
     # record["invariants"] precisely so this edge stays absent.
     "repro.obs": ("repro.cluster", "repro.harness", "repro.drill"),
 }
+
+#: Words `repro.tcp` leaves to the packages built on it, and the one file
+#: exempt from the rule.
+TCP_VOCABULARY = re.compile(r"backup|shadow|sttcp", re.IGNORECASE)
+TCP_VOCABULARY_EXEMPT = "extension.py"
 
 
 def module_name(path: Path, root: Path) -> str:
@@ -159,6 +170,19 @@ def layering_violations(graph: Dict[str, Set[str]]) -> List[Tuple[str, str]]:
     return violations
 
 
+def vocabulary_violations(root: Path) -> List[str]:
+    """``file:line: text`` for every line of the TCP core that names what
+    is built on it (:data:`TCP_VOCABULARY`)."""
+    hits = []
+    for path in sorted((root / "tcp").rglob("*.py")):
+        if path.name == TCP_VOCABULARY_EXEMPT:
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            if TCP_VOCABULARY.search(line):
+                hits.append(f"{path}:{lineno}: {line.strip()}")
+    return hits
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--root", default="src/repro", type=Path)
@@ -171,9 +195,12 @@ def main() -> int:
     for module, target in layering_violations(graph):
         failed = True
         print(f"layering violation: {module} imports {target}")
+    for hit in vocabulary_violations(args.root):
+        failed = True
+        print(f"vocabulary violation: {hit}")
     if failed:
         return 1
-    print(f"ok: {len(graph)} modules, no import cycles, layering respected")
+    print(f"ok: {len(graph)} modules, no import cycles, layering and vocabulary respected")
     return 0
 
 
