@@ -89,9 +89,6 @@ class ElectionCoordinator:
         self.report = ElectionReport()
         #: service name → the (ex-backup) engine that took it over.
         self.takeover_engines: dict = {}
-        #: Snapshot-sync latencies.  One registry-wide histogram:
-        #: elections are fabric events, not per-host ones.
-        self._h_election_sync = self.sim.metrics.histogram("cluster.election_sync")
         for node in fabric.backups:
             node.manager.on_takeover = (
                 lambda service, record, n=node: self._backup_consumed(n, service, record)
@@ -215,8 +212,6 @@ class ElectionCoordinator:
     ) -> None:
         record.sync_done_at = self.sim.now
         latency = record.sync_latency
-        if latency is not None:
-            self._h_election_sync.observe(latency)
         if resync_sid is not None:
             self.sim.trace.end_span(
                 self.sim.now, "cluster", "resync", resync_sid, latency=latency

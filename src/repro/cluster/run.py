@@ -71,6 +71,8 @@ class ClusterRun:
         self.collector = TimelineCollector().attach(self.sim.trace)
         self.crash_injector = CrashInjector(self.sim)
         self.results: Dict[str, Any] = {}
+        #: The run record :meth:`execute` returned.
+        self.record: Optional[Dict[str, Any]] = None
 
     # Drive -------------------------------------------------------------------------
     def _pair_process(self, service: Any) -> Generator:
@@ -114,11 +116,12 @@ class ClusterRun:
             sim.run(until=sim.now + 0.050)
         self.monitor.stop()
         perf.note_simulation(sim)
-        return self._assemble(crashed)
+        self.record = self._assemble(crashed)
+        return self.record
 
     # Reporting ---------------------------------------------------------------------
     def pair_timeline(self, service_name: str) -> Optional[Any]:
-        """Public per-service timeline (``repro timeline --scenario``)."""
+        """Per-service timeline (``repro explain --scenario``)."""
         service = self.fabric.service_by_name[service_name]
         return self._pair_timeline(service.client.name)
 

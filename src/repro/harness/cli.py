@@ -7,7 +7,7 @@ Subcommands regenerate the paper's artefacts and the ablations::
     python -m repro figure5 --app interactive
     python -m repro figure6 --json out.json
     python -m repro ablations --csv out.csv
-    python -m repro demo                   # one narrated failover run
+    python -m repro explain                # one failover, explained
 
 Execution: ``--jobs N`` fans cells out over N worker processes (results
 are bit-identical to ``--jobs 1``).  Completed cells are cached in the
@@ -36,7 +36,6 @@ from repro.harness.experiments.cluster import DEFAULT_SCENARIOS
 from repro.harness.experiments.figure5 import format_figure5
 from repro.harness.results import ResultStore, default_store_path
 from repro.harness.runner import FLIGHT_DUMP_ENV
-from repro.harness.tables import format_table
 from repro.metrics.report import records_to_csv, records_to_json
 
 
@@ -239,11 +238,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     """N primary/backup pairs on one fabric: pooled backups, fenced
     takeover, replacement-backup election (docs/CLUSTER.md)."""
     records = _run_verb(args)
-    if args.timelines:
-        for record in records:
-            print(f"\n{record['scenario']}: per-pair timelines")
-            for pair, timeline in sorted(record["timelines"].items()):
-                print(f"  {pair}: {timeline}")
     if args.scorecard:
         _spec, card = _build_scorecard(
             records,
@@ -299,140 +293,64 @@ def _cmd_health(args: argparse.Namespace) -> int:
     return 0 if card.ok else 1
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """A traced failover run: tcpdump at the client's NIC (``wire``) or
-    a Chrome trace-event export of the full record stream (``export``)."""
-    from repro.apps.workload import echo_workload
-    from repro.harness.calibrate import FAST_LAN
-    from repro.harness.runner import run_workload
-    from repro.harness.scenario import Scenario
+def _cmd_explain(args: argparse.Namespace) -> int:
+    """Run one failover and print its report (``repro.harness.explain``):
+    a Figure 5-style echo run, or with ``--scenario`` a cluster scenario."""
+    from repro.harness.explain import explain
     from repro.net.frame import ETHERTYPE_IPV4
     from repro.net.tcpdump import PacketDump
-    from repro.sttcp.config import STTCPConfig
+    from repro.sim.trace import RecordingSink
 
-    scenario = Scenario(
-        profile=FAST_LAN, sttcp=STTCPConfig(hb_interval=0.05), seed=args.seed
-    )
-    dump = recording = None
-    if args.action == "wire":
-        dump = PacketDump(
-            scenario.sim,
-            predicate=lambda frame: frame.ethertype == ETHERTYPE_IPV4,
-        )
-        dump.attach_nic(scenario.client.nics[0], label="client")
-    else:
-        from repro.sim.trace import RecordingSink
+    baseline = None
+    if args.scenario:
+        from repro.cluster.run import ClusterRun
+        from repro.harness.experiments.cluster import resolve_scenario
 
-        recording = RecordingSink()
-        scenario.sim.trace.add_sink(recording)
-    run = run_workload(
-        echo_workload(args.exchanges),
-        scenario=scenario,
-        crash_at=0.102,
-        deadline=120.0,
-    )
-    if dump is not None:
-        print(
-            f"\n{dump.lines_emitted} frames at the client; "
-            f"run verified={run.result.verified}; the takeover at "
-            f"t≈{scenario.pair.backup_engine.takeover_time:.3f}s is invisible above."
-        )
+        run: Any = ClusterRun(resolve_scenario(args.scenario))
+        sim = run.sim
+        client = run.fabric.services[run.spec.crash_primary].client
     else:
+        from repro.apps.workload import echo_workload
+        from repro.harness.runner import CLIENT_START, DEFAULT_CRASH_FRACTION, run_workload
+        from repro.harness.scenario import Scenario
+        from repro.sttcp.config import STTCPConfig
+
+        workload = echo_workload(args.exchanges)
+        sttcp = STTCPConfig(hb_interval=args.hb)
+        baseline = run_workload(workload, sttcp=sttcp, seed=args.seed).require_clean()
+        scenario = Scenario(sttcp=sttcp, seed=args.seed)
+        sim, client = scenario.sim, scenario.client
+    if args.wire:
+        dump = PacketDump(sim, predicate=lambda frame: frame.ethertype == ETHERTYPE_IPV4)
+        dump.attach_nic(client.nics[0], label="client")
+    recording = RecordingSink()
+    if args.chrome:
+        sim.trace.add_sink(recording)
+    if baseline is None:
+        run.execute()
+    else:
+        run = run_workload(
+            workload,
+            scenario=scenario,
+            crash_at=CLIENT_START + DEFAULT_CRASH_FRACTION * baseline.total_time,
+            seed=args.seed,
+            deadline=3600.0 + sttcp.detection_timeout() * 4,
+        )
+    if args.chrome:
         from repro.obs.export import write_chrome_trace
 
-        with open(args.out, "w") as handle:
+        with open(args.chrome, "w") as handle:
             count = write_chrome_trace(recording.records, handle)
         print(
-            f"wrote {count} trace events to {args.out} "
-            f"(load in chrome://tracing or ui.perfetto.dev)"
+            f"wrote {count} trace events to {args.chrome} "
+            f"(load in chrome://tracing or ui.perfetto.dev)",
+            file=sys.stderr,
         )
-    return 0
-
-
-def _cmd_timeline(args: argparse.Namespace) -> int:
-    """Phase decomposition of one failover (detection → takeover →
-    first-retransmission-accepted → resume), Figure 5-style run — or,
-    with --scenario, per-service timelines plus the cluster-level
-    fence → election → resync phases of one scenario."""
-    if getattr(args, "scenario", None):
-        return _cmd_timeline_cluster(args)
-    from repro.apps.workload import echo_workload
-    from repro.harness.runner import CLIENT_START, DEFAULT_CRASH_FRACTION, run_workload
-    from repro.sttcp.config import STTCPConfig
-
-    workload = echo_workload(args.exchanges)
-    sttcp = STTCPConfig(hb_interval=args.hb)
-    baseline = run_workload(workload, sttcp=sttcp, seed=args.seed).require_clean()
-    crash_time = CLIENT_START + DEFAULT_CRASH_FRACTION * baseline.total_time
-    failed = run_workload(
-        workload,
-        sttcp=sttcp,
-        crash_at=crash_time,
-        seed=args.seed,
-        deadline=3600.0 + sttcp.detection_timeout() * 4,
-    ).require_clean()
-    if failed.timeline is None:
-        print("no failover observed (takeover or client-progress markers missing)")
-        return 1
-    print(failed.timeline.render())
-    print(
-        f"measured client-visible outage (RunResult.max_gap): "
-        f"{failed.result.max_gap * 1e3:.1f} ms"
-    )
-    return 0
-
-
-def _cmd_timeline_cluster(args: argparse.Namespace) -> int:
-    """Per-service timelines + cluster phases for one scenario run."""
-    from repro.cluster.run import ClusterRun
-    from repro.harness.experiments.cluster import resolve_scenario
-
-    spec = resolve_scenario(args.scenario)
-    run = ClusterRun(spec)
-    record = run.execute()
-    print(
-        f"cluster scenario '{record['scenario']}' "
-        f"({spec.primaries} primaries / {spec.backups} pool hosts): "
-        f"crashed {record['crashed_service']} at t={record['crash_at']:g}"
-    )
-    for service in run.fabric.services:
-        print(f"\n{service.name}:")
-        timeline = (
-            run.pair_timeline(service.name)
-            if service.name == record["crashed_service"]
-            else None
-        )
-        if timeline is not None:
-            for line in timeline.render().splitlines():
-                print(f"  {line}")
-        else:
-            summary = record["timelines"].get(service.name) or {}
-            gap = summary.get("max_gap")
-            gap_text = f"{gap * 1e3:.1f} ms" if gap is not None else "unknown"
-            print(f"  no takeover on this pair; max progress gap {gap_text}")
-    phases = run.collector.reconstruct_cluster()
-    if phases is not None:
+    if args.wire:
         print()
-        print(phases.render())
-    return 0 if record["ok"] else 1
-
-
-def _cmd_demo(args: argparse.Namespace) -> int:
-    from repro.apps.workload import bulk_workload
-    from repro.harness.calibrate import PAPER_TESTBED
-    from repro.harness.runner import measure_failover_time
-    from repro.sttcp.config import STTCPConfig
-    from repro.util.units import MB
-
-    sample = measure_failover_time(
-        bulk_workload(1 * MB),
-        STTCPConfig(hb_interval=args.hb),
-        profile=PAPER_TESTBED,
-        seed=args.seed,
-    )
-    rows = [[key, value] for key, value in sample.items()]
-    print(format_table(["metric", "value"], rows, title="one failover run (bulk 1 MB)"))
-    return 0
+    report = explain(run, baseline)
+    print(report)
+    return 0 if report.splitlines()[-1].startswith("VERDICT: PASS") else 1
 
 
 def _cmd_drill(args: argparse.Namespace) -> int:
@@ -543,11 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
         "repeatable (default: all shipped scenarios)",
     )
     cluster.add_argument(
-        "--timelines",
-        action="store_true",
-        help="print the per-pair failover timelines after the table",
-    )
-    cluster.add_argument(
         "--scorecard",
         metavar="DIR",
         help="grade the scenarios against an SLO spec and write the "
@@ -589,43 +502,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     health.set_defaults(fn=_cmd_health)
 
-    trace = sub.add_parser(
-        "trace", help="a traced failover: client tcpdump or Chrome trace export"
+    explain = sub.add_parser(
+        "explain",
+        help="one failover, explained: phases, anomalies, work, verdict "
+        "(docs/OBSERVABILITY.md)",
     )
-    trace.add_argument(
-        "action",
-        nargs="?",
-        default="wire",
-        choices=["wire", "export"],
-        help="wire: tcpdump at the client (default); export: Chrome trace JSON",
-    )
-    # 30 exchanges outlive the scripted crash on FAST_LAN, so the default
-    # run always contains the takeover the command exists to show.
-    trace.add_argument("--exchanges", type=int, default=30)
-    trace.add_argument("--seed", type=int, default=7)
-    trace.add_argument(
-        "--out", metavar="PATH", default="trace.json", help="export destination"
-    )
-    trace.set_defaults(fn=_cmd_trace)
-
-    timeline = sub.add_parser(
-        "timeline", help="phase decomposition of one failover (paper §6.2)"
-    )
-    timeline.add_argument("--exchanges", type=int, default=40)
-    timeline.add_argument("--hb", type=float, default=0.05, help="heartbeat interval (s)")
-    timeline.add_argument("--seed", type=int, default=7)
-    timeline.add_argument(
+    explain.add_argument("--exchanges", type=int, default=40)
+    explain.add_argument("--hb", type=float, default=0.05, help="heartbeat interval (s)")
+    explain.add_argument("--seed", type=int, default=7)
+    explain.add_argument(
         "--scenario",
         metavar="NAME_OR_PATH",
-        help="decompose a cluster scenario instead: per-service timelines "
-        "plus the fence → election → resync phases",
+        help="explain a cluster scenario instead (a shipped name or a JSON "
+        "file): every pair, the fence → election → resync phases, the "
+        "causal chain and the invariants",
     )
-    timeline.set_defaults(fn=_cmd_timeline)
-
-    demo = sub.add_parser("demo", help="one measured failover, as a table")
-    demo.add_argument("--hb", type=float, default=0.05, help="heartbeat interval (s)")
-    demo.add_argument("--seed", type=int, default=1)
-    demo.set_defaults(fn=_cmd_demo)
+    explain.add_argument(
+        "--wire", action="store_true", help="print the client's tcpdump first"
+    )
+    explain.add_argument(
+        "--chrome",
+        metavar="PATH",
+        help="also write the run's full record stream as a Chrome trace",
+    )
+    explain.set_defaults(fn=_cmd_explain)
 
     drill = sub.add_parser(
         "drill", help="run scripted conformance drills (a script or a directory)"

@@ -40,6 +40,8 @@ class ExperimentRun:
     scenario: Scenario
     #: Phase decomposition of the failover, when one was observed.
     timeline: Optional[FailoverTimeline] = None
+    #: The cold-path trace records the timeline was reconstructed from.
+    collector: Optional[TimelineCollector] = None
 
     @property
     def total_time(self) -> float:
@@ -132,6 +134,7 @@ def run_workload(
         failover=failover,
         scenario=scenario,
         timeline=collector.reconstruct(),
+        collector=collector,
     )
 
 

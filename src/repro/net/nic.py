@@ -128,9 +128,9 @@ class NIC(FrameReceiver):
         if self.rx_loss_model is not None and self.rx_loss_model(frame, now):
             self.rx_dropped_loss += 1
             if self.sim.trace.enabled_for("nic"):
-                self.sim.trace.emit(
-                    now, "nic", "rx_loss", nic=self.name, frame=frame.frame_id
-                )
+                # The frame itself, not only its id: a reader names what
+                # the loss model took (``repro explain``).
+                self.sim.trace.emit(now, "nic", "rx_loss", nic=self, frame=frame)
             return
         if self.processing_delay <= 0.0:
             self._deliver(frame)
@@ -138,9 +138,7 @@ class NIC(FrameReceiver):
         if self.rx_queue_capacity and self._rx_pending >= self.rx_queue_capacity:
             self.rx_dropped_queue += 1
             if self.sim.trace.enabled_for("nic"):
-                self.sim.trace.emit(
-                    now, "nic", "rx_overflow", nic=self.name, frame=frame.frame_id
-                )
+                self.sim.trace.emit(now, "nic", "rx_overflow", nic=self, frame=frame)
             return
         start = max(now, self._rx_busy_until)
         done = start + self.processing_delay

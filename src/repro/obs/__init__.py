@@ -2,9 +2,9 @@
 
 Six pieces (see docs/OBSERVABILITY.md, which also lists who reads each):
 
-* :mod:`repro.obs.registry` — named counters/gauges/histograms with O(1)
-  hot-path increments, per-host scoping and delta snapshots: the one
-  store of simulated measurements, read when the run ends;
+* :mod:`repro.obs.registry` — named counters and gauges with O(1)
+  hot-path increments and per-host scoping: the one store of simulated
+  measurements, read when the run ends;
 * :mod:`repro.obs.spans` — reassembles the Tracer's span begin/end
   records into timed units (handshakes, retransmission bursts,
   failovers) and causal chains (cross-host ``flow`` links);
@@ -26,7 +26,7 @@ What the *host* spent running it (wall clock, collector passes, the
 """
 
 from repro.obs.recorder import FlightRecorder
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.registry import Counter, Gauge, MetricsRegistry
 from repro.obs.scorecard import Scorecard, grade_record, score_record
 from repro.obs.slo import SLOReport, SLOSpec, evaluate_slos, load_slo_spec
 from repro.obs.spans import Span, assemble_spans, causal_chains
@@ -44,7 +44,6 @@ __all__ = [
     "FailoverTimeline",
     "FlightRecorder",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "SLOReport",
     "SLOSpec",

@@ -29,16 +29,16 @@ Shipped SLIs
     measured against the outage allowance of a W-second window
     (``gap / ((1 − objective) · W)``) — the standard fast-burn alert
     form; without it, whole-run availability against the objective.
-``takeover_latency`` / ``detection_latency``
-    Crash-relative latencies from the record; burn = value/objective.
+``takeover_latency``
+    Crash-to-takeover latency from the record; burn = value/objective.
 ``election_sync_p99``
     Nearest-rank p99 of the snapshot-resync latencies in the record's
     ``elections`` (the maximum below 100 elections).
 ``exactly_once``
     Fraction of client streams verified exactly-once (no gap, no
     duplicate, no corruption), degraded connections counted as failures.
-``no_dual_primary``
-    The dual-primary invariant as a 0/1 indicator.
+    On a cluster record it restates an invariant, but scale records carry
+    no invariants: there it is the only grader of ``degraded``.
 ``resource_leaks``
     Leftover TCBs/shadows after the run (scale records); burn is the
     leak count against an allowance.
@@ -227,22 +227,6 @@ def _budget(record: Dict[str, Any], key: str) -> Optional[float]:
     return float(budget) if _is_number(budget) else None
 
 
-def _latency_sli(
-    record: Dict[str, Any], objective: float, field_name: str
-) -> SLIVerdict:
-    value = record.get(field_name)
-    if not _is_number(value):
-        return None, None, False, f"no {field_name} observed"
-    burn = value / objective if objective > 0 else None
-    ok = burn is not None and burn <= 1.0
-    return (
-        float(value),
-        burn,
-        ok,
-        f"{field_name} {value * 1e3:.1f} ms vs {objective * 1e3:.1f} ms",
-    )
-
-
 def _sli_availability(
     record: Dict[str, Any], slo: SLO, objective: float
 ) -> SLIVerdict:
@@ -283,13 +267,17 @@ def _sli_availability(
 def _sli_takeover_latency(
     record: Dict[str, Any], slo: SLO, objective: float
 ) -> SLIVerdict:
-    return _latency_sli(record, objective, "takeover_latency")
-
-
-def _sli_detection_latency(
-    record: Dict[str, Any], slo: SLO, objective: float
-) -> SLIVerdict:
-    return _latency_sli(record, objective, "detection_latency")
+    value = record.get("takeover_latency")
+    if not _is_number(value):
+        return None, None, False, "no takeover_latency observed"
+    burn = value / objective if objective > 0 else None
+    ok = burn is not None and burn <= 1.0
+    return (
+        float(value),
+        burn,
+        ok,
+        f"takeover_latency {value * 1e3:.1f} ms vs {objective * 1e3:.1f} ms",
+    )
 
 
 def _sli_election_sync_p99(
@@ -346,24 +334,6 @@ def _sli_exactly_once(
     return value, burn, ok, detail
 
 
-def _sli_no_dual_primary(
-    record: Dict[str, Any], slo: SLO, objective: float
-) -> SLIVerdict:
-    invariants = record.get("invariants") or {}
-    holds = invariants.get("no_dual_primary")
-    if holds is None:
-        return None, None, False, "no dual-primary evidence"
-    value = 1.0 if holds else 0.0
-    ok = value >= objective
-    violations = (invariants.get("dual_primary") or {}).get("violation_count", 0)
-    return (
-        value,
-        0.0 if ok else None,
-        ok,
-        "invariant holds" if holds else f"{violations} dual-primary violations",
-    )
-
-
 def _sli_resource_leaks(
     record: Dict[str, Any], slo: SLO, objective: float
 ) -> SLIVerdict:
@@ -383,17 +353,14 @@ SLIFunction = Callable[[Dict[str, Any], SLO, float], SLIVerdict]
 SLI_FUNCTIONS: Dict[str, SLIFunction] = {
     "availability": _sli_availability,
     "takeover_latency": _sli_takeover_latency,
-    "detection_latency": _sli_detection_latency,
     "election_sync_p99": _sli_election_sync_p99,
     "exactly_once": _sli_exactly_once,
-    "no_dual_primary": _sli_no_dual_primary,
     "resource_leaks": _sli_resource_leaks,
 }
 
 #: Which budget key the ``"budget"`` objective resolves to, per SLI.
 _BUDGET_KEYS = {
     "takeover_latency": "takeover_budget",
-    "detection_latency": "takeover_budget",
     "election_sync_p99": "election_budget",
 }
 

@@ -23,7 +23,7 @@ chain as Chrome trace-event flow arrows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.sim.trace import (
     FLOW_KEY,
@@ -76,15 +76,6 @@ class SpanSet:
     def open_spans(self) -> List[Span]:
         return [s for s in self.spans if s.open]
 
-    def by_name(self, name: str) -> List[Span]:
-        return [s for s in self.spans if s.name == name]
-
-    def first(self, name: str) -> Optional[Span]:
-        for span in self.spans:
-            if span.name == name:
-                return span
-        return None
-
     def flows(self) -> Dict[int, List[Span]]:
         """Causal chains: flow id → member spans, in begin order.
 
@@ -97,10 +88,6 @@ class SpanSet:
             if span.flow is not None:
                 chains.setdefault(span.flow, []).append(span)
         return chains
-
-    def flow_of(self, flow: int) -> List[Span]:
-        """Members of one causal chain (empty if the id is unknown)."""
-        return [s for s in self.spans if s.flow == flow]
 
 
 def is_span_record(record: TraceRecord) -> bool:
@@ -218,22 +205,3 @@ def causal_chains(
             )
     return dict(sorted(chains.items()))
 
-
-def render_span_tree(span_set: SpanSet) -> str:
-    """Indented text rendering of the span forest (debugging aid)."""
-    lines: List[str] = []
-
-    def visit(span: Span, depth: int) -> None:
-        if span.open:
-            timing = f"begin={span.begin:.6f} (open)"
-        else:
-            timing = f"begin={span.begin:.6f} dur={span.duration:.6f}"
-        lines.append(f"{'  ' * depth}{span.category}/{span.name} {timing}")
-        for child in span.children:
-            visit(child, depth + 1)
-
-    for root in span_set.roots:
-        visit(root, 0)
-    for record in span_set.orphan_ends:
-        lines.append(f"orphan-end {record.category}/{record.event} at {record.time:.6f}")
-    return "\n".join(lines)

@@ -23,11 +23,15 @@ measured client-visible outage *by identity*, not by coincidence.  The
 crash itself is reported as an annotation inside the detection phase
 (the client keeps eating buffered bytes for a moment after the power
 goes out, which is why the outage starts at its last progress, not at
-the crash).
+the crash).  A stream whose markers are out of that order — the client
+never made progress again after the takeover — has no decomposition.
 
 :class:`TimelineCollector` subscribes to cold categories only, so it can
 be left attached to every harness run without waking the hot ``tcp`` /
 ``link`` emit paths (their ``enabled_for`` guards still see no sink).
+It also keeps ``nic`` records, which only a NIC loss model or a full RX
+queue emits: the frames a lossy tap dropped (``repro explain`` names
+them).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.sim.trace import TraceRecord, Tracer
 
 #: Categories the collector subscribes to — cold paths only.
-TIMELINE_CATEGORIES = ("host", "sttcp", "app", "failover", "cluster")
+TIMELINE_CATEGORIES = ("host", "sttcp", "app", "failover", "cluster", "nic")
 
 #: Cluster-level phase names (fabric work around the per-pair failover).
 PHASE_FENCE = "fence"
@@ -63,6 +67,22 @@ class Phase:
     @property
     def duration(self) -> float:
         return self.end - self.start
+
+
+def _phase_lines(phases: List[Phase], events: List[Tuple[float, str]]) -> List[str]:
+    """One line per phase and per point event, interleaved in time order."""
+    width = max((len(p.name) for p in phases), default=8)
+    rows = [
+        (
+            p.start,
+            f"  phase {p.name:<{width}} {p.start:.6f} → {p.end:.6f}  "
+            f"({p.duration * 1e3:9.3f} ms)",
+        )
+        for p in phases
+    ]
+    rows += [(time, f"  event {label:<{width}} {time:.6f}") for time, label in events]
+    rows.sort(key=lambda row: row[0])
+    return [text for _, text in rows]
 
 
 @dataclass
@@ -101,22 +121,9 @@ class FailoverTimeline:
         """Text timeline, one line per phase, annotations interleaved."""
         lines = [
             f"failover timeline: client outage {self.outage * 1e3:.1f} ms "
-            f"({self.outage_start:.6f} → {self.outage_end:.6f})"
+            f"({self.outage_start:.6f} → {self.outage_end:.6f})",
+            *_phase_lines(self.phases, self.events),
         ]
-        rows: List[Tuple[float, str]] = []
-        width = max((len(p.name) for p in self.phases), default=8)
-        for phase in self.phases:
-            rows.append(
-                (
-                    phase.start,
-                    f"  phase {phase.name:<{width}} {phase.start:.6f} → "
-                    f"{phase.end:.6f}  ({phase.duration * 1e3:9.3f} ms)",
-                )
-            )
-        for time, label in self.events:
-            rows.append((time, f"  event {label:<{width}} {time:.6f}"))
-        rows.sort(key=lambda row: row[0])
-        lines.extend(text for _, text in rows)
         total = sum(p.duration for p in self.phases)
         lines.append(f"  sum of phases: {total * 1e3:.1f} ms (= client-visible outage)")
         return "\n".join(lines)
@@ -149,9 +156,6 @@ class TimelineCollector:
     def reconstruct(self) -> Optional[FailoverTimeline]:
         return reconstruct_failover(self.records)
 
-    def reconstruct_cluster(self) -> Optional["ClusterPhases"]:
-        return reconstruct_cluster_phases(self.records)
-
 
 def _first(
     records: List[TraceRecord], category: str, event: str, at_or_after: float = 0.0
@@ -170,8 +174,11 @@ def reconstruct_failover(records: List[TraceRecord]) -> Optional[FailoverTimelin
     """Derive the phase decomposition from a record stream.
 
     Returns None when the stream holds no reconstructible failover: no
-    takeover happened, or there are too few client checkpoints to locate
-    an outage window.
+    takeover happened, there are too few client checkpoints to locate an
+    outage window, or the markers do not fall in the order
+    ``outage_start ≤ suspicion ≤ takeover ≤ outage_end`` (a client that
+    never recovered: its longest gap closed before the takeover, and a
+    phase would come out negative).
     """
     progress = [r.time for r in records if r.category == "app" and r.event == "client_progress"]
     if len(progress) < 2:
@@ -188,6 +195,8 @@ def reconstruct_failover(records: List[TraceRecord]) -> Optional[FailoverTimelin
     )
     outage_start = progress[gap_index]
     outage_end = progress[gap_index + 1]
+    if not outage_start <= suspected.time <= takeover.time <= outage_end:
+        return None
 
     events: List[Tuple[float, str]] = []
     crash = _first(records, "host", "crash")
@@ -247,25 +256,7 @@ class ClusterPhases:
 
     def render(self) -> str:
         """Text rendering, one line per phase, annotations interleaved."""
-        lines = ["cluster phases:"]
-        width = max(
-            (len(p.name) for p in self.phases),
-            default=8,
-        )
-        rows: List[Tuple[float, str]] = []
-        for phase in self.phases:
-            rows.append(
-                (
-                    phase.start,
-                    f"  phase {phase.name:<{width}} {phase.start:.6f} → "
-                    f"{phase.end:.6f}  ({phase.duration * 1e3:9.3f} ms)",
-                )
-            )
-        for time, label in self.events:
-            rows.append((time, f"  event {label:<{width}} {time:.6f}"))
-        rows.sort(key=lambda row: row[0])
-        lines.extend(text for _, text in rows)
-        return "\n".join(lines)
+        return "\n".join(["cluster phases:", *_phase_lines(self.phases, self.events)])
 
 
 def reconstruct_cluster_phases(

@@ -163,8 +163,6 @@ class STTCPBackup:
         self._c_snapshots_adopted = metrics.counter("snapshots_adopted")
         self._c_shadows_reaped = metrics.counter("shadows_reaped")
         self._c_hb_sent = heartbeats_sent_counter(self.sim)
-        self._g_shadows = metrics.gauge("shadows")
-        self._g_pending_rebase = metrics.gauge("shadows_pending_rebase")
         #: Open takeover-episode span id (suspicion → active role).
         self._takeover_sid: Optional[int] = None
         #: Causal-chain id of the failover in progress: allocated at
@@ -219,8 +217,6 @@ class STTCPBackup:
         state = _ShadowConnState(tcb, ext, self.sim.now)
         self._connections[state.key] = state
         self._index.add(state)
-        self._g_shadows.value = len(self._connections)
-        self._g_pending_rebase.value = self._index.pending_rebase_count()
         tcb.on_rcv_advance = lambda _rcv, s=state: self._on_stream_advance(s)
         if self.sim.trace.enabled_for("sttcp"):
             self.sim.trace.emit(
@@ -264,8 +260,6 @@ class STTCPBackup:
         self._index.discard(state)
         tcb.on_rcv_advance = None
         self._c_shadows_reaped.value += 1
-        self._g_shadows.value = len(self._connections)
-        self._g_pending_rebase.value = self._index.pending_rebase_count()
 
     # Acknowledgment strategy (§4.3) ---------------------------------------------------
     def _ack_threshold(self, tcb: TCPConnection) -> int:
@@ -295,7 +289,6 @@ class STTCPBackup:
         from the pending-rebase index and close the convergence span."""
         state.converged = True
         self._index.note_rebased(state)
-        self._g_pending_rebase.value = self._index.pending_rebase_count()
         if state.convergence_sid is not None:
             self.sim.trace.end_span(
                 self.sim.now, "sttcp", "shadow_convergence", state.convergence_sid

@@ -126,7 +126,6 @@ class STTCPPrimary:
         self._c_retx_requests_served = metrics.counter("retx_requests_served")
         self._c_retx_bytes_sent = metrics.counter("retx_bytes_sent")
         self._c_retained_reaped = metrics.counter("retention_states_reaped")
-        self._g_retained = metrics.gauge("retained_connections")
         #: Open fault-tolerant-mode span id (start → last backup lost).
         self._ft_sid: Optional[int] = None
 
@@ -187,7 +186,6 @@ class STTCPPrimary:
         self._connections[conn_key(tcb.remote_ip, tcb.remote_port)] = _PrimaryConnState(
             tcb, retention
         )
-        self._g_retained.value = len(self._connections)
         if self.sim.trace.enabled_for("sttcp"):
             self.sim.trace.emit(
                 self.sim.now,
@@ -205,7 +203,6 @@ class STTCPPrimary:
             return
         del self._connections[key]
         self._c_retained_reaped.value += 1
-        self._g_retained.value = len(self._connections)
 
     def adopt_connection(self, tcb: TCPConnection) -> None:
         """Attach retention to a live connection (a promoted backup's
@@ -222,7 +219,6 @@ class STTCPPrimary:
         self._connections[conn_key(tcb.remote_ip, tcb.remote_port)] = _PrimaryConnState(
             tcb, retention
         )
-        self._g_retained.value = len(self._connections)
 
     def connection_state(self, key: ConnKey) -> Optional[_PrimaryConnState]:
         return self._connections.get(key)

@@ -241,7 +241,6 @@ class InputEngine:
         if retransmit.timing is not None and ack_abs >= retransmit.timing[0]:
             sample = conn.sim.now - retransmit.timing[1]
             retransmit.rtt.on_measurement(sample)
-            conn.layer.rtt_samples.observe(sample)
             retransmit.timing = None
         # Congestion control.
         if conn.cc.in_fast_recovery:

@@ -71,12 +71,8 @@ class TCPLayer:
         self._c_resets_sent = metrics.counter("resets_sent")
         self._c_tcbs_reaped = metrics.counter("tcbs_reaped")
         self._c_ports_exhausted = metrics.counter("ephemeral_ports_exhausted")
-        #: Current / high-water connection-table size.
-        self._g_connections = metrics.gauge("connections")
+        #: High-water connection-table size.
         self._g_connections_peak = metrics.gauge("connections_peak")
-        self._g_ports_in_use = metrics.gauge("ephemeral_ports_in_use")
-        #: RTT samples (Karn-filtered) across all connections of the host.
-        self.rtt_samples = metrics.histogram("rtt")
         host.ip_layer.register_protocol(PROTO_TCP, self._receive)
 
     @property
@@ -88,13 +84,11 @@ class TCPLayer:
     def _track(self, key: ConnectionKey, tcb: TCPConnection) -> None:
         self._connections[key] = tcb
         count = len(self._connections)
-        self._g_connections.value = count
         if count > self._g_connections_peak.value:
             self._g_connections_peak.value = count
         port = key[1]
         if self.ephemeral_start <= port <= self.ephemeral_end:
             self._port_refs[port] = self._port_refs.get(port, 0) + 1
-            self._g_ports_in_use.value = len(self._port_refs)
 
     # ISN ----------------------------------------------------------------------
     def generate_isn(self) -> int:
@@ -312,7 +306,6 @@ class TCPLayer:
             return
         del self._connections[key]
         self._c_tcbs_reaped.value += 1
-        self._g_connections.value = len(self._connections)
         port = tcb.local_port
         if self.ephemeral_start <= port <= self.ephemeral_end:
             refs = self._port_refs.get(port, 0) - 1
@@ -321,7 +314,6 @@ class TCPLayer:
                 self._free_ports.append(port)
             else:
                 self._port_refs[port] = refs
-            self._g_ports_in_use.value = len(self._port_refs)
         for observer in self.close_observers:
             observer(tcb)
 

@@ -27,7 +27,7 @@ def test_parser_knows_all_subcommands():
     }
     assert reachable == shipped
     parser = build_parser()
-    for command in (*EXPERIMENT_VERBS, "health", "trace", "timeline", "demo"):
+    for command in (*EXPERIMENT_VERBS, "health", "explain"):
         assert parser.parse_args([command]).command == command
     assert {"scale", "cluster", "ablations"} <= set(EXPERIMENT_VERBS)
     assert parser.parse_args(["figure5", "--app", "echo"]).app == "echo"
@@ -87,13 +87,6 @@ def test_drill_command_fails_on_broken_script(capsys):
     assert "field ack: expected 2, actual 1" in out
 
 
-def test_demo_command_runs(capsys):
-    assert main(["demo", "--hb", "0.05", "--seed", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "failover_time" in out
-    assert "detection_latency" in out
-
-
 def test_table1_command_with_exports(tmp_path, capsys):
     json_path = tmp_path / "t1.json"
     csv_path = tmp_path / "t1.csv"
@@ -151,20 +144,20 @@ def test_csv_empty_records(tmp_path):
     assert path.read_text() == ""
 
 
-def test_trace_command_shows_wire_view(capsys):
-    assert main(["trace", "--exchanges", "30", "--seed", "7"]) == 0
+def test_explain_wire_shows_client_tcpdump(capsys):
+    assert main(["explain", "--wire", "--exchanges", "30", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert ": SA " in out             # the SYN/ACK from the service IP
-    assert "verified=True" in out
-    assert "takeover" in out
+    assert "event takeover" in out
+    assert out.splitlines()[-1].startswith("VERDICT: PASS")
     # Every TCP frame the client saw came from the one service identity.
     data_lines = [l for l in out.splitlines() if " win " in l]
     assert data_lines
     assert all("10.0.0.100.8000" in line for line in data_lines)
 
 
-def test_timeline_command_prints_phase_decomposition(capsys):
-    assert main(["timeline", "--exchanges", "30", "--hb", "0.05", "--seed", "7"]) == 0
+def test_explain_prints_phase_decomposition(capsys):
+    assert main(["explain", "--exchanges", "30", "--hb", "0.05", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert "failover timeline" in out
     assert "phase detection" in out
@@ -316,20 +309,41 @@ def test_cluster_scorecard_flag(tmp_path, capsys):
     assert [s["name"] for s in doc["scenarios"]] == ["smoke"]
 
 
-def test_timeline_scenario_mode(capsys):
-    assert main(["timeline", "--scenario", "smoke"]) == 0
+def test_explain_scenario_mode(capsys):
+    assert main(["explain", "--scenario", "smoke"]) == 0
     out = capsys.readouterr().out
     assert "cluster scenario 'smoke'" in out
     assert "failover timeline: client outage" in out  # the crashed pair
     assert "no takeover on this pair" in out  # the healthy pair
     assert "phase fence" in out and "phase resync" in out
+    assert "causal chain: 5 nodes" in out
+    assert "  bounded_election      holds" in out
+    assert out.splitlines()[-1].startswith("VERDICT: PASS")
 
 
-def test_timeline_default_mode_unchanged(capsys):
-    assert main(["timeline", "--exchanges", "30"]) == 0
+def test_explain_default_run_is_pinned_and_deterministic(capsys):
+    """With no options: the Figure 5-style echo failover, its phase lines
+    as the separate timeline verb printed them, the same bytes twice."""
+    assert main(["explain"]) == 0
     out = capsys.readouterr().out
-    assert "phase detection" in out
+    assert main(["explain"]) == 0
+    assert capsys.readouterr().out == out
     assert "cluster scenario" not in out
+    lines = out.splitlines()
+    start = lines.index(
+        "failover timeline: client outage 181.0 ms (0.283378 → 0.464367)"
+    )
+    assert lines[start + 1 : start + 9] == [
+        "  phase detection 0.283378 → 0.450000  (  166.622 ms)",
+        "  event crash     0.283389",
+        "  phase takeover  0.450000 → 0.460000  (   10.000 ms)",
+        "  event suspected 0.450000",
+        "  phase recovery  0.460000 → 0.464367  (    4.367 ms)",
+        "  event takeover  0.460000",
+        "  sum of phases: 181.0 ms (= client-visible outage)",
+        "measured client-visible outage (RunResult.max_gap): 181.0 ms",
+    ]
+    assert "anomalies: none" in lines
 
 
 def test_failed_cluster_drill_attaches_causal_trace(tmp_path, capsys):

@@ -146,12 +146,15 @@ class TestFlowEvents:
 
 
 class TestCliExport:
-    def test_trace_export_verb(self, tmp_path, capsys, monkeypatch):
+    def test_explain_chrome_export(self, tmp_path, capsys):
         from repro.harness.cli import main
 
         out = tmp_path / "trace.json"
-        assert main(["trace", "export", "--exchanges", "30", "--out", str(out)]) == 0
+        assert main(["explain", "--exchanges", "30", "--chrome", str(out)]) == 0
         document = json.loads(out.read_text())
         names = {e["name"] for e in document["traceEvents"]}
         assert "takeover_episode" in names
         assert "handshake" in names
+        captured = capsys.readouterr()
+        assert f"trace events to {out}" in captured.err
+        assert "trace events" not in captured.out  # stdout is the report only

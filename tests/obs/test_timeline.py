@@ -25,6 +25,17 @@ def _rec(time, category, event, **fields):
     return TraceRecord(time, category, event, fields)
 
 
+def _cluster_takeover_records():
+    return [
+        _rec(0.650, "cluster", "fence_requested", host="p0"),
+        _rec(0.660, "cluster", "fenced", host="p0"),
+        _rec(0.660, "cluster", "election_begin", service="s0"),
+        _rec(0.660, "cluster", "elected", service="s0"),
+        _rec(0.710, "cluster", "shadow_converged", service="s0"),
+        _rec(0.100, "tcp", "send", seq=1),  # hot-path noise, ignored
+    ]
+
+
 class TestReconstruction:
     def test_none_without_takeover(self):
         records = [
@@ -97,6 +108,57 @@ class TestReconstruction:
         text = timeline.render()
         assert "failover timeline" in text
         assert "sum of phases" in text
+
+    def test_none_when_the_client_never_recovers(self):
+        """The open counter-example's stream (ROADMAP item 1): the longest
+        gap closes before the takeover, because the client's last progress
+        came before it died of a RST.  Decomposed, the last phase ran
+        backwards (−209.6 ms) while the phases still summed to the outage."""
+        records = [
+            _rec(0.100000, "app", "client_progress", bytes=0),
+            _rec(0.100379, "app", "client_progress", bytes=150),
+            _rec(0.102122, "host", "crash", host="primary"),
+            _rec(0.300000, "sttcp", "primary_suspected", rank=0),
+            _rec(0.310000, "sttcp", "takeover", connections=0, degraded=0),
+        ]
+        assert reconstruct_failover(records) is None
+
+    def test_render_text_is_pinned(self):
+        """Both renderers share one phase/event interleave; the text is
+        the one the separate renderers printed."""
+        from repro.obs.timeline import reconstruct_cluster_phases
+
+        records = [
+            _rec(0.00, "app", "client_progress", bytes=0),
+            _rec(0.10, "app", "client_progress", bytes=100),
+            _rec(0.12, "host", "crash", host="primary"),
+            _rec(0.30, "sttcp", "primary_suspected"),
+            _rec(0.31, "sttcp", "takeover"),
+            _rec(0.35, "failover", "first_ack"),
+            _rec(0.40, "app", "client_progress", bytes=200),
+        ]
+        assert reconstruct_failover(records).render() == (
+            "failover timeline: client outage 300.0 ms (0.100000 → 0.400000)\n"
+            "  phase detection 0.100000 → 0.300000  (  200.000 ms)\n"
+            "  event crash     0.120000\n"
+            "  phase takeover  0.300000 → 0.310000  (   10.000 ms)\n"
+            "  event suspected 0.300000\n"
+            "  phase rto_wait  0.310000 → 0.350000  (   40.000 ms)\n"
+            "  event takeover  0.310000\n"
+            "  phase resume    0.350000 → 0.400000  (   50.000 ms)\n"
+            "  event first_ack 0.350000\n"
+            "  sum of phases: 300.0 ms (= client-visible outage)"
+        )
+        cluster = reconstruct_cluster_phases(_cluster_takeover_records())
+        assert cluster.render() == (
+            "cluster phases:\n"
+            "  phase fence    0.650000 → 0.660000  (   10.000 ms)\n"
+            "  phase election 0.660000 → 0.660000  (    0.000 ms)\n"
+            "  phase resync   0.660000 → 0.710000  (   50.000 ms)\n"
+            "  event fenced   0.660000\n"
+            "  event elected  0.660000\n"
+            "  event shadow_converged 0.710000"
+        )
 
 
 class TestAgainstFigure5Run:
@@ -174,16 +236,6 @@ class TestAgainstFigure5Run:
 
 
 class TestClusterPhases:
-    def _takeover_records(self):
-        return [
-            _rec(0.650, "cluster", "fence_requested", host="p0"),
-            _rec(0.660, "cluster", "fenced", host="p0"),
-            _rec(0.660, "cluster", "election_begin", service="s0"),
-            _rec(0.660, "cluster", "elected", service="s0"),
-            _rec(0.710, "cluster", "shadow_converged", service="s0"),
-            _rec(0.100, "tcp", "send", seq=1),  # hot-path noise, ignored
-        ]
-
     def test_none_without_cluster_activity(self):
         from repro.obs.timeline import reconstruct_cluster_phases
 
@@ -198,7 +250,7 @@ class TestClusterPhases:
             reconstruct_cluster_phases,
         )
 
-        phases = reconstruct_cluster_phases(self._takeover_records())
+        phases = reconstruct_cluster_phases(_cluster_takeover_records())
         assert phases is not None
         assert [p.name for p in phases.phases] == [
             PHASE_FENCE,
@@ -232,10 +284,11 @@ class TestClusterPhases:
     def test_real_cluster_run_phases_are_ordered(self):
         from repro.cluster.run import ClusterRun
         from repro.cluster.scenario import load_scenario
+        from repro.obs.timeline import reconstruct_cluster_phases
 
         run = ClusterRun(load_scenario("configs/cluster/smoke.json"))
         record = run.execute()
-        phases = run.collector.reconstruct_cluster()
+        phases = reconstruct_cluster_phases(run.collector.records)
         assert phases is not None
         summary = record["cluster_phases"]
         assert summary == phases.summary()

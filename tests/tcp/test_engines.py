@@ -86,18 +86,12 @@ class FakeClock:
         self.now = deadline
 
 
-class _Samples:
-    def observe(self, _value):
-        pass
-
-
 class FakeLayer:
     """Stub IP layer: records transmissions instead of delivering them."""
 
     def __init__(self, clock):
         self.sim = clock
         self.sent = []
-        self.rtt_samples = _Samples()
 
         class _Host:
             name = "unit"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.apps.workload import bulk_workload, echo_workload, upload_workload
 from repro.harness.calibrate import FAST_LAN
+from repro.harness.explain import explain
 from repro.harness.runner import run_workload
 from repro.harness.scenario import Scenario
 from repro.net.loss import RandomLoss
@@ -104,7 +105,9 @@ def test_prop_sttcp_transparent_for_any_crash_time_upload(crash_fraction, seed):
     assert run.result.verified
 
 
-def _assert_transparent_with_lossy_tap_and_crash(crash_fraction, tap_loss, seed):
+def _lossy_tap_crash_run(crash_fraction, tap_loss, seed):
+    """An echo run with the logger, a lossy backup tap and a primary
+    crash, under the crash-silence checker: ``(run, silence)``."""
     from repro.faults.injection import add_tap_loss
 
     workload = echo_workload(30)
@@ -121,9 +124,15 @@ def _assert_transparent_with_lossy_tap_and_crash(crash_fraction, tap_loss, seed)
         )
         crash_at = 0.1 + crash_fraction * baseline.total_time
         run = run_workload(workload, scenario=scenario, crash_at=crash_at, deadline=600.0)
+    return run, silence
+
+
+def _assert_transparent_with_lossy_tap_and_crash(crash_fraction, tap_loss, seed):
+    run, silence = _lossy_tap_crash_run(crash_fraction, tap_loss, seed)
     assert not silence.breaches, silence.report()
-    assert run.result.error is None
-    assert run.result.verified
+    # A falsifying example prints the run's own diagnosis.
+    assert run.result.error is None, explain(run)
+    assert run.result.verified, explain(run)
 
 
 @SLOW_PROPERTY
@@ -159,3 +168,28 @@ def test_lossy_tap_and_crash_open_counter_example():
     _assert_transparent_with_lossy_tap_and_crash(
         crash_fraction=0.5, tap_loss=0.046875, seed=1802
     )
+
+
+def test_explain_names_the_open_counter_examples_cause():
+    """``repro.harness.explain`` on the counter-example above, unaided:
+    the tap lost the handshake, so the backup never had a shadow, matched
+    none of the client's later segments, and answered its retransmission
+    with the RST that killed the connection.  Pins the report before the
+    fix; the PR that closes ROADMAP item 1 re-points this test at the
+    repaired run (one connection taken over, no client error)."""
+    run, _silence = _lossy_tap_crash_run(crash_fraction=0.5, tap_loss=0.046875, seed=1802)
+    report = explain(run)
+    lines = report.splitlines()
+    assert "0 of 1 client connections taken over" in report
+    assert "backup: 17 tapped segments unmatched, 1 RST(s) sent" in report
+    lost = [line for line in lines if " lost on the tap at " in line]
+    assert [line.split(": ", 1)[0].strip() for line in lost] == [
+        "backup/eth0 lost on the tap at 0.100186",
+        "backup/eth0 lost on the tap at 0.100241",
+        "backup/eth0 lost on the tap at 0.101112",
+    ]
+    assert ": S " in lost[0] and ": SA " in lost[1]
+    assert ": PA " in lost[2] and "(150)" in lost[2]
+    assert "client: ConnectionReset: connection reset by peer at 0.702234 s" in report
+    assert "no phase decomposition: no takeover, or no client progress after it" in lines
+    assert lines[-1].startswith("VERDICT: FAIL — client: ConnectionReset")
