@@ -62,7 +62,7 @@ class DualPrimaryMonitor:
             host.name
             for host in self.fabric.server_hosts
             if host.is_up
-            and service.service_ip in host.local_ips()
+            and service.service_ip in host.local_ips
             and service.service_ip not in host.arp.suppressed_ips
         ]
 

@@ -173,9 +173,10 @@ class DrillEnv:
         self.primary.tcp.connection_observers.append(self.tracked.append)
         if settings.get("obs_probe"):
             # Appended after the backup engine's own observer, so on the
-            # backup's connections the probe stacks *behind* the
-            # output-suppressing shadow extension — the contractually
-            # correct order (suppressor first).
+            # backup's connections the probe stacks *behind* the shadow
+            # extension.  Suppression is the TCB's ``output_inhibited``,
+            # not a place in the chain: while it holds, nothing is built
+            # and the probe's ``filter_transmit`` never runs.
             self._install_obs_probe(self.backup)
         self.pair.start_service()
 

@@ -165,8 +165,8 @@ class DrillProgram:
                 actual = tcb.snd_nxt - tcb.iss
                 assert actual == snd_nxt, f"shadow snd_nxt is {actual}, expected {snd_nxt}"
             if suppressed is not None:
-                assert ext.suppressing == suppressed, (
-                    f"shadow suppress_output is {ext.suppressing}"
+                assert tcb.output_inhibited == suppressed, (
+                    f"shadow output_inhibited is {tcb.output_inhibited}"
                 )
 
         self.probe(t, check, label="expect_shadow")

@@ -69,7 +69,8 @@ class Host:
         self.tcp = TCPLayer(sim, self, tcp_config)
         #: Run by :meth:`crash` after the layers halt; each cancels what an engine armed.
         self.crash_observers: List[Callable[[], None]] = []
-        self._local_ip_cache: Optional[Set[IPAddress]] = None
+        #: Every IP this host answers to: interface IPs and VNIC IPs.
+        self.local_ips: Set[IPAddress] = set()
         self.crashed_at: Optional[float] = None
 
     # NICs and addressing --------------------------------------------------------
@@ -106,7 +107,7 @@ class Host:
             raise ConfigurationError(f"NIC {nic.name} does not belong to {self.name}")
         self.interfaces.append(Interface(nic, ip, prefix_len))
         self.ip_layer.add_route(ip, prefix_len, nic)
-        self._local_ip_cache = None
+        self.local_ips.add(ip)
 
     def add_vnic(
         self,
@@ -125,22 +126,17 @@ class Host:
         self.vnics.append(vnic)
         if suppress_arp:
             self.arp.suppress_ip(ip)
-        self._local_ip_cache = None
+        self.local_ips.add(ip)
         return vnic
 
     def remove_vnic(self, vnic: VirtualInterface) -> None:
         vnic.remove()
         self.vnics.remove(vnic)
-        self._local_ip_cache = None
+        # The IP may still be held by an interface or another VNIC.
+        self.local_ips = {iface.ip for iface in self.interfaces}
+        self.local_ips.update(other.ip for other in self.vnics)
 
     # Address queries (used by ARP and IP layers) -----------------------------------
-    def local_ips(self) -> Set[IPAddress]:
-        if self._local_ip_cache is None:
-            ips = {iface.ip for iface in self.interfaces}
-            ips |= {vnic.ip for vnic in self.vnics}
-            self._local_ip_cache = ips
-        return self._local_ip_cache
-
     def primary_ip_on(self, nic: NIC) -> IPAddress:
         for iface in self.interfaces:
             if iface.nic is nic:

@@ -81,7 +81,7 @@ class IPLayer:
         ttl: int = DEFAULT_TTL,
     ) -> None:
         """Route and emit one datagram (asynchronously past ARP)."""
-        if dst in self.host.local_ips():
+        if dst in self.host.local_ips:
             datagram = IPDatagram(src or dst, dst, protocol, payload, payload_size, ttl)
             self.sim.post(self.sim.now, self._local_deliver, datagram, None)
             self._c_sent.value += 1
@@ -140,11 +140,17 @@ class IPLayer:
 
     # Input path ------------------------------------------------------------------
     def receive(self, datagram: IPDatagram, nic: NIC) -> None:
-        """Entry point from the host stack for inbound IPv4 frames."""
+        """Entry point from the host stack for inbound IPv4 frames: a
+        local datagram goes straight to its protocol handler."""
         for tap in self._taps:
             tap(datagram, nic)
-        if datagram.dst in self.host.local_ips():
-            self._local_deliver(datagram, nic)
+        if datagram.dst in self.host.local_ips:
+            handler = self._protocols.get(datagram.protocol)
+            if handler is None:
+                self._no_protocol(datagram)
+                return
+            self._c_delivered.value += 1
+            handler(datagram, nic)
             return
         if self.forwarding:
             self._forward(datagram, nic)
@@ -152,21 +158,25 @@ class IPLayer:
         self._c_dropped_not_local.value += 1
 
     def _local_deliver(self, datagram: IPDatagram, nic: Optional[NIC]) -> None:
+        """Loopback: a datagram this host queued to itself (:meth:`send`)."""
         if not self.host.is_up:  # loopback queued before a crash: no NIC drops it
             return
         handler = self._protocols.get(datagram.protocol)
         if handler is None:
-            if self.sim.trace.enabled_for("ip"):
-                self.sim.trace.emit(
-                    self.sim.now,
-                    "ip",
-                    "no_protocol",
-                    host=self.host.name,
-                    protocol=datagram.protocol,
-                )
+            self._no_protocol(datagram)
             return
         self._c_delivered.value += 1
         handler(datagram, nic)
+
+    def _no_protocol(self, datagram: IPDatagram) -> None:
+        if self.sim.trace.enabled_for("ip"):
+            self.sim.trace.emit(
+                self.sim.now,
+                "ip",
+                "no_protocol",
+                host=self.host.name,
+                protocol=datagram.protocol,
+            )
 
     def _forward(self, datagram: IPDatagram, in_nic: NIC) -> None:
         if datagram.ttl <= 1:

@@ -133,7 +133,10 @@ class NIC(FrameReceiver):
                 self.sim.trace.emit(now, "nic", "rx_loss", nic=self, frame=frame)
             return
         if self.processing_delay <= 0.0:
-            self._deliver(frame)
+            self.rx_frames += 1
+            self.rx_bytes += frame.wire_size
+            if self.handler is not None:
+                self.handler(frame, self)
             return
         if self.rx_queue_capacity and self._rx_pending >= self.rx_queue_capacity:
             self.rx_dropped_queue += 1
@@ -149,13 +152,10 @@ class NIC(FrameReceiver):
     def _dequeue_and_deliver(self, frame: EthernetFrame) -> None:
         self._rx_pending -= 1
         if self.powered:
-            self._deliver(frame)
-
-    def _deliver(self, frame: EthernetFrame) -> None:
-        self.rx_frames += 1
-        self.rx_bytes += frame.wire_size
-        if self.handler is not None:
-            self.handler(frame, self)
+            self.rx_frames += 1
+            self.rx_bytes += frame.wire_size
+            if self.handler is not None:
+                self.handler(frame, self)
 
     def power_off(self) -> None:
         """Crash semantics: stop sending and receiving immediately."""

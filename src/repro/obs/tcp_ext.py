@@ -62,12 +62,12 @@ class TraceProbeExtension(TCPExtension):
     """Count hook invocations; assert ordering/leak properties in drills.
 
     ``calls`` maps hook name → invocation count.  ``transmitted`` counts
-    the segments that reached this probe's ``filter_transmit`` — on a
-    connection where an output-suppressing extension is registered
-    *ahead* of the probe, every suppressed segment is vetoed before the
-    probe sees it, so a non-zero ``transmitted`` while suppression is
-    active means the chain is mis-ordered (segments are leaking past the
-    suppressor).  The probe never consumes, vetoes, or adjusts anything.
+    the segments that reached this probe's ``filter_transmit`` — an
+    output-inhibited connection builds no segment, so a non-zero
+    ``transmitted`` while it is inhibited means segments are leaking
+    past the suppression; and where a vetoing extension is registered
+    *ahead* of the probe, it means that vetoer was passed over.  The
+    probe never consumes, vetoes, or adjusts anything.
     """
 
     name = "obs.trace_probe"

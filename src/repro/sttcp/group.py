@@ -78,7 +78,7 @@ class STTCPServerGroup:
         for host in hosts:
             if host.sim is not primary_host.sim:
                 raise ConfigurationError("all group members must share a simulator")
-            if service_ip not in host.local_ips():
+            if service_ip not in host.local_ips:
                 raise ConfigurationError(
                     f"service IP {service_ip} not configured on {host.name}"
                 )

@@ -5,10 +5,11 @@ core TCP stack now lives here, behind the
 :class:`repro.tcp.extension.TCPExtension` hook API:
 
 * **Output suppression** — the shadow processes every tapped segment and
-  advances all state exactly like the primary, but its built segments
-  are vetoed in ``filter_transmit`` instead of reaching IP, and the core
-  arms no transmission-causing timers while
-  :attr:`~repro.tcp.tcb.TCPConnection.output_inhibited` is set.
+  advances all state exactly like the primary, but nothing it would send
+  is built: attaching sets the TCB's
+  :attr:`~repro.tcp.tcb.TCPConnection.output_inhibited`, under which the
+  output engine keeps a sent segment's bookkeeping and stops before
+  building it, and the core arms no transmission-causing timers.
 * **ISN synchronisation** — primary and backup choose different ISNs, so
   the shadow re-anchors its send sequence space on the primary's ISN
   (§4.1 step 3): from the client's handshake ACK in ``on_ack``, or from
@@ -18,7 +19,7 @@ core TCP stack now lives here, behind the
   sent that the (slower) shadow application has not produced yet; it is
   stashed and applied in ``after_output`` as the data materialises
   (§4.2, determinism assumption).
-* **Takeover** — :meth:`takeover` lifts suppression, go-back-N
+* **Takeover** — :meth:`takeover` clears ``output_inhibited``, go-back-N
   retransmits anything in flight (or announces liveness with a pure
   ACK), and attaches an :class:`repro.obs.tcp_ext.FirstAckProbe` so the
   failover timeline records when the client's first retransmission is
@@ -44,18 +45,14 @@ class ShadowExtension(TCPExtension):
 
     name = "sttcp.shadow"
 
-    __slots__ = ("suppressing", "isn_rebased", "pending_ack", "_applying_pending_ack", "suppressed_segments")
+    __slots__ = ("isn_rebased", "pending_ack", "_applying_pending_ack")
 
     def __init__(self) -> None:
-        #: True until takeover: built segments are vetoed, not sent.
-        self.suppressing = True
         #: True once the send sequence space sits on the primary's ISN.
         self.isn_rebased = False
         #: Client ACK running ahead of locally produced data (absolute).
         self.pending_ack: Optional[int] = None
         self._applying_pending_ack = False
-        #: Segments built and vetoed while suppressing.
-        self.suppressed_segments = 0
 
     @classmethod
     def of(cls, conn: "TCPConnection") -> Optional["ShadowExtension"]:
@@ -67,15 +64,8 @@ class ShadowExtension(TCPExtension):
 
     # -- lifecycle ------------------------------------------------------------
     def on_attach(self, conn: "TCPConnection") -> None:
+        # Output suppression until takeover: the TCB builds nothing.
         conn.output_inhibited = True
-
-    # -- output suppression ---------------------------------------------------
-    def filter_transmit(self, conn: "TCPConnection", segment: "TCPSegment") -> bool:
-        if not self.suppressing:
-            return True
-        self.suppressed_segments += 1
-        conn.trace_event("suppressed", seg=segment)
-        return False
 
     # -- inbound absorption before ISN sync -----------------------------------
     def on_segment_in(self, conn: "TCPConnection", segment: "TCPSegment") -> bool:
@@ -167,9 +157,8 @@ class ShadowExtension(TCPExtension):
         outstanding it is retransmitted immediately, otherwise a pure ACK
         announces the (indistinguishable) server's liveness.
         """
-        if not self.suppressing:
+        if not conn.output_inhibited:
             return
-        self.suppressing = False
         conn.output_inhibited = False
         # The next segment the client sends us marks the end of its
         # outage — record it through an obs-side probe, not core state.

@@ -27,17 +27,17 @@ class TCPState(enum.Enum):
     TIME_WAIT = "TIME_WAIT"
 
 
-#: States in which the connection carries data.
-SYNCHRONIZED_STATES = frozenset(
-    {
-        TCPState.ESTABLISHED,
-        TCPState.FIN_WAIT_1,
-        TCPState.FIN_WAIT_2,
-        TCPState.CLOSE_WAIT,
-        TCPState.CLOSING,
-        TCPState.LAST_ACK,
-        TCPState.TIME_WAIT,
-    }
+#: States in which the connection carries data.  A tuple, not a set:
+#: membership then compares by identity, where a set would call the
+#: Python-level ``Enum.__hash__`` on every ``is_synchronized``.
+SYNCHRONIZED_STATES = (
+    TCPState.ESTABLISHED,
+    TCPState.FIN_WAIT_1,
+    TCPState.FIN_WAIT_2,
+    TCPState.CLOSE_WAIT,
+    TCPState.CLOSING,
+    TCPState.LAST_ACK,
+    TCPState.TIME_WAIT,
 )
 
 # Header flags --------------------------------------------------------------

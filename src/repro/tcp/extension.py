@@ -24,7 +24,9 @@ invoke its hooks at well-defined points:
 ``filter_transmit(conn, segment)``
     Immediately before a built segment is handed to the IP layer.
     Return ``False`` to drop it; the first veto stops the chain (the
-    segment is gone — later extensions are not consulted).
+    segment is gone — later extensions are not consulted).  A connection
+    whose output is suppressed wholesale does not veto here: it sets
+    :attr:`TCPConnection.output_inhibited`, and nothing is built.
 
 ``on_state_change(conn, old, new)``
     After every TCP state transition.
@@ -43,9 +45,11 @@ Hooks are dispatched *only when at least one registered extension
 overrides them*: a vanilla connection carries empty per-hook chains and
 pays a single falsy check, nothing more.  The chain order is the
 registration order (``add_extension``); ordering is part of the
-contract — e.g. an output-suppressing extension must precede any
-extension that observes transmissions, or the observer will see (and
-possibly leak) segments the suppressor should have vetoed first.
+contract — e.g. a vetoing extension must precede any extension that
+observes transmissions, or the observer will see segments the vetoer
+drops.  Behaviour that applies to every segment a connection sends is
+TCB state, not a hook: ``output_inhibited`` stops the output engine
+before it builds anything, whatever the chain holds.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from repro.tcp.congestion import DUPACK_THRESHOLD
 from repro.tcp.constants import FLAG_ACK, FLAG_RST, PERSIST_TIMEOUT_MIN, TCPState
 from repro.tcp.segment import TCPSegment
 from repro.tcp.seqspace import unwrap
-from repro.util.bytespan import EMPTY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tcp.tcb import TCPConnection
@@ -137,7 +136,7 @@ class InputEngine:
             return
         if segment.is_syn and seq_abs >= conn.rcv_nxt:
             # SYN inside the window is a protocol violation.
-            conn.output.emit(FLAG_RST | FLAG_ACK, conn.snd_nxt, EMPTY)
+            conn.output.emit(FLAG_RST | FLAG_ACK, conn.snd_nxt)
             conn._enter_closed(ConnectionReset("SYN received mid-connection"))
             return
         if not segment.is_ack:

@@ -4,8 +4,11 @@ Owns the decision of *what goes on the wire and when* — the sender-side
 sliding window walk (flow × congestion window), Nagle, FIN piggybacking,
 the delayed-ACK policy and its timer, window-update ACKs after
 application reads, and the final build-and-transmit step every segment
-funnels through (:meth:`emit` → :meth:`transmit`), where registered
-extensions get their ``filter_transmit`` veto.
+funnels through (:meth:`emit` → :meth:`transmit`).  On an
+:attr:`~repro.tcp.tcb.TCPConnection.output_inhibited` connection
+:meth:`emit` keeps the bookkeeping a sent segment causes and builds
+nothing; registered extensions get their ``filter_transmit`` veto on
+what is built.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from repro.tcp.constants import (
 from repro.tcp.segment import SegmentTemplate, TCPSegment
 from repro.tcp.seqspace import unwrap, wrap
 from repro.tcp.timers import RestartableTimer
-from repro.util.bytespan import EMPTY, ByteSpan
+from repro.util.bytespan import EMPTY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tcp.tcb import TCPConnection
@@ -63,13 +66,9 @@ class OutputEngine:
         # RFC 2861 congestion-window validation.
         self.last_data_send_time: Optional[float] = None
         # The per-connection invariant header fields are precomputed once
-        # (lazily, at first emit — the remote port is final by then) and
-        # only seq/ack/win/flags vary per segment.
+        # (lazily, at the first segment built — the remote port is final
+        # by then) and only seq/ack/win/flags vary per segment.
         self._template: Optional[SegmentTemplate] = None
-
-    # -- window advertisement ------------------------------------------------
-    def advertised_window(self) -> int:
-        return min(self.conn.recv_buffer.window(), 0xFFFF)
 
     # -- the sender-side window walk -----------------------------------------
     def try_output(self) -> None:
@@ -102,7 +101,6 @@ class OutputEngine:
                     and not conn._fin_pending
                 ):
                     break
-                payload = conn.send_buffer.data_range(next_offset, next_offset + chunk)
                 flags = FLAG_ACK
                 fin_now = (
                     conn._fin_pending
@@ -114,7 +112,7 @@ class OutputEngine:
                     flags |= FLAG_FIN
                 if next_offset + chunk == tail:
                     flags |= FLAG_PSH
-                self.emit(flags, conn.snd_nxt, payload)
+                self.emit(flags, conn.snd_nxt, chunk)
                 conn.snd_nxt += chunk
                 if fin_now:
                     self._note_fin_sent(conn.snd_nxt)
@@ -132,7 +130,7 @@ class OutputEngine:
                 and available == 0
                 and window_left > 0
             ):
-                self.emit(FLAG_ACK | FLAG_FIN, conn.snd_nxt, EMPTY)
+                self.emit(FLAG_ACK | FLAG_FIN, conn.snd_nxt)
                 self._note_fin_sent(conn.snd_nxt)
                 conn.snd_nxt += 1
                 conn.snd_max = max(conn.snd_max, conn.snd_nxt)
@@ -162,17 +160,38 @@ class OutputEngine:
     def send_syn(self, with_ack: bool) -> None:
         conn = self.conn
         flags = FLAG_SYN | (FLAG_ACK if with_ack else 0)
-        self.emit(flags, conn.iss, EMPTY, mss_option=conn.config.mss)
+        self.emit(flags, conn.iss, mss_option=conn.config.mss)
 
     def emit(
         self,
         flags: int,
         seq_abs: int,
-        payload: ByteSpan,
+        length: int = 0,
         mss_option: Optional[int] = None,
     ) -> None:
-        """Build and transmit one segment."""
+        """Send one segment carrying ``length`` send-buffer bytes from ``seq_abs``.
+
+        The bookkeeping a sent segment causes comes first, so an
+        output-inhibited connection keeps the state of one whose segments
+        reach the wire; only then, and only on a connection that may
+        send, is the payload sliced and the segment built.
+        """
         conn = self.conn
+        window = conn.recv_buffer.window()
+        if flags & FLAG_ACK:
+            self.segments_since_ack = 0
+            self.ack_scheduled = False
+            self.delack_timer.stop()
+            self.last_advertised_window = window
+        if length or flags & (FLAG_SYN | FLAG_FIN):
+            self.last_data_send_time = conn.sim.now
+        if conn.output_inhibited:
+            return
+        if length:
+            start = conn.snd_offset(seq_abs)
+            payload = conn.send_buffer.data_range(start, start + length)
+        else:
+            payload = EMPTY
         ts_val = ts_ecr = None
         if conn.use_timestamps or (flags & FLAG_SYN and conn.config.timestamps):
             ts_val = conn.sim.now
@@ -181,27 +200,18 @@ class OutputEngine:
         if template is None:
             template = SegmentTemplate(conn.local_port, conn.remote_port)
             self._template = template
-        segment = template.build(
-            wrap(seq_abs),
-            wrap(conn.rcv_nxt) if flags & FLAG_ACK else 0,
-            flags,
-            self.advertised_window(),
-            payload,
-            mss_option=mss_option,
-            ts_val=ts_val,
-            ts_ecr=ts_ecr,
+        self.transmit(
+            template.build(
+                wrap(seq_abs),
+                wrap(conn.rcv_nxt) if flags & FLAG_ACK else 0,
+                flags,
+                min(window, 0xFFFF),
+                payload,
+                mss_option=mss_option,
+                ts_val=ts_val,
+                ts_ecr=ts_ecr,
+            )
         )
-        if flags & FLAG_ACK:
-            self._ack_sent_housekeeping()
-        if payload.length > 0 or flags & (FLAG_SYN | FLAG_FIN):
-            self.last_data_send_time = conn.sim.now
-        self.transmit(segment)
-
-    def _ack_sent_housekeeping(self) -> None:
-        self.segments_since_ack = 0
-        self.ack_scheduled = False
-        self.delack_timer.stop()
-        self.last_advertised_window = self.conn.recv_buffer.window()
 
     def transmit(self, segment: TCPSegment) -> None:
         """Hand a built segment to IP — unless an extension vetoes it."""
@@ -219,6 +229,8 @@ class OutputEngine:
 
     def send_rst_for(self, segment: TCPSegment) -> None:
         conn = self.conn
+        if conn.output_inhibited:
+            return
         if segment.is_ack:
             rst = TCPSegment(
                 conn.local_port, conn.remote_port, segment.ack, 0, FLAG_RST, 0
@@ -240,7 +252,7 @@ class OutputEngine:
         conn = self.conn
         if conn.state in (TCPState.CLOSED, TCPState.LISTEN, TCPState.SYN_SENT):
             return
-        self.emit(FLAG_ACK, conn.snd_nxt, EMPTY)
+        self.emit(FLAG_ACK, conn.snd_nxt)
 
     def schedule_ack(self, advanced_segments: int) -> None:
         """Delayed-ACK policy after receiving in-order data."""

@@ -8,8 +8,8 @@ recovery point used after a timeout (or a failover, via
 
 The engine never *builds* segments itself beyond choosing what range to
 resend; emission goes through the connection's output engine so window
-advertisement, delayed-ACK housekeeping, and transmit filters apply
-uniformly.
+advertisement, delayed-ACK housekeeping, output inhibition and transmit
+filters apply uniformly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.tcp.constants import (
 )
 from repro.tcp.rtt import RTTEstimator
 from repro.tcp.timers import RestartableTimer
-from repro.util.bytespan import EMPTY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tcp.tcb import TCPConnection
@@ -126,7 +125,7 @@ class RetransmitEngine:
             conn.output.send_syn(with_ack=True)
             return
         if conn._fin_sent and conn._fin_seq is not None and conn.snd_una == conn._fin_seq:
-            conn.output.emit(FLAG_ACK | FLAG_FIN, conn._fin_seq, EMPTY)
+            conn.output.emit(FLAG_ACK | FLAG_FIN, conn._fin_seq)
             return
         if conn.snd_una >= conn.snd_max:
             return
@@ -135,7 +134,6 @@ class RetransmitEngine:
         chunk = min(conn.mss, conn.snd_offset(end_limit) - start)
         if chunk <= 0:
             return
-        payload = conn.send_buffer.data_range(start, start + chunk)
         flags = FLAG_ACK
         if (
             conn._fin_sent
@@ -143,9 +141,7 @@ class RetransmitEngine:
             and conn.snd_una + chunk == conn._fin_seq
         ):
             flags |= FLAG_FIN
-            conn.output.emit(flags, conn.snd_una, payload)
-            return
-        conn.output.emit(flags, conn.snd_una, payload)
+        conn.output.emit(flags, conn.snd_una, chunk)
 
     def force_go_back_n(self) -> None:
         """Failover recovery: retransmit the head immediately and walk the
@@ -170,8 +166,7 @@ class RetransmitEngine:
         # be coherent with our send state.
         next_offset = conn.snd_offset(conn.snd_nxt)
         if conn.send_buffer.tail_offset > next_offset and conn.snd_nxt == conn.snd_max:
-            payload = conn.send_buffer.data_range(next_offset, next_offset + 1)
-            conn.output.emit(FLAG_ACK, conn.snd_nxt, payload)
+            conn.output.emit(FLAG_ACK, conn.snd_nxt, 1)
             conn.snd_nxt += 1
             conn.snd_max = conn.snd_nxt
         self.persist_interval = min(self.persist_interval * 2, PERSIST_TIMEOUT_MAX)

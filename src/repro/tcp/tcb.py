@@ -47,7 +47,7 @@ from repro.tcp.recv_buffer import ReceiveBuffer
 from repro.tcp.retransmit import RetransmitEngine
 from repro.tcp.segment import TCPSegment
 from repro.tcp.send_buffer import SendBuffer
-from repro.util.bytespan import EMPTY, ByteSpan
+from repro.util.bytespan import ByteSpan
 
 
 class TCPConnection:
@@ -108,9 +108,13 @@ class TCPConnection:
         self.mss = config.mss  # effective MSS after option exchange
         self.cc = RenoCongestionControl(config.mss)
 
+        #: While True, the output engine keeps the bookkeeping of every
+        #: segment it would send but builds none, and no timer that causes
+        #: a transmission is armed (a replica mirroring another host's
+        #: connection).
+        self.output_inhibited = False
         # Extension chain: per-hook dispatch tuples stay empty (and the
         # hook sites a single falsy check) until an extension registers.
-        self.output_inhibited = False
         self._extensions: Tuple[TCPExtension, ...] = ()
         self._ext_on_segment_in: Tuple[TCPExtension, ...] = ()
         self._ext_on_ack: Tuple[TCPExtension, ...] = ()
@@ -362,7 +366,7 @@ class TCPConnection:
     def app_abort(self) -> None:
         """Abortive close: emit RST and discard state."""
         if self.is_synchronized or self.state is TCPState.SYN_RCVD:
-            self.output.emit(FLAG_RST | FLAG_ACK, self.snd_nxt, EMPTY)
+            self.output.emit(FLAG_RST | FLAG_ACK, self.snd_nxt)
         self._enter_closed(ConnectionReset("connection aborted locally"))
 
     # ---------------------------------------------------------- engine facade

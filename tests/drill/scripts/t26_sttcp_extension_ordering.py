@@ -1,10 +1,10 @@
-# Extension hook ordering across a failover: the output-suppressing
-# shadow extension is attached first and the observability trace probe
-# stacks behind it, so while the backup shadows the connection the
-# shadow's veto short-circuits the transmit chain and the probe never
-# sees a transmission.  After takeover the suppression lifts, the
-# one-shot first-ACK probe rides along, and the probe starts counting
-# real sends.
+# Extension hook ordering across a failover: the shadow extension is
+# attached first and the observability trace probe stacks behind it.
+# While the backup shadows the connection, the shadow keeps its TCB
+# output-inhibited: no segment is built, so none reaches the transmit
+# chain and the probe never sees a transmission.  After takeover the
+# inhibition lifts, the one-shot first-ACK probe rides along, and the
+# probe starts counting real sends.
 use(mode="sttcp", obs_probe=True)
 
 inject(0.100, tcp("S", seq=0, win=65535, mss=1460))
@@ -14,17 +14,17 @@ inject(0.110, tcp("PA", seq=1, ack=1, length=150, payload=app_request("echo", re
 expect(0.110, tcp("PA", seq=1, ack=151, length=150))
 inject(0.150, tcp("A", seq=151, ack=151))
 
-# Suppressor first, observer second — the contractual dispatch order.
+# Shadow first, observer second — the registration order.
 expect_extensions(0.200, "sttcp.shadow", "obs.trace_probe")
 expect_shadow(0.200, established=True, suppressed=True)
 # The probe has seen inbound traffic, but no transmit attempt may have
-# reached it: every shadow send was vetoed one link earlier.
+# reached it: the inhibited shadow built no segment.
 expect_probe_counts(0.200, on_segment_in=2, filter_transmit=0)
 
 fault(0.300, "primary_crash")
 expect_takeover(0.700)
-# Takeover announces itself with a pure ACK — the first transmission
-# that clears the (now permissive) filter chain.
+# Takeover announces itself with a pure ACK — the first segment the
+# shadow builds once its output is no longer inhibited.
 expect(0.520, tcp("A", seq=151, ack=151), tol=0.200)
 # The takeover appended the one-shot first-ACK checkpoint probe.
 expect_extensions(0.750, "sttcp.shadow", "obs.trace_probe", "obs.first_ack")

@@ -44,17 +44,28 @@ def test_isn_rebase_noop_breaks_shadow_drill(monkeypatch):
 def test_takeover_resending_acked_bytes_breaks_no_duplicate_drill(monkeypatch):
     # A takeover that retransmits from the start of the *stream* instead
     # of the client's cumulative ACK re-delivers acknowledged bytes; the
-    # drill's expect_no on seq 1 must catch the duplicate.
+    # drill's expect_no on seq 1 must catch the duplicate.  The segment
+    # is built by hand: ``emit`` slices its payload from the send buffer,
+    # which no longer holds acknowledged bytes.
     from repro.tcp.constants import FLAG_ACK
+    from repro.tcp.segment import SegmentTemplate
+    from repro.tcp.seqspace import wrap
     from repro.util.bytespan import PatternBytes
 
     original = ShadowExtension.takeover
 
     def duplicating(self, conn):
-        was_shadow = self.suppressing and conn.flight_size > 0
+        was_shadow = conn.output_inhibited and conn.flight_size > 0
         original(self, conn)
         if was_shadow:
-            conn.output.emit(FLAG_ACK, conn.iss + 1, PatternBytes(1460, 0, 7))
+            segment = SegmentTemplate(conn.local_port, conn.remote_port).build(
+                wrap(conn.iss + 1),
+                wrap(conn.rcv_nxt),
+                FLAG_ACK,
+                min(conn.recv_buffer.window(), 0xFFFF),
+                PatternBytes(1460, 0, 7),
+            )
+            conn.output.transmit(segment)
 
     monkeypatch.setattr(ShadowExtension, "takeover", duplicating)
     result = run_drill_file(SCRIPTS / "t25_sttcp_no_duplicate_delivery.py")
@@ -63,33 +74,23 @@ def test_takeover_resending_acked_bytes_breaks_no_duplicate_drill(monkeypatch):
 
 
 def test_misordered_filter_transmit_chain_breaks_ordering_drill(monkeypatch):
-    # Sabotage the veto chain: instead of "first veto wins", let the
-    # *first* extension's verdict decide alone.  With the obs probe
-    # stacked behind the suppressor this is harmless for the verdict —
-    # but the probe is never consulted on vetoed segments in the correct
-    # protocol, while the sabotaged dispatch (taking only chain[0])
-    # still suppresses yet ALSO stops maintaining the rest of the chain;
-    # we model the classic mis-ordering by reversing the chain so the
-    # permissive probe answers first and shadow segments leak onto the
-    # wire.  The ordering drill's silence window must catch the leak.
+    # Sabotage the suppression itself: an ``emit`` that ignores
+    # ``output_inhibited`` builds and sends the shadow's segments, so
+    # they reach the obs probe stacked behind the shadow extension and
+    # leak onto the wire.  The ordering drill's silence window must
+    # catch the leak.
     from repro.tcp.output import OutputEngine
 
-    original = OutputEngine.transmit
+    original = OutputEngine.emit
 
-    def misordered(self, segment):
+    def leaking(self, flags, seq_abs, length=0, mss_option=None):
         conn = self.conn
-        vetoers = conn._ext_filter_transmit
-        if vetoers:
-            if vetoers[-1].filter_transmit(conn, segment):
-                # Last-registered extension decided alone: earlier
-                # (suppressing) extensions never got their veto.
-                conn.segments_sent += 1
-                conn.bytes_sent += segment.payload_length
-                conn.trace_event("send", seg=segment)
-                conn.layer.send_segment(conn, segment)
-            return
-        original(self, segment)
+        inhibited, conn.output_inhibited = conn.output_inhibited, False
+        try:
+            original(self, flags, seq_abs, length, mss_option)
+        finally:
+            conn.output_inhibited = inhibited
 
-    monkeypatch.setattr(OutputEngine, "transmit", misordered)
+    monkeypatch.setattr(OutputEngine, "emit", leaking)
     result = run_drill_file(SCRIPTS / "t26_sttcp_extension_ordering.py")
     assert not result.passed

@@ -20,18 +20,18 @@ def test_local_ips_cover_interfaces_and_vnics(sim):
     nic = host.add_nic()
     host.configure_ip(nic, ip("10.0.0.1"), 24)
     host.add_vnic("svi", ip("10.0.0.100"), fresh_multicast_mac(), nic)
-    assert host.local_ips() == {ip("10.0.0.1"), ip("10.0.0.100")}
+    assert host.local_ips == {ip("10.0.0.1"), ip("10.0.0.100")}
 
 
 def test_local_ip_cache_invalidated_on_changes(sim):
     host = Host(sim, "h")
     nic = host.add_nic()
     host.configure_ip(nic, ip("10.0.0.1"), 24)
-    assert ip("10.0.0.100") not in host.local_ips()
+    assert ip("10.0.0.100") not in host.local_ips
     vnic = host.add_vnic("svi", ip("10.0.0.100"), fresh_multicast_mac(), nic)
-    assert ip("10.0.0.100") in host.local_ips()
+    assert ip("10.0.0.100") in host.local_ips
     host.remove_vnic(vnic)
-    assert ip("10.0.0.100") not in host.local_ips()
+    assert ip("10.0.0.100") not in host.local_ips
 
 
 def test_owned_ip_macs_scoped_to_nic(sim):

@@ -133,7 +133,7 @@ def test_upload_failover_uses_backup_receive_state():
 def test_shadow_suppression_lifted_on_all_connections():
     scenario, _run, _ = failover_run(echo_workload(20))
     for tcb in scenario.pair.backup_engine.shadow_connections:
-        assert not ShadowExtension.of(tcb).suppressing
+        assert not tcb.output_inhibited
 
 
 def test_force_failover_for_planned_maintenance():

@@ -1,11 +1,16 @@
 """Failure-free shadowing tests (§4.1–4.3): ISN sync, suppression,
 state tracking, backup acknowledgments, retention release."""
 
+import sys
+from collections import Counter
+
 from repro.apps.workload import bulk_workload, echo_workload, upload_workload
 from repro.harness.runner import run_workload
 from repro.sttcp.backup import ROLE_PASSIVE
 from repro.sttcp.shadow import ShadowExtension
 from repro.tcp.constants import TCPState
+from repro.tcp.segment import SegmentTemplate, TCPSegment
+from repro.tcp.tcb import TCPConnection
 from repro.util.units import KB
 
 from tests.sttcp.conftest import make_scenario
@@ -15,17 +20,46 @@ def run_on(scenario, workload, **kwargs):
     return run_workload(workload, scenario=scenario, deadline=120.0, **kwargs)
 
 
-def test_backup_is_silent_during_failure_free_run():
-    """Transparency: the backup transmits nothing on the service
-    connection while the primary is alive (its replies are suppressed)."""
+def _count_segments_built_by_host(monkeypatch):
+    """Count every segment a TCB builds, by the name of its host: the
+    template builds of ``OutputEngine.emit`` and the checked constructions
+    of ``send_rst_for`` (both have the building TCB as local ``conn``)."""
+    built = Counter()
+
+    def note_building_tcb():
+        conn = sys._getframe(2).f_locals.get("conn")
+        if isinstance(conn, TCPConnection):
+            built[conn.layer.host.name] += 1
+
+    build, construct = SegmentTemplate.build, TCPSegment.__init__
+
+    def counted_build(self, *args, **kwargs):
+        note_building_tcb()
+        return build(self, *args, **kwargs)
+
+    def counted_construct(self, *args, **kwargs):
+        note_building_tcb()
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(SegmentTemplate, "build", counted_build)
+    monkeypatch.setattr(TCPSegment, "__init__", counted_construct)
+    return built
+
+
+def test_backup_is_silent_during_failure_free_run(monkeypatch):
+    """Transparency: while it shadows, the backup builds no TCP segment
+    at all — its connections are output-inhibited, so the replies its
+    server produces never become segments, let alone frames."""
+    built = _count_segments_built_by_host(monkeypatch)
     scenario = make_scenario()
     run_on(scenario, echo_workload(10)).require_clean()
-    backup_nic = scenario.backup.nics[0]
     # Everything the backup sent is UDP channel traffic — no TCP segments.
     assert scenario.backup.tcp.connections  # shadow exists
     for tcb in scenario.backup.tcp.connections:
+        assert tcb.output_inhibited
         assert tcb.segments_sent == 0
-        assert ShadowExtension.of(tcb).suppressed_segments > 0
+    assert built[scenario.primary.name] > 0  # the count sees real builds
+    assert built[scenario.backup.name] == 0
 
 
 def test_shadow_rebases_to_primary_isn():

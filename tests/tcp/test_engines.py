@@ -4,11 +4,14 @@ No simulator, no hosts, no wire — a hand-cranked clock and a stub IP
 layer are enough to pin down the output engine's send-policy decision
 table, the retransmit engine's RFC 6298 backoff bounds, the TCB's
 sequence-space translation across the 2^32 wrap, the repair section's
-quiescence and fast-forward contract, and the extension dispatch
-contracts.
+quiescence and fast-forward contract, the extension dispatch
+contracts, and output inhibition (an inhibited TCB keeps a sent
+segment's bookkeeping and builds nothing).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConnectionNotQuiescent, ConnectionTimeout, ReproError
 from repro.net.addresses import IPAddress
@@ -528,3 +531,79 @@ class TestExtensionDispatch:
         conn.add_extension(first)
         conn.add_extension(second, index=0)
         assert conn.extensions == (second, first)
+
+
+# -- output inhibition: a sent segment's bookkeeping, nothing built -----------
+_INHIBITION_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.integers(1, 5000)),
+        st.tuples(st.just("receive"), st.integers(1, 5000)),
+        st.tuples(st.just("read"), st.integers(1, 5000)),
+        st.tuples(st.just("peer_window"), st.sampled_from([0, 1, 1000, 65535])),
+        st.tuples(st.just("tick"), st.integers(0, 500)),
+        st.tuples(st.just("try_output"), st.none()),
+        st.tuples(st.just("ack_now"), st.none()),
+        st.tuples(st.just("schedule_ack"), st.integers(1, 3)),
+        st.tuples(st.just("retransmit_head"), st.none()),
+        st.tuples(st.just("go_back_n"), st.none()),
+    ),
+    max_size=40,
+)
+
+
+def _apply(op, arg, conn, clock):
+    if op == "write":
+        conn.app_write(PatternBytes(arg, conn.send_buffer.tail_offset, 3))
+    elif op == "receive":
+        conn.inject_receive_data(conn.rcv_nxt, PatternBytes(arg, conn.rcv_offset(conn.rcv_nxt), 3))
+    elif op == "read":
+        conn.app_read(arg)
+    elif op == "peer_window":
+        conn.snd_wnd = arg
+    elif op == "tick":
+        # Microseconds, and at most 20 ms over a whole example: time moves
+        # (so the send timestamps differ) but no timer of the twin is due.
+        clock.now += arg * 1e-6
+    elif op == "try_output":
+        conn.try_output()
+    elif op == "ack_now":
+        conn.ack_now()
+    elif op == "schedule_ack":
+        conn.output.schedule_ack(arg)
+    elif op == "retransmit_head":
+        conn.retransmit.retransmit_head()
+    else:
+        conn.retransmit.force_go_back_n()
+
+
+def _output_bookkeeping(conn):
+    output = conn.output
+    return (
+        conn.snd_nxt, conn.snd_max, conn.retransmissions,
+        output.segments_since_ack, output.ack_scheduled,
+        output.last_advertised_window, output.last_data_send_time,
+    )
+
+
+class TestOutputInhibition:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_INHIBITION_OPS)
+    def test_inhibited_twin_keeps_the_bookkeeping_and_builds_nothing(self, ops):
+        sender, sender_layer, sender_clock = make_conn()
+        shadow, shadow_layer, shadow_clock = make_conn()
+        establish(sender)
+        establish(shadow)
+        shadow.output_inhibited = True
+        for op, arg in ops:
+            _apply(op, arg, sender, sender_clock)
+            _apply(op, arg, shadow, shadow_clock)
+            assert _output_bookkeeping(shadow) == _output_bookkeeping(sender), op
+            # The delayed ACK is owed on both; only the sender arms a
+            # timer for it, and the shadow arms none that would transmit.
+            assert sender.output.delack_timer.running == sender.output.ack_scheduled
+            assert not shadow.output.delack_timer.running
+            assert not shadow.retransmit.rto_timer.running
+            assert not shadow.retransmit.persist_timer.running
+        assert shadow_layer.sent == [] and shadow.segments_sent == 0
+        assert shadow.output._template is None  # no segment was ever built
+        assert sender.segments_sent == len(sender_layer.sent)

@@ -4,7 +4,9 @@
 Counts every :mod:`repro.util.bytespan` span a run constructs, by type,
 size bucket and the function that asked for it.  The buckets are cut
 where DESIGN §13 rule 5 draws its line: one request record, one MSS.  A
-``CatBytes`` below an MSS is a record that should have been flat.
+``CatBytes`` below an MSS is a record that should have been flat.  The
+last line counts the TCP segments built on an output-inhibited
+connection (a shadow): DESIGN §13 rule 6 says there are none.
 
 Usage::
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from typing import Any, Tuple
+from typing import Any, List, Tuple
 
 from repro.apps import workload as workloads
 from repro.apps.protocol import REQUEST_SIZE
@@ -26,6 +28,8 @@ from repro.harness.experiments.cluster import resolve_scenario
 from repro.harness.runner import run_workload
 from repro.sttcp.config import STTCPConfig
 from repro.tcp.constants import DEFAULT_MSS
+from repro.tcp.segment import SegmentTemplate, TCPSegment
+from repro.tcp.tcb import TCPConnection
 from repro.util import bytespan
 
 BUCKETS = (  # (largest length, label); anything longer is MSS_OR_MORE
@@ -52,26 +56,57 @@ def _count_constructions(cls: type, census: Counter) -> None:
     cls.__init__ = counted  # type: ignore[method-assign]
 
 
-def take_census(name: str) -> Tuple[Counter, str]:
-    """Run ``name`` counting every span built: ((type, bucket, where) -> n, summary)."""
+def _count_inhibited_builds(built: List[int]) -> None:
+    """Count in ``built[0]`` the segments a TCB builds while output-inhibited.
+
+    A TCB builds in ``OutputEngine.emit`` (a template build) and in
+    ``send_rst_for`` (a checked construction); both hold it as ``conn``.
+    """
+
+    def note_building_tcb() -> None:
+        conn = sys._getframe(2).f_locals.get("conn")
+        if isinstance(conn, TCPConnection) and conn.output_inhibited:
+            built[0] += 1
+
+    build, construct = SegmentTemplate.build, TCPSegment.__init__
+
+    def counted_build(self: Any, *args: Any, **kwargs: Any) -> TCPSegment:
+        note_building_tcb()
+        return build(self, *args, **kwargs)
+
+    def counted_construct(self: Any, *args: Any, **kwargs: Any) -> None:
+        note_building_tcb()
+        construct(self, *args, **kwargs)
+
+    SegmentTemplate.build = counted_build  # type: ignore[method-assign]
+    TCPSegment.__init__ = counted_construct  # type: ignore[method-assign]
+
+
+def take_census(name: str) -> Tuple[Counter, int, str]:
+    """Run ``name`` counting every span built: ((type, bucket, where) -> n,
+    segments built on an output-inhibited connection, summary)."""
     census: Counter = Counter()
     for cls in (bytespan.RealBytes, bytespan.PatternBytes, bytespan.CatBytes):
         _count_constructions(cls, census)
+    inhibited = [0]
+    _count_inhibited_builds(inhibited)
     make = getattr(workloads, f"{name}_workload", None)
     if make is not None:
         run = run_workload(make(), sttcp=STTCPConfig(), seed=7)
         run.require_clean()
-        return census, f"{name} on the hub pair, {run.scenario.sim.now:.3f} s simulated"
+        return census, inhibited[0], f"{name} on the hub pair, {run.scenario.sim.now:.3f} s simulated"
     record = ClusterRun(resolve_scenario(name)).execute()
-    return census, f"cluster scenario '{record['scenario']}', ok={record['ok']}"
+    return census, inhibited[0], f"cluster scenario '{record['scenario']}', ok={record['ok']}"
 
 
-def format_census(census: Counter, summary: str) -> str:
+def format_census(census: Counter, inhibited: int, summary: str) -> str:
     lines = [summary, f"  {'type':<14}{'bytes':<18}{'spans':>9}  constructed in"]
     for (kind, bucket, where), count in sorted(census.items(), key=lambda row: (row[0][:2], -row[1])):
         lines.append(f"  {kind:<14}{bucket:<18}{count:>9}  {where}")
     short = sum(n for (kind, bucket, _), n in census.items() if kind == "CatBytes" and bucket != MSS_OR_MORE)
-    return "\n".join(lines + [f"  CatBytes shorter than one MSS: {short}"])
+    lines.append(f"  CatBytes shorter than one MSS: {short}")
+    lines.append(f"  segments built on an output-inhibited connection: {inhibited}")
+    return "\n".join(lines)
 
 
 if __name__ == "__main__":
