@@ -25,9 +25,15 @@ _datagram_ids = itertools.count(1)
 
 
 class IPDatagram:
-    """An IPv4 datagram in flight."""
+    """An IPv4 datagram in flight.
 
-    __slots__ = ("src", "dst", "protocol", "payload", "payload_size", "ttl", "datagram_id")
+    Immutable once built: ``size``, the total including the IPv4 header,
+    is set beside ``payload_size`` at construction (DESIGN §13 rule 1).
+    """
+
+    __slots__ = (
+        "src", "dst", "protocol", "payload", "payload_size", "size", "ttl", "datagram_id",
+    )
 
     def __init__(
         self,
@@ -45,13 +51,9 @@ class IPDatagram:
         self.protocol = protocol
         self.payload = payload
         self.payload_size = payload_size
+        self.size = IP_HEADER_SIZE + payload_size
         self.ttl = ttl
         self.datagram_id = next(_datagram_ids)
-
-    @property
-    def size(self) -> int:
-        """Total datagram size including the IPv4 header."""
-        return IP_HEADER_SIZE + self.payload_size
 
     def decremented(self) -> "IPDatagram":
         """A copy with TTL reduced by one (used when forwarding)."""

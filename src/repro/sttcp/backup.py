@@ -38,7 +38,7 @@ from repro.sttcp.messages import (
 )
 from repro.sttcp.power_switch import PowerSwitch
 from repro.sttcp.shadow import ShadowExtension
-from repro.tcp.constants import FLAG_ACK, TCPState
+from repro.tcp.constants import FLAG_ACK, FLAG_SYN, SYNCHRONIZED_STATES, TCPState
 from repro.tcp.segment import TCPSegment
 from repro.tcp.seqspace import unwrap, wrap
 from repro.tcp.tcb import TCPConnection
@@ -270,7 +270,7 @@ class STTCPBackup:
         if self.role is not ROLE_PASSIVE:
             return
         tcb = state.tcb
-        if not state.converged and state.ext.isn_rebased and tcb.is_synchronized:
+        if not state.converged and state.ext.isn_rebased and tcb.state in SYNCHRONIZED_STATES:
             self._note_converged(state)
         # The local stream moved: it may have caught up with the primary.
         self._index.reconcile_gap(state)
@@ -307,7 +307,7 @@ class STTCPBackup:
         sync_time = self.config.effective_sync_time()
         now = self.sim.now
         for state in self._index.ack_due(now, sync_time):
-            if state.tcb.is_synchronized:
+            if state.tcb.state in SYNCHRONIZED_STATES:
                 self._send_backup_ack(state)  # re-enqueues via note_acked
             else:
                 self._index.requeue_unready(state)
@@ -346,18 +346,20 @@ class STTCPBackup:
         segment: TCPSegment = datagram.payload
         if segment.src_port != self.service_port:
             return
+        flags = segment.flags
+        synack = (flags & (FLAG_SYN | FLAG_ACK)) == (FLAG_SYN | FLAG_ACK)
         state = self._connections.get(conn_key(datagram.dst, segment.dst_port))
         if state is None:
-            if segment.is_syn and segment.is_ack:
+            if synack:
                 state = self._adopt_missed_connection(datagram.dst, segment)
             if state is None:
                 return
         tcb = state.tcb
-        if segment.is_syn and segment.is_ack and not state.ext.isn_rebased:
+        if synack and not state.ext.isn_rebased:
             # The primary's SYN/ACK reveals its ISN directly (§4.1) — the
             # robust sync source when the tap lost the client's handshake.
             state.ext.learn_primary_isn(tcb, segment.seq)
-        if segment.is_ack:
+        if flags & FLAG_ACK:
             # The ACK field tracks the *client's* stream, which the shadow
             # anchors from the tapped SYN — valid even before ISN rebase.
             primary_rcv = unwrap(segment.ack, tcb.rcv_nxt)
@@ -667,7 +669,7 @@ class STTCPBackup:
         # be queried, so O(all) is inherent here (unlike the per-segment
         # and per-tick paths, which go through the indexes).
         for key, state in list(self._connections.items()):
-            if state.tcb.is_synchronized:
+            if state.tcb.state in SYNCHRONIZED_STATES:
                 start = wrap(state.tcb.rcv_nxt)
                 queries.append((key, start, start))  # start == stop: to end
         self.logger_client.recover(
@@ -724,7 +726,7 @@ class STTCPBackup:
         # over can close it, and the close observer mutates the dict).
         adoptable: List[_ShadowConnState] = []
         for key, state in list(self._connections.items()):
-            if state.tcb.is_synchronized and not state.ext.isn_rebased:
+            if state.tcb.state in SYNCHRONIZED_STATES and not state.ext.isn_rebased:
                 # The send-stream anchor was never learned: this
                 # connection cannot be continued faithfully (§3.2-style
                 # incomplete communication state).

@@ -37,6 +37,7 @@ from repro.sttcp.messages import (
 )
 from repro.sttcp.retention import SecondReceiveBuffer
 from repro.sttcp.shadow import ShadowExtension
+from repro.tcp.constants import SYNCHRONIZED_STATES
 from repro.tcp.seqspace import unwrap, wrap
 from repro.tcp.tcb import TCPConnection
 from repro.tcp.timers import RestartableTimer
@@ -208,7 +209,7 @@ class STTCPPrimary:
         """Attach retention to a live connection (a promoted backup's
         former shadow): the second buffer starts at the connection's
         current read position."""
-        if not tcb.is_synchronized:
+        if tcb.state not in SYNCHRONIZED_STATES:
             return
         capacity = self.config.second_buffer_size or tcb.config.rcv_buffer
         retention = SecondReceiveBuffer(capacity)
@@ -270,7 +271,7 @@ class STTCPPrimary:
             if offset > previous:
                 state.acked_by[source.value] = offset
             freed = self._release_retained(state)
-            if freed and tcb.is_synchronized:
+            if freed and tcb.state in SYNCHRONIZED_STATES:
                 # Window may have been pinched by retention overflow;
                 # releasing bytes can reopen it.
                 tcb.output.maybe_send_window_update(0)
@@ -442,14 +443,14 @@ class STTCPPrimary:
             # Survivors may have acked further than the dead backup did.
             for state in self._connections.values():
                 freed = self._release_retained(state)
-                if freed and state.tcb.is_synchronized:
+                if freed and state.tcb.state in SYNCHRONIZED_STATES:
                     state.tcb.output.maybe_send_window_update(0)
             return
         self.fault_tolerant = False
         self.backup_failed_at = self.sim.now
         for state in self._connections.values():
             state.retention.disable()
-            if state.tcb.is_synchronized:
+            if state.tcb.state in SYNCHRONIZED_STATES:
                 state.tcb.output.maybe_send_window_update(0)
         self._hb_timer.stop()
         if self.sim.trace.enabled_for("sttcp"):

@@ -62,5 +62,13 @@ class TCPConfig:
             raise ValueError(
                 f"bad RTO bounds [{self.rto_min}, {self.rto_max}]"
             )
+        if self.rto_initial <= 0:
+            raise ValueError(f"rto_initial must be positive, got {self.rto_initial}")
         if self.delack_segments < 1:
             raise ValueError("delack_segments must be >= 1")
+        # A negative delay would move the clock backwards: timers arm
+        # through ``call_later``, which trusts its callers on the sign.
+        for name in ("delack_timeout", "time_wait", "max_retransmits", "max_syn_retransmits"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")

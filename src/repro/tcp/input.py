@@ -15,7 +15,14 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ConnectionRefused, ConnectionReset
 from repro.tcp.congestion import DUPACK_THRESHOLD
-from repro.tcp.constants import FLAG_ACK, FLAG_RST, PERSIST_TIMEOUT_MIN, TCPState
+from repro.tcp.constants import (
+    FLAG_ACK,
+    FLAG_FIN,
+    FLAG_RST,
+    FLAG_SYN,
+    PERSIST_TIMEOUT_MIN,
+    TCPState,
+)
 from repro.tcp.segment import TCPSegment
 from repro.tcp.seqspace import unwrap
 
@@ -53,7 +60,8 @@ class InputEngine:
         """Process one inbound (or tapped/injected) segment."""
         conn = self.conn
         conn.segments_received += 1
-        if conn.sim.trace.enabled_for("tcp"):
+        trace = conn.sim.trace
+        if trace.enabled and trace.enabled_for("tcp"):
             conn.trace_event("recv", seg=segment)
         if segment.ts_val is not None and conn.use_timestamps:
             conn.last_ts_recv = segment.ts_val
@@ -75,17 +83,18 @@ class InputEngine:
     # -- SYN_SENT ------------------------------------------------------------
     def _segment_in_syn_sent(self, segment: TCPSegment) -> None:
         conn = self.conn
-        ack_abs = unwrap(segment.ack, conn.snd_nxt) if segment.is_ack else None
+        flags = segment.flags
+        ack_abs = unwrap(segment.ack, conn.snd_nxt) if flags & FLAG_ACK else None
         ack_acceptable = ack_abs is not None and conn.snd_una < ack_abs <= conn.snd_nxt
-        if segment.is_ack and not ack_acceptable:
-            if not segment.is_rst:
+        if flags & FLAG_ACK and not ack_acceptable:
+            if not flags & FLAG_RST:
                 conn.output.send_rst_for(segment)
             return
-        if segment.is_rst:
+        if flags & FLAG_RST:
             if ack_acceptable:
                 conn._enter_closed(ConnectionRefused("connection refused"))
             return
-        if not segment.is_syn:
+        if not flags & FLAG_SYN:
             return
         conn.irs = segment.seq
         conn.rcv_nxt = conn.irs + 1
@@ -106,10 +115,10 @@ class InputEngine:
             conn.trace_event("established")
             conn.end_span("handshake", conn._handshake_sid)
             conn._handshake_sid = None
-            conn.ack_now()
+            conn.output.ack_now()
             if conn.on_established is not None:
                 conn.on_established()
-            conn.try_output()
+            conn.output.try_output()
         else:
             # Simultaneous open.
             conn.set_state(TCPState.SYN_RCVD)
@@ -119,33 +128,37 @@ class InputEngine:
     # -- everything else -----------------------------------------------------
     def _segment_in_general(self, segment: TCPSegment) -> None:
         conn = self.conn
+        flags = segment.flags
         seq_abs = unwrap(segment.seq, conn.rcv_nxt)
-        seg_len = segment.sequence_space_length
+        seg_len = segment.payload_length
+        if flags & (FLAG_SYN | FLAG_FIN):
+            seg_len = segment.sequence_space_length
         if not self._sequence_acceptable(seq_abs, seg_len):
-            if not segment.is_rst:
+            if not flags & FLAG_RST:
                 # Duplicate or out-of-window: re-ACK our current state
                 # (rate-limited so two confused peers cannot loop).
                 self.challenge_ack()
             return
-        if segment.is_rst:
+        if flags & FLAG_RST:
             conn._enter_closed(ConnectionReset("connection reset by peer"))
             return
-        if segment.is_syn and conn.state is TCPState.SYN_RCVD and seq_abs == conn.irs:
-            # Retransmitted SYN: re-send our SYN/ACK.
-            conn.output.send_syn(with_ack=True)
-            return
-        if segment.is_syn and seq_abs >= conn.rcv_nxt:
-            # SYN inside the window is a protocol violation.
-            conn.output.emit(FLAG_RST | FLAG_ACK, conn.snd_nxt)
-            conn._enter_closed(ConnectionReset("SYN received mid-connection"))
-            return
-        if not segment.is_ack:
+        if flags & FLAG_SYN:
+            if conn.state is TCPState.SYN_RCVD and seq_abs == conn.irs:
+                # Retransmitted SYN: re-send our SYN/ACK.
+                conn.output.send_syn(with_ack=True)
+                return
+            if seq_abs >= conn.rcv_nxt:
+                # SYN inside the window is a protocol violation.
+                conn.output.emit(FLAG_RST | FLAG_ACK, conn.snd_nxt)
+                conn._enter_closed(ConnectionReset("SYN received mid-connection"))
+                return
+        if not flags & FLAG_ACK:
             return
         if not self._process_ack(segment, seq_abs):
             return
         if segment.payload_length > 0:
             self._process_payload(segment, seq_abs)
-        if segment.is_fin:
+        if flags & FLAG_FIN:
             self._process_fin(segment, seq_abs)
 
     def _sequence_acceptable(self, seq_abs: int, seg_len: int) -> bool:
@@ -199,9 +212,8 @@ class InputEngine:
         elif (
             ack_abs == conn.snd_una
             and segment.payload_length == 0
-            and not segment.is_syn
-            and not segment.is_fin
-            and conn.flight_size > 0
+            and not segment.flags & (FLAG_SYN | FLAG_FIN)
+            and conn.snd_max > conn.snd_una
         ):
             self._handle_duplicate_ack()
         # State transitions driven by our FIN being acknowledged.
@@ -229,7 +241,7 @@ class InputEngine:
         retransmit.retransmit_count = 0
         retransmit.rtt.reset_backoff()
         # Release acknowledged payload bytes (exclude SYN/FIN seq space).
-        data_ack_offset = conn.snd_offset(ack_abs)
+        data_ack_offset = ack_abs - conn.iss - 1  # snd_offset, inline
         if conn._fin_seq is not None and ack_abs > conn._fin_seq:
             data_ack_offset = conn.snd_offset(conn._fin_seq)
         if data_ack_offset > conn.send_buffer.una_offset:
@@ -275,7 +287,7 @@ class InputEngine:
         ):
             conn.end_span("retx_burst", conn._retx_sid, retransmissions=conn.retransmissions)
             conn._retx_sid = None
-        conn.try_output()
+        conn.output.try_output()
 
     def _handle_duplicate_ack(self) -> None:
         conn = self.conn
@@ -283,7 +295,7 @@ class InputEngine:
         self.dupacks += 1
         if conn.cc.in_fast_recovery:
             conn.cc.on_dupack_in_recovery()
-            conn.try_output()
+            conn.output.try_output()
             return
         if self.dupacks == DUPACK_THRESHOLD:
             self.fast_recovery_point = conn.snd_max
@@ -313,7 +325,7 @@ class InputEngine:
                 conn.retransmit.persist_timer.stop()
                 conn.retransmit.persist_interval = PERSIST_TIMEOUT_MIN
                 if old_window == 0:
-                    conn.try_output()
+                    conn.output.try_output()
 
     def challenge_ack(self) -> None:
         """Rate-limited ACK answering an unacceptable segment (RFC 5961)."""
@@ -325,19 +337,18 @@ class InputEngine:
         if self._challenge_count >= CHALLENGE_LIMIT:
             return
         self._challenge_count += 1
-        conn.ack_now()
+        conn.output.ack_now()
 
     # -- payload -------------------------------------------------------------
     def _process_payload(self, segment: TCPSegment, seq_abs: int) -> None:
         conn = self.conn
-        offset = conn.rcv_offset(seq_abs)
+        offset = seq_abs - conn.irs - 1  # rcv_offset, inline
         before = conn.rcv_nxt
         advanced = conn.recv_buffer.insert(offset, segment.payload)
         conn.bytes_received += segment.payload_length
         if advanced > 0:
             conn.rcv_nxt += advanced
-            full_segments = max(1, advanced // conn.mss)
-            conn.output.schedule_ack(full_segments)
+            conn.output.schedule_ack(advanced // conn.mss or 1)
             if conn.on_rcv_advance is not None:
                 conn.on_rcv_advance(conn.rcv_nxt)
             if conn.on_readable is not None:
@@ -345,11 +356,11 @@ class InputEngine:
         else:
             # Out-of-order or duplicate: immediate ACK to feed the sender's
             # fast-retransmit machinery.
-            conn.ack_now()
+            conn.output.ack_now()
             return
         if conn.recv_buffer.out_of_order_bytes > 0 and conn.rcv_nxt > before:
             # Filled part of a hole but more reordering remains: ACK now.
-            conn.ack_now()
+            conn.output.ack_now()
 
     # -- FIN -----------------------------------------------------------------
     def _process_fin(self, segment: TCPSegment, seq_abs: int) -> None:
@@ -358,11 +369,11 @@ class InputEngine:
         if fin_seq != conn.rcv_nxt:
             return  # FIN beyond a hole; wait for retransmission
         if conn._fin_received:
-            conn.ack_now()
+            conn.output.ack_now()
             return
         conn._fin_received = True
         conn.rcv_nxt += 1
-        conn.ack_now()
+        conn.output.ack_now()
         if conn.on_readable is not None:
             conn.on_readable()  # wake readers so they observe EOF
         if conn.state is TCPState.ESTABLISHED:

@@ -17,7 +17,7 @@ from repro.ip.datagram import PROTO_TCP, IPDatagram
 from repro.net.addresses import IPAddress
 from repro.net.nic import NIC
 from repro.tcp.config import TCPConfig
-from repro.tcp.constants import FLAG_SYN, SEQ_MASK
+from repro.tcp.constants import FLAG_ACK, FLAG_RST, FLAG_SYN, SEQ_MASK
 from repro.tcp.listener import TCPListener
 from repro.tcp.segment import TCPSegment, make_rst
 from repro.tcp.socket import TCPSocket
@@ -205,7 +205,8 @@ class TCPLayer:
             self._c_segments_demuxed.value += 1
             tcb.on_segment(segment)
             return
-        if segment.is_syn and not segment.is_ack:
+        flags = segment.flags
+        if (flags & (FLAG_SYN | FLAG_ACK)) == FLAG_SYN:
             listener = self._find_listener(datagram.dst, segment.dst_port)
             if listener is not None:
                 if listener.may_accept_syn():
@@ -214,11 +215,11 @@ class TCPLayer:
                 # A listener is bound but refused (backlog full): not the
                 # same failure as a segment with no endpoint at all.
                 self._c_syns_deflected.value += 1
-                if self.reset_on_unmatched and not segment.is_rst:
+                if self.reset_on_unmatched and not flags & FLAG_RST:
                     self._send_unmatched_rst(datagram, segment)
                 return
         self._c_segments_unmatched.value += 1
-        if self.reset_on_unmatched and not segment.is_rst:
+        if self.reset_on_unmatched and not flags & FLAG_RST:
             self._send_unmatched_rst(datagram, segment)
 
     def _passive_open(
@@ -276,7 +277,7 @@ class TCPLayer:
         return self.find_connection(local_ip, local_port, remote_ip, remote_port)
 
     def _send_unmatched_rst(self, datagram: IPDatagram, segment: TCPSegment) -> None:
-        if segment.is_ack:
+        if segment.flags & FLAG_ACK:
             rst = make_rst(segment.dst_port, segment.src_port, segment.ack, 0, False)
         else:
             answer = (segment.seq + segment.sequence_space_length) & SEQ_MASK

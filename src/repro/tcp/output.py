@@ -72,52 +72,62 @@ class OutputEngine:
 
     # -- the sender-side window walk -----------------------------------------
     def try_output(self) -> None:
-        """Send whatever the windows currently allow."""
+        """Send whatever the windows currently allow.
+
+        The congestion window, the stream origin ``iss + 1`` and the send
+        tail are read once per call (DESIGN §13 rule 7); sequence state is
+        read afresh around every ``emit``.
+        """
         conn = self.conn
         if conn.state not in _OUTPUT_STATES:
             return
         if (
             self.last_data_send_time is not None
-            and conn.flight_size == 0
+            and conn.snd_max == conn.snd_una
             and conn.sim.now - self.last_data_send_time > conn.retransmit.rtt.rto
         ):
             # Idle longer than an RTO: restart from the initial window
             # (RFC 2861, as Linux does).
             conn.cc.restart_after_idle()
-        usable_window = min(conn.snd_wnd, conn.cc.window())
+        cwnd = conn.cc.window()
+        usable_window = conn.snd_wnd if conn.snd_wnd < cwnd else cwnd
+        origin = conn.iss + 1
         tail = conn.send_buffer.tail_offset
         sent_something = False
         while True:
             in_flight = conn.snd_nxt - conn.snd_una
             window_left = usable_window - in_flight
-            next_offset = conn.snd_offset(conn.snd_nxt)
+            next_offset = conn.snd_nxt - origin
             available = tail - next_offset
             if available > 0 and window_left > 0:
-                chunk = min(conn.mss, available, window_left)
+                mss = conn.mss
+                chunk = available if available < mss else mss
+                if window_left < chunk:
+                    chunk = window_left
                 if (
                     conn.config.nagle
-                    and chunk < conn.mss
+                    and chunk < mss
                     and in_flight > 0
                     and not conn._fin_pending
                 ):
                     break
-                flags = FLAG_ACK
+                at_tail = next_offset + chunk == tail
                 fin_now = (
                     conn._fin_pending
                     and not conn._fin_sent
-                    and next_offset + chunk == tail
+                    and at_tail
                     and window_left > chunk
                 )
+                flags = (FLAG_ACK | FLAG_PSH) if at_tail else FLAG_ACK
                 if fin_now:
                     flags |= FLAG_FIN
-                if next_offset + chunk == tail:
-                    flags |= FLAG_PSH
                 self.emit(flags, conn.snd_nxt, chunk)
                 conn.snd_nxt += chunk
                 if fin_now:
                     self._note_fin_sent(conn.snd_nxt)
                     conn.snd_nxt += 1
-                conn.snd_max = max(conn.snd_max, conn.snd_nxt)
+                if conn.snd_nxt > conn.snd_max:
+                    conn.snd_max = conn.snd_nxt
                 if conn.retransmit.timing is None and not conn.output_inhibited:
                     conn.retransmit.timing = (conn.snd_nxt, conn.sim.now)
                 conn.retransmit.arm_rto_if_idle()
@@ -142,8 +152,8 @@ class OutputEngine:
         if (
             not sent_something
             and conn.snd_wnd == 0
-            and conn.send_buffer.tail_offset > conn.snd_offset(conn.snd_nxt)
-            and conn.flight_size == 0
+            and tail > conn.snd_nxt - origin
+            and conn.snd_max == conn.snd_una
         ):
             conn.retransmit.arm_persist()
         hooks = conn._ext_after_output
@@ -180,15 +190,17 @@ class OutputEngine:
         window = conn.recv_buffer.window()
         if flags & FLAG_ACK:
             self.segments_since_ack = 0
-            self.ack_scheduled = False
-            self.delack_timer.stop()
+            if self.ack_scheduled:
+                # The delayed-ACK timer runs only while an ACK is owed.
+                self.ack_scheduled = False
+                self.delack_timer.stop()
             self.last_advertised_window = window
         if length or flags & (FLAG_SYN | FLAG_FIN):
             self.last_data_send_time = conn.sim.now
         if conn.output_inhibited:
             return
         if length:
-            start = conn.snd_offset(seq_abs)
+            start = seq_abs - conn.iss - 1  # snd_offset, inline
             payload = conn.send_buffer.data_range(start, start + length)
         else:
             payload = EMPTY
@@ -205,7 +217,7 @@ class OutputEngine:
                 wrap(seq_abs),
                 wrap(conn.rcv_nxt) if flags & FLAG_ACK else 0,
                 flags,
-                min(window, 0xFFFF),
+                window if window < 0xFFFF else 0xFFFF,
                 payload,
                 mss_option=mss_option,
                 ts_val=ts_val,
@@ -223,7 +235,8 @@ class OutputEngine:
                     return
         conn.segments_sent += 1
         conn.bytes_sent += segment.payload_length
-        if conn.sim.trace.enabled_for("tcp"):
+        trace = conn.sim.trace
+        if trace.enabled and trace.enabled_for("tcp"):
             conn.trace_event("send", seg=segment)
         conn.layer.send_segment(conn, segment)
 
@@ -231,7 +244,7 @@ class OutputEngine:
         conn = self.conn
         if conn.output_inhibited:
             return
-        if segment.is_ack:
+        if segment.flags & FLAG_ACK:
             rst = TCPSegment(
                 conn.local_port, conn.remote_port, segment.ack, 0, FLAG_RST, 0
             )

@@ -158,7 +158,7 @@ class RetransmitEngine:
             return
         if conn.snd_wnd > 0:
             self.persist_interval = PERSIST_TIMEOUT_MIN
-            conn.try_output()
+            conn.output.try_output()
             return
         # Send a one-byte window probe if data is waiting.  The probe is
         # a real data byte and consumes sequence space: if the receiver's

@@ -26,11 +26,11 @@ GRANULARITY = 0.001
 
 
 class RTTEstimator:
-    """Tracks SRTT/RTTVAR and derives the current RTO."""
+    """Tracks SRTT/RTTVAR and keeps the current RTO."""
 
     __slots__ = (
         "rto_min", "rto_max", "srtt", "rttvar",
-        "has_sample", "_base_rto", "backoff_count", "samples_taken",
+        "has_sample", "_base_rto", "backoff_count", "samples_taken", "rto",
     )
 
     def __init__(
@@ -44,19 +44,24 @@ class RTTEstimator:
         self.srtt: float = 0.0
         self.rttvar: float = 0.0
         self.has_sample = False
-        self._base_rto = initial_rto
+        #: The RTO without backoff, already clamped to the bounds.
+        self._base_rto = self._clamped(initial_rto)
         self.backoff_count = 0
         self.samples_taken = 0
+        #: The timeout to arm now, including any backoff in effect: the
+        #: clamped base doubled per consecutive timeout, saturating at
+        #: ``rto_max``.  A field its three writers keep current (DESIGN §13
+        #: rule 7), read on every timer arming.  Backoff doubles the
+        #: *clamped* value, as Linux does: on a LAN the progression is
+        #: exactly 200 ms, 400 ms, 800 ms, … (§6.2).  Doubling is exact in
+        #: binary floating point, so below the cap each value equals
+        #: ``base * 2 ** backoff_count``, and no count overflows.
+        self.rto = self._base_rto
 
-    @property
-    def rto(self) -> float:
-        """The timeout to arm now, including any backoff in effect.
-
-        Backoff doubles the *clamped* value, as Linux does: on a LAN the
-        progression is exactly 200 ms, 400 ms, 800 ms, … (§6.2).
-        """
-        base = min(max(self._base_rto, self.rto_min), self.rto_max)
-        return min(base * (RTO_BACKOFF_FACTOR ** self.backoff_count), self.rto_max)
+    def _clamped(self, rto: float) -> float:
+        if rto < self.rto_min:
+            rto = self.rto_min
+        return rto if rto < self.rto_max else self.rto_max
 
     def on_measurement(self, rtt: float) -> None:
         """Fold a new RTT sample (never from a retransmitted segment —
@@ -71,16 +76,21 @@ class RTTEstimator:
         else:
             self.rttvar = (1 - BETA) * self.rttvar + BETA * abs(self.srtt - rtt)
             self.srtt = (1 - ALPHA) * self.srtt + ALPHA * rtt
-        self._base_rto = self.srtt + max(GRANULARITY, K * self.rttvar)
+        self._base_rto = self._clamped(self.srtt + max(GRANULARITY, K * self.rttvar))
         # A fresh measurement ends any backoff in progress.
         self.backoff_count = 0
+        self.rto = self._base_rto
 
     def on_timeout(self) -> None:
-        """Double the effective RTO (exponential backoff)."""
+        """Double the effective RTO (exponential backoff), up to ``rto_max``."""
         self.backoff_count += 1
+        rto = self.rto * RTO_BACKOFF_FACTOR
+        self.rto = rto if rto < self.rto_max else self.rto_max
 
     def reset_backoff(self) -> None:
-        self.backoff_count = 0
+        if self.backoff_count:
+            self.backoff_count = 0
+            self.rto = self._base_rto
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -27,6 +27,16 @@ TIMESTAMP_OPTION_SIZE = 12
 _segment_ids = itertools.count(1)
 
 
+def _wire_size(payload_length: int, mss_option: Optional[int], ts_val: Optional[float]) -> int:
+    """Header, options and payload of a segment, in bytes."""
+    size = TCP_HEADER_SIZE + payload_length
+    if mss_option is not None:
+        size += MSS_OPTION_SIZE
+    if ts_val is not None:
+        size += TIMESTAMP_OPTION_SIZE
+    return size
+
+
 def _relative(value: int, base: int) -> int:
     """Sequence number relative to ``base``, folded to a signed window."""
     if not base:
@@ -38,8 +48,9 @@ def _relative(value: int, base: int) -> int:
 class TCPSegment:
     """One TCP segment in flight.
 
-    Immutable once built: ``payload_length`` is set beside ``payload`` at
-    construction and never recomputed (DESIGN §13).
+    Immutable once built: ``payload_length`` beside ``payload``, and
+    ``size`` (header, options and payload), are set at construction and
+    never recomputed (DESIGN §13 rule 1).
     """
 
     __slots__ = (
@@ -51,6 +62,7 @@ class TCPSegment:
         "window",
         "payload",
         "payload_length",
+        "size",
         "mss_option",
         "ts_val",
         "ts_ecr",
@@ -84,12 +96,15 @@ class TCPSegment:
         self.window = min(window, 0xFFFF)
         self.payload = payload
         self.payload_length = payload.length
+        self.size = _wire_size(payload.length, mss_option, ts_val)
         self.mss_option = mss_option
         self.ts_val = ts_val
         self.ts_ecr = ts_ecr
         self.segment_id = next(_segment_ids)
 
     # Flag accessors ------------------------------------------------------------
+    # For drills, tests and cold code: the per-segment path tests ``flags``
+    # against the FLAG_* bits (DESIGN §13 rule 7).
     @property
     def is_syn(self) -> bool:
         return bool(self.flags & FLAG_SYN)
@@ -111,19 +126,6 @@ class TCPSegment:
         return bool(self.flags & FLAG_PSH)
 
     # Sizing ----------------------------------------------------------------------
-    @property
-    def header_size(self) -> int:
-        size = TCP_HEADER_SIZE
-        if self.mss_option is not None:
-            size += MSS_OPTION_SIZE
-        if self.ts_val is not None:
-            size += TIMESTAMP_OPTION_SIZE
-        return size
-
-    @property
-    def size(self) -> int:
-        return self.header_size + self.payload_length
-
     @property
     def sequence_space_length(self) -> int:
         """Bytes of sequence space consumed: payload plus SYN/FIN flags."""
@@ -208,7 +210,15 @@ class SegmentTemplate:
         segment.flags = flags
         segment.window = window
         segment.payload = payload
-        segment.payload_length = payload.length
+        length = payload.length
+        segment.payload_length = length
+        # ``_wire_size``, inline: this runs once per segment sent.
+        size = TCP_HEADER_SIZE + length
+        if mss_option is not None:
+            size += MSS_OPTION_SIZE
+        if ts_val is not None:
+            size += TIMESTAMP_OPTION_SIZE
+        segment.size = size
         segment.mss_option = mss_option
         segment.ts_val = ts_val
         segment.ts_ecr = ts_ecr

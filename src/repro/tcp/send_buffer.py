@@ -19,24 +19,25 @@ from repro.util.spanbuffer import SpanBuffer
 class SendBuffer:
     """Bytes between ``snd_una`` (head) and the last byte the app wrote."""
 
-    __slots__ = ("capacity", "_data")
+    __slots__ = ("capacity", "_data", "tail_offset")
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError(f"send buffer capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._data = SpanBuffer()
+        #: Offset one past the last byte the application has written: the
+        #: send stream's tail, read by every output pass.  A field that
+        #: :meth:`append` and :meth:`fast_forward` keep equal to
+        #: ``SpanBuffer.tail_offset`` (DESIGN §13 rules 2 and 7); releasing
+        #: acknowledged bytes moves the head, never the tail.
+        self.tail_offset = 0
 
     # Occupancy -----------------------------------------------------------------
     @property
     def una_offset(self) -> int:
         """Offset of the oldest unacknowledged byte."""
         return self._data.head_offset
-
-    @property
-    def tail_offset(self) -> int:
-        """Offset one past the last byte the application has written."""
-        return self._data.tail_offset
 
     @property
     def free_space(self) -> int:
@@ -60,6 +61,7 @@ class SendBuffer:
         # descends into a nested span.
         for part in span.parts if isinstance(span, CatBytes) else (span,):
             self._data.append(part)
+        self.tail_offset += accepted
         return accepted
 
     def ack_to(self, offset: int) -> int:
@@ -81,3 +83,4 @@ class SendBuffer:
         the previous endpoint; this one never carries them.
         """
         self._data.seek(offset)
+        self.tail_offset = offset

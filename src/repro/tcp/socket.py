@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import ConnectionClosed
 from repro.sim.events import SimEvent
-from repro.tcp.constants import TCPState
+from repro.tcp.constants import SYNCHRONIZED_STATES, TCPState
 from repro.tcp.tcb import TCPConnection
 from repro.util.bytespan import EMPTY, ByteSpan, as_span, concat
 
@@ -79,7 +79,7 @@ class TCPSocket:
         """Succeeds (with this socket) once ESTABLISHED; fails on error."""
         if self._connect_event is None:
             self._connect_event = SimEvent(self.sim, "tcp.connect")
-            if self.connected or self._tcb.is_synchronized:
+            if self._tcb.state in SYNCHRONIZED_STATES:
                 self._connect_event.succeed(self)
             elif self._error is not None:
                 self._connect_event.fail(self._error)

@@ -333,15 +333,15 @@ class TCPConnection:
         if self._fin_pending or self._fin_sent:
             raise ConnectionClosed("write after close")
         accepted = self.send_buffer.append(data)
-        if accepted and self.is_synchronized:
-            self.try_output()
+        if accepted and self.state in SYNCHRONIZED_STATES:
+            self.output.try_output()
         return accepted
 
     def app_read(self, max_bytes: int) -> ByteSpan:
         """Pop up to ``max_bytes`` of received in-order data."""
         before = self.recv_buffer.window()
         span = self.recv_buffer.read(max_bytes)
-        if span.length and self.is_synchronized:
+        if span.length and self.state in SYNCHRONIZED_STATES:
             self.output.maybe_send_window_update(before)
         return span
 
@@ -361,7 +361,7 @@ class TCPConnection:
             self.set_state(TCPState.FIN_WAIT_1)
         elif self.state is TCPState.CLOSE_WAIT:
             self.set_state(TCPState.LAST_ACK)
-        self.try_output()
+        self.output.try_output()
 
     def app_abort(self) -> None:
         """Abortive close: emit RST and discard state."""
@@ -370,6 +370,8 @@ class TCPConnection:
         self._enter_closed(ConnectionReset("connection aborted locally"))
 
     # ---------------------------------------------------------- engine facade
+    # For callers outside the engines; the engines and the application
+    # entry points above call ``self.output`` directly (DESIGN §13 rule 7).
     def try_output(self) -> None:
         """Send whatever the windows currently allow."""
         self.output.try_output()

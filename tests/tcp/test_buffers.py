@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.tcp.recv_buffer import ReceiveBuffer, RetentionPolicy
 from repro.tcp.send_buffer import SendBuffer
-from repro.util.bytespan import PatternBytes, RealBytes
+from repro.util.bytespan import PatternBytes, RealBytes, concat
 
 
 # ---------------------------------------------------------------- send buffer
@@ -38,6 +38,25 @@ def test_send_buffer_data_range_for_retransmit():
 def test_send_buffer_capacity_validated():
     with pytest.raises(ValueError):
         SendBuffer(0)
+
+
+@given(st.data())
+def test_prop_send_tail_matches_head_plus_length_after_every_step(data):
+    """``tail_offset`` is a field its writers keep current; after every
+    append (whole, partial, refused, a concatenation), release and
+    fast-forward it equals the from-scratch ``una_offset + len``."""
+    buffer = SendBuffer(data.draw(st.integers(1, 200)))
+    for _ in range(data.draw(st.integers(1, 30))):
+        op = data.draw(st.integers(0, 3))
+        if op == 0:
+            buffer.append(PatternBytes(data.draw(st.integers(1, 120)), buffer.tail_offset, 3))
+        elif op == 1:
+            buffer.append(concat([RealBytes(b"ab"), PatternBytes(data.draw(st.integers(1, 50)), 0, 3)]))
+        elif op == 2:
+            buffer.ack_to(data.draw(st.integers(0, buffer.tail_offset + 10)))
+        elif len(buffer) == 0:
+            buffer.fast_forward(buffer.tail_offset + data.draw(st.integers(0, 1000)))
+        assert buffer.tail_offset == buffer.una_offset + len(buffer)
 
 
 # ----------------------------------------------------------------- recv buffer

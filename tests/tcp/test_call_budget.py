@@ -2,12 +2,15 @@
 
 Counts, not timings: the number of Python and builtin calls one run makes
 is exact for a given interpreter, so this cannot flake on a noisy runner.
-It fails the day someone reintroduces a per-segment re-sum, ``len()`` walk
-or unguarded observer call (DESIGN §13).  The full ledger — per layer,
-four workloads — is ``bench/run.py``; this is its tier-1 tripwire.
+It fails the day someone reintroduces a per-segment re-sum, ``len()`` walk,
+unguarded observer call or accessor hop (DESIGN §13), and its message
+names the ten functions with the most calls per segment.  The full
+ledger — per layer, four workloads — is ``bench/run.py``; this is its
+tier-1 tripwire.
 """
 
 import cProfile
+import os
 
 import pytest
 
@@ -17,31 +20,56 @@ from repro.sttcp.config import STTCPConfig
 from repro.util.units import KB
 
 #: Calls per demultiplexed segment.  The tree at the time of writing needs
-#: 141.5 on CPython 3.11 (129.7 for the upload); while the shadow built
-#: and vetoed a segment for every one the primary sent, and a frame took
-#: two extra hops up the stack, it needed 159.4 (140.5); while every RTO /
-#: delayed-ACK re-arm was a cancel and a push, 167; with the timing wheel
-#: about 187; before sizes became fields about 364.  The headroom is a few
-#: per cent: the count is exact, and 3.12 inlines some calls, so it only
-#: reads lower there.
-CALLS_PER_SEGMENT_BUDGET = 155
+#: 115.6 on CPython 3.11 (112.2 for the upload); while per-segment state
+#: was read through accessors — the ``is_*`` flag properties, the RTO
+#: formula, the ``try_output`` facade, ``flight_size``, the two-hop send
+#: tail — it needed 141.5 (129.7); while the shadow built and vetoed a
+#: segment for every one the primary sent, and a frame took two extra hops
+#: up the stack, 159.4 (140.5); while every RTO / delayed-ACK re-arm was a
+#: cancel and a push, 167; with the timing wheel about 187; before sizes
+#: became fields about 364.  The headroom is about 8 per cent: the count
+#: is exact, and 3.12 inlines some calls, so it only reads lower there.
+CALLS_PER_SEGMENT_BUDGET = 125
 #: The small-message path: one 150-byte record per segment, so the fixed
 #: per-exchange work (two app wake-ups, an ack each way) is not amortised
-#: over an MSS.  260.0 now; 276.5 while the shadow built what it vetoed,
-#: 295 with eager timers, 377 while a record was a two-leaf ``CatBytes``
-#: (DESIGN §13 rule 5).
-ECHO_CALLS_PER_SEGMENT_BUDGET = 280
+#: over an MSS.  220.4 now; 260.0 with the accessors, 276.5 while the
+#: shadow built what it vetoed, 295 with eager timers, 377 while a record
+#: was a two-leaf ``CatBytes`` (DESIGN §13 rule 5).
+ECHO_CALLS_PER_SEGMENT_BUDGET = 238
+
+#: Accessors the per-segment path reads as fields instead (DESIGN §13
+#: rule 7), by (module, function name): none may be called at all on a
+#: failure-free bulk transfer.  They stay for drills, tests and cold code.
+PER_SEGMENT_FIELDS = {
+    ("tcp/segment.py", "is_syn"): "TCPSegment.is_syn",
+    ("tcp/segment.py", "is_ack"): "TCPSegment.is_ack",
+    ("tcp/segment.py", "is_fin"): "TCPSegment.is_fin",
+    ("tcp/segment.py", "is_rst"): "TCPSegment.is_rst",
+    ("tcp/segment.py", "size"): "TCPSegment.size",
+    ("ip/datagram.py", "size"): "IPDatagram.size",
+    ("tcp/rtt.py", "rto"): "RTTEstimator.rto",
+    ("tcp/tcb.py", "try_output"): "TCPConnection.try_output",
+    ("tcp/tcb.py", "flight_size"): "TCPConnection.flight_size",
+    ("tcp/tcb.py", "is_synchronized"): "TCPConnection.is_synchronized",
+}
 
 
-@pytest.mark.parametrize(
-    "make_workload, size, budget",
-    [
-        pytest.param(bulk_workload, 512 * KB, CALLS_PER_SEGMENT_BUDGET, id="bulk_workload"),
-        pytest.param(upload_workload, 512 * KB, CALLS_PER_SEGMENT_BUDGET, id="upload_workload"),
-        pytest.param(echo_workload, 500, ECHO_CALLS_PER_SEGMENT_BUDGET, id="echo_workload"),
-    ],
-)
-def test_bulk_transfer_stays_inside_the_call_budget(make_workload, size, budget):
+def _label(code):
+    if isinstance(code, str):  # a builtin
+        return code
+    name = getattr(code, "co_qualname", code.co_name)
+    return f"{os.path.basename(code.co_filename)}:{name}"
+
+
+def _module_key(code):
+    if isinstance(code, str):
+        return None
+    path = code.co_filename.replace(os.sep, "/")
+    head, _, module = path.rpartition("/repro/")
+    return (module, code.co_name) if head else None
+
+
+def _profiled_run(make_workload, size):
     workload = make_workload(size)
     config = STTCPConfig(hb_interval=0.05)
     profiler = cProfile.Profile()
@@ -53,8 +81,34 @@ def test_bulk_transfer_stays_inside_the_call_budget(make_workload, size, budget)
         for name in registry.names()
         if name.endswith(".tcp.segments_demuxed")
     )
-    calls = sum(entry.callcount for entry in profiler.getstats())
+    return profiler.getstats(), segments
+
+
+@pytest.mark.parametrize(
+    "make_workload, size, budget",
+    [
+        pytest.param(bulk_workload, 512 * KB, CALLS_PER_SEGMENT_BUDGET, id="bulk_workload"),
+        pytest.param(upload_workload, 512 * KB, CALLS_PER_SEGMENT_BUDGET, id="upload_workload"),
+        pytest.param(echo_workload, 500, ECHO_CALLS_PER_SEGMENT_BUDGET, id="echo_workload"),
+    ],
+)
+def test_bulk_transfer_stays_inside_the_call_budget(make_workload, size, budget):
+    stats, segments = _profiled_run(make_workload, size)
+    calls = sum(entry.callcount for entry in stats)
     assert segments > 500  # the transfer really ran
+    top = sorted(stats, key=lambda entry: -entry.callcount)[:10]
     assert calls / segments <= budget, (
-        f"{calls} calls for {segments} segments = {calls / segments:.1f} per segment"
+        f"{calls} calls for {segments} segments = {calls / segments:.1f} per segment; "
+        "most calls per segment:\n"
+        + "\n".join(f"  {e.callcount / segments:7.2f}  {_label(e.code)}" for e in top)
     )
+
+
+def test_bulk_transfer_reads_per_segment_state_as_fields():
+    stats, _ = _profiled_run(bulk_workload, 512 * KB)
+    called = {
+        PER_SEGMENT_FIELDS[key]: entry.callcount
+        for entry in stats
+        if (key := _module_key(entry.code)) in PER_SEGMENT_FIELDS
+    }
+    assert called == {}, f"accessors back on the per-segment path: {called}"

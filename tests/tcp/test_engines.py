@@ -45,6 +45,8 @@ class _Handle:
 
 
 class _NoTrace:
+    enabled = False
+
     @staticmethod
     def enabled_for(_category):
         return False
@@ -600,6 +602,10 @@ class TestOutputInhibition:
             assert _output_bookkeeping(shadow) == _output_bookkeeping(sender), op
             # The delayed ACK is owed on both; only the sender arms a
             # timer for it, and the shadow arms none that would transmit.
+            # The timer runs only while an ACK is scheduled: ``emit``
+            # stops it only then (DESIGN §13 rule 7).
+            for conn in (sender, shadow):
+                assert conn.output.ack_scheduled or not conn.output.delack_timer.running
             assert sender.output.delack_timer.running == sender.output.ack_scheduled
             assert not shadow.output.delack_timer.running
             assert not shadow.retransmit.rto_timer.running

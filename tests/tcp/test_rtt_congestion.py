@@ -1,13 +1,17 @@
-"""Tests for the RTO estimator and Reno congestion control."""
+"""Tests for the RTO estimator, Reno congestion control and the
+timer bounds ``TCPConfig`` enforces."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.tcp.config import TCPConfig
 from repro.tcp.congestion import (
     DUPACK_THRESHOLD,
     RenoCongestionControl,
     initial_window,
 )
-from repro.tcp.rtt import RTTEstimator
+from repro.tcp.rtt import GRANULARITY, K, RTTEstimator
 
 MSS = 1460
 
@@ -66,6 +70,65 @@ def test_new_measurement_clears_backoff():
 def test_negative_sample_rejected():
     with pytest.raises(ValueError):
         RTTEstimator().on_measurement(-0.1)
+
+
+def test_backoff_saturates_instead_of_overflowing():
+    # ``base * 2.0 ** count`` raised OverflowError at the 1 024th
+    # consecutive timeout, and max_retransmits has no upper bound.
+    estimator = RTTEstimator()
+    for _ in range(1100):
+        estimator.on_timeout()
+    assert estimator.rto == estimator.rto_max
+    assert estimator.backoff_count == 1100
+
+
+#: Where the oracle's exponent saturates: with the bounds drawn below,
+#: ``rto_min * 2 ** 60`` is far above any ``rto_max``.
+_SATURATED_BACKOFF = 60
+
+
+def _rto_formula(estimator, initial_rto):
+    """The RTO from scratch: the clamped base doubled per backoff step,
+    capped at ``rto_max`` (the formula ``rto`` was before it was a field)."""
+    if estimator.has_sample:
+        base = estimator.srtt + max(GRANULARITY, K * estimator.rttvar)
+    else:
+        base = initial_rto
+    base = min(max(base, estimator.rto_min), estimator.rto_max)
+    exponent = min(estimator.backoff_count, _SATURATED_BACKOFF)
+    return min(base * 2.0 ** exponent, estimator.rto_max)
+
+
+_RTO_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("measure"), st.floats(0.0, 10.0)),
+        st.tuples(st.just("timeout"), st.integers(1, 40)),
+        st.tuples(st.just("reset"), st.none()),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rto_min=st.floats(1e-3, 2.0),
+    span=st.floats(1.0, 1e4),
+    initial_rto=st.floats(1e-4, 1e3),
+    ops=_RTO_OPS,
+)
+def test_cached_rto_equals_the_formula_after_every_step(rto_min, span, initial_rto, ops):
+    estimator = RTTEstimator(rto_min, rto_min * span, initial_rto)
+    assert estimator.rto == _rto_formula(estimator, initial_rto)
+    for op, arg in ops:
+        if op == "measure":
+            estimator.on_measurement(arg)
+        elif op == "timeout":
+            for _ in range(arg):
+                estimator.on_timeout()
+        else:
+            estimator.reset_backoff()
+            assert estimator.backoff_count == 0
+        assert estimator.rto == _rto_formula(estimator, initial_rto), op
 
 
 # ------------------------------------------------------------------ congestion
@@ -160,3 +223,21 @@ def test_restart_skipped_in_fast_recovery():
 def test_mss_validation():
     with pytest.raises(ValueError):
         RenoCongestionControl(0)
+
+
+# -------------------------------------------------------------- config bounds
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("delack_timeout", -0.5),
+        ("time_wait", -1.0),
+        ("max_retransmits", -1),
+        ("max_syn_retransmits", -1),
+        ("rto_initial", 0.0),
+    ],
+)
+def test_config_rejects_values_that_run_the_clock_backwards(field, value):
+    # A negative timer delay reaches ``call_later`` unchecked and fires in
+    # the past; a negative retransmission limit gives up at the first RTO.
+    with pytest.raises(ValueError, match=field):
+        TCPConfig().copy(**{field: value}).validate()

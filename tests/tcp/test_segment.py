@@ -1,13 +1,21 @@
 """The unchecked per-connection segment builder against the checked
-constructor: same fields, same wire bytes, for every in-range input."""
+constructor: same fields, same wire bytes, for every in-range input; and
+the ``size`` fields both builders set against header plus payload."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ip.datagram import IP_HEADER_SIZE, PROTO_TCP, IPDatagram
 from repro.net.addresses import IPAddress
 from repro.net.tcpdump import segment_to_bytes
-from repro.tcp.segment import SegmentTemplate, TCPSegment
+from repro.tcp.constants import TCP_HEADER_SIZE
+from repro.tcp.segment import (
+    MSS_OPTION_SIZE,
+    TIMESTAMP_OPTION_SIZE,
+    SegmentTemplate,
+    TCPSegment,
+)
 from repro.util.bytespan import EMPTY, PatternBytes, RealBytes
 
 _FIELDS = [name for name in TCPSegment.__slots__ if name != "segment_id"]
@@ -48,6 +56,31 @@ def test_template_build_equals_checked_constructor(src_port, dst_port, **fields)
     assert built.summary() == checked.summary()
     src_ip, dst_ip = IPAddress(0x0A000001), IPAddress(0x0A000064)
     assert segment_to_bytes(built, src_ip, dst_ip) == segment_to_bytes(checked, src_ip, dst_ip)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    payload=_payloads,
+    mss_option=st.one_of(st.none(), st.integers(1, 0xFFFF)),
+    ts_val=_timestamps,
+    checked=st.booleans(),
+)
+def test_size_fields_are_header_plus_payload(payload, mss_option, ts_val, checked):
+    if checked:
+        segment = TCPSegment(1, 2, 3, 4, 0x18, 5, payload, mss_option, ts_val, ts_val)
+    else:
+        segment = SegmentTemplate(1, 2).build(3, 4, 0x18, 5, payload, mss_option, ts_val, ts_val)
+    header = TCP_HEADER_SIZE
+    if mss_option is not None:
+        header += MSS_OPTION_SIZE
+    if ts_val is not None:
+        header += TIMESTAMP_OPTION_SIZE
+    assert segment.size == header + payload.length
+    src_ip, dst_ip = IPAddress(0x0A000001), IPAddress(0x0A000064)
+    assert len(segment_to_bytes(segment, src_ip, dst_ip)) == segment.size
+    datagram = IPDatagram(src_ip, dst_ip, PROTO_TCP, segment, segment.size)
+    assert datagram.size == IP_HEADER_SIZE + header + payload.length
+    assert datagram.decremented().size == datagram.size
 
 
 def test_template_defaults_match_constructor_defaults():
