@@ -176,7 +176,7 @@ class DrillEnv:
             # backup's connections the probe stacks *behind* the shadow
             # extension.  Suppression is the TCB's ``output_inhibited``,
             # not a place in the chain: while it holds, nothing is built
-            # and the probe's ``filter_transmit`` never runs.
+            # and the shadow's ``segments_sent`` stays 0.
             self._install_obs_probe(self.backup)
         self.pair.start_service()
 

@@ -23,6 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.apps.protocol import KIND_DATA, KIND_ECHO, encode_request
 from repro.drill.patterns import ANY, SegmentSpec, tcp
+from repro.tcp.extension import HOOK_NAMES
 from repro.util.bytespan import ByteSpan, PatternBytes, RealBytes
 
 #: Default time tolerance for expectations (seconds).
@@ -146,7 +147,8 @@ class DrillProgram:
         suppressed: Optional[bool] = None,
     ) -> None:
         """Probe the backup's shadow connection (sttcp mode), in relative
-        sequence units (SYN = 0)."""
+        sequence units (SYN = 0).  ``suppressed=True`` also requires that
+        the shadow has handed IP no segment."""
 
         def check(env: Any) -> None:
             tcb = env.shadow_tcb()
@@ -168,6 +170,10 @@ class DrillProgram:
                 assert tcb.output_inhibited == suppressed, (
                     f"shadow output_inhibited is {tcb.output_inhibited}"
                 )
+                if suppressed:
+                    assert tcb.segments_sent == 0, (
+                        f"suppressed shadow handed IP {tcb.segments_sent} segments"
+                    )
 
         self.probe(t, check, label="expect_shadow")
 
@@ -189,15 +195,21 @@ class DrillProgram:
     def expect_probe_counts(self, t: float, **bounds: int) -> None:
         """Assert minimum hook-invocation counts on the obs trace probe
         (requires ``use(obs_probe=True)``); e.g.
-        ``expect_probe_counts(1.0, on_segment_in=3, filter_transmit=0)``.
-        A bound of 0 means *exactly zero* invocations (leak check)."""
+        ``expect_probe_counts(1.0, on_segment_in=3, after_output=0)``.
+        A bound of 0 means *exactly zero* invocations.  An unknown hook
+        or a negative bound is refused when the script loads."""
+        for hook, minimum in bounds.items():
+            if hook not in HOOK_NAMES or minimum < 0:
+                raise ValueError(
+                    f"expect_probe_counts({hook}={minimum}): bounds are "
+                    f"non-negative counts of {', '.join(HOOK_NAMES)}"
+                )
 
         def check(env: Any) -> None:
             probe = env.obs_probe()
             assert probe is not None, "no obs probe attached (use obs_probe=True)"
             for hook, minimum in bounds.items():
-                actual = probe.calls.get(hook)
-                assert actual is not None, f"unknown hook {hook!r}"
+                actual = probe.calls[hook]
                 if minimum == 0:
                     assert actual == 0, f"{hook} ran {actual} times, expected none"
                 else:

@@ -25,7 +25,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 import repro
 from repro.harness.spec import GridCell
@@ -88,15 +88,8 @@ class ResultStore:
     def __len__(self) -> int:
         return len(self._by_key)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._by_key
-
     def get(self, key: str) -> Optional[Entry]:
         return self._by_key.get(key)
-
-    @property
-    def entries(self) -> List[Entry]:
-        return list(self._by_key.values())
 
     def append(
         self,

@@ -264,9 +264,5 @@ class Scenario:
     def service_addr(self) -> Tuple[IPAddress, int]:
         return (SERVICE_IP, SERVICE_PORT)
 
-    @property
-    def backup_host(self) -> Optional[Host]:
-        return self.backup
-
     def crash_primary_at(self, time: float) -> None:
         self.crash_injector.crash_at(self.primary, time)

@@ -66,11 +66,6 @@ class LoggerClient:
         self.recoveries_timed_out = 0
         self.recovery_retries = 0
 
-    @property
-    def logger_addr(self) -> Tuple[IPAddress, int]:
-        """The first configured logger (single-logger compatibility)."""
-        return self.logger_addrs[0]
-
     def recover(
         self,
         queries: List[Tuple[ConnKey, int, int]],

@@ -11,15 +11,15 @@ costs something only on the connections it is registered on.
   accepted" instant, the end of the client's RTO wait), then removes
   itself.
 * :class:`TraceProbeExtension` — counts every hook invocation; used by
-  drills and tests to assert hook ordering and leak-freedom when several
-  extensions stack on one connection.
+  drills to assert hook ordering when several extensions stack on one
+  connection.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict
 
-from repro.tcp.extension import TCPExtension
+from repro.tcp.extension import HOOK_NAMES, TCPExtension
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tcp.segment import TCPSegment
@@ -59,31 +59,17 @@ class FirstAckProbe(TCPExtension):
 
 
 class TraceProbeExtension(TCPExtension):
-    """Count hook invocations; assert ordering/leak properties in drills.
+    """Count hook invocations; assert ordering properties in drills.
 
-    ``calls`` maps hook name → invocation count.  ``transmitted`` counts
-    the segments that reached this probe's ``filter_transmit`` — an
-    output-inhibited connection builds no segment, so a non-zero
-    ``transmitted`` while it is inhibited means segments are leaking
-    past the suppression; and where a vetoing extension is registered
-    *ahead* of the probe, it means that vetoer was passed over.  The
-    probe never consumes, vetoes, or adjusts anything.
+    ``calls`` maps each name in :data:`~repro.tcp.extension.HOOK_NAMES`
+    to its invocation count.  The probe never consumes or adjusts
+    anything.
     """
 
     name = "obs.trace_probe"
 
     def __init__(self) -> None:
-        self.calls: Dict[str, int] = {
-            "on_segment_in": 0,
-            "on_ack": 0,
-            "filter_transmit": 0,
-            "on_state_change": 0,
-            "on_isn_learned": 0,
-            "after_output": 0,
-        }
-        self.transmitted = 0
-        self.states: list = []
-        self.isn_events: list = []
+        self.calls: Dict[str, int] = dict.fromkeys(HOOK_NAMES, 0)
 
     def on_segment_in(self, conn: "TCPConnection", segment: "TCPSegment") -> bool:
         self.calls["on_segment_in"] += 1
@@ -92,19 +78,6 @@ class TraceProbeExtension(TCPExtension):
     def on_ack(self, conn: "TCPConnection", segment: "TCPSegment", ack_abs: int) -> int:
         self.calls["on_ack"] += 1
         return ack_abs
-
-    def filter_transmit(self, conn: "TCPConnection", segment: "TCPSegment") -> bool:
-        self.calls["filter_transmit"] += 1
-        self.transmitted += 1
-        return True
-
-    def on_state_change(self, conn: "TCPConnection", old: Any, new: Any) -> None:
-        self.calls["on_state_change"] += 1
-        self.states.append((old, new))
-
-    def on_isn_learned(self, conn: "TCPConnection", kind: str, isn_abs: int) -> None:
-        self.calls["on_isn_learned"] += 1
-        self.isn_events.append((kind, isn_abs))
 
     def after_output(self, conn: "TCPConnection") -> None:
         self.calls["after_output"] += 1

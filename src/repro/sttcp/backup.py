@@ -237,9 +237,6 @@ class STTCPBackup:
     def shadow_connections(self) -> List[TCPConnection]:
         return [state.tcb for state in self._connections.values()]
 
-    def connection_state(self, key: ConnKey) -> Optional[_ShadowConnState]:
-        return self._connections.get(key)
-
     def _on_shadow_closed(self, tcb: TCPConnection) -> None:
         """Close observer: the TCP layer reaped a TCB; drop our shadow
         state too so churning clients don't accumulate dead bookkeeping."""
@@ -509,10 +506,6 @@ class STTCPBackup:
                 self.sim.now, "sttcp", "sync_request", known=len(self._connections)
             )
 
-    @property
-    def snapshots_adopted(self) -> int:
-        return self._c_snapshots_adopted.value
-
     def _adopt_snapshot(self, snap: ConnSnapshot) -> None:
         """Build a converged shadow from a primary's connection snapshot.
 
@@ -579,8 +572,8 @@ class STTCPBackup:
     def retire(self) -> None:
         """Stand this engine down permanently (its host was consumed by a
         takeover for another service, or its duties moved to an elected
-        replacement).  Shadows are aborted locally — their RSTs are
-        vetoed by the shadow extension, so nothing reaches the wire —
+        replacement).  Shadows are aborted locally — their output is
+        inhibited, so no RST is built and nothing reaches the wire —
         and the channel socket closes.  Idempotent.
         """
         if self.role is ROLE_RETIRED:

@@ -33,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.net.addresses import IPAddress
-from repro.sttcp.backup import ROLE_ACTIVE, STTCPBackup
+from repro.sttcp.backup import STTCPBackup
 from repro.sttcp.config import STTCPConfig
 from repro.sttcp.power_switch import PowerSwitch
 
@@ -137,12 +137,6 @@ class MultiPrimaryShadowManager:
             record.engine.start()
 
     # Queries ----------------------------------------------------------------------
-    def service(self, name: str) -> ShadowedService:
-        return self.services[name]
-
-    def engine(self, name: str) -> STTCPBackup:
-        return self.services[name].engine
-
     def shadowed_names(self) -> List[str]:
         return sorted(self.services)
 
@@ -150,14 +144,6 @@ class MultiPrimaryShadowManager:
         """The services orphaned when the engine for ``name`` consumes
         this host by taking over."""
         return sorted(n for n in self.services if n != name)
-
-    @property
-    def consumed(self) -> bool:
-        """True once any managed engine went active: this host is now a
-        primary and cannot shadow."""
-        return any(
-            record.engine.role is ROLE_ACTIVE for record in self.services.values()
-        )
 
     # Lifecycle transitions -----------------------------------------------------------
     def _engine_took_over(self, name: str) -> None:

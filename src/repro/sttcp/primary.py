@@ -221,9 +221,6 @@ class STTCPPrimary:
             tcb, retention
         )
 
-    def connection_state(self, key: ConnKey) -> Optional[_PrimaryConnState]:
-        return self._connections.get(key)
-
     @property
     def retained_connection_count(self) -> int:
         return len(self._connections)

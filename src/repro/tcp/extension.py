@@ -21,21 +21,6 @@ invoke its hooks at well-defined points:
     state (via :meth:`TCPConnection.adopt_send_isn`) or clamp an ACK
     that runs ahead of locally produced data.
 
-``filter_transmit(conn, segment)``
-    Immediately before a built segment is handed to the IP layer.
-    Return ``False`` to drop it; the first veto stops the chain (the
-    segment is gone — later extensions are not consulted).  A connection
-    whose output is suppressed wholesale does not veto here: it sets
-    :attr:`TCPConnection.output_inhibited`, and nothing is built.
-
-``on_state_change(conn, old, new)``
-    After every TCP state transition.
-
-``on_isn_learned(conn, kind, isn_abs)``
-    When a sequence-space anchor is established: ``kind`` is ``"local"``
-    (our ISN chosen), ``"peer"`` (the peer's ISN learned from a SYN), or
-    ``"rebase"`` (the send anchors re-pointed via ``adopt_send_isn``).
-
 ``after_output(conn)``
     After each :meth:`TCPConnection.try_output` pass, once the windows
     have been serviced.  Extensions that defer work until the
@@ -43,39 +28,26 @@ invoke its hooks at well-defined points:
 
 Hooks are dispatched *only when at least one registered extension
 overrides them*: a vanilla connection carries empty per-hook chains and
-pays a single falsy check, nothing more.  The chain order is the
-registration order (``add_extension``); ordering is part of the
-contract — e.g. a vetoing extension must precede any extension that
-observes transmissions, or the observer will see segments the vetoer
-drops.  Behaviour that applies to every segment a connection sends is
-TCB state, not a hook: ``output_inhibited`` stops the output engine
-before it builds anything, whatever the chain holds.
+pays a single falsy check, nothing more.  Each chain runs in
+registration order (``add_extension``).  Behaviour that applies to every
+segment a connection sends is TCB state, not a hook:
+``output_inhibited`` stops the output engine before it builds anything.
+A hook exists only while something implements it; a new one arrives
+with its first implementer.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Any, Tuple, Type
+from typing import TYPE_CHECKING, Tuple, Type
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tcp.segment import TCPSegment
     from repro.tcp.tcb import TCPConnection
 
 
-#: Anchor kinds reported through ``on_isn_learned``.
-ISN_LOCAL = "local"
-ISN_PEER = "peer"
-ISN_REBASE = "rebase"
-
 #: The hook names a connection builds per-hook dispatch chains for.
-HOOK_NAMES = (
-    "on_segment_in",
-    "on_ack",
-    "filter_transmit",
-    "on_state_change",
-    "on_isn_learned",
-    "after_output",
-)
+HOOK_NAMES = ("on_segment_in", "on_ack", "after_output")
 
 
 class TCPExtension:
@@ -95,9 +67,6 @@ class TCPExtension:
     def on_attach(self, conn: "TCPConnection") -> None:
         """Called when the extension is registered on ``conn``."""
 
-    def on_detach(self, conn: "TCPConnection") -> None:
-        """Called when the extension is removed from ``conn``."""
-
     # -- pipeline hooks -----------------------------------------------------
     def on_segment_in(self, conn: "TCPConnection", segment: "TCPSegment") -> bool:
         """Inspect an inbound segment; return True to consume it."""
@@ -108,16 +77,6 @@ class TCPExtension:
     ) -> int:
         """Adjust (or pass through) the absolute cumulative ACK."""
         return ack_abs
-
-    def filter_transmit(self, conn: "TCPConnection", segment: "TCPSegment") -> bool:
-        """Return False to veto transmission of ``segment``."""
-        return True
-
-    def on_state_change(self, conn: "TCPConnection", old: Any, new: Any) -> None:
-        """Observe a TCP state transition."""
-
-    def on_isn_learned(self, conn: "TCPConnection", kind: str, isn_abs: int) -> None:
-        """Observe a sequence-space anchor being established."""
 
     def after_output(self, conn: "TCPConnection") -> None:
         """Run deferred work after an output pass."""

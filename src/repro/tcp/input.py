@@ -98,7 +98,6 @@ class InputEngine:
             return
         conn.irs = segment.seq
         conn.rcv_nxt = conn.irs + 1
-        conn.note_isn_learned("peer", conn.irs)
         if segment.mss_option is not None:
             conn.mss = min(conn.mss, segment.mss_option)
             conn.cc.mss = conn.mss
@@ -111,7 +110,7 @@ class InputEngine:
             conn.retransmit.retransmit_count = 0
             conn.retransmit.rto_timer.stop()
             self._update_send_window(segment, conn.irs, ack_abs)
-            conn.set_state(TCPState.ESTABLISHED)
+            conn.state = TCPState.ESTABLISHED
             conn.trace_event("established")
             conn.end_span("handshake", conn._handshake_sid)
             conn._handshake_sid = None
@@ -121,7 +120,7 @@ class InputEngine:
             conn.output.try_output()
         else:
             # Simultaneous open.
-            conn.set_state(TCPState.SYN_RCVD)
+            conn.state = TCPState.SYN_RCVD
             conn.output.send_syn(with_ack=True)
             conn.retransmit.arm_rto()
 
@@ -185,7 +184,7 @@ class InputEngine:
             if conn.snd_una <= ack_abs <= conn.snd_max:
                 conn.retransmit.retransmit_count = 0
                 conn.retransmit.rto_timer.stop()
-                conn.set_state(
+                conn.state = (
                     TCPState.FIN_WAIT_1 if conn._fin_pending else TCPState.ESTABLISHED
                 )
                 self._update_send_window(segment, seq_abs, ack_abs, force=True)
@@ -220,7 +219,7 @@ class InputEngine:
         if conn._fin_sent and conn._fin_seq is not None and conn.snd_una > conn._fin_seq:
             conn._fin_acked = True
             if conn.state is TCPState.FIN_WAIT_1:
-                conn.set_state(TCPState.FIN_WAIT_2)
+                conn.state = TCPState.FIN_WAIT_2
             elif conn.state is TCPState.CLOSING:
                 conn._enter_time_wait()
             elif conn.state is TCPState.LAST_ACK:
@@ -377,12 +376,12 @@ class InputEngine:
         if conn.on_readable is not None:
             conn.on_readable()  # wake readers so they observe EOF
         if conn.state is TCPState.ESTABLISHED:
-            conn.set_state(TCPState.CLOSE_WAIT)
+            conn.state = TCPState.CLOSE_WAIT
         elif conn.state is TCPState.FIN_WAIT_1:
             if conn._fin_acked:
                 conn._enter_time_wait()
             else:
-                conn.set_state(TCPState.CLOSING)
+                conn.state = TCPState.CLOSING
         elif conn.state is TCPState.FIN_WAIT_2:
             conn._enter_time_wait()
         elif conn.state is TCPState.TIME_WAIT:

@@ -7,8 +7,7 @@ application reads, and the final build-and-transmit step every segment
 funnels through (:meth:`emit` → :meth:`transmit`).  On an
 :attr:`~repro.tcp.tcb.TCPConnection.output_inhibited` connection
 :meth:`emit` keeps the bookkeeping a sent segment causes and builds
-nothing; registered extensions get their ``filter_transmit`` veto on
-what is built.
+nothing, so whatever reaches :meth:`transmit` goes to IP.
 """
 
 from __future__ import annotations
@@ -226,13 +225,8 @@ class OutputEngine:
         )
 
     def transmit(self, segment: TCPSegment) -> None:
-        """Hand a built segment to IP — unless an extension vetoes it."""
+        """Hand a built segment to IP."""
         conn = self.conn
-        vetoers = conn._ext_filter_transmit
-        if vetoers:
-            for ext in vetoers:
-                if not ext.filter_transmit(conn, segment):
-                    return
         conn.segments_sent += 1
         conn.bytes_sent += segment.payload_length
         trace = conn.sim.trace

@@ -20,7 +20,8 @@ shared connection state (addresses, TCP state, sequence variables, FIN
 bookkeeping, callbacks, counters), and hosts the extension chain:
 protocol variants (replication, observability probes) register
 :class:`repro.tcp.extension.TCPExtension` objects per connection and the
-engines call their hooks at fixed pipeline points.  A connection with no
+engines call their hooks at three pipeline points: an inbound segment,
+a cumulative ACK, the end of an output pass.  A connection with no
 extensions pays one falsy check per hook site — nothing else.  Work done
 on a connection from outside its own segment flow — re-anchoring,
 splicing, fast-forwarding — goes through the *repair* section below.
@@ -60,9 +61,8 @@ class TCPConnection:
         "iss", "irs", "snd_una", "snd_nxt", "snd_max", "snd_wnd",
         "_snd_wl1", "_snd_wl2", "rcv_nxt",
         "mss", "cc",
-        "output_inhibited", "_extensions", "_ext_on_segment_in", "_ext_on_ack",
-        "_ext_filter_transmit", "_ext_on_state_change", "_ext_on_isn_learned",
-        "_ext_after_output",
+        "output_inhibited",
+        "_extensions", "_ext_on_segment_in", "_ext_on_ack", "_ext_after_output",
         "_fin_pending", "_fin_sent", "_fin_seq", "_fin_acked", "_fin_received",
         "use_timestamps", "last_ts_recv",
         "on_established", "on_readable", "on_writable", "on_closed", "on_error",
@@ -118,9 +118,6 @@ class TCPConnection:
         self._extensions: Tuple[TCPExtension, ...] = ()
         self._ext_on_segment_in: Tuple[TCPExtension, ...] = ()
         self._ext_on_ack: Tuple[TCPExtension, ...] = ()
-        self._ext_filter_transmit: Tuple[TCPExtension, ...] = ()
-        self._ext_on_state_change: Tuple[TCPExtension, ...] = ()
-        self._ext_on_isn_learned: Tuple[TCPExtension, ...] = ()
         self._ext_after_output: Tuple[TCPExtension, ...] = ()
 
         # FIN bookkeeping (read by input, output and retransmit engines).
@@ -227,14 +224,9 @@ class TCPConnection:
         """The registered extension chain, in dispatch order."""
         return self._extensions
 
-    def add_extension(self, extension: TCPExtension, index: Optional[int] = None) -> None:
+    def add_extension(self, extension: TCPExtension) -> None:
         """Register ``extension``; hooks run in registration order."""
-        chain = list(self._extensions)
-        if index is None:
-            chain.append(extension)
-        else:
-            chain.insert(index, extension)
-        self._extensions = tuple(chain)
+        self._extensions += (extension,)
         self._rebuild_extension_chains()
         extension.on_attach(self)
 
@@ -244,14 +236,6 @@ class TCPConnection:
             return
         self._extensions = tuple(e for e in self._extensions if e is not extension)
         self._rebuild_extension_chains()
-        extension.on_detach(self)
-
-    def extension(self, name: str) -> Optional[TCPExtension]:
-        """The first registered extension with ``name``, if any."""
-        for ext in self._extensions:
-            if ext.name == name:
-                return ext
-        return None
 
     def _rebuild_extension_chains(self) -> None:
         overrides = [(ext, overridden_hooks(ext)) for ext in self._extensions]
@@ -261,26 +245,7 @@ class TCPConnection:
 
         self._ext_on_segment_in = chain("on_segment_in")
         self._ext_on_ack = chain("on_ack")
-        self._ext_filter_transmit = chain("filter_transmit")
-        self._ext_on_state_change = chain("on_state_change")
-        self._ext_on_isn_learned = chain("on_isn_learned")
         self._ext_after_output = chain("after_output")
-
-    def set_state(self, new_state: TCPState) -> None:
-        """Transition the TCP state, notifying state-change hooks."""
-        old = self.state
-        self.state = new_state
-        if old is not new_state:
-            hooks = self._ext_on_state_change
-            if hooks:
-                for ext in hooks:
-                    ext.on_state_change(self, old, new_state)
-
-    def note_isn_learned(self, kind: str, isn_abs: int) -> None:
-        hooks = self._ext_on_isn_learned
-        if hooks:
-            for ext in hooks:
-                ext.on_isn_learned(self, kind, isn_abs)
 
     # ------------------------------------------------------------- opening
     def open_active(self) -> None:
@@ -288,7 +253,7 @@ class TCPConnection:
         if self.state is not TCPState.CLOSED:
             raise ConnectionClosed(f"open_active in state {self.state}")
         self._choose_isn()
-        self.set_state(TCPState.SYN_SENT)
+        self.state = TCPState.SYN_SENT
         self._handshake_sid = self.begin_span("handshake", kind="active")
         self.output.send_syn(with_ack=False)
         self.retransmit.arm_rto()
@@ -301,14 +266,13 @@ class TCPConnection:
         self._choose_isn()
         self.irs = syn.seq  # adopt the wire value as the absolute origin
         self.rcv_nxt = self.irs + 1
-        self.note_isn_learned("peer", self.irs)
         if syn.mss_option is not None:
             self.mss = min(self.mss, syn.mss_option)
             self.cc.mss = self.mss
         if syn.ts_val is not None and self.config.timestamps:
             self.use_timestamps = True
             self.last_ts_recv = syn.ts_val
-        self.set_state(TCPState.SYN_RCVD)
+        self.state = TCPState.SYN_RCVD
         self._handshake_sid = self.begin_span("handshake", kind="passive")
         self.output.send_syn(with_ack=True)
         self.retransmit.arm_rto()
@@ -323,7 +287,6 @@ class TCPConnection:
         self.snd_una = isn
         self.snd_nxt = isn + 1  # SYN consumes one sequence number
         self.snd_max = isn + 1
-        self.note_isn_learned("local", isn)
 
     # --------------------------------------------------------- application API
     def app_write(self, data: ByteSpan) -> int:
@@ -358,9 +321,9 @@ class TCPConnection:
             self._enter_closed(None)
             return
         if self.state is TCPState.ESTABLISHED or self.state is TCPState.SYN_RCVD:
-            self.set_state(TCPState.FIN_WAIT_1)
+            self.state = TCPState.FIN_WAIT_1
         elif self.state is TCPState.CLOSE_WAIT:
-            self.set_state(TCPState.LAST_ACK)
+            self.state = TCPState.LAST_ACK
         self.output.try_output()
 
     def app_abort(self) -> None:
@@ -386,7 +349,7 @@ class TCPConnection:
 
     # ------------------------------------------------------------ state exits
     def _enter_time_wait(self) -> None:
-        self.set_state(TCPState.TIME_WAIT)
+        self.state = TCPState.TIME_WAIT
         self.retransmit.rto_timer.stop()
         self.retransmit.persist_timer.stop()
         self.retransmit.time_wait_timer.start(self.config.time_wait)
@@ -403,7 +366,7 @@ class TCPConnection:
 
     def _enter_closed(self, error: Optional[BaseException]) -> None:
         previous = self.state
-        self.set_state(TCPState.CLOSED)
+        self.state = TCPState.CLOSED
         self.error = error
         self.cancel_timers()
         self.layer.connection_closed(self)
@@ -446,7 +409,6 @@ class TCPConnection:
         self.snd_una = isn_abs
         self.snd_nxt = isn_abs + 1
         self.snd_max = isn_abs + 1
-        self.note_isn_learned("rebase", isn_abs)
 
     def inject_receive_data(self, seq_abs: int, payload: ByteSpan) -> int:
         """Splice bytes obtained out of band into the receive stream.

@@ -9,6 +9,8 @@ import pytest
 from repro.drill import ANY, run_drill_file, tcp
 from repro.drill.patterns import SegmentSpec, SeqSpace, parse_flags
 from repro.drill.report import DrillResult, format_report, results_to_json
+from repro.drill.script import load_script
+from repro.tcp.extension import HOOK_NAMES
 from repro.tcp.constants import FLAG_ACK, FLAG_PSH, FLAG_SYN
 from repro.tcp.segment import TCPSegment
 from repro.util.bytespan import EMPTY, RealBytes
@@ -90,6 +92,17 @@ class TestFirstMismatchDiagnostic:
         assert "recent wire context" in result.failure
         # The closest-candidate line shows the canonical segment format.
         assert "SA 0:0(0) ack 1" in result.failure
+
+
+class TestScriptLoad:
+    @pytest.mark.parametrize("bounds", ["bogus=1", "on_transmit=0", "on_ack=-1"])
+    def test_probe_count_bounds_checked_at_load(self, tmp_path, bounds):
+        script = tmp_path / "bad_bounds.py"
+        script.write_text(f"expect_probe_counts(1.0, on_segment_in=1, {bounds})\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_script(script)
+        assert bounds in str(excinfo.value)
+        assert all(hook in str(excinfo.value) for hook in HOOK_NAMES)
 
 
 class TestReport:

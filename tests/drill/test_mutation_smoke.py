@@ -73,12 +73,11 @@ def test_takeover_resending_acked_bytes_breaks_no_duplicate_drill(monkeypatch):
     assert "seq 1" in result.failure
 
 
-def test_misordered_filter_transmit_chain_breaks_ordering_drill(monkeypatch):
+def test_emit_ignoring_output_inhibited_breaks_ordering_drill(monkeypatch):
     # Sabotage the suppression itself: an ``emit`` that ignores
-    # ``output_inhibited`` builds and sends the shadow's segments, so
-    # they reach the obs probe stacked behind the shadow extension and
-    # leak onto the wire.  The ordering drill's silence window must
-    # catch the leak.
+    # ``output_inhibited`` builds the shadow's segments and hands them
+    # to IP.  The ordering drill's suppressed-shadow check must catch
+    # the leak by the shadow's send count.
     from repro.tcp.output import OutputEngine
 
     original = OutputEngine.emit
@@ -94,3 +93,4 @@ def test_misordered_filter_transmit_chain_breaks_ordering_drill(monkeypatch):
     monkeypatch.setattr(OutputEngine, "emit", leaking)
     result = run_drill_file(SCRIPTS / "t26_sttcp_extension_ordering.py")
     assert not result.passed
+    assert "suppressed shadow handed IP" in result.failure

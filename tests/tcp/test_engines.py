@@ -23,7 +23,7 @@ from repro.tcp.constants import (
     PERSIST_TIMEOUT_MIN,
     TCPState,
 )
-from repro.tcp.extension import TCPExtension, overridden_hooks
+from repro.tcp.extension import HOOK_NAMES, TCPExtension, overridden_hooks
 from repro.tcp.segment import TCPSegment
 from repro.tcp.seqspace import wrap
 from repro.tcp.tcb import TCPConnection
@@ -443,10 +443,6 @@ class _Recorder(TCPExtension):
         self.log.append((self.tag, "ack", ack_abs))
         return ack_abs
 
-    def filter_transmit(self, conn, segment):
-        self.log.append((self.tag, "tx"))
-        return True
-
 
 class TestExtensionDispatch:
     def test_overridden_hooks_reports_only_overrides(self):
@@ -465,10 +461,11 @@ class TestExtensionDispatch:
         ext = _Recorder([], "a")
         conn.add_extension(ext)
         assert conn._ext_on_segment_in == (ext,)
-        assert conn._ext_filter_transmit == (ext,)
-        assert conn._ext_on_state_change == ()  # not overridden
+        assert conn._ext_on_ack == (ext,)
+        assert conn._ext_after_output == ()  # not overridden
         conn.remove_extension(ext)
         assert conn._ext_on_segment_in == ()
+        assert conn._ext_on_ack == ()
         assert conn.extensions == ()
 
     def test_all_extensions_see_a_consumed_segment(self):
@@ -498,23 +495,6 @@ class TestExtensionDispatch:
         assert conn.readable_bytes == 0
         assert conn.rcv_nxt == conn.irs + 1
 
-    def test_first_transmit_veto_short_circuits(self):
-        log = []
-
-        class Veto(_Recorder):
-            def filter_transmit(self, conn, segment):
-                log.append((self.tag, "tx"))
-                return False
-
-        conn, layer, _ = make_conn()
-        establish(conn)
-        conn.add_extension(Veto(log, "veto"))
-        conn.add_extension(_Recorder(log, "after"))
-        conn.app_write(PatternBytes(100, 0, 3))
-        assert layer.sent == []
-        assert ("veto", "tx") in log
-        assert ("after", "tx") not in log  # never consulted past the veto
-
     def test_on_ack_chain_runs_in_registration_order(self):
         log = []
         conn, _, _ = make_conn()
@@ -527,12 +507,33 @@ class TestExtensionDispatch:
         acks = [entry for entry in log if entry[1] == "ack"]
         assert [entry[0] for entry in acks] == ["first", "second"]
 
-    def test_add_extension_index_controls_order(self):
-        conn, _, _ = make_conn()
-        first, second = _Recorder([], "a"), _Recorder([], "b")
-        conn.add_extension(first)
-        conn.add_extension(second, index=0)
-        assert conn.extensions == (second, first)
+    def test_every_hook_has_an_implementer(self):
+        # A hook exists only while something in the package implements
+        # it; the counting drill probe does not count as a user.
+        import repro.sttcp.shadow  # noqa: F401 - defines ShadowExtension
+        from repro.obs.tcp_ext import TraceProbeExtension
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        implementers = [
+            cls
+            for cls in subclasses(TCPExtension)
+            if cls.__module__.startswith("repro.")
+            and cls is not TraceProbeExtension
+        ]
+        implemented = {
+            hook
+            for cls in implementers
+            for hook in HOOK_NAMES
+            if getattr(cls, hook) is not getattr(TCPExtension, hook)
+        }
+        assert implemented == set(HOOK_NAMES)
+        # One dispatch slot per hook on every TCB, and none left over.
+        slots = {name for name in TCPConnection.__slots__ if name.startswith("_ext_")}
+        assert slots == {f"_ext_{hook}" for hook in HOOK_NAMES}
 
 
 # -- output inhibition: a sent segment's bookkeeping, nothing built -----------
