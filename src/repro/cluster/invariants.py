@@ -62,8 +62,8 @@ class DualPrimaryMonitor:
             host.name
             for host in self.fabric.server_hosts
             if host.is_up
-            and service.service_ip in host.local_ips
-            and service.service_ip not in host.arp.suppressed_ips
+            and service.service_ip.value in host.local_ip_values
+            and service.service_ip.value not in host.arp.suppressed_ip_values
         ]
 
     def _poll(self) -> None:

@@ -127,9 +127,7 @@ def clear_loss(medium_or_nic: Any) -> None:
     if hasattr(medium_or_nic, "rx_loss_model"):
         medium_or_nic.rx_loss_model = None
     if hasattr(medium_or_nic, "loss_model"):
-        from repro.net.loss import NoLoss
-
-        medium_or_nic.loss_model = NoLoss()
+        medium_or_nic.loss_model = None
 
 
 # ---------------------------------------------------------------------------

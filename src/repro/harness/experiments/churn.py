@@ -82,13 +82,9 @@ _ESCAPE_ATTRS = frozenset(
         "tcb",
         "socket",
         "_sched",  # the scheduler behind a pending event handle
-        # Caches that restate fields the walk already counts: the output
-        # engine's header template (the two ports) and an address's
-        # memoised hash.  The hash is a salted string hash, and
-        # ``sys.getsizeof(int)`` grows with magnitude, so walking it
-        # would make ``bytes_per_tcb`` depend on ``PYTHONHASHSEED``.
+        # A cache that restates fields the walk already counts: the
+        # output engine's header template (the two ports).
         "_template",
-        "_hash",
     }
 )
 

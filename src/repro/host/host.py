@@ -69,8 +69,9 @@ class Host:
         self.tcp = TCPLayer(sim, self, tcp_config)
         #: Run by :meth:`crash` after the layers halt; each cancels what an engine armed.
         self.crash_observers: List[Callable[[], None]] = []
-        #: Every IP this host answers to: interface IPs and VNIC IPs.
-        self.local_ips: Set[IPAddress] = set()
+        #: The ``value`` of every IP this host answers to: interface IPs
+        #: and VNIC IPs (DESIGN §13 rule 8).
+        self.local_ip_values: Set[int] = set()
         self.crashed_at: Optional[float] = None
 
     # NICs and addressing --------------------------------------------------------
@@ -107,7 +108,7 @@ class Host:
             raise ConfigurationError(f"NIC {nic.name} does not belong to {self.name}")
         self.interfaces.append(Interface(nic, ip, prefix_len))
         self.ip_layer.add_route(ip, prefix_len, nic)
-        self.local_ips.add(ip)
+        self.local_ip_values.add(ip.value)
 
     def add_vnic(
         self,
@@ -126,15 +127,15 @@ class Host:
         self.vnics.append(vnic)
         if suppress_arp:
             self.arp.suppress_ip(ip)
-        self.local_ips.add(ip)
+        self.local_ip_values.add(ip.value)
         return vnic
 
     def remove_vnic(self, vnic: VirtualInterface) -> None:
         vnic.remove()
         self.vnics.remove(vnic)
         # The IP may still be held by an interface or another VNIC.
-        self.local_ips = {iface.ip for iface in self.interfaces}
-        self.local_ips.update(other.ip for other in self.vnics)
+        self.local_ip_values = {iface.ip.value for iface in self.interfaces}
+        self.local_ip_values.update(other.ip.value for other in self.vnics)
 
     # Address queries (used by ARP and IP layers) -----------------------------------
     def primary_ip_on(self, nic: NIC) -> IPAddress:
@@ -146,21 +147,21 @@ class Host:
                 return vnic.ip
         raise ConfigurationError(f"no IP configured on {self.name}/{nic.name}")
 
-    def owned_ip_macs(self, nic: NIC) -> Dict[IPAddress, MACAddress]:
-        """IP → answering MAC for the ARP responder, scoped to ``nic``."""
-        owned: Dict[IPAddress, MACAddress] = {}
+    def owned_ip_macs(self, nic: NIC) -> Dict[int, MACAddress]:
+        """IP ``value`` → answering MAC for the ARP responder, scoped to ``nic``."""
+        owned: Dict[int, MACAddress] = {}
         for iface in self.interfaces:
             if iface.nic is nic:
-                owned[iface.ip] = nic.mac
+                owned[iface.ip.value] = nic.mac
         for vnic in self.vnics:
             if vnic.hw_nic is nic:
-                owned[vnic.ip] = vnic.mac
+                owned[vnic.ip.value] = vnic.mac
         return owned
 
     def source_mac_for(self, nic: NIC, src_ip: IPAddress) -> MACAddress:
         """The source MAC for frames carrying ``src_ip`` out of ``nic``."""
         for vnic in self.vnics:
-            if vnic.hw_nic is nic and vnic.ip == src_ip:
+            if vnic.hw_nic is nic and vnic.ip.value == src_ip.value:
                 return vnic.mac
         return nic.mac
 

@@ -81,7 +81,7 @@ class IPLayer:
         ttl: int = DEFAULT_TTL,
     ) -> None:
         """Route and emit one datagram (asynchronously past ARP)."""
-        if dst in self.host.local_ips:
+        if dst.value in self.host.local_ip_values:
             datagram = IPDatagram(src or dst, dst, protocol, payload, payload_size, ttl)
             self.sim.post(self.sim.now, self._local_deliver, datagram, None)
             self._c_sent.value += 1
@@ -100,6 +100,7 @@ class IPLayer:
         self._transmit(datagram, route)
 
     def _transmit(self, datagram: IPDatagram, route: Route) -> None:
+        """Frame ``datagram`` for ``route``'s next hop and hand it to the NIC."""
         next_hop = route.next_hop or datagram.dst
         nic = route.nic
         # The table is consulted per datagram (entries expire); only a
@@ -109,8 +110,9 @@ class IPLayer:
             self.host.arp.resolve(
                 next_hop, nic, partial(self._on_resolved, datagram, nic, next_hop)
             )
-        else:
-            self._emit_frame(datagram, nic, mac)
+            return
+        src_mac = self.host.source_mac_for(nic, datagram.src)
+        nic.transmit(EthernetFrame(mac, src_mac, ETHERTYPE_IPV4, datagram, datagram.size))
 
     def _on_resolved(
         self,
@@ -119,6 +121,7 @@ class IPLayer:
         next_hop: IPAddress,
         mac: Optional[MACAddress],
     ) -> None:
+        """The ARP-miss continuation of :meth:`_transmit`."""
         if mac is None:
             self._c_dropped_no_arp.value += 1
             if self.sim.trace.enabled_for("ip"):
@@ -130,13 +133,8 @@ class IPLayer:
                     next_hop=str(next_hop),
                 )
             return
-        self._emit_frame(datagram, nic, mac)
-
-    def _emit_frame(self, datagram: IPDatagram, nic: NIC, mac: MACAddress) -> None:
         src_mac = self.host.source_mac_for(nic, datagram.src)
-        nic.transmit(
-            EthernetFrame(mac, src_mac, ETHERTYPE_IPV4, datagram, datagram.size)
-        )
+        nic.transmit(EthernetFrame(mac, src_mac, ETHERTYPE_IPV4, datagram, datagram.size))
 
     # Input path ------------------------------------------------------------------
     def receive(self, datagram: IPDatagram, nic: NIC) -> None:
@@ -144,7 +142,7 @@ class IPLayer:
         local datagram goes straight to its protocol handler."""
         for tap in self._taps:
             tap(datagram, nic)
-        if datagram.dst in self.host.local_ips:
+        if datagram.dst.value in self.host.local_ip_values:
             handler = self._protocols.get(datagram.protocol)
             if handler is None:
                 self._no_protocol(datagram)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import NetworkError
 from repro.net.addresses import IPAddress
@@ -46,29 +46,46 @@ class Route:
 
 
 class RoutingTable:
-    """An ordered collection of routes with longest-prefix-match lookup."""
+    """An ordered collection of routes with longest-prefix-match lookup.
+
+    A lookup's answer, a route or None, is remembered per destination
+    ``value`` until :meth:`add` or :meth:`remove_network` changes the
+    table: a route carries no clock, so nothing else can change it
+    (DESIGN §13 rule 4; the ARP entry behind it is still looked up per
+    datagram).
+    """
 
     def __init__(self) -> None:
         self._routes: List[Route] = []
+        self._memo: Dict[int, Optional[Route]] = {}
 
     def add(self, route: Route) -> None:
         self._routes.append(route)
         # Keep sorted by (prefix_len desc, metric asc) so lookup is a scan
         # returning the first match.
         self._routes.sort(key=lambda r: (-r.prefix_len, r.metric))
+        self._memo.clear()
 
     def remove_network(self, network: IPAddress, prefix_len: int) -> None:
         self._routes = [
             r
             for r in self._routes
-            if not (r.network == network and r.prefix_len == prefix_len)
+            if not (r.network.value == network.value and r.prefix_len == prefix_len)
         ]
+        self._memo.clear()
 
     def lookup(self, dst: IPAddress) -> Optional[Route]:
+        try:
+            return self._memo[dst.value]
+        except KeyError:
+            pass
+        found = None
         for route in self._routes:
             if route.matches(dst):
-                return route
-        return None
+                found = route
+                break
+        self._memo[dst.value] = found
+        return found
 
     def __iter__(self):
         return iter(self._routes)

@@ -105,7 +105,7 @@ class PacketLogger:
 
     # Tap side -----------------------------------------------------------------
     def _tap(self, datagram: IPDatagram, nic: Optional[NIC]) -> None:
-        if datagram.protocol != PROTO_TCP or datagram.dst != self.service_ip:
+        if datagram.protocol != PROTO_TCP or datagram.dst.value != self.service_ip.value:
             return  # only the client→server direction needs logging
         segment: TCPSegment = datagram.payload
         if segment.dst_port != self.service_port:

@@ -9,15 +9,9 @@ The profiler is a classic SIGALRM sampler: an interval timer fires every
 ``interval`` seconds of wall time and the handler walks the current Python
 stack, crediting the sample to the innermost frame that belongs to a
 ``repro`` layer (and to that frame's function, for the per-function
-table).  Layers are keyed off module paths::
-
-    kernel   repro/sim
-    tcp      repro/tcp, repro/sttcp, repro/ftcp
-    net      repro/net, repro/ip
-    app      repro/apps
-    util     repro/util
-    harness  repro/harness, repro/metrics, repro/faults
-    external anything outside repro (pytest, stdlib, ...)
+table).  The layers are the benchmark ledger's twelve
+(:mod:`repro.metrics.layers`); a sample with no ``repro`` frame on the
+stack is credited to ``external``.
 
 Used via the CLI/executor ``--profile`` flag, which writes the JSON
 report next to the result store, or directly::
@@ -43,39 +37,17 @@ from types import FrameType
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ReproError
+from repro.metrics.layers import layer_of
 
 #: Default sampling interval in seconds of wall time.
 DEFAULT_INTERVAL = 0.002
-
-#: Layer name → path fragments (probed in order; first match wins).
-LAYER_PATHS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("kernel", ("repro/sim/",)),
-    ("tcp", ("repro/tcp/", "repro/sttcp/", "repro/ftcp/")),
-    ("net", ("repro/net/", "repro/ip/")),
-    ("app", ("repro/apps/",)),
-    ("util", ("repro/util/",)),
-    ("harness", ("repro/harness/", "repro/metrics/", "repro/faults/")),
-)
-
-
-def _classify(filename: str) -> Optional[str]:
-    """Layer for a source path, or None for non-repro code."""
-    path = filename.replace("\\", "/")
-    for layer, fragments in LAYER_PATHS:
-        for fragment in fragments:
-            if fragment in path:
-                return layer
-    if "repro/" in path:
-        return "other"
-    return None
-
 
 #: The scheduler's dispatch loop: a sample landing here is really time
 #: spent *dispatching the current callback* (the call instruction itself,
 #: or a C-level callback with no Python frame of its own).  The loop binds
 #: the active callback to a local named ``callback`` exactly so the
 #: profiler can attribute the sample to the callback's layer instead of
-#: lumping the whole run into "kernel".
+#: lumping the whole run into "sim".
 _DISPATCH_FUNCTIONS = frozenset({"run_until"})
 
 
@@ -88,7 +60,7 @@ def _callback_attribution(frame: FrameType) -> Optional[Tuple[str, str]]:
     code = getattr(function, "__code__", None)
     if code is None:
         return None
-    layer = _classify(code.co_filename)
+    layer = layer_of(code.co_filename)
     if layer is None:
         return None
     return layer, f"{Path(code.co_filename).name}:{code.co_name}"
@@ -118,7 +90,7 @@ class SamplingProfiler:
         walker = frame
         while walker is not None:
             code = walker.f_code
-            layer = _classify(code.co_filename)
+            layer = layer_of(code.co_filename)
             if layer is not None:
                 name = f"{Path(code.co_filename).name}:{code.co_name}"
                 if code.co_name in _DISPATCH_FUNCTIONS:

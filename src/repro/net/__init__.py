@@ -26,7 +26,6 @@ from repro.net.frame import (
 from repro.net.loss import (
     BurstLoss,
     LossModel,
-    NoLoss,
     RandomLoss,
     ScriptedLoss,
     WindowLoss,
@@ -56,7 +55,6 @@ __all__ = [
     "MACAddress",
     "MAC_BROADCAST",
     "NIC",
-    "NoLoss",
     "RandomLoss",
     "ScriptedLoss",
     "Switch",

@@ -17,7 +17,7 @@ from repro.errors import AddressError
 class MACAddress:
     """A 48-bit Ethernet address."""
 
-    __slots__ = ("value", "_hash")
+    __slots__ = ("value",)
 
     def __init__(self, value: Union[int, str, "MACAddress"]) -> None:
         if isinstance(value, MACAddress):
@@ -42,13 +42,8 @@ class MACAddress:
         else:
             raise AddressError(f"cannot build MAC from {type(value).__name__}")
         self.value = number
-        # Hashed per frame (NIC filter, switch table); the value is what
-        # __hash__ always returned, so set/dict iteration order holds.
-        self._hash = hash(("mac", number))
 
     def __reduce__(self) -> tuple:
-        # Rebuild from the value: a pickled _hash is wrong in a process
-        # with another string-hash seed.
         return (MACAddress, (self.value,))
 
     @property
@@ -75,7 +70,8 @@ class MACAddress:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return self._hash
+        # Tables on the frame path key by ``value`` and never get here.
+        return hash(("mac", self.value))
 
     def __str__(self) -> str:
         octets = [(self.value >> shift) & 0xFF for shift in range(40, -8, -8)]
@@ -112,7 +108,7 @@ def fresh_multicast_mac() -> MACAddress:
 class IPAddress:
     """A 32-bit IPv4 address."""
 
-    __slots__ = ("value", "_hash")
+    __slots__ = ("value",)
 
     def __init__(self, value: Union[int, str, "IPAddress"]) -> None:
         if isinstance(value, IPAddress):
@@ -137,8 +133,6 @@ class IPAddress:
         else:
             raise AddressError(f"cannot build IP from {type(value).__name__}")
         self.value = number
-        # Hashed per datagram (local_ips, ARP, routing); see MACAddress.
-        self._hash = hash(("ip", number))
 
     def __reduce__(self) -> tuple:
         return (IPAddress, (self.value,))
@@ -166,7 +160,7 @@ class IPAddress:
         return self.value < other.value
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(("ip", self.value))
 
     def __str__(self) -> str:
         octets = [(self.value >> shift) & 0xFF for shift in range(24, -8, -8)]

@@ -14,7 +14,7 @@ the host will not announce them, until :meth:`ArpService.unsuppress_ip`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.net.addresses import MAC_BROADCAST, IPAddress, MACAddress
 from repro.net.frame import ETHERTYPE_ARP, EthernetFrame
@@ -83,40 +83,42 @@ class ArpService:
     def __init__(self, sim: Any, host: Any) -> None:
         self.sim = sim
         self.host = host
-        self._static: Dict[IPAddress, MACAddress] = {}
-        self._cache: Dict[IPAddress, Tuple[MACAddress, float]] = {}
-        self._pending: Dict[IPAddress, _Resolution] = {}
-        self.suppressed_ips: set = set()
+        # Keyed by the IP's ``value`` (DESIGN §13 rule 8).
+        self._static: Dict[int, MACAddress] = {}
+        self._cache: Dict[int, Tuple[MACAddress, float]] = {}
+        self._pending: Dict[int, _Resolution] = {}
+        self.suppressed_ip_values: Set[int] = set()
         self.requests_sent = 0
         self.replies_sent = 0
 
     # Table management ---------------------------------------------------------
     def add_static(self, ip: IPAddress, mac: MACAddress) -> None:
         """Install a permanent mapping (may map to a multicast MAC)."""
-        self._static[ip] = mac
+        self._static[ip.value] = mac
 
     def remove_static(self, ip: IPAddress) -> None:
-        self._static.pop(ip, None)
+        self._static.pop(ip.value, None)
 
     def suppress_ip(self, ip: IPAddress) -> None:
         """Stop answering ARP for ``ip`` (passive backup behaviour)."""
-        self.suppressed_ips.add(ip)
+        self.suppressed_ip_values.add(ip.value)
 
     def unsuppress_ip(self, ip: IPAddress) -> None:
         """Resume answering ARP for ``ip`` (failover takeover)."""
-        self.suppressed_ips.discard(ip)
+        self.suppressed_ip_values.discard(ip.value)
 
     def lookup(self, ip: IPAddress) -> Optional[MACAddress]:
         """Synchronous lookup: static first, then unexpired cache entry."""
-        static = self._static.get(ip)
+        key = ip.value
+        static = self._static.get(key)
         if static is not None:
             return static
-        cached = self._cache.get(ip)
+        cached = self._cache.get(key)
         if cached is not None:
             mac, expires = cached
             if expires > self.sim.now:
                 return mac
-            del self._cache[ip]
+            del self._cache[key]
         return None
 
     # Resolution -----------------------------------------------------------------
@@ -132,11 +134,11 @@ class ArpService:
         if mac is not None:
             done(mac)
             return
-        pending = self._pending.get(ip)
+        pending = self._pending.get(ip.value)
         if pending is not None:
             pending.append(done)
             return
-        resolution = self._pending[ip] = _Resolution([done])
+        resolution = self._pending[ip.value] = _Resolution([done])
         self._broadcast_request(ip, nic)
         schedule = self.sim.schedule
         resolution.retry = schedule(ARP_RETRY_INTERVAL, self._retry_request, ip, nic, resolution)
@@ -156,7 +158,7 @@ class ArpService:
         resolution.retry = self.sim.schedule(ARP_RETRY_INTERVAL, self._retry_request, ip, nic, resolution)
 
     def _resolution_expired(self, ip: IPAddress) -> None:
-        resolution = self._pending.pop(ip)
+        resolution = self._pending.pop(ip.value)
         resolution.retry.cancel()
         for done in resolution:
             done(None)
@@ -174,11 +176,11 @@ class ArpService:
         # MACs from the wire — mirrors the RFC 1812 restriction that
         # motivates the paper's static entries).
         if not message.sender_mac.is_multicast:
-            self._cache[message.sender_ip] = (
+            self._cache[message.sender_ip.value] = (
                 message.sender_mac,
                 self.sim.now + ARP_CACHE_TTL,
             )
-        resolution = self._pending.pop(message.sender_ip, None)
+        resolution = self._pending.pop(message.sender_ip.value, None)
         if resolution is not None:
             resolution.cancel()
             resolved = self.lookup(message.sender_ip)
@@ -186,10 +188,10 @@ class ArpService:
                 done(resolved)
         if message.op != ARP_REQUEST:
             return
-        if message.target_ip in self.suppressed_ips:
+        if message.target_ip.value in self.suppressed_ip_values:
             return
         owned = self.host.owned_ip_macs(nic)
-        answer_mac = owned.get(message.target_ip)
+        answer_mac = owned.get(message.target_ip.value)
         if answer_mac is None:
             return
         reply = ArpMessage(

@@ -55,7 +55,8 @@ class EthernetFrame:
         self.ethertype = ethertype
         self.payload = payload
         self.payload_size = payload_size
-        self.wire_size = max(payload_size + ETHERNET_OVERHEAD, ETHERNET_MIN_FRAME)
+        wire_size = payload_size + ETHERNET_OVERHEAD
+        self.wire_size = wire_size if wire_size > ETHERNET_MIN_FRAME else ETHERNET_MIN_FRAME
         self.frame_id = next(_frame_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

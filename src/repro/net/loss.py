@@ -2,7 +2,8 @@
 
 A loss model is a callable ``model(frame, now) -> bool`` returning True when
 the frame should be dropped.  Models keep their own counters so experiments
-can report what was lost where.
+can report what was lost where.  A link, hub or NIC without loss holds
+``None`` and asks nothing (DESIGN §13 rule 8).
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ class LossModel:
 
     def _should_drop(self, frame: EthernetFrame, now: float) -> bool:
         return False
-
-
-class NoLoss(LossModel):
-    """Explicit no-op model (the default everywhere)."""
 
 
 class RandomLoss(LossModel):

@@ -5,7 +5,8 @@ Devices (NICs, switch ports) implement the :class:`FrameReceiver` protocol
 ``screen(dst)`` the hub consults before queueing a delivery — and hold an
 :class:`Attachment` through which they transmit.  Media are responsible for
 serialisation (a link clocks one frame at a time per direction), propagation
-delay, and loss.
+delay, and loss: a medium built without a loss model (``loss_model`` is
+None, as on a NIC) asks none.
 
 The hub reproduces the paper's testbed: a 10/100 Mb/s Ethernet hub is a
 *shared half-duplex* medium, so every attached station hears every frame —
@@ -19,7 +20,7 @@ from typing import Any, List, Optional, Tuple
 
 from repro.errors import NetworkError
 from repro.net.frame import EthernetFrame
-from repro.net.loss import LossModel, NoLoss
+from repro.net.loss import LossModel
 from repro.util.units import transmission_time
 
 
@@ -100,7 +101,7 @@ class Cable:
         self._tx_time_cache: dict = {}
         self.delay = delay
         self.full_duplex = full_duplex
-        self.loss_model = loss_model or NoLoss()
+        self.loss_model = loss_model
         self.name = name
         self._to_b = _CableDirection(end_b)
         self._to_a = _CableDirection(end_a)
@@ -128,13 +129,18 @@ class Cable:
         if tx_time is None:
             tx_time = self._tx_time_cache[size] = transmission_time(size, self.rate_bps)
         if self.full_duplex:
-            start = max(now, direction.next_free)
+            start = direction.next_free
+            if now > start:
+                start = now
             direction.next_free = start + tx_time
         else:
-            start = max(now, self._shared_next_free)
+            start = self._shared_next_free
+            if now > start:
+                start = now
             self._shared_next_free = start + tx_time
         arrival = start + tx_time + self.delay
-        if self.loss_model(frame, now):
+        loss_model = self.loss_model
+        if loss_model is not None and loss_model(frame, now):
             if self.sim.trace.enabled_for("link"):
                 self.sim.trace.emit(now, "link", "drop", link=self.name, frame=frame.frame_id)
             return
@@ -194,7 +200,7 @@ class Hub:
         self.sim = sim
         self.rate_bps = rate_bps
         self.delay = delay
-        self.loss_model = loss_model or NoLoss()
+        self.loss_model = loss_model
         self.name = name
         self._attachments: List[HubAttachment] = []
         #: Cached fanout snapshot: ``(attachment, receive_frame, screen)``
@@ -232,9 +238,12 @@ class Hub:
         tx_time = self._tx_time_cache.get(size)
         if tx_time is None:
             tx_time = self._tx_time_cache[size] = transmission_time(size, self.rate_bps)
-        start = max(now, self._next_free)
+        start = self._next_free
+        if now > start:
+            start = now
         self._next_free = start + tx_time
-        if self.loss_model(frame, now):
+        loss_model = self.loss_model
+        if loss_model is not None and loss_model(frame, now):
             if self.sim.trace.enabled_for("link"):
                 self.sim.trace.emit(now, "link", "drop", link=self.name, frame=frame.frame_id)
             return

@@ -54,7 +54,8 @@ class NIC(FrameReceiver):
         self.powered = True
         self.handler: Optional[FrameHandler] = None
         self.attachment: Optional[Attachment] = None
-        self._accepted: Set[MACAddress] = {self.mac, MAC_BROADCAST}
+        #: ``value`` of every MAC the filter accepts (DESIGN §13 rule 8).
+        self._accepted: Set[int] = {self.mac.value, MAC_BROADCAST.value}
         self._rx_busy_until = 0.0
         self._rx_pending = 0
         # Counters (public, read by metrics collectors and tests).
@@ -79,12 +80,12 @@ class NIC(FrameReceiver):
     # Address filtering ------------------------------------------------------
     def join_mac(self, mac: MACAddress) -> None:
         """Accept frames addressed to an additional MAC (VNIC/multicast)."""
-        self._accepted.add(mac)
+        self._accepted.add(mac.value)
 
     def leave_mac(self, mac: MACAddress) -> None:
-        if mac == self.mac or mac == MAC_BROADCAST:
+        if mac.value == self.mac.value or mac.value == MAC_BROADCAST.value:
             raise NetworkError(f"cannot remove built-in address {mac}")
-        self._accepted.discard(mac)
+        self._accepted.discard(mac.value)
 
     # Transmit ----------------------------------------------------------------
     def transmit(self, frame: EthernetFrame) -> None:
@@ -103,14 +104,15 @@ class NIC(FrameReceiver):
 
         A refusal is counted (``rx_dropped_down``, ``rx_dropped_filter``)
         as the drop of a frame to ``dst``.  These are the first two checks
-        of :meth:`receive_frame`; the hub also asks them before it queues
-        a delivery (``Hub`` docstring), so a screened-out frame is counted
-        exactly as if it had arrived and been dropped.
+        of :meth:`receive_frame`, which runs them inline; the hub asks
+        them here before it queues a delivery (``Hub`` docstring), so a
+        screened-out frame is counted exactly as if it had arrived and
+        been dropped.
         """
         if not self.powered:
             self.rx_dropped_down += 1
             return False
-        if not (self.promiscuous or dst in self._accepted):
+        if not (self.promiscuous or dst.value in self._accepted):
             self.rx_dropped_filter += 1
             return False
         return True
@@ -118,11 +120,15 @@ class NIC(FrameReceiver):
     def receive_frame(self, frame: EthernetFrame) -> None:
         """Accept, queue or drop one arriving frame.
 
-        The :meth:`screen` checks run here although a hub has already run
-        them: cables do not screen, and a frame can be on the wire when
-        its receiver crashes or leaves the MAC it was sent to.
+        The :meth:`screen` checks run here, inline, although a hub has
+        already run them: cables do not screen, and a frame can be on the
+        wire when its receiver crashes or leaves the MAC it was sent to.
         """
-        if not self.screen(frame.dst):
+        if not self.powered:
+            self.rx_dropped_down += 1
+            return
+        if not (self.promiscuous or frame.dst.value in self._accepted):
+            self.rx_dropped_filter += 1
             return
         now = self.sim.now
         if self.rx_loss_model is not None and self.rx_loss_model(frame, now):

@@ -63,12 +63,14 @@ class Switch:
         self.name = name
         self.forwarding_delay = forwarding_delay
         self.ports: List[SwitchPort] = []
-        self._mac_table: Dict[MACAddress, SwitchPort] = {}
+        #: MAC ``value`` → port; the groups below are keyed the same way
+        #: (DESIGN §13 rule 8).
+        self._mac_table: Dict[int, SwitchPort] = {}
         # A frame leaves by its ports in index order, so same-instant
         # deliveries are queued in an order that does not depend on where
         # the ports sit in memory (ports hash by id): groups are lists kept
         # sorted, and no set of ports decides an output order.
-        self._multicast_groups: Dict[MACAddress, List[SwitchPort]] = {}
+        self._multicast_groups: Dict[int, List[SwitchPort]] = {}
         self._mirrors: Dict[SwitchPort, Set[SwitchPort]] = {}
         self.frames_forwarded = 0
         self.frames_flooded = 0
@@ -85,17 +87,17 @@ class Switch:
         if not mac.is_multicast:
             raise NetworkError(f"{mac} is not a multicast address")
         self._check_port(port)
-        members = self._multicast_groups.setdefault(mac, [])
+        members = self._multicast_groups.setdefault(mac.value, [])
         if port not in members:
             members.append(port)
             members.sort(key=lambda member: member.index)
 
     def leave_multicast(self, mac: MACAddress, port: SwitchPort) -> None:
-        members = self._multicast_groups.get(mac)
+        members = self._multicast_groups.get(mac.value)
         if members is not None and port in members:
             members.remove(port)
             if not members:
-                del self._multicast_groups[mac]
+                del self._multicast_groups[mac.value]
 
     def mirror_port(self, monitored: SwitchPort, monitor: SwitchPort) -> None:
         """Copy all traffic entering or leaving ``monitored`` to ``monitor``."""
@@ -119,7 +121,7 @@ class Switch:
     # Forwarding ---------------------------------------------------------------
     def _ingress(self, in_port: SwitchPort, frame: EthernetFrame) -> None:
         if not frame.src.is_multicast:
-            self._mac_table[frame.src] = in_port
+            self._mac_table[frame.src.value] = in_port
         targets = self._select_output_ports(in_port, frame)
         if self._mirrors:
             targets = self._with_mirrors(in_port, targets)
@@ -139,13 +141,13 @@ class Switch:
         if frame.dst.is_broadcast:
             return [port for port in self.ports if port is not in_port]
         if frame.dst.is_multicast:
-            members = self._multicast_groups.get(frame.dst)
+            members = self._multicast_groups.get(frame.dst.value)
             if members is not None:
                 return [port for port in members if port is not in_port]
             # Unregistered multicast floods, like a real switch.
             self.frames_flooded += 1
             return [port for port in self.ports if port is not in_port]
-        learned = self._mac_table.get(frame.dst)
+        learned = self._mac_table.get(frame.dst.value)
         if learned is not None:
             return [] if learned is in_port else [learned]
         self.frames_flooded += 1

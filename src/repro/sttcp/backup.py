@@ -210,7 +210,7 @@ class STTCPBackup:
         connections are regular primaries-to-be)."""
         if self.role is not ROLE_PASSIVE:
             return
-        if tcb.local_ip != self.service_ip or tcb.local_port != self.service_port:
+        if tcb.local_ip.value != self.service_ip.value or tcb.local_port != self.service_port:
             return
         ext = ShadowExtension()
         tcb.add_extension(ext)
@@ -338,7 +338,7 @@ class STTCPBackup:
         """Observe the primary→client direction of the byte stream."""
         if self.role is not ROLE_PASSIVE:
             return
-        if datagram.protocol != PROTO_TCP or datagram.src != self.service_ip:
+        if datagram.protocol != PROTO_TCP or datagram.src.value != self.service_ip.value:
             return
         segment: TCPSegment = datagram.payload
         if segment.src_port != self.service_port:
@@ -432,7 +432,7 @@ class STTCPBackup:
         if (
             isinstance(message, Heartbeat)
             and message.sender == "primary"
-            and source != self.primary_ip
+            and source.value != self.primary_ip.value
         ):
             self._adopt_new_primary(source)
             return

@@ -177,7 +177,7 @@ class STTCPPrimary:
             # A shadow replica on this host (promoted-backup topologies):
             # retention belongs to live primaries only.
             return
-        if tcb.local_ip != self.service_ip or tcb.local_port != self.service_port:
+        if tcb.local_ip.value != self.service_ip.value or tcb.local_port != self.service_port:
             return
         capacity = self.config.second_buffer_size or tcb.config.rcv_buffer
         retention = SecondReceiveBuffer(capacity)

@@ -21,15 +21,15 @@ def test_hub_scenario_wiring_standard():
     assert scenario.backup is None
     assert scenario.pair is None
     assert scenario.hub is not None
-    assert SERVICE_IP in scenario.primary.local_ips
+    assert SERVICE_IP.value in scenario.primary.local_ip_values
 
 
 def test_hub_scenario_wiring_sttcp():
     scenario = Scenario(profile=FAST_LAN, sttcp=STTCPConfig(), seed=1)
     assert scenario.backup is not None
     assert scenario.backup.nics[0].promiscuous
-    assert SERVICE_IP in scenario.backup.local_ips
-    assert SERVICE_IP in scenario.backup.arp.suppressed_ips
+    assert SERVICE_IP.value in scenario.backup.local_ip_values
+    assert SERVICE_IP.value in scenario.backup.arp.suppressed_ip_values
     assert scenario.pair is not None
     assert not scenario.backup.tcp.reset_on_unmatched
 

@@ -20,18 +20,19 @@ def test_local_ips_cover_interfaces_and_vnics(sim):
     nic = host.add_nic()
     host.configure_ip(nic, ip("10.0.0.1"), 24)
     host.add_vnic("svi", ip("10.0.0.100"), fresh_multicast_mac(), nic)
-    assert host.local_ips == {ip("10.0.0.1"), ip("10.0.0.100")}
+    assert host.local_ip_values == {ip("10.0.0.1").value, ip("10.0.0.100").value}
+    assert not hasattr(host, "local_ips")  # a stale reader fails loudly
 
 
 def test_local_ip_cache_invalidated_on_changes(sim):
     host = Host(sim, "h")
     nic = host.add_nic()
     host.configure_ip(nic, ip("10.0.0.1"), 24)
-    assert ip("10.0.0.100") not in host.local_ips
+    assert ip("10.0.0.100").value not in host.local_ip_values
     vnic = host.add_vnic("svi", ip("10.0.0.100"), fresh_multicast_mac(), nic)
-    assert ip("10.0.0.100") in host.local_ips
+    assert ip("10.0.0.100").value in host.local_ip_values
     host.remove_vnic(vnic)
-    assert ip("10.0.0.100") not in host.local_ips
+    assert ip("10.0.0.100").value not in host.local_ip_values
 
 
 def test_owned_ip_macs_scoped_to_nic(sim):
@@ -39,8 +40,8 @@ def test_owned_ip_macs_scoped_to_nic(sim):
     nic_a, nic_b = host.add_nic("a"), host.add_nic("b")
     host.configure_ip(nic_a, ip("10.0.0.1"), 24)
     host.configure_ip(nic_b, ip("192.168.1.1"), 24)
-    assert set(host.owned_ip_macs(nic_a)) == {ip("10.0.0.1")}
-    assert set(host.owned_ip_macs(nic_b)) == {ip("192.168.1.1")}
+    assert set(host.owned_ip_macs(nic_a)) == {ip("10.0.0.1").value}
+    assert set(host.owned_ip_macs(nic_b)) == {ip("192.168.1.1").value}
 
 
 def test_source_mac_prefers_vnic(sim):
@@ -149,3 +150,37 @@ def test_crashed_host_ignores_inbound_frames():
     sender.send_to((lan.ip_b, 5000), b"x")
     lan.sim.run(until=1.0)
     assert lan.b.udp.received == 0
+
+
+def test_local_ip_values_are_kept_by_value(sim):
+    """``configure_ip``, ``add_vnic`` and ``remove_vnic`` keep the set of
+    values current; an IP held by an interface and a VNIC stays local
+    when the VNIC goes, and an equal but distinct address is local."""
+    host = Host(sim, "h")
+    nic = host.add_nic()
+    host.configure_ip(nic, ip("10.0.0.1"), 24)
+    assert host.local_ip_values == {ip("10.0.0.1").value}
+    svi = host.add_vnic("svi", ip("10.0.0.100"), fresh_multicast_mac(), nic)
+    alias = host.add_vnic("alias", ip("10.0.0.1"), fresh_multicast_mac(), nic)
+    assert host.local_ip_values == {ip("10.0.0.1").value, ip("10.0.0.100").value}
+    host.remove_vnic(alias)
+    assert host.local_ip_values == {ip("10.0.0.1").value, ip("10.0.0.100").value}
+    host.remove_vnic(svi)
+    assert host.local_ip_values == {ip("10.0.0.1").value}
+
+
+def test_a_datagram_to_an_equal_address_is_delivered_locally():
+    lan = LanPair(Simulator(seed=57))
+    vnic = lan.b.add_vnic("svi", ip("10.0.0.100"), fresh_multicast_mac(), lan.nic_b)
+    lan.a.arp.add_static(ip("10.0.0.100"), vnic.mac)
+    received = []
+    lan.b.udp.socket(5000).on_datagram = lambda payload, addr: received.append(payload)
+    lan.a.udp.socket(6000).send_to((ip("10.0.0.100"), 5000), b"x")
+    lan.sim.run(until=1.0)
+    assert len(received) == 1
+    lan.b.remove_vnic(vnic)
+    lan.nic_b.promiscuous = True  # the frame still reaches IP, which drops it
+    lan.a.udp.socket(6001).send_to((ip("10.0.0.100"), 5000), b"x")
+    lan.sim.run(until=2.0)
+    assert len(received) == 1
+    assert lan.sim.metrics.value("host-b.ip.dropped_not_local") == 1

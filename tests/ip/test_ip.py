@@ -168,3 +168,70 @@ def test_crashed_host_sends_nothing():
     sock.send_to((lan.ip_b, 5000), b"x")
     lan.sim.run(until=0.5)
     assert lan.nic_a.tx_frames == 0
+
+
+# -- the route memo: a lookup is remembered per destination value until
+# -- the table changes (DESIGN §13 rule 4) -----------------------------------
+
+
+class CountingRoute(Route):
+    """A route that records every destination it is asked to match."""
+
+    def __init__(self, *args, asked, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.asked = asked
+
+    def matches(self, dst):
+        self.asked.append(dst.value)
+        return super().matches(dst)
+
+
+def test_route_lookup_is_remembered_per_destination_value():
+    table, asked = RoutingTable(), []
+    table.add(CountingRoute(ip("10.0.0.0"), 24, FakeNIC("eth0"), asked=asked))
+    first = table.lookup(ip("10.0.0.5"))
+    assert table.lookup(ip("10.0.0.5")) is first  # an equal, distinct address
+    assert table.lookup(ip("10.9.9.9")) is None
+    assert table.lookup(ip("10.9.9.9")) is None  # a miss is remembered too
+    assert asked == [ip("10.0.0.5").value, ip("10.9.9.9").value]
+
+
+def test_route_memo_sees_a_more_specific_route_added_after_a_lookup():
+    table = RoutingTable()
+    wide, narrow = FakeNIC("wide"), FakeNIC("narrow")
+    table.add(Route(ip("10.0.0.0"), 8, wide))
+    assert table.lookup(ip("10.1.2.3")).nic is wide
+    table.add(Route(ip("10.1.0.0"), 16, narrow))
+    assert table.lookup(ip("10.1.2.3")).nic is narrow
+
+
+def test_route_memo_forgets_a_removed_network():
+    table = RoutingTable()
+    table.add(Route(ip("10.0.0.0"), 24, FakeNIC("eth0")))
+    assert table.lookup(ip("10.0.0.1")) is not None
+    table.remove_network(ip("10.0.0.0"), 24)
+    assert table.lookup(ip("10.0.0.1")) is None
+
+
+def test_route_memo_forgets_a_miss_once_a_route_covers_it():
+    table = RoutingTable()
+    assert table.lookup(ip("8.8.8.8")) is None
+    wan = FakeNIC("wan")
+    table.add(Route(ip("0.0.0.0"), 0, wan, next_hop=ip("192.168.1.1"), metric=100))
+    assert table.lookup(ip("8.8.8.8")).nic is wan
+
+
+def test_a_route_added_after_traffic_carries_the_next_datagram():
+    """End to end: the first send finds no route; the route installed
+    afterwards carries the second."""
+    lan = LanPair(Simulator(seed=9))
+    far = ip("192.168.5.1")
+    sock = lan.a.udp.socket(6000)
+    sock.send_to((far, 80), b"x")
+    lan.sim.run(until=0.5)
+    assert lan.sim.metrics.value("host-a.ip.dropped_no_route") == 1
+    lan.a.ip_layer.add_default_route(lan.nic_a, lan.ip_b)
+    sock.send_to((far, 80), b"x")
+    lan.sim.run(until=1.0)
+    assert lan.sim.metrics.value("host-a.ip.dropped_no_route") == 1
+    assert lan.sim.metrics.value("host-b.ip.dropped_not_local") == 1

@@ -1,6 +1,7 @@
 """Tests for the sampling profiler: classification, attribution, report."""
 
 import json
+import os
 import threading
 import time
 
@@ -8,19 +9,29 @@ import pytest
 
 from repro.errors import ReproError
 from repro.metrics import profile
-from repro.metrics.profile import SamplingProfiler, _classify
+from repro.metrics.layers import PACKAGE_ROOT, layer_of
+from repro.metrics.profile import SamplingProfiler
 from repro.sim.scheduler import Scheduler
 from repro.tcp.seqspace import wrap
 
 
+def _source(*parts):
+    return os.path.join(PACKAGE_ROOT, *parts)
+
+
 def test_classify_maps_paths_to_layers():
-    assert _classify("/x/src/repro/sim/scheduler.py") == "kernel"
-    assert _classify("src\\repro\\tcp\\timers.py") == "tcp"  # windows separators
-    assert _classify("/x/src/repro/sttcp/engine.py") == "tcp"
-    assert _classify("/x/src/repro/net/medium.py") == "net"
-    assert _classify("/x/src/repro/harness/cli.py") == "harness"
-    assert _classify("/x/src/repro/__init__.py") == "other"
-    assert _classify("/usr/lib/python3.11/posixpath.py") is None
+    """Samples are attributed through the benchmark ledger's layer map."""
+    assert layer_of(_source("sim", "scheduler.py")) == "sim"
+    assert layer_of(_source("tcp", "timers.py")) == "tcp"
+    assert layer_of(_source("sttcp", "backup.py")) == "sttcp"
+    assert layer_of(_source("net", "medium.py")) == "net"
+    assert layer_of(_source("ip", "layer.py")) == "ip"
+    assert layer_of(_source("apps", "server.py")) == "apps"
+    assert layer_of(_source("harness", "cli.py")) == "harness"
+    assert layer_of(_source("ftcp", "baseline.py")) == "harness"  # folded
+    assert layer_of(_source("__init__.py")) == "harness"  # top-level module
+    assert layer_of("/elsewhere/src/repro/sim/scheduler.py") is None  # another tree
+    assert layer_of("/usr/lib/python3.11/posixpath.py") is None
 
 
 def test_rejects_non_positive_interval():
@@ -72,13 +83,13 @@ def test_busy_scheduler_loop_attributed_to_kernel():
     report = profiler.report()
     assert report["samples"] > 10
     assert report["wall_time"] > 0.2
-    # Essentially all work happens inside repro/sim: the kernel layer must
+    # Essentially all work happens inside repro/sim: the sim layer must
     # dominate the split.
-    assert report["layers"]["kernel"]["fraction"] > 0.5
+    assert report["layers"]["sim"]["fraction"] > 0.5
     total_fraction = sum(info["fraction"] for info in report["layers"].values())
     assert total_fraction == pytest.approx(1.0)
-    assert any(f["layer"] == "kernel" for f in report["top_functions"])
-    assert "kernel" in profiler.summary()
+    assert any(f["layer"] == "sim" for f in report["top_functions"])
+    assert "sim" in profiler.summary()
 
 
 def test_report_written_as_json(tmp_path):
@@ -123,13 +134,13 @@ class FakeFrame:
         self.f_back = back
 
 
-_DRAIN_CODE = FakeCode("/x/src/repro/sim/scheduler.py", "run_until")
+_DRAIN_CODE = FakeCode(_source("sim", "scheduler.py"), "run_until")
 
 
 def test_drain_loop_sample_attributed_to_active_callback():
     # A sample landing on the dispatch loop's call line belongs to the
     # callback being dispatched (here a repro.tcp function), not to the
-    # kernel layer the scheduler frame would classify as.
+    # sim layer the scheduler frame would classify as.
     profiler = SamplingProfiler()
     frame = FakeFrame(_DRAIN_CODE, {"callback": wrap})
     profiler._sample(0, frame)
@@ -143,10 +154,10 @@ def test_drain_loop_sample_without_resolvable_callback_stays_kernel():
     profiler._sample(0, FakeFrame(_DRAIN_CODE))
     # A C-level callback has no __code__ to classify.
     profiler._sample(0, FakeFrame(_DRAIN_CODE, {"callback": len}))
-    # A non-repro callback classifies to None and keeps kernel credit.
+    # A non-repro callback classifies to None and keeps the sim credit.
     profiler._sample(0, FakeFrame(_DRAIN_CODE, {"callback": json.loads}))
-    assert profiler.layer_samples == {"kernel": 3}
-    assert all(layer == "kernel" for layer, _ in profiler.function_samples)
+    assert profiler.layer_samples == {"sim": 3}
+    assert all(layer == "sim" for layer, _ in profiler.function_samples)
 
 
 def test_dispatch_attribution_unwraps_bound_methods():
@@ -157,15 +168,15 @@ def test_dispatch_attribution_unwraps_bound_methods():
         {"callback": sched.run_next},  # bound method of a kernel object
     )
     profiler._sample(0, frame)
-    assert profiler.layer_samples == {"kernel": 1}
-    assert profiler.function_samples == {("kernel", "scheduler.py:run_next"): 1}
+    assert profiler.layer_samples == {"sim": 1}
+    assert profiler.function_samples == {("sim", "scheduler.py:run_next"): 1}
 
 
 def test_non_dispatch_kernel_frames_keep_their_own_credit():
     profiler = SamplingProfiler()
     frame = FakeFrame(
-        FakeCode("/x/src/repro/sim/scheduler.py", "_push"),
+        FakeCode(_source("sim", "scheduler.py"), "_push"),
         {"callback": wrap},  # irrelevant: not a dispatch function
     )
     profiler._sample(0, frame)
-    assert profiler.function_samples == {("kernel", "scheduler.py:_push"): 1}
+    assert profiler.function_samples == {("sim", "scheduler.py:_push"): 1}

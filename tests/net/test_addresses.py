@@ -66,11 +66,12 @@ def test_mac_hashable():
     assert table[MACAddress("02:00:00:00:00:01")] == "x"
 
 
-def test_cached_hash_is_the_value_hash_and_is_not_pickled():
-    """Hashes are computed once but value-identically (set iteration
-    order must not move), and a pickle carries the value only: the cached
-    hash is wrong under another process's string-hash seed."""
+def test_hash_is_the_value_hash_and_pickles_by_value():
+    """An address holds its value and nothing else: the hash is computed
+    from it on demand, the same ``hash((tag, value))`` as ever (set
+    iteration order must not move), and a pickle carries the value only."""
     for address, tag in ((MACAddress("02:00:00:00:00:01"), "mac"), (IPAddress("10.0.0.1"), "ip")):
+        assert type(address).__slots__ == ("value",)
         assert hash(address) == hash((tag, address.value))
         assert hash(type(address)(address)) == hash(address)
         assert address.__reduce__() == (type(address), (address.value,))

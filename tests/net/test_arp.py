@@ -109,3 +109,20 @@ def test_remove_static(lan):
     lan.a.arp.add_static(ip("10.0.0.100"), lan.nic_b.mac)
     lan.a.arp.remove_static(ip("10.0.0.100"))
     assert lan.a.arp.lookup(ip("10.0.0.100")) is None
+
+
+def test_static_table_is_keyed_by_value(lan):
+    """``add_static``, ``lookup`` and ``remove_static`` go by the IP's
+    value: an equal but distinct ``IPAddress`` object is the same IP."""
+    group = fresh_multicast_mac()
+    lan.a.arp.add_static(ip("10.0.0.100"), group)
+    assert lan.a.arp.lookup(ip("10.0.0.100")) is group
+    lan.a.arp.remove_static(ip("10.0.0.100"))
+    assert lan.a.arp.lookup(ip("10.0.0.100")) is None
+
+
+def test_suppression_is_keyed_by_value(lan):
+    lan.b.arp.suppress_ip(ip(str(lan.ip_b)))
+    assert resolve(lan.a, lan.ip_b, lan.nic_a) == [None]
+    lan.b.arp.unsuppress_ip(ip(str(lan.ip_b)))
+    assert resolve(lan.a, lan.ip_b, lan.nic_a) == [lan.nic_b.mac]

@@ -4,7 +4,7 @@ import random
 
 from repro.net.addresses import fresh_unicast_mac
 from repro.net.frame import ETHERTYPE_IPV4, EthernetFrame
-from repro.net.loss import BurstLoss, NoLoss, RandomLoss, ScriptedLoss, WindowLoss
+from repro.net.loss import BurstLoss, LossModel, RandomLoss, ScriptedLoss, WindowLoss
 
 
 def frame():
@@ -12,7 +12,7 @@ def frame():
 
 
 def test_no_loss_never_drops():
-    model = NoLoss()
+    model = LossModel()  # the base class; a medium without loss holds None
     assert not any(model(frame(), 0.0) for _ in range(100))
     assert model.seen == 100
     assert model.dropped == 0

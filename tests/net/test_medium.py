@@ -299,3 +299,35 @@ def test_hub_detach_during_screened_fanout_keeps_inflight_frames():
     sim.run()
     assert (leaver.rx_frames, stayer.rx_frames) == (2, 3)
     assert leaver.rx_dropped_filter == stayer.rx_dropped_filter == 0
+
+
+@pytest.mark.parametrize("kind", ["cable", "hub"])
+def test_a_medium_without_loss_asks_no_model(kind):
+    """A medium is built with ``loss_model`` None and asks nothing; a model
+    set mid-run drops from the next frame on, and ``clear_loss`` restores
+    None."""
+    from repro.faults.injection import clear_loss
+
+    sim = Simulator()
+    a, b = Sink(sim), Sink(sim)
+    if kind == "cable":
+        medium = Cable(sim, a, b, rate_bps=mbps(100))
+        send = medium.attachment_a.send
+    else:
+        medium = Hub(sim, rate_bps=mbps(100))
+        send = medium.attach(a).send
+        medium.attach(b)
+    assert medium.loss_model is None
+    send(make_frame())
+    sim.run()
+    medium.loss_model = ScriptedLoss(drop_indices=[1])
+    send(make_frame())
+    send(make_frame())
+    sim.run()
+    assert len(b.received) == 2 and medium.loss_model.dropped == 1
+    clear_loss(medium)
+    assert medium.loss_model is None
+    send(make_frame())
+    sim.run()
+    assert len(b.received) == 3
+    assert medium.frames_carried == 3

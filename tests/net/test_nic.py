@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import NetworkError
-from repro.net.addresses import MAC_BROADCAST, fresh_multicast_mac, fresh_unicast_mac, ip
+from repro.net.addresses import (
+    MAC_BROADCAST,
+    MACAddress,
+    fresh_multicast_mac,
+    fresh_unicast_mac,
+    ip,
+)
 from repro.net.frame import ETHERTYPE_IPV4, EthernetFrame
 from repro.net.loss import ScriptedLoss
 from repro.net.medium import Hub
@@ -171,3 +177,36 @@ def test_counters_track_traffic(sim):
     assert nic_a.tx_bytes == frame.wire_size
     assert nic_b.rx_frames == 1
     assert nic_b.rx_bytes == frame.wire_size
+
+
+def test_mac_filter_is_keyed_by_value(sim):
+    """Joining, filtering and leaving go by the address's value: an equal
+    but distinct ``MACAddress`` object is the same address."""
+    nic = NIC(sim)
+    received = collect(nic)
+    nic.join_mac(MACAddress("03:00:00:00:99:01"))
+    nic.receive_frame(make_frame(MACAddress("03:00:00:00:99:01")))
+    assert len(received) == 1
+    nic.leave_mac(MACAddress("03:00:00:00:99:01"))
+    nic.receive_frame(make_frame(MACAddress("03:00:00:00:99:01")))
+    assert len(received) == 1 and nic.rx_dropped_filter == 1
+    nic.receive_frame(make_frame(MACAddress(nic.mac.value)))
+    nic.receive_frame(make_frame(MACAddress(MAC_BROADCAST.value)))
+    assert len(received) == 3
+    with pytest.raises(NetworkError):
+        nic.leave_mac(MACAddress(nic.mac.value))
+    with pytest.raises(NetworkError):
+        nic.leave_mac(MACAddress(MAC_BROADCAST.value))
+
+
+def test_receive_counts_a_refusal_once_without_asking_screen(sim):
+    """``receive_frame`` runs the power and filter checks inline, with the
+    counters ``screen`` keeps."""
+    nic = NIC(sim)
+    nic.screen = None  # a call through it would raise
+    received = collect(nic)
+    nic.receive_frame(make_frame(fresh_unicast_mac()))
+    nic.power_off()
+    nic.receive_frame(make_frame(nic.mac))
+    assert received == []
+    assert (nic.rx_dropped_filter, nic.rx_dropped_down) == (1, 1)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NetworkError
-from repro.net.addresses import MAC_BROADCAST, fresh_multicast_mac, fresh_unicast_mac
+from repro.net.addresses import MAC_BROADCAST, MACAddress, fresh_multicast_mac, fresh_unicast_mac
 from repro.net.frame import ETHERTYPE_IPV4, EthernetFrame
 from repro.net.medium import Cable, FrameReceiver
 from repro.net.switch import Switch
@@ -196,3 +196,27 @@ def test_forwarding_delay_applied():
     sim.run()
     assert sim.now >= 0.005
     assert len(b.received) == 1
+
+
+def test_switch_tables_are_keyed_by_value(fabric):
+    """Groups and learned ports go by the address's value: an equal but
+    distinct ``MACAddress`` object is the same address."""
+    sim, switch, stations = fabric
+    a, b, c, d = stations
+    switch.join_multicast(MACAddress("03:00:00:00:77:01"), b.port)
+    a.send(MACAddress("03:00:00:00:77:01"))
+    sim.run()
+    assert (len(b.received), len(c.received), len(d.received)) == (1, 0, 0)
+    switch.leave_multicast(MACAddress("03:00:00:00:77:01"), b.port)
+    a.send(MACAddress("03:00:00:00:77:01"))
+    sim.run()
+    assert (len(b.received), len(c.received), len(d.received)) == (2, 1, 1)
+    assert switch.frames_flooded == 1
+    # b's source address is learned; a frame to an equal address follows it.
+    b.send(MACAddress(a.mac.value))
+    sim.run()
+    before = [len(s.received) for s in stations]
+    d.send(MACAddress(b.mac.value))
+    sim.run()
+    assert [len(s.received) for s in stations] == [before[0], before[1] + 1, before[2], before[3]]
+    assert switch.frames_flooded == 1  # a's port was learned from its own frames

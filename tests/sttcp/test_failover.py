@@ -9,8 +9,12 @@ from repro.apps.workload import (
     upload_workload,
 )
 from repro.harness.runner import run_workload
+from repro.ip.datagram import PROTO_TCP
+from repro.net.frame import ETHERTYPE_IPV4
+from repro.net.loss import ScriptedLoss
 from repro.sttcp.backup import ROLE_ACTIVE
 from repro.sttcp.shadow import ShadowExtension
+from repro.tcp.constants import FLAG_ACK, FLAG_SYN
 from repro.util.units import KB
 
 from tests.sttcp.conftest import make_scenario
@@ -83,7 +87,7 @@ def test_backup_answers_arp_after_takeover():
     scenario, _run, _ = failover_run(echo_workload(20))
     from repro.harness.scenario import SERVICE_IP
 
-    assert SERVICE_IP not in scenario.backup.arp.suppressed_ips
+    assert SERVICE_IP.value not in scenario.backup.arp.suppressed_ip_values
 
 
 def test_new_connections_served_by_backup_after_failover():
@@ -120,6 +124,67 @@ def test_crash_during_handshake_window():
     )
     assert run.result.error is None
     assert run.result.verified
+
+
+def _tap_loses_the_client_syn(scenario):
+    """The backup's tap drops the client's SYN and no other frame; returns
+    the loss model and the list of shadows late adoption built."""
+
+    def client_syn(frame):
+        if frame.ethertype != ETHERTYPE_IPV4 or frame.payload.protocol != PROTO_TCP:
+            return False
+        return frame.payload.payload.flags & (FLAG_SYN | FLAG_ACK) == FLAG_SYN
+
+    loss = ScriptedLoss(predicate=client_syn)
+    scenario.backup.nics[0].rx_loss_model = loss
+    engine = scenario.pair.backup_engine
+    adopt, adopted = engine._adopt_missed_connection, []
+
+    def recording_adopt(client_ip, synack):
+        state = adopt(client_ip, synack)
+        adopted.append((synack, state))
+        return state
+
+    engine._adopt_missed_connection = recording_adopt
+    return loss, adopted
+
+
+def test_late_shadow_is_built_from_the_tapped_synack():
+    """A tap that missed the client's SYN still shadows the connection:
+    the primary's SYN/ACK carries both ISNs (§4.1)."""
+    scenario = make_scenario()
+    loss, adopted = _tap_loses_the_client_syn(scenario)
+    run = run_workload(echo_workload(20), scenario=scenario, deadline=60.0).require_clean()
+    assert loss.dropped == 1
+    assert len(adopted) == 1
+    synack, state = adopted[0]
+    assert synack.flags & (FLAG_SYN | FLAG_ACK) == FLAG_SYN | FLAG_ACK
+    (shadow,) = scenario.pair.backup_engine.shadow_connections
+    assert state.tcb is shadow
+    assert shadow.remote_port == synack.dst_port
+    assert state.ext.isn_rebased  # re-anchored on the primary's ISN
+    assert run.result.exchanges_done == 20
+
+
+def test_crash_after_late_shadow_adoption_is_transparent():
+    """The late shadow takes the connection over like any other: the
+    client never learns that the tap lost its SYN or that the primary
+    died."""
+    baseline_scenario = make_scenario()
+    _tap_loses_the_client_syn(baseline_scenario)
+    baseline = run_workload(
+        echo_workload(20), scenario=baseline_scenario, deadline=60.0
+    ).require_clean()
+    scenario = make_scenario()
+    loss, adopted = _tap_loses_the_client_syn(scenario)
+    crash_at = 0.1 + 0.5 * baseline.total_time  # after the first exchange
+    run = run_workload(echo_workload(20), scenario=scenario, crash_at=crash_at, deadline=300.0)
+    assert loss.dropped == 1 and len(adopted) == 1
+    assert scenario.pair.failed_over
+    assert run.result.error is None
+    assert run.result.verified
+    assert run.result.exchanges_done == 20
+    assert scenario.sim.metrics.value("client.tcp.resets_sent") == 0
 
 
 def test_upload_failover_uses_backup_receive_state():
