@@ -84,13 +84,13 @@ def client_session(
                 record = decode_request(receipt)
                 if record.response_size != workload.response_size:
                     verified = False
-                bytes_received += len(receipt)
+                bytes_received += receipt.length
                 checkpoint(bytes_sent + bytes_received)
             elif workload.echo:
                 reply = yield sock.recv_exactly(REQUEST_SIZE)
                 if not span_equal(reply, request):
                     verified = False
-                bytes_received += len(reply)
+                bytes_received += reply.length
                 checkpoint(bytes_received)
             else:
                 remaining = workload.response_size
@@ -98,9 +98,9 @@ def client_session(
                     chunk = yield sock.recv_exactly(min(RECV_CHUNK, remaining))
                     if not verify_response(chunk, data_stream_offset):
                         verified = False
-                    data_stream_offset += len(chunk)
-                    bytes_received += len(chunk)
-                    remaining -= len(chunk)
+                    data_stream_offset += chunk.length
+                    bytes_received += chunk.length
+                    remaining -= chunk.length
                     checkpoint(bytes_received)
             exchanges_done += 1
     except Exception as exc:  # noqa: BLE001 - recorded in the result

@@ -17,7 +17,7 @@ from __future__ import annotations
 import struct
 from typing import NamedTuple
 
-from repro.util.bytespan import ByteSpan, PatternBytes, RealBytes
+from repro.util.bytespan import ByteSpan, PatternBytes, RealBytes, span_equal
 
 #: Fixed request size used by all three applications (§6).
 REQUEST_SIZE = 150
@@ -61,10 +61,9 @@ def encode_request(kind: int, response_size: int, request_id: int) -> ByteSpan:
 
 def decode_request(data: ByteSpan) -> Request:
     """Parse a 150-byte request record."""
-    if len(data) != REQUEST_SIZE:
-        raise ValueError(f"request must be {REQUEST_SIZE} bytes, got {len(data)}")
-    raw = data.slice(0, _HEADER.size).to_bytes()
-    magic, kind, _, response_size, request_id = _HEADER.unpack(raw)
+    if data.length != REQUEST_SIZE:
+        raise ValueError(f"request must be {REQUEST_SIZE} bytes, got {data.length}")
+    magic, kind, _, response_size, request_id = _HEADER.unpack_from(data.to_bytes())
     if magic != MAGIC:
         raise ValueError(f"bad request magic {magic:#06x}")
     return Request(kind, response_size, request_id)
@@ -82,7 +81,7 @@ def response_payload(response_size: int, stream_offset: int) -> ByteSpan:
 
 def verify_response(data: ByteSpan, stream_offset: int) -> bool:
     """Check that received response bytes match the deterministic pattern."""
-    return data == PatternBytes(len(data), stream_offset, RESPONSE_PATTERN)
+    return span_equal(data, PatternBytes(data.length, stream_offset, RESPONSE_PATTERN))
 
 
 def upload_payload(size: int, stream_offset: int) -> ByteSpan:
@@ -92,4 +91,4 @@ def upload_payload(size: int, stream_offset: int) -> ByteSpan:
 
 def verify_upload(data: ByteSpan, stream_offset: int) -> bool:
     """Server-side content check of uploaded bytes."""
-    return data == PatternBytes(len(data), stream_offset, UPLOAD_PATTERN)
+    return span_equal(data, PatternBytes(data.length, stream_offset, UPLOAD_PATTERN))

@@ -37,11 +37,11 @@ def connection_handler(
     try:
         while True:
             first = yield conn.recv(REQUEST_SIZE)
-            if len(first) == 0:
+            if first.length == 0:
                 break  # orderly EOF
             record = first
-            if len(record) < REQUEST_SIZE:
-                rest = yield conn.recv_exactly(REQUEST_SIZE - len(record))
+            if record.length < REQUEST_SIZE:
+                rest = yield conn.recv_exactly(REQUEST_SIZE - record.length)
                 record = concat([record, rest])
             try:
                 request = decode_request(record)
@@ -66,9 +66,9 @@ def connection_handler(
                 while remaining > 0:
                     chunk = yield conn.recv_exactly(min(65536, remaining))
                     if verify_upload(chunk, upload_stream_offset):
-                        verified_bytes += len(chunk)
-                    upload_stream_offset += len(chunk)
-                    remaining -= len(chunk)
+                        verified_bytes += chunk.length
+                    upload_stream_offset += chunk.length
+                    remaining -= chunk.length
                 receipt = encode_request(KIND_UPLOAD, verified_bytes, request.request_id)
                 yield conn.send(receipt)
             else:  # pragma: no cover - decode_request validates kinds

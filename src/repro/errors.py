@@ -20,14 +20,6 @@ class ProcessError(SimulationError):
     """A coroutine process was used incorrectly (e.g. double start)."""
 
 
-class InterruptError(SimulationError):
-    """Raised inside a process that was interrupted by another process."""
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(f"process interrupted: {cause!r}")
-        self.cause = cause
-
-
 class NetworkError(ReproError):
     """Base class for link-layer and topology errors."""
 

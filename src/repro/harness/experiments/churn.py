@@ -247,8 +247,8 @@ def _flow(sock: Any, request_id: int, size: int, stream_offset: int) -> Generato
         chunk = yield sock.recv_exactly(min(RECV_CHUNK, remaining))
         if not verify_response(chunk, stream_offset):
             ok = False
-        stream_offset += len(chunk)
-        remaining -= len(chunk)
+        stream_offset += chunk.length
+        remaining -= chunk.length
     return ok, stream_offset
 
 

@@ -96,7 +96,10 @@ class SimEvent:
 
     The class is deliberately independent of the scheduler: triggering only
     records the outcome and notifies subscribed callbacks; the process layer
-    turns those callbacks into coroutine resumptions.
+    turns those callbacks into coroutine resumptions.  The outcome is three
+    fields — ``_done``, ``_value``, ``_exc`` — that the kernel and the
+    socket read directly (DESIGN §13 rule 9); the properties below are for
+    everyone else.
     """
 
     __slots__ = ("sim", "_value", "_exc", "_done", "_callbacks", "name")
@@ -136,25 +139,33 @@ class SimEvent:
     # Triggering ----------------------------------------------------------
     def succeed(self, value: Any = None) -> "SimEvent":
         """Mark the event successful and wake all waiters."""
-        self._trigger(value, None)
+        if self._done:
+            raise SimulationError(f"event {self.name!r} triggered twice")
+        self._done = True
+        self._value = value
+        callbacks = self._callbacks
+        if callbacks:
+            # Swapped out first: a callback added from inside one of these
+            # sees the event triggered and runs at once, exactly once.
+            self._callbacks = []
+            for callback in callbacks:
+                callback(self)
         return self
 
     def fail(self, exc: BaseException) -> "SimEvent":
         """Mark the event failed; waiters will see ``exc`` raised."""
         if not isinstance(exc, BaseException):
             raise TypeError(f"fail() requires an exception, got {exc!r}")
-        self._trigger(None, exc)
-        return self
-
-    def _trigger(self, value: Any, exc: Optional[BaseException]) -> None:
         if self._done:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self._done = True
-        self._value = value
         self._exc = exc
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            for callback in callbacks:
+                callback(self)
+        return self
 
     # Subscription --------------------------------------------------------
     def add_callback(self, callback: Callable[["SimEvent"], None]) -> None:

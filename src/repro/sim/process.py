@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from repro.errors import InterruptError, ProcessError
+from repro.errors import ProcessError
 from repro.sim.events import SimEvent
 
 
@@ -31,9 +31,13 @@ class Process(SimEvent):
     The process *succeeds* with the generator's return value when the
     generator finishes, and *fails* with the exception if the generator
     raises.  Other processes may therefore ``yield`` a process to join it.
+
+    One step is one call, :meth:`_resume`: it is what a yielded event
+    calls back when it triggers, and what the queue calls for a target
+    that had triggered already.
     """
 
-    __slots__ = ("generator", "_waiting_on", "_started", "label")
+    __slots__ = ("generator", "_waiting_on", "label")
 
     def __init__(
         self,
@@ -47,10 +51,9 @@ class Process(SimEvent):
         self.generator = generator
         self.label = self.name
         self._waiting_on: Optional[SimEvent] = None
-        self._started = False
         # First resumption happens as a scheduled event so that spawning
         # inside another process does not reenter user code synchronously.
-        sim.post(sim.now, self._resume_with, None, None)
+        sim.post(sim.now, self._resume, _STARTED)
 
     # Lifecycle -----------------------------------------------------------
     @property
@@ -58,52 +61,38 @@ class Process(SimEvent):
         """True while the generator has not finished."""
         return not self._done
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`InterruptError` inside the process at its yield.
-
-        No-op if the process already finished.  A process blocked on an
-        event is detached from it; the abandoned event may still trigger
-        later with no effect on this process.
-        """
-        if self.triggered:
-            return
-        if self._waiting_on is not None:
-            self._waiting_on.discard_callback(self._event_done)
-            self._waiting_on = None
-        self.sim.post(self.sim.now, self._resume_with, None, InterruptError(cause))
-
     def kill(self) -> None:
         """Terminate the process without running any of its cleanup code
         beyond ``GeneratorExit`` handling (i.e. ``generator.close()``)."""
-        if self.triggered:
+        if self._done:
             return
         if self._waiting_on is not None:
-            self._waiting_on.discard_callback(self._event_done)
+            self._waiting_on.discard_callback(self._resume)
             self._waiting_on = None
         self.generator.close()
         self.succeed(None)
 
     # Internal stepping ----------------------------------------------------
-    def _event_done(self, event: SimEvent) -> None:
-        self._waiting_on = None
-        if event.ok:
-            self._resume_with(event._value, None)
-        else:
-            self._resume_with(None, event.exception)
-
-    def _resume_with(self, value: Any, exc: Optional[BaseException]) -> None:
-        if self.triggered:
-            return
-        self._started = True
+    def _resume(self, event: SimEvent) -> None:
+        """Send ``event``'s outcome into the generator and wait on what it
+        yields next."""
+        if self._done:
+            return  # killed while this resume was queued
         try:
-            if exc is not None:
-                target = self.generator.throw(exc)
+            exc = event._exc
+            if exc is None:
+                target = self.generator.send(event._value)
             else:
-                target = self.generator.send(value)
+                target = self.generator.throw(exc)
         except StopIteration as stop:
+            # A finished process waits on nothing: ``Host.processes`` keeps
+            # finished ones until it prunes, and the last event can hold a
+            # socket.
+            self._waiting_on = None
             self.succeed(stop.value)
             return
         except BaseException as failure:  # noqa: BLE001 - propagate to joiners
+            self._waiting_on = None
             if not self._callbacks:
                 # Nobody is joining this process: surface the crash instead
                 # of swallowing it, per "errors should never pass silently".
@@ -112,6 +101,7 @@ class Process(SimEvent):
             self.fail(failure)
             return
         if not isinstance(target, SimEvent):
+            self._waiting_on = None
             self.generator.close()
             self.succeed(None)
             raise ProcessError(
@@ -119,18 +109,23 @@ class Process(SimEvent):
                 "yield SimEvent instances"
             )
         self._waiting_on = target
-        if target.triggered:
+        if target._done:
             # Resume via the scheduler rather than synchronously: a chain
             # of already-ready events (e.g. reads from a full buffer) must
-            # not recurse one Python frame per step.
+            # not recurse one Python frame per step, and a synchronous
+            # resume would change the re-entrancy order.
             sim = self.sim
-            sim.post(sim.now, self._event_done, target)
+            sim.post(sim.now, self._resume, target)
         else:
-            target.add_callback(self._event_done)
+            target._callbacks.append(self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "done" if self.triggered else ("running" if self._started else "new")
-        return f"<Process {self.label!r} {state}>"
+        return f"<Process {self.label!r} {'done' if self._done else 'alive'}>"
+
+
+#: The already-succeeded event (value ``None``) a process's first step is
+#: resumed with: ``generator.send(None)`` starts a generator.
+_STARTED = SimEvent(None, "start").succeed()
 
 
 class Semaphore:

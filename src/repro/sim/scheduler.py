@@ -26,6 +26,10 @@ args)`` driven by :mod:`heapq`, and one dispatch loop
   counter, and the heap is rebuilt live-only — in place — once more than
   half of a heap larger than :attr:`Scheduler.GC_BASE_THRESHOLD` is dead,
   so a cancel-and-re-arm timer pattern cannot grow it without bound.
+* **The clock is a field.**  The dispatch loop writes ``clock.now``
+  before each callback; everything else reads it as a plain attribute.
+  A :class:`~repro.sim.simulator.Simulator` passes itself as the clock,
+  so ``sim.now`` is that field; a standalone scheduler is its own clock.
 * **Event times are finite.**  ``nan`` and ``inf`` are rejected when an
   event is queued, by ``post`` as by ``schedule_at``: either would fire
   and leave the clock unusable.
@@ -53,25 +57,30 @@ class Scheduler:
     :meth:`post` queues a callback nobody will cancel; :meth:`schedule_at`
     and :meth:`schedule_after` queue one and return its
     :class:`EventHandle`.  Only the latter allocate a handle.
+
+    ``clock`` is the object whose ``now`` attribute the dispatch loop
+    writes (default: the scheduler itself).  A scheduler built for a
+    clock never sets its own ``now``, so reading that is an error rather
+    than a stale time.
     """
 
-    __slots__ = ("_heap", "_now", "_executed", "_live", "_seq")
+    __slots__ = ("_heap", "now", "_clock", "_executed", "_live", "_seq")
 
     #: Heap compaction floor: below this length, dead entries are cheap
     #: enough to keep regardless of fraction.
     GC_BASE_THRESHOLD = 4096
 
-    def __init__(self) -> None:
+    def __init__(self, clock: Any = None) -> None:
         self._heap: List[HeapEntry] = []
-        self._now = 0.0
+        if clock is None:
+            clock = self
+        #: Current simulated time in seconds, when the scheduler is its
+        #: own clock.
+        clock.now = 0.0
+        self._clock = clock
         self._executed = 0
         self._live = 0
         self._seq = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def executed_count(self) -> int:
@@ -91,9 +100,10 @@ class Scheduler:
         priority: int = PRIORITY_NORMAL,
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
+        now = self._clock.now
+        if time < now:
             raise SimulationError(
-                f"cannot schedule at t={time:.9f}, already at t={self._now:.9f}"
+                f"cannot schedule at t={time:.9f}, already at t={now:.9f}"
             )
         return self._push(time, callback, args, priority)
 
@@ -109,7 +119,7 @@ class Scheduler:
         Callers must guarantee ``delay >= 0`` (the :class:`Simulator`
         wrappers either validate it once or hold it by construction).
         """
-        return self._push(self._now + delay, callback, args, priority)
+        return self._push(self._clock.now + delay, callback, args, priority)
 
     def post(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
         """Queue ``callback(*args)`` at absolute ``time``, uncancellable.
@@ -119,9 +129,10 @@ class Scheduler:
         at :data:`PRIORITY_NORMAL`, exactly as ``schedule_at`` would give
         it.  One chained compare rejects a past, ``nan`` or infinite time.
         """
-        if not self._now <= time < inf:
+        now = self._clock.now
+        if not now <= time < inf:
             raise SimulationError(
-                f"event time must be finite and not before now={self._now!r}, got {time!r}"
+                f"event time must be finite and not before now={now!r}, got {time!r}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -206,10 +217,13 @@ class Scheduler:
         This is the only place a callback is invoked from.
         """
         heap = self._heap  # compaction is in place: the local stays valid
+        clock = self._clock
         ut = inf if until is None else until
         remaining = -1 if max_events is None else max_events
         while heap:
-            # ``callback`` is a named local: the profiler reads it.
+            # ``callback`` is a named local: the ``--profile`` sampler
+            # (``repro.metrics.profile``) reads it off this frame to charge
+            # a sample taken here to the callback's layer.
             time, _, _, handle, callback, args = heap[0]
             if handle is not None and handle._cancelled:
                 heappop(heap)
@@ -222,7 +236,7 @@ class Scheduler:
                 remaining -= 1
             heappop(heap)
             self._live -= 1
-            self._now = time
+            clock.now = time
             self._executed += 1
             if handle is not None:
                 handle._sched = None
@@ -234,5 +248,5 @@ class Scheduler:
         # No final clock advance under ``watch``: the caller
         # (run_until_complete) distinguishes "queue drained" from
         # "deadline reached" by whether the clock moved.
-        if watch is None and until is not None and until > self._now:
-            self._now = until
+        if watch is None and until is not None and until > clock.now:
+            clock.now = until

@@ -36,8 +36,12 @@ class Simulator:
         sim.run(until=60.0)
     """
 
+    #: Current simulated time in seconds: a plain attribute that only the
+    #: scheduler's dispatch loop writes (``Scheduler(clock=self)``).
+    now: float
+
     def __init__(self, seed: int = 0) -> None:
-        self._scheduler = Scheduler()
+        self._scheduler = Scheduler(self)
         #: ``post(time, callback, *args)``: queue an uncancellable callback
         #: at absolute ``time`` (:meth:`Scheduler.post`), bound once so a
         #: post is one Python call.  Callers that keep no handle use it.
@@ -47,11 +51,6 @@ class Simulator:
         self.metrics = MetricsRegistry()
 
     # Time ----------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._scheduler._now
-
     @property
     def events_executed(self) -> int:
         return self._scheduler.executed_count
@@ -103,7 +102,7 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that succeeds after ``delay`` seconds."""
         event = Timeout(self, delay)  # validates delay >= 0
-        self.post(self._scheduler._now + delay, event.succeed, value)
+        self.post(self.now + delay, event.succeed, value)
         return event
 
     def any_of(self, events: List[SimEvent]) -> AnyOf:
@@ -142,14 +141,14 @@ class Simulator:
         via ``watch``.
         """
         scheduler = self._scheduler
-        while not process.triggered:
+        while not process._done:
             if deadline is not None and self.now >= deadline:
                 raise SimulationError(
                     f"deadline {deadline}s passed; process {process.label!r} "
                     "still running"
                 )
             scheduler.run_until(until=deadline, watch=process)
-            if process.triggered:
+            if process._done:
                 break
             if deadline is not None and self.now >= deadline:
                 continue  # the deadline check at the top of the loop raises

@@ -59,7 +59,7 @@ class SecondReceiveBuffer(RetentionPolicy):
             )
         self._store.append(span)
         self.bytes_retained_total += span.length
-        usage = self._store._length
+        usage = self._store.length
         if usage > self.peak_usage:
             self.peak_usage = usage
         overflow = usage - self.capacity
@@ -69,7 +69,7 @@ class SecondReceiveBuffer(RetentionPolicy):
     def overflow_bytes(self) -> int:
         if not self.enabled:
             return 0
-        overflow = self._store._length - self.capacity
+        overflow = self._store.length - self.capacity
         return overflow if overflow > 0 else 0
 
     # ST-TCP engine API ------------------------------------------------------------

@@ -38,8 +38,7 @@ with its first implementer.
 
 from __future__ import annotations
 
-import functools
-from typing import TYPE_CHECKING, Tuple, Type
+from typing import TYPE_CHECKING, Any, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tcp.segment import TCPSegment
@@ -63,6 +62,19 @@ class TCPExtension:
     #: Stable identifier, ``<subsystem>.<role>`` by convention.
     name: str = "extension"
 
+    #: The hooks this class overrides, worked out when the class is made
+    #: (not on first use, so a profiled run counts the same calls however
+    #: many runs the process made before it).
+    _dispatch_hooks: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._dispatch_hooks = tuple(
+            hook
+            for hook in HOOK_NAMES
+            if getattr(cls, hook) is not getattr(TCPExtension, hook)
+        )
+
     # -- lifecycle ----------------------------------------------------------
     def on_attach(self, conn: "TCPConnection") -> None:
         """Called when the extension is registered on ``conn``."""
@@ -82,15 +94,6 @@ class TCPExtension:
         """Run deferred work after an output pass."""
 
 
-@functools.lru_cache(maxsize=None)
-def _class_hooks(cls: Type["TCPExtension"]) -> Tuple[str, ...]:
-    return tuple(
-        hook
-        for hook in HOOK_NAMES
-        if getattr(cls, hook, None) is not getattr(TCPExtension, hook)
-    )
-
-
 def overridden_hooks(extension: TCPExtension) -> Tuple[str, ...]:
     """The hook names ``extension`` actually overrides (dispatch set).
 
@@ -98,4 +101,4 @@ def overridden_hooks(extension: TCPExtension) -> Tuple[str, ...]:
     every connection re-reads it for its whole chain on each
     ``add_extension``/``remove_extension``.
     """
-    return _class_hooks(type(extension))
+    return extension._dispatch_hooks

@@ -367,10 +367,10 @@ class InputEngine:
         fin_seq = seq_abs + segment.payload_length
         if fin_seq != conn.rcv_nxt:
             return  # FIN beyond a hole; wait for retransmission
-        if conn._fin_received:
+        if conn.fin_received:
             conn.output.ack_now()
             return
-        conn._fin_received = True
+        conn.fin_received = True
         conn.rcv_nxt += 1
         conn.output.ack_now()
         if conn.on_readable is not None:

@@ -38,13 +38,15 @@ class ReceiveBuffer:
     Offsets are stream offsets (byte 0 ⇔ sequence IRS+1).
     """
 
-    __slots__ = ("capacity", "_ready", "_out_of_order", "_ooo_bytes", "retention", "bytes_duplicated")
+    __slots__ = ("capacity", "ready", "_out_of_order", "_ooo_bytes", "retention", "bytes_duplicated")
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError(f"recv buffer capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._ready = SpanBuffer()  # head = read pointer, tail = rcv_nxt
+        #: The in-order bytes: head = read pointer, tail = rcv_nxt.  Its
+        #: ``length`` is what the socket tests on every wake-up.
+        self.ready = SpanBuffer()
         self._out_of_order: List[Tuple[int, ByteSpan]] = []  # sorted, disjoint
         self._ooo_bytes = 0  # total held in _out_of_order
         self.retention: Optional[RetentionPolicy] = None
@@ -54,17 +56,17 @@ class ReceiveBuffer:
     @property
     def read_offset(self) -> int:
         """Offset of the next byte the application will read."""
-        return self._ready.head_offset
+        return self.ready.head_offset
 
     @property
     def rcv_nxt_offset(self) -> int:
         """Offset of the next in-order byte expected from the network."""
-        return self._ready.tail_offset
+        return self.ready.tail_offset
 
     @property
     def available(self) -> int:
         """In-order bytes ready for the application."""
-        return self._ready._length
+        return self.ready.length
 
     @property
     def out_of_order_bytes(self) -> int:
@@ -76,7 +78,7 @@ class ReceiveBuffer:
         Retained-but-overflowing bytes (second buffer full) continue
         to consume window, per §4.2.
         """
-        free = self.capacity - self._ready._length - self._ooo_bytes
+        free = self.capacity - self.ready.length - self._ooo_bytes
         if self.retention is not None:
             free -= self.retention.overflow_bytes()
         return free if free > 0 else 0
@@ -93,8 +95,8 @@ class ReceiveBuffer:
         length = span.length
         if length == 0:
             return 0
-        ready = self._ready
-        rcv_nxt = ready.head_offset + ready._length
+        ready = self.ready
+        rcv_nxt = ready.head_offset + ready.length
         limit = rcv_nxt + self.window()
         stop_offset = start_offset + length
         # Clip below rcv_nxt (already received) and above the window.
@@ -163,7 +165,7 @@ class ReceiveBuffer:
             if start < rcv_nxt:
                 self.bytes_duplicated += rcv_nxt - start
                 span = span.slice(rcv_nxt - start, span.length)
-            self._ready.append(span)
+            self.ready.append(span)
             advanced += span.length
         return advanced
 
@@ -181,8 +183,8 @@ class ReceiveBuffer:
         Read bytes are offered to the retention policy, if any, before
         leaving the buffer.
         """
-        ready = self._ready
-        count = min(max_bytes, ready._length)
+        ready = self.ready
+        count = min(max_bytes, ready.length)
         if count <= 0:
             return EMPTY
         start = ready.head_offset
@@ -196,12 +198,12 @@ class ReceiveBuffer:
         buffer: bytes below it were received and read elsewhere
         (:meth:`repro.tcp.tcb.TCPConnection.fast_forward`, whose
         quiescence rule guarantees the buffer holds nothing)."""
-        self._ready.seek(offset)
+        self.ready.seek(offset)
 
     def peek_unread(self, start: int, stop: int) -> ByteSpan:
         """Zero-copy view of not-yet-read in-order bytes."""
-        lo = max(start, self._ready.head_offset)
-        hi = min(stop, self._ready.tail_offset)
+        lo = max(start, self.ready.head_offset)
+        hi = min(stop, self.ready.tail_offset)
         if lo >= hi:
             return EMPTY
-        return self._ready.peek_absolute(lo, hi)
+        return self.ready.peek_absolute(lo, hi)

@@ -10,9 +10,7 @@ segmentation, retransmission and delivery carry slices of them.
 
 from __future__ import annotations
 
-from typing import Union
-
-from repro.util.bytespan import ByteSpan, CatBytes, as_span
+from repro.util.bytespan import ByteSpan, CatBytes
 from repro.util.spanbuffer import SpanBuffer
 
 
@@ -41,19 +39,21 @@ class SendBuffer:
 
     @property
     def free_space(self) -> int:
-        return self.capacity - self._data._length
+        return self.capacity - self._data.length
 
     def __len__(self) -> int:
-        return self._data._length
+        return self._data.length
 
     # Mutation -------------------------------------------------------------------
-    def append(self, data: Union[ByteSpan, bytes]) -> int:
-        """Append as much of ``data`` as fits; returns bytes accepted."""
-        span = as_span(data)
-        accepted = min(span.length, self.free_space)
+    def append(self, span: ByteSpan) -> int:
+        """Append as much of ``span`` as fits; returns bytes accepted."""
+        length = span.length
+        accepted = self.capacity - self._data.length  # the free space
+        if accepted > length:
+            accepted = length
         if accepted <= 0:
             return 0
-        if accepted != span.length:
+        if accepted != length:
             span = span.slice(0, accepted)
         # Concatenations (a record or reply the receiver reassembled from
         # several segments, echoed or relayed) are stored as their leaves:

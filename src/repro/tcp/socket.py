@@ -170,11 +170,16 @@ class TCPSocket:
             self._pumping_writers = False
 
     def _pump_readers(self) -> None:
-        while self._readers:
-            reader = self._readers[0]
+        # The in-order byte count and the FIN flag are fields (DESIGN §13
+        # rule 9): EOF is "FIN received and nothing left to read".
+        tcb = self._tcb
+        ready = tcb.recv_buffer.ready
+        readers = self._readers
+        while readers:
+            reader = readers[0]
             needed = reader["n"] - reader["got"]
-            if needed > 0 and self._tcb.readable_bytes > 0:
-                piece = self._tcb.app_read(needed)
+            if needed > 0 and ready.length > 0:
+                piece = tcb.app_read(needed)
                 reader["acc"].append(piece)
                 reader["got"] += piece.length
                 needed -= piece.length
@@ -182,7 +187,7 @@ class TCPSocket:
                 if reader["got"] > 0 or needed == 0:
                     self._finish_reader(reader)
                     continue
-                if self._tcb.eof:
+                if tcb.fin_received and ready.length == 0:
                     self._finish_reader(reader)  # EOF → empty span
                     continue
                 return
@@ -190,7 +195,7 @@ class TCPSocket:
             if needed == 0:
                 self._finish_reader(reader)
                 continue
-            if self._tcb.eof:
+            if tcb.fin_received and ready.length == 0:
                 self._readers.pop(0)
                 reader["event"].fail(
                     ConnectionClosed(
@@ -202,11 +207,15 @@ class TCPSocket:
 
     def _finish_reader(self, reader: Dict[str, Any]) -> None:
         self._readers.pop(0)
-        reader["event"].succeed(concat(reader["acc"]) if reader["acc"] else EMPTY)
+        acc = reader["acc"]
+        if len(acc) == 1:
+            reader["event"].succeed(acc[0])  # a lone piece is the whole read
+        else:
+            reader["event"].succeed(concat(acc) if acc else EMPTY)
 
     # TCB callbacks -------------------------------------------------------------------
     def _on_established(self) -> None:
-        if self._connect_event is not None and not self._connect_event.triggered:
+        if self._connect_event is not None and not self._connect_event._done:
             self._connect_event.succeed(self)
 
     def _on_readable(self) -> None:
@@ -217,7 +226,7 @@ class TCPSocket:
 
     def _on_error(self, error: BaseException) -> None:
         self._error = error
-        if self._connect_event is not None and not self._connect_event.triggered:
+        if self._connect_event is not None and not self._connect_event._done:
             self._connect_event.fail(error)
         while self._writers:
             self._writers.pop(0)["event"].fail(error)
@@ -229,7 +238,7 @@ class TCPSocket:
                 reader["event"].fail(error)
 
     def _on_closed(self) -> None:
-        if self._closed_event is not None and not self._closed_event.triggered:
+        if self._closed_event is not None and not self._closed_event._done:
             self._closed_event.succeed(self)
         if self._error is None:
             # Orderly close: wake readers with EOF.

@@ -63,7 +63,7 @@ class TCPConnection:
         "mss", "cc",
         "output_inhibited",
         "_extensions", "_ext_on_segment_in", "_ext_on_ack", "_ext_after_output",
-        "_fin_pending", "_fin_sent", "_fin_seq", "_fin_acked", "_fin_received",
+        "_fin_pending", "_fin_sent", "_fin_seq", "_fin_acked", "fin_received",
         "use_timestamps", "last_ts_recv",
         "on_established", "on_readable", "on_writable", "on_closed", "on_error",
         "on_rcv_advance",
@@ -125,7 +125,9 @@ class TCPConnection:
         self._fin_sent = False
         self._fin_seq: Optional[int] = None
         self._fin_acked = False
-        self._fin_received = False
+        #: The peer's FIN has arrived: a field, because the socket tests it
+        #: on every reader wake-up (DESIGN §13 rule 9).
+        self.fin_received = False
 
         # Timestamp option state.
         self.use_timestamps = False
@@ -181,7 +183,7 @@ class TCPConnection:
     @property
     def eof(self) -> bool:
         """True when the peer's FIN has arrived and all data was read."""
-        return self._fin_received and self.recv_buffer.available == 0
+        return self.fin_received and self.recv_buffer.ready.length == 0
 
     @property
     def readable_bytes(self) -> int:

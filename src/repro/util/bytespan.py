@@ -249,12 +249,20 @@ def concat(parts: Sequence[ByteSpan]) -> ByteSpan:
     return CatBytes(live)
 
 
+#: Bytes :func:`span_equal` materialises per side at a time.
+_COMPARE_CHUNK = 65536
+
+
 def span_equal(a: ByteSpan, b: ByteSpan) -> bool:
     """Content equality, materialising at most 64 KiB at a time."""
-    if a.length != b.length:
+    length = a.length
+    if length != b.length:
         return False
-    for chunk_a, chunk_b in zip(a.iter_chunks(), b.iter_chunks()):
-        if chunk_a != chunk_b:
+    for start in range(0, length, _COMPARE_CHUNK):
+        stop = start + _COMPARE_CHUNK
+        if stop > length:
+            stop = length
+        if a.slice(start, stop).to_bytes() != b.slice(start, stop).to_bytes():
             return False
     return True
 

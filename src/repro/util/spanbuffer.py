@@ -12,9 +12,9 @@ found without a walk.
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import List
 
-from repro.util.bytespan import EMPTY, ByteSpan, as_span, concat, join_contiguous
+from repro.util.bytespan import EMPTY, ByteSpan, concat, join_contiguous
 
 
 class SpanBuffer:
@@ -25,28 +25,31 @@ class SpanBuffer:
     mapped onto this after subtracting the ISN).
     """
 
-    __slots__ = ("_pieces", "_length", "head_offset")
+    __slots__ = ("_pieces", "length", "head_offset")
 
     def __init__(self) -> None:
         self._pieces: List[ByteSpan] = []
-        self._length = 0
+        #: Bytes held: a field the TCP buffers and the socket read on every
+        #: segment and wake-up (DESIGN §13 rule 7); ``len()`` is the same.
+        self.length = 0
         self.head_offset = 0
 
     def __len__(self) -> int:
-        return self._length
+        return self.length
 
     @property
     def tail_offset(self) -> int:
         """Absolute offset one past the last byte in the buffer."""
-        return self.head_offset + self._length
+        return self.head_offset + self.length
 
-    def append(self, data: Union[ByteSpan, bytes]) -> None:
-        span = as_span(data)
+    def append(self, span: ByteSpan) -> None:
+        """Add ``span`` at the tail.  A span, not raw bytes: bytes are
+        coerced once, where they enter (``TCPSocket.send``)."""
         length = span.length
         if length == 0:
             return
         pieces = self._pieces
-        self._length += length
+        self.length += length
         joined = join_contiguous(pieces[-1], span) if pieces else None
         if joined is None:
             pieces.append(span)
@@ -55,11 +58,11 @@ class SpanBuffer:
 
     def pop_front(self, count: int) -> ByteSpan:
         """Remove and return the first ``count`` bytes (clamped to length)."""
-        count = min(count, self._length)
+        count = min(count, self.length)
         if count <= 0:
             return EMPTY
         pieces = self._pieces
-        self._length -= count
+        self.length -= count
         self.head_offset += count
         head = pieces[0]
         if count < head.length:
@@ -88,7 +91,7 @@ class SpanBuffer:
 
     def discard_front(self, count: int) -> None:
         """Drop the first ``count`` bytes without materialising them."""
-        count = min(count, self._length)
+        count = min(count, self.length)
         pieces = self._pieces
         whole = 0
         remaining = count
@@ -102,13 +105,13 @@ class SpanBuffer:
         if remaining > 0:
             piece = pieces[0]
             pieces[0] = piece.slice(remaining, piece.length)
-        self._length -= count
+        self.length -= count
         self.head_offset += count
 
     def peek_absolute(self, start: int, stop: int) -> ByteSpan:
         """Zero-copy slice by *absolute* offsets (within the buffer range)."""
         head_offset = self.head_offset
-        if start < head_offset or stop > head_offset + self._length or start > stop:
+        if start < head_offset or stop > head_offset + self.length or start > stop:
             raise IndexError(
                 f"[{start}, {stop}) outside buffered range "
                 f"[{head_offset}, {self.tail_offset})"
@@ -137,13 +140,13 @@ class SpanBuffer:
 
     def peek_front(self, count: int) -> ByteSpan:
         """Zero-copy view of the first ``count`` bytes (clamped)."""
-        count = min(count, self._length)
+        count = min(count, self.length)
         return self.peek_absolute(self.head_offset, self.head_offset + count)
 
     def clear(self) -> None:
         self._pieces.clear()
-        self.head_offset += self._length
-        self._length = 0
+        self.head_offset += self.length
+        self.length = 0
 
     def seek(self, offset: int) -> None:
         """Jump an *empty* buffer's head to ``offset``.
@@ -153,8 +156,8 @@ class SpanBuffer:
         the primary's current offsets).  Rewinding is refused — absolute
         offsets already handed out would alias.
         """
-        if self._length != 0:
-            raise ValueError(f"seek on non-empty buffer ({self._length} bytes held)")
+        if self.length != 0:
+            raise ValueError(f"seek on non-empty buffer ({self.length} bytes held)")
         if offset < self.head_offset:
             raise ValueError(
                 f"seek backwards from {self.head_offset} to {offset}"

@@ -42,6 +42,31 @@ def test_double_trigger_rejected(sim):
         event.succeed(2)
     with pytest.raises(SimulationError):
         event.fail(RuntimeError("x"))
+    assert event.value == 1
+    failed = sim.event()
+    failed.fail(RuntimeError("first"))
+    with pytest.raises(SimulationError):
+        failed.fail(RuntimeError("second"))
+    with pytest.raises(SimulationError):
+        failed.succeed(1)
+    assert str(failed.exception) == "first"
+
+
+@pytest.mark.parametrize("outcome", ["succeed", "fail"])
+def test_callback_added_while_triggering_runs_exactly_once(sim, outcome):
+    event = sim.event()
+    late = []
+
+    def add_another(e):
+        e.add_callback(late.append)
+
+    event.add_callback(add_another)
+    if outcome == "succeed":
+        event.succeed("v")
+    else:
+        event.fail(RuntimeError("x"))
+    assert late == [event]
+    assert event._callbacks == []
 
 
 def test_fail_requires_exception(sim):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import InterruptError, ProcessError
+from repro.errors import ProcessError
 from repro.sim.process import Channel, Semaphore
 from repro.sim.simulator import Simulator
 
@@ -84,9 +84,13 @@ def test_uncaught_exception_without_joiner_surfaces(sim):
         yield sim.timeout(1.0)
         raise ValueError("unobserved")
 
-    sim.spawn(bad())
-    with pytest.raises(ValueError):
+    process = sim.spawn(bad())
+    with pytest.raises(ValueError, match="unobserved"):
         sim.run()
+    assert sim.now == 1.0
+    assert process._done and process.ok  # ended, with nothing left to re-raise
+    sim.run()
+    process.kill()  # a finished process ignores kill
 
 
 def test_yielding_non_event_is_an_error(sim):
@@ -96,32 +100,6 @@ def test_yielding_non_event_is_an_error(sim):
     sim.spawn(wrong())
     with pytest.raises(ProcessError):
         sim.run()
-
-
-def test_interrupt_raises_at_yield_point(sim):
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except InterruptError as exc:
-            return (f"interrupted: {exc.cause}", sim.now)
-
-    process = sim.spawn(sleeper())
-    sim.schedule(1.0, process.interrupt, "wakeup")
-    sim.run()
-    message, interrupted_at = process.value
-    assert message == "interrupted: wakeup"
-    assert interrupted_at == 1.0  # not at the timeout's 100 s
-
-
-def test_interrupt_after_completion_is_noop(sim):
-    def quick():
-        yield sim.timeout(1.0)
-        return 1
-
-    process = sim.spawn(quick())
-    sim.run()
-    process.interrupt()  # must not raise
-    assert process.value == 1
 
 
 def test_kill_terminates_without_result(sim):
@@ -157,6 +135,86 @@ def test_yield_already_triggered_event_does_not_recurse(sim):
     process = sim.spawn(worker())
     sim.run()
     assert process.value == "ok"
+
+
+def test_yield_already_triggered_event_resumes_from_the_queue(sim):
+    """A target that has triggered already resumes the process through the
+    queue, behind whatever was queued before it — never inside the yield."""
+    order = []
+    ready = sim.event()
+    ready.succeed("ready")
+
+    def worker():
+        sim.post(sim.now, order.append, "queued before the yield")
+        value = yield ready
+        order.append(f"resumed {value} at {sim.now}")
+
+    sim.spawn(worker())
+    sim.run(max_events=1)  # the first step only: it ends at the yield
+    assert order == []
+    sim.run()
+    assert order == ["queued before the yield", "resumed ready at 0.0"]
+
+
+def test_resume_on_trigger_runs_inside_succeed(sim):
+    """A process waiting on a pending event is stepped by ``succeed``."""
+    event = sim.event()
+    seen = []
+
+    def worker():
+        seen.append((yield event))
+
+    process = sim.spawn(worker())
+    sim.run()
+    assert seen == []
+    event.succeed("now")
+    assert seen == ["now"]
+    assert process._done and process.value is None
+
+
+def test_a_finished_process_holds_no_event(sim):
+    closed = sim.event()
+
+    def worker():
+        yield closed
+
+    process = sim.spawn(worker())
+    sim.run()
+    assert process._waiting_on is closed
+    closed.succeed("a socket, say")
+    assert process._done and process._waiting_on is None
+
+
+def test_kill_detaches_from_the_awaited_event(sim):
+    event = sim.event()
+
+    def worker():
+        yield event
+        raise AssertionError("a killed process never resumes")
+
+    process = sim.spawn(worker())
+    sim.run()
+    assert event._callbacks == [process._resume]
+    process.kill()
+    assert event._callbacks == []
+    event.succeed()
+
+
+def test_kill_with_a_queued_resume_never_steps_again(sim):
+    ready = sim.event()
+    ready.succeed()
+    steps = []
+
+    def worker():
+        steps.append("first")
+        yield ready
+        steps.append("second")
+
+    process = sim.spawn(worker())
+    sim.run(max_events=1)
+    process.kill()  # its resume for ``ready`` is still queued
+    sim.run()
+    assert steps == ["first"]
 
 
 def test_semaphore_serializes(sim):

@@ -19,6 +19,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.sim.events import PRIORITY_LOW, PRIORITY_NORMAL, PRIORITY_URGENT, SimEvent
 from repro.sim.scheduler import Scheduler
+from repro.sim.simulator import Simulator
 
 #: The farthest delay band, about 28 simulated minutes (what used to be
 #: the wheel's horizon, 2**24 ticks of 100 µs; the value is kept so the
@@ -132,7 +133,10 @@ def test_retained_handle_is_never_recycled():
 # execute the exact same (time, tag) sequence for the same driving workload
 # — including nested scheduling and cancellations from inside callbacks,
 # ties, and events hours apart — and must agree on the clock and the live
-# count wherever a bounded run stops.  The oracle shares no code with the
+# count wherever a bounded run stops.  The clock is read inside every
+# callback and after every run, on a bare scheduler (its own clock) and on a
+# simulator's (whose ``now`` field the dispatch loop writes).  The oracle
+# shares no code with the
 # scheduler (entries carry their callback, cancelled entries are counted by
 # scanning), so it stays an independent reference now that production is a
 # heap too.
@@ -196,9 +200,10 @@ class _Drive:
     the workload's own generator, so two drives stay in lockstep exactly
     as long as their schedulers dispatch identically."""
 
-    def __init__(self, seed, sched):
+    def __init__(self, seed, sched, clock=None):
         self.rng = rng = random.Random(seed)
         self.sched = sched
+        self.clock = sched if clock is None else clock
         self.fired = []
         self.pending = []
         self.trigger = None  # (tag, SimEvent) fired by the watch case
@@ -213,7 +218,7 @@ class _Drive:
 
     def fire(self, tag):
         sched, rng = self.sched, self.rng
-        self.fired.append((sched.now, tag))
+        self.fired.append((self.clock.now, tag))
         if self.trigger is not None and self.trigger[0] == tag:
             self.trigger[1].succeed()
         roll = rng.random()
@@ -224,7 +229,12 @@ class _Drive:
             self.pending.pop(rng.randrange(len(self.pending))).cancel()
 
     def state(self):
-        return self.sched.now, self.fired, self.sched.pending_count
+        return self.clock.now, self.fired, self.sched.pending_count
+
+
+def _simulator_drive(seed):
+    sim = Simulator()
+    return _Drive(seed, sim._scheduler, clock=sim)
 
 
 def _random_bounds(rng, now):
@@ -235,9 +245,7 @@ def _random_bounds(rng, now):
     return until, max_events
 
 
-@pytest.mark.parametrize("seed", [1, 42, 20260806])
-def test_differential_wheel_matches_heap_exactly(seed):
-    wheel, heap = _Drive(seed, Scheduler()), _Drive(seed, HeapOracle())
+def _differential(seed, wheel, heap):
     chunks = random.Random(seed ^ 0x5EED)
     for _ in range(400):
         until, max_events = _random_bounds(chunks, heap.sched.now)
@@ -252,6 +260,27 @@ def test_differential_wheel_matches_heap_exactly(seed):
     assert wheel.state() == heap.state()
     assert len(wheel.fired) > 250
     assert wheel.sched.executed_count == len(wheel.fired)
+
+
+@pytest.mark.parametrize("seed", [1, 42, 20260806])
+def test_differential_wheel_matches_heap_exactly(seed):
+    _differential(seed, _Drive(seed, Scheduler()), _Drive(seed, HeapOracle()))
+
+
+@pytest.mark.parametrize("seed", [1, 42, 20260806])
+def test_differential_simulator_clock_matches_heap_exactly(seed):
+    """``sim.now`` is the field the dispatch loop writes: read inside every
+    callback and after every bounded run, it is the oracle's clock."""
+    _differential(seed, _simulator_drive(seed), _Drive(seed, HeapOracle()))
+
+
+def test_a_scheduler_built_for_a_clock_keeps_no_time_of_its_own():
+    sim = Simulator()
+    sim.post(2.5, lambda: None)
+    sim.run(until=4.0)
+    assert sim.now == 4.0
+    with pytest.raises(AttributeError):
+        sim._scheduler.now  # a second, stale clock would read 0.0
 
 
 @pytest.mark.parametrize("seed", [1, 42, 20260806])
@@ -294,8 +323,9 @@ _PRIORITIES = st.sampled_from((PRIORITY_URGENT, PRIORITY_NORMAL, PRIORITY_LOW))
 class _Side:
     """One queue under test plus what its callbacks recorded."""
 
-    def __init__(self, sched):
+    def __init__(self, sched, clock=None):
         self.sched = sched
+        self.clock = sched if clock is None else clock
         self.fired = []
         self.handles = []
         self.posted = 0
@@ -304,7 +334,7 @@ class _Side:
         # No handle comes back, so a posted event is tagged from the
         # negative side and never chosen as a victim.
         self.posted += 1
-        self.sched.post(self.sched.now + delay, self.fire, -self.posted, victim, None)
+        self.sched.post(self.clock.now + delay, self.fire, -self.posted, victim, None)
 
     def schedule(self, delay, priority, victim=None, respawn=None):
         args = (len(self.handles), victim, respawn)
@@ -312,23 +342,25 @@ class _Side:
 
     def schedule_at_now(self, priority):
         args = (len(self.handles), None, None)
-        self.handles.append(self.sched.schedule_at(self.sched.now, self.fire, args, priority))
+        self.handles.append(self.sched.schedule_at(self.clock.now, self.fire, args, priority))
 
     def fire(self, tag, victim, respawn):
-        self.fired.append((self.sched.now, tag))
+        self.fired.append((self.clock.now, tag))
         if victim is not None:
             self.handles[victim].cancel()
         if respawn is not None:
             self.schedule(respawn, PRIORITY_NORMAL)
 
     def state(self):
-        return self.sched.now, self.fired, self.sched.pending_count
+        return self.clock.now, self.fired, self.sched.pending_count
 
 
 class SchedulerAgainstOracle(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.sides = (_Side(Scheduler()), _Side(HeapOracle()))
+        sim = Simulator()
+        # A bare scheduler, a simulator's, and the oracle, which comes last.
+        self.sides = (_Side(Scheduler()), _Side(sim._scheduler, clock=sim), _Side(HeapOracle()))
 
     @property
     def scheduled(self):
@@ -372,7 +404,7 @@ class SchedulerAgainstOracle(RuleBasedStateMachine):
     @rule(delay=_DELAYS, budget=st.none() | st.integers(0, 6))
     def run_until(self, delay, budget):
         for side in self.sides:
-            side.sched.run_until(until=side.sched.now + delay, max_events=budget)
+            side.sched.run_until(until=side.clock.now + delay, max_events=budget)
 
     @rule(budget=st.integers(0, 6))
     def run_max_events(self, budget):
@@ -381,16 +413,18 @@ class SchedulerAgainstOracle(RuleBasedStateMachine):
 
     @rule()
     def step(self):
-        real, oracle = self.sides
+        *reals, oracle = self.sides
         before = len(oracle.fired)
         oracle.sched.run_until(max_events=1)
-        assert real.sched.run_next() == (len(oracle.fired) > before)
+        for real in reals:
+            assert real.sched.run_next() == (len(oracle.fired) > before)
 
     @invariant()
     def same_clock_order_and_live_count(self):
-        real, oracle = self.sides
-        assert real.state() == oracle.state()
-        assert real.sched.executed_count == len(real.fired)
+        *reals, oracle = self.sides
+        for real in reals:
+            assert real.state() == oracle.state()
+            assert real.sched.executed_count == len(real.fired)
 
 
 SchedulerAgainstOracle.TestCase.settings = settings(

@@ -211,11 +211,11 @@ def test_prop_counters_match_recomputed_sums_after_every_step(data):
         assert all(
             held[i][0] + len(held[i][1]) <= held[i + 1][0] for i in range(len(held) - 1)
         )
-        used = len(buffer._ready) + sum(len(span) for _start, span in held)
+        used = len(buffer.ready) + sum(len(span) for _start, span in held)
         if buffer.retention is not None:
             used += retention.overflow
         assert buffer.window() == max(capacity - used, 0)
-        assert buffer.available == len(buffer._ready)
+        assert buffer.available == len(buffer.ready)
     assert read_back == reference[: len(read_back)]
     assert buffer.peek_unread(0, 400).to_bytes() == reference[
         buffer.read_offset : buffer.rcv_nxt_offset

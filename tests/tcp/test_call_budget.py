@@ -20,7 +20,9 @@ from repro.sttcp.config import STTCPConfig
 from repro.util.units import KB
 
 #: Calls per demultiplexed segment.  The tree at the time of writing needs
-#: 100.0 on CPython 3.11 (98.1 for the upload); while every frame-path
+#: 89.1 on CPython 3.11 (87.5 for the upload); while the clock was a
+#: property, a process step two calls and every buffer append coerced its
+#: span again, it needed 100.0 (98.1); while every frame-path
 #: table hashed an address object, every medium asked a no-op loss model
 #: and every datagram scanned the routing table, it needed 115.6 (112.2);
 #: while per-segment state was read through accessors — the ``is_*``
@@ -32,14 +34,15 @@ from repro.util.units import KB
 #: the timing wheel about 187; before sizes became fields about 364.  The
 #: headroom is about 8 per cent: the count is exact, and 3.12 inlines some
 #: calls, so it only reads lower there.
-CALLS_PER_SEGMENT_BUDGET = 108
+CALLS_PER_SEGMENT_BUDGET = 96
 #: The small-message path: one 150-byte record per segment, so the fixed
 #: per-exchange work (two app wake-ups, an ack each way) is not amortised
-#: over an MSS.  203.1 now; 220.4 with the hashed address tables, 260.0
+#: over an MSS.  156.0 now; 203.1 while each wake-up paid the kernel's and
+#: the buffers' accessors, 220.4 with the hashed address tables, 260.0
 #: with the accessors, 276.5 while the shadow built what it vetoed, 295
 #: with eager timers, 377 while a record was a two-leaf ``CatBytes``
 #: (DESIGN §13 rule 5).
-ECHO_CALLS_PER_SEGMENT_BUDGET = 219
+ECHO_CALLS_PER_SEGMENT_BUDGET = 169
 
 #: Accessors the per-segment path reads as fields instead (DESIGN §13
 #: rule 7), by (module, function name): none may be called at all on a
@@ -70,6 +73,27 @@ FRAME_PATH_UNASKED = {
     ("net/loss.py", "LossModel.__call__"),
     ("ip/layer.py", "IPLayer._emit_frame"),
 }
+
+
+#: What the request–response path no longer asks (DESIGN §13 rule 9), by
+#: (module, qualified name): the clock and an event's outcome are fields,
+#: a process step is one call, a socket wake-up reads the in-order byte
+#: count and the FIN flag, and apps read ``span.length``.  None may be
+#: called on an echo run, its setup included.
+REQUEST_RESPONSE_UNASKED = {
+    ("sim/simulator.py", "Simulator.now"),
+    ("sim/events.py", "SimEvent.triggered"),
+    ("sim/events.py", "SimEvent.ok"),
+    ("tcp/tcb.py", "TCPConnection.readable_bytes"),
+    ("tcp/tcb.py", "TCPConnection.eof"),
+    ("tcp/recv_buffer.py", "ReceiveBuffer.available"),
+    ("util/bytespan.py", "ByteSpan.__len__"),
+    ("util/bytespan.py", "ByteSpan.iter_chunks"),
+}
+
+#: Modules that take a span as they are handed it: bytes are coerced once,
+#: where they enter (``TCPSocket.send``, the UDP socket).
+SPAN_TAKERS = ("tcp/send_buffer.py", "util/spanbuffer.py")
 
 
 def _label(code):
@@ -152,3 +176,23 @@ def test_bulk_transfer_frame_path_asks_nothing_it_already_knows():
     destinations = sum(len(host.ip_layer.routes._memo) for host in hosts)
     matches = by_key["ip/routing.py", "Route.matches"].callcount
     assert 0 < matches <= destinations
+
+
+def test_request_response_path_pays_no_accessor():
+    stats, segments, _ = _profiled_run(echo_workload, 500)
+    assert segments > 500
+    by_key = {_module_key(entry.code, "co_qualname"): entry for entry in stats}
+    called = {
+        f"{module}:{name}": by_key[module, name].callcount
+        for module, name in sorted(REQUEST_RESPONSE_UNASKED)
+        if (module, name) in by_key
+    }
+    coerced = {
+        _label(entry.code): callee.callcount
+        for entry in stats
+        if (key := _module_key(entry.code)) is not None and key[0] in SPAN_TAKERS
+        for callee in entry.calls or ()
+        if _module_key(callee.code) == ("util/bytespan.py", "as_span")
+    }
+    assert called == {}, f"back on the request-response path: {called}"
+    assert coerced == {}, f"a buffer coerces what it is handed: {coerced}"

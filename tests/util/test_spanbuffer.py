@@ -18,8 +18,8 @@ def test_empty_buffer():
 
 def test_append_and_pop_roundtrip():
     buffer = SpanBuffer()
-    buffer.append(b"hello ")
-    buffer.append(b"world")
+    buffer.append(RealBytes(b"hello "))
+    buffer.append(RealBytes(b"world"))
     assert len(buffer) == 11
     assert buffer.pop_front(11).to_bytes() == b"hello world"
     assert buffer.head_offset == 11
@@ -27,21 +27,21 @@ def test_append_and_pop_roundtrip():
 
 def test_pop_crosses_piece_boundaries():
     buffer = SpanBuffer()
-    buffer.append(b"abc")
-    buffer.append(b"def")
+    buffer.append(RealBytes(b"abc"))
+    buffer.append(RealBytes(b"def"))
     assert buffer.pop_front(4).to_bytes() == b"abcd"
     assert buffer.pop_front(10).to_bytes() == b"ef"
 
 
 def test_pop_clamps_to_length():
     buffer = SpanBuffer()
-    buffer.append(b"xy")
+    buffer.append(RealBytes(b"xy"))
     assert buffer.pop_front(100).to_bytes() == b"xy"
 
 
 def test_discard_front():
     buffer = SpanBuffer()
-    buffer.append(b"abcdef")
+    buffer.append(RealBytes(b"abcdef"))
     buffer.discard_front(4)
     assert buffer.head_offset == 4
     assert buffer.pop_front(2).to_bytes() == b"ef"
@@ -49,7 +49,7 @@ def test_discard_front():
 
 def test_peek_absolute_window():
     buffer = SpanBuffer()
-    buffer.append(b"0123456789")
+    buffer.append(RealBytes(b"0123456789"))
     buffer.discard_front(3)  # head now at 3
     assert buffer.peek_absolute(4, 8).to_bytes() == b"4567"
     assert buffer.peek_absolute(3, 3).to_bytes() == b""
@@ -57,7 +57,7 @@ def test_peek_absolute_window():
 
 def test_peek_absolute_out_of_range():
     buffer = SpanBuffer()
-    buffer.append(b"abcd")
+    buffer.append(RealBytes(b"abcd"))
     buffer.discard_front(2)
     with pytest.raises(IndexError):
         buffer.peek_absolute(0, 3)  # below head
@@ -67,7 +67,7 @@ def test_peek_absolute_out_of_range():
 
 def test_peek_front():
     buffer = SpanBuffer()
-    buffer.append(b"abcdef")
+    buffer.append(RealBytes(b"abcdef"))
     assert buffer.peek_front(3).to_bytes() == b"abc"
     assert len(buffer) == 6  # peek does not consume
 
@@ -82,7 +82,7 @@ def test_offsets_survive_pattern_spans():
 
 def test_clear_advances_head():
     buffer = SpanBuffer()
-    buffer.append(b"abcdef")
+    buffer.append(RealBytes(b"abcdef"))
     buffer.clear()
     assert len(buffer) == 0
     assert buffer.head_offset == 6
@@ -90,15 +90,15 @@ def test_clear_advances_head():
 
 def test_empty_append_ignored():
     buffer = SpanBuffer()
-    buffer.append(b"")
+    buffer.append(RealBytes(b""))
     assert len(buffer) == 0
 
 
 def test_peek_absolute_straddles_piece_boundaries():
     buffer = SpanBuffer()
-    buffer.append(b"abc")
-    buffer.append(b"defg")
-    buffer.append(b"hi")
+    buffer.append(RealBytes(b"abc"))
+    buffer.append(RealBytes(b"defg"))
+    buffer.append(RealBytes(b"hi"))
     # One slice spanning all three pieces, offset into the first and last.
     assert buffer.peek_absolute(2, 8).to_bytes() == b"cdefgh"
     buffer.pop_front(4)  # head now at 4, first remaining piece is "efg"
@@ -108,7 +108,7 @@ def test_peek_absolute_straddles_piece_boundaries():
 
 def test_peek_absolute_empty_range_at_tail():
     buffer = SpanBuffer()
-    buffer.append(b"abcd")
+    buffer.append(RealBytes(b"abcd"))
     buffer.discard_front(1)
     tail = buffer.tail_offset
     assert buffer.peek_absolute(tail, tail).to_bytes() == b""
@@ -121,12 +121,12 @@ def test_peek_absolute_empty_range_at_tail():
 
 def test_clear_then_reappend_keeps_absolute_addressing():
     buffer = SpanBuffer()
-    buffer.append(b"abcdef")
+    buffer.append(RealBytes(b"abcdef"))
     buffer.pop_front(2)
     buffer.clear()
     assert buffer.head_offset == 6
-    buffer.append(b"XY")
-    buffer.append(b"Z")
+    buffer.append(RealBytes(b"XY"))
+    buffer.append(RealBytes(b"Z"))
     assert buffer.tail_offset == 9
     assert buffer.peek_absolute(6, 9).to_bytes() == b"XYZ"
     with pytest.raises(IndexError):
@@ -137,8 +137,8 @@ def test_clear_then_reappend_keeps_absolute_addressing():
 
 def test_pop_front_exactly_at_piece_boundary():
     buffer = SpanBuffer()
-    buffer.append(b"abc")
-    buffer.append(b"def")
+    buffer.append(RealBytes(b"abc"))
+    buffer.append(RealBytes(b"def"))
     assert buffer.pop_front(3).to_bytes() == b"abc"
     assert buffer.head_offset == 3
     assert buffer.peek_absolute(3, 6).to_bytes() == b"def"
@@ -177,7 +177,7 @@ def test_prop_peek_absolute_matches_reference(pieces, a, b):
     buffer = SpanBuffer()
     reference = b"".join(pieces)
     for piece in pieces:
-        buffer.append(piece)
+        buffer.append(RealBytes(piece))
     lo, hi = sorted((min(a, len(reference)), min(b, len(reference))))
     assert buffer.peek_absolute(lo, hi).to_bytes() == reference[lo:hi]
 
@@ -310,7 +310,7 @@ def test_prop_buffer_matches_bytes_oracle_over_every_operation(data):
             buffer.seek(oracle_head)
             with pytest.raises(ValueError):
                 buffer.seek(oracle_head - 1)
-        assert len(buffer) == buffer._length == len(oracle)
+        assert len(buffer) == buffer.length == len(oracle)
         assert buffer.head_offset == oracle_head
         assert buffer.tail_offset == oracle_head + len(oracle)
         assert buffer.peek_front(len(oracle)).to_bytes() == oracle
