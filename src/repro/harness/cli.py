@@ -16,16 +16,13 @@ relocate, ``--no-store`` to disable) and skipped on re-runs.
 
 Exports: ``--json PATH`` / ``--csv PATH`` write the raw records.
 
-Profiling: ``--profile`` samples wall time per simulator layer and writes
-``profile_<experiment>.json`` next to the result store (docs/HARNESS.md);
-``repro explain`` ends with the explained run's calls per segment by
-layer.
+Profiling: ``repro explain`` ends with the explained run's calls per
+segment by layer; wall time per layer is the benchmark's (``bench/``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -48,39 +45,18 @@ def _store_from_args(args: argparse.Namespace) -> Optional[ResultStore]:
     return ResultStore(path)
 
 
-def _profile_path(name: str, args: argparse.Namespace, store: Optional[ResultStore]):
-    """Report destination for ``--profile``: next to the result store."""
-    if not getattr(args, "profile", False):
-        return None
-    base = store.path.parent if store is not None else default_store_path().parent
-    return base / f"profile_{name}.json"
-
-
 def _run(name: str, args: argparse.Namespace, **options: Any) -> ExperimentResult:
     if getattr(args, "flight_dump", None):
         # The env var (not a parameter) so --jobs N worker processes
         # inherit it; every red cell then leaves a dump in the directory.
         os.environ[FLIGHT_DUMP_ENV] = args.flight_dump
-    store = _store_from_args(args)
-    profile_path = _profile_path(name, args, store)
     result = run_experiment(
         name,
         jobs=getattr(args, "jobs", 1),
-        store=store,
-        profile_path=profile_path,
+        store=_store_from_args(args),
         **options,
     )
     print(result.grid.summary(), file=sys.stderr)
-    if profile_path is not None:
-        report = json.loads(profile_path.read_text())
-        layers = ", ".join(
-            f"{layer} {info['fraction']:.0%}"
-            for layer, info in report["layers"].items()
-        )
-        print(
-            f"profile: {report['samples']} samples -> {profile_path} ({layers})",
-            file=sys.stderr,
-        )
     return result
 
 
@@ -411,12 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="do not read or write the result store",
         )
-        p.add_argument(
-            "--profile",
-            action="store_true",
-            help="sample wall time per layer; JSON report lands next to the "
-            "result store (sampling sees this process only: not with --jobs N > 1)",
-        )
         p.add_argument("--json", metavar="PATH", help="export records as JSON")
         p.add_argument("--csv", metavar="PATH", help="export records as CSV")
         p.add_argument(
@@ -550,8 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "profile", False) and args.jobs > 1:
-        parser.error("--profile samples this process only; use it with --jobs 1")
     start = time.time()
     status = args.fn(args)
     print(f"({time.time() - start:.1f} s wall clock)", file=sys.stderr)

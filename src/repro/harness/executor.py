@@ -29,11 +29,10 @@ import gc
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from pathlib import Path
 
 from repro.harness.results import ResultStore, cell_key
 from repro.harness.spec import ExperimentSpec, GridCell, Record, get_spec
-from repro.metrics import perf, profile
+from repro.metrics import perf
 
 
 @dataclasses.dataclass
@@ -239,24 +238,12 @@ def run_experiment(
     scale: Any = None,
     jobs: int = 1,
     store: Optional[ResultStore] = None,
-    profile_path: Optional[Path] = None,
     **options: Any,
 ) -> ExperimentResult:
-    """Build, execute, and aggregate one named experiment.
-
-    With ``profile_path``, grid execution runs under the sampling
-    profiler (:mod:`repro.metrics.profile`) and the layer-attribution
-    report is written there as JSON.  Sampling sees only this process:
-    use ``jobs=1`` to attribute simulation time (workers burn their CPU
-    elsewhere).
-    """
+    """Build, execute, and aggregate one named experiment."""
     spec = get_spec(name)
     cells = spec.build_cells(scale=scale, **options)
-    if profile_path is not None:
-        with profile.sample(path=profile_path):
-            grid = run_grid(spec, cells, jobs=jobs, store=store)
-    else:
-        grid = run_grid(spec, cells, jobs=jobs, store=store)
+    grid = run_grid(spec, cells, jobs=jobs, store=store)
     rows = (
         spec.aggregate(cells, grid.records)
         if spec.aggregate is not None

@@ -4,10 +4,9 @@ A layer is a package under ``src/repro/``.  Twelve of them are reported
 on their own; the small packages that only the harness drives, and the
 top-level modules (``errors``, ``__main__``), are counted with the
 harness.  Code outside the package (stdlib, builtins, the benchmark
-itself) belongs to no layer.  The benchmark ledger (``bench/layers.py``),
-the ``--profile`` sampler (:mod:`repro.metrics.profile`) and the *work by
-layer* section of ``repro explain`` (:func:`profile_layers`) attribute
-work through this one map.
+itself) belongs to no layer.  The benchmark ledger (``bench/layers.py``)
+and the *work by layer* section of ``repro explain``
+(:func:`profile_layers`) attribute work through this one map.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ Six pieces (see docs/OBSERVABILITY.md, which also lists who reads each):
 * :mod:`repro.obs.scorecard` — per-scenario health grades rendered to
   Markdown + JSON (the ``repro health`` artefact).
 
-What the *host* spent running it (wall clock, collector passes, the
-``--profile`` sampler) is :mod:`repro.metrics`.
+What the *host* spent running it (wall clock, collector passes, calls
+by layer) is :mod:`repro.metrics`.
 """
 
 from repro.obs.recorder import FlightRecorder

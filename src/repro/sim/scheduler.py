@@ -221,9 +221,6 @@ class Scheduler:
         ut = inf if until is None else until
         remaining = -1 if max_events is None else max_events
         while heap:
-            # ``callback`` is a named local: the ``--profile`` sampler
-            # (``repro.metrics.profile``) reads it off this frame to charge
-            # a sample taken here to the callback's layer.
             time, _, _, handle, callback, args = heap[0]
             if handle is not None and handle._cancelled:
                 heappop(heap)

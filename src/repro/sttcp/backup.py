@@ -38,9 +38,9 @@ from repro.sttcp.messages import (
 )
 from repro.sttcp.power_switch import PowerSwitch
 from repro.sttcp.shadow import ShadowExtension
-from repro.tcp.constants import FLAG_ACK, FLAG_SYN, SYNCHRONIZED_STATES, TCPState
+from repro.tcp.constants import FLAG_ACK, FLAG_SYN, SEQ_MASK, SEQ_SPACE, SYNCHRONIZED_STATES, TCPState
 from repro.tcp.segment import TCPSegment
-from repro.tcp.seqspace import unwrap, wrap
+from repro.tcp.seqspace import HALF_SPACE, unwrap, wrap
 from repro.tcp.tcb import TCPConnection
 from repro.tcp.timers import RestartableTimer
 
@@ -315,7 +315,7 @@ class STTCPBackup:
     def _send_backup_ack(self, state: _ShadowConnState) -> None:
         tcb = state.tcb
         self._c_acks_sent.value += 1
-        self._send(BackupAck(state.key, wrap(tcb.rcv_nxt)))
+        self._send(BackupAck(state.key, tcb.rcv_nxt & SEQ_MASK))  # wrap, inline
         state.last_acked_offset = tcb.recv_buffer.rcv_nxt_offset
         state.last_ack_time = self.sim.now
         self._index.note_acked(state)
@@ -359,7 +359,14 @@ class STTCPBackup:
         if flags & FLAG_ACK:
             # The ACK field tracks the *client's* stream, which the shadow
             # anchors from the tapped SYN — valid even before ISN rebase.
-            primary_rcv = unwrap(segment.ack, tcb.rcv_nxt)
+            ack = segment.ack
+            rcv_nxt = tcb.rcv_nxt
+            delta = (ack - rcv_nxt) & SEQ_MASK  # unwrap(ack, rcv_nxt), inline
+            if delta > HALF_SPACE:
+                delta -= SEQ_SPACE
+            primary_rcv = rcv_nxt + delta
+            if primary_rcv < 0 or delta == HALF_SPACE or not 0 <= ack <= SEQ_MASK:
+                primary_rcv = unwrap(ack, rcv_nxt)
             if state.primary_rcv_nxt is None or primary_rcv > state.primary_rcv_nxt:
                 state.primary_rcv_nxt = primary_rcv
             if primary_rcv > tcb.rcv_nxt:
@@ -368,7 +375,15 @@ class STTCPBackup:
                 self._index.note_gap(state)
                 self._request_retransmission(state, tcb.rcv_nxt, primary_rcv)
         if segment.payload_length > 0 and state.ext.isn_rebased:
-            seg_end = unwrap(segment.seq, tcb.snd_nxt) + segment.payload_length
+            seq = segment.seq
+            snd_nxt = tcb.snd_nxt
+            delta = (seq - snd_nxt) & SEQ_MASK  # unwrap(seq, snd_nxt), inline
+            if delta > HALF_SPACE:
+                delta -= SEQ_SPACE
+            seg_start = snd_nxt + delta
+            if seg_start < 0 or delta == HALF_SPACE or not 0 <= seq <= SEQ_MASK:
+                seg_start = unwrap(seq, snd_nxt)
+            seg_end = seg_start + segment.payload_length
             if state.primary_snd_nxt is None or seg_end > state.primary_snd_nxt:
                 state.primary_snd_nxt = seg_end
 

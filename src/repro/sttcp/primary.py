@@ -37,8 +37,8 @@ from repro.sttcp.messages import (
 )
 from repro.sttcp.retention import SecondReceiveBuffer
 from repro.sttcp.shadow import ShadowExtension
-from repro.tcp.constants import SYNCHRONIZED_STATES
-from repro.tcp.seqspace import unwrap, wrap
+from repro.tcp.constants import SEQ_MASK, SEQ_SPACE, SYNCHRONIZED_STATES
+from repro.tcp.seqspace import HALF_SPACE, unwrap, wrap
 from repro.tcp.tcb import TCPConnection
 from repro.tcp.timers import RestartableTimer
 from repro.util.bytespan import concat
@@ -183,7 +183,7 @@ class STTCPPrimary:
         retention = SecondReceiveBuffer(capacity)
         if not self.fault_tolerant:
             retention.disable()
-        tcb.recv_buffer.retention = retention
+        tcb.recv_buffer.attach_retention(retention)
         self._connections[conn_key(tcb.remote_ip, tcb.remote_port)] = _PrimaryConnState(
             tcb, retention
         )
@@ -216,7 +216,7 @@ class STTCPPrimary:
         retention.prime_at(tcb.recv_buffer.read_offset)
         if not self.fault_tolerant:
             retention.disable()
-        tcb.recv_buffer.retention = retention
+        tcb.recv_buffer.attach_retention(retention)
         self._connections[conn_key(tcb.remote_ip, tcb.remote_port)] = _PrimaryConnState(
             tcb, retention
         )
@@ -262,7 +262,14 @@ class STTCPPrimary:
         state = self._connections.get(ack.key)
         if state is not None:
             tcb = state.tcb
-            ack_abs = unwrap(ack.ack_seq, tcb.rcv_nxt)
+            ack_seq = ack.ack_seq
+            rcv_nxt = tcb.rcv_nxt
+            delta = (ack_seq - rcv_nxt) & SEQ_MASK  # unwrap(ack_seq, rcv_nxt), inline
+            if delta > HALF_SPACE:
+                delta -= SEQ_SPACE
+            ack_abs = rcv_nxt + delta
+            if ack_abs < 0 or delta == HALF_SPACE or not 0 <= ack_seq <= SEQ_MASK:
+                ack_abs = unwrap(ack_seq, rcv_nxt)
             offset = tcb.rcv_offset(ack_abs)
             previous = state.acked_by.get(source.value, 0)
             if offset > previous:
@@ -271,7 +278,7 @@ class STTCPPrimary:
             if freed and tcb.state in SYNCHRONIZED_STATES:
                 # Window may have been pinched by retention overflow;
                 # releasing bytes can reopen it.
-                tcb.output.maybe_send_window_update(0)
+                tcb.output.maybe_send_window_update()
         # The reply doubles as the primary→backup heartbeat (§4.3).
         self._send(AckReply(ack.key, ack.ack_seq), source)
 
@@ -422,7 +429,7 @@ class STTCPPrimary:
                 retention = SecondReceiveBuffer(state.retention.capacity)
                 retention.prime_at(state.tcb.recv_buffer.read_offset)
                 state.retention = retention
-                state.tcb.recv_buffer.retention = retention
+                state.tcb.recv_buffer.attach_retention(retention)
         if self.sim.trace.enabled_for("sttcp"):
             self._ft_sid = self.sim.trace.begin_span(
                 self.sim.now, "sttcp", "fault_tolerant", backups=len(self.backup_ips)
@@ -441,14 +448,14 @@ class STTCPPrimary:
             for state in self._connections.values():
                 freed = self._release_retained(state)
                 if freed and state.tcb.state in SYNCHRONIZED_STATES:
-                    state.tcb.output.maybe_send_window_update(0)
+                    state.tcb.output.maybe_send_window_update()
             return
         self.fault_tolerant = False
         self.backup_failed_at = self.sim.now
         for state in self._connections.values():
             state.retention.disable()
             if state.tcb.state in SYNCHRONIZED_STATES:
-                state.tcb.output.maybe_send_window_update(0)
+                state.tcb.output.maybe_send_window_update()
         self._hb_timer.stop()
         if self.sim.trace.enabled_for("sttcp"):
             self.sim.trace.emit(self.sim.now, "sttcp", "non_fault_tolerant_mode")

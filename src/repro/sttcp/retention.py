@@ -10,7 +10,10 @@ The paper doubles the receive allocation and manages the extra space as a
 logically separate second buffer: read-but-unacked bytes move there, and
 only when the second buffer overflows do retained bytes start consuming
 advertised window (the sole externally visible deviation from standard
-TCP, §4.2).
+TCP, §4.2).  The overflow is a field, set wherever it moves: a read sets
+it and the receive buffer refreshes its window after the read; a release
+or :meth:`SecondReceiveBuffer.disable` sets it and refreshes the window
+itself, before anyone decides whether to advertise the reopened space.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ class SecondReceiveBuffer(RetentionPolicy):
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError(f"second buffer capacity must be positive, got {capacity}")
+        super().__init__()
         self.capacity = capacity
         self.enabled = True
         self._store = SpanBuffer()  # head = oldest retained offset
@@ -52,25 +56,30 @@ class SecondReceiveBuffer(RetentionPolicy):
     def on_read(self, start_offset: int, span: ByteSpan) -> None:
         if not self.enabled:
             return
-        if start_offset != self._store.tail_offset:
+        store = self._store
+        if start_offset != store.head_offset + store.length:
             raise FailoverError(
                 f"non-contiguous retention: read at {start_offset}, "
-                f"retained through {self._store.tail_offset}"
+                f"retained through {store.tail_offset}"
             )
-        self._store.append(span)
+        store.append(span)
         self.bytes_retained_total += span.length
-        usage = self._store.length
+        usage = store.length
         if usage > self.peak_usage:
             self.peak_usage = usage
         overflow = usage - self.capacity
-        if overflow > self.overflow_byte_peak:
-            self.overflow_byte_peak = overflow
+        if overflow > 0:  # usage only grows here: an overflow of 0 stays 0
+            self.overflow = overflow
+            if overflow > self.overflow_byte_peak:
+                self.overflow_byte_peak = overflow
 
-    def overflow_bytes(self) -> int:
-        if not self.enabled:
-            return 0
-        overflow = self._store.length - self.capacity
-        return overflow if overflow > 0 else 0
+    def _set_overflow(self) -> None:
+        """Recompute ``overflow`` after a change outside a read, and let the
+        attached buffer count it in its window at once."""
+        overflow = self._store.length - self.capacity if self.enabled else 0
+        self.overflow = overflow if overflow > 0 else 0
+        if self.buffer is not None:
+            self.buffer.refresh_window()
 
     # ST-TCP engine API ------------------------------------------------------------
     @property
@@ -96,6 +105,7 @@ class SecondReceiveBuffer(RetentionPolicy):
             return 0
         self._store.discard_front(freed)
         self.bytes_released_total += freed
+        self._set_overflow()
         return freed
 
     def fetch(self, start_offset: int, stop_offset: int) -> ByteSpan:
@@ -111,3 +121,4 @@ class SecondReceiveBuffer(RetentionPolicy):
         (non-fault-tolerant mode, §4.4)."""
         self.enabled = False
         self._store.clear()
+        self._set_overflow()

@@ -21,10 +21,12 @@ from repro.tcp.constants import (
     FLAG_RST,
     FLAG_SYN,
     PERSIST_TIMEOUT_MIN,
+    SEQ_MASK,
+    SEQ_SPACE,
     TCPState,
 )
 from repro.tcp.segment import TCPSegment
-from repro.tcp.seqspace import unwrap
+from repro.tcp.seqspace import HALF_SPACE, unwrap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tcp.tcb import TCPConnection
@@ -128,11 +130,32 @@ class InputEngine:
     def _segment_in_general(self, segment: TCPSegment) -> None:
         conn = self.conn
         flags = segment.flags
-        seq_abs = unwrap(segment.seq, conn.rcv_nxt)
+        rcv_nxt = conn.rcv_nxt
+        seq = segment.seq
+        # unwrap(seq, rcv_nxt), inline: the signed distance inside half the
+        # sequence space.  A tie at exactly half of it, a result below zero
+        # and a value out of 32-bit range are left to unwrap itself.
+        delta = (seq - rcv_nxt) & SEQ_MASK
+        if delta > HALF_SPACE:
+            delta -= SEQ_SPACE
+        seq_abs = rcv_nxt + delta
+        if seq_abs < 0 or delta == HALF_SPACE or not 0 <= seq <= SEQ_MASK:
+            seq_abs = unwrap(seq, rcv_nxt)
         seg_len = segment.payload_length
         if flags & (FLAG_SYN | FLAG_FIN):
             seg_len = segment.sequence_space_length
-        if not self._sequence_acceptable(seq_abs, seg_len):
+        # RFC 793 acceptability against the advertised window.
+        window = conn.recv_buffer.window
+        if seg_len == 0:
+            if window == 0:
+                acceptable = seq_abs == rcv_nxt
+            else:
+                acceptable = rcv_nxt <= seq_abs < rcv_nxt + window
+        else:
+            acceptable = (
+                window != 0 and seq_abs < rcv_nxt + window and seq_abs + seg_len > rcv_nxt
+            )
+        if not acceptable:
             if not flags & FLAG_RST:
                 # Duplicate or out-of-window: re-ACK our current state
                 # (rate-limited so two confused peers cannot loop).
@@ -160,22 +183,18 @@ class InputEngine:
         if flags & FLAG_FIN:
             self._process_fin(segment, seq_abs)
 
-    def _sequence_acceptable(self, seq_abs: int, seg_len: int) -> bool:
-        conn = self.conn
-        window = conn.recv_buffer.window()
-        if seg_len == 0:
-            if window == 0:
-                return seq_abs == conn.rcv_nxt
-            return conn.rcv_nxt <= seq_abs < conn.rcv_nxt + window
-        if window == 0:
-            return False
-        return seq_abs < conn.rcv_nxt + window and seq_abs + seg_len > conn.rcv_nxt
-
     # -- ACK processing ------------------------------------------------------
     def _process_ack(self, segment: TCPSegment, seq_abs: int) -> bool:
         """Returns False when processing must stop (segment dropped)."""
         conn = self.conn
-        ack_abs = unwrap(segment.ack, conn.snd_una)
+        ack = segment.ack
+        snd_una = conn.snd_una
+        delta = (ack - snd_una) & SEQ_MASK  # unwrap(ack, snd_una), inline
+        if delta > HALF_SPACE:
+            delta -= SEQ_SPACE
+        ack_abs = snd_una + delta
+        if ack_abs < 0 or delta == HALF_SPACE or not 0 <= ack <= SEQ_MASK:
+            ack_abs = unwrap(ack, snd_una)
         hooks = conn._ext_on_ack
         if hooks:
             for ext in hooks:

@@ -21,6 +21,7 @@ from repro.tcp.constants import (
     FLAG_PSH,
     FLAG_RST,
     FLAG_SYN,
+    SEQ_MASK,
     TCPState,
 )
 from repro.tcp.segment import SegmentTemplate, TCPSegment
@@ -186,7 +187,7 @@ class OutputEngine:
         send, is the payload sliced and the segment built.
         """
         conn = self.conn
-        window = conn.recv_buffer.window()
+        window = conn.recv_buffer.window
         if flags & FLAG_ACK:
             self.segments_since_ack = 0
             if self.ack_scheduled:
@@ -213,8 +214,8 @@ class OutputEngine:
             self._template = template
         self.transmit(
             template.build(
-                wrap(seq_abs),
-                wrap(conn.rcv_nxt) if flags & FLAG_ACK else 0,
+                seq_abs & SEQ_MASK,  # wrap, inline
+                conn.rcv_nxt & SEQ_MASK if flags & FLAG_ACK else 0,
                 flags,
                 window if window < 0xFFFF else 0xFFFF,
                 payload,
@@ -280,13 +281,15 @@ class OutputEngine:
         if self.ack_scheduled:
             self.ack_now()
 
-    def maybe_send_window_update(self, window_before: int) -> None:
-        """After an application read, reopen a closed/shrunken window."""
+    def maybe_send_window_update(self) -> None:
+        """After a read or a retention release, advertise a window that
+        reopened by at least ``min(2 * mss, rcv_buffer / 2)`` from one
+        last advertised below that threshold."""
         conn = self.conn
-        window_now = conn.recv_buffer.window()
-        threshold = min(2 * conn.mss, conn.config.rcv_buffer // 2)
-        if (
-            self.last_advertised_window < threshold
-            and window_now - self.last_advertised_window >= threshold
-        ):
+        threshold = 2 * conn.mss
+        half_buffer = conn.config.rcv_buffer // 2
+        if half_buffer < threshold:
+            threshold = half_buffer
+        last = self.last_advertised_window
+        if last < threshold and conn.recv_buffer.window - last >= threshold:
             self.ack_now()

@@ -5,8 +5,13 @@ discards a byte once the application has read it, but a replicated server
 must keep it until its replica confirms it holds a copy.  A
 :class:`RetentionPolicy` captures read bytes into a "second receive
 buffer"; bytes that do not fit there keep occupying advertised window
-(``overflow_bytes``), reproducing the paper's behaviour when the replica
+(its ``overflow``), reproducing the paper's behaviour when the replica
 falls behind.
+
+The advertised window is a field (DESIGN §13 rule 7), kept current by
+whatever changes one of its terms: ``insert`` and ``read`` inline the
+formula, every other writer calls :meth:`ReceiveBuffer.refresh_window`, and
+a policy whose ``overflow`` changes outside a read tells its buffer.
 """
 
 from __future__ import annotations
@@ -18,17 +23,24 @@ from repro.util.spanbuffer import SpanBuffer
 
 
 class RetentionPolicy:
-    """Interface a replication engine plugs into the receive path."""
+    """Interface a replication engine plugs into the receive path.
 
-    __slots__ = ()
+    ``overflow`` holds the read-but-unreleased bytes that exceed the second
+    buffer and must keep occupying the first buffer's advertised window.
+    :meth:`on_read` keeps it current (the buffer refreshes its window after
+    the read); anything else that moves it calls
+    ``buffer.refresh_window()`` afterwards.
+    """
+
+    __slots__ = ("overflow", "buffer")
+
+    def __init__(self) -> None:
+        self.overflow = 0
+        #: The receive buffer this policy is attached to, if any.
+        self.buffer: Optional[ReceiveBuffer] = None
 
     def on_read(self, start_offset: int, span: ByteSpan) -> None:
         """Bytes [start_offset, start_offset+len) were read by the app."""
-        raise NotImplementedError
-
-    def overflow_bytes(self) -> int:
-        """Read-but-unreleased bytes that exceed the second buffer and must
-        keep occupying the first buffer's advertised window."""
         raise NotImplementedError
 
 
@@ -38,7 +50,10 @@ class ReceiveBuffer:
     Offsets are stream offsets (byte 0 ⇔ sequence IRS+1).
     """
 
-    __slots__ = ("capacity", "ready", "_out_of_order", "_ooo_bytes", "retention", "bytes_duplicated")
+    __slots__ = (
+        "capacity", "ready", "_out_of_order", "out_of_order_bytes", "retention",
+        "bytes_duplicated", "window",
+    )
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
@@ -48,9 +63,14 @@ class ReceiveBuffer:
         #: ``length`` is what the socket tests on every wake-up.
         self.ready = SpanBuffer()
         self._out_of_order: List[Tuple[int, ByteSpan]] = []  # sorted, disjoint
-        self._ooo_bytes = 0  # total held in _out_of_order
+        #: Total held in ``_out_of_order``: a field, read on every segment.
+        self.out_of_order_bytes = 0
         self.retention: Optional[RetentionPolicy] = None
         self.bytes_duplicated = 0  # duplicate payload discarded
+        #: Advertised window: free space in the (first) receive buffer.
+        #: Retained-but-overflowing bytes (second buffer full) continue to
+        #: consume it, per §4.2.  Read on every segment sent and received.
+        self.window = capacity
 
     # Pointers ---------------------------------------------------------------
     @property
@@ -68,20 +88,19 @@ class ReceiveBuffer:
         """In-order bytes ready for the application."""
         return self.ready.length
 
-    @property
-    def out_of_order_bytes(self) -> int:
-        return self._ooo_bytes
-
-    def window(self) -> int:
-        """Advertised window: free space in the (first) receive buffer.
-
-        Retained-but-overflowing bytes (second buffer full) continue
-        to consume window, per §4.2.
-        """
-        free = self.capacity - self.ready.length - self._ooo_bytes
+    def refresh_window(self) -> None:
+        """Recompute :attr:`window` from its terms; ``insert`` and ``read``
+        inline the same formula."""
+        free = self.capacity - self.ready.length - self.out_of_order_bytes
         if self.retention is not None:
-            free -= self.retention.overflow_bytes()
-        return free if free > 0 else 0
+            free -= self.retention.overflow
+        self.window = free if free > 0 else 0
+
+    def attach_retention(self, policy: RetentionPolicy) -> None:
+        """Plug ``policy`` in (replacing any other) and count its overflow."""
+        self.retention = policy
+        policy.buffer = self
+        self.refresh_window()
 
     # Network side --------------------------------------------------------------
     def insert(self, start_offset: int, span: ByteSpan) -> int:
@@ -97,7 +116,7 @@ class ReceiveBuffer:
             return 0
         ready = self.ready
         rcv_nxt = ready.head_offset + ready.length
-        limit = rcv_nxt + self.window()
+        limit = rcv_nxt + self.window
         stop_offset = start_offset + length
         # Clip below rcv_nxt (already received) and above the window.
         if stop_offset <= rcv_nxt:
@@ -120,6 +139,10 @@ class ReceiveBuffer:
         advanced = span.length
         if self._out_of_order:
             advanced += self._drain_out_of_order()
+        free = self.capacity - ready.length - self.out_of_order_bytes
+        if self.retention is not None:
+            free -= self.retention.overflow
+        self.window = free if free > 0 else 0
         return advanced
 
     def _stash_out_of_order(self, start: int, span: ByteSpan) -> None:
@@ -144,10 +167,11 @@ class ReceiveBuffer:
             pieces.append((cursor, span.slice(cursor - start, stop - start)))
         if not pieces:
             return
-        self._ooo_bytes += sum(piece.length for _, piece in pieces)
+        self.out_of_order_bytes += sum(piece.length for _, piece in pieces)
         merged = self._out_of_order + pieces
         merged.sort(key=lambda item: item[0])
         self._out_of_order = merged
+        self.refresh_window()
 
     def _drain_out_of_order(self) -> int:
         advanced = 0
@@ -158,7 +182,7 @@ class ReceiveBuffer:
             if start > rcv_nxt:
                 break
             self._out_of_order.pop(0)
-            self._ooo_bytes -= span.length
+            self.out_of_order_bytes -= span.length
             if stop <= rcv_nxt:
                 self.bytes_duplicated += span.length
                 continue
@@ -184,13 +208,17 @@ class ReceiveBuffer:
         leaving the buffer.
         """
         ready = self.ready
-        count = min(max_bytes, ready.length)
+        count = max_bytes if max_bytes < ready.length else ready.length
         if count <= 0:
             return EMPTY
         start = ready.head_offset
         span = ready.pop_front(count)
-        if self.retention is not None:
-            self.retention.on_read(start, span)
+        free = self.capacity - ready.length - self.out_of_order_bytes
+        retention = self.retention
+        if retention is not None:
+            retention.on_read(start, span)
+            free -= retention.overflow
+        self.window = free if free > 0 else 0
         return span
 
     def fast_forward(self, offset: int) -> None:
@@ -199,6 +227,7 @@ class ReceiveBuffer:
         (:meth:`repro.tcp.tcb.TCPConnection.fast_forward`, whose
         quiescence rule guarantees the buffer holds nothing)."""
         self.ready.seek(offset)
+        self.refresh_window()
 
     def peek_unread(self, start: int, stop: int) -> ByteSpan:
         """Zero-copy view of not-yet-read in-order bytes."""

@@ -303,11 +303,19 @@ class TCPConnection:
         return accepted
 
     def app_read(self, max_bytes: int) -> ByteSpan:
-        """Pop up to ``max_bytes`` of received in-order data."""
-        before = self.recv_buffer.window()
+        """Pop up to ``max_bytes`` of received in-order data.
+
+        A window update is only ever due when the last advertised window
+        was below two segments (``maybe_send_window_update``'s own test),
+        so only then is the method called.
+        """
         span = self.recv_buffer.read(max_bytes)
-        if span.length and self.state in SYNCHRONIZED_STATES:
-            self.output.maybe_send_window_update(before)
+        if (
+            span.length
+            and self.output.last_advertised_window < 2 * self.mss
+            and self.state in SYNCHRONIZED_STATES
+        ):
+            self.output.maybe_send_window_update()
         return span
 
     def app_close(self) -> None:

@@ -62,7 +62,7 @@ def test_takeover_resending_acked_bytes_breaks_no_duplicate_drill(monkeypatch):
                 wrap(conn.iss + 1),
                 wrap(conn.rcv_nxt),
                 FLAG_ACK,
-                min(conn.recv_buffer.window(), 0xFFFF),
+                min(conn.recv_buffer.window, 0xFFFF),
                 PatternBytes(1460, 0, 7),
             )
             conn.output.transmit(segment)

@@ -56,14 +56,6 @@ def test_ablations_command_prints_one_titled_table_per_ablation(capsys):
         assert lines[lines.index(title) + 1] == header
 
 
-def test_profile_with_worker_processes_is_a_usage_error(tmp_path, capsys):
-    """Sampling sees only the parent, which idles while workers run."""
-    with pytest.raises(SystemExit) as exit_info:
-        main(["table1", "--no-store", "--profile", "--jobs", "2"])
-    assert exit_info.value.code == 2
-    assert "--profile" in capsys.readouterr().err
-
-
 def test_drill_command_reports_per_script_table(capsys, tmp_path):
     from pathlib import Path
 
@@ -100,16 +92,6 @@ def test_table1_command_with_exports(tmp_path, capsys):
     assert records[0]["config"] == "Standard TCP"
     header = csv_path.read_text().splitlines()[0]
     assert "config" in header
-
-
-def test_profile_flag_writes_report_next_to_store(tmp_path, capsys):
-    store = tmp_path / "results.jsonl"
-    assert main(["table1", "--quick", "--store", str(store), "--profile"]) == 0
-    report_path = tmp_path / "profile_table1.json"
-    report = json.loads(report_path.read_text())
-    assert report["samples"] >= 0
-    assert "layers" in report
-    assert "profile:" in capsys.readouterr().err
 
 
 def test_figure5_command(capsys):

@@ -2,8 +2,8 @@
 
 ``bench/layers.py`` keeps its own copy of the map until it imports
 :mod:`repro.metrics.layers`; this test loads it by path, unedited, and
-holds the two equal, so ``--profile`` and the ledger name the same
-layers.
+holds the two equal, so ``repro explain``'s work by layer and the ledger
+name the same layers.
 """
 
 import importlib.util

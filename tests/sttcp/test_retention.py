@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import FailoverError
 from repro.sttcp.retention import SecondReceiveBuffer
+from repro.tcp.recv_buffer import ReceiveBuffer
 from repro.util.bytespan import PatternBytes, RealBytes
 
 
@@ -42,11 +43,26 @@ def test_backup_ack_backwards_is_noop():
 def test_overflow_counts_beyond_capacity():
     buffer = SecondReceiveBuffer(10)
     buffer.on_read(0, RealBytes(b"x" * 10))
-    assert buffer.overflow_bytes() == 0
+    assert buffer.overflow == 0
     buffer.on_read(10, RealBytes(b"y" * 5))
-    assert buffer.overflow_bytes() == 5  # second buffer full → pinches window
+    assert buffer.overflow == 5  # second buffer full → pinches window
     buffer.backup_acked(8)
-    assert buffer.overflow_bytes() == 0
+    assert buffer.overflow == 0
+
+
+def test_release_and_disable_reopen_the_attached_window_at_once():
+    """The overflow is a field: a release or a disable outside a read
+    updates it and the attached receive buffer's window in the same call."""
+    window = ReceiveBuffer(100)
+    buffer = SecondReceiveBuffer(10)
+    window.attach_retention(buffer)
+    window.insert(0, PatternBytes(40, 0, 9))
+    window.read(40)
+    assert (buffer.overflow, window.window) == (30, 70)
+    buffer.backup_acked(20)
+    assert (buffer.overflow, window.window) == (10, 90)
+    buffer.disable()
+    assert (buffer.overflow, window.window) == (0, 100)
 
 
 def test_fetch_serves_recovery_ranges():
@@ -69,7 +85,7 @@ def test_disable_reverts_to_standard_tcp():
     buffer = SecondReceiveBuffer(10)
     buffer.on_read(0, RealBytes(b"x" * 20))
     buffer.disable()
-    assert buffer.overflow_bytes() == 0
+    assert buffer.overflow == 0
     assert buffer.retained_bytes == 0
     buffer.on_read(20, RealBytes(b"more"))  # silently ignored now
     assert buffer.retained_bytes == 0
@@ -122,7 +138,7 @@ def test_prop_retention_invariants(data):
             acked = max(acked, min(target, offset))
         assert buffer.lowest_retained_offset == acked
         assert buffer.retained_bytes == offset - acked
-        assert buffer.overflow_bytes() == max(0, (offset - acked) - capacity)
+        assert buffer.overflow == max(0, (offset - acked) - capacity)
         lo = data.draw(st.integers(0, offset + 5))
         hi = data.draw(st.integers(lo, offset + 5))
         got = buffer.fetch(lo, hi)

@@ -1,10 +1,13 @@
 """UDP-channel tests (§4.2–4.3): tap-loss repair, messages, backup failure."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.apps.workload import bulk_workload, upload_workload
 from repro.faults.injection import add_tap_loss, add_tap_outage
 from repro.harness.runner import run_workload
+from repro.harness.scenario import SERVICE_IP, SERVICE_PORT
+from repro.ip.datagram import PROTO_TCP, IPDatagram
 from repro.sttcp.messages import (
     AckReply,
     BackupAck,
@@ -14,10 +17,14 @@ from repro.sttcp.messages import (
     SMALL_MESSAGE_SIZE,
     conn_key,
 )
+from repro.tcp.constants import FLAG_ACK, FLAG_PSH
+from repro.tcp.segment import TCPSegment
+from repro.tcp.seqspace import wrap
 from repro.util.bytespan import PatternBytes, RealBytes
 from repro.util.units import KB
 
 from tests.sttcp.conftest import make_scenario
+from tests.tcp.test_seqspace import pin_cases, unwrap_or_error, wire_and_reference
 
 
 # ------------------------------------------------------------------- messages
@@ -95,7 +102,6 @@ def test_retx_data_is_labelled_by_the_offset_it_really_starts_at(retention_off):
     primary holds less than asked for once retention released past the
     start, or once it is off (non-fault-tolerant mode, §4.4)."""
     from repro.apps.client import run_client
-    from repro.tcp.seqspace import wrap
 
     scenario = make_scenario(seed=94)
     scenario.start_service()
@@ -137,6 +143,36 @@ def test_retention_only_released_after_backup_ack():
     assert retention.retained_bytes > 0 or backup_acked > 0
 
 
+def test_backup_ack_reopens_a_pinched_window_at_once():
+    """§4.2: read bytes the second buffer cannot hold pinch the advertised
+    window; the BackupAck that releases them reopens it before the primary
+    decides, inside the same call, to send the window update."""
+    scenario = make_scenario(seed=12, second_buffer_size=2 * KB)
+    run = run_workload(upload_workload(16 * KB), scenario=scenario, deadline=60.0)
+    assert run.result.error is None and run.result.verified
+    primary = scenario.pair.primary_engine
+    (key, state), = primary._connections.items()
+    tcb, retention, source = state.tcb, state.retention, primary.backup_ips[0]
+    # The test is the application now: it reads while the backup
+    # acknowledges nothing.
+    tcb.on_readable = None
+    offset = tcb.recv_buffer.rcv_nxt_offset
+    while tcb.recv_buffer.window >= 2 * tcb.mss:
+        chunk = tcb.recv_buffer.window
+        tcb.inject_receive_data(tcb.irs + 1 + offset, PatternBytes(chunk, offset, 3))
+        offset += chunk
+        tcb.app_read(chunk)
+    tcb.ack_now()
+    pinched = tcb.output.last_advertised_window
+    assert retention.overflow > 0
+    assert pinched == tcb.recv_buffer.capacity - retention.overflow < 2 * tcb.mss
+    sent = tcb.segments_sent
+    primary._handle_backup_ack(BackupAck(key, wrap(tcb.rcv_nxt)), source)
+    assert retention.retained_bytes == retention.overflow == 0
+    assert tcb.segments_sent == sent + 1  # the window update, at once
+    assert tcb.output.last_advertised_window == tcb.recv_buffer.capacity
+
+
 # ------------------------------------------------------------- backup failure
 def test_backup_crash_switches_primary_to_non_fault_tolerant_mode():
     scenario = make_scenario(hb_interval=0.05)
@@ -176,4 +212,67 @@ def test_backup_failure_does_not_pinch_primary_window():
     run = run_workload(upload_workload(256 * KB), scenario=scenario, deadline=120.0)
     assert run.result.error is None and run.result.verified
     for state in scenario.pair.primary_engine._connections.values():
-        assert state.retention.overflow_bytes() == 0
+        assert state.retention.overflow == 0
+        assert state.tcb.recv_buffer.window == state.tcb.recv_buffer.capacity
+
+
+# ------------------------------------------------- inline unwraps on the channel
+@pytest.fixture(scope="module")
+def pair_after_upload():
+    """One ST-TCP pair whose connection is still ESTABLISHED on both
+    servers after a short upload; the property below rewrites its
+    sequence anchors freely and never runs the simulation again."""
+    scenario = make_scenario(seed=12)
+    run = run_workload(upload_workload(16 * KB), scenario=scenario, deadline=60.0)
+    assert run.result.error is None and run.result.verified
+    return scenario.pair.primary_engine, scenario.pair.backup_engine
+
+
+def _observe(deliver, read):
+    try:
+        deliver()
+    except ValueError:
+        return ValueError
+    return read()
+
+
+@settings(max_examples=200)
+@pin_cases
+@given(case=wire_and_reference())
+def test_prop_channel_unwraps_inline_exactly_as_unwrap(pair_after_upload, case):
+    """The primary's BackupAck and the backup's tapped ACK and sequence
+    fields unwrap without a call within half the space; every result,
+    fallback and refusal equals ``seqspace.unwrap``'s."""
+    value, reference = case
+    expected = unwrap_or_error(value, reference)
+    primary, backup = pair_after_upload
+
+    # BackupAck against the primary's rcv_nxt, as the offset it records.
+    (key, state), = primary._connections.items()
+    tcb, source = state.tcb, primary.backup_ips[0]
+    tcb.rcv_nxt = reference
+    state.acked_by[source.value] = -(1 << 62)  # any offset is progress
+    observed = _observe(
+        lambda: primary._handle_backup_ack(BackupAck(key, value), source),
+        lambda: tcb.irs + 1 + state.acked_by[source.value],
+    )
+    assert observed == expected
+
+    # The tapped primary→client ACK field against the shadow's rcv_nxt,
+    # and the sequence field of tapped payload against its snd_nxt.
+    (shadow,) = backup._connections.values()
+    tcb = shadow.tcb
+
+    def tap(flags, payload, field):
+        segment = TCPSegment(SERVICE_PORT, tcb.remote_port, 0, 0, flags, 1000, payload)
+        setattr(segment, field, value)  # past the constructor's range check
+        datagram = IPDatagram(SERVICE_IP, tcb.remote_ip, PROTO_TCP, segment, 20 + len(payload))
+        shadow.primary_rcv_nxt = shadow.primary_snd_nxt = shadow.pending_retx = None
+        backup._on_tapped_datagram(datagram, None)
+
+    tcb.rcv_nxt = reference
+    observed = _observe(lambda: tap(FLAG_ACK, RealBytes(b""), "ack"), lambda: shadow.primary_rcv_nxt)
+    assert observed == expected
+    tcb.snd_nxt = reference
+    observed = _observe(lambda: tap(FLAG_PSH, RealBytes(b"x"), "seq"), lambda: shadow.primary_snd_nxt - 1)
+    assert observed == expected

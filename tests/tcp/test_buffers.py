@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sttcp.retention import SecondReceiveBuffer
 from repro.tcp.recv_buffer import ReceiveBuffer, RetentionPolicy
 from repro.tcp.send_buffer import SendBuffer
 from repro.util.bytespan import PatternBytes, RealBytes, concat
@@ -102,17 +103,17 @@ def test_overlapping_out_of_order_segments_clipped():
 def test_window_shrinks_with_buffered_data():
     buffer = ReceiveBuffer(100)
     buffer.insert(0, RealBytes(b"x" * 30))
-    assert buffer.window() == 70
+    assert buffer.window == 70
     buffer.insert(50, RealBytes(b"y" * 10))  # out of order counts too
-    assert buffer.window() == 60
+    assert buffer.window == 60
     buffer.read(30)
-    assert buffer.window() == 90
+    assert buffer.window == 90
 
 
 def test_data_beyond_window_clipped():
     buffer = ReceiveBuffer(10)
     assert buffer.insert(0, RealBytes(b"a" * 20)) == 10
-    assert buffer.window() == 0
+    assert buffer.window == 0
 
 
 def test_window_zero_rejects_new_data():
@@ -131,20 +132,17 @@ def test_peek_unread_serves_recovery_ranges():
 
 class RecordingRetention(RetentionPolicy):
     def __init__(self):
+        super().__init__()
         self.reads = []
-        self.overflow = 0
 
     def on_read(self, start_offset, span):
         self.reads.append((start_offset, span.to_bytes()))
-
-    def overflow_bytes(self):
-        return self.overflow
 
 
 def test_retention_hook_sees_read_bytes():
     buffer = ReceiveBuffer(100)
     retention = RecordingRetention()
-    buffer.retention = retention
+    buffer.attach_retention(retention)
     buffer.insert(0, RealBytes(b"abcdef"))
     buffer.read(4)
     assert retention.reads == [(0, b"abcd")]
@@ -154,8 +152,8 @@ def test_retention_overflow_consumes_window():
     buffer = ReceiveBuffer(100)
     retention = RecordingRetention()
     retention.overflow = 25
-    buffer.retention = retention
-    assert buffer.window() == 75
+    buffer.attach_retention(retention)
+    assert buffer.window == 75
 
 
 # -------------------------------------------------------------------- property
@@ -184,37 +182,51 @@ def test_prop_reassembly_matches_reference_stream(data):
 
 @given(st.data())
 def test_prop_counters_match_recomputed_sums_after_every_step(data):
-    """``out_of_order_bytes`` and ``window()`` are field arithmetic; after
-    every insert (overlapping, duplicate, out of window) and read, with the
-    retention policy on or off, they equal the from-scratch formulas."""
+    """``out_of_order_bytes``, ``window`` and the retention ``overflow`` are
+    fields kept by their writers; after every insert (overlapping,
+    duplicate, out of window), read, release, disable and re-attach of a
+    real second buffer they equal the from-scratch formulas."""
     capacity = data.draw(st.integers(20, 120))
+    second_capacity = data.draw(st.integers(1, 40))
     stream = PatternBytes(400, 0, 5)
     reference = stream.to_bytes()
     buffer = ReceiveBuffer(capacity)
-    retention = RecordingRetention()
-    if data.draw(st.booleans()):
-        buffer.retention = retention
+    retention = None
     read_back = b""
     for _ in range(data.draw(st.integers(1, 30))):
-        if data.draw(st.integers(0, 3)):
+        step = data.draw(st.sampled_from(["insert", "insert", "read", "retention"]))
+        if step == "insert":
             # Anywhere from before the read pointer to past the window.
             start = data.draw(st.integers(max(0, buffer.read_offset - 20), 340))
             length = data.draw(st.integers(1, 60))
             before = buffer.rcv_nxt_offset
             advanced = buffer.insert(start, stream.slice(start, start + length))
             assert buffer.rcv_nxt_offset == before + advanced
-        else:
+        elif step == "read":
             read_back += buffer.read(data.draw(st.integers(0, 80))).to_bytes()
-            retention.overflow = data.draw(st.integers(0, 30))
+        elif retention is not None and data.draw(st.booleans()):
+            if data.draw(st.booleans()):
+                low = retention.lowest_retained_offset
+                retention.backup_acked(data.draw(st.integers(low - 5, buffer.read_offset + 10)))
+            else:
+                retention.disable()
+        else:
+            # Attach, or replace with a fresh buffer as a primary that
+            # re-enters fault-tolerant mode does.
+            retention = SecondReceiveBuffer(second_capacity)
+            retention.prime_at(buffer.read_offset)
+            buffer.attach_retention(retention)
         held = buffer._out_of_order
         assert buffer.out_of_order_bytes == sum(len(span) for _start, span in held)
         assert all(
             held[i][0] + len(held[i][1]) <= held[i + 1][0] for i in range(len(held) - 1)
         )
         used = len(buffer.ready) + sum(len(span) for _start, span in held)
-        if buffer.retention is not None:
+        if retention is not None:
+            expected = retention.retained_bytes - second_capacity if retention.enabled else 0
+            assert retention.overflow == max(expected, 0)
             used += retention.overflow
-        assert buffer.window() == max(capacity - used, 0)
+        assert buffer.window == max(capacity - used, 0)
         assert buffer.available == len(buffer.ready)
     assert read_back == reference[: len(read_back)]
     assert buffer.peek_unread(0, 400).to_bytes() == reference[

@@ -20,7 +20,10 @@ from repro.sttcp.config import STTCPConfig
 from repro.util.units import KB
 
 #: Calls per demultiplexed segment.  The tree at the time of writing needs
-#: 89.1 on CPython 3.11 (87.5 for the upload); while the clock was a
+#: 77.0 on CPython 3.11 (73.0 for the upload); while the receive window
+#: and the retention overflow were recomputed through two calls on every
+#: read of them and every sequence number went through ``unwrap``, it
+#: needed 89.1 (87.5); while the clock was a
 #: property, a process step two calls and every buffer append coerced its
 #: span again, it needed 100.0 (98.1); while every frame-path
 #: table hashed an address object, every medium asked a no-op loss model
@@ -34,15 +37,16 @@ from repro.util.units import KB
 #: the timing wheel about 187; before sizes became fields about 364.  The
 #: headroom is about 8 per cent: the count is exact, and 3.12 inlines some
 #: calls, so it only reads lower there.
-CALLS_PER_SEGMENT_BUDGET = 96
+CALLS_PER_SEGMENT_BUDGET = 84
 #: The small-message path: one 150-byte record per segment, so the fixed
 #: per-exchange work (two app wake-ups, an ack each way) is not amortised
-#: over an MSS.  156.0 now; 203.1 while each wake-up paid the kernel's and
+#: over an MSS.  139.9 now; 156.0 with the receive window and overflow
+#: recomputed by calls and every sequence number unwrapped by one; 203.1 while each wake-up paid the kernel's and
 #: the buffers' accessors, 220.4 with the hashed address tables, 260.0
 #: with the accessors, 276.5 while the shadow built what it vetoed, 295
 #: with eager timers, 377 while a record was a two-leaf ``CatBytes``
 #: (DESIGN §13 rule 5).
-ECHO_CALLS_PER_SEGMENT_BUDGET = 169
+ECHO_CALLS_PER_SEGMENT_BUDGET = 152
 
 #: Accessors the per-segment path reads as fields instead (DESIGN §13
 #: rule 7), by (module, function name): none may be called at all on a
@@ -89,6 +93,17 @@ REQUEST_RESPONSE_UNASKED = {
     ("tcp/recv_buffer.py", "ReceiveBuffer.available"),
     ("util/bytespan.py", "ByteSpan.__len__"),
     ("util/bytespan.py", "ByteSpan.iter_chunks"),
+}
+
+#: What the receive side reads as fields instead (DESIGN §13 rule 7), by
+#: (module, qualified name): the advertised window and the retention
+#: overflow are kept by their writers, and the acceptability test reads
+#: the window inline.  None may be called on an upload.
+RECEIVE_SIDE_UNASKED = {
+    ("tcp/recv_buffer.py", "ReceiveBuffer.window"),
+    ("tcp/recv_buffer.py", "ReceiveBuffer.out_of_order_bytes"),
+    ("tcp/input.py", "InputEngine._sequence_acceptable"),
+    ("sttcp/retention.py", "SecondReceiveBuffer.overflow_bytes"),
 }
 
 #: Modules that take a span as they are handed it: bytes are coerced once,
@@ -196,3 +211,25 @@ def test_request_response_path_pays_no_accessor():
     }
     assert called == {}, f"back on the request-response path: {called}"
     assert coerced == {}, f"a buffer coerces what it is handed: {coerced}"
+
+
+def test_upload_wraps_and_unwraps_only_at_the_handshake():
+    """An in-window sequence number unwraps inline and an outgoing one
+    wraps by a mask, at every per-segment site — TCP input and output,
+    the backup's tap and BackupAck, the primary's BackupAck handler — so
+    doubling the upload leaves the calls of ``unwrap`` and ``wrap``
+    unchanged: what remains is the handshake's."""
+    counts = []
+    for size in (256 * KB, 512 * KB):
+        stats, segments, _ = _profiled_run(upload_workload, size)
+        assert segments > 400
+        by_key = {_module_key(entry.code, "co_qualname"): entry for entry in stats}
+        seqspace = {name: by_key.get(("tcp/seqspace.py", name)) for name in ("unwrap", "wrap")}
+        counts.append({name: entry.callcount if entry else 0 for name, entry in seqspace.items()})
+        called = {
+            f"{module}:{name}": by_key[module, name].callcount
+            for module, name in sorted(RECEIVE_SIDE_UNASKED)
+            if (module, name) in by_key
+        }
+        assert called == {}, f"back on the receive side: {called}"
+    assert counts[0] == counts[1], f"per-segment (un)wraps: 256 KB {counts[0]}, 512 KB {counts[1]}"

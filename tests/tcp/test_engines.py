@@ -21,13 +21,17 @@ from repro.tcp.constants import (
     FLAG_FIN,
     FLAG_PSH,
     PERSIST_TIMEOUT_MIN,
+    SEQ_SPACE,
     TCPState,
 )
 from repro.tcp.extension import HOOK_NAMES, TCPExtension, overridden_hooks
+from repro.tcp.input import InputEngine
 from repro.tcp.segment import TCPSegment
 from repro.tcp.seqspace import wrap
 from repro.tcp.tcb import TCPConnection
 from repro.util.bytespan import PatternBytes
+
+from tests.tcp.test_seqspace import pin_cases, unwrap_or_error, wire_and_reference
 
 
 # -- fake clock + stub layer --------------------------------------------------
@@ -614,3 +618,60 @@ class TestOutputInhibition:
         assert shadow_layer.sent == [] and shadow.segments_sent == 0
         assert shadow.output._template is None  # no segment was ever built
         assert sender.segments_sent == len(sender_layer.sent)
+
+
+# -- the inline unwraps: exactly what unwrap gives ----------------------------
+class _AcceptedSeq(InputEngine):
+    """Records the unwrapped sequence number of a segment that passed the
+    acceptability test, and stops there."""
+
+    __slots__ = ("seen",)
+
+    def _process_ack(self, segment, seq_abs):
+        self.seen = seq_abs
+        return False
+
+
+def _observe(deliver, read):
+    try:
+        deliver()
+    except ValueError:
+        return ValueError
+    return read()
+
+
+@settings(max_examples=300)
+@pin_cases
+@given(case=wire_and_reference())
+def test_prop_input_unwraps_inline_exactly_as_unwrap(case):
+    """``_segment_in_general`` and ``_process_ack`` unwrap the sequence and
+    ACK fields without a call when the value is within half the space;
+    every result, fallback and refusal equals ``seqspace.unwrap``'s."""
+    value, reference = case
+    expected = unwrap_or_error(value, reference)
+
+    # Sequence field against rcv_nxt.  A window of the whole space admits
+    # every result at or past rcv_nxt; one behind it draws a challenge ACK.
+    conn, _, _ = make_conn()
+    establish(conn, irs=reference - 1)
+    engine = conn.input = _AcceptedSeq(conn)
+    engine.seen = None
+    conn.recv_buffer.window = SEQ_SPACE
+    segment = TCPSegment(conn.remote_port, conn.local_port, 0, wrap(conn.snd_una), FLAG_ACK, 65535)
+    segment.seq = value  # past the constructor's range check, as a bad header would be
+    observed = _observe(lambda: conn.on_segment(segment), lambda: engine.seen)
+    if expected is ValueError or expected >= reference:
+        assert observed == expected
+    else:
+        assert observed is None
+
+    # ACK field against snd_una, as the on_ack hook receives it.
+    conn, _, _ = make_conn()
+    establish(conn)
+    conn.snd_una = conn.snd_nxt = conn.snd_max = reference
+    log = []
+    conn.add_extension(_Recorder(log, "ack"))
+    segment = TCPSegment(conn.remote_port, conn.local_port, wrap(conn.rcv_nxt), 0, FLAG_ACK, 65535)
+    segment.ack = value
+    observed = _observe(lambda: conn.on_segment(segment), lambda: log[-1][2])
+    assert observed == expected

@@ -77,3 +77,60 @@ def test_prop_seq_lt_antisymmetric(a, b):
         assert not seq_lt(b, a)
     else:
         assert seq_lt(a, b) != seq_lt(b, a)
+
+
+# -- the inline unwraps at the per-segment sites ------------------------------
+#: References near 0, on and around epoch boundaries and half-epochs, and
+#: anywhere in a long stream.
+REFERENCES = st.one_of(
+    st.integers(0, 8),
+    st.builds(lambda epoch, d: epoch * SEQ_SPACE + d, st.integers(1, 3), st.integers(-8, 8)),
+    st.builds(lambda epoch, d: epoch * SEQ_SPACE + HALF_SPACE + d, st.integers(0, 3), st.integers(-8, 8)),
+    st.integers(0, 1 << 40),
+)
+
+
+@st.composite
+def wire_and_reference(draw):
+    """A wire value and the reference it is unwrapped against: anywhere in
+    the 32-bit space, beside the reference, about half the space away from
+    it, or outside the 32-bit range (which ``unwrap`` refuses)."""
+    reference = draw(REFERENCES)
+    value = draw(
+        st.one_of(
+            st.integers(0, SEQ_MASK),
+            st.integers(-8, 8).map(lambda d: (reference + d) & SEQ_MASK),
+            st.integers(-8, 8).map(lambda d: (reference + HALF_SPACE + d) & SEQ_MASK),
+            st.sampled_from([-1, SEQ_SPACE, SEQ_SPACE + 7]),
+        )
+    )
+    return value, reference
+
+
+#: Cases every inline-unwrap property pins: ``delta == HALF_SPACE`` from
+#: either side, a value just behind a reference at 0 and at an epoch
+#: boundary, and values outside the 32-bit range.
+PINNED_CASES = [
+    (HALF_SPACE, 0),
+    (0, HALF_SPACE),
+    (SEQ_MASK, 0),
+    (SEQ_MASK, SEQ_SPACE),
+    (SEQ_SPACE, 5),
+    (-1, 5),
+]
+
+
+def unwrap_or_error(value, reference):
+    """What ``unwrap`` gives, or ``ValueError`` when it refuses."""
+    try:
+        return unwrap(value, reference)
+    except ValueError:
+        return ValueError
+
+
+def pin_cases(test):
+    """Pin :data:`PINNED_CASES` on a property whose drawn argument is ``case``."""
+    for value, reference in PINNED_CASES:
+        test = example(case=(value, reference))(test)
+    return test
+
