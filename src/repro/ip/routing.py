@@ -86,9 +86,3 @@ class RoutingTable:
                 break
         self._memo[dst.value] = found
         return found
-
-    def __iter__(self):
-        return iter(self._routes)
-
-    def __len__(self) -> int:
-        return len(self._routes)

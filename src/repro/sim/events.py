@@ -110,7 +110,7 @@ class SimEvent:
         self._value: Any = None
         self._exc: Optional[BaseException] = None
         self._done = False
-        self._callbacks: List[Callable[["SimEvent"], None]] = []
+        self._callbacks: Optional[List[Callable[["SimEvent"], None]]] = None  # until the first waiter
 
     # Introspection -------------------------------------------------------
     @property
@@ -147,7 +147,7 @@ class SimEvent:
         if callbacks:
             # Swapped out first: a callback added from inside one of these
             # sees the event triggered and runs at once, exactly once.
-            self._callbacks = []
+            self._callbacks = None
             for callback in callbacks:
                 callback(self)
         return self
@@ -162,7 +162,7 @@ class SimEvent:
         self._exc = exc
         callbacks = self._callbacks
         if callbacks:
-            self._callbacks = []
+            self._callbacks = None
             for callback in callbacks:
                 callback(self)
         return self
@@ -172,15 +172,15 @@ class SimEvent:
         """Run ``callback(event)`` when triggered (immediately if already)."""
         if self._done:
             callback(self)
+        elif self._callbacks is None:
+            self._callbacks = [callback]
         else:
             self._callbacks.append(callback)
 
     def discard_callback(self, callback: Callable[["SimEvent"], None]) -> None:
         """Remove a previously added callback if still subscribed."""
-        try:
+        if self._callbacks is not None and callback in self._callbacks:
             self._callbacks.remove(callback)
-        except ValueError:
-            pass
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "pending"

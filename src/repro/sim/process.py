@@ -116,6 +116,8 @@ class Process(SimEvent):
             # resume would change the re-entrancy order.
             sim = self.sim
             sim.post(sim.now, self._resume, target)
+        elif target._callbacks is None:
+            target._callbacks = [self._resume]
         else:
             target._callbacks.append(self._resume)
 

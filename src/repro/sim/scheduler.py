@@ -22,10 +22,10 @@ args)`` driven by :mod:`heapq`, and one dispatch loop
   sequence; ``tests/sim/test_timing_wheel.py`` checks this one against an
   independent textbook heap in random ``until`` / ``max_events`` chunks.
 * **Cancellation is lazy.**  A cancelled handle is flagged and dropped
-  when it reaches the top; ``pending_count`` stays O(1) through a live
-  counter, and the heap is rebuilt live-only — in place — once more than
-  half of a heap larger than :attr:`Scheduler.GC_BASE_THRESHOLD` is dead,
-  so a cancel-and-re-arm timer pattern cannot grow it without bound.
+  when it reaches the top; ``pending_count`` is the heap length less the
+  count of dead entries, and the heap is rebuilt live-only — in place —
+  once half of a heap larger than :attr:`Scheduler.GC_BASE_THRESHOLD` is
+  dead, so a cancel-and-re-arm timer pattern cannot grow it without bound.
 * **The clock is a field.**  The dispatch loop writes ``clock.now``
   before each callback; everything else reads it as a plain attribute.
   A :class:`~repro.sim.simulator.Simulator` passes itself as the clock,
@@ -64,7 +64,7 @@ class Scheduler:
     than a stale time.
     """
 
-    __slots__ = ("_heap", "now", "_clock", "_executed", "_live", "_seq")
+    __slots__ = ("_heap", "now", "_clock", "_executed", "_dead", "_seq")
 
     #: Heap compaction floor: below this length, dead entries are cheap
     #: enough to keep regardless of fraction.
@@ -79,7 +79,7 @@ class Scheduler:
         clock.now = 0.0
         self._clock = clock
         self._executed = 0
-        self._live = 0
+        self._dead = 0  # cancelled entries still in the heap
         self._seq = 0
 
     @property
@@ -90,7 +90,7 @@ class Scheduler:
     @property
     def pending_count(self) -> int:
         """Number of live (non-cancelled) entries in the queue — O(1)."""
-        return self._live
+        return len(self._heap) - self._dead
 
     def schedule_at(
         self,
@@ -137,7 +137,6 @@ class Scheduler:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (time, PRIORITY_NORMAL, seq, None, callback, args))
-        self._live += 1
 
     def _push(
         self, time: float, callback: Callable[..., Any], args: tuple, priority: int
@@ -148,23 +147,23 @@ class Scheduler:
         self._seq = seq + 1
         handle = EventHandle(time, priority, seq, callback, args, self)
         heappush(self._heap, (time, priority, seq, handle, None, None))
-        self._live += 1
         return handle
 
     def _on_cancel(self, handle: EventHandle) -> None:
         """Called by :meth:`EventHandle.cancel` while the handle is queued."""
-        self._live -= 1
+        self._dead += 1
         heap = self._heap
         size = len(heap)
         # Compact on dead *fraction*: once half the heap is cancelled (and
         # it is big enough to matter), rebuild it live-only.  In place, so
         # a dispatch loop holding the list keeps seeing the queue.  Posted
         # entries (no handle) are always live.
-        if size > self.GC_BASE_THRESHOLD and self._live * 2 <= size:
+        if self._dead * 2 >= size > self.GC_BASE_THRESHOLD:
             heap[:] = [
                 entry for entry in heap if entry[3] is None or not entry[3]._cancelled
             ]
             heapify(heap)
+            self._dead = 0
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is empty."""
@@ -174,6 +173,7 @@ class Scheduler:
             if handle is None or not handle._cancelled:
                 return heap[0][0]
             heappop(heap)
+            self._dead -= 1
         return None
 
     def run_next(self) -> bool:
@@ -224,6 +224,7 @@ class Scheduler:
             time, _, _, handle, callback, args = heap[0]
             if handle is not None and handle._cancelled:
                 heappop(heap)
+                self._dead -= 1
                 continue
             if time > ut:
                 break
@@ -232,7 +233,6 @@ class Scheduler:
                     return
                 remaining -= 1
             heappop(heap)
-            self._live -= 1
             clock.now = time
             self._executed += 1
             if handle is not None:

@@ -82,7 +82,7 @@ class Simulator:
         holds by construction (armed timers).  A caller that would drop
         the handle uses :attr:`post`.
         """
-        return self._scheduler.schedule_after(delay, callback, args, priority)
+        return self._scheduler._push(self.now + delay, callback, args, priority)
 
     def schedule_at(
         self,

@@ -202,9 +202,6 @@ class RecordingSink:
     def of_category(self, category: str) -> List[TraceRecord]:
         return [r for r in self.records if r.category == category]
 
-    def clear(self) -> None:
-        self.records.clear()
-
 
 #: Rendered field values longer than this are truncated with an ellipsis
 #: so a long payload repr cannot wrap a drill report or flight dump.

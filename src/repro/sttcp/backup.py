@@ -57,6 +57,7 @@ class _ShadowConnState:
         "tcb",
         "ext",
         "key",
+        "ack_threshold",
         "closed",
         "converged",
         "last_acked_offset",
@@ -67,10 +68,11 @@ class _ShadowConnState:
         "convergence_sid",
     )
 
-    def __init__(self, tcb: TCPConnection, ext: ShadowExtension, now: float) -> None:
+    def __init__(self, tcb: TCPConnection, ext: ShadowExtension, now: float, ack_threshold: int) -> None:
         self.tcb = tcb
         self.ext = ext
         self.key: ConnKey = conn_key(tcb.remote_ip, tcb.remote_port)
+        self.ack_threshold = ack_threshold  # X (§4.3): bytes received that trigger a BackupAck
         self.closed = False  # reaped; invalidates lazy index entries
         self.converged = False  # rebased + synchronized at least once
         self.last_acked_offset = 0  # LastByteAcked (as a stream offset)
@@ -214,7 +216,9 @@ class STTCPBackup:
             return
         ext = ShadowExtension()
         tcb.add_extension(ext)
-        state = _ShadowConnState(tcb, ext, self.sim.now)
+        second_buffer = self.config.second_buffer_size or tcb.config.rcv_buffer
+        threshold = max(1, int(self.config.ack_threshold_fraction * second_buffer))
+        state = _ShadowConnState(tcb, ext, self.sim.now, threshold)
         self._connections[state.key] = state
         self._index.add(state)
         tcb.on_rcv_advance = lambda _rcv, s=state: self._on_stream_advance(s)
@@ -259,10 +263,6 @@ class STTCPBackup:
         self._c_shadows_reaped.value += 1
 
     # Acknowledgment strategy (§4.3) ---------------------------------------------------
-    def _ack_threshold(self, tcb: TCPConnection) -> int:
-        second_buffer = self.config.second_buffer_size or tcb.config.rcv_buffer
-        return max(1, int(self.config.ack_threshold_fraction * second_buffer))
-
     def _on_stream_advance(self, state: _ShadowConnState) -> None:
         if self.role is not ROLE_PASSIVE:
             return
@@ -272,7 +272,7 @@ class STTCPBackup:
         # The local stream moved: it may have caught up with the primary.
         self._index.reconcile_gap(state)
         received = tcb.recv_buffer.rcv_nxt_offset - state.last_acked_offset
-        if received >= self._ack_threshold(tcb):
+        if received >= state.ack_threshold:
             self._send_backup_ack(state)
         # A filled gap may satisfy an outstanding recovery request.
         if state.pending_retx is not None:
@@ -345,7 +345,7 @@ class STTCPBackup:
             return
         flags = segment.flags
         synack = (flags & (FLAG_SYN | FLAG_ACK)) == (FLAG_SYN | FLAG_ACK)
-        state = self._connections.get(conn_key(datagram.dst, segment.dst_port))
+        state = self._connections.get((datagram.dst.value, segment.dst_port))
         if state is None:
             if synack:
                 state = self._adopt_missed_connection(datagram.dst, segment)

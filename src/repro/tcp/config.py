@@ -59,16 +59,16 @@ class TCPConfig:
         if self.snd_buffer < self.mss or self.rcv_buffer < self.mss:
             raise ValueError("socket buffers must hold at least one segment")
         if self.rto_min <= 0 or self.rto_max < self.rto_min:
-            raise ValueError(
-                f"bad RTO bounds [{self.rto_min}, {self.rto_max}]"
-            )
+            raise ValueError(f"bad RTO bounds [{self.rto_min}, {self.rto_max}]")
         if self.rto_initial <= 0:
             raise ValueError(f"rto_initial must be positive, got {self.rto_initial}")
         if self.delack_segments < 1:
             raise ValueError("delack_segments must be >= 1")
         # A negative delay would move the clock backwards: timers arm
         # through ``call_later``, which trusts its callers on the sign.
-        for name in ("delack_timeout", "time_wait", "max_retransmits", "max_syn_retransmits"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        if (self.delack_timeout < 0 or self.time_wait < 0
+                or self.max_retransmits < 0 or self.max_syn_retransmits < 0):
+            for name in ("delack_timeout", "time_wait", "max_retransmits", "max_syn_retransmits"):
+                value = getattr(self, name)
+                if value < 0:
+                    raise ValueError(f"{name} must be >= 0, got {value}")

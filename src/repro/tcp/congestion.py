@@ -7,6 +7,8 @@ ACK, RTO) and asks the controller how much it may have in flight.
 
 from __future__ import annotations
 
+from math import inf
+
 from repro.tcp.constants import DEFAULT_MSS
 
 #: RFC 3390 initial window: min(4·MSS, max(2·MSS, 4380 B)) — 3 segments
@@ -35,7 +37,7 @@ class RenoCongestionControl:
             raise ValueError(f"MSS must be positive, got {mss}")
         self.mss = mss
         self.cwnd = initial_window(mss)
-        self.ssthresh = float("inf")
+        self.ssthresh: float = inf
         self.in_fast_recovery = False
         self._avoidance_acc = 0  # byte counter for congestion avoidance
         # Counters for metrics/ablations.

@@ -114,11 +114,12 @@ class InputEngine:
             self._update_send_window(segment, conn.irs, ack_abs)
             conn.state = TCPState.ESTABLISHED
             conn.trace_event("established")
-            conn.end_span("handshake", conn._handshake_sid)
-            conn._handshake_sid = None
+            if conn._handshake_sid is not None:
+                conn.end_span("handshake", conn._handshake_sid)
+                conn._handshake_sid = None
             conn.output.ack_now()
-            if conn.on_established is not None:
-                conn.on_established()
+            if conn.socket is not None:
+                conn.socket._on_established()
             conn.output.try_output()
         else:
             # Simultaneous open.
@@ -208,12 +209,13 @@ class InputEngine:
                 )
                 self._update_send_window(segment, seq_abs, ack_abs, force=True)
                 conn.trace_event("established")
-                conn.end_span("handshake", conn._handshake_sid)
-                conn._handshake_sid = None
+                if conn._handshake_sid is not None:
+                    conn.end_span("handshake", conn._handshake_sid)
+                    conn._handshake_sid = None
                 if ack_abs > conn.snd_una:
                     conn.snd_una = ack_abs
-                if conn.on_established is not None:
-                    conn.on_established()
+                if conn.socket is not None:
+                    conn.socket._on_established()
             else:
                 conn.output.send_rst_for(segment)
                 return False
@@ -257,15 +259,16 @@ class InputEngine:
         conn.snd_una = ack_abs
         self.dupacks = 0
         retransmit.retransmit_count = 0
-        retransmit.rtt.reset_backoff()
+        if retransmit.rtt.backoff_count:
+            retransmit.rtt.reset_backoff()
         # Release acknowledged payload bytes (exclude SYN/FIN seq space).
         data_ack_offset = ack_abs - conn.iss - 1  # snd_offset, inline
         if conn._fin_seq is not None and ack_abs > conn._fin_seq:
             data_ack_offset = conn.snd_offset(conn._fin_seq)
         if data_ack_offset > conn.send_buffer.una_offset:
             conn.send_buffer.ack_to(data_ack_offset)
-            if conn.on_writable is not None:
-                conn.on_writable()
+            if conn.socket is not None:
+                conn.socket._pump_writers()
         # RTT sample (Karn-protected: timing is cleared on retransmission).
         if retransmit.timing is not None and ack_abs >= retransmit.timing[0]:
             sample = conn.sim.now - retransmit.timing[1]
@@ -340,7 +343,8 @@ class InputEngine:
             conn._snd_wl1 = seq_abs
             conn._snd_wl2 = ack_abs
             if conn.snd_wnd > 0:
-                conn.retransmit.persist_timer.stop()
+                if conn.retransmit.persist_timer is not None:
+                    conn.retransmit.persist_timer.stop()
                 conn.retransmit.persist_interval = PERSIST_TIMEOUT_MIN
                 if old_window == 0:
                     conn.output.try_output()
@@ -369,8 +373,8 @@ class InputEngine:
             conn.output.schedule_ack(advanced // conn.mss or 1)
             if conn.on_rcv_advance is not None:
                 conn.on_rcv_advance(conn.rcv_nxt)
-            if conn.on_readable is not None:
-                conn.on_readable()
+            if conn.socket is not None:
+                conn.socket._pump_readers()
         else:
             # Out-of-order or duplicate: immediate ACK to feed the sender's
             # fast-retransmit machinery.
@@ -392,8 +396,8 @@ class InputEngine:
         conn.fin_received = True
         conn.rcv_nxt += 1
         conn.output.ack_now()
-        if conn.on_readable is not None:
-            conn.on_readable()  # wake readers so they observe EOF
+        if conn.socket is not None:
+            conn.socket._pump_readers()  # wake readers so they observe EOF
         if conn.state is TCPState.ESTABLISHED:
             conn.state = TCPState.CLOSE_WAIT
         elif conn.state is TCPState.FIN_WAIT_1:
@@ -404,4 +408,4 @@ class InputEngine:
         elif conn.state is TCPState.FIN_WAIT_2:
             conn._enter_time_wait()
         elif conn.state is TCPState.TIME_WAIT:
-            conn.retransmit.time_wait_timer.start(conn.config.time_wait)
+            conn.retransmit.arm_time_wait()

@@ -73,6 +73,8 @@ class TCPLayer:
         self._c_ports_exhausted = metrics.counter("ephemeral_ports_exhausted")
         #: High-water connection-table size.
         self._g_connections_peak = metrics.gauge("connections_peak")
+        #: Formatted once; the stream is looked up per draw (``reseed`` holds).
+        self._isn_stream = f"tcp.isn.{host.name}"
         host.ip_layer.register_protocol(PROTO_TCP, self._receive)
 
     @property
@@ -99,7 +101,7 @@ class TCPLayer:
         replica re-anchors on the ISN the client actually saw
         (:meth:`TCPConnection.adopt_send_isn`, §4.1).
         """
-        rng = self.sim.random.stream(f"tcp.isn.{self.host.name}")
+        rng = self.sim.random.stream(self._isn_stream)
         return rng.randrange(0, SEQ_MASK)
 
     # Active open -----------------------------------------------------------------
@@ -180,9 +182,7 @@ class TCPLayer:
         lkey = (bind_ip.value if bind_ip else None, port)
         if lkey in self._listeners:
             raise PortInUseError(f"TCP port {port} already listening on {self.host.name}")
-        listener = TCPListener(self, port, bind_ip, backlog)
-        if config is not None:
-            listener.config = config  # type: ignore[attr-defined]
+        listener = TCPListener(self, port, bind_ip, backlog, config)
         self._listeners[lkey] = listener
         return listener
 
@@ -225,7 +225,7 @@ class TCPLayer:
     def _passive_open(
         self, listener: TCPListener, datagram: IPDatagram, syn: TCPSegment
     ) -> None:
-        config = getattr(listener, "config", None) or self.config
+        config = listener.config or self.config
         tcb = TCPConnection(
             self,
             datagram.dst,

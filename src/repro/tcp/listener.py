@@ -10,11 +10,12 @@ identically on every replica (§4.1).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Deque, Optional
 
 from repro.errors import ConnectionClosed
 from repro.net.addresses import IPAddress
 from repro.sim.events import SimEvent
+from repro.tcp.config import TCPConfig
 from repro.tcp.socket import TCPSocket
 from repro.tcp.tcb import TCPConnection
 
@@ -28,12 +29,14 @@ class TCPListener:
         port: int,
         bind_ip: Optional[IPAddress],
         backlog: int = 128,
+        config: Optional[TCPConfig] = None,
     ) -> None:
         self.layer = layer
         self.sim = layer.sim
         self.port = port
         self.bind_ip = bind_ip  # None = any local IP
         self.backlog = backlog
+        self.config = config  # None = the layer's default
         self.closed = False
         self._ready: Deque[TCPSocket] = deque()
         self._waiters: Deque[SimEvent] = deque()
@@ -67,35 +70,19 @@ class TCPListener:
         return not self.closed and (self._pending + len(self._ready)) < self.backlog
 
     def track_handshake(self, tcb: TCPConnection) -> None:
-        """Register callbacks delivering the connection once established."""
+        """Hold a backlog slot for ``tcb``'s socket until it established
+        (:meth:`_established`) or failed: the socket clears ``_listener``."""
         self._pending += 1
-        socket = TCPSocket(tcb)
-        assert tcb.on_established is not None and tcb.on_error is not None
-        socket_established: Callable[[], None] = tcb.on_established
-        socket_error: Callable[[BaseException], None] = tcb.on_error
+        TCPSocket(tcb)._listener = self
 
-        # The handshake resolves once, either way; whichever callback
-        # fires hands the TCB back to the socket's own, so these two
-        # closures live for a handshake, not for the connection.
-        def established() -> None:
-            self._pending -= 1
-            tcb.on_established = socket_established
-            tcb.on_error = socket_error
-            self.accepted_total += 1
-            if self._waiters:
-                self._waiters.popleft().succeed(socket)
-            else:
-                self._ready.append(socket)
-            socket_established()
-
-        def died_before_establishing(exc: BaseException) -> None:
-            self._pending -= 1
-            tcb.on_established = socket_established
-            tcb.on_error = socket_error
-            socket_error(exc)
-
-        tcb.on_established = established
-        tcb.on_error = died_before_establishing
+    def _established(self, socket: TCPSocket) -> None:
+        """Deliver a socket whose handshake completed to ``accept()``."""
+        self._pending -= 1
+        self.accepted_total += 1
+        if self._waiters:
+            self._waiters.popleft().succeed(socket)
+        else:
+            self._ready.append(socket)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         bind = self.bind_ip or "*"

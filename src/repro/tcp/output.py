@@ -89,7 +89,7 @@ class OutputEngine:
             # Idle longer than an RTO: restart from the initial window
             # (RFC 2861, as Linux does).
             conn.cc.restart_after_idle()
-        cwnd = conn.cc.window()
+        cwnd = int(conn.cc.cwnd)
         usable_window = conn.snd_wnd if conn.snd_wnd < cwnd else cwnd
         origin = conn.iss + 1
         tail = conn.send_buffer.tail_offset

@@ -52,8 +52,9 @@ class RetransmitEngine:
         self.rtt = RTTEstimator(config.rto_min, config.rto_max, config.rto_initial)
         sim = conn.sim
         self.rto_timer = RestartableTimer(sim, self._on_rto, "rto")
-        self.persist_timer = RestartableTimer(sim, self._on_persist, "persist")
-        self.time_wait_timer = RestartableTimer(sim, self._on_time_wait, "time_wait")
+        # Built when first armed (DESIGN §14): few connections ever use them.
+        self.persist_timer: Optional[RestartableTimer] = None
+        self.time_wait_timer: Optional[RestartableTimer] = None
         #: Consecutive retransmissions of the current head (give-up limit).
         self.retransmit_count = 0
         #: Go-back-N target after an RTO (None outside recovery).
@@ -75,9 +76,19 @@ class RetransmitEngine:
         self.rto_timer.start_if_idle(self.rtt.rto)
 
     def arm_persist(self) -> None:
-        if self.conn.output_inhibited or self.persist_timer.running:
+        if self.conn.output_inhibited:
+            return
+        if self.persist_timer is None:
+            self.persist_timer = RestartableTimer(self.conn.sim, self._on_persist, "persist")
+        elif self.persist_timer.running:
             return
         self.persist_timer.start(self.persist_interval)
+
+    def arm_time_wait(self) -> None:
+        """(Re)start TIME_WAIT: on entering it, and on a retransmitted FIN."""
+        if self.time_wait_timer is None:
+            self.time_wait_timer = RestartableTimer(self.conn.sim, self._on_time_wait, "time_wait")
+        self.time_wait_timer.start(self.conn.config.time_wait)
 
     # -- RTO -----------------------------------------------------------------
     def _on_rto(self) -> None:
@@ -170,7 +181,7 @@ class RetransmitEngine:
             conn.snd_nxt += 1
             conn.snd_max = conn.snd_nxt
         self.persist_interval = min(self.persist_interval * 2, PERSIST_TIMEOUT_MAX)
-        self.persist_timer.start(self.persist_interval)
+        self.arm_persist()
 
     # -- TIME_WAIT -----------------------------------------------------------
     def _on_time_wait(self) -> None:

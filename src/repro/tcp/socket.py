@@ -18,7 +18,7 @@ closes early.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from repro.errors import ConnectionClosed
 from repro.sim.events import SimEvent
@@ -26,13 +26,16 @@ from repro.tcp.constants import SYNCHRONIZED_STATES, TCPState
 from repro.tcp.tcb import TCPConnection
 from repro.util.bytespan import EMPTY, ByteSpan, as_span, concat
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.tcp.listener import TCPListener
+
 
 class TCPSocket:
     """A connection handle for application processes."""
 
     __slots__ = (
         "_tcb", "sim", "_connect_event", "_closed_event",
-        "_writers", "_readers", "_error", "_pumping_writers",
+        "_writers", "_readers", "_error", "_pumping_writers", "_listener",
     )
 
     def __init__(self, tcb: TCPConnection) -> None:
@@ -46,11 +49,8 @@ class TCPSocket:
         self._readers: List[Dict[str, Any]] = []
         self._error: Optional[BaseException] = None
         self._pumping_writers = False
-        tcb.on_established = self._on_established
-        tcb.on_readable = self._on_readable
-        tcb.on_writable = self._on_writable
-        tcb.on_closed = self._on_closed
-        tcb.on_error = self._on_error
+        self._listener: Optional["TCPListener"] = None  # holds a slot until the handshake resolves
+        tcb.socket = self
 
     # Introspection ------------------------------------------------------------
     @property
@@ -148,7 +148,7 @@ class TCPSocket:
     def _pump_writers(self) -> None:
         if self._pumping_writers:
             # app_write can synchronously free buffer space (an extension
-            # applying deferred acks) and call back into on_writable; re-entering
+            # applying deferred acks) and pump the writers again; re-entering
             # here would append with a stale "done" and corrupt the
             # stream.  The outer pump loop picks the space up instead.
             return
@@ -163,7 +163,7 @@ class TCPSocket:
                     if done < total:
                         if self._tcb.send_buffer.free_space > 0:
                             continue  # space was freed while writing
-                        return  # buffer full; wait for on_writable
+                        return  # buffer full; the next ACK pumps again
                 self._writers.pop(0)
                 writer["event"].succeed(total)
         finally:
@@ -213,18 +213,19 @@ class TCPSocket:
         else:
             reader["event"].succeed(concat(acc) if acc else EMPTY)
 
-    # TCB callbacks -------------------------------------------------------------------
+    # Told by the TCB, as are the two pumps -----------------------------------------
     def _on_established(self) -> None:
+        listener = self._listener
+        if listener is not None:
+            self._listener = None  # first: an accept() it wakes may abort at once
+            listener._established(self)
         if self._connect_event is not None and not self._connect_event._done:
             self._connect_event.succeed(self)
 
-    def _on_readable(self) -> None:
-        self._pump_readers()
-
-    def _on_writable(self) -> None:
-        self._pump_writers()
-
     def _on_error(self, error: BaseException) -> None:
+        if self._listener is not None:
+            self._listener._pending -= 1
+            self._listener = None
         self._error = error
         if self._connect_event is not None and not self._connect_event._done:
             self._connect_event.fail(error)

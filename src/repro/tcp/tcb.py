@@ -17,7 +17,7 @@ The behaviour lives in three engines with explicit interfaces:
 :class:`TCPConnection` coordinates them, owns the send and receive
 buffers and the sequence-number ↔ stream-offset arithmetic, holds the
 shared connection state (addresses, TCP state, sequence variables, FIN
-bookkeeping, callbacks, counters), and hosts the extension chain:
+bookkeeping, the socket it tells, counters), and hosts the extension chain:
 protocol variants (replication, observability probes) register
 :class:`repro.tcp.extension.TCPExtension` objects per connection and the
 engines call their hooks at three pipeline points: an inbound segment,
@@ -29,7 +29,7 @@ splicing, fast-forwarding — goes through the *repair* section below.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple
 
 from repro.errors import ConnectionClosed, ConnectionNotQuiescent, ConnectionReset
 from repro.net.addresses import IPAddress
@@ -50,6 +50,9 @@ from repro.tcp.segment import TCPSegment
 from repro.tcp.send_buffer import SendBuffer
 from repro.util.bytespan import ByteSpan
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.tcp.socket import TCPSocket
+
 
 class TCPConnection:
     """One endpoint of one TCP connection (facade over the engines)."""
@@ -65,8 +68,7 @@ class TCPConnection:
         "_extensions", "_ext_on_segment_in", "_ext_on_ack", "_ext_after_output",
         "_fin_pending", "_fin_sent", "_fin_seq", "_fin_acked", "fin_received",
         "use_timestamps", "last_ts_recv",
-        "on_established", "on_readable", "on_writable", "on_closed", "on_error",
-        "on_rcv_advance",
+        "socket", "on_rcv_advance",
         "segments_sent", "segments_received", "bytes_sent", "bytes_received",
         "retransmissions", "dupacks_received", "error",
         "_handshake_sid", "_retx_sid",
@@ -133,15 +135,12 @@ class TCPConnection:
         self.use_timestamps = False
         self.last_ts_recv: Optional[float] = None
 
-        # App-facing callbacks (wired by TCPSocket / listener / replication).
-        self.on_established: Optional[Callable[[], None]] = None
-        self.on_readable: Optional[Callable[[], None]] = None
-        self.on_writable: Optional[Callable[[], None]] = None
-        self.on_closed: Optional[Callable[[], None]] = None
-        self.on_error: Optional[Callable[[BaseException], None]] = None
+        #: The application's handle, which the engines tell of every change
+        #: it waits on (None until a :class:`TCPSocket` wraps the connection).
+        self.socket: Optional["TCPSocket"] = None
         #: Called with the new rcv_nxt whenever the in-order receive
-        #: stream advances (distinct from on_readable, which the socket
-        #: consumes); used by replication engines.
+        #: stream advances (distinct from the socket's reader pump);
+        #: used by replication engines.
         self.on_rcv_advance: Optional[Callable[[int], None]] = None
 
         # Counters.
@@ -181,17 +180,12 @@ class TCPConnection:
         return self.state in SYNCHRONIZED_STATES
 
     @property
-    def eof(self) -> bool:
-        """True when the peer's FIN has arrived and all data was read."""
-        return self.fin_received and self.recv_buffer.ready.length == 0
-
-    @property
     def readable_bytes(self) -> int:
         return self.recv_buffer.available
 
     # -------------------------------------------------------------- tracing
     def trace_event(self, event: str, **fields: Any) -> None:
-        if self.sim.trace.enabled_for("tcp"):
+        if self.sim.trace.enabled and self.sim.trace.enabled_for("tcp"):
             self.sim.trace.emit(
                 self.sim.now,
                 "tcp",
@@ -205,7 +199,7 @@ class TCPConnection:
 
     def begin_span(self, name: str, **fields: Any) -> Optional[int]:
         trace = self.sim.trace
-        if not trace.enabled_for("tcp"):
+        if not (trace.enabled and trace.enabled_for("tcp")):
             return None
         return trace.begin_span(
             self.sim.now,
@@ -216,9 +210,8 @@ class TCPConnection:
             **fields,
         )
 
-    def end_span(self, name: str, sid: Optional[int], **fields: Any) -> None:
-        if sid is not None:
-            self.sim.trace.end_span(self.sim.now, "tcp", name, sid, **fields)
+    def end_span(self, name: str, sid: int, **fields: Any) -> None:
+        self.sim.trace.end_span(self.sim.now, "tcp", name, sid, **fields)
 
     # ----------------------------------------------------------- extensions
     @property
@@ -229,17 +222,20 @@ class TCPConnection:
     def add_extension(self, extension: TCPExtension) -> None:
         """Register ``extension``; hooks run in registration order."""
         self._extensions += (extension,)
-        self._rebuild_extension_chains()
+        hooks = overridden_hooks(extension)
+        if "on_segment_in" in hooks:
+            self._ext_on_segment_in += (extension,)
+        if "on_ack" in hooks:
+            self._ext_on_ack += (extension,)
+        if "after_output" in hooks:
+            self._ext_after_output += (extension,)
         extension.on_attach(self)
 
     def remove_extension(self, extension: TCPExtension) -> None:
-        """Unregister ``extension`` (no-op when absent)."""
+        """Unregister ``extension`` (no-op when absent): the chains are rebuilt."""
         if extension not in self._extensions:
             return
         self._extensions = tuple(e for e in self._extensions if e is not extension)
-        self._rebuild_extension_chains()
-
-    def _rebuild_extension_chains(self) -> None:
         overrides = [(ext, overridden_hooks(ext)) for ext in self._extensions]
 
         def chain(hook: str) -> Tuple[TCPExtension, ...]:
@@ -361,8 +357,9 @@ class TCPConnection:
     def _enter_time_wait(self) -> None:
         self.state = TCPState.TIME_WAIT
         self.retransmit.rto_timer.stop()
-        self.retransmit.persist_timer.stop()
-        self.retransmit.time_wait_timer.start(self.config.time_wait)
+        if self.retransmit.persist_timer is not None:
+            self.retransmit.persist_timer.stop()
+        self.retransmit.arm_time_wait()
         self.trace_event("time_wait")
 
     def cancel_timers(self) -> None:
@@ -370,8 +367,10 @@ class TCPConnection:
         the TCB until due) and on a crash (``TCPLayer.halt``)."""
         retransmit = self.retransmit
         retransmit.rto_timer.cancel()
-        retransmit.persist_timer.cancel()
-        retransmit.time_wait_timer.cancel()
+        if retransmit.persist_timer is not None:
+            retransmit.persist_timer.cancel()
+        if retransmit.time_wait_timer is not None:
+            retransmit.time_wait_timer.cancel()
         self.output.delack_timer.cancel()
 
     def _enter_closed(self, error: Optional[BaseException]) -> None:
@@ -381,15 +380,17 @@ class TCPConnection:
         self.cancel_timers()
         self.layer.connection_closed(self)
         # Crash mid-span: close any open episode so the trace stays paired.
-        self.end_span("handshake", self._handshake_sid, outcome="closed")
-        self._handshake_sid = None
-        self.end_span("retx_burst", self._retx_sid, outcome="closed")
-        self._retx_sid = None
+        if self._handshake_sid is not None:
+            self.end_span("handshake", self._handshake_sid, outcome="closed")
+            self._handshake_sid = None
+        if self._retx_sid is not None:
+            self.end_span("retx_burst", self._retx_sid, outcome="closed")
+            self._retx_sid = None
         self.trace_event("closed", previous=previous.value, error=repr(error))
-        if error is not None and self.on_error is not None:
-            self.on_error(error)
-        if self.on_closed is not None:
-            self.on_closed()
+        if self.socket is not None:
+            if error is not None:
+                self.socket._on_error(error)
+            self.socket._on_closed()
 
     # ------------------------------------------------------------------ repair
     # Connection repair, in the manner of Linux TCP_REPAIR: generic
@@ -436,8 +437,8 @@ class TCPConnection:
             self.rcv_nxt += advanced
             if self.on_rcv_advance is not None:
                 self.on_rcv_advance(self.rcv_nxt)
-            if self.on_readable is not None:
-                self.on_readable()
+            if self.socket is not None:
+                self.socket._pump_readers()
         return advanced
 
     @property

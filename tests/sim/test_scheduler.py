@@ -1,6 +1,8 @@
 """Tests for the event scheduler."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.events import PRIORITY_LOW, PRIORITY_URGENT
@@ -297,3 +299,67 @@ def test_cancel_and_rearm_keeps_the_heap_bounded():
     assert fired == [total - 1]
     assert scheduler.executed_count == total + 1
     assert scheduler.pending_count == 0 and not scheduler._heap
+
+
+class _SmallHeapScheduler(Scheduler):
+    """A compaction floor a generated sequence can cross."""
+
+    GC_BASE_THRESHOLD = 6
+
+
+_QUEUE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("post"), st.floats(0.0, 2.0)),
+        st.tuples(st.just("schedule_at"), st.floats(0.0, 2.0)),
+        st.tuples(st.just("cancel"), st.integers(0, 63)),
+        st.tuples(st.just("run_until"), st.floats(0.0, 0.5)),
+        st.tuples(st.just("peek_time"), st.none()),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_QUEUE_OPS)
+def test_prop_pending_count_and_compaction_follow_the_live_entries(ops):
+    """``pending_count`` is the number of live entries whatever mix of
+    posts, handles, cancellations, runs and peeks led there, and a cancel
+    compacts the heap exactly when more than the floor's worth of entries
+    is queued and at most half of them are live (the rule as first
+    written, on a live count: ``size > floor and live * 2 <= size``)."""
+    sched = _SmallHeapScheduler()
+    handles = []  # every handle ever made, fired or not
+    live = set()  # ids of handles queued and not cancelled
+    posted = []  # times of posted entries not yet run
+
+    def fire(handle_id):
+        live.discard(handle_id)
+
+    def ran(time):
+        posted.remove(time)
+
+    for op, arg in ops:
+        if op == "post":
+            time = sched.now + arg
+            posted.append(time)
+            sched.post(time, ran, time)
+        elif op == "schedule_at":
+            handle_id = len(handles)
+            handles.append(sched.schedule_at(sched.now + arg, fire, (handle_id,)))
+            live.add(handle_id)
+        elif op == "cancel" and handles:
+            handle_id = arg % len(handles)
+            size = len(sched._heap)
+            queued = handle_id in live
+            handles[handle_id].cancel()
+            live.discard(handle_id)
+            remaining = len(live) + len(posted)
+            compacts = queued and size > sched.GC_BASE_THRESHOLD and remaining * 2 <= size
+            assert len(sched._heap) == (remaining if compacts else size)
+        elif op == "run_until":
+            sched.run_until(until=sched.now + arg)
+        elif op == "peek_time":
+            sched.peek_time()
+        assert sched.pending_count == len(live) + len(posted)
+    sched.run_until()
+    assert sched.pending_count == 0 and not live and not posted

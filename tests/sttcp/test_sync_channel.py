@@ -116,7 +116,7 @@ def test_retx_data_is_labelled_by_the_offset_it_really_starts_at(retention_off):
         state.retention.disable()
         # Only bytes the server has not read yet remain: 500 arrive unseen.
         held = tcb.recv_buffer.read_offset
-        tcb.on_readable = None
+        tcb.socket = None
         tcb.inject_receive_data(tcb.rcv_nxt, PatternBytes(500, held, 9))
     sent = []
     primary._send = lambda message, _target: sent.append(message)
@@ -155,7 +155,7 @@ def test_backup_ack_reopens_a_pinched_window_at_once():
     tcb, retention, source = state.tcb, state.retention, primary.backup_ips[0]
     # The test is the application now: it reads while the backup
     # acknowledges nothing.
-    tcb.on_readable = None
+    tcb.socket = None
     offset = tcb.recv_buffer.rcv_nxt_offset
     while tcb.recv_buffer.window >= 2 * tcb.mss:
         chunk = tcb.recv_buffer.window

@@ -20,10 +20,12 @@ from repro.sttcp.config import STTCPConfig
 from repro.util.units import KB
 
 #: Calls per demultiplexed segment.  The tree at the time of writing needs
-#: 77.0 on CPython 3.11 (73.0 for the upload); while the receive window
-#: and the retention overflow were recomputed through two calls on every
-#: read of them and every sequence number went through ``unwrap``, it
-#: needed 89.1 (87.5); while the clock was a
+#: 72.8 on CPython 3.11 (69.5 for the upload); while the TCB reached its
+#: socket through callback wrappers, every ACK called the backoff reset
+#: and ``try_output`` asked ``cc.window()``, 77.0 (73.0); while the receive
+#: window and the retention overflow were recomputed through two calls on
+#: every read of them and every sequence number went through ``unwrap``,
+#: it needed 89.1 (87.5); while the clock was a
 #: property, a process step two calls and every buffer append coerced its
 #: span again, it needed 100.0 (98.1); while every frame-path
 #: table hashed an address object, every medium asked a no-op loss model
@@ -37,16 +39,17 @@ from repro.util.units import KB
 #: the timing wheel about 187; before sizes became fields about 364.  The
 #: headroom is about 8 per cent: the count is exact, and 3.12 inlines some
 #: calls, so it only reads lower there.
-CALLS_PER_SEGMENT_BUDGET = 84
+CALLS_PER_SEGMENT_BUDGET = 79
 #: The small-message path: one 150-byte record per segment, so the fixed
 #: per-exchange work (two app wake-ups, an ack each way) is not amortised
-#: over an MSS.  139.9 now; 156.0 with the receive window and overflow
-#: recomputed by calls and every sequence number unwrapped by one; 203.1 while each wake-up paid the kernel's and
-#: the buffers' accessors, 220.4 with the hashed address tables, 260.0
+#: over an MSS.  131.5 now; 139.9 with the socket behind callback wrappers,
+#: 156.0 with the receive window and overflow recomputed by calls and
+#: every sequence number unwrapped by one; 203.1 while each wake-up paid
+#: the kernel's and the buffers' accessors, 220.4 with the hashed address tables, 260.0
 #: with the accessors, 276.5 while the shadow built what it vetoed, 295
 #: with eager timers, 377 while a record was a two-leaf ``CatBytes``
 #: (DESIGN §13 rule 5).
-ECHO_CALLS_PER_SEGMENT_BUDGET = 152
+ECHO_CALLS_PER_SEGMENT_BUDGET = 142
 
 #: Accessors the per-segment path reads as fields instead (DESIGN §13
 #: rule 7), by (module, function name): none may be called at all on a
@@ -62,6 +65,7 @@ PER_SEGMENT_FIELDS = {
     ("tcp/tcb.py", "try_output"): "TCPConnection.try_output",
     ("tcp/tcb.py", "flight_size"): "TCPConnection.flight_size",
     ("tcp/tcb.py", "is_synchronized"): "TCPConnection.is_synchronized",
+    ("tcp/congestion.py", "window"): "RenoCongestionControl.window",
 }
 
 #: What the frame path no longer asks (DESIGN §13 rule 8), by (module,
@@ -89,7 +93,6 @@ REQUEST_RESPONSE_UNASKED = {
     ("sim/events.py", "SimEvent.triggered"),
     ("sim/events.py", "SimEvent.ok"),
     ("tcp/tcb.py", "TCPConnection.readable_bytes"),
-    ("tcp/tcb.py", "TCPConnection.eof"),
     ("tcp/recv_buffer.py", "ReceiveBuffer.available"),
     ("util/bytespan.py", "ByteSpan.__len__"),
     ("util/bytespan.py", "ByteSpan.iter_chunks"),

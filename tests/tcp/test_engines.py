@@ -215,6 +215,20 @@ class TestOutputDecisionTable:
         # Exponential probe spacing.
         assert conn.retransmit.persist_interval == 2 * PERSIST_TIMEOUT_MIN
 
+    def test_window_update_stops_the_persist_timer_it_finds(self):
+        conn, layer, clock = make_conn()
+        establish(conn, wnd=0)
+        conn.on_segment(ack_from_peer(conn, conn.snd_una, wnd=1000))
+        assert conn.retransmit.persist_timer is None  # none armed, none built
+        conn.on_segment(ack_from_peer(conn, conn.snd_una, wnd=0))
+        conn.app_write(PatternBytes(500, 0, 3))
+        clock.advance(PERSIST_TIMEOUT_MIN + 0.001)  # one probe, interval doubled
+        timer = conn.retransmit.persist_timer
+        assert timer.running and conn.retransmit.persist_interval == 2 * PERSIST_TIMEOUT_MIN
+        conn.on_segment(ack_from_peer(conn, conn.snd_una, wnd=65535))
+        assert not timer.running
+        assert conn.retransmit.persist_interval == PERSIST_TIMEOUT_MIN
+
     def test_persist_re_arms_after_a_stop_that_left_its_event_queued(self):
         """``arm_persist`` returns early while ``persist_timer.running``: that
         must read the deadline, not the still-queued kernel event."""
@@ -303,6 +317,37 @@ class TestRetransmitBackoff:
         assert head.seq == wrap(conn.snd_una)
         assert conn.retransmit.recovery_point == conn.snd_max
         assert conn.retransmit.rto_timer.running
+
+
+    def test_retransmitted_fin_in_time_wait_restarts_the_lazily_built_timer(self):
+        """The restart in ``_process_fin`` goes through ``arm_time_wait``
+        and reuses the timer that entering TIME_WAIT built.  On the wire a
+        duplicate FIN is answered by a challenge ACK before it gets there
+        (ROADMAP item 15), so the FIN is replayed here as if it were new."""
+        conn, _, clock = make_conn()
+        establish(conn)
+        conn.app_close()  # FIN_WAIT_1, our FIN sent
+        conn.on_segment(ack_from_peer(conn, conn.snd_nxt))
+        assert conn.state is TCPState.FIN_WAIT_2
+        fin = TCPSegment(
+            conn.remote_port, conn.local_port, wrap(conn.rcv_nxt), wrap(conn.snd_nxt),
+            FLAG_ACK | FLAG_FIN, 65535,
+        )
+        conn.on_segment(fin)
+        assert conn.state is TCPState.TIME_WAIT
+        timer = conn.retransmit.time_wait_timer
+        assert timer is not None and timer.deadline == conn.config.time_wait
+        # The peer lost our last ACK and sends its FIN again: the wait restarts.
+        clock.advance(conn.config.time_wait / 2)
+        conn.fin_received = False
+        conn.rcv_nxt -= 1
+        conn.on_segment(fin)
+        assert conn.retransmit.time_wait_timer is timer  # built once
+        assert timer.deadline == clock.now + conn.config.time_wait
+        clock.advance(conn.config.time_wait * 0.75)  # past the first deadline
+        assert conn.state is TCPState.TIME_WAIT
+        clock.advance(conn.config.time_wait)
+        assert conn.state is TCPState.CLOSED and timer.fired_count == 1
 
 
 # -- stream offsets: sequence-space translation across the wrap ---------------
@@ -472,6 +517,23 @@ class TestExtensionDispatch:
         assert conn._ext_on_ack == ()
         assert conn.extensions == ()
 
+    def test_add_extension_appends_to_each_chain_it_overrides(self):
+        class OutputOnly(TCPExtension):
+            def after_output(self, conn):
+                pass
+
+        conn, _, _ = make_conn()
+        first, second, third = _Recorder([], "a"), OutputOnly(), _Recorder([], "c")
+        for ext in (first, second, third):
+            conn.add_extension(ext)
+        assert conn._ext_on_segment_in == conn._ext_on_ack == (first, third)
+        assert conn._ext_after_output == (second,)
+        conn.remove_extension(first)
+        conn.add_extension(first)  # back at the end of every chain it names
+        assert conn.extensions == (second, third, first)
+        assert conn._ext_on_segment_in == conn._ext_on_ack == (third, first)
+        assert conn._ext_after_output == (second,)
+
     def test_all_extensions_see_a_consumed_segment(self):
         log = []
 
@@ -614,7 +676,7 @@ class TestOutputInhibition:
             assert sender.output.delack_timer.running == sender.output.ack_scheduled
             assert not shadow.output.delack_timer.running
             assert not shadow.retransmit.rto_timer.running
-            assert not shadow.retransmit.persist_timer.running
+            assert shadow.retransmit.persist_timer is None  # never armed, never built
         assert shadow_layer.sent == [] and shadow.segments_sent == 0
         assert shadow.output._template is None  # no segment was ever built
         assert sender.segments_sent == len(sender_layer.sent)

@@ -3,9 +3,9 @@
 The companion of ``test_call_budget.py``: that one holds the per-segment
 call count, this one the per-connection heap (DESIGN §14).  It fails the
 day a per-connection class grows a ``__dict__`` again, a buffer goes back
-to a ``deque``, or a hand-off closure stays referenced after the
-hand-off.  ``tools/conn_footprint.py`` is the measuring recipe and prints
-the per-type census when this test needs explaining.
+to a ``deque``, or a socket keeps its listener after the hand-off.
+``tools/conn_footprint.py`` is the measuring recipe and prints the
+per-type census when this test needs explaining.
 """
 
 import importlib.util
@@ -25,14 +25,16 @@ _spec = importlib.util.spec_from_file_location("conn_footprint", _TOOL)
 conn_footprint = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(conn_footprint)
 
-#: The tree at the time of writing needs about 14 340 bytes and 138
-#: GC-tracked objects per connection on CPython 3.11 (14 700 and 140 while
-#: the scheduler pooled fired handles in a free list: two per connection
-#: set up); before buffers were lists and per-connection classes slotted
-#: it needed 29 500 and 163.  The slack absorbs interpreter differences
-#: (3.11 vs 3.12 object layouts).
-BYTES_PER_CONNECTION_BUDGET = 19_500
-OBJECTS_PER_CONNECTION_BUDGET = 168
+#: The tree at the time of writing needs about 11 760 bytes and 99
+#: GC-tracked objects per connection on CPython 3.11 (about 13 960 and 130
+#: while the TCB held five socket callbacks, a passive open two hand-off
+#: closures, every TCB a persist and a TIME_WAIT timer and every event a
+#: callback list; 14 700 and 140 while the scheduler pooled fired handles
+#: in a free list); before buffers were lists and per-connection classes
+#: slotted it needed 29 500 and 163.  The slack absorbs interpreter
+#: differences (3.11 vs 3.12 object layouts).
+BYTES_PER_CONNECTION_BUDGET = 13_000
+OBJECTS_PER_CONNECTION_BUDGET = 110
 
 #: Packages whose classes are instantiated per connection.
 _PER_CONNECTION_PACKAGES = ("repro.tcp.", "repro.util.", "repro.sttcp.")
@@ -84,14 +86,29 @@ def test_listener_hands_the_tcb_back_to_the_socket_once_established():
     assert client.connected
     assert listener._pending == 0 and listener.accepted_total == 1
     (tcb,) = lan.b.tcp.connections
-    for callback, own in (
-        (tcb.on_established, TCPSocket._on_established),
-        (tcb.on_error, TCPSocket._on_error),
-    ):
-        assert callback.__func__ is own
-        assert callback.__self__.tcb is tcb
+    socket = tcb.socket
+    assert isinstance(socket, TCPSocket) and socket.tcb is tcb
+    assert socket._listener is None  # the hand-off resolved and let go
     accepted = listener.accept()
-    assert accepted.triggered and accepted.value is tcb.on_error.__self__
+    assert accepted.triggered and accepted.value is socket
+
+
+def test_accept_that_aborts_at_once_frees_the_backlog_slot_once():
+    """The hand-off wakes the accepting process inside ``_on_established``;
+    an abort from there reports an error to a socket already let go."""
+    lan = LanPair(Simulator(seed=154))
+    listener = lan.b.tcp.listen(8000)
+
+    def server():
+        sock = yield listener.accept()
+        sock.abort()
+
+    lan.b.spawn(server())
+    lan.sim.run(until=0.01)  # the server waits in accept() before the SYN
+    lan.a.tcp.connect((lan.ip_b, 8000))
+    lan.sim.run(until=0.5)
+    assert listener._pending == 0 and listener.accepted_total == 1
+    assert listener.may_accept_syn()
 
 
 def test_handshake_dying_in_syn_rcvd_frees_its_backlog_slot_exactly_once():
@@ -111,8 +128,48 @@ def test_handshake_dying_in_syn_rcvd_frees_its_backlog_slot_exactly_once():
     assert isinstance(tcb.error, ConnectionTimeout)
     assert listener._pending == 0
     assert listener.accepted_total == 0
-    assert tcb.on_error.__func__ is TCPSocket._on_error
-    assert tcb.on_established.__func__ is TCPSocket._on_established
+    socket = tcb.socket
+    assert isinstance(socket, TCPSocket) and socket._listener is None
     # A late error report goes to the socket alone.
-    tcb.on_error(tcb.error)
-    assert listener._pending == 0
+    socket._on_error(tcb.error)
+    assert listener._pending == 0 and listener.accepted_total == 0
+    assert socket._error is tcb.error
+
+
+def test_timers_a_connection_never_arms_are_never_built():
+    """DESIGN §14: persist exists once a zero window arms it and TIME_WAIT
+    once the active closer enters it; an exchange and an orderly close
+    build neither on the passive closer, and no persist timer anywhere."""
+    lan = LanPair(Simulator(seed=153))
+    tcbs = {}
+
+    def server():
+        conn = yield lan.b.tcp.listen(8000).accept()
+        tcbs["server"] = conn.tcb
+        request = yield conn.recv_exactly(3000)
+        yield conn.send(request)
+        yield conn.recv(10)  # EOF: the client closed first
+        # Close from a later step: a close inside the EOF wake-up runs
+        # before ``_process_fin`` has left ESTABLISHED, and the server
+        # would wait in TIME_WAIT too (ROADMAP item 15).
+        yield lan.sim.timeout(0.01)
+        conn.close()
+
+    def client():
+        sock = lan.a.tcp.connect((lan.ip_b, 8000))
+        yield sock.wait_connected()
+        tcbs["client"] = sock.tcb
+        yield sock.send(b"x" * 3000)
+        yield sock.recv_exactly(3000)
+        sock.close()
+        yield lan.sim.timeout(0.5)  # both FINs exchanged by now
+
+    lan.b.spawn(server())
+    lan.sim.run_until_complete(lan.a.spawn(client()), deadline=30.0)
+    client_tcb, server_tcb = tcbs["client"], tcbs["server"]
+    assert client_tcb.state is TCPState.TIME_WAIT
+    assert server_tcb.state is TCPState.CLOSED
+    assert client_tcb.retransmit.time_wait_timer is not None
+    assert server_tcb.retransmit.time_wait_timer is None
+    assert client_tcb.retransmit.persist_timer is None
+    assert server_tcb.retransmit.persist_timer is None
