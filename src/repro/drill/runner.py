@@ -520,10 +520,3 @@ def run_drill_path(
             raise FileNotFoundError(f"no drill scripts under {path}")
         return [run_drill_file(script, flight_dump) for script in scripts]
     return [run_drill_file(path, flight_dump)]
-
-
-def write_failure_pcap(env: DrillEnv, path: Union[str, Path]) -> int:
-    """Dump the peer's full wire log as a pcap for post-mortem analysis."""
-    from repro.net.tcpdump import write_pcap
-
-    return write_pcap(str(path), env.peer.wire_log)

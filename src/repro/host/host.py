@@ -14,7 +14,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Set
 from repro.errors import ConfigurationError
 from repro.net.addresses import IPAddress, MACAddress
 from repro.net.arp import ArpService
-from repro.net.frame import ETHERTYPE_ARP, ETHERTYPE_IPV4, EthernetFrame
+from repro.net.frame import ETHERTYPE_ARP, ETHERTYPE_IPV4
 from repro.net.loss import LossModel
 from repro.net.nic import NIC, VirtualInterface
 from repro.ip.layer import IPLayer
@@ -65,6 +65,7 @@ class Host:
         self._prune_processes_at = _PRUNE_FLOOR
         self.arp = ArpService(sim, self)
         self.ip_layer = IPLayer(sim, self)
+        self.arp.on_change = self.ip_layer.invalidate_flows
         self.udp = UDPLayer(sim, self)
         self.tcp = TCPLayer(sim, self, tcp_config)
         #: Run by :meth:`crash` after the layers halt; each cancels what an engine armed.
@@ -98,7 +99,8 @@ class Host:
             ),
             rx_loss_model=rx_loss_model,
         )
-        nic.set_handler(self._frame_received)
+        nic.register_ethertype(ETHERTYPE_IPV4, self.ip_layer.receive)
+        nic.register_ethertype(ETHERTYPE_ARP, self.arp.handle_message)
         self.nics.append(nic)
         return nic
 
@@ -107,8 +109,8 @@ class Host:
         if nic not in self.nics:
             raise ConfigurationError(f"NIC {nic.name} does not belong to {self.name}")
         self.interfaces.append(Interface(nic, ip, prefix_len))
-        self.ip_layer.add_route(ip, prefix_len, nic)
         self.local_ip_values.add(ip.value)
+        self.ip_layer.add_route(ip, prefix_len, nic)  # invalidates the flow cache
 
     def add_vnic(
         self,
@@ -128,6 +130,7 @@ class Host:
         if suppress_arp:
             self.arp.suppress_ip(ip)
         self.local_ip_values.add(ip.value)
+        self.ip_layer.invalidate_flows()
         return vnic
 
     def remove_vnic(self, vnic: VirtualInterface) -> None:
@@ -136,6 +139,7 @@ class Host:
         # The IP may still be held by an interface or another VNIC.
         self.local_ip_values = {iface.ip.value for iface in self.interfaces}
         self.local_ip_values.update(other.ip.value for other in self.vnics)
+        self.ip_layer.invalidate_flows()
 
     # Address queries (used by ARP and IP layers) -----------------------------------
     def primary_ip_on(self, nic: NIC) -> IPAddress:
@@ -164,13 +168,6 @@ class Host:
             if vnic.hw_nic is nic and vnic.ip.value == src_ip.value:
                 return vnic.mac
         return nic.mac
-
-    # Frame dispatch ---------------------------------------------------------------
-    def _frame_received(self, frame: EthernetFrame, nic: NIC) -> None:
-        if frame.ethertype == ETHERTYPE_IPV4:
-            self.ip_layer.receive(frame.payload, nic)
-        elif frame.ethertype == ETHERTYPE_ARP:
-            self.arp.handle_message(frame.payload, nic)
 
     # Processes ------------------------------------------------------------------------
     def spawn(self, generator: Generator, label: str = "") -> Process:

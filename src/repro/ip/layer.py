@@ -9,8 +9,9 @@ byte stream (§3, Figure 1).
 
 from __future__ import annotations
 
+import math
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.ip.datagram import DEFAULT_TTL, IPDatagram
 from repro.ip.routing import Route, RoutingTable
@@ -20,18 +21,28 @@ from repro.net.nic import NIC
 
 ProtocolHandler = Callable[[IPDatagram, NIC], None]
 TapHandler = Callable[[IPDatagram, NIC], None]
+FlowKey = Tuple[int, Optional[int]]
+#: (source IP, NIC, next-hop MAC, source MAC, ARP expiry or ``inf``).
+Flow = Tuple[IPAddress, NIC, MACAddress, MACAddress, float]
 
 
 class IPLayer:
-    """IPv4 input/output for one host."""
+    """IPv4 input/output for one host.
+
+    ``_flows`` caches, per (destination, source or None) ``value``, what
+    routing, ARP and the host's addresses answered, until the ARP entry
+    expires or :meth:`invalidate_flows` runs (DESIGN §13 rule 4).
+    """
 
     def __init__(self, sim: Any, host: Any) -> None:
         self.sim = sim
         self.host = host
-        self.routes = RoutingTable()
+        self._flows: Dict[FlowKey, Flow] = {}
+        self.routes = RoutingTable(self.invalidate_flows)
         self.forwarding = False
         self._protocols: Dict[int, ProtocolHandler] = {}
-        self._taps: List[TapHandler] = []
+        #: ``(handler, source value or None)`` in registration order.
+        self._taps: List[Tuple[TapHandler, Optional[int]]] = []
         # Registry-backed counters, read as ``<host>.ip.<name>``.
         metrics = sim.metrics.scope(f"{host.name}.ip")
         self._c_sent = metrics.counter("sent")
@@ -46,15 +57,13 @@ class IPLayer:
     def register_protocol(self, protocol: int, handler: ProtocolHandler) -> None:
         self._protocols[protocol] = handler
 
-    def add_tap(self, handler: TapHandler) -> None:
-        """Observe every inbound datagram (promiscuous tap analogue)."""
-        self._taps.append(handler)
+    def add_tap(self, handler: TapHandler, src: Optional[IPAddress] = None) -> None:
+        """Observe every inbound datagram (promiscuous tap analogue), or
+        only those from ``src``; taps run in registration order."""
+        self._taps.append((handler, None if src is None else src.value))
 
     def remove_tap(self, handler: TapHandler) -> None:
-        try:
-            self._taps.remove(handler)
-        except ValueError:
-            pass
+        self._taps = [tap for tap in self._taps if tap[0] != handler]
 
     def add_route(
         self,
@@ -69,6 +78,10 @@ class IPLayer:
 
     def add_default_route(self, nic: NIC, next_hop: IPAddress) -> None:
         self.add_route(IPAddress(0), 0, nic, next_hop=next_hop, metric=100)
+
+    def invalidate_flows(self) -> None:
+        """Forget every flow-cache entry: a table behind them was written."""
+        self._flows.clear()
 
     # Output path -----------------------------------------------------------------
     def send(
@@ -86,6 +99,16 @@ class IPLayer:
             self.sim.post(self.sim.now, self._local_deliver, datagram, None)
             self._c_sent.value += 1
             return
+        key = (dst.value, None if src is None else src.value)
+        try:
+            source, nic, mac, src_mac, expiry = self._flows[key]
+        except KeyError:
+            expiry = -math.inf
+        if expiry > self.sim.now:
+            datagram = IPDatagram(source, dst, protocol, payload, payload_size, ttl)
+            self._c_sent.value += 1
+            nic.transmit(EthernetFrame(mac, src_mac, ETHERTYPE_IPV4, datagram, datagram.size))
+            return
         route = self.routes.lookup(dst)
         if route is None:
             self._c_dropped_no_route.value += 1
@@ -97,22 +120,21 @@ class IPLayer:
         source = src or route.src_ip or self.host.primary_ip_on(route.nic)
         datagram = IPDatagram(source, dst, protocol, payload, payload_size, ttl)
         self._c_sent.value += 1
-        self._transmit(datagram, route)
+        self._transmit(datagram, route, key)
 
-    def _transmit(self, datagram: IPDatagram, route: Route) -> None:
-        """Frame ``datagram`` for ``route``'s next hop and hand it to the NIC."""
+    def _transmit(self, datagram: IPDatagram, route: Route, key: FlowKey) -> None:
+        """The flow-cache miss: resolve ``route``'s next hop, fill the entry
+        and emit; only an ARP miss pays for a continuation and the resolver."""
         next_hop = route.next_hop or datagram.dst
         nic = route.nic
-        # The table is consulted per datagram (entries expire); only a
-        # miss pays for a continuation and the resolver.
-        mac = self.host.arp.lookup(next_hop)
-        if mac is None:
+        entry = self.host.arp.entry(next_hop)
+        if entry is None:
             self.host.arp.resolve(
                 next_hop, nic, partial(self._on_resolved, datagram, nic, next_hop)
             )
             return
-        src_mac = self.host.source_mac_for(nic, datagram.src)
-        nic.transmit(EthernetFrame(mac, src_mac, ETHERTYPE_IPV4, datagram, datagram.size))
+        mac, expiry = entry
+        self._flows[key] = (datagram.src, nic, mac, self._emit(datagram, nic, mac), expiry)
 
     def _on_resolved(
         self,
@@ -121,7 +143,8 @@ class IPLayer:
         next_hop: IPAddress,
         mac: Optional[MACAddress],
     ) -> None:
-        """The ARP-miss continuation of :meth:`_transmit`."""
+        """The ARP-miss continuation of :meth:`_transmit`; it fills no entry,
+        as its route may have been rewritten meanwhile."""
         if mac is None:
             self._c_dropped_no_arp.value += 1
             if self.sim.trace.enabled_for("ip"):
@@ -133,15 +156,21 @@ class IPLayer:
                     next_hop=str(next_hop),
                 )
             return
+        self._emit(datagram, nic, mac)
+
+    def _emit(self, datagram: IPDatagram, nic: NIC, mac: MACAddress) -> MACAddress:
+        """Frame ``datagram`` to ``mac`` out of ``nic``; returns the source MAC."""
         src_mac = self.host.source_mac_for(nic, datagram.src)
         nic.transmit(EthernetFrame(mac, src_mac, ETHERTYPE_IPV4, datagram, datagram.size))
+        return src_mac
 
     # Input path ------------------------------------------------------------------
     def receive(self, datagram: IPDatagram, nic: NIC) -> None:
         """Entry point from the host stack for inbound IPv4 frames: a
         local datagram goes straight to its protocol handler."""
-        for tap in self._taps:
-            tap(datagram, nic)
+        for tap, src in self._taps:
+            if src is None or src == datagram.src.value:
+                tap(datagram, nic)
         if datagram.dst.value in self.host.local_ip_values:
             handler = self._protocols.get(datagram.protocol)
             if handler is None:
@@ -180,11 +209,21 @@ class IPLayer:
         if datagram.ttl <= 1:
             self._c_dropped_ttl.value += 1
             return
+        key = (datagram.dst.value, datagram.src.value)
+        try:
+            _, nic, mac, src_mac, expiry = self._flows[key]
+        except KeyError:
+            expiry = -math.inf
+        # Even back out the arrival interface: a real router would add an
+        # ICMP redirect, and hosts on the segment ignore the duplicate.
+        if expiry > self.sim.now:
+            self._c_forwarded.value += 1
+            datagram = datagram.decremented()
+            nic.transmit(EthernetFrame(mac, src_mac, ETHERTYPE_IPV4, datagram, datagram.size))
+            return
         route = self.routes.lookup(datagram.dst)
         if route is None:
             self._c_dropped_no_route.value += 1
             return
-        # Even back out the arrival interface: a real router would add an
-        # ICMP redirect, and hosts on the segment ignore the duplicate.
         self._c_forwarded.value += 1
-        self._transmit(datagram.decremented(), route)
+        self._transmit(datagram.decremented(), route, key)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.errors import NetworkError
 from repro.net.addresses import IPAddress
@@ -48,23 +48,21 @@ class Route:
 class RoutingTable:
     """An ordered collection of routes with longest-prefix-match lookup.
 
-    A lookup's answer, a route or None, is remembered per destination
-    ``value`` until :meth:`add` or :meth:`remove_network` changes the
-    table: a route carries no clock, so nothing else can change it
-    (DESIGN §13 rule 4; the ARP entry behind it is still looked up per
-    datagram).
+    ``on_change`` runs after every write (:meth:`add`,
+    :meth:`remove_network`): the IP layer's flow cache remembers answers
+    this table gave, and drops them there (DESIGN §13 rule 4).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, on_change: Callable[[], None] = lambda: None) -> None:
         self._routes: List[Route] = []
-        self._memo: Dict[int, Optional[Route]] = {}
+        self._on_change = on_change
 
     def add(self, route: Route) -> None:
         self._routes.append(route)
         # Keep sorted by (prefix_len desc, metric asc) so lookup is a scan
         # returning the first match.
         self._routes.sort(key=lambda r: (-r.prefix_len, r.metric))
-        self._memo.clear()
+        self._on_change()
 
     def remove_network(self, network: IPAddress, prefix_len: int) -> None:
         self._routes = [
@@ -72,17 +70,10 @@ class RoutingTable:
             for r in self._routes
             if not (r.network.value == network.value and r.prefix_len == prefix_len)
         ]
-        self._memo.clear()
+        self._on_change()
 
     def lookup(self, dst: IPAddress) -> Optional[Route]:
-        try:
-            return self._memo[dst.value]
-        except KeyError:
-            pass
-        found = None
         for route in self._routes:
             if route.matches(dst):
-                found = route
-                break
-        self._memo[dst.value] = found
-        return found
+                return route
+        return None

@@ -14,6 +14,7 @@ the host will not announce them, until :meth:`ArpService.unsuppress_ip`.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.net.addresses import MAC_BROADCAST, IPAddress, MACAddress
@@ -88,6 +89,8 @@ class ArpService:
         self._cache: Dict[int, Tuple[MACAddress, float]] = {}
         self._pending: Dict[int, _Resolution] = {}
         self.suppressed_ip_values: Set[int] = set()
+        #: Run after each write to either table (the host's IP flow cache).
+        self.on_change: Callable[[], None] = lambda: None
         self.requests_sent = 0
         self.replies_sent = 0
 
@@ -95,9 +98,11 @@ class ArpService:
     def add_static(self, ip: IPAddress, mac: MACAddress) -> None:
         """Install a permanent mapping (may map to a multicast MAC)."""
         self._static[ip.value] = mac
+        self.on_change()
 
     def remove_static(self, ip: IPAddress) -> None:
         self._static.pop(ip.value, None)
+        self.on_change()
 
     def suppress_ip(self, ip: IPAddress) -> None:
         """Stop answering ARP for ``ip`` (passive backup behaviour)."""
@@ -109,15 +114,19 @@ class ArpService:
 
     def lookup(self, ip: IPAddress) -> Optional[MACAddress]:
         """Synchronous lookup: static first, then unexpired cache entry."""
+        entry = self.entry(ip)
+        return None if entry is None else entry[0]
+
+    def entry(self, ip: IPAddress) -> Optional[Tuple[MACAddress, float]]:
+        """:meth:`lookup` with the answer's expiry (``inf`` if static)."""
         key = ip.value
         static = self._static.get(key)
         if static is not None:
-            return static
+            return static, math.inf
         cached = self._cache.get(key)
         if cached is not None:
-            mac, expires = cached
-            if expires > self.sim.now:
-                return mac
+            if cached[1] > self.sim.now:
+                return cached
             del self._cache[key]
         return None
 
@@ -180,6 +189,7 @@ class ArpService:
                 message.sender_mac,
                 self.sim.now + ARP_CACHE_TTL,
             )
+            self.on_change()
         resolution = self._pending.pop(message.sender_ip.value, None)
         if resolution is not None:
             resolution.cancel()

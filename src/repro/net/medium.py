@@ -1,8 +1,7 @@
 """Transmission media: point-to-point cables and the shared-medium hub.
 
 Devices (NICs, switch ports) implement the :class:`FrameReceiver` protocol
-— a single ``receive_frame(frame)`` method, plus an optional
-``screen(dst)`` the hub consults before queueing a delivery — and hold an
+— a single ``receive_frame(frame)`` method — and hold an
 :class:`Attachment` through which they transmit.  Media are responsible for
 serialisation (a link clocks one frame at a time per direction), propagation
 delay, and loss: a medium built without a loss model (``loss_model`` is
@@ -26,6 +25,10 @@ from repro.util.units import transmission_time
 
 class FrameReceiver:
     """Protocol: anything that can be handed a frame by a medium."""
+
+    #: Set by a receiver the hub judges inline (a NIC: ``powered``,
+    #: ``promiscuous``, ``accepted`` and their ``rx_dropped_*`` counters).
+    mac_filtered = False
 
     def receive_frame(self, frame: EthernetFrame) -> None:
         raise NotImplementedError
@@ -176,12 +179,12 @@ class Hub:
     under the paper's request/response workloads the medium is never
     contended enough for collision dynamics to matter.
 
-    A station that offers ``screen(dst)`` — a :class:`~repro.net.nic.NIC`
-    does: powered, then its MAC filter — is asked at transmit time, and a
-    frame it would discard on arrival is never queued for it; every station
-    that accepts still gets its own delivery event, in attachment order.
-    A receiver without ``screen`` always gets the event.  So acceptance is
-    judged when the frame *enters* the hub: a station that stops accepting
+    A ``mac_filtered`` station (a NIC) is judged inline at transmit time —
+    powered, then its MAC filter, a refusal counted as on arrival — and a
+    frame it would discard is never queued for it; every station that
+    accepts still gets its own delivery event, in attachment order, and any
+    other receiver always does.  So acceptance is judged when the frame
+    *enters* the hub: a station that stops accepting
     while the frame is on the wire (power-off, ``leave_mac``) still drops
     it on arrival, but one that *starts* accepting meanwhile (``join_mac``,
     promiscuous, power-on) does not receive that frame.
@@ -203,8 +206,8 @@ class Hub:
         self.loss_model = loss_model
         self.name = name
         self._attachments: List[HubAttachment] = []
-        #: Cached fanout snapshot: ``(attachment, receive_frame, screen)``
-        #: of every attached station, methods resolved once, so the
+        #: Cached fanout snapshot: ``(attachment, receive_frame, nic or
+        #: None)`` of every attached station, resolved once, so the
         #: per-frame loop skips the ``attached`` re-check and the lookups.
         #: Invalidated (None) on attach/detach; deliveries cannot race it
         #: because receive callbacks run from the scheduler, never inside
@@ -253,12 +256,21 @@ class Hub:
         fanout = self._fanout
         if fanout is None:
             fanout = self._fanout = [
-                (a, a.receiver.receive_frame, getattr(a.receiver, "screen", None))
+                (a, a.receiver.receive_frame, a.receiver if a.receiver.mac_filtered else None)
                 for a in self._attachments
                 if a.attached
             ]
         post = self.sim.post
-        dst = frame.dst
-        for attachment, receive, screen in fanout:
-            if attachment is not sender and (screen is None or screen(dst)):
-                post(arrival, receive, frame)
+        dst = frame.dst.value
+        for attachment, receive, nic in fanout:
+            if attachment is sender:
+                continue
+            if nic is not None:
+                # NIC.receive_frame's first two checks, with its counters.
+                if not nic.powered:
+                    nic.rx_dropped_down += 1
+                    continue
+                if not (nic.promiscuous or dst in nic.accepted):
+                    nic.rx_dropped_filter += 1
+                    continue
+            post(arrival, receive, frame)

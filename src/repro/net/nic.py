@@ -14,7 +14,7 @@ service traffic to both machines.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.errors import NetworkError
 from repro.net.addresses import MAC_BROADCAST, IPAddress, MACAddress, fresh_unicast_mac
@@ -22,11 +22,14 @@ from repro.net.frame import EthernetFrame
 from repro.net.loss import LossModel
 from repro.net.medium import Attachment, FrameReceiver
 
-FrameHandler = Callable[[EthernetFrame, "NIC"], None]
+PayloadHandler = Callable[[Any, "NIC"], None]  # an accepted frame's payload
+FrameObserver = Callable[[EthernetFrame, "NIC"], None]
 
 
 class NIC(FrameReceiver):
     """A simulated Ethernet interface."""
+
+    mac_filtered = True  # a hub judges it inline (FrameReceiver)
 
     def __init__(
         self,
@@ -52,10 +55,12 @@ class NIC(FrameReceiver):
         self.rx_loss_model = rx_loss_model
         self.promiscuous = False
         self.powered = True
-        self.handler: Optional[FrameHandler] = None
+        #: Ethertype → handler of the payload (DESIGN §13 rule 8).
+        self._handlers: Dict[int, PayloadHandler] = {}
+        self._observers: List[FrameObserver] = []
         self.attachment: Optional[Attachment] = None
         #: ``value`` of every MAC the filter accepts (DESIGN §13 rule 8).
-        self._accepted: Set[int] = {self.mac.value, MAC_BROADCAST.value}
+        self.accepted: Set[int] = {self.mac.value, MAC_BROADCAST.value}
         self._rx_busy_until = 0.0
         self._rx_pending = 0
         # Counters (public, read by metrics collectors and tests).
@@ -73,19 +78,27 @@ class NIC(FrameReceiver):
         """Callback from media when this NIC is plugged in."""
         self.attachment = attachment
 
-    def set_handler(self, handler: FrameHandler) -> None:
-        """Install the stack callback invoked for each accepted frame."""
-        self.handler = handler
+    def register_ethertype(self, ethertype: int, handler: PayloadHandler) -> None:
+        """Hand the payload of each accepted ``ethertype`` frame to ``handler``;
+        a frame of an ethertype nobody registered goes no further."""
+        self._handlers[ethertype] = handler
+
+    def add_observer(self, observer: FrameObserver) -> None:
+        """See every accepted frame, after filtering and queueing (tcpdump)."""
+        self._observers.append(observer)
+
+    def remove_observer(self, observer: FrameObserver) -> None:
+        self._observers.remove(observer)
 
     # Address filtering ------------------------------------------------------
     def join_mac(self, mac: MACAddress) -> None:
         """Accept frames addressed to an additional MAC (VNIC/multicast)."""
-        self._accepted.add(mac.value)
+        self.accepted.add(mac.value)
 
     def leave_mac(self, mac: MACAddress) -> None:
         if mac.value == self.mac.value or mac.value == MAC_BROADCAST.value:
             raise NetworkError(f"cannot remove built-in address {mac}")
-        self._accepted.discard(mac.value)
+        self.accepted.discard(mac.value)
 
     # Transmit ----------------------------------------------------------------
     def transmit(self, frame: EthernetFrame) -> None:
@@ -99,35 +112,17 @@ class NIC(FrameReceiver):
         self.attachment.send(frame)
 
     # Receive -----------------------------------------------------------------
-    def screen(self, dst: MACAddress) -> bool:
-        """Is this NIC powered and does its MAC filter accept ``dst``?
-
-        A refusal is counted (``rx_dropped_down``, ``rx_dropped_filter``)
-        as the drop of a frame to ``dst``.  These are the first two checks
-        of :meth:`receive_frame`, which runs them inline; the hub asks
-        them here before it queues a delivery (``Hub`` docstring), so a
-        screened-out frame is counted exactly as if it had arrived and
-        been dropped.
-        """
-        if not self.powered:
-            self.rx_dropped_down += 1
-            return False
-        if not (self.promiscuous or dst.value in self._accepted):
-            self.rx_dropped_filter += 1
-            return False
-        return True
-
     def receive_frame(self, frame: EthernetFrame) -> None:
         """Accept, queue or drop one arriving frame.
 
-        The :meth:`screen` checks run here, inline, although a hub has
-        already run them: cables do not screen, and a frame can be on the
-        wire when its receiver crashes or leaves the MAC it was sent to.
+        The power and filter checks run here although a hub has already
+        judged them: cables do not, and a frame can be on the wire when its
+        receiver crashes or leaves the MAC it was sent to.
         """
         if not self.powered:
             self.rx_dropped_down += 1
             return
-        if not (self.promiscuous or frame.dst.value in self._accepted):
+        if not (self.promiscuous or frame.dst.value in self.accepted):
             self.rx_dropped_filter += 1
             return
         now = self.sim.now
@@ -139,10 +134,12 @@ class NIC(FrameReceiver):
                 self.sim.trace.emit(now, "nic", "rx_loss", nic=self, frame=frame)
             return
         if self.processing_delay <= 0.0:
-            self.rx_frames += 1
+            self.rx_frames += 1  # delivery, as in _dequeue_and_deliver
             self.rx_bytes += frame.wire_size
-            if self.handler is not None:
-                self.handler(frame, self)
+            for observer in self._observers:
+                observer(frame, self)
+            if frame.ethertype in self._handlers:
+                self._handlers[frame.ethertype](frame.payload, self)
             return
         if self.rx_queue_capacity and self._rx_pending >= self.rx_queue_capacity:
             self.rx_dropped_queue += 1
@@ -160,8 +157,10 @@ class NIC(FrameReceiver):
         if self.powered:
             self.rx_frames += 1
             self.rx_bytes += frame.wire_size
-            if self.handler is not None:
-                self.handler(frame, self)
+            for observer in self._observers:
+                observer(frame, self)
+            if frame.ethertype in self._handlers:
+                self._handlers[frame.ethertype](frame.payload, self)
 
     def power_off(self) -> None:
         """Crash semantics: stop sending and receiving immediately."""

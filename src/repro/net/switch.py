@@ -11,12 +11,13 @@ Models the two tapping mechanisms of §3.1:
   addresses), so both primary and backup receive the service traffic.
 
 The switch is store-and-forward with a configurable forwarding latency and
-learns unicast source addresses like a real learning switch.
+learns unicast source addresses like a real learning switch.  An output
+decision is remembered until a table it read is written.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import NetworkError
 from repro.net.addresses import MACAddress
@@ -72,6 +73,9 @@ class Switch:
         # sorted, and no set of ports decides an output order.
         self._multicast_groups: Dict[int, List[SwitchPort]] = {}
         self._mirrors: Dict[SwitchPort, Set[SwitchPort]] = {}
+        #: ``in_port.index << 48 | dst.value`` → (output ports with their
+        #: mirrors, flooded?); cleared by every writer of the tables above.
+        self._decisions: Dict[int, Tuple[List[SwitchPort], bool]] = {}
         self.frames_forwarded = 0
         self.frames_flooded = 0
 
@@ -80,6 +84,7 @@ class Switch:
         """Allocate a port; connect it to a station with a Cable."""
         port = SwitchPort(self, len(self.ports))
         self.ports.append(port)
+        self._decisions.clear()
         return port
 
     def join_multicast(self, mac: MACAddress, port: SwitchPort) -> None:
@@ -91,6 +96,7 @@ class Switch:
         if port not in members:
             members.append(port)
             members.sort(key=lambda member: member.index)
+        self._decisions.clear()
 
     def leave_multicast(self, mac: MACAddress, port: SwitchPort) -> None:
         members = self._multicast_groups.get(mac.value)
@@ -98,6 +104,7 @@ class Switch:
             members.remove(port)
             if not members:
                 del self._multicast_groups[mac.value]
+        self._decisions.clear()
 
     def mirror_port(self, monitored: SwitchPort, monitor: SwitchPort) -> None:
         """Copy all traffic entering or leaving ``monitored`` to ``monitor``."""
@@ -106,6 +113,7 @@ class Switch:
         if monitored is monitor:
             raise NetworkError("cannot mirror a port to itself")
         self._mirrors.setdefault(monitored, set()).add(monitor)
+        self._decisions.clear()
 
     def unmirror_port(self, monitored: SwitchPort, monitor: SwitchPort) -> None:
         mirrors = self._mirrors.get(monitored)
@@ -113,6 +121,7 @@ class Switch:
             mirrors.discard(monitor)
             if not mirrors:
                 del self._mirrors[monitored]
+        self._decisions.clear()
 
     def _check_port(self, port: SwitchPort) -> None:
         if port.switch is not self:
@@ -120,11 +129,22 @@ class Switch:
 
     # Forwarding ---------------------------------------------------------------
     def _ingress(self, in_port: SwitchPort, frame: EthernetFrame) -> None:
-        if not frame.src.is_multicast:
-            self._mac_table[frame.src.value] = in_port
-        targets = self._select_output_ports(in_port, frame)
-        if self._mirrors:
-            targets = self._with_mirrors(in_port, targets)
+        src = frame.src.value
+        table = self._mac_table
+        if not (src >> 40) & 1 and (src not in table or table[src] is not in_port):
+            table[src] = in_port  # a unicast source, new or moved
+            self._decisions.clear()
+        key = in_port.index << 48 | frame.dst.value
+        decisions = self._decisions
+        if key in decisions:
+            targets, flooded = decisions[key]
+        else:
+            targets, flooded = self._select_output_ports(in_port, frame)
+            if self._mirrors:
+                targets = self._with_mirrors(in_port, targets)
+            decisions[key] = (targets, flooded)
+        if flooded:
+            self.frames_flooded += 1
         if not targets:
             return
         self.frames_forwarded += 1
@@ -136,22 +156,22 @@ class Switch:
 
     def _select_output_ports(
         self, in_port: SwitchPort, frame: EthernetFrame
-    ) -> List[SwitchPort]:
-        """The ports a frame leaves by, in port-index order."""
+    ) -> Tuple[List[SwitchPort], bool]:
+        """The ports a frame leaves by, in port-index order, and whether
+        that is a flood (unregistered multicast, unknown unicast)."""
+        flood = [port for port in self.ports if port is not in_port]
         if frame.dst.is_broadcast:
-            return [port for port in self.ports if port is not in_port]
+            return flood, False
         if frame.dst.is_multicast:
             members = self._multicast_groups.get(frame.dst.value)
             if members is not None:
-                return [port for port in members if port is not in_port]
+                return [port for port in members if port is not in_port], False
             # Unregistered multicast floods, like a real switch.
-            self.frames_flooded += 1
-            return [port for port in self.ports if port is not in_port]
+            return flood, True
         learned = self._mac_table.get(frame.dst.value)
         if learned is not None:
-            return [] if learned is in_port else [learned]
-        self.frames_flooded += 1
-        return [port for port in self.ports if port is not in_port]
+            return ([] if learned is in_port else [learned]), False
+        return flood, True
 
     def _with_mirrors(
         self, in_port: SwitchPort, out_ports: List[SwitchPort]

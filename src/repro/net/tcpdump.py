@@ -85,24 +85,18 @@ class PacketDump:
 
     def attach_nic(self, nic: NIC, label: Optional[str] = None) -> None:
         """Tap the NIC's receive path (after filtering/queueing)."""
-        previous = nic.handler
         name = label or nic.name
-
-        def spy(frame: EthernetFrame, via: NIC) -> None:
-            self._emit(name, frame)
-            if previous is not None:
-                previous(frame, via)
-
-        nic.set_handler(spy)
-        self._attached.append((nic, previous))
+        spy = lambda frame, via: self._emit(name, frame)
+        nic.add_observer(spy)
+        self._attached.append((nic, spy))
 
     def attach_host(self, host: Any) -> None:
         for nic in host.nics:
             self.attach_nic(nic, label=f"{host.name}/{nic.name}")
 
     def detach_all(self) -> None:
-        for nic, previous in self._attached:
-            nic.set_handler(previous)
+        for nic, spy in self._attached:
+            nic.remove_observer(spy)
         self._attached.clear()
 
     def _emit(self, where: str, frame: EthernetFrame) -> None:

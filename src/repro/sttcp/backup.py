@@ -134,7 +134,7 @@ class STTCPBackup:
         host.tcp.reset_on_unmatched = False
         host.tcp.connection_observers.append(self._on_passive_open)
         host.tcp.close_observers.append(self._on_shadow_closed)
-        host.ip_layer.add_tap(self._on_tapped_datagram)
+        host.ip_layer.add_tap(self._on_tapped_datagram, src=service_ip)
         host.crash_observers.append(self.stop)
         self.channel = host.udp.socket(self.config.channel_port)
         host._sttcp_channel_socket = self.channel
@@ -271,7 +271,8 @@ class STTCPBackup:
             self._note_converged(state)
         # The local stream moved: it may have caught up with the primary.
         self._index.reconcile_gap(state)
-        received = tcb.recv_buffer.rcv_nxt_offset - state.last_acked_offset
+        ready = tcb.recv_buffer.ready  # rcv_nxt_offset, inline
+        received = ready.head_offset + ready.length - state.last_acked_offset
         if received >= state.ack_threshold:
             self._send_backup_ack(state)
         # A filled gap may satisfy an outstanding recovery request.
@@ -335,10 +336,11 @@ class STTCPBackup:
 
     # Tap observation ------------------------------------------------------------------
     def _on_tapped_datagram(self, datagram: IPDatagram, nic: Optional[NIC]) -> None:
-        """Observe the primary→client direction of the byte stream."""
+        """Observe the primary→client direction of the byte stream (the tap
+        is registered for datagrams from the service IP only)."""
         if self.role is not ROLE_PASSIVE:
             return
-        if datagram.protocol != PROTO_TCP or datagram.src.value != self.service_ip.value:
+        if datagram.protocol != PROTO_TCP:
             return
         segment: TCPSegment = datagram.payload
         if segment.src_port != self.service_port:

@@ -16,7 +16,7 @@ class UDPDatagram:
     message declares its wire size, so traffic accounting stays honest.
     """
 
-    __slots__ = ("src_port", "dst_port", "payload", "payload_size")
+    __slots__ = ("src_port", "dst_port", "payload", "payload_size", "size")
 
     def __init__(self, src_port: int, dst_port: int, payload: Any, payload_size: int) -> None:
         if not 0 < src_port < 65536 or not 0 < dst_port < 65536:
@@ -27,10 +27,8 @@ class UDPDatagram:
         self.dst_port = dst_port
         self.payload = payload
         self.payload_size = payload_size
-
-    @property
-    def size(self) -> int:
-        return UDP_HEADER_SIZE + self.payload_size
+        #: Header plus payload, set beside ``payload_size`` (DESIGN §13 rule 1).
+        self.size = UDP_HEADER_SIZE + payload_size
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<UDP {self.src_port}->{self.dst_port} {self.payload_size}B>"

@@ -58,7 +58,8 @@ class SpanBuffer:
 
     def pop_front(self, count: int) -> ByteSpan:
         """Remove and return the first ``count`` bytes (clamped to length)."""
-        count = min(count, self.length)
+        if count > self.length:
+            count = self.length
         if count <= 0:
             return EMPTY
         pieces = self._pieces
@@ -91,7 +92,8 @@ class SpanBuffer:
 
     def discard_front(self, count: int) -> None:
         """Drop the first ``count`` bytes without materialising them."""
-        count = min(count, self.length)
+        if count > self.length:
+            count = self.length
         pieces = self._pieces
         whole = 0
         remaining = count

@@ -170,30 +170,24 @@ def test_crashed_host_sends_nothing():
     assert lan.nic_a.tx_frames == 0
 
 
-# -- the route memo: a lookup is remembered per destination value until
+# -- a route is remembered per flow, by the IP layer's flow cache, until
 # -- the table changes (DESIGN §13 rule 4) -----------------------------------
 
 
-class CountingRoute(Route):
-    """A route that records every destination it is asked to match."""
-
-    def __init__(self, *args, asked, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.asked = asked
-
-    def matches(self, dst):
-        self.asked.append(dst.value)
-        return super().matches(dst)
-
-
 def test_route_lookup_is_remembered_per_destination_value():
-    table, asked = RoutingTable(), []
-    table.add(CountingRoute(ip("10.0.0.0"), 24, FakeNIC("eth0"), asked=asked))
-    first = table.lookup(ip("10.0.0.5"))
-    assert table.lookup(ip("10.0.0.5")) is first  # an equal, distinct address
-    assert table.lookup(ip("10.9.9.9")) is None
-    assert table.lookup(ip("10.9.9.9")) is None  # a miss is remembered too
-    assert asked == [ip("10.0.0.5").value, ip("10.9.9.9").value]
+    """The IP layer's flow cache answers a second datagram to an equal,
+    distinct address without asking the routing table; a miss (no route)
+    is not remembered and is asked again."""
+    lan = LanPair(Simulator(seed=9))
+    lan.a.arp.add_static(lan.ip_b, lan.nic_b.mac)
+    routes, asked = lan.a.ip_layer.routes, []
+    lookup = routes.lookup
+    routes.lookup = lambda dst: asked.append(dst.value) or lookup(dst)
+    far = ip("192.168.9.9")
+    sock = lan.a.udp.socket(6000)
+    for target in (lan.ip_b, ip(str(lan.ip_b)), far, far):
+        sock.send_to((target, 5000), b"x")
+    assert asked == [lan.ip_b.value, far.value, far.value]
 
 
 def test_route_memo_sees_a_more_specific_route_added_after_a_lookup():

@@ -1,6 +1,8 @@
 """Tests for cables and hubs: delivery, serialisation timing, loss, and the
 hub's screening of its fan-out at the NIC filter."""
 
+import hashlib
+
 import pytest
 
 from repro.net.addresses import MAC_BROADCAST, fresh_multicast_mac, fresh_unicast_mac
@@ -206,9 +208,8 @@ def test_hub_attach_after_traffic_joins_fanout():
     assert len(b.received) == 2
 
 
-# The hub screens its fan-out: a station offering ``screen(dst)`` (a NIC)
-# is asked when the frame enters the hub, and gets no event for a frame it
-# would drop at its first two checks.
+# The hub screens its fan-out: a NIC is judged when the frame enters the
+# hub, and gets no event for a frame it would drop at its first two checks.
 
 
 def nic_on(sim, hub, **attributes):
@@ -290,7 +291,7 @@ def test_hub_detach_during_screened_fanout_keeps_inflight_frames():
         if nic.attachment.attached:
             nic.attachment.detach()
 
-    leaver.set_handler(detach_on_first_frame)
+    leaver.add_observer(detach_on_first_frame)
     sender.send(frame_to(MAC_BROADCAST))
     sender.send(frame_to(MAC_BROADCAST))
     sim.run()
@@ -331,3 +332,56 @@ def test_a_medium_without_loss_asks_no_model(kind):
     sim.run()
     assert len(b.received) == 3
     assert medium.frames_carried == 3
+
+
+# The hub judges each station inline, with NIC.receive_frame's counters: per
+# NIC, what was received and what was refused for a filter or a dead card
+# must read exactly as when the hub asked each NIC by a call.  The digests
+# are of the tree where it did.
+
+
+def _receive_counters(hosts):
+    rows = [
+        f"{host.name}/{nic.name} {nic.rx_frames} {nic.rx_dropped_filter} {nic.rx_dropped_down}"
+        for host in hosts
+        for nic in host.nics
+    ]
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+def test_hub_counts_per_nic_as_before_over_the_cluster_failover_workload():
+    from repro.cluster.run import ClusterRun
+    from repro.cluster.scenario import spec_from_dict
+
+    run = ClusterRun(spec_from_dict({
+        "name": "bench", "primaries": 6, "backups": 4, "capacity": 3, "profile": "fast_lan",
+        "sttcp": {"hb_interval": 0.04, "hb_jitter": 0.25},
+        "workload": {"exchanges": 550, "service_time": 0.001},
+        "crash": {"primary": 0, "at": 0.4}, "arbiter": {"actuation_delay": 0.015},
+        "deadline": 60, "seed": 12,
+    }))
+    run.execute()
+    fabric = run.fabric
+    hosts = (
+        [fabric.gateway]
+        + [service.primary for service in fabric.services]
+        + [service.client for service in fabric.services]
+        + [backup.host for backup in fabric.backups]
+    )
+    assert _receive_counters(hosts) == "57a04785e06569ac15ac4664ce803dac50785f83697f37ce70c923bb6e08eebd"
+
+
+def test_hub_counts_per_nic_as_before_when_a_station_powers_off_mid_transfer():
+    from repro.apps.workload import bulk_workload
+    from repro.harness.runner import run_workload
+    from repro.sttcp.config import STTCPConfig
+    from repro.util.units import KB
+
+    run = run_workload(
+        bulk_workload(256 * KB), sttcp=STTCPConfig(hb_interval=0.05), crash_at=0.2,
+        with_logger=True, seed=12,
+    )
+    scenario = run.scenario
+    hosts = [scenario.client, scenario.primary, scenario.backup, scenario.logger_host]
+    assert scenario.primary.nics[0].rx_dropped_down > 0
+    assert _receive_counters(hosts) == "d32148ab0e8eb6550e1e6adb8c8f3bcb914e5801d2e42eeb03efa8c7380d33ae"

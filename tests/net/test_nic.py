@@ -10,7 +10,7 @@ from repro.net.addresses import (
     fresh_unicast_mac,
     ip,
 )
-from repro.net.frame import ETHERTYPE_IPV4, EthernetFrame
+from repro.net.frame import ETHERTYPE_ARP, ETHERTYPE_IPV4, EthernetFrame
 from repro.net.loss import ScriptedLoss
 from repro.net.medium import Hub
 from repro.net.nic import NIC, VirtualInterface
@@ -29,7 +29,7 @@ def sim():
 
 def collect(nic):
     received = []
-    nic.set_handler(lambda frame, _nic: received.append(frame))
+    nic.add_observer(lambda frame, _nic: received.append(frame))
     return received
 
 
@@ -89,7 +89,7 @@ def test_rx_loss_model_applies(sim):
 def test_processing_delay_defers_delivery(sim):
     nic = NIC(sim, processing_delay=0.002)
     received = []
-    nic.set_handler(lambda frame, _nic: received.append(sim.now))
+    nic.register_ethertype(ETHERTYPE_IPV4, lambda _payload, _nic: received.append(sim.now))
     nic.receive_frame(make_frame(nic.mac))
     assert received == []  # not yet
     sim.run()
@@ -109,7 +109,7 @@ def test_rx_queue_overflow_drops(sim):
 def test_rx_queue_serialises_processing(sim):
     nic = NIC(sim, processing_delay=0.010, rx_queue_capacity=10)
     times = []
-    nic.set_handler(lambda frame, _nic: times.append(sim.now))
+    nic.register_ethertype(ETHERTYPE_IPV4, lambda _payload, _nic: times.append(sim.now))
     nic.receive_frame(make_frame(nic.mac))
     nic.receive_frame(make_frame(nic.mac))
     sim.run()
@@ -210,3 +210,36 @@ def test_receive_counts_a_refusal_once_without_asking_screen(sim):
     nic.receive_frame(make_frame(nic.mac))
     assert received == []
     assert (nic.rx_dropped_filter, nic.rx_dropped_down) == (1, 1)
+
+
+@pytest.mark.parametrize("processing_delay", [0.0, 0.001])
+def test_payload_goes_to_its_ethertype_handler_after_the_observers(sim, processing_delay):
+    """Both delivery paths, direct and after the processing delay: an
+    observer sees every accepted frame first; the payload goes to the
+    handler of its ethertype, and an unregistered ethertype goes nowhere."""
+    nic = NIC(sim, processing_delay=processing_delay)
+    log = []
+    nic.add_observer(lambda frame, via: log.append(("frame", frame.ethertype, via is nic)))
+    nic.register_ethertype(ETHERTYPE_IPV4, lambda payload, via: log.append(("ipv4", payload, via is nic)))
+    nic.register_ethertype(ETHERTYPE_ARP, lambda payload, via: log.append(("arp", payload, via is nic)))
+    for ethertype, payload in ((ETHERTYPE_IPV4, "d"), (ETHERTYPE_ARP, "m"), (0x86DD, "v6")):
+        nic.receive_frame(EthernetFrame(nic.mac, fresh_unicast_mac(), ethertype, payload, 100))
+    nic.receive_frame(make_frame(fresh_unicast_mac()))  # filtered: nobody sees it
+    sim.run()
+    assert log == [
+        ("frame", ETHERTYPE_IPV4, True), ("ipv4", "d", True),
+        ("frame", ETHERTYPE_ARP, True), ("arp", "m", True),
+        ("frame", 0x86DD, True),
+    ]
+    assert (nic.rx_frames, nic.rx_dropped_filter) == (3, 1)
+
+
+def test_a_removed_observer_sees_nothing_more(sim):
+    nic = NIC(sim)
+    seen = []
+    observer = lambda frame, _nic: seen.append(frame)
+    nic.add_observer(observer)
+    nic.receive_frame(make_frame(nic.mac))
+    nic.remove_observer(observer)
+    nic.receive_frame(make_frame(nic.mac))
+    assert len(seen) == 1 and nic.rx_frames == 2

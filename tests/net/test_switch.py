@@ -1,6 +1,8 @@
 """Tests for the learning switch: forwarding, multicast groups, mirroring."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NetworkError
 from repro.net.addresses import MAC_BROADCAST, MACAddress, fresh_multicast_mac, fresh_unicast_mac
@@ -220,3 +222,102 @@ def test_switch_tables_are_keyed_by_value(fabric):
     sim.run()
     assert [len(s.received) for s in stations] == [before[0], before[1] + 1, before[2], before[3]]
     assert switch.frames_flooded == 1  # a's port was learned from its own frames
+
+
+# -- the remembered output decision (DESIGN §13 rule 4) -------------------------
+
+def test_a_port_added_after_a_flood_joins_the_next_flood(fabric):
+    sim, switch, stations = fabric
+    unknown = fresh_unicast_mac()
+    stations[0].send(unknown)
+    sim.run()
+    late = Station(sim, switch)
+    stations[0].send(unknown)
+    sim.run()
+    assert len(late.received) == 1 and switch.frames_flooded == 2
+
+
+def test_a_join_after_a_flood_narrows_the_next_frame_to_the_group(fabric):
+    sim, switch, stations = fabric
+    a, b, c, d = stations
+    group = fresh_multicast_mac()
+    a.send(group)
+    sim.run()
+    switch.join_multicast(group, c.port)
+    a.send(group)
+    sim.run()
+    assert [len(s.received) for s in (b, c, d)] == [1, 2, 1]
+    assert switch.frames_flooded == 1
+
+
+def test_unmirror_after_traffic_stops_the_copies(fabric):
+    sim, switch, stations = fabric
+    a, b, monitor, _ = stations
+    b.send(a.mac)
+    switch.mirror_port(a.port, monitor.port)
+    a.send(b.mac)
+    sim.run()
+    assert len(monitor.received) == 2  # b's flood, a's mirrored frame
+    switch.unmirror_port(a.port, monitor.port)
+    a.send(b.mac)
+    sim.run()
+    assert len(monitor.received) == 2 and len(b.received) == 2
+
+
+SOURCES = [MACAddress(f"02:00:00:00:cc:0{i}") for i in range(1, 3)] + [MACAddress("03:00:00:00:cc:01")]
+GROUPS = [MACAddress("03:00:00:00:dd:01")]
+DESTINATIONS = SOURCES[:2] + GROUPS + [MAC_BROADCAST]
+
+switch_operations = st.one_of(
+    st.tuples(st.just("ingress"), st.integers(0, 2), st.sampled_from(SOURCES), st.sampled_from(DESTINATIONS)),
+    st.tuples(st.just("ingress"), st.integers(0, 2), st.sampled_from(SOURCES), st.sampled_from(DESTINATIONS)),
+    st.tuples(st.just("join"), st.sampled_from(GROUPS), st.integers(0, 3)),
+    st.tuples(st.just("leave"), st.sampled_from(GROUPS), st.integers(0, 3)),
+    st.tuples(st.just("mirror"), st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(st.just("unmirror"), st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(st.just("new_port")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(switch_operations, min_size=8, max_size=40))
+def test_prop_a_remembered_decision_is_the_one_the_tables_give(ops):
+    """Over random learn / move / join / leave / mirror / ``new_port``
+    sequences, every frame leaves by ``_select_output_ports`` plus its
+    mirrors, asked afresh, and counts as flooded exactly when that says;
+    after every step, every remembered decision is still the fresh one."""
+    switch = Switch(Simulator())
+    for _ in range(3):
+        switch.new_port()
+    egressed = []
+    switch._egress = lambda targets, frame: egressed.append(targets)
+
+    def fresh(in_port, dst):
+        frame = EthernetFrame(dst, SOURCES[0], ETHERTYPE_IPV4, None, 100)
+        ports, floods = switch._select_output_ports(in_port, frame)
+        return (switch._with_mirrors(in_port, ports) if switch._mirrors else ports), floods
+
+    asked = {}
+    for op in ops:
+        kind = op[0]
+        ports = switch.ports
+        if kind == "new_port":
+            if len(ports) < 5:
+                switch.new_port()
+        elif kind == "ingress":
+            in_port, dst = ports[op[1] % len(ports)], op[3]
+            asked[in_port.index << 48 | dst.value] = (in_port, dst)
+            flooded, egressed[:] = switch.frames_flooded, []
+            in_port.receive_frame(EthernetFrame(dst, op[2], ETHERTYPE_IPV4, None, 100))
+            reference, floods = fresh(in_port, dst)
+            assert egressed == ([reference] if reference else []), op
+            assert switch.frames_flooded == flooded + floods, op
+        elif kind in ("join", "leave"):
+            port = ports[op[2] % len(ports)]
+            (switch.join_multicast if kind == "join" else switch.leave_multicast)(op[1], port)
+        else:
+            monitored, monitor = ports[op[1] % len(ports)], ports[op[2] % len(ports)]
+            if monitored is not monitor:
+                (switch.mirror_port if kind == "mirror" else switch.unmirror_port)(monitored, monitor)
+        for key, decision in switch._decisions.items():
+            assert decision == fresh(*asked[key]), (op, key)

@@ -20,7 +20,9 @@ from repro.sttcp.config import STTCPConfig
 from repro.util.units import KB
 
 #: Calls per demultiplexed segment.  The tree at the time of writing needs
-#: 72.8 on CPython 3.11 (69.5 for the upload); while the TCB reached its
+#: 63.6 on CPython 3.11 (60.2 for the upload); while every datagram asked
+#: routing, ARP and the source MAC, a frame took a host hop up the stack and
+#: the hub asked each station's filter by a call, 72.8 (69.5); while the TCB reached its
 #: socket through callback wrappers, every ACK called the backoff reset
 #: and ``try_output`` asked ``cc.window()``, 77.0 (73.0); while the receive
 #: window and the retention overflow were recomputed through two calls on
@@ -39,17 +41,18 @@ from repro.util.units import KB
 #: the timing wheel about 187; before sizes became fields about 364.  The
 #: headroom is about 8 per cent: the count is exact, and 3.12 inlines some
 #: calls, so it only reads lower there.
-CALLS_PER_SEGMENT_BUDGET = 79
+CALLS_PER_SEGMENT_BUDGET = 69
 #: The small-message path: one 150-byte record per segment, so the fixed
 #: per-exchange work (two app wake-ups, an ack each way) is not amortised
-#: over an MSS.  131.5 now; 139.9 with the socket behind callback wrappers,
+#: over an MSS.  119.1 now; 131.5 with every datagram resolved uncached;
+#: 139.9 with the socket behind callback wrappers,
 #: 156.0 with the receive window and overflow recomputed by calls and
 #: every sequence number unwrapped by one; 203.1 while each wake-up paid
 #: the kernel's and the buffers' accessors, 220.4 with the hashed address tables, 260.0
 #: with the accessors, 276.5 while the shadow built what it vetoed, 295
 #: with eager timers, 377 while a record was a two-leaf ``CatBytes``
 #: (DESIGN §13 rule 5).
-ECHO_CALLS_PER_SEGMENT_BUDGET = 142
+ECHO_CALLS_PER_SEGMENT_BUDGET = 129
 
 #: Accessors the per-segment path reads as fields instead (DESIGN §13
 #: rule 7), by (module, function name): none may be called at all on a
@@ -71,7 +74,8 @@ PER_SEGMENT_FIELDS = {
 #: What the frame path no longer asks (DESIGN §13 rule 8), by (module,
 #: qualified name): address tables are keyed by ``value``, a medium
 #: without a loss model asks none, and IP builds the frame it hands the
-#: NIC in ``_transmit``.  None may be called on a failure-free bulk
+#: NIC where it has the answer (``send`` / ``_forward`` on a flow-cache
+#: hit, ``_emit`` on a miss).  None may be called on a failure-free bulk
 #: transfer, its setup included.
 FRAME_PATH_UNASKED = {
     ("net/addresses.py", "IPAddress.__hash__"),
@@ -184,16 +188,41 @@ def test_bulk_transfer_frame_path_asks_nothing_it_already_knows():
         if (module, name) in by_key
     }
     assert called == {}, f"back on the frame path: {called}"
-    # A delivery runs the NIC's power and filter checks inline; only the
-    # hub asks ``screen`` before it queues one.
+    # A delivery runs the NIC's power and filter checks inline and hands
+    # the payload straight to IP, by its ethertype: no host hop between.
     receive = by_key["net/nic.py", "NIC.receive_frame"]
-    screened = [c for c in receive.calls or () if _label(c.code) == "nic.py:NIC.screen"]
-    assert screened == []
-    # The routing table is scanned once per destination, then remembered.
+    handed = [c for c in receive.calls or () if _label(c.code) == "layer.py:IPLayer.receive"]
+    assert handed and handed[0].callcount > segments
+    # Routing, ARP and the source MAC are asked on a flow-cache miss only:
+    # each miss that finds a route is one ``_transmit``, and TCP's connect
+    # asks the table once for its source address.
     hosts = [scenario.client, scenario.primary, scenario.backup]
-    destinations = sum(len(host.ip_layer.routes._memo) for host in hosts)
-    matches = by_key["ip/routing.py", "Route.matches"].callcount
-    assert 0 < matches <= destinations
+    assert all(host.ip_layer._flows for host in hosts[:2])
+    misses = by_key["ip/layer.py", "IPLayer._transmit"].callcount
+    assert 0 < by_key["ip/routing.py", "RoutingTable.lookup"].callcount <= misses + 1
+    assert by_key["host/host.py", "Host.source_mac_for"].callcount <= misses
+    assert by_key["net/arp.py", "ArpService.entry"].callcount <= 2 * misses
+
+
+def test_bulk_transfer_resolves_per_flow_not_per_segment():
+    """Doubling the transfer leaves the calls of every resolver behind the
+    flow cache unchanged: what remains is each flow's first datagram, the
+    ARP exchange and the refill after it (DESIGN §13 rule 4)."""
+    resolvers = (
+        ("net/arp.py", "ArpService.lookup"),
+        ("net/arp.py", "ArpService.entry"),
+        ("host/host.py", "Host.source_mac_for"),
+        ("ip/routing.py", "RoutingTable.lookup"),
+        ("ip/routing.py", "Route.matches"),
+    )
+    counts = []
+    for size in (256 * KB, 512 * KB):
+        stats, segments, _ = _profiled_run(bulk_workload, size)
+        assert segments > 300
+        by_key = {_module_key(entry.code, "co_qualname"): entry for entry in stats}
+        counts.append({key[1]: by_key[key].callcount if key in by_key else 0 for key in resolvers})
+    assert counts[0] == counts[1], f"per-segment resolution: 256 KB {counts[0]}, 512 KB {counts[1]}"
+    assert all(counts[1].values())
 
 
 def test_request_response_path_pays_no_accessor():

@@ -1,12 +1,13 @@
 """The unchecked per-connection segment builder against the checked
 constructor: same fields, same wire bytes, for every in-range input; and
-the ``size`` fields both builders set against header plus payload."""
+the ``size`` fields both builders (and a UDP datagram) set against header
+plus payload."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ip.datagram import IP_HEADER_SIZE, PROTO_TCP, IPDatagram
+from repro.ip.datagram import IP_HEADER_SIZE, PROTO_TCP, PROTO_UDP, IPDatagram
 from repro.net.addresses import IPAddress
 from repro.net.tcpdump import segment_to_bytes
 from repro.tcp.constants import TCP_HEADER_SIZE
@@ -16,6 +17,7 @@ from repro.tcp.segment import (
     SegmentTemplate,
     TCPSegment,
 )
+from repro.udp.datagram import UDP_HEADER_SIZE, UDPDatagram
 from repro.util.bytespan import EMPTY, PatternBytes, RealBytes
 
 _FIELDS = [name for name in TCPSegment.__slots__ if name != "segment_id"]
@@ -81,6 +83,11 @@ def test_size_fields_are_header_plus_payload(payload, mss_option, ts_val, checke
     datagram = IPDatagram(src_ip, dst_ip, PROTO_TCP, segment, segment.size)
     assert datagram.size == IP_HEADER_SIZE + header + payload.length
     assert datagram.decremented().size == datagram.size
+    # A UDP datagram's size is a field too, set by its constructor.
+    udp = UDPDatagram(1, 2, payload, payload.length)
+    assert "size" in UDPDatagram.__slots__
+    assert udp.size == UDP_HEADER_SIZE + payload.length
+    assert IPDatagram(src_ip, dst_ip, PROTO_UDP, udp, udp.size).size == IP_HEADER_SIZE + udp.size
 
 
 def test_template_defaults_match_constructor_defaults():

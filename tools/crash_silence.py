@@ -6,12 +6,12 @@ run.  This module checks that from outside ``src/``.  It wraps both ways
 onto the event queue (``Scheduler._push`` and ``Scheduler.post``) and,
 just before each callback runs, finds the host that owns it: the bound
 object (or the ``self`` a lambda closes over), then a timer's callback, a
-heartbeat monitor's suspicion hook, a NIC's frame handler, and the
-``conn`` -> ``layer`` -> ``host`` links.  A callback whose host has
+heartbeat monitor's suspicion hook, and the ``conn`` -> ``layer`` ->
+``host`` links.  A callback whose host has
 crashed is a *breach*.
 
 Two receive paths are exempt, and :data:`EXEMPT` names them: the NIC's
-(``NIC.screen`` drops what reaches a powered-off card) and IP loopback
+(``NIC.receive_frame`` drops what reaches a powered-off card) and IP loopback
 delivery (``IPLayer._local_deliver`` drops what a host queued to itself
 before it crashed).  A frame or datagram on its way *to* a host is not
 something that host armed.  Kernel objects — processes, timeouts, bare
@@ -36,7 +36,7 @@ from repro.tcp.timers import RestartableTimer
 EXEMPT = frozenset({"NIC.receive_frame", "NIC._dequeue_and_deliver", "IPLayer._local_deliver"})
 
 #: Links from an object towards the host that armed it, tried in order.
-_LINKS = ("callback", "on_suspect", "handler", "conn", "layer", "host")
+_LINKS = ("callback", "on_suspect", "conn", "layer", "host")
 
 
 def _closure_self(function: Any) -> Any:
