@@ -48,7 +48,7 @@ def client_session(
         app/client_progress trace marker timeline reconstruction anchors
         the outage window on (same instants, so the windows agree)."""
         timeline.append((sim.now, total))
-        if trace.enabled_for("app"):
+        if "app" in trace.categories:
             trace.emit(sim.now, "app", "client_progress", host=host.name, bytes=total)
 
     checkpoint(0)

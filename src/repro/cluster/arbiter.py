@@ -47,7 +47,7 @@ class ClusterArbiter:
         actuated that host's cut (or the coalesced one already in line)."""
         self.fence_requests += 1
         trace = self.sim.trace
-        if trace.enabled_for("cluster"):
+        if "cluster" in trace.categories:
             trace.emit(self.sim.now, "cluster", "fence_requested", host=host.name)
         waiters = self._pending.get(id(host))
         if waiters is not None:
@@ -62,7 +62,7 @@ class ClusterArbiter:
         # lands in a later event, long after the requester's dynamic flow
         # context is gone — so the fence span joins the right chain.
         sid: Optional[int] = None
-        if trace.enabled_for("cluster"):
+        if "cluster" in trace.categories:
             fields: Dict[str, Any] = {"host": host.name}
             if trace.current_flow is not None:
                 fields["flow"] = trace.current_flow
@@ -84,7 +84,7 @@ class ClusterArbiter:
         self._pending.pop(id(host), None)
         if self.sabotaged:
             outcome = "sabotaged"
-            if self.sim.trace.enabled_for("cluster"):
+            if "cluster" in self.sim.trace.categories:
                 self.sim.trace.emit(
                     self.sim.now, "cluster", "fence_sabotaged", host=host.name
                 )
@@ -93,7 +93,7 @@ class ClusterArbiter:
             if host.is_up:
                 host.crash()
             self.cuts_performed += 1
-            if self.sim.trace.enabled_for("cluster"):
+            if "cluster" in self.sim.trace.categories:
                 self.sim.trace.emit(self.sim.now, "cluster", "fenced", host=host.name)
         if sid is not None:
             self.sim.trace.end_span(

@@ -103,7 +103,7 @@ class ElectionCoordinator:
         self.pool.release(service_name)
         orphaned = self.pool.consume(consumed.name)
         consumed.manager.release_service(service_name)
-        if self.sim.trace.enabled_for("cluster"):
+        if "cluster" in self.sim.trace.categories:
             fields = {
                 "consumed": consumed.name,
                 "service": service_name,
@@ -155,7 +155,7 @@ class ElectionCoordinator:
             # Pool exhausted: the primary runs on without a backup.  For
             # an orphan that means its monitor will suspect the consumed
             # host and drop to non-fault-tolerant mode on its own.
-            if self.sim.trace.enabled_for("cluster"):
+            if "cluster" in self.sim.trace.categories:
                 self.sim.trace.emit(
                     self.sim.now, "cluster", "election_exhausted", service=service.name
                 )
@@ -186,7 +186,7 @@ class ElectionCoordinator:
         # converged callback; its span carries the failover's flow id so
         # the resync hop shows up in the causal chain.
         resync_sid: Optional[int] = None
-        if self.sim.trace.enabled_for("cluster"):
+        if "cluster" in self.sim.trace.categories:
             fields = {"service": service.name, "backup": winner_name, "kind": kind}
             if self.sim.trace.current_flow is not None:
                 fields["flow"] = self.sim.trace.current_flow
@@ -197,7 +197,7 @@ class ElectionCoordinator:
             lambda _engine, r=record, sid=resync_sid: self._sync_finished(r, sid)
         )
         shadow.engine.request_sync()
-        if self.sim.trace.enabled_for("cluster"):
+        if "cluster" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now,
                 "cluster",
@@ -216,7 +216,7 @@ class ElectionCoordinator:
             self.sim.trace.end_span(
                 self.sim.now, "cluster", "resync", resync_sid, latency=latency
             )
-        if self.sim.trace.enabled_for("cluster"):
+        if "cluster" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now,
                 "cluster",

@@ -76,7 +76,7 @@ class DualPrimaryMonitor:
                 self.violations.append(
                     DualPrimaryViolation(self.sim.now, service.name, owners)
                 )
-                if self.sim.trace.enabled_for("cluster"):
+                if "cluster" in self.sim.trace.categories:
                     self.sim.trace.emit(
                         self.sim.now,
                         "cluster",

@@ -69,7 +69,7 @@ class FTCPBackup(STTCPBackup):
         )
         replay_time = self.replay_bytes / config.replay_rate
         self.recovery_delay = config.restart_delay + replay_time
-        if self.sim.trace.enabled_for("ftcp"):
+        if "ftcp" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now,
                 "ftcp",

@@ -204,7 +204,7 @@ class Host:
         self.arp.halt()
         for observer in self.crash_observers:
             observer()
-        if self.sim.trace.enabled_for("host"):
+        if "host" in self.sim.trace.categories:
             self.sim.trace.emit(self.sim.now, "host", "crash", host=self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

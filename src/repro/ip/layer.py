@@ -112,7 +112,7 @@ class IPLayer:
         route = self.routes.lookup(dst)
         if route is None:
             self._c_dropped_no_route.value += 1
-            if self.sim.trace.enabled_for("ip"):
+            if "ip" in self.sim.trace.categories:
                 self.sim.trace.emit(
                     self.sim.now, "ip", "no_route", host=self.host.name, dst=str(dst)
                 )
@@ -147,7 +147,7 @@ class IPLayer:
         as its route may have been rewritten meanwhile."""
         if mac is None:
             self._c_dropped_no_arp.value += 1
-            if self.sim.trace.enabled_for("ip"):
+            if "ip" in self.sim.trace.categories:
                 self.sim.trace.emit(
                     self.sim.now,
                     "ip",
@@ -196,7 +196,7 @@ class IPLayer:
         handler(datagram, nic)
 
     def _no_protocol(self, datagram: IPDatagram) -> None:
-        if self.sim.trace.enabled_for("ip"):
+        if "ip" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now,
                 "ip",

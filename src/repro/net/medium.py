@@ -144,7 +144,7 @@ class Cable:
         arrival = start + tx_time + self.delay
         loss_model = self.loss_model
         if loss_model is not None and loss_model(frame, now):
-            if self.sim.trace.enabled_for("link"):
+            if "link" in self.sim.trace.categories:
                 self.sim.trace.emit(now, "link", "drop", link=self.name, frame=frame.frame_id)
             return
         self.frames_carried += 1
@@ -247,7 +247,7 @@ class Hub:
         self._next_free = start + tx_time
         loss_model = self.loss_model
         if loss_model is not None and loss_model(frame, now):
-            if self.sim.trace.enabled_for("link"):
+            if "link" in self.sim.trace.categories:
                 self.sim.trace.emit(now, "link", "drop", link=self.name, frame=frame.frame_id)
             return
         self.frames_carried += 1

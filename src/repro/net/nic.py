@@ -128,7 +128,7 @@ class NIC(FrameReceiver):
         now = self.sim.now
         if self.rx_loss_model is not None and self.rx_loss_model(frame, now):
             self.rx_dropped_loss += 1
-            if self.sim.trace.enabled_for("nic"):
+            if "nic" in self.sim.trace.categories:
                 # The frame itself, not only its id: a reader names what
                 # the loss model took (``repro explain``).
                 self.sim.trace.emit(now, "nic", "rx_loss", nic=self, frame=frame)
@@ -143,7 +143,7 @@ class NIC(FrameReceiver):
             return
         if self.rx_queue_capacity and self._rx_pending >= self.rx_queue_capacity:
             self.rx_dropped_queue += 1
-            if self.sim.trace.enabled_for("nic"):
+            if "nic" in self.sim.trace.categories:
                 self.sim.trace.emit(now, "nic", "rx_overflow", nic=self, frame=frame)
             return
         start = max(now, self._rx_busy_until)

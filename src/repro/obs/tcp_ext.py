@@ -46,7 +46,7 @@ class FirstAckProbe(TCPExtension):
     def on_segment_in(self, conn: "TCPConnection", segment: "TCPSegment") -> bool:
         conn.remove_extension(self)
         trace = conn.sim.trace
-        if trace.enabled_for("failover"):
+        if "failover" in trace.categories:
             fields: Dict[str, Any] = {
                 "host": conn.layer.host.name,
                 "remote": f"{conn.remote_ip}:{conn.remote_port}",

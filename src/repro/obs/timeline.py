@@ -28,7 +28,7 @@ never made progress again after the takeover — has no decomposition.
 
 :class:`TimelineCollector` subscribes to cold categories only, so it can
 be left attached to every harness run without waking the hot ``tcp`` /
-``link`` emit paths (their ``enabled_for`` guards still see no sink).
+``link`` emit paths (their ``trace.categories`` guards still see no sink).
 It also keeps ``nic`` records, which only a NIC loss model or a full RX
 queue emits: the frames a lossy tap dropped (``repro explain`` names
 them).

@@ -1,13 +1,13 @@
 """Lightweight tracing for simulations.
 
 Components emit structured trace records through the simulator's
-:class:`Tracer`.  Tracing is off by default and costs a single attribute
-check per emit when disabled, so it can be left in hot paths.  Hot paths
-that must build kwargs (segment summaries, formatted addresses) should
-guard with :meth:`Tracer.enabled_for` so the whole call is skipped when
-no sink subscribed to the category::
+:class:`Tracer`.  Tracing is off by default and costs one set lookup per
+emit when disabled, so it can be left in hot paths.  Code that
+must build kwargs (segment summaries, formatted addresses) guards with
+the tracer's :attr:`Tracer.categories` field, so the whole call is
+skipped, and no call made, when no sink subscribed to the category::
 
-    if self.sim.trace.enabled_for("tcp"):
+    if "tcp" in self.sim.trace.categories:
         self.sim.trace.emit(self.sim.now, "tcp", "send", seg=segment)
 
 Records are ``(time, category, event, fields)`` tuples; sinks decide how
@@ -53,21 +53,35 @@ SPAN_END = "E"
 FLOW_KEY = "flow"
 
 
+class _EveryCategory(frozenset):
+    """The category set of a tracer with a wildcard sink: holds every
+    category."""
+
+    __slots__ = ()
+
+    def __contains__(self, category: object) -> bool:
+        return True
+
+
+#: :attr:`Tracer.categories` while any wildcard sink is registered.
+EVERY_CATEGORY: frozenset = _EveryCategory()
+
+
 class Tracer:
     """Dispatches trace records to registered sinks, filtered by category.
 
-    The fast-path filter is the union of every sink's categories (or
-    ``None`` while any wildcard sink is registered); it is rebuilt from
-    the per-sink bookkeeping whenever a sink is removed, so removing a
-    filtered sink drops its categories and removing the last wildcard
-    sink re-tightens the filter.
+    The fast-path filter, :attr:`categories`, is the union of every
+    sink's categories (:data:`EVERY_CATEGORY` while any wildcard sink is
+    registered); it is rebuilt from the per-sink bookkeeping whenever a
+    sink is removed, so removing a filtered sink drops its categories and
+    removing the last wildcard sink re-tightens the filter.
     """
 
     __slots__ = (
         "_sinks",
         "_sink_categories",
         "enabled",
-        "_category_filter",
+        "categories",
         "_next_span_id",
         "_next_flow_id",
         "current_flow",
@@ -77,7 +91,11 @@ class Tracer:
         self._sinks: List[Sink] = []
         self._sink_categories: List[Optional[frozenset]] = []
         self.enabled = False
-        self._category_filter: Optional[set] = None
+        #: The categories at least one sink wants: the union of their
+        #: filters, :data:`EVERY_CATEGORY` while a wildcard sink is
+        #: registered, empty with no sink.  Read as a field by every guard
+        #: (``"tcp" in trace.categories``); ``_rebuild_filter`` keeps it.
+        self.categories: frozenset = frozenset()
         self._next_span_id = 0
         self._next_flow_id = 0
         #: Dynamic causal context: while an event handler participating
@@ -107,30 +125,14 @@ class Tracer:
         self._rebuild_filter()
 
     def _rebuild_filter(self) -> None:
-        if not self._sinks or any(c is None for c in self._sink_categories):
-            self._category_filter = None  # a wildcard sink sees everything
+        if any(c is None for c in self._sink_categories):
+            self.categories = EVERY_CATEGORY  # a wildcard sink sees everything
         else:
-            union: set = set()
-            for categories in self._sink_categories:
-                union |= categories  # type: ignore[arg-type]
-            self._category_filter = union
-
-    def enabled_for(self, category: str) -> bool:
-        """True when at least one registered sink wants ``category``.
-
-        The guard for hot paths whose *kwargs* are expensive to build:
-        checking here first skips the segment summary / address
-        formatting entirely when nobody is listening.
-        """
-        if not self.enabled:
-            return False
-        category_filter = self._category_filter
-        return category_filter is None or category in category_filter
+            self.categories = frozenset().union(*filter(None, self._sink_categories))
 
     def emit(self, time: float, category: str, event: str, **fields: Any) -> None:
-        if not self.enabled:
-            return
-        if self._category_filter is not None and category not in self._category_filter:
+        categories = self.categories
+        if categories is not EVERY_CATEGORY and category not in categories:
             return
         # The union filter above is only the fast path; each sink still
         # sees exclusively its own categories (a sink registered for

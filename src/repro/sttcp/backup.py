@@ -222,7 +222,7 @@ class STTCPBackup:
         self._connections[state.key] = state
         self._index.add(state)
         tcb.on_rcv_advance = lambda _rcv, s=state: self._on_stream_advance(s)
-        if self.sim.trace.enabled_for("sttcp"):
+        if "sttcp" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now,
                 "sttcp",
@@ -406,7 +406,7 @@ class STTCPBackup:
         )
         if tcb is None:
             return None
-        if self.sim.trace.enabled_for("sttcp"):
+        if "sttcp" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now,
                 "sttcp",
@@ -489,7 +489,7 @@ class STTCPBackup:
             self._hb_timer.start(self.config.hb_interval)
         if not self._sync_timer.running:
             self._sync_timer.start(self.config.effective_sync_time())
-        if self.sim.trace.enabled_for("sttcp"):
+        if "sttcp" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now, "sttcp", "adopt_new_primary", primary=str(source), rank=self.rank
             )
@@ -518,7 +518,7 @@ class STTCPBackup:
         self.sync_requested_at = self.sim.now
         self.sync_done_at = None
         self._send(SyncRequest(tuple(self._connections.keys())))
-        if self.sim.trace.enabled_for("sttcp"):
+        if "sttcp" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now, "sttcp", "sync_request", known=len(self._connections)
             )
@@ -566,7 +566,7 @@ class STTCPBackup:
         # Announce our position immediately so the primary re-arms
         # retention coverage from the snapshot point.
         self._send_backup_ack(state)
-        if self.sim.trace.enabled_for("sttcp"):
+        if "sttcp" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now,
                 "sttcp",
@@ -578,7 +578,7 @@ class STTCPBackup:
 
     def _on_sync_done_msg(self, message: SyncDone) -> None:
         self.sync_done_at = self.sim.now
-        if self.sim.trace.enabled_for("sttcp"):
+        if "sttcp" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now, "sttcp", "sync_complete", snapshots=message.count
             )
@@ -610,7 +610,7 @@ class STTCPBackup:
             if not state.closed and state.tcb.state is not TCPState.CLOSED:
                 state.tcb.app_abort()
         self.channel.close()
-        if self.sim.trace.enabled_for("sttcp"):
+        if "sttcp" in self.sim.trace.categories:
             self.sim.trace.emit(self.sim.now, "sttcp", "retired", host=self.host.name)
 
     # Failover (§4.4, §5) ---------------------------------------------------------------------
@@ -619,7 +619,7 @@ class STTCPBackup:
             return
         self.role = ROLE_TAKING_OVER
         self.detection_time = self.sim.now
-        if self.sim.trace.enabled_for("sttcp"):
+        if "sttcp" in self.sim.trace.categories:
             self._failover_flow = self.sim.trace.new_flow()
             self.sim.trace.emit(
                 self.sim.now, "sttcp", "primary_suspected", rank=self.rank
@@ -746,7 +746,7 @@ class STTCPBackup:
         self._take_over_batch(adoptable, 0)
         if self.peer_backup_ips:
             self._promote_to_primary()
-        if self.sim.trace.enabled_for("sttcp"):
+        if "sttcp" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now,
                 "sttcp",
@@ -799,7 +799,7 @@ class STTCPBackup:
             engine.adopt_connection(state.tcb)
         engine.start()
         self.promoted_primary = engine
-        if self.sim.trace.enabled_for("sttcp"):
+        if "sttcp" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now, "sttcp", "promoted", peers=len(self.peer_backup_ips)
             )

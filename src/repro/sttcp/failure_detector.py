@@ -115,7 +115,7 @@ class HeartbeatMonitor:
             if peer_alive:
                 self._false_suspicion_counter.inc()
             trace = self.sim.trace
-            if trace.enabled_for("sttcp"):
+            if "sttcp" in trace.categories:
                 # Retroactive detection span: the silent interval itself,
                 # [last evidence of life, suspicion].
                 sid = trace.begin_span(

@@ -150,7 +150,7 @@ class MultiPrimaryShadowManager:
         record = self.services.get(name)
         if record is None:
             return
-        if self.sim.trace.enabled_for("cluster"):
+        if "cluster" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now,
                 "cluster",

@@ -32,7 +32,7 @@ class PowerSwitch:
         def actuate() -> None:
             self.cuts_performed += 1
             host.crash()  # idempotent
-            if self.sim.trace.enabled_for("sttcp"):
+            if "sttcp" in self.sim.trace.categories:
                 self.sim.trace.emit(self.sim.now, "sttcp", "stonith", host=host.name)
             if done is not None:
                 done()

@@ -147,7 +147,7 @@ class STTCPPrimary:
         if self._started:
             return
         self._started = True
-        if self.sim.trace.enabled_for("sttcp"):
+        if "sttcp" in self.sim.trace.categories:
             self._ft_sid = self.sim.trace.begin_span(
                 self.sim.now, "sttcp", "fault_tolerant", backups=len(self.backup_ips)
             )
@@ -187,7 +187,7 @@ class STTCPPrimary:
         self._connections[conn_key(tcb.remote_ip, tcb.remote_port)] = _PrimaryConnState(
             tcb, retention
         )
-        if self.sim.trace.enabled_for("sttcp"):
+        if "sttcp" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now,
                 "sttcp",
@@ -327,7 +327,7 @@ class STTCPPrimary:
         if superseded is not None:
             superseded["retry"].cancel()
         self._sync_sessions[source.value] = {"ip": source, "pending": pending, "sent": 0}
-        if self.sim.trace.enabled_for("sttcp"):
+        if "sttcp" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now, "sttcp", "sync_begin", backup=str(source), missing=len(pending)
             )
@@ -371,7 +371,7 @@ class STTCPPrimary:
             return
         del self._sync_sessions[source_value]
         self._send(SyncDone(session["sent"]), source)
-        if self.sim.trace.enabled_for("sttcp"):
+        if "sttcp" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now,
                 "sttcp",
@@ -412,7 +412,7 @@ class STTCPPrimary:
                 self._hb_timer.start(self.config.hb_interval)
         if not self.fault_tolerant:
             self._reenter_fault_tolerant()
-        if self.sim.trace.enabled_for("sttcp"):
+        if "sttcp" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now,
                 "sttcp",
@@ -430,7 +430,7 @@ class STTCPPrimary:
                 retention.prime_at(state.tcb.recv_buffer.read_offset)
                 state.retention = retention
                 state.tcb.recv_buffer.attach_retention(retention)
-        if self.sim.trace.enabled_for("sttcp"):
+        if "sttcp" in self.sim.trace.categories:
             self._ft_sid = self.sim.trace.begin_span(
                 self.sim.now, "sttcp", "fault_tolerant", backups=len(self.backup_ips)
             )
@@ -439,7 +439,7 @@ class STTCPPrimary:
     def _on_backup_suspected(self, backup_value: int) -> None:
         """One backup died: shrink the ack set; if it was the last, drop
         to non-fault-tolerant mode (§4.4)."""
-        if self.sim.trace.enabled_for("sttcp"):
+        if "sttcp" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now, "sttcp", "backup_suspected", remaining=len(self.live_backup_values())
             )
@@ -457,7 +457,7 @@ class STTCPPrimary:
             if state.tcb.state in SYNCHRONIZED_STATES:
                 state.tcb.output.maybe_send_window_update()
         self._hb_timer.stop()
-        if self.sim.trace.enabled_for("sttcp"):
+        if "sttcp" in self.sim.trace.categories:
             self.sim.trace.emit(self.sim.now, "sttcp", "non_fault_tolerant_mode")
         if self._ft_sid is not None:
             self.sim.trace.end_span(

@@ -59,8 +59,9 @@ class RenoCongestionControl:
             # Handled by exit_fast_recovery; partial-ACK logic lives in the
             # TCB which decides whether recovery is over.
             return
-        if self.in_slow_start:
-            self.cwnd += min(bytes_acked, self.mss)
+        if self.cwnd < self.ssthresh:  # in_slow_start, read inline
+            mss = self.mss
+            self.cwnd += bytes_acked if bytes_acked < mss else mss
         else:
             # Congestion avoidance: one MSS per cwnd of data acked.
             self._avoidance_acc += bytes_acked

@@ -63,7 +63,7 @@ class InputEngine:
         conn = self.conn
         conn.segments_received += 1
         trace = conn.sim.trace
-        if trace.enabled and trace.enabled_for("tcp"):
+        if "tcp" in trace.categories:
             conn.trace_event("recv", seg=segment)
         if segment.ts_val is not None and conn.use_timestamps:
             conn.last_ts_recv = segment.ts_val

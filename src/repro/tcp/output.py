@@ -231,7 +231,7 @@ class OutputEngine:
         conn.segments_sent += 1
         conn.bytes_sent += segment.payload_length
         trace = conn.sim.trace
-        if trace.enabled and trace.enabled_for("tcp"):
+        if "tcp" in trace.categories:
             conn.trace_event("send", seg=segment)
         conn.layer.send_segment(conn, segment)
 

@@ -16,6 +16,7 @@ a policy whose ``overflow`` changes outside a read tells its buffer.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List, Optional, Tuple
 
 from repro.util.bytespan import EMPTY, ByteSpan
@@ -118,25 +119,27 @@ class ReceiveBuffer:
         rcv_nxt = ready.head_offset + ready.length
         limit = rcv_nxt + self.window
         stop_offset = start_offset + length
-        # Clip below rcv_nxt (already received) and above the window.
+        # Clip below rcv_nxt (already received) and above the window, as
+        # the range [lo, hi) of ``span``.
         if stop_offset <= rcv_nxt:
             self.bytes_duplicated += length
             return 0
+        lo = 0
         if start_offset < rcv_nxt:
-            self.bytes_duplicated += rcv_nxt - start_offset
-            span = span.slice(rcv_nxt - start_offset, length)
+            lo = rcv_nxt - start_offset
+            self.bytes_duplicated += lo
             start_offset = rcv_nxt
-        overflow = start_offset + span.length - limit
-        if overflow > 0:
-            if overflow >= span.length:
+        hi = length
+        if stop_offset > limit:
+            hi -= stop_offset - limit
+            if hi <= lo:
                 return 0
-            span = span.slice(0, span.length - overflow)
         if start_offset > rcv_nxt:
-            self._stash_out_of_order(start_offset, span)
+            self._stash_out_of_order(start_offset, span.slice(lo, hi))
             return 0
         # In-order: append, then drain any out-of-order runs now contiguous.
-        ready.append(span)
-        advanced = span.length
+        ready.append(span, lo, hi)
+        advanced = hi - lo
         if self._out_of_order:
             advanced += self._drain_out_of_order()
         free = self.capacity - ready.length - self.out_of_order_bytes
@@ -147,50 +150,61 @@ class ReceiveBuffer:
 
     def _stash_out_of_order(self, start: int, span: ByteSpan) -> None:
         """Insert into the sorted, disjoint out-of-order list, clipping any
-        bytes already held."""
+        bytes already held: each new piece goes in place, at the index
+        of the first held run after it (DESIGN §14 rule 1)."""
+        held = self._out_of_order
         stop = start + span.length
-        pieces: List[Tuple[int, ByteSpan]] = []
         cursor = start
-        for held_start, held_span in self._out_of_order:
+        added = 0
+        # The run before the first one starting at or after ``start`` may
+        # still overlap it.  A 1-tuple sorts before every (start, span)
+        # with the same start, so no span is ever compared.
+        index = bisect_left(held, (start,))
+        if index:
+            index -= 1
+        while index < len(held):
+            held_start, held_span = held[index]
             held_stop = held_start + held_span.length
-            if held_stop <= cursor:
-                continue
             if held_start >= stop:
                 break
             if held_start > cursor:
-                pieces.append((cursor, span.slice(cursor - start, held_start - start)))
-            overlap_stop = min(held_stop, stop)
-            if overlap_stop > cursor:
-                self.bytes_duplicated += overlap_stop - max(cursor, held_start)
-            cursor = max(cursor, held_stop)
+                held.insert(index, (cursor, span.slice(cursor - start, held_start - start)))
+                added += held_start - cursor
+                index += 1
+            if held_stop > cursor:
+                overlap_stop = held_stop if held_stop < stop else stop
+                self.bytes_duplicated += overlap_stop - (held_start if held_start > cursor else cursor)
+                cursor = held_stop
+            index += 1
         if cursor < stop:
-            pieces.append((cursor, span.slice(cursor - start, stop - start)))
-        if not pieces:
-            return
-        self.out_of_order_bytes += sum(piece.length for _, piece in pieces)
-        merged = self._out_of_order + pieces
-        merged.sort(key=lambda item: item[0])
-        self._out_of_order = merged
-        self.refresh_window()
+            held.insert(index, (cursor, span.slice(cursor - start, stop - start)))
+            added += stop - cursor
+        if added:
+            self.out_of_order_bytes += added
+            self.refresh_window()
 
     def _drain_out_of_order(self) -> int:
+        """Move the held runs now at ``rcv_nxt`` to the ready queue; the
+        drained runs leave the list in one slice deletion."""
+        held = self._out_of_order
+        ready = self.ready
         advanced = 0
-        while self._out_of_order:
-            start, span = self._out_of_order[0]
-            rcv_nxt = self.rcv_nxt_offset
-            stop = start + span.length
+        drained = 0
+        for start, span in held:
+            rcv_nxt = ready.head_offset + ready.length
             if start > rcv_nxt:
                 break
-            self._out_of_order.pop(0)
-            self.out_of_order_bytes -= span.length
-            if stop <= rcv_nxt:
-                self.bytes_duplicated += span.length
+            drained += 1
+            length = span.length
+            self.out_of_order_bytes -= length
+            if start + length <= rcv_nxt:
+                self.bytes_duplicated += length
                 continue
-            if start < rcv_nxt:
-                self.bytes_duplicated += rcv_nxt - start
-                span = span.slice(rcv_nxt - start, span.length)
-            self.ready.append(span)
-            advanced += span.length
+            lo = rcv_nxt - start if start < rcv_nxt else 0
+            self.bytes_duplicated += lo
+            ready.append(span, lo, length)
+            advanced += length - lo
+        del held[:drained]
         return advanced
 
     def first_gap(self) -> Optional[Tuple[int, int]]:

@@ -153,15 +153,19 @@ class TCPSocket:
             # stream.  The outer pump loop picks the space up instead.
             return
         self._pumping_writers = True
+        tcb = self._tcb
         try:
             while self._writers:
                 writer = self._writers[0]
                 total, done = writer["total"], writer["done"]
                 if done < total:
-                    done += self._tcb.app_write(writer["span"].slice(done, total))
+                    # The span itself and the offset reached: buffers keep
+                    # ranges over the spans they are handed (DESIGN §13).
+                    done += tcb.app_write(writer["span"], done)
                     writer["done"] = done
                     if done < total:
-                        if self._tcb.send_buffer.free_space > 0:
+                        buffer = tcb.send_buffer
+                        if buffer.tail_offset - buffer.una_offset < buffer.capacity:
                             continue  # space was freed while writing
                         return  # buffer full; the next ACK pumps again
                 self._writers.pop(0)

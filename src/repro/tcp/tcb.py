@@ -185,7 +185,7 @@ class TCPConnection:
 
     # -------------------------------------------------------------- tracing
     def trace_event(self, event: str, **fields: Any) -> None:
-        if self.sim.trace.enabled and self.sim.trace.enabled_for("tcp"):
+        if "tcp" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now,
                 "tcp",
@@ -199,7 +199,7 @@ class TCPConnection:
 
     def begin_span(self, name: str, **fields: Any) -> Optional[int]:
         trace = self.sim.trace
-        if not (trace.enabled and trace.enabled_for("tcp")):
+        if "tcp" not in trace.categories:
             return None
         return trace.begin_span(
             self.sim.now,
@@ -287,13 +287,14 @@ class TCPConnection:
         self.snd_max = isn + 1
 
     # --------------------------------------------------------- application API
-    def app_write(self, data: ByteSpan) -> int:
-        """Accept bytes from the application; returns how many fit."""
+    def app_write(self, data: ByteSpan, start: int = 0) -> int:
+        """Accept bytes of ``data[start:]`` from the application; returns
+        how many fit."""
         if self.state in (TCPState.CLOSED, TCPState.LISTEN):
             raise ConnectionClosed("write on unconnected socket")
         if self._fin_pending or self._fin_sent:
             raise ConnectionClosed("write after close")
-        accepted = self.send_buffer.append(data)
+        accepted = self.send_buffer.append(data, start)
         if accepted and self.state in SYNCHRONIZED_STATES:
             self.output.try_output()
         return accepted

@@ -14,6 +14,8 @@ Instead, payloads are :class:`ByteSpan` objects:
 
 All spans are immutable and shared: slicing returns new spans sharing
 structure, and the slice of a leaf's whole range is the leaf itself.
+Buffers hold the spans they are handed and keep ranges over them as
+offsets; they build a span only when they hand one out.
 """
 
 from __future__ import annotations
@@ -197,33 +199,48 @@ class CatBytes(ByteSpan):
         return b"".join(part.to_bytes() for part in self.parts)
 
 
-def join_contiguous(left: ByteSpan, right: ByteSpan) -> Optional[ByteSpan]:
-    """``left`` + ``right`` as one span when ``right`` is the contiguous
-    continuation of the same pattern stream, else None.
+def extent(span: ByteSpan, start: int, stop: int) -> ByteSpan:
+    """Bytes [start, stop) of ``span``'s stream, as one span.
 
-    The single statement of the merge rule: :class:`CatBytes` applies it
-    to its parts, :class:`~repro.util.spanbuffer.SpanBuffer` to its tail.
-    Spans are immutable and shared, so the result is always a new span.
+    Within ``span`` this is ``span.slice`` (the whole range is the span
+    itself).  A :class:`PatternBytes` may also be read past its end: its
+    bytes are a function of stream position, so a buffer that extended a
+    pattern piece by later contiguous appends
+    (:class:`~repro.util.spanbuffer.SpanBuffer`) builds its range here.
     """
-    if (
-        isinstance(right, PatternBytes)
-        and isinstance(left, PatternBytes)
-        and left.pattern_id == right.pattern_id
-        and left.offset + left.length == right.offset
-    ):
-        return PatternBytes(left.length + right.length, left.offset, left.pattern_id)
-    return None
+    if stop > span.length and isinstance(span, PatternBytes):
+        return PatternBytes(stop - start, span.offset + start, span.pattern_id)
+    return span.slice(start, stop)
 
 
 def _coalesce(parts: List[ByteSpan]) -> List[ByteSpan]:
-    """Merge adjacent spans that are contiguous pieces of one pattern."""
+    """Merge adjacent spans that are contiguous pieces of one pattern.
+
+    A merged run is built once, at its end: ``extra`` counts the bytes the
+    run has grown past ``run``, the last span kept.
+    """
     merged: List[ByteSpan] = []
+    run: Optional[PatternBytes] = None
+    extra = 0
     for part in parts:
-        joined = join_contiguous(merged[-1], part) if merged else None
-        if joined is None:
-            merged.append(part)
+        if isinstance(part, PatternBytes):
+            if (
+                run is not None
+                and run.pattern_id == part.pattern_id
+                and run.offset + run.length + extra == part.offset
+            ):
+                extra += part.length
+                continue
+            next_run: Optional[PatternBytes] = part
         else:
-            merged[-1] = joined
+            next_run = None
+        if extra:
+            merged[-1] = extent(merged[-1], 0, merged[-1].length + extra)
+            extra = 0
+        run = next_run
+        merged.append(part)
+    if extra:
+        merged[-1] = extent(merged[-1], 0, merged[-1].length + extra)
     return merged
 
 

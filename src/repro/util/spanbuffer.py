@@ -2,19 +2,23 @@
 
 Used by the TCP send/receive paths: append spans at the tail, read or
 discard from the head, and take zero-copy slices at arbitrary offsets (for
-retransmission).  All operations are O(pieces touched), and a contiguous
-synthetic stream is always *one* piece: ``append`` extends the tail
-instead of queueing a neighbour, by the rule
-(:func:`~repro.util.bytespan.join_contiguous`) that ``CatBytes`` applies
-to every span read back out — so the spans handed out are the same,
-found without a walk.
+retransmission).  All operations are O(pieces touched).
+
+The pieces are the spans the callers appended, never rebuilt while bytes
+are stored or freed: the buffer keeps its ranges over them as two ints.
+``_skip`` is how many bytes of the head piece are already gone, and
+``_extend`` how far the tail piece's range ends past (positive) or short of
+(negative) that span's own end.  So freeing bytes, and appending the next
+range of the tail's own span or the next contiguous piece of the tail's
+pattern stream, changes an offset; a span is built only when one is
+handed out (:meth:`pop_front`, :meth:`peek_absolute`).
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
-from repro.util.bytespan import EMPTY, ByteSpan, concat, join_contiguous
+from repro.util.bytespan import EMPTY, ByteSpan, PatternBytes, concat, extent
 
 
 class SpanBuffer:
@@ -25,10 +29,16 @@ class SpanBuffer:
     mapped onto this after subtracting the ISN).
     """
 
-    __slots__ = ("_pieces", "length", "head_offset")
+    __slots__ = ("_pieces", "_skip", "_extend", "length", "head_offset")
 
     def __init__(self) -> None:
         self._pieces: List[ByteSpan] = []
+        #: Bytes of ``_pieces[0]`` already popped or discarded.
+        self._skip = 0
+        #: The tail piece's range ends at ``_pieces[-1].length + _extend``:
+        #: above its span's length only for a pattern extended by contiguous
+        #: appends, below it for a range appended short of its span's end.
+        self._extend = 0
         #: Bytes held: a field the TCP buffers and the socket read on every
         #: segment and wake-up (DESIGN §13 rule 7); ``len()`` is the same.
         self.length = 0
@@ -42,72 +52,107 @@ class SpanBuffer:
         """Absolute offset one past the last byte in the buffer."""
         return self.head_offset + self.length
 
-    def append(self, span: ByteSpan) -> None:
-        """Add ``span`` at the tail.  A span, not raw bytes: bytes are
-        coerced once, where they enter (``TCPSocket.send``)."""
-        length = span.length
-        if length == 0:
+    def append(self, span: ByteSpan, start: int = 0, stop: Optional[int] = None) -> None:
+        """Add bytes [start, stop) of ``span`` (all of it by default) at the
+        tail.  A span, not raw bytes: bytes are coerced once, where they
+        enter (``TCPSocket.send``).  The buffer keeps ``span`` itself; it
+        builds a span here only to close an extended tail before a piece
+        that does not continue it, or for a range that starts inside
+        ``span`` behind other pieces."""
+        if stop is None:
+            stop = span.length
+        if stop <= start:
             return
         pieces = self._pieces
-        self.length += length
-        joined = join_contiguous(pieces[-1], span) if pieces else None
-        if joined is None:
+        self.length += stop - start
+        if not pieces:
             pieces.append(span)
+            self._skip = start
+            self._extend = stop - span.length
+            return
+        tail = pieces[-1]
+        extend = self._extend
+        if (
+            span is tail
+            and tail.length + extend == start
+            or isinstance(span, PatternBytes)
+            and isinstance(tail, PatternBytes)
+            and tail.pattern_id == span.pattern_id
+            and tail.offset + tail.length + extend == span.offset + start
+        ):
+            self._extend = extend + stop - start
+            return
+        if extend:
+            pieces[-1] = extent(tail, 0, tail.length + extend)
+        if start:
+            pieces.append(span.slice(start, stop))
+            self._extend = 0
         else:
-            pieces[-1] = joined
+            pieces.append(span)
+            self._extend = stop - span.length
 
     def pop_front(self, count: int) -> ByteSpan:
         """Remove and return the first ``count`` bytes (clamped to length)."""
-        if count > self.length:
-            count = self.length
+        length = self.length
+        if count > length:
+            count = length
         if count <= 0:
             return EMPTY
         pieces = self._pieces
-        self.length -= count
-        self.head_offset += count
         head = pieces[0]
-        if count < head.length:
-            pieces[0] = head.slice(count, head.length)
-            return head.slice(0, count)
-        if count == head.length:
-            return pieces.pop(0)
-        # Count the whole pieces first and remove them with one slice
-        # deletion: a pop(0) per piece would make draining a buffer of
-        # many small writes quadratic.
-        whole = 0
-        remaining = count
-        for piece in pieces:
-            piece_len = piece.length
-            if piece_len > remaining:
-                break
-            remaining -= piece_len
-            whole += 1
-        taken = pieces[:whole]
-        del pieces[:whole]
-        if remaining > 0:
-            piece = pieces[0]
-            taken.append(piece.slice(0, remaining))
-            pieces[0] = piece.slice(remaining, piece.length)
-        return concat(taken)
+        lo = self._skip
+        hi = lo + count
+        if hi <= head.length:
+            span = head.slice(lo, hi)
+            if count == length:
+                del pieces[0]
+                self._skip = self._extend = 0
+            elif hi < head.length or len(pieces) == 1:
+                self._skip = hi  # the head span, or an extension of it, goes on
+            else:
+                del pieces[0]
+                self._skip = 0
+        elif len(pieces) == 1:
+            # The head is the tail, extended past its span's end.
+            span = extent(head, lo, hi)
+            if count < length:
+                self._skip = hi
+            else:
+                del pieces[0]
+                self._skip = self._extend = 0
+        else:
+            span = self.peek_absolute(self.head_offset, self.head_offset + count)
+            self.discard_front(count)
+            return span
+        self.length = length - count
+        self.head_offset += count
+        return span
 
     def discard_front(self, count: int) -> None:
-        """Drop the first ``count`` bytes without materialising them."""
-        if count > self.length:
-            count = self.length
-        pieces = self._pieces
-        whole = 0
-        remaining = count
-        for piece in pieces:
-            piece_len = piece.length
-            if piece_len > remaining:
-                break
-            remaining -= piece_len
-            whole += 1
-        del pieces[:whole]
-        if remaining > 0:
-            piece = pieces[0]
-            pieces[0] = piece.slice(remaining, piece.length)
-        self.length -= count
+        """Drop the first ``count`` bytes (clamped) without building a span."""
+        length = self.length
+        if count >= length:
+            count = length
+            del self._pieces[:]
+            self._skip = self._extend = 0
+        else:
+            # Count the whole pieces first and remove them with one slice
+            # deletion: a pop(0) per piece would make draining a buffer of
+            # many small writes quadratic.  Positions are measured from the
+            # head span's start, so the head's skip counts as consumed;
+            # the tail piece outlives a count below the length.
+            pieces = self._pieces
+            remaining = self._skip + count
+            if remaining >= pieces[0].length:
+                last = len(pieces) - 1
+                whole = 0
+                while whole < last and pieces[whole].length <= remaining:
+                    remaining -= pieces[whole].length
+                    whole += 1
+                if whole:
+                    del pieces[:whole]
+            self._skip = remaining
+        self.length = length - count
         self.head_offset += count
 
     def peek_absolute(self, start: int, stop: int) -> ByteSpan:
@@ -120,24 +165,30 @@ class SpanBuffer:
             )
         if start == stop:
             return EMPTY
-        rel_start = start - head_offset
-        rel_stop = stop - head_offset
-        head = self._pieces[0]
-        if rel_stop <= head.length:
-            return head.slice(rel_start, rel_stop)
+        # Positions from here on are measured from the head span's start.
+        pieces = self._pieces
+        head = pieces[0]
+        lo = start - head_offset + self._skip
+        hi = stop - head_offset + self._skip
+        if hi <= head.length:
+            return head.slice(lo, hi)
+        last = len(pieces) - 1
+        if last == 0:
+            return extent(head, lo, hi)
         picked = []
         position = 0
-        for piece in self._pieces:
-            piece_len = piece.length
-            if position + piece_len <= rel_start:
-                position += piece_len
-                continue
-            if position >= rel_stop:
-                break
-            lo = max(0, rel_start - position)
-            hi = min(piece_len, rel_stop - position)
-            picked.append(piece.slice(lo, hi))
-            position += piece_len
+        for index, piece in enumerate(pieces):
+            end = position + piece.length
+            if index == last:
+                end += self._extend
+            if end > lo:
+                if position >= hi:
+                    break
+                picked.append(
+                    extent(piece, lo - position if lo > position else 0,
+                           (hi if hi < end else end) - position)
+                )
+            position = end
         return concat(picked)
 
     def peek_front(self, count: int) -> ByteSpan:
@@ -146,7 +197,8 @@ class SpanBuffer:
         return self.peek_absolute(self.head_offset, self.head_offset + count)
 
     def clear(self) -> None:
-        self._pieces.clear()
+        del self._pieces[:]
+        self._skip = self._extend = 0
         self.head_offset += self.length
         self.length = 0
 

@@ -40,7 +40,7 @@ def test_reseed_clears_streams():
 def test_tracer_disabled_by_default():
     tracer = Tracer()
     assert not tracer.enabled
-    assert not tracer.enabled_for("tcp")  # the hot paths' guard builds nothing
+    assert "tcp" not in tracer.categories  # the guards build nothing
     tracer.emit(0.0, "x", "y")  # no sinks: must be a no-op
 
 

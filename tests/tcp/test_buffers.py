@@ -43,21 +43,41 @@ def test_send_buffer_capacity_validated():
 
 @given(st.data())
 def test_prop_send_tail_matches_head_plus_length_after_every_step(data):
-    """``tail_offset`` is a field its writers keep current; after every
-    append (whole, partial, refused, a concatenation), release and
-    fast-forward it equals the from-scratch ``una_offset + len``."""
-    buffer = SendBuffer(data.draw(st.integers(1, 200)))
+    """``una_offset`` and ``tail_offset`` are fields their writers keep
+    current; after every append (whole, partial, refused, a
+    concatenation, from an offset into the span), release and
+    fast-forward they equal the head of a plain ``bytes`` oracle and the
+    from-scratch ``una_offset + len``, and a release returns the bytes it
+    freed — never more than were held, however far past the tail the
+    acknowledgment reaches."""
+    capacity = data.draw(st.integers(1, 200))
+    buffer = SendBuffer(capacity)
+    oracle = b""  # the held bytes; oracle_head is their offset
+    oracle_head = 0
     for _ in range(data.draw(st.integers(1, 30))):
         op = data.draw(st.integers(0, 3))
-        if op == 0:
-            buffer.append(PatternBytes(data.draw(st.integers(1, 120)), buffer.tail_offset, 3))
-        elif op == 1:
-            buffer.append(concat([RealBytes(b"ab"), PatternBytes(data.draw(st.integers(1, 50)), 0, 3)]))
+        if op in (0, 1):
+            if op == 0:
+                span = PatternBytes(data.draw(st.integers(1, 120)), buffer.tail_offset, 3)
+            else:
+                span = concat([RealBytes(b"ab"), PatternBytes(data.draw(st.integers(1, 50)), 0, 3)])
+            start = data.draw(st.integers(0, span.length))
+            accepted = buffer.append(span, start)
+            assert accepted == min(span.length - start, capacity - len(oracle))
+            oracle += span.to_bytes()[start:start + accepted]
         elif op == 2:
-            buffer.ack_to(data.draw(st.integers(0, buffer.tail_offset + 10)))
+            offset = data.draw(st.integers(0, buffer.tail_offset + 10))
+            freed = min(max(offset - oracle_head, 0), len(oracle))
+            assert buffer.ack_to(offset) == freed
+            oracle = oracle[freed:]
+            oracle_head += freed
         elif len(buffer) == 0:
-            buffer.fast_forward(buffer.tail_offset + data.draw(st.integers(0, 1000)))
+            oracle_head = buffer.tail_offset + data.draw(st.integers(0, 1000))
+            buffer.fast_forward(oracle_head)
+        assert buffer.una_offset == oracle_head
+        assert len(buffer) == len(oracle)
         assert buffer.tail_offset == buffer.una_offset + len(buffer)
+        assert buffer.data_range(oracle_head, oracle_head + len(oracle)).to_bytes() == oracle
 
 
 # ----------------------------------------------------------------- recv buffer

@@ -20,8 +20,10 @@ from repro.sttcp.config import STTCPConfig
 from repro.util.units import KB
 
 #: Calls per demultiplexed segment.  The tree at the time of writing needs
-#: 63.6 on CPython 3.11 (60.2 for the upload); while every datagram asked
-#: routing, ARP and the source MAC, a frame took a host hop up the stack and
+#: 54.2 on CPython 3.11 (55.0 for the upload); while the buffers rebuilt a
+#: span to store or free bytes and the ACK path read ``una_offset``, free
+#: space, slow start and the trace gate through calls, 63.7 (61.3); while
+#: every datagram asked routing, ARP and the source MAC, a frame took a host hop up the stack and
 #: the hub asked each station's filter by a call, 72.8 (69.5); while the TCB reached its
 #: socket through callback wrappers, every ACK called the backoff reset
 #: and ``try_output`` asked ``cc.window()``, 77.0 (73.0); while the receive
@@ -41,10 +43,11 @@ from repro.util.units import KB
 #: the timing wheel about 187; before sizes became fields about 364.  The
 #: headroom is about 8 per cent: the count is exact, and 3.12 inlines some
 #: calls, so it only reads lower there.
-CALLS_PER_SEGMENT_BUDGET = 69
+CALLS_PER_SEGMENT_BUDGET = 59
 #: The small-message path: one 150-byte record per segment, so the fixed
 #: per-exchange work (two app wake-ups, an ack each way) is not amortised
-#: over an MSS.  119.1 now; 131.5 with every datagram resolved uncached;
+#: over an MSS.  113.5 now; 119.8 with the ACK path's accessors and the
+#: trace gate's call; 131.5 with every datagram resolved uncached;
 #: 139.9 with the socket behind callback wrappers,
 #: 156.0 with the receive window and overflow recomputed by calls and
 #: every sequence number unwrapped by one; 203.1 while each wake-up paid
@@ -52,7 +55,7 @@ CALLS_PER_SEGMENT_BUDGET = 69
 #: with the accessors, 276.5 while the shadow built what it vetoed, 295
 #: with eager timers, 377 while a record was a two-leaf ``CatBytes``
 #: (DESIGN §13 rule 5).
-ECHO_CALLS_PER_SEGMENT_BUDGET = 129
+ECHO_CALLS_PER_SEGMENT_BUDGET = 123
 
 #: Accessors the per-segment path reads as fields instead (DESIGN §13
 #: rule 7), by (module, function name): none may be called at all on a
@@ -111,6 +114,27 @@ RECEIVE_SIDE_UNASKED = {
     ("tcp/recv_buffer.py", "ReceiveBuffer.out_of_order_bytes"),
     ("tcp/input.py", "InputEngine._sequence_acceptable"),
     ("sttcp/retention.py", "SecondReceiveBuffer.overflow_bytes"),
+}
+
+#: Where bytes are stored or freed (DESIGN §13 rule 2), by (module,
+#: qualified name): a buffer keeps the spans it is handed and its ranges
+#: over them as offsets, so none of these calls into the span module on a
+#: failure-free transfer.  A span is built only when one is handed out.
+STORE_AND_FREE_BUILD_NOTHING = {
+    ("util/spanbuffer.py", "SpanBuffer.append"),
+    ("util/spanbuffer.py", "SpanBuffer.discard_front"),
+    ("tcp/send_buffer.py", "SendBuffer.append"),
+    ("tcp/socket.py", "TCPSocket._pump_writers"),
+}
+
+#: What the ACK path reads as fields instead (DESIGN §13 rule 7), by
+#: (module, qualified name): the send head, the free space, slow start
+#: and the trace gate's category set.  None may be called on a transfer.
+ACK_PATH_UNASKED = {
+    ("sim/trace.py", "Tracer.enabled_for"),
+    ("tcp/send_buffer.py", "SendBuffer.una_offset"),
+    ("tcp/send_buffer.py", "SendBuffer.free_space"),
+    ("tcp/congestion.py", "RenoCongestionControl.in_slow_start"),
 }
 
 #: Modules that take a span as they are handed it: bytes are coerced once,
@@ -176,6 +200,32 @@ def test_bulk_transfer_reads_per_segment_state_as_fields():
         if (key := _module_key(entry.code)) in PER_SEGMENT_FIELDS
     }
     assert called == {}, f"accessors back on the per-segment path: {called}"
+
+
+@pytest.mark.parametrize("make_workload", [bulk_workload, upload_workload], ids=["bulk", "upload"])
+def test_transfer_stores_and_frees_bytes_without_building_a_span(make_workload):
+    """The send buffer, the ready queue and the primary's second receive
+    buffer hold their callers' spans: a failure-free 512 KB transfer's
+    stores and frees make no call into the span module, and its ACK path
+    asks no accessor."""
+    stats, segments, _ = _profiled_run(make_workload, 512 * KB)
+    assert segments > 500
+    by_key = {_module_key(entry.code, "co_qualname"): entry for entry in stats}
+    built = {
+        f"{module}:{name}": sorted(
+            _label(callee.code)
+            for callee in by_key[module, name].calls or ()
+            if (_module_key(callee.code) or ("",))[0] == "util/bytespan.py"
+        )
+        for module, name in sorted(STORE_AND_FREE_BUILD_NOTHING)
+    }
+    assert built == {f"{module}:{name}": [] for module, name in sorted(STORE_AND_FREE_BUILD_NOTHING)}
+    called = {
+        f"{module}:{name}": by_key[module, name].callcount
+        for module, name in sorted(ACK_PATH_UNASKED)
+        if (module, name) in by_key
+    }
+    assert called == {}, f"back on the ACK path: {called}"
 
 
 def test_bulk_transfer_frame_path_asks_nothing_it_already_knows():

@@ -50,10 +50,7 @@ class _Handle:
 
 class _NoTrace:
     enabled = False
-
-    @staticmethod
-    def enabled_for(_category):
-        return False
+    categories = frozenset()
 
 
 class FakeClock:

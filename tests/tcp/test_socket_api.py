@@ -99,13 +99,14 @@ def test_pending_send_fails_on_reset():
 
 def _record_app_writes(monkeypatch, after_write=None):
     """Log (bytes offered, bytes accepted) of every ``app_write``;
-    ``after_write(tcb)`` runs inside the call, before it returns."""
+    ``after_write(tcb)`` runs inside the call, before it returns.  A
+    writer offers the rest of its span, from the offset it reached."""
     calls = []
     real = TCPConnection.app_write
 
-    def app_write(tcb, data):
-        accepted = real(tcb, data)
-        calls.append((data.length, accepted))
+    def app_write(tcb, data, start=0):
+        accepted = real(tcb, data, start)
+        calls.append((data.length - start, accepted))
         if after_write is not None:
             after_write(tcb)
         return accepted

@@ -182,9 +182,19 @@ def test_prop_peek_absolute_matches_reference(pieces, a, b):
     assert buffer.peek_absolute(lo, hi).to_bytes() == reference[lo:hi]
 
 
-# ------------------------------------------------ tail extension (DESIGN §13)
-def _piece_shapes(buffer):
-    return [(type(piece).__name__, piece.length) for piece in buffer._pieces]
+# --------------------------------------- ranges over held spans (DESIGN §13)
+def _piece_ranges(buffer):
+    """(kind, start, stop) per piece: the range of its span the buffer holds."""
+    pieces = buffer._pieces
+    last = len(pieces) - 1
+    return [
+        (
+            type(piece).__name__,
+            buffer._skip if index == 0 else 0,
+            piece.length + (buffer._extend if index == last else 0),
+        )
+        for index, piece in enumerate(pieces)
+    ]
 
 
 def test_contiguous_pattern_appends_extend_the_tail_piece():
@@ -192,10 +202,32 @@ def test_contiguous_pattern_appends_extend_the_tail_piece():
     first = PatternBytes(100, offset=0, pattern_id=2)
     buffer.append(first)
     buffer.append(PatternBytes(50, offset=100, pattern_id=2))
-    assert _piece_shapes(buffer) == [("PatternBytes", 150)]
-    # Spans are shared with whoever appended them: replaced, never mutated.
-    assert first.length == 100
+    assert _piece_ranges(buffer) == [("PatternBytes", 0, 150)]
+    # The caller's span is held, and neither rebuilt nor mutated: the
+    # extension is an offset.
+    assert buffer._pieces[0] is first and first.length == 100
     assert buffer.peek_absolute(90, 110) == PatternBytes(20, offset=90, pattern_id=2)
+    # A read of exactly the held span is that span; its extension stays.
+    assert buffer.pop_front(100) is first
+    assert _piece_ranges(buffer) == [("PatternBytes", 100, 150)]
+    buffer.discard_front(20)
+    assert _piece_ranges(buffer) == [("PatternBytes", 120, 150)]
+    assert buffer._pieces[0] is first
+    assert buffer.pop_front(30) == PatternBytes(30, offset=120, pattern_id=2)
+    assert _piece_ranges(buffer) == [] and buffer.head_offset == 150
+
+
+def test_a_writer_s_successive_ranges_of_one_span_are_one_piece():
+    """A partial write continued: the same span, from the offset reached."""
+    buffer = SpanBuffer()
+    record = RealBytes(b"0123456789")
+    buffer.append(record, 0, 4)
+    buffer.append(record, 4, 7)
+    assert _piece_ranges(buffer) == [("RealBytes", 0, 7)]
+    buffer.append(record, 7, 10)
+    assert _piece_ranges(buffer) == [("RealBytes", 0, 10)]
+    assert buffer._pieces[0] is record
+    assert buffer.pop_front(10) is record  # the whole range is the span
 
 
 def test_foreign_or_non_adjacent_pieces_are_never_merged():
@@ -206,12 +238,29 @@ def test_foreign_or_non_adjacent_pieces_are_never_merged():
     buffer.append(PatternBytes(10, offset=111, pattern_id=3))  # the same range again
     buffer.append(RealBytes(b"x"))
     buffer.append(PatternBytes(10, offset=131, pattern_id=3))  # adjacent to nothing
-    assert [length for _kind, length in _piece_shapes(buffer)] == [100, 10, 10, 10, 1, 10]
+    record = RealBytes(b"abcdef")
+    buffer.append(record, 0, 3)
+    buffer.append(record, 4, 6)  # the same span, not where its range ended
+    assert [stop - start for _kind, start, stop in _piece_ranges(buffer)] == [
+        100, 10, 10, 10, 1, 10, 3, 2
+    ]
+
+
+def _any_span(draw):
+    """A RealBytes, PatternBytes or CatBytes of 1..40 bytes."""
+    kind = draw(st.sampled_from(("real", "pattern", "cat")))
+    if kind == "real":
+        return RealBytes(draw(st.binary(min_size=1, max_size=40)))
+    pattern = PatternBytes(draw(st.integers(1, 40)), draw(st.integers(0, 300)), 3)
+    if kind == "pattern":
+        return pattern
+    return CatBytes([RealBytes(draw(st.binary(min_size=1, max_size=8))), pattern])
 
 
 @st.composite
 def _appendable(draw, stream_tail):
-    """A span to append plus the next contiguous (pattern_id, offset).
+    """A (span, start, stop) to append plus the next contiguous
+    (pattern_id, offset).
 
     ``stream_tail`` is where the last PatternBytes append ended, so the
     strategy can produce its exact continuation as well as near misses.
@@ -219,10 +268,19 @@ def _appendable(draw, stream_tail):
     pattern_id, offset = stream_tail
     length = draw(st.integers(1, 40))
     kind = draw(st.sampled_from(
-        ("contiguous", "gap", "overlap", "foreign", "real", "cat", "empty")
+        ("contiguous", "ranged-contiguous", "gap", "overlap", "foreign", "real",
+         "cat", "ranged", "empty")
     ))
     if kind == "contiguous":
         span = PatternBytes(length, offset, pattern_id)
+    elif kind == "ranged-contiguous":
+        # A range of a longer span that starts where the stream ended.
+        skip = draw(st.integers(0, 20))
+        span = PatternBytes(skip + length + draw(st.integers(0, 20)), offset - skip, pattern_id)
+        if span.offset < 0:
+            span = PatternBytes(length, offset, pattern_id)
+            skip = 0
+        return (span, skip, skip + length), (pattern_id, offset + length)
     elif kind == "gap":
         span = PatternBytes(length, offset + draw(st.integers(1, 300)), pattern_id)
     elif kind == "overlap":
@@ -230,21 +288,37 @@ def _appendable(draw, stream_tail):
     elif kind == "foreign":
         span = PatternBytes(length, offset, pattern_id + 1)
     elif kind == "real":
-        return RealBytes(draw(st.binary(min_size=1, max_size=40))), stream_tail
+        return _whole(RealBytes(draw(st.binary(min_size=1, max_size=40)))), stream_tail
     elif kind == "cat":
         span = CatBytes([RealBytes(b"hdr"), PatternBytes(length, offset, pattern_id)])
-        return span, stream_tail
+        return _whole(span), stream_tail
+    elif kind == "ranged":
+        span = _any_span(draw)
+        start = draw(st.integers(0, span.length))
+        stop = draw(st.integers(start, span.length))
+        return (span, start, stop), stream_tail
     else:
-        return PatternBytes(0, offset, pattern_id), stream_tail
-    return span, (span.pattern_id, span.offset + span.length)
+        return _whole(PatternBytes(0, offset, pattern_id)), stream_tail
+    return _whole(span), (span.pattern_id, span.offset + span.length)
 
 
-def _mergeable(left, right):
+def _whole(span):
+    return span, 0, span.length
+
+
+def _continues(ranges, pieces, span, start):
+    """Whether bytes [start, ...) of ``span`` continue the tail's range:
+    the same span from where its range ends, or the next byte of the
+    tail's pattern stream."""
+    _kind, _lo, end = ranges[-1]
+    tail = pieces[-1]
+    if span is tail:
+        return start == end
     return (
-        isinstance(left, PatternBytes)
-        and isinstance(right, PatternBytes)
-        and left.pattern_id == right.pattern_id
-        and left.offset + left.length == right.offset
+        isinstance(tail, PatternBytes)
+        and isinstance(span, PatternBytes)
+        and tail.pattern_id == span.pattern_id
+        and tail.offset + end == span.offset + start
     )
 
 
@@ -252,7 +326,8 @@ def _mergeable(left, right):
 def test_prop_buffer_matches_bytes_oracle_over_every_operation(data):
     """Random interleavings of every mutator and reader against a plain
     ``bytes`` oracle: content, length and both offsets agree after each
-    step, whatever mix of span types and (non-)contiguity was appended."""
+    step, whatever mix of span types, ranges and (non-)contiguity was
+    appended."""
     buffer = SpanBuffer()
     oracle = b""  # the buffered bytes; oracle_head is their absolute offset
     oracle_head = 0
@@ -260,7 +335,7 @@ def test_prop_buffer_matches_bytes_oracle_over_every_operation(data):
     appended = 0
     for _ in range(data.draw(st.integers(1, 25))):
         op = data.draw(st.sampled_from(
-            ("append", "append", "append", "burst", "pop", "discard", "peek", "seek")
+            ("append", "append", "append", "burst", "writer", "pop", "discard", "peek", "seek")
         ))
         if op == "burst":
             # Many small application writes: the pop/discard ranges drawn
@@ -271,15 +346,28 @@ def test_prop_buffer_matches_bytes_oracle_over_every_operation(data):
                 buffer.append(RealBytes(chunk))
                 oracle += chunk
                 appended += 1
-        elif op == "append":
-            span, stream_tail = data.draw(_appendable(stream_tail))
-            before = list(buffer._pieces)
-            buffer.append(span)
+        elif op == "writer":
+            # One span written in successive ranges, as a writer whose
+            # buffer had room for part of it at a time.
+            span = _any_span(data.draw)
+            cuts = sorted(data.draw(st.lists(st.integers(0, span.length), max_size=4)))
+            bounds = [0, *cuts, span.length]
+            for lo, hi in zip(bounds, bounds[1:]):
+                buffer.append(span, lo, hi)
+                appended += 1
             oracle += span.to_bytes()
+        elif op == "append":
+            (span, start, stop), stream_tail = data.draw(_appendable(stream_tail))
+            before = _piece_ranges(buffer)
+            pieces = list(buffer._pieces)
+            buffer.append(span, start, stop)
+            oracle += span.to_bytes()[start:stop]
             appended += 1
-            if len(buffer._pieces) == len(before) and span.length:
+            after = _piece_ranges(buffer)
+            if before and stop > start and len(after) == len(before):
                 # Extended in place: only ever the exact continuation.
-                assert _mergeable(before[-1], span)
+                assert _continues(before, pieces, span, start)
+                assert after[-1][2] - before[-1][2] == stop - start
         elif op == "pop":
             count = data.draw(st.integers(-1, len(oracle) + 3))
             taken = oracle[: max(count, 0)]
@@ -314,7 +402,47 @@ def test_prop_buffer_matches_bytes_oracle_over_every_operation(data):
         assert buffer.head_offset == oracle_head
         assert buffer.tail_offset == oracle_head + len(oracle)
         assert buffer.peek_front(len(oracle)).to_bytes() == oracle
-        pieces = list(buffer._pieces)
-        assert sum(piece.length for piece in pieces) == len(oracle)
-        assert all(piece.length > 0 for piece in pieces)
-        assert len(pieces) <= appended
+        ranges = _piece_ranges(buffer)
+        assert sum(stop - start for _kind, start, stop in ranges) == len(oracle)
+        assert all(0 <= start < stop for _kind, start, stop in ranges)
+        assert len(ranges) <= appended
+        pieces = buffer._pieces
+        if not pieces:
+            assert buffer._skip == buffer._extend == 0
+        elif buffer._extend > 0:
+            # Only a pattern reads past its span's end.
+            assert isinstance(pieces[-1], PatternBytes)
+
+
+@given(st.data())
+def test_prop_spans_handed_out_or_appended_never_change(data):
+    """The buffer holds its callers' spans and hands out spans of its own:
+    no later append, pop, discard or clear changes either kind."""
+    buffer = SpanBuffer()
+    seen = []
+
+    def remember(span):
+        seen.append((span, type(span), span.length, getattr(span, "offset", None), span.to_bytes()))
+
+    stream_tail = (0, 0)
+    for _ in range(data.draw(st.integers(1, 30))):
+        op = data.draw(st.sampled_from(("append", "append", "pop", "discard", "peek", "clear")))
+        if op == "append":
+            (span, start, stop), stream_tail = data.draw(_appendable(stream_tail))
+            remember(span)
+            buffer.append(span, start, stop)
+        elif op == "pop":
+            remember(buffer.pop_front(data.draw(st.integers(0, buffer.length + 2))))
+        elif op == "discard":
+            buffer.discard_front(data.draw(st.integers(0, buffer.length + 2)))
+        elif op == "peek":
+            a = data.draw(st.integers(0, buffer.length))
+            b = data.draw(st.integers(a, buffer.length))
+            remember(buffer.peek_absolute(buffer.head_offset + a, buffer.head_offset + b))
+        else:
+            buffer.clear()
+    for span, kind, length, offset, content in seen:
+        assert type(span) is kind
+        assert span.length == length
+        assert getattr(span, "offset", None) == offset
+        assert span.to_bytes() == content

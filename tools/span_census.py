@@ -6,7 +6,10 @@ size bucket and the function that asked for it.  The buckets are cut
 where DESIGN §13 rule 5 draws its line: one request record, one MSS.  A
 ``CatBytes`` below an MSS is a record that should have been flat.  The
 last line counts the TCP segments built on an output-inhibited
-connection (a shadow): DESIGN §13 rule 6 says there are none.
+connection (a shadow): DESIGN §13 rule 6 says there are none.  The line
+before it counts the spans built while bytes were stored or freed:
+DESIGN §13 rule 2 says a buffer builds a span only when it hands one out,
+so on a failure-free run there are none.
 
 Usage::
 
@@ -39,6 +42,23 @@ BUCKETS = (  # (largest length, label); anything longer is MSS_OR_MORE
     (DEFAULT_MSS - 1, f"{REQUEST_SIZE + 1}-{DEFAULT_MSS - 1}"),
 )
 MSS_OR_MORE = f">={DEFAULT_MSS} (MSS)"
+
+#: Where bytes enter or leave a buffer without being handed out: a span
+#: built in one of these (as the census names requesters) was built while
+#: storing or freeing bytes.
+STORING_OR_FREEING = frozenset({
+    "repro.tcp.socket.TCPSocket._pump_writers",
+    "repro.tcp.tcb.TCPConnection.app_write",
+    "repro.tcp.send_buffer.SendBuffer.append",
+    "repro.tcp.send_buffer.SendBuffer.ack_to",
+    "repro.tcp.recv_buffer.ReceiveBuffer.insert",
+    "repro.tcp.recv_buffer.ReceiveBuffer._drain_out_of_order",
+    "repro.sttcp.retention.SecondReceiveBuffer.on_read",
+    "repro.sttcp.retention.SecondReceiveBuffer.backup_acked",
+    "repro.util.spanbuffer.SpanBuffer.append",
+    "repro.util.spanbuffer.SpanBuffer.discard_front",
+    "repro.util.spanbuffer.SpanBuffer.clear",
+})
 
 
 def _count_constructions(cls: type, census: Counter) -> None:
@@ -105,6 +125,8 @@ def format_census(census: Counter, inhibited: int, summary: str) -> str:
         lines.append(f"  {kind:<14}{bucket:<18}{count:>9}  {where}")
     short = sum(n for (kind, bucket, _), n in census.items() if kind == "CatBytes" and bucket != MSS_OR_MORE)
     lines.append(f"  CatBytes shorter than one MSS: {short}")
+    stored = sum(n for (_, _, where), n in census.items() if where in STORING_OR_FREEING)
+    lines.append(f"  spans built while storing or freeing bytes: {stored}")
     lines.append(f"  segments built on an output-inhibited connection: {inhibited}")
     return "\n".join(lines)
 
