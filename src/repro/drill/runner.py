@@ -294,8 +294,6 @@ class DrillEnv:
             self.app_read_bytes += len(span)
         elif action == "close":
             tcb.app_close()
-        elif action == "abort":
-            tcb.app_abort()
 
     def _to_span(self, data: Union[int, bytes, ByteSpan]) -> ByteSpan:
         if isinstance(data, int):
@@ -332,14 +330,6 @@ def _match_expectations(program: DrillProgram, env: DrillEnv) -> Optional[str]:
                     f"expect #{expect_index}", op, tol, captured, cursor, env
                 )
             cursor = found + 1
-        elif op.kind == "expect_unordered":
-            expect_index += 1
-            tol = op.tolerance if op.tolerance is not None else program.tolerance
-            found = _find_match(op.spec, captured, 0, op.time, tol, peer)
-            if found is None:
-                return _mismatch_report(
-                    f"expect_unordered #{expect_index}", op, tol, captured, 0, env
-                )
         elif op.kind == "expect_no":
             for item in captured:
                 if op.time - 1e-9 <= item.time <= op.until + 1e-9 and op.spec.matches(

@@ -10,8 +10,8 @@ itself::
     inject(0.102, tcp("A", seq=1, ack=1))
     expect_state(0.15, "ESTABLISHED")
 
-Times are seconds of simulated time, shifted by any preceding
-``advance(dt)`` calls.  ``seq``/``ack`` are relative stream offsets
+Times are seconds of simulated time from the start of the run.
+``seq``/``ack`` are relative stream offsets
 (SYN = 0, first data byte = 1).  The runner executes the timeline and
 matches expectations post-hoc; see docs/DRILL.md for the full reference.
 """
@@ -68,17 +68,6 @@ class DrillProgram:
         self.name = name
         self.settings: Dict[str, Any] = {}
         self.ops: List[Op] = []
-        self._origin = 0.0
-
-    # -- time base ----------------------------------------------------------
-    def _at(self, t: float) -> float:
-        return self._origin + t
-
-    def advance(self, dt: float) -> None:
-        """Shift the time origin for all subsequent ops."""
-        if dt < 0:
-            raise ValueError(f"advance() must move forward, got {dt}")
-        self._origin += dt
 
     # -- declarations -------------------------------------------------------
     def use(self, **settings: Any) -> None:
@@ -88,45 +77,38 @@ class DrillProgram:
 
     def inject(self, t: float, spec: SegmentSpec) -> None:
         """Put a crafted segment on the wire at time ``t``."""
-        self.ops.append(Op("inject", self._at(t), spec=spec))
+        self.ops.append(Op("inject", t, spec=spec))
 
     def expect(self, t: float, spec: SegmentSpec, tol: Optional[float] = None) -> None:
         """The host must emit a matching segment at ``t`` (± tolerance),
         in order relative to other ``expect`` calls."""
-        self.ops.append(Op("expect", self._at(t), spec=spec, tolerance=tol))
-
-    def expect_unordered(self, t: float, spec: SegmentSpec, tol: Optional[float] = None) -> None:
-        """Like ``expect`` but matched anywhere in the capture (no cursor)."""
-        self.ops.append(Op("expect_unordered", self._at(t), spec=spec, tolerance=tol))
+        self.ops.append(Op("expect", t, spec=spec, tolerance=tol))
 
     def expect_no(self, t0: float, t1: float, spec: SegmentSpec) -> None:
         """No matching segment may appear in the window [t0, t1]."""
-        self.ops.append(Op("expect_no", self._at(t0), until=self._at(t1), spec=spec))
+        self.ops.append(Op("expect_no", t0, until=t1, spec=spec))
 
     # -- socket calls on the host under test --------------------------------
     def sock_connect(self, t: float) -> None:
-        self.ops.append(Op("sock", self._at(t), action=None, args=("connect",), label="sock_connect"))
+        self.ops.append(Op("sock", t, action=None, args=("connect",), label="sock_connect"))
 
     def sock_write(self, t: float, data: Union[int, bytes, ByteSpan]) -> None:
-        self.ops.append(Op("sock", self._at(t), args=("write", data), label="sock_write"))
+        self.ops.append(Op("sock", t, args=("write", data), label="sock_write"))
 
     def sock_read(self, t: float, max_bytes: int = 1 << 20) -> None:
-        self.ops.append(Op("sock", self._at(t), args=("read", max_bytes), label="sock_read"))
+        self.ops.append(Op("sock", t, args=("read", max_bytes), label="sock_read"))
 
     def sock_close(self, t: float) -> None:
-        self.ops.append(Op("sock", self._at(t), args=("close",), label="sock_close"))
-
-    def sock_abort(self, t: float) -> None:
-        self.ops.append(Op("sock", self._at(t), args=("abort",), label="sock_abort"))
+        self.ops.append(Op("sock", t, args=("close",), label="sock_close"))
 
     # -- faults and live probes ---------------------------------------------
     def fault(self, t: float, name: str, **kwargs: Any) -> None:
         """Arm a named fault (see repro.faults.injection.DRILL_FAULTS)."""
-        self.ops.append(Op("fault", self._at(t), args=(name, kwargs), label=f"fault:{name}"))
+        self.ops.append(Op("fault", t, args=(name, kwargs), label=f"fault:{name}"))
 
     def probe(self, t: float, fn: Callable[[Any], None], label: str = "probe") -> None:
         """Run ``fn(env)`` at ``t``; raise AssertionError to fail the drill."""
-        self.ops.append(Op("probe", self._at(t), action=fn, label=label))
+        self.ops.append(Op("probe", t, action=fn, label=label))
 
     def expect_state(self, t: float, state: str) -> None:
         """The tracked connection must be in TCP state ``state`` at ``t``."""
@@ -246,16 +228,13 @@ class DrillProgram:
             "ANY": ANY,
             "tcp": tcp,
             "use": self.use,
-            "advance": self.advance,
             "inject": self.inject,
             "expect": self.expect,
-            "expect_unordered": self.expect_unordered,
             "expect_no": self.expect_no,
             "sock_connect": self.sock_connect,
             "sock_write": self.sock_write,
             "sock_read": self.sock_read,
             "sock_close": self.sock_close,
-            "sock_abort": self.sock_abort,
             "fault": self.fault,
             "probe": self.probe,
             "expect_state": self.expect_state,

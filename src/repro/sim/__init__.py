@@ -3,40 +3,25 @@
 Public surface:
 
 * :class:`Simulator` — clock, scheduler, process spawner.
-* :class:`SimEvent`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` —
-  waitable events for coroutine processes.
-* :class:`Process`, :class:`Semaphore`, :class:`Channel` — process layer.
+* :class:`EventHandle` — a cancellable scheduled callback.
+* :class:`SimEvent`, :class:`Timeout` — waitable events for coroutine
+  processes.
+* :class:`Process` — a coroutine process, itself a joinable event.
 * :class:`Tracer` sinks for structured tracing.
 """
 
-from repro.sim.events import (
-    PRIORITY_LOW,
-    PRIORITY_NORMAL,
-    PRIORITY_URGENT,
-    AllOf,
-    AnyOf,
-    EventHandle,
-    SimEvent,
-    Timeout,
-)
-from repro.sim.process import Channel, Process, Semaphore
+from repro.sim.events import EventHandle, SimEvent, Timeout
+from repro.sim.process import Process
 from repro.sim.randomness import RandomStreams
 from repro.sim.simulator import Simulator
 from repro.sim.trace import PrintSink, RecordingSink, TraceRecord, Tracer
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Channel",
     "EventHandle",
-    "PRIORITY_LOW",
-    "PRIORITY_NORMAL",
-    "PRIORITY_URGENT",
     "PrintSink",
     "Process",
     "RandomStreams",
     "RecordingSink",
-    "Semaphore",
     "SimEvent",
     "Simulator",
     "Timeout",

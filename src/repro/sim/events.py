@@ -3,24 +3,18 @@
 Two kinds of objects live here:
 
 * :class:`EventHandle` — the token returned by ``Simulator.schedule`` which
-  allows a pending callback to be cancelled or rescheduled.
-* :class:`SimEvent` — a waitable, one-shot event in the style of SimPy.
-  Coroutine processes ``yield`` a :class:`SimEvent` to suspend until the
-  event is triggered with :meth:`SimEvent.succeed` or :meth:`SimEvent.fail`.
+  allows a pending callback to be cancelled.
+* :class:`SimEvent` — a waitable, one-shot event in the style of SimPy,
+  and :class:`Timeout`, one that a delay triggers.  Coroutine processes
+  ``yield`` a :class:`SimEvent` to suspend until the event is triggered
+  with :meth:`SimEvent.succeed` or :meth:`SimEvent.fail`.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
-
-#: Tie-break priorities for events scheduled at the same simulated instant.
-#: Lower values run first.
-PRIORITY_URGENT = 0
-PRIORITY_NORMAL = 1
-PRIORITY_LOW = 2
 
 
 class EventHandle:
@@ -30,7 +24,7 @@ class EventHandle:
     its per-queue tie-break counter — only for callers that keep them
     (``Simulator.post`` makes none), and user code only cancels them.
     The handle owns the callback and its arguments; its heap entry is
-    ``(time, priority, seq, handle, None, None)``.
+    ``(time, seq, handle, None, None)``.
     Cancellation is O(1): the handle is flagged and skipped when its heap
     entry reaches the top.  The
     scheduler keeps a back-reference (``_sched``) while the handle is
@@ -39,19 +33,17 @@ class EventHandle:
     before the handle is ever compared.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "_cancelled", "_sched")
+    __slots__ = ("time", "seq", "callback", "args", "_cancelled", "_sched")
 
     def __init__(
         self,
         time: float,
-        priority: int,
         seq: int,
         callback: Callable[..., Any],
         args: tuple,
         sched: Any,
     ) -> None:
         self.time = time
-        self.priority = priority
         self.seq = seq
         self.callback = callback
         self.args = args
@@ -203,69 +195,3 @@ class Timeout(SimEvent):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay}")
         self.delay = delay
-
-
-class AnyOf(SimEvent):
-    """Succeeds when the first of several events triggers.
-
-    The value is the ``(index, event)`` pair of the first event to trigger.
-    If the winning event failed, this event fails with the same exception.
-    Remaining events keep their own lifecycle; their callbacks are released
-    so they do not resume anyone through this combinator twice.
-    """
-
-    __slots__ = ("events", "_child_callbacks")
-
-    def __init__(self, sim: Any, events: List[SimEvent]) -> None:
-        super().__init__(sim, "any_of")
-        if not events:
-            raise SimulationError("AnyOf requires at least one event")
-        self.events = list(events)
-        # Each child gets its own callback closure carrying its index, so
-        # completion does not pay an O(n) ``list.index`` scan per trigger.
-        self._child_callbacks: List[Callable[[SimEvent], None]] = []
-        for index, event in enumerate(self.events):
-            callback = functools.partial(self._child_done, index)
-            self._child_callbacks.append(callback)
-            event.add_callback(callback)
-
-    def _child_done(self, index: int, event: SimEvent) -> None:
-        if self.triggered:
-            return
-        for other, callback in zip(self.events, self._child_callbacks):
-            if other is not event:
-                other.discard_callback(callback)
-        if event.ok:
-            self.succeed((index, event))
-        else:
-            self.fail(event.exception)  # type: ignore[arg-type]
-
-
-class AllOf(SimEvent):
-    """Succeeds when every child event has succeeded.
-
-    Fails as soon as any child fails.  The success value is the list of
-    child values in the order the events were given.
-    """
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, sim: Any, events: List[SimEvent]) -> None:
-        super().__init__(sim, "all_of")
-        self.events = list(events)
-        self._remaining = len(self.events)
-        if not self.events:
-            self.succeed([])
-            return
-        for event in self.events:
-            event.add_callback(self._child_done)
-
-    def _child_done(self, event: SimEvent) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.exception)  # type: ignore[arg-type]
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([e.value for e in self.events])

@@ -128,67 +128,3 @@ class Process(SimEvent):
 #: The already-succeeded event (value ``None``) a process's first step is
 #: resumed with: ``generator.send(None)`` starts a generator.
 _STARTED = SimEvent(None, "start").succeed()
-
-
-class Semaphore:
-    """A counting semaphore for coroutine processes.
-
-    ``yield sem.acquire()`` suspends until a unit is available.
-    """
-
-    def __init__(self, sim: Any, value: int = 1) -> None:
-        if value < 0:
-            raise ProcessError(f"semaphore initial value must be >= 0, got {value}")
-        self.sim = sim
-        self._value = value
-        self._waiters: list[SimEvent] = []
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def acquire(self) -> SimEvent:
-        event = SimEvent(self.sim, "sem.acquire")
-        if self._value > 0:
-            self._value -= 1
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        if self._waiters:
-            self._waiters.pop(0).succeed()
-        else:
-            self._value += 1
-
-
-class Channel:
-    """An unbounded FIFO message channel between processes.
-
-    ``put`` never blocks; ``yield channel.get()`` suspends until an item is
-    available.  Used for app-level coordination in tests and examples.
-    """
-
-    def __init__(self, sim: Any, name: str = "channel") -> None:
-        self.sim = sim
-        self.name = name
-        self._items: list[Any] = []
-        self._getters: list[SimEvent] = []
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.pop(0).succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> SimEvent:
-        event = SimEvent(self.sim, f"{self.name}.get")
-        if self._items:
-            event.succeed(self._items.pop(0))
-        else:
-            self._getters.append(event)
-        return event

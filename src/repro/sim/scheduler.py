@@ -1,26 +1,26 @@
 """The event queue driving the discrete-event simulation.
 
-One binary heap of plain tuples ``(time, priority, seq, handle, callback,
-args)`` driven by :mod:`heapq`, and one dispatch loop
-(:meth:`Scheduler.run_until`).
+One binary heap of plain tuples ``(time, seq, handle, callback, args)``
+driven by :mod:`heapq`, and one dispatch loop (:meth:`Scheduler.run_until`).
 
-* **Why tuples.**  ``heappush`` / ``heappop`` of a tuple whose first three
-  fields are a float and two ints compare entirely in C; ``seq`` is a
+* **Why tuples.**  ``heappush`` / ``heappop`` of a tuple whose first two
+  fields are a float and an int compare entirely in C; ``seq`` is a
   per-scheduler counter assigned at schedule time and therefore unique,
   so the comparison is decided before the fields behind it are ever
   looked at (an :class:`EventHandle` defines no ordering).
 * **A handle exists iff its caller keeps it.**  :meth:`Scheduler.post`
-  queues ``(time, PRIORITY_NORMAL, seq, None, callback, args)``: no
+  queues ``(time, seq, None, callback, args)``: no
   handle, the callback inline.  :meth:`Scheduler.schedule_at` and
   :meth:`Scheduler.schedule_after` return an :class:`EventHandle` that
   owns the callback and arguments, and queue ``(…, handle, None, None)``
   — so :meth:`EventHandle.cancel` still drops the references.  Both take
   their ``seq`` from the same counter, so the dispatch order is the same
   whichever entry point queued an event.
-* **Why the order cannot move.**  Dispatch is in ``(time, priority, seq)``
-  order — a total order, so any correct priority queue yields the same
-  sequence; ``tests/sim/test_timing_wheel.py`` checks this one against an
-  independent textbook heap in random ``until`` / ``max_events`` chunks.
+* **Why the order cannot move.**  Dispatch is in ``(time, seq)`` order —
+  time, then schedule order — a total order, so any correct priority
+  queue yields the same sequence; ``tests/sim/test_timing_wheel.py``
+  checks this one against an independent textbook heap in random
+  ``until`` / ``max_events`` chunks.
 * **Cancellation is lazy.**  A cancelled handle is flagged and dropped
   when it reaches the top; ``pending_count`` is the heap length less the
   count of dead entries, and the heap is rebuilt live-only — in place —
@@ -32,7 +32,9 @@ args)`` driven by :mod:`heapq`, and one dispatch loop
   so ``sim.now`` is that field; a standalone scheduler is its own clock.
 * **Event times are finite.**  ``nan`` and ``inf`` are rejected when an
   event is queued, by ``post`` as by ``schedule_at``: either would fire
-  and leave the clock unusable.
+  and leave the clock unusable.  A run bound is checked once per run:
+  ``until=nan`` or a negative ``max_events`` raises rather than running
+  without a limit.
 """
 
 from __future__ import annotations
@@ -42,13 +44,11 @@ from math import inf
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.events import PRIORITY_NORMAL, EventHandle, SimEvent
+from repro.sim.events import EventHandle, SimEvent
 
 #: Heap entry: the sort key, then either the handle (callback and args
 #: ``None``) or no handle and the callback with its args.
-HeapEntry = Tuple[
-    float, int, int, Optional[EventHandle], Optional[Callable[..., Any]], Optional[tuple]
-]
+HeapEntry = Tuple[float, int, Optional[EventHandle], Optional[Callable[..., Any]], Optional[tuple]]
 
 
 class Scheduler:
@@ -92,42 +92,30 @@ class Scheduler:
         """Number of live (non-cancelled) entries in the queue — O(1)."""
         return len(self._heap) - self._dead
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: tuple = (),
-        priority: int = PRIORITY_NORMAL,
-    ) -> EventHandle:
+    def schedule_at(self, time: float, callback: Callable[..., Any], args: tuple = ()) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
         now = self._clock.now
         if time < now:
             raise SimulationError(
                 f"cannot schedule at t={time:.9f}, already at t={now:.9f}"
             )
-        return self._push(time, callback, args, priority)
+        return self._push(time, callback, args)
 
-    def schedule_after(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        args: tuple = (),
-        priority: int = PRIORITY_NORMAL,
-    ) -> EventHandle:
+    def schedule_after(self, delay: float, callback: Callable[..., Any], args: tuple = ()) -> EventHandle:
         """Relative-delay fast path: skips the ``time < now`` guard.
 
         Callers must guarantee ``delay >= 0`` (the :class:`Simulator`
         wrappers either validate it once or hold it by construction).
         """
-        return self._push(self._clock.now + delay, callback, args, priority)
+        return self._push(self._clock.now + delay, callback, args)
 
     def post(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
         """Queue ``callback(*args)`` at absolute ``time``, uncancellable.
 
         The entry point for every caller that would drop the handle: no
-        :class:`EventHandle` is made, and the event takes the next ``seq``
-        at :data:`PRIORITY_NORMAL`, exactly as ``schedule_at`` would give
-        it.  One chained compare rejects a past, ``nan`` or infinite time.
+        :class:`EventHandle` is made, and the event takes the next ``seq``,
+        exactly as ``schedule_at`` would give it.  One chained compare
+        rejects a past, ``nan`` or infinite time.
         """
         now = self._clock.now
         if not now <= time < inf:
@@ -136,17 +124,15 @@ class Scheduler:
             )
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._heap, (time, PRIORITY_NORMAL, seq, None, callback, args))
+        heappush(self._heap, (time, seq, None, callback, args))
 
-    def _push(
-        self, time: float, callback: Callable[..., Any], args: tuple, priority: int
-    ) -> EventHandle:
+    def _push(self, time: float, callback: Callable[..., Any], args: tuple) -> EventHandle:
         if not time < inf:  # one compare rejects both inf and nan
             raise SimulationError(f"event time must be finite, got {time}")
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(time, priority, seq, callback, args, self)
-        heappush(self._heap, (time, priority, seq, handle, None, None))
+        handle = EventHandle(time, seq, callback, args, self)
+        heappush(self._heap, (time, seq, handle, None, None))
         return handle
 
     def _on_cancel(self, handle: EventHandle) -> None:
@@ -160,7 +146,7 @@ class Scheduler:
         # entries (no handle) are always live.
         if self._dead * 2 >= size > self.GC_BASE_THRESHOLD:
             heap[:] = [
-                entry for entry in heap if entry[3] is None or not entry[3]._cancelled
+                entry for entry in heap if entry[2] is None or not entry[2]._cancelled
             ]
             heapify(heap)
             self._dead = 0
@@ -169,7 +155,7 @@ class Scheduler:
         """Time of the next live event, or ``None`` if the queue is empty."""
         heap = self._heap
         while heap:
-            handle = heap[0][3]
+            handle = heap[0][2]
             if handle is None or not handle._cancelled:
                 return heap[0][0]
             heappop(heap)
@@ -214,14 +200,20 @@ class Scheduler:
         leaves ``watch`` triggered, or leaves ``now >= until``.  This is
         :meth:`Simulator.run_until_complete`'s per-event stop condition.
 
-        This is the only place a callback is invoked from.
+        This is the only place a callback is invoked from.  An ``until``
+        of ``nan`` or a negative ``max_events`` raises
+        :class:`SimulationError`: either would otherwise run unbounded.
         """
+        ut = inf if until is None else until
+        if not ut <= inf:  # only nan fails this compare
+            raise SimulationError("run bound until=nan: no event time compares after it")
+        if max_events is not None and max_events < 0:
+            raise SimulationError(f"run bound max_events must be >= 0, got {max_events}")
         heap = self._heap  # compaction is in place: the local stays valid
         clock = self._clock
-        ut = inf if until is None else until
         remaining = -1 if max_events is None else max_events
         while heap:
-            time, _, _, handle, callback, args = heap[0]
+            time, _, handle, callback, args = heap[0]
             if handle is not None and handle._cancelled:
                 heappop(heap)
                 self._dead -= 1

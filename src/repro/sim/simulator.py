@@ -8,17 +8,10 @@ float in seconds.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import (
-    PRIORITY_NORMAL,
-    AllOf,
-    AnyOf,
-    EventHandle,
-    SimEvent,
-    Timeout,
-)
+from repro.sim.events import EventHandle, SimEvent, Timeout
 from repro.obs.registry import MetricsRegistry
 from repro.sim.process import Process
 from repro.sim.randomness import RandomStreams
@@ -56,25 +49,13 @@ class Simulator:
         return self._scheduler.executed_count
 
     # Scheduling ----------------------------------------------------------
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = PRIORITY_NORMAL,
-    ) -> EventHandle:
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self._scheduler.schedule_after(delay, callback, args, priority)
+        return self._scheduler.schedule_after(delay, callback, args)
 
-    def call_later(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = PRIORITY_NORMAL,
-    ) -> EventHandle:
+    def call_later(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Unchecked fast path for :meth:`schedule`.
 
         Skips the negative-delay / ``time < now`` guards entirely, for hot
@@ -82,17 +63,11 @@ class Simulator:
         holds by construction (armed timers).  A caller that would drop
         the handle uses :attr:`post`.
         """
-        return self._scheduler._push(self.now + delay, callback, args, priority)
+        return self._scheduler._push(self.now + delay, callback, args)
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = PRIORITY_NORMAL,
-    ) -> EventHandle:
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Run ``callback(*args)`` at absolute simulated ``time``."""
-        return self._scheduler.schedule_at(time, callback, args, priority)
+        return self._scheduler.schedule_at(time, callback, args)
 
     # Events --------------------------------------------------------------
     def event(self, name: str = "") -> SimEvent:
@@ -104,12 +79,6 @@ class Simulator:
         event = Timeout(self, delay)  # validates delay >= 0
         self.post(self.now + delay, event.succeed, value)
         return event
-
-    def any_of(self, events: List[SimEvent]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: List[SimEvent]) -> AllOf:
-        return AllOf(self, events)
 
     # Processes -----------------------------------------------------------
     def spawn(

@@ -175,8 +175,8 @@ def test_a_cluster_run_schedules_no_telemetry_event(monkeypatch):
 
         return recorded
 
-    def recording_push(self, time, callback, args, priority):
-        return push(self, time, recording(callback), args, priority)
+    def recording_push(self, time, callback, args):
+        return push(self, time, recording(callback), args)
 
     def recording_post(self, time, callback, *args):
         post(self, time, recording(callback), *args)

@@ -291,6 +291,16 @@ def test_cluster_scorecard_flag(tmp_path, capsys):
     assert [s["name"] for s in doc["scenarios"]] == ["smoke"]
 
 
+def test_scale_command_prints_a_clean_rung_and_its_scorecard(tmp_path, capsys):
+    out_dir = tmp_path / "sc"
+    assert main(["scale", "--rungs", "25", "--no-store", "--scorecard", str(out_dir)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["25", "ok"] in [[row[0], row[-1]] for row in rows if row]
+    doc = json.loads((out_dir / "scorecard.json").read_text())
+    assert [s["name"] for s in doc["scenarios"]] == ["scale-25"]
+    assert (out_dir / "scorecard.md").exists()
+
+
 def test_explain_scenario_mode(capsys):
     assert main(["explain", "--scenario", "smoke"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Tests for SimEvent and the AnyOf/AllOf combinators."""
+"""Tests for SimEvent, Timeout and event subscription."""
 
 import pytest
 
@@ -112,78 +112,3 @@ def test_timeout_succeeds_after_delay(sim):
 def test_negative_timeout_rejected(sim):
     with pytest.raises(SimulationError):
         sim.timeout(-1.0)
-
-
-def test_any_of_first_wins(sim):
-    fast = sim.timeout(1.0, "fast")
-    slow = sim.timeout(2.0, "slow")
-    combined = sim.any_of([slow, fast])
-    sim.run()
-    index, winner = combined.value
-    assert winner is fast
-    assert index == 1
-
-
-def test_any_of_failure_propagates(sim):
-    failing = sim.event()
-    other = sim.timeout(10.0)
-    combined = sim.any_of([failing, other])
-    failing.fail(RuntimeError("bad"))
-    assert combined.triggered
-    with pytest.raises(RuntimeError):
-        _ = combined.value
-
-
-def test_any_of_requires_events(sim):
-    with pytest.raises(SimulationError):
-        sim.any_of([])
-
-
-def test_any_of_reports_index_of_middle_event(sim):
-    events = [sim.event(), sim.event(), sim.event()]
-    combined = sim.any_of(events)
-    events[1].succeed("mid")
-    assert combined.value == (1, events[1])
-
-
-def test_any_of_unsubscribes_losers(sim):
-    events = [sim.event(), sim.event(), sim.event()]
-    combined = sim.any_of(events)
-    events[2].succeed("winner")
-    # The losers' callbacks were discarded, so triggering them later
-    # neither re-triggers the combinator nor raises.
-    assert not any(event._callbacks for event in events)  # no subscriber left
-    events[0].succeed("late")
-    assert combined.value == (2, events[2])
-
-
-def test_any_of_duplicate_event_wins_lowest_index(sim):
-    shared = sim.event()
-    combined = sim.any_of([shared, shared])
-    shared.succeed("once")
-    index, winner = combined.value
-    assert winner is shared
-    assert index == 0
-
-
-def test_all_of_collects_values_in_order(sim):
-    first = sim.timeout(2.0, "a")
-    second = sim.timeout(1.0, "b")
-    combined = sim.all_of([first, second])
-    sim.run()
-    assert combined.value == ["a", "b"]
-
-
-def test_all_of_empty_succeeds_immediately(sim):
-    combined = sim.all_of([])
-    assert combined.triggered
-    assert combined.value == []
-
-
-def test_all_of_fails_fast(sim):
-    bad = sim.event()
-    never = sim.event()
-    combined = sim.all_of([bad, never])
-    bad.fail(KeyError("k"))
-    assert combined.triggered
-    assert not combined.ok

@@ -1,9 +1,8 @@
-"""Tests for coroutine processes, semaphores and channels."""
+"""Tests for coroutine processes."""
 
 import pytest
 
 from repro.errors import ProcessError
-from repro.sim.process import Channel, Semaphore
 from repro.sim.simulator import Simulator
 
 
@@ -215,71 +214,3 @@ def test_kill_with_a_queued_resume_never_steps_again(sim):
     process.kill()  # its resume for ``ready`` is still queued
     sim.run()
     assert steps == ["first"]
-
-
-def test_semaphore_serializes(sim):
-    sem = Semaphore(sim, value=1)
-    order = []
-
-    def worker(name, hold):
-        yield sem.acquire()
-        order.append(f"{name}-in")
-        yield sim.timeout(hold)
-        order.append(f"{name}-out")
-        sem.release()
-
-    sim.spawn(worker("a", 2.0))
-    sim.spawn(worker("b", 1.0))
-    sim.run()
-    assert order == ["a-in", "a-out", "b-in", "b-out"]
-
-
-def test_semaphore_counts(sim):
-    sem = Semaphore(sim, value=2)
-    acquired = []
-
-    def worker(name):
-        yield sem.acquire()
-        acquired.append(name)
-
-    sim.spawn(worker("a"))
-    sim.spawn(worker("b"))
-    sim.spawn(worker("c"))
-    sim.run()
-    assert acquired == ["a", "b"]  # third waits forever
-    assert sem.value == 0
-
-
-def test_semaphore_rejects_negative(sim):
-    with pytest.raises(ProcessError):
-        Semaphore(sim, value=-1)
-
-
-def test_channel_fifo(sim):
-    channel = Channel(sim)
-    received = []
-
-    def consumer():
-        for _ in range(3):
-            item = yield channel.get()
-            received.append(item)
-
-    sim.spawn(consumer())
-    for value in (1, 2, 3):
-        channel.put(value)
-    sim.run()
-    assert received == [1, 2, 3]
-
-
-def test_channel_get_blocks_until_put(sim):
-    channel = Channel(sim)
-    result = {}
-
-    def consumer():
-        result["item"] = yield channel.get()
-        result["time"] = sim.now
-
-    sim.spawn(consumer())
-    sim.schedule(5.0, channel.put, "late")
-    sim.run()
-    assert result == {"item": "late", "time": 5.0}

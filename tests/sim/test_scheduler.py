@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.events import PRIORITY_LOW, PRIORITY_URGENT
 from repro.sim.scheduler import Scheduler
 from repro.sim.simulator import Simulator
 
@@ -34,15 +33,6 @@ def test_same_time_events_run_in_insertion_order():
         scheduler.schedule_at(1.0, order.append, (value,))
     scheduler.run_until()
     assert order == [0, 1, 2, 3, 4]
-
-
-def test_priority_breaks_time_ties():
-    scheduler = Scheduler()
-    order = []
-    scheduler.schedule_at(1.0, order.append, ("low",), priority=PRIORITY_LOW)
-    scheduler.schedule_at(1.0, order.append, ("urgent",), priority=PRIORITY_URGENT)
-    scheduler.run_until()
-    assert order == ["urgent", "low"]
 
 
 def test_cannot_schedule_in_the_past():
@@ -90,6 +80,30 @@ def test_run_until_max_events():
         scheduler.schedule_at(float(value), ran.append, (value,))
     scheduler.run_until(max_events=3)
     assert ran == [0, 1, 2]
+
+
+def test_run_until_nan_is_a_typed_error():
+    # ``time > nan`` is never true: unchecked, the run would drain the queue.
+    sim = Simulator()
+    ran = []
+    sim.schedule(1.0, ran.append, 1)
+    with pytest.raises(SimulationError, match="until=nan"):
+        sim.run(until=float("nan"))
+    assert ran == [] and sim.now == 0.0
+    assert sim._scheduler.pending_count == 1
+
+
+def test_run_until_negative_max_events_is_a_typed_error():
+    # A negative budget would read as "no limit".
+    scheduler = Scheduler()
+    ran = []
+    for value in range(3):
+        scheduler.schedule_at(float(value), ran.append, (value,))
+    with pytest.raises(SimulationError, match="max_events"):
+        scheduler.run_until(max_events=-2)
+    assert ran == [] and scheduler.now == 0.0
+    scheduler.run_until(max_events=0)  # a zero budget runs nothing
+    assert ran == []
 
 
 def test_events_scheduled_during_execution_run():
@@ -252,7 +266,7 @@ def test_peek_time_with_a_posted_head():
     scheduler.schedule_at(2.0, lambda: None)
     cancelled.cancel()
     assert scheduler.peek_time() == 1.0  # skips the dead entry, stops at the post
-    assert scheduler._heap[0][3] is None
+    assert scheduler._heap[0][2] is None
     assert scheduler.run_next_before(1.0)
     assert scheduler.peek_time() == 2.0
 

@@ -5,8 +5,8 @@ state machine.
 
 The file and several test names date from the timing wheel this suite was
 written against; they are kept so the test ids stay stable.  Everything
-here states a property of ``(time, priority, seq)`` dispatch that any
-queue must hold.
+here states a property of ``(time, seq)`` dispatch — time, then schedule
+order — that any queue must hold.
 """
 
 import heapq
@@ -17,7 +17,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.sim.events import PRIORITY_LOW, PRIORITY_NORMAL, PRIORITY_URGENT, SimEvent
+from repro.sim.events import SimEvent
 from repro.sim.scheduler import Scheduler
 from repro.sim.simulator import Simulator
 
@@ -34,18 +34,6 @@ def make_recorder(sched):
         fired.append((sched.now, tag))
 
     return fired, fire
-
-
-def test_wheel_orders_same_slot_by_priority_then_seq():
-    sched = Scheduler()
-    fired, fire = make_recorder(sched)
-    # Same instant: priority decides, then schedule order.
-    sched.schedule_at(1e-5, fire, ("low",), PRIORITY_LOW)
-    sched.schedule_at(1e-5, fire, ("urgent",), PRIORITY_URGENT)
-    sched.schedule_at(1e-5, fire, ("normal-1",), PRIORITY_NORMAL)
-    sched.schedule_at(1e-5, fire, ("normal-2",), PRIORITY_NORMAL)
-    sched.run_until()
-    assert [tag for _, tag in fired] == ["urgent", "normal-1", "normal-2", "low"]
 
 
 def test_events_across_all_levels_and_heap_band_fire_in_time_order():
@@ -106,8 +94,9 @@ def test_cancel_from_callback_suppresses_same_slot_sibling():
         fired.append((sched.now, tag))
         handles[victim].cancel()
 
-    handles["b"] = sched.schedule_at(1e-5, fire, ("b",), PRIORITY_NORMAL)
-    sched.schedule_at(1e-5, fire_and_cancel, ("a", "b"), PRIORITY_URGENT)
+    # Same instant: schedule order decides, so "a" runs first and cancels "b".
+    sched.schedule_at(1e-5, fire_and_cancel, ("a", "b"))
+    handles["b"] = sched.schedule_at(1e-5, fire, ("b",))
     sched.run_until()
     assert [tag for _, tag in fired] == ["a"]
 
@@ -143,7 +132,7 @@ def test_retained_handle_is_never_recycled():
 
 
 class HeapOracle:
-    """The textbook event queue: one heap on ``(time, priority, seq)``,
+    """The textbook event queue: one heap on ``(time, seq)``,
     one event per loop turn.  Defines what ``run_until`` means."""
 
     class Handle:
@@ -159,17 +148,17 @@ class HeapOracle:
 
     @property
     def pending_count(self):
-        return sum(1 for entry in self._heap if not entry[3].cancelled)
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
-    def schedule_at(self, time, callback, args=(), priority=PRIORITY_NORMAL):
+    def schedule_at(self, time, callback, args=()):
         assert time >= self.now
         handle = self.Handle()
-        heapq.heappush(self._heap, (time, priority, self._seq, handle, callback, args))
+        heapq.heappush(self._heap, (time, self._seq, handle, callback, args))
         self._seq += 1
         return handle
 
-    def schedule_after(self, delay, callback, args=(), priority=PRIORITY_NORMAL):
-        return self.schedule_at(self.now + delay, callback, args, priority)
+    def schedule_after(self, delay, callback, args=()):
+        return self.schedule_at(self.now + delay, callback, args)
 
     def post(self, time, callback, *args):
         self.schedule_at(time, callback, args)
@@ -177,7 +166,7 @@ class HeapOracle:
     def run_until(self, until=None, max_events=None):
         heap = self._heap
         while True:
-            while heap and heap[0][3].cancelled:
+            while heap and heap[0][2].cancelled:
                 heapq.heappop(heap)
             if not heap or (until is not None and heap[0][0] > until):
                 break
@@ -185,7 +174,7 @@ class HeapOracle:
                 if max_events == 0:
                     return  # an event is due but the budget is spent
                 max_events -= 1
-            time, _, _, _, callback, args = heapq.heappop(heap)
+            time, _, _, callback, args = heapq.heappop(heap)
             self.now = time
             callback(*args)
         if until is not None and until > self.now:
@@ -211,8 +200,7 @@ class _Drive:
             delay = rng.choice(_DELAY_BANDS) * rng.random()
             if rng.random() < 0.2:
                 delay = round(delay, 3)  # force exact-time ties across events
-            priority = rng.choice((PRIORITY_URGENT, PRIORITY_NORMAL, PRIORITY_LOW))
-            self.pending.append(sched.schedule_at(delay, self.fire, (tag,), priority))
+            self.pending.append(sched.schedule_at(delay, self.fire, (tag,)))
         for index in range(0, len(self.pending), 7):
             self.pending[index].cancel()
 
@@ -317,7 +305,6 @@ def test_watch_stops_the_instant_the_event_triggers(seed):
 # exactly where a scheduled event with the same key would.
 
 _DELAYS = st.sampled_from((0.0, 1e-5, 1e-4, 0.003, 0.5, 2.0, FAR_S + 300.0))
-_PRIORITIES = st.sampled_from((PRIORITY_URGENT, PRIORITY_NORMAL, PRIORITY_LOW))
 
 
 class _Side:
@@ -336,20 +323,20 @@ class _Side:
         self.posted += 1
         self.sched.post(self.clock.now + delay, self.fire, -self.posted, victim, None)
 
-    def schedule(self, delay, priority, victim=None, respawn=None):
+    def schedule(self, delay, victim=None, respawn=None):
         args = (len(self.handles), victim, respawn)
-        self.handles.append(self.sched.schedule_after(delay, self.fire, args, priority))
+        self.handles.append(self.sched.schedule_after(delay, self.fire, args))
 
-    def schedule_at_now(self, priority):
+    def schedule_at_now(self):
         args = (len(self.handles), None, None)
-        self.handles.append(self.sched.schedule_at(self.clock.now, self.fire, args, priority))
+        self.handles.append(self.sched.schedule_at(self.clock.now, self.fire, args))
 
     def fire(self, tag, victim, respawn):
         self.fired.append((self.clock.now, tag))
         if victim is not None:
             self.handles[victim].cancel()
         if respawn is not None:
-            self.schedule(respawn, PRIORITY_NORMAL)
+            self.schedule(respawn)
 
     def state(self):
         return self.clock.now, self.fired, self.sched.pending_count
@@ -366,20 +353,20 @@ class SchedulerAgainstOracle(RuleBasedStateMachine):
     def scheduled(self):
         return len(self.sides[0].handles)
 
-    @rule(delay=_DELAYS, priority=_PRIORITIES)
-    def schedule(self, delay, priority):
+    @rule(delay=_DELAYS)
+    def schedule(self, delay):
         for side in self.sides:
-            side.schedule(delay, priority)
+            side.schedule(delay)
 
-    @rule(priority=_PRIORITIES)
-    def schedule_at_now(self, priority):
+    @rule()
+    def schedule_at_now(self):
         for side in self.sides:
-            side.schedule_at_now(priority)
+            side.schedule_at_now()
 
     @rule(delay=_DELAYS, respawn=_DELAYS)
     def schedule_respawning(self, delay, respawn):
         for side in self.sides:
-            side.schedule(delay, PRIORITY_NORMAL, respawn=respawn)
+            side.schedule(delay, respawn=respawn)
 
     @rule(data=st.data(), delay=_DELAYS)
     def post(self, data, delay):
@@ -395,11 +382,11 @@ class SchedulerAgainstOracle(RuleBasedStateMachine):
             side.handles[index].cancel()
 
     @precondition(lambda self: self.scheduled)
-    @rule(data=st.data(), delay=_DELAYS, priority=_PRIORITIES)
-    def schedule_cancelling_callback(self, data, delay, priority):
+    @rule(data=st.data(), delay=_DELAYS)
+    def schedule_cancelling_callback(self, data, delay):
         victim = data.draw(st.integers(0, self.scheduled - 1))
         for side in self.sides:
-            side.schedule(delay, priority, victim=victim)
+            side.schedule(delay, victim=victim)
 
     @rule(delay=_DELAYS, budget=st.none() | st.integers(0, 6))
     def run_until(self, delay, budget):

@@ -10,10 +10,13 @@ are left out.  A function never entered is *new* unless
 its reason per line.
 
 Exit status: 0 when every never-entered function is allowlisted, 1 when
-one is not (it is printed), 2 when the suite itself failed under the
+one is not or when an allowlist entry names a function that no longer
+exists (each is printed), 2 when the suite itself failed under the
 tracer.  An allowlisted function that tier-1 now enters is reported, so
 the list can shrink, but does not fail the run: the randomised
 properties may enter it one run and not the next.
+``tests/test_call_census.py`` checks the allowlist against the source in
+tier-1, so a deleted function's entry is caught without the traced run.
 
 Usage (from the repo root, ~10x tier-1's time)::
 
@@ -119,14 +122,17 @@ def main(argv: List[str]) -> int:
     never = sorted(label for key, label in defined.items() if key not in entered)
     allowed = read_allowlist()
     new = [label for label in never if label not in allowed]
-    stale = sorted(set(allowed) - set(never))
+    missing = sorted(set(allowed) - set(defined.values()))
+    entered_now = sorted(set(allowed) - set(never) - set(missing))
     print(f"{len(defined)} functions under src/repro; tier-1 never enters {len(never)}"
           f" ({len(never) - len(new)} allowlisted)")
-    for label in stale:
+    for label in entered_now:
         print(f"  entered now, can leave the allowlist: {label}")
+    for label in missing:
+        print(f"  ALLOWLISTED BUT NOT DEFINED, remove the entry: {label}")
     for label in new:
         print(f"  NEVER ENTERED, not allowlisted: {label}")
-    return 1 if new else 0
+    return 1 if new or missing else 0
 
 
 if __name__ == "__main__":

@@ -104,8 +104,8 @@ def wrapped_queue(wrap: Callable[[Any], Any]) -> Iterator[None]:
     """
     push, post = Scheduler._push, Scheduler.post
 
-    def wrapped_push(self: Scheduler, time: float, callback: Any, args: tuple, priority: int) -> Any:
-        return push(self, time, wrap(callback), args, priority)
+    def wrapped_push(self: Scheduler, time: float, callback: Any, args: tuple) -> Any:
+        return push(self, time, wrap(callback), args)
 
     def wrapped_post(self: Scheduler, time: float, callback: Any, *args: Any) -> None:
         post(self, time, wrap(callback), *args)
