@@ -13,7 +13,6 @@ from repro.cluster.invariants import (
     DualPrimaryMonitor,
     DualPrimaryViolation,
     InvariantReport,
-    election_budget,
     takeover_budget,
 )
 from repro.cluster.pool import BackupPool, plan_assignment
@@ -41,7 +40,6 @@ __all__ = [
     "PoolNode",
     "SERVICE_PORT",
     "ServiceNode",
-    "election_budget",
     "load_scenario",
     "plan_assignment",
     "run_cluster",

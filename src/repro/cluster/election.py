@@ -12,14 +12,17 @@ backup:
    locally, their VNICs/SME memberships/listeners detach), orphaning the
    primaries they shadowed;
 2. the **taken-over service** gets a fresh primary-side engine on the
-   consumed host (adopting the ex-shadow connections, reusing the
-   engine's channel socket) plus a newly elected pool backup, which
-   joins mid-stream through the snapshot handoff
-   (:meth:`STTCPBackup.request_sync`);
+   consumed host (reusing the engine's channel socket) plus a newly
+   elected pool backup;
 3. every **orphaned primary** gets a newly elected backup too:
    :meth:`STTCPPrimary.replace_backup` swaps the monitors before the
-   orphaned primary can even suspect its old backup, and the new engine
-   requests a snapshot sync.
+   orphaned primary can even suspect its old backup.
+
+A replacement backup protects only connections opened after it joins:
+a replica must see its connection from the SYN (§3).  Every connection
+already open on the affected primary — the promoted host's former
+shadows, or the orphaned primary's connections — is **unprotected**: it
+keeps running, without a second buffer, and its record names it.
 
 Elections are deterministic (least-loaded, name tie-break — see
 :class:`~repro.cluster.pool.BackupPool`).  When the pool is exhausted
@@ -30,11 +33,13 @@ recorded, never raised mid-simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from repro.cluster.pool import BackupPool
 from repro.cluster.topology import ClusterFabric, PoolNode, ServiceNode
 from repro.sttcp.multi import ShadowedService
+from repro.tcp.constants import SYNCHRONIZED_STATES
+from repro.tcp.tcb import TCPConnection
 
 
 @dataclass
@@ -48,13 +53,10 @@ class ElectionRecord:
     #: "takeover": the service whose backup went active; "orphan": a
     #: sibling service that lost its (consumed) backup.
     kind: str = "orphan"
-    sync_done_at: Optional[float] = None
-
-    @property
-    def sync_latency(self) -> Optional[float]:
-        if self.sync_done_at is None:
-            return None
-        return self.sync_done_at - self.at
+    #: ``addr:port`` of each client connection open at the election, which
+    #: the new backup never saw and so cannot protect (empty when the pool
+    #: is exhausted: then nothing is protected).
+    unprotected: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -72,11 +74,9 @@ class ElectionReport:
     def failed(self) -> List[ElectionRecord]:
         return [r for r in self.records if r.new_backup is None]
 
-    @property
-    def all_synced(self) -> bool:
-        return all(
-            r.sync_done_at is not None for r in self.records if r.new_backup is not None
-        )
+
+def _names(tcbs: Iterable[TCPConnection]) -> List[str]:
+    return [f"{tcb.remote_ip}:{tcb.remote_port}" for tcb in tcbs]
 
 
 class ElectionCoordinator:
@@ -163,40 +163,30 @@ class ElectionCoordinator:
         winner = self.fabric.backup_by_name[winner_name]
 
         if kind == "takeover":
-            # New primary-side engine on the consumed host, adopting the
-            # ex-shadow connections and reusing the engine's channel
-            # socket (same per-service port).
+            # New primary-side engine on the consumed host, reusing the
+            # engine's channel socket (same per-service port).  The
+            # ex-shadow connections stay open but unprotected.
             old_engine = takeover_record.engine
             engine = self.fabric.create_primary_engine(
                 service, winner, channel=old_engine.channel
             )
-            for tcb in old_engine.shadow_connections:
-                engine.adopt_connection(tcb)
             engine.start()
             old_engine.promoted_primary = engine
+            record.unprotected = _names(
+                tcb
+                for tcb in old_engine.shadow_connections
+                if tcb.state in SYNCHRONIZED_STATES
+            )
         else:
             # The orphaned primary is alive: swap its monitors before it
             # can suspect the consumed backup.
-            service.engine.replace_backup(
-                consumed.channel_ip, winner.channel_ip, new_host=winner.host
+            record.unprotected = _names(
+                service.engine.replace_backup(
+                    consumed.channel_ip, winner.channel_ip, new_host=winner.host
+                )
             )
 
-        shadow = self.fabric.attach_shadow(winner, service)
-        # The snapshot handoff spans from the sync request to the
-        # converged callback; its span carries the failover's flow id so
-        # the resync hop shows up in the causal chain.
-        resync_sid: Optional[int] = None
-        if "cluster" in self.sim.trace.categories:
-            fields = {"service": service.name, "backup": winner_name, "kind": kind}
-            if self.sim.trace.current_flow is not None:
-                fields["flow"] = self.sim.trace.current_flow
-            resync_sid = self.sim.trace.begin_span(
-                self.sim.now, "cluster", "resync", **fields
-            )
-        shadow.engine.on_sync_done = (
-            lambda _engine, r=record, sid=resync_sid: self._sync_finished(r, sid)
-        )
-        shadow.engine.request_sync()
+        self.fabric.attach_shadow(winner, service)
         if "cluster" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now,
@@ -205,23 +195,4 @@ class ElectionCoordinator:
                 service=service.name,
                 backup=winner_name,
                 kind=kind,
-            )
-
-    def _sync_finished(
-        self, record: ElectionRecord, resync_sid: Optional[int] = None
-    ) -> None:
-        record.sync_done_at = self.sim.now
-        latency = record.sync_latency
-        if resync_sid is not None:
-            self.sim.trace.end_span(
-                self.sim.now, "cluster", "resync", resync_sid, latency=latency
-            )
-        if "cluster" in self.sim.trace.categories:
-            self.sim.trace.emit(
-                self.sim.now,
-                "cluster",
-                "shadow_converged",
-                service=record.service,
-                backup=record.new_backup,
-                latency=record.sync_latency,
             )

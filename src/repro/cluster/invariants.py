@@ -13,10 +13,14 @@ machine, not eyeballed from a log:
 * **exactly-once byte streams** — every client verifies every echoed
   byte at its expected stream offset (duplication and loss both corrupt
   the verification); checked per pair by the run loop.
-* **bounded takeover + election** — detection, fencing, takeover, and
-  replacement-backup shadow sync must all complete within budgets
-  derived from the scenario's own tunables; computed here from the run
-  artefacts.
+* **bounded takeover** — detection, fencing and takeover must complete
+  within a budget derived from the scenario's own tunables; computed
+  here from the run artefacts.
+* **bounded election** — every election named a live replacement
+  backup, inside the takeover event that consumed the old one (the
+  coordinator runs synchronously there).  An election does not wait for
+  anything: the replacement protects only connections opened after it
+  joins, and the election record names the rest unprotected.
 """
 
 from __future__ import annotations
@@ -134,9 +138,3 @@ def takeover_budget(config: Any) -> float:
     detection = (config.hb_miss_threshold + 1) * config.hb_interval
     detection *= 1.0 + config.hb_jitter
     return detection + 2 * config.stonith_delay + 0.050
-
-
-def election_budget(config: Any) -> float:
-    """Bound on takeover → replacement shadows synced: the handoff only
-    needs quiescence retries plus channel round-trips."""
-    return 10 * config.retx_request_timeout + 0.100

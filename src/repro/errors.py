@@ -67,10 +67,6 @@ class ConnectionClosed(ConnectionError_):
     """An operation was attempted on a socket that is already closed."""
 
 
-class ConnectionNotQuiescent(ConnectionError_):
-    """A repair operation needs a quiescent connection and this one is busy."""
-
-
 class ConfigurationError(ReproError):
     """A scenario or protocol configuration is invalid."""
 

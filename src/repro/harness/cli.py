@@ -490,8 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario",
         metavar="NAME_OR_PATH",
         help="explain a cluster scenario instead (a shipped name or a JSON "
-        "file): every pair, the fence → election → resync phases, the "
-        "causal chain and the invariants",
+        "file): every pair, the fence → election phases, the causal "
+        "chain, each election's unprotected connections and the invariants",
     )
     explain.add_argument(
         "--wire", action="store_true", help="print the client's tcpdump first"

@@ -86,7 +86,6 @@ def format_cluster(records: List[Record]) -> str:
             )
         )
         elections = record["elections"]
-        syncs = [e["sync_latency"] for e in elections if e["sync_latency"] is not None]
         rows.append(
             [
                 record["scenario"],
@@ -94,7 +93,7 @@ def format_cluster(records: List[Record]) -> str:
                 f"{record['detection_latency'] * 1e3:.0f}",
                 f"{record['takeover_latency'] * 1e3:.0f}",
                 len(elections),
-                f"{max(syncs) * 1e3:.0f}" if syncs else "-",
+                sum(len(e["unprotected"]) for e in elections),
                 record["arbiter"]["cuts_performed"],
                 f"{held}/4",
                 "OK" if record["ok"] else "FAIL",
@@ -107,7 +106,7 @@ def format_cluster(records: List[Record]) -> str:
             "detect (ms)",
             "takeover (ms)",
             "elections",
-            "sync (ms)",
+            "unprotected",
             "fences",
             "invariants",
             "status",

@@ -9,8 +9,9 @@ the same order:
    minus the failure-free run) when the failure-free run is given;
 2. **phases** — the paper's decomposition of the client's outage
    (detection → takeover → first retransmission accepted).  A cluster
-   run shows every pair, the fabric's fence → election → resync windows,
-   the takeover's causal chain and the invariant verdicts;
+   run shows every pair, the fabric's fence → election windows, each
+   election's unprotected connections, the takeover's causal chain and
+   the invariant verdicts;
 3. **anomalies** — evidence that something went wrong, read the same way
    for every run: client errors, connections the takeover did not carry,
    segments a backup could not match or answered with a RST, frames its
@@ -164,6 +165,13 @@ def _cluster_sections(run: ClusterRun, record: Dict[str, Any]) -> Tuple[List[str
     cluster_phases = reconstruct_cluster_phases(run.collector.records)
     if cluster_phases is not None:
         phases += ["", cluster_phases.render()]
+    phases += ["", "elections:"]
+    for election in record["elections"]:
+        unprotected = ", ".join(election["unprotected"]) or "none"
+        phases.append(
+            f"  {election['service']} ({election['kind']}) → "
+            f"{election['new_backup'] or 'pool exhausted'}; unprotected: {unprotected}"
+        )
     causal = record["causal"]
     phases += ["", f"causal chain: {len(causal['chain'])} nodes (flows in the run: {causal['flows']})"]
     for node in causal["chain"]:

@@ -12,7 +12,7 @@ The Chrome trace-event format is the lingua franca of timeline viewers —
 * causal chains (spans sharing a ``flow`` id, see
   :meth:`repro.obs.spans.SpanSet.flows`) → ``"s"``/``"t"``/``"f"`` flow
   events anchored at each member span's begin, so the viewer draws
-  arrows detection → fence → election → resync → resume across tracks;
+  arrows detection → fence → election → resume across tracks;
 * track naming → one ``pid`` per trace ("repro"), one ``tid`` per record
   category, labelled via ``"M"`` metadata events.
 

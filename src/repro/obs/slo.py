@@ -15,10 +15,10 @@ a scenario's service-level expectations are reviewable data, not code::
 
 The objective ``"budget"`` resolves against the *scenario-derived*
 bounds that :mod:`repro.cluster.invariants` computed and embedded into
-``record["invariants"]`` (``takeover_budget`` / ``election_budget``) —
-the engine reuses those numbers rather than duplicating the formulas,
-and deliberately reads them from the record so it works on cached store
-records with no live cluster objects (and no ``obs → cluster`` import).
+``record["invariants"]`` (``takeover_budget``) — the engine reuses that
+number rather than duplicating the formula, and deliberately reads it
+from the record so it works on cached store records with no live
+cluster objects (and no ``obs → cluster`` import).
 
 Shipped SLIs
 ============
@@ -31,9 +31,6 @@ Shipped SLIs
     form; without it, whole-run availability against the objective.
 ``takeover_latency``
     Crash-to-takeover latency from the record; burn = value/objective.
-``election_sync_p99``
-    Nearest-rank p99 of the snapshot-resync latencies in the record's
-    ``elections`` (the maximum below 100 elections).
 ``exactly_once``
     Fraction of client streams verified exactly-once (no gap, no
     duplicate, no corruption), degraded connections counted as failures.
@@ -280,32 +277,6 @@ def _sli_takeover_latency(
     )
 
 
-def _sli_election_sync_p99(
-    record: Dict[str, Any], slo: SLO, objective: float
-) -> SLIVerdict:
-    latencies = sorted(
-        e.get("sync_latency")
-        for e in record.get("elections", [])
-        if _is_number(e.get("sync_latency"))
-    )
-    if not latencies:
-        # A run with no elections has nothing to bound — vacuously
-        # within budget (the bounded_election invariant separately
-        # fails runs that *should* have elected but didn't sync).
-        return None, 0.0, True, "no election sync evidence"
-    # Exact nearest-rank p99: the ⌈0.99·n⌉-th smallest (the maximum
-    # below 100 elections).
-    value = latencies[-(-99 * len(latencies) // 100) - 1]
-    burn = value / objective if objective > 0 else None
-    ok = burn is not None and burn <= 1.0
-    return (
-        float(value),
-        burn,
-        ok,
-        f"sync p99 {value * 1e3:.1f} ms vs {objective * 1e3:.1f} ms (election records)",
-    )
-
-
 def _sli_exactly_once(
     record: Dict[str, Any], slo: SLO, objective: float
 ) -> SLIVerdict:
@@ -353,7 +324,6 @@ SLIFunction = Callable[[Dict[str, Any], SLO, float], SLIVerdict]
 SLI_FUNCTIONS: Dict[str, SLIFunction] = {
     "availability": _sli_availability,
     "takeover_latency": _sli_takeover_latency,
-    "election_sync_p99": _sli_election_sync_p99,
     "exactly_once": _sli_exactly_once,
     "resource_leaks": _sli_resource_leaks,
 }
@@ -361,7 +331,6 @@ SLI_FUNCTIONS: Dict[str, SLIFunction] = {
 #: Which budget key the ``"budget"`` objective resolves to, per SLI.
 _BUDGET_KEYS = {
     "takeover_latency": "takeover_budget",
-    "election_sync_p99": "election_budget",
 }
 
 

@@ -13,7 +13,7 @@ simulation managed to record before it died.
 
 **Causal flows.**  Parent/child links only express nesting on one
 emitter; a cluster takeover hops *across* hosts — the backup detects,
-the arbiter fences, the coordinator elects, replacement shadows resync.
+the arbiter fences, the coordinator elects, the client resumes.
 Those spans carry the reserved ``flow`` field (one id per causal chain,
 see :data:`repro.sim.trace.FLOW_KEY`); :meth:`SpanSet.flows` groups them
 back into begin-ordered chains and :mod:`repro.obs.export` renders each
@@ -80,7 +80,7 @@ class SpanSet:
         """Causal chains: flow id → member spans, in begin order.
 
         Each chain is one cross-host causal episode (a cluster takeover:
-        detection → fence → election → resync → resume); begin order is
+        detection → fence → election → resume); begin order is
         causal order because the sim is single-threaded.
         """
         chains: Dict[int, List[Span]] = {}

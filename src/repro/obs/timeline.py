@@ -47,7 +47,6 @@ TIMELINE_CATEGORIES = ("host", "sttcp", "app", "failover", "cluster", "nic")
 #: Cluster-level phase names (fabric work around the per-pair failover).
 PHASE_FENCE = "fence"
 PHASE_ELECTION = "election"
-PHASE_RESYNC = "resync"
 
 #: Phase names, in order (recovery replaces rto_wait+resume when the
 #: first-retransmission marker is unavailable).
@@ -228,14 +227,14 @@ class ClusterPhases:
 
     The per-pair :class:`FailoverTimeline` explains the *client's* view;
     this explains the *fleet's*: when the arbiter fenced the suspect
-    (fence → STONITH actuation), when the coordinator elected replacement
-    backups, and when each replacement shadow finished resyncing.  Phases
-    may overlap — elections begin while the fence actuation is still
-    queued — so they are reported as absolute windows, not a stack.
+    (fence → STONITH actuation) and when the coordinator elected
+    replacement backups.  Phases may overlap — elections begin while the
+    fence actuation is still queued — so they are reported as absolute
+    windows, not a stack.
     """
 
     phases: List[Phase]
-    #: (time, label) point annotations (per-service elections, syncs).
+    #: (time, label) point annotations (fences, per-service elections).
     events: List[Tuple[float, str]] = field(default_factory=list)
 
     def phase(self, name: str) -> Optional[Phase]:
@@ -262,7 +261,7 @@ class ClusterPhases:
 def reconstruct_cluster_phases(
     records: List[TraceRecord],
 ) -> Optional[ClusterPhases]:
-    """Derive fence → election → resync windows from cluster records.
+    """Derive fence → election windows from cluster records.
 
     Anchors (all cold-path ``cluster`` category, emitted by the arbiter
     and the election coordinator):
@@ -274,7 +273,6 @@ def reconstruct_cluster_phases(
     cluster/fenced              the actuation landed (power cut)
     cluster/election_begin      a takeover consumed a pool backup
     cluster/elected             a replacement backup won its election
-    cluster/shadow_converged    a replacement shadow finished resync
     ==========================  =======================================
 
     Returns None when no fence was ever requested and no election began
@@ -291,7 +289,6 @@ def reconstruct_cluster_phases(
     fenced = times("fenced")
     election_begins = times("election_begin")
     elected = times("elected") + times("election_exhausted")
-    converged = times("shadow_converged")
     if not fence_requests and not election_begins:
         return None
 
@@ -307,9 +304,4 @@ def reconstruct_cluster_phases(
         phases.append(Phase(PHASE_ELECTION, min(election_begins), election_end))
         for time in elected:
             events.append((time, "elected"))
-        if converged:
-            resync_start = min(elected) if elected else min(election_begins)
-            phases.append(Phase(PHASE_RESYNC, resync_start, max(converged)))
-            for time in converged:
-                events.append((time, "shadow_converged"))
     return ClusterPhases(phases=phases, events=events)

@@ -47,7 +47,7 @@ SPAN_END = "E"
 #: Reserved field key of the causal-flow protocol: records (usually span
 #: begins) carrying the same ``flow`` id form one causal chain even when
 #: they were emitted by different hosts — a cluster takeover's
-#: detection → fence → election → resync → resume becomes a single
+#: detection → fence → election → resume becomes a single
 #: traversable graph (:meth:`repro.obs.spans.SpanSet.flows`), exported
 #: as Chrome trace-event flow arrows by :mod:`repro.obs.export`.
 FLOW_KEY = "flow"

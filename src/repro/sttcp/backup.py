@@ -28,12 +28,9 @@ from repro.sttcp.messages import (
     BackupAck,
     ChannelMessage,
     ConnKey,
-    ConnSnapshot,
     Heartbeat,
     RetxData,
     RetxRequest,
-    SyncDone,
-    SyncRequest,
     conn_key,
 )
 from repro.sttcp.power_switch import PowerSwitch
@@ -150,19 +147,14 @@ class STTCPBackup:
         )
         self._sync_timer = RestartableTimer(self.sim, self._on_sync_tick, "backup-sync")
         self._hb_timer = RestartableTimer(self.sim, self._send_heartbeat, "backup-hb")
-        #: Election hooks: fired when this engine completes a takeover /
-        #: when a requested snapshot handoff finishes.
+        #: Election hook: fired when this engine completes a takeover.
         self.on_takeover: Optional[Callable[["STTCPBackup"], None]] = None
-        self.on_sync_done: Optional[Callable[["STTCPBackup"], None]] = None
-        self.sync_requested_at: Optional[float] = None
-        self.sync_done_at: Optional[float] = None
         # Registry-backed counters, read as ``<host>.sttcp.<name>``.
         metrics = self.sim.metrics.scope(f"{host.name}.sttcp")
         self._c_acks_sent = metrics.counter("acks_sent")
         self._c_retx_requests_sent = metrics.counter("retx_requests_sent")
         self._c_retx_bytes_recovered = metrics.counter("retx_bytes_recovered")
         self._c_logger_bytes_recovered = metrics.counter("logger_bytes_recovered")
-        self._c_snapshots_adopted = metrics.counter("snapshots_adopted")
         self._c_shadows_reaped = metrics.counter("shadows_reaped")
         self._c_hb_sent = heartbeats_sent_counter(self.sim)
         #: Open takeover-episode span id (suspicion → active role).
@@ -456,10 +448,6 @@ class STTCPBackup:
         self.primary_monitor.heard()
         if isinstance(message, RetxData):
             self._handle_retx_data(message)
-        elif isinstance(message, ConnSnapshot):
-            self._adopt_snapshot(message)
-        elif isinstance(message, SyncDone):
-            self._on_sync_done_msg(message)
         # Heartbeat / AckReply carry liveness only.
 
     def _adopt_new_primary(self, source: IPAddress) -> None:
@@ -504,86 +492,6 @@ class STTCPBackup:
         if state.pending_retx is not None and tcb.rcv_nxt >= state.pending_retx[1]:
             state.pending_retx = None
             self._index.clear_retx_pending(state)
-
-    # Snapshot handoff (cluster election) ---------------------------------------------------
-    def request_sync(self) -> None:
-        """Ask the primary to snapshot every connection we don't shadow.
-
-        Used by a freshly elected pool backup joining mid-stream: the
-        retention machinery cannot replay history the previous backup
-        already acknowledged away, so instead each quiescent connection
-        is adopted at the primary's current offsets via
-        :class:`ConnSnapshot` and :meth:`TCPConnection.fast_forward`.
-        """
-        self.sync_requested_at = self.sim.now
-        self.sync_done_at = None
-        self._send(SyncRequest(tuple(self._connections.keys())))
-        if "sttcp" in self.sim.trace.categories:
-            self.sim.trace.emit(
-                self.sim.now, "sttcp", "sync_request", known=len(self._connections)
-            )
-
-    def _adopt_snapshot(self, snap: ConnSnapshot) -> None:
-        """Build a converged shadow from a primary's connection snapshot.
-
-        The replica handshake is synthesised (suppressed SYN/ACK + a
-        synthetic client ACK carrying the client's window), the send
-        space is rebased on the primary's real ISN, and both streams
-        fast-forward to the snapshot offsets.  From there the ordinary
-        tap keeps the shadow current; anything that slipped between the
-        snapshot and the first tapped segment is repaired by the
-        RetxRequest gap machinery, exactly like a tap loss.
-        """
-        if self.role is not ROLE_PASSIVE or snap.key in self._connections:
-            return
-        client_ip = IPAddress(snap.key[0])
-        client_port = snap.key[1]
-        tcb = self.host.tcp.synthesize_passive_open(
-            self.service_ip, self.service_port, client_ip, client_port, snap.client_isn
-        )
-        if tcb is None:
-            return
-        state = self._connections.get(snap.key)
-        if state is None:
-            return
-        state.ext.learn_primary_isn(tcb, snap.server_isn)
-        tcb.on_segment(
-            TCPSegment(
-                client_port,
-                self.service_port,
-                wrap(tcb.rcv_nxt),
-                wrap(tcb.snd_nxt),
-                FLAG_ACK,
-                snap.client_window,
-            )
-        )
-        if tcb.state is not TCPState.ESTABLISHED:
-            return  # handshake synthesis failed; leave it unconverged
-        tcb.fast_forward(snap.rcv_offset, snap.snd_offset)
-        if not state.converged:
-            self._note_converged(state)
-        self._c_snapshots_adopted.value += 1
-        # Announce our position immediately so the primary re-arms
-        # retention coverage from the snapshot point.
-        self._send_backup_ack(state)
-        if "sttcp" in self.sim.trace.categories:
-            self.sim.trace.emit(
-                self.sim.now,
-                "sttcp",
-                "snapshot_adopted",
-                client=f"{client_ip}:{client_port}",
-                rcv_offset=snap.rcv_offset,
-                snd_offset=snap.snd_offset,
-            )
-
-    def _on_sync_done_msg(self, message: SyncDone) -> None:
-        self.sync_done_at = self.sim.now
-        if "sttcp" in self.sim.trace.categories:
-            self.sim.trace.emit(
-                self.sim.now, "sttcp", "sync_complete", snapshots=message.count
-            )
-        if self.on_sync_done is not None:
-            self.on_sync_done(self)
 
     # Retirement (cluster election) ---------------------------------------------------------
     def retire(self) -> None:
@@ -796,7 +704,8 @@ class STTCPBackup:
             self.config,
         )
         for state in list(self._connections.values()):
-            engine.adopt_connection(state.tcb)
+            if state.tcb.state in SYNCHRONIZED_STATES:
+                engine.retain(state.tcb)
         engine.start()
         self.promoted_primary = engine
         if "sttcp" in self.sim.trace.categories:

@@ -100,88 +100,6 @@ class RetxRequest(ChannelMessage):
         return f"<RetxRequest {self.key} [{self.start_seq},{self.stop_seq})>"
 
 
-class SyncRequest(ChannelMessage):
-    """A freshly assigned backup asks the primary to describe its live
-    connections (cluster election: re-establishing shadow state for an
-    orphaned primary).
-
-    ``known_keys`` lists connections the backup already shadows, so the
-    primary only snapshots the ones the backup is missing.
-    """
-
-    __slots__ = ("known_keys",)
-
-    #: Modelled wire cost of one connection key in the request.
-    KEY_WIRE_SIZE = 8
-
-    def __init__(self, known_keys: Tuple[ConnKey, ...] = ()) -> None:
-        self.known_keys = tuple(known_keys)
-
-    @property
-    def wire_size(self) -> int:
-        return SMALL_MESSAGE_SIZE + self.KEY_WIRE_SIZE * len(self.known_keys)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<SyncRequest known={len(self.known_keys)}>"
-
-
-class ConnSnapshot(ChannelMessage):
-    """One quiescent connection, described well enough for a new shadow
-    to adopt it mid-stream.
-
-    ``client_isn``/``server_isn`` are the 32-bit handshake ISNs;
-    ``rcv_offset``/``snd_offset`` are the primary's current stream
-    positions (client→server and server→client, as stream offsets);
-    ``client_window`` is the client's last advertised window.  The
-    primary only snapshots a connection while it is quiescent (nothing
-    buffered, nothing in flight), so the two offsets fully determine the
-    transferable state — any bytes that move during the channel flight
-    are recovered afterwards by the normal tap + RetxRequest machinery.
-    """
-
-    __slots__ = (
-        "key",
-        "client_isn",
-        "server_isn",
-        "rcv_offset",
-        "snd_offset",
-        "client_window",
-    )
-
-    def __init__(
-        self,
-        key: ConnKey,
-        client_isn: int,
-        server_isn: int,
-        rcv_offset: int,
-        snd_offset: int,
-        client_window: int,
-    ) -> None:
-        self.key = key
-        self.client_isn = client_isn
-        self.server_isn = server_isn
-        self.rcv_offset = rcv_offset
-        self.snd_offset = snd_offset
-        self.client_window = client_window
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<ConnSnapshot {self.key} rcv={self.rcv_offset} snd={self.snd_offset}>"
-        )
-
-
-class SyncDone(ChannelMessage):
-    """The primary served every missing snapshot for one SyncRequest."""
-
-    __slots__ = ("count",)
-
-    def __init__(self, count: int) -> None:
-        self.count = count
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<SyncDone count={self.count}>"
-
-
 class RetxData(ChannelMessage):
     """A chunk of recovered client bytes from the primary's buffers."""
 

@@ -27,12 +27,9 @@ from repro.sttcp.messages import (
     BackupAck,
     ChannelMessage,
     ConnKey,
-    ConnSnapshot,
     Heartbeat,
     RetxData,
     RetxRequest,
-    SyncDone,
-    SyncRequest,
     conn_key,
 )
 from repro.sttcp.retention import SecondReceiveBuffer
@@ -90,8 +87,6 @@ class STTCPPrimary:
         #: detector classify false suspicions against actual liveness).
         self.backup_hosts: Dict[int, Any] = dict(backup_hosts or {})
         self._connections: Dict[ConnKey, _PrimaryConnState] = {}
-        #: requester channel-IP value → in-progress snapshot handoff.
-        self._sync_sessions: Dict[int, Dict[str, Any]] = {}
         self._hb_sequence = 0
         self._started = False
         # Channel socket on the primary's own (non-virtual) address.  A
@@ -160,8 +155,6 @@ class STTCPPrimary:
         self._hb_timer.cancel()
         for monitor in self.backup_monitors.values():
             monitor.stop()
-        for session in self._sync_sessions.values():
-            session["retry"].cancel()
 
     # Backup-set queries ---------------------------------------------------------------
     def live_backup_values(self) -> List[int]:
@@ -179,8 +172,15 @@ class STTCPPrimary:
             return
         if tcb.local_ip.value != self.service_ip.value or tcb.local_port != self.service_port:
             return
+        self.retain(tcb)
+
+    def retain(self, tcb: TCPConnection) -> None:
+        """Attach a second buffer to a service connection, starting at its
+        read position.  Only for a connection every backup has shadowed
+        from its SYN: a fresh one, or a promoted backup's former shadow
+        whose peers tapped the same stream."""
         capacity = self.config.second_buffer_size or tcb.config.rcv_buffer
-        retention = SecondReceiveBuffer(capacity)
+        retention = SecondReceiveBuffer(capacity, tcb.recv_buffer.read_offset)
         if not self.fault_tolerant:
             retention.disable()
         tcb.recv_buffer.attach_retention(retention)
@@ -204,22 +204,6 @@ class STTCPPrimary:
             return
         del self._connections[key]
         self._c_retained_reaped.value += 1
-
-    def adopt_connection(self, tcb: TCPConnection) -> None:
-        """Attach retention to a live connection (a promoted backup's
-        former shadow): the second buffer starts at the connection's
-        current read position."""
-        if tcb.state not in SYNCHRONIZED_STATES:
-            return
-        capacity = self.config.second_buffer_size or tcb.config.rcv_buffer
-        retention = SecondReceiveBuffer(capacity)
-        retention.prime_at(tcb.recv_buffer.read_offset)
-        if not self.fault_tolerant:
-            retention.disable()
-        tcb.recv_buffer.attach_retention(retention)
-        self._connections[conn_key(tcb.remote_ip, tcb.remote_port)] = _PrimaryConnState(
-            tcb, retention
-        )
 
     @property
     def retained_connection_count(self) -> int:
@@ -253,8 +237,6 @@ class STTCPPrimary:
             self._handle_backup_ack(message, addr[0])
         elif isinstance(message, RetxRequest):
             self._handle_retx_request(message, addr[0])
-        elif isinstance(message, SyncRequest):
-            self._begin_sync(message, addr[0])
         # Heartbeats carry liveness only.
 
     def _handle_backup_ack(self, ack: BackupAck, source: IPAddress) -> None:
@@ -318,80 +300,19 @@ class STTCPPrimary:
             self._c_retx_bytes_sent.value += len(piece)
             self._send(RetxData(request.key, wrap(first_seq + piece_start), piece), source)
 
-    # Snapshot handoff (cluster election) ------------------------------------------------
-    def _begin_sync(self, request: SyncRequest, source: IPAddress) -> None:
-        """A new backup asks for the connections it is not yet shadowing."""
-        known = set(request.known_keys)
-        pending = [key for key in self._connections if key not in known]
-        superseded = self._sync_sessions.get(source.value)
-        if superseded is not None:
-            superseded["retry"].cancel()
-        self._sync_sessions[source.value] = {"ip": source, "pending": pending, "sent": 0}
-        if "sttcp" in self.sim.trace.categories:
-            self.sim.trace.emit(
-                self.sim.now, "sttcp", "sync_begin", backup=str(source), missing=len(pending)
-            )
-        self._continue_sync(source.value)
-
-    def _continue_sync(self, source_value: int) -> None:
-        """Snapshot every *quiescent* pending connection; busy ones retry.
-
-        A request/response service is quiescent between exchanges, so a
-        retry tick or two drains the whole set; connections that close
-        meanwhile simply drop out of the pending list.
-        """
-        session = self._sync_sessions[source_value]
-        source: IPAddress = session["ip"]
-        still: List[ConnKey] = []
-        for key in session["pending"]:
-            state = self._connections.get(key)
-            if state is None:
-                continue  # closed while the handoff was in progress
-            tcb = state.tcb
-            if not tcb.quiescent:
-                still.append(key)
-                continue
-            self._send(
-                ConnSnapshot(
-                    key,
-                    wrap(tcb.irs),
-                    wrap(tcb.iss),
-                    tcb.recv_buffer.rcv_nxt_offset,
-                    tcb.snd_offset(tcb.snd_una),
-                    tcb.snd_wnd,
-                ),
-                source,
-            )
-            session["sent"] += 1
-        if still:
-            session["pending"] = still
-            session["retry"] = self.sim.schedule(
-                self.config.retx_request_timeout, self._continue_sync, source_value
-            )
-            return
-        del self._sync_sessions[source_value]
-        self._send(SyncDone(session["sent"]), source)
-        if "sttcp" in self.sim.trace.categories:
-            self.sim.trace.emit(
-                self.sim.now,
-                "sttcp",
-                "sync_done",
-                backup=str(source),
-                snapshots=session["sent"],
-            )
-
     # Backup replacement (cluster election) ----------------------------------------------
     def replace_backup(
         self, old_ip: IPAddress, new_ip: IPAddress, new_host: Optional[Any] = None
-    ) -> None:
-        """Swap a consumed backup for a freshly elected one.
+    ) -> List[TCPConnection]:
+        """Swap a consumed backup for a freshly elected one and return the
+        open connections this leaves unprotected.
 
-        The old backup's monitor and ack floor are dropped; the new one
-        gets a full detection grace period.  If losing the old backup had
-        already pushed the engine into non-fault-tolerant mode, retention
-        re-arms from each connection's current read position — history
-        the new backup never saw is unprotectable either way, and the
-        snapshot handoff starts it at the current offsets.
+        The old backup's monitor is dropped; the new one gets a full
+        detection grace period.  The new backup shadows only connections
+        opened from now on (§3: a replica sees its connection from the
+        SYN), so every connection already open loses its second buffer, as
+        on a backup failure (§4.4), and leaves the ack set: no release
+        waits for an ack the new backup will never send.
         """
         old_value = old_ip.value
         monitor = self.backup_monitors.pop(old_value, None)
@@ -402,17 +323,28 @@ class STTCPPrimary:
         if new_host is not None:
             self.backup_hosts[new_ip.value] = new_host
         self.backup_ips.append(new_ip)
+        unprotected: List[TCPConnection] = []
         for state in self._connections.values():
-            state.acked_by.pop(old_value, None)
+            state.retention.disable()
+            if state.tcb.state in SYNCHRONIZED_STATES:
+                state.tcb.output.maybe_send_window_update()
+                unprotected.append(state.tcb)
+        self._connections.clear()
         new_monitor = self._make_monitor(new_ip)
         self.backup_monitors[new_ip.value] = new_monitor
         if self._started:
             new_monitor.start()
             if not self._hb_timer.running:
                 self._hb_timer.start(self.config.hb_interval)
+        tracing = "sttcp" in self.sim.trace.categories
         if not self.fault_tolerant:
-            self._reenter_fault_tolerant()
-        if "sttcp" in self.sim.trace.categories:
+            self.fault_tolerant = True
+            self.backup_failed_at = None
+            if tracing:
+                self._ft_sid = self.sim.trace.begin_span(
+                    self.sim.now, "sttcp", "fault_tolerant", backups=len(self.backup_ips)
+                )
+        if tracing:
             self.sim.trace.emit(
                 self.sim.now,
                 "sttcp",
@@ -420,20 +352,7 @@ class STTCPPrimary:
                 old=str(old_ip),
                 new=str(new_ip),
             )
-
-    def _reenter_fault_tolerant(self) -> None:
-        self.fault_tolerant = True
-        self.backup_failed_at = None
-        for state in self._connections.values():
-            if not state.retention.enabled:
-                retention = SecondReceiveBuffer(state.retention.capacity)
-                retention.prime_at(state.tcb.recv_buffer.read_offset)
-                state.retention = retention
-                state.tcb.recv_buffer.attach_retention(retention)
-        if "sttcp" in self.sim.trace.categories:
-            self._ft_sid = self.sim.trace.begin_span(
-                self.sim.now, "sttcp", "fault_tolerant", backups=len(self.backup_ips)
-            )
+        return unprotected
 
     # Backup failure ---------------------------------------------------------------------
     def _on_backup_suspected(self, backup_value: int) -> None:

@@ -32,25 +32,21 @@ class SecondReceiveBuffer(RetentionPolicy):
         "bytes_released_total", "peak_usage", "overflow_byte_peak",
     )
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int, start_offset: int = 0) -> None:
         if capacity <= 0:
             raise ValueError(f"second buffer capacity must be positive, got {capacity}")
         super().__init__()
         self.capacity = capacity
         self.enabled = True
-        self._store = SpanBuffer()  # head = oldest retained offset
+        #: head = oldest retained offset; the first read starts at
+        #: ``start_offset``, the connection's read position when attached.
+        self._store = SpanBuffer()
+        self._store.head_offset = start_offset
         # Counters for the sync-strategy ablation (A1).
         self.bytes_retained_total = 0
         self.bytes_released_total = 0
         self.peak_usage = 0
         self.overflow_byte_peak = 0
-
-    def prime_at(self, offset: int) -> None:
-        """Start retention at ``offset`` (used when a promoted backup's
-        former shadow connection gains a second buffer mid-stream)."""
-        if len(self._store) or self._store.head_offset:
-            raise FailoverError("prime_at on a buffer that already retained data")
-        self._store.seek(offset)
 
     # RetentionPolicy ------------------------------------------------------------
     def on_read(self, start_offset: int, span: ByteSpan) -> None:

@@ -235,14 +235,6 @@ class ReceiveBuffer:
         self.window = free if free > 0 else 0
         return span
 
-    def fast_forward(self, offset: int) -> None:
-        """Adopt ``offset`` as read pointer *and* ``rcv_nxt`` of an empty
-        buffer: bytes below it were received and read elsewhere
-        (:meth:`repro.tcp.tcb.TCPConnection.fast_forward`, whose
-        quiescence rule guarantees the buffer holds nothing)."""
-        self.ready.seek(offset)
-        self.refresh_window()
-
     def peek_unread(self, start: int, stop: int) -> ByteSpan:
         """Zero-copy view of not-yet-read in-order bytes."""
         lo = max(start, self.ready.head_offset)

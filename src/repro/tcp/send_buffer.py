@@ -25,13 +25,13 @@ class SendBuffer:
         self.capacity = capacity
         self._data = SpanBuffer()
         #: Offset of the oldest unacknowledged byte, read by every ACK: a
-        #: field that :meth:`ack_to` and :meth:`fast_forward` keep equal to
-        #: ``SpanBuffer.head_offset`` (DESIGN §13 rule 7).
+        #: field that :meth:`ack_to` keeps equal to ``SpanBuffer.head_offset``
+        #: (DESIGN §13 rule 7).
         self.una_offset = 0
         #: Offset one past the last byte the application has written: the
         #: send stream's tail, read by every output pass.  A field that
-        #: :meth:`append` and :meth:`fast_forward` keep equal to
-        #: ``SpanBuffer.tail_offset`` (DESIGN §13 rules 2 and 7); releasing
+        #: :meth:`append` keeps equal to ``SpanBuffer.tail_offset`` (DESIGN
+        #: §13 rules 2 and 7); releasing
         #: acknowledged bytes moves the head, never the tail.  Free space is
         #: ``capacity - (tail_offset - una_offset)``.
         self.tail_offset = 0
@@ -97,12 +97,3 @@ class SendBuffer:
     def data_range(self, start: int, stop: int) -> ByteSpan:
         """Zero-copy view of [start, stop) for (re)transmission."""
         return self._data.peek_absolute(start, stop)
-
-    def fast_forward(self, offset: int) -> None:
-        """Adopt ``offset`` as the stream position of an *empty* buffer.
-
-        Snapshot handoff: bytes below ``offset`` were sent and acked by
-        the previous endpoint; this one never carries them.
-        """
-        self._data.seek(offset)
-        self.una_offset = self.tail_offset = offset

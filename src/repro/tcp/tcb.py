@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple
 
-from repro.errors import ConnectionClosed, ConnectionNotQuiescent, ConnectionReset
+from repro.errors import ConnectionClosed, ConnectionReset
 from repro.net.addresses import IPAddress
 from repro.tcp.config import TCPConfig
 from repro.tcp.congestion import RenoCongestionControl
@@ -441,37 +441,6 @@ class TCPConnection:
             if self.socket is not None:
                 self.socket._pump_readers()
         return advanced
-
-    @property
-    def quiescent(self) -> bool:
-        """True when the connection's transferable state is fully captured
-        by its two stream offsets: ESTABLISHED, nothing in flight, nothing
-        buffered on either side, nothing the application has not read."""
-        return (
-            self.state is TCPState.ESTABLISHED
-            and self.flight_size == 0
-            and len(self.send_buffer) == 0
-            and self.recv_buffer.available == 0
-            and self.recv_buffer.out_of_order_bytes == 0
-        )
-
-    def fast_forward(self, rcv_offset: int, snd_offset: int) -> None:
-        """Jump a :attr:`quiescent` connection to mid-stream offsets.
-
-        Both anchors and both buffers move, so the connection continues
-        as if it had carried every byte below the offsets without
-        replaying them.  Refused with :class:`ConnectionNotQuiescent`,
-        leaving the connection unchanged, unless it is quiescent.
-        """
-        if not self.quiescent:
-            raise ConnectionNotQuiescent(f"fast_forward on a busy connection: {self!r}")
-        self.recv_buffer.fast_forward(rcv_offset)
-        self.send_buffer.fast_forward(snd_offset)
-        self.snd_una = self.iss + 1 + snd_offset
-        self.snd_nxt = self.snd_una
-        self.snd_max = self.snd_una
-        self.rcv_nxt = self.irs + 1 + rcv_offset
-        self.trace_event("fast_forward", rcv_offset=rcv_offset, snd_offset=snd_offset)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         suffix = ""

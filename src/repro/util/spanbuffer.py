@@ -201,19 +201,3 @@ class SpanBuffer:
         self._skip = self._extend = 0
         self.head_offset += self.length
         self.length = 0
-
-    def seek(self, offset: int) -> None:
-        """Jump an *empty* buffer's head to ``offset``.
-
-        Lets a stream adopt a position it never carried bytes through
-        (ST-TCP snapshot handoff: a fresh backup joins mid-connection at
-        the primary's current offsets).  Rewinding is refused — absolute
-        offsets already handed out would alias.
-        """
-        if self.length != 0:
-            raise ValueError(f"seek on non-empty buffer ({self.length} bytes held)")
-        if offset < self.head_offset:
-            raise ValueError(
-                f"seek backwards from {self.head_offset} to {offset}"
-            )
-        self.head_offset = offset

@@ -1,8 +1,9 @@
 # Cluster backup-pool promotion: when a primary crashes, its pool
 # backup takes over the service, the election coordinator promotes the
 # consumed pool host to full primary, and a replacement backup from the
-# pool re-establishes shadowing via the snapshot handoff — while the
-# healthy pair's client never notices.
+# pool shadows every connection opened from then on — while the healthy
+# pair's client never notices.  The replacement never saw the crashed
+# service's open connection, so the election names it unprotected.
 use(
     mode="cluster",
     cluster={
@@ -34,12 +35,16 @@ def promoted(env):
 probe(0.700, promoted, label="pool host promoted, replacement elected")
 
 
-def converged(env):
-    record = env.cluster.coordinator.report.for_service("s0")
-    assert record.sync_done_at is not None, "replacement shadow never synced"
+def unprotected(env):
+    run = env.cluster
+    record = run.coordinator.report.for_service("s0")
+    client_ip = str(run.fabric.service_by_name["s0"].client.interfaces[0].ip)
+    assert [name.split(":")[0] for name in record.unprotected] == [client_ip], (
+        f"unprotected: {record.unprotected}"
+    )
 
 
-probe(1.000, converged, label="replacement shadow converged")
+probe(1.000, unprotected, label="open connection named unprotected")
 
 
 def verified(env):

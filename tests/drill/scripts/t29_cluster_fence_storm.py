@@ -32,16 +32,19 @@ probe(1.000, both_fenced, label="serialized arbiter landed both takeovers")
 
 def reshadowed(env):
     # The storm cascades: s0's first replacement may itself be consumed
-    # by s1's takeover an actuation later, so judge only the *final*
-    # election per service — it must have a live, synced backup.
-    report = env.cluster.coordinator.report
+    # by s1's takeover an actuation later, so the *final* election per
+    # service must have a live backup.  Each service's open connection is
+    # named unprotected once, by its takeover: no later backup saw it.
+    run = env.cluster
     for service in ("s0", "s1"):
-        record = [r for r in report.records if r.service == service][-1]
-        assert record.new_backup is not None, f"{service}: pool exhausted"
-        assert record.sync_done_at is not None, f"{service}: shadow never synced"
+        records = [r for r in run.coordinator.report.records if r.service == service]
+        assert records[-1].new_backup is not None, f"{service}: pool exhausted"
+        client_ip = str(run.fabric.service_by_name[service].client.interfaces[0].ip)
+        named = [name.split(":")[0] for r in records for name in r.unprotected]
+        assert named == [client_ip], f"{service}: unprotected {named}"
 
 
-probe(1.600, reshadowed, label="final replacements synced")
+probe(1.600, reshadowed, label="final replacements name the open connections")
 
 
 def verified(env):

@@ -219,27 +219,24 @@ def test_health_command_publishes_scorecard(tmp_path, capsys):
     assert scenario["causal_chain"]  # the takeover's flow travelled along
 
 
-def test_health_election_sync_row_is_the_parents_read_from_election_records(
-    tmp_path, capsys
-):
-    """Value, burn and grade as the sampler's digest reported them (pinned
-    from the tree that still had one); only the source text differs."""
+def test_health_grades_are_the_parents_without_an_election_sync_row(tmp_path, capsys):
+    """Smoke, trio and storm keep grade B and their max burns: the
+    election-sync SLO (burn 0.08–0.17) never set a grade, and an election
+    no longer waits for anything to sync."""
     assert main(["health", "--no-store", "--out", str(tmp_path / "h")]) == 0
     out = capsys.readouterr().out
-    expected = {
-        "smoke": "| election-sync-p99 | 0.6 | 0.0501612 | 0.08 | ok |"
-        " sync p99 50.2 ms vs 600.0 ms (election records) |",
-        "trio": "| election-sync-p99 | 0.6 | 0.100161 | 0.17 | ok |"
-        " sync p99 100.2 ms vs 600.0 ms (election records) |",
-        "storm": "| election-sync-p99 | 0.6 | 0.100161 | 0.17 | ok |"
-        " sync p99 100.2 ms vs 600.0 ms (election records) |",
-    }
+    assert "election-sync" not in out
+    for row in (
+        "| smoke | **B** | 4/4 | 0.78 |",
+        "| trio | **B** | 4/4 | 0.78 |",
+        "| storm | **B** | 4/4 | 0.54 |",
+    ):
+        assert any(line.startswith(row) for line in out.splitlines()), row
     sections = out.split("\n## ")[1:]
-    assert [section.split(" ")[0] for section in sections] == list(expected)
+    assert [section.split(" ")[0] for section in sections] == ["smoke", "trio", "storm"]
     for section in sections:
         name = section.split(" ")[0]
         assert section.startswith(f"{name} — grade B\n")
-        assert expected[name] in section.splitlines()
 
 
 def test_health_command_stores_content_hashed_scores(tmp_path, capsys):
@@ -269,6 +266,20 @@ def test_health_command_stores_content_hashed_scores(tmp_path, capsys):
         line for line in store_path.read_text().splitlines() if '"health[' in line
     ]
     assert len(lines) == 1
+
+
+def test_cluster_table_counts_the_connections_elections_left_unprotected(capsys):
+    assert main(["cluster", "--no-store"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = next(line for line in lines if line.startswith("scenario"))
+    assert "unprotected" in header and "sync" not in header
+    rows = {row[0]: row for row in (line.split() for line in lines) if len(row) == 9}
+    # name, pairs, detect, takeover, elections, unprotected, fences, invariants, status
+    assert [rows[name][4:6] for name in ("smoke", "trio", "storm")] == [
+        ["1", "1"],
+        ["1", "1"],
+        ["2", "2"],
+    ]
 
 
 def test_cluster_scorecard_flag(tmp_path, capsys):
@@ -307,8 +318,9 @@ def test_explain_scenario_mode(capsys):
     assert "cluster scenario 'smoke'" in out
     assert "failover timeline: client outage" in out  # the crashed pair
     assert "no takeover on this pair" in out  # the healthy pair
-    assert "phase fence" in out and "phase resync" in out
-    assert "causal chain: 5 nodes" in out
+    assert "phase fence" in out and "phase election" in out
+    assert "  s0 (takeover) → pool1; unprotected: 192.168.9.10:32768" in out
+    assert "causal chain: 4 nodes" in out
     assert "  bounded_election      holds" in out
     assert out.splitlines()[-1].startswith("VERDICT: PASS")
 

@@ -2,8 +2,8 @@
 
 There is one scheduler and one datapath, so there is no second arm to
 diff against.  Instead, in the packetdrill spirit, the expected outputs
-are committed: the content of three full result grids, the 30-script
-drill conformance report, and one churn rung, each as a sha256 over its
+are committed: the content of three full result grids, the drill
+corpus's conformance report, and one churn rung, each as a sha256 over its
 canonical JSON.  All five were frozen at PR 13's tree, where they were
 identical under every scheduler backend / datapath arm that existed then
 and under ``PYTHONHASHSEED`` 0, 1, 3 and random.
@@ -52,7 +52,7 @@ def _grid_digest(name, **options):
 
 def _drill_digest():
     report = format_report(run_drill_path(DRILL_SCRIPTS))
-    assert "30/30 scripts passed" in report
+    assert "31/31 scripts passed" in report
     return hashlib.sha256(report.encode()).hexdigest()
 
 
@@ -79,12 +79,12 @@ def _scale_rung_digest():
         ),
         pytest.param(
             lambda: _grid_digest("cluster"),
-            "263d271c48e92552ef8e60a2056129e75fbc374ef1903d8e12945b63897afec3",
+            "df29304a2cc822a3e5553a5bee84c113b6e9b79cd6e65c8f2432dd030db5b5e4",
             id="cluster",
         ),
         pytest.param(
             _drill_digest,
-            "f7aac0009d8a3198957f8287a19aecbfffe729a462d09c4672337f2f54402ad4",
+            "7ec96d9265b85e3ddb7ef51a134e4b762db3b858f1b847152b49725a79dee9fa",
             id="drill_corpus",
         ),
         pytest.param(

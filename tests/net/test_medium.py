@@ -368,7 +368,7 @@ def test_hub_counts_per_nic_as_before_over_the_cluster_failover_workload():
         + [service.client for service in fabric.services]
         + [backup.host for backup in fabric.backups]
     )
-    assert _receive_counters(hosts) == "57a04785e06569ac15ac4664ce803dac50785f83697f37ce70c923bb6e08eebd"
+    assert _receive_counters(hosts) == "dfac2157cb2276e64028aefc9281add0c10f7d701e551c23f4cf0e47e53beb17"
 
 
 def test_hub_counts_per_nic_as_before_when_a_station_powers_off_mid_transfer():

@@ -36,11 +36,10 @@ def _record(**overrides):
                 "max_gap": 0.01,
             },
         ],
-        "elections": [{"service": "s0", "sync_latency": 0.1}],
+        "elections": [{"service": "s0", "unprotected": []}],
         "invariants": {
             "no_dual_primary": True,
             "takeover_budget": 0.4,
-            "election_budget": 0.6,
             "dual_primary": {"violation_count": 0},
         },
     }
@@ -81,6 +80,8 @@ class TestSpecLoading:
             spec_from_dict({"name": "x", "slos": [], "bogus": 1})
         with pytest.raises(ConfigurationError, match="unknown sli"):
             _spec({"name": "a", "sli": "nope", "objective": 1})
+        with pytest.raises(ConfigurationError, match="unknown sli"):
+            _spec({"name": "a", "sli": "election_sync_p99", "objective": "budget"})
 
     def test_bad_objective_and_window_rejected(self):
         with pytest.raises(ConfigurationError, match="objective"):
@@ -162,37 +163,6 @@ class TestLatencies:
         assert not result.ok and result.value is None
 
 
-class TestElectionSync:
-    def test_falls_back_to_election_records(self):
-        # The election records are the only source (the name predates that).
-        slo = {"name": "e", "sli": "election_sync_p99", "objective": "budget"}
-        result = _one(_spec(slo), _record())
-        assert result.value == pytest.approx(0.1)
-        assert result.burn_rate == pytest.approx(0.1 / 0.6)
-        assert "election records" in result.detail
-
-    def test_record_cached_before_the_sampler_went_grades_the_same(self):
-        slo = {"name": "e", "sli": "election_sync_p99", "objective": 0.6}
-        stale = {"digests": {"cluster.election_sync": {"p99": 0.5}}}
-        old = _one(_spec(slo), _record(tsdb=stale))
-        assert old == _one(_spec(slo), _record())
-
-    def test_p99_is_nearest_rank_not_the_maximum(self):
-        slo = {"name": "e", "sli": "election_sync_p99", "objective": 0.6}
-        elections = [{"sync_latency": (i + 1) / 1000} for i in range(150)]
-        result = _one(_spec(slo), _record(elections=elections[::-1]))
-        assert result.value == 0.149  # the ⌈0.99·150⌉ = 149th smallest of 150
-        # ... and the maximum below 100 elections, as the bucket digest gave.
-        assert _one(_spec(slo), _record(elections=elections[:99])).value == 0.099
-        assert _one(_spec(slo), _record(elections=elections[:100])).value == 0.099
-
-    def test_no_elections_is_vacuously_ok(self):
-        slo = {"name": "e", "sli": "election_sync_p99", "objective": 0.6}
-        result = _one(_spec(slo), _record(elections=[]))
-        assert result.ok and result.burn_rate == 0.0
-        assert result.detail == "no election sync evidence"
-
-
 class TestExactlyOnce:
     def test_all_verified(self):
         slo = {"name": "x", "sli": "exactly_once", "objective": 1.0}
@@ -238,7 +208,7 @@ class TestReport:
         doc = report.to_record()
         assert doc["spec"] == "cluster"
         assert doc["ok"] is True
-        assert len(doc["slos"]) == 5
+        assert len(doc["slos"]) == 4
         assert all(
             set(s)
             >= {"name", "sli", "objective", "value", "burn_rate", "ok", "detail"}

@@ -141,11 +141,11 @@ class TestCausalFlows:
 
     def test_end_record_can_backfill_the_flow(self):
         def scenario(tracer):
-            sid = tracer.begin_span(0.0, "cluster", "resync")
-            tracer.end_span(0.1, "cluster", "resync", sid, flow=7)
+            sid = tracer.begin_span(0.0, "cluster", "fence")
+            tracer.end_span(0.1, "cluster", "fence", sid, flow=7)
 
         spans = assemble_spans(_traced(scenario))
-        assert [s.flow for s in spans.spans if s.name == "resync"] == [7]
+        assert [s.flow for s in spans.spans if s.name == "fence"] == [7]
 
     def test_flow_key_never_leaks_into_span_fields(self):
         records = _traced(self._takeover_chain)
@@ -167,7 +167,7 @@ class TestCausalFlows:
         names = [n["name"] for n in nodes]
         assert names[0] == "takeover_episode"
         assert "fence" in names and "election_begin" in names
-        assert "resync" in names and names[-1] == "first_ack"
+        assert names[-1] == "first_ack"
         # Stream order is causal order: node times never go backwards.
         times = [n.get("begin", n.get("time")) for n in nodes]
         assert times == sorted(times)

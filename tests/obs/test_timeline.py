@@ -31,7 +31,6 @@ def _cluster_takeover_records():
         _rec(0.660, "cluster", "fenced", host="p0"),
         _rec(0.660, "cluster", "election_begin", service="s0"),
         _rec(0.660, "cluster", "elected", service="s0"),
-        _rec(0.710, "cluster", "shadow_converged", service="s0"),
         _rec(0.100, "tcp", "send", seq=1),  # hot-path noise, ignored
     ]
 
@@ -154,10 +153,8 @@ class TestReconstruction:
             "cluster phases:\n"
             "  phase fence    0.650000 → 0.660000  (   10.000 ms)\n"
             "  phase election 0.660000 → 0.660000  (    0.000 ms)\n"
-            "  phase resync   0.660000 → 0.710000  (   50.000 ms)\n"
             "  event fenced   0.660000\n"
-            "  event elected  0.660000\n"
-            "  event shadow_converged 0.710000"
+            "  event elected  0.660000"
         )
 
 
@@ -242,30 +239,21 @@ class TestClusterPhases:
         records = [_rec(0.1, "tcp", "send"), _rec(0.2, "app", "progress")]
         assert reconstruct_cluster_phases(records) is None
 
-    def test_fence_election_resync_windows(self):
+    def test_fence_and_election_windows(self):
         from repro.obs.timeline import (
             PHASE_ELECTION,
             PHASE_FENCE,
-            PHASE_RESYNC,
             reconstruct_cluster_phases,
         )
 
         phases = reconstruct_cluster_phases(_cluster_takeover_records())
         assert phases is not None
-        assert [p.name for p in phases.phases] == [
-            PHASE_FENCE,
-            PHASE_ELECTION,
-            PHASE_RESYNC,
-        ]
+        assert [p.name for p in phases.phases] == [PHASE_FENCE, PHASE_ELECTION]
         fence = phases.phase(PHASE_FENCE)
         assert (fence.start, fence.end) == (0.650, 0.660)
-        resync = phases.phase(PHASE_RESYNC)
-        assert resync.duration == pytest.approx(0.050)
         summary = phases.summary()
-        assert set(summary["phases"]) == {"fence", "election", "resync"}
-        assert [0.710, "shadow_converged"] in [
-            list(e) for e in summary["events"]
-        ]
+        assert set(summary["phases"]) == {"fence", "election"}
+        assert [0.660, "elected"] in [list(e) for e in summary["events"]]
         assert "phase fence" in phases.render()
 
     def test_fence_without_actuation_spans_requests(self):
@@ -293,6 +281,6 @@ class TestClusterPhases:
         summary = record["cluster_phases"]
         assert summary == phases.summary()
         fence = summary["phases"]["fence"]
-        resync = summary["phases"]["resync"]
+        election = summary["phases"]["election"]
         assert fence["start"] >= record["crash_at"]
-        assert resync["end"] >= fence["end"]
+        assert election["end"] >= election["start"] >= fence["start"]

@@ -88,6 +88,25 @@ def test_promoted_primary_keeps_fault_tolerance():
     assert scenario.sim.metrics.value(f"{promoted.host.name}.sttcp.acks_received") > 0
 
 
+def test_promoted_primary_retains_its_former_shadow_from_its_read_position():
+    """Rank 1 shadowed the connection from its SYN, so the promoted rank 0
+    keeps it protected: a second buffer starting mid-stream, at the read
+    position of the moment it took over, released by rank 1's acks."""
+    scenario = make_group()
+    shadows = []
+    scenario.backup.tcp.connection_observers.append(shadows.append)
+    run = run_workload(
+        upload_workload(256 * KB), scenario=scenario, crash_at=0.11, deadline=300.0
+    )
+    assert run.result.error is None and run.result.verified
+    (tcb,) = shadows
+    retention = tcb.recv_buffer.retention
+    assert retention is not None and retention.enabled
+    started_at = tcb.recv_buffer.read_offset - retention.bytes_retained_total
+    assert 0 < started_at < tcb.recv_buffer.read_offset
+    assert retention.bytes_released_total > 0
+
+
 def test_cascading_failover_two_crashes():
     """Primary dies, rank 0 takes over; then rank 0 dies too and rank 1
     carries the same client connection to completion."""

@@ -101,17 +101,14 @@ def test_counters_track_pressure():
     assert buffer.bytes_released_total == 12
 
 
-def test_prime_at_starts_retention_mid_stream_once():
-    buffer = SecondReceiveBuffer(100)
-    buffer.prime_at(40)
+def test_retention_starts_at_the_read_position_it_is_built_for():
+    """A promoted backup's former shadow gains its second buffer mid-stream."""
+    buffer = SecondReceiveBuffer(100, 40)
     assert buffer.lowest_retained_offset == 40
     buffer.on_read(40, RealBytes(b"abc"))
     assert buffer.fetch(0, 100).to_bytes() == b"abc"
     with pytest.raises(FailoverError):
-        buffer.prime_at(50)  # already retaining
-    # The head only ever moves forward (SpanBuffer.seek owns the rule).
-    with pytest.raises(ValueError):
-        SecondReceiveBuffer(100).prime_at(-1)
+        buffer.on_read(50, RealBytes(b"d"))  # a read must continue the last one
 
 
 def test_capacity_validated():

@@ -4,8 +4,8 @@ No simulator, no hosts, no wire — a hand-cranked clock and a stub IP
 layer are enough to pin down the output engine's send-policy decision
 table, the retransmit engine's RFC 6298 backoff bounds, the TCB's
 sequence-space translation across the 2^32 wrap, the repair section's
-quiescence and fast-forward contract, the extension dispatch
-contracts, and output inhibition (an inhibited TCB keeps a sent
+receive-data injection, the extension dispatch contracts, and output
+inhibition (an inhibited TCB keeps a sent
 segment's bookkeeping and builds nothing).
 """
 
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConnectionNotQuiescent, ConnectionTimeout, ReproError
+from repro.errors import ConnectionTimeout
 from repro.net.addresses import IPAddress
 from repro.tcp.config import TCPConfig
 from repro.tcp.constants import (
@@ -386,91 +386,6 @@ class TestBufferSeqspaceWrap:
         assert conn.rcv_nxt == conn.irs + 11
         assert conn.inject_receive_data(conn.irs + 11, PatternBytes(5, 10, 3)) == 10
         assert conn.rcv_nxt == conn.irs + 21
-
-
-# -- the repair section: quiescence and fast-forward --------------------------
-def _not_established(conn):
-    conn.state = TCPState.CLOSE_WAIT  # synchronized, but the peer closed
-
-
-def _bytes_in_flight(conn):
-    conn.app_write(PatternBytes(100, 0, 3))
-    assert conn.flight_size == 100
-
-
-def _bytes_in_send_buffer(conn):
-    conn.snd_wnd = 0  # the peer's window holds the data back
-    conn.app_write(PatternBytes(100, 0, 3))
-    assert conn.flight_size == 0 and len(conn.send_buffer) == 100
-
-
-def _bytes_unread(conn):
-    assert conn.inject_receive_data(conn.irs + 1, PatternBytes(100, 0, 3)) == 100
-
-
-def _bytes_out_of_order(conn):
-    assert conn.inject_receive_data(conn.irs + 11, PatternBytes(10, 10, 3)) == 0
-    assert conn.recv_buffer.available == 0
-
-
-BUSY = [
-    _not_established,
-    _bytes_in_flight,
-    _bytes_in_send_buffer,
-    _bytes_unread,
-    _bytes_out_of_order,
-]
-
-
-def _repair_state(conn):
-    """Everything fast_forward may move: anchors, pointers, occupancy."""
-    send, recv = conn.send_buffer, conn.recv_buffer
-    return (
-        conn.state, conn.iss, conn.irs, conn.snd_una, conn.snd_nxt, conn.snd_max, conn.rcv_nxt,
-        send.una_offset, send.tail_offset, recv.read_offset, recv.rcv_nxt_offset,
-        recv.available, recv.out_of_order_bytes,
-    )
-
-
-class TestRepairContract:
-    def test_fresh_established_connection_is_quiescent(self):
-        conn, _, _ = make_conn()
-        establish(conn)
-        assert conn.quiescent
-
-    @pytest.mark.parametrize("make_busy", BUSY, ids=lambda fn: fn.__name__.lstrip("_"))
-    def test_busy_connection_is_not_quiescent(self, make_busy):
-        conn, _, _ = make_conn()
-        establish(conn)
-        make_busy(conn)
-        assert not conn.quiescent
-
-    @pytest.mark.parametrize("make_busy", BUSY, ids=lambda fn: fn.__name__.lstrip("_"))
-    def test_fast_forward_refuses_a_busy_connection_and_changes_nothing(self, make_busy):
-        conn, _, _ = make_conn()
-        establish(conn)
-        make_busy(conn)
-        before = _repair_state(conn)
-        with pytest.raises(ConnectionNotQuiescent):
-            conn.fast_forward(5000, 7000)
-        assert issubclass(ConnectionNotQuiescent, ReproError)
-        assert _repair_state(conn) == before
-
-    def test_fast_forward_moves_both_anchors_and_both_buffers(self):
-        conn, layer, _ = make_conn()
-        establish(conn)
-        conn.fast_forward(5000, 7000)
-        assert conn.rcv_nxt == conn.irs + 1 + 5000
-        assert conn.snd_una == conn.snd_nxt == conn.snd_max == conn.iss + 1 + 7000
-        assert conn.recv_buffer.read_offset == conn.recv_buffer.rcv_nxt_offset == 5000
-        assert conn.send_buffer.una_offset == conn.send_buffer.tail_offset == 7000
-        assert conn.quiescent
-        # The streams continue from the new offsets, in both directions.
-        conn.app_write(PatternBytes(100, 7000, 3))
-        assert layer.sent[-1][1].seq == wrap(conn.iss + 1 + 7000)
-        assert conn.inject_receive_data(conn.irs + 1 + 5000, PatternBytes(10, 5000, 3)) == 10
-        assert conn.app_read(10).length == 10
-        assert conn.recv_buffer.read_offset == 5010
 
 
 # -- extension dispatch contracts ---------------------------------------------

@@ -335,7 +335,7 @@ def test_prop_buffer_matches_bytes_oracle_over_every_operation(data):
     appended = 0
     for _ in range(data.draw(st.integers(1, 25))):
         op = data.draw(st.sampled_from(
-            ("append", "append", "append", "burst", "writer", "pop", "discard", "peek", "seek")
+            ("append", "append", "append", "burst", "writer", "pop", "discard", "peek", "clear")
         ))
         if op == "burst":
             # Many small application writes: the pop/discard ranges drawn
@@ -390,14 +390,10 @@ def test_prop_buffer_matches_bytes_oracle_over_every_operation(data):
                 buffer.peek_absolute(oracle_head - 1, oracle_head + b)
             with pytest.raises(IndexError):
                 buffer.peek_absolute(oracle_head + a, oracle_head + len(oracle) + 1)
-        elif oracle:
-            with pytest.raises(ValueError):
-                buffer.seek(oracle_head + 1)
         else:
-            oracle_head += data.draw(st.integers(0, 50))
-            buffer.seek(oracle_head)
-            with pytest.raises(ValueError):
-                buffer.seek(oracle_head - 1)
+            buffer.clear()
+            oracle_head += len(oracle)
+            oracle = b""
         assert len(buffer) == buffer.length == len(oracle)
         assert buffer.head_offset == oracle_head
         assert buffer.tail_offset == oracle_head + len(oracle)
