@@ -8,19 +8,24 @@ service to N:
   multicast SME so the switch fans client→server traffic out to whoever
   joined it (RFC 1812 routers may not learn a multicast MAC from an ARP
   reply, so the gateway gets a static entry per service);
-* one **GVI/GME** pair on the gateway carries all server→client traffic;
-  every pool host joins the GME, so it taps that direction for every
-  service and filters in the engines;
+* every service *i* also owns a **GVI/GME** pair on the gateway, §3.1's
+  gateway identity once per service: primary *i* reaches the clients
+  through GVI *i*, whose multicast GME *i* the switch copies to the
+  gateway and to the pool host shadowing service *i* — and to no other
+  pool host;
 * each **pool host** runs one :class:`~repro.sttcp.backup.STTCPBackup`
   engine per shadowed service under a
   :class:`~repro.sttcp.multi.MultiPrimaryShadowManager`; attaching a
-  shadow wires the service VNIC, the switch-side SME membership and a
-  bound listener, and returns the paired detach hook used at retirement;
+  shadow wires the service VNIC, the switch-side SME and GME memberships,
+  a WAN route via GVI *i* for datagrams from the service IP (so a pool
+  host promoted for service *i* answers through GVI *i* from its first
+  segment) and a bound listener, and returns the paired detach hook used
+  at retirement;
 * each service gets its **own client host** behind the gateway, so
   per-pair progress timelines stay separable in the trace stream.
 
 Address plan — LAN ``10.1.0.0/24``: primaries ``.1+i``, pool hosts
-``.64+j``, services ``.100+i``, gateway ``.254``, GVI ``.253``.
+``.64+j``, services ``.100+i``, GVIs ``.200+i``, gateway ``.254``.
 WAN ``192.168.9.0/24``: clients ``.10+i``, gateway ``.1``.
 """
 
@@ -43,7 +48,6 @@ from repro.sttcp.primary import STTCPPrimary
 SERVICE_PORT = 8000
 
 GATEWAY_LAN_IP = ip("10.1.0.254")
-GATEWAY_VIRTUAL_IP = ip("10.1.0.253")  # GVI
 GATEWAY_WAN_IP = ip("192.168.9.1")
 WAN_NET = ip("192.168.9.0")
 
@@ -63,6 +67,8 @@ class ServiceNode:
         client: Host,
         service_ip: IPAddress,
         sme: Any,
+        gvi: IPAddress,
+        gme: Any,
         config: Any,
     ) -> None:
         self.index = index
@@ -71,6 +77,9 @@ class ServiceNode:
         self.client = client
         self.service_ip = service_ip
         self.sme = sme
+        #: The gateway identity this service's replies leave by (§3.1).
+        self.gvi = gvi
+        self.gme = gme
         self.config = config
         #: The live primary-side engine (rebound on promotion).
         self.engine: Optional[STTCPPrimary] = None
@@ -136,11 +145,6 @@ class ClusterFabric:
         self.gateway.configure_ip(gw_wan, GATEWAY_WAN_IP, 24)
         self.gateway.configure_ip(gw_lan, GATEWAY_LAN_IP, 24)
 
-        # GVI/GME: the shared server→client identity (one per fabric).
-        self.gme = fresh_multicast_mac()
-        self.gateway.add_vnic("gvi", GATEWAY_VIRTUAL_IP, self.gme, gw_lan)
-        self.switch.join_multicast(self.gme, gw_port)
-
         self.services: List[ServiceNode] = []
         for i, name in enumerate(spec.service_names()):
             primary = Host(
@@ -157,7 +161,13 @@ class ClusterFabric:
             primary.add_vnic("svi", service_ip, sme, nic)
             self.switch.join_multicast(sme, port)
             self.gateway.arp.add_static(service_ip, sme)
-            self._wire_wan_route(primary, nic)
+            # GVI/GME: this service's server→client identity.
+            gvi = ip(f"10.1.0.{200 + i}")
+            gme = fresh_multicast_mac()
+            self.gateway.add_vnic(f"gvi{i}", gvi, gme, gw_lan)
+            self.switch.join_multicast(gme, gw_port)
+            primary.arp.add_static(gvi, gme)
+            primary.ip_layer.add_route(WAN_NET, 24, nic, next_hop=gvi)
 
             client = Host(self.sim, f"c{i}", tcp_config=tcp_config)
             client_nic = client.add_nic()
@@ -166,7 +176,9 @@ class ClusterFabric:
             client.ip_layer.add_default_route(client_nic, GATEWAY_WAN_IP)
 
             self.services.append(
-                ServiceNode(i, name, primary, client, service_ip, sme, spec.sttcp_config(i))
+                ServiceNode(
+                    i, name, primary, client, service_ip, sme, gvi, gme, spec.sttcp_config(i)
+                )
             )
 
         self.backups: List[PoolNode] = []
@@ -180,10 +192,6 @@ class ClusterFabric:
             nic = host.add_nic()
             port = lan_cable(nic, name)
             host.configure_ip(nic, ip(f"10.1.0.{64 + j}"), 24)
-            # Tap the server→client direction of *every* service.
-            nic.join_mac(self.gme)
-            self.switch.join_multicast(self.gme, port)
-            self._wire_wan_route(host, nic)
             self.backups.append(PoolNode(j, name, host, nic, port))
 
         self.service_by_name: Dict[str, ServiceNode] = {
@@ -193,29 +201,32 @@ class ClusterFabric:
             node.name: node for node in self.backups
         }
 
-    def _wire_wan_route(self, host: Host, nic: Any) -> None:
-        """Server-side hosts reach the clients through the GVI/GME."""
-        host.arp.add_static(GATEWAY_VIRTUAL_IP, self.gme)
-        host.ip_layer.add_route(WAN_NET, 24, nic, next_hop=GATEWAY_VIRTUAL_IP)
-
     # Shadow wiring -----------------------------------------------------------------
     def attach_shadow(self, backup: PoolNode, service: ServiceNode) -> ShadowedService:
         """Wire ``backup`` to shadow ``service`` and create its engine.
 
-        Wires the service VNIC (ARP-suppressed), the switch-side SME
-        membership, and a listener bound to the service IP; registers the
-        engine with the pool host's shadow manager, handing it the
-        matching detach hook for retirement.
+        Wires the service VNIC (ARP-suppressed), the SME and GME
+        memberships on the NIC and the switch port, the WAN route via the
+        service's GVI for datagrams from the service IP, and a listener
+        bound to the service IP; registers the engine with the pool host's
+        shadow manager, handing it the matching detach hook for retirement.
         """
-        vnic = backup.host.add_vnic(
+        host = backup.host
+        vnic = host.add_vnic(
             f"svi-{service.name}", service.service_ip, service.sme, backup.nic,
             suppress_arp=True,
         )
         self.switch.join_multicast(service.sme, backup.port)
+        backup.nic.join_mac(service.gme)
+        self.switch.join_multicast(service.gme, backup.port)
+        host.arp.add_static(service.gvi, service.gme)
+        host.ip_layer.add_route(
+            WAN_NET, 24, backup.nic, next_hop=service.gvi, src_ip=service.service_ip
+        )
         listener_box: list = []
-        backup.host.spawn(
+        host.spawn(
             request_response_server(
-                backup.host,
+                host,
                 SERVICE_PORT,
                 service.service_ip,
                 service_time=self.spec.service_time,
@@ -227,9 +238,13 @@ class ClusterFabric:
         def detach(_record: ShadowedService) -> None:
             for listener in listener_box:
                 listener.close()
-            backup.host.remove_vnic(vnic)
+            host.remove_vnic(vnic)
             self.switch.leave_multicast(service.sme, backup.port)
-            backup.host.arp.unsuppress_ip(service.service_ip)
+            host.arp.unsuppress_ip(service.service_ip)
+            backup.nic.leave_mac(service.gme)
+            self.switch.leave_multicast(service.gme, backup.port)
+            host.arp.remove_static(service.gvi)
+            host.ip_layer.routes.remove_network(WAN_NET, 24, src=service.service_ip)
 
         return backup.manager.add_service(
             service.name,

@@ -109,7 +109,7 @@ class IPLayer:
             self._c_sent.value += 1
             nic.transmit(EthernetFrame(mac, src_mac, ETHERTYPE_IPV4, datagram, datagram.size))
             return
-        route = self.routes.lookup(dst)
+        route = self.routes.lookup(dst, src)
         if route is None:
             self._c_dropped_no_route.value += 1
             if "ip" in self.sim.trace.categories:
@@ -117,7 +117,7 @@ class IPLayer:
                     self.sim.now, "ip", "no_route", host=self.host.name, dst=str(dst)
                 )
             return
-        source = src or route.src_ip or self.host.primary_ip_on(route.nic)
+        source = src or self.host.primary_ip_on(route.nic)
         datagram = IPDatagram(source, dst, protocol, payload, payload_size, ttl)
         self._c_sent.value += 1
         self._transmit(datagram, route, key)
@@ -221,7 +221,7 @@ class IPLayer:
             datagram = datagram.decremented()
             nic.transmit(EthernetFrame(mac, src_mac, ETHERTYPE_IPV4, datagram, datagram.size))
             return
-        route = self.routes.lookup(datagram.dst)
+        route = self.routes.lookup(datagram.dst, datagram.src)
         if route is None:
             self._c_dropped_no_route.value += 1
             return

@@ -12,9 +12,10 @@ class Route:
     """One routing table entry.
 
     ``next_hop`` of ``None`` means the destination is on-link (resolve the
-    destination itself via ARP).  ``src_ip`` pins the source address used
-    for packets taking this route (needed when a host owns several IPs on
-    one interface — e.g. a server that also owns the virtual service IP).
+    destination itself via ARP).  ``src_ip`` qualifies the route: it
+    carries only datagrams from that source, so a host owning several IPs
+    on one interface can send each one's traffic its own way (a pool host
+    reaches the clients of service *i* through gateway identity *i*).
     """
 
     __slots__ = ("network", "prefix_len", "nic", "next_hop", "src_ip", "metric")
@@ -50,7 +51,9 @@ class RoutingTable:
 
     ``on_change`` runs after every write (:meth:`add`,
     :meth:`remove_network`): the IP layer's flow cache remembers answers
-    this table gave, and drops them there (DESIGN §13 rule 4).
+    this table gave, and drops them there (DESIGN §13 rule 4).  That cache
+    is keyed by (destination, source), so a source-qualified route costs
+    its check only on a miss.
     """
 
     def __init__(self, on_change: Callable[[], None] = lambda: None) -> None:
@@ -59,21 +62,36 @@ class RoutingTable:
 
     def add(self, route: Route) -> None:
         self._routes.append(route)
-        # Keep sorted by (prefix_len desc, metric asc) so lookup is a scan
-        # returning the first match.
-        self._routes.sort(key=lambda r: (-r.prefix_len, r.metric))
+        # Keep sorted by (prefix_len desc, source-qualified first, metric
+        # asc) so lookup is a scan returning the first match.
+        self._routes.sort(key=lambda r: (-r.prefix_len, r.src_ip is None, r.metric))
         self._on_change()
 
-    def remove_network(self, network: IPAddress, prefix_len: int) -> None:
+    def remove_network(
+        self, network: IPAddress, prefix_len: int, src: Optional[IPAddress] = None
+    ) -> None:
+        """Drop the routes to ``network/prefix_len`` qualified by ``src``
+        (None: the unqualified ones)."""
+        source = None if src is None else src.value
         self._routes = [
             r
             for r in self._routes
-            if not (r.network.value == network.value and r.prefix_len == prefix_len)
+            if not (
+                r.network.value == network.value
+                and r.prefix_len == prefix_len
+                and (None if r.src_ip is None else r.src_ip.value) == source
+            )
         ]
         self._on_change()
 
-    def lookup(self, dst: IPAddress) -> Optional[Route]:
+    def lookup(self, dst: IPAddress, src: Optional[IPAddress] = None) -> Optional[Route]:
+        """The longest-prefix route to ``dst`` that carries datagrams from
+        ``src``: a route qualified by another source (or, for ``src``
+        None, by any source) is skipped."""
+        source = None if src is None else src.value
         for route in self._routes:
-            if route.matches(dst):
+            if route.matches(dst) and (
+                route.src_ip is None or route.src_ip.value == source
+            ):
                 return route
         return None

@@ -64,7 +64,8 @@ class CableAttachment(Attachment):
 
     def send(self, frame: EthernetFrame) -> None:
         if self.attached:
-            self.cable._transmit(self.direction, frame)
+            cable = self.cable
+            cable._transmit(self.direction, frame, cable.sim.now)
 
     def detach(self) -> None:
         self.attached = False
@@ -76,7 +77,8 @@ class Cable:
     Full-duplex by default (each direction serialises independently);
     half-duplex shares a single transmission resource, which halves usable
     bandwidth under bidirectional load — the behaviour responsible for the
-    paper's sub-wire-rate bulk throughput through the hub.
+    paper's sub-wire-rate bulk throughput through the hub.  A switch port
+    refuses a half-duplex cable (:class:`repro.net.switch.SwitchPort`).
     """
 
     def __init__(
@@ -125,8 +127,11 @@ class Cable:
             if attach_cb is not None:
                 attach_cb(attachment)
 
-    def _transmit(self, direction: _CableDirection, frame: EthernetFrame) -> None:
-        now = self.sim.now
+    def _transmit(self, direction: _CableDirection, frame: EthernetFrame, now: float) -> None:
+        """Clock ``frame`` out toward ``direction``'s receiver from ``now``
+        on: the current instant, or a later one a switch port hands in
+        (:meth:`repro.net.switch.Switch._ingress`), which the loss model
+        is asked at too."""
         size = frame.wire_size
         tx_time = self._tx_time_cache.get(size)
         if tx_time is None:

@@ -12,7 +12,10 @@ Models the two tapping mechanisms of §3.1:
 
 The switch is store-and-forward with a configurable forwarding latency and
 learns unicast source addresses like a real learning switch.  An output
-decision is remembered until a table it read is written.
+decision is remembered until a table it read is written.  A frame costs
+one kernel event per hop: the ingress decides and books each output
+port's cable from the egress instant on (``now + forwarding_delay``),
+which is why a port takes only a full-duplex cable.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.errors import NetworkError
 from repro.net.addresses import MACAddress
 from repro.net.frame import EthernetFrame
-from repro.net.medium import Attachment, FrameReceiver
+from repro.net.medium import Attachment, CableAttachment, FrameReceiver
 
 
 class SwitchPort(FrameReceiver):
@@ -36,16 +39,15 @@ class SwitchPort(FrameReceiver):
         self.tx_frames = 0
 
     def attached_to(self, attachment: Attachment) -> None:
+        # Egress books the cable ahead of the current instant; a shared
+        # half-duplex clock would be reserved out of order.
+        if not (isinstance(attachment, CableAttachment) and attachment.cable.full_duplex):
+            raise NetworkError(f"switch port {self.index} takes only a full-duplex cable")
         self.attachment = attachment
 
     def receive_frame(self, frame: EthernetFrame) -> None:
         self.rx_frames += 1
         self.switch._ingress(self, frame)
-
-    def send(self, frame: EthernetFrame) -> None:
-        if self.attachment is not None:
-            self.tx_frames += 1
-            self.attachment.send(frame)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<SwitchPort {self.switch.name}[{self.index}]>"
@@ -148,11 +150,16 @@ class Switch:
         if not targets:
             return
         self.frames_forwarded += 1
-        if self.forwarding_delay > 0.0:
-            sim = self.sim
-            sim.post(sim.now + self.forwarding_delay, self._egress, targets, frame)
-        else:
-            self._egress(targets, frame)
+        # Egress: each output port's cable clocks the frame out from the
+        # instant store-and-forward would hand it over, with no event of
+        # its own (a port's cable is full-duplex: ``attached_to``).
+        at = self.sim.now + self.forwarding_delay
+        for port in targets:
+            attachment = port.attachment
+            if attachment is not None:
+                port.tx_frames += 1
+                if attachment.attached:
+                    attachment.cable._transmit(attachment.direction, frame, at)
 
     def _select_output_ports(
         self, in_port: SwitchPort, frame: EthernetFrame
@@ -184,7 +191,3 @@ class Switch:
             chosen.update(self._mirrors.get(port, ()))
         chosen.discard(in_port)
         return [port for port in self.ports if port in chosen]
-
-    def _egress(self, targets: List[SwitchPort], frame: EthernetFrame) -> None:
-        for port in targets:
-            port.send(frame)

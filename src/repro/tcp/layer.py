@@ -121,7 +121,7 @@ class TCPLayer:
             route = self.host.ip_layer.routes.lookup(remote_ip)
             if route is None:
                 raise ConnectionClosed(f"no route to {remote_ip}")
-            local_ip = route.src_ip or self.host.primary_ip_on(route.nic)
+            local_ip = self.host.primary_ip_on(route.nic)
         if local_port is None:
             local_port = self._allocate_ephemeral(local_ip, remote_ip, remote_port)
         key = (local_ip.value, local_port, remote_ip.value, remote_port)

@@ -45,6 +45,61 @@ def test_remove_network():
     assert table.lookup(ip("10.0.0.1")) is None
 
 
+def test_a_source_qualified_route_carries_only_its_own_sources_datagrams():
+    table = RoutingTable()
+    lan, vip_nic = FakeNIC("lan"), FakeNIC("vip")
+    vip, far_net, far = ip("10.0.0.100"), ip("192.168.9.0"), ip("192.168.9.9")
+    table.add(Route(far_net, 24, lan, next_hop=ip("10.0.0.253")))
+    table.add(Route(far_net, 24, vip_nic, next_hop=ip("10.0.0.200"), src_ip=vip))
+    # At one prefix length the qualified route wins, for its source only.
+    assert table.lookup(far, vip).nic is vip_nic
+    assert table.lookup(far, ip("10.0.0.100")).nic is vip_nic  # by value
+    assert table.lookup(far, ip("10.0.0.1")).nic is lan
+    assert table.lookup(far).nic is lan
+    # A longer prefix still wins over a qualified route.
+    host_nic = FakeNIC("host")
+    table.add(Route(far, 32, host_nic))
+    assert table.lookup(far, vip).nic is host_nic
+    table.remove_network(far, 32)
+    # Removal goes by source too: the unqualified route leaves alone.
+    table.remove_network(far_net, 24)
+    assert table.lookup(far, vip).nic is vip_nic and table.lookup(far) is None
+    table.remove_network(far_net, 24, src=vip)
+    assert table.lookup(far, vip) is None
+
+
+def test_the_ip_layer_routes_by_source_and_connect_never_picks_a_qualified_route():
+    """A datagram from the VIP leaves by its qualified route, one from the
+    host's own address by the plain one, and ``connect()`` without a
+    local IP takes the plain route's source."""
+    from repro.net.addresses import fresh_unicast_mac
+    from repro.net.medium import FrameReceiver
+
+    class Tap(FrameReceiver):
+        def receive_frame(self, frame):
+            heard.append(frame)
+
+    lan = LanPair(Simulator(seed=9))
+    heard = []
+    lan.hub.attach(Tap())
+    vip = ip("10.0.0.100")
+    lan.a.add_vnic("vip", vip, fresh_unicast_mac(), lan.nic_a)
+    plain_mac, vip_mac = fresh_unicast_mac(), fresh_unicast_mac()
+    lan.a.arp.add_static(ip("10.0.0.253"), plain_mac)
+    lan.a.arp.add_static(ip("10.0.0.200"), vip_mac)
+    far_net, far = ip("192.168.9.0"), ip("192.168.9.9")
+    lan.a.ip_layer.add_route(far_net, 24, lan.nic_a, next_hop=ip("10.0.0.200"), src_ip=vip)
+    lan.a.ip_layer.add_route(far_net, 24, lan.nic_a, next_hop=ip("10.0.0.253"))
+    sock = lan.a.tcp.connect((far, 80))
+    lan.a.ip_layer.send(far, PROTO_UDP, None, 8, src=vip)
+    lan.a.ip_layer.send(far, PROTO_UDP, None, 8)
+    lan.sim.run(until=0.01)
+    assert sock.local_address[0] == lan.ip_a
+    assert [(frame.dst, frame.payload.src) for frame in heard] == [
+        (plain_mac, lan.ip_a), (vip_mac, vip), (plain_mac, lan.ip_a),
+    ]
+
+
 def test_route_prefix_validation():
     with pytest.raises(Exception):
         Route(ip("10.0.0.0"), 40, FakeNIC("x"))
@@ -182,7 +237,7 @@ def test_route_lookup_is_remembered_per_destination_value():
     lan.a.arp.add_static(lan.ip_b, lan.nic_b.mac)
     routes, asked = lan.a.ip_layer.routes, []
     lookup = routes.lookup
-    routes.lookup = lambda dst: asked.append(dst.value) or lookup(dst)
+    routes.lookup = lambda dst, src=None: asked.append(dst.value) or lookup(dst, src)
     far = ip("192.168.9.9")
     sock = lan.a.udp.socket(6000)
     for target in (lan.ip_b, ip(str(lan.ip_b)), far, far):

@@ -7,19 +7,20 @@ from hypothesis import strategies as st
 from repro.errors import NetworkError
 from repro.net.addresses import MAC_BROADCAST, MACAddress, fresh_multicast_mac, fresh_unicast_mac
 from repro.net.frame import ETHERTYPE_IPV4, EthernetFrame
+from repro.net.loss import ScriptedLoss
 from repro.net.medium import Cable, FrameReceiver
 from repro.net.switch import Switch
 from repro.sim.simulator import Simulator
-from repro.util.units import mbps
+from repro.util.units import mbps, transmission_time
 
 
 class Station(FrameReceiver):
-    def __init__(self, sim, switch):
+    def __init__(self, sim, switch, rate_bps=mbps(100), delay=0.0):
         self.sim = sim
         self.mac = fresh_unicast_mac()
         self.received = []
         self.port = switch.new_port()
-        self.cable = Cable(sim, self, self.port, rate_bps=mbps(100))
+        self.cable = Cable(sim, self, self.port, rate_bps=rate_bps, delay=delay)
 
     def receive_frame(self, frame):
         self.received.append(frame)
@@ -200,6 +201,82 @@ def test_forwarding_delay_applied():
     assert len(b.received) == 1
 
 
+# -- one kernel event per switch hop: the ingress books each egress cable
+# -- from the egress instant on --------------------------------------------------
+
+
+class TimedStation(Station):
+    def receive_frame(self, frame):
+        self.received.append((self.sim.now, frame.frame_id))
+
+
+@pytest.mark.parametrize("forwarding_delay", [0.0, 0.004])
+def test_a_switch_hop_arrives_at_the_store_and_forward_instant(forwarding_delay):
+    """Oracle: a frame entering at ``t_in`` leaves each output port at
+    ``max(next_free, t_in + fd)`` and arrives ``tx + delay`` later.  Two
+    fast senders feed slow group members back to back, so frames queue on
+    every egress port; copies go out in port order."""
+    sim = Simulator()
+    switch = Switch(sim, forwarding_delay=forwarding_delay)
+    senders = [TimedStation(sim, switch, mbps(100), delay=3e-6) for _ in range(2)]
+    members = [TimedStation(sim, switch, mbps(10), delay=d) for d in (1e-6, 5e-6, 2e-6)]
+    group = fresh_multicast_mac()
+    for station in reversed(members):
+        switch.join_multicast(group, station.port)
+    ingress = []  # (t_in, sender index, frame id, size), in switch-arrival order
+    for index, (station, sizes) in enumerate(zip(senders, ([500, 1500, 64], [900, 64]))):
+        free = 0.0
+        for size in sizes:
+            frame = station.send(group, size)
+            free += transmission_time(frame.wire_size, mbps(100))
+            ingress.append((free + station.cable.delay, index, frame.frame_id, frame.wire_size))
+    sim.run()
+    next_free = {id(station): 0.0 for station in members}
+    expected = {id(station): [] for station in members}
+    for t_in, _, frame_id, size in sorted(ingress):
+        for station in members:
+            start = max(next_free[id(station)], t_in + forwarding_delay)
+            next_free[id(station)] = start + transmission_time(size, mbps(10))
+            expected[id(station)].append(
+                (start + transmission_time(size, mbps(10)) + station.cable.delay, frame_id)
+            )
+    assert [station.received for station in members] == [expected[id(s)] for s in members]
+    assert all(station.port.tx_frames == 5 for station in members)
+
+
+def test_a_switch_port_refuses_a_half_duplex_cable():
+    """A half-duplex cable shares one clock between its directions, which
+    the switch would book out of order from its egress instants."""
+    sim = Simulator()
+    switch = Switch(sim)
+    with pytest.raises(NetworkError, match="full-duplex"):
+        Cable(sim, FrameReceiver(), switch.new_port(), rate_bps=mbps(100), full_duplex=False)
+
+
+def test_an_egress_loss_model_is_asked_when_the_frame_enters_the_switch():
+    """The egress cable's loss model is consulted at ingress, with the
+    egress instant as its time; one installed while the frame waits out
+    the forwarding delay does not see that frame."""
+    sim = Simulator()
+    switch = Switch(sim, forwarding_delay=0.005)
+    a, b = Station(sim, switch), Station(sim, switch)
+    asked = []
+    b.cable.loss_model = lambda frame, now: asked.append((sim.now, now)) or False
+    t_in = transmission_time(a.send(MAC_BROADCAST).wire_size, mbps(100))
+    sim.run()
+    assert asked == [(t_in, t_in + 0.005)]
+    b.cable.loss_model = None
+    a.send(MAC_BROADCAST)
+    sim.run(until=sim.now + t_in + 0.0025)  # the frame is inside the switch
+    late = ScriptedLoss(predicate=lambda frame: True)
+    b.cable.loss_model = late
+    sim.run()
+    assert len(b.received) == 2 and late.seen == 0
+    a.send(MAC_BROADCAST)
+    sim.run()
+    assert len(b.received) == 2 and late.dropped == 1
+
+
 def test_switch_tables_are_keyed_by_value(fabric):
     """Groups and learned ports go by the address's value: an equal but
     distinct ``MACAddress`` object is the same address."""
@@ -287,10 +364,15 @@ def test_prop_a_remembered_decision_is_the_one_the_tables_give(ops):
     mirrors, asked afresh, and counts as flooded exactly when that says;
     after every step, every remembered decision is still the fresh one."""
     switch = Switch(Simulator())
-    for _ in range(3):
-        switch.new_port()
     egressed = []
-    switch._egress = lambda targets, frame: egressed.append(targets)
+
+    def new_port():
+        port = switch.new_port()
+        cable = Cable(switch.sim, FrameReceiver(), port, rate_bps=mbps(100))
+        cable._transmit = lambda to, frame, at: egressed.append(port)  # the frame left by port
+
+    for _ in range(3):
+        new_port()
 
     def fresh(in_port, dst):
         frame = EthernetFrame(dst, SOURCES[0], ETHERTYPE_IPV4, None, 100)
@@ -303,14 +385,14 @@ def test_prop_a_remembered_decision_is_the_one_the_tables_give(ops):
         ports = switch.ports
         if kind == "new_port":
             if len(ports) < 5:
-                switch.new_port()
+                new_port()
         elif kind == "ingress":
             in_port, dst = ports[op[1] % len(ports)], op[3]
             asked[in_port.index << 48 | dst.value] = (in_port, dst)
             flooded, egressed[:] = switch.frames_flooded, []
             in_port.receive_frame(EthernetFrame(dst, op[2], ETHERTYPE_IPV4, None, 100))
             reference, floods = fresh(in_port, dst)
-            assert egressed == ([reference] if reference else []), op
+            assert egressed == reference, op
             assert switch.frames_flooded == flooded + floods, op
         elif kind in ("join", "leave"):
             port = ports[op[2] % len(ports)]

@@ -22,10 +22,17 @@ says so and the exit status is 1.  It also checks the run: a callback that
 ran for a crashed host (``tools/crash_silence.py``) is listed after the
 table, and the exit status is 1.
 
+On a cluster workload, a table per host follows: frames its NICs
+received, datagrams its IP layer dropped as not its own, and the services
+it shadowed at some point of the run.  A pool host's drops are the tapped
+replies of its services; one tapping services it does not shadow shows a
+drop column out of step with its services.
+
 Usage::
 
-    PYTHONPATH=src python tools/event_census.py 100            # one scale rung
-    PYTHONPATH=src python tools/event_census.py churn_failover # a bench workload
+    PYTHONPATH=src python tools/event_census.py 100              # one scale rung
+    PYTHONPATH=src python tools/event_census.py churn_failover   # a bench workload
+    PYTHONPATH=src python tools/event_census.py cluster_failover # ... plus the host table
 """
 
 from __future__ import annotations
@@ -124,10 +131,35 @@ def take_census(run: Callable[[], Any]) -> Tuple[Dict[str, _Row], CrashSilence, 
         EventHandle.cancel = cancel  # type: ignore[method-assign]
 
 
-def census_of(what: str, seed: int) -> Tuple[Dict[str, _Row], CrashSilence, str, int]:
+def host_table(cluster: Any, shadowed: Dict[str, List[str]]) -> str:
+    """One row per host of a finished cluster run: NIC receives, IP drops
+    as not local, and the services it shadowed (``shadowed``: at the start,
+    by pool host; elections add the rest)."""
+    fabric = cluster.fabric
+    for record in cluster.coordinator.report.records:
+        if record.new_backup is not None:
+            shadowed[record.new_backup].append(record.service)
+    value = fabric.sim.metrics.value
+    hosts = (
+        [fabric.gateway]
+        + [service.primary for service in fabric.services]
+        + [service.client for service in fabric.services]
+        + [node.host for node in fabric.backups]
+    )
+    lines = [f"  {'NIC rx':>9} {'not local':>9}  host: services shadowed"]
+    for host in hosts:
+        received = sum(nic.rx_frames for nic in host.nics)
+        dropped = value(f"{host.name}.ip.dropped_not_local")
+        services = ",".join(sorted(set(shadowed.get(host.name, ())))) or "-"
+        lines.append(f"  {received:>9} {dropped:>9}  {host.name}: {services}")
+    return "\n".join(lines)
+
+
+def census_of(what: str, seed: int) -> Tuple[Dict[str, _Row], CrashSilence, str, int, str]:
     """Run a scale rung (``what`` a connection count) or a bench workload:
     (the census, its crash-silence check, its summary line, the events the
-    kernel executed)."""
+    kernel executed, the host table of a cluster workload or "")."""
+    hosts = ""
     if what.isdigit():
         census, silence, result = take_census(
             lambda: run_experiment("scale", ladder=(int(what),), store=None, base_seed=seed)
@@ -139,16 +171,25 @@ def census_of(what: str, seed: int) -> Tuple[Dict[str, _Row], CrashSilence, str,
         sys.path.insert(0, str(BENCH))
         from workloads import WORKLOADS  # bench/workloads.py, as bench/worker.py imports it
 
+        clusters: List[Tuple[Any, Dict[str, List[str]]]] = []
+
         def run() -> Any:
             timed, summarise = WORKLOADS[what](seed, 1.0)
+            cluster = getattr(timed, "__self__", None)  # a ClusterRun's execute
+            if cluster is not None:
+                clusters.append((cluster, {
+                    node.name: node.manager.shadowed_names() for node in cluster.fabric.backups
+                }))
             return summarise(timed())
 
         census, silence, outcome = take_census(run)
         events, segments = outcome.events, outcome.segments
+        if clusters:
+            hosts = host_table(*clusters[0])
     return census, silence, (
         f"{what}, seed {seed}: {events} events executed for {segments} segments"
         f" = {events / segments:.2f} per segment"
-    ), events
+    ), events, hosts
 
 
 def uncounted(census: Dict[str, _Row], executed: int) -> int:
@@ -178,8 +219,10 @@ if __name__ == "__main__":
     )
     parser.add_argument("--seed", type=int, default=BASE_SEED)
     args = parser.parse_args()
-    census, silence, summary, executed = census_of(args.what, args.seed)
+    census, silence, summary, executed, hosts = census_of(args.what, args.seed)
     print(format_census(census, summary))
+    if hosts:
+        print(hosts)
     missed = uncounted(census, executed)
     if missed:
         print(f"  CENSUS INCOMPLETE: {missed} of {executed} executed events were queued around the wrappers")
