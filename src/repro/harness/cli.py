@@ -16,6 +16,11 @@ relocate, ``--no-store`` to disable) and skipped on re-runs.
 
 Exports: ``--json PATH`` / ``--csv PATH`` write the raw records.
 
+Verdict: ``cluster`` and ``scale`` grade every record A/B/C/F
+(:func:`repro.obs.slo.grade_record`), print one line under the table per
+missed SLO, violated invariant or failed client, and exit 1 unless every
+record grades A or B.
+
 Profiling: ``repro explain`` ends with the explained run's calls per
 segment by layer; wall time per layer is the benchmark's (``bench/``).
 """
@@ -36,24 +41,18 @@ from repro.harness.experiments.figure5 import format_figure5
 from repro.harness.results import ResultStore, default_store_path
 from repro.harness.runner import FLIGHT_DUMP_ENV
 from repro.metrics.report import records_to_csv, records_to_json
-
-
-def _store_from_args(args: argparse.Namespace) -> Optional[ResultStore]:
-    if getattr(args, "no_store", False):
-        return None
-    path = getattr(args, "store", None) or default_store_path()
-    return ResultStore(path)
+from repro.obs.slo import CLUSTER_SLOS, SCALE_SLOS, Objectives, grade_record
 
 
 def _run(name: str, args: argparse.Namespace, **options: Any) -> ExperimentResult:
-    if getattr(args, "flight_dump", None):
+    if args.flight_dump:
         # The env var (not a parameter) so --jobs N worker processes
         # inherit it; every red cell then leaves a dump in the directory.
         os.environ[FLIGHT_DUMP_ENV] = args.flight_dump
     result = run_experiment(
         name,
-        jobs=getattr(args, "jobs", 1),
-        store=_store_from_args(args),
+        jobs=args.jobs,
+        store=None if args.no_store else ResultStore(args.store or default_store_path()),
         **options,
     )
     print(result.grid.summary(), file=sys.stderr)
@@ -61,39 +60,30 @@ def _run(name: str, args: argparse.Namespace, **options: Any) -> ExperimentResul
 
 
 def _export(records: List[Dict[str, Any]], args: argparse.Namespace) -> None:
-    if getattr(args, "json", None):
+    if args.json:
         path = records_to_json(records, args.json)
         print(f"wrote {path}")
-    if getattr(args, "csv", None):
+    if args.csv:
         path = records_to_csv(records, args.csv)
         print(f"wrote {path}")
 
 
-def _build_scorecard(
-    records: List[Dict[str, Any]],
-    name_of: Any,
-    slo_source: Any,
-    title: str,
-):
-    """Grade each record against the SLO spec; returns the Scorecard."""
-    from repro.obs.scorecard import Scorecard, score_record
-    from repro.obs.slo import evaluate_slos, load_slo_spec
-
-    spec = load_slo_spec(slo_source)
-    card = Scorecard(title=title)
-    for record in records:
-        report = evaluate_slos(spec, record)
-        card.scores.append(score_record(name_of(record), record, report))
-    return spec, card
+# Each verb takes the grid flags its options function reads, and no other.
+def _seed_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--topology", choices=["hub", "switched"], default="hub")
+    parser.add_argument("--seed", type=int, default=100)
 
 
-def _publish_scorecard(card: Any, out_dir: str) -> None:
-    from pathlib import Path
-
-    from repro.obs.scorecard import write_scorecard
-
-    md_path, json_path = write_scorecard(card, Path(out_dir))
-    print(f"wrote {md_path} and {json_path}", file=sys.stderr)
+def _grid_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--paper-scale", action="store_true", help="the full paper grid")
+    parser.add_argument(
+        "--quick",
+        dest="paper_scale",
+        action="store_false",
+        default=False,
+        help="the quick grid (the default)",
+    )
+    _seed_flags(parser)
 
 
 def _grid_options(args: argparse.Namespace) -> Dict[str, Any]:
@@ -104,8 +94,25 @@ def _grid_options(args: argparse.Namespace) -> Dict[str, Any]:
     }
 
 
+def _figure5_flags(parser: argparse.ArgumentParser) -> None:
+    _grid_flags(parser)
+    parser.add_argument("--app", choices=["echo", "interactive"], default="echo")
+
+
 def _figure5_options(args: argparse.Namespace) -> Dict[str, Any]:
     return {**_grid_options(args), "application": args.app}
+
+
+def _scale_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--quick", action="store_true", help="the smoke ladder")
+    parser.add_argument(
+        "--rungs",
+        metavar="N,N,...",
+        help="comma-separated ladder of simultaneous connections "
+        f"(default {','.join(map(str, DEFAULT_LADDER))}; "
+        f"--quick uses {','.join(map(str, SMOKE_LADDER))})",
+    )
+    _seed_flags(parser)
 
 
 def _scale_options(args: argparse.Namespace) -> Dict[str, Any]:
@@ -116,31 +123,57 @@ def _scale_options(args: argparse.Namespace) -> Dict[str, Any]:
     return {"ladder": ladder, "topology": args.topology, "base_seed": args.seed}
 
 
+def _cluster_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--scenario",
+        action="append",
+        metavar="NAME_OR_PATH",
+        help="scenario to run: a shipped name "
+        f"({', '.join(DEFAULT_SCENARIOS)}) or a JSON file path; "
+        "repeatable (default: all shipped scenarios)",
+    )
+
+
 def _cluster_options(args: argparse.Namespace) -> Dict[str, Any]:
     return {"scenarios": args.scenario or list(DEFAULT_SCENARIOS)}
 
 
 class _Verb(NamedTuple):
-    """One experiment verb: the registered specs it runs, in order, and
-    the ``run_experiment`` options it takes from the command line."""
+    """One experiment verb: the registered specs it runs, in order, the
+    flags it adds, the ``run_experiment`` options it reads from them, and
+    the SLOs its records are graded against (exit 1 below grade B)."""
 
     help: str
     specs: Tuple[str, ...]
+    flags: Callable[[argparse.ArgumentParser], None] = lambda parser: None
     options: Callable[[argparse.Namespace], Dict[str, Any]] = lambda args: {}
+    slos: Optional[Objectives] = None
 
 
 EXPERIMENT_VERBS: Dict[str, _Verb] = {
     "table1": _Verb(
-        "Table 1: failure-free ST-TCP vs standard TCP", ("table1",), _grid_options
+        "Table 1: failure-free ST-TCP vs standard TCP",
+        ("table1",),
+        _grid_flags,
+        _grid_options,
     ),
     "table2": _Verb(
-        "Table 2: failover time vs heartbeat interval", ("table2",), _grid_options
+        "Table 2: failover time vs heartbeat interval",
+        ("table2",),
+        _grid_flags,
+        _grid_options,
     ),
     "figure5": _Verb(
-        "Figure 5: echo/interactive vs HB interval", ("figure5",), _figure5_options
+        "Figure 5: echo/interactive vs HB interval",
+        ("figure5",),
+        _figure5_flags,
+        _figure5_options,
     ),
     "figure6": _Verb(
-        "Figure 6: bulk transfers with/without failover", ("figure6",), _grid_options
+        "Figure 6: bulk transfers with/without failover",
+        ("figure6",),
+        _grid_flags,
+        _grid_options,
     ),
     # Each ablation's sweep is fixed by its spec: no scale, topology or seed.
     "ablations": _Verb(
@@ -156,18 +189,24 @@ EXPERIMENT_VERBS: Dict[str, _Verb] = {
     "scale": _Verb(
         "connection-churn ladder with failover at each rung (docs/SCALE.md)",
         ("scale",),
+        _scale_flags,
         _scale_options,
+        SCALE_SLOS,
     ),
+    # Each scenario names its own seed and fabric.
     "cluster": _Verb(
         "N-pair fabric with backup pool, election + STONITH (docs/CLUSTER.md)",
         ("cluster",),
+        _cluster_flags,
         _cluster_options,
+        CLUSTER_SLOS,
     ),
 }
 
 
-def _run_verb(args: argparse.Namespace) -> List[Dict[str, Any]]:
-    """Run, print and export every spec of an experiment verb; its records."""
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """Run, print and export every spec of an experiment verb; exit 1 if
+    a graded verb has a record below grade B (the table names why)."""
     verb = EXPERIMENT_VERBS[args.command]
     options = verb.options(args)
     records: List[Dict[str, Any]] = []
@@ -183,92 +222,9 @@ def _run_verb(args: argparse.Namespace) -> List[Dict[str, Any]]:
                 record["ablation"] = result.spec.title.split(":")[0]
         records.extend(result.rows)
     _export(records, args)
-    return records
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    _run_verb(args)
-    return 0
-
-
-def _cmd_scale(args: argparse.Namespace) -> int:
-    """Connection-churn ladder: rungs of simultaneous ST-TCP connections
-    with a mid-ladder primary crash (docs/SCALE.md)."""
-    records = _run_verb(args)
-    if args.scorecard:
-        _spec, card = _build_scorecard(
-            records,
-            name_of=lambda r: f"scale-{r['connections']}",
-            slo_source=args.slo or "configs/slo/scale.json",
-            title="repro scale scorecard",
-        )
-        _publish_scorecard(card, args.scorecard)
-    clean = all(
-        record["verified"]
-        and not record["degraded"]
-        and record["leftover_shadows"] == 0
-        for record in records
-    )
-    return 0 if clean else 1
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    """N primary/backup pairs on one fabric: pooled backups, fenced
-    takeover, replacement-backup election (docs/CLUSTER.md)."""
-    records = _run_verb(args)
-    if args.scorecard:
-        _spec, card = _build_scorecard(
-            records,
-            name_of=lambda r: r["scenario"],
-            slo_source=args.slo or "configs/slo/cluster.json",
-            title="repro cluster scorecard",
-        )
-        _publish_scorecard(card, args.scorecard)
-    return 0 if all(record["ok"] for record in records) else 1
-
-
-def _cmd_health(args: argparse.Namespace) -> int:
-    """Run cluster scenarios, grade them against an SLO spec, and publish
-    the Markdown + JSON scorecard (docs/OBSERVABILITY.md)."""
-    from repro.harness.results import cell_key
-    from repro.harness.spec import GridCell
-
-    records = _run("cluster", args, **_cluster_options(args)).rows
-    slo_spec, card = _build_scorecard(
-        records,
-        name_of=lambda r: r["scenario"],
-        slo_source=args.slo,
-        title=f"repro health scorecard — SLO spec '{args.slo}'",
-    )
-    print(card.render_markdown())
-    _publish_scorecard(card, args.out)
-    store = _store_from_args(args)
-    if store is not None:
-        # Content-hash each scenario's score into the store: the params
-        # carry the full SLO spec, so editing an objective (or the code
-        # version changing) re-keys the entry instead of serving a stale
-        # verdict.
-        slo_params = [
-            {
-                "name": s.name,
-                "sli": s.sli,
-                "objective": s.objective,
-                "window": s.window,
-            }
-            for s in slo_spec.slos
-        ]
-        for score in card.scores:
-            cell = GridCell(
-                experiment="health",
-                cell_id=f"health[{score.name}]",
-                params={"slo_spec": slo_spec.name, "slos": slo_params,
-                        "scenario": score.name},
-                seed=0,
-            )
-            key = cell_key(cell)
-            if store.get(key) is None:
-                store.append(cell, score.to_record(), key=key)
-    return 0 if card.ok else 1
+    if verb.slos is None:
+        return 0
+    return 0 if all(grade_record(record, verb.slos).ok for record in records) else 1
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -361,15 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--paper-scale", action="store_true", help="the full paper grid")
-        p.add_argument(
-            "--quick",
-            action="store_true",
-            help="the quick grid (the default); for scale, the smoke ladder",
-        )
-        p.add_argument("--topology", choices=["hub", "switched"], default="hub")
-        p.add_argument("--seed", type=int, default=100)
+    for name, verb in EXPERIMENT_VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
+        verb.flags(p)
         p.add_argument(
             "--jobs",
             type=int,
@@ -395,88 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="dump the flight recorder (last trace records) of any red "
             "run into DIR (CI uploads it as an artifact)",
         )
-
-    verbs = {}
-    for name, verb in EXPERIMENT_VERBS.items():
-        verbs[name] = sub.add_parser(name, help=verb.help)
-        common(verbs[name])
-        verbs[name].set_defaults(fn=_cmd_experiment)
-    verbs["figure5"].add_argument(
-        "--app", choices=["echo", "interactive"], default="echo"
-    )
-
-    scale = verbs["scale"]
-    scale.add_argument(
-        "--rungs",
-        metavar="N,N,...",
-        help="comma-separated ladder of simultaneous connections "
-        f"(default {','.join(map(str, DEFAULT_LADDER))}; "
-        f"--quick uses {','.join(map(str, SMOKE_LADDER))})",
-    )
-    scale.add_argument(
-        "--scorecard",
-        metavar="DIR",
-        help="grade the rungs against an SLO spec and write the "
-        "Markdown+JSON scorecard into DIR",
-    )
-    scale.add_argument(
-        "--slo",
-        metavar="PATH",
-        default=None,
-        help="SLO spec for --scorecard (default configs/slo/scale.json)",
-    )
-    scale.set_defaults(fn=_cmd_scale)
-
-    cluster = verbs["cluster"]
-    cluster.add_argument(
-        "--scenario",
-        action="append",
-        metavar="NAME_OR_PATH",
-        help="scenario to run: a shipped name "
-        f"({', '.join(DEFAULT_SCENARIOS)}) or a JSON file path; "
-        "repeatable (default: all shipped scenarios)",
-    )
-    cluster.add_argument(
-        "--scorecard",
-        metavar="DIR",
-        help="grade the scenarios against an SLO spec and write the "
-        "Markdown+JSON scorecard into DIR",
-    )
-    cluster.add_argument(
-        "--slo",
-        metavar="PATH",
-        default=None,
-        help="SLO spec for --scorecard (default configs/slo/cluster.json)",
-    )
-    cluster.set_defaults(fn=_cmd_cluster)
-
-    health = sub.add_parser(
-        "health",
-        help="scenario scorecard: SLO verdicts, grades, phase breakdowns "
-        "(docs/OBSERVABILITY.md)",
-    )
-    common(health)
-    health.add_argument(
-        "--scenario",
-        action="append",
-        metavar="NAME_OR_PATH",
-        help="scenario to grade: a shipped name "
-        f"({', '.join(DEFAULT_SCENARIOS)}) or a JSON file path; "
-        "repeatable (default: all shipped scenarios)",
-    )
-    health.add_argument(
-        "--slo",
-        metavar="PATH",
-        default="configs/slo/cluster.json",
-        help="SLO spec to evaluate (default configs/slo/cluster.json)",
-    )
-    health.add_argument(
-        "--out",
-        metavar="DIR",
-        default="health",
-        help="directory for scorecard.md / scorecard.json (default health/)",
-    )
-    health.set_defaults(fn=_cmd_health)
+        p.set_defaults(fn=_cmd_experiment)
 
     explain = sub.add_parser(
         "explain",

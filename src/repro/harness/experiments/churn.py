@@ -20,7 +20,8 @@ failover"): a **concurrency ladder** where each rung
 
 Per rung the record reports takeover latency, shadow-convergence lag,
 opened connections/sec, sampled bytes/TCB, peak TCB counts, and the
-reap accounting — the scale story of docs/SCALE.md.
+reap accounting — the scale story of docs/SCALE.md.  The table grades
+each rung against :data:`repro.obs.slo.SCALE_SLOS`.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ from repro.harness.spec import (
     sttcp_from_params,
     sttcp_params,
 )
-from repro.harness.tables import format_table
+from repro.harness.tables import graded_table
 from repro.metrics import perf
+from repro.obs.slo import SCALE_SLOS, grade_record
 from repro.sttcp.config import STTCPConfig
 
 #: Read granularity for flow responses.
@@ -441,11 +443,10 @@ def format_scale(records: List[Dict[str, Any]]) -> str:
             r["peak_tcbs_backup"],
             r["shadows_reaped"],
             r["leftover_shadows"],
-            "ok" if r["verified"] and not r["degraded"] else "FAILED",
         ]
         for r in records
     ]
-    return format_table(
+    return graded_table(
         [
             "conns",
             "opens/s",
@@ -456,9 +457,10 @@ def format_scale(records: List[Dict[str, Any]]) -> str:
             "peak TCBs",
             "reaped",
             "leftover",
-            "status",
         ],
         rows,
+        [f"scale-{r['connections']}" for r in records],
+        [grade_record(r, SCALE_SLOS) for r in records],
         title="scale: churn ladder on one primary/backup pair",
     )
 

@@ -11,8 +11,9 @@ the cells it changes.
 
 The record is the full :func:`repro.cluster.run.run_cluster` bundle:
 per-pair verification, crash→detection→takeover latencies, the election
-ledger with shadow-sync latencies, arbiter counters, the dual-primary
-monitor's verdict, and per-pair failover timelines.
+ledger with each election's unprotected connections, arbiter counters,
+the dual-primary monitor's verdict, and per-pair failover timelines.
+The table grades each record against :data:`repro.obs.slo.CLUSTER_SLOS`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.harness.spec import ExperimentSpec, GridCell, Record, register
-from repro.harness.tables import format_table
+from repro.harness.tables import graded_table
+from repro.obs.slo import CLUSTER_SLOS, grade_record
 
 #: The shipped scenario set, in the order the table reports them.
 DEFAULT_SCENARIOS = ("smoke", "trio", "storm")
@@ -96,10 +98,9 @@ def format_cluster(records: List[Record]) -> str:
                 sum(len(e["unprotected"]) for e in elections),
                 record["arbiter"]["cuts_performed"],
                 f"{held}/4",
-                "OK" if record["ok"] else "FAIL",
             ]
         )
-    return format_table(
+    return graded_table(
         [
             "scenario",
             "pairs",
@@ -109,9 +110,10 @@ def format_cluster(records: List[Record]) -> str:
             "unprotected",
             "fences",
             "invariants",
-            "status",
         ],
         rows,
+        [record["scenario"] for record in records],
+        [grade_record(record, CLUSTER_SLOS) for record in records],
         title="cluster: pooled backups, fenced takeover, re-election",
     )
 

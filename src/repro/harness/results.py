@@ -14,8 +14,10 @@ version — invalidates old entries automatically rather than silently
 serving stale numbers.  Re-running a grid against a warm store executes
 only the cells whose keys are missing; everything else is read back.
 
-Append-only means a killed run loses at most the in-flight cell; a torn
-final line is skipped on load and overwritten by the re-run.
+Append-only means a killed run loses at most the in-flight cell.  A torn
+final line (no closing newline) is skipped on load and left in place; the
+first append after it starts with a newline, so the re-run's entries
+land on lines of their own instead of being glued onto the fragment.
 """
 
 from __future__ import annotations
@@ -72,10 +74,13 @@ class ResultStore:
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self._by_key: Dict[str, Entry] = {}
+        #: The file ends in a torn line: close it before the next append.
+        self._torn_tail = False
         if self.path.exists():
             with self.path.open() as handle:
-                for line in handle:
-                    line = line.strip()
+                raw = "\n"
+                for raw in handle:
+                    line = raw.strip()
                     if not line:
                         continue
                     try:
@@ -84,6 +89,7 @@ class ResultStore:
                         continue  # torn tail of an interrupted run
                     if isinstance(entry, dict) and "key" in entry:
                         self._by_key[entry["key"]] = entry
+                self._torn_tail = not raw.endswith("\n")
 
     def __len__(self) -> int:
         return len(self._by_key)
@@ -112,6 +118,9 @@ class ResultStore:
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as handle:
+            if self._torn_tail:
+                handle.write("\n")
+                self._torn_tail = False
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
         self._by_key[entry["key"]] = entry
         return entry

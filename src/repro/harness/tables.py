@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.obs.slo import Grade
+
 
 def format_table(
     headers: Sequence[str],
@@ -35,6 +37,28 @@ def format_table(
             "  ".join(cell.rjust(widths[index]) for index, cell in enumerate(row))
         )
     return "\n".join(lines)
+
+
+def graded_table(
+    headers: Sequence[str],
+    rows: Sequence[Sequence[Any]],
+    names: Sequence[str],
+    grades: Sequence[Grade],
+    title: str,
+) -> str:
+    """A table whose last two columns are each record's grade and worst
+    burn, then one line per fault of every record graded below B."""
+    table = format_table(
+        [*headers, "grade", "burn"],
+        [[*row, grade.letter, f"{grade.burn:.2f}"] for row, grade in zip(rows, grades)],
+        title=title,
+    )
+    faults = [
+        f"{name}: {fault}"
+        for name, grade in zip(names, grades)
+        for fault in grade.faults
+    ]
+    return "\n".join([table, *faults])
 
 
 def rows_from_records(

@@ -1,6 +1,6 @@
 """repro.obs — what the simulation did, in sim time.
 
-Six pieces (see docs/OBSERVABILITY.md, which also lists who reads each):
+Five pieces (see docs/OBSERVABILITY.md, which also lists who reads each):
 
 * :mod:`repro.obs.registry` — named counters and gauges with O(1)
   hot-path increments and per-host scoping: the one store of simulated
@@ -15,11 +15,9 @@ Six pieces (see docs/OBSERVABILITY.md, which also lists who reads each):
   failover phase decomposition (per-pair and cluster-level), plus
   Chrome trace-event (Perfetto, including flow arrows) export of any
   trace;
-* :mod:`repro.obs.slo` — the declarative SLO engine: JSON specs under
-  ``configs/slo/`` evaluated against run records with burn-rate
-  verdicts;
-* :mod:`repro.obs.scorecard` — per-scenario health grades rendered to
-  Markdown + JSON (the ``repro health`` artefact).
+* :mod:`repro.obs.slo` — the SLIs a run record is held to, with burn
+  rates, and the one A/B/C/F grade the ``cluster`` and ``scale`` tables
+  print per record.
 
 What the *host* spent running it (wall clock, collector passes, calls
 by layer) is :mod:`repro.metrics`.
@@ -27,8 +25,7 @@ by layer) is :mod:`repro.metrics`.
 
 from repro.obs.recorder import FlightRecorder
 from repro.obs.registry import Counter, Gauge, MetricsRegistry
-from repro.obs.scorecard import Scorecard, grade_record, score_record
-from repro.obs.slo import SLOReport, SLOSpec, evaluate_slos, load_slo_spec
+from repro.obs.slo import grade_record
 from repro.obs.spans import Span, assemble_spans, causal_chains
 from repro.obs.timeline import (
     ClusterPhases,
@@ -45,17 +42,11 @@ __all__ = [
     "FlightRecorder",
     "Gauge",
     "MetricsRegistry",
-    "SLOReport",
-    "SLOSpec",
-    "Scorecard",
     "Span",
     "TimelineCollector",
     "assemble_spans",
     "causal_chains",
-    "evaluate_slos",
     "grade_record",
-    "load_slo_spec",
     "reconstruct_cluster_phases",
     "reconstruct_failover",
-    "score_record",
 ]

@@ -27,7 +27,7 @@ def test_parser_knows_all_subcommands():
     }
     assert reachable == shipped
     parser = build_parser()
-    for command in (*EXPERIMENT_VERBS, "health", "explain"):
+    for command in (*EXPERIMENT_VERBS, "explain"):
         assert parser.parse_args([command]).command == command
     assert {"scale", "cluster", "ablations"} <= set(EXPERIMENT_VERBS)
     assert parser.parse_args(["figure5", "--app", "echo"]).app == "echo"
@@ -190,82 +190,20 @@ def test_no_flight_dump_without_env(tmp_path, monkeypatch):
     assert list(tmp_path.glob("flight-*.txt")) == []
 
 
-def test_health_command_publishes_scorecard(tmp_path, capsys):
-    out_dir = tmp_path / "health"
-    assert (
-        main(
-            [
-                "health",
-                "--scenario",
-                "smoke",
-                "--no-store",
-                "--out",
-                str(out_dir),
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "repro health scorecard" in out
-    assert "## smoke — grade" in out
-    assert "**Overall: PASS**" in out
-    md = (out_dir / "scorecard.md").read_text()
-    assert "takeover-within-budget" in md
-    doc = json.loads((out_dir / "scorecard.json").read_text())
-    assert doc["ok"] is True
-    (scenario,) = doc["scenarios"]
-    assert scenario["name"] == "smoke"
-    assert scenario["grade"] in ("A", "B")
-    assert scenario["causal_chain"]  # the takeover's flow travelled along
-
-
-def test_health_grades_are_the_parents_without_an_election_sync_row(tmp_path, capsys):
-    """Smoke, trio and storm keep grade B and their max burns: the
-    election-sync SLO (burn 0.08–0.17) never set a grade, and an election
-    no longer waits for anything to sync."""
-    assert main(["health", "--no-store", "--out", str(tmp_path / "h")]) == 0
-    out = capsys.readouterr().out
-    assert "election-sync" not in out
-    for row in (
-        "| smoke | **B** | 4/4 | 0.78 |",
-        "| trio | **B** | 4/4 | 0.78 |",
-        "| storm | **B** | 4/4 | 0.54 |",
-    ):
-        assert any(line.startswith(row) for line in out.splitlines()), row
-    sections = out.split("\n## ")[1:]
-    assert [section.split(" ")[0] for section in sections] == ["smoke", "trio", "storm"]
-    for section in sections:
-        name = section.split(" ")[0]
-        assert section.startswith(f"{name} — grade B\n")
-
-
-def test_health_command_stores_content_hashed_scores(tmp_path, capsys):
-    store_path = tmp_path / "results.jsonl"
-    args = [
-        "health",
-        "--scenario",
-        "smoke",
-        "--store",
-        str(store_path),
-        "--out",
-        str(tmp_path / "h"),
+def test_cluster_grades_are_the_parents(capsys):
+    """Smoke, trio and storm grade B with the max burns the deleted
+    ``repro health`` scorecard printed: 0.78 / 0.78 / 0.54."""
+    assert main(["cluster", "--no-store"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[lines.index("cluster: pooled backups, fenced takeover, re-election") + 1]
+    assert header.split()[-2:] == ["grade", "burn"]
+    rows = [line.split() for line in lines if line.split()[:1] in (["smoke"], ["trio"], ["storm"])]
+    assert [(row[0], row[-2], row[-1]) for row in rows] == [
+        ("smoke", "B", "0.78"),
+        ("trio", "B", "0.78"),
+        ("storm", "B", "0.54"),
     ]
-    assert main(args) == 0
-    lines = [
-        json.loads(line)
-        for line in store_path.read_text().splitlines()
-        if '"health[' in line
-    ]
-    assert len(lines) == 1
-    assert lines[0]["params"]["scenario"] == "smoke"
-    assert lines[0]["record"]["grade"] in ("A", "B")
-    capsys.readouterr()
-    # A re-run with the same spec dedups on the content hash.
-    assert main(args) == 0
-    lines = [
-        line for line in store_path.read_text().splitlines() if '"health[' in line
-    ]
-    assert len(lines) == 1
+    assert lines[-1].split() == rows[-1]  # no fault line under the table
 
 
 def test_cluster_table_counts_the_connections_elections_left_unprotected(capsys):
@@ -273,8 +211,8 @@ def test_cluster_table_counts_the_connections_elections_left_unprotected(capsys)
     lines = capsys.readouterr().out.splitlines()
     header = next(line for line in lines if line.startswith("scenario"))
     assert "unprotected" in header and "sync" not in header
-    rows = {row[0]: row for row in (line.split() for line in lines) if len(row) == 9}
-    # name, pairs, detect, takeover, elections, unprotected, fences, invariants, status
+    rows = {row[0]: row for row in (line.split() for line in lines) if len(row) == 10}
+    # name, pairs, detect, takeover, elections, unprotected, fences, invariants, grade, burn
     assert [rows[name][4:6] for name in ("smoke", "trio", "storm")] == [
         ["1", "1"],
         ["1", "1"],
@@ -282,34 +220,45 @@ def test_cluster_table_counts_the_connections_elections_left_unprotected(capsys)
     ]
 
 
-def test_cluster_scorecard_flag(tmp_path, capsys):
-    out_dir = tmp_path / "sc"
-    assert (
-        main(
-            [
-                "cluster",
-                "--scenario",
-                "smoke",
-                "--no-store",
-                "--scorecard",
-                str(out_dir),
-            ]
-        )
-        == 0
-    )
-    assert (out_dir / "scorecard.md").exists()
-    doc = json.loads((out_dir / "scorecard.json").read_text())
-    assert [s["name"] for s in doc["scenarios"]] == ["smoke"]
+def test_cluster_exits_1_when_a_record_grades_c(monkeypatch, capsys):
+    """A record whose invariants hold but whose worst outage breaks the
+    availability objective grades C: the verb prints why and exits 1."""
+    import repro.cluster.run
+
+    run_cluster = repro.cluster.run.run_cluster
+
+    def long_outage(spec):
+        record = run_cluster(spec)
+        record["pairs"][0]["max_gap"] = 0.5 * record["pairs"][0]["total_time"]
+        return record
+
+    monkeypatch.setattr(repro.cluster.run, "run_cluster", long_outage)
+    assert main(["cluster", "--scenario", "smoke", "--no-store"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].split()[-3:-1] == ["4/4", "C"]
+    assert lines[4].startswith("smoke: SLO availability missed: worst pair availability 0.500000")
+    assert lines[5].startswith("smoke: SLO availability-burn-2s missed: worst outage")
 
 
-def test_scale_command_prints_a_clean_rung_and_its_scorecard(tmp_path, capsys):
-    out_dir = tmp_path / "sc"
-    assert main(["scale", "--rungs", "25", "--no-store", "--scorecard", str(out_dir)]) == 0
+def test_verbs_reject_the_grid_flags_they_do_not_read(capsys):
+    """A scenario names its own seed and fabric, and a scale ladder has no
+    paper size: those flags are errors, not silently ignored."""
+    for argv in (
+        ["cluster", "--seed", "5"],
+        ["cluster", "--topology", "switched"],
+        ["scale", "--paper-scale"],
+        ["ablations", "--quick"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2, argv
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+
+def test_scale_command_grades_a_clean_rung_a(capsys):
+    assert main(["scale", "--rungs", "25", "--no-store"]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert ["25", "ok"] in [[row[0], row[-1]] for row in rows if row]
-    doc = json.loads((out_dir / "scorecard.json").read_text())
-    assert [s["name"] for s in doc["scenarios"]] == ["scale-25"]
-    assert (out_dir / "scorecard.md").exists()
+    assert ["25", "0", "A"] in [row[:1] + row[-3:-1] for row in rows if row]
 
 
 def test_explain_scenario_mode(capsys):

@@ -115,6 +115,21 @@ def test_store_survives_torn_final_line(tmp_path):
     assert resumed.executed == 0
 
 
+def test_first_append_after_a_torn_line_survives_the_next_load(tmp_path):
+    """A resumed run's first cell must not be glued onto the fragment a
+    killed run left without its newline."""
+    spec, cells = _echo_grid()
+    first, second = cells[:2]
+    store = ResultStore(tmp_path / "results.jsonl")
+    store.append(first, {"cell": "a"})
+    with store.path.open("a") as handle:
+        handle.write('{"key": "torn", "rec')  # killed mid-write
+    ResultStore(store.path).append(second, {"cell": "b"})
+    reloaded = ResultStore(store.path)
+    assert len(reloaded) == 2
+    assert reloaded.get(cell_key(second))["record"] == {"cell": "b"}
+
+
 def test_probe_counts_every_simulator_though_addresses_are_reused():
     """Simulators built, run and dropped in a loop are handed each other's
     ``id()``; the probe must count all of them, and one noted twice once."""

@@ -44,7 +44,7 @@ LAYERING_RULES = {
     "repro.sttcp": ("repro.cluster",),
     "repro.sim": ("repro.tcp", "repro.sttcp", "repro.net"),
     # The observability layer consumes run *records* (plain dicts), never
-    # live fabric objects: the SLO engine reads scenario budgets out of
+    # live fabric objects: the grader reads scenario budgets out of
     # record["invariants"] precisely so this edge stays absent.
     "repro.obs": ("repro.cluster", "repro.harness", "repro.drill"),
 }
