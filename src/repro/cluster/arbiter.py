@@ -58,15 +58,9 @@ class ClusterArbiter:
             return
         waiters = [] if done is None else [done]
         self._pending[id(host)] = waiters
-        # The requester's causal chain is captured *now* — the actuation
-        # lands in a later event, long after the requester's dynamic flow
-        # context is gone — so the fence span joins the right chain.
         sid: Optional[int] = None
         if "cluster" in trace.categories:
-            fields: Dict[str, Any] = {"host": host.name}
-            if trace.current_flow is not None:
-                fields["flow"] = trace.current_flow
-            sid = trace.begin_span(self.sim.now, "cluster", "fence", **fields)
+            sid = trace.begin_span(self.sim.now, "cluster", "fence", host=host.name)
         self._queue.append((host, waiters, sid))
         self.max_queue_depth = max(self.max_queue_depth, len(self._queue))
         if not self._busy:

@@ -104,18 +104,13 @@ class ElectionCoordinator:
         orphaned = self.pool.consume(consumed.name)
         consumed.manager.release_service(service_name)
         if "cluster" in self.sim.trace.categories:
-            fields = {
-                "consumed": consumed.name,
-                "service": service_name,
-                "orphaned": len(orphaned),
-            }
-            # The hook runs synchronously inside the takeover event, so
-            # the backup's dynamic flow context is still set: the
-            # election joins the failover's causal chain.
-            if self.sim.trace.current_flow is not None:
-                fields["flow"] = self.sim.trace.current_flow
             self.sim.trace.emit(
-                self.sim.now, "cluster", "election_begin", **fields
+                self.sim.now,
+                "cluster",
+                "election_begin",
+                consumed=consumed.name,
+                service=service_name,
+                orphaned=len(orphaned),
             )
         # 1. Retire the siblings first: the consumed host must stop
         #    tapping/acking the orphaned primaries in this same instant.

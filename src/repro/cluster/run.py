@@ -33,7 +33,6 @@ from repro.cluster.scenario import ClusterSpec
 from repro.cluster.topology import SERVICE_PORT, ClusterFabric
 from repro.faults.injection import CrashInjector
 from repro.metrics import perf
-from repro.obs.spans import causal_chains
 from repro.obs.timeline import (
     TimelineCollector,
     reconstruct_cluster_phases,
@@ -192,15 +191,9 @@ class ClusterRun:
                 "dual_primary": self.monitor.summary(),
             },
         )
-        # Fabric-level phase decomposition + the takeover's causal chain
-        # (detection → fence → election → resume), both from
-        # the collector's cold-path records.
+        # Fabric-level phase decomposition (fence → election) from the
+        # collector's cold-path records.
         cluster_phases = reconstruct_cluster_phases(self.collector.records)
-        chains = causal_chains(self.collector.records)
-        main_chain: List[Dict[str, Any]] = []
-        if chains:
-            main_flow = max(chains, key=lambda flow: (len(chains[flow]), -flow))
-            main_chain = chains[main_flow]
 
         arbiter = self.fabric.arbiter
         return {
@@ -240,7 +233,6 @@ class ClusterRun:
             "cluster_phases": (
                 cluster_phases.summary() if cluster_phases is not None else None
             ),
-            "causal": {"flows": len(chains), "chain": main_chain},
             "pairs": pairs,
             "sim_seconds": self.sim.now,
             "sim_events": self.sim.events_executed,

@@ -17,7 +17,6 @@ Modes:
 
 from __future__ import annotations
 
-import json
 import traceback
 import zlib
 from pathlib import Path
@@ -453,11 +452,12 @@ def run_drill_file(
     """Load and run one drill script.
 
     ``flight_dump`` names a directory; a failing drill leaves its
-    flight-recorder dump there as ``<name>.flight.txt`` plus, when the
-    recorded window carries causal-flow links (the cluster takeover
-    drills), a Perfetto-loadable ``<name>.trace.json``.  Dumps are a
-    side channel only — the report and the failure diagnostics stay
-    byte-identical with and without them.
+    flight-recorder dump there as ``<name>.flight.txt`` plus, for a
+    cluster drill, a Perfetto-loadable ``<name>.trace.json`` of the run's
+    timeline collector, which keeps every cold-path marker (the flight
+    ring's 256-record window is overrun by TCP chatter long before a
+    cluster drill ends).  Dumps are a side channel only — the report and
+    the failure diagnostics stay byte-identical with and without them.
     """
     program = load_script(path)
     result, env = run_program(program)
@@ -468,35 +468,12 @@ def run_drill_file(
             directory / f"{program.name}.flight.txt",
             reason=f"drill {program.name} failed",
         )
-        _dump_causal_trace(env, directory / f"{program.name}.trace.json")
+        if env.cluster is not None:
+            from repro.obs.export import write_chrome_trace
+
+            with open(directory / f"{program.name}.trace.json", "w") as fh:
+                write_chrome_trace(list(env.cluster.collector.records), fh)
     return result
-
-
-def _dump_causal_trace(env: DrillEnv, path: Path) -> Optional[Path]:
-    """Chrome-trace attachment for a failed drill's causal window.
-
-    Only written when the recorded window carries flow-linked records —
-    single-pair drills have no cross-host chains and get no file.
-    Cluster drills read the run's timeline collector (which keeps every
-    cold-path marker) rather than the flight ring, whose 256-record
-    window the hot TCP chatter overruns long before the drill ends.
-    """
-    from repro.obs.export import chrome_trace_events
-    from repro.obs.spans import causal_chains
-
-    if env.cluster is not None:
-        records = list(env.cluster.collector.records)
-    else:
-        records = env.flight.records()
-    chains = causal_chains(records)
-    if not chains:
-        return None
-    payload = {
-        "traceEvents": chrome_trace_events(records),
-        "causalChains": {str(flow): nodes for flow, nodes in chains.items()},
-    }
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    return path
 
 
 def run_drill_path(

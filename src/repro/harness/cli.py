@@ -45,7 +45,7 @@ from repro.obs.slo import CLUSTER_SLOS, SCALE_SLOS, Objectives, grade_record
 
 
 def _run(name: str, args: argparse.Namespace, **options: Any) -> ExperimentResult:
-    if args.flight_dump:
+    if getattr(args, "flight_dump", None):
         # The env var (not a parameter) so --jobs N worker processes
         # inherit it; every red cell then leaves a dump in the directory.
         os.environ[FLIGHT_DUMP_ENV] = args.flight_dump
@@ -140,14 +140,17 @@ def _cluster_options(args: argparse.Namespace) -> Dict[str, Any]:
 
 class _Verb(NamedTuple):
     """One experiment verb: the registered specs it runs, in order, the
-    flags it adds, the ``run_experiment`` options it reads from them, and
-    the SLOs its records are graded against (exit 1 below grade B)."""
+    flags it adds, the ``run_experiment`` options it reads from them, the
+    SLOs its records are graded against (exit 1 below grade B), and
+    whether its cells run through ``run_workload``, the one run that
+    honours ``--flight-dump``."""
 
     help: str
     specs: Tuple[str, ...]
     flags: Callable[[argparse.ArgumentParser], None] = lambda parser: None
     options: Callable[[argparse.Namespace], Dict[str, Any]] = lambda args: {}
     slos: Optional[Objectives] = None
+    flight_dump: bool = True
 
 
 EXPERIMENT_VERBS: Dict[str, _Verb] = {
@@ -192,6 +195,7 @@ EXPERIMENT_VERBS: Dict[str, _Verb] = {
         _scale_flags,
         _scale_options,
         SCALE_SLOS,
+        flight_dump=False,
     ),
     # Each scenario names its own seed and fabric.
     "cluster": _Verb(
@@ -200,6 +204,7 @@ EXPERIMENT_VERBS: Dict[str, _Verb] = {
         _cluster_flags,
         _cluster_options,
         CLUSTER_SLOS,
+        flight_dump=False,
     ),
 }
 
@@ -339,12 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--json", metavar="PATH", help="export records as JSON")
         p.add_argument("--csv", metavar="PATH", help="export records as CSV")
-        p.add_argument(
-            "--flight-dump",
-            metavar="DIR",
-            help="dump the flight recorder (last trace records) of any red "
-            "run into DIR (CI uploads it as an artifact)",
-        )
+        if verb.flight_dump:
+            p.add_argument(
+                "--flight-dump",
+                metavar="DIR",
+                help="dump the flight recorder (last trace records) of any red "
+                "run into DIR (CI uploads it as an artifact)",
+            )
         p.set_defaults(fn=_cmd_experiment)
 
     explain = sub.add_parser(
@@ -359,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario",
         metavar="NAME_OR_PATH",
         help="explain a cluster scenario instead (a shipped name or a JSON "
-        "file): every pair, the fence → election phases, the causal "
-        "chain, each election's unprotected connections and the invariants",
+        "file): every pair, the fence → election phases, each "
+        "election's unprotected connections and the invariants",
     )
     explain.add_argument(
         "--wire", action="store_true", help="print the client's tcpdump first"

@@ -10,8 +10,7 @@ the same order:
 2. **phases** — the paper's decomposition of the client's outage
    (detection → takeover → first retransmission accepted).  A cluster
    run shows every pair, the fabric's fence → election windows, each
-   election's unprotected connections, the takeover's causal chain and
-   the invariant verdicts;
+   election's unprotected connections and the invariant verdicts;
 3. **anomalies** — evidence that something went wrong, read the same way
    for every run: client errors, connections the takeover did not carry,
    segments a backup could not match or answered with a RST, frames its
@@ -172,15 +171,6 @@ def _cluster_sections(run: ClusterRun, record: Dict[str, Any]) -> Tuple[List[str
             f"  {election['service']} ({election['kind']}) → "
             f"{election['new_backup'] or 'pool exhausted'}; unprotected: {unprotected}"
         )
-    causal = record["causal"]
-    phases += ["", f"causal chain: {len(causal['chain'])} nodes (flows in the run: {causal['flows']})"]
-    for node in causal["chain"]:
-        where = f"{node['category']}/{node['name']}"
-        if node["kind"] == "span":
-            end = "open" if node["end"] is None else f"{node['end']:.6f}"
-            phases.append(f"  span  {where:<28} {node['begin']:.6f} → {end}")
-        else:
-            phases.append(f"  event {where:<28} {node['time']:.6f}")
     phases += ["", "invariants:"]
     phases += [
         f"  {name:<21} {'holds' if holds else 'VIOLATED'}"

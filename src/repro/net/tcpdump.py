@@ -16,7 +16,7 @@ never perturb the simulation.
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, List, Optional, Union
 
 from repro.ip.datagram import PROTO_TCP, PROTO_UDP, IPDatagram
 from repro.net.addresses import IPAddress, MACAddress
@@ -118,39 +118,29 @@ LINKTYPE_ETHERNET = 1
 _PCAP_GLOBAL = struct.Struct("<IHHiIII")
 _PCAP_RECORD = struct.Struct("<IIII")
 _ETH_HEADER = struct.Struct("!6s6sH")
+_TCP_HEADER = struct.Struct("!HHIIBBHHH")
 _IPV4_HEADER = struct.Struct("!BBHHHBBH4s4s")
 _UDP_HEADER = struct.Struct("!HHHH")
 _ARP_BODY = struct.Struct("!HHBBH6s4s6s4s")
 
 
-def _fold16(total: int) -> int:
-    """End-around-carry fold of a word sum to [0, 0xFFFF].
-
-    Ones'-complement addition is arithmetic mod 65535 with the single
-    wrinkle that a non-zero sum folds to 0xFFFF, never to 0.
-    """
-    folded = total % 65535
-    if folded == 0 and total:
-        folded = 65535
-    return folded
-
-
-def _sum16(data: bytes) -> int:
-    """16-bit word sum of ``data`` (zero-padded), reduced mod 65535.
+def _checksum(data: bytes) -> int:
+    """RFC 1071 checksum via the mod-65535 identity (``tests/net`` holds
+    it equal to the RFC's word-by-word loop over random buffers).
 
     Because ``2**16 ≡ 1 (mod 65535)``, every word's positional weight
-    collapses to 1, so the big-integer value of the buffer *is* the word
-    sum mod 65535 — one C-speed conversion instead of a Python loop.
+    collapses to 1, so the big-integer value of the zero-padded buffer
+    *is* its word sum mod 65535 — one C-speed conversion instead of a
+    Python loop.  Ones'-complement addition is that sum, except that a
+    non-zero total folds to 0xFFFF, never to 0.
     """
     if len(data) % 2:
         data += b"\x00"
-    return int.from_bytes(data, "big") % 65535
-
-
-def _checksum(data: bytes) -> int:
-    """RFC 1071 checksum via the mod-65535 identity (``tests/net`` holds
-    it equal to the RFC's word-by-word loop over random buffers)."""
-    return (~_fold16(_sum16(data))) & 0xFFFF
+    total = int.from_bytes(data, "big")
+    folded = total % 65535
+    if folded == 0 and total:
+        folded = 65535
+    return (~folded) & 0xFFFF
 
 
 def _mac_bytes(address: MACAddress) -> bytes:
@@ -179,66 +169,24 @@ def _tcp_options(segment: TCPSegment) -> bytes:
     return options
 
 
-#: Per-connection invariant wire prefix: the packed ports plus the
-#: pseudo-header/port contribution to the checksum word sum.  Keyed by
-#: (src ip, dst ip, src port, dst port); bounded so a long churn
-#: workload can't grow it without limit.
-_wire_prefix_cache: Dict[Tuple[int, int, int, int], Tuple[bytes, int]] = {}
-_WIRE_PREFIX_CACHE_MAX = 4096
-
-#: Everything after the ports: seq, ack, offset byte, flags, window,
-#: checksum, urgent pointer.
-_TCP_VARIANT = struct.Struct("!IIBBHHH")
-
-
 def segment_to_bytes(segment: TCPSegment, src_ip: IPAddress, dst_ip: IPAddress) -> bytes:
-    """Serialise a TCP segment (with options and a valid checksum).
-
-    Patches the variant fields onto a cached per-connection prefix and
-    builds the checksum incrementally from the cached invariant word sum
-    — no placeholder packet, no re-copy to splice the checksum in.  The
-    plain pack-everything serialiser lives in ``tests/net/test_tcpdump.py``
-    as the property-test oracle.
-    """
-    key = (src_ip.value, dst_ip.value, segment.src_port, segment.dst_port)
-    cached = _wire_prefix_cache.get(key)
-    if cached is None:
-        if len(_wire_prefix_cache) >= _WIRE_PREFIX_CACHE_MAX:
-            _wire_prefix_cache.clear()
-        base_sum = (
-            (src_ip.value >> 16)
-            + (src_ip.value & 0xFFFF)
-            + (dst_ip.value >> 16)
-            + (dst_ip.value & 0xFFFF)
-            + PROTO_TCP
-            + segment.src_port
-            + segment.dst_port
-        )
-        cached = (struct.pack("!HH", segment.src_port, segment.dst_port), base_sum)
-        _wire_prefix_cache[key] = cached
-    prefix, base_sum = cached
+    """Serialise a TCP segment (with options and a valid checksum)."""
     options = _tcp_options(segment)
     offset_words = (20 + len(options)) // 4
-    payload = _payload_bytes(segment.payload, segment.payload_length)
-    seq = segment.seq
-    ack = segment.ack
-    total = (
-        base_sum
-        + (20 + len(options) + len(payload))  # pseudo-header TCP length
-        + (seq >> 16)
-        + (seq & 0xFFFF)
-        + (ack >> 16)
-        + (ack & 0xFFFF)
-        + ((offset_words << 12) | segment.flags)
-        + segment.window
-        + _sum16(options)
-        + _sum16(payload)
+    header = _TCP_HEADER.pack(
+        segment.src_port,
+        segment.dst_port,
+        segment.seq,
+        segment.ack,
+        offset_words << 4,
+        segment.flags,
+        segment.window,
+        0,  # checksum, spliced in below
+        0,  # urgent pointer
     )
-    checksum = (~_fold16(total)) & 0xFFFF
-    variant = _TCP_VARIANT.pack(
-        seq, ack, offset_words << 4, segment.flags, segment.window, checksum, 0
-    )
-    return b"".join((prefix, variant, options, payload))
+    packet = header + options + _payload_bytes(segment.payload, segment.payload_length)
+    pseudo = _ip_bytes(src_ip) + _ip_bytes(dst_ip) + struct.pack("!BBH", 0, PROTO_TCP, len(packet))
+    return packet[:16] + struct.pack("!H", _checksum(pseudo + packet)) + packet[18:]
 
 
 def _udp_to_bytes(udp: Any, src_ip: IPAddress, dst_ip: IPAddress) -> bytes:

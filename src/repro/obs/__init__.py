@@ -7,14 +7,13 @@ Five pieces (see docs/OBSERVABILITY.md, which also lists who reads each):
   measurements, read when the run ends;
 * :mod:`repro.obs.spans` — reassembles the Tracer's span begin/end
   records into timed units (handshakes, retransmission bursts,
-  failovers) and causal chains (cross-host ``flow`` links);
+  failovers);
 * :mod:`repro.obs.recorder` — the flight recorder: an always-cheap
   bounded ring buffer of the last N trace records, dumped automatically
   when a run goes red;
 * :mod:`repro.obs.timeline` / :mod:`repro.obs.export` — the paper's
   failover phase decomposition (per-pair and cluster-level), plus
-  Chrome trace-event (Perfetto, including flow arrows) export of any
-  trace;
+  Chrome trace-event (Perfetto) export of any trace;
 * :mod:`repro.obs.slo` — the SLIs a run record is held to, with burn
   rates, and the one A/B/C/F grade the ``cluster`` and ``scale`` tables
   print per record.
@@ -26,7 +25,7 @@ by layer) is :mod:`repro.metrics`.
 from repro.obs.recorder import FlightRecorder
 from repro.obs.registry import Counter, Gauge, MetricsRegistry
 from repro.obs.slo import grade_record
-from repro.obs.spans import Span, assemble_spans, causal_chains
+from repro.obs.spans import Span, assemble_spans
 from repro.obs.timeline import (
     ClusterPhases,
     FailoverTimeline,
@@ -45,7 +44,6 @@ __all__ = [
     "Span",
     "TimelineCollector",
     "assemble_spans",
-    "causal_chains",
     "grade_record",
     "reconstruct_cluster_phases",
     "reconstruct_failover",

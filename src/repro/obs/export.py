@@ -9,10 +9,6 @@ The Chrome trace-event format is the lingua franca of timeline viewers —
 * spans still open at end of trace → ``"B"`` begin events (the viewer
   draws them to the end of the timeline);
 * ordinary records → ``"i"`` instant events;
-* causal chains (spans sharing a ``flow`` id, see
-  :meth:`repro.obs.spans.SpanSet.flows`) → ``"s"``/``"t"``/``"f"`` flow
-  events anchored at each member span's begin, so the viewer draws
-  arrows detection → fence → election → resume across tracks;
 * track naming → one ``pid`` per trace ("repro"), one ``tid`` per record
   category, labelled via ``"M"`` metadata events.
 
@@ -25,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, IO, List
 
-from repro.obs.spans import SpanSet, assemble_spans, is_span_record
+from repro.obs.spans import assemble_spans, is_span_record
 from repro.sim.trace import TraceRecord, format_field
 
 #: Synthetic process id for all simulator tracks.
@@ -45,7 +41,7 @@ def _json_fields(fields: Dict[str, Any]) -> Dict[str, Any]:
 
 def chrome_trace_events(records: List[TraceRecord]) -> List[Dict[str, Any]]:
     """Build the ``traceEvents`` array for a record stream."""
-    span_set: SpanSet = assemble_spans(records)
+    span_set = assemble_spans(records)
     categories: List[str] = []
     for record in records:
         if record.category not in categories:
@@ -72,40 +68,18 @@ def chrome_trace_events(records: List[TraceRecord]) -> List[Dict[str, Any]]:
         )
 
     for span in span_set.spans:
-        args = _json_fields(span.fields)
-        if span.flow is not None:
-            args["flow"] = span.flow
         base = {
             "name": span.name,
             "cat": span.category,
             "pid": TRACE_PID,
             "tid": tid_of.get(span.category, 0),
             "ts": span.begin * 1e6,
-            "args": args,
+            "args": _json_fields(span.fields),
         }
         if span.open:
             events.append({**base, "ph": "B"})
         else:
             events.append({**base, "ph": "X", "dur": (span.end - span.begin) * 1e6})
-
-    # Causal chains as flow arrows: start on the first member span, step
-    # on intermediates, finish (binding to the enclosing slice) on the
-    # last — one arrow sequence per flow id, across category tracks.
-    for flow_id, chain in sorted(span_set.flows().items()):
-        last = len(chain) - 1
-        for index, span in enumerate(chain):
-            event: Dict[str, Any] = {
-                "name": f"flow-{flow_id}",
-                "cat": span.category,
-                "ph": "s" if index == 0 else ("f" if index == last else "t"),
-                "id": flow_id,
-                "pid": TRACE_PID,
-                "tid": tid_of.get(span.category, 0),
-                "ts": span.begin * 1e6,
-            }
-            if event["ph"] == "f":
-                event["bp"] = "e"
-            events.append(event)
 
     for record in records:
         if is_span_record(record):

@@ -17,7 +17,7 @@ costs something only on the connections it is registered on.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict
+from typing import TYPE_CHECKING, Dict
 
 from repro.tcp.extension import HOOK_NAMES, TCPExtension
 
@@ -37,24 +37,18 @@ class FirstAckProbe(TCPExtension):
 
     name = "obs.first_ack"
 
-    def __init__(self, flow: "int | None" = None) -> None:
-        #: Causal-chain id captured at attach time (takeover), so the
-        #: eventual first-ack record joins the failover's flow even
-        #: though it fires in a much later event.
-        self.flow = flow
-
     def on_segment_in(self, conn: "TCPConnection", segment: "TCPSegment") -> bool:
         conn.remove_extension(self)
         trace = conn.sim.trace
         if "failover" in trace.categories:
-            fields: Dict[str, Any] = {
-                "host": conn.layer.host.name,
-                "remote": f"{conn.remote_ip}:{conn.remote_port}",
-                "amount": segment.payload_length,
-            }
-            if self.flow is not None:
-                fields["flow"] = self.flow
-            trace.emit(conn.sim.now, "failover", "first_ack", **fields)
+            trace.emit(
+                conn.sim.now,
+                "failover",
+                "first_ack",
+                host=conn.layer.host.name,
+                remote=f"{conn.remote_ip}:{conn.remote_port}",
+                amount=segment.payload_length,
+            )
         return False
 
 

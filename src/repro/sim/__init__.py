@@ -14,11 +14,10 @@ from repro.sim.events import EventHandle, SimEvent, Timeout
 from repro.sim.process import Process
 from repro.sim.randomness import RandomStreams
 from repro.sim.simulator import Simulator
-from repro.sim.trace import PrintSink, RecordingSink, TraceRecord, Tracer
+from repro.sim.trace import RecordingSink, TraceRecord, Tracer
 
 __all__ = [
     "EventHandle",
-    "PrintSink",
     "Process",
     "RandomStreams",
     "RecordingSink",

@@ -16,11 +16,10 @@ protocol behaviour without reaching into private state.
 
 **Spans.**  Multi-event episodes (a handshake, a retransmission burst, a
 failover) are traced as *span* begin/end pairs: two ordinary records
-whose fields carry the reserved keys ``span`` (``"B"``/``"E"``), ``sid``
-(the span id) and optionally ``psid`` (the parent span id).  Sinks that
-do not care see two normal records; :mod:`repro.obs.spans` reassembles
-them into timed units post-hoc, and :mod:`repro.obs.export` renders them
-as Chrome trace-event slices.
+whose fields carry the reserved keys ``span`` (``"B"``/``"E"``) and
+``sid`` (the span id).  Sinks that do not care see two normal records;
+:mod:`repro.obs.spans` reassembles them into timed units post-hoc, and
+:mod:`repro.obs.export` renders them as Chrome trace-event slices.
 """
 
 from __future__ import annotations
@@ -40,17 +39,8 @@ Sink = Callable[[TraceRecord], None]
 #: Reserved field keys of the span protocol (see module docstring).
 SPAN_KEY = "span"
 SPAN_ID_KEY = "sid"
-SPAN_PARENT_KEY = "psid"
 SPAN_BEGIN = "B"
 SPAN_END = "E"
-
-#: Reserved field key of the causal-flow protocol: records (usually span
-#: begins) carrying the same ``flow`` id form one causal chain even when
-#: they were emitted by different hosts — a cluster takeover's
-#: detection → fence → election → resume becomes a single
-#: traversable graph (:meth:`repro.obs.spans.SpanSet.flows`), exported
-#: as Chrome trace-event flow arrows by :mod:`repro.obs.export`.
-FLOW_KEY = "flow"
 
 
 class _EveryCategory(frozenset):
@@ -77,41 +67,24 @@ class Tracer:
     removing the last wildcard sink re-tightens the filter.
     """
 
-    __slots__ = (
-        "_sinks",
-        "_sink_categories",
-        "enabled",
-        "categories",
-        "_next_span_id",
-        "_next_flow_id",
-        "current_flow",
-    )
+    __slots__ = ("_sinks", "_sink_categories", "categories", "_next_span_id")
 
     def __init__(self) -> None:
         self._sinks: List[Sink] = []
         self._sink_categories: List[Optional[frozenset]] = []
-        self.enabled = False
         #: The categories at least one sink wants: the union of their
         #: filters, :data:`EVERY_CATEGORY` while a wildcard sink is
         #: registered, empty with no sink.  Read as a field by every guard
         #: (``"tcp" in trace.categories``); ``_rebuild_filter`` keeps it.
         self.categories: frozenset = frozenset()
         self._next_span_id = 0
-        self._next_flow_id = 0
-        #: Dynamic causal context: while an event handler participating
-        #: in a causal chain runs, it sets this to the chain's flow id so
-        #: downstream emitters (the arbiter serving a fence request, the
-        #: election triggered inside a takeover) can tag their own spans
-        #: without every call signature threading the id through.
-        self.current_flow: Optional[int] = None
 
     def add_sink(self, sink: Sink, categories: Optional[List[str]] = None) -> None:
-        """Register a sink; enables tracing as a side effect."""
+        """Register a sink for ``categories`` (every category if None)."""
         self._sinks.append(sink)
         self._sink_categories.append(
             None if categories is None else frozenset(categories)
         )
-        self.enabled = True
         self._rebuild_filter()
 
     def remove_sink(self, sink: Sink) -> None:
@@ -121,7 +94,6 @@ class Tracer:
             return
         del self._sinks[index]
         del self._sink_categories[index]
-        self.enabled = bool(self._sinks)
         self._rebuild_filter()
 
     def _rebuild_filter(self) -> None:
@@ -147,14 +119,7 @@ class Tracer:
                 sink(record)
 
     # Spans -----------------------------------------------------------------
-    def begin_span(
-        self,
-        time: float,
-        category: str,
-        name: str,
-        parent: Optional[int] = None,
-        **fields: Any,
-    ) -> int:
+    def begin_span(self, time: float, category: str, name: str, **fields: Any) -> int:
         """Open a span; returns its id (pass to :meth:`end_span`).
 
         Ids are allocated from a per-tracer counter, so a deterministic
@@ -164,8 +129,6 @@ class Tracer:
         sid = self._next_span_id
         fields[SPAN_KEY] = SPAN_BEGIN
         fields[SPAN_ID_KEY] = sid
-        if parent is not None:
-            fields[SPAN_PARENT_KEY] = parent
         self.emit(time, category, name, **fields)
         return sid
 
@@ -176,17 +139,6 @@ class Tracer:
         fields[SPAN_KEY] = SPAN_END
         fields[SPAN_ID_KEY] = sid
         self.emit(time, category, name, **fields)
-
-    # Causal flows ----------------------------------------------------------
-    def new_flow(self) -> int:
-        """Allocate a causal-chain id (deterministic per-tracer counter).
-
-        Emitters include it as the reserved ``flow`` field on the spans
-        that form the chain; intermediate hops read :attr:`current_flow`
-        instead of threading the id through call signatures.
-        """
-        self._next_flow_id += 1
-        return self._next_flow_id
 
 
 class RecordingSink:
@@ -235,23 +187,13 @@ def format_field(value: Any) -> str:
     return text
 
 
-def format_record(record: TraceRecord, prefix: str = "") -> str:
-    """One canonical line per record, shared by :class:`PrintSink` and
-    the flight recorder so dumps and live output read the same."""
+def format_record(record: TraceRecord) -> str:
+    """One canonical line per record: the flight recorder's dump format."""
     fields = " ".join(
         f"{key}={format_field(value)}" for key, value in record.fields.items()
     )
     return (
-        f"{prefix}[{record.time:12.6f}] {record.category}/{record.event}"
+        f"[{record.time:12.6f}] {record.category}/{record.event}"
         + (f" {fields}" if fields else "")
     )
 
-
-class PrintSink:
-    """Renders trace records to stdout; handy in examples."""
-
-    def __init__(self, prefix: str = "") -> None:
-        self.prefix = prefix
-
-    def __call__(self, record: TraceRecord) -> None:
-        print(format_record(record, prefix=self.prefix))

@@ -159,12 +159,6 @@ class STTCPBackup:
         self._c_hb_sent = heartbeats_sent_counter(self.sim)
         #: Open takeover-episode span id (suspicion → active role).
         self._takeover_sid: Optional[int] = None
-        #: Causal-chain id of the failover in progress: allocated at
-        #: suspicion, carried on the takeover-episode span, and set as
-        #: the tracer's dynamic flow context around the STONITH request
-        #: and the takeover completion so the arbiter fence, the election
-        #: and the first-ack probes join the same chain.
-        self._failover_flow: Optional[int] = None
 
     @property
     def shadow_count(self) -> int:
@@ -528,7 +522,6 @@ class STTCPBackup:
         self.role = ROLE_TAKING_OVER
         self.detection_time = self.sim.now
         if "sttcp" in self.sim.trace.categories:
-            self._failover_flow = self.sim.trace.new_flow()
             self.sim.trace.emit(
                 self.sim.now, "sttcp", "primary_suspected", rank=self.rank
             )
@@ -537,7 +530,6 @@ class STTCPBackup:
                 "sttcp",
                 "takeover_episode",
                 rank=self.rank,
-                flow=self._failover_flow,
             )
         if self.rank > 0:
             # Defer: a higher-priority backup gets first claim; if its
@@ -555,17 +547,9 @@ class STTCPBackup:
     def _proceed_with_takeover(self) -> None:
         if self.config.stonith and self.power_switch is not None and self.primary_host is not None:
             # Convert the suspicion into a certainty before taking over.
-            # The flow context is set only for the synchronous request —
-            # a cluster arbiter captures it then, even though its
-            # actuation lands later in a different event.
-            trace = self.sim.trace
-            trace.current_flow = self._failover_flow
-            try:
-                self.power_switch.cut_power(
-                    self.primary_host, self._recover_gaps_then_takeover
-                )
-            finally:
-                trace.current_flow = None
+            self.power_switch.cut_power(
+                self.primary_host, self._recover_gaps_then_takeover
+            )
         else:
             self._recover_gaps_then_takeover()
 
@@ -621,18 +605,6 @@ class STTCPBackup:
 
     def _complete_takeover(self) -> None:
         """Become the primary: answer ARP, transmit, accept new clients."""
-        # Everything that happens synchronously inside the completion —
-        # the first go-back-N batch (whose FirstAckProbes mark stream
-        # resume) and the election hook — belongs to the failover's
-        # causal chain, so set the dynamic flow context for the duration.
-        trace = self.sim.trace
-        trace.current_flow = self._failover_flow
-        try:
-            self._complete_takeover_inner()
-        finally:
-            trace.current_flow = None
-
-    def _complete_takeover_inner(self) -> None:
         self.role = ROLE_ACTIVE
         self.takeover_time = self.sim.now
         self.host.arp.unsuppress_ip(self.service_ip)

@@ -162,10 +162,7 @@ class ShadowExtension(TCPExtension):
         conn.output_inhibited = False
         # The next segment the client sends us marks the end of its
         # outage — record it through an obs-side probe, not core state.
-        # The tracer's dynamic flow context (set by the backup around
-        # takeover completion) rides along so the eventual first-ack
-        # record joins the failover's causal chain.
-        conn.add_extension(FirstAckProbe(flow=conn.sim.trace.current_flow))
+        conn.add_extension(FirstAckProbe())
         conn.trace_event("takeover", flight=conn.flight_size)
         if conn.state is TCPState.CLOSED:
             return

@@ -161,6 +161,7 @@ def test_drill_flight_dump_flag(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "field ack: expected 2, actual 1" in out  # diagnostics unchanged
     assert (dumps / "b01_wrong_ack.flight.txt").exists()
+    assert not (dumps / "b01_wrong_ack.trace.json").exists()  # cluster drills only
 
 
 def test_flight_dump_env_round_trip(tmp_path, monkeypatch):
@@ -241,13 +242,16 @@ def test_cluster_exits_1_when_a_record_grades_c(monkeypatch, capsys):
 
 
 def test_verbs_reject_the_grid_flags_they_do_not_read(capsys):
-    """A scenario names its own seed and fabric, and a scale ladder has no
-    paper size: those flags are errors, not silently ignored."""
+    """A scenario names its own seed and fabric, a scale ladder has no
+    paper size, and neither carries a flight recorder: those flags are
+    errors, not silently ignored."""
     for argv in (
         ["cluster", "--seed", "5"],
         ["cluster", "--topology", "switched"],
         ["scale", "--paper-scale"],
         ["ablations", "--quick"],
+        ["cluster", "--flight-dump", "d"],
+        ["scale", "--flight-dump", "d"],
     ):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
@@ -269,7 +273,6 @@ def test_explain_scenario_mode(capsys):
     assert "no takeover on this pair" in out  # the healthy pair
     assert "phase fence" in out and "phase election" in out
     assert "  s0 (takeover) → pool1; unprotected: 192.168.9.10:32768" in out
-    assert "causal chain: 4 nodes" in out
     assert "  bounded_election      holds" in out
     assert out.splitlines()[-1].startswith("VERDICT: PASS")
 
@@ -307,9 +310,9 @@ def test_explain_default_run_is_pinned_and_deterministic(capsys):
 
 
 def test_failed_cluster_drill_attaches_causal_trace(tmp_path, capsys):
-    """A failing cluster drill leaves the flight dump plus the causal
-    trace (Chrome flow events + chain nodes); single-pair drills don't
-    get the trace file."""
+    """A failing cluster drill leaves the flight dump plus a Chrome trace
+    of its timeline collector: the takeover and the fence as slices, and
+    no flow arrows."""
     script = tmp_path / "t99_cluster_fails.py"
     script.write_text(
         "use(mode=\"cluster\", cluster={\n"
@@ -329,9 +332,7 @@ def test_failed_cluster_drill_attaches_causal_trace(tmp_path, capsys):
     assert (dumps / "t99_cluster_fails.flight.txt").exists()
     trace = dumps / "t99_cluster_fails.trace.json"
     assert trace.exists()
-    doc = json.loads(trace.read_text())
-    arrows = [e for e in doc["traceEvents"] if e.get("ph") in ("s", "t", "f")]
-    assert arrows  # the takeover chain rendered as flow events
-    (chain,) = doc["causalChains"].values()
-    names = [node["name"] for node in chain]
-    assert names[0] == "takeover_episode" and "fence" in names
+    events = json.loads(trace.read_text())["traceEvents"]
+    slices = {e["name"] for e in events if e["ph"] == "X"}
+    assert {"takeover_episode", "fence"} <= slices
+    assert not [e for e in events if e["ph"] in ("s", "t", "f")]

@@ -79,7 +79,7 @@ def _scale_rung_digest():
         ),
         pytest.param(
             lambda: _grid_digest("cluster"),
-            "df29304a2cc822a3e5553a5bee84c113b6e9b79cd6e65c8f2432dd030db5b5e4",
+            "0153aa26bc3362ec67b2c48527396ac428b167b133761a2a16a54455ec6a14c2",
             id="cluster",
         ),
         pytest.param(

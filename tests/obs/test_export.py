@@ -96,50 +96,7 @@ class TestDrillRunExport:
         json.dumps(events)
 
 
-def _flow_stream():
-    """A two-span causal chain plus an unrelated record."""
-    tracer = Tracer()
-    sink = RecordingSink()
-    tracer.add_sink(sink)
-    flow = tracer.new_flow()
-    episode = tracer.begin_span(0.5, "sttcp", "takeover_episode", flow=flow)
-    fence = tracer.begin_span(0.5, "cluster", "fence", host="p0", flow=flow)
-    tracer.end_span(0.51, "cluster", "fence", fence, outcome="fenced")
-    tracer.end_span(0.52, "sttcp", "takeover_episode", episode)
-    tracer.emit(0.6, "tcp", "send", seq=1)
-    return sink.records
-
-
 class TestFlowEvents:
-    def test_chain_renders_as_flow_arrows(self):
-        events = chrome_trace_events(_flow_stream())
-        flow_events = [e for e in events if e["ph"] in ("s", "t", "f")]
-        # Two member spans: one start, one finish, no steps.
-        assert [e["ph"] for e in flow_events] == ["s", "f"]
-        start, finish = flow_events
-        assert start["id"] == finish["id"] == 1
-        assert start["name"] == finish["name"] == "flow-1"
-        assert start["cat"] == "sttcp" and finish["cat"] == "cluster"
-        assert finish["bp"] == "e"  # bind to the enclosing slice
-        # Member slices advertise the flow id in their args.
-        slices = [e for e in events if e["ph"] == "X"]
-        assert all(e["args"]["flow"] == 1 for e in slices)
-
-    def test_three_member_chain_has_a_step(self):
-        tracer = Tracer()
-        sink = RecordingSink()
-        tracer.add_sink(sink)
-        flow = tracer.new_flow()
-        for index, t in enumerate((0.1, 0.2, 0.3)):
-            sid = tracer.begin_span(t, "cluster", f"hop{index}", flow=flow)
-            tracer.end_span(t + 0.05, "cluster", f"hop{index}", sid)
-        events = chrome_trace_events(sink.records)
-        assert [e["ph"] for e in events if e["ph"] in ("s", "t", "f")] == [
-            "s",
-            "t",
-            "f",
-        ]
-
     def test_stream_without_flows_emits_no_arrows(self):
         events = chrome_trace_events(_small_stream())
         assert not [e for e in events if e["ph"] in ("s", "t", "f")]

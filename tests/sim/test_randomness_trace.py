@@ -2,7 +2,7 @@
 
 from repro.sim.randomness import RandomStreams
 from repro.sim.simulator import Simulator
-from repro.sim.trace import PrintSink, RecordingSink, Tracer
+from repro.sim.trace import RecordingSink, Tracer, format_record
 
 
 def test_same_seed_same_stream():
@@ -39,7 +39,6 @@ def test_reseed_clears_streams():
 
 def test_tracer_disabled_by_default():
     tracer = Tracer()
-    assert not tracer.enabled
     assert "tcp" not in tracer.categories  # the guards build nothing
     tracer.emit(0.0, "x", "y")  # no sinks: must be a no-op
 
@@ -69,7 +68,7 @@ def test_remove_sink_disables_when_empty():
     sink = RecordingSink()
     tracer.add_sink(sink)
     tracer.remove_sink(sink)
-    assert not tracer.enabled
+    assert "tcp" not in tracer.categories
 
 
 def test_removing_filtered_sink_drops_its_categories():
@@ -97,7 +96,7 @@ def test_removing_wildcard_sink_restores_filter():
     tracer.emit(0.0, "ip", "drop")  # filter is tight again
     tracer.emit(0.0, "tcp", "send")
     assert [r.category for r in filtered.records] == ["tcp"]
-    assert tracer.enabled
+    assert tracer.categories == frozenset(["tcp"])
 
 
 def test_two_differently_filtered_sinks_stay_isolated():
@@ -125,14 +124,14 @@ def test_remove_unknown_sink_is_noop():
     assert len(sink.records) == 1
 
 
-def test_print_sink_renders(capsys):
-    sink = PrintSink(prefix="T ")
+def test_print_sink_renders():
+    sink = RecordingSink()
     tracer = Tracer()
     tracer.add_sink(sink)
     tracer.emit(1.5, "tcp", "send", seq=10)
-    out = capsys.readouterr().out
-    assert "tcp/send" in out
-    assert "seq=10" in out
+    (line,) = [format_record(record) for record in sink.records]
+    assert "tcp/send" in line
+    assert "seq=10" in line
 
 
 def test_simulator_deterministic_across_runs():
