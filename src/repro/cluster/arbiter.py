@@ -33,7 +33,7 @@ class ClusterArbiter:
         self.actuation_delay = actuation_delay
         #: Mutation hook: acknowledge fence requests without cutting power.
         self.sabotaged = False
-        self._queue: Deque[Tuple[Any, List[Done], Optional[int]]] = deque()
+        self._queue: Deque[Tuple[Any, List[Done]]] = deque()
         #: host id → pending done-callback list (for coalescing).
         self._pending: Dict[int, List[Done]] = {}
         self._busy = False
@@ -58,10 +58,7 @@ class ClusterArbiter:
             return
         waiters = [] if done is None else [done]
         self._pending[id(host)] = waiters
-        sid: Optional[int] = None
-        if "cluster" in trace.categories:
-            sid = trace.begin_span(self.sim.now, "cluster", "fence", host=host.name)
-        self._queue.append((host, waiters, sid))
+        self._queue.append((host, waiters))
         self.max_queue_depth = max(self.max_queue_depth, len(self._queue))
         if not self._busy:
             self._actuate_next()
@@ -71,28 +68,22 @@ class ClusterArbiter:
             self._busy = False
             return
         self._busy = True
-        host, waiters, sid = self._queue.popleft()
-        self.sim.post(self.sim.now + self.actuation_delay, self._actuated, host, waiters, sid)
+        host, waiters = self._queue.popleft()
+        self.sim.post(self.sim.now + self.actuation_delay, self._actuated, host, waiters)
 
-    def _actuated(self, host: Any, waiters: List[Done], sid: Optional[int]) -> None:
+    def _actuated(self, host: Any, waiters: List[Done]) -> None:
         self._pending.pop(id(host), None)
         if self.sabotaged:
-            outcome = "sabotaged"
             if "cluster" in self.sim.trace.categories:
                 self.sim.trace.emit(
                     self.sim.now, "cluster", "fence_sabotaged", host=host.name
                 )
         else:
-            outcome = "fenced"
             if host.is_up:
                 host.crash()
             self.cuts_performed += 1
             if "cluster" in self.sim.trace.categories:
                 self.sim.trace.emit(self.sim.now, "cluster", "fenced", host=host.name)
-        if sid is not None:
-            self.sim.trace.end_span(
-                self.sim.now, "cluster", "fence", sid, outcome=outcome
-            )
         for done in waiters:
             done()
         self._actuate_next()

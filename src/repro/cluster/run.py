@@ -34,6 +34,7 @@ from repro.cluster.topology import SERVICE_PORT, ClusterFabric
 from repro.faults.injection import CrashInjector
 from repro.metrics import perf
 from repro.obs.timeline import (
+    Phase,
     TimelineCollector,
     reconstruct_cluster_phases,
     reconstruct_failover,
@@ -128,6 +129,19 @@ class ClusterRun:
             if r.category != "app" or r.fields.get("host") == client_name
         ]
         return reconstruct_failover(filtered)
+
+    def phases(self) -> List[Phase]:
+        """Every pair timeline's phases, then the fabric's fence →
+        election windows: the slices of this run's Chrome trace."""
+        phases = []
+        for service in self.fabric.services:
+            timeline = self.pair_timeline(service.name)
+            if timeline is not None:
+                phases += timeline.phases
+        cluster_phases = reconstruct_cluster_phases(self.collector.records)
+        if cluster_phases is not None:
+            phases += cluster_phases.phases
+        return phases
 
     def _assemble(self, crashed: Any) -> Dict[str, Any]:
         spec = self.spec

@@ -25,7 +25,9 @@ Schema (all keys optional unless noted)::
       "seed": 7
     }
 
-Unknown keys anywhere are rejected — a typo must fail loudly, not run a
+Unknown keys anywhere are rejected, and so is a value of the wrong type
+(``"primaries": "two"``) — a typo must fail loudly, as a
+:class:`~repro.errors.ConfigurationError` naming the key, not run a
 subtly different scenario.
 """
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -70,6 +73,8 @@ _STTCP_KEYS = {field.name for field in dataclasses.fields(STTCPConfig)} - {
     "channel_port",  # per-service, owned by the spec — not scriptable
     "stonith_delay",  # the arbiter section owns the actuation delay
 }
+#: STTCPConfig field → its annotation (``float``, ``Optional[int]``, …).
+_STTCP_TYPES = typing.get_type_hints(STTCPConfig)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,12 +135,43 @@ class ClusterSpec:
         return dataclasses.asdict(self)
 
 
+def _section(raw: Dict[str, Any], key: str, allowed: set) -> Dict[str, Any]:
+    """The sub-object ``raw[key]`` (empty when absent), holding only ``allowed`` keys."""
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{key} must be an object, got {section!r}")
+    _require_keys(section, allowed, key)
+    return dict(section)
+
+
 def _require_keys(section: Dict[str, Any], allowed: set, where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
         raise ConfigurationError(
             f"unknown {where} key(s) {sorted(unknown)}; allowed: {sorted(allowed)}"
         )
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _typed(section: Dict[str, Any], key: str, default: Any, kind: type, where: str = "") -> Any:
+    """``section[key]`` (``default`` when absent) as a ``kind``: an int
+    passes for a float, a bool never passes for a number."""
+    value = section.get(key, default)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigurationError(f"{where}{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _check_sttcp(sttcp: Dict[str, Any]) -> None:
+    """Each tunable has its STTCPConfig field's type (None where Optional)."""
+    for key, value in sttcp.items():
+        hint = _STTCP_TYPES[key]
+        kinds = typing.get_args(hint) or (hint,)
+        if value is not None or type(None) not in kinds:
+            _typed(sttcp, key, None, kinds[0], "sttcp.")
 
 
 def spec_from_dict(raw: Dict[str, Any]) -> ClusterSpec:
@@ -146,9 +182,9 @@ def spec_from_dict(raw: Dict[str, Any]) -> ClusterSpec:
     for key in ("name", "primaries", "backups"):
         if key not in raw:
             raise ConfigurationError(f"scenario is missing required key {key!r}")
-    primaries = int(raw["primaries"])
-    backups = int(raw["backups"])
-    capacity = int(raw.get("capacity", 1))
+    primaries = _typed(raw, "primaries", None, int)
+    backups = _typed(raw, "backups", None, int)
+    capacity = _typed(raw, "capacity", 1, int)
     if primaries < 1:
         raise ConfigurationError(f"primaries must be >= 1, got {primaries}")
     if backups < 1:
@@ -159,48 +195,56 @@ def spec_from_dict(raw: Dict[str, Any]) -> ClusterSpec:
         raise ConfigurationError(
             f"{primaries} primaries do not fit {backups} backups x capacity {capacity}"
         )
-    profile = raw.get("profile", "fast_lan")
+    profile = _typed(raw, "profile", "fast_lan", str)
     if profile not in PROFILES:
         raise ConfigurationError(
             f"unknown profile {profile!r}; known: {sorted(PROFILES)}"
         )
-    sttcp = dict(raw.get("sttcp", {}))
-    _require_keys(sttcp, _STTCP_KEYS, "sttcp")
-    workload = dict(raw.get("workload", {}))
-    _require_keys(workload, _WORKLOAD_KEYS, "workload")
-    crash = dict(raw.get("crash", {}))
-    _require_keys(crash, _CRASH_KEYS, "crash")
-    arbiter = dict(raw.get("arbiter", {}))
-    _require_keys(arbiter, _ARBITER_KEYS, "arbiter")
-    crash_primary = int(crash.get("primary", 0))
+    sttcp = _section(raw, "sttcp", _STTCP_KEYS)
+    _check_sttcp(sttcp)
+    workload = _section(raw, "workload", _WORKLOAD_KEYS)
+    crash = _section(raw, "crash", _CRASH_KEYS)
+    arbiter = _section(raw, "arbiter", _ARBITER_KEYS)
+    crash_primary = _typed(crash, "primary", 0, int, "crash.")
     if not 0 <= crash_primary < primaries:
         raise ConfigurationError(
             f"crash.primary must name a primary in [0, {primaries}), got {crash_primary}"
         )
     assignment = raw.get("assignment")
     if assignment is not None:
+        if not isinstance(assignment, dict) or not all(
+            isinstance(v, list) and all(isinstance(s, str) for s in v)
+            for v in assignment.values()
+        ):
+            raise ConfigurationError(
+                f"assignment must map each backup to a list of service names, "
+                f"got {assignment!r}"
+            )
         assignment = {k: list(v) for k, v in assignment.items()}
         _validate_assignment(assignment, primaries, backups, capacity)
     spec = ClusterSpec(
-        name=str(raw["name"]),
+        name=_typed(raw, "name", None, str),
         primaries=primaries,
         backups=backups,
         capacity=capacity,
         assignment=assignment,
         profile=profile,
         sttcp=sttcp,
-        exchanges=int(workload.get("exchanges", 30)),
-        response_size=int(workload.get("response_size", 0)),
-        service_time=float(workload.get("service_time", 0.0)),
+        exchanges=_typed(workload, "exchanges", 30, int, "workload."),
+        response_size=_typed(workload, "response_size", 0, int, "workload."),
+        service_time=_typed(workload, "service_time", 0.0, float, "workload."),
         crash_primary=crash_primary,
-        crash_at=float(crash.get("at", 0.6)),
-        arbiter_delay=float(arbiter.get("actuation_delay", 0.010)),
-        arbiter_sabotaged=bool(arbiter.get("sabotaged", False)),
-        deadline=float(raw.get("deadline", 60.0)),
-        seed=int(raw.get("seed", 7)),
+        crash_at=_typed(crash, "at", 0.6, float, "crash."),
+        arbiter_delay=_typed(arbiter, "actuation_delay", 0.010, float, "arbiter."),
+        arbiter_sabotaged=_typed(arbiter, "sabotaged", False, bool, "arbiter."),
+        deadline=_typed(raw, "deadline", 60.0, float),
+        seed=_typed(raw, "seed", 7, int),
     )
     # Fail at load time, not mid-run, if the tunables are inconsistent.
-    spec.sttcp_config(0).validate()
+    try:
+        spec.sttcp_config(0).validate()
+    except ValueError as exc:
+        raise ConfigurationError(f"sttcp: {exc}") from None
     return spec
 
 
@@ -236,7 +280,10 @@ def spec_from_params(params: Dict[str, Any]) -> ClusterSpec:
 
 def load_scenario(path: Any) -> ClusterSpec:
     """Load and validate one scenario JSON file."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: {exc.strerror}") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

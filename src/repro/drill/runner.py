@@ -453,11 +453,12 @@ def run_drill_file(
 
     ``flight_dump`` names a directory; a failing drill leaves its
     flight-recorder dump there as ``<name>.flight.txt`` plus, for a
-    cluster drill, a Perfetto-loadable ``<name>.trace.json`` of the run's
-    timeline collector, which keeps every cold-path marker (the flight
-    ring's 256-record window is overrun by TCP chatter long before a
-    cluster drill ends).  Dumps are a side channel only — the report and
-    the failure diagnostics stay byte-identical with and without them.
+    cluster drill, a Perfetto-loadable ``<name>.trace.json``: the run's
+    failover phases as slices over its timeline collector's records,
+    which keep every cold-path marker (the flight ring's 256-record window
+    is overrun by TCP chatter long before a cluster drill ends).  Dumps
+    are a side channel only — the report and the failure diagnostics stay
+    byte-identical with and without them.
     """
     program = load_script(path)
     result, env = run_program(program)
@@ -472,7 +473,9 @@ def run_drill_file(
             from repro.obs.export import write_chrome_trace
 
             with open(directory / f"{program.name}.trace.json", "w") as fh:
-                write_chrome_trace(list(env.cluster.collector.records), fh)
+                write_chrome_trace(
+                    list(env.cluster.collector.records), fh, env.cluster.phases()
+                )
     return result
 
 

@@ -23,6 +23,9 @@ record grades A or B.
 
 Profiling: ``repro explain`` ends with the explained run's calls per
 segment by layer; wall time per layer is the benchmark's (``bench/``).
+
+Errors: a :class:`~repro.errors.ReproError` (a malformed scenario, say)
+prints as one ``error: …`` line on stderr, and the exit status is 2.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import sys
 import time
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.errors import ReproError
 from repro.harness.executor import ExperimentResult, run_experiment
 from repro.harness.experiments import PAPER_SCALE, QUICK_SCALE
 from repro.harness.experiments.churn import DEFAULT_LADDER, SMOKE_LADDER
@@ -282,8 +286,12 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if args.chrome:
         from repro.obs.export import write_chrome_trace
 
+        if args.scenario:
+            phases = run.phases()
+        else:
+            phases = run.timeline.phases if run.timeline is not None else []
         with open(args.chrome, "w") as handle:
-            count = write_chrome_trace(recording.records, handle)
+            count = write_chrome_trace(recording.records, handle, phases)
         print(
             f"wrote {count} trace events to {args.chrome} "
             f"(load in chrome://tracing or ui.perfetto.dev)",
@@ -396,7 +404,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.time()
-    status = args.fn(args)
+    try:
+        status = args.fn(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"({time.time() - start:.1f} s wall clock)", file=sys.stderr)
     return status
 

@@ -13,9 +13,9 @@ the same order:
    election's unprotected connections and the invariant verdicts;
 3. **anomalies** — evidence that something went wrong, read the same way
    for every run: client errors, connections the takeover did not carry,
-   segments a backup could not match or answered with a RST, frames its
-   tap lost, spans never closed or never begun.  A clean run prints
-   ``anomalies: none``;
+   connections it carried degraded (a shadow that never learned the
+   primary's ISN), segments a backup could not match or answered with a
+   RST, frames its tap lost.  A clean run prints ``anomalies: none``;
 4. **work** — every nonzero counter of the run's registry;
 5. **work by layer** — when the run was profiled
    (:func:`repro.metrics.layers.profile_layers`, as ``repro explain``
@@ -38,13 +38,8 @@ from repro.errors import ReproError
 from repro.harness.runner import ExperimentRun
 from repro.net.tcpdump import format_frame
 from repro.obs.registry import Counter
-from repro.obs.spans import assemble_spans
 from repro.obs.timeline import reconstruct_cluster_phases
 from repro.sim.trace import TraceRecord
-
-#: A span that is a mode rather than an episode: it stays open for as
-#: long as its primary keeps a backup, so being open at the end is normal.
-MODE_SPANS = frozenset({"fault_tolerant"})
 
 #: NIC drop records, and how the report words each.
 _NIC_DROPS = {"rx_loss": "lost on the tap", "rx_overflow": "dropped by a full RX queue"}
@@ -203,13 +198,16 @@ def _anomalies(
 ) -> List[str]:
     found = []
     if crashed:
-        taken = sum(
-            r.fields.get("connections", 0)
-            for r in records
-            if r.category == "sttcp" and r.event == "takeover"
-        )
-        if taken != crashed:
-            found.append(f"{taken} of {crashed} client connections taken over")
+        takeovers = [
+            r.fields for r in records if r.category == "sttcp" and r.event == "takeover"
+        ]
+        degraded = sum(fields["degraded"] for fields in takeovers)
+        taken = sum(fields["connections"] for fields in takeovers) - degraded
+        if taken != crashed or degraded:
+            found.append(
+                f"{taken} of {crashed} client connections taken over"
+                + (f", {degraded} degraded" if degraded else "")
+            )
     host_of = {nic: host for host in backups for nic in host.nics}
     for host in backups:
         unmatched = metrics.value(f"{host.name}.tcp.segments_unmatched")
@@ -226,16 +224,6 @@ def _anomalies(
             f"{host_of[nic].name}/{nic.name} {_NIC_DROPS[record.event]} at "
             f"{record.time:.6f}: {format_frame(record.fields['frame'])}"
         )
-    spans = assemble_spans(records)
-    found += [
-        f"span {span.category}/{span.name} open since {span.begin:.6f}"
-        for span in spans.open_spans
-        if span.name not in MODE_SPANS
-    ]
-    found += [
-        f"span {end.category}/{end.event} ended at {end.time:.6f} without a begin"
-        for end in spans.orphan_ends
-    ]
     return found
 
 

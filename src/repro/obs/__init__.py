@@ -1,19 +1,17 @@
 """repro.obs — what the simulation did, in sim time.
 
-Five pieces (see docs/OBSERVABILITY.md, which also lists who reads each):
+Four pieces (see docs/OBSERVABILITY.md, which also lists who reads each):
 
 * :mod:`repro.obs.registry` — named counters and gauges with O(1)
   hot-path increments and per-host scoping: the one store of simulated
   measurements, read when the run ends;
-* :mod:`repro.obs.spans` — reassembles the Tracer's span begin/end
-  records into timed units (handshakes, retransmission bursts,
-  failovers);
 * :mod:`repro.obs.recorder` — the flight recorder: an always-cheap
   bounded ring buffer of the last N trace records, dumped automatically
   when a run goes red;
 * :mod:`repro.obs.timeline` / :mod:`repro.obs.export` — the paper's
   failover phase decomposition (per-pair and cluster-level), plus
-  Chrome trace-event (Perfetto) export of any trace;
+  Chrome trace-event (Perfetto) export: the phases as slices, the trace
+  records as instants;
 * :mod:`repro.obs.slo` — the SLIs a run record is held to, with burn
   rates, and the one A/B/C/F grade the ``cluster`` and ``scale`` tables
   print per record.
@@ -25,7 +23,6 @@ by layer) is :mod:`repro.metrics`.
 from repro.obs.recorder import FlightRecorder
 from repro.obs.registry import Counter, Gauge, MetricsRegistry
 from repro.obs.slo import grade_record
-from repro.obs.spans import Span, assemble_spans
 from repro.obs.timeline import (
     ClusterPhases,
     FailoverTimeline,
@@ -41,9 +38,7 @@ __all__ = [
     "FlightRecorder",
     "Gauge",
     "MetricsRegistry",
-    "Span",
     "TimelineCollector",
-    "assemble_spans",
     "grade_record",
     "reconstruct_cluster_phases",
     "reconstruct_failover",

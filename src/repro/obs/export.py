@@ -3,12 +3,10 @@
 The Chrome trace-event format is the lingua franca of timeline viewers —
 ``chrome://tracing``, Perfetto UI and speedscope all load it.  We map:
 
-* closed spans → ``"X"`` complete events (explicit ``dur``), which keeps
-  the output valid even when spans from different connections interleave
-  (a ``B``/``E`` stream must nest LIFO per track; ``X`` events need not);
-* spans still open at end of trace → ``"B"`` begin events (the viewer
-  draws them to the end of the timeline);
-* ordinary records → ``"i"`` instant events;
+* failover phases (:class:`~repro.obs.timeline.Phase`, as the pair
+  timeline and the cluster phases reconstruct them) → ``"X"`` complete
+  events (explicit ``dur``) on one ``phases`` track;
+* trace records → ``"i"`` instant events;
 * track naming → one ``pid`` per trace ("repro"), one ``tid`` per record
   category, labelled via ``"M"`` metadata events.
 
@@ -21,11 +19,14 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, IO, List
 
-from repro.obs.spans import assemble_spans, is_span_record
+from repro.obs.timeline import Phase
 from repro.sim.trace import TraceRecord, format_field
 
 #: Synthetic process id for all simulator tracks.
 TRACE_PID = 1
+
+#: The track the phase slices are drawn on (record categories count from 1).
+PHASES_TID = 0
 
 
 def _json_fields(fields: Dict[str, Any]) -> Dict[str, Any]:
@@ -39,9 +40,15 @@ def _json_fields(fields: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
-def chrome_trace_events(records: List[TraceRecord]) -> List[Dict[str, Any]]:
-    """Build the ``traceEvents`` array for a record stream."""
-    span_set = assemble_spans(records)
+def _track_name(tid: int, name: str) -> Dict[str, Any]:
+    return {"name": "thread_name", "ph": "M", "pid": TRACE_PID, "tid": tid, "args": {"name": name}}
+
+
+def chrome_trace_events(
+    records: List[TraceRecord], phases: List[Phase]
+) -> List[Dict[str, Any]]:
+    """Build the ``traceEvents`` array: ``phases`` as slices, ``records``
+    as instants."""
     categories: List[str] = []
     for record in records:
         if record.category not in categories:
@@ -49,41 +56,23 @@ def chrome_trace_events(records: List[TraceRecord]) -> List[Dict[str, Any]]:
     tid_of = {category: index + 1 for index, category in enumerate(categories)}
 
     events: List[Dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": TRACE_PID,
-            "args": {"name": "repro"},
-        }
+        {"name": "process_name", "ph": "M", "pid": TRACE_PID, "args": {"name": "repro"}},
+        _track_name(PHASES_TID, "phases"),
+        *(_track_name(tid, category) for category, tid in tid_of.items()),
     ]
-    for category, tid in tid_of.items():
+    for phase in phases:
         events.append(
             {
-                "name": "thread_name",
-                "ph": "M",
+                "name": phase.name,
+                "cat": "phase",
+                "ph": "X",
                 "pid": TRACE_PID,
-                "tid": tid,
-                "args": {"name": category},
+                "tid": PHASES_TID,
+                "ts": phase.start * 1e6,
+                "dur": phase.duration * 1e6,
             }
         )
-
-    for span in span_set.spans:
-        base = {
-            "name": span.name,
-            "cat": span.category,
-            "pid": TRACE_PID,
-            "tid": tid_of.get(span.category, 0),
-            "ts": span.begin * 1e6,
-            "args": _json_fields(span.fields),
-        }
-        if span.open:
-            events.append({**base, "ph": "B"})
-        else:
-            events.append({**base, "ph": "X", "dur": (span.end - span.begin) * 1e6})
-
     for record in records:
-        if is_span_record(record):
-            continue  # represented above as slices
         events.append(
             {
                 "name": record.event,
@@ -91,7 +80,7 @@ def chrome_trace_events(records: List[TraceRecord]) -> List[Dict[str, Any]]:
                 "ph": "i",
                 "s": "t",  # thread-scoped instant
                 "pid": TRACE_PID,
-                "tid": tid_of.get(record.category, 0),
+                "tid": tid_of[record.category],
                 "ts": record.time * 1e6,
                 "args": _json_fields(record.fields),
             }
@@ -99,9 +88,11 @@ def chrome_trace_events(records: List[TraceRecord]) -> List[Dict[str, Any]]:
     return events
 
 
-def write_chrome_trace(records: List[TraceRecord], fh: IO[str]) -> int:
+def write_chrome_trace(
+    records: List[TraceRecord], fh: IO[str], phases: List[Phase]
+) -> int:
     """Write a Chrome trace-event JSON document; returns the event count."""
-    events = chrome_trace_events(records)
+    events = chrome_trace_events(records, phases)
     json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, fh, indent=1)
     fh.write("\n")
     return len(events)

@@ -13,13 +13,6 @@ skipped, and no call made, when no sink subscribed to the category::
 Records are ``(time, category, event, fields)`` tuples; sinks decide how
 to render or store them.  Tests use :class:`RecordingSink` to assert on
 protocol behaviour without reaching into private state.
-
-**Spans.**  Multi-event episodes (a handshake, a retransmission burst, a
-failover) are traced as *span* begin/end pairs: two ordinary records
-whose fields carry the reserved keys ``span`` (``"B"``/``"E"``) and
-``sid`` (the span id).  Sinks that do not care see two normal records;
-:mod:`repro.obs.spans` reassembles them into timed units post-hoc, and
-:mod:`repro.obs.export` renders them as Chrome trace-event slices.
 """
 
 from __future__ import annotations
@@ -35,12 +28,6 @@ class TraceRecord(NamedTuple):
 
 
 Sink = Callable[[TraceRecord], None]
-
-#: Reserved field keys of the span protocol (see module docstring).
-SPAN_KEY = "span"
-SPAN_ID_KEY = "sid"
-SPAN_BEGIN = "B"
-SPAN_END = "E"
 
 
 class _EveryCategory(frozenset):
@@ -67,7 +54,7 @@ class Tracer:
     removing the last wildcard sink re-tightens the filter.
     """
 
-    __slots__ = ("_sinks", "_sink_categories", "categories", "_next_span_id")
+    __slots__ = ("_sinks", "_sink_categories", "categories")
 
     def __init__(self) -> None:
         self._sinks: List[Sink] = []
@@ -77,7 +64,6 @@ class Tracer:
         #: registered, empty with no sink.  Read as a field by every guard
         #: (``"tcp" in trace.categories``); ``_rebuild_filter`` keeps it.
         self.categories: frozenset = frozenset()
-        self._next_span_id = 0
 
     def add_sink(self, sink: Sink, categories: Optional[List[str]] = None) -> None:
         """Register a sink for ``categories`` (every category if None)."""
@@ -117,28 +103,6 @@ class Tracer:
                 if record is None:
                     record = TraceRecord(time, category, event, fields)
                 sink(record)
-
-    # Spans -----------------------------------------------------------------
-    def begin_span(self, time: float, category: str, name: str, **fields: Any) -> int:
-        """Open a span; returns its id (pass to :meth:`end_span`).
-
-        Ids are allocated from a per-tracer counter, so a deterministic
-        simulation produces identical span ids run to run.
-        """
-        self._next_span_id += 1
-        sid = self._next_span_id
-        fields[SPAN_KEY] = SPAN_BEGIN
-        fields[SPAN_ID_KEY] = sid
-        self.emit(time, category, name, **fields)
-        return sid
-
-    def end_span(
-        self, time: float, category: str, name: str, sid: int, **fields: Any
-    ) -> None:
-        """Close the span ``sid`` (a :meth:`begin_span` return value)."""
-        fields[SPAN_KEY] = SPAN_END
-        fields[SPAN_ID_KEY] = sid
-        self.emit(time, category, name, **fields)
 
 
 class RecordingSink:

@@ -62,7 +62,6 @@ class _ShadowConnState:
         "pending_retx",
         "primary_rcv_nxt",
         "primary_snd_nxt",
-        "convergence_sid",
     )
 
     def __init__(self, tcb: TCPConnection, ext: ShadowExtension, now: float, ack_threshold: int) -> None:
@@ -77,8 +76,6 @@ class _ShadowConnState:
         self.pending_retx: Optional[tuple] = None  # (start_abs, stop_abs, at)
         self.primary_rcv_nxt: Optional[int] = None  # abs, from tapped ACKs
         self.primary_snd_nxt: Optional[int] = None  # abs, from tapped data
-        #: Open shadow_convergence span id (None once converged/untraced).
-        self.convergence_sid: Optional[int] = None
 
 
 class STTCPBackup:
@@ -157,8 +154,6 @@ class STTCPBackup:
         self._c_logger_bytes_recovered = metrics.counter("logger_bytes_recovered")
         self._c_shadows_reaped = metrics.counter("shadows_reaped")
         self._c_hb_sent = heartbeats_sent_counter(self.sim)
-        #: Open takeover-episode span id (suspicion → active role).
-        self._takeover_sid: Optional[int] = None
 
     @property
     def shadow_count(self) -> int:
@@ -215,13 +210,6 @@ class STTCPBackup:
                 "shadow_attach",
                 client=f"{tcb.remote_ip}:{tcb.remote_port}",
             )
-            # Converges once the shadow is ESTABLISHED on the primary's ISN.
-            state.convergence_sid = self.sim.trace.begin_span(
-                self.sim.now,
-                "sttcp",
-                "shadow_convergence",
-                client=f"{tcb.remote_ip}:{tcb.remote_port}",
-            )
 
     @property
     def shadow_connections(self) -> List[TCPConnection]:
@@ -233,15 +221,6 @@ class STTCPBackup:
         state = self._connections.get(conn_key(tcb.remote_ip, tcb.remote_port))
         if state is None or state.tcb is not tcb:
             return
-        if state.convergence_sid is not None:
-            self.sim.trace.end_span(
-                self.sim.now,
-                "sttcp",
-                "shadow_convergence",
-                state.convergence_sid,
-                outcome="closed",
-            )
-            state.convergence_sid = None
         state.closed = True
         del self._connections[state.key]
         self._index.discard(state)
@@ -270,14 +249,9 @@ class STTCPBackup:
 
     def _note_converged(self, state: _ShadowConnState) -> None:
         """The shadow is ESTABLISHED on the primary's ISN: discharge it
-        from the pending-rebase index and close the convergence span."""
+        from the pending-rebase index."""
         state.converged = True
         self._index.note_rebased(state)
-        if state.convergence_sid is not None:
-            self.sim.trace.end_span(
-                self.sim.now, "sttcp", "shadow_convergence", state.convergence_sid
-            )
-            state.convergence_sid = None
 
     def _on_sync_tick(self) -> None:
         """SyncTime expiry: ack every *due* connection.
@@ -456,15 +430,6 @@ class STTCPBackup:
         if self._deferred_takeover is not None:
             self._deferred_takeover.cancel()
             self._deferred_takeover = None
-        if self._takeover_sid is not None:
-            self.sim.trace.end_span(
-                self.sim.now,
-                "sttcp",
-                "takeover_episode",
-                self._takeover_sid,
-                outcome="stood_down",
-            )
-            self._takeover_sid = None
         self.role = ROLE_PASSIVE
         self.primary_monitor.start()  # fresh grace period for the new primary
         if not self._hb_timer.running:
@@ -499,15 +464,6 @@ class STTCPBackup:
             return
         self.stop()
         self.role = ROLE_RETIRED
-        if self._takeover_sid is not None:
-            self.sim.trace.end_span(
-                self.sim.now,
-                "sttcp",
-                "takeover_episode",
-                self._takeover_sid,
-                outcome="retired",
-            )
-            self._takeover_sid = None
         for state in list(self._connections.values()):
             if not state.closed and state.tcb.state is not TCPState.CLOSED:
                 state.tcb.app_abort()
@@ -524,12 +480,6 @@ class STTCPBackup:
         if "sttcp" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now, "sttcp", "primary_suspected", rank=self.rank
-            )
-            self._takeover_sid = self.sim.trace.begin_span(
-                self.sim.now,
-                "sttcp",
-                "takeover_episode",
-                rank=self.rank,
             )
         if self.rank > 0:
             # Defer: a higher-priority backup gets first claim; if its
@@ -634,16 +584,6 @@ class STTCPBackup:
                 connections=len(self._connections),
                 degraded=len(self.degraded_connections),
             )
-        if self._takeover_sid is not None:
-            self.sim.trace.end_span(
-                self.sim.now,
-                "sttcp",
-                "takeover_episode",
-                self._takeover_sid,
-                connections=len(self._connections),
-                degraded=len(self.degraded_connections),
-            )
-            self._takeover_sid = None
         if self.on_takeover is not None:
             # Election hook: runs synchronously inside the takeover event
             # so no other simulation event can observe the intermediate

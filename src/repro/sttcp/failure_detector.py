@@ -116,16 +116,8 @@ class HeartbeatMonitor:
                 self._false_suspicion_counter.inc()
             trace = self.sim.trace
             if "sttcp" in trace.categories:
-                # Retroactive detection span: the silent interval itself,
-                # [last evidence of life, suspicion].
-                sid = trace.begin_span(
-                    self.last_heard or 0.0, "sttcp", "detection", monitor=self.name
-                )
                 trace.emit(
                     self.sim.now, "sttcp", "suspect", monitor=self.name, silence=silence
-                )
-                trace.end_span(
-                    self.sim.now, "sttcp", "detection", sid, silence=silence
                 )
             self.on_suspect()
             return

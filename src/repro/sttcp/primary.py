@@ -122,8 +122,6 @@ class STTCPPrimary:
         self._c_retx_requests_served = metrics.counter("retx_requests_served")
         self._c_retx_bytes_sent = metrics.counter("retx_bytes_sent")
         self._c_retained_reaped = metrics.counter("retention_states_reaped")
-        #: Open fault-tolerant-mode span id (start → last backup lost).
-        self._ft_sid: Optional[int] = None
 
     def _make_monitor(self, ip_addr: IPAddress) -> HeartbeatMonitor:
         return HeartbeatMonitor(
@@ -142,10 +140,6 @@ class STTCPPrimary:
         if self._started:
             return
         self._started = True
-        if "sttcp" in self.sim.trace.categories:
-            self._ft_sid = self.sim.trace.begin_span(
-                self.sim.now, "sttcp", "fault_tolerant", backups=len(self.backup_ips)
-            )
         for monitor in self.backup_monitors.values():
             monitor.start()
         self._hb_timer.start(self.config.hb_interval)
@@ -336,15 +330,10 @@ class STTCPPrimary:
             new_monitor.start()
             if not self._hb_timer.running:
                 self._hb_timer.start(self.config.hb_interval)
-        tracing = "sttcp" in self.sim.trace.categories
         if not self.fault_tolerant:
             self.fault_tolerant = True
             self.backup_failed_at = None
-            if tracing:
-                self._ft_sid = self.sim.trace.begin_span(
-                    self.sim.now, "sttcp", "fault_tolerant", backups=len(self.backup_ips)
-                )
-        if tracing:
+        if "sttcp" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now,
                 "sttcp",
@@ -378,8 +367,3 @@ class STTCPPrimary:
         self._hb_timer.stop()
         if "sttcp" in self.sim.trace.categories:
             self.sim.trace.emit(self.sim.now, "sttcp", "non_fault_tolerant_mode")
-        if self._ft_sid is not None:
-            self.sim.trace.end_span(
-                self.sim.now, "sttcp", "fault_tolerant", self._ft_sid
-            )
-            self._ft_sid = None

@@ -114,9 +114,6 @@ class InputEngine:
             self._update_send_window(segment, conn.irs, ack_abs)
             conn.state = TCPState.ESTABLISHED
             conn.trace_event("established")
-            if conn._handshake_sid is not None:
-                conn.end_span("handshake", conn._handshake_sid)
-                conn._handshake_sid = None
             conn.output.ack_now()
             if conn.socket is not None:
                 conn.socket._on_established()
@@ -209,9 +206,6 @@ class InputEngine:
                 )
                 self._update_send_window(segment, seq_abs, ack_abs, force=True)
                 conn.trace_event("established")
-                if conn._handshake_sid is not None:
-                    conn.end_span("handshake", conn._handshake_sid)
-                    conn._handshake_sid = None
                 if ack_abs > conn.snd_una:
                     conn.snd_una = ack_abs
                 if conn.socket is not None:
@@ -301,13 +295,6 @@ class InputEngine:
         else:
             retransmit.rto_timer.stop()
             retransmit.recovery_point = None
-        if (
-            conn._retx_sid is not None
-            and retransmit.recovery_point is None
-            and not conn.cc.in_fast_recovery
-        ):
-            conn.end_span("retx_burst", conn._retx_sid, retransmissions=conn.retransmissions)
-            conn._retx_sid = None
         conn.output.try_output()
 
     def _handle_duplicate_ack(self) -> None:
@@ -322,10 +309,6 @@ class InputEngine:
             self.fast_recovery_point = conn.snd_max
             conn.cc.enter_fast_recovery(conn.flight_size)
             conn.retransmit.timing = None
-            if conn._retx_sid is None:
-                conn._retx_sid = conn.begin_span(
-                    "retx_burst", cause="dupacks", flight=conn.flight_size
-                )
             conn.retransmit.retransmit_head()
             conn.retransmit.arm_rto()
 

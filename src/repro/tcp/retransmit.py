@@ -118,10 +118,6 @@ class RetransmitEngine:
             conn.input.dupacks = 0
             if conn.snd_una < conn.snd_max:
                 self.recovery_point = conn.snd_max
-        if conn._retx_sid is None:
-            conn._retx_sid = conn.begin_span(
-                "retx_burst", cause="rto", flight=conn.flight_size
-            )
         self.retransmit_head()
         self.arm_rto()
 

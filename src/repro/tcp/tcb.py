@@ -71,7 +71,6 @@ class TCPConnection:
         "socket", "on_rcv_advance",
         "segments_sent", "segments_received", "bytes_sent", "bytes_received",
         "retransmissions", "dupacks_received", "error",
-        "_handshake_sid", "_retx_sid",
         "send_buffer", "recv_buffer",
         "retransmit", "output", "input",
     )
@@ -152,10 +151,6 @@ class TCPConnection:
         self.dupacks_received = 0
         self.error: Optional[BaseException] = None
 
-        # Span bookkeeping (None while no episode is open).
-        self._handshake_sid: Optional[int] = None
-        self._retx_sid: Optional[int] = None
-
         # Byte streams (stream offset 0 is sequence ISS+1 / IRS+1).
         self.send_buffer = SendBuffer(config.snd_buffer)
         self.recv_buffer = ReceiveBuffer(config.rcv_buffer)
@@ -197,22 +192,6 @@ class TCPConnection:
                 **fields,
             )
 
-    def begin_span(self, name: str, **fields: Any) -> Optional[int]:
-        trace = self.sim.trace
-        if "tcp" not in trace.categories:
-            return None
-        return trace.begin_span(
-            self.sim.now,
-            "tcp",
-            name,
-            host=self.layer.host.name,
-            remote=f"{self.remote_ip}:{self.remote_port}",
-            **fields,
-        )
-
-    def end_span(self, name: str, sid: int, **fields: Any) -> None:
-        self.sim.trace.end_span(self.sim.now, "tcp", name, sid, **fields)
-
     # ----------------------------------------------------------- extensions
     @property
     def extensions(self) -> Tuple[TCPExtension, ...]:
@@ -252,7 +231,6 @@ class TCPConnection:
             raise ConnectionClosed(f"open_active in state {self.state}")
         self._choose_isn()
         self.state = TCPState.SYN_SENT
-        self._handshake_sid = self.begin_span("handshake", kind="active")
         self.output.send_syn(with_ack=False)
         self.retransmit.arm_rto()
         self.trace_event("active_open")
@@ -271,7 +249,6 @@ class TCPConnection:
             self.use_timestamps = True
             self.last_ts_recv = syn.ts_val
         self.state = TCPState.SYN_RCVD
-        self._handshake_sid = self.begin_span("handshake", kind="passive")
         self.output.send_syn(with_ack=True)
         self.retransmit.arm_rto()
         self.trace_event("passive_open")
@@ -380,13 +357,6 @@ class TCPConnection:
         self.error = error
         self.cancel_timers()
         self.layer.connection_closed(self)
-        # Crash mid-span: close any open episode so the trace stays paired.
-        if self._handshake_sid is not None:
-            self.end_span("handshake", self._handshake_sid, outcome="closed")
-            self._handshake_sid = None
-        if self._retx_sid is not None:
-            self.end_span("retx_burst", self._retx_sid, outcome="closed")
-            self._retx_sid = None
         self.trace_event("closed", previous=previous.value, error=repr(error))
         if self.socket is not None:
             if error is not None:

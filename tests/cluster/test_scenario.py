@@ -61,6 +61,24 @@ def test_crash_primary_in_range():
         spec_from_dict({**MINIMAL, "crash": {"primary": 2}})
 
 
+@pytest.mark.parametrize(
+    "document, key",
+    [
+        ({"primaries": "two"}, "primaries"),
+        ({"assignment": ["pool0"]}, "assignment"),
+        ({"crash": {"at": "soon"}}, "crash.at"),
+        ({"sttcp": {"hb_interval": "fast"}}, "sttcp.hb_interval"),
+        ({"sttcp": {"hb_interval": -1.0}}, "hb_interval"),
+        ({"workload": []}, "workload"),
+        ({"arbiter": {"sabotaged": 1}}, "arbiter.sabotaged"),
+        ({"seed": True}, "seed"),
+    ],
+)
+def test_wrongly_typed_value_names_its_key(document, key):
+    with pytest.raises(ConfigurationError, match=key):
+        spec_from_dict({**MINIMAL, **document})
+
+
 def test_unknown_profile_rejected():
     with pytest.raises(ConfigurationError, match="unknown profile"):
         spec_from_dict({**MINIMAL, "profile": "wan"})

@@ -22,7 +22,7 @@ def test_takeover_noop_breaks_liveness_drill(monkeypatch):
     assert not result.passed
 
 
-def test_isn_rebase_noop_breaks_shadow_drill(monkeypatch):
+def _disable_isn_rebase(monkeypatch):
     # Both rebase sources (tapped primary SYN/ACK, client handshake ACK)
     # must be disabled: with a lossless tap either alone suffices.
     monkeypatch.setattr(
@@ -37,8 +37,23 @@ def test_isn_rebase_noop_breaks_shadow_drill(monkeypatch):
         return ack_abs
 
     monkeypatch.setattr(ShadowExtension, "on_ack", no_rebase_on_ack)
+
+
+def test_isn_rebase_noop_breaks_shadow_drill(monkeypatch):
+    _disable_isn_rebase(monkeypatch)
     result = run_drill_file(SCRIPTS / "t23_sttcp_shadow_convergence.py")
     assert not result.passed
+
+
+def test_explain_names_the_degraded_shadow(monkeypatch, capsys):
+    # The takeover carries a shadow that never learned the primary's ISN:
+    # explain counts it as degraded, not as taken over.
+    from repro.harness.cli import main
+
+    _disable_isn_rebase(monkeypatch)
+    assert main(["explain"]) == 1
+    report = capsys.readouterr().out.splitlines()
+    assert "  0 of 1 client connections taken over, 1 degraded" in report
 
 
 def test_takeover_resending_acked_bytes_breaks_no_duplicate_drill(monkeypatch):

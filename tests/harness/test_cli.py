@@ -34,6 +34,19 @@ def test_parser_knows_all_subcommands():
     assert parser.parse_args(["drill", "some/path"]).command == "drill"
 
 
+def test_repro_error_is_one_line_and_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"name": "bad", "primaries": 2, "backups": 2, "typo": 1}))
+    assert main(["cluster", "--scenario", str(bad), "--no-store"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {bad}: unknown scenario key(s) ['typo']; allowed: "
+        "['arbiter', 'assignment', 'backups', 'capacity', 'crash', 'deadline', "
+        "'name', 'primaries', 'profile', 'seed', 'sttcp', 'workload']"
+    ]
+    assert captured.out == ""
+
+
 def test_ablations_help_names_all_five(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
@@ -311,8 +324,8 @@ def test_explain_default_run_is_pinned_and_deterministic(capsys):
 
 def test_failed_cluster_drill_attaches_causal_trace(tmp_path, capsys):
     """A failing cluster drill leaves the flight dump plus a Chrome trace
-    of its timeline collector: the takeover and the fence as slices, and
-    no flow arrows."""
+    of its timeline collector: the takeover and the fence as phase
+    slices, and no begin/end events or flow arrows."""
     script = tmp_path / "t99_cluster_fails.py"
     script.write_text(
         "use(mode=\"cluster\", cluster={\n"
@@ -334,5 +347,5 @@ def test_failed_cluster_drill_attaches_causal_trace(tmp_path, capsys):
     assert trace.exists()
     events = json.loads(trace.read_text())["traceEvents"]
     slices = {e["name"] for e in events if e["ph"] == "X"}
-    assert {"takeover_episode", "fence"} <= slices
-    assert not [e for e in events if e["ph"] in ("s", "t", "f")]
+    assert {"takeover", "fence"} <= slices
+    assert not [e for e in events if e["ph"] in ("B", "E", "s", "t", "f")]

@@ -3,7 +3,7 @@
 from pathlib import Path
 
 from repro.obs.recorder import FlightRecorder
-from repro.sim.trace import TraceRecord, Tracer
+from repro.sim.trace import TraceRecord
 
 
 def _record(i: int) -> TraceRecord:
@@ -96,7 +96,7 @@ class TestDeterminism:
 
         def run() -> str:
             scenario = Scenario(sttcp=STTCPConfig(hb_interval=0.05), seed=5)
-            flight = FlightRecorder(capacity=64)
+            flight = FlightRecorder(capacity=32)
             scenario.sim.trace.add_sink(flight)
             run_workload(
                 echo_workload(8), scenario=scenario, crash_at=0.102, deadline=120.0

@@ -284,3 +284,7 @@ class TestClusterPhases:
         election = summary["phases"]["election"]
         assert fence["start"] >= record["crash_at"]
         assert election["end"] >= election["start"] >= fence["start"]
+        # The run's Chrome slices: s0's phases, then the fabric's.
+        assert [p.name for p in run.phases()] == [
+            "detection", "takeover", "recovery", "fence", "election"
+        ]
