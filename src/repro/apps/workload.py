@@ -12,7 +12,7 @@ Three applications with differing communication behaviour (§6):
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.util.units import KB, MB
 
@@ -80,6 +80,54 @@ def upload_workload(upload_size: int = 1 * MB, exchanges: int = 1) -> AppWorkloa
 PAPER_BULK_SIZES = (1 * MB, 5 * MB, 20 * MB, 100 * MB)
 
 
+#: One entry of a run's outcome ledger, ``{client, outcome, detail, at}``:
+#: how one client session ended, and when.  ``outcome`` is ``completed``,
+#: ``corrupt``, ``unfinished`` (still running when its run stopped waiting)
+#: or the class name of the exception that ended the session.
+Outcome = Dict[str, Any]
+COMPLETED = "completed"
+
+
+def session_outcome(
+    client: str, at: float, error: Optional[str] = None, corrupt: str = "", finished: bool = True
+) -> Outcome:
+    """Classify one session.  ``error`` is ``"ClassName: message"`` of the
+    exception that ended it, and outranks ``corrupt``, which names bytes
+    that did not verify."""
+    if not finished:
+        outcome, detail = "unfinished", ""
+    elif error is not None:
+        outcome, _, detail = error.partition(": ")
+    else:
+        outcome, detail = ("corrupt", corrupt) if corrupt else (COMPLETED, "")
+    return {"client": client, "outcome": outcome, "detail": detail, "at": at}
+
+
+def failed_sessions(outcomes: Iterable[Outcome]) -> List[Outcome]:
+    """The ledger entries of the sessions that did not complete."""
+    return [entry for entry in outcomes if entry["outcome"] != COMPLETED]
+
+
+def describe_outcome(entry: Outcome) -> str:
+    """One entry as a verdict prints it: ``client: outcome[: detail] at T s``."""
+    detail = f": {entry['detail']}" if entry["detail"] else ""
+    return f"{entry['client']}: {entry['outcome']}{detail} at {entry['at']:.6f} s"
+
+
+def write_bench_keys(record: Dict[str, Any]) -> None:
+    """Restate ``record["outcomes"]`` in the pre-ledger keys the frozen
+    ``bench/workloads.py`` reads.  Nothing else reads them; the next
+    change to the benchmark drops them with this function."""
+    failures = [describe_outcome(entry) for entry in failed_sessions(record["outcomes"])]
+    if "pairs" not in record:  # a scale rung
+        record.update(verified=not failures, failures=failures)
+        return
+    record.update(clients_verified=not failures, client_failures=failures)
+    for pair, entry in zip(record["pairs"], record["outcomes"]):
+        if pair["completed"]:
+            pair["verified"] = entry["outcome"] == COMPLETED
+
+
 @dataclasses.dataclass
 class RunResult:
     """Outcome of one client run."""
@@ -107,10 +155,6 @@ class RunResult:
             return 0.0
         return max(b[0] - a[0] for a, b in zip(self.timeline, self.timeline[1:]))
 
-    def summary(self) -> str:
-        status = "ok" if self.verified and self.error is None else f"FAILED({self.error})"
-        return (
-            f"{self.workload.name}: {self.total_time:.3f}s, "
-            f"{self.exchanges_done} exchanges, {self.bytes_received} bytes, "
-            f"max gap {self.max_gap * 1e3:.1f}ms, {status}"
-        )
+    def outcome(self, client: str) -> Outcome:
+        """This session's outcome-ledger entry, under the name ``client``."""
+        return session_outcome(client, self.end_time, self.error, "" if self.verified else "response")

@@ -10,9 +10,10 @@ machine, not eyeballed from a log:
   least ``poll_interval`` wide is caught.  The arbiter-sabotage mutation
   test (``tests/cluster/test_mutation.py``) proves the monitor actually
   fires when fencing is disabled.
-* **exactly-once byte streams** — every client verifies every echoed
-  byte at its expected stream offset (duplication and loss both corrupt
-  the verification); checked per pair by the run loop.
+* **exactly-once byte streams** — every pair's client session completed,
+  each echoed byte verified at its expected stream offset (duplication
+  and loss both corrupt the verification), and no connection degraded;
+  read from the run's outcome ledger (:meth:`ClusterRun.outcomes`).
 * **bounded takeover** — detection, fencing and takeover must complete
   within a budget derived from the scenario's own tunables; computed
   here from the run artefacts.
@@ -101,6 +102,10 @@ class DualPrimaryMonitor:
         }
 
 
+#: The four invariants, in report order.
+INVARIANTS = ("no_dual_primary", "exactly_once_streams", "bounded_takeover", "bounded_election")
+
+
 @dataclass
 class InvariantReport:
     """The verdict of one cluster run, invariant by invariant."""
@@ -113,22 +118,11 @@ class InvariantReport:
 
     @property
     def all_hold(self) -> bool:
-        return (
-            self.no_dual_primary
-            and self.exactly_once_streams
-            and self.bounded_takeover
-            and self.bounded_election
-        )
+        return all(getattr(self, name) for name in INVARIANTS)
 
     def to_record(self) -> Dict[str, Any]:
-        return {
-            "no_dual_primary": self.no_dual_primary,
-            "exactly_once_streams": self.exactly_once_streams,
-            "bounded_takeover": self.bounded_takeover,
-            "bounded_election": self.bounded_election,
-            "all_hold": self.all_hold,
-            **self.details,
-        }
+        verdicts = {name: getattr(self, name) for name in INVARIANTS}
+        return {**verdicts, "all_hold": self.all_hold, **self.details}
 
 
 def takeover_budget(config: Any) -> float:

@@ -8,7 +8,8 @@ one client per pair through the scenario's workload across the scripted
 mid-run primary crash, and folds the artefacts into a single JSON-able
 record for the result store:
 
-* per-pair client verification (the exactly-once-streams invariant),
+* the outcome ledger: how each pair's client session ended (the
+  exactly-once-streams invariant reads it),
 * crash → detection → takeover latencies on the crashed pair,
 * the election report (who replaced whom, which connections were left
   unprotected),
@@ -19,9 +20,11 @@ record for the result store:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Dict, Generator, List, Optional
 
 from repro.apps.client import client_session
+from repro.apps.workload import Outcome, failed_sessions, session_outcome, write_bench_keys
 from repro.cluster.election import ElectionCoordinator
 from repro.cluster.invariants import (
     DualPrimaryMonitor,
@@ -101,12 +104,8 @@ class ClusterRun:
         return crashed
 
     def execute(self) -> Dict[str, Any]:
-        spec = self.spec
-        sim = self.sim
-        crashed = self.begin()
-        deadline = spec.deadline
-
-        while len(self.results) < len(self.fabric.services) and sim.now < deadline:
+        sim, crashed = self.sim, self.begin()
+        while len(self.results) < len(self.fabric.services) and sim.now < self.spec.deadline:
             sim.run(until=sim.now + 0.050)
         self.monitor.stop()
         perf.note_simulation(sim)
@@ -115,20 +114,27 @@ class ClusterRun:
 
     # Reporting ---------------------------------------------------------------------
     def pair_timeline(self, service_name: str) -> Optional[Any]:
-        """Per-service timeline (``repro explain --scenario``)."""
-        service = self.fabric.service_by_name[service_name]
-        return self._pair_timeline(service.client.name)
-
-    def _pair_timeline(self, client_name: str) -> Optional[Any]:
         """Reconstruct the failover phases from this pair's viewpoint:
         its own client's progress checkpoints, everyone's cold markers
         (only the crashed pair has suspicion/takeover events)."""
+        client_name = self.fabric.service_by_name[service_name].client.name
         filtered = [
             r
             for r in self.collector.records
             if r.category != "app" or r.fields.get("host") == client_name
         ]
         return reconstruct_failover(filtered)
+
+    def outcomes(self) -> List[Outcome]:
+        """The outcome ledger, one entry per pair in pair order, named by
+        service.  Readable mid-run: a session still running is
+        ``unfinished`` as of now."""
+        return [
+            self.results[service.name].outcome(service.name)
+            if service.name in self.results
+            else session_outcome(service.name, self.sim.now, finished=False)
+            for service in self.fabric.services
+        ]
 
     def phases(self) -> List[Phase]:
         """Every pair timeline's phases, then the fabric's fence →
@@ -153,51 +159,35 @@ class ClusterRun:
             if takeover_engine.takeover_time is not None:
                 takeover = takeover_engine.takeover_time - spec.crash_at
 
+        outcomes = self.outcomes()
         pairs: List[Dict[str, Any]] = []
-        failures: List[str] = []
+        timelines: Dict[str, Any] = {}
         for service in self.fabric.services:
             result = self.results.get(service.name)
+            if service.name == crashed.name:
+                timeline = self.pair_timeline(service.name)
+                timelines[service.name] = timeline.summary() if timeline is not None else None
+            else:
+                timelines[service.name] = {"max_gap": result.max_gap if result is not None else None}
             if result is None:
                 pairs.append({"service": service.name, "completed": False})
-                failures.append(f"{service.name}: client never finished")
                 continue
-            ok = result.verified and result.error is None
-            if not ok:
-                failures.append(f"{service.name}: {result.error or 'corrupt stream'}")
             pairs.append(
                 {
                     "service": service.name,
                     "completed": True,
-                    "verified": ok,
                     "exchanges": result.exchanges_done,
                     "total_time": result.total_time,
                     "max_gap": result.max_gap,
                 }
             )
 
-        timelines: Dict[str, Any] = {}
-        for service in self.fabric.services:
-            if service.name == crashed.name:
-                timeline = self._pair_timeline(service.client.name)
-                timelines[service.name] = (
-                    timeline.summary() if timeline is not None else None
-                )
-            else:
-                result = self.results.get(service.name)
-                timelines[service.name] = {
-                    "max_gap": result.max_gap if result is not None else None
-                }
-
         config = crashed.config
         elections = self.coordinator.report
-        degraded = (
-            len(takeover_engine.degraded_connections)
-            if takeover_engine is not None
-            else 0
-        )
+        degraded = len(takeover_engine.degraded_connections) if takeover_engine is not None else 0
         invariants = InvariantReport(
             no_dual_primary=not self.monitor.violations,
-            exactly_once_streams=not failures and degraded == 0,
+            exactly_once_streams=degraded == 0 and not failed_sessions(outcomes),
             bounded_takeover=takeover == takeover and takeover <= takeover_budget(config),
             bounded_election=bool(elections.records) and not elections.failed,
             details={
@@ -210,7 +200,7 @@ class ClusterRun:
         cluster_phases = reconstruct_cluster_phases(self.collector.records)
 
         arbiter = self.fabric.arbiter
-        return {
+        record = {
             "scenario": spec.name,
             "primaries": spec.primaries,
             "backups": spec.backups,
@@ -220,19 +210,8 @@ class ClusterRun:
             "detection_latency": detection,
             "takeover_latency": takeover,
             "degraded": degraded,
-            "clients_verified": not failures,
-            "client_failures": failures[:10],
-            "elections": [
-                {
-                    "service": r.service,
-                    "consumed_backup": r.consumed_backup,
-                    "new_backup": r.new_backup,
-                    "kind": r.kind,
-                    "at": r.at,
-                    "unprotected": r.unprotected,
-                }
-                for r in elections.records
-            ],
+            "outcomes": outcomes,
+            "elections": [dataclasses.asdict(r) for r in elections.records],
             "retired_services": elections.retired_services,
             "pool": self.pool.summary(),
             "arbiter": {
@@ -252,6 +231,8 @@ class ClusterRun:
             "sim_events": self.sim.events_executed,
             "ok": invariants.all_hold,
         }
+        write_bench_keys(record)
+        return record
 
 
 def run_cluster(spec: ClusterSpec) -> Dict[str, Any]:

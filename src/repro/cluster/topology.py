@@ -31,7 +31,7 @@ WAN ``192.168.9.0/24``: clients ``.10+i``, gateway ``.1``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.apps.server import request_response_server
 from repro.cluster.arbiter import ClusterArbiter

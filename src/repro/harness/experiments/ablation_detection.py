@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.apps.workload import echo_workload
+from repro.apps.workload import echo_workload, failed_sessions
 from repro.harness.calibrate import PAPER_TESTBED, NetworkProfile
 from repro.harness.runner import measure_failover_time, run_workload
 from repro.harness.spec import (
@@ -80,7 +80,7 @@ def _run_cell(cell: GridCell) -> Record:
         seed=cell.seed,
         deadline=120.0,
     )
-    service_ok = probe.result.error is None and probe.result.verified
+    service_ok = not failed_sessions(probe.outcomes)
     # (b) detection latency on a real crash (clean channel).
     sample = measure_failover_time(
         echo_workload(30),

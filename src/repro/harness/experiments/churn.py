@@ -32,6 +32,7 @@ from collections import deque
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.apps.protocol import KIND_DATA, encode_request, verify_response
+from repro.apps.workload import Outcome, session_outcome, write_bench_keys
 from repro.errors import ConnectionRefused
 from repro.harness.calibrate import FAST_LAN, NetworkProfile
 from repro.harness.scenario import Scenario
@@ -285,9 +286,10 @@ def _run_cell(cell: GridCell) -> Record:
     ramp = max(n, churn_count) / float(params["open_rate"])
 
     ready = [0]  # holders whose initial flow completed
-    churners_done = [0]
-    holders_done = [0]
-    failures: List[str] = []
+    # The outcome ledger by session index: an entry when a session ends,
+    # or ``unfinished`` when it is still running at its phase deadline.
+    holders: Dict[int, Outcome] = {}
+    churners: Dict[int, Outcome] = {}
     #: Succeeds, once the takeover is over, with the instant from which
     #: holders may run their post-takeover flow.
     released = sim.event("holders-released")
@@ -295,11 +297,12 @@ def _run_cell(cell: GridCell) -> Record:
     def holder(index: int, size: int) -> Generator:
         yield sim.timeout((index * ramp) / max(1, n))
         counted = False
+        corrupt, error = "", None
         try:
             sock = yield from _connect_with_retry(sim, client, service_addr)
             ok, offset = yield from _flow(sock, 0, size, 0)
             if not ok:
-                failures.append(f"holder-{index}: corrupt initial flow")
+                corrupt = "initial flow"
             counted = True
             ready[0] += 1
             # Hold the connection across the crash, then prove it still
@@ -312,27 +315,32 @@ def _run_cell(cell: GridCell) -> Record:
                 sim.post(wake, resume.succeed)
                 yield resume
             ok, _ = yield from _flow(sock, 1, POST_TAKEOVER_FLOW, offset)
-            if not ok:
-                failures.append(f"holder-{index}: corrupt post-takeover flow")
+            if not ok and not corrupt:
+                corrupt = "post-takeover flow"
             sock.close()
-        except Exception as exc:  # noqa: BLE001 - recorded in the rung record
-            failures.append(f"holder-{index}: {type(exc).__name__}: {exc}")
+        except Exception as exc:  # noqa: BLE001 - recorded in the ledger
+            error = f"{type(exc).__name__}: {exc}"
             if not counted:
                 ready[0] += 1  # do not deadlock the ramp barrier
-        holders_done[0] += 1
+        holders.setdefault(index, session_outcome(f"holder-{index}", sim.now, error, corrupt))
 
     def churner(index: int, sizes: List[int]) -> Generator:
         yield sim.timeout((index * ramp) / max(1, churn_count))
+        corrupt, error = "", None
         try:
             for flow_id, size in enumerate(sizes):
                 sock = yield from _connect_with_retry(sim, client, service_addr)
                 ok, _ = yield from _flow(sock, flow_id, size, 0)
-                if not ok:
-                    failures.append(f"churner-{index}: corrupt flow {flow_id}")
+                if not ok and not corrupt:
+                    corrupt = f"flow {flow_id}"
                 sock.close()
-        except Exception as exc:  # noqa: BLE001 - recorded in the rung record
-            failures.append(f"churner-{index}: {type(exc).__name__}: {exc}")
-        churners_done[0] += 1
+        except Exception as exc:  # noqa: BLE001 - recorded in the ledger
+            error = f"{type(exc).__name__}: {exc}"
+        churners.setdefault(index, session_outcome(f"churner-{index}", sim.now, error, corrupt))
+
+    def give_up(ledger: Dict[int, Outcome], kind: str, count: int) -> None:
+        for index in range(count):
+            ledger.setdefault(index, session_outcome(f"{kind}-{index}", sim.now, finished=False))
 
     sim.run(until=CLIENT_START)
     for index in range(n):
@@ -346,10 +354,11 @@ def _run_cell(cell: GridCell) -> Record:
 
     # Phase 1: ramp — all holders connected + flowed, all churners done.
     run_until(
-        lambda: ready[0] >= n and churners_done[0] >= churn_count,
+        lambda: ready[0] >= n and len(churners) >= churn_count,
         deadline=CLIENT_START + ramp + 120.0,
         step=0.005,
     )
+    give_up(churners, "churner", churn_count)
     ramp_done = sim.now
 
     # Phase 2: shadow convergence (every live shadow rebased on the
@@ -388,10 +397,11 @@ def _run_cell(cell: GridCell) -> Record:
     # Phase 4: continue every holder on the taken-over connections.
     released.succeed(sim.now + 0.1)
     run_until(
-        lambda: holders_done[0] >= n,
+        lambda: len(holders) >= n,
         deadline=sim.now + 120.0,
         step=0.01,
     )
+    give_up(holders, "holder", n)
     finished = sim.now
     # Drain TIME_WAIT (1 s in the simulator) so reaping can complete.
     sim.run(until=sim.now + 1.5)
@@ -399,7 +409,7 @@ def _run_cell(cell: GridCell) -> Record:
 
     total_opens = n + churn_count * churn_flows
     count = sim.metrics.value
-    return {
+    record = {
         "connections": n,
         "total_opens": total_opens,
         "conns_per_sec": total_opens / max(1e-9, finished - CLIENT_START),
@@ -425,9 +435,10 @@ def _run_cell(cell: GridCell) -> Record:
             for host in ("client", "primary", "backup")
         ),
         "sim_seconds": sim.now,
-        "verified": not failures,
-        "failures": failures[:10],
+        "outcomes": [holders[i] for i in range(n)] + [churners[i] for i in range(churn_count)],
     }
+    write_bench_keys(record)
+    return record
 
 
 # ------------------------------------------------------------ presentation

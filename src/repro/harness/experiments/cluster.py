@@ -75,18 +75,11 @@ def _run_cell(cell: GridCell) -> Record:
 
 
 def format_cluster(records: List[Record]) -> str:
+    from repro.cluster.invariants import INVARIANTS
+
     rows = []
     for record in records:
-        invariants = record["invariants"]
-        held = sum(
-            invariants[key]
-            for key in (
-                "no_dual_primary",
-                "exactly_once_streams",
-                "bounded_takeover",
-                "bounded_election",
-            )
-        )
+        held = sum(record["invariants"][name] for name in INVARIANTS)
         elections = record["elections"]
         rows.append(
             [

@@ -12,9 +12,10 @@ the same order:
    run shows every pair, the fabric's fence → election windows, each
    election's unprotected connections and the invariant verdicts;
 3. **anomalies** — evidence that something went wrong, read the same way
-   for every run: client errors, connections the takeover did not carry,
-   connections it carried degraded (a shadow that never learned the
-   primary's ISN), segments a backup could not match or answered with a
+   for every run: client sessions that did not complete (the run's
+   outcome ledger), connections the takeover did not carry, connections
+   it found degraded (a shadow that never learned the primary's ISN,
+   which it drops), segments a backup could not match or answered with a
    RST, frames its tap lost.  A clean run prints ``anomalies: none``;
 4. **work** — every nonzero counter of the run's registry;
 5. **work by layer** — when the run was profiled
@@ -32,7 +33,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.apps.workload import RunResult
+from repro.apps.workload import describe_outcome, failed_sessions
+from repro.cluster.invariants import INVARIANTS
 from repro.cluster.run import ClusterRun
 from repro.errors import ReproError
 from repro.harness.runner import ExperimentRun
@@ -60,23 +62,20 @@ def explain(
         if run.record is None:
             raise ReproError("explain needs an executed ClusterRun")
         head, phases = _cluster_sections(run, run.record)
-        results: Dict[str, Optional[RunResult]] = {
-            service.name: run.results.get(service.name)
-            for service in run.fabric.services
-        }
+        outcomes = run.record["outcomes"]
         backups = [node.host for node in run.fabric.backups]
         crashed = 1  # the scenario's one scripted crash; one client per pair
         failed = [name for name, holds in _invariants(run.record) if not holds]
         metrics = run.sim.metrics
     else:
         head, phases = _single_sections(run, baseline)
-        results = {"client": run.result}
+        outcomes = run.outcomes
         scenario = run.scenario
         backups = [scenario.backup, *scenario.extra_backups] if scenario.backup else []
         crashed = int(run.failover is not None and run.failover.primary_crashed_at is not None)
         failed = []
         metrics = scenario.sim.metrics
-    clients = _client_failures(results)
+    clients = [describe_outcome(entry) for entry in failed_sessions(outcomes)]
     anomalies = clients + _anomalies(run.collector.records, metrics, backups, crashed)
     lines = [*head, "", *phases, ""]
     if anomalies:
@@ -175,24 +174,10 @@ def _cluster_sections(run: ClusterRun, record: Dict[str, Any]) -> Tuple[List[str
 
 
 def _invariants(record: Dict[str, Any]) -> List[Tuple[str, bool]]:
-    invariants = record["invariants"]
-    names = ("no_dual_primary", "exactly_once_streams", "bounded_takeover", "bounded_election")
-    return [(name, bool(invariants[name])) for name in names]
+    return [(name, bool(record["invariants"][name])) for name in INVARIANTS]
 
 
 # Section 3 ------------------------------------------------------------------------
-def _client_failures(results: Dict[str, Optional[RunResult]]) -> List[str]:
-    failures = []
-    for name, result in results.items():
-        if result is None:
-            failures.append(f"{name}: the client never finished")
-        elif result.error is not None:
-            failures.append(f"{name}: {result.error} at {result.end_time:.6f} s")
-        elif not result.verified:
-            failures.append(f"{name}: corrupted data, finished at {result.end_time:.6f} s")
-    return failures
-
-
 def _anomalies(
     records: List[TraceRecord], metrics: Any, backups: List[Any], crashed: int
 ) -> List[str]:

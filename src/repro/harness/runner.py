@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Optional
+from typing import List, Optional
 
 from repro.apps.client import run_client
-from repro.apps.workload import AppWorkload, RunResult
+from repro.apps.workload import AppWorkload, Outcome, RunResult, describe_outcome, failed_sessions
 from repro.errors import ReproError
 from repro.harness.calibrate import PAPER_TESTBED, NetworkProfile
 from repro.harness.scenario import Scenario, TOPOLOGY_HUB
@@ -47,12 +47,16 @@ class ExperimentRun:
     def total_time(self) -> float:
         return self.result.total_time
 
+    @property
+    def outcomes(self) -> List[Outcome]:
+        """The run's outcome ledger: the one client session's entry."""
+        return [self.result.outcome("client")]
+
     def require_clean(self) -> "ExperimentRun":
         """Raise unless the client completed and verified all content."""
-        if self.result.error is not None:
-            raise ReproError(f"client failed: {self.result.error}")
-        if not self.result.verified:
-            raise ReproError("client received corrupted data")
+        failed = failed_sessions(self.outcomes)
+        if failed:
+            raise ReproError(f"client failed: {describe_outcome(failed[0])}")
         return self
 
 
@@ -124,18 +128,18 @@ def run_workload(
         collector.detach()
         if flight is not None:
             scenario.sim.trace.remove_sink(flight)
-    if result.error is not None or not result.verified:
-        _dump_flight(
-            flight, workload, seed, result.error or "client received corrupted data"
-        )
     failover = scenario.pair.failover_metrics() if scenario.pair is not None else None
-    return ExperimentRun(
+    run = ExperimentRun(
         result=result,
         failover=failover,
         scenario=scenario,
         timeline=collector.reconstruct(),
         collector=collector,
     )
+    failed = failed_sessions(run.outcomes)
+    if failed:
+        _dump_flight(flight, workload, seed, describe_outcome(failed[0]))
+    return run
 
 
 def measure_failover_time(

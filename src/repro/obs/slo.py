@@ -15,12 +15,13 @@ grade  meaning
 A      every SLO met, invariants hold, max burn rate < 0.5
 B      every SLO met, invariants hold, but burn ≥ 0.5 (tight)
 C      an SLO missed its objective, but no invariant violated
-F      an invariant violated or a client stream failed
+F      an invariant violated or a client session did not complete
 =====  ==========================================================
 
-A grade is computed when a record is printed and never stored in it.
-Everything here reads the record alone — no live simulator objects and
-no ``obs → cluster`` import.
+The exactly-once SLI and the F grade read only the record's ``outcomes``
+ledger.  A grade is computed when a record is printed and never stored
+in it.  Everything here reads the record alone — no live simulator
+objects and no ``obs → cluster`` import.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from __future__ import annotations
 import math
 from functools import partial
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+
+from repro.apps.workload import describe_outcome, failed_sessions
 
 Record = Dict[str, Any]
 
@@ -106,26 +109,16 @@ def takeover_latency(record: Record) -> Verdict:
 
 
 def exactly_once(record: Record) -> Verdict:
-    """Fraction of client streams verified exactly-once, degraded
-    connections counted as failures.  On a cluster record it restates an
-    invariant; on a scale record, which has none, it is the only grader
-    of ``degraded``."""
+    """Fraction of the outcome ledger's client sessions that completed
+    with every byte verified; any degraded connection zeroes it."""
+    outcomes = record.get("outcomes") or []
+    if not outcomes:
+        return Verdict(None, None, False, "no client sessions recorded")
     degraded = record.get("degraded", 0) or 0
-    pairs = [p for p in record.get("pairs", []) if p.get("completed") is not None]
-    if pairs:
-        verified = sum(1 for p in pairs if p.get("verified"))
-        value = verified / len(pairs)
-        detail = f"{verified}/{len(pairs)} streams verified, {degraded} degraded"
-    else:
-        # Scale records carry a single aggregated verdict.
-        verified_flag = record.get("verified", record.get("clients_verified"))
-        if verified_flag is None:
-            return Verdict(None, None, False, "no verification evidence")
-        value = 1.0 if verified_flag else 0.0
-        detail = f"verified={bool(verified_flag)}, {degraded} degraded"
-    if degraded:
-        value = 0.0
+    completed = len(outcomes) - len(failed_sessions(outcomes))
+    value = 0.0 if degraded else completed / len(outcomes)
     ok = value >= 1.0
+    detail = f"{completed}/{len(outcomes)} sessions completed, {degraded} degraded"
     return Verdict(value, 0.0 if ok else None, ok, detail)
 
 
@@ -164,7 +157,7 @@ SCALE_SLOS: Objectives = (
 
 class Grade(NamedTuple):
     """One record's grade, its worst burn, and why it is not an A or B:
-    one line per violated invariant, failed client or missed SLO."""
+    one line per violated invariant, failed client session or missed SLO."""
 
     letter: str
     burn: float
@@ -182,9 +175,10 @@ def grade_record(record: Record, slos: Objectives) -> Grade:
         for name, held in (record.get("invariants") or {}).items()
         if held is False and name != "all_hold"
     ]
-    if not record.get("clients_verified", record.get("verified", False)):
-        failures = record.get("client_failures", record.get("failures"))
-        faults.extend(f"client {failure}" for failure in failures or ["not verified"])
+    outcomes = record.get("outcomes") or []
+    faults.extend(f"client {describe_outcome(entry)}" for entry in failed_sessions(outcomes))
+    if not outcomes:
+        faults.append("no client sessions recorded")
     broken = bool(faults)
     burns = []
     for name, sli in slos:

@@ -115,7 +115,9 @@ class STTCPBackup:
         self.role = ROLE_PASSIVE
         self.detection_time: Optional[float] = None
         self.takeover_time: Optional[float] = None
-        self.degraded_connections: List[ConnKey] = []
+        #: Connections the takeover could not carry intact, each once (an
+        #: ordered set: the gap index and the ISN check can both find one).
+        self.degraded_connections: Dict[ConnKey, None] = {}
         self._connections: Dict[ConnKey, _ShadowConnState] = {}
         #: Incrementally maintained views (ack schedule, gaps, pending
         #: rebase, outstanding recovery) — the per-event paths below never
@@ -512,9 +514,7 @@ class STTCPBackup:
         ``rcv_nxt`` — the logger holds the complete recent client stream.
         """
         if self.logger_client is None:
-            for key, _start, _stop in self._find_gaps():
-                self.degraded_connections.append(key)
-            self._complete_takeover()
+            self._degrade_gaps_then_take_over()
             return
         queries = []
         # Takeover-time one-shot walk: every synchronized connection must
@@ -527,18 +527,8 @@ class STTCPBackup:
         self.logger_client.recover(
             queries,
             on_data=self._on_logger_data,
-            on_done=self._on_logger_done,
+            on_done=self._degrade_gaps_then_take_over,
         )
-
-    def _find_gaps(self) -> List[tuple]:
-        """Ranges the primary had received that this backup still lacks.
-
-        Reads the gap index maintained from the tapped ACK stream instead
-        of re-deriving gaps from a scan of every connection; the
-        hypothesis test in ``tests/sttcp/test_scale_indexes.py`` checks
-        this against the brute-force oracle.
-        """
-        return self._index.gaps()
 
     def _on_logger_data(self, key: ConnKey, seq32: int, payload: Any) -> None:
         state = self._connections.get(key)
@@ -546,11 +536,13 @@ class STTCPBackup:
             state.tcb.inject_receive_data(unwrap(seq32, state.tcb.rcv_nxt), payload)
             self._c_logger_bytes_recovered.value += len(payload)
 
-    def _on_logger_done(self) -> None:
-        # _find_gaps only reports ranges still missing, i.e. whatever the
-        # logger could not repair: those connections stay degraded.
-        for key, _start, _stop in self._find_gaps():
-            self.degraded_connections.append(key)
+    def _degrade_gaps_then_take_over(self) -> None:
+        # The gap index (kept from the tapped ACK stream, and checked against
+        # a brute-force scan in tests/sttcp/test_scale_indexes.py) holds the
+        # ranges the primary received that this backup still lacks after any
+        # logger repair: those connections stay degraded.
+        for key, _start, _stop in self._index.gaps():
+            self.degraded_connections[key] = None
         self._complete_takeover()
 
     def _complete_takeover(self) -> None:
@@ -562,15 +554,18 @@ class STTCPBackup:
         self.host.tcp.reset_on_unmatched = True
         self._sync_timer.stop()
         self._hb_timer.stop()
-        # Takeover-time one-shot walk over a snapshot (taking a shadow
-        # over can close it, and the close observer mutates the dict).
+        # Takeover-time one-shot walk over a snapshot (taking a shadow over
+        # or aborting it closes it; the close observer mutates the dict).
+        connections = len(self._connections)
         adoptable: List[_ShadowConnState] = []
         for key, state in list(self._connections.items()):
             if state.tcb.state in SYNCHRONIZED_STATES and not state.ext.isn_rebased:
                 # The send-stream anchor was never learned: this
                 # connection cannot be continued faithfully (§3.2-style
-                # incomplete communication state).
-                self.degraded_connections.append(key)
+                # incomplete communication state).  Drop it (silently: output
+                # is inhibited); the client's next retransmission draws a RST.
+                self.degraded_connections[key] = None
+                state.tcb.app_abort()
                 continue
             adoptable.append(state)
         self._take_over_batch(adoptable, 0)
@@ -581,7 +576,7 @@ class STTCPBackup:
                 self.sim.now,
                 "sttcp",
                 "takeover",
-                connections=len(self._connections),
+                connections=connections,
                 degraded=len(self.degraded_connections),
             )
         if self.on_takeover is not None:

@@ -90,13 +90,6 @@ def test_service_time_adds_latency():
     assert slow.total_time > fast.total_time + 20 * 0.004
 
 
-def test_run_result_summary_readable():
-    result = run_app(echo_workload(5))
-    text = result.summary()
-    assert "echo" in text
-    assert "ok" in text
-
-
 def test_two_sequential_clients_one_server():
     lan = LanPair(Simulator(seed=62))
     start_server(lan.b, 9000)

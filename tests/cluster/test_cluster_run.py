@@ -36,8 +36,8 @@ def test_all_invariants_hold(smoke_record):
 
 
 def test_every_client_verified(smoke_record):
-    assert smoke_record["clients_verified"]
-    assert [p["verified"] for p in smoke_record["pairs"]] == [True, True]
+    ledger = [(e["client"], e["outcome"]) for e in smoke_record["outcomes"]]
+    assert ledger == [("s0", "completed"), ("s1", "completed")]
 
 
 def test_takeover_latency_within_budget(smoke_record):
@@ -149,7 +149,7 @@ def test_single_pair_cluster_matches_paper_shape():
             "deadline": 10.0,
         }
     )
-    assert record["clients_verified"]
+    assert [e["outcome"] for e in record["outcomes"]] == ["completed"]
     assert record["invariants"]["no_dual_primary"]
     assert record["invariants"]["bounded_takeover"]
     # A 1-backup pool cannot elect a replacement: recorded, not raised.
@@ -206,6 +206,10 @@ def test_smoke_run_event_budget_per_exchange():
     from repro.harness.experiments.cluster import resolve_scenario
 
     record = ClusterRun(resolve_scenario("smoke")).execute()
-    verified = sum(pair["exchanges"] for pair in record["pairs"] if pair["verified"])
+    verified = sum(
+        pair["exchanges"]
+        for pair, entry in zip(record["pairs"], record["outcomes"])
+        if entry["outcome"] == "completed"
+    )
     assert record["ok"] and verified == 200
     assert record["sim_events"] / verified <= 18.5

@@ -13,7 +13,7 @@ import functools
 import pytest
 
 from repro.apps.client import client_session
-from repro.apps.workload import echo_workload
+from repro.apps.workload import echo_workload, failed_sessions
 from repro.cluster import ClusterRun, run_cluster, spec_from_dict
 from repro.cluster.topology import SERVICE_PORT
 from repro.harness.experiments.cluster import resolve_scenario
@@ -46,7 +46,8 @@ def test_a_relapse_resets_the_unprotected_client_well_before_the_deadline(name, 
     result = run.results[service]
     assert result.error is not None and result.error.startswith("ConnectionReset")
     assert result.end_time < relapse_at + 1.0 < run.spec.deadline / 10
-    assert record["client_failures"] == [f"{service}: {result.error}"]
+    assert failed_sessions(record["outcomes"]) == [result.outcome(service)]
+    assert result.outcome(service)["outcome"] == "ConnectionReset"
     assert record["invariants"]["no_dual_primary"]
 
 

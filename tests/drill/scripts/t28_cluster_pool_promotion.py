@@ -49,9 +49,8 @@ probe(1.000, unprotected, label="open connection named unprotected")
 
 def verified(env):
     run = env.cluster
-    assert len(run.results) == 2, f"clients still running, done: {sorted(run.results)}"
-    for name, result in sorted(run.results.items()):
-        assert result.verified and result.error is None, f"{name}: {result.error}"
+    for entry in run.outcomes():
+        assert entry["outcome"] == "completed", f"{entry['client']}: {entry}"
     assert not run.monitor.violations, f"dual primary: {run.monitor.violations[:3]}"
 
 

@@ -60,7 +60,7 @@ def test_ablations_command_prints_one_titled_table_per_ablation(capsys):
     sections = {
         "A1 sync strategy": "sync_time  x_fraction  total_time  acks_sent  retention_peak  overflow_peak",
         "A2 vs FT-TCP": "protocol  crash_fraction  failover_time  detection_latency",
-        "A3 logger double-failure": "logger  completed  verified  logger_bytes_recovered",
+        "A3 logger double-failure": "logger  outcome     logger_bytes_recovered",
         "A4 channel overhead": "second_buffer  x_bytes    acks_sent  overhead_percent",
         "A5 detection threshold": "threshold  wrong_suspicion  service_ok_after  detection_latency",
     }

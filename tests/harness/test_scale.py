@@ -14,10 +14,13 @@ from pathlib import Path
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.apps.workload import failed_sessions
 from repro.harness.executor import run_experiment
 from repro.harness.experiments.churn import HOLD_STEP, deep_size, holder_wake_time
 from repro.harness.results import canonical_json
+from repro.obs.slo import SCALE_SLOS, exactly_once, grade_record
 from repro.sim.simulator import Simulator
+from repro.sttcp.shadow import ShadowExtension
 from tests.harness.test_golden_digests import simulated
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -77,7 +80,7 @@ def test_a_five_hundred_connection_rung_leaves_nothing_behind():
     """Big enough that a linear scan on the backup's per-segment path, or
     a TCB the reaper misses, shows (docs/SCALE.md)."""
     (record,) = run_experiment("scale", ladder=(500,), store=None).rows
-    assert record["verified"], record["failures"]
+    assert failed_sessions(record["outcomes"]) == []
     assert record["degraded"] == 0
     assert record["leftover_shadows"] == 0
     assert record["leftover_backup_tcbs"] == 0
@@ -134,11 +137,27 @@ def test_a_rung_spends_its_events_on_segments_not_on_waiting():
     frames a NIC would drop at its power or filter check (6 652).
     ``tools/event_census.py`` says what the events are when this moves.  Nothing simulated may move
     with it: the record minus its two host-side fields is pinned to the
-    sha256 it had on that tree."""
+    sha256 it had on that tree, plus the outcome ledger added since (the
+    record minus ``outcomes`` still hashes to 6be2ed99…)."""
     (record,) = run_experiment("scale", ladder=(100,), store=None, base_seed=12).rows
-    assert record["verified"], record["failures"]
+    assert failed_sessions(record["outcomes"]) == []
     assert record["sim_events"] / record["sim_segments"] <= 2.9
     assert (
         hashlib.sha256(canonical_json(simulated(record)).encode()).hexdigest()
-        == "6be2ed991f1698e16af5e64136a7340e183085cab44a74a40d70025e21a9e52d"
+        == "24ee8a6d4e81bb1078b6fc1e1f9a58d5f82fa150bf4722178cc7c2efb4409b13"
     )
+
+
+def test_a_takeover_that_carries_nothing_fails_the_rung(monkeypatch):
+    """With the takeover a no-op every holder hangs on its dead endpoint.
+    A holder still running at the phase deadline is an ``unfinished``
+    session, so the rung grades F on its ledger, not C on its leaks."""
+    monkeypatch.setattr(ShadowExtension, "takeover", lambda self, conn: None)
+    (record,) = run_experiment("scale", ladder=(25,), store=None, base_seed=77).rows
+    failed = failed_sessions(record["outcomes"])
+    assert [e["client"] for e in failed] == [f"holder-{i}" for i in range(25)]
+    assert {e["outcome"] for e in failed} == {"unfinished"}
+    # The six churners completed before the crash.
+    verdict = exactly_once(record)
+    assert verdict.value == 6 / 31 and not verdict.ok
+    assert grade_record(record, SCALE_SLOS).letter == "F"

@@ -14,22 +14,17 @@ SLOS = (
 )
 
 
+def _entry(client, outcome="completed", detail="", at=1.1):
+    return {"client": client, "outcome": outcome, "detail": detail, "at": at}
+
+
 def _record(**overrides):
     record = {
         "takeover_latency": 0.1,
         "detection_latency": 0.09,
         "degraded": 0,
-        "clients_verified": True,
-        "client_failures": [],
-        "pairs": [
-            {
-                "service": "s0",
-                "completed": True,
-                "verified": True,
-                "total_time": 1.0,
-                "max_gap": 0.1,
-            }
-        ],
+        "outcomes": [_entry("s0")],
+        "pairs": [{"service": "s0", "completed": True, "total_time": 1.0, "max_gap": 0.1}],
         "invariants": {
             "all_hold": True,
             "no_dual_primary": True,
@@ -58,40 +53,36 @@ class TestGrades:
         assert grade_record(record, SLOS).letter == "F"
 
     def test_grade_f_client_failure(self):
-        record = _record(clients_verified=False, client_failures=["s0: reset"])
+        record = _record(outcomes=[_entry("s0", "ConnectionReset", "connection reset by peer")])
         assert grade_record(record, SLOS).letter == "F"
 
     def test_scale_record_without_invariants_grades_on_slos(self):
         record = {
-            "verified": True,
+            "outcomes": [_entry("holder-0"), _entry("churner-0")],
             "degraded": 0,
             "takeover_latency": 0.1,
             "leftover_shadows": 0,
         }
         assert grade_record(record, SLOS).letter == "A"  # 0.1 s of 1 s
-        record["verified"] = False
+        record["outcomes"][0] = _entry("holder-0", "unfinished", at=120.5)
         assert grade_record(record, SLOS).letter == "F"
-
-    def test_scale_record_uses_verified_flag(self):
-        record = {"verified": True, "ok": True, "takeover_latency": 0.1}
-        assert grade_record(record, SLOS).letter in ("A", "B", "C")
 
     def test_empty_record_fails(self):
         grade = grade_record({}, SLOS)
         assert grade.letter == "F"
-        assert grade.faults[0] == "client not verified"
+        assert grade.faults[0] == "no client sessions recorded"
 
     def test_faults_name_every_miss(self):
         record = _record(
             takeover_latency=0.9,
-            clients_verified=False,
-            client_failures=["s0: client never finished"],
+            outcomes=[_entry("s0", "unfinished", at=20.0)],
         )
         record["invariants"]["no_dual_primary"] = False
         assert grade_record(record, SLOS).faults == (
             "invariant no_dual_primary violated",
-            "client s0: client never finished",
+            "client s0: unfinished at 20.000000 s",
             "SLO takeover missed: takeover_latency 900.0 ms vs 500.0 ms",
+            "SLO exactly-once missed: 0/1 sessions completed, 0 degraded",
         )
 
 

@@ -12,27 +12,19 @@ from repro.obs.slo import (
 )
 
 
+def _entry(client, outcome="completed", at=1.1):
+    return {"client": client, "outcome": outcome, "detail": "", "at": at}
+
+
 def _record(**overrides):
     """A healthy two-pair cluster run record, overridable per test."""
     record = {
         "takeover_latency": 0.2,
         "degraded": 0,
-        "clients_verified": True,
+        "outcomes": [_entry("s0"), _entry("s1")],
         "pairs": [
-            {
-                "service": "s0",
-                "completed": True,
-                "verified": True,
-                "total_time": 1.0,
-                "max_gap": 0.2,
-            },
-            {
-                "service": "s1",
-                "completed": True,
-                "verified": True,
-                "total_time": 1.0,
-                "max_gap": 0.01,
-            },
+            {"service": "s0", "completed": True, "total_time": 1.0, "max_gap": 0.2},
+            {"service": "s1", "completed": True, "total_time": 1.0, "max_gap": 0.01},
         ],
         "elections": [{"service": "s0", "unprotected": []}],
         "invariants": {
@@ -105,9 +97,14 @@ class TestExactlyOnce:
         result = exactly_once(_record(degraded=1))
         assert result.value == 0.0 and not result.ok
 
-    def test_scale_record_flag(self):
-        assert exactly_once({"verified": True, "degraded": 0}).ok
-        assert not exactly_once({"verified": False, "degraded": 0}).ok
+    def test_fraction_of_sessions_completed(self):
+        result = exactly_once(_record(outcomes=[_entry("s0"), _entry("s1", "unfinished")]))
+        assert result.value == 0.5 and not result.ok
+        assert result.detail == "1/2 sessions completed, 0 degraded"
+
+    def test_no_ledger_fails(self):
+        result = exactly_once(_record(outcomes=[]))
+        assert result.value is None and not result.ok
 
 
 class TestIndicatorSLIs:
@@ -142,5 +139,5 @@ class TestReport:
         grade = grade_record(_record(degraded=3), CLUSTER_SLOS)
         assert grade.letter == "C"
         assert grade.faults == (
-            "SLO exactly-once missed: 2/2 streams verified, 3 degraded",
+            "SLO exactly-once missed: 2/2 sessions completed, 3 degraded",
         )

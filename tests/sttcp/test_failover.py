@@ -284,3 +284,24 @@ def test_engines_re_arm_a_timer_whose_stopped_event_is_still_queued(scenario):
     (backup_ip,) = primary.backup_ips
     primary.replace_backup(backup_ip, backup_ip, backup.host)
     assert primary._hb_timer.running
+
+
+def test_a_degraded_connection_is_listed_once():
+    """A shadow that never learned the primary's ISN, and whose tapped ACK
+    stream ran ahead of it, is found twice at takeover — by the gap index
+    and by the ISN check — and listed degraded once."""
+    from repro.apps.client import run_client
+
+    scenario = make_scenario()
+    scenario.start_service()
+    run_client(scenario.client, scenario.service_addr, echo_workload(200))
+    scenario.sim.run(until=0.05)
+    engine = scenario.pair.backup_engine
+    (state,) = engine._connections.values()
+    state.ext.isn_rebased = False
+    state.primary_rcv_nxt = state.tcb.rcv_nxt + 150
+    engine._index.note_gap(state)
+    engine.force_failover()
+    scenario.sim.run(until=scenario.sim.now + 0.05)
+    assert engine.takeover_time is not None
+    assert list(engine.degraded_connections) == [state.key]

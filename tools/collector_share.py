@@ -32,6 +32,7 @@ import time
 from typing import Any, Dict, List, NamedTuple, Tuple
 
 import repro.harness.experiments  # noqa: F401 — registers the "scale" spec
+from repro.apps.workload import failed_sessions
 from repro.harness.executor import run_experiment
 
 #: The seed the reference benchmark's ``churn_failover`` runs at.
@@ -82,8 +83,9 @@ def measure(connections: int) -> CollectorShare:
     finally:
         cpu_s = time.process_time() - started
         gc.callbacks.remove(clock)
-    if not record["verified"]:
-        raise AssertionError(f"rung {connections} not verified: {record['failures']}")
+    failed = failed_sessions(record["outcomes"])
+    if failed:
+        raise AssertionError(f"rung {connections}: {len(failed)} sessions failed, first {failed[0]}")
     return CollectorShare(
         connections,
         cpu_s,
