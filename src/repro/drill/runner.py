@@ -101,7 +101,6 @@ class DrillEnv:
         self.sttcp_config = None
         self.power_switch = None
         self.cluster = None
-        self.obs_probes: List[Any] = []
         if self.mode == "sttcp":
             self._build_sttcp(settings)
         elif self.mode == "cluster":
@@ -130,8 +129,6 @@ class DrillEnv:
             self._attach_peer(HUT_IP, self.port, [self.hut])
             self.listener = self.hut.tcp.listen(self.port)
             self.hut.tcp.connection_observers.append(self.tracked.append)
-            if settings.get("obs_probe"):
-                self._install_obs_probe(self.hut)
         else:
             # The peer injects toward the port the host will connect from.
             local_port = int(settings.get("local_port", DEFAULT_LOCAL_PORT))
@@ -170,13 +167,6 @@ class DrillEnv:
         self._attach_peer(SERVICE_IP, self.port, [self.primary, self.backup])
         self.peer.remote_mac = primary_nic.mac
         self.primary.tcp.connection_observers.append(self.tracked.append)
-        if settings.get("obs_probe"):
-            # Appended after the backup engine's own observer, so on the
-            # backup's connections the probe stacks *behind* the shadow
-            # extension.  Suppression is the TCB's ``output_inhibited``,
-            # not a place in the chain: while it holds, nothing is built
-            # and the shadow's ``segments_sent`` stays 0.
-            self._install_obs_probe(self.backup)
         self.pair.start_service()
 
     def _build_cluster(self, settings: dict) -> None:
@@ -198,17 +188,6 @@ class DrillEnv:
         self.hut = self.cluster.fabric.services[0].primary
         self.primary = self.hut
 
-    def _install_obs_probe(self, host: Host) -> None:
-        from repro.obs.tcp_ext import TraceProbeExtension
-
-        def attach(tcb: Any) -> None:
-            if tcb.local_port == self.port:
-                probe = TraceProbeExtension()
-                tcb.add_extension(probe)
-                self.obs_probes.append(probe)
-
-        host.tcp.connection_observers.append(attach)
-
     # -- probe helpers (used by the script DSL) -----------------------------
     def tcb(self) -> Optional[Any]:
         return self.tracked[0] if self.tracked else None
@@ -227,14 +206,8 @@ class DrillEnv:
         from repro.sttcp.shadow import ShadowExtension
 
         tcb = self.shadow_tcb()
-        return ShadowExtension.of(tcb) if tcb is not None else None
-
-    def extension_target(self) -> Optional[Any]:
-        """The connection whose extension chain probes inspect."""
-        return self.shadow_tcb() if self.mode == "sttcp" else self.tcb()
-
-    def obs_probe(self) -> Optional[Any]:
-        return self.obs_probes[0] if self.obs_probes else None
+        ext = tcb.extension if tcb is not None else None
+        return ext if isinstance(ext, ShadowExtension) else None
 
     def backup_role(self) -> str:
         return self.pair.backup_engine.role if self.pair is not None else "none"

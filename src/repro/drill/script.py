@@ -23,7 +23,6 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.apps.protocol import KIND_DATA, KIND_ECHO, encode_request
 from repro.drill.patterns import ANY, SegmentSpec, tcp
-from repro.tcp.extension import HOOK_NAMES
 from repro.util.bytespan import ByteSpan, PatternBytes, RealBytes
 
 #: Default time tolerance for expectations (seconds).
@@ -159,48 +158,6 @@ class DrillProgram:
 
         self.probe(t, check, label="expect_shadow")
 
-    def expect_extensions(self, t: float, *names: str) -> None:
-        """The tracked connection's extension chain must be exactly
-        ``names``, in dispatch order, at ``t``.  In sttcp mode the
-        backup's shadow connection is checked instead."""
-
-        def check(env: Any) -> None:
-            tcb = env.extension_target()
-            assert tcb is not None, "no connection to check extensions on"
-            actual = tuple(ext.name for ext in tcb.extensions)
-            assert actual == names, (
-                f"extension chain is {actual}, expected {names}"
-            )
-
-        self.probe(t, check, label=f"expect_extensions:{','.join(names)}")
-
-    def expect_probe_counts(self, t: float, **bounds: int) -> None:
-        """Assert minimum hook-invocation counts on the obs trace probe
-        (requires ``use(obs_probe=True)``); e.g.
-        ``expect_probe_counts(1.0, on_segment_in=3, after_output=0)``.
-        A bound of 0 means *exactly zero* invocations.  An unknown hook
-        or a negative bound is refused when the script loads."""
-        for hook, minimum in bounds.items():
-            if hook not in HOOK_NAMES or minimum < 0:
-                raise ValueError(
-                    f"expect_probe_counts({hook}={minimum}): bounds are "
-                    f"non-negative counts of {', '.join(HOOK_NAMES)}"
-                )
-
-        def check(env: Any) -> None:
-            probe = env.obs_probe()
-            assert probe is not None, "no obs probe attached (use obs_probe=True)"
-            for hook, minimum in bounds.items():
-                actual = probe.calls[hook]
-                if minimum == 0:
-                    assert actual == 0, f"{hook} ran {actual} times, expected none"
-                else:
-                    assert actual >= minimum, (
-                        f"{hook} ran {actual} times, expected >= {minimum}"
-                    )
-
-        self.probe(t, check, label="expect_probe_counts")
-
     def expect_takeover(self, t: float) -> None:
         """The backup must have completed takeover (role ACTIVE) by ``t``."""
 
@@ -239,8 +196,6 @@ class DrillProgram:
             "probe": self.probe,
             "expect_state": self.expect_state,
             "expect_shadow": self.expect_shadow,
-            "expect_extensions": self.expect_extensions,
-            "expect_probe_counts": self.expect_probe_counts,
             "expect_takeover": self.expect_takeover,
             "app_request": self.app_request,
             "pattern": self.pattern,

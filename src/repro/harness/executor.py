@@ -30,6 +30,7 @@ import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 
+from repro.errors import ReproError
 from repro.harness.results import ResultStore, cell_key
 from repro.harness.spec import ExperimentSpec, GridCell, Record, get_spec
 from repro.metrics import perf
@@ -205,18 +206,28 @@ def run_grid(
         # multiprocessing, socket, selectors, tempfile, ... — some 40
         # modules, 3 MB of RSS and 50 ms that a jobs=1 run never uses.
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_execute_cell_worker, cells[index]): index
-                for index in todo
-            }
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    record, cell_telemetry = future.result()
-                    finish(futures[future], record, cell_telemetry)
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                futures = {
+                    pool.submit(_execute_cell_worker, cells[index]): index
+                    for index in todo
+                }
+                pending = set(futures)
+                while pending:
+                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                    # Finished cells first: they reach the store even when
+                    # the same wait also saw the pool break.
+                    for future in sorted(done, key=lambda f: f.exception() is not None):
+                        record, cell_telemetry = future.result()
+                        finish(futures[future], record, cell_telemetry)
+        except BrokenProcessPool as exc:
+            in_flight = [cells[index].cell_id for index in todo if records[index] is None]
+            raise ReproError(
+                f"a --jobs worker died; cells still in flight: {', '.join(in_flight)} "
+                "(finished cells are in the store, so a re-run resumes)"
+            ) from exc
     else:
         for index in todo:
             record, cell_telemetry = execute_cell(cells[index])

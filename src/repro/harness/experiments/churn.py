@@ -83,6 +83,7 @@ _ESCAPE_ATTRS = frozenset(
         "host",
         "conn",
         "tcb",
+        "engine",  # a shadow record's owning backup engine
         "socket",
         "_sched",  # the scheduler behind a pending event handle
         # A cache that restates fields the walk already counts: the

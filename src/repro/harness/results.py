@@ -15,9 +15,10 @@ serving stale numbers.  Re-running a grid against a warm store executes
 only the cells whose keys are missing; everything else is read back.
 
 Append-only means a killed run loses at most the in-flight cell.  A torn
-final line (no closing newline) is skipped on load and left in place; the
-first append after it starts with a newline, so the re-run's entries
-land on lines of their own instead of being glued onto the fragment.
+final line is skipped on load and cut off before the next append, so the
+re-run's entries land on lines of their own and an undecodable line
+anywhere else is corruption: loading such a store raises a
+:class:`~repro.errors.ReproError` naming the file and the line.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 import repro
+from repro.errors import ReproError
 from repro.harness.spec import GridCell
 
 Entry = Dict[str, Any]
@@ -74,22 +76,35 @@ class ResultStore:
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self._by_key: Dict[str, Entry] = {}
-        #: The file ends in a torn line: close it before the next append.
+        #: The file ends in an unterminated line: close it before the next append.
         self._torn_tail = False
+        #: Byte offset of an undecodable last line, cut before the next append.
+        self._cut_at: Optional[int] = None
         if self.path.exists():
-            with self.path.open() as handle:
-                raw = "\n"
-                for raw in handle:
-                    line = raw.strip()
-                    if not line:
+            bad: Optional[Tuple[int, int]] = None  # (line number, byte offset)
+            offset = 0
+            raw = b"\n"
+            with self.path.open("rb") as handle:
+                for lineno, raw in enumerate(handle, start=1):
+                    start, offset = offset, offset + len(raw)
+                    if not raw.strip():
                         continue
+                    if bad is not None:
+                        raise ReproError(
+                            f"{self.path}:{bad[0]}: corrupt result-store line "
+                            "(only a torn last line is skipped); delete or repair it"
+                        )
                     try:
-                        entry = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue  # torn tail of an interrupted run
+                        entry = json.loads(raw)
+                    except ValueError:
+                        bad = (lineno, start)  # the torn tail of a killed run, if last
+                        continue
                     if isinstance(entry, dict) and "key" in entry:
                         self._by_key[entry["key"]] = entry
-                self._torn_tail = not raw.endswith("\n")
+            if bad is not None:
+                self._cut_at = bad[1]
+            else:
+                self._torn_tail = not raw.endswith(b"\n")
 
     def __len__(self) -> int:
         return len(self._by_key)
@@ -117,6 +132,10 @@ class ResultStore:
             "created_at": time.time(),
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        if self._cut_at is not None:
+            with self.path.open("r+b") as handle:
+                handle.truncate(self._cut_at)
+            self._cut_at = None
         with self.path.open("a") as handle:
             if self._torn_tail:
                 handle.write("\n")

@@ -47,37 +47,6 @@ ROLE_ACTIVE = "active"
 ROLE_RETIRED = "retired"
 
 
-class _ShadowConnState:
-    """Per-connection bookkeeping on the backup."""
-
-    __slots__ = (
-        "tcb",
-        "ext",
-        "key",
-        "ack_threshold",
-        "closed",
-        "converged",
-        "last_acked_offset",
-        "last_ack_time",
-        "pending_retx",
-        "primary_rcv_nxt",
-        "primary_snd_nxt",
-    )
-
-    def __init__(self, tcb: TCPConnection, ext: ShadowExtension, now: float, ack_threshold: int) -> None:
-        self.tcb = tcb
-        self.ext = ext
-        self.key: ConnKey = conn_key(tcb.remote_ip, tcb.remote_port)
-        self.ack_threshold = ack_threshold  # X (§4.3): bytes received that trigger a BackupAck
-        self.closed = False  # reaped; invalidates lazy index entries
-        self.converged = False  # rebased + synchronized at least once
-        self.last_acked_offset = 0  # LastByteAcked (as a stream offset)
-        self.last_ack_time = now
-        self.pending_retx: Optional[tuple] = None  # (start_abs, stop_abs, at)
-        self.primary_rcv_nxt: Optional[int] = None  # abs, from tapped ACKs
-        self.primary_snd_nxt: Optional[int] = None  # abs, from tapped data
-
-
 class STTCPBackup:
     """Backup-side protocol engine for one service endpoint."""
 
@@ -118,7 +87,7 @@ class STTCPBackup:
         #: Connections the takeover could not carry intact, each once (an
         #: ordered set: the gap index and the ISN check can both find one).
         self.degraded_connections: Dict[ConnKey, None] = {}
-        self._connections: Dict[ConnKey, _ShadowConnState] = {}
+        self._connections: Dict[ConnKey, ShadowExtension] = {}
         #: Incrementally maintained views (ack schedule, gaps, pending
         #: rebase, outstanding recovery) — the per-event paths below never
         #: walk ``_connections``; only takeover-time code does.
@@ -197,14 +166,11 @@ class STTCPBackup:
             return
         if tcb.local_ip.value != self.service_ip.value or tcb.local_port != self.service_port:
             return
-        ext = ShadowExtension()
-        tcb.add_extension(ext)
         second_buffer = self.config.second_buffer_size or tcb.config.rcv_buffer
         threshold = max(1, int(self.config.ack_threshold_fraction * second_buffer))
-        state = _ShadowConnState(tcb, ext, self.sim.now, threshold)
+        state = ShadowExtension(self, tcb, self.sim.now, threshold)
         self._connections[state.key] = state
         self._index.add(state)
-        tcb.on_rcv_advance = lambda _rcv, s=state: self._on_stream_advance(s)
         if "sttcp" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now,
@@ -226,15 +192,15 @@ class STTCPBackup:
         state.closed = True
         del self._connections[state.key]
         self._index.discard(state)
-        tcb.on_rcv_advance = None
         self._c_shadows_reaped.value += 1
 
     # Acknowledgment strategy (§4.3) ---------------------------------------------------
-    def _on_stream_advance(self, state: _ShadowConnState) -> None:
+    def _on_stream_advance(self, state: ShadowExtension) -> None:
+        """The shadow's in-order receive stream moved (its TCB hook)."""
         if self.role is not ROLE_PASSIVE:
             return
         tcb = state.tcb
-        if not state.converged and state.ext.isn_rebased and tcb.state in SYNCHRONIZED_STATES:
+        if not state.converged and state.isn_rebased and tcb.state in SYNCHRONIZED_STATES:
             self._note_converged(state)
         # The local stream moved: it may have caught up with the primary.
         self._index.reconcile_gap(state)
@@ -249,7 +215,7 @@ class STTCPBackup:
                 state.pending_retx = None
                 self._index.clear_retx_pending(state)
 
-    def _note_converged(self, state: _ShadowConnState) -> None:
+    def _note_converged(self, state: ShadowExtension) -> None:
         """The shadow is ESTABLISHED on the primary's ISN: discharge it
         from the pending-rebase index."""
         state.converged = True
@@ -275,7 +241,7 @@ class STTCPBackup:
             self._maybe_reissue_retx(state)
         self._sync_timer.start(sync_time)
 
-    def _send_backup_ack(self, state: _ShadowConnState) -> None:
+    def _send_backup_ack(self, state: ShadowExtension) -> None:
         tcb = state.tcb
         self._c_acks_sent.value += 1
         self._send(BackupAck(state.key, tcb.rcv_nxt & SEQ_MASK))  # wrap, inline
@@ -316,10 +282,10 @@ class STTCPBackup:
             if state is None:
                 return
         tcb = state.tcb
-        if synack and not state.ext.isn_rebased:
+        if synack and not state.isn_rebased:
             # The primary's SYN/ACK reveals its ISN directly (§4.1) — the
             # robust sync source when the tap lost the client's handshake.
-            state.ext.learn_primary_isn(tcb, segment.seq)
+            state.learn_primary_isn(tcb, segment.seq)
         if flags & FLAG_ACK:
             # The ACK field tracks the *client's* stream, which the shadow
             # anchors from the tapped SYN — valid even before ISN rebase.
@@ -338,7 +304,7 @@ class STTCPBackup:
                 # client has purged them, so only the primary can help.
                 self._index.note_gap(state)
                 self._request_retransmission(state, tcb.rcv_nxt, primary_rcv)
-        if segment.payload_length > 0 and state.ext.isn_rebased:
+        if segment.payload_length > 0 and state.isn_rebased:
             seq = segment.seq
             snd_nxt = tcb.snd_nxt
             delta = (seq - snd_nxt) & SEQ_MASK  # unwrap(seq, snd_nxt), inline
@@ -353,7 +319,7 @@ class STTCPBackup:
 
     def _adopt_missed_connection(
         self, client_ip: IPAddress, synack: TCPSegment
-    ) -> Optional[_ShadowConnState]:
+    ) -> Optional[ShadowExtension]:
         """The tap lost the client's SYN: reconstruct the shadow from the
         tapped primary SYN/ACK, whose ack field reveals the client's ISN
         (§4.1).  Without this, one lost frame on the tap makes the whole
@@ -378,7 +344,7 @@ class STTCPBackup:
         return self._connections.get(conn_key(client_ip, synack.dst_port))
 
     def _request_retransmission(
-        self, state: _ShadowConnState, start_abs: int, stop_abs: int
+        self, state: ShadowExtension, start_abs: int, stop_abs: int
     ) -> None:
         if state.pending_retx is not None:
             pending_start, pending_stop, requested_at = state.pending_retx
@@ -393,7 +359,7 @@ class STTCPBackup:
         state.pending_retx = (start_abs, stop_abs, self.sim.now)
         self._index.note_retx_pending(state)
 
-    def _maybe_reissue_retx(self, state: _ShadowConnState) -> None:
+    def _maybe_reissue_retx(self, state: ShadowExtension) -> None:
         if state.pending_retx is None:
             return
         start_abs, stop_abs, requested_at = state.pending_retx
@@ -557,9 +523,9 @@ class STTCPBackup:
         # Takeover-time one-shot walk over a snapshot (taking a shadow over
         # or aborting it closes it; the close observer mutates the dict).
         connections = len(self._connections)
-        adoptable: List[_ShadowConnState] = []
+        adoptable: List[ShadowExtension] = []
         for key, state in list(self._connections.items()):
-            if state.tcb.state in SYNCHRONIZED_STATES and not state.ext.isn_rebased:
+            if state.tcb.state in SYNCHRONIZED_STATES and not state.isn_rebased:
                 # The send-stream anchor was never learned: this
                 # connection cannot be continued faithfully (§3.2-style
                 # incomplete communication state).  Drop it (silently: output
@@ -585,13 +551,13 @@ class STTCPBackup:
             # state (e.g. a consumed pool backup still shadowing others).
             self.on_takeover(self)
 
-    def _take_over_batch(self, states: List[_ShadowConnState], start: int) -> None:
+    def _take_over_batch(self, states: List[ShadowExtension], start: int) -> None:
         """Kick off go-back-N for ``states[start:start+batch]`` now and
         queue the rest for the next event-loop turn (same sim time)."""
         batch = self.config.takeover_batch
         for state in states[start : start + batch]:
             if not state.closed:
-                state.ext.takeover(state.tcb)
+                state.takeover(state.tcb)
         nxt = start + batch
         self._deferred_takeover = (
             self.sim.schedule(0.0, self._take_over_batch, states, nxt) if nxt < len(states) else None

@@ -160,7 +160,7 @@ class STTCPPrimary:
 
     # Connection hook -----------------------------------------------------------------
     def _on_new_connection(self, tcb: TCPConnection) -> None:
-        if ShadowExtension.of(tcb) is not None:
+        if isinstance(tcb.extension, ShadowExtension):
             # A shadow replica on this host (promoted-backup topologies):
             # retention belongs to live primaries only.
             return

@@ -1,8 +1,11 @@
-"""ST-TCP shadowing as a TCP extension (§4.1, §4.2, §5).
+"""The backup's record of one shadowed connection (§4.1, §4.2, §5).
 
-Everything that used to make a backup's connection "special" inside the
-core TCP stack now lives here, behind the
-:class:`repro.tcp.extension.TCPExtension` hook API:
+Everything that makes a backup's connection "special" lives in one
+:class:`ShadowExtension`: it occupies the TCB's
+:attr:`~repro.tcp.tcb.TCPConnection.extension` slot, whose four hooks the
+core engines call, and it is the backup engine's per-connection state
+(the value of ``STTCPBackup._connections`` and what
+:class:`~repro.sttcp.indexes.BackupConnectionIndex` indexes):
 
 * **Output suppression** — the shadow processes every tapped segment and
   advances all state exactly like the primary, but nothing it would send
@@ -19,20 +22,21 @@ core TCP stack now lives here, behind the
   sent that the (slower) shadow application has not produced yet; it is
   stashed and applied in ``after_output`` as the data materialises
   (§4.2, determinism assumption).
+* **Receive-stream advance** — ``on_rcv_advance`` hands the engine the
+  record whose stream moved (X-byte BackupAcks, gap and recovery
+  bookkeeping, §4.2–§4.3).
 * **Takeover** — :meth:`takeover` clears ``output_inhibited``, go-back-N
   retransmits anything in flight (or announces liveness with a pure
-  ACK), and attaches an :class:`repro.obs.tcp_ext.FirstAckProbe` so the
-  failover timeline records when the client's first retransmission is
-  accepted.
+  ACK), and arms a one-shot flag so the failover timeline records when
+  the client's first retransmission is accepted.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from repro.obs.tcp_ext import FirstAckProbe
+from repro.sttcp.messages import ConnKey, conn_key
 from repro.tcp.constants import TCPState
-from repro.tcp.extension import TCPExtension
 from repro.tcp.seqspace import unwrap, wrap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -40,35 +44,54 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tcp.tcb import TCPConnection
 
 
-class ShadowExtension(TCPExtension):
-    """Makes one connection an output-suppressed, ISN-syncing shadow."""
+class ShadowExtension:
+    """Makes one connection an output-suppressed, ISN-syncing shadow and
+    holds the backup engine's bookkeeping for it."""
 
-    name = "sttcp.shadow"
+    __slots__ = (
+        "engine",
+        "tcb",
+        "key",
+        "ack_threshold",
+        "closed",
+        "converged",
+        "last_acked_offset",
+        "last_ack_time",
+        "pending_retx",
+        "primary_rcv_nxt",
+        "primary_snd_nxt",
+        "isn_rebased",
+        "pending_ack",
+        "_applying_pending_ack",
+        "_first_ack_pending",
+    )
 
-    __slots__ = ("isn_rebased", "pending_ack", "_applying_pending_ack")
-
-    def __init__(self) -> None:
+    def __init__(self, engine: Any, tcb: "TCPConnection", now: float, ack_threshold: int) -> None:
+        self.engine = engine  # the STTCPBackup that owns this record
+        self.tcb = tcb
+        self.key: ConnKey = conn_key(tcb.remote_ip, tcb.remote_port)
+        self.ack_threshold = ack_threshold  # X (§4.3): bytes received that trigger a BackupAck
+        self.closed = False  # reaped; invalidates lazy index entries
+        self.converged = False  # rebased + synchronized at least once
+        self.last_acked_offset = 0  # LastByteAcked (as a stream offset)
+        self.last_ack_time = now
+        self.pending_retx: Optional[tuple] = None  # (start_abs, stop_abs, at)
+        self.primary_rcv_nxt: Optional[int] = None  # abs, from tapped ACKs
+        self.primary_snd_nxt: Optional[int] = None  # abs, from tapped data
         #: True once the send sequence space sits on the primary's ISN.
         self.isn_rebased = False
         #: Client ACK running ahead of locally produced data (absolute).
         self.pending_ack: Optional[int] = None
         self._applying_pending_ack = False
-
-    @classmethod
-    def of(cls, conn: "TCPConnection") -> Optional["ShadowExtension"]:
-        """The connection's shadow extension, or None if it has none."""
-        for ext in conn.extensions:
-            if isinstance(ext, cls):
-                return ext
-        return None
-
-    # -- lifecycle ------------------------------------------------------------
-    def on_attach(self, conn: "TCPConnection") -> None:
-        # Output suppression until takeover: the TCB builds nothing.
-        conn.output_inhibited = True
+        #: Set by takeover: the next inbound segment ends the client's outage.
+        self._first_ack_pending = False
+        # Occupy the slot; output suppression until takeover.
+        tcb.extension = self
+        tcb.output_inhibited = True
 
     # -- inbound absorption before ISN sync -----------------------------------
     def on_segment_in(self, conn: "TCPConnection", segment: "TCPSegment") -> bool:
+        consumed = False
         if (
             not self.isn_rebased
             and conn.state is TCPState.SYN_RCVD
@@ -85,8 +108,26 @@ class ShadowExtension(TCPExtension):
                 conn.inject_receive_data(
                     unwrap(segment.seq, conn.rcv_nxt), segment.payload
                 )
-            return True
-        return False
+            consumed = True
+        if self._first_ack_pending:
+            self._emit_first_ack(conn, segment)
+        return consumed
+
+    def _emit_first_ack(self, conn: "TCPConnection", segment: "TCPSegment") -> None:
+        """The ``failover/first_ack`` checkpoint: the first client segment a
+        just-taken-over server accepts (the paper's "first retransmission
+        accepted" instant, the end of the client's RTO wait), once."""
+        self._first_ack_pending = False
+        trace = conn.sim.trace
+        if "failover" in trace.categories:
+            trace.emit(
+                conn.sim.now,
+                "failover",
+                "first_ack",
+                host=conn.layer.host.name,
+                remote=f"{conn.remote_ip}:{conn.remote_port}",
+                amount=segment.payload_length,
+            )
 
     # -- ISN synchronisation + pending-ACK clamp ------------------------------
     def on_ack(
@@ -149,6 +190,10 @@ class ShadowExtension(TCPExtension):
         finally:
             self._applying_pending_ack = False
 
+    # -- receive-stream advance -----------------------------------------------
+    def on_rcv_advance(self, conn: "TCPConnection") -> None:
+        self.engine._on_stream_advance(self)
+
     # -- failover -------------------------------------------------------------
     def takeover(self, conn: "TCPConnection") -> None:
         """Failover: make this shadow connection live (§5).
@@ -160,9 +205,8 @@ class ShadowExtension(TCPExtension):
         if not conn.output_inhibited:
             return
         conn.output_inhibited = False
-        # The next segment the client sends us marks the end of its
-        # outage — record it through an obs-side probe, not core state.
-        conn.add_extension(FirstAckProbe())
+        # The next segment the client sends us marks the end of its outage.
+        self._first_ack_pending = True
         conn.trace_event("takeover", flight=conn.flight_size)
         if conn.state is TCPState.CLOSED:
             return

@@ -1,8 +1,8 @@
 """A full TCP implementation over the simulator.
 
 Public surface: :class:`TCPLayer` (per host), :class:`TCPSocket`,
-:class:`TCPListener`, :class:`TCPConfig`, the :class:`TCPExtension` hook
-protocol for protocol variants, :class:`TCPConnection` with its repair
+:class:`TCPListener`, :class:`TCPConfig`, :class:`TCPConnection` with
+its ``extension`` slot for a protocol variant's hooks and its repair
 section (stream offsets, ISN adoption, receive-stream splicing,
 quiescence, fast-forward), plus the building blocks (the three engines,
 the send and receive buffers, Reno congestion control, RTT/RTO
@@ -24,7 +24,6 @@ from repro.tcp.constants import (
     RTO_MIN,
     TCPState,
 )
-from repro.tcp.extension import HOOK_NAMES, TCPExtension, overridden_hooks
 from repro.tcp.input import InputEngine
 from repro.tcp.layer import TCPLayer
 from repro.tcp.listener import TCPListener
@@ -48,7 +47,6 @@ __all__ = [
     "FLAG_PSH",
     "FLAG_RST",
     "FLAG_SYN",
-    "HOOK_NAMES",
     "InputEngine",
     "OutputEngine",
     "RTO_MAX",
@@ -61,14 +59,12 @@ __all__ = [
     "SendBuffer",
     "TCPConfig",
     "TCPConnection",
-    "TCPExtension",
     "TCPLayer",
     "TCPListener",
     "TCPSegment",
     "TCPSocket",
     "TCPState",
     "make_rst",
-    "overridden_hooks",
     "seq_ge",
     "seq_gt",
     "seq_le",

@@ -3,10 +3,11 @@
 Owns the inbound half of the connection — segment dispatch per TCP
 state, RFC 793 acceptability checks, cumulative-ACK processing with fast
 retransmit/recovery (NewReno partial ACKs), send-window updates, payload
-reassembly hand-off, and FIN processing.  Registered extensions hook in
-at two points: ``on_segment_in`` (may consume a segment before dispatch)
-and ``on_ack`` (may adjust the unwrapped cumulative ACK before standard
-processing sees it).
+reassembly hand-off, and FIN processing.  The connection's
+``extension``, when set, hooks in at three points: ``on_segment_in`` (may
+consume a segment before dispatch), ``on_ack`` (may adjust the unwrapped
+cumulative ACK before standard processing sees it) and ``on_rcv_advance``
+(the in-order receive stream moved).
 """
 
 from __future__ import annotations
@@ -67,14 +68,9 @@ class InputEngine:
             conn.trace_event("recv", seg=segment)
         if segment.ts_val is not None and conn.use_timestamps:
             conn.last_ts_recv = segment.ts_val
-        hooks = conn._ext_on_segment_in
-        if hooks:
-            consumed = False
-            for ext in hooks:
-                if ext.on_segment_in(conn, segment):
-                    consumed = True
-            if consumed:
-                return
+        ext = conn.extension
+        if ext is not None and ext.on_segment_in(conn, segment):
+            return
         if conn.state is TCPState.SYN_SENT:
             self._segment_in_syn_sent(segment)
         elif conn.state is TCPState.CLOSED:
@@ -193,10 +189,9 @@ class InputEngine:
         ack_abs = snd_una + delta
         if ack_abs < 0 or delta == HALF_SPACE or not 0 <= ack <= SEQ_MASK:
             ack_abs = unwrap(ack, snd_una)
-        hooks = conn._ext_on_ack
-        if hooks:
-            for ext in hooks:
-                ack_abs = ext.on_ack(conn, segment, ack_abs)
+        ext = conn.extension
+        if ext is not None:
+            ack_abs = ext.on_ack(conn, segment, ack_abs)
         if conn.state is TCPState.SYN_RCVD:
             if conn.snd_una <= ack_abs <= conn.snd_max:
                 conn.retransmit.retransmit_count = 0
@@ -354,8 +349,9 @@ class InputEngine:
         if advanced > 0:
             conn.rcv_nxt += advanced
             conn.output.schedule_ack(advanced // conn.mss or 1)
-            if conn.on_rcv_advance is not None:
-                conn.on_rcv_advance(conn.rcv_nxt)
+            ext = conn.extension
+            if ext is not None:
+                ext.on_rcv_advance(conn)
             if conn.socket is not None:
                 conn.socket._pump_readers()
         else:

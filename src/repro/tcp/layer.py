@@ -2,9 +2,9 @@
 
 Protocol variants integrate through :attr:`TCPLayer.connection_observers`:
 each observer runs for every passively opened connection *before* the
-SYN is processed, so it can attach :class:`repro.tcp.extension.TCPExtension`
-objects (the replication engines do exactly this) without touching
-listener or application code.
+SYN is processed, so it can fill the connection's ``extension`` slot or
+attach retention (the replication engines do exactly this) without
+touching listener or application code.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class TCPLayer:
         self._port_refs: Dict[int, int] = {}
         #: Observers invoked for every passive open, before the SYN is
         #: processed (replication engines use this to attach retention or
-        #: extensions to new connections).
+        #: fill the ``extension`` slot of new connections).
         self.connection_observers: List[ConnectionCallback] = []
         #: Observers invoked after a connection leaves the table (reached
         #: CLOSED or expired TIME_WAIT).  Replication engines use this to
@@ -254,7 +254,7 @@ class TCPLayer:
 
         The connection-repair entry point for a TCB that does not exist
         yet.  Given the 4-tuple and the peer's ISN, the connection is
-        opened — observers attached, extensions and all — exactly as if
+        opened — observers run, ``extension`` slot and all — exactly as if
         the SYN had arrived; the caller then repairs it further through
         the repair section of :class:`TCPConnection`.  Returns ``None``
         unless a listener is bound and accepts.

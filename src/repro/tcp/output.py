@@ -156,10 +156,9 @@ class OutputEngine:
             and conn.snd_max == conn.snd_una
         ):
             conn.retransmit.arm_persist()
-        hooks = conn._ext_after_output
-        if hooks:
-            for ext in hooks:
-                ext.after_output(conn)
+        ext = conn.extension
+        if ext is not None:
+            ext.after_output(conn)
 
     def _note_fin_sent(self, seq_abs: int) -> None:
         conn = self.conn

@@ -17,19 +17,17 @@ The behaviour lives in three engines with explicit interfaces:
 :class:`TCPConnection` coordinates them, owns the send and receive
 buffers and the sequence-number ↔ stream-offset arithmetic, holds the
 shared connection state (addresses, TCP state, sequence variables, FIN
-bookkeeping, the socket it tells, counters), and hosts the extension chain:
-protocol variants (replication, observability probes) register
-:class:`repro.tcp.extension.TCPExtension` objects per connection and the
-engines call their hooks at three pipeline points: an inbound segment,
-a cumulative ACK, the end of an output pass.  A connection with no
-extensions pays one falsy check per hook site — nothing else.  Work done
+bookkeeping, the socket it tells, counters), and one ``extension`` slot:
+``None`` on a plain connection, or an object whose four hooks the engines
+call behind one ``is not None`` check — an inbound segment, a cumulative
+ACK, the end of an output pass, an advance of the receive stream.  Work done
 on a connection from outside its own segment flow — re-anchoring,
 splicing, fast-forwarding — goes through the *repair* section below.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import ConnectionClosed, ConnectionReset
 from repro.net.addresses import IPAddress
@@ -41,7 +39,6 @@ from repro.tcp.constants import (
     SYNCHRONIZED_STATES,
     TCPState,
 )
-from repro.tcp.extension import TCPExtension, overridden_hooks
 from repro.tcp.input import InputEngine
 from repro.tcp.output import OutputEngine
 from repro.tcp.recv_buffer import ReceiveBuffer
@@ -64,11 +61,10 @@ class TCPConnection:
         "iss", "irs", "snd_una", "snd_nxt", "snd_max", "snd_wnd",
         "_snd_wl1", "_snd_wl2", "rcv_nxt",
         "mss", "cc",
-        "output_inhibited",
-        "_extensions", "_ext_on_segment_in", "_ext_on_ack", "_ext_after_output",
+        "output_inhibited", "extension",
         "_fin_pending", "_fin_sent", "_fin_seq", "_fin_acked", "fin_received",
         "use_timestamps", "last_ts_recv",
-        "socket", "on_rcv_advance",
+        "socket",
         "segments_sent", "segments_received", "bytes_sent", "bytes_received",
         "retransmissions", "dupacks_received", "error",
         "send_buffer", "recv_buffer",
@@ -114,12 +110,13 @@ class TCPConnection:
         #: a transmission is armed (a replica mirroring another host's
         #: connection).
         self.output_inhibited = False
-        # Extension chain: per-hook dispatch tuples stay empty (and the
-        # hook sites a single falsy check) until an extension registers.
-        self._extensions: Tuple[TCPExtension, ...] = ()
-        self._ext_on_segment_in: Tuple[TCPExtension, ...] = ()
-        self._ext_on_ack: Tuple[TCPExtension, ...] = ()
-        self._ext_after_output: Tuple[TCPExtension, ...] = ()
+        #: A protocol variant's per-connection hooks, or None.  The engines
+        #: call ``on_segment_in(conn, segment)`` before dispatch (True
+        #: consumes the segment), ``on_ack(conn, segment, ack_abs)`` at
+        #: the top of ACK processing (returns the ACK to use),
+        #: ``after_output(conn)`` after each output pass and
+        #: ``on_rcv_advance(conn)`` whenever ``rcv_nxt`` moves.
+        self.extension: Any = None
 
         # FIN bookkeeping (read by input, output and retransmit engines).
         self._fin_pending = False  # app asked to close; FIN not yet sent
@@ -137,10 +134,6 @@ class TCPConnection:
         #: The application's handle, which the engines tell of every change
         #: it waits on (None until a :class:`TCPSocket` wraps the connection).
         self.socket: Optional["TCPSocket"] = None
-        #: Called with the new rcv_nxt whenever the in-order receive
-        #: stream advances (distinct from the socket's reader pump);
-        #: used by replication engines.
-        self.on_rcv_advance: Optional[Callable[[int], None]] = None
 
         # Counters.
         self.segments_sent = 0
@@ -191,38 +184,6 @@ class TCPConnection:
                 state=self.state.value,
                 **fields,
             )
-
-    # ----------------------------------------------------------- extensions
-    @property
-    def extensions(self) -> Tuple[TCPExtension, ...]:
-        """The registered extension chain, in dispatch order."""
-        return self._extensions
-
-    def add_extension(self, extension: TCPExtension) -> None:
-        """Register ``extension``; hooks run in registration order."""
-        self._extensions += (extension,)
-        hooks = overridden_hooks(extension)
-        if "on_segment_in" in hooks:
-            self._ext_on_segment_in += (extension,)
-        if "on_ack" in hooks:
-            self._ext_on_ack += (extension,)
-        if "after_output" in hooks:
-            self._ext_after_output += (extension,)
-        extension.on_attach(self)
-
-    def remove_extension(self, extension: TCPExtension) -> None:
-        """Unregister ``extension`` (no-op when absent): the chains are rebuilt."""
-        if extension not in self._extensions:
-            return
-        self._extensions = tuple(e for e in self._extensions if e is not extension)
-        overrides = [(ext, overridden_hooks(ext)) for ext in self._extensions]
-
-        def chain(hook: str) -> Tuple[TCPExtension, ...]:
-            return tuple(ext for ext, hooks in overrides if hook in hooks)
-
-        self._ext_on_segment_in = chain("on_segment_in")
-        self._ext_on_ack = chain("on_ack")
-        self._ext_after_output = chain("after_output")
 
     # ------------------------------------------------------------- opening
     def open_active(self) -> None:
@@ -367,7 +328,7 @@ class TCPConnection:
     # Connection repair, in the manner of Linux TCP_REPAIR: generic
     # operations that read or rewrite a connection's anchors and streams
     # from outside its own segment flow.  The stack offers the operations;
-    # the extension or engine that calls them owns the policy.  Each is one
+    # the engine that calls them owns the policy.  Each is one
     # call deep.  "Open from supplied state" is
     # :meth:`repro.tcp.layer.TCPLayer.synthesize_passive_open`.
 
@@ -406,17 +367,14 @@ class TCPConnection:
         self.bytes_received += payload.length
         if advanced > 0:
             self.rcv_nxt += advanced
-            if self.on_rcv_advance is not None:
-                self.on_rcv_advance(self.rcv_nxt)
+            if self.extension is not None:
+                self.extension.on_rcv_advance(self)
             if self.socket is not None:
                 self.socket._pump_readers()
         return advanced
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        suffix = ""
-        if self._extensions:
-            suffix = " +" + ",".join(ext.name for ext in self._extensions)
         return (
             f"<TCPConnection {self.local_ip}:{self.local_port} <-> "
-            f"{self.remote_ip}:{self.remote_port} {self.state.value}{suffix}>"
+            f"{self.remote_ip}:{self.remote_port} {self.state.value}>"
         )

@@ -94,7 +94,7 @@ def test_takeover_resending_acked_bytes_breaks_no_duplicate_drill(monkeypatch):
 def test_emit_ignoring_output_inhibited_breaks_ordering_drill(monkeypatch):
     # Sabotage the suppression itself: an ``emit`` that ignores
     # ``output_inhibited`` builds the shadow's segments and hands them
-    # to IP.  The ordering drill's suppressed-shadow check must catch
+    # to IP.  The suppression drill's suppressed-shadow check must catch
     # the leak by the shadow's send count.
     from repro.tcp.output import OutputEngine
 
@@ -109,6 +109,6 @@ def test_emit_ignoring_output_inhibited_breaks_ordering_drill(monkeypatch):
             conn.output_inhibited = inhibited
 
     monkeypatch.setattr(OutputEngine, "emit", leaking)
-    result = run_drill_file(SCRIPTS / "t26_sttcp_extension_ordering.py")
+    result = run_drill_file(SCRIPTS / "t26_sttcp_shadow_suppression.py")
     assert not result.passed
     assert "suppressed shadow handed IP" in result.failure

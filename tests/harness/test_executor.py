@@ -6,10 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.errors import ReproError
+from repro.harness.cli import main
 from repro.harness.executor import run_grid
 from repro.harness.experiments import ExperimentScale
 from repro.harness.results import ResultStore, cell_key
-from repro.harness.spec import get_spec
+from repro.harness.spec import ExperimentSpec, GridCell, get_spec, register
 from repro.util.units import KB
 
 #: Just big enough to exercise every row of Table 1.
@@ -128,6 +132,53 @@ def test_first_append_after_a_torn_line_survives_the_next_load(tmp_path):
     reloaded = ResultStore(store.path)
     assert len(reloaded) == 2
     assert reloaded.get(cell_key(second))["record"] == {"cell": "b"}
+
+
+def test_a_corrupt_line_before_the_tail_is_a_typed_error(tmp_path, capsys):
+    """Only the last line may be torn; an undecodable line with entries
+    after it is named by file and line, in the API and on the CLI."""
+    spec, cells = _echo_grid()
+    store = ResultStore(tmp_path / "results.jsonl")
+    store.append(cells[0], {"cell": "a"})
+    with store.path.open("a") as handle:
+        handle.write('{"key": "torn", "rec\n')
+    store.append(cells[1], {"cell": "c"})
+    with pytest.raises(ReproError, match=f"{store.path}:2: corrupt"):
+        ResultStore(store.path)
+    assert main(["ablations", "--store", str(store.path)]) == 2
+    assert f"error: {store.path}:2: corrupt" in capsys.readouterr().err
+
+
+#: Cleared before the resume run, which executes in this process.
+_WORKER_DIES = True
+
+
+def _dying_cells(scale=None, **options):
+    return [GridCell("executor_dying_worker", f"cell{i}", {"i": i}, i) for i in range(3)]
+
+
+def _dying_cell(cell):
+    if cell.params["i"] == 1 and _WORKER_DIES:
+        os._exit(3)
+    return {"i": cell.params["i"]}
+
+
+register(ExperimentSpec("executor_dying_worker", "dies mid-grid", _dying_cells, _dying_cell))
+
+
+def test_a_dead_worker_is_a_typed_error_and_the_run_resumes(tmp_path, monkeypatch):
+    """Workers fork, so they see the spec registered above."""
+    spec = get_spec("executor_dying_worker")
+    cells = spec.build_cells()
+    store = ResultStore(tmp_path / "results.jsonl")
+    with pytest.raises(ReproError, match="worker died") as excinfo:
+        run_grid(spec, cells, jobs=2, store=store)
+    assert "cell1" in str(excinfo.value)
+    in_flight = [cell for cell in cells if cell.cell_id in str(excinfo.value)]
+    monkeypatch.setattr(sys.modules[__name__], "_WORKER_DIES", False)
+    resumed = run_grid(spec, cells, store=ResultStore(store.path))
+    assert resumed.executed == len(in_flight)
+    assert resumed.records == [{"i": 0}, {"i": 1}, {"i": 2}]
 
 
 def test_probe_counts_every_simulator_though_addresses_are_reused():

@@ -99,7 +99,7 @@ def test_new_connections_served_by_backup_after_failover():
     assert late.result.verified
     # And it is a regular (non-shadow) connection on the backup.
     new_conns = [
-        t for t in scenario.backup.tcp.connections if ShadowExtension.of(t) is None
+        t for t in scenario.backup.tcp.connections if not isinstance(t.extension, ShadowExtension)
     ]
     assert new_conns or scenario.sim.metrics.value("backup.tcp.segments_demuxed") > 0
 
@@ -162,7 +162,7 @@ def test_late_shadow_is_built_from_the_tapped_synack():
     (shadow,) = scenario.pair.backup_engine.shadow_connections
     assert state.tcb is shadow
     assert shadow.remote_port == synack.dst_port
-    assert state.ext.isn_rebased  # re-anchored on the primary's ISN
+    assert state.isn_rebased  # re-anchored on the primary's ISN
     assert run.result.exchanges_done == 20
 
 
@@ -298,7 +298,7 @@ def test_a_degraded_connection_is_listed_once():
     scenario.sim.run(until=0.05)
     engine = scenario.pair.backup_engine
     (state,) = engine._connections.values()
-    state.ext.isn_rebased = False
+    state.isn_rebased = False
     state.primary_rcv_nxt = state.tcb.rcv_nxt + 150
     engine._index.note_gap(state)
     engine.force_failover()

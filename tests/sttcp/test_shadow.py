@@ -7,7 +7,6 @@ from collections import Counter
 from repro.apps.workload import bulk_workload, echo_workload, upload_workload
 from repro.harness.runner import run_workload
 from repro.sttcp.backup import ROLE_PASSIVE
-from repro.sttcp.shadow import ShadowExtension
 from repro.tcp.constants import TCPState
 from repro.tcp.segment import SegmentTemplate, TCPSegment
 from repro.tcp.tcb import TCPConnection
@@ -67,7 +66,7 @@ def test_shadow_rebases_to_primary_isn():
     run_on(scenario, echo_workload(5)).require_clean()
     shadow = scenario.pair.backup_engine.shadow_connections[0]
     primary_tcb = scenario.primary.tcp.connections[0]
-    assert ShadowExtension.of(shadow).isn_rebased
+    assert shadow.extension.isn_rebased
     assert shadow.iss == primary_tcb.iss or (
         # Absolute epochs may differ; wire (32-bit) ISNs must agree.
         shadow.iss & 0xFFFFFFFF == primary_tcb.iss & 0xFFFFFFFF

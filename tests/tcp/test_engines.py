@@ -4,7 +4,7 @@ No simulator, no hosts, no wire — a hand-cranked clock and a stub IP
 layer are enough to pin down the output engine's send-policy decision
 table, the retransmit engine's RFC 6298 backoff bounds, the TCB's
 sequence-space translation across the 2^32 wrap, the repair section's
-receive-data injection, the extension dispatch contracts, and output
+receive-data injection, the extension slot's dispatch, and output
 inhibition (an inhibited TCB keeps a sent
 segment's bookkeeping and builds nothing).
 """
@@ -24,7 +24,6 @@ from repro.tcp.constants import (
     SEQ_SPACE,
     TCPState,
 )
-from repro.tcp.extension import HOOK_NAMES, TCPExtension, overridden_hooks
 from repro.tcp.input import InputEngine
 from repro.tcp.segment import TCPSegment
 from repro.tcp.seqspace import wrap
@@ -388,9 +387,9 @@ class TestBufferSeqspaceWrap:
         assert conn.rcv_nxt == conn.irs + 21
 
 
-# -- extension dispatch contracts ---------------------------------------------
-class _Recorder(TCPExtension):
-    name = "test.recorder"
+# -- the extension slot ---------------------------------------------------------
+class _Recorder:
+    """A duck-typed slot occupant: logs every hook, consumes nothing."""
 
     def __init__(self, log, tag):
         self.log = log
@@ -404,49 +403,15 @@ class _Recorder(TCPExtension):
         self.log.append((self.tag, "ack", ack_abs))
         return ack_abs
 
+    def after_output(self, conn):
+        pass
 
-class TestExtensionDispatch:
-    def test_overridden_hooks_reports_only_overrides(self):
-        class AckOnly(TCPExtension):
-            def on_ack(self, conn, segment, ack_abs):
-                return ack_abs
+    def on_rcv_advance(self, conn):
+        pass
 
-        assert overridden_hooks(AckOnly()) == ("on_ack",)
-        assert overridden_hooks(TCPExtension()) == ()
-        # Worked out once per class, not per instance or per chain rebuild.
-        assert overridden_hooks(AckOnly()) is overridden_hooks(AckOnly())
 
-    def test_chains_rebuilt_on_add_and_remove(self):
-        conn, _, _ = make_conn()
-        establish(conn)
-        ext = _Recorder([], "a")
-        conn.add_extension(ext)
-        assert conn._ext_on_segment_in == (ext,)
-        assert conn._ext_on_ack == (ext,)
-        assert conn._ext_after_output == ()  # not overridden
-        conn.remove_extension(ext)
-        assert conn._ext_on_segment_in == ()
-        assert conn._ext_on_ack == ()
-        assert conn.extensions == ()
-
-    def test_add_extension_appends_to_each_chain_it_overrides(self):
-        class OutputOnly(TCPExtension):
-            def after_output(self, conn):
-                pass
-
-        conn, _, _ = make_conn()
-        first, second, third = _Recorder([], "a"), OutputOnly(), _Recorder([], "c")
-        for ext in (first, second, third):
-            conn.add_extension(ext)
-        assert conn._ext_on_segment_in == conn._ext_on_ack == (first, third)
-        assert conn._ext_after_output == (second,)
-        conn.remove_extension(first)
-        conn.add_extension(first)  # back at the end of every chain it names
-        assert conn.extensions == (second, third, first)
-        assert conn._ext_on_segment_in == conn._ext_on_ack == (third, first)
-        assert conn._ext_after_output == (second,)
-
-    def test_all_extensions_see_a_consumed_segment(self):
+class TestExtensionSlot:
+    def test_a_consumed_segment_skips_core_processing(self):
         log = []
 
         class Consumer(_Recorder):
@@ -456,8 +421,7 @@ class TestExtensionDispatch:
 
         conn, _, _ = make_conn()
         establish(conn)
-        conn.add_extension(Consumer(log, "eat"))
-        conn.add_extension(_Recorder(log, "see"))
+        conn.extension = Consumer(log, "eat")
         data = TCPSegment(
             conn.remote_port,
             conn.local_port,
@@ -468,50 +432,10 @@ class TestExtensionDispatch:
             PatternBytes(100, 0, 3),
         )
         conn.on_segment(data)
-        assert ("eat", "in") in log and ("see", "in") in log
+        assert log == [("eat", "in")]
         # Consumed: core processing skipped, nothing buffered.
         assert conn.readable_bytes == 0
         assert conn.rcv_nxt == conn.irs + 1
-
-    def test_on_ack_chain_runs_in_registration_order(self):
-        log = []
-        conn, _, _ = make_conn()
-        establish(conn)
-        conn.add_extension(_Recorder(log, "first"))
-        conn.add_extension(_Recorder(log, "second"))
-        conn.app_write(PatternBytes(100, 0, 3))
-        log.clear()
-        conn.on_segment(ack_from_peer(conn, conn.iss + 101))
-        acks = [entry for entry in log if entry[1] == "ack"]
-        assert [entry[0] for entry in acks] == ["first", "second"]
-
-    def test_every_hook_has_an_implementer(self):
-        # A hook exists only while something in the package implements
-        # it; the counting drill probe does not count as a user.
-        import repro.sttcp.shadow  # noqa: F401 - defines ShadowExtension
-        from repro.obs.tcp_ext import TraceProbeExtension
-
-        def subclasses(cls):
-            for sub in cls.__subclasses__():
-                yield sub
-                yield from subclasses(sub)
-
-        implementers = [
-            cls
-            for cls in subclasses(TCPExtension)
-            if cls.__module__.startswith("repro.")
-            and cls is not TraceProbeExtension
-        ]
-        implemented = {
-            hook
-            for cls in implementers
-            for hook in HOOK_NAMES
-            if getattr(cls, hook) is not getattr(TCPExtension, hook)
-        }
-        assert implemented == set(HOOK_NAMES)
-        # One dispatch slot per hook on every TCB, and none left over.
-        slots = {name for name in TCPConnection.__slots__ if name.startswith("_ext_")}
-        assert slots == {f"_ext_{hook}" for hook in HOOK_NAMES}
 
 
 # -- output inhibition: a sent segment's bookkeeping, nothing built -----------
@@ -644,7 +568,7 @@ def test_prop_input_unwraps_inline_exactly_as_unwrap(case):
     establish(conn)
     conn.snd_una = conn.snd_nxt = conn.snd_max = reference
     log = []
-    conn.add_extension(_Recorder(log, "ack"))
+    conn.extension = _Recorder(log, "ack")
     segment = TCPSegment(conn.remote_port, conn.local_port, wrap(conn.rcv_nxt), 0, FLAG_ACK, 65535)
     segment.ack = value
     observed = _observe(lambda: conn.on_segment(segment), lambda: log[-1][2])

@@ -25,16 +25,18 @@ _spec = importlib.util.spec_from_file_location("conn_footprint", _TOOL)
 conn_footprint = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(conn_footprint)
 
-#: The tree at the time of writing needs about 11 760 bytes and 99
-#: GC-tracked objects per connection on CPython 3.11 (about 13 960 and 130
+#: The tree at the time of writing needs about 11 290 bytes and 90
+#: GC-tracked objects per connection on CPython 3.11 (11 890 and 99 while
+#: a shadow's state was split over an extension chain, an engine record
+#: and a callback closure; about 13 960 and 130
 #: while the TCB held five socket callbacks, a passive open two hand-off
 #: closures, every TCB a persist and a TIME_WAIT timer and every event a
 #: callback list; 14 700 and 140 while the scheduler pooled fired handles
 #: in a free list); before buffers were lists and per-connection classes
 #: slotted it needed 29 500 and 163.  The slack absorbs interpreter
 #: differences (3.11 vs 3.12 object layouts).
-BYTES_PER_CONNECTION_BUDGET = 13_000
-OBJECTS_PER_CONNECTION_BUDGET = 110
+BYTES_PER_CONNECTION_BUDGET = 12_400
+OBJECTS_PER_CONNECTION_BUDGET = 101
 
 #: Packages whose classes are instantiated per connection.
 _PER_CONNECTION_PACKAGES = ("repro.tcp.", "repro.util.", "repro.sttcp.")

@@ -2,8 +2,8 @@
 """Fail when the `repro` package contains an import cycle.
 
 The engine decomposition's layering rule: `repro.tcp` must not import
-from `repro.sttcp` or `repro.obs` (extensions plug into the core, never
-the other way around), and the module graph as a whole must stay
+from `repro.sttcp` or `repro.obs` (protocol variants plug into the core,
+never the other way around), and the module graph as a whole must stay
 acyclic.  Pure stdlib — AST-walks every module under src/repro, records
 intra-package imports, and runs Tarjan's SCC to find cycles.
 
@@ -11,10 +11,9 @@ Imports made only under ``typing.TYPE_CHECKING`` are ignored: they are
 erased at runtime and exist exactly so the type layer can reference the
 facade without creating a real cycle.
 
-A vocabulary rule backs the import rule: no line of `repro.tcp` outside
-`extension.py` (where the extension API's prose may name its users)
-mentions a backup, a shadow or ST-TCP by package name, so the core is
-described in generic connection-repair terms.
+A vocabulary rule backs the import rule: no line of `repro.tcp` mentions
+a backup, a shadow or ST-TCP by package name, so the core is described
+in generic connection-repair terms.
 
 Usage::
 
@@ -49,10 +48,8 @@ LAYERING_RULES = {
     "repro.obs": ("repro.cluster", "repro.harness", "repro.drill"),
 }
 
-#: Words `repro.tcp` leaves to the packages built on it, and the one file
-#: exempt from the rule.
+#: Words `repro.tcp` leaves to the packages built on it.
 TCP_VOCABULARY = re.compile(r"backup|shadow|sttcp", re.IGNORECASE)
-TCP_VOCABULARY_EXEMPT = "extension.py"
 
 
 def module_name(path: Path, root: Path) -> str:
@@ -175,8 +172,6 @@ def vocabulary_violations(root: Path) -> List[str]:
     is built on it (:data:`TCP_VOCABULARY`)."""
     hits = []
     for path in sorted((root / "tcp").rglob("*.py")):
-        if path.name == TCP_VOCABULARY_EXEMPT:
-            continue
         for lineno, line in enumerate(path.read_text().splitlines(), start=1):
             if TCP_VOCABULARY.search(line):
                 hits.append(f"{path}:{lineno}: {line.strip()}")
