@@ -89,7 +89,7 @@ class DrillEnv:
         self.hub = Hub(self.sim, LINK_RATE_BPS, delay=LINK_DELAY)
         self.tcp_config = TCPConfig().copy(**settings.get("tcp", {}))
         self.port = int(settings.get("port", DEFAULT_PORT))
-        self.tracked: List[Any] = []  # TCBs of the host under test
+        self.tracked: List[Any] = []  # sockets of the host under test
         self.check_failures: List[CheckFailure] = []
         self.app_sent = 0  # cumulative sock_write bytes (pattern offsets)
         self.app_read_bytes = 0
@@ -128,7 +128,7 @@ class DrillEnv:
         if self.mode == "server":
             self._attach_peer(HUT_IP, self.port, [self.hut])
             self.listener = self.hut.tcp.listen(self.port)
-            self.hut.tcp.connection_observers.append(self.tracked.append)
+            self.hut.tcp.connection_observers.append(lambda tcb: self.tracked.append(tcb.socket))
         else:
             # The peer injects toward the port the host will connect from.
             local_port = int(settings.get("local_port", DEFAULT_LOCAL_PORT))
@@ -166,7 +166,7 @@ class DrillEnv:
         )
         self._attach_peer(SERVICE_IP, self.port, [self.primary, self.backup])
         self.peer.remote_mac = primary_nic.mac
-        self.primary.tcp.connection_observers.append(self.tracked.append)
+        self.primary.tcp.connection_observers.append(lambda tcb: self.tracked.append(tcb.socket))
         self.pair.start_service()
 
     def _build_cluster(self, settings: dict) -> None:
@@ -190,7 +190,8 @@ class DrillEnv:
 
     # -- probe helpers (used by the script DSL) -----------------------------
     def tcb(self) -> Optional[Any]:
-        return self.tracked[0] if self.tracked else None
+        # Through the socket: from TIME_WAIT on, a record holds the slot.
+        return self.tracked[0].tcb if self.tracked else None
 
     def connection_state(self) -> str:
         tcb = self.tcb()
@@ -249,7 +250,7 @@ class DrillEnv:
             socket = self.hut.tcp.connect(
                 (self.peer.ip, self.peer.port), local_port=local_port
             )
-            self.tracked.append(socket._tcb)
+            self.tracked.append(socket)
             return
         tcb = self.tcb()
         assert tcb is not None, f"{op.label} before any connection exists"

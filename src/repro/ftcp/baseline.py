@@ -64,8 +64,10 @@ class FTCPBackup(STTCPBackup):
     def _recover_gaps_then_takeover(self) -> None:
         """Delay the takeover by restart + replay, with keepalives."""
         config: FTCPConfig = self.config  # type: ignore[assignment]
+        # Each stream's tail: ``rcv_offset(rcv_nxt)`` less a received FIN.
         self.replay_bytes = sum(
-            state.tcb.recv_buffer.rcv_nxt_offset for state in self._connections.values()
+            state.tcb.rcv_offset(state.tcb.rcv_nxt) - state.tcb.fin_received
+            for state in self._connections.values()
         )
         replay_time = self.replay_bytes / config.replay_rate
         self.recovery_delay = config.restart_delay + replay_time

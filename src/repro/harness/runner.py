@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.apps.client import run_client
 from repro.apps.workload import AppWorkload, Outcome, RunResult, describe_outcome, failed_sessions
@@ -12,10 +12,12 @@ from repro.errors import ReproError
 from repro.harness.calibrate import PAPER_TESTBED, NetworkProfile
 from repro.harness.scenario import Scenario, TOPOLOGY_HUB
 from repro.metrics import perf
-from repro.obs.recorder import FlightRecorder
 from repro.obs.timeline import FailoverTimeline, TimelineCollector
 from repro.sttcp.config import STTCPConfig
 from repro.sttcp.group import FailoverMetrics
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; imported for a flight dump
+    from repro.obs.recorder import FlightRecorder
 
 #: The client starts this long after the service comes up.
 CLIENT_START = 0.1
@@ -109,6 +111,8 @@ def run_workload(
     collector = TimelineCollector().attach(scenario.sim.trace)
     flight: Optional[FlightRecorder] = None
     if os.environ.get(FLIGHT_DUMP_ENV):
+        from repro.obs.recorder import FlightRecorder
+
         flight = FlightRecorder()
         scenario.sim.trace.add_sink(flight)
     launch_at = scenario.sim.now + CLIENT_START

@@ -20,14 +20,12 @@ Modes:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.faults.injection import CrashInjector
 from repro.harness.calibrate import PAPER_TESTBED, NetworkProfile
 from repro.host.host import Host, make_gateway
-from repro.logger.client import LoggerClient
-from repro.logger.packet_logger import PacketLogger
 from repro.net.addresses import IPAddress, fresh_multicast_mac, ip
 from repro.net.medium import Cable, Hub
 from repro.net.switch import Switch
@@ -36,6 +34,9 @@ from repro.sttcp.backup import STTCPBackup
 from repro.sttcp.config import STTCPConfig
 from repro.sttcp.group import STTCPServerGroup
 from repro.sttcp.power_switch import PowerSwitch
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; imported when a logger is built
+    from repro.logger.packet_logger import PacketLogger
 
 TOPOLOGY_HUB = "hub"
 TOPOLOGY_SWITCHED = "switched"
@@ -121,10 +122,14 @@ class Scenario:
         else:
             self._build_switched()
         if with_logger:
+            from repro.logger.packet_logger import PacketLogger
+
             self.logger = PacketLogger(self.logger_host, SERVICE_IP, SERVICE_PORT)
         if sttcp is not None:
             logger_client = None
             if self.logger is not None and sttcp.use_logger:
+                from repro.logger.client import LoggerClient
+
                 logger_client = LoggerClient(self.backup, self.logger.address)
             from repro.ftcp.baseline import FTCPBackup, FTCPConfig
 

@@ -5,10 +5,11 @@ an :class:`ExperimentSpec`: a *builder* that expands parameters into a
 list of :class:`GridCell` (pure data — picklable, hashable-by-content),
 a *runner* that executes one cell in a fresh deterministic simulation,
 and an optional *aggregator* that folds cell records into the paper's
-row shapes.  Specs register themselves by name at import time (the
-modules under :mod:`repro.harness.experiments` do this), so executor
-worker processes can look a spec up by name and rebuild everything a
-cell needs from its ``params`` alone.
+row shapes.  Specs register themselves by name when their module is imported;
+:mod:`repro.harness.experiments` names each spec's module, and
+:func:`get_spec` imports it on first use, so executor worker processes
+can look a spec up by name and rebuild everything a cell needs from its
+``params`` alone, paying only for the specs they run.
 
 The separation buys three things:
 
@@ -25,6 +26,7 @@ The separation buys three things:
 from __future__ import annotations
 
 import dataclasses
+import importlib
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.apps.workload import AppWorkload
@@ -66,6 +68,8 @@ class ExperimentSpec:
 
 
 _REGISTRY: Dict[str, ExperimentSpec] = {}
+#: Spec name → the module that registers it, imported by :func:`get_spec`.
+_MODULES: Dict[str, str] = {}
 
 
 def register(spec: ExperimentSpec) -> ExperimentSpec:
@@ -74,17 +78,24 @@ def register(spec: ExperimentSpec) -> ExperimentSpec:
     return spec
 
 
+def declare(modules: Dict[str, str]) -> None:
+    """Name the module that registers each spec, for :func:`get_spec`."""
+    _MODULES.update(modules)
+
+
 def get_spec(name: str) -> ExperimentSpec:
+    if name not in _REGISTRY and name in _MODULES:
+        importlib.import_module(_MODULES[name])
     try:
         return _REGISTRY[name]
     except KeyError:
         raise KeyError(
-            f"unknown experiment {name!r}; registered: {sorted(_REGISTRY)}"
+            f"unknown experiment {name!r}; registered: {experiment_names()}"
         ) from None
 
 
 def experiment_names() -> List[str]:
-    return sorted(_REGISTRY)
+    return sorted(_REGISTRY.keys() | _MODULES.keys())
 
 
 # ------------------------------------------------------------- param codecs

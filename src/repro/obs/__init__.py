@@ -20,9 +20,7 @@ What the *host* spent running it (wall clock, collector passes, calls
 by layer) is :mod:`repro.metrics`.
 """
 
-from repro.obs.recorder import FlightRecorder
 from repro.obs.registry import Counter, Gauge, MetricsRegistry
-from repro.obs.slo import grade_record
 from repro.obs.timeline import (
     ClusterPhases,
     FailoverTimeline,
@@ -35,11 +33,9 @@ __all__ = [
     "ClusterPhases",
     "Counter",
     "FailoverTimeline",
-    "FlightRecorder",
     "Gauge",
     "MetricsRegistry",
     "TimelineCollector",
-    "grade_record",
     "reconstruct_cluster_phases",
     "reconstruct_failover",
 ]

@@ -40,6 +40,7 @@ from repro.tcp.segment import TCPSegment
 from repro.tcp.seqspace import HALF_SPACE, unwrap, wrap
 from repro.tcp.tcb import TCPConnection
 from repro.tcp.timers import RestartableTimer
+from repro.tcp.timewait import Endpoint, TimeWait
 
 ROLE_PASSIVE = "passive"
 ROLE_TAKING_OVER = "taking_over"
@@ -98,6 +99,7 @@ class STTCPBackup:
         # tapped segments, no ARP for the (suppressed) service IP.
         host.tcp.reset_on_unmatched = False
         host.tcp.connection_observers.append(self._on_passive_open)
+        host.tcp.time_wait_observers.append(self._on_time_wait)
         host.tcp.close_observers.append(self._on_shadow_closed)
         host.ip_layer.add_tap(self._on_tapped_datagram, src=service_ip)
         host.crash_observers.append(self.stop)
@@ -180,10 +182,16 @@ class STTCPBackup:
             )
 
     @property
-    def shadow_connections(self) -> List[TCPConnection]:
+    def shadow_connections(self) -> List[Endpoint]:
         return [state.tcb for state in self._connections.values()]
 
-    def _on_shadow_closed(self, tcb: TCPConnection) -> None:
+    def _on_time_wait(self, tcb: TCPConnection, record: TimeWait) -> None:
+        """TIME_WAIT observer: the shadow's record replaces its TCB."""
+        state = tcb.extension
+        if isinstance(state, ShadowExtension) and state.engine is self:
+            state.tcb = record
+
+    def _on_shadow_closed(self, tcb: Endpoint) -> None:
         """Close observer: the TCP layer reaped a TCB; drop our shadow
         state too so churning clients don't accumulate dead bookkeeping."""
         state = self._connections.get(conn_key(tcb.remote_ip, tcb.remote_port))
@@ -244,8 +252,11 @@ class STTCPBackup:
     def _send_backup_ack(self, state: ShadowExtension) -> None:
         tcb = state.tcb
         self._c_acks_sent.value += 1
-        self._send(BackupAck(state.key, tcb.rcv_nxt & SEQ_MASK))  # wrap, inline
-        state.last_acked_offset = tcb.recv_buffer.rcv_nxt_offset
+        rcv_nxt = tcb.rcv_nxt
+        self._send(BackupAck(state.key, rcv_nxt & SEQ_MASK))  # wrap, inline
+        # The stream's tail, ``rcv_offset(rcv_nxt)`` less a received FIN:
+        # a TIME_WAIT record keeps no receive buffer to read it from.
+        state.last_acked_offset = rcv_nxt - tcb.irs - 1 - tcb.fin_received
         state.last_ack_time = self.sim.now
         self._index.note_acked(state)
 
@@ -577,8 +588,9 @@ class STTCPBackup:
             self.config,
         )
         for state in list(self._connections.values()):
-            if state.tcb.state in SYNCHRONIZED_STATES:
-                engine.retain(state.tcb)
+            tcb = state.tcb
+            if isinstance(tcb, TCPConnection) and tcb.state in SYNCHRONIZED_STATES:
+                engine.retain(tcb)  # a TIME_WAIT record receives nothing more
         engine.start()
         self.promoted_primary = engine
         if "sttcp" in self.sim.trace.categories:

@@ -38,10 +38,18 @@ from repro.tcp.constants import SEQ_MASK, SEQ_SPACE, SYNCHRONIZED_STATES
 from repro.tcp.seqspace import HALF_SPACE, unwrap, wrap
 from repro.tcp.tcb import TCPConnection
 from repro.tcp.timers import RestartableTimer
+from repro.tcp.timewait import Endpoint, TimeWait
 from repro.util.bytespan import concat
 
 #: Payload ceiling per RETX_DATA chunk (fits one Ethernet frame).
 RETX_CHUNK = 1400
+
+
+def _reopen_window(tcb: Endpoint) -> None:
+    """Advertise space a retention release or disable reopened (§4.2); a
+    TIME_WAIT record keeps the window it had at entry."""
+    if isinstance(tcb, TCPConnection) and tcb.state in SYNCHRONIZED_STATES:
+        tcb.output.maybe_send_window_update()
 
 
 class _PrimaryConnState:
@@ -50,7 +58,7 @@ class _PrimaryConnState:
     __slots__ = ("tcb", "retention", "acked_by")
 
     def __init__(self, tcb: TCPConnection, retention: SecondReceiveBuffer) -> None:
-        self.tcb = tcb
+        self.tcb: Endpoint = tcb
         self.retention = retention
         #: backup channel IP value → highest acked receive-stream offset.
         self.acked_by: Dict[int, int] = {}
@@ -113,6 +121,7 @@ class STTCPPrimary:
         for ip_addr in self.backup_ips:
             self.backup_monitors[ip_addr.value] = self._make_monitor(ip_addr)
         host.tcp.connection_observers.append(self._on_new_connection)
+        host.tcp.time_wait_observers.append(self._on_time_wait)
         host.tcp.close_observers.append(self._on_connection_closed)
         host.crash_observers.append(self.stop)
         self._c_hb_sent = heartbeats_sent_counter(self.sim)
@@ -189,7 +198,13 @@ class STTCPPrimary:
                 client=f"{tcb.remote_ip}:{tcb.remote_port}",
             )
 
-    def _on_connection_closed(self, tcb: TCPConnection) -> None:
+    def _on_time_wait(self, tcb: TCPConnection, record: TimeWait) -> None:
+        """TIME_WAIT observer: the connection's record replaces its TCB."""
+        state = self._connections.get(conn_key(tcb.remote_ip, tcb.remote_port))
+        if state is not None and state.tcb is tcb:
+            state.tcb = record
+
+    def _on_connection_closed(self, tcb: Endpoint) -> None:
         """Close observer: the TCP layer reaped a TCB; drop the retention
         state with it so churning clients don't accumulate dead buffers."""
         key = conn_key(tcb.remote_ip, tcb.remote_port)
@@ -250,11 +265,10 @@ class STTCPPrimary:
             previous = state.acked_by.get(source.value, 0)
             if offset > previous:
                 state.acked_by[source.value] = offset
-            freed = self._release_retained(state)
-            if freed and tcb.state in SYNCHRONIZED_STATES:
+            if self._release_retained(state):
                 # Window may have been pinched by retention overflow;
                 # releasing bytes can reopen it.
-                tcb.output.maybe_send_window_update()
+                _reopen_window(tcb)
         # The reply doubles as the primary→backup heartbeat (§4.3).
         self._send(AckReply(ack.key, ack.ack_seq), source)
 
@@ -317,11 +331,11 @@ class STTCPPrimary:
         if new_host is not None:
             self.backup_hosts[new_ip.value] = new_host
         self.backup_ips.append(new_ip)
-        unprotected: List[TCPConnection] = []
+        unprotected: List[Endpoint] = []
         for state in self._connections.values():
             state.retention.disable()
             if state.tcb.state in SYNCHRONIZED_STATES:
-                state.tcb.output.maybe_send_window_update()
+                _reopen_window(state.tcb)
                 unprotected.append(state.tcb)
         self._connections.clear()
         new_monitor = self._make_monitor(new_ip)
@@ -354,16 +368,14 @@ class STTCPPrimary:
         if self.live_backup_values():
             # Survivors may have acked further than the dead backup did.
             for state in self._connections.values():
-                freed = self._release_retained(state)
-                if freed and state.tcb.state in SYNCHRONIZED_STATES:
-                    state.tcb.output.maybe_send_window_update()
+                if self._release_retained(state):
+                    _reopen_window(state.tcb)
             return
         self.fault_tolerant = False
         self.backup_failed_at = self.sim.now
         for state in self._connections.values():
             state.retention.disable()
-            if state.tcb.state in SYNCHRONIZED_STATES:
-                state.tcb.output.maybe_send_window_update()
+            _reopen_window(state.tcb)
         self._hb_timer.stop()
         if "sttcp" in self.sim.trace.categories:
             self.sim.trace.emit(self.sim.now, "sttcp", "non_fault_tolerant_mode")

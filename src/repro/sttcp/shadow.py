@@ -118,10 +118,11 @@ class ShadowExtension:
         just-taken-over server accepts (the paper's "first retransmission
         accepted" instant, the end of the client's RTO wait), once."""
         self._first_ack_pending = False
-        trace = conn.sim.trace
+        sim = conn.layer.sim  # a TCB's, or its TIME_WAIT record's
+        trace = sim.trace
         if "failover" in trace.categories:
             trace.emit(
-                conn.sim.now,
+                sim.now,
                 "failover",
                 "first_ack",
                 host=conn.layer.host.name,

@@ -231,7 +231,10 @@ class InputEngine:
             if conn.state is TCPState.FIN_WAIT_1:
                 conn.state = TCPState.FIN_WAIT_2
             elif conn.state is TCPState.CLOSING:
+                # The peer's FIN came before: nothing else in this segment
+                # is the TCB's to process.
                 conn._enter_time_wait()
+                return False
             elif conn.state is TCPState.LAST_ACK:
                 conn._enter_closed(None)
                 return False
@@ -386,5 +389,3 @@ class InputEngine:
                 conn.state = TCPState.CLOSING
         elif conn.state is TCPState.FIN_WAIT_2:
             conn._enter_time_wait()
-        elif conn.state is TCPState.TIME_WAIT:
-            conn.retransmit.arm_time_wait()

@@ -4,7 +4,9 @@ Protocol variants integrate through :attr:`TCPLayer.connection_observers`:
 each observer runs for every passively opened connection *before* the
 SYN is processed, so it can fill the connection's ``extension`` slot or
 attach retention (the replication engines do exactly this) without
-touching listener or application code.
+touching listener or application code.  A table slot holds a
+:class:`TCPConnection` or, once it entered TIME_WAIT, its
+:class:`~repro.tcp.timewait.TimeWait` record.
 """
 
 from __future__ import annotations
@@ -22,12 +24,15 @@ from repro.tcp.listener import TCPListener
 from repro.tcp.segment import TCPSegment, make_rst
 from repro.tcp.socket import TCPSocket
 from repro.tcp.tcb import TCPConnection
+from repro.tcp.timewait import Endpoint, TimeWait
 
 EPHEMERAL_PORT_START = 32768
 EPHEMERAL_PORT_END = 60999
 
 ConnectionKey = Tuple[int, int, int, int]
 ConnectionCallback = Callable[[TCPConnection], None]
+CloseCallback = Callable[[Endpoint], None]
+TimeWaitCallback = Callable[[TCPConnection, TimeWait], None]
 
 
 class TCPLayer:
@@ -37,7 +42,7 @@ class TCPLayer:
         self.sim = sim
         self.host = host
         self.config = config or TCPConfig()
-        self._connections: Dict[ConnectionKey, TCPConnection] = {}
+        self._connections: Dict[ConnectionKey, Endpoint] = {}
         self._listeners: Dict[Tuple[Optional[int], int], TCPListener] = {}
         # Ephemeral-port pool.  Virgin ports are handed out sequentially
         # from the cursor; ports whose last connection was reaped return
@@ -54,11 +59,14 @@ class TCPLayer:
         #: processed (replication engines use this to attach retention or
         #: fill the ``extension`` slot of new connections).
         self.connection_observers: List[ConnectionCallback] = []
+        #: Observers invoked when a TCB enters TIME_WAIT, with the record
+        #: that takes its place: whoever holds the TCB re-points at it.
+        self.time_wait_observers: List[TimeWaitCallback] = []
         #: Observers invoked after a connection leaves the table (reached
         #: CLOSED or expired TIME_WAIT).  Replication engines use this to
         #: drop their per-connection state, so closed connections return
         #: *all* their memory, not just the TCB table slot.
-        self.close_observers: List[ConnectionCallback] = []
+        self.close_observers: List[CloseCallback] = []
         #: Answer unmatched segments with RST (real-stack behaviour).
         self.reset_on_unmatched = True
         # Registry-backed counters, read as ``<host>.tcp.<name>``.
@@ -224,7 +232,7 @@ class TCPLayer:
 
     def _passive_open(
         self, listener: TCPListener, datagram: IPDatagram, syn: TCPSegment
-    ) -> None:
+    ) -> TCPConnection:
         config = listener.config or self.config
         tcb = TCPConnection(
             self,
@@ -240,6 +248,7 @@ class TCPLayer:
         for observer in self.connection_observers:
             observer(tcb)
         tcb.open_passive(syn)
+        return tcb
 
     def synthesize_passive_open(
         self,
@@ -273,8 +282,7 @@ class TCPLayer:
             window=0,
         )
         datagram = IPDatagram(remote_ip, local_ip, PROTO_TCP, syn, syn.size)
-        self._passive_open(listener, datagram, syn)
-        return self.find_connection(local_ip, local_port, remote_ip, remote_port)
+        return self._passive_open(listener, datagram, syn)
 
     def _send_unmatched_rst(self, datagram: IPDatagram, segment: TCPSegment) -> None:
         if segment.flags & FLAG_ACK:
@@ -288,13 +296,22 @@ class TCPLayer:
         )
 
     # Outbound -----------------------------------------------------------------------------
-    def send_segment(self, tcb: TCPConnection, segment: TCPSegment) -> None:
+    def send_segment(self, tcb: Endpoint, segment: TCPSegment) -> None:
         self.host.ip_layer.send(
             tcb.remote_ip, PROTO_TCP, segment, segment.size, src=tcb.local_ip
         )
 
     # Lifecycle ------------------------------------------------------------------------------
-    def connection_closed(self, tcb: TCPConnection) -> None:
+    def time_wait(self, tcb: TCPConnection, record: TimeWait) -> None:
+        """``tcb`` entered TIME_WAIT: ``record`` takes its table slot, so
+        the 4-tuple stays taken and nothing holds the TCB any more."""
+        key = tcb.key
+        if self._connections.get(key) is tcb:
+            self._connections[key] = record
+        for observer in self.time_wait_observers:
+            observer(tcb, record)
+
+    def connection_closed(self, tcb: Endpoint) -> None:
         """Reap a connection that reached CLOSED (directly or out of
         TIME_WAIT): drop the table entry, return its ephemeral port to
         the pool, and let lifecycle observers release their state.
@@ -319,17 +336,18 @@ class TCPLayer:
             observer(tcb)
 
     def halt(self) -> None:
-        """Crash (``Host.crash``): cancel every connection's timers."""
+        """Crash (``Host.crash``): cancel every connection's timers (a
+        TIME_WAIT record's expiry among them)."""
         for tcb in self._connections.values():
             tcb.cancel_timers()
 
     @property
-    def connections(self) -> List[TCPConnection]:
+    def connections(self) -> List[Endpoint]:
         return list(self._connections.values())
 
     def find_connection(
         self, local_ip: IPAddress, local_port: int, remote_ip: IPAddress, remote_port: int
-    ) -> Optional[TCPConnection]:
+    ) -> Optional[Endpoint]:
         return self._connections.get(
             (local_ip.value, local_port, remote_ip.value, remote_port)
         )

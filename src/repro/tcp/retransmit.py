@@ -2,7 +2,7 @@
 
 Owns everything that re-sends already-committed sequence space — the
 RFC 6298 retransmission timer with Linux bounds, the zero-window persist
-timer, TIME_WAIT expiry, Karn-protected RTT timing, and the go-back-N
+timer, Karn-protected RTT timing, and the go-back-N
 recovery point used after a timeout (or a failover, via
 :meth:`force_go_back_n`).
 
@@ -40,7 +40,6 @@ class RetransmitEngine:
         "rtt",
         "rto_timer",
         "persist_timer",
-        "time_wait_timer",
         "retransmit_count",
         "recovery_point",
         "timing",
@@ -54,7 +53,6 @@ class RetransmitEngine:
         self.rto_timer = RestartableTimer(sim, self._on_rto, "rto")
         # Built when first armed (DESIGN §14): few connections ever use them.
         self.persist_timer: Optional[RestartableTimer] = None
-        self.time_wait_timer: Optional[RestartableTimer] = None
         #: Consecutive retransmissions of the current head (give-up limit).
         self.retransmit_count = 0
         #: Go-back-N target after an RTO (None outside recovery).
@@ -83,12 +81,6 @@ class RetransmitEngine:
         elif self.persist_timer.running:
             return
         self.persist_timer.start(self.persist_interval)
-
-    def arm_time_wait(self) -> None:
-        """(Re)start TIME_WAIT: on entering it, and on a retransmitted FIN."""
-        if self.time_wait_timer is None:
-            self.time_wait_timer = RestartableTimer(self.conn.sim, self._on_time_wait, "time_wait")
-        self.time_wait_timer.start(self.conn.config.time_wait)
 
     # -- RTO -----------------------------------------------------------------
     def _on_rto(self) -> None:
@@ -178,9 +170,3 @@ class RetransmitEngine:
             conn.snd_max = conn.snd_nxt
         self.persist_interval = min(self.persist_interval * 2, PERSIST_TIMEOUT_MAX)
         self.arm_persist()
-
-    # -- TIME_WAIT -----------------------------------------------------------
-    def _on_time_wait(self) -> None:
-        conn = self.conn
-        if conn.state is TCPState.TIME_WAIT:
-            conn._enter_closed(None)

@@ -24,6 +24,7 @@ from repro.errors import ConnectionClosed
 from repro.sim.events import SimEvent
 from repro.tcp.constants import SYNCHRONIZED_STATES, TCPState
 from repro.tcp.tcb import TCPConnection
+from repro.tcp.timewait import Endpoint
 from repro.util.bytespan import EMPTY, ByteSpan, as_span, concat
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -39,7 +40,8 @@ class TCPSocket:
     )
 
     def __init__(self, tcb: TCPConnection) -> None:
-        self._tcb = tcb
+        #: The TCB, or from TIME_WAIT on the record that replaced it.
+        self._tcb: Endpoint = tcb
         self.sim = tcb.sim
         self._connect_event: Optional[SimEvent] = None
         self._closed_event: Optional[SimEvent] = None
@@ -54,7 +56,7 @@ class TCPSocket:
 
     # Introspection ------------------------------------------------------------
     @property
-    def tcb(self) -> TCPConnection:
+    def tcb(self) -> Endpoint:
         """The underlying connection (read-mostly; ST-TCP engines use it)."""
         return self._tcb
 
@@ -93,6 +95,8 @@ class TCPSocket:
             self._closed_event = SimEvent(self.sim, "tcp.closed")
             if self._tcb.state is TCPState.CLOSED:
                 self._closed_event.succeed(self)
+            else:
+                self._tcb.socket = self  # a TIME_WAIT record tells only a socket that waits
         return self._closed_event
 
     def send(self, data: Union[bytes, ByteSpan]) -> SimEvent:
@@ -164,6 +168,7 @@ class TCPSocket:
                     done += tcb.app_write(writer["span"], done)
                     writer["done"] = done
                     if done < total:
+                        assert isinstance(tcb, TCPConnection)  # a TIME_WAIT record's write raises
                         buffer = tcb.send_buffer
                         if buffer.tail_offset - buffer.una_offset < buffer.capacity:
                             continue  # space was freed while writing

@@ -3,7 +3,8 @@
 This is a full, wire-faithful TCP endpoint: three-way handshake, sliding
 window with flow and Reno congestion control, RFC 6298 retransmission
 timing with Linux bounds, delayed ACKs, zero-window probing, orderly and
-abortive teardown, and TIME_WAIT.
+abortive teardown, and TIME_WAIT (kept by a compact
+:class:`~repro.tcp.timewait.TimeWait` record once entered).
 
 The behaviour lives in three engines with explicit interfaces:
 
@@ -11,7 +12,7 @@ The behaviour lives in three engines with explicit interfaces:
   machine, ACK processing;
 * :class:`repro.tcp.output.OutputEngine` — segmentization, window /
   Nagle / delayed-ACK decisions, emission;
-* :class:`repro.tcp.retransmit.RetransmitEngine` — RTO/persist/TIME_WAIT
+* :class:`repro.tcp.retransmit.RetransmitEngine` — RTO and persist
   timers, head retransmit, backoff.
 
 :class:`TCPConnection` coordinates them, owns the send and receive
@@ -45,6 +46,7 @@ from repro.tcp.recv_buffer import ReceiveBuffer
 from repro.tcp.retransmit import RetransmitEngine
 from repro.tcp.segment import TCPSegment
 from repro.tcp.send_buffer import SendBuffer
+from repro.tcp.timewait import TimeWait
 from repro.util.bytespan import ByteSpan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -294,22 +296,30 @@ class TCPConnection:
 
     # ------------------------------------------------------------ state exits
     def _enter_time_wait(self) -> None:
+        """Hand the wait to a :class:`TimeWait` record, which takes this
+        TCB's place in the layer's table, its socket and its extension.
+
+        The engines point back at this TCB and each timer at its engine:
+        those ties are cut, so that reference counting frees the TCB and
+        all it owns now, not at the collector's next full pass.  The
+        caller is the input engine's last step on the segment."""
         self.state = TCPState.TIME_WAIT
-        self.retransmit.rto_timer.stop()
-        if self.retransmit.persist_timer is not None:
-            self.retransmit.persist_timer.stop()
-        self.retransmit.arm_time_wait()
-        self.trace_event("time_wait")
+        self.cancel_timers()
+        self.layer.time_wait(self, TimeWait(self))
+        retransmit, output = self.retransmit, self.output
+        for timer in (retransmit.rto_timer, retransmit.persist_timer, output.delack_timer):
+            if timer is not None:
+                del timer.callback
+        del retransmit.conn, output.conn, self.input.conn
 
     def cancel_timers(self) -> None:
-        """Drop every queued timer event: on close (a queued event would pin
-        the TCB until due) and on a crash (``TCPLayer.halt``)."""
+        """Drop every queued timer event: on close and on entering
+        TIME_WAIT (a queued event would pin the TCB until due) and on a
+        crash (``TCPLayer.halt``)."""
         retransmit = self.retransmit
         retransmit.rto_timer.cancel()
         if retransmit.persist_timer is not None:
             retransmit.persist_timer.cancel()
-        if retransmit.time_wait_timer is not None:
-            retransmit.time_wait_timer.cancel()
         self.output.delack_timer.cancel()
 
     def _enter_closed(self, error: Optional[BaseException]) -> None:

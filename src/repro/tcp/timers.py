@@ -1,7 +1,7 @@
 """Restartable one-shot timers over the simulation kernel.
 
 Each TCP connection owns a handful of these (retransmit, delayed-ACK,
-persist, TIME_WAIT).  A timer's callback never fires after :meth:`stop`,
+persist).  A timer's callback never fires after :meth:`stop`,
 and restarting implicitly replaces the previous arming.
 
 **Re-arming is lazy.**  The timer records its deadline and keeps at most

@@ -1,5 +1,6 @@
 """Executor behaviour: parallel determinism, resume, telemetry."""
 
+import ast
 import json
 import os
 import subprocess
@@ -63,6 +64,39 @@ def test_process_pool_is_imported_only_when_there_is_a_pool():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_a_scale_run_imports_only_the_modules_it_runs():
+    """ROADMAP 16(a): ``setup_s`` is mostly compiling.  Importing the
+    experiments package names all eleven specs and imports none of their
+    modules; ``get_spec("scale")`` imports churn's alone, and a run that
+    only measures imports neither the logger, the SLO grader, the table
+    formatter nor the flight recorder.  The count is pinned: a module new
+    on this path costs every benchmark sample its compile time, so it
+    moves this number on purpose or not at all (98 before the lazy
+    registry)."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    probe = (
+        "import sys; import repro.harness.executor, repro.harness.experiments;"
+        "from repro.harness.spec import experiment_names, get_spec; get_spec('scale');"
+        "print(len(experiment_names())); print(sorted(m for m in sys.modules if m.startswith('repro')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    names, modules = done.stdout.splitlines()
+    assert names == "11"
+    modules = ast.literal_eval(modules)
+    unwanted = ("repro.logger", "repro.obs.slo", "repro.obs.recorder", "repro.harness.tables", "repro.harness.runner")
+    assert [m for m in modules if m.startswith(unwanted)] == []
+    assert [m for m in modules if ".experiments." in m] == [
+        "repro.harness.experiments.churn", "repro.harness.experiments.scale"
+    ]
+    assert len(modules) == 81, modules
 
 
 def test_telemetry_collected_per_cell():

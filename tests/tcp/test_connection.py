@@ -6,6 +6,7 @@ from repro.errors import ConnectionClosed, ConnectionRefused, ConnectionReset
 from repro.net.loss import ScriptedLoss
 from repro.sim.simulator import Simulator
 from repro.tcp.constants import TCPState
+from repro.tcp.timewait import TimeWait
 
 from tests.conftest import LanPair, run_echo_once
 
@@ -119,6 +120,7 @@ def test_orderly_close_reaches_closed_and_time_wait(lan):
 
 
 def test_active_closer_passes_through_time_wait(lan):
+    """Read through the socket: from TIME_WAIT on, a record holds the slot."""
     tcb_box = {}
 
     def server():
@@ -130,7 +132,7 @@ def test_active_closer_passes_through_time_wait(lan):
     def client():
         sock = lan.a.tcp.connect((lan.ip_b, 8000))
         yield sock.wait_connected()
-        tcb_box["tcb"] = sock.tcb
+        tcb_box["sock"] = sock
         yield sock.send(b"x")
         sock.close()
         yield lan.sim.timeout(0.5)  # both FINs exchanged by now
@@ -138,9 +140,10 @@ def test_active_closer_passes_through_time_wait(lan):
     lan.b.spawn(server())
     process = lan.a.spawn(client())
     lan.sim.run_until_complete(process, deadline=30.0)
-    assert tcb_box["tcb"].state is TCPState.TIME_WAIT
+    assert tcb_box["sock"].state is TCPState.TIME_WAIT
+    assert isinstance(tcb_box["sock"].tcb, TimeWait)
     lan.sim.run(until=lan.sim.now + 2.0)  # TIME_WAIT expires (1 s default)
-    assert tcb_box["tcb"].state is TCPState.CLOSED
+    assert tcb_box["sock"].state is TCPState.CLOSED
 
 
 def test_abort_sends_rst_and_peer_sees_reset(lan):

@@ -110,6 +110,9 @@ class FakeLayer:
     def generate_isn(self):
         return 1000
 
+    def time_wait(self, _tcb, record):
+        self.record = record
+
     def connection_closed(self, conn):
         pass
 
@@ -315,12 +318,12 @@ class TestRetransmitBackoff:
         assert conn.retransmit.rto_timer.running
 
 
-    def test_retransmitted_fin_in_time_wait_restarts_the_lazily_built_timer(self):
-        """The restart in ``_process_fin`` goes through ``arm_time_wait``
-        and reuses the timer that entering TIME_WAIT built.  On the wire a
-        duplicate FIN is answered by a challenge ACK before it gets there
-        (ROADMAP item 15), so the FIN is replayed here as if it were new."""
-        conn, _, clock = make_conn()
+    def test_fin_in_time_wait_draws_an_ack_and_no_restart(self):
+        """Entering TIME_WAIT cancels the TCB's timers and hands the wait to
+        a record with one expiry event.  A retransmitted FIN sits left of
+        the window: the record answers it with the challenge ACK and the
+        wait is not restarted (ROADMAP item 15(b) would restart it there)."""
+        conn, layer, clock = make_conn()
         establish(conn)
         conn.app_close()  # FIN_WAIT_1, our FIN sent
         conn.on_segment(ack_from_peer(conn, conn.snd_nxt))
@@ -330,20 +333,15 @@ class TestRetransmitBackoff:
             FLAG_ACK | FLAG_FIN, 65535,
         )
         conn.on_segment(fin)
-        assert conn.state is TCPState.TIME_WAIT
-        timer = conn.retransmit.time_wait_timer
-        assert timer is not None and timer.deadline == conn.config.time_wait
-        # The peer lost our last ACK and sends its FIN again: the wait restarts.
+        record = layer.record
+        assert record.state is TCPState.TIME_WAIT and clock.pending_count == 1
         clock.advance(conn.config.time_wait / 2)
-        conn.fin_received = False
-        conn.rcv_nxt -= 1
-        conn.on_segment(fin)
-        assert conn.retransmit.time_wait_timer is timer  # built once
-        assert timer.deadline == clock.now + conn.config.time_wait
-        clock.advance(conn.config.time_wait * 0.75)  # past the first deadline
-        assert conn.state is TCPState.TIME_WAIT
-        clock.advance(conn.config.time_wait)
-        assert conn.state is TCPState.CLOSED and timer.fired_count == 1
+        sent = len(layer.sent)
+        record.on_segment(fin)
+        (_t, ack), = layer.sent[sent:]
+        assert ack.flags == FLAG_ACK and ack.seq == wrap(record.snd_nxt) and ack.ack == wrap(record.rcv_nxt)
+        clock.advance(conn.config.time_wait / 2)
+        assert record.state is TCPState.CLOSED and clock.pending_count == 0
 
 
 # -- stream offsets: sequence-space translation across the wrap ---------------

@@ -1,13 +1,15 @@
-"""A guard on what one idle established ST-TCP connection keeps alive.
+"""A guard on what one ST-TCP connection keeps alive, idle and in TIME_WAIT.
 
 The companion of ``test_call_budget.py``: that one holds the per-segment
 call count, this one the per-connection heap (DESIGN §14).  It fails the
 day a per-connection class grows a ``__dict__`` again, a buffer goes back
-to a ``deque``, or a socket keeps its listener after the hand-off.
-``tools/conn_footprint.py`` is the measuring recipe and prints the
-per-type census when this test needs explaining.
+to a ``deque``, a socket keeps its listener after the hand-off, or a
+TIME_WAIT endpoint keeps its TCB.  ``tools/conn_footprint.py`` is the
+measuring recipe and prints the per-type census when this test needs
+explaining.
 """
 
+import gc
 import importlib.util
 from collections import deque
 from pathlib import Path
@@ -17,6 +19,8 @@ from repro.harness.experiments.churn import owned_objects
 from repro.sim.simulator import Simulator
 from repro.tcp.constants import TCPState
 from repro.tcp.socket import TCPSocket
+from repro.tcp.tcb import TCPConnection
+from repro.tcp.timewait import TimeWait
 
 from tests.conftest import LanPair
 
@@ -38,6 +42,14 @@ _spec.loader.exec_module(conn_footprint)
 BYTES_PER_CONNECTION_BUDGET = 12_400
 OBJECTS_PER_CONNECTION_BUDGET = 101
 
+#: A connection whose three endpoints wait in TIME_WAIT needs about 3 950
+#: bytes and 20.6 objects (N = 100): three ``TimeWait`` records and their
+#: expiry events, the shadow's ``ShadowExtension``, the primary's
+#: retention record, table keys and the finished client process.  While
+#: the TCBs themselves waited it needed 10 340 and 86.6.
+TIME_WAIT_BYTES_PER_CONNECTION_BUDGET = 4_400
+TIME_WAIT_OBJECTS_PER_CONNECTION_BUDGET = 23
+
 #: Packages whose classes are instantiated per connection.
 _PER_CONNECTION_PACKAGES = ("repro.tcp.", "repro.util.", "repro.sttcp.")
 
@@ -50,6 +62,37 @@ def test_idle_connection_stays_inside_the_footprint_budget():
     assert footprint.objects_per_conn <= OBJECTS_PER_CONNECTION_BUDGET, (
         conn_footprint.format_footprint(footprint)
     )
+
+
+def test_time_wait_connection_stays_inside_its_footprint_budget():
+    footprint = conn_footprint.measure(100, time_wait=True)
+    assert footprint.bytes_per_conn <= TIME_WAIT_BYTES_PER_CONNECTION_BUDGET, (
+        conn_footprint.format_footprint(footprint)
+    )
+    assert footprint.objects_per_conn <= TIME_WAIT_OBJECTS_PER_CONNECTION_BUDGET, (
+        conn_footprint.format_footprint(footprint)
+    )
+
+
+def test_time_wait_frees_the_tcbs_it_replaces_at_once():
+    """Once the client, primary and shadow ends wait in TIME_WAIT no TCB of
+    theirs is left: none is pinned by a queued timer, the socket, the
+    shadow's ``ShadowExtension`` or the primary's per-connection record,
+    and none waits in a cycle for the collector, which stays off here."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        scenario, _ = conn_footprint.build(4, time_wait=True)
+        left = [obj for obj in gc.get_objects() if isinstance(obj, TCPConnection) and obj.sim is scenario.sim]
+    finally:
+        if enabled:
+            gc.enable()
+    assert left == []
+    pair = scenario.pair
+    assert [type(state.tcb) for state in pair.backup_engine._connections.values()] == [TimeWait] * 4
+    assert [type(state.tcb) for state in pair.primary_engine._connections.values()] == [TimeWait] * 4
+    for host in (scenario.client, scenario.primary, scenario.backup):
+        assert [record.socket for record in host.tcp.connections] == [None] * 4
 
 
 def test_nothing_a_connection_owns_has_a_dict_or_a_deque():
@@ -139,9 +182,9 @@ def test_handshake_dying_in_syn_rcvd_frees_its_backlog_slot_exactly_once():
 
 
 def test_timers_a_connection_never_arms_are_never_built():
-    """DESIGN §14: persist exists once a zero window arms it and TIME_WAIT
-    once the active closer enters it; an exchange and an orderly close
-    build neither on the passive closer, and no persist timer anywhere."""
+    """DESIGN §14: persist exists once a zero window arms it, and the
+    active closer's TIME_WAIT is a record with one expiry event; an
+    exchange and an orderly close build no persist timer anywhere."""
     lan = LanPair(Simulator(seed=153))
     tcbs = {}
 
@@ -161,6 +204,7 @@ def test_timers_a_connection_never_arms_are_never_built():
         sock = lan.a.tcp.connect((lan.ip_b, 8000))
         yield sock.wait_connected()
         tcbs["client"] = sock.tcb
+        tcbs["client_sock"] = sock
         yield sock.send(b"x" * 3000)
         yield sock.recv_exactly(3000)
         sock.close()
@@ -169,9 +213,8 @@ def test_timers_a_connection_never_arms_are_never_built():
     lan.b.spawn(server())
     lan.sim.run_until_complete(lan.a.spawn(client()), deadline=30.0)
     client_tcb, server_tcb = tcbs["client"], tcbs["server"]
-    assert client_tcb.state is TCPState.TIME_WAIT
+    assert isinstance(tcbs["client_sock"].tcb, TimeWait)
+    assert tcbs["client_sock"].state is TCPState.TIME_WAIT
     assert server_tcb.state is TCPState.CLOSED
-    assert client_tcb.retransmit.time_wait_timer is not None
-    assert server_tcb.retransmit.time_wait_timer is None
     assert client_tcb.retransmit.persist_timer is None
     assert server_tcb.retransmit.persist_timer is None

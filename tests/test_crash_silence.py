@@ -19,6 +19,7 @@ from repro.harness.experiments import churn
 from repro.harness.experiments.cluster import resolve_scenario
 from repro.tcp.constants import TCPState
 from repro.tcp.layer import TCPLayer
+from repro.tcp.tcb import TCPConnection
 
 from tools.crash_silence import crash_silence
 
@@ -73,13 +74,17 @@ def test_the_dead_primary_is_frozen(monkeypatch):
     retransmitted."""
     at_crash = {}
 
+    def retransmissions(host):
+        """Per TCB: a TIME_WAIT record has nothing left to retransmit."""
+        return {t: t.retransmissions for t in host.tcp.connections if isinstance(t, TCPConnection)}
+
     class Watched(churn.Scenario):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             primary = self.primary
 
             def snapshot():
-                at_crash["retransmissions"] = {t: t.retransmissions for t in primary.tcp.connections}
+                at_crash["retransmissions"] = retransmissions(primary)
                 at_crash["states"] = [t.state for t in primary.tcp.connections]
                 at_crash["in_flight"] = sum(1 for t in primary.tcp.connections if t.flight_size)
                 at_crash["reaped"] = self.sim.metrics.value("primary.tcp.tcbs_reaped")
@@ -93,4 +98,4 @@ def test_the_dead_primary_is_frozen(monkeypatch):
     assert TCPState.TIME_WAIT in at_crash["states"] and at_crash["in_flight"] > 0
     primary = at_crash["scenario"].primary
     assert primary.sim.metrics.value("primary.tcp.tcbs_reaped") == at_crash["reaped"]
-    assert {t: t.retransmissions for t in primary.tcp.connections} == at_crash["retransmissions"]
+    assert retransmissions(primary) == at_crash["retransmissions"]

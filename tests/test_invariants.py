@@ -170,6 +170,18 @@ def test_lossy_tap_and_crash_open_counter_example():
     )
 
 
+@pytest.mark.xfail(
+    strict=True, reason="open counter-example (ROADMAP item 1): ends in ConnectionReset"
+)
+def test_lossy_tap_and_crash_second_open_counter_example():
+    """A second falsifying example of the same property, found on PR 47's
+    tree: the tap lost the client's SYN and the primary's SYN/ACK, so the
+    backup never shadowed the connection and its takeover reset the
+    client at 0.702 s, with no crash-silence breach.  Item 1 closes both;
+    the property's draws stay as they are."""
+    _assert_transparent_with_lossy_tap_and_crash(crash_fraction=0.5, tap_loss=0.03125, seed=312)
+
+
 def test_explain_names_the_open_counter_examples_cause():
     """``repro.harness.explain`` on the counter-example above, unaided:
     the tap lost the handshake, so the backup never had a shadow, matched

@@ -6,15 +6,18 @@ shadow), so bytes per connection — not ns per segment — bound the top
 rung of ``repro scale`` on one process.  The recipe uses the public API
 only: N clients connect to an ST-TCP pair, exchange one 512-byte
 request/response and keep their sockets; the same build with no client
-is subtracted, so what is left is what N connections add.
+is subtracted, so what is left is what N connections add.  With
+``--time-wait`` each client closes after its exchange instead, and the
+heap is read while all three endpoints of every connection wait in
+TIME_WAIT (one :class:`~repro.tcp.timewait.TimeWait` record each).
 
 Prints traced bytes and GC-tracked objects per connection and the
 per-type census of the added objects.  ``tests/tcp/test_footprint_budget.py``
-holds the budget (DESIGN §14).
+holds both budgets (DESIGN §14).
 
 Usage::
 
-    PYTHONPATH=src python tools/conn_footprint.py [-n 100] [-n 400]
+    PYTHONPATH=src python tools/conn_footprint.py [-n 100] [-n 400] [--time-wait]
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.apps.protocol import KIND_DATA, encode_request
 from repro.harness.calibrate import FAST_LAN
 from repro.harness.scenario import Scenario
 from repro.sttcp.config import STTCPConfig
+from repro.tcp.constants import TCPState
 
 #: Sim-time at which the first client connects, and the spacing after it.
 FIRST_CONNECT = 0.2
@@ -39,10 +43,21 @@ CONNECT_SPACING = 0.0005
 #: per-class caches before anything is measured.
 WARMUP_CONNECTIONS = 20
 
+#: With ``time_wait``, every host waits this long in TIME_WAIT (the
+#: default is 1 s) and the heap is read ``TIME_WAIT_READ_AFTER`` seconds
+#: after the last client connects.  By then, as in the idle reading, the events the
+#: handshakes queued have come due and gone (a first RTO armed at 1 s and
+#: cancelled when an RTT sample shortened it waits in the queue until
+#: then), and no endpoint has left TIME_WAIT below about 3 000 connections.
+TIME_WAIT_HELD = 3.0
+TIME_WAIT_READ_AFTER = 1.5
+
 
 class Footprint(NamedTuple):
     """Per-connection cost at ``connections`` held connections."""
 
+    #: Measured in TIME_WAIT (``--time-wait``), not idle established.
+    time_wait: bool
     connections: int
     bytes_per_conn: float
     objects_per_conn: float
@@ -58,9 +73,15 @@ class Footprint(NamedTuple):
         return 0.0
 
 
-def build(connections: int) -> Tuple[Scenario, List[Any]]:
-    """An ST-TCP pair with ``connections`` idle established clients."""
+def build(connections: int, time_wait: bool = False) -> Tuple[Scenario, List[Any]]:
+    """An ST-TCP pair with ``connections`` idle established clients and
+    their sockets or, with ``time_wait``, as many closed connections
+    whose three endpoints are in TIME_WAIT (and ``None`` for each)."""
     scenario = Scenario(profile=FAST_LAN, sttcp=STTCPConfig(hb_interval=0.1), seed=7)
+    hosts = (scenario.client, scenario.primary, scenario.backup)
+    if time_wait:
+        for host in hosts:
+            host.tcp.config = host.tcp.config.copy(time_wait=TIME_WAIT_HELD)
     scenario.start_service()
     sim = scenario.sim
     client = scenario.client
@@ -72,13 +93,21 @@ def build(connections: int) -> Tuple[Scenario, List[Any]]:
         yield sock.wait_connected()
         yield sock.send(encode_request(KIND_DATA, 512, index))
         yield sock.recv_exactly(512)
-        held.append(sock)
+        if time_wait:
+            sock.close()
+        held.append(None if time_wait else sock)
 
     for index in range(connections):
         client.spawn(one_client(index), f"footprint-{index}")
-    sim.run(until=FIRST_CONNECT + connections * CONNECT_SPACING + 1.0)
+    settle = TIME_WAIT_READ_AFTER if time_wait else 1.0
+    sim.run(until=FIRST_CONNECT + connections * CONNECT_SPACING + settle)
     if len(held) != connections:
         raise AssertionError(f"{len(held)} of {connections} clients connected")
+    if time_wait:
+        for host in hosts:
+            states = [tcb.state for tcb in host.tcp.connections]
+            if states != [TCPState.TIME_WAIT] * connections:
+                raise AssertionError(f"{host.name}: not every endpoint in TIME_WAIT: {states}")
     return scenario, held
 
 
@@ -112,14 +141,14 @@ def _settle() -> None:
         gc.collect()
 
 
-def _cost_of_build(connections: int) -> Tuple[int, int, Counter, Counter]:
+def _cost_of_build(connections: int, time_wait: bool) -> Tuple[int, int, Counter, Counter]:
     """(traced bytes, GC objects, instances by type, ``getsizeof`` by type)
     that one ``build`` keeps alive."""
     _settle()
     before_counts, before_sizes = _census()
     before_bytes = tracemalloc.get_traced_memory()[0]
     before_objects = len(gc.get_objects())
-    kept = build(connections)
+    kept = build(connections, time_wait)
     _settle()
     after_bytes = tracemalloc.get_traced_memory()[0]
     after_objects = len(gc.get_objects())
@@ -130,15 +159,15 @@ def _cost_of_build(connections: int) -> Tuple[int, int, Counter, Counter]:
     return after_bytes - before_bytes, after_objects - before_objects, counts, sizes
 
 
-def measure(connections: int = 100) -> Footprint:
+def measure(connections: int = 100, time_wait: bool = False) -> Footprint:
     """Heap kept per connection: ``build(N)`` minus ``build(0)``, over N."""
-    build(WARMUP_CONNECTIONS)
+    build(WARMUP_CONNECTIONS, time_wait)
     started_here = not tracemalloc.is_tracing()
     if started_here:
         tracemalloc.start()
     try:
-        base_bytes, base_objects, base_counts, base_sizes = _cost_of_build(0)
-        full_bytes, full_objects, counts, sizes = _cost_of_build(connections)
+        base_bytes, base_objects, base_counts, base_sizes = _cost_of_build(0, time_wait)
+        full_bytes, full_objects, counts, sizes = _cost_of_build(connections, time_wait)
     finally:
         if started_here:
             tracemalloc.stop()
@@ -151,6 +180,7 @@ def measure(connections: int = 100) -> Footprint:
     ]
     census.sort(key=lambda row: (-row[2], row[0]))
     return Footprint(
+        time_wait,
         connections,
         (full_bytes - base_bytes) / connections,
         (full_objects - base_objects) / connections,
@@ -159,8 +189,9 @@ def measure(connections: int = 100) -> Footprint:
 
 
 def format_footprint(footprint: Footprint) -> str:
+    state = "TIME_WAIT" if footprint.time_wait else "idle"
     lines = [
-        f"N = {footprint.connections}: {footprint.bytes_per_conn:,.0f} bytes, "
+        f"{state}, N = {footprint.connections}: {footprint.bytes_per_conn:,.0f} bytes, "
         f"{footprint.objects_per_conn:.1f} GC-tracked objects, "
         f"{footprint.per_conn('collections.deque'):g} deques per connection",
         f"  {'type':<44}{'per conn':>10}{'getsizeof B':>13}",
@@ -179,9 +210,14 @@ def main(argv: Any = None) -> int:
         action="append",
         help="held connections (repeatable; default 100 and 400)",
     )
+    parser.add_argument(
+        "--time-wait",
+        action="store_true",
+        help="connections closed after the exchange, read in TIME_WAIT",
+    )
     args = parser.parse_args(argv)
     for connections in args.connections or [100, 400]:
-        print(format_footprint(measure(connections)))
+        print(format_footprint(measure(connections, args.time_wait)))
     return 0
 
 
