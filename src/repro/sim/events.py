@@ -3,7 +3,8 @@
 Two kinds of objects live here:
 
 * :class:`EventHandle` — the token returned by ``Simulator.schedule`` which
-  allows a pending callback to be cancelled.
+  allows a pending callback to be cancelled (a ``RestartableTimer`` or a
+  ``TimeWait`` record is its own token: ``Scheduler.arm``).
 * :class:`SimEvent` — a waitable, one-shot event in the style of SimPy,
   and :class:`Timeout`, one that a delay triggers.  Coroutine processes
   ``yield`` a :class:`SimEvent` to suspend until the event is triggered
@@ -20,35 +21,27 @@ from repro.errors import SimulationError
 class EventHandle:
     """A scheduled callback that can be cancelled before it fires.
 
-    Instances are created by the scheduler — which also assigns ``seq``,
-    its per-queue tie-break counter — only for callers that keep them
-    (``Simulator.post`` makes none), and user code only cancels them.
-    The handle owns the callback and its arguments; its heap entry is
-    ``(time, seq, handle, None, None)``.
-    Cancellation is O(1): the handle is flagged and skipped when its heap
-    entry reaches the top.  The
-    scheduler keeps a back-reference (``_sched``) while the handle is
-    queued so cancellation can maintain its O(1) live-entry counter.
-    Handles define no ordering: ``seq`` is unique, so the tuple decides
-    before the handle is ever compared.
+    The token ``Scheduler.schedule_at`` arms and returns, made only for
+    callers that keep it (``Simulator.post`` makes none); user code only
+    cancels it.  The handle owns the callback and its arguments, so a
+    cancel drops them while the dead entry ``(time, seq, handle,
+    EventHandle._fire, None)`` waits in the heap to be popped.  ``seq`` is
+    the live entry's, or -1 once fired or cancelled (the scheduler's token
+    protocol); the scheduler reference stays for :meth:`cancel`.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "_cancelled", "_sched")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., Any],
-        args: tuple,
-        sched: Any,
-    ) -> None:
+    def __init__(self, time: float, callback: Callable[..., Any], args: tuple, sched: Any) -> None:
         self.time = time
-        self.seq = seq
+        self.seq = -1
         self.callback = callback
         self.args = args
         self._cancelled = False
         self._sched = sched
+
+    def _fire(self) -> None:
+        self.callback(*self.args)
 
     def cancel(self) -> None:
         """Prevent the callback from running.  Safe to call repeatedly."""
@@ -59,10 +52,7 @@ class EventHandle:
         # (a retransmit timer can capture an entire segment).
         self.callback = _noop
         self.args = ()
-        sched = self._sched
-        if sched is not None:
-            self._sched = None
-            sched._on_cancel(self)
+        self._sched.retire(self)
 
     @property
     def cancelled(self) -> bool:

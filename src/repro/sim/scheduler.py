@@ -1,29 +1,32 @@
 """The event queue driving the discrete-event simulation.
 
-One binary heap of plain tuples ``(time, seq, handle, callback, args)``
-driven by :mod:`heapq`, and one dispatch loop (:meth:`Scheduler.run_until`).
+One binary heap of plain tuples ``(time, seq, token, fn, args)`` driven
+by :mod:`heapq`, and one dispatch loop (:meth:`Scheduler.run_until`).
 
 * **Why tuples.**  ``heappush`` / ``heappop`` of a tuple whose first two
   fields are a float and an int compare entirely in C; ``seq`` is a
   per-scheduler counter assigned at schedule time and therefore unique,
   so the comparison is decided before the fields behind it are ever
-  looked at (an :class:`EventHandle` defines no ordering).
-* **A handle exists iff its caller keeps it.**  :meth:`Scheduler.post`
-  queues ``(time, seq, None, callback, args)``: no
-  handle, the callback inline.  :meth:`Scheduler.schedule_at` and
-  :meth:`Scheduler.schedule_after` return an :class:`EventHandle` that
-  owns the callback and arguments, and queue ``(…, handle, None, None)``
-  — so :meth:`EventHandle.cancel` still drops the references.  Both take
-  their ``seq`` from the same counter, so the dispatch order is the same
+  looked at (a token defines no ordering).
+* **The object that waits is its own token.**  :meth:`Scheduler.post`
+  queues ``(time, seq, None, fn, args)``, run as ``fn(*args)`` and never
+  cancelled.  :meth:`Scheduler.arm` queues ``(time, seq, token, fn,
+  None)``, run as ``fn(token)``: the entry is live while ``token.seq ==
+  seq``, so a token (a ``RestartableTimer``, a ``TimeWait`` record, the
+  :class:`EventHandle` of :meth:`schedule_at`) allocates nothing to be
+  armed, and re-arming it or :meth:`Scheduler.retire` only moves its
+  ``seq``.  A token's ``seq`` is -1 while no entry of its is live; the
+  dispatch loop sets it so before the call.  Every entry takes its
+  ``seq`` from the one counter, so the dispatch order is the same
   whichever entry point queued an event.
 * **Why the order cannot move.**  Dispatch is in ``(time, seq)`` order —
   time, then schedule order — a total order, so any correct priority
   queue yields the same sequence; ``tests/sim/test_timing_wheel.py``
   checks this one against an independent textbook heap in random
   ``until`` / ``max_events`` chunks.
-* **Cancellation is lazy.**  A cancelled handle is flagged and dropped
-  when it reaches the top; ``pending_count`` is the heap length less the
-  count of dead entries, and the heap is rebuilt live-only — in place —
+* **Cancellation is lazy.**  A retired entry is dropped when it reaches
+  the top; ``pending_count`` is the heap length less the count of dead
+  entries, and the heap is rebuilt live-only — in place —
   once half of a heap larger than :attr:`Scheduler.GC_BASE_THRESHOLD` is
   dead, so a cancel-and-re-arm timer pattern cannot grow it without bound.
 * **The clock is a field.**  The dispatch loop writes ``clock.now``
@@ -46,17 +49,17 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.errors import SimulationError
 from repro.sim.events import EventHandle, SimEvent
 
-#: Heap entry: the sort key, then either the handle (callback and args
-#: ``None``) or no handle and the callback with its args.
-HeapEntry = Tuple[float, int, Optional[EventHandle], Optional[Callable[..., Any]], Optional[tuple]]
+#: Heap entry: the sort key, then either a token and ``fn(token)``, or no
+#: token and ``fn(*args)``.
+HeapEntry = Tuple[float, int, Any, Callable[..., Any], Optional[tuple]]
 
 
 class Scheduler:
     """A time-ordered queue of pending callbacks.
 
-    :meth:`post` queues a callback nobody will cancel; :meth:`schedule_at`
-    and :meth:`schedule_after` queue one and return its
-    :class:`EventHandle`.  Only the latter allocate a handle.
+    :meth:`post` queues a callback nobody will cancel; :meth:`arm`, one
+    for a token that can retire it; :meth:`schedule_at` and
+    :meth:`schedule_after` arm a new :class:`EventHandle` and return it.
 
     ``clock`` is the object whose ``now`` attribute the dispatch loop
     writes (default: the scheduler itself).  A scheduler built for a
@@ -79,7 +82,7 @@ class Scheduler:
         clock.now = 0.0
         self._clock = clock
         self._executed = 0
-        self._dead = 0  # cancelled entries still in the heap
+        self._dead = 0  # retired entries still in the heap
         self._seq = 0
 
     @property
@@ -89,7 +92,7 @@ class Scheduler:
 
     @property
     def pending_count(self) -> int:
-        """Number of live (non-cancelled) entries in the queue — O(1)."""
+        """Number of live (not retired) entries in the queue — O(1)."""
         return len(self._heap) - self._dead
 
     def schedule_at(self, time: float, callback: Callable[..., Any], args: tuple = ()) -> EventHandle:
@@ -99,22 +102,27 @@ class Scheduler:
             raise SimulationError(
                 f"cannot schedule at t={time:.9f}, already at t={now:.9f}"
             )
-        return self._push(time, callback, args)
+        return self._schedule(time, callback, args)
 
     def schedule_after(self, delay: float, callback: Callable[..., Any], args: tuple = ()) -> EventHandle:
         """Relative-delay fast path: skips the ``time < now`` guard.
 
         Callers must guarantee ``delay >= 0`` (the :class:`Simulator`
-        wrappers either validate it once or hold it by construction).
+        wrapper validates it).
         """
-        return self._push(self._clock.now + delay, callback, args)
+        return self._schedule(self._clock.now + delay, callback, args)
+
+    def _schedule(self, time: float, callback: Callable[..., Any], args: tuple) -> EventHandle:
+        handle = EventHandle(time, callback, args, self)
+        self.arm(time, handle, EventHandle._fire)
+        return handle
 
     def post(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
         """Queue ``callback(*args)`` at absolute ``time``, uncancellable.
 
         The entry point for every caller that would drop the handle: no
-        :class:`EventHandle` is made, and the event takes the next ``seq``,
-        exactly as ``schedule_at`` would give it.  One chained compare
+        token, and the event takes the next ``seq``, exactly as
+        ``schedule_at`` would give it.  One chained compare
         rejects a past, ``nan`` or infinite time.
         """
         now = self._clock.now
@@ -126,28 +134,33 @@ class Scheduler:
         self._seq = seq + 1
         heappush(self._heap, (time, seq, None, callback, args))
 
-    def _push(self, time: float, callback: Callable[..., Any], args: tuple) -> EventHandle:
+    def arm(self, time: float, token: Any, fn: Callable[[Any], Any]) -> None:
+        """Queue ``fn(token)`` at absolute ``time`` as ``token``'s one live
+        entry, retiring the one it had.  Unchecked against ``now``: a
+        token's owner holds ``time >= now`` by construction."""
         if not time < inf:  # one compare rejects both inf and nan
             raise SimulationError(f"event time must be finite, got {time}")
+        if token.seq >= 0:
+            self.retire(token)
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(time, seq, callback, args, self)
-        heappush(self._heap, (time, seq, handle, None, None))
-        return handle
+        token.seq = seq
+        heappush(self._heap, (time, seq, token, fn, None))
 
-    def _on_cancel(self, handle: EventHandle) -> None:
-        """Called by :meth:`EventHandle.cancel` while the handle is queued."""
+    def retire(self, token: Any) -> None:
+        """Make ``token``'s live entry, if any, a dead one."""
+        if token.seq < 0:
+            return
+        token.seq = -1
         self._dead += 1
         heap = self._heap
         size = len(heap)
-        # Compact on dead *fraction*: once half the heap is cancelled (and
+        # Compact on dead *fraction*: once half the heap is retired (and
         # it is big enough to matter), rebuild it live-only.  In place, so
         # a dispatch loop holding the list keeps seeing the queue.  Posted
-        # entries (no handle) are always live.
+        # entries (no token) are always live.
         if self._dead * 2 >= size > self.GC_BASE_THRESHOLD:
-            heap[:] = [
-                entry for entry in heap if entry[2] is None or not entry[2]._cancelled
-            ]
+            heap[:] = [entry for entry in heap if entry[2] is None or entry[2].seq == entry[1]]
             heapify(heap)
             self._dead = 0
 
@@ -155,9 +168,9 @@ class Scheduler:
         """Time of the next live event, or ``None`` if the queue is empty."""
         heap = self._heap
         while heap:
-            handle = heap[0][2]
-            if handle is None or not handle._cancelled:
-                return heap[0][0]
+            time, seq, token, _, _ = heap[0]
+            if token is None or token.seq == seq:
+                return time
             heappop(heap)
             self._dead -= 1
         return None
@@ -213,8 +226,8 @@ class Scheduler:
         clock = self._clock
         remaining = -1 if max_events is None else max_events
         while heap:
-            time, _, handle, callback, args = heap[0]
-            if handle is not None and handle._cancelled:
+            time, seq, token, fn, args = heap[0]
+            if token is not None and token.seq != seq:
                 heappop(heap)
                 self._dead -= 1
                 continue
@@ -227,11 +240,11 @@ class Scheduler:
             heappop(heap)
             clock.now = time
             self._executed += 1
-            if handle is not None:
-                handle._sched = None
-                callback = handle.callback
-                args = handle.args
-            callback(*args)
+            if token is None:
+                fn(*args)
+            else:
+                token.seq = -1
+                fn(token)
             if watch is not None and (watch._done or time >= ut):
                 return
         # No final clock advance under ``watch``: the caller

@@ -39,6 +39,10 @@ class Simulator:
         #: at absolute ``time`` (:meth:`Scheduler.post`), bound once so a
         #: post is one Python call.  Callers that keep no handle use it.
         self.post = self._scheduler.post
+        #: ``arm(time, token, fn)`` / ``retire(token)``: a token's one
+        #: queue entry (:meth:`Scheduler.arm`), bound the same way.
+        self.arm = self._scheduler.arm
+        self.retire = self._scheduler.retire
         self.random = RandomStreams(seed)
         self.trace = Tracer()
         self.metrics = MetricsRegistry()
@@ -54,16 +58,6 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         return self._scheduler.schedule_after(delay, callback, args)
-
-    def call_later(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
-        """Unchecked fast path for :meth:`schedule`.
-
-        Skips the negative-delay / ``time < now`` guards entirely, for hot
-        internal call sites that keep the handle and where ``delay >= 0``
-        holds by construction (armed timers).  A caller that would drop
-        the handle uses :attr:`post`.
-        """
-        return self._scheduler._push(self.now + delay, callback, args)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Run ``callback(*args)`` at absolute simulated ``time``."""

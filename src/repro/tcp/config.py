@@ -65,7 +65,7 @@ class TCPConfig:
         if self.delack_segments < 1:
             raise ValueError("delack_segments must be >= 1")
         # A negative delay would move the clock backwards: timers arm
-        # through ``call_later``, which trusts its callers on the sign.
+        # through ``Scheduler.arm``, which trusts its callers on the sign.
         if (self.delack_timeout < 0 or self.time_wait < 0
                 or self.max_retransmits < 0 or self.max_syn_retransmits < 0):
             for name in ("delack_timeout", "time_wait", "max_retransmits", "max_syn_retransmits"):

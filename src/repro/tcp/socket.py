@@ -18,7 +18,7 @@ closes early.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, List, Optional, Union
 
 from repro.errors import ConnectionClosed
 from repro.sim.events import SimEvent
@@ -29,6 +29,33 @@ from repro.util.bytespan import EMPTY, ByteSpan, as_span, concat
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tcp.listener import TCPListener
+
+
+#: Stands in for a connect event that has succeeded: the event, whose value
+#: is the socket, would form a cycle with it that only the collector frees.
+_CONNECTED = SimEvent(None, "tcp.connect").succeed()
+
+
+class _Write(SimEvent):
+    """A pending ``send``: the event, the span and how much of it is buffered."""
+
+    __slots__ = ("span", "total", "done")
+
+    def __init__(self, sim: Any, span: ByteSpan) -> None:
+        super().__init__(sim, "tcp.send")
+        self.span, self.total, self.done = span, span.length, 0
+
+
+class _Read(SimEvent):
+    """A pending ``recv`` or (``exact``) ``recv_exactly`` of ``n`` bytes:
+    the event and the pieces gathered so far."""
+
+    __slots__ = ("exact", "n", "got", "acc")
+
+    def __init__(self, sim: Any, name: str, exact: bool, n: int) -> None:
+        super().__init__(sim, name)
+        self.exact, self.n, self.got = exact, n, 0
+        self.acc: List[ByteSpan] = []
 
 
 class TCPSocket:
@@ -46,9 +73,9 @@ class TCPSocket:
         self._connect_event: Optional[SimEvent] = None
         self._closed_event: Optional[SimEvent] = None
         # The sends and receives one application process has outstanding:
-        # a record or two, so plain lists popped at the front.
-        self._writers: List[Dict[str, Any]] = []
-        self._readers: List[Dict[str, Any]] = []
+        # an event or two, so plain lists popped at the front.
+        self._writers: List[_Write] = []
+        self._readers: List[_Read] = []
         self._error: Optional[BaseException] = None
         self._pumping_writers = False
         self._listener: Optional["TCPListener"] = None  # holds a slot until the handshake resolves
@@ -78,12 +105,17 @@ class TCPSocket:
 
     # Waitables ------------------------------------------------------------------
     def wait_connected(self) -> SimEvent:
-        """Succeeds (with this socket) once ESTABLISHED; fails on error."""
+        """Succeeds (with this socket) once ESTABLISHED; fails on error.
+
+        A succeeded event is not kept (``_CONNECTED`` stands in), nor is
+        ``wait_closed``'s: its value is this socket."""
+        if self._connect_event is None and self._tcb.state in SYNCHRONIZED_STATES:
+            self._connect_event = _CONNECTED
+        if self._connect_event is _CONNECTED:
+            return SimEvent(self.sim, "tcp.connect").succeed(self)
         if self._connect_event is None:
             self._connect_event = SimEvent(self.sim, "tcp.connect")
-            if self._tcb.state in SYNCHRONIZED_STATES:
-                self._connect_event.succeed(self)
-            elif self._error is not None:
+            if self._error is not None:
                 self._connect_event.fail(self._error)
             elif self._tcb.state is TCPState.CLOSED and self._tcb.error is not None:
                 self._connect_event.fail(self._tcb.error)
@@ -91,51 +123,43 @@ class TCPSocket:
 
     def wait_closed(self) -> SimEvent:
         """Succeeds when the connection reaches CLOSED."""
+        if self._tcb.state is TCPState.CLOSED:
+            return SimEvent(self.sim, "tcp.closed").succeed(self)
         if self._closed_event is None:
             self._closed_event = SimEvent(self.sim, "tcp.closed")
-            if self._tcb.state is TCPState.CLOSED:
-                self._closed_event.succeed(self)
-            else:
-                self._tcb.socket = self  # a TIME_WAIT record tells only a socket that waits
+            self._tcb.socket = self  # a TIME_WAIT record tells only a socket that waits
         return self._closed_event
 
     def send(self, data: Union[bytes, ByteSpan]) -> SimEvent:
         """Queue ``data``; the event succeeds when all bytes are buffered."""
-        event = SimEvent(self.sim, "tcp.send")
-        span = as_span(data)
+        event = _Write(self.sim, as_span(data))
         if self._error is not None:
             event.fail(self._error)
             return event
         if self._tcb.state is TCPState.CLOSED:
             event.fail(ConnectionClosed("send on closed socket"))
             return event
-        self._writers.append(
-            {"span": span, "total": span.length, "done": 0, "event": event}
-        )
+        self._writers.append(event)
         self._pump_writers()
         return event
 
     def recv(self, max_bytes: int = 65536) -> SimEvent:
         """Succeeds with 1..max_bytes of data, or an empty span at EOF."""
-        event = SimEvent(self.sim, "tcp.recv")
+        event = _Read(self.sim, "tcp.recv", False, max_bytes)
         if max_bytes <= 0:
             event.succeed(EMPTY)
             return event
-        self._readers.append(
-            {"kind": "some", "n": max_bytes, "got": 0, "acc": [], "event": event}
-        )
+        self._readers.append(event)
         self._pump_readers()
         return event
 
     def recv_exactly(self, n: int) -> SimEvent:
         """Succeeds with exactly ``n`` bytes; fails on early EOF/error."""
-        event = SimEvent(self.sim, "tcp.recv_exactly")
+        event = _Read(self.sim, "tcp.recv_exactly", True, n)
         if n <= 0:
             event.succeed(EMPTY)
             return event
-        self._readers.append(
-            {"kind": "exact", "n": n, "got": 0, "acc": [], "event": event}
-        )
+        self._readers.append(event)
         self._pump_readers()
         return event
 
@@ -161,12 +185,12 @@ class TCPSocket:
         try:
             while self._writers:
                 writer = self._writers[0]
-                total, done = writer["total"], writer["done"]
+                total, done = writer.total, writer.done
                 if done < total:
                     # The span itself and the offset reached: buffers keep
                     # ranges over the spans they are handed (DESIGN §13).
-                    done += tcb.app_write(writer["span"], done)
-                    writer["done"] = done
+                    done += tcb.app_write(writer.span, done)
+                    writer.done = done
                     if done < total:
                         assert isinstance(tcb, TCPConnection)  # a TIME_WAIT record's write raises
                         buffer = tcb.send_buffer
@@ -174,7 +198,7 @@ class TCPSocket:
                             continue  # space was freed while writing
                         return  # buffer full; the next ACK pumps again
                 self._writers.pop(0)
-                writer["event"].succeed(total)
+                writer.succeed(total)
         finally:
             self._pumping_writers = False
 
@@ -186,14 +210,14 @@ class TCPSocket:
         readers = self._readers
         while readers:
             reader = readers[0]
-            needed = reader["n"] - reader["got"]
+            needed = reader.n - reader.got
             if needed > 0 and ready.length > 0:
                 piece = tcb.app_read(needed)
-                reader["acc"].append(piece)
-                reader["got"] += piece.length
+                reader.acc.append(piece)
+                reader.got += piece.length
                 needed -= piece.length
-            if reader["kind"] == "some":
-                if reader["got"] > 0 or needed == 0:
+            if not reader.exact:
+                if reader.got > 0 or needed == 0:
                     self._finish_reader(reader)
                     continue
                 if tcb.fin_received and ready.length == 0:
@@ -206,21 +230,19 @@ class TCPSocket:
                 continue
             if tcb.fin_received and ready.length == 0:
                 self._readers.pop(0)
-                reader["event"].fail(
-                    ConnectionClosed(
-                        f"peer closed with {needed} of {reader['n']} bytes missing"
-                    )
+                reader.fail(
+                    ConnectionClosed(f"peer closed with {needed} of {reader.n} bytes missing")
                 )
                 continue
             return
 
-    def _finish_reader(self, reader: Dict[str, Any]) -> None:
+    def _finish_reader(self, reader: _Read) -> None:
         self._readers.pop(0)
-        acc = reader["acc"]
+        acc = reader.acc
         if len(acc) == 1:
-            reader["event"].succeed(acc[0])  # a lone piece is the whole read
+            reader.succeed(acc[0])  # a lone piece is the whole read
         else:
-            reader["event"].succeed(concat(acc) if acc else EMPTY)
+            reader.succeed(concat(acc) if acc else EMPTY)
 
     # Told by the TCB, as are the two pumps -----------------------------------------
     def _on_established(self) -> None:
@@ -228,8 +250,10 @@ class TCPSocket:
         if listener is not None:
             self._listener = None  # first: an accept() it wakes may abort at once
             listener._established(self)
-        if self._connect_event is not None and not self._connect_event._done:
-            self._connect_event.succeed(self)
+        event = self._connect_event
+        if event is not None and not event._done:
+            self._connect_event = _CONNECTED
+            event.succeed(self)
 
     def _on_error(self, error: BaseException) -> None:
         if self._listener is not None:
@@ -239,34 +263,29 @@ class TCPSocket:
         if self._connect_event is not None and not self._connect_event._done:
             self._connect_event.fail(error)
         while self._writers:
-            self._writers.pop(0)["event"].fail(error)
+            self._writers.pop(0).fail(error)
         while self._readers:
             reader = self._readers.pop(0)
-            if reader["kind"] == "some" and reader["acc"]:
-                reader["event"].succeed(concat(reader["acc"]))
+            if not reader.exact and reader.acc:
+                reader.succeed(concat(reader.acc))
             else:
-                reader["event"].fail(error)
+                reader.fail(error)
 
     def _on_closed(self) -> None:
-        if self._closed_event is not None and not self._closed_event._done:
-            self._closed_event.succeed(self)
+        closed = self._closed_event
+        if closed is not None:
+            self._closed_event = None
+            closed.succeed(self)
         if self._error is None:
             # Orderly close: wake readers with EOF.
             while self._readers:
                 reader = self._readers.pop(0)
-                if reader["kind"] == "exact":
-                    if reader["got"] < reader["n"]:
-                        reader["event"].fail(
-                            ConnectionClosed("connection closed during recv_exactly")
-                        )
-                        continue
-                reader["event"].succeed(
-                    concat(reader["acc"]) if reader["acc"] else EMPTY
-                )
+                if reader.exact and reader.got < reader.n:
+                    reader.fail(ConnectionClosed("connection closed during recv_exactly"))
+                    continue
+                reader.succeed(concat(reader.acc) if reader.acc else EMPTY)
             while self._writers:
-                self._writers.pop(0)["event"].fail(
-                    ConnectionClosed("connection closed during send")
-                )
+                self._writers.pop(0).fail(ConnectionClosed("connection closed during send"))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<TCPSocket {self._tcb!r}>"

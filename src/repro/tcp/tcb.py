@@ -300,22 +300,19 @@ class TCPConnection:
         TCB's place in the layer's table, its socket and its extension.
 
         The engines point back at this TCB and each timer at its engine:
-        those ties are cut, so that reference counting frees the TCB and
-        all it owns now, not at the collector's next full pass.  The
-        caller is the input engine's last step on the segment."""
+        those ties are cut (a cancelled timer lets go of its callback), so
+        that reference counting frees the TCB and all it owns now, not at
+        the collector's next full pass.  The caller is the input engine's
+        last step on the segment."""
         self.state = TCPState.TIME_WAIT
         self.cancel_timers()
         self.layer.time_wait(self, TimeWait(self))
-        retransmit, output = self.retransmit, self.output
-        for timer in (retransmit.rto_timer, retransmit.persist_timer, output.delack_timer):
-            if timer is not None:
-                del timer.callback
-        del retransmit.conn, output.conn, self.input.conn
+        del self.retransmit.conn, self.output.conn, self.input.conn
 
     def cancel_timers(self) -> None:
-        """Drop every queued timer event: on close and on entering
-        TIME_WAIT (a queued event would pin the TCB until due) and on a
-        crash (``TCPLayer.halt``)."""
+        """Retire every queued timer entry and let go of the callbacks: on
+        close and on entering TIME_WAIT (a dead entry would pin the TCB
+        until due) and on a crash (``TCPLayer.halt``)."""
         retransmit = self.retransmit
         retransmit.rto_timer.cancel()
         if retransmit.persist_timer is not None:

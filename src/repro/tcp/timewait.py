@@ -1,12 +1,15 @@
 """TIME_WAIT as a compact record (RFC 793's 2·MSL wait; DESIGN §14 rule 5).
 
 A connection in TIME_WAIT has nothing left to send or receive; the wait
-needs the 4-tuple, the numbers an answer carries and one expiry event.
+needs the 4-tuple, the numbers an answer carries and one expiry, for
+which the record is its own queue token (``Scheduler.arm``).
 :class:`TimeWait` keeps that in the TCB's table slot, so the TCB is freed
 when the wait begins (Linux's ``inet_timewait_sock``, FreeBSD's ``tcptw``).
 It answers a segment as the TCB in TIME_WAIT did, except that payload or
 a second FIN is acknowledged and dropped, and its window stays the one at
-entry.  It keeps the socket only while something waits on it.
+entry.  It keeps the socket only while something waits on it, and once
+closed neither the socket nor the extension: a reset before the expiry
+leaves a dead entry that pins the record alone.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ class TimeWait:
         "layer", "local_ip", "local_port", "remote_ip", "remote_port",
         "snd_nxt", "rcv_nxt", "irs", "window", "ts_recent",
         "output_inhibited", "extension", "socket", "recv_buffer",
-        "state", "error", "_expiry", "_challenge_start", "_challenge_count",
+        "state", "error", "seq", "_challenge_start", "_challenge_count",
     )
 
     #: TIME_WAIT implies our FIN is acknowledged and the peer's received.
@@ -78,7 +81,8 @@ class TimeWait:
         self._challenge_start = tcb.input._challenge_window_start
         self._challenge_count = tcb.input._challenge_count
         sim = self.layer.sim
-        self._expiry = sim.call_later(tcb.config.time_wait, self._close)
+        self.seq = -1
+        sim.arm(sim.now + tcb.config.time_wait, self, TimeWait._close)
         if "tcp" in sim.trace.categories:
             self.trace_event("time_wait")
 
@@ -183,18 +187,19 @@ class TimeWait:
         return 0
 
     def cancel_timers(self) -> None:
-        """Drop the expiry (a crash: ``TCPLayer.halt``)."""
-        self._expiry.cancel()
+        """Retire the expiry (a crash: ``TCPLayer.halt``)."""
+        self.layer.sim.retire(self)
 
     def _close(self, error: Optional[BaseException] = None) -> None:
         """Expiry, a RST or an abort: as ``TCPConnection._enter_closed``."""
         previous = self.state
         self.state = TCPState.CLOSED
         self.error = error
-        self._expiry.cancel()
+        self.layer.sim.retire(self)
         self.layer.connection_closed(self)
         self.trace_event("closed", previous=previous.value, error=repr(error))
         socket = self.socket
+        self.socket = self.extension = None
         if socket is not None:
             if error is not None:
                 socket._on_error(error)

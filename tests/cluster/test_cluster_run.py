@@ -157,38 +157,36 @@ def test_single_pair_cluster_matches_paper_shape():
     assert election["new_backup"] is None
 
 
-def test_a_cluster_run_schedules_no_telemetry_event(monkeypatch):
+def test_a_cluster_run_schedules_no_telemetry_event():
     """The registry is read when the run ends: nothing under ``repro/obs``
     is ever a kernel event.  Counted from outside, as
-    ``tools/event_census.py`` does: both ways onto the queue are wrapped
-    before the simulator (which binds ``post`` when it is built) exists,
-    and every event the kernel executed must have passed a wrapper."""
+    ``tools/event_census.py`` does: both ways onto the queue — a post, and
+    a token's arm (a timer, a TIME_WAIT record, an ``EventHandle``, whose
+    callback is what is recorded) — are wrapped before the simulator
+    (which binds ``post`` and ``arm`` when it is built) exists, and every
+    event the kernel executed must have passed a wrapper."""
     from repro.cluster.run import ClusterRun
     from repro.harness.experiments.cluster import resolve_scenario
-    from repro.sim.scheduler import Scheduler
+    from repro.sim.events import EventHandle
+    from tools.crash_silence import wrapped_queue
 
     dispatched = set()
     calls = [0]
-    push, post = Scheduler._push, Scheduler.post
 
     def recording(callback):
+        owner = getattr(callback, "__self__", None)
+        named = owner.callback if isinstance(owner, EventHandle) else callback
+        function = getattr(named, "__func__", named)
+
         def recorded(*event_args):
-            function = getattr(callback, "__func__", callback)
             dispatched.add((function.__code__.co_filename, function.__qualname__))
             calls[0] += 1
             callback(*event_args)
 
         return recorded
 
-    def recording_push(self, time, callback, args):
-        return push(self, time, recording(callback), args)
-
-    def recording_post(self, time, callback, *args):
-        post(self, time, recording(callback), *args)
-
-    monkeypatch.setattr(Scheduler, "_push", recording_push)
-    monkeypatch.setattr(Scheduler, "post", recording_post)
-    record = ClusterRun(resolve_scenario("smoke")).execute()
+    with wrapped_queue(recording):
+        record = ClusterRun(resolve_scenario("smoke")).execute()
     # Smoke runs nine distinct callbacks, every one wrapped (a switch hop
     # is no event of its own).
     assert record["ok"] and len(dispatched) >= 9

@@ -17,5 +17,6 @@ expect_state(1.3, "TIME_WAIT")
 # A duplicate FIN sits left of the window now: challenge-ACKed.
 inject(1.5, tcp("FA", seq=1, ack=2))
 expect(1.5, tcp("A", seq=2, ack=2))
-# TIME_WAIT expires (1s after the restart at 1.5) and the TCB is gone.
+# TIME_WAIT expires 1s after it began at 1.2 (the duplicate FIN restarted
+# nothing: ROADMAP 15(b)) and the endpoint is gone.
 expect_state(2.6, "CLOSED")

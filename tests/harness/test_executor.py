@@ -225,7 +225,7 @@ def test_probe_counts_every_simulator_though_addresses_are_reused():
         for _ in range(5):
             sim = Simulator()
             for tick in range(10):
-                sim.call_later(0.001 * (tick + 1), lambda: None)
+                sim.schedule(0.001 * (tick + 1), lambda: None)
             sim.run()
             perf.note_simulation(sim)
             perf.note_simulation(sim)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.sim.scheduler import Scheduler
 from repro.sim.simulator import Simulator
+from repro.tcp.timers import RestartableTimer
 
 
 def test_starts_at_time_zero():
@@ -211,14 +212,18 @@ def test_pending_count_is_live_entries_only():
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-@pytest.mark.parametrize("entry", ["schedule", "call_later", "schedule_at", "post"])
+@pytest.mark.parametrize("entry", ["schedule", "timer", "schedule_at", "post"])
 def test_non_finite_event_time_is_a_typed_error(entry, bad):
     # A nan or inf event would fire and leave the clock at nan / inf.
+    # ``timer`` arms a token (``Scheduler.arm``), unchecked but for this.
     sim = Simulator()
     sim.schedule(1.0, lambda: None)
     sim.run(until=0.5)
     with pytest.raises(SimulationError, match="event time must be finite"):
-        getattr(sim, entry)(bad, lambda: None)
+        if entry == "timer":
+            RestartableTimer(sim, lambda: None).start(bad)
+        else:
+            getattr(sim, entry)(bad, lambda: None)
     assert sim.now == 0.5
     assert sim._scheduler.pending_count == 1
     sim.run()

@@ -300,11 +300,25 @@ def test_watch_stops_the_instant_the_event_triggers(seed):
 # The same contract as a state machine: hypothesis picks the interleaving
 # of schedules (including at the current instant), handle-less posts (whose
 # callbacks may cancel), cancels (direct and from inside a callback),
+# tokens armed, re-armed (earlier or later), retired and re-posted from
+# their own entry (a ``RestartableTimer`` finding its deadline moved),
 # bounded runs and single steps, and shrinks a failure to the shortest one.
 # The oracle posts through its own ``schedule_at``: a post must dispatch
-# exactly where a scheduled event with the same key would.
+# exactly where a scheduled event with the same key would; a token's arm
+# is its previous handle's cancel and a new ``schedule_at``.
 
 _DELAYS = st.sampled_from((0.0, 1e-5, 1e-4, 0.003, 0.5, 2.0, FAR_S + 300.0))
+
+
+class _Token:
+    """A queue token (``Scheduler.arm``): live entry ``seq``, or -1; on the
+    oracle, the handle of its live entry instead."""
+
+    def __init__(self, tag):
+        self.tag = tag
+        self.seq = -1
+        self.handle = None
+        self.repost = None  # a delay: the entry re-arms its token once
 
 
 class _Side:
@@ -315,6 +329,7 @@ class _Side:
         self.clock = sched if clock is None else clock
         self.fired = []
         self.handles = []
+        self.tokens = []
         self.posted = 0
 
     def post(self, delay, victim=None):
@@ -337,6 +352,30 @@ class _Side:
             self.handles[victim].cancel()
         if respawn is not None:
             self.schedule(respawn)
+
+    def arm(self, index, delay, repost=None):
+        if index == len(self.tokens):
+            self.tokens.append(_Token(f"token-{index}"))
+        token = self.tokens[index]
+        token.repost = repost
+        time = self.clock.now + delay
+        if isinstance(self.sched, HeapOracle):
+            self.retire(index)
+            token.handle = self.sched.schedule_at(time, self.fire_token, (token,))
+        else:
+            self.sched.arm(time, token, self.fire_token)
+
+    def retire(self, index):
+        token = self.tokens[index]
+        if not isinstance(self.sched, HeapOracle):
+            self.sched.retire(token)
+        elif token.handle is not None:
+            token.handle.cancel()
+
+    def fire_token(self, token):
+        self.fired.append((self.clock.now, token.tag))
+        if token.repost is not None:
+            self.arm(self.tokens.index(token), token.repost)
 
     def state(self):
         return self.clock.now, self.fired, self.sched.pending_count
@@ -380,6 +419,25 @@ class SchedulerAgainstOracle(RuleBasedStateMachine):
         index = data.draw(st.integers(0, self.scheduled - 1))
         for side in self.sides:
             side.handles[index].cancel()
+
+    @rule(delay=_DELAYS, repost=st.none() | _DELAYS)
+    def arm_token(self, delay, repost):
+        for side in self.sides:
+            side.arm(len(side.tokens), delay, repost)
+
+    @precondition(lambda self: self.sides[0].tokens)
+    @rule(data=st.data(), delay=_DELAYS, repost=st.none() | _DELAYS)
+    def re_arm_token(self, data, delay, repost):
+        index = data.draw(st.integers(0, len(self.sides[0].tokens) - 1))
+        for side in self.sides:
+            side.arm(index, delay, repost)
+
+    @precondition(lambda self: self.sides[0].tokens)
+    @rule(data=st.data())
+    def retire_token(self, data):
+        index = data.draw(st.integers(0, len(self.sides[0].tokens) - 1))
+        for side in self.sides:
+            side.retire(index)
 
     @precondition(lambda self: self.scheduled)
     @rule(data=st.data(), delay=_DELAYS)

@@ -278,7 +278,7 @@ def test_engines_re_arm_a_timer_whose_stopped_event_is_still_queued(scenario):
     primary, backup = scenario.pair.primary_engine, scenario.pair.backup_engine
     for timer in (primary._hb_timer, backup._hb_timer, backup._sync_timer):
         timer.stop()
-        assert timer._handle is not None and not timer.running
+        assert timer.seq >= 0 and not timer.running
     backup._adopt_new_primary(backup.primary_ip)
     assert backup._hb_timer.running and backup._sync_timer.running
     (backup_ip,) = primary.backup_ips

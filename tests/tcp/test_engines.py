@@ -35,16 +35,18 @@ from tests.tcp.test_seqspace import pin_cases, unwrap_or_error, wire_and_referen
 
 # -- fake clock + stub layer --------------------------------------------------
 class _Handle:
-    __slots__ = ("time", "fn", "seq", "cancelled")
+    """What ``schedule_at`` returns: a token owning its callback."""
 
-    def __init__(self, time, fn, seq):
-        self.time = time
-        self.fn = fn
-        self.seq = seq
-        self.cancelled = False
+    __slots__ = ("time", "fn", "seq", "_clock")
+
+    def __init__(self, time, fn, clock):
+        self.time, self.fn, self.seq, self._clock = time, fn, -1, clock
+
+    def _fire(self):
+        self.fn()
 
     def cancel(self):
-        self.cancelled = True
+        self._clock.retire(self)
 
 
 class _NoTrace:
@@ -54,8 +56,10 @@ class _NoTrace:
 
 class FakeClock:
     """Hand-cranked event clock satisfying the RestartableTimer contract:
-    ``now``, ``call_later(delay, fn)`` and ``schedule_at(time, fn)``, both
-    returning a handle with ``time`` and ``cancel()``."""
+    ``now``, ``arm(time, token, fn)`` and ``retire(token)`` — the
+    scheduler's token protocol: an entry runs as ``fn(token)`` while
+    ``token.seq`` is its seq — and ``schedule_at(time, fn)``, which arms
+    a handle with ``time`` and ``cancel()``."""
 
     def __init__(self):
         self.now = 0.0
@@ -63,31 +67,40 @@ class FakeClock:
         self._queue = []
         self._seq = 0
 
-    def call_later(self, delay, fn):
-        return self.schedule_at(self.now + delay, fn)
+    def arm(self, time, token, fn):
+        token.seq = self._seq
+        self._seq += 1
+        self._queue.append((time, token.seq, token, fn))
+
+    def retire(self, token):
+        token.seq = -1
 
     def schedule_at(self, time, fn):
-        handle = _Handle(time, fn, self._seq)
-        self._seq += 1
-        self._queue.append(handle)
+        handle = _Handle(time, fn, self)
+        self.arm(time, handle, _Handle._fire)
         return handle
+
+    def _live(self):
+        return [entry for entry in self._queue if entry[2].seq == entry[1]]
 
     @property
     def pending_count(self):
-        return sum(1 for handle in self._queue if not handle.cancelled)
+        return len(self._live())
 
     def advance(self, dt):
         """Move time forward, firing due callbacks in schedule order."""
         deadline = self.now + dt
         while True:
-            due = [h for h in self._queue if not h.cancelled and h.time <= deadline]
+            due = [entry for entry in self._live() if entry[0] <= deadline]
             if not due:
                 break
-            head = min(due, key=lambda h: (h.time, h.seq))
+            head = min(due, key=lambda entry: entry[:2])
             self._queue.remove(head)
-            self.now = head.time
-            head.fn()
-        self._queue = [h for h in self._queue if not h.cancelled]
+            time, _, token, fn = head
+            self.now = time
+            token.seq = -1
+            fn(token)
+        self._queue = self._live()
         self.now = deadline
 
 

@@ -16,9 +16,10 @@ from pathlib import Path
 
 from repro.errors import ConnectionTimeout
 from repro.harness.experiments.churn import owned_objects
+from repro.sim.events import SimEvent
 from repro.sim.simulator import Simulator
 from repro.tcp.constants import TCPState
-from repro.tcp.socket import TCPSocket
+from repro.tcp.socket import TCPSocket, _Read, _Write
 from repro.tcp.tcb import TCPConnection
 from repro.tcp.timewait import TimeWait
 
@@ -29,8 +30,10 @@ _spec = importlib.util.spec_from_file_location("conn_footprint", _TOOL)
 conn_footprint = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(conn_footprint)
 
-#: The tree at the time of writing needs about 11 290 bytes and 90
-#: GC-tracked objects per connection on CPython 3.11 (11 890 and 99 while
+#: The tree at the time of writing needs about 11 040 bytes and 87
+#: GC-tracked objects per connection on CPython 3.11 (11 280 and 90 while
+#: a pending read was a dict beside its event and each queued timer entry
+#: an ``EventHandle`` and a bound method; 11 890 and 99 while
 #: a shadow's state was split over an extension chain, an engine record
 #: and a callback closure; about 13 960 and 130
 #: while the TCB held five socket callbacks, a passive open two hand-off
@@ -39,16 +42,18 @@ _spec.loader.exec_module(conn_footprint)
 #: in a free list); before buffers were lists and per-connection classes
 #: slotted it needed 29 500 and 163.  The slack absorbs interpreter
 #: differences (3.11 vs 3.12 object layouts).
-BYTES_PER_CONNECTION_BUDGET = 12_400
-OBJECTS_PER_CONNECTION_BUDGET = 101
+BYTES_PER_CONNECTION_BUDGET = 12_150
+OBJECTS_PER_CONNECTION_BUDGET = 98
 
-#: A connection whose three endpoints wait in TIME_WAIT needs about 3 950
-#: bytes and 20.6 objects (N = 100): three ``TimeWait`` records and their
-#: expiry events, the shadow's ``ShadowExtension``, the primary's
-#: retention record, table keys and the finished client process.  While
-#: the TCBs themselves waited it needed 10 340 and 86.6.
-TIME_WAIT_BYTES_PER_CONNECTION_BUDGET = 4_400
-TIME_WAIT_OBJECTS_PER_CONNECTION_BUDGET = 23
+#: A connection whose three endpoints wait in TIME_WAIT needs about 3 515
+#: bytes and 14.6 objects (N = 100): three ``TimeWait`` records, each its
+#: own expiry's queue token, the shadow's ``ShadowExtension``, the
+#: primary's retention record, table keys and the finished client
+#: process.  It needed 3 950 and 20.6 while each expiry was an
+#: ``EventHandle`` and a bound method, and 10 340 and 86.6 while the TCBs
+#: themselves waited.
+TIME_WAIT_BYTES_PER_CONNECTION_BUDGET = 3_950
+TIME_WAIT_OBJECTS_PER_CONNECTION_BUDGET = 17
 
 #: Packages whose classes are instantiated per connection.
 _PER_CONNECTION_PACKAGES = ("repro.tcp.", "repro.util.", "repro.sttcp.")
@@ -93,6 +98,58 @@ def test_time_wait_frees_the_tcbs_it_replaces_at_once():
     assert [type(state.tcb) for state in pair.primary_engine._connections.values()] == [TimeWait] * 4
     for host in (scenario.client, scenario.primary, scenario.backup):
         assert [record.socket for record in host.tcp.connections] == [None] * 4
+
+
+def test_closed_clients_leave_no_socket_or_event_for_the_collector():
+    """A socket and an event whose value is that socket (``wait_connected``,
+    ``wait_closed``) were a cycle, so every closed connection's socket
+    waited for the collector: 50 clients that connected, closed and
+    reached CLOSED left 52 ``TCPSocket``s and 52 ``SimEvent``s alive with
+    it off.  Now reference counting frees them when the client is done."""
+    lan = LanPair(Simulator(seed=156))
+    listener = lan.b.tcp.listen(8000)
+
+    def server():
+        while True:
+            conn = yield listener.accept()
+            lan.b.spawn(handler(conn))
+
+    def handler(conn):
+        yield conn.recv_exactly(3)
+        yield conn.send(b"ok")
+        yield conn.recv(10)  # EOF
+        conn.close()
+
+    def client(waits_for_close):
+        sock = lan.a.tcp.connect((lan.ip_b, 8000))
+        yield sock.wait_connected()
+        yield sock.send(b"req")
+        yield sock.recv_exactly(2)
+        sock.close()
+        if waits_for_close:
+            yield sock.wait_closed()
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        lan.b.spawn(server())
+        for index in range(50):
+            lan.a.spawn(client(index % 2 == 0))
+        lan.sim.run(until=5.0)  # the clients' TIME_WAIT has expired
+        assert lan.a.tcp.connections == []
+        objects = gc.get_objects()
+        sockets = [obj for obj in objects if isinstance(obj, TCPSocket) and obj.sim is lan.sim]
+        events = [
+            obj.name for obj in objects
+            if type(obj) in (SimEvent, _Read, _Write) and obj.sim is lan.sim
+        ]
+    finally:
+        if enabled:
+            gc.enable()
+    # What is left is the server's: its last accepted socket, still a local
+    # of its loop, and the accept it waits in.
+    assert [sock.local_address[0] for sock in sockets] == [lan.ip_b]
+    assert events == ["tcp.accept:8000"]
 
 
 def test_nothing_a_connection_owns_has_a_dict_or_a_deque():

@@ -237,7 +237,7 @@ def test_mss_validation():
     ],
 )
 def test_config_rejects_values_that_run_the_clock_backwards(field, value):
-    # A negative timer delay reaches ``call_later`` unchecked and fires in
+    # A negative timer delay reaches ``Scheduler.arm`` unchecked and fires in
     # the past; a negative retransmission limit gives up at the first RTO.
     with pytest.raises(ValueError, match=field):
         TCPConfig().copy(**{field: value}).validate()

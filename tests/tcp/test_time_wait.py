@@ -7,13 +7,18 @@ application has not read yet stay readable, and a socket that starts
 waiting for the close during the wait is told at expiry.
 """
 
+import gc
+
 import pytest
 
 from repro.errors import ConnectionClosed, ConnectionReset
+from repro.sim.events import SimEvent
+from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 from repro.tcp.constants import FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN, TCPState
 from repro.tcp.segment import TCPSegment
 from repro.tcp.seqspace import wrap
+from repro.tcp.socket import TCPSocket
 from repro.tcp.timewait import TimeWait
 from repro.util.bytespan import EMPTY, PatternBytes
 
@@ -179,3 +184,49 @@ def test_unread_bytes_stay_readable_and_a_late_close_waiter_is_told_at_expiry():
     assert seen["state"] is TCPState.TIME_WAIT and seen["record"]
     assert seen["reply"] == b"reply" and seen["eof"] == 0
     assert started + 1.0 < seen["closed_at"] < started + 1.5
+
+
+def test_a_reset_before_the_expiry_lets_go_at_once_though_the_entry_waits():
+    """The record is its own expiry's queue token.  A RST in the wait
+    retires that entry, which stays queued — a binary heap drops it when
+    it surfaces — and holds the record; so the closed record lets go of
+    what it held (the socket waiting for the close, the extension), and
+    with the collector off the socket and its events are gone at once."""
+    lan = LanPair(Simulator(seed=157))
+    seen = {}
+
+    def server():
+        conn = yield lan.b.tcp.listen(8000).accept()
+        yield conn.recv(10)  # EOF
+        conn.close()
+
+    def client():
+        sock = lan.a.tcp.connect((lan.ip_b, 8000))
+        yield sock.wait_connected()
+        sock.close()
+        try:
+            yield sock.wait_closed()
+        finally:
+            seen["error"] = sock.tcb.error
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        lan.b.spawn(server())
+        lan.a.spawn(client())
+        lan.sim.run(until=0.5)
+        (record,) = lan.a.tcp.connections
+        assert isinstance(record, TimeWait) and record.socket is not None
+        (entry,) = [entry for entry in lan.sim._scheduler._heap if entry[2] is record]
+        # The client process wakes inside the reset and ends.  No event
+        # runs after it: a dead entry on top of the heap goes at the next.
+        record.on_segment(from_peer(record, record.rcv_nxt, FLAG_RST))
+        assert record.state is TCPState.CLOSED and isinstance(seen["error"], ConnectionReset)
+        assert entry in lan.sim._scheduler._heap and record.seq == -1  # dead, still queued
+        assert record.socket is None and record.extension is None
+        objects = gc.get_objects()
+        left = [obj for obj in objects if isinstance(obj, (TCPSocket, SimEvent)) and obj.sim is lan.sim]
+    finally:
+        if enabled:
+            gc.enable()
+    assert [(type(obj).__name__, obj.name) for obj in left if not isinstance(obj, Process)] == []

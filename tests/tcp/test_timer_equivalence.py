@@ -12,10 +12,12 @@ import gc
 import random
 import weakref
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.errors import SimulationError
 from repro.sim.simulator import Simulator
 from repro.tcp.timers import RestartableTimer
 from tests.tcp.test_engines import FakeClock
@@ -33,7 +35,7 @@ class EagerTimer:
 
     def start(self, delay):
         self.stop()
-        self._handle = self.sim.call_later(delay, self._fire)
+        self._handle = self.sim.schedule_at(self.sim.now + delay, self._fire)
 
     def start_if_idle(self, delay):
         if not self.running:
@@ -158,7 +160,7 @@ def test_a_stale_event_does_not_count_as_a_fire():
 
 def test_a_moved_deadline_is_not_re_rounded():
     """The event that finds its deadline moved re-queues *at the deadline*.
-    ``call_later(deadline - now)`` would land on ``now + (deadline - now)``,
+    Re-arming with ``deadline - now`` would land on ``now + (deadline - now)``,
     one ulp off in about 2 % of these draws (a late deadline seen from an
     early clock), and every later timestamp of the run with it."""
     rng = random.Random(22)
@@ -230,3 +232,30 @@ def test_cancel_releases_the_callbacks_owner_and_stop_does_not():
     sim.run()  # the stopped timer's event comes due, looks and leaves
     gc.collect()
     assert stopped() is None
+
+
+class _SlottedOwner:
+    """An owner that takes no weak reference, as the TCP engines."""
+
+    __slots__ = ("timer",)
+
+    def __init__(self, sim):
+        self.timer = RestartableTimer(sim, self.on_timer, "slotted")
+
+    def on_timer(self):
+        pass
+
+
+def test_a_cancel_keeps_a_restartable_callback_only_where_it_can_be_weak():
+    """``cancel`` lets go of the owner: a weak method where the owner takes
+    weak references (a ``start`` takes it back), else the callback is
+    dropped and a timer started again says so when it fires."""
+    sim = Simulator()
+    owner, slotted = _Owner(sim), _SlottedOwner(sim)
+    for timer in (owner.timer, slotted.timer):
+        timer.start(1.0)
+        timer.cancel()
+        timer.start(2.0)
+    with pytest.raises(SimulationError, match="cancelled for teardown"):
+        sim.run()
+    assert owner.timer.fired_count == 1 and sim.now == 2.0

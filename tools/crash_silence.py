@@ -3,11 +3,12 @@
 ``Host.crash`` powers the NICs off, kills the processes, halts the layers
 and runs the crash observers; from then on nothing the host armed may
 run.  This module checks that from outside ``src/``.  It wraps both ways
-onto the event queue (``Scheduler._push`` and ``Scheduler.post``) and,
-just before each callback runs, finds the host that owns it: the bound
-object (or the ``self`` a lambda closes over), then a timer's callback, a
-heartbeat monitor's suspicion hook, and the ``conn`` -> ``layer`` ->
-``host`` links.  A callback whose host has
+onto the event queue (``Scheduler.post`` and ``Scheduler.arm``, which
+queues ``fn(token)`` for a timer, a TIME_WAIT record or an
+``EventHandle``) and, just before each callback runs, finds the host that
+owns it: the bound object (or the ``self`` a lambda closes over), then a
+timer's or a handle's callback, a heartbeat monitor's suspicion hook, and
+the ``conn`` -> ``layer`` -> ``host`` links.  A callback whose host has
 crashed is a *breach*.
 
 Two receive paths are exempt, and :data:`EXEMPT` names them: the NIC's
@@ -26,9 +27,11 @@ scenario inside :func:`crash_silence` and assert ``not silence.breaches``.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from types import MethodType
 from typing import Any, Callable, Dict, Iterator, Optional
 
 from repro.host.host import Host
+from repro.sim.events import EventHandle
 from repro.sim.scheduler import Scheduler
 from repro.tcp.timers import RestartableTimer
 
@@ -67,10 +70,13 @@ def owner_host(callback: Any) -> Optional[Host]:
 
 
 def describe(callback: Any) -> str:
-    """``RetransmitEngine._on_rto[rto]`` for a timer, else the qualname."""
-    timer = getattr(callback, "__self__", None)
-    if isinstance(timer, RestartableTimer):
-        return f"{describe(timer.callback)}[{timer.name}]"
+    """``RetransmitEngine._on_rto[rto]`` for a timer, a handle's callback's
+    name for a handle, else the qualname."""
+    token = getattr(callback, "__self__", None)
+    if isinstance(token, RestartableTimer):
+        return f"{describe(token.callback)}[{token.name}]"
+    if isinstance(token, EventHandle):
+        return describe(token.callback)
     return getattr(callback, "__qualname__", repr(callback))
 
 
@@ -98,23 +104,27 @@ class CrashSilence:
 
 @contextmanager
 def wrapped_queue(wrap: Callable[[Any], Any]) -> Iterator[None]:
-    """Queue ``wrap(callback)`` in place of every callback queued meanwhile.
+    """Queue ``wrap(callback)`` in place of every callback queued meanwhile;
+    a token's entry ``fn(token)`` is wrapped as the bound ``fn`` of its
+    token (``RestartableTimer._fire`` of the timer, and so on).
 
-    Build the simulator inside: ``Simulator`` binds ``post`` when it is made.
+    Build the simulator inside: ``Simulator`` binds ``post`` and ``arm``
+    when it is made.
     """
-    push, post = Scheduler._push, Scheduler.post
-
-    def wrapped_push(self: Scheduler, time: float, callback: Any, args: tuple) -> Any:
-        return push(self, time, wrap(callback), args)
+    post, arm = Scheduler.post, Scheduler.arm
 
     def wrapped_post(self: Scheduler, time: float, callback: Any, *args: Any) -> None:
         post(self, time, wrap(callback), *args)
 
-    Scheduler._push, Scheduler.post = wrapped_push, wrapped_post  # type: ignore[method-assign]
+    def wrapped_arm(self: Scheduler, time: float, token: Any, fn: Any) -> None:
+        wrapped = wrap(MethodType(fn, token))
+        arm(self, time, token, lambda _token: wrapped())
+
+    Scheduler.post, Scheduler.arm = wrapped_post, wrapped_arm  # type: ignore[method-assign]
     try:
         yield
     finally:
-        Scheduler._push, Scheduler.post = push, post  # type: ignore[method-assign]
+        Scheduler.post, Scheduler.arm = post, arm  # type: ignore[method-assign]
 
 
 @contextmanager

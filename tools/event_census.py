@@ -2,8 +2,9 @@
 """What the event queue of one run was asked to hold, callback by callback.
 
 For every kernel event of a run: who it was for, and what became of it.
-*scheduled* is a push onto the queue; *cancelled*, an entry flagged dead
-before it came due; *fired*, a callback that ran and did its work;
+*scheduled* is a push onto the queue (a post, or a token's arm);
+*cancelled*, an entry a token retired before it came due (a cancel, or a
+timer re-armed earlier); *fired*, a callback that ran and did its work;
 *no-op*, one that ran, looked and left — a ``RestartableTimer`` event that
 found its timer stopped or its deadline moved (``tcp/timers.py``).  The
 queue should hold what will happen in the model: a tall *cancelled* or
@@ -12,10 +13,11 @@ is host work that simulates nothing.  That is how the 25 ms holder poll
 of ``repro scale`` and the cancel-and-re-push timer were found.
 
 Timer events are split by timer name; timeouts, by the generator that
-slept.  Counted from outside — ``Scheduler._push``, ``Scheduler.post`` and
-``EventHandle.cancel`` are wrapped for the length of the run, which builds
-its simulator inside it (``Simulator`` binds ``post`` at construction) —
-so it reads any tree without a hook in ``src/``.  The census checks
+slept; an ``EventHandle``'s, by its callback.  Counted from outside —
+``Scheduler.post``, ``Scheduler.arm`` and ``Scheduler.retire`` are wrapped
+for the length of the run, which builds its simulator inside it
+(``Simulator`` binds them at construction) — so it reads any tree
+with the token queue without a hook in ``src/``.  The census checks
 itself: if the wrapped callbacks ran fewer times than the kernel executed
 events, some path queued events around the wrappers, and the last line
 says so and the exit status is 1.  It also checks the run: a callback that
@@ -45,6 +47,7 @@ from typing import Any, Callable, Dict, List, Tuple
 import repro.harness.experiments  # noqa: F401 — registers the "scale" spec
 from repro.harness.executor import run_experiment
 from repro.sim.events import EventHandle, SimEvent, Timeout
+from repro.sim.scheduler import Scheduler
 from repro.tcp.timers import RestartableTimer
 
 from crash_silence import CrashSilence, wrapped_queue
@@ -96,6 +99,8 @@ def _sleeper() -> str:
 
 def _label(callback: Callable[..., Any]) -> str:
     owner = getattr(callback, "__self__", None)
+    if isinstance(owner, EventHandle):
+        return _label(owner.callback)
     name = getattr(callback, "__qualname__", repr(callback))
     if isinstance(owner, RestartableTimer):
         return f"{name}[{owner.name}]"
@@ -111,24 +116,28 @@ def take_census(run: Callable[[], Any]) -> Tuple[Dict[str, _Row], CrashSilence, 
     crash-silence breaches, run's result)."""
     census: Dict[str, _Row] = {}
     silence = CrashSilence()
-    cancel = EventHandle.cancel
+    retire = Scheduler.retire
+    #: id of a bound callback's object -> the row of its latest entry: for
+    #: a token, the row its live entry was booked under.
+    rows: Dict[int, _Row] = {}
 
     def counted(callback: Any) -> _Counted:
         row = census.setdefault(_label(callback), _Row())
         row.scheduled += 1
+        rows[id(getattr(callback, "__self__", None))] = row
         return _Counted(callback, row, silence)
 
-    def counting_cancel(self: EventHandle) -> None:
-        if self._sched is not None and isinstance(self.callback, _Counted):
-            self.callback.row.cancelled += 1  # still queued: a dead entry
-        cancel(self)
+    def counting_retire(self: Scheduler, token: Any) -> None:
+        if token.seq >= 0:
+            rows[id(token)].cancelled += 1  # still queued: a dead entry
+        retire(self, token)
 
-    EventHandle.cancel = counting_cancel  # type: ignore[method-assign]
+    Scheduler.retire = counting_retire  # type: ignore[method-assign]
     try:
         with wrapped_queue(counted):
             return census, silence, run()
     finally:
-        EventHandle.cancel = cancel  # type: ignore[method-assign]
+        Scheduler.retire = retire  # type: ignore[method-assign]
 
 
 def host_table(cluster: Any, shadowed: Dict[str, List[str]]) -> str:
