@@ -4,8 +4,8 @@ A takeover *consumes* a pool host: the instant one of its shadow engines
 goes active, that host is a primary and can no longer shadow anyone
 (its TCP layer now answers unmatched segments, its service VNIC answers
 ARP).  The coordinator runs synchronously inside the takeover event —
-hooked through :attr:`MultiPrimaryShadowManager.on_takeover` — so no
-simulation event can ever observe a consumed host still acting as a
+hooked through each pool engine's :attr:`STTCPBackup.on_takeover` — so
+no simulation event can ever observe a consumed host still acting as a
 backup:
 
 1. the consumed host's **sibling engines retire** (their shadows abort
@@ -37,7 +37,7 @@ from typing import Iterable, List, Optional
 
 from repro.cluster.pool import BackupPool
 from repro.cluster.topology import ClusterFabric, PoolNode, ServiceNode
-from repro.sttcp.multi import ShadowedService
+from repro.sttcp.backup import STTCPBackup
 from repro.tcp.constants import SYNCHRONIZED_STATES
 from repro.tcp.tcb import TCPConnection
 
@@ -90,19 +90,28 @@ class ElectionCoordinator:
         #: service name → the (ex-backup) engine that took it over.
         self.takeover_engines: dict = {}
         for node in fabric.backups:
-            node.manager.on_takeover = (
-                lambda service, record, n=node: self._backup_consumed(n, service, record)
-            )
+            for service_name, (engine, _detach) in node.shadows.items():
+                self._watch(node, service_name, engine)
+
+    def _watch(self, node: PoolNode, service_name: str, engine: STTCPBackup) -> None:
+        engine.on_takeover = lambda _engine: self._backup_consumed(node, service_name)
 
     # The takeover path ---------------------------------------------------------------
-    def _backup_consumed(
-        self, consumed: PoolNode, service_name: str, record: ShadowedService
-    ) -> None:
+    def _backup_consumed(self, consumed: PoolNode, service_name: str) -> None:
+        engine, _detach = consumed.shadows.pop(service_name)
+        if "cluster" in self.sim.trace.categories:
+            self.sim.trace.emit(
+                self.sim.now,
+                "cluster",
+                "backup_consumed",
+                host=consumed.host.name,
+                service=service_name,
+                orphaned=len(consumed.shadows),
+            )
         # Release the taken-over service *before* consuming the host, so
         # the orphan list holds only the siblings that lost their shadow.
         self.pool.release(service_name)
         orphaned = self.pool.consume(consumed.name)
-        consumed.manager.release_service(service_name)
         if "cluster" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now,
@@ -114,15 +123,15 @@ class ElectionCoordinator:
             )
         # 1. Retire the siblings first: the consumed host must stop
         #    tapping/acking the orphaned primaries in this same instant.
-        for name in consumed.manager.shadowed_names():
-            consumed.manager.retire_service(name)
+        for name in sorted(consumed.shadows):
+            consumed.retire(name)
             self.report.retired_services += 1
 
         # 2. The taken-over service: the consumed host is its primary now.
         service = self.fabric.service_by_name[service_name]
         service.primary_host = consumed.host
-        self.takeover_engines[service_name] = record.engine
-        self._replace_backup_for(service, consumed, record, kind="takeover")
+        self.takeover_engines[service_name] = engine
+        self._replace_backup_for(service, consumed, engine, kind="takeover")
 
         # 3. Each orphaned primary gets a replacement backup.
         for name in orphaned:
@@ -134,7 +143,7 @@ class ElectionCoordinator:
         self,
         service: ServiceNode,
         consumed: PoolNode,
-        takeover_record: Optional[ShadowedService],
+        old_engine: Optional[STTCPBackup],
         kind: str,
     ) -> None:
         winner_name = self.pool.elect(service.name, exclude=[consumed.name])
@@ -161,7 +170,6 @@ class ElectionCoordinator:
             # New primary-side engine on the consumed host, reusing the
             # engine's channel socket (same per-service port).  The
             # ex-shadow connections stay open but unprotected.
-            old_engine = takeover_record.engine
             engine = self.fabric.create_primary_engine(
                 service, winner, channel=old_engine.channel
             )
@@ -181,7 +189,7 @@ class ElectionCoordinator:
                 )
             )
 
-        self.fabric.attach_shadow(winner, service)
+        self._watch(winner, service.name, self.fabric.attach_shadow(winner, service))
         if "cluster" in self.sim.trace.categories:
             self.sim.trace.emit(
                 self.sim.now,

@@ -3,12 +3,12 @@
 The paper dedicates one backup to one primary; a cluster instead keeps a
 pool of M backup hosts, each shadowing up to ``capacity`` primaries
 (N:K shadowing — every shadowed primary gets its own
-:class:`~repro.sttcp.backup.STTCPBackup` engine on the pool host, see
-:mod:`repro.sttcp.multi`).  This module is pure bookkeeping: it plans the
-initial assignment and tracks the pool through takeovers (a backup that
-takes over is *consumed* — it is a primary now and leaves the pool) and
-elections (an orphaned primary is reassigned to the least-loaded
-remaining pool host).
+:class:`~repro.sttcp.backup.STTCPBackup` engine on the pool host, held
+in :attr:`~repro.cluster.topology.PoolNode.shadows`).  This module is
+pure bookkeeping: it plans the initial assignment and tracks the pool
+through takeovers (a backup that takes over is *consumed* — it is a
+primary now and leaves the pool) and elections (an orphaned primary is
+reassigned to the least-loaded remaining pool host).
 
 Everything is deterministic: ties break on the pool host's name, so the
 same scenario file always produces the same assignment and the same

@@ -14,13 +14,14 @@ service to N:
   gateway and to the pool host shadowing service *i* — and to no other
   pool host;
 * each **pool host** runs one :class:`~repro.sttcp.backup.STTCPBackup`
-  engine per shadowed service under a
-  :class:`~repro.sttcp.multi.MultiPrimaryShadowManager`; attaching a
-  shadow wires the service VNIC, the switch-side SME and GME memberships,
-  a WAN route via GVI *i* for datagrams from the service IP (so a pool
-  host promoted for service *i* answers through GVI *i* from its first
-  segment) and a bound listener, and returns the paired detach hook used
-  at retirement;
+  engine per shadowed service, each with its own service identity and
+  channel port, held in :attr:`PoolNode.shadows` with its detach hook;
+  attaching a shadow wires the service VNIC, the switch-side SME and GME
+  memberships, a WAN route via GVI *i* for datagrams from the service IP
+  (so a pool host promoted for service *i* answers through GVI *i* from
+  its first segment) and a bound listener; retiring one stands the
+  engine down and runs the hook, so the host stops receiving — and can
+  never RST — traffic for a service it no longer shadows;
 * each service gets its **own client host** behind the gateway, so
   per-pair progress timelines stay separable in the trace stream.
 
@@ -31,7 +32,7 @@ WAN ``192.168.9.0/24``: clients ``.10+i``, gateway ``.1``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.apps.server import request_response_server
 from repro.cluster.arbiter import ClusterArbiter
@@ -42,7 +43,7 @@ from repro.net.addresses import IPAddress, fresh_multicast_mac, ip
 from repro.net.medium import Cable, Hub
 from repro.net.switch import Switch
 from repro.sim.simulator import Simulator
-from repro.sttcp.multi import MultiPrimaryShadowManager, ShadowedService
+from repro.sttcp.backup import STTCPBackup
 from repro.sttcp.primary import STTCPPrimary
 
 SERVICE_PORT = 8000
@@ -92,7 +93,7 @@ class ServiceNode:
 
 
 class PoolNode:
-    """One backup-pool host and its shadow manager."""
+    """One backup-pool host and the services it shadows."""
 
     def __init__(self, index: int, name: str, host: Host, nic: Any, port: Any) -> None:
         self.index = index
@@ -100,11 +101,18 @@ class PoolNode:
         self.host = host
         self.nic = nic
         self.port = port
-        self.manager = MultiPrimaryShadowManager(host)
+        #: service name → (its backup engine, the hook that detaches it).
+        self.shadows: Dict[str, Tuple[STTCPBackup, Callable[[], None]]] = {}
 
     @property
     def channel_ip(self) -> IPAddress:
         return self.host.interfaces[0].ip
+
+    def retire(self, name: str) -> None:
+        """Stand the engine for ``name`` down and detach its service."""
+        engine, detach = self.shadows.pop(name)
+        engine.retire()
+        detach()
 
 
 class ClusterFabric:
@@ -121,6 +129,7 @@ class ClusterFabric:
         profile = spec.network_profile()
         self.profile = profile
         tcp_config = profile.tcp_config()
+        self.started = False
         self.arbiter = ClusterArbiter(self.sim, spec.arbiter_delay)
         self.arbiter.sabotaged = spec.arbiter_sabotaged
         self.switch = Switch(self.sim, forwarding_delay=profile.switch_delay)
@@ -202,14 +211,14 @@ class ClusterFabric:
         }
 
     # Shadow wiring -----------------------------------------------------------------
-    def attach_shadow(self, backup: PoolNode, service: ServiceNode) -> ShadowedService:
-        """Wire ``backup`` to shadow ``service`` and create its engine.
+    def attach_shadow(self, backup: PoolNode, service: ServiceNode) -> STTCPBackup:
+        """Wire ``backup`` to shadow ``service`` and return its engine.
 
         Wires the service VNIC (ARP-suppressed), the SME and GME
         memberships on the NIC and the switch port, the WAN route via the
         service's GVI for datagrams from the service IP, and a listener
-        bound to the service IP; registers the engine with the pool host's
-        shadow manager, handing it the matching detach hook for retirement.
+        bound to the service IP; records the engine in ``backup.shadows``
+        with the matching detach hook, and starts it if the fabric runs.
         """
         host = backup.host
         vnic = host.add_vnic(
@@ -235,7 +244,7 @@ class ClusterFabric:
             f"{backup.name}.server:{service.name}",
         )
 
-        def detach(_record: ShadowedService) -> None:
+        def detach() -> None:
             for listener in listener_box:
                 listener.close()
             host.remove_vnic(vnic)
@@ -246,16 +255,19 @@ class ClusterFabric:
             host.arp.remove_static(service.gvi)
             host.ip_layer.routes.remove_network(WAN_NET, 24, src=service.service_ip)
 
-        return backup.manager.add_service(
-            service.name,
+        engine = STTCPBackup(
+            host,
             service.service_ip,
             SERVICE_PORT,
             service.channel_ip,
             service.config,
             primary_host=service.primary_host,
             power_switch=self.arbiter,
-            on_retire=detach,
         )
+        backup.shadows[service.name] = (engine, detach)
+        if self.started:
+            engine.start()
+        return engine
 
     def create_primary_engine(
         self, service: ServiceNode, backup: PoolNode, channel: Any = None
@@ -277,7 +289,7 @@ class ClusterFabric:
     # Deployment --------------------------------------------------------------------
     def start_services(self) -> None:
         """Launch every primary's listener process and engine, and every
-        pool host's shadow manager."""
+        pool host's backup engines."""
         for service in self.services:
             request = request_response_server(
                 service.primary,
@@ -288,8 +300,10 @@ class ClusterFabric:
             service.primary.spawn(request, f"{service.primary.name}.server")
             if service.engine is not None:
                 service.engine.start()
+        self.started = True
         for backup in self.backups:
-            backup.manager.start()
+            for engine, _detach in backup.shadows.values():
+                engine.start()
 
     @property
     def server_hosts(self) -> List[Host]:

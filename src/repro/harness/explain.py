@@ -14,9 +14,9 @@ the same order:
 3. **anomalies** — evidence that something went wrong, read the same way
    for every run: client sessions that did not complete (the run's
    outcome ledger), connections the takeover did not carry, connections
-   it found degraded (a shadow that never learned the primary's ISN,
-   which it drops), segments a backup could not match or answered with a
-   RST, frames its tap lost.  A clean run prints ``anomalies: none``;
+   it found degraded (one with a hole, which it still takes over, or one
+   that never learned the primary's ISN, which it resets), segments a
+   backup could not match or answered with a RST, frames its tap lost.  A clean run prints ``anomalies: none``;
 4. **work** — every nonzero counter of the run's registry;
 5. **work by layer** — when the run was profiled
    (:func:`repro.metrics.layers.profile_layers`, as ``repro explain``
@@ -186,12 +186,16 @@ def _anomalies(
         takeovers = [
             r.fields for r in records if r.category == "sttcp" and r.event == "takeover"
         ]
-        degraded = sum(fields["degraded"] for fields in takeovers)
-        taken = sum(fields["connections"] for fields in takeovers) - degraded
-        if taken != crashed or degraded:
+        taken = sum(fields["taken_over"] for fields in takeovers)
+        reset = sum(fields["reset"] for fields in takeovers)
+        # Only an unknown ISN resets a shadow; any other degraded one was
+        # taken over with a hole.
+        holes = sum(fields["degraded"] for fields in takeovers) - reset
+        if taken != crashed or reset or holes:
             found.append(
                 f"{taken} of {crashed} client connections taken over"
-                + (f", {degraded} degraded" if degraded else "")
+                + (f", {holes} with a hole" if holes else "")
+                + (f", {reset} reset (isn_unknown)" if reset else "")
             )
     host_of = {nic: host for host in backups for nic in host.nics}
     for host in backups:

@@ -123,7 +123,7 @@ def profile_from_params(params: Dict[str, Any]) -> NetworkProfile:
 #: (cell identity) of every pre-existing cell — and store resumability —
 #: survives the addition.  ``sttcp_from_params`` fills them back in from
 #: the dataclass defaults.
-_POST_V0_STTCP_FIELDS = ("takeover_batch", "hb_jitter")
+_POST_V0_STTCP_FIELDS = ("hb_jitter",)
 
 
 def sttcp_params(config: Optional[STTCPConfig]) -> Optional[Dict[str, Any]]:

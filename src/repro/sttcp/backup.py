@@ -47,6 +47,18 @@ ROLE_TAKING_OVER = "taking_over"
 ROLE_ACTIVE = "active"
 ROLE_RETIRED = "retired"
 
+#: On takeover, go-back-N is kicked off for at most this many connections
+#: per event-loop turn; the rest follow in zero-delay batches so one
+#: takeover over thousands of shadows does not emit a single giant
+#: retransmit burst in one call.
+TAKEOVER_BATCH = 256
+
+#: Why the takeover could not carry a connection intact (§3.2): the
+#: primary had acknowledged client bytes this backup never received, or
+#: the shadow never learned the primary's ISN (and is reset).
+CAUSE_HOLE = "hole"
+CAUSE_ISN_UNKNOWN = "isn_unknown"
+
 
 class STTCPBackup:
     """Backup-side protocol engine for one service endpoint."""
@@ -85,13 +97,13 @@ class STTCPBackup:
         self.role = ROLE_PASSIVE
         self.detection_time: Optional[float] = None
         self.takeover_time: Optional[float] = None
-        #: Connections the takeover could not carry intact, each once (an
-        #: ordered set: the gap index and the ISN check can both find one).
-        self.degraded_connections: Dict[ConnKey, None] = {}
+        #: Connections the takeover could not carry intact, each once, with
+        #: its cause (``CAUSE_HOLE`` or ``CAUSE_ISN_UNKNOWN``).
+        self.degraded_connections: Dict[ConnKey, str] = {}
         self._connections: Dict[ConnKey, ShadowExtension] = {}
-        #: Incrementally maintained views (ack schedule, gaps, pending
-        #: rebase, outstanding recovery) — the per-event paths below never
-        #: walk ``_connections``; only takeover-time code does.
+        #: Incrementally maintained views (ack schedule, pending rebase,
+        #: outstanding recovery) — the per-event paths below never walk
+        #: ``_connections``; only takeover-time code does.
         self._index = BackupConnectionIndex()
         self._hb_sequence = 0
         self._started = False
@@ -104,7 +116,6 @@ class STTCPBackup:
         host.ip_layer.add_tap(self._on_tapped_datagram, src=service_ip)
         host.crash_observers.append(self.stop)
         self.channel = host.udp.socket(self.config.channel_port)
-        host._sttcp_channel_socket = self.channel
         self.channel.on_datagram = self._on_channel_message
         self.primary_monitor = HeartbeatMonitor(
             self.sim,
@@ -210,8 +221,6 @@ class STTCPBackup:
         tcb = state.tcb
         if not state.converged and state.isn_rebased and tcb.state in SYNCHRONIZED_STATES:
             self._note_converged(state)
-        # The local stream moved: it may have caught up with the primary.
-        self._index.reconcile_gap(state)
         ready = tcb.recv_buffer.ready  # rcv_nxt_offset, inline
         received = ready.head_offset + ready.length - state.last_acked_offset
         if received >= state.ack_threshold:
@@ -313,20 +322,7 @@ class STTCPBackup:
             if primary_rcv > tcb.rcv_nxt:
                 # The primary holds client bytes we never tapped; the
                 # client has purged them, so only the primary can help.
-                self._index.note_gap(state)
                 self._request_retransmission(state, tcb.rcv_nxt, primary_rcv)
-        if segment.payload_length > 0 and state.isn_rebased:
-            seq = segment.seq
-            snd_nxt = tcb.snd_nxt
-            delta = (seq - snd_nxt) & SEQ_MASK  # unwrap(seq, snd_nxt), inline
-            if delta > HALF_SPACE:
-                delta -= SEQ_SPACE
-            seg_start = snd_nxt + delta
-            if seg_start < 0 or delta == HALF_SPACE or not 0 <= seq <= SEQ_MASK:
-                seg_start = unwrap(seq, snd_nxt)
-            seg_end = seg_start + segment.payload_length
-            if state.primary_snd_nxt is None or seg_end > state.primary_snd_nxt:
-                state.primary_snd_nxt = seg_end
 
     def _adopt_missed_connection(
         self, client_ip: IPAddress, synack: TCPSegment
@@ -491,7 +487,7 @@ class STTCPBackup:
         ``rcv_nxt`` — the logger holds the complete recent client stream.
         """
         if self.logger_client is None:
-            self._degrade_gaps_then_take_over()
+            self._complete_takeover()
             return
         queries = []
         # Takeover-time one-shot walk: every synchronized connection must
@@ -504,7 +500,7 @@ class STTCPBackup:
         self.logger_client.recover(
             queries,
             on_data=self._on_logger_data,
-            on_done=self._degrade_gaps_then_take_over,
+            on_done=self._complete_takeover,
         )
 
     def _on_logger_data(self, key: ConnKey, seq32: int, payload: Any) -> None:
@@ -512,15 +508,6 @@ class STTCPBackup:
         if state is not None:
             state.tcb.inject_receive_data(unwrap(seq32, state.tcb.rcv_nxt), payload)
             self._c_logger_bytes_recovered.value += len(payload)
-
-    def _degrade_gaps_then_take_over(self) -> None:
-        # The gap index (kept from the tapped ACK stream, and checked against
-        # a brute-force scan in tests/sttcp/test_scale_indexes.py) holds the
-        # ranges the primary received that this backup still lacks after any
-        # logger repair: those connections stay degraded.
-        for key, _start, _stop in self._index.gaps():
-            self.degraded_connections[key] = None
-        self._complete_takeover()
 
     def _complete_takeover(self) -> None:
         """Become the primary: answer ARP, transmit, accept new clients."""
@@ -531,19 +518,25 @@ class STTCPBackup:
         self.host.tcp.reset_on_unmatched = True
         self._sync_timer.stop()
         self._hb_timer.stop()
-        # Takeover-time one-shot walk over a snapshot (taking a shadow over
-        # or aborting it closes it; the close observer mutates the dict).
+        # The one walk that decides each shadow's fate, after any logger
+        # repair, over a snapshot (taking a shadow over or aborting it
+        # closes it; the close observer mutates the dict).
         connections = len(self._connections)
         adoptable: List[ShadowExtension] = []
         for key, state in list(self._connections.items()):
-            if state.tcb.state in SYNCHRONIZED_STATES and not state.isn_rebased:
+            tcb = state.tcb
+            if tcb.state in SYNCHRONIZED_STATES and not state.isn_rebased:
                 # The send-stream anchor was never learned: this
                 # connection cannot be continued faithfully (§3.2-style
                 # incomplete communication state).  Drop it (silently: output
                 # is inhibited); the client's next retransmission draws a RST.
-                self.degraded_connections[key] = None
-                state.tcb.app_abort()
+                self.degraded_connections[key] = CAUSE_ISN_UNKNOWN
+                tcb.app_abort()
                 continue
+            target = state.primary_rcv_nxt
+            if target is not None and target > tcb.rcv_nxt:
+                # The primary received client bytes this backup still lacks.
+                self.degraded_connections[key] = CAUSE_HOLE
             adoptable.append(state)
         self._take_over_batch(adoptable, 0)
         if self.peer_backup_ips:
@@ -554,6 +547,8 @@ class STTCPBackup:
                 "sttcp",
                 "takeover",
                 connections=connections,
+                taken_over=len(adoptable),
+                reset=connections - len(adoptable),
                 degraded=len(self.degraded_connections),
             )
         if self.on_takeover is not None:
@@ -565,11 +560,10 @@ class STTCPBackup:
     def _take_over_batch(self, states: List[ShadowExtension], start: int) -> None:
         """Kick off go-back-N for ``states[start:start+batch]`` now and
         queue the rest for the next event-loop turn (same sim time)."""
-        batch = self.config.takeover_batch
-        for state in states[start : start + batch]:
+        for state in states[start : start + TAKEOVER_BATCH]:
             if not state.closed:
                 state.takeover(state.tcb)
-        nxt = start + batch
+        nxt = start + TAKEOVER_BATCH
         self._deferred_takeover = (
             self.sim.schedule(0.0, self._take_over_batch, states, nxt) if nxt < len(states) else None
         )
@@ -586,6 +580,7 @@ class STTCPBackup:
             self.service_port,
             self.peer_backup_ips,
             self.config,
+            channel=self.channel,
         )
         for state in list(self._connections.values()):
             tcb = state.tcb

@@ -54,11 +54,6 @@ class STTCPConfig:
     #: i × takeover_grace so the highest-priority live backup wins; a
     #: deferring backup cancels when it hears the new primary's heartbeat.
     takeover_grace: float = 0.100
-    #: On takeover, go-back-N is kicked off for at most this many
-    #: connections per event-loop turn; the rest follow in zero-delay
-    #: batches so one takeover over thousands of shadows doesn't emit a
-    #: single giant retransmit burst in one call.
-    takeover_batch: int = 256
 
     def effective_sync_time(self) -> float:
         return self.sync_time if self.sync_time is not None else self.hb_interval
@@ -81,5 +76,3 @@ class STTCPConfig:
             )
         if self.sync_time is not None and self.sync_time <= 0:
             raise ValueError(f"sync_time must be positive, got {self.sync_time}")
-        if self.takeover_batch < 1:
-            raise ValueError(f"takeover_batch must be >= 1, got {self.takeover_batch}")

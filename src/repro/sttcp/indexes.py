@@ -1,12 +1,12 @@
 """Incrementally maintained indexes over the backup's shadow set.
 
 With a handful of connections the backup could afford to walk its whole
-``_connections`` dict on every sync tick, takeover, and convergence
-check.  At thousands of simultaneous shadows those walks dominate: a
-sync tick touching 2,000 idle connections to ack the 3 that progressed
-is O(all) work for O(changed) information.
+``_connections`` dict on every sync tick and convergence check.  At
+thousands of simultaneous shadows those walks dominate: a sync tick
+touching 2,000 idle connections to ack the 3 that progressed is O(all)
+work for O(changed) information.
 
-:class:`BackupConnectionIndex` keeps four views current as events
+:class:`BackupConnectionIndex` keeps three views current as events
 arrive, each O(1) amortised per update:
 
 * **ack schedule** — a time-ordered queue of (last-ack time, state)
@@ -16,14 +16,14 @@ arrive, each O(1) amortised per update:
   leaves a stale entry behind that is dropped on pop.
 * **retx-pending set** — the connections with an outstanding §4.2
   recovery request, so re-issue checks touch only those.
-* **gap index** — the connections whose tapped ``primary_rcv_nxt`` runs
-  ahead of the local receive stream; takeover gap-finding reads this
-  instead of re-deriving gaps from a full scan (§3.2).
 * **pending-rebase set** — shadows whose send sequence space has not yet
   been re-anchored on the primary's ISN (§4.1); convergence accounting
-  and the takeover degraded-connection check iterate only these.
+  counts only these.
 
-Every entry is validated against ground truth (the state/TCB fields)
+The takeover needs no view: it walks every shadow once anyway, and reads
+each one's holes and ISN there (§3.2).
+
+Every entry is validated against ground truth (the state's fields)
 when read, so the indexes can only *over*-approximate; the hypothesis
 test in ``tests/sttcp/test_scale_indexes.py`` drives random event
 sequences against a brute-force oracle to prove the approximation is
@@ -33,7 +33,7 @@ exact at read time.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Tuple
+from typing import Any, Deque, Dict, List, Tuple
 
 ConnKey = Tuple[int, int]
 
@@ -43,19 +43,17 @@ class BackupConnectionIndex:
 
     ``state`` objects are the backup's per-connection records; the index
     only relies on ``state.key``, ``state.closed``,
-    ``state.last_ack_time``, ``state.pending_retx``,
-    ``state.primary_rcv_nxt`` and ``state.tcb`` (``rcv_nxt``,
-    ``is_synchronized``) — duck-typed so tests can drive it with fakes.
+    ``state.last_ack_time`` and ``state.pending_retx`` — duck-typed so
+    tests can drive it with fakes.
     """
 
-    __slots__ = ("_ack_queue", "_retx_pending", "_gapped", "_pending_rebase")
+    __slots__ = ("_ack_queue", "_retx_pending", "_pending_rebase")
 
     def __init__(self) -> None:
         #: (last_ack_time when enqueued, state); sorted by construction
         #: because sim time is monotone and every append uses "now".
         self._ack_queue: Deque[Tuple[float, Any]] = deque()
         self._retx_pending: Dict[ConnKey, Any] = {}
-        self._gapped: Dict[ConnKey, Any] = {}
         self._pending_rebase: Dict[ConnKey, Any] = {}
 
     # -- lifecycle -------------------------------------------------------------
@@ -68,7 +66,6 @@ class BackupConnectionIndex:
         """Drop a reaped shadow from every view.  Ack-queue entries are
         invalidated lazily via ``state.closed`` rather than searched."""
         self._retx_pending.pop(state.key, None)
-        self._gapped.pop(state.key, None)
         self._pending_rebase.pop(state.key, None)
 
     # -- ack schedule (§4.3) ---------------------------------------------------
@@ -126,32 +123,6 @@ class BackupConnectionIndex:
             del self._retx_pending[key]
         return list(self._retx_pending.values())
 
-    # -- gap index (§3.2) ------------------------------------------------------
-    def note_gap(self, state: Any) -> None:
-        """The tapped primary ACK stream ran ahead of the local shadow."""
-        self._gapped[state.key] = state
-
-    def reconcile_gap(self, state: Any) -> None:
-        """The local stream advanced: drop the entry once it caught up."""
-        target = state.primary_rcv_nxt
-        if target is None or state.tcb.rcv_nxt >= target:
-            self._gapped.pop(state.key, None)
-
-    def gaps(self) -> List[Tuple[ConnKey, int, int]]:
-        """``(key, local rcv_nxt, primary rcv_nxt)`` for every connection
-        the primary had out-received — exactly the §3.2 takeover gaps."""
-        out: List[Tuple[ConnKey, int, int]] = []
-        stale: List[ConnKey] = []
-        for key, state in self._gapped.items():
-            target = state.primary_rcv_nxt
-            if state.closed or target is None or state.tcb.rcv_nxt >= target:
-                stale.append(key)
-                continue
-            out.append((key, state.tcb.rcv_nxt, target))
-        for key in stale:
-            del self._gapped[key]
-        return out
-
     # -- ISN-rebase / convergence (§4.1) ---------------------------------------
     def note_rebased(self, state: Any) -> None:
         self._pending_rebase.pop(state.key, None)
@@ -167,17 +138,6 @@ class BackupConnectionIndex:
         return {
             "ack_queue": len(self._ack_queue),
             "retx_pending": len(self._retx_pending),
-            "gapped": len(self._gapped),
             "pending_rebase": len(self._pending_rebase),
         }
 
-
-def brute_force_gaps(states: Iterable[Any]) -> List[Tuple[ConnKey, int, int]]:
-    """The O(all-connections) gap scan the index replaces — kept as the
-    oracle for the differential/hypothesis tests."""
-    gaps: List[Tuple[ConnKey, int, int]] = []
-    for state in states:
-        target = state.primary_rcv_nxt
-        if not state.closed and target is not None and target > state.tcb.rcv_nxt:
-            gaps.append((state.key, state.tcb.rcv_nxt, target))
-    return gaps

@@ -17,7 +17,7 @@ acknowledged it, and the loss of one backup merely shrinks the ack set.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net.addresses import IPAddress
 from repro.sttcp.config import STTCPConfig
@@ -72,7 +72,7 @@ class STTCPPrimary:
         host: Any,
         service_ip: IPAddress,
         service_port: int,
-        backup_ip: Union[IPAddress, Iterable[IPAddress]],
+        backup_ips: List[IPAddress],
         config: Optional[STTCPConfig] = None,
         channel: Optional[Any] = None,
         backup_hosts: Optional[Dict[int, Any]] = None,
@@ -81,10 +81,7 @@ class STTCPPrimary:
         self.sim = host.sim
         self.service_ip = service_ip
         self.service_port = service_port
-        if isinstance(backup_ip, IPAddress):
-            self.backup_ips: List[IPAddress] = [backup_ip]
-        else:
-            self.backup_ips = list(backup_ip)
+        self.backup_ips = list(backup_ips)
         if not self.backup_ips:
             raise ValueError("at least one backup address is required")
         self.config = config or STTCPConfig()
@@ -98,23 +95,8 @@ class STTCPPrimary:
         self._hb_sequence = 0
         self._started = False
         # Channel socket on the primary's own (non-virtual) address.  A
-        # promoted backup already owns a channel socket on this port; in
-        # that case the engine is handed the existing one — explicitly
-        # via ``channel`` (clusters, where one host runs several
-        # engines on distinct ports), or through the host-level stash.
-        if channel is not None and not channel.closed:
-            self.channel = channel
-        else:
-            existing = getattr(host, "_sttcp_channel_socket", None)
-            if (
-                existing is not None
-                and not existing.closed
-                and existing.port == self.config.channel_port
-            ):
-                self.channel = existing
-            else:
-                self.channel = host.udp.socket(self.config.channel_port)
-                host._sttcp_channel_socket = self.channel
+        # promoted backup already owns one on this port and hands it over.
+        self.channel = channel if channel is not None else host.udp.socket(self.config.channel_port)
         self.channel.on_datagram = self._on_channel_message
         self._hb_timer = RestartableTimer(self.sim, self._send_heartbeat, "primary-hb")
         self.backup_monitors: Dict[int, HeartbeatMonitor] = {}

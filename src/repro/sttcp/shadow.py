@@ -23,8 +23,8 @@ core engines call, and it is the backup engine's per-connection state
   stashed and applied in ``after_output`` as the data materialises
   (§4.2, determinism assumption).
 * **Receive-stream advance** — ``on_rcv_advance`` hands the engine the
-  record whose stream moved (X-byte BackupAcks, gap and recovery
-  bookkeeping, §4.2–§4.3).
+  record whose stream moved (X-byte BackupAcks and recovery bookkeeping,
+  §4.2–§4.3).
 * **Takeover** — :meth:`takeover` clears ``output_inhibited``, go-back-N
   retransmits anything in flight (or announces liveness with a pure
   ACK), and arms a one-shot flag so the failover timeline records when
@@ -59,7 +59,6 @@ class ShadowExtension:
         "last_ack_time",
         "pending_retx",
         "primary_rcv_nxt",
-        "primary_snd_nxt",
         "isn_rebased",
         "pending_ack",
         "_applying_pending_ack",
@@ -77,7 +76,6 @@ class ShadowExtension:
         self.last_ack_time = now
         self.pending_retx: Optional[tuple] = None  # (start_abs, stop_abs, at)
         self.primary_rcv_nxt: Optional[int] = None  # abs, from tapped ACKs
-        self.primary_snd_nxt: Optional[int] = None  # abs, from tapped data
         #: True once the send sequence space sits on the primary's ISN.
         self.isn_rebased = False
         #: Client ACK running ahead of locally produced data (absolute).

@@ -52,7 +52,7 @@ def test_a_pool_host_drops_exactly_the_replies_of_its_own_services(fabrics):
     for run, _ in fabrics.values():
         value = run.sim.metrics.value
         for node in run.fabric.backups:
-            shadowed = [run.fabric.service_by_name[name] for name in node.manager.shadowed_names()]
+            shadowed = [run.fabric.service_by_name[name] for name in node.shadows]
             assert value(f"{node.name}.ip.dropped_not_local") == sum(
                 value(f"{service.client.name}.ip.delivered") for service in shadowed
             ), node.name
@@ -65,7 +65,7 @@ def test_frames_per_exchange_grow_with_the_services_shadowed_not_with_the_fabric
     per_service = {}
     for primaries, (run, broadcasts) in fabrics.items():
         for node in run.fabric.backups:
-            shadowed = len(node.manager.shadowed_names())
+            shadowed = len(node.shadows)
             heard = node.nic.rx_frames - broadcasts[node.name]
             if shadowed == 0:
                 assert heard == 0, (primaries, node.name)

@@ -47,15 +47,16 @@ def test_isn_rebase_noop_breaks_shadow_drill(monkeypatch):
 
 def test_explain_names_the_degraded_shadow(monkeypatch, capsys):
     # The takeover finds a shadow that never learned the primary's ISN:
-    # explain counts it as degraded, not as taken over, and the takeover
-    # drops it, so the client's next retransmission (takeover at 0.460 s)
-    # draws a RST instead of retrying into a silent endpoint for 15 min.
+    # explain counts it as reset with its cause, not as taken over, and the
+    # takeover drops it, so the client's next retransmission (takeover at
+    # 0.460 s) draws a RST instead of retrying into a silent endpoint for
+    # 15 min.
     from repro.harness.cli import main
 
     _disable_isn_rebase(monkeypatch)
     assert main(["explain"]) == 1
     report = capsys.readouterr().out.splitlines()
-    assert "  0 of 1 client connections taken over, 1 degraded" in report
+    assert "  0 of 1 client connections taken over, 1 reset (isn_unknown)" in report
     assert "  client: ConnectionReset: connection reset by peer at 0.492100 s" in report
 
 

@@ -14,7 +14,7 @@ from repro.net.frame import ETHERTYPE_IPV4
 from repro.net.loss import ScriptedLoss
 from repro.sttcp.backup import ROLE_ACTIVE
 from repro.sttcp.shadow import ShadowExtension
-from repro.tcp.constants import FLAG_ACK, FLAG_SYN
+from repro.tcp.constants import FLAG_ACK, FLAG_SYN, TCPState
 from repro.util.units import KB
 
 from tests.sttcp.conftest import make_scenario
@@ -286,22 +286,36 @@ def test_engines_re_arm_a_timer_whose_stopped_event_is_still_queued(scenario):
     assert primary._hb_timer.running
 
 
-def test_a_degraded_connection_is_listed_once():
-    """A shadow that never learned the primary's ISN, and whose tapped ACK
-    stream ran ahead of it, is found twice at takeover — by the gap index
-    and by the ISN check — and listed degraded once."""
+@pytest.mark.parametrize(
+    "isn_known, filled, cause",
+    [(False, False, "isn_unknown"), (True, False, "hole"), (True, True, None)],
+    ids=["hole-and-no-isn", "hole", "hole-filled"],
+)
+def test_a_degraded_connection_is_listed_once(isn_known, filled, cause):
+    """The takeover's one walk finds a hole (the tapped ACK stream ran
+    ahead of the shadow) and an unknown ISN: a shadow with both is listed
+    once, as ``isn_unknown``, and reset; one with a hole only is listed
+    as ``hole`` and still taken over; a hole filled before the takeover
+    is not listed.  Without STONITH the takeover runs inside
+    ``force_failover``, so no client byte arrives in between."""
     from repro.apps.client import run_client
+    from repro.apps.protocol import KIND_ECHO, encode_request
 
-    scenario = make_scenario()
+    scenario = make_scenario(stonith=False)
     scenario.start_service()
-    run_client(scenario.client, scenario.service_addr, echo_workload(200))
+    run_client(scenario.client, scenario.service_addr, echo_workload(2000))
     scenario.sim.run(until=0.05)
     engine = scenario.pair.backup_engine
     (state,) = engine._connections.values()
-    state.isn_rebased = False
-    state.primary_rcv_nxt = state.tcb.rcv_nxt + 150
-    engine._index.note_gap(state)
+    tcb = state.tcb
+    assert tcb.state is TCPState.ESTABLISHED
+    state.isn_rebased = isn_known
+    state.primary_rcv_nxt = tcb.rcv_nxt + 150
+    if filled:
+        assert tcb.inject_receive_data(tcb.rcv_nxt, encode_request(KIND_ECHO, 0, 0)) == 150
+    fate = []
+    engine.on_takeover = lambda _engine: fate.append((state.closed, tcb.output_inhibited))
     engine.force_failover()
-    scenario.sim.run(until=scenario.sim.now + 0.05)
-    assert engine.takeover_time is not None
-    assert list(engine.degraded_connections) == [state.key]
+    assert engine.degraded_connections == ({} if cause is None else {state.key: cause})
+    reset = cause == "isn_unknown"
+    assert fate == [(reset, reset)]

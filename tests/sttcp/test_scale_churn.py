@@ -50,7 +50,6 @@ def test_churned_shadows_and_retention_states_are_reaped():
     assert primary.retention_states_reaped == churn
     # ...the index views carry no leftovers...
     sizes = backup.index_sizes()
-    assert sizes["gapped"] == 0
     assert sizes["pending_rebase"] == 0
     assert sizes["retx_pending"] == 0
     # ...and the TCP tables beneath were reaped too.

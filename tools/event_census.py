@@ -187,7 +187,7 @@ def census_of(what: str, seed: int) -> Tuple[Dict[str, _Row], CrashSilence, str,
             cluster = getattr(timed, "__self__", None)  # a ClusterRun's execute
             if cluster is not None:
                 clusters.append((cluster, {
-                    node.name: node.manager.shadowed_names() for node in cluster.fabric.backups
+                    node.name: sorted(node.shadows) for node in cluster.fabric.backups
                 }))
             return summarise(timed())
 
