@@ -11,6 +11,7 @@ Run:  python examples/cascading_failover.py
 
 from repro.apps.client import run_client
 from repro.apps.workload import echo_workload
+from repro.faults.injection import FaultPlan
 from repro.harness.calibrate import FAST_LAN
 from repro.harness.scenario import Scenario
 from repro.sim.trace import TraceRecord
@@ -43,8 +44,8 @@ def main() -> None:
             run_client(scenario.client, scenario.service_addr, echo_workload(10000))
         ),
     )
-    scenario.crash_injector.crash_at(scenario.primary, 0.2)   # first crash
-    scenario.crash_injector.crash_at(scenario.backup, 1.0)    # second crash
+    # The primary crashes, then the backup that took over.
+    FaultPlan([(0.2, "primary_crash"), (1.0, "backup_crash")]).arm(scenario)
 
     print("client: 10,000 echo exchanges against the virtual service IP")
     scenario.sim.run(until=0.1)

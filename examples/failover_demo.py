@@ -49,7 +49,7 @@ def main() -> None:
     scenario = Scenario(profile=PAPER_TESTBED, sttcp=config, seed=7)
     scenario.sim.trace.add_sink(narrate, categories=["sttcp", "host"])
     crash_at = 0.1 + baseline.total_time / 2
-    failed = run_workload(workload, scenario=scenario, crash_at=crash_at)
+    failed = run_workload(workload, scenario=scenario, faults=[(crash_at, "primary_crash")])
     failed.require_clean()
 
     print("\nClient progress around the failover:")

@@ -28,7 +28,9 @@ def measure(config, crash_fraction: float, seed: int = 21) -> float:
     ).require_clean()
     scenario = Scenario(profile=PAPER_TESTBED, sttcp=config, seed=seed)
     crash_at = 0.1 + crash_fraction * baseline.total_time
-    failed = run_workload(workload, scenario=scenario, crash_at=crash_at).require_clean()
+    failed = run_workload(
+        workload, scenario=scenario, faults=[(crash_at, "primary_crash")]
+    ).require_clean()
     return failed.total_time - baseline.total_time
 
 

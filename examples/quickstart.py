@@ -32,7 +32,9 @@ def main() -> None:
     # 2. The same run with the primary crashing halfway through.
     scenario = Scenario(profile=PAPER_TESTBED, sttcp=STTCPConfig(hb_interval=0.05), seed=1)
     crash_at = 0.1 + baseline.total_time / 2
-    failed = run_workload(workload, scenario=scenario, crash_at=crash_at).require_clean()
+    failed = run_workload(
+        workload, scenario=scenario, faults=[(crash_at, "primary_crash")]
+    ).require_clean()
     metrics = scenario.pair.failover_metrics()
 
     print(f"run with failover: {failed.total_time:.3f} s")

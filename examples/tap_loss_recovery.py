@@ -15,7 +15,6 @@ Run:  python examples/tap_loss_recovery.py
 
 from repro.apps.workload import upload_workload
 from repro.errors import SimulationError
-from repro.faults.injection import add_tap_loss, add_tap_outage
 from repro.harness.calibrate import PAPER_TESTBED
 from repro.harness.runner import run_workload
 from repro.harness.scenario import Scenario
@@ -30,19 +29,21 @@ def part_one() -> None:
         sttcp=STTCPConfig(hb_interval=0.05, retx_request_timeout=0.02),
         seed=11,
     )
-    rng = scenario.sim.random.stream("demo-tap-loss")
-    model = add_tap_loss(scenario.backup.nics[0], rng, rate=0.05)
-    run = run_workload(upload_workload(1 * MB), scenario=scenario).require_clean()
+    run = run_workload(
+        upload_workload(1 * MB), scenario=scenario, faults=[(0.0, "tap_loss", {"rate": 0.05})]
+    ).require_clean()
     scenario.sim.run(until=scenario.sim.now + 1.0)  # let repairs finish
     backup = scenario.pair.backup_engine
     print(f"  upload completed in {run.total_time:.3f} s, verified={run.result.verified}")
-    print(f"  tap dropped {model.dropped} frames")
+    print(f"  tap dropped {scenario.backup.nics[0].rx_loss_model.dropped} frames")
     count = scenario.sim.metrics.value
     print(f"  backup sent {count('backup.sttcp.retx_requests_sent')} RETX_REQUESTs and "
           f"recovered {count('backup.sttcp.retx_bytes_recovered')} bytes over the UDP channel")
     shadow = backup.shadow_connections[0]
-    print(f"  shadow receive stream complete through byte "
-          f"{shadow.recv_buffer.rcv_nxt_offset}\n")
+    # From the sequence numbers, less the SYN and any FIN: a shadow that
+    # followed the close is a TIME_WAIT record, which keeps no buffer.
+    received = (shadow.rcv_nxt - shadow.irs - 1 - shadow.fin_received) % 2**32
+    print(f"  shadow receive stream complete through byte {received}\n")
 
 
 def part_two(with_logger: bool) -> None:
@@ -54,10 +55,10 @@ def part_two(with_logger: bool) -> None:
         with_logger=with_logger,
         seed=12,
     )
-    add_tap_outage(scenario.backup.nics[0], 0.15, 0.25)
+    faults = [(0.15, "tap_outage", {"duration": 0.1}), (0.249, "primary_crash")]
     try:
         run = run_workload(
-            upload_workload(512 * KB), scenario=scenario, crash_at=0.249, deadline=1500.0
+            upload_workload(512 * KB), scenario=scenario, faults=faults, deadline=1500.0
         )
         completed = run.result.error is None
         detail = f"in {run.total_time:.3f} s, verified={run.result.verified}"

@@ -21,7 +21,7 @@ record for the result store:
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, Iterable, List, Optional
 
 from repro.apps.client import client_session
 from repro.apps.workload import Outcome, failed_sessions, session_outcome, write_bench_keys
@@ -34,7 +34,7 @@ from repro.cluster.invariants import (
 from repro.cluster.pool import BackupPool, plan_assignment
 from repro.cluster.scenario import ClusterSpec
 from repro.cluster.topology import SERVICE_PORT, ClusterFabric
-from repro.faults.injection import CrashInjector
+from repro.faults.injection import FaultPlan
 from repro.metrics import perf
 from repro.obs.timeline import (
     Phase,
@@ -52,10 +52,17 @@ CLIENT_STAGGER = 0.003
 
 
 class ClusterRun:
-    """An assembled, not-yet-driven cluster scenario."""
+    """An assembled, not-yet-driven cluster scenario.  ``faults`` is its
+    fault plan; None compiles the spec's ``crash`` section to one entry."""
 
-    def __init__(self, spec: ClusterSpec, sim: Optional[Any] = None) -> None:
+    def __init__(
+        self, spec: ClusterSpec, sim: Optional[Any] = None, faults: Optional[Iterable] = None
+    ) -> None:
         self.spec = spec
+        if faults is None:
+            service = spec.service_names()[spec.crash_primary]
+            faults = [(spec.crash_at, "cluster_crash", {"service": service})]
+        self.faults = FaultPlan(faults)
         self.fabric = ClusterFabric(spec, sim=sim)
         self.sim = self.fabric.sim
         plan = spec.assignment or plan_assignment(
@@ -72,7 +79,6 @@ class ClusterRun:
         self.coordinator = ElectionCoordinator(self.fabric, self.pool)
         self.monitor = DualPrimaryMonitor(self.fabric)
         self.collector = TimelineCollector().attach(self.sim.trace)
-        self.crash_injector = CrashInjector(self.sim)
         self.results: Dict[str, Any] = {}
         #: The run record :meth:`execute` returned.
         self.record: Optional[Dict[str, Any]] = None
@@ -84,16 +90,13 @@ class ClusterRun:
         )
         self.results[service.name] = result
 
-    def begin(self, schedule_crash: bool = True) -> Any:
-        """Deploy the fabric: engines, monitor, clients (at
-        ``CLIENT_START``), and — unless a caller injects its own faults,
-        as the cluster drills do — the scripted crash.  Returns the
-        :class:`ServiceNode` the scenario's crash targets."""
+    def begin(self) -> Any:
+        """Deploy the fabric: engines, monitor, the fault plan and the
+        clients (at ``CLIENT_START``).  Returns the :class:`ServiceNode`
+        the spec's crash section names, the one the record reports on."""
         self.fabric.start_services()
         self.monitor.start()
-        crashed = self.fabric.services[self.spec.crash_primary]
-        if schedule_crash:
-            self.crash_injector.crash_at(crashed.primary, self.spec.crash_at)
+        self.faults.arm(self)
         for service in self.fabric.services:
             self.sim.post(
                 CLIENT_START + service.index * CLIENT_STAGGER,
@@ -101,7 +104,7 @@ class ClusterRun:
                 self._pair_process(service),
                 f"{service.client.name}.session",
             )
-        return crashed
+        return self.fabric.services[self.spec.crash_primary]
 
     def execute(self) -> Dict[str, Any]:
         sim, crashed = self.sim, self.begin()

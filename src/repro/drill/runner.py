@@ -10,13 +10,17 @@ Modes:
 * ``server`` — the host under test listens; the peer plays client.
 * ``client`` — the host under test connects (``sock_connect``); the peer
   plays server.
-* ``sttcp``  — a full primary/backup pair on a hub (the paper's §6
-  topology) with the peer as the client; ``fault(t, "primary_crash")``
-  and the ``expect_shadow``/``expect_takeover`` probes target it.
+* ``sttcp``  — the harness ``Scenario``'s primary/backup pair on a hub
+  (the paper's §6 topology), the peer beside its idle client.
+* ``cluster`` — a ``ClusterRun``, driven by ``fault`` and ``probe`` ops.
+
+A script's ``fault(...)`` ops are its run's ``FaultPlan``, and a failing
+drill's diagnostic starts with that plan.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import traceback
 import zlib
 from pathlib import Path
@@ -26,7 +30,9 @@ from repro.drill.patterns import SegmentSpec
 from repro.drill.peer import CapturedSegment, DrillPeer
 from repro.drill.report import DrillResult
 from repro.drill.script import DRILL_WRITE_PATTERN, DrillProgram, Op, load_script
-from repro.faults.injection import CrashInjector, apply_drill_fault
+from repro.errors import ConfigurationError
+from repro.faults.injection import FaultPlan
+from repro.harness.calibrate import FAST_LAN
 from repro.host.host import Host
 from repro.net.addresses import IPAddress, fresh_unicast_mac, ip
 from repro.net.medium import Hub
@@ -35,9 +41,9 @@ from repro.sim.simulator import Simulator
 from repro.tcp.config import TCPConfig
 from repro.util.bytespan import ByteSpan, PatternBytes, RealBytes
 
-# Drill address plan (mirrors the harness scenario's LAN).
+# Drill address plan (the harness scenario's LAN; in sttcp mode the
+# scripted peer sits beside the scenario's client).
 HUT_IP = ip("10.0.0.1")
-BACKUP_IP = ip("10.0.0.2")
 SERVICE_IP = ip("10.0.0.100")
 PEER_IP = ip("10.0.0.99")
 
@@ -47,9 +53,9 @@ DEFAULT_LOCAL_PORT = 40000
 
 #: Drill links are fast and near-instant so protocol timers dominate:
 #: 1 Gb/s with 1 µs propagation keeps wire time ~3 µs per segment,
-#: negligible against the default 5 ms expectation tolerance.
-LINK_RATE_BPS = 1_000_000_000
-LINK_DELAY = 1e-6
+#: negligible against the default 5 ms expectation tolerance.  (TCP
+#: settings come from the script, not from this profile.)
+DRILL_LINK = dataclasses.replace(FAST_LAN, name="drill", link_rate_bps=1e9, hub_delay=1e-6)
 
 
 class CheckFailure:
@@ -78,34 +84,38 @@ class DrillEnv:
         seed = settings.get("seed")
         if seed is None:
             seed = zlib.crc32(program.name.encode()) & 0x7FFFFFFF
-        self.sim = Simulator(seed=seed)
+        self.tcp_config = TCPConfig().copy(**settings.get("tcp", {}))
+        self.port = int(settings.get("port", DEFAULT_PORT))
+        #: The script's ``fault(...)`` ops, in script order.
+        self.faults = FaultPlan(
+            (op.time, *op.args) for op in program.ops if op.kind == "fault"
+        )
+        self.tracked: List[Any] = []  # sockets of the host under test
+        self.check_failures: List[CheckFailure] = []
+        self.app_sent = 0  # cumulative sock_write bytes (pattern offsets)
+        self.app_read_bytes = 0
+        self.scenario: Optional[Any] = None
+        self.pair = None
+        self.peer: Optional[DrillPeer] = None
+        self.primary: Optional[Host] = None
+        self.backup: Optional[Host] = None
+        self.hub: Optional[Hub] = None
+        self.sttcp_config = None
+        self.power_switch = None
+        self.cluster = None
+        if self.mode == "sttcp":
+            self._join_scenario(settings, seed)
+        else:
+            self.sim = Simulator(seed=seed)
         # Every drill flies with the recorder attached: when a drill
         # fails (or the stack crashes mid-run) the last trace records are
         # available for the dump, with no re-run needed.  The ring is
         # bounded, so a long drill cannot grow it.
         self.flight = FlightRecorder()
         self.sim.trace.add_sink(self.flight)
-        self.crash_injector = CrashInjector(self.sim)
-        self.hub = Hub(self.sim, LINK_RATE_BPS, delay=LINK_DELAY)
-        self.tcp_config = TCPConfig().copy(**settings.get("tcp", {}))
-        self.port = int(settings.get("port", DEFAULT_PORT))
-        self.tracked: List[Any] = []  # sockets of the host under test
-        self.check_failures: List[CheckFailure] = []
-        self.app_sent = 0  # cumulative sock_write bytes (pattern offsets)
-        self.app_read_bytes = 0
-        self.pair = None
-        self.peer: Optional[DrillPeer] = None
-        self.primary: Optional[Host] = None
-        self.backup: Optional[Host] = None
-        self.tap_nic = None
-        self.sttcp_config = None
-        self.power_switch = None
-        self.cluster = None
-        if self.mode == "sttcp":
-            self._build_sttcp(settings)
-        elif self.mode == "cluster":
+        if self.mode == "cluster":
             self._build_cluster(settings)
-        else:
+        elif self.mode != "sttcp":
             self._build_single(settings)
 
     # -- topologies ---------------------------------------------------------
@@ -120,6 +130,7 @@ class DrillEnv:
             host.arp.add_static(PEER_IP, self.peer.mac)
 
     def _build_single(self, settings: dict) -> None:
+        self.hub = Hub(self.sim, DRILL_LINK.link_rate_bps, delay=DRILL_LINK.hub_delay)
         self.hut = Host(self.sim, "hut", tcp_config=self.tcp_config)
         nic = self.hut.add_nic()
         self.hub.attach(nic)
@@ -135,39 +146,25 @@ class DrillEnv:
             self._attach_peer(HUT_IP, local_port, [self.hut])
         self.peer.remote_mac = nic.mac
 
-    def _build_sttcp(self, settings: dict) -> None:
+    def _join_scenario(self, settings: dict, seed: int) -> None:
+        """sttcp mode: the harness scenario's pair, the peer on its hub."""
+        from repro.harness.scenario import Scenario
         from repro.sttcp.config import STTCPConfig
-        from repro.sttcp.group import STTCPServerGroup
-        from repro.sttcp.power_switch import PowerSwitch
 
-        self.sttcp_config = STTCPConfig(**settings.get("sttcp", {}))
-        self.primary = Host(self.sim, "primary", tcp_config=self.tcp_config)
-        self.backup = Host(self.sim, "backup", tcp_config=self.tcp_config)
-        primary_nic = self.primary.add_nic()
-        self.hub.attach(primary_nic)
-        self.primary.configure_ip(primary_nic, HUT_IP, 24)
-        self.primary.add_vnic("svi", SERVICE_IP, primary_nic.mac, primary_nic)
-        backup_nic = self.backup.add_nic()
-        backup_nic.promiscuous = True  # the hub tap
-        self.hub.attach(backup_nic)
-        self.backup.configure_ip(backup_nic, BACKUP_IP, 24)
-        self.backup.add_vnic("svi", SERVICE_IP, backup_nic.mac, backup_nic)
-        self.tap_nic = backup_nic
-        self.hut = self.primary
-        power_switch = PowerSwitch(self.sim, self.sttcp_config.stonith_delay)
-        self.power_switch = power_switch
-        self.pair = STTCPServerGroup(
-            self.primary,
-            [self.backup],
-            SERVICE_IP,
-            self.port,
-            config=self.sttcp_config,
-            power_switch=power_switch,
+        scenario = self.scenario = Scenario(
+            DRILL_LINK,
+            sttcp=STTCPConfig(**settings.get("sttcp", {})),
+            seed=seed,
+            tcp_config=self.tcp_config,
         )
+        self.sim, self.hub, self.pair = scenario.sim, scenario.hub, scenario.pair
+        self.primary = self.hut = scenario.primary
+        self.backup = scenario.backup
+        self.sttcp_config, self.power_switch = scenario.sttcp_config, scenario.power_switch
         self._attach_peer(SERVICE_IP, self.port, [self.primary, self.backup])
-        self.peer.remote_mac = primary_nic.mac
+        self.peer.remote_mac = self.primary.nics[0].mac
         self.primary.tcp.connection_observers.append(lambda tcb: self.tracked.append(tcb.socket))
-        self.pair.start_service()
+        scenario.start_service()
 
     def _build_cluster(self, settings: dict) -> None:
         """A full cluster fabric under the drill timeline.
@@ -175,16 +172,15 @@ class DrillEnv:
         ``use(mode="cluster", cluster={...})`` takes a scenario document
         (the ``configs/cluster/`` schema).  There is no scripted peer —
         every pair runs its real client — so the script drives the run
-        with ``fault`` and ``probe`` ops only; the scenario's own crash
-        is NOT scheduled (drill faults own the timeline).
+        with ``fault`` and ``probe`` ops only; the script's faults are the
+        run's plan, in place of the scenario's own crash.
         """
         from repro.cluster.run import ClusterRun
         from repro.cluster.scenario import spec_from_dict
 
         raw = dict(settings.get("cluster") or {})
         raw.setdefault("name", self.program.name)
-        self.cluster = ClusterRun(spec_from_dict(raw), sim=self.sim)
-        self.cluster.begin(schedule_crash=False)
+        self.cluster = ClusterRun(spec_from_dict(raw), sim=self.sim, faults=self.faults)
         self.hut = self.cluster.fabric.services[0].primary
         self.primary = self.hut
 
@@ -215,11 +211,18 @@ class DrillEnv:
 
     # -- op execution -------------------------------------------------------
     def schedule(self, program: DrillProgram) -> None:
+        """Queue the script's ops.  The fault plan is armed first (a
+        cluster drill's by its run's ``begin``); a plan naming an unknown
+        fault or a target this topology lacks raises ConfigurationError."""
+        if self.cluster is not None:
+            self.cluster.begin()
+        else:
+            self.faults.arm(self)
         for op in program.ops:
             if self.mode == "cluster" and (
                 op.kind in ("inject", "sock") or op.kind.startswith("expect")
             ):
-                raise ValueError(
+                raise ConfigurationError(
                     f"{op.label or op.kind}: cluster drills have no scripted "
                     "peer; use fault() and probe() ops"
                 )
@@ -229,9 +232,6 @@ class DrillEnv:
                 self.sim.post(op.time, self._guard(op, self._sock_call), op)
             elif op.kind == "probe":
                 self.sim.post(op.time, self._guard(op, op.action), self)
-            elif op.kind == "fault":
-                name, kwargs = op.args
-                apply_drill_fault(name, self, op.time, **kwargs)
 
     def _guard(self, op: Op, fn: Callable) -> Callable:
         def run(*args: Any) -> None:
@@ -395,17 +395,24 @@ def _mismatch_report(
 
 def run_program(program: DrillProgram) -> Tuple[DrillResult, DrillEnv]:
     env = DrillEnv(program)
-    env.schedule(program)
-    crash: Optional[str] = None
+    failure: Optional[str] = None
     try:
-        env.sim.run(until=program.end_time)
-    except Exception:
-        # A stack that crashes mid-drill fails that drill — it must not
-        # abort the rest of the corpus.
-        crash = f"stack crashed during run:\n{traceback.format_exc()}"
-    failure = crash or _match_expectations(program, env)
+        env.schedule(program)
+    except ConfigurationError as exc:
+        # A bad plan or op fails this drill, not the corpus.
+        failure = str(exc)
+    if failure is None:
+        try:
+            env.sim.run(until=program.end_time)
+        except Exception:
+            # A stack that crashes mid-drill fails that drill — it must not
+            # abort the rest of the corpus.
+            failure = f"stack crashed during run:\n{traceback.format_exc()}"
+    failure = failure or _match_expectations(program, env)
     if failure is None and env.check_failures:
         failure = "\n".join(str(item) for item in env.check_failures)
+    if failure is not None:
+        failure = f"faults {env.faults!r}\n{failure}"
     expects = sum(1 for op in program.ops if op.kind.startswith("expect"))
     probes = sum(1 for op in program.ops if op.kind == "probe")
     result = DrillResult(

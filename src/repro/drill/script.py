@@ -102,7 +102,7 @@ class DrillProgram:
 
     # -- faults and live probes ---------------------------------------------
     def fault(self, t: float, name: str, **kwargs: Any) -> None:
-        """Arm a named fault (see repro.faults.injection.DRILL_FAULTS)."""
+        """Arm a named fault at ``t`` (see repro.faults.injection.DRILL_FAULTS)."""
         self.ops.append(Op("fault", t, args=(name, kwargs), label=f"fault:{name}"))
 
     def probe(self, t: float, fn: Callable[[Any], None], label: str = "probe") -> None:

@@ -1,17 +1,2 @@
-"""Fault injection for experiments: crashes, tap loss, channel partitions."""
-
-from repro.faults.injection import (
-    CrashInjector,
-    add_tap_loss,
-    add_tap_outage,
-    clear_loss,
-    partition_channel,
-)
-
-__all__ = [
-    "CrashInjector",
-    "add_tap_loss",
-    "add_tap_outage",
-    "clear_loss",
-    "partition_channel",
-]
+"""Fault injection: one plan of crashes, tap loss and channel partitions
+(:mod:`repro.faults.injection`)."""

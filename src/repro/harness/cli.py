@@ -278,7 +278,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             lambda: run_workload(
                 workload,
                 scenario=scenario,
-                crash_at=CLIENT_START + DEFAULT_CRASH_FRACTION * baseline.total_time,
+                faults=[
+                    (CLIENT_START + DEFAULT_CRASH_FRACTION * baseline.total_time, "primary_crash")
+                ],
                 seed=args.seed,
                 deadline=3600.0 + sttcp.detection_timeout() * 4,
             )

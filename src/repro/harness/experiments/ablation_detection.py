@@ -54,7 +54,7 @@ def _build_cells(
 
 
 def _run_cell(cell: GridCell) -> Record:
-    from repro.faults.injection import lossy_channel
+    from repro.faults.injection import FaultPlan
     from repro.harness.scenario import Scenario
 
     params = cell.params
@@ -64,12 +64,7 @@ def _run_cell(cell: GridCell) -> Record:
     config = STTCPConfig(hb_interval=hb_interval, hb_miss_threshold=threshold)
     # (a) false-suspicion probe: healthy primary, jittery channel.
     scenario = Scenario(profile=profile, sttcp=config, seed=cell.seed)
-    lossy_channel(
-        scenario.hub,
-        config.channel_port,
-        scenario.sim.random.stream("channel-jitter"),
-        params["channel_loss"],
-    )
+    FaultPlan([(0.0, "channel_partition", {"rate": params["channel_loss"]})]).arm(scenario)
     scenario.start_service()
     scenario.sim.run(until=params["observation_time"])
     wrongly_suspected = scenario.pair.failed_over

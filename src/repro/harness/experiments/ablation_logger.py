@@ -55,7 +55,6 @@ def _build_cells(
 def _run_cell(cell: GridCell) -> Record:
     from repro.apps.workload import session_outcome, upload_workload
     from repro.errors import SimulationError
-    from repro.faults.injection import add_tap_outage
     from repro.harness.runner import run_workload
     from repro.harness.scenario import Scenario
     from repro.sttcp.config import STTCPConfig
@@ -70,15 +69,16 @@ def _run_cell(cell: GridCell) -> Record:
         with_logger=use_logger,
         seed=cell.seed,
     )
-    backup_nic = scenario.backup.nics[0]
-    add_tap_outage(backup_nic, *outage)
     # Crash inside the outage so the channel cannot repair the gap.
-    crash_time = outage[1] - 0.001
+    faults = [
+        (outage[0], "tap_outage", {"duration": outage[1] - outage[0]}),
+        (outage[1] - 0.001, "primary_crash"),
+    ]
     try:
         run = run_workload(
             upload_workload(params["upload_size"]),
             scenario=scenario,
-            crash_at=crash_time,
+            faults=faults,
             seed=cell.seed,
             deadline=2000.0,
         )

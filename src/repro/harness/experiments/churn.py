@@ -34,6 +34,7 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 from repro.apps.protocol import KIND_DATA, encode_request, verify_response
 from repro.apps.workload import Outcome, session_outcome, write_bench_keys
 from repro.errors import ConnectionRefused
+from repro.faults.injection import FaultPlan
 from repro.harness.calibrate import FAST_LAN, NetworkProfile
 from repro.harness.scenario import Scenario
 from repro.harness.spec import (
@@ -378,7 +379,7 @@ def _run_cell(cell: GridCell) -> Record:
 
     # Phase 3: crash the primary with the full rung simultaneously alive.
     crash_time = sim.now + 0.05
-    scenario.crash_primary_at(crash_time)
+    FaultPlan([(crash_time, "primary_crash")]).arm(scenario)
     run_until(
         lambda: backup_engine.takeover_time is not None,
         deadline=crash_time + 60.0,

@@ -4,9 +4,10 @@
 :class:`ClusterRun` into one text report whose sections always come in
 the same order:
 
-1. **run** — workload, profile, heartbeat interval, seed and crash
-   instant, plus the paper's failover time (§6.2: the run with the crash
-   minus the failure-free run) when the failure-free run is given;
+1. **run** — workload, profile, heartbeat interval, seed and fault
+   plan (one ``repr`` that pastes back into ``faults=``), plus the
+   paper's failover time (§6.2: the run with the crash minus the
+   failure-free run) when the failure-free run is given;
 2. **phases** — the paper's decomposition of the client's outage
    (detection → takeover → first retransmission accepted).  A cluster
    run shows every pair, the fabric's fence → election windows, each
@@ -100,11 +101,9 @@ def _single_sections(
         f"run: {run.result.workload.name}, {run.result.workload.exchanges} exchanges, "
         f"profile {scenario.profile.name}"
         + (f", HB {config.hb_interval:g} s" if config is not None else "")
-        + f", seed {scenario.sim.random.master_seed}"
+        + f", seed {scenario.sim.random.master_seed}, faults {run.faults!r}"
     )
     failover = run.failover
-    if failover is not None and failover.primary_crashed_at is not None:
-        head += f", crash at {failover.primary_crashed_at:.6f} s"
     lines = [head]
     if baseline is not None:
         with_crash, without = run.total_time, baseline.total_time
@@ -135,8 +134,7 @@ def _cluster_sections(run: ClusterRun, record: Dict[str, Any]) -> Tuple[List[str
     head = [
         f"run: cluster scenario '{record['scenario']}' "
         f"({spec.primaries} primaries / {spec.backups} pool hosts), profile {spec.profile}, "
-        f"HB {config.hb_interval:g} s, seed {spec.seed}, "
-        f"crashed {crashed} at t={record['crash_at']:g}"
+        f"HB {config.hb_interval:g} s, seed {spec.seed}, faults {run.faults!r}"
     ]
     if record["takeover_latency"] == record["takeover_latency"]:  # not nan
         head.append(

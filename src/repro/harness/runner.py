@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
 from repro.apps.client import run_client
 from repro.apps.workload import AppWorkload, Outcome, RunResult, describe_outcome, failed_sessions
 from repro.errors import ReproError
+from repro.faults.injection import FaultPlan
 from repro.harness.calibrate import PAPER_TESTBED, NetworkProfile
 from repro.harness.scenario import Scenario, TOPOLOGY_HUB
 from repro.metrics import perf
@@ -44,6 +45,8 @@ class ExperimentRun:
     timeline: Optional[FailoverTimeline] = None
     #: The cold-path trace records the timeline was reconstructed from.
     collector: Optional[TimelineCollector] = None
+    #: The faults the run was armed with.
+    faults: FaultPlan = FaultPlan()
 
     @property
     def total_time(self) -> float:
@@ -78,7 +81,7 @@ def run_workload(
     profile: NetworkProfile = PAPER_TESTBED,
     topology: str = TOPOLOGY_HUB,
     sttcp: Optional[STTCPConfig] = None,
-    crash_at: Optional[float] = None,
+    faults: Iterable = (),
     with_logger: bool = False,
     service_time: Optional[float] = None,
     seed: int = 0,
@@ -87,9 +90,11 @@ def run_workload(
 ) -> ExperimentRun:
     """Build a scenario, run one client session, return the metrics.
 
-    ``crash_at`` is an absolute simulated time (client starts at
-    ``CLIENT_START``); None means a failure-free run.
+    ``faults`` is a ``FaultPlan`` or its entries, at absolute simulated
+    times (the client starts ``CLIENT_START`` after now); a bad plan
+    raises ConfigurationError before the simulation runs.
     """
+    faults = FaultPlan(faults)
     if scenario is None:
         scenario = Scenario(
             profile=profile,
@@ -101,8 +106,7 @@ def run_workload(
     if service_time is None:
         service_time = workload.service_time
     scenario.start_service(service_time)
-    if crash_at is not None:
-        scenario.crash_primary_at(crash_at)
+    faults.arm(scenario)
     process_box = []
 
     def launch() -> None:
@@ -137,6 +141,7 @@ def run_workload(
         result=result,
         failover=failover,
         scenario=scenario,
+        faults=faults,
         timeline=collector.reconstruct(),
         collector=collector,
     )
@@ -169,7 +174,7 @@ def measure_failover_time(
         profile,
         topology,
         sttcp=sttcp,
-        crash_at=crash_time,
+        faults=[(crash_time, "primary_crash")],
         with_logger=with_logger,
         seed=seed,
         deadline=deadline + sttcp.detection_timeout() * 4 + 240.0,

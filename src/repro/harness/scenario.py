@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.faults.injection import CrashInjector
 from repro.harness.calibrate import PAPER_TESTBED, NetworkProfile
 from repro.host.host import Host, make_gateway
 from repro.net.addresses import IPAddress, fresh_multicast_mac, ip
@@ -34,6 +33,7 @@ from repro.sttcp.backup import STTCPBackup
 from repro.sttcp.config import STTCPConfig
 from repro.sttcp.group import STTCPServerGroup
 from repro.sttcp.power_switch import PowerSwitch
+from repro.tcp.config import TCPConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; imported when a logger is built
     from repro.logger.packet_logger import PacketLogger
@@ -59,7 +59,10 @@ WAN_NET = ip("192.168.1.0")
 
 
 class Scenario:
-    """A built topology plus the service deployment."""
+    """A built topology plus the service deployment.
+
+    ``tcp_config``, when given, replaces ``profile.tcp_config()`` on every
+    host (a drill script sets TCP fields the profiles fix)."""
 
     def __init__(
         self,
@@ -69,6 +72,7 @@ class Scenario:
         with_logger: bool = False,
         backups: int = 1,
         seed: int = 0,
+        tcp_config: Optional[TCPConfig] = None,
     ) -> None:
         if topology not in (TOPOLOGY_HUB, TOPOLOGY_SWITCHED):
             raise ConfigurationError(f"unknown topology {topology!r}")
@@ -79,8 +83,8 @@ class Scenario:
         self.sttcp_config = sttcp
         self.with_logger = with_logger
         self.sim = Simulator(seed=seed)
-        self.crash_injector = CrashInjector(self.sim)
-        tcp_config = profile.tcp_config()
+        if tcp_config is None:
+            tcp_config = profile.tcp_config()
         self.backups_requested = backups
         self.client = Host(self.sim, "client", tcp_config=tcp_config)
         self.primary = Host(
@@ -268,6 +272,3 @@ class Scenario:
     @property
     def service_addr(self) -> Tuple[IPAddress, int]:
         return (SERVICE_IP, SERVICE_PORT)
-
-    def crash_primary_at(self, time: float) -> None:
-        self.crash_injector.crash_at(self.primary, time)

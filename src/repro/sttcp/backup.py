@@ -220,7 +220,7 @@ class STTCPBackup:
             return
         tcb = state.tcb
         if not state.converged and state.isn_rebased and tcb.state in SYNCHRONIZED_STATES:
-            self._note_converged(state)
+            self._index.note_rebased(state)  # discharged from the convergence lag
         ready = tcb.recv_buffer.ready  # rcv_nxt_offset, inline
         received = ready.head_offset + ready.length - state.last_acked_offset
         if received >= state.ack_threshold:
@@ -231,12 +231,6 @@ class STTCPBackup:
             if tcb.rcv_nxt >= stop_abs:
                 state.pending_retx = None
                 self._index.clear_retx_pending(state)
-
-    def _note_converged(self, state: ShadowExtension) -> None:
-        """The shadow is ESTABLISHED on the primary's ISN: discharge it
-        from the pending-rebase index."""
-        state.converged = True
-        self._index.note_rebased(state)
 
     def _on_sync_tick(self) -> None:
         """SyncTime expiry: ack every *due* connection.

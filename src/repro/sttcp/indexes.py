@@ -6,8 +6,8 @@ thousands of simultaneous shadows those walks dominate: a sync tick
 touching 2,000 idle connections to ack the 3 that progressed is O(all)
 work for O(changed) information.
 
-:class:`BackupConnectionIndex` keeps three views current as events
-arrive, each O(1) amortised per update:
+:class:`BackupConnectionIndex` keeps two views and a count current as
+events arrive, each O(1) amortised per update:
 
 * **ack schedule** — a time-ordered queue of (last-ack time, state)
   entries, so a sync tick pops exactly the connections whose SyncTime
@@ -16,15 +16,15 @@ arrive, each O(1) amortised per update:
   leaves a stale entry behind that is dropped on pop.
 * **retx-pending set** — the connections with an outstanding §4.2
   recovery request, so re-issue checks touch only those.
-* **pending-rebase set** — shadows whose send sequence space has not yet
-  been re-anchored on the primary's ISN (§4.1); convergence accounting
-  counts only these.
+* **pending-rebase count** — shadows whose send sequence space has not
+  yet been re-anchored on the primary's ISN (§4.1): the convergence lag,
+  which is all anyone reads of them.
 
 The takeover needs no view: it walks every shadow once anyway, and reads
 each one's holes and ISN there (§3.2).
 
-Every entry is validated against ground truth (the state's fields)
-when read, so the indexes can only *over*-approximate; the hypothesis
+Every view entry is validated against ground truth (the state's fields)
+when read, so the views can only *over*-approximate; the hypothesis
 test in ``tests/sttcp/test_scale_indexes.py`` drives random event
 sequences against a brute-force oracle to prove the approximation is
 exact at read time.
@@ -43,8 +43,9 @@ class BackupConnectionIndex:
 
     ``state`` objects are the backup's per-connection records; the index
     only relies on ``state.key``, ``state.closed``,
-    ``state.last_ack_time`` and ``state.pending_retx`` — duck-typed so
-    tests can drive it with fakes.
+    ``state.last_ack_time``, ``state.pending_retx`` and
+    ``state.converged`` — duck-typed so tests can drive it with fakes.
+    ``converged`` is the index's to set, in :meth:`note_rebased`.
     """
 
     __slots__ = ("_ack_queue", "_retx_pending", "_pending_rebase")
@@ -54,19 +55,20 @@ class BackupConnectionIndex:
         #: because sim time is monotone and every append uses "now".
         self._ack_queue: Deque[Tuple[float, Any]] = deque()
         self._retx_pending: Dict[ConnKey, Any] = {}
-        self._pending_rebase: Dict[ConnKey, Any] = {}
+        self._pending_rebase = 0
 
     # -- lifecycle -------------------------------------------------------------
     def add(self, state: Any) -> None:
         """Register a freshly attached shadow (not yet rebased/acked)."""
-        self._pending_rebase[state.key] = state
+        self._pending_rebase += 1
         self._ack_queue.append((state.last_ack_time, state))
 
     def discard(self, state: Any) -> None:
         """Drop a reaped shadow from every view.  Ack-queue entries are
         invalidated lazily via ``state.closed`` rather than searched."""
         self._retx_pending.pop(state.key, None)
-        self._pending_rebase.pop(state.key, None)
+        if not state.converged:
+            self._pending_rebase -= 1
 
     # -- ack schedule (§4.3) ---------------------------------------------------
     def note_acked(self, state: Any) -> None:
@@ -125,19 +127,18 @@ class BackupConnectionIndex:
 
     # -- ISN-rebase / convergence (§4.1) ---------------------------------------
     def note_rebased(self, state: Any) -> None:
-        self._pending_rebase.pop(state.key, None)
-
-    def pending_rebase_states(self) -> List[Any]:
-        return list(self._pending_rebase.values())
+        """``state`` converged: rebased and synchronized.  Once per state."""
+        state.converged = True
+        self._pending_rebase -= 1
 
     def pending_rebase_count(self) -> int:
-        return len(self._pending_rebase)
+        return self._pending_rebase
 
     # -- sizes (gauges / tests) ------------------------------------------------
     def sizes(self) -> Dict[str, int]:
         return {
             "ack_queue": len(self._ack_queue),
             "retx_pending": len(self._retx_pending),
-            "pending_rebase": len(self._pending_rebase),
+            "pending_rebase": self._pending_rebase,
         }
 

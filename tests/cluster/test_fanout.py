@@ -24,7 +24,7 @@ def _quiet_run(primaries):
     run = ClusterRun(spec_from_dict({
         "name": f"fanout-{primaries}", "primaries": primaries, "backups": 4, "capacity": 3,
         "workload": {"exchanges": EXCHANGES, "service_time": 0.002}, "seed": 5,
-    }))
+    }), faults=[])
     broadcasts = {}
     for node in run.fabric.backups:
         broadcasts[node.name] = 0
@@ -33,7 +33,7 @@ def _quiet_run(primaries):
             broadcasts[name] += frame.dst.value == MAC_BROADCAST.value
 
         node.nic.add_observer(count)
-    run.begin(schedule_crash=False)
+    run.begin()
     while len(run.results) < primaries:
         run.sim.run(until=run.sim.now + 0.05)
     assert all(r.verified and r.exchanges_done == EXCHANGES for r in run.results.values())

@@ -20,6 +20,20 @@ from repro.harness.experiments.cluster import resolve_scenario
 from repro.tcp.constants import TCPState
 
 
+def _relapse(name, service, at):
+    """``name``'s run with its spec's crash and a second crash of
+    ``service``'s acting primary at ``at``."""
+    spec = resolve_scenario(name)
+    crashed = spec.service_names()[spec.crash_primary]
+    return ClusterRun(
+        spec,
+        faults=[
+            (spec.crash_at, "cluster_crash", {"service": crashed}),
+            (at, "cluster_crash", {"service": service}),
+        ],
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def _first_election(name):
     """The crashed service and the time of its takeover election."""
@@ -33,10 +47,9 @@ def _first_election(name):
 @pytest.mark.parametrize("name", ["smoke", "trio", "storm"])
 def test_a_relapse_resets_the_unprotected_client_well_before_the_deadline(name, delay):
     service, elected_at = _first_election(name)
-    run = ClusterRun(resolve_scenario(name))
-    node = run.fabric.service_by_name[service]
     relapse_at = elected_at + delay
-    run.sim.post(relapse_at, lambda: run.crash_injector.crash_at(node.primary_host, run.sim.now))
+    run = _relapse(name, service, relapse_at)
+    node = run.fabric.service_by_name[service]
     record = run.execute()
 
     first = next(e for e in record["elections"] if e["service"] == service)
@@ -56,12 +69,9 @@ def test_an_orphan_relapse_resets_its_unprotected_client(delay):
     """Storm's takeover orphans s2: the orphan election names s2's open
     connection, and when s2's primary crashes its replacement, which
     never saw that connection, resets the client."""
-    run = ClusterRun(resolve_scenario("storm"))
-    node = run.fabric.service_by_name["s2"]
     _service, elected_at = _first_election("storm")
-    run.sim.post(
-        elected_at + delay, lambda: run.crash_injector.crash_at(node.primary_host, run.sim.now)
-    )
+    run = _relapse("storm", "s2", elected_at + delay)
+    node = run.fabric.service_by_name["s2"]
     record = run.execute()
     orphan = next(e for e in record["elections"] if e["service"] == "s2")
     assert orphan["kind"] == "orphan"
@@ -79,7 +89,7 @@ def test_a_connection_opened_after_the_election_survives_the_relapse():
     s0 after its re-election is carried through the second crash, while
     the session that was already open is reset."""
     service_name, elected_at = _first_election("smoke")
-    run = ClusterRun(resolve_scenario("smoke"))
+    run = _relapse("smoke", service_name, elected_at + 0.2)
     node = run.fabric.service_by_name[service_name]
     late = {}
 
@@ -89,9 +99,6 @@ def test_a_connection_opened_after_the_election_survives_the_relapse():
         )
 
     run.sim.post(elected_at + 0.05, node.client.spawn, late_session(), "late.session")
-    run.sim.post(
-        elected_at + 0.2, lambda: run.crash_injector.crash_at(node.primary_host, run.sim.now)
-    )
     run.execute()
     run.sim.run(until=run.sim.now + 2.0)
     assert run.results[service_name].error.startswith("ConnectionReset")
@@ -178,7 +185,8 @@ def test_replace_backup_protects_only_connections_opened_after_it(backup_suspect
                 "workload": {"exchanges": 150, "service_time": 0.005},
                 "deadline": 10.0,
             }
-        )
+        ),
+        faults=[],
     )
     sim, fabric = run.sim, run.fabric
     service = fabric.services[0]
@@ -186,9 +194,9 @@ def test_replace_backup_protects_only_connections_opened_after_it(backup_suspect
     engine = service.engine
     opened = []
     service.primary.tcp.connection_observers.append(opened.append)
-    run.begin(schedule_crash=False)
+    run.begin()
     swap_at = 0.5 if backup_suspected else 0.3
-    run.crash_injector.crash_at(old.host, 0.2 if backup_suspected else swap_at)
+    sim.post(0.2 if backup_suspected else swap_at, old.host.crash)
     sim.run(until=swap_at)
     (before,) = opened
     assert before.state is TCPState.ESTABLISHED

@@ -105,3 +105,36 @@ class TestReport:
         assert json.dumps(payload)  # JSON-serialisable as-is
         assert payload[1]["failure"] == "boom"
         assert payload[0]["passed"] is True
+
+
+class TestFaultPlan:
+    def test_a_bad_plan_fails_one_drill_not_the_corpus(self, tmp_path, capsys):
+        """A misspelt fault, or one the topology cannot take, fails its
+        own script; the corpus still runs and reports every script."""
+        from repro.harness.cli import main
+
+        takeover = (Path(__file__).parent / "scripts" / "t24_sttcp_takeover_liveness.py").read_text()
+        (tmp_path / "a_good.py").write_text(takeover)
+        (tmp_path / "b_typo.py").write_text(takeover.replace('"primary_crash"', '"primary_crsh"'))
+        (tmp_path / "c_no_tap.py").write_text('use(mode="server")\nfault(0.1, "tap_outage")\n')
+        assert main(["drill", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "1/3 scripts passed" in out
+        assert "=== b_typo ===\nfaults FaultPlan([(0.3, 'primary_crsh', {})])\n" in out
+        assert "fault (0.3, 'primary_crsh', {}): unknown fault 'primary_crsh'" in out
+        assert "=== c_no_tap ===\nfaults FaultPlan([(0.1, 'tap_outage', {})])\n" in out
+        assert "fault (0.1, 'tap_outage', {}): this topology has no 'backup'" in out
+
+    def test_a_failing_drill_starts_with_its_plan(self):
+        result = run_drill_file(BROKEN / "b01_wrong_ack.py")
+        assert result.failure.splitlines()[0] == "faults FaultPlan([])"
+
+    def test_an_sttcp_drill_runs_on_the_harness_scenario(self):
+        from repro.drill.runner import DRILL_LINK, DrillEnv
+        from repro.drill.script import load_script
+        from repro.harness.scenario import Scenario
+
+        env = DrillEnv(load_script(Path(__file__).parent / "scripts" / "t24_sttcp_takeover_liveness.py"))
+        assert isinstance(env.scenario, Scenario) and env.pair is env.scenario.pair
+        assert env.hub.rate_bps == DRILL_LINK.link_rate_bps and env.hub.delay == DRILL_LINK.hub_delay
+        assert env.faults == ((0.3, "primary_crash", {}),)

@@ -1,13 +1,18 @@
-"""Tests for fault injection helpers."""
+"""Tests for fault plans and the loss models they install."""
+
+import types
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.faults.injection import (
-    CrashInjector,
+    DRILL_FAULTS,
+    FaultPlan,
     add_tap_loss,
     add_tap_outage,
     clear_loss,
     partition_channel,
+    partition_channel_oneway,
 )
 from repro.net.loss import RandomLoss, WindowLoss
 from repro.sim.simulator import Simulator
@@ -20,31 +25,18 @@ def lan():
     return LanPair(Simulator(seed=71))
 
 
+def _env(lan, **roles):
+    """What a plan reads off a topology: ``sim`` plus the named roles."""
+    return types.SimpleNamespace(sim=lan.sim, **roles)
+
+
 def test_crash_at_absolute_time(lan):
-    injector = CrashInjector(lan.sim)
-    injector.crash_at(lan.b, 2.5)
+    FaultPlan([(2.5, "primary_crash")]).arm(_env(lan, primary=lan.b))
     lan.sim.run(until=2.0)
     assert lan.b.is_up
     lan.sim.run(until=3.0)
     assert not lan.b.is_up
-    assert injector.crashes_performed == 1
-
-
-def test_crash_after_delay(lan):
-    injector = CrashInjector(lan.sim)
-    lan.sim.run(until=1.0)
-    injector.crash_after(lan.b, 0.5)
-    lan.sim.run(until=2.0)
-    assert lan.b.crashed_at == pytest.approx(1.5)
-
-
-def test_cancel_all_scheduled_crashes(lan):
-    injector = CrashInjector(lan.sim)
-    injector.crash_at(lan.a, 1.0)
-    injector.crash_at(lan.b, 1.0)
-    injector.cancel_all()
-    lan.sim.run(until=2.0)
-    assert lan.a.is_up and lan.b.is_up
+    assert lan.b.crashed_at == pytest.approx(2.5)
 
 
 def test_add_tap_loss_installs_model(lan):
@@ -87,99 +79,93 @@ def test_partition_channel_drops_only_channel_traffic(lan):
 
 
 # ---------------------------------------------------------------------------
-# Arming/firing order and idempotency
+# Arming and firing
 # ---------------------------------------------------------------------------
 
 
 def test_crashes_fire_in_time_order_regardless_of_arming_order(lan):
-    injector = CrashInjector(lan.sim)
-    injector.crash_at(lan.b, 2.0)  # armed first, fires second
-    injector.crash_at(lan.a, 1.0)
+    plan = FaultPlan([(2.0, "backup_crash"), (1.0, "primary_crash")])  # armed first, fires second
+    plan.arm(_env(lan, primary=lan.a, backup=lan.b))
     lan.sim.run(until=3.0)
     assert lan.a.crashed_at == pytest.approx(1.0)
     assert lan.b.crashed_at == pytest.approx(2.0)
-    assert injector.crashes_performed == 2
 
 
 def test_rearming_a_crash_is_idempotent(lan):
-    injector = CrashInjector(lan.sim)
-    injector.crash_at(lan.b, 1.0)
-    injector.crash_at(lan.b, 1.5)  # second crash of a dead host: no-op
+    # The second crash of a dead host is a no-op.
+    FaultPlan([(1.0, "primary_crash"), (1.5, "primary_crash")]).arm(_env(lan, primary=lan.b))
     lan.sim.run(until=2.0)
-    assert injector.crashes_performed == 2
     assert lan.b.crashed_at == pytest.approx(1.0)  # first crash time sticks
     assert not lan.b.is_up
 
 
-def test_cancel_all_clears_the_schedule_for_reuse(lan):
-    injector = CrashInjector(lan.sim)
-    injector.crash_at(lan.a, 1.0)
-    injector.cancel_all()
-    assert injector.scheduled == []
-    injector.crash_at(lan.a, 2.0)  # re-arming after cancel works
-    lan.sim.run(until=3.0)
-    assert injector.crashes_performed == 1
+def test_a_crash_entry_is_one_queue_entry_that_finds_its_host_when_it_fires(lan):
+    """A crash follows its role to whichever host holds it at the crash
+    instant (a re-elected primary), and costs one queue entry."""
+    env = _env(lan, primary=lan.a)
+    queued = lan.sim._scheduler.pending_count
+    FaultPlan([(1.0, "primary_crash")]).arm(env)
+    assert lan.sim._scheduler.pending_count == queued + 1
+    env.primary = lan.b
+    lan.sim.run(until=2.0)
+    assert lan.a.is_up and not lan.b.is_up
 
 
-# ---------------------------------------------------------------------------
-# Drill-DSL fault binding
-# ---------------------------------------------------------------------------
+def test_an_entry_whose_time_has_come_applies_when_armed(lan):
+    """A loss armed at its own instant sees the very next frame: nothing
+    is queued for it."""
+    lan.sim.run(until=0.5)
+    queued = lan.sim._scheduler.pending_count
+    FaultPlan([(0.5, "tap_loss", {"rate": 0.25})]).arm(_env(lan, backup=lan.b))
+    assert isinstance(lan.nic_b.rx_loss_model, RandomLoss)
+    assert lan.sim._scheduler.pending_count == queued
+
+
+def test_a_plan_repr_pastes_back_into_a_plan():
+    plan = FaultPlan([(0.1 + 0.2, "primary_crash"), (0.15, "tap_outage", {"duration": 0.1})])
+    assert repr(plan) == (
+        "FaultPlan([(0.30000000000000004, 'primary_crash', {}), "
+        "(0.15, 'tap_outage', {'duration': 0.1})])"
+    )
+    assert eval(repr(plan), {"FaultPlan": FaultPlan}) == plan  # noqa: S307 - the contract under test
 
 
 def test_apply_drill_fault_rejects_unknown_name(lan):
-    from repro.faults.injection import apply_drill_fault
-
-    class Env:
-        sim = lan.sim
-
-    with pytest.raises(ValueError, match="unknown fault 'typo'.*primary_crash"):
-        apply_drill_fault("typo", Env(), 1.0)
+    message = r"fault \(1.0, 'typo', \{\}\): unknown fault 'typo'.*primary_crash"
+    with pytest.raises(ConfigurationError, match=message):
+        FaultPlan([(1.0, "typo")]).arm(_env(lan))
 
 
 def test_apply_drill_fault_requires_matching_topology(lan):
-    from repro.faults.injection import apply_drill_fault
-
-    class Env:  # a server-mode env: no primary/backup pair
-        sim = lan.sim
-        crash_injector = CrashInjector(lan.sim)
-        primary = None
-
-    with pytest.raises(ValueError, match="sttcp mode"):
-        apply_drill_fault("tap_outage", Env(), 1.0)
+    # A server-mode drill: one host under test, no backup to tap.
+    with pytest.raises(ConfigurationError, match=r"'tap_outage'.*no 'backup'"):
+        FaultPlan([(1.0, "tap_outage")]).arm(_env(lan, primary=lan.a, backup=None))
+    with pytest.raises(ConfigurationError, match=r"'tap_outage'.*unexpected keyword"):
+        FaultPlan([(1.0, "tap_outage", {"until": 2.0})]).arm(_env(lan, backup=lan.b))
 
 
 def test_drill_fault_crashes_the_bound_host(lan):
-    from repro.faults.injection import apply_drill_fault
-
-    class Env:
-        sim = lan.sim
-        crash_injector = CrashInjector(lan.sim)
-        primary = lan.b
-
-    apply_drill_fault("primary_crash", Env(), 0.5)
+    FaultPlan([(0.5, "primary_crash")]).arm(_env(lan, primary=lan.b))
     lan.sim.run(until=1.0)
     assert lan.b.crashed_at == pytest.approx(0.5)
 
 
 def test_drill_fault_registry_covers_the_documented_set():
-    from repro.faults.injection import DRILL_FAULTS
-
-    assert {
+    assert set(DRILL_FAULTS) == {
         "primary_crash",
         "backup_crash",
-        "hut_crash",
         "tap_outage",
         "tap_loss",
         "channel_partition",
         "channel_partition_oneway",
         "channel_heal",
         "power_kill",
-    } <= set(DRILL_FAULTS)
+        "cluster_crash",
+        "cluster_partition_oneway",
+    }
 
 
 def test_partition_channel_oneway_drops_only_senders_direction(lan):
-    from repro.faults.injection import partition_channel_oneway
-
     partition_channel_oneway(lan.hub, 39000, lan.ip_a)
     at_a, at_b = [], []
     lan.a.udp.socket(39000).on_datagram = lambda payload, addr: at_a.append(payload)
@@ -192,18 +178,11 @@ def test_partition_channel_oneway_drops_only_senders_direction(lan):
 
 
 def test_power_kill_fault_fences_the_named_host(lan):
-    from repro.faults.injection import apply_drill_fault
     from repro.sttcp.power_switch import PowerSwitch
 
     switch = PowerSwitch(lan.sim, actuation_delay=0.010)
-
-    class Env:
-        sim = lan.sim
-        power_switch = switch
-        primary = lan.a
-        backup = lan.b
-
-    apply_drill_fault("power_kill", Env(), 0.5, host="backup")
+    env = _env(lan, power_switch=switch, primary=lan.a, backup=lan.b)
+    FaultPlan([(0.5, "power_kill", {"host": "backup"})]).arm(env)
     lan.sim.run(until=0.505)
     assert lan.b.is_up  # relay has not actuated yet
     lan.sim.run(until=1.0)
@@ -214,12 +193,5 @@ def test_power_kill_fault_fences_the_named_host(lan):
 
 
 def test_power_kill_fault_requires_a_power_switch(lan):
-    from repro.faults.injection import apply_drill_fault
-
-    class Env:
-        sim = lan.sim
-        power_switch = None
-        primary = lan.a
-
-    with pytest.raises(ValueError, match="power_kill.*power_switch"):
-        apply_drill_fault("power_kill", Env(), 1.0)
+    with pytest.raises(ConfigurationError, match="power_kill.*power_switch"):
+        FaultPlan([(1.0, "power_kill")]).arm(_env(lan, power_switch=None, primary=lan.a))

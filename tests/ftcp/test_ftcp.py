@@ -22,7 +22,7 @@ def failover_pair(workload, seed=85, **config_kwargs):
     ).require_clean()
     scenario = make_ftcp_scenario(seed, **config_kwargs)
     crash_at = 0.1 + baseline.total_time / 2
-    run = run_workload(workload, scenario=scenario, crash_at=crash_at, deadline=600.0)
+    run = run_workload(workload, scenario=scenario, faults=[(crash_at, "primary_crash")], deadline=600.0)
     return scenario, run, baseline
 
 
@@ -73,7 +73,10 @@ def test_replay_cost_grows_with_history():
         scenario = make_ftcp_scenario(86, replay_rate=1.0 * MB)
         crash_at = 0.1 + fraction * baseline.total_time
         run_workload(
-            upload_workload(512 * KB), scenario=scenario, crash_at=crash_at, deadline=600.0
+            upload_workload(512 * KB),
+            scenario=scenario,
+            faults=[(crash_at, "primary_crash")],
+            deadline=600.0,
         )
         backup = scenario.pair.backup_engine
         replay_bytes[fraction] = backup.replay_bytes
@@ -94,7 +97,10 @@ def test_sttcp_beats_ftcp_failover():
     ).require_clean()
     st_scenario = Scenario(profile=FAST_LAN, sttcp=STTCPConfig(hb_interval=0.05), seed=87)
     st_run = run_workload(
-        workload, scenario=st_scenario, crash_at=0.1 + st_baseline.total_time / 2, deadline=600.0
+        workload,
+        scenario=st_scenario,
+        faults=[(0.1 + st_baseline.total_time / 2, "primary_crash")],
+        deadline=600.0,
     ).require_clean()
     st_failover = st_run.total_time - st_baseline.total_time
     # FT-TCP.

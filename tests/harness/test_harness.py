@@ -73,6 +73,25 @@ def test_require_clean_raises_on_error():
         bad.require_clean()
 
 
+@pytest.mark.parametrize(
+    "faults, why",
+    [
+        ([(0.3, "primary_crsh")], "unknown fault 'primary_crsh'"),
+        ([(0.0, "tap_loss", {"rate": 0.1})], "this topology has no 'backup'"),
+    ],
+)
+def test_a_bad_plan_fails_before_the_simulation_runs(faults, why):
+    """A plain-TCP scenario has no backup to tap: a plan that says
+    otherwise, or names no fault at all, is a configuration error before
+    the first event."""
+    from repro.errors import ConfigurationError
+
+    scenario = Scenario(profile=FAST_LAN, sttcp=None, seed=1)
+    with pytest.raises(ConfigurationError, match=f"fault .*: {why}"):
+        run_workload(echo_workload(5), scenario=scenario, faults=faults)
+    assert scenario.sim.events_executed == 0
+
+
 def test_measure_failover_time_structure():
     sample = measure_failover_time(
         echo_workload(20), STTCPConfig(hb_interval=0.05), profile=FAST_LAN, seed=3

@@ -2,7 +2,6 @@
 
 
 from repro.apps.workload import upload_workload
-from repro.faults.injection import add_tap_outage
 from repro.harness.runner import run_workload
 from repro.logger.packet_logger import _StreamLog
 from repro.util.bytespan import RealBytes
@@ -10,6 +9,9 @@ from repro.util.units import KB
 
 from tests.sttcp.conftest import make_scenario
 
+#: A 256 KB upload spans roughly t=0.1..0.124 on this profile: the tap
+#: blacks out mid-upload and the primary crashes inside the outage.
+DOUBLE_FAILURE = [(0.105, "tap_outage", {"duration": 0.01}), (0.114, "primary_crash")]
 
 # --------------------------------------------------------------- stream log
 def test_stream_log_records_and_collects():
@@ -63,11 +65,8 @@ def test_double_failure_masked_by_logger():
     """Tap outage + primary crash inside it: only the logger can repair
     the missing client bytes (§3.2)."""
     scenario = make_scenario(seed=96, with_logger=True, hb_interval=0.05)
-    # The 256 KB upload spans roughly t=0.1..0.124 on this profile: black
-    # out the tap mid-upload and crash the primary inside the outage.
-    add_tap_outage(scenario.backup.nics[0], 0.105, 0.115)
     run = run_workload(
-        upload_workload(256 * KB), scenario=scenario, crash_at=0.114, deadline=600.0
+        upload_workload(256 * KB), scenario=scenario, faults=DOUBLE_FAILURE, deadline=600.0
     )
     assert run.result.error is None
     assert run.result.verified
@@ -82,10 +81,9 @@ def test_double_failure_without_logger_degrades():
     from repro.errors import SimulationError
 
     scenario = make_scenario(seed=96, with_logger=False, hb_interval=0.05)
-    add_tap_outage(scenario.backup.nics[0], 0.105, 0.115)
     try:
         run = run_workload(
-            upload_workload(256 * KB), scenario=scenario, crash_at=0.114, deadline=1500.0
+            upload_workload(256 * KB), scenario=scenario, faults=DOUBLE_FAILURE, deadline=1500.0
         )
         completed = run.result.error is None
     except SimulationError:
@@ -97,7 +95,10 @@ def test_logger_client_times_out_on_dead_logger():
     scenario = make_scenario(seed=97, with_logger=True, hb_interval=0.05)
     scenario.logger_host.crash()
     run = run_workload(
-        upload_workload(64 * KB), scenario=scenario, crash_at=0.105, deadline=600.0
+        upload_workload(64 * KB),
+        scenario=scenario,
+        faults=[(0.105, "primary_crash")],
+        deadline=600.0,
     )
     assert run.result.error is None
     # Takeover must not deadlock on the dead logger; it proceeds after
@@ -141,9 +142,8 @@ def test_redundant_loggers_survive_one_logger_crash():
     )
     # Kill the first logger before the faults begin.
     scenario.logger_host.crash()
-    add_tap_outage(scenario.backup.nics[0], 0.105, 0.115)
     run = run_workload(
-        upload_workload(256 * KB), scenario=scenario, crash_at=0.114, deadline=600.0
+        upload_workload(256 * KB), scenario=scenario, faults=DOUBLE_FAILURE, deadline=600.0
     )
     assert run.result.error is None
     assert run.result.verified

@@ -382,7 +382,7 @@ def test_hub_counts_per_nic_as_before_when_a_station_powers_off_mid_transfer():
     from repro.util.units import KB
 
     run = run_workload(
-        bulk_workload(256 * KB), sttcp=STTCPConfig(hb_interval=0.05), crash_at=0.2,
+        bulk_workload(256 * KB), sttcp=STTCPConfig(hb_interval=0.05), faults=[(0.2, "primary_crash")],
         with_logger=True, seed=12,
     )
     scenario = run.scenario

@@ -99,7 +99,7 @@ class TestDeterminism:
             flight = FlightRecorder(capacity=32)
             scenario.sim.trace.add_sink(flight)
             run_workload(
-                echo_workload(8), scenario=scenario, crash_at=0.102, deadline=120.0
+                echo_workload(8), scenario=scenario, faults=[(0.102, "primary_crash")], deadline=120.0
             ).require_clean()
             assert flight.dropped > 0  # the ring actually wrapped
             return flight.dump()

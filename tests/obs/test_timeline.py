@@ -171,7 +171,7 @@ class TestAgainstFigure5Run:
         baseline = run_workload(workload, sttcp=sttcp, seed=7).require_clean()
         crash_at = CLIENT_START + 0.5 * baseline.total_time
         return run_workload(
-            workload, sttcp=sttcp, crash_at=crash_at, seed=7, deadline=600.0
+            workload, sttcp=sttcp, faults=[(crash_at, "primary_crash")], seed=7, deadline=600.0
         ).require_clean()
 
     def test_phases_sum_to_measured_outage(self, failed_run):
@@ -222,7 +222,7 @@ class TestAgainstFigure5Run:
         baseline = run_workload(workload, sttcp=sttcp, seed=3).require_clean()
         crash_at = CLIENT_START + 0.5 * baseline.total_time
         failed = run_workload(
-            workload, sttcp=sttcp, crash_at=crash_at, seed=3, deadline=600.0
+            workload, sttcp=sttcp, faults=[(crash_at, "primary_crash")], seed=3, deadline=600.0
         ).require_clean()
         names = [p.name for p in failed.timeline.phases]
         assert names == [PHASE_DETECTION, PHASE_TAKEOVER, PHASE_RTO_WAIT, PHASE_RESUME]

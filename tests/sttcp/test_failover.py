@@ -8,6 +8,7 @@ from repro.apps.workload import (
     interactive_workload,
     upload_workload,
 )
+from repro.faults.injection import FaultPlan
 from repro.harness.runner import run_workload
 from repro.ip.datagram import PROTO_TCP
 from repro.net.frame import ETHERTYPE_IPV4
@@ -30,7 +31,8 @@ def failover_run(workload, seed=77, crash_fraction=0.5, deadline=300.0, **scenar
     ).require_clean()
     scenario = make_scenario(seed=seed, **scenario_kwargs)
     crash_at = 0.1 + crash_fraction * baseline.total_time
-    run = run_workload(workload, scenario=scenario, crash_at=crash_at, deadline=deadline)
+    faults = [(crash_at, "primary_crash")]
+    run = run_workload(workload, scenario=scenario, faults=faults, deadline=deadline)
     return scenario, run, baseline
 
 
@@ -107,7 +109,7 @@ def test_new_connections_served_by_backup_after_failover():
 def test_crash_before_any_connection_still_fails_over():
     scenario = make_scenario()
     scenario.start_service()
-    scenario.crash_primary_at(0.05)
+    FaultPlan([(0.05, "primary_crash")]).arm(scenario)
     scenario.sim.run(until=2.0)
     assert scenario.pair.failed_over
     # A client arriving after the takeover is served by the backup.
@@ -120,7 +122,7 @@ def test_crash_during_handshake_window():
     connection even if the primary dies within the first exchanges."""
     scenario = make_scenario()
     run = run_workload(
-        echo_workload(20), scenario=scenario, crash_at=0.101, deadline=300.0
+        echo_workload(20), scenario=scenario, faults=[(0.101, "primary_crash")], deadline=300.0
     )
     assert run.result.error is None
     assert run.result.verified
@@ -178,7 +180,8 @@ def test_crash_after_late_shadow_adoption_is_transparent():
     scenario = make_scenario()
     loss, adopted = _tap_loses_the_client_syn(scenario)
     crash_at = 0.1 + 0.5 * baseline.total_time  # after the first exchange
-    run = run_workload(echo_workload(20), scenario=scenario, crash_at=crash_at, deadline=300.0)
+    faults = [(crash_at, "primary_crash")]
+    run = run_workload(echo_workload(20), scenario=scenario, faults=faults, deadline=300.0)
     assert loss.dropped == 1 and len(adopted) == 1
     assert scenario.pair.failed_over
     assert run.result.error is None
@@ -215,12 +218,10 @@ def test_wrong_suspicion_made_safe_by_stonith():
     """Partition the UDP channel while the primary is healthy: the backup
     wrongly suspects, but the power switch kills the primary *before* the
     takeover, so the client never sees two servers (§3.2, §4.4)."""
-    from repro.faults.injection import partition_channel
-
     scenario = make_scenario(hb_interval=0.05)
-    scenario.start_service()
-    partition_channel(scenario.hub, scenario.pair.config.channel_port)
-    run = run_workload(echo_workload(50), scenario=scenario, deadline=120.0)
+    run = run_workload(
+        echo_workload(50), scenario=scenario, faults=[(0.0, "channel_partition")], deadline=120.0
+    )
     assert run.result.error is None and run.result.verified
     # Let the (wrong) suspicion mature, then verify it was made safe.
     scenario.sim.run(until=scenario.sim.now + 1.0)
@@ -231,6 +232,23 @@ def test_wrong_suspicion_made_safe_by_stonith():
     # Service continues: a fresh client run is served by the new primary.
     late = run_workload(echo_workload(5), scenario=scenario, deadline=60.0)
     assert late.result.error is None and late.result.verified
+
+
+@pytest.mark.parametrize("healed", [True, False], ids=["healed", "standing"])
+def test_a_one_way_partition_suspects_only_once_it_outlasts_the_miss_threshold(healed):
+    """The primary's heartbeats vanish while the backup's still arrive.
+    Healed after two heartbeat intervals, the backup suspects nothing;
+    left standing, it suspects a healthy primary and STONITH makes that
+    safe.  The client sees neither."""
+    faults = [(0.0, "channel_partition_oneway", {"sender": "primary"})]
+    if healed:
+        faults.append((0.1, "channel_heal"))
+    scenario = make_scenario(hb_interval=0.05)
+    run = run_workload(echo_workload(50), scenario=scenario, faults=faults, deadline=120.0)
+    assert run.result.error is None and run.result.verified
+    scenario.sim.run(until=scenario.sim.now + 1.0)
+    assert scenario.pair.failed_over is not healed
+    assert scenario.primary.is_up is healed
 
 
 def test_failover_in_switched_topology():
@@ -260,7 +278,7 @@ def test_multiple_connections_all_survive_failover():
         for process in processes:
             yield process
 
-    scenario.crash_primary_at(0.12)
+    FaultPlan([(0.12, "primary_crash")]).arm(scenario)
     driver = scenario.client.spawn(all_clients(), "driver")
     scenario.sim.run_until_complete(driver, deadline=120.0)
     assert len(results) == 3

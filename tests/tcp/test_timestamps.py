@@ -89,7 +89,8 @@ def test_sttcp_run_with_timestamps_enabled():
     scenario = Scenario(profile=profile, sttcp=STTCPConfig(hb_interval=0.05), seed=105)
     for host in (scenario.client, scenario.primary, scenario.backup):
         host.tcp.config = host.tcp.config.copy(timestamps=True)
-    run = run_workload(echo_workload(20), scenario=scenario, crash_at=0.101, deadline=120.0)
+    faults = [(0.101, "primary_crash")]
+    run = run_workload(echo_workload(20), scenario=scenario, faults=faults, deadline=120.0)
     assert run.result.error is None
     assert run.result.verified
     assert scenario.pair.failed_over

@@ -12,6 +12,7 @@ from repro.apps.workload import (
     interactive_workload,
     upload_workload,
 )
+from repro.faults.injection import FaultPlan
 from repro.harness.calibrate import FAST_LAN
 from repro.harness.runner import run_workload
 from repro.harness.scenario import Scenario
@@ -64,7 +65,7 @@ def test_mixed_workloads_with_failover():
     scenario = Scenario(profile=FAST_LAN, sttcp=STTCPConfig(hb_interval=0.05), seed=161)
     # Clients start at t=0 here (no runner offset); the joint run lasts
     # ~90 ms, so crash a third of the way in.
-    scenario.crash_primary_at(0.03)
+    FaultPlan([(0.03, "primary_crash")]).arm(scenario)
     results = run_mixed_clients(scenario, MIXED)
     assert len(results) == 4
     assert all(r.error is None and r.verified for r in results)
@@ -79,7 +80,7 @@ def test_mixed_workloads_failover_switched_topology():
         sttcp=STTCPConfig(hb_interval=0.05),
         seed=162,
     )
-    scenario.crash_primary_at(0.03)
+    FaultPlan([(0.03, "primary_crash")]).arm(scenario)
     results = run_mixed_clients(scenario, MIXED)
     assert all(r.error is None and r.verified for r in results)
     assert scenario.pair.failed_over
@@ -104,7 +105,7 @@ def test_hub_and_switched_topologies_agree_on_failover_cost():
         failed = run_workload(
             echo_workload(50),
             scenario=scenario,
-            crash_at=0.1 + baseline.total_time / 2,
+            faults=[(0.1 + baseline.total_time / 2, "primary_crash")],
             deadline=120.0,
         ).require_clean()
         costs[topology] = failed.total_time - baseline.total_time
@@ -128,7 +129,7 @@ def test_prop_concurrent_clients_all_survive_any_crash_time(
     joint run; every client completes verified."""
     scenario = Scenario(profile=FAST_LAN, sttcp=STTCPConfig(hb_interval=0.05), seed=seed)
     # Clients start at t=0; the joint run lasts ~20 ms per client.
-    scenario.crash_primary_at(0.002 + crash_fraction * 0.02 * clients)
+    FaultPlan([(0.002 + crash_fraction * 0.02 * clients, "primary_crash")]).arm(scenario)
     results = run_mixed_clients(
         scenario, [echo_workload(60) for _ in range(clients)], deadline=300.0
     )

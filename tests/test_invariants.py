@@ -80,7 +80,7 @@ def test_prop_sttcp_transparent_for_any_crash_time_bulk(crash_fraction, seed):
     ).require_clean()
     scenario = Scenario(profile=FAST_LAN, sttcp=config, seed=seed)
     crash_at = 0.1 + crash_fraction * baseline.total_time
-    run = run_workload(workload, scenario=scenario, crash_at=crash_at, deadline=600.0)
+    run = run_workload(workload, scenario=scenario, faults=[(crash_at, "primary_crash")], deadline=600.0)
     assert run.result.error is None
     assert run.result.verified
 
@@ -100,7 +100,7 @@ def test_prop_sttcp_transparent_for_any_crash_time_upload(crash_fraction, seed):
     ).require_clean()
     scenario = Scenario(profile=FAST_LAN, sttcp=config, seed=seed)
     crash_at = 0.1 + crash_fraction * baseline.total_time
-    run = run_workload(workload, scenario=scenario, crash_at=crash_at, deadline=600.0)
+    run = run_workload(workload, scenario=scenario, faults=[(crash_at, "primary_crash")], deadline=600.0)
     assert run.result.error is None
     assert run.result.verified
 
@@ -108,8 +108,6 @@ def test_prop_sttcp_transparent_for_any_crash_time_upload(crash_fraction, seed):
 def _lossy_tap_crash_run(crash_fraction, tap_loss, seed):
     """An echo run with the logger, a lossy backup tap and a primary
     crash, under the crash-silence checker: ``(run, silence)``."""
-    from repro.faults.injection import add_tap_loss
-
     workload = echo_workload(30)
     config = STTCPConfig(
         hb_interval=0.05, retx_request_timeout=0.01, use_logger=True
@@ -119,11 +117,9 @@ def _lossy_tap_crash_run(crash_fraction, tap_loss, seed):
     ).require_clean()
     with crash_silence() as silence:
         scenario = Scenario(profile=FAST_LAN, sttcp=config, with_logger=True, seed=seed)
-        add_tap_loss(
-            scenario.backup.nics[0], scenario.sim.random.stream("tap"), tap_loss
-        )
         crash_at = 0.1 + crash_fraction * baseline.total_time
-        run = run_workload(workload, scenario=scenario, crash_at=crash_at, deadline=600.0)
+        faults = [(0.0, "tap_loss", {"rate": tap_loss}), (crash_at, "primary_crash")]
+        run = run_workload(workload, scenario=scenario, faults=faults, deadline=600.0)
     return run, silence
 
 
