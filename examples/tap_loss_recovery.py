@@ -40,9 +40,7 @@ def part_one() -> None:
     print(f"  backup sent {count('backup.sttcp.retx_requests_sent')} RETX_REQUESTs and "
           f"recovered {count('backup.sttcp.retx_bytes_recovered')} bytes over the UDP channel")
     shadow = backup.shadow_connections[0]
-    # From the sequence numbers, less the SYN and any FIN: a shadow that
-    # followed the close is a TIME_WAIT record, which keeps no buffer.
-    received = (shadow.rcv_nxt - shadow.irs - 1 - shadow.fin_received) % 2**32
+    received = shadow.recv_buffer.rcv_nxt_offset
     print(f"  shadow receive stream complete through byte {received}\n")
 
 

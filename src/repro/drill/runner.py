@@ -72,6 +72,15 @@ class CheckFailure:
         return f"{self.label} at t={self.time:.6f}: {self.message}"
 
 
+#: What ``use(mode=...)`` may name.
+DRILL_MODES = ("server", "client", "sttcp", "cluster")
+
+
+def script_faults(program: DrillProgram) -> FaultPlan:
+    """The script's ``fault(...)`` ops, in script order, as its plan."""
+    return FaultPlan((op.time, *op.args) for op in program.ops if op.kind == "fault")
+
+
 class DrillEnv:
     """Everything one drill run owns: topology, peer, tracked state."""
 
@@ -79,17 +88,16 @@ class DrillEnv:
         settings = program.settings
         self.program = program
         self.mode = settings.get("mode", "server")
-        if self.mode not in ("server", "client", "sttcp", "cluster"):
-            raise ValueError(f"unknown drill mode {self.mode!r}")
+        if self.mode not in DRILL_MODES:
+            raise ConfigurationError(
+                f"unknown drill mode {self.mode!r}; known modes: {', '.join(DRILL_MODES)}"
+            )
         seed = settings.get("seed")
         if seed is None:
             seed = zlib.crc32(program.name.encode()) & 0x7FFFFFFF
         self.tcp_config = TCPConfig().copy(**settings.get("tcp", {}))
         self.port = int(settings.get("port", DEFAULT_PORT))
-        #: The script's ``fault(...)`` ops, in script order.
-        self.faults = FaultPlan(
-            (op.time, *op.args) for op in program.ops if op.kind == "fault"
-        )
+        self.faults = script_faults(program)
         self.tracked: List[Any] = []  # sockets of the host under test
         self.check_failures: List[CheckFailure] = []
         self.app_sent = 0  # cumulative sock_write bytes (pattern offsets)
@@ -393,26 +401,29 @@ def _mismatch_report(
 # ---------------------------------------------------------------------------
 
 
-def run_program(program: DrillProgram) -> Tuple[DrillResult, DrillEnv]:
-    env = DrillEnv(program)
+def run_program(program: DrillProgram) -> Tuple[DrillResult, Optional[DrillEnv]]:
+    """Run one drill: its result, and its env unless the script's
+    settings could not build one."""
+    env: Optional[DrillEnv] = None
     failure: Optional[str] = None
     try:
+        env = DrillEnv(program)
         env.schedule(program)
     except ConfigurationError as exc:
-        # A bad plan or op fails this drill, not the corpus.
+        # A bad mode, plan or op fails this drill, not the corpus.
         failure = str(exc)
-    if failure is None:
+    if env is not None and failure is None:
         try:
             env.sim.run(until=program.end_time)
         except Exception:
             # A stack that crashes mid-drill fails that drill — it must not
             # abort the rest of the corpus.
             failure = f"stack crashed during run:\n{traceback.format_exc()}"
-    failure = failure or _match_expectations(program, env)
-    if failure is None and env.check_failures:
-        failure = "\n".join(str(item) for item in env.check_failures)
+        failure = failure or _match_expectations(program, env)
+        if failure is None and env.check_failures:
+            failure = "\n".join(str(item) for item in env.check_failures)
     if failure is not None:
-        failure = f"faults {env.faults!r}\n{failure}"
+        failure = f"faults {script_faults(program)!r}\n{failure}"
     expects = sum(1 for op in program.ops if op.kind.startswith("expect"))
     probes = sum(1 for op in program.ops if op.kind == "probe")
     result = DrillResult(
@@ -420,7 +431,7 @@ def run_program(program: DrillProgram) -> Tuple[DrillResult, DrillEnv]:
         passed=failure is None,
         expects=expects,
         probes=probes,
-        injects=env.peer.injected if env.peer is not None else 0,
+        injects=env.peer.injected if env is not None and env.peer is not None else 0,
         sim_time=program.end_time,
         failure=failure,
     )
@@ -443,12 +454,13 @@ def run_drill_file(
     """
     program = load_script(path)
     result, env = run_program(program)
-    if flight_dump is not None and not result.passed:
+    if flight_dump is not None and not result.passed and env is not None:
         directory = Path(flight_dump)
         directory.mkdir(parents=True, exist_ok=True)
         env.flight.dump_to(
             directory / f"{program.name}.flight.txt",
             reason=f"drill {program.name} failed",
+            header=f"faults {env.faults!r}",
         )
         if env.cluster is not None:
             from repro.obs.export import write_chrome_trace

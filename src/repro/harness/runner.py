@@ -66,14 +66,17 @@ class ExperimentRun:
 
 
 def _dump_flight(
-    flight: Optional[FlightRecorder], workload: AppWorkload, seed: int, reason: str
+    flight: Optional[FlightRecorder], workload: AppWorkload, seed: int, faults: FaultPlan,
+    reason: str,
 ) -> None:
+    """Write the ring under ``FLIGHT_DUMP_ENV``'s directory, if set; its
+    second line is the plan, one ``repr`` that pastes back into ``faults=``."""
     directory = os.environ.get(FLIGHT_DUMP_ENV)
     if flight is None or not directory:
         return
     os.makedirs(directory, exist_ok=True)
     name = f"flight-{workload.name}-seed{seed}-pid{os.getpid()}.txt"
-    flight.dump_to(os.path.join(directory, name), reason=reason)
+    flight.dump_to(os.path.join(directory, name), reason=reason, header=f"faults {faults!r}")
 
 
 def run_workload(
@@ -129,7 +132,7 @@ def run_workload(
             process_box[0], deadline=deadline
         )
     except BaseException:
-        _dump_flight(flight, workload, seed, "simulation crashed")
+        _dump_flight(flight, workload, seed, faults, "simulation crashed")
         raise
     finally:
         perf.note_simulation(scenario.sim)
@@ -147,7 +150,7 @@ def run_workload(
     )
     failed = failed_sessions(run.outcomes)
     if failed:
-        _dump_flight(flight, workload, seed, describe_outcome(failed[0]))
+        _dump_flight(flight, workload, seed, faults, describe_outcome(failed[0]))
     return run
 
 

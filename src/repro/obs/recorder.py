@@ -61,8 +61,9 @@ class FlightRecorder:
         self._next = 0
         self.total_records = 0
 
-    def dump(self, reason: str = "") -> str:
-        """Render the ring as text (the black-box transcript)."""
+    def dump(self, reason: str = "", header: str = "") -> str:
+        """Render the ring as text (the black-box transcript); ``header``,
+        if given, is a line under the title (a run's fault plan)."""
         lines = [
             "=== flight recorder dump"
             + (f": {reason}" if reason else "")
@@ -70,11 +71,13 @@ class FlightRecorder:
             + (f", {self.dropped} dropped" if self.dropped else "")
             + ") ==="
         ]
+        if header:
+            lines.append(header)
         lines.extend(format_record(r) for r in self.records())
         return "\n".join(lines) + "\n"
 
-    def dump_to(self, path: str, reason: str = "") -> str:
+    def dump_to(self, path: str, reason: str = "", header: str = "") -> str:
         """Write :meth:`dump` to ``path``; returns the path."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dump(reason=reason))
+            fh.write(self.dump(reason=reason, header=header))
         return path

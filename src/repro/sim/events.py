@@ -13,7 +13,7 @@ Two kinds of objects live here:
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Union
 
 from repro.errors import SimulationError
 
@@ -67,6 +67,10 @@ def _noop(*_args: Any) -> None:
     return None
 
 
+#: What ``succeed`` and ``fail`` call with the event.
+_Waiter = Callable[["SimEvent"], None]
+
+
 class SimEvent:
     """A one-shot waitable event.
 
@@ -92,7 +96,10 @@ class SimEvent:
         self._value: Any = None
         self._exc: Optional[BaseException] = None
         self._done = False
-        self._callbacks: Optional[List[Callable[["SimEvent"], None]]] = None  # until the first waiter
+        #: Who waits: nobody (``None``), the sole waiter itself, or, once
+        #: a second subscribes, a list of them in subscription order
+        #: (DESIGN §14 rule 6).
+        self._callbacks: Union[None, _Waiter, List[_Waiter]] = None
 
     # Introspection -------------------------------------------------------
     @property
@@ -130,8 +137,11 @@ class SimEvent:
             # Swapped out first: a callback added from inside one of these
             # sees the event triggered and runs at once, exactly once.
             self._callbacks = None
-            for callback in callbacks:
-                callback(self)
+            if type(callbacks) is list:
+                for callback in callbacks:
+                    callback(self)
+            else:
+                callbacks(self)
         return self
 
     def fail(self, exc: BaseException) -> "SimEvent":
@@ -145,24 +155,34 @@ class SimEvent:
         callbacks = self._callbacks
         if callbacks:
             self._callbacks = None
-            for callback in callbacks:
-                callback(self)
+            if type(callbacks) is list:
+                for callback in callbacks:
+                    callback(self)
+            else:
+                callbacks(self)
         return self
 
     # Subscription --------------------------------------------------------
-    def add_callback(self, callback: Callable[["SimEvent"], None]) -> None:
+    def add_callback(self, callback: _Waiter) -> None:
         """Run ``callback(event)`` when triggered (immediately if already)."""
+        callbacks = self._callbacks
         if self._done:
             callback(self)
-        elif self._callbacks is None:
-            self._callbacks = [callback]
+        elif callbacks is None:
+            self._callbacks = callback
+        elif type(callbacks) is list:
+            callbacks.append(callback)
         else:
-            self._callbacks.append(callback)
+            self._callbacks = [callbacks, callback]
 
-    def discard_callback(self, callback: Callable[["SimEvent"], None]) -> None:
+    def discard_callback(self, callback: _Waiter) -> None:
         """Remove a previously added callback if still subscribed."""
-        if self._callbacks is not None and callback in self._callbacks:
-            self._callbacks.remove(callback)
+        callbacks = self._callbacks
+        if type(callbacks) is list:
+            if callback in callbacks:
+                callbacks.remove(callback)
+        elif callbacks is not None and callbacks == callback:
+            self._callbacks = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "pending"

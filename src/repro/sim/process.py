@@ -32,9 +32,11 @@ class Process(SimEvent):
     generator finishes, and *fails* with the exception if the generator
     raises.  Other processes may therefore ``yield`` a process to join it.
 
-    One step is one call, :meth:`_resume`: it is what a yielded event
-    calls back when it triggers, and what the queue calls for a target
-    that had triggered already.
+    One step is one call, :meth:`_resume`: what the queue calls for a
+    target that had triggered already and, as the process's ``__call__``,
+    what a yielded event calls back when it triggers.  The event holds the
+    process itself, so a wait allocates no bound method (DESIGN §14
+    rule 6).
     """
 
     __slots__ = ("generator", "_waiting_on", "label")
@@ -67,7 +69,7 @@ class Process(SimEvent):
         if self._done:
             return
         if self._waiting_on is not None:
-            self._waiting_on.discard_callback(self._resume)
+            self._waiting_on.discard_callback(self)
             self._waiting_on = None
         self.generator.close()
         self.succeed(None)
@@ -117,9 +119,11 @@ class Process(SimEvent):
             sim = self.sim
             sim.post(sim.now, self._resume, target)
         elif target._callbacks is None:
-            target._callbacks = [self._resume]
+            target._callbacks = self
         else:
-            target._callbacks.append(self._resume)
+            target.add_callback(self)
+
+    __call__ = _resume
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Process {self.label!r} {'done' if self._done else 'alive'}>"

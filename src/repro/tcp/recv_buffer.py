@@ -63,7 +63,9 @@ class ReceiveBuffer:
         #: The in-order bytes: head = read pointer, tail = rcv_nxt.  Its
         #: ``length`` is what the socket tests on every wake-up.
         self.ready = SpanBuffer()
-        self._out_of_order: List[Tuple[int, ByteSpan]] = []  # sorted, disjoint
+        #: Runs held beyond a gap, sorted and disjoint: no list until a
+        #: gap appears, and none once it fills (DESIGN §14 rule 1).
+        self._out_of_order: Optional[List[Tuple[int, ByteSpan]]] = None
         #: Total held in ``_out_of_order``: a field, read on every segment.
         self.out_of_order_bytes = 0
         self.retention: Optional[RetentionPolicy] = None
@@ -140,8 +142,9 @@ class ReceiveBuffer:
         # In-order: append, then drain any out-of-order runs now contiguous.
         ready.append(span, lo, hi)
         advanced = hi - lo
-        if self._out_of_order:
-            advanced += self._drain_out_of_order()
+        held = self._out_of_order
+        if held:
+            advanced += self._drain_out_of_order(held)
         free = self.capacity - ready.length - self.out_of_order_bytes
         if self.retention is not None:
             free -= self.retention.overflow
@@ -153,6 +156,8 @@ class ReceiveBuffer:
         bytes already held: each new piece goes in place, at the index
         of the first held run after it (DESIGN §14 rule 1)."""
         held = self._out_of_order
+        if held is None:
+            held = self._out_of_order = []
         stop = start + span.length
         cursor = start
         added = 0
@@ -183,10 +188,10 @@ class ReceiveBuffer:
             self.out_of_order_bytes += added
             self.refresh_window()
 
-    def _drain_out_of_order(self) -> int:
-        """Move the held runs now at ``rcv_nxt`` to the ready queue; the
-        drained runs leave the list in one slice deletion."""
-        held = self._out_of_order
+    def _drain_out_of_order(self, held: List[Tuple[int, ByteSpan]]) -> int:
+        """Move the ``held`` runs now at ``rcv_nxt`` to the ready queue; the
+        drained runs leave the list in one slice deletion, and an emptied
+        list goes."""
         ready = self.ready
         advanced = 0
         drained = 0
@@ -204,15 +209,19 @@ class ReceiveBuffer:
             self.bytes_duplicated += lo
             ready.append(span, lo, length)
             advanced += length - lo
-        del held[:drained]
+        if drained == len(held):
+            self._out_of_order = None
+        else:
+            del held[:drained]
         return advanced
 
     def first_gap(self) -> Optional[Tuple[int, int]]:
         """The first missing range [rcv_nxt, start-of-next-ooo-run), if any
         out-of-order data is waiting behind a hole."""
-        if not self._out_of_order:
+        held = self._out_of_order
+        if not held:
             return None
-        return (self.rcv_nxt_offset, self._out_of_order[0][0])
+        return (self.rcv_nxt_offset, held[0][0])
 
     # Application side ---------------------------------------------------------
     def read(self, max_bytes: int) -> ByteSpan:

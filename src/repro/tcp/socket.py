@@ -18,7 +18,7 @@ closes early.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Union
+from typing import TYPE_CHECKING, Any, List, Optional, TypeVar, Union
 
 from repro.errors import ConnectionClosed
 from repro.sim.events import SimEvent
@@ -48,14 +48,35 @@ class _Write(SimEvent):
 
 class _Read(SimEvent):
     """A pending ``recv`` or (``exact``) ``recv_exactly`` of ``n`` bytes:
-    the event and the pieces gathered so far."""
+    the event and what it has gathered: nothing (``None``), the lone
+    piece, or, once a second arrives, a list of them (DESIGN §14 rule 6)."""
 
     __slots__ = ("exact", "n", "got", "acc")
 
     def __init__(self, sim: Any, name: str, exact: bool, n: int) -> None:
         super().__init__(sim, name)
         self.exact, self.n, self.got = exact, n, 0
-        self.acc: List[ByteSpan] = []
+        self.acc: Union[None, ByteSpan, List[ByteSpan]] = None
+
+    def gathered(self) -> ByteSpan:
+        """The pieces gathered so far as one span (a lone piece is itself)."""
+        acc = self.acc
+        if acc is None:
+            return EMPTY
+        if isinstance(acc, list):
+            return concat(acc)
+        return acc
+
+
+_Pending = TypeVar("_Pending", _Write, _Read)
+
+
+def _rest(queue: List[_Pending]) -> Optional[List[_Pending]]:
+    """``queue`` less its front entry, or ``None`` once nothing is left."""
+    if len(queue) == 1:
+        return None
+    del queue[0]
+    return queue
 
 
 class TCPSocket:
@@ -73,9 +94,10 @@ class TCPSocket:
         self._connect_event: Optional[SimEvent] = None
         self._closed_event: Optional[SimEvent] = None
         # The sends and receives one application process has outstanding:
-        # an event or two, so plain lists popped at the front.
-        self._writers: List[_Write] = []
-        self._readers: List[_Read] = []
+        # an event or two, so plain lists popped at the front, and no list
+        # while nothing waits (DESIGN §14 rule 6).
+        self._writers: Optional[List[_Write]] = None
+        self._readers: Optional[List[_Read]] = None
         self._error: Optional[BaseException] = None
         self._pumping_writers = False
         self._listener: Optional["TCPListener"] = None  # holds a slot until the handshake resolves
@@ -139,7 +161,11 @@ class TCPSocket:
         if self._tcb.state is TCPState.CLOSED:
             event.fail(ConnectionClosed("send on closed socket"))
             return event
-        self._writers.append(event)
+        writers = self._writers
+        if writers is None:
+            self._writers = [event]
+        else:
+            writers.append(event)
         self._pump_writers()
         return event
 
@@ -149,8 +175,7 @@ class TCPSocket:
         if max_bytes <= 0:
             event.succeed(EMPTY)
             return event
-        self._readers.append(event)
-        self._pump_readers()
+        self._wait_to_read(event)
         return event
 
     def recv_exactly(self, n: int) -> SimEvent:
@@ -159,9 +184,16 @@ class TCPSocket:
         if n <= 0:
             event.succeed(EMPTY)
             return event
-        self._readers.append(event)
-        self._pump_readers()
+        self._wait_to_read(event)
         return event
+
+    def _wait_to_read(self, event: _Read) -> None:
+        readers = self._readers
+        if readers is None:
+            self._readers = [event]
+        else:
+            readers.append(event)
+        self._pump_readers()
 
     # Closing ---------------------------------------------------------------------
     def close(self) -> None:
@@ -183,8 +215,11 @@ class TCPSocket:
         self._pumping_writers = True
         tcb = self._tcb
         try:
-            while self._writers:
-                writer = self._writers[0]
+            while True:
+                writers = self._writers
+                if not writers:
+                    return
+                writer = writers[0]
                 total, done = writer.total, writer.done
                 if done < total:
                     # The span itself and the offset reached: buffers keep
@@ -197,7 +232,10 @@ class TCPSocket:
                         if buffer.tail_offset - buffer.una_offset < buffer.capacity:
                             continue  # space was freed while writing
                         return  # buffer full; the next ACK pumps again
-                self._writers.pop(0)
+                if len(writers) == 1:
+                    self._writers = None
+                else:
+                    del writers[0]
                 writer.succeed(total)
         finally:
             self._pumping_writers = False
@@ -207,42 +245,52 @@ class TCPSocket:
         # rule 9): EOF is "FIN received and nothing left to read".
         tcb = self._tcb
         ready = tcb.recv_buffer.ready
-        readers = self._readers
-        while readers:
+        while True:
+            readers = self._readers
+            if not readers:
+                return
             reader = readers[0]
             needed = reader.n - reader.got
             if needed > 0 and ready.length > 0:
                 piece = tcb.app_read(needed)
-                reader.acc.append(piece)
+                acc = reader.acc
+                if acc is None:
+                    reader.acc = piece
+                elif isinstance(acc, list):
+                    acc.append(piece)
+                else:
+                    reader.acc = [acc, piece]
                 reader.got += piece.length
                 needed -= piece.length
             if not reader.exact:
                 if reader.got > 0 or needed == 0:
-                    self._finish_reader(reader)
+                    self._finish_reader(readers, reader)
                     continue
                 if tcb.fin_received and ready.length == 0:
-                    self._finish_reader(reader)  # EOF → empty span
+                    self._finish_reader(readers, reader)  # EOF → empty span
                     continue
                 return
             # exact
             if needed == 0:
-                self._finish_reader(reader)
+                self._finish_reader(readers, reader)
                 continue
             if tcb.fin_received and ready.length == 0:
-                self._readers.pop(0)
+                self._readers = _rest(readers)
                 reader.fail(
                     ConnectionClosed(f"peer closed with {needed} of {reader.n} bytes missing")
                 )
                 continue
             return
 
-    def _finish_reader(self, reader: _Read) -> None:
-        self._readers.pop(0)
-        acc = reader.acc
-        if len(acc) == 1:
-            reader.succeed(acc[0])  # a lone piece is the whole read
+    def _finish_reader(self, readers: List[_Read], reader: _Read) -> None:
+        """Dequeue ``reader``, the front of ``readers``, and wake it."""
+        if len(readers) == 1:
+            self._readers = None
         else:
-            reader.succeed(concat(acc) if acc else EMPTY)
+            del readers[0]
+        acc = reader.acc
+        # A lone piece is the whole read.
+        reader.succeed(acc if isinstance(acc, ByteSpan) else reader.gathered())
 
     # Told by the TCB, as are the two pumps -----------------------------------------
     def _on_established(self) -> None:
@@ -263,11 +311,16 @@ class TCPSocket:
         if self._connect_event is not None and not self._connect_event._done:
             self._connect_event.fail(error)
         while self._writers:
-            self._writers.pop(0).fail(error)
+            writers = self._writers
+            writer = writers[0]
+            self._writers = _rest(writers)
+            writer.fail(error)
         while self._readers:
-            reader = self._readers.pop(0)
-            if not reader.exact and reader.acc:
-                reader.succeed(concat(reader.acc))
+            readers = self._readers
+            reader = readers[0]
+            self._readers = _rest(readers)
+            if not reader.exact and reader.acc is not None:
+                reader.succeed(reader.gathered())
             else:
                 reader.fail(error)
 
@@ -279,13 +332,18 @@ class TCPSocket:
         if self._error is None:
             # Orderly close: wake readers with EOF.
             while self._readers:
-                reader = self._readers.pop(0)
+                readers = self._readers
+                reader = readers[0]
+                self._readers = _rest(readers)
                 if reader.exact and reader.got < reader.n:
                     reader.fail(ConnectionClosed("connection closed during recv_exactly"))
                     continue
-                reader.succeed(concat(reader.acc) if reader.acc else EMPTY)
+                reader.succeed(reader.gathered())
             while self._writers:
-                self._writers.pop(0).fail(ConnectionClosed("connection closed during send"))
+                writers = self._writers
+                writer = writers[0]
+                self._writers = _rest(writers)
+                writer.fail(ConnectionClosed("connection closed during send"))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<TCPSocket {self._tcb!r}>"

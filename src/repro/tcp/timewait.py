@@ -31,9 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: What a connection-table slot holds.
 Endpoint = Union["TCPConnection", "TimeWait"]
 
-#: The receive side once the application has read everything: never written.
-_NOTHING_UNREAD = ReceiveBuffer(1)
-
 
 class TimeWait:
     """One connection's TIME_WAIT: what a TCB in that state still answers."""
@@ -41,7 +38,7 @@ class TimeWait:
     __slots__ = (
         "layer", "local_ip", "local_port", "remote_ip", "remote_port",
         "snd_nxt", "rcv_nxt", "irs", "window", "ts_recent",
-        "output_inhibited", "extension", "socket", "recv_buffer",
+        "output_inhibited", "extension", "socket", "_unread",
         "state", "error", "seq", "_challenge_start", "_challenge_count",
     )
 
@@ -70,12 +67,11 @@ class TimeWait:
                 socket = None  # nothing waits on it, so nothing is told
         self.socket: Optional["TCPSocket"] = socket
         # Bytes the application has not read yet stay readable.
+        self._unread: Optional[ReceiveBuffer] = None
         if buffer.ready.length:
-            self.recv_buffer = buffer
-        else:
-            self.recv_buffer = _NOTHING_UNREAD
-            if buffer.retention is not None:
-                buffer.retention.buffer = None
+            self._unread = buffer
+        elif buffer.retention is not None:
+            buffer.retention.buffer = None
         self.state = TCPState.TIME_WAIT
         self.error: Optional[BaseException] = None
         self._challenge_start = tcb.input._challenge_window_start
@@ -96,6 +92,19 @@ class TimeWait:
 
     def rcv_offset(self, seq_abs: int) -> int:
         return seq_abs - self.irs - 1
+
+    @property
+    def recv_buffer(self) -> ReceiveBuffer:
+        """The TCB's buffer while it holds bytes the application has not
+        read; once everything is read, an empty one at the received
+        stream's end (``rcv_nxt`` less the FIN), built when asked for: a
+        record keeps no buffer for nothing."""
+        unread = self._unread
+        if unread is not None:
+            return unread
+        drained = ReceiveBuffer(1)
+        drained.ready.head_offset = self.rcv_offset(self.rcv_nxt) - 1
+        return drained
 
     def trace_event(self, event: str, **fields: Any) -> None:
         sim = self.layer.sim

@@ -11,12 +11,14 @@ are stored or freed: the buffer keeps its ranges over them as two ints.
 (negative) that span's own end.  So freeing bytes, and appending the next
 range of the tail's own span or the next contiguous piece of the tail's
 pattern stream, changes an offset; a span is built only when one is
-handed out (:meth:`pop_front`, :meth:`peek_absolute`).
+handed out (:meth:`pop_front`, :meth:`peek_absolute`).  An empty buffer
+holds no list: the empty tuple stands in for its pieces (DESIGN §14
+rule 1), and the first append makes one.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple, Union
 
 from repro.util.bytespan import EMPTY, ByteSpan, PatternBytes, concat, extent
 
@@ -32,7 +34,8 @@ class SpanBuffer:
     __slots__ = ("_pieces", "_skip", "_extend", "length", "head_offset")
 
     def __init__(self) -> None:
-        self._pieces: List[ByteSpan] = []
+        #: The spans held, or ``()`` while the buffer is empty.
+        self._pieces: Union[List[ByteSpan], Tuple[()]] = ()
         #: Bytes of ``_pieces[0]`` already popped or discarded.
         self._skip = 0
         #: The tail piece's range ends at ``_pieces[-1].length + _extend``:
@@ -66,7 +69,7 @@ class SpanBuffer:
         pieces = self._pieces
         self.length += stop - start
         if not pieces:
-            pieces.append(span)
+            self._pieces = [span]
             self._skip = start
             self._extend = stop - span.length
             return
@@ -105,7 +108,7 @@ class SpanBuffer:
         if hi <= head.length:
             span = head.slice(lo, hi)
             if count == length:
-                del pieces[0]
+                self._pieces = ()
                 self._skip = self._extend = 0
             elif hi < head.length or len(pieces) == 1:
                 self._skip = hi  # the head span, or an extension of it, goes on
@@ -118,7 +121,7 @@ class SpanBuffer:
             if count < length:
                 self._skip = hi
             else:
-                del pieces[0]
+                self._pieces = ()
                 self._skip = self._extend = 0
         else:
             span = self.peek_absolute(self.head_offset, self.head_offset + count)
@@ -133,7 +136,7 @@ class SpanBuffer:
         length = self.length
         if count >= length:
             count = length
-            del self._pieces[:]
+            self._pieces = ()
             self._skip = self._extend = 0
         else:
             # Count the whole pieces first and remove them with one slice
@@ -197,7 +200,7 @@ class SpanBuffer:
         return self.peek_absolute(self.head_offset, self.head_offset + count)
 
     def clear(self) -> None:
-        del self._pieces[:]
+        self._pieces = ()
         self._skip = self._extend = 0
         self.head_offset += self.length
         self.length = 0

@@ -125,6 +125,24 @@ class TestFaultPlan:
         assert "=== c_no_tap ===\nfaults FaultPlan([(0.1, 'tap_outage', {})])\n" in out
         assert "fault (0.1, 'tap_outage', {}): this topology has no 'backup'" in out
 
+    def test_an_unknown_mode_fails_one_drill_not_the_corpus(self, tmp_path, capsys):
+        """The mode is read before anything is built: a script naming no
+        topology fails with the error named, and the rest still run."""
+        from repro.harness.cli import main
+
+        handshake = (Path(__file__).parent / "scripts" / "t01_handshake_3way.py").read_text()
+        (tmp_path / "a_good.py").write_text(handshake)
+        (tmp_path / "b_sever.py").write_text('use(mode="sever")\nfault(0.1, "primary_crash")\n')
+        (tmp_path / "c_good.py").write_text(handshake)
+        assert main(["drill", str(tmp_path), "--flight-dump", str(tmp_path / "dumps")]) == 1
+        out = capsys.readouterr().out
+        assert "2/3 scripts passed" in out
+        assert (
+            "=== b_sever ===\nfaults FaultPlan([(0.1, 'primary_crash', {})])\n"
+            "unknown drill mode 'sever'; known modes: server, client, sttcp, cluster"
+        ) in out
+        assert not (tmp_path / "dumps" / "b_sever.flight.txt").exists()  # nothing ran
+
     def test_a_failing_drill_starts_with_its_plan(self):
         result = run_drill_file(BROKEN / "b01_wrong_ack.py")
         assert result.failure.splitlines()[0] == "faults FaultPlan([])"

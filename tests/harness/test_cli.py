@@ -173,7 +173,7 @@ def test_drill_flight_dump_flag(tmp_path, capsys):
     assert main(["drill", str(broken), "--flight-dump", str(dumps)]) == 1
     out = capsys.readouterr().out
     assert "field ack: expected 2, actual 1" in out  # diagnostics unchanged
-    assert (dumps / "b01_wrong_ack.flight.txt").exists()
+    assert (dumps / "b01_wrong_ack.flight.txt").read_text().splitlines()[1] == "faults FaultPlan([])"
     assert not (dumps / "b01_wrong_ack.trace.json").exists()  # cluster drills only
 
 
@@ -190,6 +190,25 @@ def test_flight_dump_env_round_trip(tmp_path, monkeypatch):
     dumps = list(tmp_path.glob("flight-*.txt"))
     assert len(dumps) == 1
     assert "=== flight recorder dump: simulation crashed" in dumps[0].read_text()
+
+
+def test_a_flight_dump_carries_the_plan_that_pastes_back(tmp_path, monkeypatch):
+    """The dump's second line is the run's fault plan, as ``explain`` and a
+    drill FAIL print it: pasted into ``faults=`` it names the same run."""
+    from repro.apps.workload import echo_workload
+    from repro.errors import SimulationError
+    from repro.faults.injection import FaultPlan
+    from repro.harness.runner import FLIGHT_DUMP_ENV, run_workload
+
+    monkeypatch.setenv(FLIGHT_DUMP_ENV, str(tmp_path))
+    plan = FaultPlan([(0.14, "primary_crash", {})])
+    with pytest.raises(SimulationError):
+        run_workload(echo_workload(500), seed=4, deadline=0.15, faults=plan)
+    (dump,) = tmp_path.glob("flight-*.txt")
+    title, header = dump.read_text().splitlines()[:2]
+    assert title.startswith("=== flight recorder dump: simulation crashed")
+    assert header == "faults FaultPlan([(0.14, 'primary_crash', {})])"
+    assert eval(header.split(" ", 1)[1], {"FaultPlan": FaultPlan}) == plan
 
 
 def test_no_flight_dump_without_env(tmp_path, monkeypatch):

@@ -66,7 +66,7 @@ def test_callback_added_while_triggering_runs_exactly_once(sim, outcome):
     else:
         event.fail(RuntimeError("x"))
     assert late == [event]
-    assert not event._callbacks  # no subscriber left
+    assert event._callbacks is None  # no subscriber left
 
 
 def test_fail_requires_exception(sim):
@@ -99,6 +99,20 @@ def test_discard_callback(sim):
     event.discard_callback(callback)
     event.succeed()
     assert seen == []
+
+
+def test_a_sole_callback_is_held_without_a_list_and_order_holds(sim):
+    event = sim.event()
+    seen = []
+    event.add_callback(seen.append)
+    assert event._callbacks == seen.append
+    event.discard_callback(seen.append)  # an equal bound method, not the same one
+    assert event._callbacks is None
+    for tag in "abc":
+        event.add_callback(lambda e, tag=tag: seen.append(tag))
+    assert isinstance(event._callbacks, list) and len(event._callbacks) == 3
+    event.succeed()
+    assert seen == ["a", "b", "c"]
 
 
 def test_timeout_succeeds_after_delay(sim):

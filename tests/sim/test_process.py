@@ -193,10 +193,28 @@ def test_kill_detaches_from_the_awaited_event(sim):
 
     process = sim.spawn(worker())
     sim.run()
-    assert event._callbacks == [process._resume]
+    assert event._callbacks is process  # a sole waiter is held as itself
     process.kill()
-    assert event._callbacks == []
+    assert event._callbacks is None
     event.succeed()
+
+
+def test_a_second_waiter_makes_a_list_in_subscription_order(sim):
+    event = sim.event()
+    order = []
+
+    def worker(name):
+        order.append((name, (yield event)))
+
+    first = sim.spawn(worker("first"))
+    second = sim.spawn(worker("second"))
+    sim.run()
+    assert event._callbacks == [first, second]
+    first.kill()
+    assert event._callbacks == [second]
+    event.succeed("v")
+    assert order == [("second", "v")]
+    assert event._callbacks is None
 
 
 def test_kill_with_a_queued_resume_never_steps_again(sim):

@@ -233,6 +233,8 @@ def test_prop_counters_match_recomputed_sums_after_every_step(data):
             retention = SecondReceiveBuffer(second_capacity, buffer.read_offset)
             buffer.attach_retention(retention)
         held = buffer._out_of_order
+        assert held is None or held  # a list only while a gap holds runs
+        held = held or []
         assert buffer.out_of_order_bytes == sum(len(span) for _start, span in held)
         assert all(
             held[i][0] + len(held[i][1]) <= held[i + 1][0] for i in range(len(held) - 1)

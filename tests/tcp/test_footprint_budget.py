@@ -3,8 +3,9 @@
 The companion of ``test_call_budget.py``: that one holds the per-segment
 call count, this one the per-connection heap (DESIGN §14).  It fails the
 day a per-connection class grows a ``__dict__`` again, a buffer goes back
-to a ``deque``, a socket keeps its listener after the hand-off, or a
-TIME_WAIT endpoint keeps its TCB.  ``tools/conn_footprint.py`` is the
+to a ``deque``, an empty container or a waiting process allocates a list
+or a bound method again, a socket keeps its listener after the hand-off,
+or a TIME_WAIT endpoint keeps its TCB.  ``tools/conn_footprint.py`` is the
 measuring recipe and prints the per-type census when this test needs
 explaining.
 """
@@ -13,10 +14,12 @@ import gc
 import importlib.util
 from collections import deque
 from pathlib import Path
+from types import MethodType
 
 from repro.errors import ConnectionTimeout
 from repro.harness.experiments.churn import owned_objects
 from repro.sim.events import SimEvent
+from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 from repro.tcp.constants import TCPState
 from repro.tcp.socket import TCPSocket, _Read, _Write
@@ -30,8 +33,11 @@ _spec = importlib.util.spec_from_file_location("conn_footprint", _TOOL)
 conn_footprint = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(conn_footprint)
 
-#: The tree at the time of writing needs about 11 040 bytes and 87
-#: GC-tracked objects per connection on CPython 3.11 (11 280 and 90 while
+#: The tree at the time of writing needs about 9 790 bytes and 67
+#: GC-tracked objects per connection on CPython 3.11 (10 990 and 87 while
+#: an empty buffer, an empty socket queue and a gapless reassembly queue
+#: each held an empty list, a pending read its accumulator and callback
+#: lists and a waiting process a bound ``_resume``; 11 280 and 90 while
 #: a pending read was a dict beside its event and each queued timer entry
 #: an ``EventHandle`` and a bound method; 11 890 and 99 while
 #: a shadow's state was split over an extension chain, an engine record
@@ -42,18 +48,19 @@ _spec.loader.exec_module(conn_footprint)
 #: in a free list); before buffers were lists and per-connection classes
 #: slotted it needed 29 500 and 163.  The slack absorbs interpreter
 #: differences (3.11 vs 3.12 object layouts).
-BYTES_PER_CONNECTION_BUDGET = 12_150
-OBJECTS_PER_CONNECTION_BUDGET = 98
+BYTES_PER_CONNECTION_BUDGET = 10_900
+OBJECTS_PER_CONNECTION_BUDGET = 78
 
-#: A connection whose three endpoints wait in TIME_WAIT needs about 3 515
-#: bytes and 14.6 objects (N = 100): three ``TimeWait`` records, each its
+#: A connection whose three endpoints wait in TIME_WAIT needs about 3 410
+#: bytes and 13.6 objects (N = 100): three ``TimeWait`` records, each its
 #: own expiry's queue token, the shadow's ``ShadowExtension``, the
 #: primary's retention record, table keys and the finished client
-#: process.  It needed 3 950 and 20.6 while each expiry was an
+#: process.  It needed 3 515 and 14.6 while the retention record's empty
+#: second buffer held a list, 3 950 and 20.6 while each expiry was an
 #: ``EventHandle`` and a bound method, and 10 340 and 86.6 while the TCBs
 #: themselves waited.
-TIME_WAIT_BYTES_PER_CONNECTION_BUDGET = 3_950
-TIME_WAIT_OBJECTS_PER_CONNECTION_BUDGET = 17
+TIME_WAIT_BYTES_PER_CONNECTION_BUDGET = 3_850
+TIME_WAIT_OBJECTS_PER_CONNECTION_BUDGET = 16
 
 #: Packages whose classes are instantiated per connection.
 _PER_CONNECTION_PACKAGES = ("repro.tcp.", "repro.util.", "repro.sttcp.")
@@ -178,6 +185,40 @@ def test_nothing_a_connection_owns_has_a_dict_or_a_deque():
             )
         ]
         assert not offenders, offenders
+
+
+def test_an_idle_connection_keeps_no_empty_list_and_no_bound_resume():
+    """DESIGN §14 rules 1, 3 and 6: from the client, primary and shadow
+    endpoint of an idle connection (its socket, which reaches the TCB),
+    what the walk finds and the neighbour's walk does not holds no empty
+    ``list`` (a buffer, socket queue or reassembly queue with nothing in
+    it) and no ``Process._resume`` bound method: the server processes
+    blocked in a read are held by their events as themselves."""
+    scenario, socks = conn_footprint.build(2)
+    pairs = (
+        [sock.tcb for sock in socks],
+        scenario.primary.tcp.connections,
+        scenario.pair.backup_engine.shadow_connections,
+    )
+    blocked = 0
+    for tcb, neighbour in pairs:
+        assert tcb.state is TCPState.ESTABLISHED
+        shared = {id(obj) for obj in owned_objects(neighbour.socket or neighbour)}
+        owned = [obj for obj in owned_objects(tcb.socket or tcb) if id(obj) not in shared]
+        assert tcb in owned and len(owned) > 20
+        empty = [obj for obj in owned if type(obj) is list and not obj]
+        assert not empty, len(empty)
+        resumes = [
+            type(obj).__qualname__
+            for obj in owned
+            for ref in gc.get_referents(obj)
+            if isinstance(ref, MethodType) and ref.__func__ is Process._resume
+        ]
+        assert not resumes, resumes
+        for reader in (obj for obj in owned if type(obj) is _Read):
+            assert isinstance(reader._callbacks, Process) and reader.acc is None
+            blocked += 1
+    assert blocked == 2  # the primary's and the shadow's server, in recv_exactly
 
 
 def test_listener_hands_the_tcb_back_to_the_socket_once_established():

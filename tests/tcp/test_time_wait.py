@@ -186,6 +186,39 @@ def test_unread_bytes_stay_readable_and_a_late_close_waiter_is_told_at_expiry():
     assert started + 1.0 < seen["closed_at"] < started + 1.5
 
 
+@pytest.mark.parametrize("reads_first", [True, False], ids=["all_read", "unread"])
+def test_a_record_reports_where_the_received_stream_ends(reads_first):
+    """Less the SYN and the FIN: the 5-byte reply, whether the client read
+    it before the wait or the record still holds it unread.  A record
+    that holds nothing unread keeps no buffer for it."""
+    lan = LanPair(Simulator(seed=158))
+    seen = {}
+
+    def server():
+        conn = yield lan.b.tcp.listen(8000).accept()
+        yield conn.recv_exactly(3)
+        yield conn.send(b"reply")
+        conn.close()
+
+    def client():
+        sock = lan.a.tcp.connect((lan.ip_b, 8000))
+        yield sock.wait_connected()
+        yield sock.send(b"req")
+        if reads_first:
+            yield sock.recv_exactly(5)
+        sock.close()
+        yield lan.sim.timeout(0.5)
+        record = sock.tcb
+        buffer = record.recv_buffer
+        seen["offsets"] = (buffer.rcv_nxt_offset, buffer.read_offset, buffer.available)
+        seen["kept"] = record._unread is not None
+
+    lan.b.spawn(server())
+    lan.sim.run_until_complete(lan.a.spawn(client()), deadline=30.0)
+    assert seen["offsets"] == ((5, 5, 0) if reads_first else (5, 0, 5))
+    assert seen["kept"] is not reads_first
+
+
 def test_a_reset_before_the_expiry_lets_go_at_once_though_the_entry_waits():
     """The record is its own expiry's queue token.  A RST in the wait
     retires that entry, which stays queued — a binary heap drops it when

@@ -403,6 +403,7 @@ def test_prop_buffer_matches_bytes_oracle_over_every_operation(data):
         assert all(0 <= start < stop for _kind, start, stop in ranges)
         assert len(ranges) <= appended
         pieces = buffer._pieces
+        assert (pieces == ()) == (not oracle)  # an empty buffer holds no list
         if not pieces:
             assert buffer._skip == buffer._extend == 0
         elif buffer._extend > 0:

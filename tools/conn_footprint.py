@@ -11,9 +11,12 @@ is subtracted, so what is left is what N connections add.  With
 heap is read while all three endpoints of every connection wait in
 TIME_WAIT (one :class:`~repro.tcp.timewait.TimeWait` record each).
 
-Prints traced bytes and GC-tracked objects per connection and the
-per-type census of the added objects.  ``tests/tcp/test_footprint_budget.py``
-holds both budgets (DESIGN §14).
+Prints traced bytes and GC-tracked objects per connection, the
+per-type census of the added objects, and who holds each added ``list``
+and bound method (``list ← SpanBuffer``, ``method
+RestartableTimer._fire ← TCPConnection``): the containers that grow with
+connections, named by the object that keeps them.
+``tests/tcp/test_footprint_budget.py`` holds both budgets (DESIGN §14).
 
 Usage::
 
@@ -26,6 +29,7 @@ import argparse
 import gc
 import sys
 import tracemalloc
+import types
 from collections import Counter
 from typing import Any, List, NamedTuple, Tuple
 
@@ -64,6 +68,9 @@ class Footprint(NamedTuple):
     #: (type name, instances per connection, ``getsizeof`` bytes per
     #: connection) for every type the connections add instances of.
     census: List[Tuple[str, float, float]]
+    #: (``"list ← Holder"`` or ``"method Owner.name ← Holder"``, instances
+    #: per connection) for the lists and bound methods they add.
+    holders: List[Tuple[str, float]]
 
     def per_conn(self, type_name: str) -> float:
         """Instances of ``type_name`` one connection adds (0 if none)."""
@@ -129,6 +136,35 @@ def _census() -> Tuple[Counter, Counter]:
     return counts, sizes
 
 
+#: The containers whose holders the census names.
+_HELD_TYPES = (list, types.MethodType)
+
+
+def _held() -> List[Any]:
+    """Every live list and bound method (kept alive, so no id is reused)."""
+    return [obj for obj in gc.get_objects() if type(obj) in _HELD_TYPES]
+
+
+def _holder_label(held: Any, holder: Any) -> str:
+    if type(held) is list:
+        return f"list ← {type(holder).__qualname__}"
+    return f"method {held.__func__.__qualname__} ← {type(holder).__qualname__}"
+
+
+def _holders(before: List[Any]) -> Counter:
+    """The lists and bound methods made since ``before`` was taken,
+    counted by what refers to them (one row per referrer)."""
+    old = {id(obj) for obj in before}
+    objects = gc.get_objects()
+    made = {id(obj) for obj in objects if type(obj) in _HELD_TYPES and id(obj) not in old}
+    holders: Counter = Counter()
+    for holder in objects:
+        for held in gc.get_referents(holder):
+            if id(held) in made:
+                holders[_holder_label(held, holder)] += 1
+    return holders
+
+
 def _settle() -> None:
     """Collect until the heap is quiet.
 
@@ -141,10 +177,12 @@ def _settle() -> None:
         gc.collect()
 
 
-def _cost_of_build(connections: int, time_wait: bool) -> Tuple[int, int, Counter, Counter]:
-    """(traced bytes, GC objects, instances by type, ``getsizeof`` by type)
-    that one ``build`` keeps alive."""
+def _cost_of_build(connections: int, time_wait: bool) -> Tuple[int, int, Counter, Counter, Counter]:
+    """(traced bytes, GC objects, instances by type, ``getsizeof`` by
+    type, added lists and bound methods by holder) that one ``build``
+    keeps alive."""
     _settle()
+    before_held = _held()
     before_counts, before_sizes = _census()
     before_bytes = tracemalloc.get_traced_memory()[0]
     before_objects = len(gc.get_objects())
@@ -153,10 +191,11 @@ def _cost_of_build(connections: int, time_wait: bool) -> Tuple[int, int, Counter
     after_bytes = tracemalloc.get_traced_memory()[0]
     after_objects = len(gc.get_objects())
     counts, sizes = _census()
-    del kept
+    holders = _holders(before_held)
+    del kept, before_held
     counts.subtract(before_counts)
     sizes.subtract(before_sizes)
-    return after_bytes - before_bytes, after_objects - before_objects, counts, sizes
+    return after_bytes - before_bytes, after_objects - before_objects, counts, sizes, holders
 
 
 def measure(connections: int = 100, time_wait: bool = False) -> Footprint:
@@ -166,13 +205,14 @@ def measure(connections: int = 100, time_wait: bool = False) -> Footprint:
     if started_here:
         tracemalloc.start()
     try:
-        base_bytes, base_objects, base_counts, base_sizes = _cost_of_build(0, time_wait)
-        full_bytes, full_objects, counts, sizes = _cost_of_build(connections, time_wait)
+        base_bytes, base_objects, base_counts, base_sizes, base_holders = _cost_of_build(0, time_wait)
+        full_bytes, full_objects, counts, sizes, holders = _cost_of_build(connections, time_wait)
     finally:
         if started_here:
             tracemalloc.stop()
     counts.subtract(base_counts)
     sizes.subtract(base_sizes)
+    holders.subtract(base_holders)
     census = [
         (name, count / connections, sizes[name] / connections)
         for name, count in counts.items()
@@ -185,6 +225,10 @@ def measure(connections: int = 100, time_wait: bool = False) -> Footprint:
         (full_bytes - base_bytes) / connections,
         (full_objects - base_objects) / connections,
         census,
+        sorted(
+            ((label, count / connections) for label, count in holders.items() if count),
+            key=lambda row: (-row[1], row[0]),
+        ),
     )
 
 
@@ -198,6 +242,9 @@ def format_footprint(footprint: Footprint) -> str:
     ]
     for name, count, size in footprint.census:
         lines.append(f"  {name:<44}{count:>10.2f}{size:>13.1f}")
+    lines.append(f"  {'lists and bound methods, by holder':<54}{'per conn':>10}")
+    for label, count in footprint.holders:
+        lines.append(f"  {label:<54}{count:>10.2f}")
     return "\n".join(lines)
 
 
