@@ -29,19 +29,20 @@ def part_one() -> None:
         sttcp=STTCPConfig(hb_interval=0.05, retx_request_timeout=0.02),
         seed=11,
     )
+    shadows = []  # the backup's shadow, kept: once closed it leaves the table
+    scenario.backup.tcp.connection_observers.append(shadows.append)
     run = run_workload(
         upload_workload(1 * MB), scenario=scenario, faults=[(0.0, "tap_loss", {"rate": 0.05})]
     ).require_clean()
     scenario.sim.run(until=scenario.sim.now + 1.0)  # let repairs finish
-    backup = scenario.pair.backup_engine
     print(f"  upload completed in {run.total_time:.3f} s, verified={run.result.verified}")
     print(f"  tap dropped {scenario.backup.nics[0].rx_loss_model.dropped} frames")
     count = scenario.sim.metrics.value
     print(f"  backup sent {count('backup.sttcp.retx_requests_sent')} RETX_REQUESTs and "
           f"recovered {count('backup.sttcp.retx_bytes_recovered')} bytes over the UDP channel")
-    shadow = backup.shadow_connections[0]
+    (shadow,) = shadows
     received = shadow.recv_buffer.rcv_nxt_offset
-    print(f"  shadow receive stream complete through byte {received}\n")
+    print(f"  shadow receive stream complete through byte {received} ({shadow.state.value})\n")
 
 
 def part_two(with_logger: bool) -> None:

@@ -101,6 +101,7 @@ def request_response_server(
                 connection_handler(host, conn, service_time),
                 f"{host.name}.handler:{conn.remote_address[1]}",
             )
+            del conn  # the handler's now: once closed, its TCB goes with it
     except ConnectionError_:
         return  # listener closed
 

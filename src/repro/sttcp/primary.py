@@ -34,7 +34,7 @@ from repro.sttcp.messages import (
 )
 from repro.sttcp.retention import SecondReceiveBuffer
 from repro.sttcp.shadow import ShadowExtension
-from repro.tcp.constants import SEQ_MASK, SEQ_SPACE, SYNCHRONIZED_STATES
+from repro.tcp.constants import SEQ_MASK, SEQ_SPACE, SYNCHRONIZED_STATES, TCPState
 from repro.tcp.seqspace import HALF_SPACE, unwrap, wrap
 from repro.tcp.tcb import TCPConnection
 from repro.tcp.timers import RestartableTimer
@@ -55,13 +55,16 @@ def _reopen_window(tcb: Endpoint) -> None:
 class _PrimaryConnState:
     """Per-connection bookkeeping on the primary."""
 
-    __slots__ = ("tcb", "retention", "acked_by")
+    __slots__ = ("tcb", "retention", "acked_by", "requested_to")
 
     def __init__(self, tcb: TCPConnection, retention: SecondReceiveBuffer) -> None:
         self.tcb: Endpoint = tcb
         self.retention = retention
         #: backup channel IP value → highest acked receive-stream offset.
         self.acked_by: Dict[int, int] = {}
+        #: The end of the furthest range a backup asked to be sent again:
+        #: beyond the retention head, a backup still lacks retained bytes.
+        self.requested_to = 0
 
 
 class STTCPPrimary:
@@ -188,12 +191,26 @@ class STTCPPrimary:
 
     def _on_connection_closed(self, tcb: Endpoint) -> None:
         """Close observer: the TCP layer reaped a TCB; drop the retention
-        state with it so churning clients don't accumulate dead buffers."""
+        state with it so churning clients don't accumulate dead buffers.
+
+        No backup asks for a closed connection's retained bytes unless it
+        missed them, so they are released here, not left waiting for an
+        ack that a closed shadow never sends.  A backup that asked for
+        retained bytes and has not acked them yet is still recovering
+        them (§4.2): the state stays for its next request and goes with
+        the ack that covers them (``_handle_backup_ack``)."""
         key = conn_key(tcb.remote_ip, tcb.remote_port)
         state = self._connections.get(key)
         if state is None or state.tcb is not tcb:
             return
+        retention = state.retention
+        if retention.retained_bytes and state.requested_to > retention.lowest_retained_offset:
+            return
+        self._forget(key, state)
+
+    def _forget(self, key: ConnKey, state: _PrimaryConnState) -> None:
         del self._connections[key]
+        state.retention.release_all()
         self._c_retained_reaped.value += 1
 
     @property
@@ -251,6 +268,8 @@ class STTCPPrimary:
                 # Window may have been pinched by retention overflow;
                 # releasing bytes can reopen it.
                 _reopen_window(tcb)
+            if tcb.state is TCPState.CLOSED and not state.retention.retained_bytes:
+                self._forget(ack.key, state)  # held past its close until recovered
         # The reply doubles as the primary→backup heartbeat (§4.3).
         self._send(AckReply(ack.key, ack.ack_seq), source)
 
@@ -279,6 +298,8 @@ class STTCPPrimary:
         held_from = retention.lowest_retained_offset if retention.enabled else recv_buffer.read_offset
         start = max(tcb.rcv_offset(start_abs), held_from)
         stop = tcb.rcv_offset(stop_abs)
+        if stop > state.requested_to:
+            state.requested_to = stop
         data = concat([retention.fetch(start, stop), recv_buffer.peek_unread(start, stop)])
         if len(data) == 0:
             return
@@ -352,12 +373,17 @@ class STTCPPrimary:
             for state in self._connections.values():
                 if self._release_retained(state):
                     _reopen_window(state.tcb)
-            return
-        self.fault_tolerant = False
-        self.backup_failed_at = self.sim.now
-        for state in self._connections.values():
-            state.retention.disable()
-            _reopen_window(state.tcb)
-        self._hb_timer.stop()
-        if "sttcp" in self.sim.trace.categories:
-            self.sim.trace.emit(self.sim.now, "sttcp", "non_fault_tolerant_mode")
+        else:
+            self.fault_tolerant = False
+            self.backup_failed_at = self.sim.now
+            for state in self._connections.values():
+                state.retention.disable()
+                _reopen_window(state.tcb)
+            self._hb_timer.stop()
+            if "sttcp" in self.sim.trace.categories:
+                self.sim.trace.emit(self.sim.now, "sttcp", "non_fault_tolerant_mode")
+        # A closed connection held for a backup's recovery that is now
+        # released, or whose backup is gone, is held no longer.
+        for key, state in list(self._connections.items()):
+            if state.tcb.state is TCPState.CLOSED and not state.retention.retained_bytes:
+                self._forget(key, state)

@@ -104,6 +104,10 @@ class SecondReceiveBuffer(RetentionPolicy):
         self._set_overflow()
         return freed
 
+    def release_all(self) -> int:
+        """Release every retained byte (the connection closed)."""
+        return self.backup_acked(self._store.tail_offset)
+
     def fetch(self, start_offset: int, stop_offset: int) -> ByteSpan:
         """Bytes [start, stop) ∩ retained range, for recovery service."""
         lo = max(start_offset, self._store.head_offset)

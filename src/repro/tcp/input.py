@@ -113,6 +113,8 @@ class InputEngine:
             conn.output.ack_now()
             if conn.socket is not None:
                 conn.socket._on_established()
+                if conn.state is TCPState.CLOSED:
+                    return  # aborted from the wake-up: the engines are let go
             conn.output.try_output()
         else:
             # Simultaneous open.
@@ -174,7 +176,7 @@ class InputEngine:
             return
         if segment.payload_length > 0:
             self._process_payload(segment, seq_abs)
-        if flags & FLAG_FIN:
+        if flags & FLAG_FIN and conn.state is not TCPState.CLOSED:
             self._process_fin(segment, seq_abs)
 
     # -- ACK processing ------------------------------------------------------
@@ -205,6 +207,8 @@ class InputEngine:
                     conn.snd_una = ack_abs
                 if conn.socket is not None:
                     conn.socket._on_established()
+                    if conn.state is TCPState.CLOSED:
+                        return False  # aborted from the wake-up
             else:
                 conn.output.send_rst_for(segment)
                 return False
@@ -238,7 +242,7 @@ class InputEngine:
             elif conn.state is TCPState.LAST_ACK:
                 conn._enter_closed(None)
                 return False
-        return True
+        return conn.state is not TCPState.CLOSED  # not aborted from a writer's wake-up
 
     def apply_cumulative_ack(self, ack_abs: int) -> None:
         """Advance ``snd_una`` to ``ack_abs`` with all side effects: buffer
@@ -261,6 +265,8 @@ class InputEngine:
             conn.send_buffer.ack_to(data_ack_offset)
             if conn.socket is not None:
                 conn.socket._pump_writers()
+                if conn.state is TCPState.CLOSED:
+                    return  # aborted from the wake-up: the engines are let go
         # RTT sample (Karn-protected: timing is cleared on retransmission).
         if retransmit.timing is not None and ack_abs >= retransmit.timing[0]:
             sample = conn.sim.now - retransmit.timing[1]
@@ -357,6 +363,8 @@ class InputEngine:
                 ext.on_rcv_advance(conn)
             if conn.socket is not None:
                 conn.socket._pump_readers()
+                if conn.state is TCPState.CLOSED:
+                    return  # aborted from the wake-up: the engines are let go
         else:
             # Out-of-order or duplicate: immediate ACK to feed the sender's
             # fast-retransmit machinery.
@@ -378,11 +386,13 @@ class InputEngine:
         conn.fin_received = True
         conn.rcv_nxt += 1
         conn.output.ack_now()
-        if conn.socket is not None:
-            conn.socket._pump_readers()  # wake readers so they observe EOF
+        # CLOSE_WAIT before the readers wake: a close() made from the EOF
+        # wake-up is RFC 793's passive close (LAST_ACK, then CLOSED).
         if conn.state is TCPState.ESTABLISHED:
             conn.state = TCPState.CLOSE_WAIT
-        elif conn.state is TCPState.FIN_WAIT_1:
+        if conn.socket is not None:
+            conn.socket._pump_readers()  # wake readers so they observe EOF
+        if conn.state is TCPState.FIN_WAIT_1:
             if conn._fin_acked:
                 conn._enter_time_wait()
             else:

@@ -320,16 +320,30 @@ class TCPConnection:
         self.output.delack_timer.cancel()
 
     def _enter_closed(self, error: Optional[BaseException]) -> None:
+        """Reach CLOSED: leave the table, tell the socket, and cut the ties
+        that make the TCB a cycle — its engines' ``conn``, the socket's
+        back-pointer, the extension and the retention policy's buffer —
+        so that reference counting frees it once the application lets go
+        of the socket (as ``_enter_time_wait`` does for the wait).  The
+        socket keeps the TCB: ``state``, ``close()`` and ``recv()`` (the
+        unread bytes, then EOF) go on working, and reach no engine."""
         previous = self.state
         self.state = TCPState.CLOSED
         self.error = error
         self.cancel_timers()
         self.layer.connection_closed(self)
         self.trace_event("closed", previous=previous.value, error=repr(error))
-        if self.socket is not None:
+        socket = self.socket
+        if socket is not None:
             if error is not None:
-                self.socket._on_error(error)
-            self.socket._on_closed()
+                socket._on_error(error)
+            socket._on_closed()
+        if previous is not TCPState.CLOSED:  # a second close finds them cut
+            self.socket = self.extension = None
+            retention = self.recv_buffer.retention
+            if retention is not None:
+                retention.buffer = None
+            del self.retransmit.conn, self.output.conn, self.input.conn
 
     # ------------------------------------------------------------------ repair
     # Connection repair, in the manner of Linux TCP_REPAIR: generic

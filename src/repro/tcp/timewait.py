@@ -7,9 +7,10 @@ which the record is its own queue token (``Scheduler.arm``).
 when the wait begins (Linux's ``inet_timewait_sock``, FreeBSD's ``tcptw``).
 It answers a segment as the TCB in TIME_WAIT did, except that payload or
 a second FIN is acknowledged and dropped, and its window stays the one at
-entry.  It keeps the socket only while something waits on it, and once
-closed neither the socket nor the extension: a reset before the expiry
-leaves a dead entry that pins the record alone.
+entry; a retransmission of the peer's FIN restarts the wait (RFC 793).
+It keeps the socket only while something waits on it, and once closed
+neither the socket nor the extension: a reset before the expiry leaves a
+dead entry that pins the record alone.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class TimeWait:
 
     __slots__ = (
         "layer", "local_ip", "local_port", "remote_ip", "remote_port",
-        "snd_nxt", "rcv_nxt", "irs", "window", "ts_recent",
+        "snd_nxt", "rcv_nxt", "irs", "window", "ts_recent", "hold",
         "output_inhibited", "extension", "socket", "_unread",
         "state", "error", "seq", "_challenge_start", "_challenge_count",
     )
@@ -58,6 +59,7 @@ class TimeWait:
         buffer = tcb.recv_buffer
         self.window = buffer.window
         self.ts_recent = tcb.last_ts_recv if tcb.use_timestamps else None
+        self.hold = tcb.config.time_wait
         self.output_inhibited = tcb.output_inhibited
         self.extension: Any = tcb.extension
         socket = tcb.socket
@@ -78,7 +80,7 @@ class TimeWait:
         self._challenge_count = tcb.input._challenge_count
         sim = self.layer.sim
         self.seq = -1
-        sim.arm(sim.now + tcb.config.time_wait, self, TimeWait._close)
+        sim.arm(sim.now + self.hold, self, TimeWait._close)
         if "tcp" in sim.trace.categories:
             self.trace_event("time_wait")
 
@@ -134,6 +136,11 @@ class TimeWait:
             acceptable = window != 0 and seq_abs < rcv_nxt + window and seq_abs + seg_len > rcv_nxt
         if not acceptable:
             if not flags & FLAG_RST:
+                if flags & FLAG_FIN and seq_abs + segment.payload_length + 1 == rcv_nxt:
+                    # The peer's FIN again: our ACK of it was lost, so the
+                    # wait starts over (RFC 793), its old entry retired.
+                    sim = self.layer.sim
+                    sim.arm(sim.now + self.hold, self, TimeWait._close)
                 self._challenge()
         elif flags & FLAG_RST:
             self._close(ConnectionReset("connection reset by peer"))

@@ -1,6 +1,7 @@
 # Active close and TIME_WAIT: our FIN -> FIN_WAIT_2 -> peer FIN -> ACK ->
 # TIME_WAIT holding for the 2MSL period; a retransmitted peer FIN (now
-# below the window) draws a challenge ACK; then the timer closes the TCB.
+# below the window) draws a challenge ACK and restarts the wait (RFC 793);
+# then the timer closes the endpoint.
 use(mode="client")
 
 sock_connect(0.0)
@@ -17,6 +18,7 @@ expect_state(1.3, "TIME_WAIT")
 # A duplicate FIN sits left of the window now: challenge-ACKed.
 inject(1.5, tcp("FA", seq=1, ack=2))
 expect(1.5, tcp("A", seq=2, ack=2))
-# TIME_WAIT expires 1s after it began at 1.2 (the duplicate FIN restarted
-# nothing: ROADMAP 15(b)) and the endpoint is gone.
+# The wait that began at 1.2 would end at 2.2; the duplicate FIN restarted
+# it, so it expires 1s after 1.5 and the endpoint is gone.
+expect_state(2.3, "TIME_WAIT")
 expect_state(2.6, "CLOSED")

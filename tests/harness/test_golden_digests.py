@@ -84,12 +84,12 @@ def _scale_rung_digest():
         ),
         pytest.param(
             _drill_digest,
-            "941a5705439b0c8fb3f4b3e1fc1ee18ca70a8e4f2c31d59b445ff052ac420a80",
+            "b277d5c7a4e72b2ac55bfbcafdb4937844d348d4fd2602f84e3698205a15c05b",
             id="drill_corpus",
         ),
         pytest.param(
             _scale_rung_digest,
-            "1fbcad579093728a328206c3ba7f4a1c033a18e6e860767695751227175619f0",
+            "01e66ab6ea263f545a1e873dbdb8b42b9b0beade5ff585a36f8a58dad15f1daa",
             id="scale_rung",
         ),
     ],

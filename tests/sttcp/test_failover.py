@@ -8,6 +8,7 @@ from repro.apps.workload import (
     interactive_workload,
     upload_workload,
 )
+from repro.errors import ConnectionReset
 from repro.faults.injection import FaultPlan
 from repro.harness.runner import run_workload
 from repro.ip.datagram import PROTO_TCP
@@ -16,6 +17,7 @@ from repro.net.loss import ScriptedLoss
 from repro.sttcp.backup import ROLE_ACTIVE
 from repro.sttcp.shadow import ShadowExtension
 from repro.tcp.constants import FLAG_ACK, FLAG_SYN, TCPState
+from repro.tcp.timewait import TimeWait
 from repro.util.units import KB
 
 from tests.sttcp.conftest import make_scenario
@@ -337,3 +339,51 @@ def test_a_degraded_connection_is_listed_once(isn_known, filled, cause):
     assert engine.degraded_connections == ({} if cause is None else {state.key: cause})
     reset = cause == "isn_unknown"
     assert fate == [(reset, reset)]
+
+
+def test_a_server_that_closes_first_waits_on_both_replicas_and_a_takeover_answers_for_it():
+    """A server that closes first is the active closer on the primary and
+    the shadow alike: both ends wait in TIME_WAIT as records that the
+    engines' per-connection state follows, while the client, the passive
+    closer, is gone.  A takeover during the wait announces the server
+    from the shadow's record with a pure ACK, and the client's stack,
+    holding nothing for it, resets the record."""
+    scenario = make_scenario(seed=81)
+    sim, pair = scenario.sim, scenario.pair
+    port = scenario.service_addr[1]
+    seen = {}
+
+    def server(host):
+        conn = yield host.tcp.listen(port).accept()
+        yield conn.recv_exactly(3)
+        yield conn.send(b"bye")
+        conn.close()  # the server closes first
+
+    def client():
+        sock = scenario.client.tcp.connect(scenario.service_addr)
+        yield sock.wait_connected()
+        yield sock.send(b"req")
+        seen["reply"] = yield sock.recv_exactly(3)
+        seen["eof"] = (yield sock.recv(10)).length
+        sock.close()
+
+    for host in (scenario.primary, scenario.backup):
+        host.spawn(server(host))
+    pair.primary_engine.start()
+    pair.backup_engine.start()
+    sim.run_until_complete(scenario.client.spawn(client()), deadline=5.0)
+    sim.run(until=sim.now + 0.05)
+    assert seen == {"reply": b"bye", "eof": 0}
+    assert scenario.client.tcp.connections == []
+    (primary_state,) = pair.primary_engine._connections.values()
+    (shadow,) = pair.backup_engine._connections.values()
+    record = shadow.tcb
+    for host, endpoint in ((scenario.primary, primary_state.tcb), (scenario.backup, record)):
+        assert isinstance(endpoint, TimeWait) and host.tcp.connections == [endpoint]
+    resets = sim.metrics.value("client.tcp.resets_sent")
+    pair.backup_engine.force_failover()
+    sim.run(until=sim.now + 0.1)
+    assert pair.failed_over and not record.output_inhibited
+    assert sim.metrics.value("client.tcp.resets_sent") == resets + 1
+    assert record.state is TCPState.CLOSED and isinstance(record.error, ConnectionReset)
+    assert scenario.backup.tcp.connections == [] and pair.backup_engine._connections == {}

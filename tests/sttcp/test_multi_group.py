@@ -26,9 +26,11 @@ from repro.sim.simulator import Simulator
 from repro.sttcp.backup import ROLE_ACTIVE, ROLE_PASSIVE
 from repro.sttcp.config import STTCPConfig
 from repro.sttcp.group import STTCPServerGroup
+from repro.sttcp.messages import conn_key
 from repro.sttcp.power_switch import PowerSwitch
 
 SERVICE_PORT = 8000
+SYNC_TIME = 0.0002
 
 
 @dataclasses.dataclass
@@ -41,6 +43,12 @@ class PairNodes:
     pair: STTCPServerGroup
     service_ip: object
     client_ip: object
+    #: The extension of every connection the backup host opened (its
+    #: shadows) and the primary engine's record of every connection it
+    #: retained, kept as they open: a closed connection leaves both
+    #: engines' tables.
+    shadows: list = dataclasses.field(default_factory=list)
+    primary_states: list = dataclasses.field(default_factory=list)
 
     @property
     def backup_ip(self):
@@ -91,7 +99,10 @@ class TwoPairHub:
                 # 4-tuples then differ only in the client's address.
                 client.tcp.ephemeral_start = client_port
                 client.tcp._next_ephemeral = client_port
-            config = STTCPConfig(hb_interval=hb_interval)  # shared channel port
+            # Shared channel port.  A SyncTime far below the few
+            # milliseconds a session lasts makes acks flow while it is
+            # open: a connection that closed leaves nothing to ack.
+            config = STTCPConfig(hb_interval=hb_interval, sync_time=SYNC_TIME)
             pair = STTCPServerGroup(
                 primary,
                 [backup],
@@ -101,9 +112,16 @@ class TwoPairHub:
                 power_switch=PowerSwitch(self.sim, config.stonith_delay),
             )
             pair.start_service()
-            self.pairs.append(
-                PairNodes(client, primary, backup, pair, service_ip, client_ip)
+            nodes = PairNodes(client, primary, backup, pair, service_ip, client_ip)
+            backup.tcp.connection_observers.append(
+                lambda tcb, seen=nodes.shadows: seen.append(tcb.extension)
             )
+            primary.tcp.connection_observers.append(
+                lambda tcb, engine=pair.primary_engine, seen=nodes.primary_states: seen.append(
+                    engine._connections[conn_key(tcb.remote_ip, tcb.remote_port)]
+                )
+            )
+            self.pairs.append(nodes)
         self.crashed_at: float | None = None
 
     def _join(self, host: Host, address):
@@ -129,20 +147,23 @@ class TwoPairHub:
         return results
 
     def assert_isolated(self) -> None:
-        """Each backup shadows exactly its own pair; acks never cross."""
+        """Each backup shadowed exactly its own pair; acks never crossed."""
         for nodes in self.pairs:
-            shadows = nodes.pair.backup_engine.shadow_connections
+            shadows = nodes.shadows
             assert len(shadows) == 1, (
-                f"{nodes.backup.name} shadows {len(shadows)} connections"
+                f"{nodes.backup.name} shadowed {len(shadows)} connections"
             )
-            (tcb,) = shadows
+            (state,) = shadows
+            assert state.engine is nodes.pair.backup_engine
+            tcb = state.tcb
             assert tcb.local_ip == nodes.service_ip
             assert tcb.remote_ip == nodes.client_ip, (
                 f"{nodes.backup.name} cross-tapped a foreign client "
                 f"{tcb.remote_ip}"
             )
             assert self.sim.metrics.value(f"{nodes.backup.name}.sttcp.acks_sent") > 0
-            for state in nodes.pair.primary_engine._connections.values():
+            assert len(nodes.primary_states) == 1
+            for state in nodes.primary_states:
                 assert set(state.acked_by) <= {nodes.backup_ip.value}, (
                     f"{nodes.primary.name} acked by a foreign backup: "
                     f"{sorted(state.acked_by)}"
@@ -193,8 +214,8 @@ def test_crash_in_one_pair_leaves_the_other_untouched():
     assert bystander.pair.backup_engine.role is ROLE_PASSIVE
     assert bystander.pair.backup_engine.detection_time is None
     # The surviving pair's ack bookkeeping is still single-sourced.
-    for state in bystander.pair.primary_engine._connections.values():
-        assert set(state.acked_by) <= {bystander.backup_ip.value}
+    (state,) = bystander.primary_states
+    assert set(state.acked_by) <= {bystander.backup_ip.value}
 
 
 def test_bystander_backup_taps_nothing_foreign():
@@ -206,7 +227,6 @@ def test_bystander_backup_taps_nothing_foreign():
         assert result.error is None and result.verified
     cluster.assert_isolated()
     for nodes in cluster.pairs:
-        engine = nodes.pair.backup_engine
-        # Every retained shadow key belongs to this pair's client.
-        for state in engine._connections.values():
+        # Every shadow's key belongs to this pair's client.
+        for state in nodes.shadows:
             assert state.tcb.remote_ip == nodes.client_ip

@@ -4,6 +4,7 @@ state tracking, backup acknowledgments, retention release."""
 import sys
 from collections import Counter
 
+from repro.apps.protocol import KIND_DATA, encode_request
 from repro.apps.workload import bulk_workload, echo_workload, upload_workload
 from repro.harness.runner import run_workload
 from repro.sttcp.backup import ROLE_PASSIVE
@@ -128,13 +129,26 @@ def test_x_threshold_controls_ack_rate():
 
 def test_sync_time_acks_when_idle():
     """With no client traffic at all, acks still flow every SyncTime and
-    serve as backup→primary heartbeats (§4.3)."""
+    serve as backup→primary heartbeats (§4.3): over a connection that
+    made one exchange and then sits idle, held open (a closed one leaves
+    the backup nothing to ack)."""
     scenario = make_scenario(sync_time=0.02)
-    run_on(scenario, echo_workload(2)).require_clean()
-    before = acks_sent(scenario)
-    scenario.sim.run(until=scenario.sim.now + 1.0)  # idle period
-    after = acks_sent(scenario)
-    assert after - before >= 40  # ~one per 20 ms of idle time
+    scenario.start_service()
+    sim = scenario.sim
+    idle = {}
+
+    def client():
+        sock = scenario.client.tcp.connect(scenario.service_addr)
+        yield sock.wait_connected()
+        yield sock.send(encode_request(KIND_DATA, 512, 1))
+        yield sock.recv_exactly(512)
+        idle["before"] = acks_sent(scenario)
+        yield sim.timeout(1.0)  # idle period
+        idle["after"] = acks_sent(scenario)
+        sock.close()
+
+    sim.run_until_complete(scenario.client.spawn(client()), deadline=30.0)
+    assert idle["after"] - idle["before"] >= 40  # ~one per 20 ms of idle time
 
 
 def test_shadow_handles_client_ack_ahead_of_slow_application():

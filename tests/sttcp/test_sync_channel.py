@@ -17,7 +17,7 @@ from repro.sttcp.messages import (
     SMALL_MESSAGE_SIZE,
     conn_key,
 )
-from repro.tcp.constants import FLAG_ACK
+from repro.tcp.constants import FLAG_ACK, TCPState
 from repro.tcp.segment import TCPSegment
 from repro.tcp.seqspace import wrap
 from repro.util.bytespan import PatternBytes, RealBytes
@@ -73,6 +73,33 @@ def test_random_tap_loss_repaired_over_channel():
     assert shadow.recv_buffer.rcv_nxt_offset >= 256 * KB
 
 
+@pytest.mark.parametrize("backup_dies", [False, True], ids=["acked", "backup_dies"])
+def test_a_closed_connection_is_held_while_its_backup_recovers(backup_dies):
+    """The primary's end closes (LAST_ACK, then CLOSED) while the backup
+    still asks for bytes its tap lost: the per-connection record and its
+    retained bytes stay past the close, and go with the backup's ack that
+    covers them, or with the backup itself once it is declared dead."""
+    scenario = make_scenario(seed=90, retx_request_timeout=0.02)
+    run = run_workload(
+        upload_workload(256 * KB),
+        scenario=scenario,
+        faults=[(0.0, "tap_loss", {"rate": 0.05})],
+        deadline=120.0,
+    )
+    assert run.result.error is None and run.result.verified
+    sim, primary = scenario.sim, scenario.pair.primary_engine
+    sim.run(until=sim.now + 0.01)
+    (state,) = primary._connections.values()
+    assert state.tcb.state is TCPState.CLOSED and scenario.primary.tcp.connections == []
+    assert state.retention.retained_bytes > 0
+    if backup_dies:
+        scenario.backup.crash()
+    sim.run(until=sim.now + 1.0)
+    assert primary._connections == {} and primary.retention_states_reaped == 1
+    assert state.retention.retained_bytes == 0
+    assert primary.fault_tolerant is not backup_dies
+
+
 def test_tap_outage_repaired_when_primary_survives():
     scenario = make_scenario(seed=91, retx_request_timeout=0.02)
     run = run_workload(
@@ -91,6 +118,8 @@ def test_tap_loss_on_download_workload_recovers_ack_stream():
     """Even for downloads the backup must keep its (tiny) client receive
     stream complete; heavy tap loss must not wedge the shadow."""
     scenario = make_scenario(seed=92, retx_request_timeout=0.02)
+    shadows = []
+    scenario.backup.tcp.connection_observers.append(shadows.append)
     run = run_workload(
         bulk_workload(128 * KB),
         scenario=scenario,
@@ -99,9 +128,11 @@ def test_tap_loss_on_download_workload_recovers_ack_stream():
     )
     assert run.result.error is None and run.result.verified
     scenario.sim.run(until=scenario.sim.now + 1.0)
-    shadow = scenario.pair.backup_engine.shadow_connections[0]
-    # The single 150-byte request record, also once the shadow is a
-    # TIME_WAIT record.
+    # The shadow followed the server's close out of the table (LAST_ACK,
+    # then CLOSED) and holds the single 150-byte request record.
+    (shadow,) = shadows
+    assert scenario.pair.backup_engine.shadow_connections == []
+    assert shadow.state is TCPState.CLOSED and shadow.error is None
     assert shadow.recv_buffer.rcv_nxt_offset >= 150
 
 

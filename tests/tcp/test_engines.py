@@ -331,11 +331,11 @@ class TestRetransmitBackoff:
         assert conn.retransmit.rto_timer.running
 
 
-    def test_fin_in_time_wait_draws_an_ack_and_no_restart(self):
+    def test_fin_in_time_wait_draws_an_ack_and_restarts_the_wait(self):
         """Entering TIME_WAIT cancels the TCB's timers and hands the wait to
         a record with one expiry event.  A retransmitted FIN sits left of
-        the window: the record answers it with the challenge ACK and the
-        wait is not restarted (ROADMAP item 15(b) would restart it there)."""
+        the window: the record answers it with the challenge ACK and, as
+        RFC 793 has it, restarts the 2 MSL wait from the FIN's arrival."""
         conn, layer, clock = make_conn()
         establish(conn)
         conn.app_close()  # FIN_WAIT_1, our FIN sent
@@ -354,6 +354,10 @@ class TestRetransmitBackoff:
         (_t, ack), = layer.sent[sent:]
         assert ack.flags == FLAG_ACK and ack.seq == wrap(record.snd_nxt) and ack.ack == wrap(record.rcv_nxt)
         clock.advance(conn.config.time_wait / 2)
+        assert record.state is TCPState.TIME_WAIT  # the first wait would end here
+        clock.advance(conn.config.time_wait / 2 - 0.001)
+        assert record.state is TCPState.TIME_WAIT
+        clock.advance(0.002)
         assert record.state is TCPState.CLOSED and clock.pending_count == 0
 
 

@@ -16,12 +16,23 @@ from collections import deque
 from pathlib import Path
 from types import MethodType
 
+import pytest
+
+from repro.apps.protocol import KIND_DATA, encode_request
 from repro.errors import ConnectionTimeout
+from repro.harness.calibrate import FAST_LAN
 from repro.harness.experiments.churn import owned_objects
+from repro.harness.scenario import Scenario
 from repro.sim.events import SimEvent
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
+from repro.sttcp.config import STTCPConfig
+from repro.sttcp.retention import SecondReceiveBuffer
+from repro.sttcp.shadow import ShadowExtension
 from repro.tcp.constants import TCPState
+from repro.tcp.input import InputEngine
+from repro.tcp.output import OutputEngine
+from repro.tcp.retransmit import RetransmitEngine
 from repro.tcp.socket import TCPSocket, _Read, _Write
 from repro.tcp.tcb import TCPConnection
 from repro.tcp.timewait import TimeWait
@@ -51,16 +62,18 @@ _spec.loader.exec_module(conn_footprint)
 BYTES_PER_CONNECTION_BUDGET = 10_900
 OBJECTS_PER_CONNECTION_BUDGET = 78
 
-#: A connection whose three endpoints wait in TIME_WAIT needs about 3 410
-#: bytes and 13.6 objects (N = 100): three ``TimeWait`` records, each its
-#: own expiry's queue token, the shadow's ``ShadowExtension``, the
-#: primary's retention record, table keys and the finished client
-#: process.  It needed 3 515 and 14.6 while the retention record's empty
-#: second buffer held a list, 3 950 and 20.6 while each expiry was an
-#: ``EventHandle`` and a bound method, and 10 340 and 86.6 while the TCBs
-#: themselves waited.
-TIME_WAIT_BYTES_PER_CONNECTION_BUDGET = 3_850
-TIME_WAIT_OBJECTS_PER_CONNECTION_BUDGET = 16
+#: A closed connection whose client end waits in TIME_WAIT needs about
+#: 1 350 bytes and 4.5 objects (N = 100): the client's ``TimeWait``
+#: record, its own expiry's queue token, a table key and the finished
+#: client process; the primary's and the shadow's ends closed through
+#: LAST_ACK and are gone.  It needed 3 410 and 13.6 while a server that
+#: closed from its EOF wake-up waited in TIME_WAIT too (three records, the
+#: shadow's ``ShadowExtension``, the primary's retention record), 3 515
+#: and 14.6 while the retention record's empty second buffer held a list,
+#: 3 950 and 20.6 while each expiry was an ``EventHandle`` and a bound
+#: method, and 10 340 and 86.6 while the TCBs themselves waited.
+TIME_WAIT_BYTES_PER_CONNECTION_BUDGET = 1_550
+TIME_WAIT_OBJECTS_PER_CONNECTION_BUDGET = 6
 
 #: Packages whose classes are instantiated per connection.
 _PER_CONNECTION_PACKAGES = ("repro.tcp.", "repro.util.", "repro.sttcp.")
@@ -87,8 +100,9 @@ def test_time_wait_connection_stays_inside_its_footprint_budget():
 
 
 def test_time_wait_frees_the_tcbs_it_replaces_at_once():
-    """Once the client, primary and shadow ends wait in TIME_WAIT no TCB of
-    theirs is left: none is pinned by a queued timer, the socket, the
+    """Once the client ends wait in TIME_WAIT and the primary and shadow
+    ends have closed through LAST_ACK, no TCB of theirs is left: none is
+    pinned by a queued timer, the socket, the server's accept loop, the
     shadow's ``ShadowExtension`` or the primary's per-connection record,
     and none waits in a cycle for the collector, which stays off here."""
     enabled = gc.isenabled()
@@ -100,11 +114,14 @@ def test_time_wait_frees_the_tcbs_it_replaces_at_once():
         if enabled:
             gc.enable()
     assert left == []
+    servers = (scenario.primary, scenario.backup)
     pair = scenario.pair
-    assert [type(state.tcb) for state in pair.backup_engine._connections.values()] == [TimeWait] * 4
-    assert [type(state.tcb) for state in pair.primary_engine._connections.values()] == [TimeWait] * 4
-    for host in (scenario.client, scenario.primary, scenario.backup):
-        assert [record.socket for record in host.tcp.connections] == [None] * 4
+    assert pair.backup_engine._connections == {} and pair.primary_engine._connections == {}
+    for host in servers:
+        assert host.tcp.connections == []
+    records = scenario.client.tcp.connections
+    assert [type(record) for record in records] == [TimeWait] * 4
+    assert [record.socket for record in records] == [None] * 4
 
 
 def test_closed_clients_leave_no_socket_or_event_for_the_collector():
@@ -265,14 +282,15 @@ def test_handshake_dying_in_syn_rcvd_frees_its_backlog_slot_exactly_once():
     (tcb,) = lan.b.tcp.connections
     assert tcb.state is TCPState.SYN_RCVD
     assert listener._pending == 1
+    socket = tcb.socket  # a closed TCB lets go of it
     lan.a.crash()
     lan.sim.run(until=600.0)
     assert tcb.state is TCPState.CLOSED
     assert isinstance(tcb.error, ConnectionTimeout)
     assert listener._pending == 0
     assert listener.accepted_total == 0
-    socket = tcb.socket
     assert isinstance(socket, TCPSocket) and socket._listener is None
+    assert tcb.socket is None and socket.tcb is tcb
     # A late error report goes to the socket alone.
     socket._on_error(tcb.error)
     assert listener._pending == 0 and listener.accepted_total == 0
@@ -292,11 +310,7 @@ def test_timers_a_connection_never_arms_are_never_built():
         request = yield conn.recv_exactly(3000)
         yield conn.send(request)
         yield conn.recv(10)  # EOF: the client closed first
-        # Close from a later step: a close inside the EOF wake-up runs
-        # before ``_process_fin`` has left ESTABLISHED, and the server
-        # would wait in TIME_WAIT too (ROADMAP item 15).
-        yield lan.sim.timeout(0.01)
-        conn.close()
+        conn.close()  # from the wake-up: CLOSE_WAIT, then LAST_ACK
 
     def client():
         sock = lan.a.tcp.connect((lan.ip_b, 8000))
@@ -313,6 +327,81 @@ def test_timers_a_connection_never_arms_are_never_built():
     client_tcb, server_tcb = tcbs["client"], tcbs["server"]
     assert isinstance(tcbs["client_sock"].tcb, TimeWait)
     assert tcbs["client_sock"].state is TCPState.TIME_WAIT
-    assert server_tcb.state is TCPState.CLOSED
+    assert server_tcb.state is TCPState.CLOSED and lan.b.tcp.connections == []
     assert client_tcb.retransmit.persist_timer is None
     assert server_tcb.retransmit.persist_timer is None
+
+
+#: What a connection's server end owns and must not outlive its close.
+#: None of them takes a weak reference (a ``__weakref__`` slot costs each
+#: instance a pointer), so the test looks for survivors among the objects
+#: the collector tracks, with the collector off.
+_FREED_AT_CLOSE = (
+    TCPConnection, InputEngine, OutputEngine, RetransmitEngine, TCPSocket,
+    ShadowExtension, SecondReceiveBuffer,
+)
+
+
+def _new_survivors(baseline):
+    """Instances of ``_FREED_AT_CLOSE`` alive now and not in ``baseline``."""
+    known = {id(obj) for obj in baseline}
+    return sorted(
+        type(obj).__name__
+        for obj in gc.get_objects()
+        if type(obj) in _FREED_AT_CLOSE and id(obj) not in known
+    )
+
+
+@pytest.mark.parametrize("sttcp", [False, True], ids=["plain", "sttcp"])
+def test_a_passive_close_leaves_nothing_for_the_collector(sttcp):
+    """A server that closes from its EOF wake-up goes CLOSE_WAIT, LAST_ACK,
+    CLOSED, and reaching CLOSED cuts the ties that made its TCB a cycle
+    (engines, socket, the shadow's ``ShadowExtension``, the primary's
+    ``SecondReceiveBuffer``): with the collector off, reference counting
+    alone frees every server end's TCB, engines and socket, and on an
+    ST-TCP pair the extension and the second buffer too, once the server
+    processes let go of their sockets.  Only the client's TIME_WAIT record
+    stays."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        baseline = [obj for obj in gc.get_objects() if type(obj) in _FREED_AT_CLOSE]
+        if sttcp:
+            scenario = Scenario(profile=FAST_LAN, sttcp=STTCPConfig(hb_interval=0.05), seed=159)
+            scenario.start_service()
+            sim, client, servers = scenario.sim, scenario.client, (scenario.primary, scenario.backup)
+            service = scenario.service_addr
+        else:
+            lan = LanPair(Simulator(seed=159))
+            sim, client, servers, service = lan.sim, lan.a, (lan.b,), (lan.ip_b, 8000)
+
+            def server():
+                conn = yield lan.b.tcp.listen(8000).accept()
+                yield conn.recv(10)  # EOF
+                conn.close()
+
+            lan.b.spawn(server())
+
+        def one_client():
+            sock = client.tcp.connect(service)
+            yield sock.wait_connected()
+            if sttcp:
+                yield sock.send(encode_request(KIND_DATA, 512, 1))
+                yield sock.recv_exactly(512)
+            sock.close()
+
+        client.spawn(one_client())
+        sim.run(until=0.5)
+        for host in servers:
+            assert host.tcp.connections == []
+            for listener in list(host.tcp._listeners.values()):
+                listener.close()  # the accept loop ends and drops its last socket
+        sim.run(until=0.6)
+        survivors = _new_survivors(baseline)
+        (record,) = client.tcp.connections
+    finally:
+        if enabled:
+            gc.enable()
+    assert isinstance(record, TimeWait)
+    assert survivors == []

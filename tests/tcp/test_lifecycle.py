@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConnectionRefused, EphemeralPortsExhausted
+from repro.errors import ConnectionRefused, ConnectionReset, EphemeralPortsExhausted
 from repro.sim.simulator import Simulator
+from repro.tcp.config import TCPConfig
+from repro.tcp.constants import TCPState
+from repro.tcp.tcb import TCPConnection
 
 from tests.conftest import LanPair, run_echo_once
 
@@ -171,3 +174,87 @@ def test_closing_a_reaped_socket_again_spares_its_successor_on_the_same_key():
     lan.a.spawn(exchange(), "exchange")
     lan.sim.run(until=lan.sim.now + 1.0)
     assert echoed == [b"still here"]
+
+
+def test_a_server_closing_in_its_eof_wake_up_leaves_through_last_ack():
+    """RFC 793's passive close: the peer's FIN moves the server to
+    CLOSE_WAIT before its reader wakes with EOF, so a ``close()`` made in
+    that wake-up sends the FIN from CLOSE_WAIT, waits in LAST_ACK and
+    ends CLOSED when it is acknowledged, with no TIME_WAIT on the server.
+    (A wake-up that ran while still ESTABLISHED closed through
+    FIN_WAIT_1 → CLOSING → TIME_WAIT.)"""
+    lan = LanPair(Simulator(seed=406))
+    seen = {}
+
+    def server():
+        conn = yield lan.b.tcp.listen(8000).accept()
+        seen["server"] = conn
+        eof = yield conn.recv(10)
+        seen["eof"] = (eof.length, conn.state)
+        conn.close()
+        seen["closing"] = conn.state
+
+    def client():
+        sock = lan.a.tcp.connect((lan.ip_b, 8000))
+        yield sock.wait_connected()
+        sock.close()
+        yield sock.wait_closed()
+
+    lan.b.spawn(server())
+    lan.a.spawn(client())
+    lan.sim.run(until=0.5)
+    server_sock = seen["server"]
+    assert seen["eof"] == (0, TCPState.CLOSE_WAIT)
+    assert seen["closing"] is TCPState.LAST_ACK
+    assert isinstance(server_sock.tcb, TCPConnection)
+    assert server_sock.state is TCPState.CLOSED and server_sock.tcb.error is None
+    assert lan.b.tcp.connections == []  # no TIME_WAIT record holds the 4-tuple
+    assert [record.state for record in lan.a.tcp.connections] == [TCPState.TIME_WAIT]
+
+
+@pytest.mark.parametrize("waker", ["reader", "writer"])
+def test_an_abort_from_a_wake_up_inside_segment_processing_ends_it_there(waker):
+    """A read woken by arriving data (here the last bytes and the FIN in
+    one segment), or a send woken by the ACK that freed its buffer, runs
+    inside the input engine's processing of that segment; an ``abort()``
+    from there closes the TCB, which lets go of its engines, and the
+    engine stops rather than go on to the FIN or the RTO of a connection
+    that is gone.  The peer is reset."""
+    # Nagle holds the second write back until the close sends it with the FIN.
+    lan = LanPair(Simulator(seed=408), tcp_config=TCPConfig(nagle=True))
+    seen = {}
+
+    def server():
+        conn = yield lan.b.tcp.listen(8000).accept()
+        seen["server_tcb"] = conn.tcb
+        if waker == "reader":
+            yield conn.recv_exactly(3)
+            conn.abort()
+            return
+        try:
+            yield conn.recv_exactly(1 << 20)
+        except ConnectionReset as error:
+            seen["reset"] = error
+
+    def client():
+        sock = lan.a.tcp.connect((lan.ip_b, 8000))
+        yield sock.wait_connected()
+        seen["client_tcb"] = sock.tcb
+        try:
+            if waker == "reader":
+                yield sock.send(b"a")
+                yield sock.send(b"bc")
+                sock.close()
+                yield sock.recv(10)
+            else:
+                yield sock.send(b"x" * (64 * 1024))  # more than the send buffer holds
+                sock.abort()
+        except ConnectionReset as error:
+            seen["reset"] = error
+
+    lan.b.spawn(server())
+    lan.a.spawn(client())
+    lan.sim.run(until=1.0)
+    assert isinstance(seen["reset"], ConnectionReset)
+    assert seen["client_tcb"].state is seen["server_tcb"].state is TCPState.CLOSED
+    assert lan.a.tcp.connections == [] and lan.b.tcp.connections == []

@@ -19,8 +19,11 @@ from repro.harness.experiments import churn
 from repro.harness.experiments.cluster import resolve_scenario
 from repro.tcp.constants import TCPState
 from repro.tcp.layer import TCPLayer
+from repro.sim.simulator import Simulator
 from repro.tcp.tcb import TCPConnection
+from repro.tcp.timewait import TimeWait
 
+from tests.conftest import LanPair
 from tools.crash_silence import crash_silence
 
 
@@ -68,10 +71,11 @@ def test_an_engine_left_off_the_crash_observers_is_named():
 
 
 def test_the_dead_primary_is_frozen(monkeypatch):
-    """Crash a primary holding TIME_WAIT connections and, once its killed
-    handlers have closed, a FIN in flight on each held one: after the
-    crash nothing is reaped (the TIME_WAIT timers used to) and nothing is
-    retransmitted."""
+    """Crash a primary that, once its killed handlers have closed, has a
+    FIN in flight on each held connection and no TIME_WAIT (its churned
+    ends closed passively, through LAST_ACK): after the crash nothing is
+    reaped and nothing is retransmitted.  A crashed host's TIME_WAIT
+    records are the next test's."""
     at_crash = {}
 
     def retransmissions(host):
@@ -95,7 +99,37 @@ def test_the_dead_primary_is_frozen(monkeypatch):
     monkeypatch.setattr(churn, "Scenario", Watched)
     (record,) = run_experiment("scale", ladder=(40,), store=None, base_seed=12).rows
     assert failed_sessions(record["outcomes"]) == []
-    assert TCPState.TIME_WAIT in at_crash["states"] and at_crash["in_flight"] > 0
+    assert at_crash["states"] == [TCPState.FIN_WAIT_1] * 40 and at_crash["in_flight"] == 40
     primary = at_crash["scenario"].primary
     assert primary.sim.metrics.value("primary.tcp.tcbs_reaped") == at_crash["reaped"]
     assert retransmissions(primary) == at_crash["retransmissions"]
+
+
+def test_a_crashed_host_keeps_its_time_wait_records():
+    """``TCPLayer.halt`` retires a TIME_WAIT record's expiry: the end that
+    closed first waits on a host that then crashes, and the record is
+    never reaped (its expiry used to run on the dead host)."""
+    lan = LanPair(Simulator(seed=407))
+
+    def server():
+        conn = yield lan.b.tcp.listen(8000).accept()
+        conn.close()  # the server closes first: its end waits
+
+    def client():
+        sock = lan.a.tcp.connect((lan.ip_b, 8000))
+        yield sock.wait_connected()
+        yield sock.recv(10)  # EOF
+        sock.close()
+
+    with crash_silence() as silence:
+        lan.b.spawn(server())
+        lan.a.spawn(client())
+        lan.sim.run(until=0.5)
+        (record,) = lan.b.tcp.connections
+        assert isinstance(record, TimeWait) and record.state is TCPState.TIME_WAIT
+        reaped = lan.sim.metrics.value("host-b.tcp.tcbs_reaped")
+        lan.b.crash()
+        lan.sim.run(until=5.0)  # well past the 1 s wait
+    assert lan.b.tcp.connections == [record] and record.state is TCPState.TIME_WAIT
+    assert lan.sim.metrics.value("host-b.tcp.tcbs_reaped") == reaped
+    assert not silence.breaches, silence.report()

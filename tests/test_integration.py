@@ -70,7 +70,12 @@ def test_mixed_workloads_with_failover():
     assert len(results) == 4
     assert all(r.error is None and r.verified for r in results)
     assert scenario.pair.failed_over
-    assert len(scenario.pair.backup_engine.shadow_connections) == 4
+    # The four were shadowed, taken over and closed: once the last
+    # client's FIN is in, every server end has left through LAST_ACK, and
+    # none is left waiting in TIME_WAIT.
+    scenario.sim.run(until=scenario.sim.now + 0.1)
+    assert scenario.pair.backup_engine.shadow_connections == []
+    assert scenario.sim.metrics.value("backup.sttcp.shadows_reaped") == 4
 
 
 def test_mixed_workloads_failover_switched_topology():

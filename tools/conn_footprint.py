@@ -8,8 +8,10 @@ only: N clients connect to an ST-TCP pair, exchange one 512-byte
 request/response and keep their sockets; the same build with no client
 is subtracted, so what is left is what N connections add.  With
 ``--time-wait`` each client closes after its exchange instead, and the
-heap is read while all three endpoints of every connection wait in
-TIME_WAIT (one :class:`~repro.tcp.timewait.TimeWait` record each).
+heap is read while the client end of every connection waits in
+TIME_WAIT (one :class:`~repro.tcp.timewait.TimeWait` record); the
+primary's and the shadow's ends closed passively, through LAST_ACK, and
+are gone.
 
 Prints traced bytes and GC-tracked objects per connection, the
 per-type census of the added objects, and who holds each added ``list``
@@ -48,8 +50,9 @@ CONNECT_SPACING = 0.0005
 WARMUP_CONNECTIONS = 20
 
 #: With ``time_wait``, every host waits this long in TIME_WAIT (the
-#: default is 1 s) and the heap is read ``TIME_WAIT_READ_AFTER`` seconds
-#: after the last client connects.  By then, as in the idle reading, the events the
+#: default is 1 s; only the clients, the active closers, do wait) and the
+#: heap is read ``TIME_WAIT_READ_AFTER`` seconds after the last client
+#: connects.  By then, as in the idle reading, the events the
 #: handshakes queued have come due and gone (a first RTO armed at 1 s and
 #: cancelled when an RTT sample shortened it waits in the queue until
 #: then), and no endpoint has left TIME_WAIT below about 3 000 connections.
@@ -83,7 +86,8 @@ class Footprint(NamedTuple):
 def build(connections: int, time_wait: bool = False) -> Tuple[Scenario, List[Any]]:
     """An ST-TCP pair with ``connections`` idle established clients and
     their sockets or, with ``time_wait``, as many closed connections
-    whose three endpoints are in TIME_WAIT (and ``None`` for each)."""
+    whose client ends are in TIME_WAIT and whose server ends are gone
+    (and ``None`` for each)."""
     scenario = Scenario(profile=FAST_LAN, sttcp=STTCPConfig(hb_interval=0.1), seed=7)
     hosts = (scenario.client, scenario.primary, scenario.backup)
     if time_wait:
@@ -113,8 +117,9 @@ def build(connections: int, time_wait: bool = False) -> Tuple[Scenario, List[Any
     if time_wait:
         for host in hosts:
             states = [tcb.state for tcb in host.tcp.connections]
-            if states != [TCPState.TIME_WAIT] * connections:
-                raise AssertionError(f"{host.name}: not every endpoint in TIME_WAIT: {states}")
+            waiting = connections if host is client else 0
+            if states != [TCPState.TIME_WAIT] * waiting:
+                raise AssertionError(f"{host.name}: not {waiting} endpoints in TIME_WAIT: {states}")
     return scenario, held
 
 
