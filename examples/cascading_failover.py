@@ -30,7 +30,7 @@ def narrate(record: TraceRecord) -> None:
 def main() -> None:
     scenario = Scenario(
         profile=FAST_LAN,
-        sttcp=STTCPConfig(hb_interval=0.05, takeover_grace=0.1),
+        sttcp=STTCPConfig(hb_interval=0.05),
         backups=2,
         seed=42,
     )

@@ -50,7 +50,7 @@ def part_two(with_logger: bool) -> None:
     print(f"Part 2 ({label}): tap outage + primary crash inside it")
     scenario = Scenario(
         profile=PAPER_TESTBED,
-        sttcp=STTCPConfig(hb_interval=0.05, use_logger=with_logger),
+        sttcp=STTCPConfig(hb_interval=0.05),
         with_logger=with_logger,
         seed=12,
     )

@@ -156,12 +156,7 @@ class ClusterFabric:
 
         self.services: List[ServiceNode] = []
         for i, name in enumerate(spec.service_names()):
-            primary = Host(
-                self.sim,
-                f"p{i}",
-                tcp_config=tcp_config,
-                nic_processing_delay=profile.nic_processing_delay,
-            )
+            primary = Host(self.sim, f"p{i}", tcp_config=tcp_config)
             nic = primary.add_nic()
             port = lan_cable(nic, f"p{i}")
             primary.configure_ip(nic, ip(f"10.1.0.{1 + i}"), 24)
@@ -192,12 +187,7 @@ class ClusterFabric:
 
         self.backups: List[PoolNode] = []
         for j, name in enumerate(spec.backup_names()):
-            host = Host(
-                self.sim,
-                name,
-                tcp_config=tcp_config,
-                nic_processing_delay=profile.nic_processing_delay,
-            )
+            host = Host(self.sim, name, tcp_config=tcp_config)
             nic = host.add_nic()
             port = lan_cable(nic, name)
             host.configure_ip(nic, ip(f"10.1.0.{64 + j}"), 24)

@@ -1,9 +1,9 @@
 """Drill execution: build a topology, run the timeline, match post-hoc.
 
 Each script gets a fresh :class:`~repro.sim.simulator.Simulator` seeded
-from its settings (default: a stable hash of the script name), so a drill
-is bit-deterministic run to run — the corpus report is byte-identical
-across invocations, which CI asserts.
+with a stable hash of the script name, so a drill is bit-deterministic
+run to run — the corpus report is byte-identical across invocations,
+which CI asserts.
 
 Modes:
 
@@ -38,7 +38,7 @@ from repro.net.addresses import IPAddress, fresh_unicast_mac, ip
 from repro.net.medium import Hub
 from repro.obs.recorder import FlightRecorder
 from repro.sim.simulator import Simulator
-from repro.tcp.config import TCPConfig
+from repro.tcp.constants import DEFAULT_SND_BUFFER
 from repro.util.bytespan import ByteSpan, PatternBytes, RealBytes
 
 # Drill address plan (the harness scenario's LAN; in sttcp mode the
@@ -47,15 +47,19 @@ HUT_IP = ip("10.0.0.1")
 SERVICE_IP = ip("10.0.0.100")
 PEER_IP = ip("10.0.0.99")
 
-DEFAULT_PORT = 8000
-DEFAULT_PEER_PORT = 46000
-DEFAULT_LOCAL_PORT = 40000
+#: The port the host under test serves on (server and sttcp modes), the
+#: scripted peer's port, and the port a client-mode host connects from.
+SERVICE_PORT = 8000
+PEER_PORT = 46000
+LOCAL_PORT = 40000
 
 #: Drill links are fast and near-instant so protocol timers dominate:
 #: 1 Gb/s with 1 µs propagation keeps wire time ~3 µs per segment,
-#: negligible against the default 5 ms expectation tolerance.  (TCP
-#: settings come from the script, not from this profile.)
-DRILL_LINK = dataclasses.replace(FAST_LAN, name="drill", link_rate_bps=1e9, hub_delay=1e-6)
+#: negligible against the default 5 ms expectation tolerance.  Every host
+#: runs ``TCPConfig()``: the profile keeps its default buffers.
+DRILL_LINK = dataclasses.replace(
+    FAST_LAN, name="drill", link_rate_bps=1e9, hub_delay=1e-6, snd_buffer=DEFAULT_SND_BUFFER
+)
 
 
 class CheckFailure:
@@ -74,6 +78,8 @@ class CheckFailure:
 
 #: What ``use(mode=...)`` may name.
 DRILL_MODES = ("server", "client", "sttcp", "cluster")
+#: What ``use(...)`` may set.
+DRILL_SETTINGS = ("mode", "tol", "run_for", "cluster")
 
 
 def script_faults(program: DrillProgram) -> FaultPlan:
@@ -86,17 +92,19 @@ class DrillEnv:
 
     def __init__(self, program: DrillProgram) -> None:
         settings = program.settings
+        unknown = sorted(set(settings) - set(DRILL_SETTINGS))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown drill setting(s) {', '.join(unknown)}; "
+                f"known: {', '.join(DRILL_SETTINGS)}"
+            )
         self.program = program
         self.mode = settings.get("mode", "server")
         if self.mode not in DRILL_MODES:
             raise ConfigurationError(
                 f"unknown drill mode {self.mode!r}; known modes: {', '.join(DRILL_MODES)}"
             )
-        seed = settings.get("seed")
-        if seed is None:
-            seed = zlib.crc32(program.name.encode()) & 0x7FFFFFFF
-        self.tcp_config = TCPConfig().copy(**settings.get("tcp", {}))
-        self.port = int(settings.get("port", DEFAULT_PORT))
+        seed = zlib.crc32(program.name.encode()) & 0x7FFFFFFF
         self.faults = script_faults(program)
         self.tracked: List[Any] = []  # sockets of the host under test
         self.check_failures: List[CheckFailure] = []
@@ -112,7 +120,7 @@ class DrillEnv:
         self.power_switch = None
         self.cluster = None
         if self.mode == "sttcp":
-            self._join_scenario(settings, seed)
+            self._join_scenario(seed)
         else:
             self.sim = Simulator(seed=seed)
         # Every drill flies with the recorder attached: when a drill
@@ -124,52 +132,45 @@ class DrillEnv:
         if self.mode == "cluster":
             self._build_cluster(settings)
         elif self.mode != "sttcp":
-            self._build_single(settings)
+            self._build_single()
 
     # -- topologies ---------------------------------------------------------
     def _attach_peer(self, remote_ip: IPAddress, remote_port: int, hut_hosts: List[Host]) -> None:
-        peer_port = int(self.program.settings.get("peer_port", DEFAULT_PEER_PORT))
         self.peer = DrillPeer(
-            self.sim, PEER_IP, fresh_unicast_mac(), peer_port, remote_ip, remote_port
+            self.sim, PEER_IP, fresh_unicast_mac(), PEER_PORT, remote_ip, remote_port
         )
         self.hub.attach(self.peer)
         # Static ARP both ways: drills script TCP, not address resolution.
         for host in hut_hosts:
             host.arp.add_static(PEER_IP, self.peer.mac)
 
-    def _build_single(self, settings: dict) -> None:
+    def _build_single(self) -> None:
         self.hub = Hub(self.sim, DRILL_LINK.link_rate_bps, delay=DRILL_LINK.hub_delay)
-        self.hut = Host(self.sim, "hut", tcp_config=self.tcp_config)
+        self.hut = Host(self.sim, "hut", tcp_config=DRILL_LINK.tcp_config())
         nic = self.hut.add_nic()
         self.hub.attach(nic)
         self.hut.configure_ip(nic, HUT_IP, 24)
         self.primary = self.hut
         if self.mode == "server":
-            self._attach_peer(HUT_IP, self.port, [self.hut])
-            self.listener = self.hut.tcp.listen(self.port)
+            self._attach_peer(HUT_IP, SERVICE_PORT, [self.hut])
+            self.listener = self.hut.tcp.listen(SERVICE_PORT)
             self.hut.tcp.connection_observers.append(lambda tcb: self.tracked.append(tcb.socket))
         else:
             # The peer injects toward the port the host will connect from.
-            local_port = int(settings.get("local_port", DEFAULT_LOCAL_PORT))
-            self._attach_peer(HUT_IP, local_port, [self.hut])
+            self._attach_peer(HUT_IP, LOCAL_PORT, [self.hut])
         self.peer.remote_mac = nic.mac
 
-    def _join_scenario(self, settings: dict, seed: int) -> None:
+    def _join_scenario(self, seed: int) -> None:
         """sttcp mode: the harness scenario's pair, the peer on its hub."""
         from repro.harness.scenario import Scenario
         from repro.sttcp.config import STTCPConfig
 
-        scenario = self.scenario = Scenario(
-            DRILL_LINK,
-            sttcp=STTCPConfig(**settings.get("sttcp", {})),
-            seed=seed,
-            tcp_config=self.tcp_config,
-        )
+        scenario = self.scenario = Scenario(DRILL_LINK, sttcp=STTCPConfig(), seed=seed)
         self.sim, self.hub, self.pair = scenario.sim, scenario.hub, scenario.pair
         self.primary = self.hut = scenario.primary
         self.backup = scenario.backup
         self.sttcp_config, self.power_switch = scenario.sttcp_config, scenario.power_switch
-        self._attach_peer(SERVICE_IP, self.port, [self.primary, self.backup])
+        self._attach_peer(SERVICE_IP, SERVICE_PORT, [self.primary, self.backup])
         self.peer.remote_mac = self.primary.nics[0].mac
         self.primary.tcp.connection_observers.append(lambda tcb: self.tracked.append(tcb.socket))
         scenario.start_service()
@@ -254,10 +255,7 @@ class DrillEnv:
         action, *args = op.args
         if action == "connect":
             assert self.mode == "client", "sock_connect is only valid in client mode"
-            local_port = int(self.program.settings.get("local_port", DEFAULT_LOCAL_PORT))
-            socket = self.hut.tcp.connect(
-                (self.peer.ip, self.peer.port), local_port=local_port
-            )
+            socket = self.hut.tcp.connect((self.peer.ip, self.peer.port), local_port=LOCAL_PORT)
             self.tracked.append(socket)
             return
         tcb = self.tcb()

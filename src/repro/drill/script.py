@@ -4,7 +4,7 @@ A script is a plain ``.py`` file executed with the DSL bound into its
 namespace.  It *declares* a timeline — it does not run the simulation
 itself::
 
-    use(mode="server", port=8000)
+    use(mode="server")
     inject(0.1, tcp("S", seq=0, win=65535, mss=1460))
     expect(0.1, tcp("SA", seq=0, ack=1, mss=ANY))
     inject(0.102, tcp("A", seq=1, ack=1))
@@ -70,8 +70,8 @@ class DrillProgram:
 
     # -- declarations -------------------------------------------------------
     def use(self, **settings: Any) -> None:
-        """Configure the run: ``mode`` (server/client/sttcp), ``port``,
-        ``seed``, ``tol``, ``run_for``, ``tcp={...}``, ``sttcp={...}``."""
+        """Configure the run: ``mode`` (server/client/sttcp/cluster),
+        ``tol``, ``run_for`` and, in cluster mode, ``cluster={...}``."""
         self.settings.update(settings)
 
     def inject(self, t: float, spec: SegmentSpec) -> None:

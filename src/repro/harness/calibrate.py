@@ -36,8 +36,6 @@ class NetworkProfile:
     hub_delay: float
     #: Store-and-forward latency of the switch (switched topology).
     switch_delay: float
-    #: Per-frame NIC receive processing (0 folds it into hub_delay).
-    nic_processing_delay: float
     mss: int
     rcv_buffer: int
     snd_buffer: int
@@ -47,7 +45,6 @@ class NetworkProfile:
             mss=self.mss,
             rcv_buffer=self.rcv_buffer,
             snd_buffer=self.snd_buffer,
-            timestamps=False,  # disabled in the paper's experiments (§6)
         )
 
 
@@ -57,7 +54,6 @@ PAPER_TESTBED = NetworkProfile(
     link_rate_bps=mbps(100),
     hub_delay=ms(4.35),
     switch_delay=us(10),
-    nic_processing_delay=0.0,
     mss=DEFAULT_MSS,
     rcv_buffer=12 * DEFAULT_MSS,  # 17520 B window → ≈12.5 Mb/s bulk
     snd_buffer=32 * 1024,
@@ -69,7 +65,6 @@ FAST_LAN = NetworkProfile(
     link_rate_bps=mbps(100),
     hub_delay=us(50),
     switch_delay=us(5),
-    nic_processing_delay=0.0,
     mss=DEFAULT_MSS,
     rcv_buffer=16 * 1024,
     snd_buffer=32 * 1024,
@@ -79,12 +74,12 @@ FAST_LAN = NetworkProfile(
 def expected_echo_exchange_time(profile: NetworkProfile) -> float:
     """Analytic estimate of one echo exchange (for calibration checks)."""
     request_wire = (150 + 40 + 18) * 8.0 / profile.link_rate_bps
-    one_way = profile.hub_delay + request_wire + profile.nic_processing_delay
+    one_way = profile.hub_delay + request_wire
     return 2 * one_way
 
 
 def expected_bulk_throughput(profile: NetworkProfile) -> float:
     """Analytic window-limited throughput estimate in bytes/second."""
     segment_wire = (profile.mss + 40 + 18) * 8.0 / profile.link_rate_bps
-    rtt = 2 * profile.hub_delay + segment_wire + 2 * profile.nic_processing_delay
+    rtt = 2 * profile.hub_delay + segment_wire
     return profile.rcv_buffer / rtt

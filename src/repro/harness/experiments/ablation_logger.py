@@ -62,7 +62,7 @@ def _run_cell(cell: GridCell) -> Record:
     params = cell.params
     use_logger = params["use_logger"]
     outage = tuple(params["outage"])
-    config = STTCPConfig(hb_interval=params["hb_interval"], use_logger=use_logger)
+    config = STTCPConfig(hb_interval=params["hb_interval"])
     scenario = Scenario(
         profile=profile_from_params(params["profile"]),
         sttcp=config,

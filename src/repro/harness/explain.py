@@ -44,9 +44,6 @@ from repro.obs.registry import Counter
 from repro.obs.timeline import reconstruct_cluster_phases
 from repro.sim.trace import TraceRecord
 
-#: NIC drop records, and how the report words each.
-_NIC_DROPS = {"rx_loss": "lost on the tap", "rx_overflow": "dropped by a full RX queue"}
-
 #: What the phases section says when the markers bracket no recovered outage.
 _NO_PHASES = "no phase decomposition: no takeover, or no client progress after it"
 
@@ -208,7 +205,7 @@ def _anomalies(
             continue
         nic = record.fields["nic"]
         found.append(
-            f"{host_of[nic].name}/{nic.name} {_NIC_DROPS[record.event]} at "
+            f"{host_of[nic].name}/{nic.name} lost on the tap at "
             f"{record.time:.6f}: {format_frame(record.fields['frame'])}"
         )
     return found

@@ -33,7 +33,6 @@ from repro.sttcp.backup import STTCPBackup
 from repro.sttcp.config import STTCPConfig
 from repro.sttcp.group import STTCPServerGroup
 from repro.sttcp.power_switch import PowerSwitch
-from repro.tcp.config import TCPConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; imported when a logger is built
     from repro.logger.packet_logger import PacketLogger
@@ -59,10 +58,9 @@ WAN_NET = ip("192.168.1.0")
 
 
 class Scenario:
-    """A built topology plus the service deployment.
-
-    ``tcp_config``, when given, replaces ``profile.tcp_config()`` on every
-    host (a drill script sets TCP fields the profiles fix)."""
+    """A built topology plus the service deployment.  Every host runs
+    ``profile.tcp_config()``; the backup queries the packet logger for
+    tap gaps (§3.2) exactly when the scenario has one."""
 
     def __init__(
         self,
@@ -72,7 +70,6 @@ class Scenario:
         with_logger: bool = False,
         backups: int = 1,
         seed: int = 0,
-        tcp_config: Optional[TCPConfig] = None,
     ) -> None:
         if topology not in (TOPOLOGY_HUB, TOPOLOGY_SWITCHED):
             raise ConfigurationError(f"unknown topology {topology!r}")
@@ -83,16 +80,10 @@ class Scenario:
         self.sttcp_config = sttcp
         self.with_logger = with_logger
         self.sim = Simulator(seed=seed)
-        if tcp_config is None:
-            tcp_config = profile.tcp_config()
+        tcp_config = profile.tcp_config()
         self.backups_requested = backups
         self.client = Host(self.sim, "client", tcp_config=tcp_config)
-        self.primary = Host(
-            self.sim,
-            "primary",
-            tcp_config=tcp_config,
-            nic_processing_delay=profile.nic_processing_delay,
-        )
+        self.primary = Host(self.sim, "primary", tcp_config=tcp_config)
         self.backup: Optional[Host] = None
         self.gateway: Optional[Host] = None
         self.logger: Optional[PacketLogger] = None
@@ -103,20 +94,10 @@ class Scenario:
         self.switch: Optional[Switch] = None
         self.extra_backups: list = []
         if sttcp is not None:
-            self.backup = Host(
-                self.sim,
-                "backup",
-                tcp_config=tcp_config,
-                nic_processing_delay=profile.nic_processing_delay,
-            )
+            self.backup = Host(self.sim, "backup", tcp_config=tcp_config)
             for index in range(backups - 1):
                 self.extra_backups.append(
-                    Host(
-                        self.sim,
-                        f"backup{index + 2}",
-                        tcp_config=tcp_config,
-                        nic_processing_delay=profile.nic_processing_delay,
-                    )
+                    Host(self.sim, f"backup{index + 2}", tcp_config=tcp_config)
                 )
             self.power_switch = PowerSwitch(self.sim, sttcp.stonith_delay)
         if with_logger:
@@ -131,7 +112,7 @@ class Scenario:
             self.logger = PacketLogger(self.logger_host, SERVICE_IP, SERVICE_PORT)
         if sttcp is not None:
             logger_client = None
-            if self.logger is not None and sttcp.use_logger:
+            if self.logger is not None:
                 from repro.logger.client import LoggerClient
 
                 logger_client = LoggerClient(self.backup, self.logger.address)

@@ -118,25 +118,8 @@ def profile_from_params(params: Dict[str, Any]) -> NetworkProfile:
     return NetworkProfile(**params)
 
 
-#: Config fields added after result stores shipped.  Omitted from the
-#: serialized params while they hold their default so the content hash
-#: (cell identity) of every pre-existing cell — and store resumability —
-#: survives the addition.  ``sttcp_from_params`` fills them back in from
-#: the dataclass defaults.
-_POST_V0_STTCP_FIELDS = ("hb_jitter",)
-
-
 def sttcp_params(config: Optional[STTCPConfig]) -> Optional[Dict[str, Any]]:
-    if config is None:
-        return None
-    params = dataclasses.asdict(config)
-    defaults = {
-        field.name: field.default for field in dataclasses.fields(STTCPConfig)
-    }
-    for name in _POST_V0_STTCP_FIELDS:
-        if params.get(name) == defaults[name]:
-            del params[name]
-    return params
+    return None if config is None else dataclasses.asdict(config)
 
 
 def sttcp_from_params(params: Optional[Dict[str, Any]]) -> Optional[STTCPConfig]:

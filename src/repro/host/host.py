@@ -15,7 +15,6 @@ from repro.errors import ConfigurationError
 from repro.net.addresses import IPAddress, MACAddress
 from repro.net.arp import ArpService
 from repro.net.frame import ETHERTYPE_ARP, ETHERTYPE_IPV4
-from repro.net.loss import LossModel
 from repro.net.nic import NIC, VirtualInterface
 from repro.ip.layer import IPLayer
 from repro.sim.process import Process
@@ -50,14 +49,10 @@ class Host:
         sim: Any,
         name: str,
         tcp_config: Optional[TCPConfig] = None,
-        nic_processing_delay: float = 0.0,
-        nic_rx_queue_capacity: int = 0,
     ) -> None:
         self.sim = sim
         self.name = name
         self.is_up = True
-        self.nic_processing_delay = nic_processing_delay
-        self.nic_rx_queue_capacity = nic_rx_queue_capacity
         self.nics: List[NIC] = []
         self.interfaces: List[Interface] = []
         self.vnics: List[VirtualInterface] = []
@@ -76,29 +71,9 @@ class Host:
         self.crashed_at: Optional[float] = None
 
     # NICs and addressing --------------------------------------------------------
-    def add_nic(
-        self,
-        name: Optional[str] = None,
-        mac: Optional[MACAddress] = None,
-        processing_delay: Optional[float] = None,
-        rx_queue_capacity: Optional[int] = None,
-        rx_loss_model: Optional[LossModel] = None,
-    ) -> NIC:
+    def add_nic(self, name: Optional[str] = None) -> NIC:
         """Create a NIC wired into this host's stack."""
-        nic = NIC(
-            self.sim,
-            name or f"eth{len(self.nics)}",
-            mac=mac,
-            processing_delay=(
-                self.nic_processing_delay if processing_delay is None else processing_delay
-            ),
-            rx_queue_capacity=(
-                self.nic_rx_queue_capacity
-                if rx_queue_capacity is None
-                else rx_queue_capacity
-            ),
-            rx_loss_model=rx_loss_model,
-        )
+        nic = NIC(self.sim, name or f"eth{len(self.nics)}")
         nic.register_ethertype(ETHERTYPE_IPV4, self.ip_layer.receive)
         nic.register_ethertype(ETHERTYPE_ARP, self.arp.handle_message)
         self.nics.append(nic)

@@ -1,10 +1,10 @@
 """Network interface cards and virtual interfaces (VNICs).
 
 A :class:`NIC` filters incoming frames by destination MAC (unless
-promiscuous), models receive-side processing cost and a finite RX queue —
-the queue is what can overflow on a heavily loaded backup, producing the
-tapped-segment loss that ST-TCP's UDP recovery channel exists to repair
-(§4.2) — and hands surviving frames to the host stack.
+promiscuous), applies an optional receive loss model (the tapped-segment
+loss that ST-TCP's UDP recovery channel exists to repair, §4.2) and an
+optional per-frame processing cost (a slow backup), and hands surviving
+frames to the host stack.
 
 A :class:`VirtualInterface` is the paper's VNIC (§3.1): an extra
 (IP, MAC) identity layered on a hardware NIC.  Assigning a *multicast* MAC
@@ -37,21 +37,18 @@ class NIC(FrameReceiver):
         name: str = "eth0",
         mac: Optional[MACAddress] = None,
         processing_delay: float = 0.0,
-        rx_queue_capacity: int = 0,
         rx_loss_model: Optional[LossModel] = None,
     ) -> None:
         """Create a NIC.
 
-        ``processing_delay`` models per-frame receive-side CPU cost;
-        ``rx_queue_capacity`` bounds the number of frames awaiting that
-        processing (0 = unbounded).  Both default off so that plain
-        topologies are cheap.
+        ``processing_delay`` models per-frame receive-side CPU cost: frames
+        wait for it one after another, in an unbounded queue.  It defaults
+        off so that plain topologies are cheap.
         """
         self.sim = sim
         self.name = name
         self.mac = mac or fresh_unicast_mac()
         self.processing_delay = processing_delay
-        self.rx_queue_capacity = rx_queue_capacity
         self.rx_loss_model = rx_loss_model
         self.promiscuous = False
         self.powered = True
@@ -62,14 +59,12 @@ class NIC(FrameReceiver):
         #: ``value`` of every MAC the filter accepts (DESIGN §13 rule 8).
         self.accepted: Set[int] = {self.mac.value, MAC_BROADCAST.value}
         self._rx_busy_until = 0.0
-        self._rx_pending = 0
         # Counters (public, read by metrics collectors and tests).
         self.tx_frames = 0
         self.tx_bytes = 0
         self.rx_frames = 0
         self.rx_bytes = 0
         self.rx_dropped_filter = 0
-        self.rx_dropped_queue = 0
         self.rx_dropped_loss = 0
         self.rx_dropped_down = 0
 
@@ -84,7 +79,7 @@ class NIC(FrameReceiver):
         self._handlers[ethertype] = handler
 
     def add_observer(self, observer: FrameObserver) -> None:
-        """See every accepted frame, after filtering and queueing (tcpdump)."""
+        """See every accepted frame, after filtering and processing (tcpdump)."""
         self._observers.append(observer)
 
     def remove_observer(self, observer: FrameObserver) -> None:
@@ -113,7 +108,7 @@ class NIC(FrameReceiver):
 
     # Receive -----------------------------------------------------------------
     def receive_frame(self, frame: EthernetFrame) -> None:
-        """Accept, queue or drop one arriving frame.
+        """Accept, delay or drop one arriving frame.
 
         The power and filter checks run here although a hub has already
         judged them: cables do not, and a frame can be on the wire when its
@@ -141,19 +136,11 @@ class NIC(FrameReceiver):
             if frame.ethertype in self._handlers:
                 self._handlers[frame.ethertype](frame.payload, self)
             return
-        if self.rx_queue_capacity and self._rx_pending >= self.rx_queue_capacity:
-            self.rx_dropped_queue += 1
-            if "nic" in self.sim.trace.categories:
-                self.sim.trace.emit(now, "nic", "rx_overflow", nic=self, frame=frame)
-            return
-        start = max(now, self._rx_busy_until)
-        done = start + self.processing_delay
+        done = max(now, self._rx_busy_until) + self.processing_delay
         self._rx_busy_until = done
-        self._rx_pending += 1
         self.sim.post(done, self._dequeue_and_deliver, frame)
 
     def _dequeue_and_deliver(self, frame: EthernetFrame) -> None:
-        self._rx_pending -= 1
         if self.powered:
             self.rx_frames += 1
             self.rx_bytes += frame.wire_size

@@ -159,14 +159,9 @@ def _payload_bytes(payload: Any, size: int) -> bytes:
 
 
 def _tcp_options(segment: TCPSegment) -> bytes:
-    options = b""
-    if segment.mss_option is not None:
-        options += struct.pack("!BBH", 2, 4, segment.mss_option)
-    if segment.ts_val is not None:
-        ts_val = int(segment.ts_val * 1000) & 0xFFFFFFFF
-        ts_ecr = int((segment.ts_ecr or 0) * 1000) & 0xFFFFFFFF
-        options += struct.pack("!BBBBII", 1, 1, 8, 10, ts_val, ts_ecr)
-    return options
+    if segment.mss_option is None:
+        return b""
+    return struct.pack("!BBH", 2, 4, segment.mss_option)
 
 
 def segment_to_bytes(segment: TCPSegment, src_ip: IPAddress, dst_ip: IPAddress) -> bytes:

@@ -53,6 +53,11 @@ ROLE_RETIRED = "retired"
 #: retransmit burst in one call.
 TAKEOVER_BATCH = 256
 
+#: With several backups, backup rank i defers its takeover by
+#: i × TAKEOVER_GRACE seconds so the highest-priority live backup wins; a
+#: deferring backup cancels when it hears the new primary's heartbeat.
+TAKEOVER_GRACE = 0.100
+
 #: Why the takeover could not carry a connection intact (§3.2): the
 #: primary had acknowledged client bytes this backup never received, or
 #: the shadow never learned the primary's ISN (and is reset).
@@ -415,8 +420,17 @@ class STTCPBackup:
         if state is None:
             return
         tcb = state.tcb
-        tcb.inject_receive_data(unwrap(data.seq, tcb.rcv_nxt), data.payload)
+        seq_abs = unwrap(data.seq, tcb.rcv_nxt)
+        tcb.inject_receive_data(seq_abs, data.payload)
         self._c_retx_bytes_recovered.value += len(data.payload)
+        if data.fin and not tcb.fin_received and tcb.inject_receive_fin(seq_abs + len(data.payload)):
+            # The tap lost the client's FIN, and may have lost the ACKs
+            # that followed it: take those from the primary.  Ack the FIN
+            # at once, for the primary holds its closed end until an ack
+            # covers it, and the shadow, woken by it, may close next.
+            state.note_client_ack(tcb, unwrap(data.acked, tcb.snd_una))
+            self._c_acks_sent.value += 1
+            self._send(BackupAck(state.key, tcb.rcv_nxt & SEQ_MASK))
         if state.pending_retx is not None and tcb.rcv_nxt >= state.pending_retx[1]:
             state.pending_retx = None
             self._index.clear_retx_pending(state)
@@ -453,7 +467,7 @@ class STTCPBackup:
         if self.rank > 0:
             # Defer: a higher-priority backup gets first claim; if its
             # heartbeat-as-primary arrives meanwhile, we stand down.
-            delay = self.rank * self.config.takeover_grace
+            delay = self.rank * TAKEOVER_GRACE
             self._deferred_takeover = self.sim.schedule(delay, self._deferred_takeover_due)
             return
         self._proceed_with_takeover()
@@ -464,7 +478,7 @@ class STTCPBackup:
         self._proceed_with_takeover()
 
     def _proceed_with_takeover(self) -> None:
-        if self.config.stonith and self.power_switch is not None and self.primary_host is not None:
+        if self.power_switch is not None and self.primary_host is not None:
             # Convert the suspicion into a certainty before taking over.
             self.power_switch.cut_power(
                 self.primary_host, self._recover_gaps_then_takeover

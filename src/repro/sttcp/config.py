@@ -39,21 +39,13 @@ class STTCPConfig:
     second_buffer_size: Optional[int] = None
     #: UDP port of the primary↔backup channel.
     channel_port: int = 39000
-    #: Power-switch the suspected primary before takeover (§3.2/§4.4):
-    #: converts wrong suspicions into correct ones.
-    stonith: bool = True
-    #: Relay actuation latency of the controllable power switch.
+    #: Relay actuation latency of the controllable power switch, with
+    #: which a backup cuts the suspected primary's power before it takes
+    #: over (§3.2/§4.4); a pair built without a switch takes over at once.
     stonith_delay: float = 0.010
-    #: Query the packet logger for tap gaps that the (dead) primary can no
-    #: longer repair (§3.2 double-failure masking).
-    use_logger: bool = False
     #: How long the backup waits for an outstanding retransmission request
     #: before re-issuing it.
     retx_request_timeout: float = 0.050
-    #: With several backups, backup rank i defers its takeover by
-    #: i × takeover_grace so the highest-priority live backup wins; a
-    #: deferring backup cancels when it hears the new primary's heartbeat.
-    takeover_grace: float = 0.100
 
     def effective_sync_time(self) -> float:
         return self.sync_time if self.sync_time is not None else self.hb_interval

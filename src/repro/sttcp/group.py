@@ -8,7 +8,7 @@ one backup.  With N ranked backups:
 * every backup shadows every connection, and the primary only discards a
   retained byte once **all live backups** acknowledged it;
 * on a primary crash the lowest-ranked live backup takes over (rank i
-  defers by i × ``takeover_grace`` and stands down when it hears the new
+  defers by i × ``TAKEOVER_GRACE`` and stands down when it hears the new
   primary's heartbeat);
 * the winner *promotes* itself to a full primary — retention attached to
   the adopted connections, heartbeats to the remaining backups — so the

@@ -101,18 +101,30 @@ class RetxRequest(ChannelMessage):
 
 
 class RetxData(ChannelMessage):
-    """A chunk of recovered client bytes from the primary's buffers."""
+    """A chunk of recovered client bytes from the primary's buffers.
 
-    __slots__ = ("key", "seq", "payload")
+    ``fin`` marks the chunk that ends at the client's FIN, which the
+    primary received: the FIN takes the sequence number after the payload
+    (the payload is empty when the FIN is all that was asked for).  That
+    chunk's ``acked`` is how far the client had acknowledged the server's
+    stream (32-bit): a backup whose tap lost the FIN may have lost the
+    client's last ACKs with it.
+    """
 
-    def __init__(self, key: ConnKey, seq: int, payload: ByteSpan) -> None:
+    __slots__ = ("key", "seq", "payload", "fin", "acked")
+
+    def __init__(
+        self, key: ConnKey, seq: int, payload: ByteSpan, fin: bool = False, acked: int = 0
+    ) -> None:
         self.key = key
         self.seq = seq
         self.payload = payload
+        self.fin = fin
+        self.acked = acked
 
     @property
     def wire_size(self) -> int:
         return RETX_DATA_HEADER + len(self.payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<RetxData {self.key} seq={self.seq} len={len(self.payload)}>"
+        return f"<RetxData {self.key} seq={self.seq} len={len(self.payload)} fin={self.fin}>"

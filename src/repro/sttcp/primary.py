@@ -197,8 +197,9 @@ class STTCPPrimary:
         missed them, so they are released here, not left waiting for an
         ack that a closed shadow never sends.  A backup that asked for
         retained bytes and has not acked them yet is still recovering
-        them (§4.2): the state stays for its next request and goes with
-        the ack that covers them (``_handle_backup_ack``)."""
+        them (§4.2), and so is one that asked for the client's FIN: the
+        state stays for its next request and goes with the ack that
+        covers them (``_handle_backup_ack``)."""
         key = conn_key(tcb.remote_ip, tcb.remote_port)
         state = self._connections.get(key)
         if state is None or state.tcb is not tcb:
@@ -206,7 +207,24 @@ class STTCPPrimary:
         retention = state.retention
         if retention.retained_bytes and state.requested_to > retention.lowest_retained_offset:
             return
+        if state.requested_to and self._fin_unrecovered(state):
+            return
         self._forget(key, state)
+
+    def _fin_unrecovered(self, state: _PrimaryConnState) -> bool:
+        """A backup asked for the client's FIN, and not every live backup
+        has acked it yet.  Its callers test ``requested_to`` first: most
+        connections close with no request ever made."""
+        tcb = state.tcb
+        if not tcb.fin_received:
+            return False
+        fin_end = tcb.rcv_offset(tcb.rcv_nxt)
+        live = self.live_backup_values()
+        return (
+            state.requested_to >= fin_end
+            and bool(live)
+            and min(state.acked_by.get(value, 0) for value in live) < fin_end
+        )
 
     def _forget(self, key: ConnKey, state: _PrimaryConnState) -> None:
         del self._connections[key]
@@ -268,7 +286,11 @@ class STTCPPrimary:
                 # Window may have been pinched by retention overflow;
                 # releasing bytes can reopen it.
                 _reopen_window(tcb)
-            if tcb.state is TCPState.CLOSED and not state.retention.retained_bytes:
+            if (
+                tcb.state is TCPState.CLOSED
+                and not state.retention.retained_bytes
+                and not (state.requested_to and self._fin_unrecovered(state))
+            ):
                 self._forget(ack.key, state)  # held past its close until recovered
         # The reply doubles as the primary→backup heartbeat (§4.3).
         self._send(AckReply(ack.key, ack.ack_seq), source)
@@ -300,16 +322,26 @@ class STTCPPrimary:
         stop = tcb.rcv_offset(stop_abs)
         if stop > state.requested_to:
             state.requested_to = stop
+        # A range through the client's FIN carries it as a flag: the FIN
+        # is sequence space, not a byte of either buffer.
+        fin = tcb.fin_received and stop >= tcb.rcv_offset(tcb.rcv_nxt)
+        if fin:
+            stop = tcb.rcv_offset(tcb.rcv_nxt) - 1
         data = concat([retention.fetch(start, stop), recv_buffer.peek_unread(start, stop)])
-        if len(data) == 0:
+        length = len(data)
+        if length == 0 and not fin:
             return
         self._c_retx_requests_served.value += 1
-        # Chunk into frame-sized RETX_DATA messages.
+        # Chunk into frame-sized RETX_DATA messages; the last one takes the
+        # FIN (alone, when no byte was asked for).
         first_seq = tcb.irs + 1 + start
-        for piece_start in range(0, len(data), RETX_CHUNK):
-            piece = data.slice(piece_start, min(piece_start + RETX_CHUNK, len(data)))
+        for piece_start in range(0, length, RETX_CHUNK) or (0,):
+            piece_stop = min(piece_start + RETX_CHUNK, length)
+            piece = data.slice(piece_start, piece_stop)
             self._c_retx_bytes_sent.value += len(piece)
-            self._send(RetxData(request.key, wrap(first_seq + piece_start), piece), source)
+            last = fin and piece_stop == length
+            acked = wrap(tcb.snd_una) if last else 0
+            self._send(RetxData(request.key, wrap(first_seq + piece_start), piece, last, acked), source)
 
     # Backup replacement (cluster election) ----------------------------------------------
     def replace_backup(
@@ -385,5 +417,9 @@ class STTCPPrimary:
         # A closed connection held for a backup's recovery that is now
         # released, or whose backup is gone, is held no longer.
         for key, state in list(self._connections.items()):
-            if state.tcb.state is TCPState.CLOSED and not state.retention.retained_bytes:
+            if (
+                state.tcb.state is TCPState.CLOSED
+                and not state.retention.retained_bytes
+                and not (state.requested_to and self._fin_unrecovered(state))
+            ):
                 self._forget(key, state)

@@ -39,6 +39,9 @@ from repro.sttcp.messages import ConnKey, conn_key
 from repro.tcp.constants import TCPState
 from repro.tcp.seqspace import unwrap, wrap
 
+#: States that an ACK of our FIN moves on (``InputEngine.settle_fin``).
+_FIN_ACK_STATES = (TCPState.FIN_WAIT_1, TCPState.CLOSING, TCPState.LAST_ACK)
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tcp.segment import TCPSegment
     from repro.tcp.tcb import TCPConnection
@@ -164,6 +167,14 @@ class ShadowExtension:
             "isn_rebase_from_synack", old=wrap(old_iss), new=wrap(conn.iss)
         )
 
+    def note_client_ack(self, conn: "TCPConnection", ack_abs: int) -> None:
+        """A client ACK learned out of band: applied as a tapped one
+        running ahead of the shadow application is, once the shadow's
+        output reaches it."""
+        if ack_abs > conn.snd_una:
+            self.pending_ack = max(self.pending_ack or 0, ack_abs)
+            self.after_output(conn)
+
     # -- pending-ACK application ----------------------------------------------
     def after_output(self, conn: "TCPConnection") -> None:
         """Apply a client ACK that ran ahead of the shadow application.
@@ -184,6 +195,11 @@ class ShadowExtension:
                     self.pending_ack = None
                 if target > conn.snd_una:
                     conn.input.apply_cumulative_ack(target)
+                    state = conn.state
+                    if state is TCPState.CLOSED:
+                        return  # aborted from a wake-up
+                    if state in _FIN_ACK_STATES and not conn.input.settle_fin():
+                        return  # it acked our FIN: closed, or in TIME_WAIT
                 elif self.pending_ack is not None:
                     break  # no progress possible until more data is produced
         finally:

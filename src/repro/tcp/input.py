@@ -66,8 +66,6 @@ class InputEngine:
         trace = conn.sim.trace
         if "tcp" in trace.categories:
             conn.trace_event("recv", seg=segment)
-        if segment.ts_val is not None and conn.use_timestamps:
-            conn.last_ts_recv = segment.ts_val
         ext = conn.extension
         if ext is not None and ext.on_segment_in(conn, segment):
             return
@@ -99,9 +97,6 @@ class InputEngine:
         if segment.mss_option is not None:
             conn.mss = min(conn.mss, segment.mss_option)
             conn.cc.mss = conn.mss
-        if segment.ts_val is not None and conn.config.timestamps:
-            conn.use_timestamps = True
-            conn.last_ts_recv = segment.ts_val
         if ack_acceptable:
             assert ack_abs is not None
             conn.snd_una = ack_abs  # our SYN is acked
@@ -177,7 +172,7 @@ class InputEngine:
         if segment.payload_length > 0:
             self._process_payload(segment, seq_abs)
         if flags & FLAG_FIN and conn.state is not TCPState.CLOSED:
-            self._process_fin(segment, seq_abs)
+            self.process_fin(seq_abs + segment.payload_length)
 
     # -- ACK processing ------------------------------------------------------
     def _process_ack(self, segment: TCPSegment, seq_abs: int) -> bool:
@@ -229,7 +224,8 @@ class InputEngine:
             and conn.snd_max > conn.snd_una
         ):
             self._handle_duplicate_ack()
-        # State transitions driven by our FIN being acknowledged.
+        # State transitions driven by our FIN being acknowledged
+        # (``settle_fin``, inline: this runs once per segment).
         if conn._fin_sent and conn._fin_seq is not None and conn.snd_una > conn._fin_seq:
             conn._fin_acked = True
             if conn.state is TCPState.FIN_WAIT_1:
@@ -243,6 +239,24 @@ class InputEngine:
                 conn._enter_closed(None)
                 return False
         return conn.state is not TCPState.CLOSED  # not aborted from a writer's wake-up
+
+    def settle_fin(self) -> bool:
+        """``_process_ack``'s transitions for an ACK applied without a
+        segment (a replica's, once its output reaches it): False once the
+        TCB has left, into TIME_WAIT or CLOSED."""
+        conn = self.conn
+        if not (conn._fin_sent and conn._fin_seq is not None and conn.snd_una > conn._fin_seq):
+            return True
+        conn._fin_acked = True
+        if conn.state is TCPState.FIN_WAIT_1:
+            conn.state = TCPState.FIN_WAIT_2
+        elif conn.state is TCPState.CLOSING:
+            conn._enter_time_wait()
+            return False
+        elif conn.state is TCPState.LAST_ACK:
+            conn._enter_closed(None)
+            return False
+        return True
 
     def apply_cumulative_ack(self, ack_abs: int) -> None:
         """Advance ``snd_una`` to ``ack_abs`` with all side effects: buffer
@@ -375,9 +389,10 @@ class InputEngine:
             conn.output.ack_now()
 
     # -- FIN -----------------------------------------------------------------
-    def _process_fin(self, segment: TCPSegment, seq_abs: int) -> None:
+    def process_fin(self, fin_seq: int) -> None:
+        """The peer's FIN at absolute ``fin_seq``: from a segment, or out
+        of band (``TCPConnection.inject_receive_fin``)."""
         conn = self.conn
-        fin_seq = seq_abs + segment.payload_length
         if fin_seq != conn.rcv_nxt:
             return  # FIN beyond a hole; wait for retransmission
         if conn.fin_received:

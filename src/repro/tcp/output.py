@@ -16,6 +16,8 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.tcp.config import TCPConfig
 from repro.tcp.constants import (
+    DELACK_SEGMENT_THRESHOLD,
+    DELACK_TIMEOUT,
     FLAG_ACK,
     FLAG_FIN,
     FLAG_PSH,
@@ -203,10 +205,6 @@ class OutputEngine:
             payload = conn.send_buffer.data_range(start, start + length)
         else:
             payload = EMPTY
-        ts_val = ts_ecr = None
-        if conn.use_timestamps or (flags & FLAG_SYN and conn.config.timestamps):
-            ts_val = conn.sim.now
-            ts_ecr = conn.last_ts_recv
         template = self._template
         if template is None:
             template = SegmentTemplate(conn.local_port, conn.remote_port)
@@ -218,9 +216,7 @@ class OutputEngine:
                 flags,
                 window if window < 0xFFFF else 0xFFFF,
                 payload,
-                mss_option=mss_option,
-                ts_val=ts_val,
-                ts_ecr=ts_ecr,
+                mss_option,
             )
         )
 
@@ -263,18 +259,14 @@ class OutputEngine:
 
     def schedule_ack(self, advanced_segments: int) -> None:
         """Delayed-ACK policy after receiving in-order data."""
-        conn = self.conn
-        if not conn.config.delayed_ack:
-            self.ack_now()
-            return
         self.segments_since_ack += advanced_segments
-        if self.segments_since_ack >= conn.config.delack_segments:
+        if self.segments_since_ack >= DELACK_SEGMENT_THRESHOLD:
             self.ack_now()
             return
         if not self.ack_scheduled:
             self.ack_scheduled = True
-            if not conn.output_inhibited:
-                self.delack_timer.start(conn.config.delack_timeout)
+            if not self.conn.output_inhibited:
+                self.delack_timer.start(DELACK_TIMEOUT)
 
     def _on_delack(self) -> None:
         if self.ack_scheduled:

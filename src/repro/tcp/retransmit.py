@@ -21,6 +21,7 @@ from repro.tcp.config import TCPConfig
 from repro.tcp.constants import (
     FLAG_ACK,
     FLAG_FIN,
+    MAX_SYN_RETRANSMITS,
     PERSIST_TIMEOUT_MAX,
     PERSIST_TIMEOUT_MIN,
     TCPState,
@@ -48,7 +49,7 @@ class RetransmitEngine:
 
     def __init__(self, conn: "TCPConnection", config: TCPConfig) -> None:
         self.conn = conn
-        self.rtt = RTTEstimator(config.rto_min, config.rto_max, config.rto_initial)
+        self.rtt = RTTEstimator(config.rto_min, config.rto_max)
         sim = conn.sim
         self.rto_timer = RestartableTimer(sim, self._on_rto, "rto")
         # Built when first armed (DESIGN §14): few connections ever use them.
@@ -89,7 +90,7 @@ class RetransmitEngine:
             return
         self.retransmit_count += 1
         limit = (
-            conn.config.max_syn_retransmits
+            MAX_SYN_RETRANSMITS
             if conn.state in (TCPState.SYN_SENT, TCPState.SYN_RCVD)
             else conn.config.max_retransmits
         )

@@ -20,20 +20,18 @@ from repro.tcp.constants import (
 )
 from repro.util.bytespan import EMPTY, ByteSpan
 
-#: Option wire sizes (including padding to 32-bit boundaries as on Linux).
+#: MSS option wire size (the one option modelled; the paper ran with
+#: timestamps off, §6).
 MSS_OPTION_SIZE = 4
-TIMESTAMP_OPTION_SIZE = 12
 
 _segment_ids = itertools.count(1)
 
 
-def _wire_size(payload_length: int, mss_option: Optional[int], ts_val: Optional[float]) -> int:
-    """Header, options and payload of a segment, in bytes."""
+def _wire_size(payload_length: int, mss_option: Optional[int]) -> int:
+    """Header, option and payload of a segment, in bytes."""
     size = TCP_HEADER_SIZE + payload_length
     if mss_option is not None:
         size += MSS_OPTION_SIZE
-    if ts_val is not None:
-        size += TIMESTAMP_OPTION_SIZE
     return size
 
 
@@ -64,8 +62,6 @@ class TCPSegment:
         "payload_length",
         "size",
         "mss_option",
-        "ts_val",
-        "ts_ecr",
         "segment_id",
     )
 
@@ -79,8 +75,6 @@ class TCPSegment:
         window: int,
         payload: ByteSpan = EMPTY,
         mss_option: Optional[int] = None,
-        ts_val: Optional[float] = None,
-        ts_ecr: Optional[float] = None,
     ) -> None:
         if not 0 <= seq <= SEQ_MASK:
             raise ValueError(f"seq {seq} outside 32-bit space")
@@ -96,10 +90,8 @@ class TCPSegment:
         self.window = min(window, 0xFFFF)
         self.payload = payload
         self.payload_length = payload.length
-        self.size = _wire_size(payload.length, mss_option, ts_val)
+        self.size = _wire_size(payload.length, mss_option)
         self.mss_option = mss_option
-        self.ts_val = ts_val
-        self.ts_ecr = ts_ecr
         self.segment_id = next(_segment_ids)
 
     # Flag accessors ------------------------------------------------------------
@@ -174,8 +166,7 @@ class TCPSegment:
 class SegmentTemplate:
     """Per-connection invariant header fields, precomputed once.
 
-    The ports (and the timestamp-option decision) never change over a
-    connection's lifetime, and the output engine produces every variant
+    The ports never change over a connection's lifetime, and the output engine produces every variant
     field already validated — ``wrap`` folds seq/ack into 32-bit space
     and the advertised window is clamped at the source — so
     :meth:`build` constructs segments with direct slot assignment,
@@ -199,8 +190,6 @@ class SegmentTemplate:
         window: int,
         payload: ByteSpan = EMPTY,
         mss_option: Optional[int] = None,
-        ts_val: Optional[float] = None,
-        ts_ecr: Optional[float] = None,
     ) -> TCPSegment:
         segment = TCPSegment.__new__(TCPSegment)
         segment.src_port = self.src_port
@@ -216,12 +205,8 @@ class SegmentTemplate:
         size = TCP_HEADER_SIZE + length
         if mss_option is not None:
             size += MSS_OPTION_SIZE
-        if ts_val is not None:
-            size += TIMESTAMP_OPTION_SIZE
         segment.size = size
         segment.mss_option = mss_option
-        segment.ts_val = ts_val
-        segment.ts_ecr = ts_ecr
         segment.segment_id = next(_segment_ids)
         return segment
 
@@ -236,7 +221,6 @@ __all__ = [
     "MSS_OPTION_SIZE",
     "SegmentTemplate",
     "TCPSegment",
-    "TIMESTAMP_OPTION_SIZE",
     "make_rst",
     "FLAG_ACK",
     "FLAG_FIN",

@@ -65,7 +65,6 @@ class TCPConnection:
         "mss", "cc",
         "output_inhibited", "extension",
         "_fin_pending", "_fin_sent", "_fin_seq", "_fin_acked", "fin_received",
-        "use_timestamps", "last_ts_recv",
         "socket",
         "segments_sent", "segments_received", "bytes_sent", "bytes_received",
         "retransmissions", "dupacks_received", "error",
@@ -128,10 +127,6 @@ class TCPConnection:
         #: The peer's FIN has arrived: a field, because the socket tests it
         #: on every reader wake-up (DESIGN §13 rule 9).
         self.fin_received = False
-
-        # Timestamp option state.
-        self.use_timestamps = False
-        self.last_ts_recv: Optional[float] = None
 
         #: The application's handle, which the engines tell of every change
         #: it waits on (None until a :class:`TCPSocket` wraps the connection).
@@ -208,9 +203,6 @@ class TCPConnection:
         if syn.mss_option is not None:
             self.mss = min(self.mss, syn.mss_option)
             self.cc.mss = self.mss
-        if syn.ts_val is not None and self.config.timestamps:
-            self.use_timestamps = True
-            self.last_ts_recv = syn.ts_val
         self.state = TCPState.SYN_RCVD
         self.output.send_syn(with_ack=True)
         self.retransmit.arm_rto()
@@ -256,8 +248,11 @@ class TCPConnection:
         return span
 
     def app_close(self) -> None:
-        """Orderly close: flush pending data then send FIN."""
-        if self.state in (TCPState.CLOSED, TCPState.LISTEN):
+        """Orderly close: flush pending data then send FIN.  Closing a
+        closed endpoint does nothing: its ``error`` stays what ended it."""
+        if self.state is TCPState.CLOSED:
+            return
+        if self.state is TCPState.LISTEN:
             self._enter_closed(None)
             return
         if self._fin_pending or self._fin_sent:
@@ -393,6 +388,15 @@ class TCPConnection:
             if self.socket is not None:
                 self.socket._pump_readers()
         return advanced
+
+    def inject_receive_fin(self, fin_seq_abs: int) -> bool:
+        """Take the peer's FIN, obtained out of band, as a segment would
+        deliver it: only once every byte before ``fin_seq_abs`` is in.
+        Returns whether it was taken."""
+        if self.fin_received or fin_seq_abs != self.rcv_nxt or not self.is_synchronized:
+            return False
+        self.input.process_fin(fin_seq_abs)
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

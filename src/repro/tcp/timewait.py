@@ -38,7 +38,7 @@ class TimeWait:
 
     __slots__ = (
         "layer", "local_ip", "local_port", "remote_ip", "remote_port",
-        "snd_nxt", "rcv_nxt", "irs", "window", "ts_recent", "hold",
+        "snd_nxt", "rcv_nxt", "irs", "window", "hold",
         "output_inhibited", "extension", "socket", "_unread",
         "state", "error", "seq", "_challenge_start", "_challenge_count",
     )
@@ -58,7 +58,6 @@ class TimeWait:
         self.irs = tcb.irs
         buffer = tcb.recv_buffer
         self.window = buffer.window
-        self.ts_recent = tcb.last_ts_recv if tcb.use_timestamps else None
         self.hold = tcb.config.time_wait
         self.output_inhibited = tcb.output_inhibited
         self.extension: Any = tcb.extension
@@ -83,6 +82,11 @@ class TimeWait:
         sim.arm(sim.now + self.hold, self, TimeWait._close)
         if "tcp" in sim.trace.categories:
             self.trace_event("time_wait")
+
+    @property
+    def snd_una(self) -> int:
+        """Everything sent is acknowledged, our FIN with it."""
+        return self.snd_nxt
 
     @property
     def key(self) -> tuple:
@@ -121,8 +125,6 @@ class TimeWait:
     # -- the wire ---------------------------------------------------------------
     def on_segment(self, segment: TCPSegment) -> None:
         self.trace_event("recv", seg=segment)
-        if segment.ts_val is not None and self.ts_recent is not None:
-            self.ts_recent = segment.ts_val
         ext = self.extension
         if ext is not None and ext.on_segment_in(self, segment):
             return
@@ -173,10 +175,9 @@ class TimeWait:
     def _emit(self, flags: int) -> None:
         if self.output_inhibited:
             return
-        ts_val = None if self.ts_recent is None else self.layer.sim.now
         segment = TCPSegment(
             self.local_port, self.remote_port, self.snd_nxt & SEQ_MASK,
-            self.rcv_nxt & SEQ_MASK, flags, self.window, ts_val=ts_val, ts_ecr=self.ts_recent,
+            self.rcv_nxt & SEQ_MASK, flags, self.window,
         )
         self.trace_event("send", seg=segment)
         self.layer.send_segment(self, segment)
@@ -189,9 +190,8 @@ class TimeWait:
         return self.recv_buffer.read(max_bytes)
 
     def app_close(self) -> None:
-        """Our FIN went long ago; once closed, close again as a TCB does."""
-        if self.state is TCPState.CLOSED:
-            self._close(None)
+        """Our FIN went long ago, and a closed record stays as it closed
+        (its ``error`` with it), as a TCB does."""
 
     def app_abort(self) -> None:
         if self.state is TCPState.TIME_WAIT:

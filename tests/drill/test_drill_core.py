@@ -9,6 +9,9 @@ import pytest
 from repro.drill import ANY, run_drill_file, tcp
 from repro.drill.patterns import SegmentSpec, SeqSpace, parse_flags
 from repro.drill.report import DrillResult, format_report, results_to_json
+from repro.drill.runner import run_program
+from repro.drill.script import DrillProgram
+from repro.tcp.config import TCPConfig
 from repro.tcp.constants import FLAG_ACK, FLAG_PSH, FLAG_SYN
 from repro.tcp.segment import TCPSegment
 from repro.util.bytespan import EMPTY, RealBytes
@@ -143,6 +146,17 @@ class TestFaultPlan:
         ) in out
         assert not (tmp_path / "dumps" / "b_sever.flight.txt").exists()  # nothing ran
 
+    def test_an_unknown_setting_fails_one_drill(self):
+        """``use()`` takes only what a drill reads: a setting it does not
+        know (a seed, a port, TCP or ST-TCP fields) fails that drill."""
+        program = DrillProgram("seeded")
+        program.use(mode="server", seed=3, tcp={"nagle": True})
+        result, env = run_program(program)
+        assert env is None and not result.passed
+        assert result.failure.splitlines()[1] == (
+            "unknown drill setting(s) seed, tcp; known: mode, tol, run_for, cluster"
+        )
+
     def test_a_failing_drill_starts_with_its_plan(self):
         result = run_drill_file(BROKEN / "b01_wrong_ack.py")
         assert result.failure.splitlines()[0] == "faults FaultPlan([])"
@@ -155,4 +169,5 @@ class TestFaultPlan:
         env = DrillEnv(load_script(Path(__file__).parent / "scripts" / "t24_sttcp_takeover_liveness.py"))
         assert isinstance(env.scenario, Scenario) and env.pair is env.scenario.pair
         assert env.hub.rate_bps == DRILL_LINK.link_rate_bps and env.hub.delay == DRILL_LINK.hub_delay
+        assert DRILL_LINK.tcp_config() == TCPConfig() == env.primary.tcp.config
         assert env.faults == ((0.3, "primary_crash", {}),)

@@ -96,18 +96,8 @@ def test_processing_delay_defers_delivery(sim):
     assert received == [pytest.approx(0.002)]
 
 
-def test_rx_queue_overflow_drops(sim):
-    nic = NIC(sim, processing_delay=0.010, rx_queue_capacity=2)
-    received = collect(nic)
-    for _ in range(5):
-        nic.receive_frame(make_frame(nic.mac))
-    sim.run()
-    assert len(received) == 2
-    assert nic.rx_dropped_queue == 3
-
-
 def test_rx_queue_serialises_processing(sim):
-    nic = NIC(sim, processing_delay=0.010, rx_queue_capacity=10)
+    nic = NIC(sim, processing_delay=0.010)
     times = []
     nic.register_ethertype(ETHERTYPE_IPV4, lambda _payload, _nic: times.append(sim.now))
     nic.receive_frame(make_frame(nic.mac))

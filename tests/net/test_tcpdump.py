@@ -142,15 +142,8 @@ _payloads = st.one_of(
         st.integers(0, 7),
     ),
 )
-_timestamps = st.one_of(
-    st.none(),
-    st.tuples(st.floats(0, 1e6), st.one_of(st.none(), st.floats(0, 1e6))),
-)
 _segments = st.builds(
-    lambda sp, dp, seq, ack, flags, win, payload, mss, ts: TCPSegment(
-        sp, dp, seq, ack, flags, win, payload, mss_option=mss,
-        ts_val=ts and ts[0], ts_ecr=ts and ts[1],
-    ),
+    TCPSegment,
     st.integers(1, 0xFFFF),
     st.integers(1, 0xFFFF),
     st.integers(0, 0xFFFFFFFF),
@@ -159,7 +152,6 @@ _segments = st.builds(
     st.integers(0, 0xFFFF),
     _payloads,
     st.one_of(st.none(), st.integers(536, 9000)),
-    _timestamps,
 )
 _ip_pairs = st.tuples(
     st.integers(1, 0xFFFFFFFE).map(IPAddress), st.integers(1, 0xFFFFFFFE).map(IPAddress)

@@ -17,8 +17,6 @@ def make_scenario(
     **config_kwargs,
 ) -> Scenario:
     config = STTCPConfig(hb_interval=hb_interval, **config_kwargs)
-    if with_logger:
-        config.use_logger = True
     return Scenario(
         profile=FAST_LAN,
         topology=topology,

@@ -316,12 +316,13 @@ def test_a_degraded_connection_is_listed_once(isn_known, filled, cause):
     ahead of the shadow) and an unknown ISN: a shadow with both is listed
     once, as ``isn_unknown``, and reset; one with a hole only is listed
     as ``hole`` and still taken over; a hole filled before the takeover
-    is not listed.  Without STONITH the takeover runs inside
+    is not listed.  Without a power switch the takeover runs inside
     ``force_failover``, so no client byte arrives in between."""
     from repro.apps.client import run_client
     from repro.apps.protocol import KIND_ECHO, encode_request
 
-    scenario = make_scenario(stonith=False)
+    scenario = make_scenario()
+    scenario.pair.backup_engine.power_switch = None
     scenario.start_service()
     run_client(scenario.client, scenario.service_addr, echo_workload(2000))
     scenario.sim.run(until=0.05)

@@ -8,7 +8,7 @@ from repro.faults.injection import FaultPlan
 from repro.harness.calibrate import FAST_LAN
 from repro.harness.runner import run_workload
 from repro.harness.scenario import Scenario
-from repro.sttcp.backup import ROLE_ACTIVE, ROLE_PASSIVE
+from repro.sttcp.backup import ROLE_ACTIVE, ROLE_PASSIVE, TAKEOVER_GRACE
 from repro.sttcp.config import STTCPConfig
 from repro.util.units import KB
 
@@ -16,7 +16,7 @@ from tests.sttcp.conftest import make_scenario
 
 
 def make_group(backups=2, seed=120, **config_kwargs):
-    config = STTCPConfig(hb_interval=0.05, takeover_grace=0.1, **config_kwargs)
+    config = STTCPConfig(hb_interval=0.05, **config_kwargs)
     return Scenario(profile=FAST_LAN, sttcp=config, backups=backups, seed=seed)
 
 
@@ -152,7 +152,7 @@ def test_simultaneous_primary_and_rank0_crash():
     rank1 = scenario.pair.backup_engines[1]
     assert rank1.role is ROLE_ACTIVE
     # Rank 1 waited at least its grace period beyond detection.
-    assert rank1.takeover_time - rank1.detection_time >= scenario.pair.config.takeover_grace
+    assert rank1.takeover_time - rank1.detection_time >= TAKEOVER_GRACE
 
 
 def test_three_replica_group():
@@ -180,7 +180,7 @@ def test_group_validates_configuration():
 def test_switched_topology_group_failover():
     """Multi-backup also works behind a switch: SME/GME multicast groups
     deliver both directions to every backup."""
-    config = STTCPConfig(hb_interval=0.05, takeover_grace=0.1)
+    config = STTCPConfig(hb_interval=0.05)
     scenario = Scenario(
         profile=FAST_LAN, topology="switched", sttcp=config, backups=2, seed=125
     )

@@ -66,11 +66,35 @@ def test_random_tap_loss_repaired_over_channel():
         deadline=120.0,
     )
     assert run.result.error is None and run.result.verified
+    (shadow,) = scenario.pair.backup_engine.shadow_connections
     scenario.sim.run(until=scenario.sim.now + 1.0)  # let repairs finish
     assert scenario.sim.metrics.value("backup.sttcp.retx_requests_sent") > 0
     assert scenario.sim.metrics.value("backup.sttcp.retx_bytes_recovered") > 0
-    shadow = scenario.pair.backup_engine.shadow_connections[0]
     assert shadow.recv_buffer.rcv_nxt_offset >= 256 * KB
+
+
+def test_a_shadow_whose_tap_lost_the_clients_fin_takes_it_from_the_primary_and_closes():
+    """The tap lost the client's FIN, and the ACKs after it fell outside
+    the lagging shadow's window.  The primary's reply to the request that
+    reaches the FIN carries it, with how far the client acked: the shadow
+    closes through LAST_ACK, and the requests stop."""
+    scenario = make_scenario(seed=90, retx_request_timeout=0.02)
+    run = run_workload(
+        upload_workload(256 * KB),
+        scenario=scenario,
+        faults=[(0.0, "tap_loss", {"rate": 0.05})],
+        deadline=120.0,
+    )
+    assert run.result.error is None and run.result.verified
+    sim, backup = scenario.sim, scenario.pair.backup_engine
+    (shadow,) = backup.shadow_connections
+    sim.run(until=sim.now + 1.0)
+    requests = sim.metrics.value("backup.sttcp.retx_requests_sent")
+    assert shadow.state is TCPState.CLOSED and shadow.error is None
+    assert shadow.fin_received and shadow.recv_buffer.rcv_nxt_offset == 256 * KB + 150
+    assert backup.shadow_connections == [] and scenario.pair.primary_engine._connections == {}
+    sim.run(until=sim.now + 5.0)
+    assert sim.metrics.value("backup.sttcp.retx_requests_sent") == requests
 
 
 @pytest.mark.parametrize("backup_dies", [False, True], ids=["acked", "backup_dies"])

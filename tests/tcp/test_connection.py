@@ -169,6 +169,33 @@ def test_abort_sends_rst_and_peer_sees_reset(lan):
     assert outcome["server"] == "reset"
 
 
+def test_closing_a_reset_connection_keeps_the_reset(lan):
+    """A close after the peer's RST is a no-op: the error that ended the
+    connection stays readable, on the TCB and on the socket."""
+    seen = {}
+
+    def server():
+        conn = yield lan.b.tcp.listen(8000).accept()
+        with pytest.raises(ConnectionReset):
+            yield conn.recv(100)
+        seen["before"] = conn.tcb.error
+        conn.close()
+        seen["after"] = (conn.state, conn.tcb.error)
+        with pytest.raises(ConnectionReset):
+            yield conn.send(b"late")
+
+    def client():
+        sock = lan.a.tcp.connect((lan.ip_b, 8000))
+        yield sock.wait_connected()
+        sock.abort()
+
+    server_process = lan.b.spawn(server())
+    lan.a.spawn(client())
+    lan.sim.run_until_complete(server_process, deadline=10.0)
+    assert isinstance(seen["before"], ConnectionReset)
+    assert seen["after"] == (TCPState.CLOSED, seen["before"])
+
+
 def test_send_after_close_rejected(lan):
     def client():
         sock = lan.a.tcp.connect((lan.ip_b, 8000))

@@ -17,6 +17,7 @@ from repro.errors import ConnectionTimeout
 from repro.net.addresses import IPAddress
 from repro.tcp.config import TCPConfig
 from repro.tcp.constants import (
+    DELACK_TIMEOUT,
     FLAG_ACK,
     FLAG_FIN,
     FLAG_PSH,
@@ -257,7 +258,7 @@ class TestOutputDecisionTable:
         establish(conn)
         conn.output.schedule_ack(1)
         assert payloads(layer) == []
-        clock.advance(conn.config.delack_timeout + 0.001)
+        clock.advance(DELACK_TIMEOUT + 0.001)
         assert payloads(layer) == [0]  # the delayed pure ACK
 
     def test_delayed_ack_second_segment_forces_immediate_ack(self):

@@ -44,8 +44,9 @@ _spec = importlib.util.spec_from_file_location("conn_footprint", _TOOL)
 conn_footprint = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(conn_footprint)
 
-#: The tree at the time of writing needs about 9 790 bytes and 67
-#: GC-tracked objects per connection on CPython 3.11 (10 990 and 87 while
+#: The tree at the time of writing needs about 9 750 bytes and 67
+#: GC-tracked objects per connection on CPython 3.11 (9 800 while each
+#: TCB kept the timestamp option's two slots; 10 990 and 87 while
 #: an empty buffer, an empty socket queue and a gapless reassembly queue
 #: each held an empty list, a pending read its accumulator and callback
 #: lists and a waiting process a bound ``_resume``; 11 280 and 90 while
@@ -59,11 +60,12 @@ _spec.loader.exec_module(conn_footprint)
 #: in a free list); before buffers were lists and per-connection classes
 #: slotted it needed 29 500 and 163.  The slack absorbs interpreter
 #: differences (3.11 vs 3.12 object layouts).
-BYTES_PER_CONNECTION_BUDGET = 10_900
+BYTES_PER_CONNECTION_BUDGET = 10_852
 OBJECTS_PER_CONNECTION_BUDGET = 78
 
 #: A closed connection whose client end waits in TIME_WAIT needs about
-#: 1 350 bytes and 4.5 objects (N = 100): the client's ``TimeWait``
+#: 1 340 bytes and 4.5 objects (N = 100; 1 348 while the record kept the
+#: timestamp option's ``ts_recent`` slot): the client's ``TimeWait``
 #: record, its own expiry's queue token, a table key and the finished
 #: client process; the primary's and the shadow's ends closed through
 #: LAST_ACK and are gone.  It needed 3 410 and 13.6 while a server that
@@ -72,7 +74,7 @@ OBJECTS_PER_CONNECTION_BUDGET = 78
 #: and 14.6 while the retention record's empty second buffer held a list,
 #: 3 950 and 20.6 while each expiry was an ``EventHandle`` and a bound
 #: method, and 10 340 and 86.6 while the TCBs themselves waited.
-TIME_WAIT_BYTES_PER_CONNECTION_BUDGET = 1_550
+TIME_WAIT_BYTES_PER_CONNECTION_BUDGET = 1_541
 TIME_WAIT_OBJECTS_PER_CONNECTION_BUDGET = 6
 
 #: Packages whose classes are instantiated per connection.

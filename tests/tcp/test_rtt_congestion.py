@@ -229,11 +229,8 @@ def test_mss_validation():
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("delack_timeout", -0.5),
         ("time_wait", -1.0),
         ("max_retransmits", -1),
-        ("max_syn_retransmits", -1),
-        ("rto_initial", 0.0),
     ],
 )
 def test_config_rejects_values_that_run_the_clock_backwards(field, value):

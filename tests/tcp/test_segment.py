@@ -11,12 +11,7 @@ from repro.ip.datagram import IP_HEADER_SIZE, PROTO_TCP, PROTO_UDP, IPDatagram
 from repro.net.addresses import IPAddress
 from repro.net.tcpdump import segment_to_bytes
 from repro.tcp.constants import TCP_HEADER_SIZE
-from repro.tcp.segment import (
-    MSS_OPTION_SIZE,
-    TIMESTAMP_OPTION_SIZE,
-    SegmentTemplate,
-    TCPSegment,
-)
+from repro.tcp.segment import MSS_OPTION_SIZE, SegmentTemplate, TCPSegment
 from repro.udp.datagram import UDP_HEADER_SIZE, UDPDatagram
 from repro.util.bytespan import EMPTY, PatternBytes, RealBytes
 
@@ -27,7 +22,6 @@ _payloads = st.one_of(
     st.binary(max_size=64).map(RealBytes),
     st.builds(PatternBytes, st.integers(0, 1460), st.integers(0, 1 << 32), st.integers(0, 3)),
 )
-_timestamps = st.one_of(st.none(), st.floats(0, 1e6))
 
 
 @settings(max_examples=200, deadline=None)
@@ -40,8 +34,6 @@ _timestamps = st.one_of(st.none(), st.floats(0, 1e6))
     window=st.integers(0, 0xFFFF),
     payload=_payloads,
     mss_option=st.one_of(st.none(), st.integers(1, 0xFFFF)),
-    ts_val=_timestamps,
-    ts_ecr=_timestamps,
 )
 def test_template_build_equals_checked_constructor(src_port, dst_port, **fields):
     positional = [fields.pop(name) for name in ("seq", "ack", "flags", "window", "payload")]
@@ -64,19 +56,16 @@ def test_template_build_equals_checked_constructor(src_port, dst_port, **fields)
 @given(
     payload=_payloads,
     mss_option=st.one_of(st.none(), st.integers(1, 0xFFFF)),
-    ts_val=_timestamps,
     checked=st.booleans(),
 )
-def test_size_fields_are_header_plus_payload(payload, mss_option, ts_val, checked):
+def test_size_fields_are_header_plus_payload(payload, mss_option, checked):
     if checked:
-        segment = TCPSegment(1, 2, 3, 4, 0x18, 5, payload, mss_option, ts_val, ts_val)
+        segment = TCPSegment(1, 2, 3, 4, 0x18, 5, payload, mss_option)
     else:
-        segment = SegmentTemplate(1, 2).build(3, 4, 0x18, 5, payload, mss_option, ts_val, ts_val)
+        segment = SegmentTemplate(1, 2).build(3, 4, 0x18, 5, payload, mss_option)
     header = TCP_HEADER_SIZE
     if mss_option is not None:
         header += MSS_OPTION_SIZE
-    if ts_val is not None:
-        header += TIMESTAMP_OPTION_SIZE
     assert segment.size == header + payload.length
     src_ip, dst_ip = IPAddress(0x0A000001), IPAddress(0x0A000064)
     assert len(segment_to_bytes(segment, src_ip, dst_ip)) == segment.size

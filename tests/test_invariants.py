@@ -109,9 +109,7 @@ def _lossy_tap_crash_run(crash_fraction, tap_loss, seed):
     """An echo run with the logger, a lossy backup tap and a primary
     crash, under the crash-silence checker: ``(run, silence)``."""
     workload = echo_workload(30)
-    config = STTCPConfig(
-        hb_interval=0.05, retx_request_timeout=0.01, use_logger=True
-    )
+    config = STTCPConfig(hb_interval=0.05, retx_request_timeout=0.01)
     baseline = run_workload(
         workload, profile=FAST_LAN, sttcp=config, seed=seed, deadline=600.0
     ).require_clean()
