@@ -4,8 +4,8 @@
 Runs a bulk download (ftp-like, §6) with the primary crashing mid-
 transfer, and prints the protocol-level events as they happen — shadow
 attach, ISN rebase, heartbeat suspicion, STONITH, takeover, go-back-N
-retransmission — followed by the client's progress timeline around the
-failover gap.
+retransmission — followed by the client's progress around the longest
+gap, the failover's.
 
 Run:  python examples/failover_demo.py
 """
@@ -54,19 +54,15 @@ def main() -> None:
 
     print("\nClient progress around the failover:")
     crash = scenario.primary.crashed_at
-    shown = 0
-    for (time, done), (next_time, next_done) in zip(
-        failed.result.timeline, failed.result.timeline[1:]
-    ):
-        gap = next_time - time
-        if gap > 0.15:  # the stall (well above normal inter-chunk pacing)
-            print(f"  ... receiving steadily until t={time:.3f}s ({done // 1024} KB)")
-            print(f"  >>> SERVICE GAP of {fmt_time(gap)} "
-                  f"(crash at t={crash:.3f}s, detection + takeover)")
-            print(f"  ... resumed at t={next_time:.3f}s, "
-                  f"finished at t={failed.result.timeline[-1][0]:.3f}s")
-            shown += 1
-    if not shown:
+    progress = failed.result.progress
+    if progress.longest > 0.15:  # the stall (well above normal inter-chunk pacing)
+        (time, done), (next_time, _) = progress.start, progress.end
+        print(f"  ... receiving steadily until t={time:.3f}s ({done // 1024} KB)")
+        print(f"  >>> SERVICE GAP of {fmt_time(progress.longest)} "
+              f"(crash at t={crash:.3f}s, detection + takeover)")
+        print(f"  ... resumed at t={next_time:.3f}s, "
+              f"finished at t={progress.last[0]:.3f}s")
+    else:
         print("  (no visible gap — failover hid inside normal pacing)")
 
     print(f"\nTotal with failover : {failed.total_time:.3f} s")

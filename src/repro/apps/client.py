@@ -19,7 +19,7 @@ from repro.apps.protocol import (
     upload_payload,
     verify_response,
 )
-from repro.apps.workload import AppWorkload, RunResult
+from repro.apps.workload import AppWorkload, ProgressWindow, RunResult
 from repro.net.addresses import IPAddress
 from repro.util.bytespan import span_equal
 
@@ -41,13 +41,13 @@ def client_session(
     sim = host.sim
     start = sim.now
     trace = sim.trace
-    timeline = []
+    progress = ProgressWindow()
 
     def checkpoint(total: int) -> None:
-        """Progress checkpoint: the gap-analysis timeline plus the
-        app/client_progress trace marker timeline reconstruction anchors
-        the outage window on (same instants, so the windows agree)."""
-        timeline.append((sim.now, total))
+        """Progress checkpoint: folded into the gap-analysis window, and
+        the app/client_progress trace marker the timeline collector folds
+        the same way (same instants, so the windows agree)."""
+        progress.add(sim.now, total)
         if "app" in trace.categories:
             trace.emit(sim.now, "app", "client_progress", host=host.name, bytes=total)
 
@@ -115,7 +115,7 @@ def client_session(
         bytes_received=bytes_received,
         bytes_sent=bytes_sent,
         verified=verified,
-        timeline=timeline,
+        progress=progress,
         error=error,
     )
 

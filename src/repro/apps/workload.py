@@ -12,7 +12,7 @@ Three applications with differing communication behaviour (§6):
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.util.units import KB, MB
 
@@ -128,6 +128,32 @@ def write_bench_keys(record: Dict[str, Any]) -> None:
             pair["verified"] = entry["outcome"] == COMPLETED
 
 
+class ProgressWindow:
+    """A client's progress checkpoints, folded as they arrive: the first
+    and the last, and the longest gap between two consecutive ones (the
+    earlier of equal gaps) from ``start`` to ``end``, each ``(time,
+    bytes)``.  It holds four points however long the session runs."""
+
+    __slots__ = ("first", "last", "start", "end")
+
+    def __init__(self) -> None:
+        self.first = self.last = self.start = self.end = None
+
+    def add(self, time: float, done: int) -> None:
+        point = (time, done)
+        last = self.last
+        if last is None:
+            self.first = point
+        elif self.start is None or time - last[0] > self.end[0] - self.start[0]:
+            self.start, self.end = last, point
+        self.last = point
+
+    @property
+    def longest(self) -> float:
+        """The longest gap; 0.0 before the second checkpoint."""
+        return 0.0 if self.start is None else self.end[0] - self.start[0]
+
+
 @dataclasses.dataclass
 class RunResult:
     """Outcome of one client run."""
@@ -139,8 +165,8 @@ class RunResult:
     bytes_received: int
     verified: bool
     bytes_sent: int = 0
-    #: (time, cumulative response bytes) checkpoints for gap analysis.
-    timeline: List[Tuple[float, int]] = dataclasses.field(default_factory=list)
+    #: The (time, cumulative bytes) checkpoints, folded for gap analysis.
+    progress: ProgressWindow = dataclasses.field(default_factory=ProgressWindow)
     error: Optional[str] = None
 
     @property
@@ -151,9 +177,7 @@ class RunResult:
     def max_gap(self) -> float:
         """Longest interval between progress checkpoints — the
         client-visible service interruption."""
-        if len(self.timeline) < 2:
-            return 0.0
-        return max(b[0] - a[0] for a, b in zip(self.timeline, self.timeline[1:]))
+        return self.progress.longest
 
     def outcome(self, client: str) -> Outcome:
         """This session's outcome-ledger entry, under the name ``client``."""

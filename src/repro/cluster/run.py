@@ -40,7 +40,6 @@ from repro.obs.timeline import (
     Phase,
     TimelineCollector,
     reconstruct_cluster_phases,
-    reconstruct_failover,
 )
 
 #: Clients start this long after the service fabric comes up.
@@ -120,13 +119,7 @@ class ClusterRun:
         """Reconstruct the failover phases from this pair's viewpoint:
         its own client's progress checkpoints, everyone's cold markers
         (only the crashed pair has suspicion/takeover events)."""
-        client_name = self.fabric.service_by_name[service_name].client.name
-        filtered = [
-            r
-            for r in self.collector.records
-            if r.category != "app" or r.fields.get("host") == client_name
-        ]
-        return reconstruct_failover(filtered)
+        return self.collector.reconstruct(self.fabric.service_by_name[service_name].client.name)
 
     def outcomes(self) -> List[Outcome]:
         """The outcome ledger, one entry per pair in pair order, named by

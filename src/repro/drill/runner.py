@@ -445,8 +445,9 @@ def run_drill_file(
     flight-recorder dump there as ``<name>.flight.txt`` plus, for a
     cluster drill, a Perfetto-loadable ``<name>.trace.json``: the run's
     failover phases as slices over its timeline collector's records,
-    which keep every cold-path marker (the flight ring's 256-record window
-    is overrun by TCP chatter long before a cluster drill ends).  Dumps
+    which keep every cold-path marker but the client's folded progress
+    (the flight ring's 256-record window is overrun by TCP chatter long
+    before a cluster drill ends).  Dumps
     are a side channel only — the report and the failure diagnostics stay
     byte-identical with and without them.
     """

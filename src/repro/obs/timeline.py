@@ -18,8 +18,9 @@ failover/first_ack     first client retransmission accepted
 
 The outage window is anchored on **client progress**: the longest gap
 between consecutive ``client_progress`` checkpoints is, by construction,
-exactly :attr:`RunResult.max_gap` — so the phase durations sum to the
-measured client-visible outage *by identity*, not by coincidence.  The
+exactly :attr:`RunResult.max_gap` — both fold the same checkpoints into a
+:class:`~repro.apps.workload.ProgressWindow` — so the phase durations sum
+to the measured client-visible outage *by identity*, not by coincidence.  The
 crash itself is reported as an annotation inside the detection phase
 (the client keeps eating buffered bytes for a moment after the power
 goes out, which is why the outage starts at its last progress, not at
@@ -29,16 +30,19 @@ never made progress again after the takeover — has no decomposition.
 :class:`TimelineCollector` subscribes to cold categories only, so it can
 be left attached to every harness run without waking the hot ``tcp`` /
 ``link`` emit paths (their ``trace.categories`` guards still see no sink).
-It also keeps ``nic`` records, which only a NIC loss model or a full RX
-queue emits: the frames a lossy tap dropped (``repro explain`` names
-them).
+It keeps every record but the client's progress, which it folds per
+host as it arrives: an observer holds O(1) per client, not a record per
+exchange.  It also keeps ``nic`` records, which only a NIC loss model
+emits: the frames a lossy tap dropped (``repro explain`` names them).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, DefaultDict, Dict, List, Optional, Tuple
 
+from repro.apps.workload import ProgressWindow
 from repro.sim.trace import TraceRecord, Tracer
 
 #: Categories the collector subscribes to — cold paths only.
@@ -132,11 +136,14 @@ class TimelineCollector:
     """Trace sink collecting the cold-path markers a timeline needs.
 
     Attach to a tracer (subscribes to :data:`TIMELINE_CATEGORIES` only),
-    run the scenario, then call :meth:`reconstruct`.
+    run the scenario, then call :meth:`reconstruct`.  ``records`` holds
+    every marker but ``app/client_progress``; ``progress`` folds those,
+    one window per client host.
     """
 
     def __init__(self) -> None:
         self.records: List[TraceRecord] = []
+        self.progress: DefaultDict[str, ProgressWindow] = defaultdict(ProgressWindow)
         self._tracer: Optional[Tracer] = None
 
     def attach(self, tracer: Tracer) -> "TimelineCollector":
@@ -150,10 +157,17 @@ class TimelineCollector:
             self._tracer = None
 
     def __call__(self, record: TraceRecord) -> None:
-        self.records.append(record)
+        if record.category != "app":
+            self.records.append(record)
+            return
+        fields = record.fields  # the category's one marker: client_progress
+        self.progress[fields["host"]].add(record.time, fields["bytes"])
 
-    def reconstruct(self) -> Optional[FailoverTimeline]:
-        return reconstruct_failover(self.records)
+    def reconstruct(self, host: Optional[str] = None) -> Optional[FailoverTimeline]:
+        """The failover as ``host``'s client saw it; by default the first
+        client that made progress (a single-client run's one client)."""
+        window = self.progress.get(host) if host else next(iter(self.progress.values()), None)
+        return None if window is None else reconstruct_failover(self.records, window)
 
 
 def _first(
@@ -169,8 +183,12 @@ def _first(
     return None
 
 
-def reconstruct_failover(records: List[TraceRecord]) -> Optional[FailoverTimeline]:
-    """Derive the phase decomposition from a record stream.
+def reconstruct_failover(
+    records: List[TraceRecord], progress: Optional[ProgressWindow] = None
+) -> Optional[FailoverTimeline]:
+    """Derive the phase decomposition from a record stream and the
+    client's folded ``progress``; None folds the stream's own
+    ``app/client_progress`` records.
 
     Returns None when the stream holds no reconstructible failover: no
     takeover happened, there are too few client checkpoints to locate an
@@ -179,8 +197,12 @@ def reconstruct_failover(records: List[TraceRecord]) -> Optional[FailoverTimelin
     never recovered: its longest gap closed before the takeover, and a
     phase would come out negative).
     """
-    progress = [r.time for r in records if r.category == "app" and r.event == "client_progress"]
-    if len(progress) < 2:
+    if progress is None:
+        progress = ProgressWindow()
+        for record in records:
+            if record.category == "app" and record.event == "client_progress":
+                progress.add(record.time, record.fields["bytes"])
+    if progress.start is None:
         return None
     suspected = _first(records, "sttcp", "primary_suspected")
     takeover = _first(records, "sttcp", "takeover")
@@ -189,11 +211,7 @@ def reconstruct_failover(records: List[TraceRecord]) -> Optional[FailoverTimelin
 
     # The outage window: the longest inter-checkpoint gap — identical to
     # RunResult.max_gap because the checkpoints are the same events.
-    gap_index = max(
-        range(len(progress) - 1), key=lambda i: progress[i + 1] - progress[i]
-    )
-    outage_start = progress[gap_index]
-    outage_end = progress[gap_index + 1]
+    outage_start, outage_end = progress.start[0], progress.end[0]
     if not outage_start <= suspected.time <= takeover.time <= outage_end:
         return None
 

@@ -24,6 +24,7 @@ from repro.tcp.constants import (
     MAX_SYN_RETRANSMITS,
     PERSIST_TIMEOUT_MAX,
     PERSIST_TIMEOUT_MIN,
+    RTO_MIN,
     TCPState,
 )
 from repro.tcp.rtt import RTTEstimator
@@ -49,7 +50,7 @@ class RetransmitEngine:
 
     def __init__(self, conn: "TCPConnection", config: TCPConfig) -> None:
         self.conn = conn
-        self.rtt = RTTEstimator(config.rto_min, config.rto_max)
+        self.rtt = RTTEstimator(RTO_MIN, config.rto_max)
         sim = conn.sim
         self.rto_timer = RestartableTimer(sim, self._on_rto, "rto")
         # Built when first armed (DESIGN §14): few connections ever use them.

@@ -1,10 +1,13 @@
 """End-to-end application tests on a standard (non-ST-TCP) server."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.client import run_client
 from repro.apps.server import start_server
 from repro.apps.workload import (
     PAPER_BULK_SIZES,
+    ProgressWindow,
     RunResult,
     bulk_workload,
     echo_workload,
@@ -61,12 +64,49 @@ def test_upload_application():
 
 
 def test_timeline_monotonic_and_complete():
+    """The folded window is ordered, inside the session, and ends on
+    every byte received (the property below checks the fold itself
+    against the brute-force gaps)."""
     result = run_app(interactive_workload(20))
-    times = [t for t, _ in result.timeline]
-    totals = [b for _, b in result.timeline]
-    assert times == sorted(times)
-    assert totals == sorted(totals)
-    assert totals[-1] == result.bytes_received
+    progress = result.progress
+    points = [progress.first, progress.start, progress.end, progress.last]
+    assert points == sorted(points)
+    assert result.start_time <= progress.first[0] and progress.last[0] <= result.end_time
+    assert progress.first[1] == 0
+    assert progress.last[1] == result.bytes_received
+    assert progress.longest == progress.end[0] - progress.start[0] == result.max_gap
+
+
+#: Checkpoint steps: equal gaps (ties), zero gaps, and arbitrary ones.
+_steps = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 10.0)),
+        st.integers(0, 65536),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_steps)
+def test_progress_window_is_the_brute_force_longest_gap(steps):
+    """Folded one at a time, any non-decreasing checkpoints give exactly
+    the longest consecutive gap (the first of equal ones, as ``max`` over
+    the indices picks it), and the first and last checkpoints."""
+    points, time, done = [], 0.0, 0
+    for step, more in steps:
+        time, done = time + step, done + more
+        points.append((time, done))
+    window = ProgressWindow()
+    for point in points:
+        window.add(*point)
+    assert (window.first, window.last) == ((points[0], points[-1]) if points else (None, None))
+    if len(points) < 2:
+        assert (window.start, window.end, window.longest) == (None, None, 0.0)
+        return
+    index = max(range(len(points) - 1), key=lambda i: points[i + 1][0] - points[i][0])
+    assert (window.start, window.end) == (points[index], points[index + 1])
+    assert window.longest == max(b[0] - a[0] for a, b in zip(points, points[1:]))
 
 
 def test_max_gap_reflects_stalls():

@@ -5,6 +5,8 @@ figure5-style run, the phase durations sum to the measured
 client-visible outage within one tick.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.obs.timeline import (
@@ -288,3 +290,55 @@ class TestClusterPhases:
         assert [p.name for p in run.phases()] == [
             "detection", "takeover", "recovery", "fence", "election"
         ]
+
+
+def _lengths(value, path="result"):
+    """``{path: len}`` of every container reachable from ``value``
+    through dataclass fields, slots, sequences and mappings."""
+    if isinstance(value, (dict, list, tuple)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        found = {path: len(value)}
+    elif dataclasses.is_dataclass(value):
+        items = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
+        found = {}
+    elif hasattr(type(value), "__slots__"):
+        items = ((name, getattr(value, name)) for name in type(value).__slots__)
+        found = {}
+    else:
+        return {}
+    for name, child in items:
+        found.update(_lengths(child, f"{path}.{name}"))
+    return found
+
+
+class TestObserverFootprint:
+    """DESIGN §14: an observer keeps O(1) per client, not a record per
+    exchange.  The smoke cluster at 40 and at 80 exchanges per client
+    (both runs span its failover) must hold the same records and results
+    of the same shape."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        from repro.cluster.run import ClusterRun
+        from repro.cluster.scenario import load_scenario
+
+        spec = load_scenario("configs/cluster/smoke.json")
+        runs = []
+        for exchanges in (40, 80):
+            run = ClusterRun(dataclasses.replace(spec, exchanges=exchanges))
+            run.execute()
+            assert run.pair_timeline("s0") is not None
+            runs.append(run)
+        return runs
+
+    def test_the_collector_folds_every_progress_record(self, runs):
+        for run in runs:
+            assert not [r for r in run.collector.records if r.category == "app"]
+            assert sorted(run.collector.progress) == ["c0", "c1"]
+
+    def test_no_trail_grows_with_the_exchanges(self, runs):
+        short, long = runs
+        assert len(short.collector.records) == len(long.collector.records)
+        assert [r.exchanges_done for r in long.results.values()] == [80, 80]
+        for name, result in short.results.items():
+            assert _lengths(result) == _lengths(long.results[name])

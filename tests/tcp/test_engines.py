@@ -22,6 +22,7 @@ from repro.tcp.constants import (
     FLAG_FIN,
     FLAG_PSH,
     PERSIST_TIMEOUT_MIN,
+    RTO_MIN,
     SEQ_SPACE,
     TCPState,
 )
@@ -277,7 +278,7 @@ class TestRetransmitBackoff:
         establish(conn)
         # A LAN-fast sample pins the base RTO at the 200 ms floor.
         conn.retransmit.rtt.on_measurement(0.001)
-        assert conn.retransmit.rtt.rto == pytest.approx(conn.config.rto_min)
+        assert conn.retransmit.rtt.rto == pytest.approx(RTO_MIN)
         conn.app_write(PatternBytes(1460, 0, 3))
         fire_times = []
         deadline = conn.retransmit.rto_timer.deadline
@@ -296,7 +297,7 @@ class TestRetransmitBackoff:
         conn, _, _ = make_conn()
         rtt = conn.retransmit.rtt
         rtt.on_measurement(0.0001)
-        assert rtt.rto == conn.config.rto_min
+        assert rtt.rto == RTO_MIN
         for _ in range(64):
             rtt.on_timeout()
         assert rtt.rto == conn.config.rto_max

@@ -26,3 +26,39 @@ def test_census_fails_on_an_entry_for_a_deleted_function(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "ALLOWLISTED BUT NOT DEFINED, remove the entry: repro/sim/gone.py:Gone.run" in out
     assert "entered now" not in out
+
+
+_SOURCE = '''"""A module."""
+
+
+class Box:
+    @property
+    def size(self):
+        return self._size
+
+    @size.setter
+    def size(self, value):
+        self._size = value
+
+
+def helper():
+    return Box()
+'''
+
+
+def test_an_edit_during_the_run_shifts_no_key():
+    """The run imported the module before a one-line docstring reflow;
+    the census compiles it after.  Every entered function keeps its key,
+    and a getter/setter pair stays two entries."""
+    imported = compile(_SOURCE, "/pkg/mod.py", "exec")
+    namespace: dict = {}
+    exec(imported, namespace)
+    box = namespace["helper"]()
+    box.size = 3
+    entered = [imported, namespace["helper"].__code__, namespace["Box"].size.fset.__code__]
+
+    edited = compile(_SOURCE.replace('"""A module."""', '"""A\nmodule."""'), "/pkg/mod.py", "exec")
+    defined = {key: code.co_qualname for code, key in call_census.keyed_functions(edited)}
+    assert sorted(defined.values()) == ["Box.size", "Box.size", "helper"]
+    assert sorted(defined[key] for key in call_census.entered_keys(entered)) == ["Box.size", "helper"]
+    assert ("/pkg/mod.py", "Box.size", 1) in call_census.entered_keys(entered)  # the setter

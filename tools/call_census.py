@@ -3,11 +3,14 @@
 Runs the tier-1 suite in this process under ``sys.settrace`` — call
 events only: the tracer returns None, so no frame is traced line by line
 — and records every code object that starts running.  Every function
-defined under ``src/repro`` is then looked up by (file, first line,
-qualified name); class bodies, lambdas, comprehensions and ``__repr__``
-are left out.  A function never entered is *new* unless
-``tools/call_census_allowlist.txt`` names it, one ``module:qualname`` and
-its reason per line.
+defined under ``src/repro`` is then looked up by (file, qualified name,
+its ordinal among that file's definitions of the name, so a property's
+getter and setter stay two); class bodies, lambdas, comprehensions and
+``__repr__`` are left out.  An entered function is keyed through the
+module body that defined it, as it was imported, so an edit under
+``src/repro`` while the suite runs shifts no key.  A function never
+entered is *new* unless ``tools/call_census_allowlist.txt`` names it,
+one ``module:qualname`` and its reason per line.
 
 Exit status: 0 when every never-entered function is allowlisted, 1 when
 one is not or when an allowlist entry names a function that no longer
@@ -33,7 +36,7 @@ import os
 import sys
 import threading
 from types import CodeType
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Collection, Dict, Iterator, List, Set, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOURCE = os.path.join(ROOT, "src", "repro")
@@ -43,7 +46,7 @@ ALLOWLIST = os.path.join(ROOT, "tools", "call_census_allowlist.txt")
 _SKIPPED_NAMES = {"<lambda>", "<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>", "__repr__"}
 _CO_OPTIMIZED = 0x0001  # set on function bodies, clear on module and class bodies
 
-Key = Tuple[str, int, str]
+Key = Tuple[str, str, int]
 
 
 def _functions(code: CodeType) -> Iterator[CodeType]:
@@ -54,8 +57,32 @@ def _functions(code: CodeType) -> Iterator[CodeType]:
             yield from _functions(const)
 
 
+def keyed_functions(module: CodeType) -> Iterator[Tuple[CodeType, Key]]:
+    """Every function a module body defines, with its (real path,
+    qualname, ordinal among the body's definitions of that qualname)."""
+    path = os.path.realpath(module.co_filename)
+    seen: Dict[str, int] = {}
+    for function in _functions(module):
+        ordinal = seen.get(function.co_qualname, 0)
+        seen[function.co_qualname] = ordinal + 1
+        yield function, (path, function.co_qualname, ordinal)
+
+
+def entered_keys(entered: Collection[CodeType]) -> Set[Key]:
+    """The keys of the entered functions whose module body was entered
+    too (every module a traced run imports)."""
+    codes = {id(code) for code in entered}
+    return {
+        key
+        for module in entered
+        if module.co_name == "<module>"
+        for function, key in keyed_functions(module)
+        if id(function) in codes
+    }
+
+
 def defined_functions() -> Dict[Key, str]:
-    """(real path, first line, qualname) -> ``module:qualname`` of every
+    """(real path, qualname, ordinal) -> ``module:qualname`` of every
     function under ``src/repro``."""
     found: Dict[Key, str] = {}
     for directory, _, files in os.walk(SOURCE):
@@ -66,10 +93,8 @@ def defined_functions() -> Dict[Key, str]:
             with open(path, encoding="utf-8") as handle:
                 module = compile(handle.read(), path, "exec")
             label = os.path.relpath(path, os.path.dirname(SOURCE)).replace(os.sep, "/")
-            for function in _functions(module):
-                found[(path, function.co_firstlineno, function.co_qualname)] = (
-                    f"{label}:{function.co_qualname}"
-                )
+            for function, key in keyed_functions(module):
+                found[key] = f"{label}:{function.co_qualname}"
     return found
 
 
@@ -106,11 +131,7 @@ def run_traced(pytest_args: List[str]) -> Tuple[int, Set[Key]]:
     finally:
         sys.settrace(None)
         threading.settrace(None)  # type: ignore[arg-type]
-    keys = {
-        (os.path.realpath(code.co_filename), code.co_firstlineno, code.co_qualname)
-        for code in entered.values()
-    }
-    return int(status), keys
+    return int(status), entered_keys(entered.values())
 
 
 def main(argv: List[str]) -> int:
